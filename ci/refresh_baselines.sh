@@ -10,48 +10,45 @@
 # keys must be promoted by hand before they are gated.
 #
 # Usage:
-#   ci/refresh_baselines.sh            # quick profile, 50% headroom
+#   ci/refresh_baselines.sh            # every figure, quick profile, 50% headroom
+#   ci/refresh_baselines.sh 17         # only the figures named (a change that moved one record)
 #   HEADROOM=0.6 ci/refresh_baselines.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 HEADROOM="${HEADROOM:-0.5}"
 
+declare -A BIN=(
+  [15]=fig15_serving_throughput
+  [12]=fig12_training_time
+  [11]=fig11_online_time
+  [18]=fig18_open_loop
+  [16]=fig16_kernels
+  [17]=fig17_scale_serving
+  [19]=fig19_ann_retrieval
+  [20]=fig20_document_linking
+)
+FIGS=("$@")
+if [ "${#FIGS[@]}" -eq 0 ]; then
+  FIGS=(15 12 11 18 16 17 19 20)
+fi
+
 cargo build --release -p ncl-bench
 
 # Each binary drops its flat BENCH_fig*.json at the repo root — the same
 # records the CI bench-smoke job feeds to the gate.
-cargo run --release -p ncl-bench --bin fig15_serving_throughput -- --quick
-cargo run --release -p ncl-bench --bin fig12_training_time -- --quick
-cargo run --release -p ncl-bench --bin fig11_online_time -- --quick
-cargo run --release -p ncl-bench --bin fig18_open_loop -- --quick
-cargo run --release -p ncl-bench --bin fig16_kernels -- --quick
-cargo run --release -p ncl-bench --bin fig17_scale_serving -- --quick
-cargo run --release -p ncl-bench --bin fig19_ann_retrieval -- --quick
-cargo run --release -p ncl-bench --bin fig20_document_linking -- --quick
+PAIRS=()
+for fig in "${FIGS[@]}"; do
+  cargo run --release -p ncl-bench --bin "${BIN[$fig]:?no figure $fig}" -- --quick
+  PAIRS+=("BENCH_fig$fig.json" "ci/bench_baseline_fig$fig.json")
+done
 
 cargo run --release -p ncl-bench --bin bench_gate -- \
-  BENCH_fig15.json ci/bench_baseline_fig15.json \
-  BENCH_fig12.json ci/bench_baseline_fig12.json \
-  BENCH_fig11.json ci/bench_baseline_fig11.json \
-  BENCH_fig18.json ci/bench_baseline_fig18.json \
-  BENCH_fig16.json ci/bench_baseline_fig16.json \
-  BENCH_fig17.json ci/bench_baseline_fig17.json \
-  BENCH_fig19.json ci/bench_baseline_fig19.json \
-  BENCH_fig20.json ci/bench_baseline_fig20.json \
-  --rebase --headroom "$HEADROOM"
+  "${PAIRS[@]}" --rebase --headroom "$HEADROOM"
 
 # Sanity: a gate run against the fresh baselines must pass by a wide
 # margin (we just set them below the measurement).
 cargo run --release -p ncl-bench --bin bench_gate -- \
-  BENCH_fig15.json ci/bench_baseline_fig15.json \
-  BENCH_fig12.json ci/bench_baseline_fig12.json \
-  BENCH_fig11.json ci/bench_baseline_fig11.json \
-  BENCH_fig18.json ci/bench_baseline_fig18.json \
-  BENCH_fig16.json ci/bench_baseline_fig16.json \
-  BENCH_fig17.json ci/bench_baseline_fig17.json \
-  BENCH_fig19.json ci/bench_baseline_fig19.json \
-  BENCH_fig20.json ci/bench_baseline_fig20.json \
-  --tolerance 0.20
+  "${PAIRS[@]}" --tolerance 0.20
 
 echo "refresh_baselines: done — review and commit ci/bench_baseline_fig*.json"

@@ -9,6 +9,18 @@
 //! memory (Eq. 7). [`ComAid::freeze`] precomputes all of it once per
 //! ontology; online scoring then only runs the decoder over the query.
 //!
+//! The freeze itself shares work exactly. The encoder starts every
+//! description from the zero state, so its state after a token prefix is
+//! a function of that prefix alone, and ICD-style descriptions extend
+//! their parent's: each shard walks its descriptions through a prefix
+//! trie and runs an encoder step only for a prefix it has not met
+//! (`CacheMemoryReport::encoder_share_ratio`). Inside a step the input
+//! half `b + W·x` of the gate pre-activations depends on the input alone
+//! ([`LstmPlan::project_input`]), so the freeze projects each word id
+//! once per shard and scoring projects each query word once per request
+//! instead of once per candidate. Both reuse the very values the
+//! unshared computation would produce, so neither can move a bit.
+//!
 //! Two invariants make the cache safe and exact:
 //!
 //! - **Bit identity.** Cached scoring reuses the very kernels of the
@@ -24,12 +36,13 @@
 
 use super::{ComAid, OntologyIndex};
 use ncl_nn::lstm::LstmPlan;
-use ncl_nn::softmax_loss;
+use ncl_nn::{softmax_loss, Embedding};
 use ncl_ontology::ConceptId;
 use ncl_tensor::ops::{log_softmax_at_slice, log_softmax_at_slice_relaxed, log_sum_exp_slice};
 use ncl_tensor::{simd, Matrix, Vector};
 use ncl_text::Vocab;
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -109,6 +122,12 @@ pub struct CacheMemoryReport {
     /// Distinct ancestor concepts behind those slots — the floor
     /// row-sharing can reach.
     pub ancestor_rows_unique: usize,
+    /// Description tokens of the frozen nodes: the encoder steps a
+    /// per-concept pass would run.
+    pub encoder_tokens: usize,
+    /// Encoder steps the freeze actually ran — one per distinct
+    /// description prefix within a shard.
+    pub encoder_steps_run: usize,
 }
 
 impl CacheMemoryReport {
@@ -141,12 +160,22 @@ impl CacheMemoryReport {
         }
         self.ancestor_slots as f64 / self.ancestor_rows_stored as f64
     }
+
+    /// `encoder_tokens / encoder_steps_run`: how many description tokens
+    /// each encoder step served (1.0 = no two descriptions in a shard
+    /// share a prefix).
+    pub fn encoder_share_ratio(&self) -> f64 {
+        if self.encoder_steps_run == 0 {
+            return 1.0;
+        }
+        self.encoder_tokens as f64 / self.encoder_steps_run as f64
+    }
 }
 
 /// SIMD-friendly weight layouts frozen alongside the per-concept states:
 /// the decoder's fused gate plan plus the transposed composite and output
 /// weights, so every online decoder step streams contiguous columns
-/// ([`LstmPlan::step_infer`], `Dense::apply_with_t`/`apply_batch_with_t`)
+/// ([`LstmPlan::step_projected`], `Dense::apply_with_t`/`apply_batch_with_t`)
 /// instead of re-walking row-major matrices. Derived data at the same
 /// parameter generation as the rest of the cache — the version counter
 /// covers it.
@@ -222,7 +251,111 @@ struct ShardData {
     /// Distinct ancestor concepts behind those slots — what row-sharing
     /// collapses them to.
     anc_unique: usize,
+    /// Description tokens across the shard's nodes, and the encoder
+    /// steps the prefix trie ran for them.
+    enc_tokens: usize,
+    enc_steps: usize,
     rows: ShardRows,
+}
+
+/// Freeze-time scratch of one shard: the encoder state after every
+/// distinct description prefix met so far. The encoder starts each
+/// description from the zero state, so that state is a function of the
+/// prefix alone and every description sharing the prefix reads it
+/// instead of recomputing it.
+///
+/// States live in two flat arenas rather than a `Vector` per node: the
+/// scratch is then a handful of large blocks that go back to the
+/// allocator whole when the shard is done, instead of tens of thousands
+/// of small ones interleaved with the rows the cache keeps.
+struct PrefixTrie<'m> {
+    plan: &'m LstmPlan,
+    embedding: &'m Embedding,
+    /// `(parent node, word id)` → node; node 0 is the empty prefix.
+    edges: HashMap<(usize, u32), usize>,
+    /// Row `n` of `hs` / `cs` (`d` floats each) = the encoder's `h` / `c`
+    /// after node `n`'s prefix; row 0 is the zero start state.
+    hs: Vec<f32>,
+    cs: Vec<f32>,
+    /// Word id → its input projection `b + W·x`, made the first time the
+    /// shard steps on the word.
+    word_proj: HashMap<u32, Vector>,
+}
+
+impl<'m> PrefixTrie<'m> {
+    fn new(plan: &'m LstmPlan, embedding: &'m Embedding) -> Self {
+        let d = plan.hidden();
+        Self {
+            plan,
+            embedding,
+            edges: HashMap::new(),
+            hs: vec![0.0; d],
+            cs: vec![0.0; d],
+            word_proj: HashMap::new(),
+        }
+    }
+
+    /// Encoder steps run so far: one per distinct non-empty prefix.
+    fn steps_run(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// The hidden states `h_1..h_n` and the final cell of one
+    /// description — what a pass over `tokens` from the zero state
+    /// returns — stepping the encoder only where the prefix is new.
+    fn encode(&mut self, tokens: &[u32]) -> (Vec<Vector>, Vector) {
+        let d = self.plan.hidden();
+        let row = |n: usize| n * d..(n + 1) * d;
+        let mut node = 0usize;
+        let mut hs = Vec::with_capacity(tokens.len());
+        for &word in tokens {
+            // Every edge made one node, so the next free row is:
+            let next = self.edges.len() + 1;
+            match self.edges.entry((node, word)) {
+                Entry::Occupied(e) => {
+                    node = *e.get();
+                    hs.push(Vector::from_slice(&self.hs[row(node)]));
+                }
+                Entry::Vacant(e) => {
+                    let proj = self.word_proj.entry(word).or_insert_with(|| {
+                        self.plan
+                            .project_input(self.embedding.table().row(word as usize))
+                    });
+                    let (h, c) = self.plan.step_projected(
+                        proj.as_slice(),
+                        &self.hs[row(node)],
+                        &self.cs[row(node)],
+                    );
+                    node = *e.insert(next);
+                    self.hs.extend_from_slice(h.as_slice());
+                    self.cs.extend_from_slice(c.as_slice());
+                    hs.push(h);
+                }
+            }
+        }
+        (hs, Vector::from_slice(&self.cs[row(node)]))
+    }
+}
+
+/// A decode target prepared for cached scoring: the query's word ids
+/// plus each word's decoder input projection, made once per request by
+/// [`ComAid::prepare_target`] and read by every candidate.
+pub(crate) struct PreparedTarget<'t> {
+    ids: &'t [u32],
+    /// `x_proj[t − 1]` = `b + W·x` of decoder step `t ≥ 1`, whose input
+    /// is the word `ids[t − 1]`. Step 0 consumes `⟨BOS⟩` and is frozen
+    /// in the cache.
+    x_proj: Vec<Vector>,
+}
+
+impl PreparedTarget<'_> {
+    /// `(t, projection)` for the online decoder steps `t = 1..=n`.
+    fn steps(&self) -> impl Iterator<Item = (usize, &[f32])> {
+        self.x_proj
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (i + 1, p.as_slice()))
+    }
 }
 
 /// One concept's cached rows, fetched for scoring: borrowed straight
@@ -269,9 +402,9 @@ pub struct ConceptCache {
     shards: Vec<OnceLock<ShardData>>,
     /// Transposed/fused weight layouts for the online decoder steps.
     plan: ServePlan,
-    /// The encoder's fused plan, materialised once by the first lazy
-    /// shard freeze (an eager freeze uses a transient plan instead and
-    /// never sets this).
+    /// The encoder's fused plan, materialised by the first shard freeze
+    /// — eager or lazy, both go through `freeze_shard` — and kept for
+    /// the shards still to come.
     enc_plan: OnceLock<LstmPlan>,
     /// Whether cached scoring may use the epsilon-relaxed fast-math
     /// kernels (`LinkerConfig::fast_math`). Off by default: exact,
@@ -352,6 +485,8 @@ impl ConceptCache {
             ancestor_slots: 0,
             ancestor_rows_stored: 0,
             ancestor_rows_unique: 0,
+            encoder_tokens: 0,
+            encoder_steps_run: 0,
         };
         if let Some(p) = self.enc_plan.get() {
             r.plan_bytes += p.memory_floats() * 4;
@@ -363,6 +498,8 @@ impl ConceptCache {
             r.decoder_state_bytes += (shard.dec_h1.len() + shard.dec_c1.len()) * d * 4;
             r.ancestor_slots += shard.anc_slots;
             r.ancestor_rows_unique += shard.anc_unique;
+            r.encoder_tokens += shard.enc_tokens;
+            r.encoder_steps_run += shard.enc_steps;
             match &shard.rows {
                 ShardRows::Exact {
                     enc_hs,
@@ -398,6 +535,26 @@ impl ConceptCache {
     /// weight plans the online steps stream from.
     pub fn memory_floats(&self) -> usize {
         self.memory_report().total_bytes() / 4
+    }
+
+    /// The frozen encoder states `h_1..h_n^c` of `concept` — its textual
+    /// attention memory as scoring reads it (dequantized in the
+    /// `Compact` tier; empty for a token-less node) — freezing the
+    /// concept's shard first if a lazy cache has not touched it yet.
+    ///
+    /// # Panics
+    /// Panics if the cache is stale for `model`
+    /// ([`ConceptCache::is_valid_for`]).
+    pub fn encoder_states(
+        &self,
+        model: &ComAid,
+        index: &OntologyIndex,
+        concept: ConceptId,
+    ) -> Vec<Vector> {
+        assert!(self.is_valid_for(model), "encoder_states: stale cache");
+        self.entry(model, index, concept.index())
+            .enc_hs
+            .into_owned()
     }
 
     /// Fetches `ci`'s cached rows, freezing its shard first if this is a
@@ -450,9 +607,10 @@ impl ConceptCache {
 
 impl ComAid {
     /// Precomputes the serving cache for every concept of `index` under
-    /// the current parameters (one encoder pass per ontology node; the
-    /// structural memory reuses those same passes, because an ancestor's
-    /// encoding *is* that ancestor's concept encoding). Eager and
+    /// the current parameters (one encoder step per distinct description
+    /// prefix of a chapter; the structural memory reuses those same
+    /// states, because an ancestor's encoding *is* that ancestor's
+    /// concept encoding). Eager and
     /// `Exact`: cached scores are bit-identical to the uncached pass.
     pub fn freeze(&self, index: &OntologyIndex) -> ConceptCache {
         self.freeze_tiered(index, CacheTier::Exact)
@@ -526,12 +684,17 @@ impl ComAid {
         }
     }
 
-    /// Freezes one chapter shard: encoder passes for its member nodes,
-    /// the slot-expanded (or row-shared) ancestor memory, the frozen
-    /// post-BOS decoder states, and — in the `Exact` tier — the step-0
-    /// logits tables. Chapter subtrees are self-contained (every context
-    /// entry of a member is itself a member), so the shard never reads
-    /// outside its own encoder passes.
+    /// Freezes one chapter shard: the encoder states of its member
+    /// nodes, the slot-expanded (or row-shared) ancestor memory, the
+    /// frozen post-BOS decoder states, and — in the `Exact` tier — the
+    /// step-0 logits tables. Chapter subtrees are self-contained (every
+    /// context entry of a member is itself a member), so the shard never
+    /// reads outside its own encoder states.
+    ///
+    /// The one freeze path — eager, lazy and hot-swap publish all land
+    /// here. Descriptions go through a [`PrefixTrie`], so a shard with
+    /// no shared prefix pays one hash probe per token over a plain
+    /// per-concept pass and any other shard runs fewer encoder steps.
     fn freeze_shard(&self, index: &OntologyIndex, cache: &ConceptCache, si: usize) -> ShardData {
         let d = self.config().dim;
         let zero = Vector::zeros(d);
@@ -539,12 +702,21 @@ impl ComAid {
         let enc_plan = cache.enc_plan.get_or_init(|| self.encoder.plan());
         let mut enc_hs: Vec<Vec<Vector>> = Vec::with_capacity(nodes.len());
         let mut enc_final_c: Vec<Vector> = Vec::with_capacity(nodes.len());
-        for &ni in nodes {
-            let xs = self.embedding.lookup_seq(index.tokens(ConceptId(ni)));
-            let (hs, final_c) = enc_plan.forward_states(&xs, &zero, &zero);
-            enc_hs.push(hs);
-            enc_final_c.push(final_c);
-        }
+        let mut enc_tokens = 0usize;
+        // The trie holds a state pair per distinct prefix; it goes out
+        // of scope here, before the post-BOS states and the (much
+        // larger) step-0 tables below are allocated.
+        let enc_steps = {
+            let mut trie = PrefixTrie::new(enc_plan, &self.embedding);
+            for &ni in nodes {
+                let tokens = index.tokens(ConceptId(ni));
+                enc_tokens += tokens.len();
+                let (hs, final_c) = trie.encode(tokens);
+                enc_hs.push(hs);
+                enc_final_c.push(final_c);
+            }
+            trie.steps_run()
+        };
         // Final encoder state of an in-shard ancestor; the zero fallback
         // mirrors LstmTape::final_h() on an empty sequence.
         let local_of = |anc: ConceptId| -> usize {
@@ -564,17 +736,21 @@ impl ComAid {
         // BOS embedding and its state the encoder final state, both
         // frozen above. Run it once per node — from the *exact* states
         // in both tiers (quantization narrows stored rows, never the
-        // inputs of frozen computation).
-        let x_bos = self
-            .embedding
-            .lookup_seq(&[Vocab::BOS])
-            .pop()
-            .expect("BOS embedding");
+        // inputs of frozen computation) — with the BOS input projected
+        // once for the whole shard.
+        let bos_proj = cache
+            .plan
+            .decoder
+            .project_input(self.embedding.table().row(Vocab::BOS as usize));
         let mut dec_h1 = Vec::with_capacity(nodes.len());
         let mut dec_c1 = Vec::with_capacity(nodes.len());
-        for (l, _) in nodes.iter().enumerate() {
-            let h0 = anc_final(l);
-            let (h1, c1) = cache.plan.decoder.step_infer(&x_bos, &h0, &enc_final_c[l]);
+        for (hs, final_c) in enc_hs.iter().zip(&enc_final_c) {
+            let h0 = hs.last().unwrap_or(&zero);
+            let (h1, c1) = cache.plan.decoder.step_projected(
+                bos_proj.as_slice(),
+                h0.as_slice(),
+                final_c.as_slice(),
+            );
             dec_h1.push(h1);
             dec_c1.push(c1);
         }
@@ -675,6 +851,8 @@ impl ComAid {
             dec_c1,
             anc_slots,
             anc_unique: anc_unique_set.len(),
+            enc_tokens,
+            enc_steps,
             rows,
         }
     }
@@ -697,8 +875,50 @@ impl ComAid {
         if !cache.is_valid_for(self) {
             return self.log_prob_ids_masked(index, concept, target, count);
         }
+        let prepared = self.prepare_target(cache, target);
+        self.log_prob_ids_masked_prepared(index, cache, concept, &prepared, count)
+    }
+
+    /// Projects a decode target's words through the cached decoder plan,
+    /// once, for any number of candidates scored against it. Callers
+    /// must have checked [`ConceptCache::is_valid_for`].
+    pub(crate) fn prepare_target<'t>(
+        &self,
+        cache: &ConceptCache,
+        target: &'t [u32],
+    ) -> PreparedTarget<'t> {
+        let x_proj = target
+            .iter()
+            .map(|&w| {
+                cache
+                    .plan
+                    .decoder
+                    .project_input(self.embedding.table().row(w as usize))
+            })
+            .collect();
+        PreparedTarget {
+            ids: target,
+            x_proj,
+        }
+    }
+
+    /// [`ComAid::log_prob_ids_masked_cached`] on a target already
+    /// prepared against `cache` — the per-candidate scoring path of a
+    /// request under a deadline or fault plan. Callers must have checked
+    /// [`ConceptCache::is_valid_for`].
+    ///
+    /// # Panics
+    /// Panics if `count.len()` differs from the target's length.
+    pub(crate) fn log_prob_ids_masked_prepared(
+        &self,
+        index: &OntologyIndex,
+        cache: &ConceptCache,
+        concept: ConceptId,
+        prepared: &PreparedTarget<'_>,
+        count: &[bool],
+    ) -> f32 {
+        let target = prepared.ids;
         assert_eq!(count.len(), target.len(), "mask length mismatch");
-        let dec_xs = self.decoder_inputs(target);
         let zero = Vector::zeros(self.config().dim);
         let entry = cache.entry(self, index, concept.index());
         let enc_hs: &[Vector] = &entry.enc_hs;
@@ -731,10 +951,11 @@ impl ComAid {
                 }
             };
         }
-        for (t, dec_x) in dec_xs.iter().enumerate().skip(1) {
-            let (nh, nc) = cache.plan.decoder.step_infer(dec_x, &h, &c);
-            h = nh;
-            c = nc;
+        for (t, x_proj) in prepared.steps() {
+            (h, c) = cache
+                .plan
+                .decoder
+                .step_projected(x_proj, h.as_slice(), c.as_slice());
             // The EOS step (t == target.len()) is always counted.
             if !count.get(t).copied().unwrap_or(true) {
                 // Uncounted steps contribute nothing to the masked sum
@@ -787,15 +1008,33 @@ impl ComAid {
                 .map(|(&c, m)| self.log_prob_ids_masked(index, c, target, m))
                 .collect();
         }
+        let prepared = self.prepare_target(cache, target);
+        self.log_prob_batch_prepared(index, cache, concepts, &prepared, counts)
+    }
+
+    /// [`ComAid::log_prob_batch_cached`] on a target already prepared
+    /// against `cache`: each query word's input projection is shared by
+    /// every candidate of the step. Callers must have checked
+    /// [`ConceptCache::is_valid_for`].
+    ///
+    /// # Panics
+    /// Panics if `counts.len() != concepts.len()` or any mask's length
+    /// differs from the target's.
+    pub(crate) fn log_prob_batch_prepared(
+        &self,
+        index: &OntologyIndex,
+        cache: &ConceptCache,
+        concepts: &[ConceptId],
+        prepared: &PreparedTarget<'_>,
+        counts: &[Vec<bool>],
+    ) -> Vec<f32> {
+        let target = prepared.ids;
+        assert_eq!(counts.len(), concepts.len(), "one mask per concept");
         for m in counts {
             assert_eq!(m.len(), target.len(), "mask length mismatch");
         }
         let k = concepts.len();
-        if k == 0 {
-            return Vec::new();
-        }
         let zero = Vector::zeros(self.config().dim);
-        let dec_xs = self.decoder_inputs(target);
         let relaxed = cache.fast_math;
 
         // Fetch every candidate's rows once (freezing untouched shards,
@@ -854,11 +1093,12 @@ impl ComAid {
             }
         }
 
-        for (t, dec_x) in dec_xs.iter().enumerate().skip(1) {
-            for i in 0..k {
-                let (nh, nc) = cache.plan.decoder.step_infer(dec_x, &hs[i], &cs[i]);
-                hs[i] = nh;
-                cs[i] = nc;
+        for (t, x_proj) in prepared.steps() {
+            for (h, c) in hs.iter_mut().zip(&mut cs) {
+                (*h, *c) = cache
+                    .plan
+                    .decoder
+                    .step_projected(x_proj, h.as_slice(), c.as_slice());
             }
             counted.clear();
             counted.extend(
@@ -898,14 +1138,6 @@ impl ComAid {
             }
         }
         lps
-    }
-
-    /// Embeds the decoder input sequence `⟨BOS, target…⟩`.
-    fn decoder_inputs(&self, target: &[u32]) -> Vec<Vector> {
-        let mut ids = Vec::with_capacity(target.len() + 1);
-        ids.push(Vocab::BOS);
-        ids.extend_from_slice(target);
-        self.embedding.lookup_seq(&ids)
     }
 
     /// Builds one step's composite-layer input `[s_t ‖ textual ctx ‖

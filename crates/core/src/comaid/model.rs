@@ -272,6 +272,12 @@ impl ComAid {
         &self.embedding
     }
 
+    /// The (live) concept encoder of §4.1.1 — the reference the frozen
+    /// serving cache is checked against.
+    pub fn encoder(&self) -> &Lstm {
+        &self.encoder
+    }
+
     /// Encodes surface tokens to word ids under the model vocabulary.
     pub fn encode_words(&self, tokens: &[String]) -> Vec<u32> {
         tokens.iter().map(|t| self.vocab.get_or_unk(t)).collect()

@@ -29,7 +29,7 @@
 //! configured and no faults injected, the fast path computes exactly
 //! what it always did.
 
-use crate::comaid::{CacheTier, ComAid, ConceptCache, OntologyIndex};
+use crate::comaid::{CacheTier, ComAid, ConceptCache, OntologyIndex, PreparedTarget};
 use crate::error::NclError;
 use crate::faults::FaultPlan;
 use crate::serving::{
@@ -1310,11 +1310,15 @@ impl<'a> Linker<'a> {
         let cache = self
             .cache
             .as_deref()
-            .filter(|cache| cache.is_valid_for(self.model));
+            .filter(|cache| cache.is_valid_for(self.model))
+            // The query's decoder input projections are candidate-
+            // independent too: made once here, read by every candidate
+            // on either scoring path.
+            .map(|cache| (cache, self.model.prepare_target(cache, &ids)));
 
         if self.faults.is_none() && deadline.is_none() {
-            if let Some(cache) = cache {
-                return self.score_batched(cache, candidates, &ids, &masks, serial);
+            if let Some((cache, prepared)) = &cache {
+                return self.score_batched(cache, candidates, prepared, &masks, serial);
             }
         }
 
@@ -1328,16 +1332,19 @@ impl<'a> Linker<'a> {
                 // fault here degrades this candidate to the uncached
                 // (slower, identically-scored) path — never to a wrong
                 // or missing score.
-                let cache_hit = match (&self.faults, cache) {
+                let cache_hit = match (&self.faults, &cache) {
                     (_, None) => false,
                     (None, Some(_)) => true,
                     (Some(plan), Some(_)) => plan.visit_io("ed.cache").is_ok(),
                 };
-                match (cache_hit, cache) {
-                    (true, Some(cache)) => {
-                        self.model
-                            .log_prob_ids_masked_cached(&self.index, cache, c, &ids, mask)
-                    }
+                match (cache_hit, &cache) {
+                    (true, Some((cache, prepared))) => self.model.log_prob_ids_masked_prepared(
+                        &self.index,
+                        cache,
+                        c,
+                        prepared,
+                        mask,
+                    ),
                     _ => self.model.log_prob_ids_masked(&self.index, c, &ids, mask),
                 }
             })) {
@@ -1397,7 +1404,7 @@ impl<'a> Linker<'a> {
         &self,
         cache: &ConceptCache,
         candidates: &[ConceptId],
-        ids: &[u32],
+        prepared: &PreparedTarget<'_>,
         masks: &[Vec<bool>],
         serial: bool,
     ) -> (Vec<Option<f32>>, usize) {
@@ -1406,7 +1413,7 @@ impl<'a> Linker<'a> {
         let run_chunk = |cands: &[ConceptId], mask_chunk: &[Vec<bool>], out: &mut [Option<f32>]| {
             let batch = catch_unwind(AssertUnwindSafe(|| {
                 self.model
-                    .log_prob_batch_cached(&self.index, cache, cands, ids, mask_chunk)
+                    .log_prob_batch_prepared(&self.index, cache, cands, prepared, mask_chunk)
             }));
             match batch {
                 Ok(lps) => {
@@ -1417,8 +1424,13 @@ impl<'a> Linker<'a> {
                 Err(_) => {
                     for ((o, &c), mask) in out.iter_mut().zip(cands).zip(mask_chunk) {
                         match catch_unwind(AssertUnwindSafe(|| {
-                            self.model
-                                .log_prob_ids_masked_cached(&self.index, cache, c, ids, mask)
+                            self.model.log_prob_ids_masked_prepared(
+                                &self.index,
+                                cache,
+                                c,
+                                prepared,
+                                mask,
+                            )
                         })) {
                             Ok(lp) => *o = Some(lp),
                             Err(_) => {

@@ -4,11 +4,15 @@
 //! a training step nor a checkpoint round-trip, and the batched scoring
 //! path agrees with the per-candidate path to the last bit.
 
-use ncl_core::comaid::{ComAid, ComAidConfig, OntologyIndex, TrainPair, Variant};
+use ncl_core::comaid::{
+    CacheTier, ComAid, ComAidConfig, ConceptCache, OntologyIndex, TrainPair, Variant,
+};
 use ncl_core::linker::{Degradation, Linker, LinkerConfig};
-use ncl_ontology::{Ontology, OntologyBuilder};
+use ncl_ontology::{ConceptId, Ontology, OntologyBuilder};
+use ncl_tensor::{simd, Vector};
 use ncl_text::{tokenize, Vocab};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// A small trained world shared by the deterministic tests.
 fn trained_world() -> (Ontology, ComAid) {
@@ -273,7 +277,158 @@ fn build_world(shape: &[usize]) -> (Ontology, Vocab) {
     (o, v)
 }
 
+/// Builds an ontology whose descriptions are hostile to the freeze's
+/// prefix sharing. Each entry packs a `(parent, kind, word)` draw and
+/// attaches one concept whose description either extends its parent's by a word (the
+/// ICD regularity the trie exploits), repeats it verbatim (duplicate
+/// descriptions — and a strict prefix of every sibling that extends),
+/// drops its last word, has no tokens at all, consists only of
+/// out-of-vocabulary words (every token is `UNK`, so different surface
+/// forms collide on one trie path), or starts afresh.
+fn build_prefix_world(shape: &[usize]) -> (Ontology, Vocab) {
+    // Survives `OntologyBuilder::build` (non-blank) yet tokenises to
+    // nothing.
+    const TOKENLESS: &str = "--";
+    let mut b = OntologyBuilder::new();
+    let mut nodes: Vec<(ConceptId, String)> = Vec::new();
+    for (i, &s) in shape.iter().enumerate() {
+        let (psel, kind, wsel) = (s % 50, s / 50 % 6, s / 300);
+        let parent =
+            (!nodes.is_empty() && psel % 4 != 0).then(|| nodes[psel % nodes.len()].clone());
+        let base = tokenize(parent.as_ref().map_or("", |(_, d)| d.as_str()));
+        let word = WORDS[wsel % WORDS.len()].to_string();
+        let tokens: Vec<String> = match kind {
+            0 => base.iter().cloned().chain([word]).collect(),
+            1 => base,
+            2 => base[..base.len().saturating_sub(1)].to_vec(),
+            3 => Vec::new(),
+            4 => vec![format!("oov{wsel}"); 1 + wsel % 3],
+            _ => vec![
+                word,
+                WORDS[(wsel / WORDS.len() + i) % WORDS.len()].to_string(),
+            ],
+        };
+        let canonical = if tokens.is_empty() {
+            TOKENLESS.to_string()
+        } else {
+            tokens.join(" ")
+        };
+        let code = format!("H{i}");
+        let id = match &parent {
+            Some((p, _)) => b.add_child(*p, code, canonical.clone()),
+            None => b.add_root_concept(code, canonical.clone()),
+        };
+        nodes.push((id, canonical));
+    }
+    let mut v = Vocab::new();
+    for w in WORDS {
+        v.add(w);
+    }
+    (b.build().unwrap(), v)
+}
+
+/// What a per-concept encoder pass produces: `Lstm::forward_states` from
+/// the zero state over the description's embeddings.
+fn reference_encoder_states(model: &ComAid, index: &OntologyIndex, c: ConceptId) -> Vec<Vector> {
+    let xs = model.embedding().lookup_seq(index.tokens(c));
+    let zero = Vector::zeros(model.config().dim);
+    model.encoder().forward_states(&xs, &zero, &zero).0
+}
+
+/// The `Compact` tier's stored form of an exact row.
+fn through_bf16(v: &Vector) -> Vector {
+    let mut q = vec![0u16; v.len()];
+    simd::narrow_bf16(&mut q, v.as_slice());
+    let mut out = Vector::zeros(v.len());
+    simd::widen_bf16(out.as_mut_slice(), &q);
+    out
+}
+
+fn assert_rows_bit_identical(got: &[Vector], want: &[Vector], ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}: row count");
+    for (t, (g, w)) in got.iter().zip(want).enumerate() {
+        for (k, (a, b)) in g.iter().zip(w.iter()).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{ctx}: h_{}[{k}] {a} vs {b}",
+                t + 1
+            );
+        }
+    }
+}
+
 proptest! {
+    /// Property: the prefix-trie freeze stores, for every concept, exactly
+    /// the states a per-concept `Lstm::forward_states` pass produces —
+    /// eager and lazy, in both tiers — runs one encoder step per distinct
+    /// prefix of a chapter, and (the final cell and the frozen BOS step
+    /// ride on the scores) serves bit-identically to the uncached model.
+    #[test]
+    fn trie_shared_freeze_equals_per_concept_encoder_passes(
+        shape in proptest::collection::vec(0usize..50 * 6 * 40, 2..14),
+        qsel in proptest::collection::vec(0usize..WORDS.len(), 0..4),
+        seed in 0u64..1000,
+    ) {
+        let (o, v) = build_prefix_world(&shape);
+        let config = ComAidConfig {
+            dim: 6,
+            beta: 2,
+            variant: Variant::Full,
+            seed,
+            ..ComAidConfig::tiny()
+        };
+        let model = ComAid::new(v, config, None);
+        let index = OntologyIndex::build(&o, model.vocab(), 2);
+        let concepts: Vec<ConceptId> = o.all_concepts().collect();
+        let target: Vec<u32> = qsel.iter().map(|&i| model.vocab().get_or_unk(WORDS[i])).collect();
+        let mask: Vec<bool> = (0..target.len()).map(|t| t % 2 == 0).collect();
+        let score = |cache: &ConceptCache, c: ConceptId| {
+            model.log_prob_ids_masked_cached(&index, cache, c, &target, &mask).to_bits()
+        };
+
+        // The named counts: tokens a per-concept pass would step through,
+        // and distinct non-empty prefixes per chapter (a shard's trie).
+        let mut tokens = 0usize;
+        let mut prefixes: HashSet<(ConceptId, &[u32])> = HashSet::new();
+        for &c in &concepts {
+            let mut chapter = c;
+            while let Some(p) = o.parent(chapter).filter(|&p| p != Ontology::ROOT) {
+                chapter = p;
+            }
+            let toks = index.tokens(c);
+            tokens += toks.len();
+            prefixes.extend((1..=toks.len()).map(|n| (chapter, &toks[..n])));
+        }
+
+        for tier in [CacheTier::Exact, CacheTier::Compact] {
+            let eager = model.freeze_tiered(&index, tier);
+            let lazy = model.freeze_lazy(&index, tier);
+            // Touch the lazy shards in the opposite order to the eager
+            // sweep.
+            for &c in concepts.iter().rev() {
+                let reference = reference_encoder_states(&model, &index, c);
+                let want: Vec<Vector> = match tier {
+                    CacheTier::Exact => reference,
+                    CacheTier::Compact => reference.iter().map(through_bf16).collect(),
+                };
+                let ctx = format!("{} {:?}", tier.name(), o.concept(c).canonical);
+                assert_rows_bit_identical(&lazy.encoder_states(&model, &index, c), &want, &ctx);
+                assert_rows_bit_identical(&eager.encoder_states(&model, &index, c), &want, &ctx);
+                prop_assert_eq!(score(&eager, c), score(&lazy, c), "{}", ctx);
+                if tier == CacheTier::Exact {
+                    let plain = model.log_prob_ids_masked(&index, c, &target, &mask);
+                    prop_assert_eq!(score(&eager, c), plain.to_bits(), "{}", ctx);
+                }
+            }
+            for report in [eager.memory_report(), lazy.memory_report()] {
+                prop_assert_eq!(report.encoder_tokens, tokens);
+                prop_assert_eq!(report.encoder_steps_run, prefixes.len());
+                prop_assert!(report.encoder_share_ratio() >= 1.0);
+            }
+        }
+    }
+
     /// Property: for random ontologies and random queries, a cached and
     /// an uncached linker produce the same ranked concept ids (and
     /// bit-identical scores). The model is untrained — the property is

@@ -534,6 +534,18 @@ pub fn zero_state(hidden: usize) -> (Vector, Vector) {
 ///   functions per element in the same order (`1·x` and `0 + x` are
 ///   bitwise identities).
 ///
+/// # Hoisting the input projection
+///
+/// The pre-activation is built as `z = (b + W·x) + U·h`, and the
+/// parenthesised half depends on the input alone. [`LstmPlan::project_input`]
+/// returns exactly that half and [`LstmPlan::step_projected`] finishes
+/// the step from it, so a caller that feeds one input to many states
+/// (a word id met at many trie nodes, one query word against every
+/// candidate) projects it once. [`LstmPlan::step_infer`] *is* the
+/// composition of the two — same accumulators, same order — so sharing
+/// a projection cannot change a bit, including the `in_dim == 0` and
+/// `-0` bias cases above.
+///
 /// The plan is derived data: it holds copies, not references, so it goes
 /// stale if the layer trains afterwards. The serving cache guards this
 /// with its existing version counter.
@@ -612,22 +624,64 @@ impl LstmPlan {
     /// # Panics
     /// Panics if any input has the wrong dimension.
     pub fn step_infer(&self, x: &Vector, h_prev: &Vector, c_prev: &Vector) -> (Vector, Vector) {
+        self.finish_step(
+            self.project_input(x.as_slice()),
+            h_prev.as_slice(),
+            c_prev.as_slice(),
+        )
+    }
+
+    /// The input half `b + W·x` of a step's `4d` gate pre-activations:
+    /// everything [`LstmPlan::step_infer`] computes before it reads the
+    /// recurrent state.
+    ///
+    /// # Panics
+    /// Panics if `x` has the wrong dimension.
+    pub fn project_input(&self, x: &[f32]) -> Vector {
         assert_eq!(x.len(), self.in_dim, "plan step: input dimension");
-        assert_eq!(h_prev.len(), self.hidden, "plan step: h dimension");
-        assert_eq!(c_prev.len(), self.hidden, "plan step: c dimension");
         let d = self.hidden;
         let mut z = self.bcat.clone();
-        // The guards mirror gemv_acc over a zero-column matrix, which
+        // The guard mirrors gemv_acc over a zero-column matrix, which
         // adds nothing — adding the zeroed partial would flip a `-0`
         // bias entry to `+0`.
         if self.in_dim > 0 && d > 0 {
             let mut zw = vec![0.0f32; 4 * d];
-            simd::colmajor_gemv_acc(&mut zw, x.as_slice(), self.wt.as_slice());
+            simd::colmajor_gemv_acc(&mut zw, x, self.wt.as_slice());
             simd::add_assign(z.as_mut_slice(), &zw);
         }
+        z
+    }
+
+    /// Finishes a cell step from a projection made by
+    /// [`LstmPlan::project_input`]: `step_projected(project_input(x), h, c)`
+    /// is bit-identical to `step_infer(x, h, c)`. Like `project_input`
+    /// it takes slices, so a caller can read embedding rows in place and
+    /// keep projections and states in flat storage.
+    ///
+    /// # Panics
+    /// Panics if any input has the wrong dimension.
+    pub fn step_projected(
+        &self,
+        x_proj: &[f32],
+        h_prev: &[f32],
+        c_prev: &[f32],
+    ) -> (Vector, Vector) {
+        assert_eq!(
+            x_proj.len(),
+            4 * self.hidden,
+            "plan step: projection dimension"
+        );
+        self.finish_step(Vector::from_slice(x_proj), h_prev, c_prev)
+    }
+
+    /// `z` enters as `b + W·x` and is consumed as the gate buffer.
+    fn finish_step(&self, mut z: Vector, h_prev: &[f32], c_prev: &[f32]) -> (Vector, Vector) {
+        assert_eq!(h_prev.len(), self.hidden, "plan step: h dimension");
+        assert_eq!(c_prev.len(), self.hidden, "plan step: c dimension");
+        let d = self.hidden;
         if d > 0 {
             let mut zu = vec![0.0f32; 4 * d];
-            simd::colmajor_gemv_acc(&mut zu, h_prev.as_slice(), self.ut.as_slice());
+            simd::colmajor_gemv_acc(&mut zu, h_prev, self.ut.as_slice());
             simd::add_assign(z.as_mut_slice(), &zu);
         }
         // Fused activation sweep: sigmoid over the i/f/o blocks, tanh
@@ -646,35 +700,14 @@ impl LstmPlan {
         let mut h = Vector::zeros(d);
         let cs = c.as_mut_slice();
         let hs = h.as_mut_slice();
-        let cp = c_prev.as_slice();
         for k in 0..d {
             // Same two roundings as `f.hadamard(c_prev)` followed by
             // `add_hadamard(1.0, &i, &g)` (`1.0·i·g` is bitwise `i·g`).
-            cs[k] = fv[k] * cp[k];
+            cs[k] = fv[k] * c_prev[k];
             cs[k] += iv[k] * gv[k];
             hs[k] = ov[k] * cs[k].tanh();
         }
         (h, c)
-    }
-
-    /// Inference-only sequence forward, bit-identical to
-    /// [`Lstm::forward_states`].
-    ///
-    /// # Panics
-    /// Panics if any input has the wrong dimension.
-    pub fn forward_states(&self, xs: &[Vector], h0: &Vector, c0: &Vector) -> (Vec<Vector>, Vector) {
-        assert_eq!(h0.len(), self.hidden, "plan forward_states: h0 dimension");
-        assert_eq!(c0.len(), self.hidden, "plan forward_states: c0 dimension");
-        let mut hs = Vec::with_capacity(xs.len());
-        let mut h = h0.clone();
-        let mut c = c0.clone();
-        for x in xs {
-            let (nh, nc) = self.step_infer(x, &h, &c);
-            hs.push(nh.clone());
-            h = nh;
-            c = nc;
-        }
-        (hs, c)
     }
 }
 
@@ -910,26 +943,12 @@ mod tests {
     }
 
     #[test]
-    fn plan_forward_states_bit_identical() {
+    fn plan_accessors_and_memory() {
         let mut rng = StdRng::seed_from_u64(7);
-        let lstm = Lstm::new(6, 11, &mut rng);
-        let plan = lstm.plan();
+        let plan = Lstm::new(6, 11, &mut rng).plan();
         assert_eq!(plan.in_dim(), 6);
         assert_eq!(plan.hidden(), 11);
         assert_eq!(plan.memory_floats(), 6 * 44 + 11 * 44 + 44);
-        let xs = inputs(&mut rng, 5, 6);
-        let (h0, c0) = zero_state(11);
-        let (hs_ref, c_ref) = lstm.forward_states(&xs, &h0, &c0);
-        let (hs_new, c_new) = plan.forward_states(&xs, &h0, &c0);
-        assert_eq!(hs_new.len(), hs_ref.len());
-        for (a, b) in hs_new.iter().zip(&hs_ref) {
-            for k in 0..11 {
-                assert_eq!(a[k].to_bits(), b[k].to_bits());
-            }
-        }
-        for k in 0..11 {
-            assert_eq!(c_new[k].to_bits(), c_ref[k].to_bits());
-        }
     }
 
     #[test]
