@@ -23,7 +23,12 @@
 //!   third column),
 //! * `log_sum_exp` over 32 768 logits (+ the epsilon-relaxed variant,
 //!   with its relative error printed),
-//! * dot-product attention over 16 memories × d=150.
+//! * dot-product attention over 16 memories × d=150,
+//! * the training-path row-major kernels at the `hx-train` dimension
+//!   d=32 — `Matrix::gemv_acc` at 32×32 (a recurrent gate), 32×96 (the
+//!   composite layer) and 2048×32 (a full-vocabulary output layer),
+//!   `add_outer` and `gemv_t_acc` at 32×32 — and one taped
+//!   `Lstm::forward_seq` + `backward_seq` step built on them.
 //!
 //! Writes `results/fig16_kernels.json` and drops a flat
 //! `BENCH_fig16.json` for the CI regression gate (`bench_gate` vs
@@ -37,7 +42,7 @@ use ncl_nn::attention::DotAttention;
 use ncl_nn::Lstm;
 use ncl_tensor::ops::{log_sum_exp_slice, log_sum_exp_slice_relaxed};
 use ncl_tensor::simd::{self, Level};
-use ncl_tensor::{init, Vector};
+use ncl_tensor::{init, Matrix, Vector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -283,6 +288,136 @@ fn main() {
     );
     let attention_speedup = record("attention 16x150", attn_elems, t_simd, t_scalar);
 
+    // ---- training path: row-major kernels at the hx-train dimension ----
+    //
+    // `gemv_acc` runs eight rows as eight lanes over in-register 8×8
+    // transposes; `add_outer` / `gemv_t_acc` run their per-row saxpy
+    // loop under one dispatch. Shapes are the ones one `hx-train`
+    // example touches: d = 32, a 3d-wide composite input, and a
+    // full-vocabulary output layer.
+    let dt = 32usize;
+    let vocab_rows = 2048usize;
+    let mut gemv_speedups = Vec::new();
+    for (key, rows_n, cols_n) in [
+        ("32x32", dt, dt),
+        ("32x96", dt, 3 * dt),
+        ("vocab", vocab_rows, dt),
+    ] {
+        let m = init::uniform(rows_n, cols_n, -1.0, 1.0, &mut rng);
+        let xv = init::uniform_vector(cols_n, -1.0, 1.0, &mut rng);
+        let y0 = init::uniform_vector(rows_n, -1.0, 1.0, &mut rng);
+        let run = || {
+            let mut y = y0.clone();
+            m.gemv_acc(&xv, &mut y);
+            y
+        };
+        let want = simd::with_level(Level::Scalar, run);
+        assert_bits_eq("gemv_acc", run().as_slice(), want.as_slice());
+        let mut y = y0.clone();
+        let mut ys = y0.clone();
+        let (t_simd, t_scalar) = measure_paired(
+            || m.gemv_acc(&xv, &mut y),
+            || simd::with_level(Level::Scalar, || m.gemv_acc(&xv, &mut ys)),
+            (1 << 16) / rows_n,
+            min_secs / 2.0,
+        );
+        let label = format!("gemv_acc {rows_n}x{cols_n}");
+        gemv_speedups.push((key, record(&label, rows_n * cols_n, t_simd, t_scalar)));
+    }
+
+    let dz = init::uniform_vector(dt, -1.0, 1.0, &mut rng);
+    let hv = init::uniform_vector(dt, -1.0, 1.0, &mut rng);
+    let w32 = init::uniform(dt, dt, -1.0, 1.0, &mut rng);
+    {
+        let outer = || {
+            let mut g = w32.clone();
+            g.add_outer(1.0, &dz, &hv);
+            g
+        };
+        let want = simd::with_level(Level::Scalar, outer);
+        assert_bits_eq("add_outer", outer().as_slice(), want.as_slice());
+        let gt = || w32.gemv_t(&dz);
+        let want = simd::with_level(Level::Scalar, gt);
+        assert_bits_eq("gemv_t_acc", gt().as_slice(), want.as_slice());
+    }
+    // A tiny alpha keeps the accumulating gradient finite over millions
+    // of timed calls (the arithmetic per call is the same).
+    let mut g = Matrix::zeros(dt, dt);
+    let mut gs = Matrix::zeros(dt, dt);
+    let (t_simd, t_scalar) = measure_paired(
+        || g.add_outer(1e-9, &dz, &hv),
+        || simd::with_level(Level::Scalar, || gs.add_outer(1e-9, &dz, &hv)),
+        2048,
+        min_secs / 2.0,
+    );
+    let add_outer_speedup = record("add_outer 32x32", dt * dt, t_simd, t_scalar);
+    let (t_simd, t_scalar) = measure_paired(
+        || {
+            let _ = w32.gemv_t(&dz);
+        },
+        || {
+            simd::with_level(Level::Scalar, || {
+                let _ = w32.gemv_t(&dz);
+            })
+        },
+        2048,
+        min_secs / 2.0,
+    );
+    let gemv_t_speedup = record("gemv_t_acc 32x32", dt * dt, t_simd, t_scalar);
+
+    // One taped training step: forward_seq + backward_seq over an
+    // 8-step sequence, reported per step. Parameter gradients only
+    // accumulate (no optimizer step), so every round sees the same
+    // weights.
+    let t_steps = 8usize;
+    let mut taped = Lstm::new(dt, dt, &mut rng);
+    let mut taped_scalar = taped.clone();
+    let xs: Vec<Vector> = (0..t_steps)
+        .map(|_| init::uniform_vector(dt, -1.0, 1.0, &mut rng))
+        .collect();
+    let dhs: Vec<Vector> = (0..t_steps)
+        .map(|_| init::uniform_vector(dt, -1e-3, 1e-3, &mut rng))
+        .collect();
+    let (th0, tc0) = ncl_nn::lstm::zero_state(dt);
+    let train_step = |l: &mut Lstm| {
+        let tape = l.forward_seq(&xs, &th0, &tc0);
+        l.backward_seq(&tape, &dhs)
+    };
+    {
+        let got = train_step(&mut taped);
+        let want = simd::with_level(Level::Scalar, || train_step(&mut taped_scalar));
+        assert_bits_eq("taped dh0", got.dh0.as_slice(), want.dh0.as_slice());
+        for (a, b) in got.dxs.iter().zip(&want.dxs) {
+            assert_bits_eq("taped dx", a.as_slice(), b.as_slice());
+        }
+        assert_bits_eq(
+            "taped dU_i",
+            taped.ui.g.as_slice(),
+            taped_scalar.ui.g.as_slice(),
+        );
+    }
+    let (t_simd, t_scalar) = measure_paired(
+        || {
+            let _ = train_step(&mut taped);
+        },
+        || {
+            simd::with_level(Level::Scalar, || {
+                let _ = train_step(&mut taped_scalar);
+            })
+        },
+        64,
+        min_secs,
+    );
+    // Multiply-adds per step: 8 gate gemvs forward, 8 outer products and
+    // 8 transposed gemvs backward.
+    let taped_elems = 3 * 8 * dt * dt;
+    let taped_speedup = record(
+        "lstm taped fwd+bwd step d=32",
+        taped_elems,
+        t_simd / t_steps as f64,
+        t_scalar / t_steps as f64,
+    );
+
     table::banner(&format!("Figure 16: kernel timings at {}", level.name()));
     println!(
         "{}",
@@ -309,12 +444,18 @@ fn main() {
             .map(|r| r.melems_per_sec)
             .unwrap_or(f64::NAN)
     };
-    let gate = format!(
-        "{{\n  \"gemm_nt_speedup\": {gemm_speedup:.3},\n  \"gemm_nt_melems_per_sec\": {:.3},\n  \"lstm_step_speedup\": {lstm_speedup:.3},\n  \"lstm_step_melems_per_sec\": {:.3},\n  \"lse_speedup\": {lse_speedup:.3},\n  \"lse_melems_per_sec\": {:.3},\n  \"lse_relaxed_speedup\": {lse_relaxed_speedup:.3},\n  \"attention_speedup\": {attention_speedup:.3}\n}}\n",
+    let mut gate = format!(
+        "{{\n  \"gemm_nt_speedup\": {gemm_speedup:.3},\n  \"gemm_nt_melems_per_sec\": {:.3},\n  \"lstm_step_speedup\": {lstm_speedup:.3},\n  \"lstm_step_melems_per_sec\": {:.3},\n  \"lse_speedup\": {lse_speedup:.3},\n  \"lse_melems_per_sec\": {:.3},\n  \"lse_relaxed_speedup\": {lse_relaxed_speedup:.3},\n  \"attention_speedup\": {attention_speedup:.3},\n",
         melems("gemm_nt"),
         melems("lstm_step"),
         melems("log_sum_exp"),
     );
+    for (key, speedup) in &gemv_speedups {
+        gate.push_str(&format!("  \"gemv_acc_{key}_speedup\": {speedup:.3},\n"));
+    }
+    gate.push_str(&format!(
+        "  \"add_outer_speedup\": {add_outer_speedup:.3},\n  \"gemv_t_acc_speedup\": {gemv_t_speedup:.3},\n  \"lstm_taped_step_speedup\": {taped_speedup:.3}\n}}\n"
+    ));
     match std::fs::write("BENCH_fig16.json", &gate) {
         Ok(()) => println!("[results] wrote BENCH_fig16.json"),
         Err(e) => eprintln!("warning: cannot write BENCH_fig16.json: {e}"),

@@ -57,11 +57,11 @@ pub struct Lstm {
 }
 
 /// Activations cached by one forward step, consumed by the backward pass.
+/// The step's incoming state is not here: it is the tape's previous
+/// `hs` / `cs` entry (or `h0` / `c0`), see [`LstmTape::state_before`].
 #[derive(Debug, Clone)]
 struct StepCache {
     x: Vector,
-    h_prev: Vector,
-    c_prev: Vector,
     i: Vector,
     f: Vector,
     o: Vector,
@@ -101,6 +101,14 @@ impl LstmTape {
     /// The final cell state.
     pub fn final_c(&self) -> &Vector {
         self.cs.last().unwrap_or(&self.c0)
+    }
+
+    /// The `(h, c)` state step `t` started from.
+    fn state_before(&self, t: usize) -> (&Vector, &Vector) {
+        match t.checked_sub(1) {
+            Some(p) => (&self.hs[p], &self.cs[p]),
+            None => (&self.h0, &self.c0),
+        }
     }
 }
 
@@ -174,8 +182,6 @@ impl Lstm {
 
         let cache = StepCache {
             x: x.clone(),
-            h_prev: h_prev.clone(),
-            c_prev: c_prev.clone(),
             i,
             f,
             o,
@@ -186,8 +192,8 @@ impl Lstm {
     }
 
     /// One inference-only cell step: the recurrence of [`Lstm::forward_seq`]
-    /// without building a `StepCache` (which clones the input and both
-    /// previous states). Every gate is computed by the same fused
+    /// without building a `StepCache` (which clones the input and keeps
+    /// the gate activations). Every gate is computed by the same fused
     /// bias-then-`gemv_acc` kernel in the same order, so the returned
     /// `(h, c)` are bit-identical to the taped step's. This is the serving
     /// path: online scoring never back-propagates.
@@ -238,18 +244,16 @@ impl Lstm {
         assert_eq!(h0.len(), self.hidden, "forward_seq: h0 dimension");
         assert_eq!(c0.len(), self.hidden, "forward_seq: c0 dimension");
         let mut steps = Vec::with_capacity(xs.len());
-        let mut hs = Vec::with_capacity(xs.len());
-        let mut cs = Vec::with_capacity(xs.len());
-        let mut h = h0.clone();
-        let mut c = c0.clone();
+        let mut hs: Vec<Vector> = Vec::with_capacity(xs.len());
+        let mut cs: Vec<Vector> = Vec::with_capacity(xs.len());
         for x in xs {
             assert_eq!(x.len(), self.in_dim, "forward_seq: input dimension");
-            let (nh, nc, cache) = self.step(x, &h, &c);
+            // The running state is the tape's last entry, read in place.
+            let (h, c) = (hs.last().unwrap_or(h0), cs.last().unwrap_or(c0));
+            let (nh, nc, cache) = self.step(x, h, c);
             steps.push(cache);
-            hs.push(nh.clone());
-            cs.push(nc.clone());
-            h = nh;
-            c = nc;
+            hs.push(nh);
+            cs.push(nc);
         }
         LstmTape {
             steps,
@@ -294,6 +298,7 @@ impl Lstm {
 
         for t in (0..t_len).rev() {
             let cache = &tape.steps[t];
+            let (h_prev, c_prev) = tape.state_before(t);
             // Total gradient arriving at h_t: recurrent + external.
             let mut dh = dh_next;
             dh.add_assign(&dhs[t]);
@@ -313,7 +318,7 @@ impl Lstm {
                 dzo[k] = d_o * sigmoid_grad_from_output(cache.o[k]);
                 let d_i = dc[k] * cache.g[k];
                 dzi[k] = d_i * sigmoid_grad_from_output(cache.i[k]);
-                let d_f = dc[k] * cache.c_prev[k];
+                let d_f = dc[k] * c_prev[k];
                 dzf[k] = d_f * sigmoid_grad_from_output(cache.f[k]);
                 let d_g = dc[k] * cache.i[k];
                 dzg[k] = d_g * tanh_grad_from_output(cache.g[k]);
@@ -324,10 +329,10 @@ impl Lstm {
             self.wf.g.add_outer(1.0, &dzf, &cache.x);
             self.wo.g.add_outer(1.0, &dzo, &cache.x);
             self.wg.g.add_outer(1.0, &dzg, &cache.x);
-            self.ui.g.add_outer(1.0, &dzi, &cache.h_prev);
-            self.uf.g.add_outer(1.0, &dzf, &cache.h_prev);
-            self.uo.g.add_outer(1.0, &dzo, &cache.h_prev);
-            self.ug.g.add_outer(1.0, &dzg, &cache.h_prev);
+            self.ui.g.add_outer(1.0, &dzi, h_prev);
+            self.uf.g.add_outer(1.0, &dzf, h_prev);
+            self.uo.g.add_outer(1.0, &dzo, h_prev);
+            self.ug.g.add_outer(1.0, &dzg, h_prev);
             self.bi.g.add_assign(&dzi);
             self.bf.g.add_assign(&dzf);
             self.bo.g.add_assign(&dzo);

@@ -5,7 +5,7 @@
 //! numerically stable loss `−log_softmax(logits)[target]` with the textbook
 //! gradient `d logits = softmax(logits) − one_hot(target)`.
 
-use ncl_tensor::ops::{log_softmax, softmax};
+use ncl_tensor::ops::softmax_with_lse;
 use ncl_tensor::Vector;
 
 /// Result of a fused softmax-NLL forward pass.
@@ -27,11 +27,13 @@ pub struct SoftmaxNll {
 /// Panics if `target` is out of range.
 pub fn forward(logits: &Vector, target: usize) -> SoftmaxNll {
     assert!(target < logits.len(), "softmax_nll: target out of range");
-    let lp = log_softmax(logits);
-    let log_prob = lp[target];
+    // One exponential pass serves both: the probabilities the backward
+    // pass needs and, through its sum, `log_softmax(logits)[target]`.
+    let (probs, lse) = softmax_with_lse(logits);
+    let log_prob = logits[target] - lse;
     SoftmaxNll {
         loss: -log_prob,
-        probs: softmax(logits),
+        probs,
         log_prob,
     }
 }

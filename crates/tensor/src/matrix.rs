@@ -8,9 +8,9 @@ use std::fmt;
 /// A row-major dense `f32` matrix.
 ///
 /// Every weight matrix in COM-AID (`W^(i)`, `U^(f)`, `W_d`, `W_s`, ...) is a
-/// `Matrix`. The hot kernels (`gemm_nt`, `axpy`, the saxpy row updates)
-/// dispatch through [`crate::simd`] to explicit AVX2/SSE2 lanes with a
-/// scalar fallback, bit-identical across levels; for the model sizes used
+/// `Matrix`. The hot kernels (`gemm_nt`, `gemv_acc`, `axpy`, the saxpy row
+/// updates) dispatch through [`crate::simd`] to explicit AVX2/SSE2 lanes with
+/// a scalar fallback, bit-identical across levels; for the model sizes used
 /// in the paper (`d ≤ 200`) this is within a small factor of a tuned BLAS
 /// and keeps the crate dependency-free.
 #[derive(Clone, PartialEq)]
@@ -110,22 +110,14 @@ impl Matrix {
         Vector::from_vec(out)
     }
 
-    /// Fused `y += A x`, avoiding an allocation in hot loops.
+    /// Fused `y += A x`, avoiding an allocation in hot loops. Each row
+    /// is the same fresh-accumulator ascending dot as [`Matrix::gemv`];
+    /// [`simd::rowmajor_gemv_acc`] runs eight rows as eight lanes,
+    /// bit-identical at every level.
     pub fn gemv_acc(&self, x: &Vector, y: &mut Vector) {
         assert_eq!(x.len(), self.cols, "gemv_acc: dimension mismatch");
         assert_eq!(y.len(), self.rows, "gemv_acc: output dimension mismatch");
-        let xs = x.as_slice();
-        for (yo, row) in y
-            .as_mut_slice()
-            .iter_mut()
-            .zip(self.data.chunks_exact(self.cols.max(1)))
-        {
-            let mut acc = 0.0f32;
-            for (a, b) in row.iter().zip(xs) {
-                acc += a * b;
-            }
-            *yo += acc;
-        }
+        simd::rowmajor_gemv_acc(y.as_mut_slice(), x.as_slice(), &self.data);
     }
 
     /// Transposed matrix–vector product `y = Aᵀ x`, the backward counterpart
@@ -136,38 +128,22 @@ impl Matrix {
         y
     }
 
-    /// Fused `y += Aᵀ x`.
+    /// Fused `y += Aᵀ x`: one saxpy per row with a non-zero `x[r]`
+    /// ([`simd::gemv_t_acc`]; the zero-skip is bitwise-observable and
+    /// documented there).
     pub fn gemv_t_acc(&self, x: &Vector, y: &mut Vector) {
         assert_eq!(x.len(), self.rows, "gemv_t: dimension mismatch");
         assert_eq!(y.len(), self.cols, "gemv_t: output dimension mismatch");
-        let ys = y.as_mut_slice();
-        for r in 0..self.rows {
-            let xr = x[r];
-            // The zero-skip is bitwise-observable (it suppresses an
-            // `y += 0 * a` rounding step on infinities/NaN and -0.0
-            // signs), so it stays; the row update itself is a saxpy.
-            if xr == 0.0 {
-                continue;
-            }
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            simd::saxpy(ys, xr, row);
-        }
+        simd::gemv_t_acc(y.as_mut_slice(), x.as_slice(), &self.data);
     }
 
     /// Accumulates the outer product `self += alpha * u vᵀ`; the gradient
-    /// kernel for every weight matrix (`dW += dy xᵀ`).
+    /// kernel for every weight matrix (`dW += dy xᵀ`). One saxpy per row
+    /// with a non-zero `alpha * u[r]` ([`simd::rank1_update`]).
     pub fn add_outer(&mut self, alpha: f32, u: &Vector, v: &Vector) {
         assert_eq!(u.len(), self.rows, "add_outer: row dimension mismatch");
         assert_eq!(v.len(), self.cols, "add_outer: col dimension mismatch");
-        let vs = v.as_slice();
-        for r in 0..self.rows {
-            let c = alpha * u[r];
-            if c == 0.0 {
-                continue;
-            }
-            let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            simd::saxpy(row, c, vs);
-        }
+        simd::rank1_update(&mut self.data, alpha, u.as_slice(), v.as_slice());
     }
 
     /// Matrix product `C = A B` (BLAS `gemm`, ikj loop order).

@@ -59,14 +59,26 @@ pub fn tanh_vec(v: &Vector) -> Vector {
 /// for any finite input. Returns the uniform distribution for an empty or
 /// degenerate input (all `-inf`).
 pub fn softmax(x: &Vector) -> Vector {
+    softmax_parts(x).0
+}
+
+/// [`softmax`] together with the log-sum-exp `m + ln Σ_j e^{x_j − m}` its
+/// one exponential pass already holds — what a loss needs for both the
+/// gradient (`softmax`) and `log p(target) = x[target] − lse`.
+///
+/// The shift and the sequential exp-sum are those of [`log_softmax`], so
+/// `x[i] - lse` is bit-identical to `log_softmax(x)[i]` (degenerate
+/// inputs included: the sum is taken before the degeneracy check, and
+/// comes out NaN exactly as it does there).
+pub fn softmax_with_lse(x: &Vector) -> (Vector, f32) {
+    let (probs, m, sum) = softmax_parts(x);
+    (probs, m + sum.ln())
+}
+
+/// The softmax, its shift `m = max(x)` and its exp-sum `Σ_j e^{x_j − m}`.
+fn softmax_parts(x: &Vector) -> (Vector, f32, f32) {
     let n = x.len();
-    if n == 0 {
-        return Vector::zeros(0);
-    }
     let m = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    if !m.is_finite() {
-        return Vector::full(n, 1.0 / n as f32);
-    }
     let mut out = Vec::with_capacity(n);
     let mut sum = 0.0f32;
     for &v in x.iter() {
@@ -74,11 +86,14 @@ pub fn softmax(x: &Vector) -> Vector {
         sum += e;
         out.push(e);
     }
+    if !m.is_finite() {
+        return (Vector::full(n, 1.0 / n as f32), m, sum);
+    }
     let inv = 1.0 / sum;
     for o in &mut out {
         *o *= inv;
     }
-    Vector::from_vec(out)
+    (Vector::from_vec(out), m, sum)
 }
 
 /// Log-softmax, computed with the log-sum-exp trick. Needed for the loss
@@ -235,6 +250,31 @@ mod tests {
     #[test]
     fn softmax_empty() {
         assert_eq!(softmax(&Vector::zeros(0)).len(), 0);
+    }
+
+    #[test]
+    fn softmax_with_lse_reproduces_log_softmax_bits() {
+        // The training loss reads `x[target] - lse` where it used to
+        // read `log_softmax(x)[target]`: same bits, degenerate inputs
+        // (all `-inf`, a lone `+inf`) included.
+        let wide: Vec<f32> = (0..300).map(|i| ((i as f32) * 0.37).sin() * 9.0).collect();
+        for x in [
+            vec![0.1, -2.0, 3.5, 0.0, 17.25, -0.875],
+            wide,
+            vec![1000.0, 1000.0],
+            vec![f32::NEG_INFINITY; 3],
+            vec![0.0, f32::INFINITY],
+        ] {
+            let x = Vector::from_vec(x);
+            let (probs, lse) = softmax_with_lse(&x);
+            let full = log_softmax(&x);
+            for i in 0..x.len() {
+                assert_eq!((x[i] - lse).to_bits(), full[i].to_bits(), "{x:?}[{i}]");
+            }
+            assert_eq!(probs.len(), x.len());
+        }
+        let (probs, _) = softmax_with_lse(&Vector::from_vec(vec![f32::NEG_INFINITY; 4]));
+        assert_eq!(probs.as_slice(), &[0.25; 4]);
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //!   would skip the intermediate rounding). Each SIMD lane therefore
 //!   executes the *same sequence of roundings* as the scalar dot
 //!   product, so the lanes are bit-identical to scalar by construction.
+//! * [`rowmajor_gemv_acc`] is the same recipe over a **row-major** `w`
+//!   (the training path, whose weights change every step and so cannot
+//!   keep a transposed copy): consecutive rows are the lanes, and the
+//!   transpose that puts one `k` of eight rows into one register happens
+//!   in registers, block by block.
+//! * [`rank1_update`] and [`gemv_t_acc`] are per-row [`saxpy`]s with a
+//!   bitwise-observable zero-skip, looped inside the dispatched function.
 //! * [`max`] exploits that the maximum of finite floats is independent
 //!   of association order.
 //!
@@ -278,6 +285,120 @@ pub fn colmajor_gemv_acc(y: &mut [f32], x: &[f32], wt: &[f32]) {
     }
 }
 
+/// Row-major product-accumulate `y[r] += Σ_k w[r·n + k] · x[k]` with
+/// `n = x.len()` — i.e. `y += W x` for a row-major `w` holding `W` (one
+/// row per output). The body of
+/// [`Matrix::gemv_acc`](crate::Matrix::gemv_acc): every taped LSTM gate
+/// and dense layer on the training path.
+///
+/// Rows are independent outputs, so the SIMD levels make consecutive
+/// rows the lanes: an 8×8 (AVX2) or 4×4 (SSE2) block of `w` is loaded
+/// row by row and transposed **in registers**, after which lane `i`
+/// holds row `r + i`'s entry for one `k`. Each lane then runs the scalar
+/// recipe unchanged — fresh accumulator, ascending `k`, a separate
+/// `mul` and `add` per term (no FMA), then `y[r] += acc` — so the
+/// result is bit-identical to the scalar loop at every level. Rows past
+/// the last full block and columns past the last full block take the
+/// scalar path, in the same order.
+///
+/// A zero-column `w` adds nothing (not even `+0.0`, which would rewrite
+/// a `-0.0` in `y`).
+///
+/// # Panics
+/// Panics if `w.len() != y.len() * x.len()`.
+pub fn rowmajor_gemv_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
+    assert_eq!(
+        w.len(),
+        y.len() * x.len(),
+        "rowmajor_gemv_acc: weight shape mismatch"
+    );
+    if w.is_empty() {
+        return;
+    }
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 was verified by `active()`'s detection; the shape
+        // assert above is the kernel's bounds precondition.
+        Level::Avx2 => unsafe { avx2::rowmajor_gemv_acc(y, x, w) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86_64 baseline; the shape assert
+        // above is the kernel's bounds precondition.
+        Level::Sse2 => unsafe { sse2::rowmajor_gemv_acc(y, x, w) },
+        _ => scalar::rowmajor_gemv_acc(y, x, w),
+    }
+}
+
+/// Rank-one update `w[r·n + j] += (alpha · u[r]) · v[j]` with
+/// `n = v.len()` — the body of
+/// [`Matrix::add_outer`](crate::Matrix::add_outer), the gradient kernel
+/// of every weight matrix (`dW += dz xᵀ`).
+///
+/// Each row is one [`saxpy`] with coefficient `c = alpha · u[r]`, and a
+/// row whose `c == 0.0` (either sign) is skipped. The skip is bitwise
+/// observable — it suppresses a `w += 0 · v` step that would turn an
+/// infinite `v[j]` into NaN or a `-0.0` entry into `+0.0` — so every
+/// level keeps it; `NaN` and `±inf` coefficients are not zero and
+/// update the row. The row loop runs inside one `#[target_feature]`
+/// function, so a matrix pays one dispatch, not one per row.
+///
+/// # Panics
+/// Panics if `w.len() != u.len() * v.len()`.
+pub fn rank1_update(w: &mut [f32], alpha: f32, u: &[f32], v: &[f32]) {
+    assert_eq!(
+        w.len(),
+        u.len() * v.len(),
+        "rank1_update: weight shape mismatch"
+    );
+    if w.is_empty() {
+        return;
+    }
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 was verified by `active()`'s detection.
+        Level::Avx2 => unsafe { avx2::rank1_update(w, alpha, u, v) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        Level::Sse2 => unsafe { sse2::rank1_update(w, alpha, u, v) },
+        _ => scalar::rank1_update(w, alpha, u, v),
+    }
+}
+
+/// Transposed row-major product-accumulate
+/// `y[j] += x[r] · w[r·n + j]` for `r` ascending, with `n = y.len()` —
+/// i.e. `y += Wᵀ x` for a row-major `w`. The body of
+/// [`Matrix::gemv_t_acc`](crate::Matrix::gemv_t_acc), the
+/// input-gradient kernel of back-propagation (`dx += Wᵀ dz`).
+///
+/// Unlike [`colmajor_gemv_acc`] there is no fresh accumulator: each row
+/// is one [`saxpy`] straight into `y`, and a row whose `x[r] == 0.0`
+/// (either sign) is skipped, exactly as in [`rank1_update`] and for the
+/// same bitwise reason. One dispatch per matrix. (The AVX2 body keeps a
+/// tile of `y` in registers across the rows instead of storing and
+/// reloading it per row; per output the operations and their order are
+/// the same.)
+///
+/// # Panics
+/// Panics if `w.len() != x.len() * y.len()`.
+pub fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
+    assert_eq!(
+        w.len(),
+        x.len() * y.len(),
+        "gemv_t_acc: weight shape mismatch"
+    );
+    if w.is_empty() {
+        return;
+    }
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 was verified by `active()`'s detection.
+        Level::Avx2 => unsafe { avx2::gemv_t_acc(y, x, w) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        Level::Sse2 => unsafe { sse2::gemv_t_acc(y, x, w) },
+        _ => scalar::gemv_t_acc(y, x, w),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Quantization kernels (bf16 widen/narrow).
 //
@@ -493,6 +614,53 @@ mod scalar {
         }
     }
 
+    /// Callers guarantee a non-empty `w` of `y.len() × x.len()` floats
+    /// (so `x` is non-empty too).
+    pub fn rowmajor_gemv_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
+        for (yo, row) in y.iter_mut().zip(w.chunks_exact(x.len())) {
+            let mut acc = 0.0f32;
+            for (a, b) in row.iter().zip(x) {
+                acc += a * b;
+            }
+            *yo += acc;
+        }
+    }
+
+    /// Finishes one row block of the SIMD [`rowmajor_gemv_acc`] bodies:
+    /// `lanes[i]` is row `i`'s accumulator over columns `..kfull` of the
+    /// block's rows `w`; the remaining columns are added in ascending
+    /// order — the scalar chain simply continues — then `y[i] += acc`.
+    pub fn finish_row_block(y: &mut [f32], lanes: &[f32], x: &[f32], w: &[f32], kfull: usize) {
+        for ((yo, &lane), row) in y.iter_mut().zip(lanes).zip(w.chunks_exact(x.len())) {
+            let mut acc = lane;
+            for (a, b) in row[kfull..].iter().zip(&x[kfull..]) {
+                acc += a * b;
+            }
+            *yo += acc;
+        }
+    }
+
+    /// Callers guarantee a non-empty `w` of `u.len() × v.len()` floats.
+    pub fn rank1_update(w: &mut [f32], alpha: f32, u: &[f32], v: &[f32]) {
+        for (row, &ur) in w.chunks_exact_mut(v.len()).zip(u) {
+            let c = alpha * ur;
+            if c == 0.0 {
+                continue;
+            }
+            saxpy(row, c, v);
+        }
+    }
+
+    /// Callers guarantee a non-empty `w` of `x.len() × y.len()` floats.
+    pub fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
+        for (row, &xr) in w.chunks_exact(y.len()).zip(x) {
+            if xr == 0.0 {
+                continue;
+            }
+            saxpy(y, xr, row);
+        }
+    }
+
     /// Emulates the 8-lane layout of the AVX2 relaxed dot: full chunks
     /// feed lane `i mod 8`, the tail keeps the same assignment, so the
     /// [`tree8`] combine sees identical lane values.
@@ -690,6 +858,98 @@ mod sse2 {
             j += 1;
         }
         let _ = m;
+    }
+
+    /// # Safety
+    /// Requires SSE2 (always present on `x86_64`) and
+    /// `w.len() == y.len() * x.len()` with `w` non-empty — the public
+    /// wrapper asserts both. Every vector load below stays inside `w` on
+    /// the strength of that shape alone.
+    ///
+    /// Four consecutive rows are the four lanes: each 4×4 block of `w` is
+    /// loaded row by row and transposed in registers, then consumed one
+    /// column (= one `k`) at a time, so lane `i` performs the scalar
+    /// `acc += w[r+i][k] * x[k]` chain in ascending `k` (mul then add —
+    /// no FMA). The `cols % 4` columns are finished per lane in scalar
+    /// code before `y[r+i] += acc`; the `rows % 4` rows are scalar.
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn rowmajor_gemv_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
+        let rows = y.len();
+        let cols = x.len();
+        let kfull = cols - cols % 4;
+        let wp = w.as_ptr();
+        let xp = x.as_ptr();
+        let mut r = 0;
+        while r + 4 <= rows {
+            let base = wp.add(r * cols);
+            let mut acc = _mm_setzero_ps();
+            let mut k = 0;
+            while k < kfull {
+                // SAFETY: `r + 3 < rows` and `k + 4 <= cols`, so each
+                // load reads `w[(r+i)*cols + k ..][..4]` with
+                // `(r+i)*cols + k + 4 <= rows*cols == w.len()`; `loadu`
+                // needs no alignment. `x[k..k+4]` is in bounds likewise.
+                let p = base.add(k);
+                let r0 = _mm_loadu_ps(p);
+                let r1 = _mm_loadu_ps(p.add(cols));
+                let r2 = _mm_loadu_ps(p.add(2 * cols));
+                let r3 = _mm_loadu_ps(p.add(3 * cols));
+                let t0 = _mm_unpacklo_ps(r0, r1);
+                let t1 = _mm_unpacklo_ps(r2, r3);
+                let t2 = _mm_unpackhi_ps(r0, r1);
+                let t3 = _mm_unpackhi_ps(r2, r3);
+                let c0 = _mm_movelh_ps(t0, t1);
+                let c1 = _mm_movehl_ps(t1, t0);
+                let c2 = _mm_movelh_ps(t2, t3);
+                let c3 = _mm_movehl_ps(t3, t2);
+                acc = _mm_add_ps(acc, _mm_mul_ps(c0, _mm_set1_ps(*xp.add(k))));
+                acc = _mm_add_ps(acc, _mm_mul_ps(c1, _mm_set1_ps(*xp.add(k + 1))));
+                acc = _mm_add_ps(acc, _mm_mul_ps(c2, _mm_set1_ps(*xp.add(k + 2))));
+                acc = _mm_add_ps(acc, _mm_mul_ps(c3, _mm_set1_ps(*xp.add(k + 3))));
+                k += 4;
+            }
+            let mut lanes = [0.0f32; 4];
+            _mm_storeu_ps(lanes.as_mut_ptr(), acc);
+            let block = &w[r * cols..(r + 4) * cols];
+            super::scalar::finish_row_block(&mut y[r..r + 4], &lanes, x, block, kfull);
+            r += 4;
+        }
+        if r < rows {
+            super::scalar::rowmajor_gemv_acc(&mut y[r..], x, &w[r * cols..]);
+        }
+    }
+
+    /// # Safety
+    /// Requires SSE2 (always present on `x86_64`).
+    ///
+    /// The scalar row loop with the zero-skip, each row one [`saxpy`]
+    /// over a chunk of exactly `v.len()` floats — looped here so the
+    /// whole matrix runs under one dispatch.
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn rank1_update(w: &mut [f32], alpha: f32, u: &[f32], v: &[f32]) {
+        for (row, &ur) in w.chunks_exact_mut(v.len()).zip(u) {
+            let c = alpha * ur;
+            if c == 0.0 {
+                continue;
+            }
+            saxpy(row, c, v);
+        }
+    }
+
+    /// # Safety
+    /// Requires SSE2 (always present on `x86_64`).
+    ///
+    /// The scalar row loop with the zero-skip, each row (a chunk of
+    /// exactly `y.len()` floats) one [`saxpy`] into `y` — looped here so
+    /// the whole matrix runs under one dispatch.
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
+        for (row, &xr) in w.chunks_exact(y.len()).zip(x) {
+            if xr == 0.0 {
+                continue;
+            }
+            saxpy(y, xr, row);
+        }
     }
 
     /// # Safety
@@ -934,6 +1194,187 @@ mod avx2 {
             }
             y[j] += acc;
             j += 1;
+        }
+    }
+
+    /// Transposes the 8×8 block whose rows start at `p`, `p + stride`, …
+    /// and returns its columns: lane `i` of result `j` is
+    /// `*p.add(i * stride + j)`.
+    ///
+    /// The shuffle port is what bounds this kernel, so the cross-half
+    /// step of the textbook transpose is done by the loads instead: each
+    /// register is filled from two 128-bit halves, rows `i` and `i + 4`,
+    /// which leaves two in-lane rounds (unpack, shuffle) per column.
+    ///
+    /// # Safety
+    /// Requires AVX2, and `p.add(i * stride)` must be valid for reading
+    /// eight `f32`s for every `i < 8` (no alignment needed).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_transposed8(p: *const f32, stride: usize) -> [__m256; 8] {
+        // `pair(i, h)`: row i's floats 4h..4h+4 below row i+4's.
+        let pair = |i: usize, h: usize| {
+            let lo = _mm_loadu_ps(p.add(i * stride + 4 * h));
+            let hi = _mm_loadu_ps(p.add((i + 4) * stride + 4 * h));
+            _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi)
+        };
+        // Four columns at a time: `t0`/`t1` interleave rows 0/1 (and
+        // 4/5), `t2`/`t3` rows 2/3 (and 6/7); each shuffle then picks
+        // one column's entries from a pair of them, rows 0–3 in the low
+        // half and 4–7 in the high.
+        let quad = |h: usize| {
+            let (r0, r1, r2, r3) = (pair(0, h), pair(1, h), pair(2, h), pair(3, h));
+            let t0 = _mm256_unpacklo_ps(r0, r1);
+            let t1 = _mm256_unpackhi_ps(r0, r1);
+            let t2 = _mm256_unpacklo_ps(r2, r3);
+            let t3 = _mm256_unpackhi_ps(r2, r3);
+            [
+                _mm256_shuffle_ps::<0x44>(t0, t2),
+                _mm256_shuffle_ps::<0xEE>(t0, t2),
+                _mm256_shuffle_ps::<0x44>(t1, t3),
+                _mm256_shuffle_ps::<0xEE>(t1, t3),
+            ]
+        };
+        let [c0, c1, c2, c3] = quad(0);
+        let [c4, c5, c6, c7] = quad(1);
+        [c0, c1, c2, c3, c4, c5, c6, c7]
+    }
+
+    /// # Safety
+    /// Requires AVX2 (callers check [`super::supported`]) and
+    /// `w.len() == y.len() * x.len()` with `w` non-empty — the public
+    /// wrapper asserts both. Every vector load below stays inside `w` on
+    /// the strength of that shape alone. Miri reports no AVX2, so this
+    /// body is checked by the interpreter only through its SSE2 twin
+    /// (same loop structure, 4×4 blocks); on real hardware it is covered
+    /// by the `simd_identity` cases whose `w`, `x` and `y` end exactly
+    /// at their allocation's end.
+    ///
+    /// Eight consecutive rows are the eight lanes: each 8×8 block of `w`
+    /// is transposed in registers ([`load_transposed8`]) and consumed
+    /// one column (= one `k`) at a time, so lane `i` performs the scalar
+    /// `acc += w[r+i][k] * x[k]` chain in ascending `k` (mul then add —
+    /// no FMA). The `cols % 8` columns are finished per lane in scalar
+    /// code before `y[r+i] += acc`; the `rows % 8` rows are scalar.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn rowmajor_gemv_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
+        let rows = y.len();
+        let cols = x.len();
+        let kfull = cols - cols % 8;
+        let wp = w.as_ptr();
+        let xp = x.as_ptr();
+        let mut r = 0;
+        while r + 8 <= rows {
+            let base = wp.add(r * cols);
+            let mut acc = _mm256_setzero_ps();
+            let mut k = 0;
+            while k < kfull {
+                // SAFETY: `r + 7 < rows` and `k + 8 <= cols`, so row
+                // `r+i`'s load reads `w[(r+i)*cols + k ..][..8]` with
+                // `(r+i)*cols + k + 8 <= rows*cols == w.len()`.
+                // `x[k..k+8]` is in bounds likewise.
+                let cs = load_transposed8(base.add(k), cols);
+                for (j, &c) in cs.iter().enumerate() {
+                    let xb = _mm256_broadcast_ss(&*xp.add(k + j));
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(c, xb));
+                }
+                k += 8;
+            }
+            let mut lanes = [0.0f32; 8];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+            let block = &w[r * cols..(r + 8) * cols];
+            super::scalar::finish_row_block(&mut y[r..r + 8], &lanes, x, block, kfull);
+            r += 8;
+        }
+        if r < rows {
+            super::scalar::rowmajor_gemv_acc(&mut y[r..], x, &w[r * cols..]);
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX2 (callers check [`super::supported`]).
+    ///
+    /// The scalar row loop with the zero-skip, each row one [`saxpy`]
+    /// over a chunk of exactly `v.len()` floats — looped here so the
+    /// whole matrix runs under one dispatch.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn rank1_update(w: &mut [f32], alpha: f32, u: &[f32], v: &[f32]) {
+        for (row, &ur) in w.chunks_exact_mut(v.len()).zip(u) {
+            let c = alpha * ur;
+            if c == 0.0 {
+                continue;
+            }
+            saxpy(row, c, v);
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX2 (callers check [`super::supported`]) and
+    /// `w.len() == x.len() * y.len()` — the public wrapper asserts it.
+    /// Like the row-block loads of [`rowmajor_gemv_acc`], the tile loads
+    /// here are out of Miri's reach and rest on the `simd_identity`
+    /// end-of-allocation cases.
+    ///
+    /// Per output `j` this is the row loop of the scalar reference —
+    /// `y[j] += x[r] * w[r][j]` for `r` ascending, rows with
+    /// `x[r] == 0.0` skipped — but a per-row saxpy carries `y` from one
+    /// row to the next through memory (store, reload), which is what
+    /// bounds it. So the loops are exchanged: a tile of 32 (then 8)
+    /// outputs stays in registers across all rows, as in
+    /// [`colmajor_gemv_acc`], seeded from `y` instead of zero. Outputs
+    /// are independent, so the exchange cannot change a bit.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
+        let n = y.len();
+        let wp = w.as_ptr();
+        let yp = y.as_mut_ptr();
+        let mut j = 0;
+        // SAFETY (both tile loops): `j + width <= n` bounds the loads and
+        // stores on `y`, and with `r < x.len()` the row loads end at
+        // `r*n + j + width <= x.len()*n == w.len()`.
+        while j + 32 <= n {
+            let out = yp.add(j);
+            let mut a0 = _mm256_loadu_ps(out);
+            let mut a1 = _mm256_loadu_ps(out.add(8));
+            let mut a2 = _mm256_loadu_ps(out.add(16));
+            let mut a3 = _mm256_loadu_ps(out.add(24));
+            for (r, &xr) in x.iter().enumerate() {
+                if xr == 0.0 {
+                    continue;
+                }
+                let xb = _mm256_set1_ps(xr);
+                let row = wp.add(r * n + j);
+                a0 = _mm256_add_ps(a0, _mm256_mul_ps(xb, _mm256_loadu_ps(row)));
+                a1 = _mm256_add_ps(a1, _mm256_mul_ps(xb, _mm256_loadu_ps(row.add(8))));
+                a2 = _mm256_add_ps(a2, _mm256_mul_ps(xb, _mm256_loadu_ps(row.add(16))));
+                a3 = _mm256_add_ps(a3, _mm256_mul_ps(xb, _mm256_loadu_ps(row.add(24))));
+            }
+            _mm256_storeu_ps(out, a0);
+            _mm256_storeu_ps(out.add(8), a1);
+            _mm256_storeu_ps(out.add(16), a2);
+            _mm256_storeu_ps(out.add(24), a3);
+            j += 32;
+        }
+        while j + 8 <= n {
+            let out = yp.add(j);
+            let mut a0 = _mm256_loadu_ps(out);
+            for (r, &xr) in x.iter().enumerate() {
+                if xr == 0.0 {
+                    continue;
+                }
+                let row = _mm256_loadu_ps(wp.add(r * n + j));
+                a0 = _mm256_add_ps(a0, _mm256_mul_ps(_mm256_set1_ps(xr), row));
+            }
+            _mm256_storeu_ps(out, a0);
+            j += 8;
+        }
+        if j < n {
+            for (row, &xr) in w.chunks_exact(n).zip(x) {
+                if xr == 0.0 {
+                    continue;
+                }
+                super::scalar::saxpy(&mut y[j..], xr, &row[j..]);
+            }
         }
     }
 
@@ -1214,6 +1655,84 @@ mod tests {
     fn colmajor_shape_mismatch_panics() {
         let mut y = [0.0f32; 2];
         colmajor_gemv_acc(&mut y, &[1.0], &[1.0; 3]);
+    }
+
+    /// Small shapes on purpose: this is the test the Miri leg interprets
+    /// (through the SSE2 twins), and every buffer is an exact-size
+    /// allocation, so an overrunning row-block load is an out-of-bounds
+    /// read. The exhaustive sweep lives in `tests/simd_identity.rs`.
+    #[test]
+    fn rowmajor_kernels_levels_bit_identical() {
+        for (rows, cols) in [
+            (0usize, 5usize),
+            (3, 0),
+            (1, 1),
+            (4, 4),
+            (5, 7),
+            (8, 8),
+            (9, 13),
+            (17, 10),
+        ] {
+            let w = data(rows * cols, 1.7).into_boxed_slice();
+            let xc = data(cols, 0.2).into_boxed_slice();
+            // Every third coefficient is an exact zero, so the skip runs.
+            let xr: Box<[f32]> = data(rows, 0.9)
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| if i % 3 == 1 { 0.0 } else { v })
+                .collect();
+            let run = |level| {
+                with_level(level, || {
+                    let mut gemv = data(rows, -1.0).into_boxed_slice();
+                    rowmajor_gemv_acc(&mut gemv, &xc, &w);
+                    let mut outer = w.clone();
+                    rank1_update(&mut outer, 0.5, &xr, &xc);
+                    let mut gemv_t = data(cols, 2.0).into_boxed_slice();
+                    gemv_t_acc(&mut gemv_t, &xr, &w);
+                    (gemv, outer, gemv_t)
+                })
+            };
+            let want = run(Level::Scalar);
+            for &level in &supported_levels() {
+                let got = run(level);
+                for (g, w) in [(&got.0, &want.0), (&got.1, &want.1), (&got.2, &want.2)] {
+                    assert!(
+                        g.iter()
+                            .zip(w.iter())
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{} {rows}x{cols}",
+                        level.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rowmajor_gemv_acc_is_the_per_row_dot_and_skips_zero_columns() {
+        let (rows, cols) = (9, 11);
+        let w = data(rows * cols, 2.2);
+        let x = data(cols, 0.4);
+        let mut y = vec![0.0f32; rows];
+        rowmajor_gemv_acc(&mut y, &x, &w);
+        for (r, &yr) in y.iter().enumerate() {
+            let mut acc = 0.0f32;
+            for (k, &xv) in x.iter().enumerate() {
+                acc += w[r * cols + k] * xv;
+            }
+            assert_eq!(yr.to_bits(), acc.to_bits(), "r={r}");
+        }
+        // A zero-column matrix adds nothing — not even `+0.0`.
+        let mut y = [-0.0f32; 3];
+        rowmajor_gemv_acc(&mut y, &[], &[]);
+        assert!(y.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+    }
+
+    #[test]
+    #[should_panic(expected = "weight shape mismatch")]
+    fn rowmajor_shape_mismatch_panics() {
+        let mut y = [0.0f32; 2];
+        rowmajor_gemv_acc(&mut y, &[1.0], &[1.0; 3]);
     }
 
     #[test]

@@ -14,7 +14,13 @@
 //!   switched from `loadu` to aligned loads;
 //! * the *relaxed* kernels, which are not bit-equal to the sequential
 //!   scalar fold but must be bit-identical **across levels** (the scalar
-//!   fallback emulates the fixed 8-lane layout).
+//!   fallback emulates the fixed 8-lane layout);
+//! * the three row-major training kernels (`rowmajor_gemv_acc`,
+//!   `rank1_update`, `gemv_t_acc`) over every `rows, cols ∈ 0..=41`, on
+//!   slices that **end exactly at their allocation's end** (the only
+//!   out-of-bounds check the AVX2 row-block loads get — Miri sees no
+//!   AVX2), and with `0.0`, `-0.0`, `NaN`, `±inf` in the coefficients
+//!   the zero-skip inspects.
 //!
 //! The `proptests` module name is load-bearing: CI's property-test leg
 //! runs `cargo test --workspace proptests` and filters by that substring.
@@ -267,6 +273,147 @@ fn relaxed_kernels_deterministic_across_levels() {
     }
 }
 
+/// `data(off + n, salt)` in an allocation of exactly `off + n` floats
+/// (a boxed slice has no spare capacity): `&buf[off..]` is an `n`-float
+/// slice that starts `off` floats into its allocation — unaligned for
+/// `off == 1` — and ends exactly where the allocation ends, so a vector
+/// load that overran a row would leave the allocation.
+fn tail(n: usize, off: usize, salt: u32) -> Box<[f32]> {
+    data(off + n, salt).into_boxed_slice()
+}
+
+/// The NaN every invalid x86 SSE/AVX operation produces (`inf·0`,
+/// `inf − inf`). When two NaNs with *different* bits meet in one add,
+/// the result carries the first operand's, and neither Rust nor LLVM
+/// pins the operand order of the scalar loop's `y + c·v` — so the
+/// special-value cases inject this pattern, and every NaN in the
+/// computation has the same bits whichever operand wins.
+const NAN: f32 = f32::from_bits(0xFFC0_0000);
+
+/// The values the zero-skip of `rank1_update` / `gemv_t_acc` must tell
+/// apart: both zeros skip the row, `NaN` and `±inf` do not.
+const SKIP_PROBES: [f32; 5] = [0.0, -0.0, NAN, f32::INFINITY, f32::NEG_INFINITY];
+
+/// One case of the three row-major kernels at every supported level
+/// against `Scalar`, bit for bit. `w` is `rows × cols`; `xc` (`cols`
+/// long) feeds `rowmajor_gemv_acc` and is `rank1_update`'s `v`; `xr`
+/// (`rows` long) holds the per-row coefficients the zero-skip looks at.
+/// With `special`, `xr` cycles through [`SKIP_PROBES`] and `w`, `xc` and
+/// the outputs carry `-0.0` and `inf`, which is what makes a wrongly
+/// taken (or wrongly skipped) row visible: `-0.0 + 0·v` is `+0.0`, and
+/// `0·inf` is NaN.
+fn assert_rowmajor_kernels_identical(
+    rows: usize,
+    cols: usize,
+    off: usize,
+    salt: u32,
+    special: bool,
+) {
+    let mut w = tail(rows * cols, off, salt);
+    let mut xc = tail(cols, off, salt.wrapping_add(1));
+    let mut xr = tail(rows, off, salt.wrapping_add(2));
+    let mut yr = tail(rows, off, salt.wrapping_add(3));
+    let mut yc = tail(cols, off, salt.wrapping_add(4));
+    if special {
+        for (i, v) in xr[off..].iter_mut().enumerate() {
+            if (i + salt as usize) % 3 != 2 {
+                *v = SKIP_PROBES[(i + salt as usize) % SKIP_PROBES.len()];
+            }
+        }
+        for buf in [&mut w, &mut xc, &mut yr, &mut yc] {
+            for (i, v) in buf[off..].iter_mut().enumerate() {
+                match (i + salt as usize) % 11 {
+                    3 => *v = -0.0,
+                    7 => *v = f32::INFINITY,
+                    _ => {}
+                }
+            }
+        }
+    }
+    let run = |level: Level| {
+        at(level, || {
+            let mut gemv = yr.clone();
+            simd::rowmajor_gemv_acc(&mut gemv[off..], &xc[off..], &w[off..]);
+            let mut outer = w.clone();
+            simd::rank1_update(&mut outer[off..], -0.75, &xr[off..], &xc[off..]);
+            let mut gemv_t = yc.clone();
+            simd::gemv_t_acc(&mut gemv_t[off..], &xr[off..], &w[off..]);
+            (gemv, outer, gemv_t)
+        })
+    };
+    let want = run(Level::Scalar);
+    for level in simd::supported_levels() {
+        let got = run(level);
+        let case = format!("{rows}x{cols} off={off} salt={salt} special={special}");
+        assert_bits_eq(&format!("rowmajor_gemv_acc {case}"), level, &got.0, &want.0);
+        assert_bits_eq(&format!("rank1_update {case}"), level, &got.1, &want.1);
+        assert_bits_eq(&format!("gemv_t_acc {case}"), level, &got.2, &want.2);
+    }
+}
+
+#[test]
+fn rowmajor_kernels_bitwise_identical_for_every_shape_to_41() {
+    // Exhaustive over the proptest's domain: both degenerate axes, every
+    // `rows % 8` / `cols % 8` (and `% 4` for SSE2) tail, the d = 32
+    // training shape, at an aligned and an unaligned start.
+    for rows in 0..=41 {
+        for cols in 0..=41 {
+            let salt = (rows * 42 + cols) as u32;
+            assert_rowmajor_kernels_identical(rows, cols, rows % 2, salt, false);
+        }
+    }
+}
+
+#[test]
+fn rowmajor_kernels_honor_the_zero_skip_on_special_values() {
+    for (rows, cols) in [
+        (1usize, 1usize),
+        (5, 3),
+        (8, 8),
+        (13, 9),
+        (32, 32),
+        (41, 17),
+    ] {
+        for off in [0usize, 1] {
+            for salt in 0..5 {
+                assert_rowmajor_kernels_identical(rows, cols, off, salt, true);
+            }
+        }
+    }
+}
+
+#[test]
+fn zero_skip_leaves_rows_untouched_and_takes_nan_and_inf() {
+    // Not a cross-level comparison but the contract itself, at every
+    // level: a `±0.0` coefficient must not touch its row (no `-0.0` →
+    // `+0.0`, no `0·inf` → NaN), and NaN / ±inf are not zeros.
+    let v = [1.0f32, f32::INFINITY, -2.0];
+    for level in simd::supported_levels() {
+        at(level, || {
+            let mut w = vec![-0.0f32; SKIP_PROBES.len() * v.len()];
+            simd::rank1_update(&mut w, 1.0, &SKIP_PROBES, &v);
+            for row in w[..2 * v.len()].chunks(v.len()) {
+                assert!(row.iter().all(|e| e.to_bits() == (-0.0f32).to_bits()));
+            }
+            assert!(w[2 * v.len()..3 * v.len()].iter().all(|e| e.is_nan()));
+            assert_eq!(w[3 * v.len()], f32::INFINITY);
+            assert_eq!(w[4 * v.len()], f32::NEG_INFINITY);
+
+            // gemv_t_acc: only the two zero rows hold inf, so skipping
+            // them is what keeps `y` finite.
+            let mut m = vec![1.0f32; 3 * v.len()];
+            m[1] = f32::INFINITY;
+            m[v.len() + 2] = f32::NEG_INFINITY;
+            let mut y = vec![-0.0f32; v.len()];
+            simd::gemv_t_acc(&mut y, &[0.0, -0.0, 2.0], &m);
+            assert_eq!(y, [2.0, 2.0, 2.0]);
+            let mut y = vec![-0.0f32; v.len()];
+            simd::gemv_t_acc(&mut y, &[0.0, -0.0, 0.0], &m);
+            assert!(y.iter().all(|e| e.to_bits() == (-0.0f32).to_bits()));
+        });
+    }
+}
+
 /// In-process SIMD==scalar agreement at the *active* level — the same
 /// assertion the scalar-fallback CI leg relies on: under
 /// `NCL_FORCE_SCALAR=1` the active level is `Scalar` and this still holds
@@ -340,6 +487,17 @@ mod proptests {
                     prop_assert_eq!(g.to_bits(), w.to_bits());
                 }
             }
+        }
+
+        /// Random shapes over the whole `0..=41` square (zero rows, zero
+        /// cols, every `% 8` tail), random start offset, plain and
+        /// special-valued payloads: the three row-major training kernels
+        /// stay bitwise identical to the scalar reference.
+        #[test]
+        fn rowmajor_kernels_random_bitwise(rows in 0usize..=41, cols in 0usize..=41,
+                                           off in 0usize..2, salt in 0u32..1000,
+                                           special in 0u8..2) {
+            assert_rowmajor_kernels_identical(rows, cols, off, salt, special == 1);
         }
 
         /// Random inputs: `max` stays bitwise identical across levels.
