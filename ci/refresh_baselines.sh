@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerates the checked-in perf baselines
-# (ci/bench_baseline_fig{11,12,15,16,17,18,19,20}.json) from a fresh local
+# (ci/bench_baseline_fig{11,12,15,16,17,18,20}.json) from a fresh local
 # run.
 #
 # Run this ONLY after an intentional performance change, on a quiet
@@ -25,12 +25,11 @@ declare -A BIN=(
   [18]=fig18_open_loop
   [16]=fig16_kernels
   [17]=fig17_scale_serving
-  [19]=fig19_ann_retrieval
   [20]=fig20_document_linking
 )
 FIGS=("$@")
 if [ "${#FIGS[@]}" -eq 0 ]; then
-  FIGS=(15 12 11 18 16 17 19 20)
+  FIGS=(15 12 11 18 16 17 20)
 fi
 
 cargo build --release -p ncl-bench

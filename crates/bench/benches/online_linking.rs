@@ -23,7 +23,6 @@ fn bench_link(c: &mut Criterion) {
             &ds.ontology,
             LinkerConfig {
                 k,
-                threads: 1,
                 ..LinkerConfig::default()
             },
         );
@@ -40,14 +39,7 @@ fn bench_link(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("link_vs_qlen");
     group.sample_size(20);
-    let linker = Linker::new(
-        &pipeline.model,
-        &ds.ontology,
-        LinkerConfig {
-            threads: 1,
-            ..LinkerConfig::default()
-        },
-    );
+    let linker = Linker::new(&pipeline.model, &ds.ontology, LinkerConfig::default());
     for qlen in [1usize, 3, 6] {
         let subset: Vec<Vec<String>> = queries
             .iter()

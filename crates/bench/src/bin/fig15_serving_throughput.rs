@@ -2,7 +2,7 @@
 //! frozen concept-encoding cache.
 //!
 //! The paper serves COM-AID with per-query encode-decode over every
-//! candidate (Appendix B.1: ED is ~98% of linking time, ten threads).
+//! candidate (Appendix B.1: ED is ~98% of linking time).
 //! PR "serving cache" freezes every concept's encoder pass at
 //! `Linker::new` ([`ncl_core::comaid::ComAid::freeze`]) so online
 //! scoring only runs the decoder, batched one timestep across the
@@ -10,14 +10,14 @@
 //! `crates/core/tests/serving_cache.rs`); this binary measures what the
 //! cache buys in queries/sec.
 //!
-//! Sweeps cache {off, on} × threads {1, 10} × k {10, 20} on one
+//! Sweeps cache {off, on} × k {10, 20} on one
 //! profile, prints a paper-style table, writes
 //! `results/fig15_serving_throughput.json`, and drops a flat
 //! `BENCH_fig15.json` at the working directory root for the CI
 //! regression gate (`bench_gate`).
 //!
-//! Expected shape: cache on beats cache off at every (threads, k); the
-//! headline config (k=10, threads=10) must clear 3x.
+//! Expected shape: cache on beats cache off at every k; the paired
+//! headline (k=10) must clear 3x.
 
 use ncl_bench::{table, workload, Scale};
 use ncl_core::{Linker, LinkerConfig};
@@ -27,7 +27,6 @@ use std::time::Instant;
 struct ThroughputRow {
     dataset: String,
     cache: bool,
-    threads: usize,
     k: usize,
     queries_per_sec: f64,
     mean_ms_per_query: f64,
@@ -35,7 +34,6 @@ struct ThroughputRow {
 ncl_bench::impl_to_json!(ThroughputRow {
     dataset,
     cache,
-    threads,
     k,
     queries_per_sec,
     mean_ms_per_query
@@ -109,67 +107,55 @@ fn main() {
     let mut records: Vec<ThroughputRow> = Vec::new();
     let mut rows = Vec::new();
     for &cache in &[false, true] {
-        for &threads in &[1usize, 10] {
-            for &k in &[10usize, 20] {
-                let linker = Linker::new(
-                    &pipeline.model,
-                    &ds.ontology,
-                    LinkerConfig {
-                        k,
-                        threads,
-                        precompute: cache,
-                        ..LinkerConfig::default()
-                    },
-                );
-                assert_eq!(linker.cache().is_some(), cache);
-                let qps = measure_qps(&linker, &queries, min_secs);
-                rows.push(vec![
-                    if cache { "on" } else { "off" }.to_string(),
-                    threads.to_string(),
-                    k.to_string(),
-                    format!("{qps:.1}"),
-                    format!("{:.3}", 1e3 / qps),
-                ]);
-                records.push(ThroughputRow {
-                    dataset: ds.profile.name().into(),
-                    cache,
-                    threads,
+        for &k in &[10usize, 20] {
+            let linker = Linker::new(
+                &pipeline.model,
+                &ds.ontology,
+                LinkerConfig {
                     k,
-                    queries_per_sec: qps,
-                    mean_ms_per_query: 1e3 / qps,
-                });
-            }
+                    precompute: cache,
+                    ..LinkerConfig::default()
+                },
+            );
+            assert_eq!(linker.cache().is_some(), cache);
+            let qps = measure_qps(&linker, &queries, min_secs);
+            rows.push(vec![
+                if cache { "on" } else { "off" }.to_string(),
+                k.to_string(),
+                format!("{qps:.1}"),
+                format!("{:.3}", 1e3 / qps),
+            ]);
+            records.push(ThroughputRow {
+                dataset: ds.profile.name().into(),
+                cache,
+                k,
+                queries_per_sec: qps,
+                mean_ms_per_query: 1e3 / qps,
+            });
         }
     }
     table::banner(&format!(
         "Figure 15: serving throughput (queries/sec), {}",
         ds.profile.name()
     ));
-    println!(
-        "{}",
-        table::render(&["cache", "threads", "k", "q/s", "ms/q"], &rows)
-    );
+    println!("{}", table::render(&["cache", "k", "q/s", "ms/q"], &rows));
 
-    let qps_of = |cache: bool, threads: usize, k: usize| -> f64 {
+    let qps_of = |cache: bool, k: usize| -> f64 {
         records
             .iter()
-            .find(|r| r.cache == cache && r.threads == threads && r.k == k)
+            .find(|r| r.cache == cache && r.k == k)
             .map(|r| r.queries_per_sec)
             .unwrap_or(f64::NAN)
     };
 
     table::banner("Shape check");
     let mut ordered = true;
-    for &threads in &[1usize, 10] {
-        for &k in &[10usize, 20] {
-            let on = qps_of(true, threads, k);
-            let off = qps_of(false, threads, k);
-            let ok = on > off;
-            ordered &= ok;
-            println!(
-                "cache on beats off (threads={threads}, k={k}): {ok} ({on:.1} vs {off:.1} q/s)"
-            );
-        }
+    for &k in &[10usize, 20] {
+        let on = qps_of(true, k);
+        let off = qps_of(false, k);
+        let ok = on > off;
+        ordered &= ok;
+        println!("cache on beats off (k={k}): {ok} ({on:.1} vs {off:.1} q/s)");
     }
 
     // The headline speedup is measured paired (interleaved rounds) so a
@@ -180,7 +166,6 @@ fn main() {
             &ds.ontology,
             LinkerConfig {
                 k: 10,
-                threads: 10,
                 precompute: cache,
                 ..LinkerConfig::default()
             },
@@ -190,66 +175,7 @@ fn main() {
         measure_paired(&headline(false), &headline(true), &queries, 2.0 * min_secs);
     let speedup = cached_qps / uncached_qps;
     println!(
-        "headline (paired, k=10, threads=10): cached {cached_qps:.1} vs uncached {uncached_qps:.1} q/s — {speedup:.2}x"
-    );
-
-    // ---- Staged batch serving (`Linker::link_batch`) ----
-    // The batch entry point fans out across the worker pool, one chunk
-    // of whole queries per worker with serial per-query scoring —
-    // versus single `link`, which parallelises within the ED phase of
-    // one query at a time. Answers must be bit-identical; at batch
-    // >= 16 the cross-query fan-out must also pay for itself wherever
-    // enough hardware threads exist.
-    let batch_linker = headline(true);
-    let mut batch: Vec<Vec<String>> = Vec::new();
-    while batch.len() < 16 {
-        batch.extend(queries.iter().cloned());
-    }
-    let batched = batch_linker.link_batch(&batch);
-    for (q, b) in batch.iter().zip(&batched) {
-        let single = batch_linker.link(q);
-        assert_eq!(
-            b.candidates, single.candidates,
-            "batch candidates diverged for {q:?}"
-        );
-        assert_eq!(
-            b.ranked.len(),
-            single.ranked.len(),
-            "batch ranking length diverged"
-        );
-        for (&(cb, sb), &(cs, ss)) in b.ranked.iter().zip(&single.ranked) {
-            assert_eq!(cb, cs, "batch ranking diverged for {q:?}");
-            assert_eq!(
-                sb.to_bits(),
-                ss.to_bits(),
-                "batch scores diverged for {q:?}"
-            );
-        }
-    }
-    println!("batch bit-identity vs looped link (n={}): ok", batch.len());
-
-    // Paired alternating rounds again, so drift cannot fake the ratio.
-    let _ = batch_linker.link_batch(&batch); // warm-up
-    let (mut t_loop, mut t_batch) = (0.0f64, 0.0f64);
-    let (mut n_loop, mut n_batch) = (0usize, 0usize);
-    while t_loop + t_batch < 2.0 * min_secs {
-        let s = Instant::now();
-        for q in &batch {
-            let _ = batch_linker.link(q);
-        }
-        t_loop += s.elapsed().as_secs_f64();
-        n_loop += batch.len();
-        let s = Instant::now();
-        let _ = batch_linker.link_batch(&batch);
-        t_batch += s.elapsed().as_secs_f64();
-        n_batch += batch.len();
-    }
-    let loop_qps = n_loop as f64 / t_loop;
-    let batch_qps = n_batch as f64 / t_batch;
-    let batch_speedup = batch_qps / loop_qps;
-    println!(
-        "batch (paired, n={}, k=10, threads=10): batched {batch_qps:.1} vs looped {loop_qps:.1} q/s — {batch_speedup:.2}x",
-        batch.len()
+        "headline (paired, k=10): cached {cached_qps:.1} vs uncached {uncached_qps:.1} q/s — {speedup:.2}x"
     );
 
     ncl_bench::results::write_json("fig15_serving_throughput", &records);
@@ -261,17 +187,14 @@ fn main() {
     for r in &records {
         let state = if r.cache { "cached" } else { "uncached" };
         gate.push_str(&format!(
-            "  \"{}_t{}_k{}_qps\": {:.3},\n",
-            state, r.threads, r.k, r.queries_per_sec
+            "  \"{}_k{}_qps\": {:.3},\n",
+            state, r.k, r.queries_per_sec
         ));
     }
     gate.push_str(&format!(
         "  \"headline_cached_qps\": {cached_qps:.3},\n  \"headline_uncached_qps\": {uncached_qps:.3},\n"
     ));
-    gate.push_str(&format!(
-        "  \"batch_qps\": {batch_qps:.3},\n  \"loop_qps\": {loop_qps:.3},\n  \"batch_speedup\": {batch_speedup:.3},\n"
-    ));
-    gate.push_str(&format!("  \"speedup_t10_k10\": {speedup:.3}\n}}\n"));
+    gate.push_str(&format!("  \"speedup_k10\": {speedup:.3}\n}}\n"));
     match std::fs::write("BENCH_fig15.json", &gate) {
         Ok(()) => println!("[results] wrote BENCH_fig15.json"),
         Err(e) => eprintln!("warning: cannot write BENCH_fig15.json: {e}"),
@@ -280,24 +203,7 @@ fn main() {
     assert!(ordered, "cache must not slow serving down");
     assert!(
         speedup >= 3.0,
-        "frozen cache must give >= 3x queries/sec at k=10, threads=10 (got {speedup:.2}x)"
+        "frozen cache must give >= 3x queries/sec at k=10 (got {speedup:.2}x)"
     );
-    // Cross-query fan-out only helps with real hardware parallelism; on
-    // smaller machines the bit-identity check above still ran and the
-    // rate is informational (same policy as fig12's thread sweep).
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    if hw >= 4 {
-        assert!(
-            batch_speedup >= 1.1,
-            "link_batch at n={} must be measurably faster per query than looped link (got {batch_speedup:.2}x)",
-            batch.len()
-        );
-        println!("\nfig15 acceptance: cache >= 3x and batch >= 1.1x — ok");
-    } else {
-        println!(
-            "\nfig15 acceptance: cache >= 3x — ok (batch speedup {batch_speedup:.2}x informational, {hw} hardware threads)"
-        );
-    }
+    println!("\nfig15 acceptance: cache >= 3x — ok");
 }

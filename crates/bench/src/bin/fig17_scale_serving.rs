@@ -113,7 +113,6 @@ fn cold_start_ms(
         &model,
         o,
         LinkerConfig {
-            threads: 1,
             lazy_freeze: lazy,
             ..LinkerConfig::default()
         },

@@ -92,9 +92,8 @@ fn draw_gaps(n: usize, rate: f64, seed: u64) -> Vec<Duration> {
         .collect()
 }
 
-/// Mean serial service time of one request, measured on the same
-/// linker the front end will drive (serial ED, like the front end's
-/// workers). Everything else — deadlines, watermark budgets, offered
+/// Mean service time of one request, measured on the same linker the
+/// front end will drive. Everything else — deadlines, watermark budgets, offered
 /// rates, the p99 bound — is denominated in this unit so the sweep
 /// self-calibrates to the machine.
 fn measure_service_time(linker: &Linker, queries: &[Vec<String>]) -> Duration {
@@ -124,14 +123,11 @@ fn main() {
         .into_iter()
         .map(|q| q.tokens)
         .collect();
-    // threads=1: the front end scores serially per request and gets its
-    // concurrency across requests from its own worker loops.
     let linker = Linker::new(
         &pipeline.model,
         &ds.ontology,
         LinkerConfig {
             k: 10,
-            threads: 1,
             ..LinkerConfig::default()
         },
     );

@@ -13,7 +13,7 @@
 //!    gold spans are asserted against floors, exact-boundary recovery
 //!    is reported.
 //! 2. **Document throughput.** Whole notes per second through the
-//!    propose → fan-out → roll-up path (the number the front end's
+//!    propose → link → roll-up path (the number the front end's
 //!    capacity planning starts from).
 //! 3. **Feedback at volume, served hot.** Every note's answer feeds a
 //!    [`ncl_core::feedback::FeedbackController`]; pooled spans get
@@ -158,7 +158,6 @@ fn main() {
         let mut pipeline = workload::fit_default(&ds, &scale);
         let linker_config = LinkerConfig {
             k: 10,
-            threads: 1,
             ..LinkerConfig::default()
         };
         let notes = ds

@@ -19,7 +19,6 @@ fn main() {
         "fig16_kernels",
         "fig17_scale_serving",
         "fig18_open_loop",
-        "fig19_ann_retrieval",
         "fig20_document_linking",
     ];
     let exe_dir = std::env::current_exe()

@@ -88,35 +88,6 @@ pub fn evaluate_linker(linker: &Linker<'_>, groups: &[Vec<LabeledQuery>]) -> Met
     }
 }
 
-/// [`evaluate_linker`] with an explicit Phase-I retrieval backend —
-/// the fig19 driver comparing `TfIdf`/`Ann`/`Hybrid` end to end over
-/// the same trained pipeline and the same query groups.
-pub fn evaluate_linker_with(
-    linker: &Linker<'_>,
-    groups: &[Vec<LabeledQuery>],
-    backend: ncl_core::RetrievalBackend,
-) -> Metrics {
-    let mut accs = Vec::new();
-    let mut mrrs = Vec::new();
-    let mut covs = Vec::new();
-    for group in groups {
-        let mut acc = EvalAccumulator::new();
-        for q in group {
-            let res = linker.link_with_backend(&q.tokens, backend);
-            let covered = res.candidates.contains(&q.truth);
-            acc.record(&res.ranked_ids(), q.truth, covered);
-        }
-        accs.push(acc.accuracy());
-        mrrs.push(acc.mrr());
-        covs.push(acc.coverage());
-    }
-    Metrics {
-        accuracy: ncl_core::metrics::group_mean(&accs),
-        mrr: ncl_core::metrics::group_mean(&mrrs),
-        coverage: ncl_core::metrics::group_mean(&covs),
-    }
-}
-
 /// Evaluates a baseline annotator over its own top-`k` ranking.
 pub fn evaluate_annotator<A: Annotator + ?Sized>(
     annotator: &A,

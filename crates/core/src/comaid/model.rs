@@ -16,9 +16,9 @@ use rand::SeedableRng;
 
 /// The trained COM-AID model (Figure 4 of the paper).
 ///
-/// All state is plain data, so a trained model is `Send + Sync` and the
-/// online linker can score candidate concepts from multiple threads
-/// (Appendix B.1 uses ten threads for the encode-decode part).
+/// All state is plain data, so a trained model is `Send + Sync` and one
+/// linker over it can serve requests from several threads at once — the
+/// [`crate::serving::Frontend`] workers.
 #[derive(Debug, Clone)]
 pub struct ComAid {
     config: ComAidConfig,

@@ -24,11 +24,7 @@
 //! (an I/O-style site consulted once per submission — an injected
 //! error forces the admission-control overload path, rejecting the
 //! request with `NclError::Overloaded` regardless of actual queue
-//! depth). The embedding-ANN retrieval backend adds `"ann.search"`
-//! (an I/O-style site consulted once per `Ann`/`Hybrid` retrieval — an
-//! injected error disables the vector search for that request, which
-//! degrades to the TF-IDF path and records a
-//! [`crate::serving::TraceEvent::AnnFallback`]). Document-level linking
+//! depth). Document-level linking
 //! adds `"doc.propose"` (one visit per accepted span proposal — a panic
 //! drops that single span, recorded as
 //! [`crate::serving::TraceEvent::ProposeFaulted`], while the rest of

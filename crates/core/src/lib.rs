@@ -43,14 +43,12 @@ pub use faults::{FaultKind, FaultPlan};
 pub use feedback::{ExpertLabel, FeedbackConfig, FeedbackController, HotSwapCell, ModelGeneration};
 pub use linker::{
     Degradation, DegradeReason, LinkBudget, LinkResult, Linker, LinkerConfig, PriorTable,
-    RetrievalBackend,
 };
 pub use ncl_text::tfidf::RetrievalStats;
 pub use pipeline::{NclConfig, NclPipeline};
 pub use serving::{
-    AdmissionRung, AnnFallbackReason, AnnSearchStats, CacheUse, ComAidScore, Completion,
-    DocumentCompletion, DocumentResult, Frontend, FrontendConfig, FrontendStats, HistSummary,
-    LatencyHistogram, LinkTrace, ProposeConfig, RequestCtx, RewriteDecision, ScoreOutcome,
-    ScoreRequest, ScoreStage, SpanAnchor, SpanLink, SpanProposal, Stage, StageKind, StageTiming,
-    TraceEvent,
+    AdmissionRung, CacheUse, ComAidScore, Completion, DocumentCompletion, DocumentResult, Frontend,
+    FrontendConfig, FrontendStats, HistSummary, LatencyHistogram, LinkTrace, ProposeConfig,
+    RequestCtx, RewriteDecision, ScoreOutcome, ScoreRequest, ScoreStage, SpanAnchor, SpanLink,
+    SpanProposal, Stage, StageKind, StageTiming, TraceEvent,
 };

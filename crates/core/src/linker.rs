@@ -11,10 +11,11 @@
 //!
 //! The per-phase wall-clock breakdown — OR (out-of-vocabulary
 //! replacement), CR (candidate retrieval), ED (encode-decode), RT
-//! (ranking) — reproduces the cost model of Appendix B.1 / Figure 11;
-//! like the paper, ED is parallelised across candidates ("use ten threads
-//! to perform ED, because … their encode-decode processes can be executed
-//! separately").
+//! (ranking) — reproduces the cost model of Appendix B.1 / Figure 11.
+//! One request runs on the calling thread: the paper spreads ED over ten
+//! threads, but behind the frozen cache a request is too short for that
+//! to pay (DESIGN.md "Removed paths"); concurrency across requests lives
+//! in [`crate::serving::Frontend`]'s workers.
 //!
 //! ## Serving robustness
 //!
@@ -36,9 +37,8 @@ use crate::serving::{
     self, ComAidScore, DocumentResult, LinkTrace, ProposeConfig, RewriteDecision, ScoreStage,
     SpanProposal, StageKind, StageTiming, TraceEvent,
 };
-use ncl_embedding::{AnnIndex, ConceptVectors, HnswConfig, NearestWords};
+use ncl_embedding::NearestWords;
 use ncl_ontology::{ConceptId, Ontology};
-use ncl_tensor::pool::WorkerPool;
 use ncl_tensor::Vector;
 use ncl_text::edit_index::EditIndex;
 use ncl_text::tfidf::{RetrievalStats, TfIdfIndex};
@@ -46,7 +46,6 @@ use ncl_text::tokenize;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -68,13 +67,6 @@ pub struct LinkerConfig {
     /// (e.g. "of", "symptomatic") with its *weakly* nearest description
     /// word would inject misleading content words into the query.
     pub rewrite_min_cosine: f32,
-    /// Worker threads for the ED part. Defaults to 10, the paper's
-    /// serving setting (Appendix B.1: "use ten threads to perform ED,
-    /// because … their encode-decode processes can be executed
-    /// separately"). Override with struct-update syntax, e.g.
-    /// `LinkerConfig { threads: 1, ..LinkerConfig::default() }` for
-    /// deterministic single-threaded scoring.
-    pub threads: usize,
     /// Precompute the frozen concept-encoding cache at [`Linker::new`]
     /// ([`ComAid::freeze`]): every candidate's encoder states and
     /// ancestor memory are computed once per linker instead of once per
@@ -117,40 +109,8 @@ pub struct LinkerConfig {
     /// cold-start-to-first-link time against first-touch latency per
     /// chapter. Only effective with `precompute: true`.
     pub lazy_freeze: bool,
-    /// Which Phase-I retrieval backend serves candidates
-    /// ([`RetrievalBackend`]); `TfIdf` (the default) is the paper's
-    /// keyword path, byte-identical to every prior release. Overridable
-    /// per request via [`Linker::link_with_backend`].
-    pub retrieval: RetrievalBackend,
     /// Deadline budgets; all unset by default (no deadline).
     pub budget: LinkBudget,
-}
-
-/// Which Phase-I candidate-retrieval backend the Retrieve stage runs.
-///
-/// The embedding-ANN backends search a concept-level vector space
-/// (mean-pooled CBOW name vectors behind a deterministic HNSW,
-/// [`ncl_embedding::AnnIndex`]) using the **original, un-rewritten**
-/// query tokens: the pre-training corpus contains the corrupted surface
-/// forms ("htn", "ca", typos), so vocabulary-mismatch queries match
-/// concepts directly by embedding proximity, without waiting on the
-/// OOV-rewrite machinery. When the ANN search cannot run (all-OOV
-/// query, injected fault at the `ann.search` site, panic), the stage
-/// falls back to the TF-IDF path and records
-/// [`crate::serving::TraceEvent::AnnFallback`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetrievalBackend {
-    /// TF-IDF keyword retrieval over the MaxScore-pruned inverted index
-    /// — the default, unchanged from every prior release.
-    #[default]
-    TfIdf,
-    /// Embedding-ANN retrieval only: top-k concepts by cosine in the
-    /// concept-vector space.
-    Ann,
-    /// Union of both backends' candidates (TF-IDF order first, then
-    /// deduplicated ANN extras), reranked by the unchanged Score/Rank
-    /// stages.
-    Hybrid,
 }
 
 impl Default for LinkerConfig {
@@ -161,14 +121,12 @@ impl Default for LinkerConfig {
             remove_shared: true,
             edit_max_dist: 2,
             rewrite_min_cosine: 0.35,
-            threads: 10,
             precompute: true,
             index_aliases: true,
             max_query_tokens: 4096,
             fast_math: false,
             cache_tier: CacheTier::Exact,
             lazy_freeze: false,
-            retrieval: RetrievalBackend::TfIdf,
             budget: LinkBudget::default(),
         }
     }
@@ -360,12 +318,6 @@ pub struct Linker<'a> {
     /// Length/prefix-bucketed edit-distance index over Ω', also built on
     /// first use — the textual fallback of rewriting.
     edit_index: OnceLock<EditIndex>,
-    /// Concept-level embedding-ANN index (deterministic HNSW over
-    /// mean-pooled CBOW name vectors, one row per Phase-I document in
-    /// `doc_map` order), built on first use: only the `Ann`/`Hybrid`
-    /// retrieval backends consult it, and building it walks the whole
-    /// ontology once.
-    ann: OnceLock<AnnIndex>,
     /// Per-linker rewrite memo: OOV token → rewrite outcome (including
     /// negative outcomes), so repeated OOV tokens cost one lookup per
     /// linker lifetime. Bypassed entirely when a [`FaultPlan`] is
@@ -396,11 +348,6 @@ pub struct Linker<'a> {
     /// shared-word removal consults this per (query, candidate), so
     /// tokenising at scoring time would dominate the cached fast path.
     canonical_sets: Vec<HashSet<String>>,
-    /// Persistent scoring workers (Appendix B.1: "use ten threads to
-    /// perform ED"), spawned once at construction. A per-query
-    /// `thread::scope` spawn costs about as much as scoring a candidate,
-    /// which is why the threads outlive the queries.
-    pub(crate) pool: WorkerPool,
 }
 
 /// A normalised log-prior lookup table for MAP ranking (Eq. 11), built
@@ -502,11 +449,6 @@ impl<'a> Linker<'a> {
             .map(|toks| toks.into_iter().collect())
             .collect();
 
-        let hw = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let pool = WorkerPool::new(config.threads.max(1).min(hw));
-
         Self {
             model,
             ontology,
@@ -516,13 +458,11 @@ impl<'a> Linker<'a> {
             doc_map,
             nearest: OnceLock::new(),
             edit_index: OnceLock::new(),
-            ann: OnceLock::new(),
             rewrite_memo: Mutex::new(HashMap::new()),
             prior: None,
             faults: None,
             cache,
             canonical_sets,
-            pool,
         }
     }
 
@@ -627,56 +567,6 @@ impl<'a> Linker<'a> {
                 .collect();
             NearestWords::new(self.model.embedding().table(), Some(allowed))
         })
-    }
-
-    /// The concept-level embedding-ANN index, built on first use: one
-    /// mean-pooled CBOW vector per Phase-I document (the same token set
-    /// the TF-IDF documents index — canonical name tokens plus, under
-    /// [`LinkerConfig::index_aliases`], every KB alias — mapped through
-    /// Ω′), in `doc_map` order, behind a deterministic HNSW
-    /// ([`ncl_embedding::AnnIndex`]). Pooling the aliases matters for
-    /// the OOV-heavy mixes: abbreviations like "ckd" live in the alias
-    /// text, so they pull the concept vector toward the corrupted
-    /// surface forms that queries actually use. Search beam defaults to
-    /// `max(4k, 64)` so the expansion comfortably covers the `k`
-    /// candidates the Retrieve stage asks for.
-    pub(crate) fn ann_index(&self) -> &AnnIndex {
-        self.ann.get_or_init(|| {
-            let vocab = self.model.vocab();
-            let docs: Vec<Vec<u32>> = self
-                .doc_map
-                .iter()
-                .map(|&id| {
-                    let c = self.ontology.concept(id);
-                    let mut toks = tokenize(&c.canonical);
-                    if self.config.index_aliases {
-                        for alias in &c.aliases {
-                            toks.extend(tokenize(alias));
-                        }
-                    }
-                    toks.iter().filter_map(|t| vocab.get(t)).collect()
-                })
-                .collect();
-            let vectors = ConceptVectors::mean_pooled(self.model.embedding().table(), &docs);
-            let hnsw = HnswConfig {
-                ef_search: (4 * self.config.k).max(64),
-                ..HnswConfig::default()
-            };
-            AnnIndex::build(&vectors, hnsw)
-        })
-    }
-
-    /// The normalized mean-pooled embedding of `tokens` — the ANN query
-    /// vector. Tokens outside Ω′ contribute nothing; `None` when no
-    /// token embeds (the all-OOV case) or the pooled vector has no
-    /// direction. Deliberately fed the **original** query tokens, not
-    /// the rewritten ones: corrupted surface forms occur in the
-    /// pre-training corpus, so they carry their own embeddings and the
-    /// vector search needs no rewriting.
-    pub(crate) fn ann_query_vector(&self, tokens: &[String]) -> Option<Vec<f32>> {
-        let vocab = self.model.vocab();
-        let ids: Vec<u32> = tokens.iter().filter_map(|t| vocab.get(t)).collect();
-        ConceptVectors::query_vector(self.model.embedding().table(), &ids)
     }
 
     /// The bucketed edit-distance index over Ω', built on first use.
@@ -999,28 +889,10 @@ impl<'a> Linker<'a> {
         serving::drive_with(self, tokens, &ComAidScore::new(self), budget, Vec::new())
     }
 
-    /// Links a query under a caller-chosen [`RetrievalBackend`],
-    /// overriding [`LinkerConfig::retrieval`] for this call only —
-    /// the per-request knob for comparing the TF-IDF, ANN, and Hybrid
-    /// Phase-I paths over one shared linker. Everything downstream of
-    /// candidate retrieval (scoring, budgets, fault isolation, the
-    /// degradation ladder, tracing) applies unchanged.
-    pub fn link_with_backend(&self, tokens: &[String], backend: RetrievalBackend) -> LinkResult {
-        serving::drive_with_backend(
-            self,
-            tokens,
-            &ComAidScore::new(self),
-            self.config.budget,
-            Vec::new(),
-            Some(backend),
-        )
-    }
-
-    /// Links a batch of queries, parallelising **across** queries on
-    /// the persistent worker pool (single-query [`Linker::link`]
-    /// parallelises within the ED phase instead). Results are
-    /// positionally aligned with `queries` and bit-identical to
-    /// looping [`Linker::link`] over the batch.
+    /// Links a batch of queries: one rewrite prefetch over the whole
+    /// batch, then each query through the chain in order, on the
+    /// calling thread. Results are positionally aligned with `queries`
+    /// and bit-identical to looping [`Linker::link`] over the batch.
     pub fn link_batch(&self, queries: &[Vec<String>]) -> Vec<LinkResult> {
         let refs: Vec<&[String]> = queries.iter().map(|q| q.as_slice()).collect();
         serving::link_batch(self, &refs)
@@ -1082,7 +954,7 @@ impl<'a> Linker<'a> {
         let (scores, panicked) = if cr_over || already_over {
             (vec![None; candidates.len()], 0)
         } else {
-            self.score_candidates(&candidates, &rewritten, ed_deadline, false)
+            self.score_candidates(&candidates, &rewritten, ed_deadline)
         };
         let ed = t2.elapsed();
 
@@ -1228,8 +1100,8 @@ impl<'a> Linker<'a> {
     }
 
     /// Links a whole tokenised clinical note: proposes mention spans,
-    /// fans every span through the staged chain (batched on the worker
-    /// pool, with the batch rewrite prefetch and this linker's shared
+    /// sends every span through the staged chain in note order (with
+    /// the batch rewrite prefetch and this linker's shared
     /// [`PriorTable`]), and rolls the per-span answers up into a
     /// [`DocumentResult`].
     ///
@@ -1271,34 +1143,27 @@ impl<'a> Linker<'a> {
         Ok(self.link_document_with(tokens, config))
     }
 
-    /// Scores `log p(q|c)` for each candidate, in parallel when
-    /// configured. Each job runs behind its own panic-isolation
-    /// boundary, so a panicking candidate (model bug, injected fault)
-    /// costs exactly that candidate's score, and jobs not started before
+    /// Scores `log p(q|c)` for each candidate on the calling thread.
+    /// Each candidate runs behind its own panic-isolation boundary, so a
+    /// panicking candidate (model bug, injected fault) costs exactly
+    /// that candidate's score, and candidates not started before
     /// `deadline` stay unscored. Returns per-candidate scores
-    /// (`None` = unscored) and the number of jobs lost to panics.
+    /// (`None` = unscored) and the number of candidates lost to panics.
     ///
     /// With a valid precomputed cache, no faults, and no deadline, the
     /// *batched* fast path runs: all candidates advance one decoder
-    /// timestep per output-matrix pass ([`ComAid::log_prob_batch_cached`]),
-    /// chunked across the configured threads. Scores are bit-identical
-    /// to the per-candidate path. Under faults or a deadline the
-    /// per-candidate loop runs instead so the PR-1 degradation ladder
-    /// (per-job isolation, mid-phase cutoff) keeps its granularity; it
-    /// still serves from the cache, with the "ed.cache" fault site
-    /// modelling a cache miss that falls back to uncached scoring.
-    ///
-    /// `serial` forces the single-threaded loop regardless of the
-    /// configured thread count — used by `link_batch`, which already
-    /// parallelises across queries on the same pool (nesting a pool
-    /// dispatch inside a pool job could deadlock). Thread and chunk
-    /// boundaries never change score bits.
+    /// timestep per output-matrix pass ([`ComAid::log_prob_batch_cached`]).
+    /// Scores are bit-identical to the per-candidate path. Under faults
+    /// or a deadline the per-candidate loop runs instead so the PR-1
+    /// degradation ladder (per-candidate isolation, mid-phase cutoff)
+    /// keeps its granularity; it still serves from the cache, with the
+    /// "ed.cache" fault site modelling a cache miss that falls back to
+    /// uncached scoring.
     pub(crate) fn score_candidates(
         &self,
         candidates: &[ConceptId],
         query: &[String],
         deadline: Option<Instant>,
-        serial: bool,
     ) -> (Vec<Option<f32>>, usize) {
         // The decoded word ids are candidate-independent; only the
         // counting masks differ (shared-word removal is per candidate).
@@ -1318,12 +1183,16 @@ impl<'a> Linker<'a> {
 
         if self.faults.is_none() && deadline.is_none() {
             if let Some((cache, prepared)) = &cache {
-                return self.score_batched(cache, candidates, prepared, &masks, serial);
+                return self.score_batched(cache, candidates, prepared, &masks);
             }
         }
 
-        let panicked = AtomicUsize::new(0);
-        let score_one = |c: ConceptId, mask: &Vec<bool>| -> Option<f32> {
+        let mut panicked = 0usize;
+        let mut scores: Vec<Option<f32>> = vec![None; candidates.len()];
+        for ((&c, mask), out) in candidates.iter().zip(&masks).zip(scores.iter_mut()) {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                break;
+            }
             match catch_unwind(AssertUnwindSafe(|| {
                 if let Some(plan) = &self.faults {
                     plan.visit("ed.score");
@@ -1348,56 +1217,16 @@ impl<'a> Linker<'a> {
                     _ => self.model.log_prob_ids_masked(&self.index, c, &ids, mask),
                 }
             })) {
-                Ok(lp) => Some(lp),
-                Err(_) => {
-                    panicked.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
+                Ok(lp) => *out = Some(lp),
+                Err(_) => panicked += 1,
             }
-        };
-        let expired = |d: Option<Instant>| d.is_some_and(|d| Instant::now() >= d);
-
-        let jobs: Vec<(ConceptId, &Vec<bool>)> =
-            candidates.iter().copied().zip(masks.iter()).collect();
-        let threads = if serial {
-            1
-        } else {
-            self.worker_threads(jobs.len())
-        };
-        let mut scores: Vec<Option<f32>> = vec![None; jobs.len()];
-        if threads <= 1 || jobs.len() <= 1 {
-            for (&(c, mask), out) in jobs.iter().zip(scores.iter_mut()) {
-                if expired(deadline) {
-                    break;
-                }
-                *out = score_one(c, mask);
-            }
-        } else {
-            let chunk = jobs.len().div_ceil(threads);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = jobs
-                .chunks(chunk)
-                .zip(scores.chunks_mut(chunk))
-                .map(|(job_chunk, score_chunk)| {
-                    let score_one = &score_one;
-                    let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                        for (&(c, mask), out) in job_chunk.iter().zip(score_chunk.iter_mut()) {
-                            if expired(deadline) {
-                                break;
-                            }
-                            *out = score_one(c, mask);
-                        }
-                    });
-                    task
-                })
-                .collect();
-            self.pool.run(tasks);
         }
-        (scores, panicked.load(Ordering::Relaxed))
+        (scores, panicked)
     }
 
     /// The batched cached fast path of [`Linker::score_candidates`].
-    /// Panic isolation is per chunk first (the common case pays one
-    /// `catch_unwind` per thread, not per candidate); a chunk that does
+    /// Panic isolation is per batch first (the common case pays one
+    /// `catch_unwind` per request, not per candidate); a batch that does
     /// panic is retried candidate-by-candidate so only the faulty
     /// candidate loses its score.
     fn score_batched(
@@ -1406,71 +1235,37 @@ impl<'a> Linker<'a> {
         candidates: &[ConceptId],
         prepared: &PreparedTarget<'_>,
         masks: &[Vec<bool>],
-        serial: bool,
     ) -> (Vec<Option<f32>>, usize) {
-        let k = candidates.len();
-        let panicked = AtomicUsize::new(0);
-        let run_chunk = |cands: &[ConceptId], mask_chunk: &[Vec<bool>], out: &mut [Option<f32>]| {
-            let batch = catch_unwind(AssertUnwindSafe(|| {
-                self.model
-                    .log_prob_batch_prepared(&self.index, cache, cands, prepared, mask_chunk)
-            }));
-            match batch {
-                Ok(lps) => {
-                    for (o, lp) in out.iter_mut().zip(lps) {
-                        *o = Some(lp);
-                    }
+        let mut panicked = 0usize;
+        let mut scores: Vec<Option<f32>> = vec![None; candidates.len()];
+        let batch = catch_unwind(AssertUnwindSafe(|| {
+            self.model
+                .log_prob_batch_prepared(&self.index, cache, candidates, prepared, masks)
+        }));
+        match batch {
+            Ok(lps) => {
+                for (o, lp) in scores.iter_mut().zip(lps) {
+                    *o = Some(lp);
                 }
-                Err(_) => {
-                    for ((o, &c), mask) in out.iter_mut().zip(cands).zip(mask_chunk) {
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            self.model.log_prob_ids_masked_prepared(
-                                &self.index,
-                                cache,
-                                c,
-                                prepared,
-                                mask,
-                            )
-                        })) {
-                            Ok(lp) => *o = Some(lp),
-                            Err(_) => {
-                                panicked.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
+            }
+            Err(_) => {
+                for ((o, &c), mask) in scores.iter_mut().zip(candidates).zip(masks) {
+                    match catch_unwind(AssertUnwindSafe(|| {
+                        self.model.log_prob_ids_masked_prepared(
+                            &self.index,
+                            cache,
+                            c,
+                            prepared,
+                            mask,
+                        )
+                    })) {
+                        Ok(lp) => *o = Some(lp),
+                        Err(_) => panicked += 1,
                     }
                 }
             }
-        };
-
-        // Batched chunks amortise the per-step output-matrix pass across
-        // their candidates — each worker must own a sizeable chunk before
-        // splitting pays, even with the persistent pool absorbing the
-        // spawn cost.
-        const MIN_BATCH_CHUNK: usize = 8;
-        let threads = if serial {
-            1
-        } else {
-            self.worker_threads(k).min((k / MIN_BATCH_CHUNK).max(1))
-        };
-        let mut scores: Vec<Option<f32>> = vec![None; k];
-        if threads <= 1 || k <= 1 {
-            run_chunk(candidates, masks, &mut scores);
-        } else {
-            let chunk = k.div_ceil(threads);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = candidates
-                .chunks(chunk)
-                .zip(masks.chunks(chunk))
-                .zip(scores.chunks_mut(chunk))
-                .map(|((cand_chunk, mask_chunk), score_chunk)| {
-                    let run_chunk = &run_chunk;
-                    let task: Box<dyn FnOnce() + Send + '_> =
-                        Box::new(move || run_chunk(cand_chunk, mask_chunk, score_chunk));
-                    task
-                })
-                .collect();
-            self.pool.run(tasks);
         }
-        (scores, panicked.load(Ordering::Relaxed))
+        (scores, panicked)
     }
 
     /// Builds the decode target for Phase II: the full query word ids plus
@@ -1482,17 +1277,6 @@ impl<'a> Linker<'a> {
     #[cfg(test)]
     fn scoring_target(&self, concept: ConceptId, query: &[String]) -> (Vec<u32>, Vec<bool>) {
         (self.query_ids(query), self.scoring_mask(concept, query))
-    }
-
-    /// Worker count for scoring `jobs` candidates: the configured
-    /// [`LinkerConfig::threads`], capped by the host's available
-    /// parallelism (oversubscribing a small machine buys no concurrency,
-    /// only per-query spawn latency) and by the job count.
-    pub(crate) fn worker_threads(&self, jobs: usize) -> usize {
-        let hw = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        self.config.threads.max(1).min(hw).min(jobs.max(1))
     }
 
     /// The decoded word ids of a query — identical for every candidate.
@@ -1736,33 +1520,6 @@ mod tests {
                 StageKind::Rank
             ]
         );
-    }
-
-    #[test]
-    fn parallel_and_serial_scoring_agree() {
-        let (o, model) = trained_world();
-        let serial = Linker::new(
-            &model,
-            &o,
-            LinkerConfig {
-                threads: 1,
-                ..LinkerConfig::default()
-            },
-        );
-        let parallel = Linker::new(
-            &model,
-            &o,
-            LinkerConfig {
-                threads: 4,
-                ..LinkerConfig::default()
-            },
-        );
-        let a = serial.link_text("renal disease stage 5");
-        let b = parallel.link_text("renal disease stage 5");
-        assert_eq!(a.ranked_ids(), b.ranked_ids());
-        for ((_, sa), (_, sb)) in a.ranked.iter().zip(&b.ranked) {
-            assert!((sa - sb).abs() < 1e-5);
-        }
     }
 
     #[test]
@@ -2038,8 +1795,8 @@ mod tests {
         /// One plan covering every pipeline fault site. Decisions are
         /// keyed on `(seed, visit ordinal)`, so two *separate* plans
         /// built from the same arguments replay identically as long as
-        /// the visit order is deterministic — which `threads: 1` below
-        /// guarantees.
+        /// the visit order is deterministic — which it is: one request
+        /// runs on one thread.
         fn plan(seed: u64, p_or: f64, p_cr: f64, p_ed: f64, p_cache: f64) -> Arc<FaultPlan> {
             Arc::new(
                 FaultPlan::new(seed)
@@ -2074,13 +1831,6 @@ mod tests {
             );
         }
 
-        fn serial_config() -> LinkerConfig {
-            LinkerConfig {
-                threads: 1,
-                ..LinkerConfig::default()
-            }
-        }
-
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -2088,7 +1838,7 @@ mod tests {
             fn staged_link_equals_oracle_without_faults(q_idx in query_strategy()) {
                 let q = tokens_from(&q_idx);
                 let (o, model) = shared_world();
-                let linker = Linker::new(model, o, serial_config());
+                let linker = Linker::new(model, o, LinkerConfig::default());
                 assert_bit_identical(&linker.link(&q), &linker.link_oracle(&q), &q);
             }
 
@@ -2105,9 +1855,9 @@ mod tests {
                 let (o, model) = shared_world();
                 let plan_staged = plan(seed, p_or, p_cr, p_ed, p_cache);
                 let plan_oracle = plan(seed, p_or, p_cr, p_ed, p_cache);
-                let staged = Linker::new(model, o, serial_config())
+                let staged = Linker::new(model, o, LinkerConfig::default())
                     .with_faults(Arc::clone(&plan_staged));
-                let oracle = Linker::new(model, o, serial_config())
+                let oracle = Linker::new(model, o, LinkerConfig::default())
                     .with_faults(Arc::clone(&plan_oracle));
                 let a = staged.link(&q);
                 let b = oracle.link_oracle(&q);

@@ -2,7 +2,7 @@
 
 use super::trace::LinkTrace;
 use crate::faults::FaultPlan;
-use crate::linker::{Degradation, LinkBudget, LinkResult, RetrievalBackend};
+use crate::linker::{Degradation, LinkBudget, LinkResult};
 use ncl_ontology::ConceptId;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -17,7 +17,7 @@ use std::time::Instant;
 /// rewritten query, candidates, scores, degradation ladder inputs, and
 /// the [`LinkTrace`] — lives here, so stages never mutate the linker
 /// and one linker can serve many requests (including concurrently from
-/// [`crate::linker::Linker::link_batch`]) without interference.
+/// [`crate::serving::Frontend`] workers) without interference.
 pub struct RequestCtx<'q> {
     /// The query as handed to `link` (already tokenised/normalised).
     pub(crate) tokens: &'q [String],
@@ -32,9 +32,6 @@ pub struct RequestCtx<'q> {
     /// The query after the Rewrite stage; borrows the input when
     /// nothing was rewritten.
     pub(crate) rewritten: Cow<'q, [String]>,
-    /// Per-request retrieval-backend override; `None` follows
-    /// [`crate::linker::LinkerConfig::retrieval`].
-    pub(crate) backend: Option<RetrievalBackend>,
     /// Phase-I candidates in retrieval order.
     pub(crate) candidates: Vec<ConceptId>,
     /// Whether candidate retrieval panicked (isolated).
@@ -72,7 +69,6 @@ impl<'q> RequestCtx<'q> {
             faults,
             stage_started: start,
             rewritten: Cow::Borrowed(tokens),
-            backend: None,
             candidates: Vec::new(),
             cr_panicked: false,
             cr_over: false,
@@ -99,12 +95,6 @@ impl<'q> RequestCtx<'q> {
     /// Phase-I candidates in retrieval order (empty before Retrieve).
     pub fn candidates(&self) -> &[ConceptId] {
         &self.candidates
-    }
-
-    /// The per-request retrieval-backend override, if any (`None`
-    /// follows the linker's configured backend).
-    pub fn backend(&self) -> Option<RetrievalBackend> {
-        self.backend
     }
 
     /// The budgets this request runs under.

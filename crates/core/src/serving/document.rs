@@ -7,13 +7,13 @@
 //! 1. **Propose** ([`super::propose`]): scan the note for candidate
 //!    mention spans using the TF-IDF concept dictionary plus the OOV
 //!    rewrite machinery. The scan shares the note's deadline.
-//! 2. **Fan out**: every proposed span becomes one query through the
-//!    ordinary `Rewrite → Retrieve → Score → Rank` chain, batched on
-//!    the linker's worker pool with the batch rewrite prefetch and the
-//!    linker's one shared [`crate::linker::PriorTable`]. The note's
-//!    deadline covers *all* spans: each span derives its remaining
-//!    total budget when its job starts, so late spans degrade down the
-//!    ladder instead of overrunning the note.
+//! 2. **Link**: every proposed span becomes one query through the
+//!    ordinary `Rewrite → Retrieve → Score → Rank` chain, in note
+//!    order, with the batch rewrite prefetch and the linker's one
+//!    shared [`crate::linker::PriorTable`]. The note's deadline covers
+//!    *all* spans: each span derives its remaining total budget when
+//!    it starts, so late spans degrade down the ladder instead of
+//!    overrunning the note.
 //! 3. **Roll up**: per-span traces merge into one document-level
 //!    [`LinkTrace`] (the Propose stage timing, per-stage wall-clock
 //!    sums, merged Phase-I work counters, and every span's events in
@@ -26,7 +26,7 @@
 //! proposed spans (all filler) is a valid, empty answer — not an
 //! error.
 
-use super::batch::link_batch_within;
+use super::link_batch_within;
 use super::propose::{propose_spans, ProposeConfig, SpanProposal};
 use super::trace::{CacheUse, LinkTrace, StageKind, StageTiming, TraceEvent};
 use crate::linker::{Degradation, LinkBudget, LinkResult, Linker};

@@ -355,9 +355,9 @@ impl FrontendStats {
 pub struct Frontend<'f, 'a> {
     linker: &'f Linker<'a>,
     config: FrontendConfig,
-    /// The front end's **own** pool (the PR-3 [`WorkerPool`] type):
+    /// The front end's pool (the PR-3 [`WorkerPool`] type):
     /// `workers` spawned loops plus the submitting caller. Deliberately
-    /// not capped by `available_parallelism` — queue-depth-driven
+    /// not capped by the host core count — queue-depth-driven
     /// shedding must work (and be testable) even on small hosts, where
     /// oversubscribed worker loops still drain the queue while the
     /// submitter sleeps between arrivals.
@@ -614,8 +614,8 @@ impl<'f, 'a> Frontend<'f, 'a> {
 
     /// Serves one admitted request: derives the remaining budget from
     /// the admission-time deadline and the rung's ED cap, drives the
-    /// staged chain (serial ED — cross-request parallelism is the
-    /// front end's job), and records the completion.
+    /// staged chain on this worker's thread (cross-request parallelism
+    /// is the front end's job), and records the completion.
     fn process(&self, req: QueuedRequest, hists: &mut HistSet) {
         let picked = Instant::now();
         let queued = picked.duration_since(req.admitted);
@@ -650,10 +650,7 @@ impl<'f, 'a> Frontend<'f, 'a> {
         hists.queue_wait.record(queued);
         match req.payload {
             Payload::Query(ref tokens) => {
-                let scorer = ComAidScore {
-                    linker: self.linker,
-                    serial: true,
-                };
+                let scorer = ComAidScore::new(self.linker);
                 let result = super::drive_with(self.linker, tokens, &scorer, budget, preamble);
                 let total = req.admitted.elapsed();
                 hists.e2e.record(total);

@@ -32,11 +32,11 @@
 //! * **Tracing is observability-only.** Nothing branches on
 //!   [`LinkTrace`]; recording it cannot perturb serving output.
 //!
-//! Fault plans and batching: [`crate::linker::Linker::link_batch`]
-//! drives whole requests concurrently, so the visit *ordinals* of an
-//! attached [`crate::faults::FaultPlan`] interleave across queries —
-//! deterministic fault replay is only meaningful for serial query
-//! streams (single-query `link`, or batches on a single worker).
+//! One request runs on the calling thread, and a batch or a document
+//! is a loop over requests (`link_batch_within`), so an attached
+//! [`crate::faults::FaultPlan`] replays deterministically over single
+//! queries, batches and documents alike. Concurrency across requests
+//! lives in one place, the [`frontend`]'s workers.
 //!
 //! On top of the chain sits the open-loop serving front end
 //! ([`frontend`], DESIGN.md §13): a bounded request queue with
@@ -48,11 +48,10 @@
 //! Document-level requests put one extra stage in front of the chain
 //! (DESIGN.md §17): span proposal ([`ProposeConfig`], [`SpanProposal`])
 //! scans a whole tokenised note for candidate mention spans, and
-//! [`crate::linker::Linker::link_document`] fans the proposals through
+//! [`crate::linker::Linker::link_document`] sends the proposals through
 //! the chain under one shared note deadline, rolling the per-span
 //! traces up into a [`DocumentResult`].
 
-mod batch;
 mod ctx;
 mod document;
 pub mod frontend;
@@ -71,17 +70,14 @@ pub use frontend::{
 };
 pub use propose::{ProposeConfig, SpanAnchor, SpanProposal};
 pub use score::{ComAidScore, ScoreOutcome, ScoreRequest, ScoreStage};
-pub use trace::{
-    AnnFallbackReason, AnnSearchStats, CacheUse, LinkTrace, RewriteDecision, StageKind,
-    StageTiming, TraceEvent,
-};
+pub use trace::{CacheUse, LinkTrace, RewriteDecision, StageKind, StageTiming, TraceEvent};
 
-pub(crate) use batch::{link_batch, try_link_batch};
 pub(crate) use document::link_document;
 pub(crate) use propose::propose_spans;
 pub(crate) use rank::classify_degradation;
 
-use crate::linker::{LinkBudget, LinkResult, Linker, RetrievalBackend};
+use crate::error::NclError;
+use crate::linker::{LinkBudget, LinkResult, Linker};
 use std::time::Instant;
 
 /// One stage of the serving chain. Stages are stateless between
@@ -114,24 +110,9 @@ pub(crate) fn drive_with(
     budget: LinkBudget,
     preamble: Vec<TraceEvent>,
 ) -> LinkResult {
-    drive_with_backend(linker, tokens, scorer, budget, preamble, None)
-}
-
-/// [`drive_with`] plus a per-request [`RetrievalBackend`] override
-/// (`None` follows [`crate::linker::LinkerConfig::retrieval`]) — the
-/// seam behind [`crate::linker::Linker::link_with_backend`].
-pub(crate) fn drive_with_backend(
-    linker: &Linker<'_>,
-    tokens: &[String],
-    scorer: &dyn ScoreStage,
-    budget: LinkBudget,
-    preamble: Vec<TraceEvent>,
-    backend: Option<RetrievalBackend>,
-) -> LinkResult {
     let start = Instant::now();
     let mut ctx = RequestCtx::new(tokens, budget, linker.faults.clone(), start);
     ctx.trace.events = preamble;
-    ctx.backend = backend;
     let rewrite = rewrite::Rewrite { linker };
     let retrieve = retrieve::Retrieve { linker };
     let score = score::Score { scorer };
@@ -147,4 +128,82 @@ pub(crate) fn drive_with_backend(
         });
     }
     ctx.into_result()
+}
+
+/// The per-request budget of one batched query: the base budget, with
+/// `total` clipped to whatever remains of the shared deadline *at the
+/// moment this request starts*. With no deadline the base budget passes
+/// through unchanged — `link_batch` is exactly the `deadline: None`
+/// case of [`link_batch_within`].
+fn request_budget(base: LinkBudget, deadline: Option<Instant>) -> LinkBudget {
+    let mut b = base;
+    if let Some(d) = deadline {
+        let remaining = d.saturating_duration_since(Instant::now());
+        b.total = Some(b.total.map_or(remaining, |t| t.min(remaining)));
+    }
+    b
+}
+
+/// Links each query; see [`Linker::link_batch`].
+pub(crate) fn link_batch(linker: &Linker<'_>, queries: &[&[String]]) -> Vec<LinkResult> {
+    link_batch_within(linker, queries, linker.config().budget, None)
+}
+
+/// Deadline-aware batch: like [`link_batch`], but each request derives
+/// its remaining `total` budget from the shared `deadline` at the
+/// moment it starts. This is how a document's whole-note deadline
+/// covers every proposed span — spans served late in the note see less
+/// budget and degrade down the PR-1 ladder instead of overrunning the
+/// note's deadline.
+pub(crate) fn link_batch_within(
+    linker: &Linker<'_>,
+    queries: &[&[String]],
+    base: LinkBudget,
+    deadline: Option<Instant>,
+) -> Vec<LinkResult> {
+    // Prime the shared rewrite memo for the whole batch in one blocked
+    // matrix pass before any request runs: per-request rewrite stages
+    // then pay only hash lookups instead of one nearest-neighbour
+    // dispatch per query's worth of new OOV tokens.
+    if queries.len() > 1 {
+        linker.prefetch_rewrites_batch(queries);
+    }
+    let scorer = ComAidScore::new(linker);
+    queries
+        .iter()
+        .map(|q| {
+            drive_with(
+                linker,
+                q,
+                &scorer,
+                request_budget(base, deadline),
+                Vec::new(),
+            )
+        })
+        .collect()
+}
+
+/// Validating batch entry point; see [`Linker::try_link_batch`].
+pub(crate) fn try_link_batch(
+    linker: &Linker<'_>,
+    queries: &[Vec<String>],
+) -> Vec<Result<LinkResult, NclError>> {
+    let verdicts: Vec<Option<NclError>> = queries
+        .iter()
+        .map(|q| linker.validate_query(q).err())
+        .collect();
+    let valid: Vec<&[String]> = queries
+        .iter()
+        .zip(&verdicts)
+        .filter(|(_, e)| e.is_none())
+        .map(|(q, _)| q.as_slice())
+        .collect();
+    let mut linked = link_batch(linker, &valid).into_iter();
+    verdicts
+        .into_iter()
+        .map(|e| match e {
+            Some(e) => Err(e),
+            None => Ok(linked.next().expect("one result per valid query")),
+        })
+        .collect()
 }

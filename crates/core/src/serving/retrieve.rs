@@ -1,30 +1,16 @@
-//! Stage 2 — **Retrieve** (the paper's CR phase), now multi-backend:
-//!
-//! * [`RetrievalBackend::TfIdf`] (default) — TF-IDF cosine top-k over
-//!   the fine-grained concept documents, via the MaxScore-pruned scan of
-//!   [`ncl_text::tfidf::TfIdfIndex::top_k_with_stats`]. This path is
-//!   **byte-identical** to every prior release.
-//! * [`RetrievalBackend::Ann`] — embedding-ANN top-k over the
-//!   concept-vector space (deterministic HNSW,
-//!   [`ncl_embedding::AnnIndex`]), queried with the mean-pooled
-//!   embedding of the **original** query tokens — corrupted surface
-//!   forms carry their own embeddings from pre-training, so no rewrite
-//!   is needed to match. Falls back to the TF-IDF path (recording
-//!   [`TraceEvent::AnnFallback`]) when the query has no embedding, the
-//!   `ann.search` fault site fires, or the search panics.
-//! * [`RetrievalBackend::Hybrid`] — the TF-IDF candidates first, then
-//!   deduplicated ANN extras appended; the unchanged Score/Rank stages
-//!   rerank the union.
+//! Stage 2 — **Retrieve** (the paper's CR phase): TF-IDF cosine top-k
+//! over the fine-grained concept documents, via the MaxScore-pruned
+//! scan of [`ncl_text::tfidf::TfIdfIndex::top_k_with_stats`].
 
 use super::ctx::RequestCtx;
-use super::trace::{AnnFallbackReason, StageKind, TraceEvent};
+use super::trace::{StageKind, TraceEvent};
 use super::Stage;
-use crate::linker::{Linker, RetrievalBackend};
+use crate::linker::Linker;
 use ncl_ontology::ConceptId;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// The Retrieve stage; borrows the linker's inverted index, concept
-/// vector index, and doc → concept map.
+/// The Retrieve stage; borrows the linker's inverted index and
+/// doc → concept map.
 pub struct Retrieve<'s, 'a> {
     pub(crate) linker: &'s Linker<'a>,
 }
@@ -35,52 +21,6 @@ impl Stage for Retrieve<'_, '_> {
     }
 
     fn run(&self, ctx: &mut RequestCtx<'_>) {
-        let backend = ctx.backend.unwrap_or(self.linker.config().retrieval);
-        match backend {
-            RetrievalBackend::TfIdf => {
-                self.tfidf_retrieve(ctx);
-            }
-            RetrievalBackend::Ann => {
-                if let Some(candidates) = self.ann_candidates(ctx) {
-                    ctx.candidates = candidates;
-                } else {
-                    // Degrade through the keyword path rather than serve
-                    // an empty candidate set.
-                    self.tfidf_retrieve(ctx);
-                }
-            }
-            RetrievalBackend::Hybrid => {
-                self.tfidf_retrieve(ctx);
-                if let Some(ann) = self.ann_candidates(ctx) {
-                    // Union is capped at the top ⌈k/2⌉ ANN extras: a
-                    // query whose truth the keyword scan missed sits
-                    // near the head of the ANN list (the query vector
-                    // is close to the concept vector), so the cap keeps
-                    // the coverage recovery while limiting the
-                    // distractors handed to the reranker.
-                    let cap = self.linker.config().k.div_ceil(2);
-                    let mut added = 0usize;
-                    for c in ann {
-                        if added >= cap {
-                            break;
-                        }
-                        if !ctx.candidates.contains(&c) {
-                            ctx.candidates.push(c);
-                            added += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let cr = ctx.stage_started.elapsed();
-        ctx.cr_over = ctx.budget.cr.is_some_and(|b| cr > b);
-    }
-}
-
-impl Retrieve<'_, '_> {
-    /// The unchanged TF-IDF retrieval body: panic-isolated MaxScore
-    /// top-k over the rewritten query, filling `ctx.candidates`.
-    fn tfidf_retrieve(&self, ctx: &mut RequestCtx<'_>) {
         // Panic-isolated: a fault here yields an empty candidate set,
         // not an abort.
         let hits = catch_unwind(AssertUnwindSafe(|| {
@@ -101,53 +41,7 @@ impl Retrieve<'_, '_> {
             .iter()
             .map(|&(d, _)| self.linker.doc_map[d])
             .collect::<Vec<ConceptId>>();
-    }
-
-    /// The ANN top-k as concept ids, or `None` when the vector search
-    /// cannot serve this request — each `None` records exactly one
-    /// [`TraceEvent::AnnFallback`] with the disabling reason.
-    fn ann_candidates(&self, ctx: &mut RequestCtx<'_>) -> Option<Vec<ConceptId>> {
-        // The `ann.search` fault site is I/O-style: an injected fault
-        // (or panic rule) surfaces as a recoverable error here, and the
-        // stage degrades to the keyword path instead of aborting.
-        if let Some(plan) = &ctx.faults {
-            if plan.visit_io("ann.search").is_err() {
-                ctx.trace.events.push(TraceEvent::AnnFallback {
-                    reason: AnnFallbackReason::Fault,
-                });
-                return None;
-            }
-        }
-        // Original tokens, not `ctx.rewritten`: sidestepping the rewrite
-        // machinery is the point of the embedding backend.
-        let Some(q) = self.linker.ann_query_vector(ctx.tokens) else {
-            ctx.trace.events.push(TraceEvent::AnnFallback {
-                reason: AnnFallbackReason::EmptyQueryVector,
-            });
-            return None;
-        };
-        let searched = catch_unwind(AssertUnwindSafe(|| {
-            let (hits, stats) = self
-                .linker
-                .ann_index()
-                .search(&q, self.linker.config().k, None);
-            (hits, stats)
-        }));
-        match searched {
-            Ok((hits, stats)) => {
-                ctx.trace.ann = Some(stats);
-                Some(
-                    hits.iter()
-                        .map(|&(d, _)| self.linker.doc_map[d as usize])
-                        .collect(),
-                )
-            }
-            Err(_) => {
-                ctx.trace.events.push(TraceEvent::AnnFallback {
-                    reason: AnnFallbackReason::Panicked,
-                });
-                None
-            }
-        }
+        let cr = ctx.stage_started.elapsed();
+        ctx.cr_over = ctx.budget.cr.is_some_and(|b| cr > b);
     }
 }

@@ -63,21 +63,12 @@ pub trait ScoreStage: Sync {
 /// per-candidate granularity.
 pub struct ComAidScore<'s, 'a> {
     pub(crate) linker: &'s Linker<'a>,
-    /// Run the ED loop single-threaded. Set by `link_batch`, which
-    /// parallelises *across* queries on the same worker pool — nesting
-    /// a pool dispatch inside a pool job could deadlock, and the
-    /// per-query thread split buys nothing once queries are already
-    /// data-parallel. Scores are bit-identical either way.
-    pub(crate) serial: bool,
 }
 
 impl<'s, 'a> ComAidScore<'s, 'a> {
     /// The scorer `Linker::link` uses.
     pub fn new(linker: &'s Linker<'a>) -> Self {
-        Self {
-            linker,
-            serial: false,
-        }
+        Self { linker }
     }
 }
 
@@ -89,7 +80,7 @@ impl ScoreStage for ComAidScore<'_, '_> {
     fn score(&self, req: ScoreRequest<'_>) -> ScoreOutcome {
         let (scores, lost_jobs) =
             self.linker
-                .score_candidates(req.candidates, req.query, req.deadline, self.serial);
+                .score_candidates(req.candidates, req.query, req.deadline);
         let cache = match self.linker.cache.as_ref() {
             None => CacheUse::Unconfigured,
             Some(c) if c.is_valid_for(self.linker.model) => CacheUse::Served,

@@ -10,25 +10,6 @@ use crate::linker::Degradation;
 use ncl_text::tfidf::RetrievalStats;
 use std::time::Duration;
 
-/// Per-search counters from the embedding-ANN retrieval backend
-/// (graph nodes expanded, dot products evaluated, beam width, exact-scan
-/// flag) — the ANN analogue of the TF-IDF [`RetrievalStats`].
-pub use ncl_embedding::ann::SearchStats as AnnSearchStats;
-
-/// Why the ANN retrieval backend fell back to (or was supplemented by)
-/// the TF-IDF path for one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnnFallbackReason {
-    /// The `ann.search` fault site reported an injected fault.
-    Fault,
-    /// The query had no usable embedding: every token was outside the
-    /// embedding vocabulary Ω′ (or the pooled vector had no direction),
-    /// so there is nothing to search the vector space with.
-    EmptyQueryVector,
-    /// The ANN search panicked (isolated, like `RetrievePanicked`).
-    Panicked,
-}
-
 /// The serving stages, in chain order. `Rewrite`/`Retrieve` are
 /// the paper's Phase I (OR + CR of Appendix B.1), `Score`/`Rank` its
 /// Phase II (ED + RT). `Propose` precedes the four-stage chain and only
@@ -122,13 +103,6 @@ pub enum TraceEvent {
         /// How long the request waited before a worker picked it up.
         queued: Duration,
     },
-    /// The ANN retrieval backend could not serve this request; the
-    /// Retrieve stage fell back to the TF-IDF path (`Ann` mode) or
-    /// proceeded with TF-IDF candidates only (`Hybrid` mode).
-    AnnFallback {
-        /// What disabled the ANN search.
-        reason: AnnFallbackReason,
-    },
     /// The Propose stage accepted one candidate mention span —
     /// provenance for document-level requests (one event per proposal,
     /// in document order).
@@ -183,10 +157,6 @@ pub struct LinkTrace {
     /// Phase-I work counters (postings examined/scored/pruned, heap
     /// evictions, rewrite-memo hit rates).
     pub retrieval: RetrievalStats,
-    /// ANN work counters, recorded when the Retrieve stage ran the
-    /// embedding-ANN backend (`Ann` or `Hybrid` mode); `None` under the
-    /// default TF-IDF backend or when the ANN search fell back.
-    pub ann: Option<AnnSearchStats>,
     /// Every rewrite decision taken by the Rewrite stage, in token
     /// order (in-vocabulary tokens are not recorded).
     pub rewrites: Vec<RewriteDecision>,

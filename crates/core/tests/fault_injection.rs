@@ -233,7 +233,6 @@ fn rewrite_panic_leaves_token_unrewritten() {
 fn ed_delays_past_deadline_timeout_degrade() {
     let (o, model) = trained_world();
     let cfg = LinkerConfig {
-        threads: 1,
         budget: LinkBudget::with_ed(Duration::from_millis(4)),
         ..LinkerConfig::default()
     };
@@ -277,8 +276,8 @@ fn exhausted_total_budget_skips_scoring_entirely() {
 }
 
 /// The headline guarantee: under faults at *every* site, across kinds,
-/// seeds, probabilities, and thread counts, `link` never aborts and
-/// every answer is well-formed with an accurate annotation.
+/// seeds and probabilities, `link` never aborts and every answer is
+/// well-formed with an accurate annotation.
 #[test]
 fn fault_sweep_never_aborts() {
     let (o, model) = trained_world();
@@ -290,28 +289,23 @@ fn fault_sweep_never_aborts() {
     let mut calls = 0u32;
     for kind in kinds {
         for seed in 0..6u64 {
-            for threads in [1usize, 4] {
-                let plan = Arc::new(
-                    FaultPlan::new(seed)
-                        .with_rule("or", kind, 0.4)
-                        .with_rule("cr", kind, 0.2)
-                        .with_rule("ed", kind, 0.6),
-                );
-                let cfg = LinkerConfig {
-                    threads,
-                    ..LinkerConfig::default()
-                };
-                let linker = Linker::new(&model, &o, cfg).with_faults(Arc::clone(&plan));
-                for q in QUERIES {
-                    let res = linker.link_text(q);
-                    check_well_formed(&res);
-                    calls += 1;
-                }
-                assert!(plan.visits() > 0, "sweep must actually exercise sites");
+            let plan = Arc::new(
+                FaultPlan::new(seed)
+                    .with_rule("or", kind, 0.4)
+                    .with_rule("cr", kind, 0.2)
+                    .with_rule("ed", kind, 0.6),
+            );
+            let linker =
+                Linker::new(&model, &o, LinkerConfig::default()).with_faults(Arc::clone(&plan));
+            for q in QUERIES {
+                let res = linker.link_text(q);
+                check_well_formed(&res);
+                calls += 1;
             }
+            assert!(plan.visits() > 0, "sweep must actually exercise sites");
         }
     }
-    assert_eq!(calls, 6 * 2 * 5 * kinds.len() as u32);
+    assert_eq!(calls, 6 * 5 * kinds.len() as u32);
 }
 
 /// Injected serving-cache misses ("ed.cache" I/O faults) must degrade
@@ -395,7 +389,6 @@ fn frontend_queue_fault_forces_typed_overload_rejection() {
 fn try_link_batch_deadline_mid_batch_marks_every_result() {
     let (o, model) = trained_world();
     let cfg = LinkerConfig {
-        threads: 1, // serial: the injected delays hit every query's clock
         budget: LinkBudget::with_total(Duration::from_millis(4)),
         ..LinkerConfig::default()
     };
@@ -494,15 +487,8 @@ fn deadline_expired_in_queue_serves_phase_one_only() {
 fn same_seed_same_degradation() {
     let (o, model) = trained_world();
     let run = |seed: u64| -> Vec<bool> {
-        let linker = Linker::new(
-            &model,
-            &o,
-            LinkerConfig {
-                threads: 1,
-                ..LinkerConfig::default()
-            },
-        )
-        .with_faults(Arc::new(FaultPlan::panics(seed, "ed", 0.5)));
+        let linker = Linker::new(&model, &o, LinkerConfig::default())
+            .with_faults(Arc::new(FaultPlan::panics(seed, "ed", 0.5)));
         QUERIES
             .iter()
             .map(|q| linker.link_text(q).is_degraded())

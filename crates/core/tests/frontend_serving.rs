@@ -4,11 +4,12 @@
 //! equivalence to direct linking.
 
 use ncl_core::comaid::{ComAid, ComAidConfig, OntologyIndex, TrainPair, Variant};
-use ncl_core::linker::{Linker, LinkerConfig};
+use ncl_core::linker::{LinkResult, Linker, LinkerConfig};
 use ncl_core::serving::{AdmissionRung, Frontend, FrontendConfig, TraceEvent};
 use ncl_core::{FaultKind, FaultPlan};
 use ncl_ontology::Ontology;
 use ncl_text::{tokenize, Vocab};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -84,6 +85,17 @@ const QUERIES: &[&str] = &[
     "acute abdominal syndrome",
 ];
 
+/// Bit-level equality of a served answer and the direct call's.
+fn assert_same_result(got: &LinkResult, want: &LinkResult, what: &str) {
+    assert_eq!(got.rewritten, want.rewritten, "{what}");
+    assert_eq!(got.candidates, want.candidates, "{what}");
+    assert_eq!(got.ranked_ids(), want.ranked_ids(), "{what}");
+    for (&(_, a), &(_, b)) in got.ranked.iter().zip(&want.ranked) {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: score bits");
+    }
+    assert_eq!(got.degradation, want.degradation, "{what}");
+}
+
 /// Inline mode (workers = 0, no deadline, depth always 0) must be a
 /// plain synchronous linker: every completion bit-identical to
 /// `Linker::link`, all on the Full rung, nothing shed or rejected.
@@ -106,14 +118,7 @@ fn inline_frontend_is_bit_identical_to_direct_link() {
     assert_eq!(completions.len(), QUERIES.len());
     for (q, c) in QUERIES.iter().zip(&completions) {
         assert_eq!(c.rung, AdmissionRung::Full);
-        let direct = linker.link_text(q);
-        assert_eq!(c.result.rewritten, direct.rewritten, "q={q}");
-        assert_eq!(c.result.candidates, direct.candidates, "q={q}");
-        assert_eq!(c.result.ranked_ids(), direct.ranked_ids(), "q={q}");
-        for (&(_, sa), &(_, sb)) in c.result.ranked.iter().zip(&direct.ranked) {
-            assert_eq!(sa.to_bits(), sb.to_bits(), "scores must be bit-identical");
-        }
-        assert_eq!(c.result.degradation, direct.degradation, "q={q}");
+        assert_same_result(&c.result, &linker.link_text(q), &format!("q={q}"));
         assert!(
             !c.result
                 .trace
@@ -130,6 +135,102 @@ fn inline_frontend_is_bit_identical_to_direct_link() {
     assert_eq!(stats.rejected, 0);
     assert_eq!(stats.admitted_partial + stats.admitted_shed, 0);
     assert_eq!(stats.e2e.count, QUERIES.len() as u64);
+}
+
+/// Request concurrency lives here, in the front end's workers: three
+/// worker loops (not clamped by `available_parallelism`) drain one serve
+/// window of queries interleaved with notes off a linker that itself
+/// runs every request on its caller's thread. Every completion must be
+/// bit-identical to the direct call on the same linker, and the
+/// accounting must close with nothing rejected.
+#[test]
+fn concurrent_workers_answer_bit_identically_to_direct_calls() {
+    const MIXED_QUERIES: &[&str] = &[
+        "ckd stage 5",
+        "abdominal pain",
+        "renal disease stage 5",
+        "unspecified disease",
+        "acute abdominal syndrome",
+        "abdomne pain",
+        "ckd stge 5",
+        "zzzgibberish",
+    ];
+    const NOTES: &[&str] = &[
+        "patient admitted ckd stage 5 overnight abdominal pain reported",
+        "follow up renal disease stage 5 no acute abdomen today",
+        "history of chronic kidney disease unspecified and abdomen pain",
+        "seen for acute abdominal syndrome then ckd unspecified noted",
+    ];
+    const N_QUERIES: usize = 40;
+    const N_NOTES: usize = 8;
+
+    let (o, model) = trained_world();
+    let linker = Linker::new(&model, &o, LinkerConfig::default());
+    // Capacity and both watermarks sit above the whole burst, so every
+    // request is admitted on the Full rung whatever the drain rate.
+    let fe = Frontend::new(
+        &linker,
+        FrontendConfig {
+            workers: 3,
+            deadline: None,
+            queue_capacity: 128,
+            degrade_watermark: 128,
+            shed_watermark: 128,
+            ..FrontendConfig::default()
+        },
+    );
+    let mut queries: HashMap<u64, Vec<String>> = HashMap::new();
+    let mut notes: HashMap<u64, Vec<String>> = HashMap::new();
+    fe.serve(|| {
+        for i in 0..N_QUERIES {
+            let q = tokenize(MIXED_QUERIES[i % MIXED_QUERIES.len()]);
+            let id = fe.submit(q.clone()).expect("capacity above the burst");
+            queries.insert(id, q);
+            if i % (N_QUERIES / N_NOTES) == 0 {
+                let note = tokenize(NOTES[notes.len() % NOTES.len()]);
+                let id = fe
+                    .submit_document(note.clone())
+                    .expect("capacity above the burst");
+                notes.insert(id, note);
+            }
+        }
+    });
+    assert_eq!(queries.len(), N_QUERIES);
+    assert_eq!(notes.len(), N_NOTES);
+
+    let completions = fe.take_completions();
+    assert_eq!(completions.len(), N_QUERIES);
+    for c in &completions {
+        assert_eq!(c.rung, AdmissionRung::Full);
+        let q = &queries[&c.id];
+        assert_same_result(&c.result, &linker.link(q), &format!("q={q:?}"));
+    }
+    let docs = fe.take_document_completions();
+    assert_eq!(docs.len(), N_NOTES);
+    for d in &docs {
+        assert_eq!(d.rung, AdmissionRung::Full);
+        let direct = linker.link_document(&notes[&d.id]);
+        assert!(!direct.is_empty(), "the notes must propose spans");
+        assert_eq!(d.result.len(), direct.len());
+        for (got, want) in d.result.spans.iter().zip(&direct.spans) {
+            assert_eq!(got.proposal, want.proposal);
+            assert_same_result(
+                &got.result,
+                &want.result,
+                &format!("note {} span@{}", d.id, want.proposal.start),
+            );
+        }
+    }
+
+    let stats = fe.stats();
+    assert_eq!(stats.submitted, (N_QUERIES + N_NOTES) as u64);
+    assert_eq!(
+        stats.submitted,
+        stats.completed + stats.rejected + stats.invalid
+    );
+    assert_eq!(stats.rejected, 0, "queue capacity is above the burst");
+    assert_eq!(stats.invalid, 0);
+    assert_eq!(stats.doc_completed, N_NOTES as u64);
 }
 
 /// `FrontendStats::cache` surfaces the linker's frozen-cache memory

@@ -102,38 +102,33 @@ fn assert_bit_identical(
 }
 
 /// The acceptance bit: cached and uncached linkers agree bitwise across
-/// thread counts and candidate-list sizes (which exercise both the
-/// serial and the chunked batched path).
+/// candidate-list sizes.
 #[test]
-fn cached_and_uncached_agree_across_threads_and_k() {
+fn cached_and_uncached_agree_across_k() {
     let (o, model) = trained_world();
-    for threads in [1usize, 4, 10] {
-        for k in [2usize, 20] {
-            let cached = Linker::new(
-                &model,
-                &o,
-                LinkerConfig {
-                    threads,
-                    k,
-                    ..LinkerConfig::default()
-                },
-            );
-            let uncached = Linker::new(
-                &model,
-                &o,
-                LinkerConfig {
-                    threads,
-                    k,
-                    precompute: false,
-                    ..LinkerConfig::default()
-                },
-            );
-            for q in QUERIES {
-                let a = cached.link_text(q);
-                let b = uncached.link_text(q);
-                assert_bit_identical(&a, &b, &format!("threads={threads} k={k} q={q}"));
-                assert_eq!(a.degradation, Degradation::None);
-            }
+    for k in [2usize, 20] {
+        let cached = Linker::new(
+            &model,
+            &o,
+            LinkerConfig {
+                k,
+                ..LinkerConfig::default()
+            },
+        );
+        let uncached = Linker::new(
+            &model,
+            &o,
+            LinkerConfig {
+                k,
+                precompute: false,
+                ..LinkerConfig::default()
+            },
+        );
+        for q in QUERIES {
+            let a = cached.link_text(q);
+            let b = uncached.link_text(q);
+            assert_bit_identical(&a, &b, &format!("k={k} q={q}"));
+            assert_eq!(a.degradation, Degradation::None);
         }
     }
 }

@@ -22,14 +22,10 @@
 //! hyper-parameter (number of noise samples) and near-identical embedding
 //! quality — this substitution is recorded in `DESIGN.md`.
 
-pub mod ann;
 pub mod cbow;
-pub mod concept;
 pub mod corpus;
 pub mod nearest;
 
-pub use ann::{AnnIndex, HnswConfig, SearchStats};
 pub use cbow::{CbowConfig, CbowModel};
-pub use concept::ConceptVectors;
 pub use corpus::Corpus;
 pub use nearest::NearestWords;

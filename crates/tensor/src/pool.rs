@@ -1,10 +1,9 @@
 //! A persistent, chunk-deal worker pool for data-parallel kernels.
 //!
-//! Both the online linker (Appendix B.1: "use ten threads to perform ED")
-//! and the data-parallel trainer fan a fixed set of independent jobs out
-//! to workers many times per second. Spawning OS threads per call
-//! (`std::thread::scope`) costs roughly as much as scoring one candidate,
-//! so the pool keeps its threads alive across calls: [`WorkerPool::new`]
+//! The data-parallel trainers fan a fixed set of independent jobs out
+//! to workers many times per second, too often to spawn OS threads per
+//! call (`std::thread::scope`), so the pool keeps its threads alive
+//! across calls: [`WorkerPool::new`]
 //! spawns them once, [`WorkerPool::run`] deals a batch of jobs out and
 //! blocks until every job has finished, and dropping the pool shuts the
 //! threads down. [`WorkerPool::run_with`] is the submit-without-

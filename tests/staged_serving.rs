@@ -21,12 +21,12 @@
 use ncl::baselines::doc2vec::Doc2VecConfig;
 use ncl::baselines::{AnnotatorScore, Doc2Vec, LrPlus};
 use ncl::core::{
-    CacheUse, Degradation, LinkBudget, LinkResult, Linker, LinkerConfig, NclConfig, NclError,
-    NclPipeline,
+    CacheUse, Degradation, FaultKind, FaultPlan, LinkBudget, LinkResult, Linker, LinkerConfig,
+    NclConfig, NclError, NclPipeline, ProposeConfig,
 };
-use ncl::datagen::{Dataset, DatasetConfig, DatasetProfile};
+use ncl::datagen::{Dataset, DatasetConfig, DatasetProfile, NoteConfig};
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 struct World {
@@ -215,20 +215,99 @@ fn staged_link_equals_frozen_oracle_on_seed_dataset() {
     }
 }
 
-/// `link_batch` (fan-out across the worker pool) must be a pure
-/// scheduling change: every answer bit-identical to a looped `link`,
-/// positionally aligned, at a batch size ≥ 16 that includes the edge
-/// queries (empty, all-OOV, duplicates).
+/// `link_batch` (one rewrite prefetch, then a loop) must answer every
+/// query bit-identically to a looped `link`, positionally aligned, on a
+/// batch that includes the edge queries (empty, all-OOV, duplicates).
 #[test]
 fn link_batch_is_bit_identical_to_looped_link() {
     let w = world();
     let linker = w.pipeline.linker(&w.ds.ontology);
     let queries = snapshot_queries(w);
-    assert!(queries.len() >= 16, "batch must exercise the pooled path");
     let batched = linker.link_batch(&queries);
     assert_eq!(batched.len(), queries.len());
     for (q, b) in queries.iter().zip(&batched) {
         assert_same_result(b, &linker.link(q), &format!("batch q={q:?}"));
+    }
+}
+
+const FAULT_KINDS: [FaultKind; 3] = [
+    FaultKind::Panic,
+    FaultKind::Delay(Duration::from_micros(50)),
+    FaultKind::Io,
+];
+
+/// A pipeline linker under a fresh fault plan on the OR, CR and ED sites
+/// (and none on `doc.propose`). Two plans built from the same arguments
+/// replay identically over the same visit sequence.
+fn faulted_linker(w: &World, seed: u64, kind: FaultKind) -> (Linker<'_>, Arc<FaultPlan>) {
+    let plan = Arc::new(
+        FaultPlan::new(seed)
+            .with_rule("or", kind, 0.4)
+            .with_rule("cr", kind, 0.2)
+            .with_rule("ed", kind, 0.5),
+    );
+    let linker = w
+        .pipeline
+        .linker(&w.ds.ontology)
+        .with_faults(Arc::clone(&plan));
+    (linker, plan)
+}
+
+/// Both plans saw the same sites in the same order.
+fn assert_same_replay(a: &FaultPlan, b: &FaultPlan, what: &str) {
+    assert!(a.visits() > 0, "{what}: the plan must be exercised");
+    assert_eq!(a.visits(), b.visits(), "{what}: visits");
+    assert_eq!(a.fired(), b.fired(), "{what}: fired");
+}
+
+/// A batch is a loop over requests on one thread, so a fault plan
+/// replays over `link_batch` exactly as over looped `link`: same
+/// answers, same degradation, same visit and fire counts.
+#[test]
+fn link_batch_replays_a_fault_plan_like_looped_link() {
+    let w = world();
+    let queries = snapshot_queries(w);
+    for kind in FAULT_KINDS {
+        for seed in 0..4u64 {
+            let (batch_linker, plan_batch) = faulted_linker(w, seed, kind);
+            let (loop_linker, plan_loop) = faulted_linker(w, seed, kind);
+            let batched = batch_linker.link_batch(&queries);
+            assert_eq!(batched.len(), queries.len());
+            for (q, b) in queries.iter().zip(&batched) {
+                let what = format!("{kind:?} seed={seed} q={q:?}");
+                assert_same_result(b, &loop_linker.link(q), &what);
+            }
+            assert_same_replay(&plan_batch, &plan_loop, &format!("{kind:?} seed={seed}"));
+        }
+    }
+}
+
+/// The same for documents: `link_document` ≡ `propose_spans` followed by
+/// a looped `link` over the proposed spans, under a shared fault plan.
+#[test]
+fn link_document_replays_a_fault_plan_like_looped_span_links() {
+    let w = world();
+    let notes = w.ds.note_profile(NoteConfig::default()).notes(5);
+    for kind in FAULT_KINDS {
+        for seed in 0..3u64 {
+            let (doc_linker, plan_doc) = faulted_linker(w, seed, kind);
+            let (loop_linker, plan_loop) = faulted_linker(w, seed, kind);
+            let mut linked_spans = 0usize;
+            for note in &notes {
+                let doc = doc_linker.link_document(&note.tokens);
+                let proposals = loop_linker.propose_spans(&note.tokens, &ProposeConfig::default());
+                assert_eq!(doc.spans.len(), proposals.len());
+                for (span, proposal) in doc.spans.iter().zip(&proposals) {
+                    assert_eq!(span.proposal, *proposal);
+                    let single = loop_linker.link(&note.tokens[proposal.start..proposal.end()]);
+                    let what = format!("{kind:?} seed={seed} span@{}", proposal.start);
+                    assert_same_result(&span.result, &single, &what);
+                }
+                linked_spans += proposals.len();
+            }
+            assert!(linked_spans > 0, "the notes must propose spans");
+            assert_same_replay(&plan_doc, &plan_loop, &format!("{kind:?} seed={seed}"));
+        }
     }
 }
 
