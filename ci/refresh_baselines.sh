@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerates the checked-in perf baselines
-# (ci/bench_baseline_fig{11,12,15,16,17,18,20}.json) from a fresh local
+# (ci/bench_baseline_fig{11,12,16,17,18,20}.json) from a fresh local
 # run.
 #
 # Run this ONLY after an intentional performance change, on a quiet
@@ -19,7 +19,6 @@ cd "$(dirname "$0")/.."
 HEADROOM="${HEADROOM:-0.5}"
 
 declare -A BIN=(
-  [15]=fig15_serving_throughput
   [12]=fig12_training_time
   [11]=fig11_online_time
   [18]=fig18_open_loop
@@ -29,7 +28,7 @@ declare -A BIN=(
 )
 FIGS=("$@")
 if [ "${#FIGS[@]}" -eq 0 ]; then
-  FIGS=(15 12 11 18 16 17 20)
+  FIGS=(12 11 18 16 17 20)
 fi
 
 cargo build --release -p ncl-bench

@@ -32,7 +32,6 @@ fn bench_cbow_epoch(c: &mut Criterion) {
         epochs: 1,
         lr: 0.05,
         seed: 1,
-        threads: 1,
     };
     let mut group = c.benchmark_group("pretraining");
     group.sample_size(10);

@@ -1,8 +1,8 @@
 //! CI perf-regression gate.
 //!
 //! Compares freshly measured benchmark records (the flat JSON the
-//! `fig15_serving_throughput` / `fig12_training_time` binaries drop,
-//! e.g. `BENCH_fig15.json`) against checked-in baselines
+//! `fig12_training_time` / `fig17_scale_serving` binaries drop,
+//! e.g. `BENCH_fig12.json`) against checked-in baselines
 //! (`ci/bench_baseline_*.json`) and exits non-zero when any metric in
 //! any pair regressed by more than the tolerance.
 //!
@@ -24,7 +24,7 @@
 //! baseline — the curated set is preserved, informational current-only
 //! keys stay ungated) is set to `measured * (1 - headroom)`. Promote an
 //! informational key by adding it to the baseline file by hand first,
-//! then rebasing. `ci/refresh_baselines.sh` wires the three fig
+//! then rebasing. `ci/refresh_baselines.sh` wires the gated fig
 //! binaries through this mode.
 //!
 //! The parser handles exactly the flat `{"key": number, ...}` shape the

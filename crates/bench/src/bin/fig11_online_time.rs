@@ -79,8 +79,7 @@ fn mean_ms(ds: &[Duration]) -> f64 {
 
 /// Times pruned vs exhaustive retrieval in alternating rounds, returning
 /// `(pruned_qps, exhaustive_qps)`. Interleaving makes the ratio immune
-/// to machine-speed drift across the sweep (same rationale as fig15's
-/// paired serving measurement).
+/// to machine-speed drift across the sweep.
 fn measure_paired_topk(
     index: &TfIdfIndex,
     queries: &[Vec<String>],

@@ -9,9 +9,10 @@
 //! snippets); refinement time grows approximately linearly with the
 //! labeled-pair count and is similar across datasets.
 //!
-//! A second sweep exercises the data-parallel training engine: threads
-//! × phase (CBOW pre-training, COM-AID refinement) on one profile,
-//! with per-epoch wall-clock and pairs/sec from
+//! A second sweep exercises the data-parallel training engine:
+//! `train_threads` ∈ {1, 2, 4} for COM-AID refinement on one profile
+//! (pre-training is single-threaded; its column is there for the
+//! phase split), with per-epoch wall-clock and pairs/sec from
 //! [`ncl_core::comaid::TrainReport`]. It
 //! drops a flat `BENCH_fig12.json` at the working directory root for
 //! the CI regression gate (`bench_gate` vs
@@ -140,13 +141,10 @@ fn main() {
 
     ncl_bench::results::write_json("fig12_training_time", &records);
 
-    // ---- Threads × phase sweep: the data-parallel training engine ----
+    // ---- Threads sweep: the data-parallel training engine ----
     //
     // One profile, full data, batch size 64 so the refinement batches
-    // split into all 8 gradient shards. CBOW runs its chunk-synchronous
-    // parallel scheme at threads >= 2 and the exact sequential loop at
-    // threads = 1 (different algorithms, so losses are only compared
-    // between the parallel runs).
+    // split into all 8 gradient shards.
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -161,7 +159,6 @@ fn main() {
         let mut cfg = workload::ncl_config(&scale, scale.dim_default, Variant::Full, true);
         cfg.comaid.train_threads = threads;
         cfg.comaid.batch_size = 64;
-        cfg.cbow.threads = threads;
         let pipeline = NclPipeline::fit(&ds.ontology, &ds.unlabeled, cfg);
         let report = &pipeline.report;
         let pretrain_s = pipeline.pretrain_time.as_secs_f64();
@@ -222,10 +219,8 @@ fn main() {
     // wide-batch scaling bound"); the columns make the bound visible
     // rather than inferred.
 
-    // Refinement losses must be bit-identical across every thread count
-    // (the gradient shards merge in a fixed order); CBOW is only
-    // scheme-invariant, so compare the two parallel runs with each
-    // other and the sequential run stands alone.
+    // Refinement losses must be bit-identical across the sharded thread
+    // counts (the gradient shards merge in a fixed order).
     let refine_deterministic = losses_by_threads[1].1 == losses_by_threads[2].1;
     println!("refinement losses identical at 2 vs 4 threads: {refine_deterministic}");
     assert!(
@@ -233,24 +228,17 @@ fn main() {
         "data-parallel refinement must not depend on the thread count"
     );
 
-    let speedup = |phase: fn(&SweepRow) -> f64, threads: usize| -> f64 {
-        let base = phase(&sweep[0]);
+    let refine_speedup = |threads: usize| -> f64 {
         let at = sweep
             .iter()
             .find(|r| r.threads == threads)
-            .map(phase)
-            .unwrap_or(f64::NAN);
-        base / at.max(1e-9)
+            .map_or(f64::NAN, |r| r.refine_s);
+        sweep[0].refine_s / at.max(1e-9)
     };
-    let refine_speedup_t2 = speedup(|r| r.refine_s, 2);
-    let refine_speedup_t4 = speedup(|r| r.refine_s, 4);
-    let pretrain_speedup_t2 = speedup(|r| r.pretrain_s, 2);
-    let pretrain_speedup_t4 = speedup(|r| r.pretrain_s, 4);
+    let refine_speedup_t2 = refine_speedup(2);
+    let refine_speedup_t4 = refine_speedup(4);
     println!(
         "refinement speedup: {refine_speedup_t2:.2}x at 2 threads, {refine_speedup_t4:.2}x at 4"
-    );
-    println!(
-        "pre-training speedup: {pretrain_speedup_t2:.2}x at 2 threads, {pretrain_speedup_t4:.2}x at 4"
     );
 
     ncl_bench::results::write_json("fig12_threads_sweep", &sweep);
@@ -267,9 +255,6 @@ fn main() {
     }
     gate.push_str(&format!(
         "  \"refine_speedup_t2\": {refine_speedup_t2:.3},\n  \"refine_speedup_t4\": {refine_speedup_t4:.3},\n"
-    ));
-    gate.push_str(&format!(
-        "  \"pretrain_speedup_t2\": {pretrain_speedup_t2:.3},\n  \"pretrain_speedup_t4\": {pretrain_speedup_t4:.3},\n"
     ));
     // Informational (not in the baseline key set): the serial
     // sync+merge share of refinement at 4 threads, recorded so a future

@@ -1,27 +1,27 @@
 //! Figure 17 (repo extension): paper-scale ontology serving — cache
-//! tiers and lazy per-chapter freezing at ICD-10-CM size.
+//! tiers and per-chapter freezing at ICD-10-CM size.
 //!
 //! §6.1 serves the full ICD-10-CM ontology (93,830 concepts). The
-//! frozen concept cache that buys fig15's serving speedup stores every
+//! frozen concept cache behind every linker (DESIGN.md §9) stores every
 //! concept's encoder states, ancestor memory, decoder BOS state, and
 //! step-0 logits table in f32 — at paper scale that is hundreds of
-//! megabytes, and the eager freeze in `Linker::new` delays the first
-//! served link by a full-ontology encoder sweep. This binary measures
-//! both costs and what ISSUE 8 buys back:
+//! megabytes, and freezing all of it before the first served link
+//! (`Linker::warm`) is a full-ontology encoder sweep. This binary
+//! measures both costs and what ISSUE 8 buys back:
 //!
 //! * **`CacheTier::Compact`** (bf16 rows, shared ancestor pool, no
 //!   step-0 table) must cut resident bytes per concept by ≥ 2× at
 //!   every scale (epsilon-bounded scores, asserted bit-exactly
 //!   reproducible in `crates/core/tests/cache_tier.rs`).
-//! * **Lazy per-chapter freezing** (`LinkerConfig::lazy_freeze`) over
-//!   a checkpoint opened through the v2 offset-table format
-//!   ([`MappedCheckpoint`]) makes cold-start-to-first-link faster than
-//!   the eager freeze at 93,830 concepts. The ratio is *recorded* and
-//!   gated against `ci/bench_baseline_fig17.json`, not asserted at a
-//!   fixed 2×: the prefix-trie freeze (ISSUE 13) cut the per-concept
-//!   cost that the eager side pays for every chapter and the lazy side
-//!   for one, so the two sides shrank unevenly. Only a > 1.2× collapse
-//!   floor is enforced here.
+//! * **Per-chapter freezing on first touch** over a checkpoint opened
+//!   through the v2 offset-table format ([`MappedCheckpoint`]) makes
+//!   cold-start-to-first-link faster than `warm()`-then-link at 93,830
+//!   concepts. The ratio is *recorded* and gated against
+//!   `ci/bench_baseline_fig17.json`, not asserted at a fixed 2×: the
+//!   prefix-trie freeze (ISSUE 13) cut the per-concept cost that the
+//!   warmed side pays for every chapter and the cold side for one, so
+//!   the two sides shrank unevenly. Only a > 1.2× collapse floor is
+//!   enforced here.
 //! * **Encoder work sharing**: the table carries the freeze's
 //!   `encoder_share_ratio` (description tokens per encoder step
 //!   actually run) from the same `CacheMemoryReport`.
@@ -52,10 +52,10 @@ struct ScaleRow {
     encoder_tokens: usize,
     encoder_steps_run: usize,
     encoder_share: f64,
-    eager_cold_ms: f64,
-    lazy_cold_ms: f64,
+    warm_first_ms: f64,
+    cold_ms: f64,
     cold_speedup: f64,
-    lazy_frozen_fraction: f64,
+    cold_frozen_fraction: f64,
 }
 ncl_bench::impl_to_json!(ScaleRow {
     concepts,
@@ -68,10 +68,10 @@ ncl_bench::impl_to_json!(ScaleRow {
     encoder_tokens,
     encoder_steps_run,
     encoder_share,
-    eager_cold_ms,
-    lazy_cold_ms,
+    warm_first_ms,
+    cold_ms,
     cold_speedup,
-    lazy_frozen_fraction
+    cold_frozen_fraction
 });
 
 /// An untrained paper-shaped model over the ontology's description
@@ -98,35 +98,37 @@ fn model_for(o: &Ontology) -> ComAid {
 
 /// Cold start measured the way a serving process pays it: open the v2
 /// checkpoint through the offset-table index, load the model, build
-/// the linker (eager or lazy freeze), and serve one link. Returns
+/// the linker (freezing every chapter first when `warm_first`), and
+/// serve one link. Returns
 /// `(elapsed_ms, frozen_fraction_after_first_link)`.
 fn cold_start_ms(
     checkpoint: &std::path::Path,
     o: &Ontology,
     query: &[String],
-    lazy: bool,
+    warm_first: bool,
 ) -> (f64, f64) {
     let t = Instant::now();
     let mut mapped = MappedCheckpoint::open(checkpoint).expect("open v2 checkpoint");
     let model = mapped.load_model().expect("load model from checkpoint");
-    let linker = Linker::new(
-        &model,
-        o,
-        LinkerConfig {
-            lazy_freeze: lazy,
-            ..LinkerConfig::default()
-        },
-    );
+    let linker = Linker::new(&model, o, LinkerConfig::default());
+    if warm_first {
+        linker.warm();
+    }
     let res = linker.link(query);
     assert!(res.ranked.iter().all(|(_, s)| s.is_finite()));
     let ms = t.elapsed().as_secs_f64() * 1e3;
-    let report = linker.cache().expect("precomputed cache").memory_report();
+    let report = linker
+        .cache()
+        .expect("every linker has one")
+        .memory_report();
     (ms, report.frozen_concepts as f64 / report.concepts as f64)
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    println!("Figure 17 reproduction — paper-scale serving: cache tiers, lazy chapter freeze");
+    println!(
+        "Figure 17 reproduction — paper-scale serving: cache tiers, first-touch chapter freeze"
+    );
 
     // 93,830 is ICD-10-CM's code count (§6.1). Quick mode keeps all
     // three scales (the 90k point is the acceptance headline) and
@@ -147,15 +149,18 @@ fn main() {
         // Resident bytes per tier, from the same report the serving
         // front end snapshots (`FrontendStats::cache`).
         let index = OntologyIndex::build(&o, model.vocab(), model.config().beta);
-        let exact = model.freeze(&index).memory_report();
-        let compact = model
-            .freeze_tiered(&index, CacheTier::Compact)
-            .memory_report();
+        let warm_report = |tier| {
+            let cache = model.freeze_tiered(&index, tier);
+            cache.warm(&model, &index);
+            cache.memory_report()
+        };
+        let exact = warm_report(CacheTier::Exact);
+        let compact = warm_report(CacheTier::Compact);
         let shrink = exact.bytes_per_concept() / compact.bytes_per_concept();
 
-        // Cold start from a v2 checkpoint: eager vs lazy freeze, best
-        // of `reps` (cold-start is one-shot work; min is the stable
-        // statistic under CI noise).
+        // Cold start from a v2 checkpoint: warm()-then-link vs link,
+        // best of `reps` (cold-start is one-shot work; min is the
+        // stable statistic under CI noise).
         let checkpoint = dir.join(format!("model_{n}.nclmodel"));
         model
             .save_v2_to_path(&checkpoint)
@@ -164,15 +169,15 @@ fn main() {
             let leaf = *o.fine_grained().last().expect("a fine-grained concept");
             tokenize(&o.concept(leaf).canonical)
         };
-        let (mut eager_ms, mut lazy_ms, mut lazy_frac) = (f64::MAX, f64::MAX, 0.0);
+        let (mut warm_first_ms, mut cold_ms, mut cold_frac) = (f64::MAX, f64::MAX, 0.0);
         for _ in 0..reps {
-            let (e, _) = cold_start_ms(&checkpoint, &o, &query, false);
-            let (l, f) = cold_start_ms(&checkpoint, &o, &query, true);
-            eager_ms = eager_ms.min(e);
-            lazy_ms = lazy_ms.min(l);
-            lazy_frac = f;
+            let (w, _) = cold_start_ms(&checkpoint, &o, &query, true);
+            let (c, f) = cold_start_ms(&checkpoint, &o, &query, false);
+            warm_first_ms = warm_first_ms.min(w);
+            cold_ms = cold_ms.min(c);
+            cold_frac = f;
         }
-        let cold_speedup = eager_ms / lazy_ms;
+        let cold_speedup = warm_first_ms / cold_ms;
 
         rows.push(vec![
             exact.concepts.to_string(),
@@ -182,10 +187,10 @@ fn main() {
             format!("{shrink:.2}x"),
             format!("{:.2}", compact.ancestor_dedup_ratio()),
             format!("{:.2}", exact.encoder_share_ratio()),
-            format!("{eager_ms:.0}"),
-            format!("{lazy_ms:.0}"),
+            format!("{warm_first_ms:.0}"),
+            format!("{cold_ms:.0}"),
             format!("{cold_speedup:.2}x"),
-            format!("{:.3}", lazy_frac),
+            format!("{:.3}", cold_frac),
         ]);
         records.push(ScaleRow {
             concepts: exact.concepts,
@@ -198,10 +203,10 @@ fn main() {
             encoder_tokens: exact.encoder_tokens,
             encoder_steps_run: exact.encoder_steps_run,
             encoder_share: exact.encoder_share_ratio(),
-            eager_cold_ms: eager_ms,
-            lazy_cold_ms: lazy_ms,
+            warm_first_ms,
+            cold_ms,
             cold_speedup,
-            lazy_frozen_fraction: lazy_frac,
+            cold_frozen_fraction: cold_frac,
         });
         let _ = std::fs::remove_file(&checkpoint);
     }
@@ -218,8 +223,8 @@ fn main() {
                 "shrink",
                 "dedup",
                 "enc share",
-                "eager ms",
-                "lazy ms",
+                "warm+link ms",
+                "link ms",
                 "cold x",
                 "frozen frac"
             ],
@@ -246,8 +251,8 @@ fn main() {
     }
     let last = records.last().expect("at least one scale");
     gate.push_str(&format!(
-        "  \"concepts_headline\": {},\n  \"eager_cold_ms_90k\": {:.3},\n  \"lazy_cold_ms_90k\": {:.3}\n}}\n",
-        last.concepts, last.eager_cold_ms, last.lazy_cold_ms
+        "  \"concepts_headline\": {},\n  \"warm_first_ms_90k\": {:.3},\n  \"cold_ms_90k\": {:.3}\n}}\n",
+        last.concepts, last.warm_first_ms, last.cold_ms
     ));
     match std::fs::write("BENCH_fig17.json", &gate) {
         Ok(()) => println!("[results] wrote BENCH_fig17.json"),
@@ -255,8 +260,8 @@ fn main() {
     }
 
     // Acceptance (ISSUE 8): Compact ≥ 2× smaller bytes/concept at
-    // every scale. The lazy cold-start ratio at paper scale is gated
-    // against the baseline record; here only a collapse is fatal.
+    // every scale. The cold-start ratio at paper scale is gated against
+    // the baseline record; here only a collapse is fatal.
     for r in &records {
         assert!(
             r.shrink >= 2.0,
@@ -272,11 +277,11 @@ fn main() {
     );
     assert!(
         last.cold_speedup > 1.2,
-        "lazy cold start collapsed vs the eager freeze at paper scale: {:.2}x",
+        "cold start collapsed vs warm()-then-link at paper scale: {:.2}x",
         last.cold_speedup
     );
     println!(
-        "\nfig17 acceptance: compact >= 2x smaller — ok; lazy cold start {:.2}x (recorded; gated vs baseline, not asserted)",
+        "\nfig17 acceptance: compact >= 2x smaller — ok; cold start {:.2}x vs warm()-then-link (recorded; gated vs baseline, not asserted)",
         last.cold_speedup
     );
 }

@@ -100,7 +100,6 @@ fn main() {
                     epochs: scale.cbow_epochs,
                     lr: 0.05,
                     seed: scale.seed,
-                    threads: 1,
                 },
             );
             let wmd = Wmd::build(&ds.ontology, corpus.vocab.clone(), cbow.into_embeddings());

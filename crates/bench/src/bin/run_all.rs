@@ -15,7 +15,6 @@ fn main() {
         "fig12_training_time",
         "fig13_robustness",
         "fig14_fault_tolerance",
-        "fig15_serving_throughput",
         "fig16_kernels",
         "fig17_scale_serving",
         "fig18_open_loop",

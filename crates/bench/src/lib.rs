@@ -17,17 +17,17 @@
 //! | `fig12_training_time` | Figure 12(a)(b): pre-train / refine time vs data size |
 //! | `fig13_robustness` | Figure 13(a)(b): concept-% and unlabeled-% sweeps |
 //! | `fig14_fault_tolerance` | Figure 14 (extension): degradation ladder under injected faults |
-//! | `fig15_serving_throughput` | Figure 15 (extension): queries/sec with/without the frozen concept cache |
 //! | `fig16_kernels` | Figure 16 (extension): SIMD kernel microbenchmarks — gemm_nt, fused LSTM step, log-sum-exp, attention vs forced-scalar |
 //! | `fig18_open_loop` | Figure 18 (extension): open-loop serving — admission control, load shedding, bounded p99 |
 //! | `run_all` | every binary in sequence |
 //!
-//! `fig15_serving_throughput` additionally drops a flat `BENCH_fig15.json`
+//! `fig12_training_time` additionally drops a flat `BENCH_fig12.json`
 //! at the working directory root; `bench_gate` compares such a record
-//! against `ci/bench_baseline_fig15.json` and fails CI on a >20%
-//! throughput regression. `fig18_open_loop` and `fig16_kernels` do the
-//! same with `BENCH_fig18.json` / `BENCH_fig16.json` vs their
-//! `ci/bench_baseline_*.json` counterparts.
+//! against `ci/bench_baseline_fig12.json` and fails CI on a >20%
+//! regression. `fig11_online_time`, `fig16_kernels`,
+//! `fig17_scale_serving`, `fig18_open_loop` and `fig20_document_linking`
+//! do the same with their `BENCH_fig*.json` vs
+//! `ci/bench_baseline_fig*.json` counterparts.
 //!
 //! Each binary prints paper-style tables and writes a JSON record under
 //! `results/` for `EXPERIMENTS.md`. Because the substrate is a synthetic

@@ -47,7 +47,6 @@ pub fn ncl_config(scale: &Scale, dim: usize, variant: Variant, pretrain: bool) -
             epochs: scale.cbow_epochs,
             lr: 0.05,
             seed: scale.seed ^ 0xCB0,
-            threads: 1,
         },
         pretrain,
         linker: LinkerConfig {

@@ -6,8 +6,10 @@
 //! (the textual attention memory of Eq. 5), the final state `h_n^c` that
 //! seeds the decoder (`s_0 = h_n^c`, §4.1.2) together with the final
 //! cell, and the β ancestor encodings forming the structural attention
-//! memory (Eq. 7). [`ComAid::freeze`] precomputes all of it once per
-//! ontology; online scoring then only runs the decoder over the query.
+//! memory (Eq. 7). A [`ConceptCache`] computes all of it once per
+//! ontology chapter — on the first request that scores a candidate in
+//! the chapter, or ahead of traffic through [`ConceptCache::warm`] —
+//! and online scoring then only runs the decoder over the query.
 //!
 //! The freeze itself shares work exactly. The encoder starts every
 //! description from the zero state, so its state after a token prefix is
@@ -80,9 +82,9 @@ impl CacheTier {
 }
 
 /// Resident-size breakdown of a [`ConceptCache`]
-/// ([`ConceptCache::memory_report`]), in bytes per component. For a
-/// lazily frozen cache the numbers cover the shards frozen so far —
-/// `frozen_concepts` says how much of the ontology that is.
+/// ([`ConceptCache::memory_report`]), in bytes per component. The
+/// numbers cover the shards frozen so far — `frozen_concepts` says how
+/// much of the ontology that is.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheMemoryReport {
     /// Storage tier the cache was frozen with.
@@ -91,9 +93,9 @@ pub struct CacheMemoryReport {
     /// root slot).
     pub concepts: usize,
     /// Nodes in shards that are actually frozen (equals `concepts` after
-    /// an eager freeze).
+    /// [`ConceptCache::warm`]).
     pub frozen_concepts: usize,
-    /// Lazy-freeze shards (one per ontology chapter plus the root slot).
+    /// Freeze shards (one per ontology chapter plus the root slot).
     pub shards: usize,
     /// Shards frozen so far.
     pub frozen_shards: usize,
@@ -111,7 +113,7 @@ pub struct CacheMemoryReport {
     /// `Compact` recomputes step 0 per query).
     pub step0_bytes: usize,
     /// Transposed/fused weight plans (decoder serve plan, and the
-    /// encoder plan once a lazy freeze has materialised it).
+    /// encoder plan once the first shard freeze has materialised it).
     pub plan_bytes: usize,
     /// Total ancestor slots across frozen nodes (β per non-root node).
     pub ancestor_slots: usize,
@@ -370,15 +372,15 @@ struct ConceptEntry<'c> {
 }
 
 /// Precomputed per-concept encoder state, frozen at a specific parameter
-/// generation and partitioned into per-chapter **shards** (the lazy
-/// freeze unit). Index-aligned with the [`OntologyIndex`] it was built
-/// from (entry `cid.index()` belongs to concept `cid`).
+/// generation and partitioned into per-chapter **shards** (the freeze
+/// unit). Index-aligned with the [`OntologyIndex`] it was built from
+/// (entry `cid.index()` belongs to concept `cid`).
 ///
-/// [`ComAid::freeze`] materialises every shard eagerly;
-/// [`ComAid::freeze_lazy`] returns a skeleton whose shards freeze on
-/// first touch (each shard's `OnceLock` runs the freeze once, other
-/// scoring threads block until it is ready), so
-/// cold-start-to-first-link pays one chapter, not the whole ontology.
+/// [`ComAid::freeze_tiered`] returns the skeleton; each shard freezes on
+/// first touch (its `OnceLock` runs the freeze once, other scoring
+/// threads block until it is ready), so cold-start-to-first-link pays
+/// one chapter, not the whole ontology. [`ConceptCache::warm`] freezes
+/// whatever is left.
 ///
 /// `Send + Sync`: scoring threads share one cache; interior mutability
 /// is confined to the per-shard `OnceLock`s.
@@ -397,14 +399,13 @@ pub struct ConceptCache {
     /// `shard_nodes[s]` = member node indices of shard `s`, in local
     /// order (the freeze iteration order).
     shard_nodes: Vec<Vec<u32>>,
-    /// Frozen shard payloads; unset entries are chapters not yet touched
-    /// by a lazy freeze.
+    /// Frozen shard payloads; unset entries are chapters not yet
+    /// touched.
     shards: Vec<OnceLock<ShardData>>,
     /// Transposed/fused weight layouts for the online decoder steps.
     plan: ServePlan,
     /// The encoder's fused plan, materialised by the first shard freeze
-    /// — eager or lazy, both go through `freeze_shard` — and kept for
-    /// the shards still to come.
+    /// and kept for the shards still to come.
     enc_plan: OnceLock<LstmPlan>,
     /// Whether cached scoring may use the epsilon-relaxed fast-math
     /// kernels (`LinkerConfig::fast_math`). Off by default: exact,
@@ -424,6 +425,14 @@ impl ConceptCache {
         self.version == model.version()
     }
 
+    /// Whether this cache may serve `model` over `index`: the
+    /// parameter generation it was frozen from, and an index the size
+    /// of the one its shard map was laid out over (a cache shared across
+    /// ontologies would otherwise be read out of bounds).
+    pub(crate) fn serves(&self, model: &ComAid, index: &OntologyIndex) -> bool {
+        self.is_valid_for(model) && self.len() == index.len()
+    }
+
     /// Number of ontology nodes covered (including the root slot).
     pub fn len(&self) -> usize {
         self.node_shard.len()
@@ -439,16 +448,38 @@ impl ConceptCache {
         self.tier
     }
 
-    /// Number of lazy-freeze shards (one per ontology chapter, plus the
-    /// root slot's own shard).
+    /// Number of freeze shards (one per ontology chapter, plus the root
+    /// slot's own shard).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
     /// How many shards are frozen so far (equals
-    /// [`ConceptCache::shard_count`] after an eager freeze).
+    /// [`ConceptCache::shard_count`] after [`ConceptCache::warm`]).
     pub fn frozen_shard_count(&self) -> usize {
         self.shards.iter().filter(|s| s.get().is_some()).count()
+    }
+
+    /// Freezes every shard no request has touched yet, so nothing
+    /// served afterwards pays a first-touch freeze. The rows are the
+    /// ones first touch would have produced — both run `freeze_shard`
+    /// on the same inputs.
+    ///
+    /// # Panics
+    /// Panics if the cache is stale for `model`
+    /// ([`ConceptCache::is_valid_for`]) or `index` is not the size of
+    /// the one it was built from.
+    pub fn warm(&self, model: &ComAid, index: &OntologyIndex) {
+        assert!(self.serves(model, index), "warm: stale cache");
+        for si in 0..self.shards.len() {
+            self.shard(model, index, si);
+        }
+    }
+
+    /// Shard `si`, frozen now if nothing has touched it yet — the one
+    /// place a shard is filled.
+    fn shard(&self, model: &ComAid, index: &OntologyIndex, si: usize) -> &ShardData {
+        self.shards[si].get_or_init(|| model.freeze_shard(index, self, si))
     }
 
     /// Enables or disables the epsilon-relaxed fast-math serving kernels
@@ -540,31 +571,32 @@ impl ConceptCache {
     /// The frozen encoder states `h_1..h_n^c` of `concept` — its textual
     /// attention memory as scoring reads it (dequantized in the
     /// `Compact` tier; empty for a token-less node) — freezing the
-    /// concept's shard first if a lazy cache has not touched it yet.
+    /// concept's shard first if nothing has touched it yet.
     ///
     /// # Panics
     /// Panics if the cache is stale for `model`
-    /// ([`ConceptCache::is_valid_for`]).
+    /// ([`ConceptCache::is_valid_for`]) or `index` is not the size of
+    /// the one it was built from.
     pub fn encoder_states(
         &self,
         model: &ComAid,
         index: &OntologyIndex,
         concept: ConceptId,
     ) -> Vec<Vector> {
-        assert!(self.is_valid_for(model), "encoder_states: stale cache");
+        assert!(self.serves(model, index), "encoder_states: stale cache");
         self.entry(model, index, concept.index())
             .enc_hs
             .into_owned()
     }
 
-    /// Fetches `ci`'s cached rows, freezing its shard first if this is a
-    /// lazy cache and the chapter has not been touched yet. Callers must
-    /// have checked [`ConceptCache::is_valid_for`] — the lazy freeze
-    /// reads `model`'s live parameters.
+    /// Fetches `ci`'s cached rows, freezing its shard first if the
+    /// chapter has not been touched yet. Callers must have checked
+    /// [`ConceptCache::serves`] — the freeze reads `model`'s live
+    /// parameters, and `ci` indexes the shard map unchecked.
     fn entry<'c>(&'c self, model: &ComAid, index: &OntologyIndex, ci: usize) -> ConceptEntry<'c> {
         let si = self.node_shard[ci] as usize;
         let li = self.node_local[ci] as usize;
-        let shard = self.shards[si].get_or_init(|| model.freeze_shard(index, self, si));
+        let shard = self.shard(model, index, si);
         let (enc_hs, struct_mem, step0) = match &shard.rows {
             ShardRows::Exact {
                 enc_hs,
@@ -606,33 +638,22 @@ impl ConceptCache {
 }
 
 impl ComAid {
-    /// Precomputes the serving cache for every concept of `index` under
-    /// the current parameters (one encoder step per distinct description
-    /// prefix of a chapter; the structural memory reuses those same
-    /// states, because an ancestor's encoding *is* that ancestor's
-    /// concept encoding). Eager and
-    /// `Exact`: cached scores are bit-identical to the uncached pass.
+    /// [`ComAid::freeze_tiered`] in the `Exact` tier: cached scores are
+    /// bit-identical to the uncached pass.
     pub fn freeze(&self, index: &OntologyIndex) -> ConceptCache {
         self.freeze_tiered(index, CacheTier::Exact)
     }
 
-    /// [`ComAid::freeze`] with an explicit storage tier: every shard is
-    /// materialised before returning.
+    /// Builds the serving cache of `index` at the current parameter
+    /// generation: the chapter shard map and the decoder serve plan, no
+    /// per-concept state yet. Each shard freezes on first touch by a
+    /// cached scoring call (one encoder step per distinct description
+    /// prefix of the chapter; the structural memory reuses those same
+    /// states, because an ancestor's encoding *is* that ancestor's
+    /// concept encoding), so cold-start-to-first-link pays one chapter's
+    /// encoder passes instead of the whole ontology's.
+    /// [`ConceptCache::warm`] freezes the rest ahead of traffic.
     pub fn freeze_tiered(&self, index: &OntologyIndex, tier: CacheTier) -> ConceptCache {
-        let cache = self.freeze_lazy(index, tier);
-        for si in 0..cache.shards.len() {
-            cache.shards[si].get_or_init(|| self.freeze_shard(index, &cache, si));
-        }
-        cache
-    }
-
-    /// Builds the cache **skeleton only**: the chapter shard map and the
-    /// decoder serve plan, no per-concept state. Each shard freezes on
-    /// first touch by a cached scoring call, so cold-start-to-first-link
-    /// pays one chapter's encoder passes instead of the whole ontology's.
-    /// Shard contents are deterministic — a lazily frozen shard is
-    /// identical to its eagerly frozen counterpart.
-    pub fn freeze_lazy(&self, index: &OntologyIndex, tier: CacheTier) -> ConceptCache {
         let n = index.len();
         // Chapter resolution. A node's context holds its β *nearest*
         // ancestors, so the farthest entry is the chapter only for
@@ -691,8 +712,9 @@ impl ComAid {
     /// context entry of a member is itself a member), so the shard never
     /// reads outside its own encoder states.
     ///
-    /// The one freeze path — eager, lazy and hot-swap publish all land
-    /// here. Descriptions go through a [`PrefixTrie`], so a shard with
+    /// The one freeze path — first touch, [`ConceptCache::warm`] and
+    /// hot-swap publish all land here. Descriptions go through a
+    /// [`PrefixTrie`], so a shard with
     /// no shared prefix pays one hash probe per token over a plain
     /// per-concept pass and any other shard runs fewer encoder steps.
     fn freeze_shard(&self, index: &OntologyIndex, cache: &ConceptCache, si: usize) -> ShardData {
@@ -859,8 +881,9 @@ impl ComAid {
 
     /// Cached [`ComAid::log_prob_ids_masked`]: bit-identical score, but
     /// the concept-side encoder work comes from `cache`. A stale cache
-    /// (parameters changed since [`ComAid::freeze`]) transparently falls
-    /// back to the uncached path.
+    /// (parameters changed since [`ComAid::freeze`], or frozen over a
+    /// different ontology) transparently falls back to the uncached
+    /// path.
     ///
     /// # Panics
     /// Panics if `count.len() != target.len()`.
@@ -872,7 +895,7 @@ impl ComAid {
         target: &[u32],
         count: &[bool],
     ) -> f32 {
-        if !cache.is_valid_for(self) {
+        if !cache.serves(self, index) {
             return self.log_prob_ids_masked(index, concept, target, count);
         }
         let prepared = self.prepare_target(cache, target);
@@ -881,7 +904,7 @@ impl ComAid {
 
     /// Projects a decode target's words through the cached decoder plan,
     /// once, for any number of candidates scored against it. Callers
-    /// must have checked [`ConceptCache::is_valid_for`].
+    /// must have checked [`ConceptCache::serves`].
     pub(crate) fn prepare_target<'t>(
         &self,
         cache: &ConceptCache,
@@ -905,7 +928,7 @@ impl ComAid {
     /// [`ComAid::log_prob_ids_masked_cached`] on a target already
     /// prepared against `cache` — the per-candidate scoring path of a
     /// request under a deadline or fault plan. Callers must have checked
-    /// [`ConceptCache::is_valid_for`].
+    /// [`ConceptCache::serves`].
     ///
     /// # Panics
     /// Panics if `count.len()` differs from the target's length.
@@ -1001,7 +1024,7 @@ impl ComAid {
         counts: &[Vec<bool>],
     ) -> Vec<f32> {
         assert_eq!(counts.len(), concepts.len(), "one mask per concept");
-        if !cache.is_valid_for(self) {
+        if !cache.serves(self, index) {
             return concepts
                 .iter()
                 .zip(counts)
@@ -1015,7 +1038,7 @@ impl ComAid {
     /// [`ComAid::log_prob_batch_cached`] on a target already prepared
     /// against `cache`: each query word's input projection is shared by
     /// every candidate of the step. Callers must have checked
-    /// [`ConceptCache::is_valid_for`].
+    /// [`ConceptCache::serves`].
     ///
     /// # Panics
     /// Panics if `counts.len() != concepts.len()` or any mask's length

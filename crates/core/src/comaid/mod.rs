@@ -28,7 +28,7 @@ pub use cache::{CacheMemoryReport, CacheTier, ConceptCache};
 pub use decode::Decoded;
 pub use index::OntologyIndex;
 pub use model::ComAid;
-pub use persist::{MappedCheckpoint, PersistError, FORMAT_VERSION, FORMAT_VERSION_V2, V2_SECTIONS};
+pub use persist::{MappedCheckpoint, PersistError, FORMAT_VERSION, V2_SECTIONS};
 pub use trace::{AttentionTrace, StepTrace};
 pub use train::{TrainPair, TrainReport};
 

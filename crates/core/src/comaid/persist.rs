@@ -7,15 +7,19 @@
 //! back in. Checkpoints are a self-verifying binary container:
 //!
 //! ```text
-//! ┌─────────┬─────────┬────────────┬───────────┬─────────┐
-//! │ "NCLMODEL" │ version │ payload len │ FNV-1a-64 │ payload │
-//! │  8 bytes   │  u32 LE │   u64 LE    │  u64 LE   │  bytes  │
-//! └─────────┴─────────┴────────────┴───────────┴─────────┘
+//! ┌────────────┬─────────┬───────────┬───────────┬───────┬──────────┐
+//! │ "NCLMODEL" │ version │ index len │ FNV-1a-64 │ index │ sections │
+//! │  8 bytes   │  u32 LE │  u64 LE   │  u64 LE   │ bytes │  bytes   │
+//! └────────────┴─────────┴───────────┴───────────┴───────┴──────────┘
 //! ```
 //!
-//! The payload is the [`Wire`] encoding of [`ComAid`]. Loading verifies,
-//! in order: magic, version, declared length against actual bytes, and
-//! checksum over the payload — so truncation, bit rot, and
+//! The index is a checksummed [`SectionIndex`] (name, offset, length and
+//! checksum of each section); the sections are the [`Wire`] encodings
+//! of the model's components in [`V2_SECTIONS`] order, so a reader can
+//! open a checkpoint and verify/fetch only what it touches
+//! ([`MappedCheckpoint`]). Loading verifies, in order: magic, version,
+//! declared index length against actual bytes, the index checksum, and
+//! each section against its own checksum — so truncation, bit rot, and
 //! wrong-format files all surface as typed [`PersistError`]s before any
 //! payload decoding is attempted. Saving to a path is atomic: bytes go
 //! to a same-directory temporary file which is fsynced and renamed over
@@ -37,20 +41,15 @@ use std::path::Path;
 
 /// File magic: identifies an NCL model checkpoint.
 pub const MAGIC: &[u8; 8] = b"NCLMODEL";
-/// Monolithic checkpoint format: one checksummed payload.
-pub const FORMAT_VERSION: u32 = 1;
-/// Offset-table checkpoint format: a checksummed [`SectionIndex`]
-/// followed by independently checksummed per-component sections, so a
-/// reader can open a checkpoint and verify/fetch only what it touches
-/// ([`MappedCheckpoint`]). Written by [`ComAid::save_v2`]; both versions
-/// load through [`ComAid::load`].
-pub const FORMAT_VERSION_V2: u32 = 2;
-/// Header size: magic + version + payload length + checksum. (In v2 the
-/// length/checksum pair covers the encoded section index; the section
-/// region follows it.)
+/// The one checkpoint format this build writes and reads: the
+/// offset-table container of the module docs. (Version 1, a single
+/// checksummed payload, is no longer written or read.)
+pub const FORMAT_VERSION: u32 = 2;
+/// Header size: magic + version + index length + index checksum; the
+/// encoded section index and then the section region follow it.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
-/// Section names of a v2 checkpoint, in the order the model's [`Wire`]
+/// Section names of a checkpoint, in the order the model's [`Wire`]
 /// encoding concatenates them.
 pub const V2_SECTIONS: [&str; 7] = [
     "config",
@@ -147,72 +146,64 @@ impl From<WireError> for PersistError {
     }
 }
 
-/// Frames `payload` in the checkpoint container.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+/// Frames component sections in the checkpoint container: header,
+/// checksummed [`SectionIndex`], then the sections back to back.
+fn frame(sections: &[(&'static str, Vec<u8>)]) -> Vec<u8> {
+    let mut index = SectionIndex::new();
+    for (name, bytes) in sections {
+        index.append(name, bytes);
+    }
+    let mut index_bytes = Vec::new();
+    index.encode(&mut index_bytes);
+    let mut out = Vec::with_capacity(
+        HEADER_LEN + index_bytes.len() + sections.iter().map(|(_, b)| b.len()).sum::<usize>(),
+    );
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&(index_bytes.len() as u64).to_le_bytes());
+    out.extend_from_slice(&fnv1a64(&index_bytes).to_le_bytes());
+    out.extend_from_slice(&index_bytes);
+    for (_, bytes) in sections {
+        out.extend_from_slice(bytes);
+    }
     out
 }
 
-/// Verifies the container and returns the payload slice.
-fn unframe(bytes: &[u8]) -> Result<&[u8], PersistError> {
-    if bytes.len() < HEADER_LEN || &bytes[..8] != MAGIC {
+/// Verifies the fixed header — magic and version — and returns the
+/// declared index length and index checksum. The length is bounded by
+/// `body`, the bytes actually present behind the header, before anyone
+/// allocates or slices by it.
+fn index_extent(header: &[u8], body: u64) -> Result<(usize, u64), PersistError> {
+    if &header[..8] != MAGIC {
         return Err(PersistError::NotACheckpoint);
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
     if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
         });
     }
-    let declared = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let stored = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-    let payload = &bytes[HEADER_LEN..];
-    if (payload.len() as u64) != declared {
-        return Err(PersistError::Truncated {
-            expected: declared,
-            actual: payload.len() as u64,
-        });
-    }
-    let computed = fnv1a64(payload);
-    if computed != stored {
-        return Err(PersistError::ChecksumMismatch { stored, computed });
-    }
-    Ok(payload)
-}
-
-/// Verifies a v2 container held in memory: magic, version, the index
-/// length/checksum, the decoded [`SectionIndex`], and that the section
-/// region it describes fits the buffer. Returns the index and the
-/// section region; per-section checksums are verified on access
-/// ([`SectionIndex::slice`]).
-fn unframe_v2(bytes: &[u8]) -> Result<(SectionIndex, &[u8]), PersistError> {
-    if bytes.len() < HEADER_LEN || &bytes[..8] != MAGIC {
-        return Err(PersistError::NotACheckpoint);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != FORMAT_VERSION_V2 {
-        return Err(PersistError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION_V2,
-        });
-    }
-    let declared = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let stored = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-    let rest = &bytes[HEADER_LEN..];
+    let declared = u64::from_le_bytes(header[12..20].try_into().unwrap());
+    let stored = u64::from_le_bytes(header[20..28].try_into().unwrap());
     let index_len = usize::try_from(declared)
         .ok()
-        .filter(|&n| n <= rest.len())
+        .filter(|&n| n as u64 <= body)
         .ok_or(PersistError::Truncated {
             expected: declared,
-            actual: rest.len() as u64,
+            actual: body,
         })?;
-    let index_bytes = &rest[..index_len];
+    Ok((index_len, stored))
+}
+
+/// Verifies the encoded [`SectionIndex`] against its checksum, decodes
+/// it, and checks that the `region` bytes behind it hold every section
+/// it describes. Per-section checksums are verified on access.
+fn decode_index(
+    index_bytes: &[u8],
+    stored: u64,
+    region: u64,
+) -> Result<SectionIndex, PersistError> {
     let computed = fnv1a64(index_bytes);
     if computed != stored {
         return Err(PersistError::ChecksumMismatch { stored, computed });
@@ -225,28 +216,39 @@ fn unframe_v2(bytes: &[u8]) -> Result<(SectionIndex, &[u8]), PersistError> {
             r.remaining()
         ))));
     }
-    let region = &rest[index_len..];
     let needed = index.region_len()?;
-    if (region.len() as u64) < needed {
+    if region < needed {
         return Err(PersistError::Truncated {
             expected: needed,
-            actual: region.len() as u64,
+            actual: region,
         });
     }
+    Ok(index)
+}
+
+/// Verifies a container held in memory and returns its index and
+/// section region ([`SectionIndex::slice`] reads a section out of it).
+fn unframe(bytes: &[u8]) -> Result<(SectionIndex, &[u8]), PersistError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(PersistError::NotACheckpoint);
+    }
+    let (header, rest) = bytes.split_at(HEADER_LEN);
+    let (index_len, stored) = index_extent(header, rest.len() as u64)?;
+    let (index_bytes, region) = rest.split_at(index_len);
+    let index = decode_index(index_bytes, stored, region.len() as u64)?;
     Ok((index, region))
 }
 
-/// A v2 checkpoint opened by its offset table only. [`open`] reads and
+/// A checkpoint opened by its offset table only. [`open`] reads and
 /// verifies the header and the [`SectionIndex`] — **not** the section
 /// payloads — so opening a multi-hundred-megabyte checkpoint costs a few
 /// kilobytes of I/O. Sections are fetched and checksum-verified
 /// individually on demand; [`load_model`] fetches all of them.
 ///
 /// This is the on-disk half of cold-start-lean serving: open the
-/// checkpoint by index, decode the model, and let
-/// [`ComAid::freeze_lazy`](super::ComAid::freeze_lazy) defer the
-/// per-chapter freeze work the same way the mapped file defers payload
-/// reads.
+/// checkpoint by index, decode the model, and let the
+/// [`ConceptCache`](super::ConceptCache) defer the per-chapter freeze
+/// work the same way the mapped file defers payload reads.
 ///
 /// [`open`]: MappedCheckpoint::open
 /// [`load_model`]: MappedCheckpoint::load_model
@@ -258,65 +260,24 @@ pub struct MappedCheckpoint {
 }
 
 impl MappedCheckpoint {
-    /// Opens a v2 checkpoint, reading only the header and section index.
-    /// A v1 checkpoint reports [`PersistError::UnsupportedVersion`] (it
-    /// has no index to map; use [`ComAid::load_from_path`]).
+    /// Opens a checkpoint, reading only the header and section index.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, PersistError> {
         let mut file = std::fs::File::open(path)?;
         let file_len = file.metadata()?.len();
-        let mut header = [0u8; HEADER_LEN];
         if file_len < HEADER_LEN as u64 {
             return Err(PersistError::NotACheckpoint);
         }
+        let mut header = [0u8; HEADER_LEN];
         file.read_exact(&mut header)?;
-        if &header[..8] != MAGIC {
-            return Err(PersistError::NotACheckpoint);
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if version != FORMAT_VERSION_V2 {
-            return Err(PersistError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION_V2,
-            });
-        }
-        let declared = u64::from_le_bytes(header[12..20].try_into().unwrap());
-        let stored = u64::from_le_bytes(header[20..28].try_into().unwrap());
-        // Bound the index allocation by the actual file size before
-        // trusting the declared length.
         let body = file_len - HEADER_LEN as u64;
-        let index_len = usize::try_from(declared)
-            .ok()
-            .filter(|&n| (n as u64) <= body)
-            .ok_or(PersistError::Truncated {
-                expected: declared,
-                actual: body,
-            })?;
+        let (index_len, stored) = index_extent(&header, body)?;
         let mut index_bytes = vec![0u8; index_len];
         file.read_exact(&mut index_bytes)?;
-        let computed = fnv1a64(&index_bytes);
-        if computed != stored {
-            return Err(PersistError::ChecksumMismatch { stored, computed });
-        }
-        let mut r = Reader::new(&index_bytes);
-        let index = SectionIndex::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(PersistError::Codec(WireError::Invalid(format!(
-                "{} trailing bytes after section index",
-                r.remaining()
-            ))));
-        }
-        let sections_start = HEADER_LEN as u64 + declared;
-        let needed = index.region_len()?;
-        if file_len - sections_start < needed {
-            return Err(PersistError::Truncated {
-                expected: needed,
-                actual: file_len - sections_start,
-            });
-        }
+        let index = decode_index(&index_bytes, stored, body - index_len as u64)?;
         Ok(Self {
             file,
             index,
-            sections_start,
+            sections_start: (HEADER_LEN + index_len) as u64,
         })
     }
 
@@ -351,7 +312,7 @@ impl MappedCheckpoint {
     }
 
     /// Fetches every section and decodes the model, with the same
-    /// cross-component validation as a monolithic load.
+    /// cross-component validation as [`ComAid::load`].
     pub fn load_model(&mut self) -> Result<ComAid, PersistError> {
         let mut payload = Vec::new();
         for name in V2_SECTIONS {
@@ -363,21 +324,20 @@ impl MappedCheckpoint {
 
 impl ComAid {
     /// Serialises the full model (configuration, vocabulary and all
-    /// parameters) into the verified checkpoint container.
+    /// parameters) into the verified checkpoint container: a
+    /// checksummed [`SectionIndex`] up front, per-component sections
+    /// behind it. [`MappedCheckpoint::open`] reads only the index.
     pub fn save<W: Write>(&self, mut writer: W) -> Result<(), PersistError> {
-        let mut payload = Vec::new();
-        Wire::encode(self, &mut payload);
-        writer.write_all(&frame(&payload))?;
+        writer.write_all(&frame(&self.sections()))?;
         writer.flush()?;
         Ok(())
     }
 
     /// Encodes each model component as its own byte section, in
     /// [`V2_SECTIONS`] order. Concatenating the payloads reproduces the
-    /// monolithic [`Wire`] encoding exactly, which is what lets v2
-    /// loading reuse the full cross-component validation of
-    /// `ComAid::decode`.
-    fn v2_sections(&self) -> Vec<(&'static str, Vec<u8>)> {
+    /// model's [`Wire`] encoding exactly, which is what lets loading
+    /// reuse the full cross-component validation of `ComAid::decode`.
+    fn sections(&self) -> Vec<(&'static str, Vec<u8>)> {
         let mut out = Vec::with_capacity(V2_SECTIONS.len());
         let mut buf = Vec::new();
         self.config().encode(&mut buf);
@@ -397,38 +357,10 @@ impl ComAid {
         out
     }
 
-    /// Serialises the model in the v2 offset-table container: a
-    /// checksummed [`SectionIndex`] up front, per-component sections
-    /// behind it. [`MappedCheckpoint::open`] reads only the index;
-    /// [`ComAid::load`] reads either format.
-    pub fn save_v2<W: Write>(&self, mut writer: W) -> Result<(), PersistError> {
-        let sections = self.v2_sections();
-        let mut index = SectionIndex::new();
-        for (name, bytes) in &sections {
-            index.append(name, bytes);
-        }
-        let mut index_bytes = Vec::new();
-        index.encode(&mut index_bytes);
-        let mut out = Vec::with_capacity(
-            HEADER_LEN + index_bytes.len() + sections.iter().map(|(_, b)| b.len()).sum::<usize>(),
-        );
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION_V2.to_le_bytes());
-        out.extend_from_slice(&(index_bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&index_bytes).to_le_bytes());
-        out.extend_from_slice(&index_bytes);
-        for (_, bytes) in &sections {
-            out.extend_from_slice(bytes);
-        }
-        writer.write_all(&out)?;
-        writer.flush()?;
-        Ok(())
-    }
-
-    /// [`ComAid::save_v2`] with the same atomic same-directory
-    /// temp-file-and-rename protocol as [`ComAid::save_to_path`].
+    /// [`ComAid::save_to_path`], under the name `benchmark/src/api.rs`
+    /// calls.
     pub fn save_v2_to_path<P: AsRef<Path>>(&self, path: P) -> Result<(), PersistError> {
-        self.atomic_write(path.as_ref(), |m, f| m.save_v2(f))
+        self.save_to_path(path)
     }
 
     /// Saves atomically to a file path: the bytes are written to a
@@ -436,14 +368,7 @@ impl ComAid {
     /// `path`. Readers either see the old checkpoint or the complete new
     /// one — never a partial write.
     pub fn save_to_path<P: AsRef<Path>>(&self, path: P) -> Result<(), PersistError> {
-        self.atomic_write(path.as_ref(), |m, f| m.save(f))
-    }
-
-    fn atomic_write(
-        &self,
-        path: &Path,
-        write: impl Fn(&Self, &mut std::fs::File) -> Result<(), PersistError>,
-    ) -> Result<(), PersistError> {
+        let path = path.as_ref();
         let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
         let file_name = path
             .file_name()
@@ -463,7 +388,7 @@ impl ComAid {
 
         let write_result = (|| -> Result<(), PersistError> {
             let mut file = std::fs::File::create(&tmp)?;
-            write(self, &mut file)?;
+            self.save(&mut file)?;
             file.sync_all()?;
             Ok(())
         })();
@@ -485,24 +410,22 @@ impl ComAid {
         Self::load_bytes(&bytes)
     }
 
-    /// Loads a model from in-memory checkpoint bytes. The container
-    /// version is auto-detected: v1 (monolithic payload) and v2
-    /// (offset-table sections) both load; anything else is a typed
+    /// Loads a model from in-memory checkpoint bytes: verifies the
+    /// index checksum, then each section against its own checksum, and
+    /// decodes the concatenation. Any container version but
+    /// [`FORMAT_VERSION`] is a typed
     /// [`PersistError::UnsupportedVersion`].
     pub fn load_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
-        if bytes.len() >= 12 && &bytes[..8] == MAGIC {
-            let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-            if version == FORMAT_VERSION_V2 {
-                return Self::load_bytes_v2(bytes);
-            }
+        let (index, region) = unframe(bytes)?;
+        let mut payload = Vec::new();
+        for name in V2_SECTIONS {
+            payload.extend_from_slice(index.slice(name, region)?);
         }
-        let payload = unframe(bytes)?;
-        Self::decode_payload(payload)
+        Self::decode_payload(&payload)
     }
 
-    /// Decodes a verified payload (the monolithic v1 payload, or the v2
-    /// sections concatenated in [`V2_SECTIONS`] order — bytewise the
-    /// same thing).
+    /// Decodes the verified sections concatenated in [`V2_SECTIONS`]
+    /// order — bytewise the model's [`Wire`] encoding.
     fn decode_payload(payload: &[u8]) -> Result<Self, PersistError> {
         let mut r = Reader::new(payload);
         let model = <ComAid as Wire>::decode(&mut r)?;
@@ -513,18 +436,6 @@ impl ComAid {
             ))));
         }
         Ok(model)
-    }
-
-    /// Loads a v2 (offset-table) checkpoint held fully in memory:
-    /// verifies the index checksum, then each section against its own
-    /// checksum, and decodes the concatenation.
-    fn load_bytes_v2(bytes: &[u8]) -> Result<Self, PersistError> {
-        let (index, region) = unframe_v2(bytes)?;
-        let mut payload = Vec::new();
-        for name in V2_SECTIONS {
-            payload.extend_from_slice(index.slice(name, region)?);
-        }
-        Self::decode_payload(&payload)
     }
 
     /// Loads from a file path.
@@ -579,6 +490,7 @@ mod tests {
     fn round_trip_preserves_scores() {
         let (o, model) = trained_model();
         let buf = checkpoint_bytes(&model);
+        assert_eq!(&buf[8..12], &FORMAT_VERSION.to_le_bytes());
         let loaded = ComAid::load(buf.as_slice()).unwrap();
 
         let idx = OntologyIndex::build(&o, model.vocab(), 2);
@@ -617,59 +529,23 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_detected_at_every_length() {
+    fn wrong_version_is_rejected() {
         let (_, model) = trained_model();
-        let buf = checkpoint_bytes(&model);
-        // Every proper prefix must be rejected: short ones as
-        // not-a-checkpoint, longer ones as truncation.
-        for cut in [
-            0,
-            4,
-            HEADER_LEN - 1,
-            HEADER_LEN,
-            buf.len() / 2,
-            buf.len() - 1,
-        ] {
-            let err = ComAid::load_bytes(&buf[..cut]).unwrap_err();
+        // 1 is the retired single-payload container: unsupported like
+        // any other version this build does not write.
+        for version in [1u32, 99] {
+            let mut buf = checkpoint_bytes(&model);
+            buf[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = ComAid::load_bytes(&buf).unwrap_err();
             assert!(
                 matches!(
                     err,
-                    PersistError::NotACheckpoint | PersistError::Truncated { .. }
+                    PersistError::UnsupportedVersion { found, supported: FORMAT_VERSION }
+                        if found == version
                 ),
-                "cut at {cut}: unexpected {err:?}"
+                "{err:?}"
             );
         }
-    }
-
-    #[test]
-    fn single_byte_corruption_is_detected() {
-        let (_, model) = trained_model();
-        let buf = checkpoint_bytes(&model);
-        // Flip one payload bit at several positions spread over the file.
-        for pos in [HEADER_LEN, HEADER_LEN + 97, buf.len() - 1] {
-            let mut bad = buf.clone();
-            bad[pos] ^= 0x04;
-            let err = ComAid::load_bytes(&bad).unwrap_err();
-            assert!(
-                matches!(err, PersistError::ChecksumMismatch { .. }),
-                "flip at {pos}: unexpected {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn wrong_version_is_rejected() {
-        let (_, model) = trained_model();
-        let mut buf = checkpoint_bytes(&model);
-        buf[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let err = ComAid::load_bytes(&buf).unwrap_err();
-        assert!(matches!(
-            err,
-            PersistError::UnsupportedVersion {
-                found: 99,
-                supported: FORMAT_VERSION
-            }
-        ));
     }
 
     #[test]
@@ -677,36 +553,19 @@ mod tests {
         // Corrupt the payload *and* fix up the checksum: the container
         // verifies, so the typed decoder must catch the inconsistency.
         let (_, model) = trained_model();
-        let mut payload = Vec::new();
-        Wire::encode(&model, &mut payload);
-        // Sabotage the config's `dim` (first payload field, u64 LE).
-        payload[..8].copy_from_slice(&0u64.to_le_bytes());
-        let framed = frame(&payload);
+        let mut sections = model.sections();
+        // Sabotage the config's `dim` (first field of the first section,
+        // u64 LE).
+        sections[0].1[..8].copy_from_slice(&0u64.to_le_bytes());
+        let framed = frame(&sections);
         let err = ComAid::load_bytes(&framed).unwrap_err();
         assert!(matches!(err, PersistError::Codec(_)), "{err:?}");
     }
 
     #[test]
-    fn v2_round_trip_preserves_scores_and_auto_detects() {
-        let (o, model) = trained_model();
-        let mut buf = Vec::new();
-        model.save_v2(&mut buf).unwrap();
-        assert_eq!(&buf[8..12], &FORMAT_VERSION_V2.to_le_bytes());
-        // `load` auto-detects the offset-table container.
-        let loaded = ComAid::load(buf.as_slice()).unwrap();
-        let idx = OntologyIndex::build(&o, model.vocab(), 2);
-        let c = o.by_code("N18.5").unwrap();
-        let q = model.encode_text("ckd stage 5");
-        let a = model.log_prob_ids(&idx, c, &q);
-        let b = loaded.log_prob_ids(&idx, c, &q);
-        assert!((a - b).abs() < 1e-6, "scores diverged: {a} vs {b}");
-    }
-
-    #[test]
-    fn v2_truncation_detected_at_every_sampled_length() {
+    fn truncation_detected_at_every_sampled_length() {
         let (_, model) = trained_model();
-        let mut buf = Vec::new();
-        model.save_v2(&mut buf).unwrap();
+        let buf = checkpoint_bytes(&model);
         for cut in [
             0,
             4,
@@ -731,10 +590,9 @@ mod tests {
     }
 
     #[test]
-    fn v2_index_corruption_is_a_checksum_mismatch() {
+    fn index_corruption_is_a_checksum_mismatch() {
         let (_, model) = trained_model();
-        let mut buf = Vec::new();
-        model.save_v2(&mut buf).unwrap();
+        let buf = checkpoint_bytes(&model);
         // First byte of the encoded index.
         let mut bad = buf.clone();
         bad[HEADER_LEN] ^= 0x08;
@@ -746,10 +604,9 @@ mod tests {
     }
 
     #[test]
-    fn v2_section_corruption_is_caught_by_its_own_checksum() {
+    fn section_corruption_is_caught_by_its_own_checksum() {
         let (_, model) = trained_model();
-        let mut buf = Vec::new();
-        model.save_v2(&mut buf).unwrap();
+        let mut buf = checkpoint_bytes(&model);
         // Last byte of the file sits inside the final section.
         let pos = buf.len() - 1;
         buf[pos] ^= 0x20;
@@ -766,7 +623,7 @@ mod tests {
         let dir = std::env::temp_dir().join("ncl_mapped_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.nclm2");
-        model.save_v2_to_path(&path).unwrap();
+        model.save_to_path(&path).unwrap();
 
         // Locate the "embedding" section on disk and corrupt one byte.
         let mapped = MappedCheckpoint::open(&path).unwrap();
@@ -806,7 +663,7 @@ mod tests {
         let dir = std::env::temp_dir().join("ncl_mapped_load_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.nclm2");
-        model.save_v2_to_path(&path).unwrap();
+        model.save_to_path(&path).unwrap();
         let loaded = MappedCheckpoint::open(&path).unwrap().load_model().unwrap();
         let idx = OntologyIndex::build(&o, model.vocab(), 2);
         let c = o.by_code("N18.5").unwrap();
@@ -821,14 +678,16 @@ mod tests {
         let dir = std::env::temp_dir().join("ncl_mapped_reject_test");
         std::fs::create_dir_all(&dir).unwrap();
         let v1 = dir.join("model.nclm");
-        model.save_to_path(&v1).unwrap();
+        let mut bytes = checkpoint_bytes(&model);
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&v1, &bytes).unwrap();
         let err = MappedCheckpoint::open(&v1).unwrap_err();
         assert!(
             matches!(
                 err,
                 PersistError::UnsupportedVersion {
-                    found: FORMAT_VERSION,
-                    supported: FORMAT_VERSION_V2
+                    found: 1,
+                    supported: FORMAT_VERSION
                 }
             ),
             "{err:?}"

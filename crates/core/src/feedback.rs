@@ -30,7 +30,7 @@
 //! half-swapped (torn) model/cache pair.
 
 use crate::comaid::{ComAid, ConceptCache, OntologyIndex};
-use crate::linker::{Linker, LinkerConfig};
+use crate::linker::{frozen_cache, Linker, LinkerConfig};
 use crate::serving::DocumentResult;
 use ncl_ontology::{ConceptId, Ontology};
 use ncl_tensor::stats;
@@ -217,14 +217,15 @@ impl FeedbackController {
 #[derive(Debug)]
 pub struct ModelGeneration {
     model: ComAid,
-    cache: Option<Arc<ConceptCache>>,
+    cache: Arc<ConceptCache>,
     config: LinkerConfig,
     generation: u64,
 }
 
 impl ModelGeneration {
-    /// Clones `model` and freezes its concept cache (when
-    /// `config.precompute` is on), exactly as [`Linker::new`] would.
+    /// Clones `model` and freezes the concept cache [`Linker::new`]
+    /// would build over the clone — every chapter of it, so no serving
+    /// thread pays a first-touch freeze on a generation it was handed.
     fn freeze_from(
         model: &ComAid,
         ontology: &Ontology,
@@ -232,16 +233,9 @@ impl ModelGeneration {
         generation: u64,
     ) -> Self {
         let model = model.clone();
-        let cache = config.precompute.then(|| {
-            let index = OntologyIndex::build(ontology, model.vocab(), model.config().beta);
-            let mut c = if config.lazy_freeze {
-                model.freeze_lazy(&index, config.cache_tier)
-            } else {
-                model.freeze_tiered(&index, config.cache_tier)
-            };
-            c.set_fast_math(config.fast_math);
-            Arc::new(c)
-        });
+        let index = OntologyIndex::build(ontology, model.vocab(), model.config().beta);
+        let cache = frozen_cache(&model, &index, &config);
+        cache.warm(&model, &index);
         Self {
             model,
             cache,
@@ -266,14 +260,7 @@ impl ModelGeneration {
     /// [`Linker::with_shared_cache`], so every linker built from the
     /// same snapshot serves identical bits from one frozen cache.
     pub fn linker<'g>(&'g self, ontology: &'g Ontology) -> Linker<'g> {
-        let mut cfg = self.config;
-        // Never re-freeze; the shared cache below replaces it.
-        cfg.precompute = false;
-        let linker = Linker::new(&self.model, ontology, cfg);
-        match &self.cache {
-            Some(c) => linker.with_shared_cache(Arc::clone(c)),
-            None => linker,
-        }
+        Linker::new(&self.model, ontology, self.config).with_shared_cache(Arc::clone(&self.cache))
     }
 }
 
@@ -285,8 +272,9 @@ impl ModelGeneration {
 ///   keeps the generation alive for as long as any request still uses
 ///   it.
 /// * The retraining side calls [`HotSwapCell::publish`] with the
-///   retrained model: the new generation is frozen *outside* the swap
-///   lock, installed with one pointer swap, and announced by a single
+///   retrained model: the new generation is frozen — every chapter,
+///   [`ConceptCache::warm`] — *outside* the swap lock, installed with
+///   one pointer swap, and announced by a single
 ///   atomic bump of the generation counter — readers never observe a
 ///   torn model/cache pair, and [`HotSwapCell::generation`] is safe to
 ///   poll concurrently from any thread (lock-free).
@@ -537,7 +525,6 @@ mod tests {
             &o,
             LinkerConfig {
                 rewrite: false,
-                precompute: false,
                 ..LinkerConfig::default()
             },
         );
@@ -578,6 +565,7 @@ mod tests {
         let q = tokenize("abdominal pain");
         let snap0 = cell.snapshot();
         assert_eq!(snap0.generation(), 0);
+        assert_fully_frozen(&snap0, &o);
         let before = snap0.linker(&o).link(&q);
         assert_eq!(before.trace.cache, CacheUse::Served);
 
@@ -608,10 +596,71 @@ mod tests {
         assert_eq!(after.ranked, before.ranked);
         assert_eq!(after.candidates, before.candidates);
 
-        // The new generation serves from its own fresh (valid) cache.
+        // The new generation serves from its own fresh (valid) cache,
+        // which `publish` warmed before the swap: no request on it pays
+        // a freeze.
         let snap1 = cell.snapshot();
         assert_eq!(snap1.generation(), 1);
-        assert_eq!(snap1.linker(&o).link(&q).trace.cache, CacheUse::Served);
+        assert_fully_frozen(&snap1, &o);
+        let linker = snap1.linker(&o);
+        let steps = |l: &Linker<'_>| l.cache().unwrap().memory_report().encoder_steps_run;
+        let frozen = steps(&linker);
+        assert_eq!(linker.link(&q).trace.cache, CacheUse::Served);
+        assert_eq!(steps(&linker), frozen);
+    }
+
+    /// Every shard of the generation's shared cache is frozen.
+    fn assert_fully_frozen(snap: &ModelGeneration, o: &Ontology) {
+        let linker = snap.linker(o);
+        let report = linker.cache().unwrap().memory_report();
+        assert_eq!(report.frozen_shards, report.shards);
+        assert_eq!(report.frozen_concepts, report.concepts);
+    }
+
+    #[test]
+    fn cache_frozen_over_another_ontology_serves_uncached() {
+        // One generation, two ontologies of different size: the shared
+        // cache's shard map does not cover the larger one, so its linker
+        // must score through the uncached path, not index past the map.
+        let (o, model) = world();
+        let larger = {
+            let mut b = OntologyBuilder::new();
+            let n18 = b.add_root_concept("N18", "chronic kidney disease");
+            b.add_child(n18, "N18.5", "chronic kidney disease stage 5");
+            b.add_child(n18, "N18.9", "chronic kidney disease unspecified");
+            let r10 = b.add_root_concept("R10", "abdominal pain");
+            b.add_child(r10, "R10.0", "acute abdomen pain");
+            b.add_child(r10, "R10.9", "unspecified abdominal pain");
+            b.build().unwrap()
+        };
+        assert!(larger.len() > o.len());
+        let cell = HotSwapCell::new(&model, &o, LinkerConfig::default());
+        let snap = cell.snapshot();
+        let linker = snap.linker(&larger);
+        let q = tokenize("abdominal pain");
+        let res = linker.link(&q);
+        assert_eq!(res.trace.cache, CacheUse::Stale);
+        assert_eq!(res.degradation, crate::linker::Degradation::None);
+        assert!(!res.ranked.is_empty());
+
+        let index = OntologyIndex::build(&larger, model.vocab(), model.config().beta);
+        let (rewritten, candidates) = linker.retrieve(&q);
+        assert_eq!(candidates, res.candidates);
+        let ids = model.encode_words(&rewritten);
+        for &(c, score) in &res.ranked {
+            let canonical = tokenize(&larger.concept(c).canonical);
+            let mask: Vec<bool> = rewritten.iter().map(|w| !canonical.contains(w)).collect();
+            let want = model.log_prob_ids_masked(&index, c, &ids, &mask);
+            assert!(score.is_finite());
+            assert_eq!(
+                score.to_bits(),
+                want.to_bits(),
+                "{:?}",
+                larger.concept(c).code
+            );
+        }
+        // Nothing to warm on a cache that cannot serve, and no panic.
+        linker.warm();
     }
 
     #[test]
@@ -626,7 +675,6 @@ mod tests {
             &o,
             LinkerConfig {
                 rewrite: false,
-                precompute: false,
                 ..LinkerConfig::default()
             },
         );

@@ -41,9 +41,7 @@ pub use comaid::{ComAid, ComAidConfig, OutputMode, TrainPair, Variant};
 pub use error::NclError;
 pub use faults::{FaultKind, FaultPlan};
 pub use feedback::{ExpertLabel, FeedbackConfig, FeedbackController, HotSwapCell, ModelGeneration};
-pub use linker::{
-    Degradation, DegradeReason, LinkBudget, LinkResult, Linker, LinkerConfig, PriorTable,
-};
+pub use linker::{Degradation, DegradeReason, LinkBudget, LinkResult, Linker, LinkerConfig};
 pub use ncl_text::tfidf::RetrievalStats;
 pub use pipeline::{NclConfig, NclPipeline};
 pub use serving::{

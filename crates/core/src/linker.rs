@@ -67,12 +67,6 @@ pub struct LinkerConfig {
     /// (e.g. "of", "symptomatic") with its *weakly* nearest description
     /// word would inject misleading content words into the query.
     pub rewrite_min_cosine: f32,
-    /// Precompute the frozen concept-encoding cache at [`Linker::new`]
-    /// ([`ComAid::freeze`]): every candidate's encoder states and
-    /// ancestor memory are computed once per linker instead of once per
-    /// (query, candidate). Scores are bit-identical either way; turning
-    /// this off only trades serving throughput for build time/memory.
-    pub precompute: bool,
     /// Index concept aliases alongside canonical descriptions in the
     /// Phase-I keyword matcher.
     pub index_aliases: bool,
@@ -88,27 +82,18 @@ pub struct LinkerConfig {
     /// reference at every dispatch level, which the golden-snapshot and
     /// cache bit-identity suites rely on. Turning this on perturbs
     /// scores by ≈1e-5 relative error (deterministic across dispatch
-    /// levels) in exchange for faster softmax/attention. Only effective
-    /// with `precompute: true` — the uncached path always scores
-    /// exactly.
+    /// levels) in exchange for faster softmax/attention. The uncached
+    /// safety path (stale cache, `ed.cache` fault) always scores exactly.
     pub fast_math: bool,
-    /// Storage tier for the precomputed cache ([`CacheTier`]). `Exact`
+    /// Storage tier of the frozen concept cache ([`CacheTier`]). `Exact`
     /// (the default) keeps every frozen row in f32 and scores
     /// bit-identically to the uncached path; `Compact` stores encoder
     /// states and ancestor memories as shared bf16 rows and drops the
     /// step-0 logits table, cutting resident bytes per concept by more
     /// than half at paper scale in exchange for epsilon-bounded (and
     /// [`ConceptCache::tier`](crate::comaid::ConceptCache::tier)-flagged)
-    /// score perturbation. Only effective with `precompute: true`.
+    /// score perturbation.
     pub cache_tier: CacheTier,
-    /// Freeze the precomputed cache **lazily per ontology chapter**
-    /// ([`ComAid::freeze_lazy`]): `Linker::new` builds only the shard
-    /// skeleton, and each chapter's rows are frozen by the first query
-    /// that scores a candidate in it. Scores are bit-identical to the
-    /// eager freeze (within the chosen `cache_tier`); the trade is
-    /// cold-start-to-first-link time against first-touch latency per
-    /// chapter. Only effective with `precompute: true`.
-    pub lazy_freeze: bool,
     /// Deadline budgets; all unset by default (no deadline).
     pub budget: LinkBudget,
 }
@@ -121,12 +106,10 @@ impl Default for LinkerConfig {
             remove_shared: true,
             edit_max_dist: 2,
             rewrite_min_cosine: 0.35,
-            precompute: true,
             index_aliases: true,
             max_query_tokens: 4096,
             fast_math: false,
             cache_tier: CacheTier::Exact,
-            lazy_freeze: false,
             budget: LinkBudget::default(),
         }
     }
@@ -324,51 +307,43 @@ pub struct Linker<'a> {
     /// attached: memoisation would change how often the `or.rewrite`
     /// site is visited, breaking deterministic fault replay.
     rewrite_memo: Mutex<HashMap<String, Option<String>>>,
-    /// Optional shared log-prior table for MAP ranking (Eq. 11);
-    /// `None` = the paper's default uniform prior (pure MLE, Eq. 12).
-    /// Behind an `Arc` so one table built from hospital coding
-    /// frequencies can be shared across linkers and batch requests
-    /// without rebuilding the lookup map.
-    prior: Option<Arc<PriorTable>>,
+    /// Optional log-prior table for MAP ranking (Eq. 11); `None` = the
+    /// paper's default uniform prior (pure MLE, Eq. 12).
+    prior: Option<PriorTable>,
     /// Optional deterministic fault schedule (tests and robustness
     /// benchmarks); `None` in production.
     pub(crate) faults: Option<Arc<FaultPlan>>,
-    /// Frozen concept-encoding cache ([`ComAid::freeze`]), built at
-    /// construction when [`LinkerConfig::precompute`] is on. The linker
+    /// Frozen concept-encoding cache ([`ComAid::freeze_tiered`]): the
+    /// skeleton is built at construction and each ontology chapter
+    /// freezes on the first request that scores a candidate in it
+    /// ([`Linker::warm`] freezes the rest ahead of traffic). The linker
     /// holds a shared borrow of the model, so the parameters cannot
     /// change underneath it — but staleness is still re-checked at every
-    /// scoring call (the version check is two integers). Behind an
-    /// `Arc` so one frozen cache can be shared across linkers built
-    /// from clones of the same model generation
-    /// ([`Linker::with_shared_cache`], the feedback hot-swap path) —
-    /// a clone keeps its source's version, so the validity check is
-    /// unchanged.
-    pub(crate) cache: Option<Arc<ConceptCache>>,
+    /// scoring call (the check is a few integers). Behind an `Arc` so
+    /// one frozen cache can be shared across linkers built from clones
+    /// of the same model generation ([`Linker::with_shared_cache`], the
+    /// feedback hot-swap path) — a clone keeps its source's version, so
+    /// the validity check is unchanged.
+    pub(crate) cache: Arc<ConceptCache>,
     /// Tokenised canonical description of every concept, as a set —
     /// shared-word removal consults this per (query, candidate), so
     /// tokenising at scoring time would dominate the cached fast path.
     canonical_sets: Vec<HashSet<String>>,
 }
 
-/// A normalised log-prior lookup table for MAP ranking (Eq. 11), built
-/// **once** from a raw frequency table and shared (via `Arc`) across
-/// linkers and batch requests — prior attachment used to re-normalise
-/// per linker construction.
+/// A normalised log-prior lookup table for MAP ranking (Eq. 11).
 ///
 /// Zero or negative probabilities are clamped to a tiny floor so a
 /// sparse frequency table never produces `-inf` scores; concepts absent
 /// from the table receive the floor prior.
 #[derive(Debug, Clone)]
-pub struct PriorTable {
+struct PriorTable {
     log_prior: HashMap<ConceptId, f32>,
 }
 
 impl PriorTable {
     /// Builds the table from raw (concept, probability-mass) pairs.
-    ///
-    /// # Panics
-    /// Panics if `priors` is empty.
-    pub fn new(priors: &[(ConceptId, f32)]) -> Self {
+    fn new(priors: &[(ConceptId, f32)]) -> Self {
         assert!(!priors.is_empty(), "PriorTable: empty prior table");
         let total: f32 = priors.iter().map(|&(_, p)| p.max(0.0)).sum();
         let floor = 1e-6f32;
@@ -384,23 +359,26 @@ impl PriorTable {
 
     /// The log-prior of a concept (unlisted concepts receive the floor
     /// prior).
-    pub fn log_prior(&self, c: ConceptId) -> f32 {
+    fn log_prior(&self, c: ConceptId) -> f32 {
         self.log_prior
             .get(&c)
             .copied()
             .unwrap_or_else(|| 1e-6f32.ln())
     }
+}
 
-    /// Number of concepts with an explicit prior entry.
-    pub fn len(&self) -> usize {
-        self.log_prior.len()
-    }
-
-    /// Whether the table has no explicit entries (never true for a
-    /// constructed table).
-    pub fn is_empty(&self) -> bool {
-        self.log_prior.is_empty()
-    }
+/// The concept cache a linker configured with `config` serves from:
+/// the skeleton of `index` at `model`'s parameter generation, in the
+/// configured tier and kernel mode. Shared with the hot-swap cell so a
+/// published generation's cache is the one `Linker::new` would build.
+pub(crate) fn frozen_cache(
+    model: &ComAid,
+    index: &OntologyIndex,
+    config: &LinkerConfig,
+) -> Arc<ConceptCache> {
+    let mut cache = model.freeze_tiered(index, config.cache_tier);
+    cache.set_fast_math(config.fast_math);
+    Arc::new(cache)
 }
 
 impl<'a> Linker<'a> {
@@ -434,15 +412,7 @@ impl<'a> Linker<'a> {
         }
         let tfidf = TfIdfIndex::build(&docs);
 
-        let cache = config.precompute.then(|| {
-            let mut c = if config.lazy_freeze {
-                model.freeze_lazy(&index, config.cache_tier)
-            } else {
-                model.freeze_tiered(&index, config.cache_tier)
-            };
-            c.set_fast_math(config.fast_math);
-            Arc::new(c)
-        });
+        let cache = frozen_cache(model, &index, &config);
 
         let canonical_sets: Vec<HashSet<String>> = canonical_toks
             .into_iter()
@@ -466,24 +436,43 @@ impl<'a> Linker<'a> {
         }
     }
 
-    /// The frozen concept-encoding cache, if one was precomputed
-    /// ([`LinkerConfig::precompute`]) or installed
-    /// ([`Linker::with_shared_cache`]).
+    /// The frozen concept-encoding cache. Every linker has one, so this
+    /// is always `Some`; the `Option` is the signature
+    /// `benchmark/src/api.rs` compiles against, left for a benchmark PR
+    /// to tighten.
     pub fn cache(&self) -> Option<&ConceptCache> {
-        self.cache.as_deref()
+        Some(&self.cache)
     }
 
-    /// Installs a shared frozen concept cache, replacing any cache this
-    /// linker froze at construction. The hot-swap serving path uses
+    /// Freezes every chapter of the cache no request has touched yet
+    /// ([`ConceptCache::warm`]): call before admitting traffic when no
+    /// request may pay a first-touch freeze. A linker whose cache cannot
+    /// serve (see [`Linker::with_shared_cache`]) has nothing to warm.
+    pub fn warm(&self) {
+        if self.cache_serves() {
+            self.cache.warm(self.model, &self.index);
+        }
+    }
+
+    /// Whether scoring may read the cache: it was frozen from this
+    /// model's parameter generation, over an ontology the size of this
+    /// linker's.
+    pub(crate) fn cache_serves(&self) -> bool {
+        self.cache.serves(self.model, &self.index)
+    }
+
+    /// Installs a shared frozen concept cache, replacing the one this
+    /// linker built at construction. The hot-swap serving path uses
     /// this to build a linker over a model-generation snapshot without
     /// re-freezing: the generation's cache was frozen once from a clone
     /// of the same parameters, so it is valid for this model (clones
-    /// keep their source's version). Staleness is still re-checked at
+    /// keep their source's version). Validity is still re-checked at
     /// every scoring call, so installing a cache frozen from a
-    /// *different* generation degrades to uncached scoring rather than
-    /// serving wrong bits.
+    /// *different* generation — or over a different ontology — degrades
+    /// to uncached scoring ([`crate::serving::CacheUse::Stale`]) rather
+    /// than serving wrong bits.
     pub fn with_shared_cache(mut self, cache: Arc<ConceptCache>) -> Self {
-        self.cache = Some(cache);
+        self.cache = cache;
         self
     }
 
@@ -503,29 +492,14 @@ impl<'a> Linker<'a> {
     /// historical coding frequencies from the hospital database.
     ///
     /// Zero or negative probabilities are clamped to a tiny floor so a
-    /// sparse frequency table never produces `-inf` scores.
-    ///
-    /// The lookup map is built **once** (as a [`PriorTable`]) and can
-    /// be shared across linkers and batch requests — use
-    /// [`Linker::with_prior_table`] to attach an existing table
-    /// without re-normalising.
+    /// sparse frequency table never produces `-inf` scores; concepts
+    /// absent from `priors` receive the floor prior.
     ///
     /// # Panics
     /// Panics if `priors` is empty.
-    pub fn with_prior(self, priors: &[(ConceptId, f32)]) -> Self {
-        self.with_prior_table(Arc::new(PriorTable::new(priors)))
-    }
-
-    /// Attaches an already-built (possibly shared) [`PriorTable`].
-    pub fn with_prior_table(mut self, table: Arc<PriorTable>) -> Self {
-        self.prior = Some(table);
+    pub fn with_prior(mut self, priors: &[(ConceptId, f32)]) -> Self {
+        self.prior = Some(PriorTable::new(priors));
         self
-    }
-
-    /// The installed prior table, if any — clone the `Arc` to share it
-    /// with another linker.
-    pub fn prior_table(&self) -> Option<&Arc<PriorTable>> {
-        self.prior.as_ref()
     }
 
     /// The log-prior of a concept under the installed prior (unlisted
@@ -838,7 +812,7 @@ impl<'a> Linker<'a> {
     }
 
     /// [`Linker::retrieve`] plus the Phase-I work counters.
-    pub fn retrieve_with_stats<'q>(
+    fn retrieve_with_stats<'q>(
         &self,
         tokens: &'q [String],
     ) -> (Cow<'q, [String]>, Vec<ConceptId>, RetrievalStats) {
@@ -876,17 +850,6 @@ impl<'a> Linker<'a> {
     /// `ncl_baselines::AnnotatorScore`).
     pub fn link_with_scorer(&self, tokens: &[String], scorer: &dyn ScoreStage) -> LinkResult {
         serving::drive(self, tokens, scorer)
-    }
-
-    /// Links a query under a caller-supplied [`LinkBudget`], replacing
-    /// the configured budget for this call only. This is how the
-    /// serving front end ([`crate::serving::Frontend`]) wires
-    /// per-request deadlines and shed-rung budget caps into the staged
-    /// chain without mutating the shared linker; it is equally usable
-    /// directly by callers that price requests individually
-    /// (interactive vs batch traffic).
-    pub fn link_budgeted(&self, tokens: &[String], budget: LinkBudget) -> LinkResult {
-        serving::drive_with(self, tokens, &ComAidScore::new(self), budget, Vec::new())
     }
 
     /// Links a batch of queries: one rewrite prefetch over the whole
@@ -1101,9 +1064,8 @@ impl<'a> Linker<'a> {
 
     /// Links a whole tokenised clinical note: proposes mention spans,
     /// sends every span through the staged chain in note order (with
-    /// the batch rewrite prefetch and this linker's shared
-    /// [`PriorTable`]), and rolls the per-span answers up into a
-    /// [`DocumentResult`].
+    /// the batch rewrite prefetch and this linker's prior), and rolls
+    /// the per-span answers up into a [`DocumentResult`].
     ///
     /// Like [`Linker::link`], this call *degrades rather than fails*:
     /// the configured total budget becomes a whole-note deadline that
@@ -1111,12 +1073,13 @@ impl<'a> Linker<'a> {
     /// see less remaining budget and walk down the degradation ladder.
     /// An all-filler note yields an empty result, not an error.
     pub fn link_document(&self, tokens: &[String]) -> DocumentResult {
-        self.link_document_with(tokens, &ProposeConfig::default())
-    }
-
-    /// [`Linker::link_document`] with explicit span-proposal knobs.
-    pub fn link_document_with(&self, tokens: &[String], config: &ProposeConfig) -> DocumentResult {
-        serving::link_document(self, tokens, config, self.config.budget, Vec::new())
+        serving::link_document(
+            self,
+            tokens,
+            &ProposeConfig::default(),
+            self.config.budget,
+            Vec::new(),
+        )
     }
 
     /// Validating twin of [`Linker::link_document`]: rejects notes
@@ -1126,21 +1089,12 @@ impl<'a> Linker<'a> {
     /// than `max_query_tokens` (each proposed span is clamped to a
     /// valid query length instead).
     pub fn try_link_document(&self, tokens: &[String]) -> Result<DocumentResult, NclError> {
-        self.try_link_document_with(tokens, &ProposeConfig::default())
-    }
-
-    /// [`Linker::try_link_document`] with explicit span-proposal knobs.
-    pub fn try_link_document_with(
-        &self,
-        tokens: &[String],
-        config: &ProposeConfig,
-    ) -> Result<DocumentResult, NclError> {
         if tokens.iter().all(|t| t.trim().is_empty()) {
             return Err(NclError::InvalidQuery {
                 reason: "note is empty after normalisation".into(),
             });
         }
-        Ok(self.link_document_with(tokens, config))
+        Ok(self.link_document(tokens))
     }
 
     /// Scores `log p(q|c)` for each candidate on the calling thread.
@@ -1150,15 +1104,17 @@ impl<'a> Linker<'a> {
     /// `deadline` stay unscored. Returns per-candidate scores
     /// (`None` = unscored) and the number of candidates lost to panics.
     ///
-    /// With a valid precomputed cache, no faults, and no deadline, the
-    /// *batched* fast path runs: all candidates advance one decoder
-    /// timestep per output-matrix pass ([`ComAid::log_prob_batch_cached`]).
-    /// Scores are bit-identical to the per-candidate path. Under faults
-    /// or a deadline the per-candidate loop runs instead so the PR-1
+    /// With a serving cache, no faults, and no deadline, the *batched*
+    /// fast path runs: all candidates advance one decoder timestep per
+    /// output-matrix pass ([`ComAid::log_prob_batch_cached`]). Scores
+    /// are bit-identical to the per-candidate path. Under faults or a
+    /// deadline the per-candidate loop runs instead so the PR-1
     /// degradation ladder (per-candidate isolation, mid-phase cutoff)
     /// keeps its granularity; it still serves from the cache, with the
     /// "ed.cache" fault site modelling a cache miss that falls back to
-    /// uncached scoring.
+    /// uncached scoring. A cache that cannot serve
+    /// ([`Linker::cache_serves`]) sends every candidate down that
+    /// uncached path.
     pub(crate) fn score_candidates(
         &self,
         candidates: &[ConceptId],
@@ -1172,14 +1128,12 @@ impl<'a> Linker<'a> {
             .iter()
             .map(|&c| self.scoring_mask(c, query))
             .collect();
+        // The query's decoder input projections are candidate-
+        // independent too: made once here, read by every candidate on
+        // either scoring path.
         let cache = self
-            .cache
-            .as_deref()
-            .filter(|cache| cache.is_valid_for(self.model))
-            // The query's decoder input projections are candidate-
-            // independent too: made once here, read by every candidate
-            // on either scoring path.
-            .map(|cache| (cache, self.model.prepare_target(cache, &ids)));
+            .cache_serves()
+            .then(|| (&*self.cache, self.model.prepare_target(&self.cache, &ids)));
 
         if self.faults.is_none() && deadline.is_none() {
             if let Some((cache, prepared)) = &cache {
@@ -1523,49 +1477,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_and_uncached_linkers_agree_bitwise() {
-        let (o, model) = trained_world();
-        let cached = Linker::new(&model, &o, LinkerConfig::default());
-        let uncached = Linker::new(
-            &model,
-            &o,
-            LinkerConfig {
-                precompute: false,
-                ..LinkerConfig::default()
-            },
-        );
-        assert!(cached.cache().is_some());
-        assert!(uncached.cache().is_none());
-        for q in [
-            "ckd stage 5",
-            "abdominal pain",
-            "renal disease stage 5",
-            "unspecified disease",
-        ] {
-            let a = cached.link_text(q);
-            let b = uncached.link_text(q);
-            assert_eq!(a.ranked_ids(), b.ranked_ids(), "query {q}");
-            for (&(ca, sa), &(cb, sb)) in a.ranked.iter().zip(&b.ranked) {
-                assert_eq!(ca, cb);
-                assert_eq!(sa.to_bits(), sb.to_bits(), "query {q}");
-            }
-            assert_eq!(a.degradation, Degradation::None);
-            assert_eq!(b.degradation, Degradation::None);
-        }
-    }
-
-    #[test]
-    fn lazy_and_compact_linkers_serve_the_same_answers() {
+    fn warmed_and_compact_linkers_serve_the_same_answers() {
         let (o, model) = trained_world();
         let exact = Linker::new(&model, &o, LinkerConfig::default());
-        let lazy = Linker::new(
-            &model,
-            &o,
-            LinkerConfig {
-                lazy_freeze: true,
-                ..LinkerConfig::default()
-            },
-        );
+        let warmed = Linker::new(&model, &o, LinkerConfig::default());
+        warmed.warm();
         let compact = Linker::new(
             &model,
             &o,
@@ -1576,12 +1492,16 @@ mod tests {
         );
         assert_eq!(exact.cache().unwrap().tier(), CacheTier::Exact);
         assert_eq!(compact.cache().unwrap().tier(), CacheTier::Compact);
-        assert_eq!(lazy.cache().unwrap().frozen_shard_count(), 0);
+        assert_eq!(exact.cache.frozen_shard_count(), 0);
+        assert_eq!(
+            warmed.cache.frozen_shard_count(),
+            warmed.cache.shard_count()
+        );
         for q in ["ckd stage 5", "abdominal pain", "acute abdomen"] {
             let a = exact.link_text(q);
-            // Lazy freezing only moves *when* chapters freeze: bitwise
+            // `warm` only moves *when* chapters freeze: bitwise
             // identical scores.
-            let b = lazy.link_text(q);
+            let b = warmed.link_text(q);
             assert_eq!(a.ranked_ids(), b.ranked_ids(), "query {q}");
             for (&(_, sa), &(_, sb)) in a.ranked.iter().zip(&b.ranked) {
                 assert_eq!(sa.to_bits(), sb.to_bits(), "query {q}");
@@ -1598,7 +1518,11 @@ mod tests {
                 );
             }
         }
-        assert!(lazy.cache().unwrap().frozen_shard_count() > 0);
+        assert!(exact.cache.frozen_shard_count() > 0);
+        assert_eq!(
+            warmed.cache.frozen_shard_count(),
+            warmed.cache.shard_count()
+        );
     }
 
     #[test]

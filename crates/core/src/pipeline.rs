@@ -58,7 +58,6 @@ impl NclConfig {
                 epochs: 4,
                 lr: 0.05,
                 seed: 0x5eed,
-                threads: 1,
             },
             pretrain: true,
             linker: LinkerConfig::default(),

@@ -322,12 +322,10 @@ pub struct FrontendStats {
     /// Rank-stage (RT) wall-clock.
     pub rank: HistSummary,
     /// Resident-memory report of the linker's frozen concept cache
-    /// ([`ConceptCache::memory_report`](crate::comaid::ConceptCache::memory_report));
-    /// `None` when the linker serves uncached
-    /// ([`crate::linker::LinkerConfig::precompute`] off). Under a lazy
-    /// freeze the snapshot covers the shards frozen so far, so
-    /// successive snapshots show the cache warming chapter by chapter.
-    pub cache: Option<CacheMemoryReport>,
+    /// ([`ConceptCache::memory_report`](crate::comaid::ConceptCache::memory_report)).
+    /// The snapshot covers the shards frozen so far, so successive
+    /// snapshots show the cache warming chapter by chapter.
+    pub cache: CacheMemoryReport,
 }
 
 impl FrontendStats {
@@ -554,7 +552,7 @@ impl<'f, 'a> Frontend<'f, 'a> {
             retrieve: h.stages[2].summary(),
             score: h.stages[3].summary(),
             rank: h.stages[4].summary(),
-            cache: self.linker.cache().map(|c| c.memory_report()),
+            cache: self.linker.cache.memory_report(),
         }
     }
 

@@ -264,7 +264,6 @@ mod tests {
     fn no_rewrite() -> LinkerConfig {
         LinkerConfig {
             rewrite: false,
-            precompute: false,
             ..LinkerConfig::default()
         }
     }
@@ -421,14 +420,7 @@ mod tests {
     fn rewrites_extend_but_never_anchor_a_span() {
         let (o, model) = world();
         // Rewrite on: "pains" is OOV but one edit from "pain".
-        let linker = Linker::new(
-            &model,
-            &o,
-            LinkerConfig {
-                precompute: false,
-                ..LinkerConfig::default()
-            },
-        );
+        let linker = Linker::new(&model, &o, LinkerConfig::default());
         // A lone rewrite-only run is not a mention by default...
         let spans = scan(&linker, "today pains today", &ProposeConfig::default());
         assert!(spans.is_empty(), "got {spans:?}");

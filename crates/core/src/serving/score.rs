@@ -81,10 +81,10 @@ impl ScoreStage for ComAidScore<'_, '_> {
         let (scores, lost_jobs) =
             self.linker
                 .score_candidates(req.candidates, req.query, req.deadline);
-        let cache = match self.linker.cache.as_ref() {
-            None => CacheUse::Unconfigured,
-            Some(c) if c.is_valid_for(self.linker.model) => CacheUse::Served,
-            Some(_) => CacheUse::Stale,
+        let cache = if self.linker.cache_serves() {
+            CacheUse::Served
+        } else {
+            CacheUse::Stale
         };
         ScoreOutcome {
             scores,

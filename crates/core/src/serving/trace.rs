@@ -44,15 +44,15 @@ pub struct StageTiming {
 /// How the Score stage used the frozen concept-encoding cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheUse {
-    /// No cache applies: none was precomputed, or the scorer (e.g. a
+    /// No cache applies: scoring was skipped, or the scorer (e.g. a
     /// baseline) does not consult one.
     #[default]
     Unconfigured,
     /// Candidates were served from the frozen cache (batched or
     /// per-candidate path; identical bits either way).
     Served,
-    /// A cache exists but was stale for the current model version, so
-    /// scoring fell back to the uncached path.
+    /// The linker's cache was frozen from another model version or over
+    /// another ontology, so scoring fell back to the uncached path.
     Stale,
 }
 

@@ -1,9 +1,10 @@
 //! Cache-tier acceptance suite (ISSUE 8): the `Compact` tier must be a
 //! pure memory trade — epsilon-bounded scores, explicitly flagged via
 //! [`ConceptCache::tier`], batched ≡ single bitwise within the tier —
-//! and lazy freezing must be invisible except for *when* the work
-//! happens: a lazily frozen shard scores bit-identically to its eagerly
-//! frozen counterpart, and untouched chapters cost zero resident bytes.
+//! and *when* a chapter freezes must be invisible: a shard frozen on
+//! first touch holds the rows and serves the scores of one frozen by
+//! [`ConceptCache::warm`], and untouched chapters cost zero resident
+//! bytes.
 //!
 //! These tests run (and must pass) under `NCL_FORCE_SCALAR=1` too: the
 //! bf16 widen/narrow kernels are bit-exact across dispatch levels, so
@@ -72,24 +73,45 @@ fn score_all(
 }
 
 #[test]
-fn lazy_exact_scores_bit_identical_to_eager() {
+fn first_touch_matches_warm_in_both_tiers() {
     let (o, v) = world(4, 3, 3);
     let idx = OntologyIndex::build(&o, &v, 2);
     let m = model_for(v);
-    let eager = m.freeze(&idx);
-    let lazy = m.freeze_lazy(&idx, CacheTier::Exact);
-    assert_eq!(lazy.frozen_shard_count(), 0);
-    assert_eq!(lazy.shard_count(), 4 + 1, "one shard per chapter + root");
+    for tier in [CacheTier::Exact, CacheTier::Compact] {
+        let warmed = m.freeze_tiered(&idx, tier);
+        warmed.warm(&m, &idx);
+        assert_eq!(warmed.shard_count(), 4 + 1, "one shard per chapter + root");
+        assert_eq!(warmed.frozen_shard_count(), warmed.shard_count());
 
-    let target = m.encode_text("system 1 disorder group 2 type t1x2x0");
-    let a = score_all(&m, &idx, &eager, &o, &target);
-    let b = score_all(&m, &idx, &lazy, &o, &target);
-    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "concept #{i}");
+        let touched = m.freeze_tiered(&idx, tier);
+        assert_eq!(touched.frozen_shard_count(), 0);
+        let target = m.encode_text("system 1 disorder group 2 type t1x2x0");
+        let leaf = o.by_code("C01.20").unwrap();
+        let mask = vec![true; target.len()];
+        let _ = m.log_prob_ids_masked_cached(&idx, &touched, leaf, &target, &mask);
+        assert_eq!(touched.frozen_shard_count(), 1, "{}", tier.name());
+
+        let a = score_all(&m, &idx, &warmed, &o, &target);
+        let b = score_all(&m, &idx, &touched, &o, &target);
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{} concept #{i}", tier.name());
+        }
+        for c in o.all_concepts() {
+            assert_eq!(
+                warmed.encoder_states(&m, &idx, c),
+                touched.encoder_states(&m, &idx, c),
+                "{} {:?}",
+                tier.name(),
+                o.concept(c).code
+            );
+        }
+        // Scoring every concept touched every chapter — but never the
+        // root slot's shard (the root is not a concept of the ontology
+        // proper); `warm` picks up what is left.
+        assert_eq!(touched.frozen_shard_count(), touched.shard_count() - 1);
+        touched.warm(&m, &idx);
+        assert_eq!(touched.frozen_shard_count(), touched.shard_count());
     }
-    // Scoring every concept touched every chapter — but never the root
-    // slot's shard (the root is not a concept of the ontology proper).
-    assert_eq!(lazy.frozen_shard_count(), lazy.shard_count() - 1);
 }
 
 #[test]
@@ -97,9 +119,9 @@ fn untouched_chapters_cost_nothing() {
     let (o, v) = world(4, 3, 3);
     let idx = OntologyIndex::build(&o, &v, 2);
     let m = model_for(v);
-    let lazy = m.freeze_lazy(&idx, CacheTier::Exact);
+    let cache = m.freeze(&idx);
 
-    let r0 = lazy.memory_report();
+    let r0 = cache.memory_report();
     assert_eq!(r0.frozen_shards, 0);
     assert_eq!(r0.frozen_concepts, 0);
     assert_eq!(
@@ -113,8 +135,8 @@ fn untouched_chapters_cost_nothing() {
     let target = m.encode_text("system 0 disorder group 0 type t0x0x0");
     let mask = vec![true; target.len()];
     let leaf = o.by_code("C00.00").unwrap();
-    let _ = m.log_prob_ids_masked_cached(&idx, &lazy, leaf, &target, &mask);
-    let r1 = lazy.memory_report();
+    let _ = m.log_prob_ids_masked_cached(&idx, &cache, leaf, &target, &mask);
+    let r1 = cache.memory_report();
     assert_eq!(r1.frozen_shards, 1);
     // Chapter subtree: the chapter + 3 categories + 9 leaves.
     assert_eq!(r1.frozen_concepts, 1 + 3 + 3 * 3);
@@ -167,27 +189,17 @@ fn compact_batch_bit_identical_to_compact_single() {
 }
 
 #[test]
-fn lazy_compact_matches_eager_compact() {
-    let (o, v) = world(3, 2, 3);
-    let idx = OntologyIndex::build(&o, &v, 2);
-    let m = model_for(v);
-    let eager = m.freeze_tiered(&idx, CacheTier::Compact);
-    let lazy = m.freeze_lazy(&idx, CacheTier::Compact);
-    let target = m.encode_text("system 2 disorder group 0 type t2x0x2");
-    let a = score_all(&m, &idx, &eager, &o, &target);
-    let b = score_all(&m, &idx, &lazy, &o, &target);
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.to_bits(), y.to_bits());
-    }
-}
-
-#[test]
 fn compact_memory_at_least_2x_smaller_with_shared_ancestors() {
     let (o, v) = world(6, 5, 4);
     let idx = OntologyIndex::build(&o, &v, 2);
     let m = model_for(v);
-    let exact = m.freeze(&idx).memory_report();
-    let compact = m.freeze_tiered(&idx, CacheTier::Compact).memory_report();
+    let warm_report = |tier| {
+        let cache = m.freeze_tiered(&idx, tier);
+        cache.warm(&m, &idx);
+        cache.memory_report()
+    };
+    let exact = warm_report(CacheTier::Exact);
+    let compact = warm_report(CacheTier::Compact);
 
     assert_eq!(exact.frozen_concepts, idx.len());
     assert_eq!(compact.frozen_concepts, idx.len());

@@ -1,6 +1,8 @@
 //! Serving-cache acceptance suite (ISSUE 2): the frozen concept-encoding
-//! cache must be *invisible* except for speed — cached and uncached
-//! linkers return bit-identical ranked results, a cache outlives neither
+//! cache must be *invisible* except for speed — a linker serving from it
+//! and one whose every cache read misses (the uncached
+//! `log_prob_ids_masked` path) return bit-identical ranked results, a
+//! cache outlives neither
 //! a training step nor a checkpoint round-trip, and the batched scoring
 //! path agrees with the per-candidate path to the last bit.
 
@@ -8,11 +10,13 @@ use ncl_core::comaid::{
     CacheTier, ComAid, ComAidConfig, ConceptCache, OntologyIndex, TrainPair, Variant,
 };
 use ncl_core::linker::{Degradation, Linker, LinkerConfig};
+use ncl_core::{FaultKind, FaultPlan};
 use ncl_ontology::{ConceptId, Ontology, OntologyBuilder};
 use ncl_tensor::{simd, Vector};
 use ncl_text::{tokenize, Vocab};
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A small trained world shared by the deterministic tests.
 fn trained_world() -> (Ontology, ComAid) {
@@ -77,6 +81,13 @@ fn trained_world() -> (Ontology, ComAid) {
     (o, model)
 }
 
+/// The uncached reference linker: an `ed.cache` fault on every visit
+/// sends each candidate down `ComAid::log_prob_ids_masked`.
+fn uncached<'a>(model: &'a ComAid, o: &'a Ontology, config: LinkerConfig) -> Linker<'a> {
+    let plan = FaultPlan::new(0).with_rule("ed.cache", FaultKind::Io, 1.0);
+    Linker::new(model, o, config).with_faults(Arc::new(plan))
+}
+
 const QUERIES: &[&str] = &[
     "ckd stage 5",
     "abdominal pain",
@@ -107,23 +118,12 @@ fn assert_bit_identical(
 fn cached_and_uncached_agree_across_k() {
     let (o, model) = trained_world();
     for k in [2usize, 20] {
-        let cached = Linker::new(
-            &model,
-            &o,
-            LinkerConfig {
-                k,
-                ..LinkerConfig::default()
-            },
-        );
-        let uncached = Linker::new(
-            &model,
-            &o,
-            LinkerConfig {
-                k,
-                precompute: false,
-                ..LinkerConfig::default()
-            },
-        );
+        let config = LinkerConfig {
+            k,
+            ..LinkerConfig::default()
+        };
+        let cached = Linker::new(&model, &o, config);
+        let uncached = uncached(&model, &o, config);
         for q in QUERIES {
             let a = cached.link_text(q);
             let b = uncached.link_text(q);
@@ -170,14 +170,7 @@ fn training_after_freeze_invalidates_and_rebuild_recovers() {
     // …and a rebuilt linker (fresh freeze) serves bit-identically.
     let cached = Linker::new(&model, &o, LinkerConfig::default());
     assert!(cached.cache().is_some_and(|cc| cc.is_valid_for(&model)));
-    let uncached = Linker::new(
-        &model,
-        &o,
-        LinkerConfig {
-            precompute: false,
-            ..LinkerConfig::default()
-        },
-    );
+    let uncached = uncached(&model, &o, LinkerConfig::default());
     for q in QUERIES {
         assert_bit_identical(&cached.link_text(q), &uncached.link_text(q), q);
     }
@@ -356,9 +349,10 @@ fn assert_rows_bit_identical(got: &[Vector], want: &[Vector], ctx: &str) {
 proptest! {
     /// Property: the prefix-trie freeze stores, for every concept, exactly
     /// the states a per-concept `Lstm::forward_states` pass produces —
-    /// eager and lazy, in both tiers — runs one encoder step per distinct
-    /// prefix of a chapter, and (the final cell and the frozen BOS step
-    /// ride on the scores) serves bit-identically to the uncached model.
+    /// on first touch and after `warm`, in both tiers — runs one encoder
+    /// step per distinct prefix of a chapter, and (the final cell and the
+    /// frozen BOS step ride on the scores) serves bit-identically to the
+    /// uncached model.
     #[test]
     fn trie_shared_freeze_equals_per_concept_encoder_passes(
         shape in proptest::collection::vec(0usize..50 * 6 * 40, 2..14),
@@ -397,9 +391,10 @@ proptest! {
         }
 
         for tier in [CacheTier::Exact, CacheTier::Compact] {
-            let eager = model.freeze_tiered(&index, tier);
-            let lazy = model.freeze_lazy(&index, tier);
-            // Touch the lazy shards in the opposite order to the eager
+            let warmed = model.freeze_tiered(&index, tier);
+            warmed.warm(&model, &index);
+            let touched = model.freeze_tiered(&index, tier);
+            // First-touch the shards in the opposite order to `warm`'s
             // sweep.
             for &c in concepts.iter().rev() {
                 let reference = reference_encoder_states(&model, &index, c);
@@ -408,15 +403,15 @@ proptest! {
                     CacheTier::Compact => reference.iter().map(through_bf16).collect(),
                 };
                 let ctx = format!("{} {:?}", tier.name(), o.concept(c).canonical);
-                assert_rows_bit_identical(&lazy.encoder_states(&model, &index, c), &want, &ctx);
-                assert_rows_bit_identical(&eager.encoder_states(&model, &index, c), &want, &ctx);
-                prop_assert_eq!(score(&eager, c), score(&lazy, c), "{}", ctx);
+                assert_rows_bit_identical(&touched.encoder_states(&model, &index, c), &want, &ctx);
+                assert_rows_bit_identical(&warmed.encoder_states(&model, &index, c), &want, &ctx);
+                prop_assert_eq!(score(&warmed, c), score(&touched, c), "{}", ctx);
                 if tier == CacheTier::Exact {
                     let plain = model.log_prob_ids_masked(&index, c, &target, &mask);
-                    prop_assert_eq!(score(&eager, c), plain.to_bits(), "{}", ctx);
+                    prop_assert_eq!(score(&warmed, c), plain.to_bits(), "{}", ctx);
                 }
             }
-            for report in [eager.memory_report(), lazy.memory_report()] {
+            for report in [warmed.memory_report(), touched.memory_report()] {
                 prop_assert_eq!(report.encoder_tokens, tokens);
                 prop_assert_eq!(report.encoder_steps_run, prefixes.len());
                 prop_assert!(report.encoder_share_ratio() >= 1.0);
@@ -425,7 +420,7 @@ proptest! {
     }
 
     /// Property: for random ontologies and random queries, a cached and
-    /// an uncached linker produce the same ranked concept ids (and
+    /// an every-read-misses linker produce the same ranked concept ids (and
     /// bit-identical scores). The model is untrained — the property is
     /// about the serving path, not about score quality.
     #[test]
@@ -444,10 +439,7 @@ proptest! {
         };
         let model = ComAid::new(v, config, None);
         let cached = Linker::new(&model, &o, LinkerConfig::default());
-        let uncached = Linker::new(&model, &o, LinkerConfig {
-            precompute: false,
-            ..LinkerConfig::default()
-        });
+        let uncached = uncached(&model, &o, LinkerConfig::default());
         let query: Vec<String> = qsel.iter().map(|&i| WORDS[i].to_string()).collect();
         let a = cached.link(&query);
         let b = uncached.link(&query);

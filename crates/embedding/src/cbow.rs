@@ -8,11 +8,9 @@
 
 use crate::corpus::Corpus;
 use ncl_tensor::ops::sigmoid;
-use ncl_tensor::pool::WorkerPool;
 use ncl_tensor::{init, Matrix, Vector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// CBOW hyper-parameters (defaults from Appendix B.2).
 #[derive(Debug, Clone, Copy)]
@@ -29,14 +27,6 @@ pub struct CbowConfig {
     pub lr: f32,
     /// RNG seed (training is fully deterministic given the seed).
     pub seed: u64,
-    /// Worker threads. `<= 1` runs the exact word2vec pure-SGD loop;
-    /// `>= 2` switches to a chunk-synchronous data-parallel scheme
-    /// (gradients per chunk of positions against frozen parameters,
-    /// merged in fixed shard order). The two schemes converge to
-    /// embeddings of the same quality but are *different algorithms*:
-    /// results are deterministic within each scheme (any `threads >= 2`
-    /// count gives bit-identical output) but differ between them.
-    pub threads: usize,
 }
 
 impl Default for CbowConfig {
@@ -48,7 +38,6 @@ impl Default for CbowConfig {
             epochs: 10,
             lr: 0.05,
             seed: 0x5eed,
-            threads: 1,
         }
     }
 }
@@ -64,7 +53,9 @@ pub struct CbowModel {
 }
 
 impl CbowModel {
-    /// Trains CBOW over `corpus`.
+    /// Trains CBOW over `corpus` with the word2vec pure-SGD loop: every
+    /// position updates `syn0`/`syn1` in place before the next position
+    /// reads them.
     ///
     /// # Panics
     /// Panics if the corpus vocabulary is empty of regular words.
@@ -76,10 +67,73 @@ impl CbowModel {
         let mut syn1 = Matrix::zeros(vocab_size, config.dim);
         let table = NegativeTable::new(&corpus.counts);
 
-        if config.threads <= 1 {
-            train_sequential(corpus, &config, &table, &mut rng, &mut syn0, &mut syn1);
-        } else {
-            train_parallel(corpus, &config, &table, &mut rng, &mut syn0, &mut syn1);
+        let total_positions: usize = corpus.sentences.iter().map(|s| s.len()).sum();
+        let total_steps = (total_positions * config.epochs).max(1);
+        let mut step = 0usize;
+
+        let mut h = Vector::zeros(config.dim);
+        let mut dh = Vector::zeros(config.dim);
+
+        for _epoch in 0..config.epochs {
+            for sent in &corpus.sentences {
+                for (i, &center) in sent.iter().enumerate() {
+                    let lr = (config.lr * (1.0 - step as f32 / total_steps as f32))
+                        .max(config.lr * 1e-4);
+                    step += 1;
+
+                    // word2vec uses a random dynamic window b ∈ [1, window].
+                    let b = rng.gen_range(1..=config.window.max(1));
+                    let lo = i.saturating_sub(b);
+                    let hi = (i + b + 1).min(sent.len());
+                    let mut cw = 0usize;
+                    h.fill_zero();
+                    for (j, &ctx) in sent.iter().enumerate().take(hi).skip(lo) {
+                        if j == i {
+                            continue;
+                        }
+                        h.axpy(1.0, &syn0.row_vector(ctx as usize));
+                        cw += 1;
+                    }
+                    if cw == 0 {
+                        continue;
+                    }
+                    h.scale(1.0 / cw as f32);
+
+                    dh.fill_zero();
+                    // Positive sample plus `negative` noise words.
+                    for s in 0..=config.negative {
+                        let (target, label) = if s == 0 {
+                            (center as usize, 1.0f32)
+                        } else {
+                            let mut neg = table.sample(&mut rng);
+                            if neg == center as usize {
+                                neg = table.sample(&mut rng);
+                            }
+                            (neg, 0.0)
+                        };
+                        let out = syn1.row_vector(target);
+                        let score = sigmoid(h.dot(&out));
+                        let g = (label - score) * lr;
+                        dh.axpy(g, &out);
+                        // syn1[target] += g * h
+                        let row = syn1.row_mut(target);
+                        for (r, hv) in row.iter_mut().zip(h.as_slice()) {
+                            *r += g * hv;
+                        }
+                    }
+                    // Propagate to every context word (word2vec adds the
+                    // full error vector to each).
+                    for (j, &ctx) in sent.iter().enumerate().take(hi).skip(lo) {
+                        if j == i {
+                            continue;
+                        }
+                        let row = syn0.row_mut(ctx as usize);
+                        for (r, dv) in row.iter_mut().zip(dh.as_slice()) {
+                            *r += dv;
+                        }
+                    }
+                }
+            }
         }
 
         Self { syn0, syn1, config }
@@ -109,340 +163,6 @@ impl CbowModel {
     /// The configuration used for training.
     pub fn config(&self) -> &CbowConfig {
         &self.config
-    }
-}
-
-/// The exact word2vec pure-SGD loop: every position updates `syn0`/`syn1`
-/// in place before the next position reads them. This is the reference
-/// algorithm; `threads <= 1` runs it verbatim so single-threaded results
-/// are bit-identical to every earlier release.
-fn train_sequential(
-    corpus: &Corpus,
-    config: &CbowConfig,
-    table: &NegativeTable,
-    rng: &mut StdRng,
-    syn0: &mut Matrix,
-    syn1: &mut Matrix,
-) {
-    let total_positions: usize = corpus.sentences.iter().map(|s| s.len()).sum();
-    let total_steps = (total_positions * config.epochs).max(1);
-    let mut step = 0usize;
-
-    let mut h = Vector::zeros(config.dim);
-    let mut dh = Vector::zeros(config.dim);
-
-    for _epoch in 0..config.epochs {
-        for sent in &corpus.sentences {
-            for (i, &center) in sent.iter().enumerate() {
-                let lr =
-                    (config.lr * (1.0 - step as f32 / total_steps as f32)).max(config.lr * 1e-4);
-                step += 1;
-
-                // word2vec uses a random dynamic window b ∈ [1, window].
-                let b = rng.gen_range(1..=config.window.max(1));
-                let lo = i.saturating_sub(b);
-                let hi = (i + b + 1).min(sent.len());
-                let mut cw = 0usize;
-                h.fill_zero();
-                for (j, &ctx) in sent.iter().enumerate().take(hi).skip(lo) {
-                    if j == i {
-                        continue;
-                    }
-                    h.axpy(1.0, &syn0.row_vector(ctx as usize));
-                    cw += 1;
-                }
-                if cw == 0 {
-                    continue;
-                }
-                h.scale(1.0 / cw as f32);
-
-                dh.fill_zero();
-                // Positive sample plus `negative` noise words.
-                for s in 0..=config.negative {
-                    let (target, label) = if s == 0 {
-                        (center as usize, 1.0f32)
-                    } else {
-                        let mut neg = table.sample(rng);
-                        if neg == center as usize {
-                            neg = table.sample(rng);
-                        }
-                        (neg, 0.0)
-                    };
-                    let out = syn1.row_vector(target);
-                    let score = sigmoid(h.dot(&out));
-                    let g = (label - score) * lr;
-                    dh.axpy(g, &out);
-                    // syn1[target] += g * h
-                    let row = syn1.row_mut(target);
-                    for (r, hv) in row.iter_mut().zip(h.as_slice()) {
-                        *r += g * hv;
-                    }
-                }
-                // Propagate to every context word (word2vec adds the
-                // full error vector to each).
-                for (j, &ctx) in sent.iter().enumerate().take(hi).skip(lo) {
-                    if j == i {
-                        continue;
-                    }
-                    let row = syn0.row_mut(ctx as usize);
-                    for (r, dv) in row.iter_mut().zip(dh.as_slice()) {
-                        *r += dv;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Positions per synchronization round in the data-parallel scheme.
-/// Within one chunk every shard reads the parameters frozen at the
-/// chunk boundary; deltas are merged when the whole chunk retires.
-/// Larger chunks amortize dispatch but stale the gradients (the whole
-/// chunk acts as one mini-batch); 128 keeps convergence close to the
-/// sequential loop while leaving 16-position shard jobs.
-const CHUNK: usize = 128;
-
-/// Fixed shard count per chunk. The shard structure is a pure function
-/// of the chunk (never of the worker count), so any `threads >= 2`
-/// produces bit-identical embeddings.
-const SUB_SHARDS: usize = 8;
-
-/// Everything one training position needs, pre-drawn on the main thread
-/// in global position order so the RNG stream is independent of how
-/// positions are later sharded across workers.
-struct PosDraw {
-    /// Sentence index into `corpus.sentences`.
-    sent: u32,
-    /// Position of the centre word within the sentence.
-    pos: u32,
-    /// Learning rate at this global step (linear decay, floored).
-    lr: f32,
-    /// Dynamic window radius drawn uniformly from `[1, window]`.
-    b: usize,
-    /// True when the window holds no context words (single-word
-    /// sentence): the position is a no-op, mirroring the sequential
-    /// loop's `continue`, and no negatives were drawn for it.
-    skip: bool,
-    /// Negative-sample ids, one per noise word.
-    negs: Vec<usize>,
-}
-
-/// Sparse row-delta accumulator: rows appear in first-touch order so
-/// merging is deterministic, and only touched rows cost memory.
-struct SparseRows {
-    dim: usize,
-    index: HashMap<usize, usize>,
-    rows: Vec<(usize, Vec<f32>)>,
-}
-
-impl SparseRows {
-    fn new(dim: usize) -> Self {
-        Self {
-            dim,
-            index: HashMap::new(),
-            rows: Vec::new(),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.index.clear();
-        self.rows.clear();
-    }
-
-    fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        let slot = match self.index.get(&r) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.rows.len();
-                self.rows.push((r, vec![0.0; self.dim]));
-                self.index.insert(r, slot);
-                slot
-            }
-        };
-        &mut self.rows[slot].1
-    }
-
-    /// Adds every accumulated row delta into `target`, in first-touch
-    /// order.
-    fn merge_into(&self, target: &mut Matrix) {
-        for (r, delta) in &self.rows {
-            let row = target.row_mut(*r);
-            for (t, d) in row.iter_mut().zip(delta) {
-                *t += *d;
-            }
-        }
-    }
-}
-
-/// Chunk-synchronous data-parallel CBOW. Per chunk of [`CHUNK`]
-/// positions: the main thread pre-draws every random decision in
-/// global position order, the chunk is dealt to [`SUB_SHARDS`] fixed
-/// shards whose workers compute gradients against the parameters
-/// frozen at the chunk boundary, and the sparse deltas are merged in
-/// shard order. Determinism follows because nothing depends on the
-/// worker count: draws happen on one thread, the shard structure is a
-/// function of chunk length alone, and merges run in a fixed order.
-fn train_parallel(
-    corpus: &Corpus,
-    config: &CbowConfig,
-    table: &NegativeTable,
-    rng: &mut StdRng,
-    syn0: &mut Matrix,
-    syn1: &mut Matrix,
-) {
-    let positions: Vec<(u32, u32)> = corpus
-        .sentences
-        .iter()
-        .enumerate()
-        .flat_map(|(si, s)| (0..s.len()).map(move |p| (si as u32, p as u32)))
-        .collect();
-    let total_steps = (positions.len() * config.epochs).max(1);
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let pool = WorkerPool::new(config.threads.min(hw).max(1));
-
-    let mut step = 0usize;
-    let mut draws: Vec<PosDraw> = Vec::with_capacity(CHUNK);
-    let mut shard_d0: Vec<SparseRows> = (0..SUB_SHARDS)
-        .map(|_| SparseRows::new(config.dim))
-        .collect();
-    let mut shard_d1: Vec<SparseRows> = (0..SUB_SHARDS)
-        .map(|_| SparseRows::new(config.dim))
-        .collect();
-
-    for _epoch in 0..config.epochs {
-        for chunk in positions.chunks(CHUNK) {
-            // Pre-draw all randomness for the chunk on this thread, in
-            // position order; the RNG consumption mirrors the
-            // sequential loop (negatives only when the window is
-            // non-empty).
-            draws.clear();
-            for &(si, pi) in chunk {
-                let sent = &corpus.sentences[si as usize];
-                let lr =
-                    (config.lr * (1.0 - step as f32 / total_steps as f32)).max(config.lr * 1e-4);
-                step += 1;
-                let b = rng.gen_range(1..=config.window.max(1));
-                let i = pi as usize;
-                let lo = i.saturating_sub(b);
-                let hi = (i + b + 1).min(sent.len());
-                let skip = hi - lo <= 1;
-                let mut negs = Vec::new();
-                if !skip {
-                    let center = sent[i] as usize;
-                    negs.reserve(config.negative);
-                    for _ in 0..config.negative {
-                        let mut neg = table.sample(rng);
-                        if neg == center {
-                            neg = table.sample(rng);
-                        }
-                        negs.push(neg);
-                    }
-                }
-                draws.push(PosDraw {
-                    sent: si,
-                    pos: pi,
-                    lr,
-                    b,
-                    skip,
-                    negs,
-                });
-            }
-
-            let width = draws.len().div_ceil(SUB_SHARDS).max(1);
-            let shards: Vec<&[PosDraw]> = draws.chunks(width).collect();
-            let ns = shards.len();
-            for d in shard_d0[..ns].iter_mut().chain(shard_d1[..ns].iter_mut()) {
-                d.clear();
-            }
-
-            let sentences = &corpus.sentences;
-            let frozen0: &Matrix = syn0;
-            let frozen1: &Matrix = syn1;
-            let dim = config.dim;
-            let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ns);
-            for ((shard, d0), d1) in shards
-                .into_iter()
-                .zip(shard_d0[..ns].iter_mut())
-                .zip(shard_d1[..ns].iter_mut())
-            {
-                jobs.push(Box::new(move || {
-                    run_cbow_shard(shard, sentences, frozen0, frozen1, dim, d0, d1);
-                }));
-            }
-            pool.run(jobs);
-
-            for s in 0..ns {
-                shard_d0[s].merge_into(syn0);
-                shard_d1[s].merge_into(syn1);
-            }
-        }
-    }
-}
-
-/// Computes one shard's gradient deltas against frozen parameters.
-fn run_cbow_shard(
-    draws: &[PosDraw],
-    sentences: &[Vec<u32>],
-    syn0: &Matrix,
-    syn1: &Matrix,
-    dim: usize,
-    d0: &mut SparseRows,
-    d1: &mut SparseRows,
-) {
-    let mut h = vec![0.0f32; dim];
-    let mut dh = vec![0.0f32; dim];
-    for d in draws {
-        if d.skip {
-            continue;
-        }
-        let sent = &sentences[d.sent as usize];
-        let i = d.pos as usize;
-        let center = sent[i] as usize;
-        let lo = i.saturating_sub(d.b);
-        let hi = (i + d.b + 1).min(sent.len());
-        let cw = (hi - lo - 1) as f32;
-
-        h.iter_mut().for_each(|v| *v = 0.0);
-        for (j, &ctx) in sent.iter().enumerate().take(hi).skip(lo) {
-            if j == i {
-                continue;
-            }
-            for (hv, sv) in h.iter_mut().zip(syn0.row(ctx as usize)) {
-                *hv += *sv;
-            }
-        }
-        let inv = 1.0 / cw;
-        h.iter_mut().for_each(|v| *v *= inv);
-
-        dh.iter_mut().for_each(|v| *v = 0.0);
-        for s in 0..=d.negs.len() {
-            let (target, label) = if s == 0 {
-                (center, 1.0f32)
-            } else {
-                (d.negs[s - 1], 0.0)
-            };
-            let out = syn1.row(target);
-            let score = sigmoid(h.iter().zip(out).map(|(a, b)| a * b).sum::<f32>());
-            let g = (label - score) * d.lr;
-            for (dv, ov) in dh.iter_mut().zip(out) {
-                *dv += g * *ov;
-            }
-            let row = d1.row_mut(target);
-            for (rv, hv) in row.iter_mut().zip(&h) {
-                *rv += g * *hv;
-            }
-        }
-        for (j, &ctx) in sent.iter().enumerate().take(hi).skip(lo) {
-            if j == i {
-                continue;
-            }
-            let row = d0.row_mut(ctx as usize);
-            for (rv, dv) in row.iter_mut().zip(&dh) {
-                *rv += *dv;
-            }
-        }
     }
 }
 
@@ -505,7 +225,6 @@ mod tests {
             epochs: 12,
             lr: 0.05,
             seed: 3,
-            threads: 1,
         }
     }
 
@@ -580,45 +299,6 @@ mod tests {
         let a = CbowModel::train(&corpus, small_config());
         let b = CbowModel::train(&corpus, small_config());
         assert_eq!(a.embeddings().as_slice(), b.embeddings().as_slice());
-    }
-
-    #[test]
-    fn parallel_training_is_thread_count_invariant() {
-        let corpus = synonym_corpus();
-        let at = |threads: usize| {
-            let cfg = CbowConfig {
-                threads,
-                ..small_config()
-            };
-            CbowModel::train(&corpus, cfg)
-        };
-        let two = at(2);
-        let three = at(3);
-        let four = at(4);
-        assert_eq!(two.embeddings().as_slice(), three.embeddings().as_slice());
-        assert_eq!(two.embeddings().as_slice(), four.embeddings().as_slice());
-        assert_eq!(
-            two.output_embeddings().as_slice(),
-            four.output_embeddings().as_slice()
-        );
-    }
-
-    #[test]
-    fn parallel_training_preserves_synonym_quality() {
-        let corpus = synonym_corpus();
-        let cfg = CbowConfig {
-            threads: 2,
-            ..small_config()
-        };
-        let model = CbowModel::train(&corpus, cfg);
-        assert!(model.embeddings().is_finite());
-        let v = |w: &str| model.word_vector(corpus.vocab.get(w).unwrap());
-        let sim_syn = v("kidney").cosine(&v("renal"));
-        let sim_other = v("kidney").cosine(&v("abdomen"));
-        assert!(
-            sim_syn > sim_other,
-            "parallel CBOW lost synonym structure: {sim_syn} vs {sim_other}"
-        );
     }
 
     #[test]

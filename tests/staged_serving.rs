@@ -93,6 +93,13 @@ fn render(tag: &str, query: &[String], res: &LinkResult) -> String {
     )
 }
 
+/// A plan whose only rule fails every `ed.cache` visit: each candidate
+/// takes the uncached `log_prob_ids_masked` path — the reference the
+/// cached scores must equal to the last bit.
+fn every_cache_read_misses() -> Arc<FaultPlan> {
+    Arc::new(FaultPlan::new(0).with_rule("ed.cache", FaultKind::Io, 1.0))
+}
+
 fn snapshot_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
@@ -124,10 +131,10 @@ fn link_matches_pre_refactor_golden_snapshot() {
         &w.ds.ontology,
         LinkerConfig {
             rewrite: false,
-            precompute: false,
             ..LinkerConfig::default()
         },
-    );
+    )
+    .with_faults(every_cache_read_misses());
 
     let mut lines = Vec::new();
     for q in &queries {
@@ -200,10 +207,10 @@ fn staged_link_equals_frozen_oracle_on_seed_dataset() {
         &w.ds.ontology,
         LinkerConfig {
             rewrite: false,
-            precompute: false,
             ..LinkerConfig::default()
         },
-    );
+    )
+    .with_faults(every_cache_read_misses());
     for q in snapshot_queries(w) {
         for (tag, linker) in [("default", &default), ("norewrite", &no_rewrite)] {
             assert_same_result(
@@ -511,7 +518,7 @@ fn doc2vec_baseline_serves_through_the_staged_pipeline() {
 }
 
 /// The unified trace: per-stage wall-clock for all four stages, cache
-/// usage from the precomputed concept cache, and one recorded decision
+/// usage from the frozen concept cache, and one recorded decision
 /// per out-of-vocabulary token considered by the Rewrite stage.
 #[test]
 fn trace_records_stages_cache_and_rewrite_decisions() {
@@ -548,8 +555,7 @@ fn trace_records_stages_cache_and_rewrite_decisions() {
     // not recorded.
     assert_eq!(res.trace.rewrites.len(), 1);
     assert_eq!(res.trace.rewrites[0].token, "zzzunknownzzz");
-    // The pipeline linker precomputes the concept cache, and the
-    // candidates were served from it.
+    // The candidates were served from the linker's concept cache.
     assert!(!res.candidates.is_empty());
     assert_eq!(res.trace.cache, CacheUse::Served);
 }
