@@ -15,8 +15,9 @@
 //! forced-scalar via [`simd::with_level`], so machine-speed drift hits
 //! both sides equally):
 //!
-//! * `gemm_nt` — 8×150 · 4096×150 (the serving shape: a candidate batch
-//!   against a transposed output layer),
+//! * `gemm_nt` — 8×150 · 4096×150 (eight states against an output
+//!   layer; serving decoded its candidates through this shape until it
+//!   went candidate-major, DESIGN.md §16),
 //! * the fused LSTM inference step at d=150 (the paper's largest
 //!   dimension; the plan's packed 4-gate GEMV vs the same plan forced
 //!   scalar, plus the pre-plan `Lstm::step_infer` as an informational
@@ -24,6 +25,10 @@
 //! * `log_sum_exp` over 32 768 logits (+ the epsilon-relaxed variant,
 //!   with its relative error printed),
 //! * dot-product attention over 16 memories × d=150,
+//! * informational, at the serving workloads' own shapes: the in-place
+//!   decoder step `LstmPlan::step_projected_into` at d=32 and the
+//!   flat-row `DotAttention::attend_into` over 8×32 — what a Score
+//!   request calls per candidate step and per counted head,
 //! * the training-path row-major kernels at the `hx-train` dimension
 //!   d=32 — `Matrix::gemv_acc` at 32×32 (a recurrent gate), 32×96 (the
 //!   composite layer) and 2048×32 (a full-vocabulary output layer),
@@ -147,7 +152,7 @@ fn main() {
         speedup
     };
 
-    // ---- gemm_nt: (8 x d) · (gemm_rows x d)^T, the batched-scoring shape ----
+    // ---- gemm_nt: (8 x d) · (gemm_rows x d)^T ----
     let a = init::uniform(8, d, -1.0, 1.0, &mut rng);
     let b = init::uniform(gemm_rows, d, -1.0, 1.0, &mut rng);
     let want = simd::with_level(Level::Scalar, || a.gemm_nt(&b));
@@ -287,6 +292,66 @@ fn main() {
         min_secs,
     );
     let attention_speedup = record("attention 16x150", attn_elems, t_simd, t_scalar);
+
+    // ---- the serving shapes: what one Score request actually calls ----
+    //
+    // Informational rows (recorded, not gated): the in-place decoder
+    // step and the flat-row attention at the repo benchmark's d = 32,
+    // eight memory rows — the d = 150 rows above are the paper's
+    // largest dimension, not what `icd30k-*` runs.
+    let ds = 32usize;
+    let plan32 = Lstm::new(ds, ds, &mut rng).plan();
+    let proj = plan32.project_input(init::uniform_vector(ds, -1.0, 1.0, &mut rng).as_slice());
+    let state = || (vec![0.25f32; ds], vec![-0.5f32; ds], vec![0.0f32; 4 * ds]);
+    {
+        let (mut h, mut c, mut gates) = state();
+        plan32.step_projected_into(proj.as_slice(), &mut h, &mut c, &mut gates);
+        let (hw, cw) = simd::with_level(Level::Scalar, || {
+            plan32.step_projected(proj.as_slice(), &state().0, &state().1)
+        });
+        assert_bits_eq("step_projected_into h", &h, hw.as_slice());
+        assert_bits_eq("step_projected_into c", &c, cw.as_slice());
+    }
+    let (mut h, mut c, mut gates) = state();
+    let (mut hs, mut cs, mut gs) = state();
+    let (t_simd, t_scalar) = measure_paired(
+        || plan32.step_projected_into(proj.as_slice(), &mut h, &mut c, &mut gates),
+        || {
+            simd::with_level(Level::Scalar, || {
+                plan32.step_projected_into(proj.as_slice(), &mut hs, &mut cs, &mut gs)
+            })
+        },
+        512,
+        min_secs / 2.0,
+    );
+    record("step_projected_into d=32", 4 * ds * ds, t_simd, t_scalar);
+
+    let flat = init::uniform(8, ds, -1.0, 1.0, &mut rng);
+    let s32 = init::uniform_vector(ds, -1.0, 1.0, &mut rng);
+    let (mut w8, mut ctx32) = (vec![0.0f32; 8], vec![0.0f32; ds]);
+    let attend = |w: &mut [f32], ctx: &mut [f32]| {
+        DotAttention.attend_into(
+            flat.as_slice().chunks_exact(ds),
+            s32.as_slice(),
+            w,
+            ctx,
+            false,
+        )
+    };
+    {
+        attend(&mut w8, &mut ctx32);
+        let rows: Vec<Vector> = (0..8).map(|r| flat.row_vector(r)).collect();
+        let (want, _) = simd::with_level(Level::Scalar, || DotAttention.forward(&rows, &s32));
+        assert_bits_eq("attend_into ctx", &ctx32, want.as_slice());
+    }
+    let (mut ws, mut ctxs) = (w8.clone(), ctx32.clone());
+    let (t_simd, t_scalar) = measure_paired(
+        || attend(&mut w8, &mut ctx32),
+        || simd::with_level(Level::Scalar, || attend(&mut ws, &mut ctxs)),
+        1024,
+        min_secs / 2.0,
+    );
+    record("attend_into 8x32", 2 * 8 * ds, t_simd, t_scalar);
 
     // ---- training path: row-major kernels at the hx-train dimension ----
     //

@@ -2,17 +2,23 @@
 //! tiers and per-chapter freezing at ICD-10-CM size.
 //!
 //! §6.1 serves the full ICD-10-CM ontology (93,830 concepts). The
-//! frozen concept cache behind every linker (DESIGN.md §9) stores every
-//! concept's encoder states, ancestor memory, decoder BOS state, and
-//! step-0 logits table in f32 — at paper scale that is hundreds of
-//! megabytes, and freezing all of it before the first served link
-//! (`Linker::warm`) is a full-ontology encoder sweep. This binary
-//! measures both costs and what ISSUE 8 buys back:
+//! frozen concept cache behind every linker (DESIGN.md §9) keeps, per
+//! concept, one contiguous run — the decoder's post-BOS state, the
+//! step-0 composite state and its log-sum-exp, the encoder rows — plus
+//! β references to its ancestors' rows; freezing all of it before the
+//! first served link (`Linker::warm`) is a full-ontology encoder sweep.
+//! This binary measures both costs:
 //!
-//! * **`CacheTier::Compact`** (bf16 rows, shared ancestor pool, no
-//!   step-0 table) must cut resident bytes per concept by ≥ 2× at
-//!   every scale (epsilon-bounded scores, asserted bit-exactly
-//!   reproducible in `crates/core/tests/cache_tier.rs`).
+//! * **`CacheTier::Compact`** stores the encoder rows as bf16 and
+//!   shares everything else with `Exact`, so the tiers differ by half
+//!   the row bytes: ≈ 1.5× per concept, recorded and gated against
+//!   `ci/bench_baseline_fig17.json` (epsilon-bounded scores, asserted
+//!   reproducible in `crates/core/tests/cache_tier.rs`). It was ≈ 3.9×
+//!   while `Exact` also kept a `|V|`-float step-0 table and a clone of
+//!   every ancestor row per slot; `Exact` has since taken both of those
+//!   savings exactly, which is why the ratio fell. Only a > 1.2×
+//!   collapse floor is enforced here — whether two tiers remain is
+//!   ROADMAP item 3's call, on the per-component table this prints.
 //! * **Per-chapter freezing on first touch** over a checkpoint opened
 //!   through the v2 offset-table format ([`MappedCheckpoint`]) makes
 //!   cold-start-to-first-link faster than `warm()`-then-link at 93,830
@@ -141,6 +147,7 @@ fn main() {
 
     let mut records: Vec<ScaleRow> = Vec::new();
     let mut rows = Vec::new();
+    let mut components = Vec::new();
     for &n in scales {
         let o = generate_icd10cm_at_least(n, 17);
         let model = model_for(&o);
@@ -157,6 +164,18 @@ fn main() {
         let exact = warm_report(CacheTier::Exact);
         let compact = warm_report(CacheTier::Compact);
         let shrink = exact.bytes_per_concept() / compact.bytes_per_concept();
+        for r in [&exact, &compact] {
+            let per = |bytes: usize| format!("{:.1}", bytes as f64 / r.frozen_concepts as f64);
+            components.push(vec![
+                r.concepts.to_string(),
+                r.tier.name().to_string(),
+                per(r.enc_state_bytes),
+                per(r.decoder_state_bytes),
+                per(r.step0_bytes),
+                per(r.ancestor_bytes),
+                format!("{:.1}", r.bytes_per_concept()),
+            ]);
+        }
 
         // Cold start from a v2 checkpoint: warm()-then-link vs link,
         // best of `reps` (cold-start is one-shot work; min is the
@@ -232,6 +251,23 @@ fn main() {
         )
     );
 
+    table::banner("Figure 17: resident bytes per concept, by component (d = 16)");
+    println!(
+        "{}",
+        table::render(
+            &[
+                "concepts",
+                "tier",
+                "enc rows+offsets",
+                "dec h1/c1",
+                "step 0",
+                "anc refs",
+                "total"
+            ],
+            &components
+        )
+    );
+
     ncl_bench::results::write_json("fig17_scale_serving", &records);
 
     // Flat gate record: ratios only (machine-speed cancels), all
@@ -259,13 +295,12 @@ fn main() {
         Err(e) => eprintln!("warning: cannot write BENCH_fig17.json: {e}"),
     }
 
-    // Acceptance (ISSUE 8): Compact ≥ 2× smaller bytes/concept at
-    // every scale. The cold-start ratio at paper scale is gated against
-    // the baseline record; here only a collapse is fatal.
+    // Both ratios are gated against the baseline record; here only a
+    // collapse is fatal.
     for r in &records {
         assert!(
-            r.shrink >= 2.0,
-            "Compact must halve bytes/concept at {} concepts (got {:.2}x)",
+            r.shrink > 1.2,
+            "Compact's saving collapsed at {} concepts: {:.2}x bytes/concept",
             r.concepts,
             r.shrink
         );
@@ -281,7 +316,7 @@ fn main() {
         last.cold_speedup
     );
     println!(
-        "\nfig17 acceptance: compact >= 2x smaller — ok; cold start {:.2}x vs warm()-then-link (recorded; gated vs baseline, not asserted)",
-        last.cold_speedup
+        "\nfig17 acceptance: compact {:.2}x smaller, cold start {:.2}x vs warm()-then-link (recorded; gated vs baseline, asserted only > 1.2x)",
+        last.shrink, last.cold_speedup
     );
 }

@@ -3,13 +3,23 @@
 //! At serving time the model parameters are fixed, so everything Phase II
 //! recomputes per query *about the concepts* is loop-invariant: the
 //! encoder states `h_1..h_n^c` of every candidate's canonical description
-//! (the textual attention memory of Eq. 5), the final state `h_n^c` that
-//! seeds the decoder (`s_0 = h_n^c`, §4.1.2) together with the final
-//! cell, and the β ancestor encodings forming the structural attention
-//! memory (Eq. 7). A [`ConceptCache`] computes all of it once per
-//! ontology chapter — on the first request that scores a candidate in
-//! the chapter, or ahead of traffic through [`ConceptCache::warm`] —
-//! and online scoring then only runs the decoder over the query.
+//! (the textual attention memory of Eq. 5), the decoder state after the
+//! query-invariant `⟨BOS⟩` step, that step's composite state `s̃₀` with
+//! the log-sum-exp of its logits (the first scored word), and the β
+//! ancestor encodings forming the structural attention memory (Eq. 7).
+//! A [`ConceptCache`] computes all of it once per ontology chapter — on
+//! the first request that scores a candidate in the chapter, or ahead of
+//! traffic through [`ConceptCache::warm`] — and online scoring then only
+//! runs the decoder over the query.
+//!
+//! **Layout.** A frozen shard is flat storage laid out for its reader:
+//! per node one contiguous run `[dec_h1 | dec_c1 | s̃₀ | lse₀ | h_1..h_n]`
+//! in a per-shard slab (DESIGN.md §9), and the structural memory as β
+//! references to each ancestor's final encoder row *in the same slab* —
+//! an ancestor's encoding is that ancestor's own last row, so nothing is
+//! stored twice. Scoring a candidate reads one run front to back; a
+//! request prefetches its candidates' runs as soon as Phase I names them
+//! ([`ConceptCache::prefetch`]).
 //!
 //! The freeze itself shares work exactly. The encoder starts every
 //! description from the zero state, so its state after a token prefix is
@@ -25,11 +35,11 @@
 //!
 //! Two invariants make the cache safe and exact:
 //!
-//! - **Bit identity.** Cached scoring reuses the very kernels of the
-//!   uncached forward pass (`gemv_acc` gates, the same attention, the
-//!   same composite layer) in the same order, so `log p(q|c)` is
-//!   bit-identical to [`ComAid::log_prob_ids_masked`] — asserted by
-//!   tests, relied on by the linker.
+//! - **Bit identity.** Cached scoring runs the slice-level forms of the
+//!   uncached forward pass's kernels (the same gate accumulators, the
+//!   same attention, the same composite layer) in the same order, so
+//!   `log p(q|c)` is bit-identical to [`ComAid::log_prob_ids_masked`] —
+//!   asserted by tests, relied on by the linker.
 //! - **Version coherence.** A cache remembers the parameter generation
 //!   ([`ComAid::version`]) it was frozen from. Training bumps the
 //!   generation and loading a checkpoint draws a fresh one, so a stale
@@ -38,12 +48,11 @@
 
 use super::{ComAid, OntologyIndex};
 use ncl_nn::lstm::LstmPlan;
-use ncl_nn::{softmax_loss, Embedding};
+use ncl_nn::Embedding;
 use ncl_ontology::ConceptId;
 use ncl_tensor::ops::{log_softmax_at_slice, log_softmax_at_slice_relaxed, log_sum_exp_slice};
 use ncl_tensor::{simd, Matrix, Vector};
 use ncl_text::Vocab;
-use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -52,22 +61,22 @@ use std::sync::OnceLock;
 ///
 /// `Exact` is the default and preserves the cache's founding guarantee:
 /// cached scores are **bit-identical** to the uncached forward pass.
-/// `Compact` trades that guarantee for memory — per-concept rows are
-/// stored as bf16-style `u16` mantissa trims ([`simd::narrow_bf16`]),
-/// duplicated ancestor blocks collapse to one shared row, and the
-/// per-concept step-0 logits table (`|V|` floats per concept, the
-/// dominant term at ontology scale) is dropped and recomputed per query.
-/// Compact scores are epsilon-bounded, not bit-equal — flagged exactly
-/// like `fast_math`: opt-in, deterministic at every dispatch level, and
-/// reported by [`ConceptCache::tier`].
+/// `Compact` trades that guarantee for memory: the encoder rows — the
+/// bulk of a node's run, and through the row references its structural
+/// memory too — are stored as bf16-style `u16` mantissa trims
+/// ([`simd::narrow_bf16`]) and widened into request scratch per
+/// candidate. Everything else (layout, frozen `⟨BOS⟩` state, step-0
+/// state, both at f32) is shared with `Exact`. Compact scores are
+/// epsilon-bounded, not bit-equal — flagged exactly like `fast_math`:
+/// opt-in, deterministic at every dispatch level, and reported by
+/// [`ConceptCache::tier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheTier {
-    /// Full-precision rows, per-concept ancestor clones, frozen step-0
-    /// logits: bit-identical cached scoring.
+    /// Full-precision rows: bit-identical cached scoring.
     #[default]
     Exact,
-    /// bf16 rows + shared ancestor pool + recomputed step 0:
-    /// epsilon-bounded scoring at a fraction of the resident bytes.
+    /// bf16 encoder rows: epsilon-bounded scoring at about two thirds
+    /// of the resident bytes.
     Compact,
 }
 
@@ -82,7 +91,9 @@ impl CacheTier {
 }
 
 /// Resident-size breakdown of a [`ConceptCache`]
-/// ([`ConceptCache::memory_report`]), in bytes per component. The
+/// ([`ConceptCache::memory_report`]), in bytes per component: the
+/// `capacity()` of every slab and index array the cache holds, so the
+/// total is what is resident, not a payload estimate. The per-concept
 /// numbers cover the shards frozen so far — `frozen_concepts` says how
 /// much of the ontology that is.
 #[derive(Debug, Clone, Copy)]
@@ -100,30 +111,28 @@ pub struct CacheMemoryReport {
     /// Shards frozen so far.
     pub frozen_shards: usize,
     /// Encoder hidden-state rows `h_1..h_n^c` (f32 in `Exact`, bf16 in
-    /// `Compact`).
+    /// `Compact`) and the per-node row offsets that index them.
     pub enc_state_bytes: usize,
-    /// Structural attention memory: per-concept ancestor clones in
-    /// `Exact`; the shared dedup'd row pool plus per-slot `u32` row
-    /// references in `Compact`.
+    /// Structural attention memory: the per-slot `u32` references to
+    /// ancestor rows. The rows themselves are encoder rows, counted
+    /// once, above.
     pub ancestor_bytes: usize,
     /// Frozen post-BOS decoder states (`dec_h1`/`dec_c1`, f32 in both
     /// tiers).
     pub decoder_state_bytes: usize,
-    /// Frozen step-0 logits and their log-sum-exp (`Exact` only —
-    /// `Compact` recomputes step 0 per query).
+    /// Frozen step-0 composite state `s̃₀` and the log-sum-exp of its
+    /// logits (`d + 1` floats per node, f32 in both tiers).
     pub step0_bytes: usize,
-    /// Transposed/fused weight plans (decoder serve plan, and the
-    /// encoder plan once the first shard freeze has materialised it).
+    /// What the skeleton holds before any shard freezes: the
+    /// transposed/fused weight plans (decoder serve plan, and the
+    /// encoder plan once the first shard freeze has materialised it)
+    /// and the node → shard map.
     pub plan_bytes: usize,
     /// Total ancestor slots across frozen nodes (β per non-root node).
     pub ancestor_slots: usize,
-    /// Ancestor *rows actually stored* for those slots: equals
-    /// `ancestor_slots` in `Exact` (cloned per slot), the dedup'd pool
-    /// size in `Compact`.
+    /// Distinct encoder rows those slots reference — every sibling
+    /// shares its ancestors' rows, in both tiers.
     pub ancestor_rows_stored: usize,
-    /// Distinct ancestor concepts behind those slots — the floor
-    /// row-sharing can reach.
-    pub ancestor_rows_unique: usize,
     /// Description tokens of the frozen nodes: the encoder steps a
     /// per-concept pass would run.
     pub encoder_tokens: usize,
@@ -135,27 +144,26 @@ pub struct CacheMemoryReport {
 impl CacheMemoryReport {
     /// Total resident bytes, weight plans included.
     pub fn total_bytes(&self) -> usize {
-        self.enc_state_bytes
-            + self.ancestor_bytes
-            + self.decoder_state_bytes
-            + self.step0_bytes
-            + self.plan_bytes
+        self.per_concept_bytes() + self.plan_bytes
+    }
+
+    fn per_concept_bytes(&self) -> usize {
+        self.enc_state_bytes + self.ancestor_bytes + self.decoder_state_bytes + self.step0_bytes
     }
 
     /// Per-concept resident bytes over the *frozen* nodes, excluding the
-    /// weight plans (which are model-sized, not ontology-sized): the
-    /// number that scales with `|C|` and the fig17 comparison metric.
+    /// skeleton (model-sized plans and a shard map that is there before
+    /// any freeze): the number that scales with `|C|` and the fig17
+    /// comparison metric.
     pub fn bytes_per_concept(&self) -> f64 {
         if self.frozen_concepts == 0 {
             return 0.0;
         }
-        (self.enc_state_bytes + self.ancestor_bytes + self.decoder_state_bytes + self.step0_bytes)
-            as f64
-            / self.frozen_concepts as f64
+        self.per_concept_bytes() as f64 / self.frozen_concepts as f64
     }
 
-    /// `ancestor_slots / ancestor_rows_stored`: how many duplicated
-    /// ancestor blocks each stored row serves (1.0 = no sharing).
+    /// `ancestor_slots / ancestor_rows_stored`: how many ancestor slots
+    /// each referenced row serves (1.0 = no sharing).
     pub fn ancestor_dedup_ratio(&self) -> f64 {
         if self.ancestor_rows_stored == 0 {
             return 1.0;
@@ -177,7 +185,7 @@ impl CacheMemoryReport {
 /// SIMD-friendly weight layouts frozen alongside the per-concept states:
 /// the decoder's fused gate plan plus the transposed composite and output
 /// weights, so every online decoder step streams contiguous columns
-/// ([`LstmPlan::step_projected`], `Dense::apply_with_t`/`apply_batch_with_t`)
+/// ([`LstmPlan::step_projected_into`], `Dense::apply_with_t_into`)
 /// instead of re-walking row-major matrices. Derived data at the same
 /// parameter generation as the rest of the cache — the version counter
 /// covers it.
@@ -196,68 +204,162 @@ impl ServePlan {
     }
 }
 
-/// Tier-specific per-node rows of one frozen shard, indexed by the
-/// node's *local* position within the shard.
+/// Floats in a node's head `[dec_h1 | dec_c1 | s̃₀ | lse₀]`, the
+/// query-invariant start of every decode against it:
+///
+/// - `dec_h1`/`dec_c1` — the decoder state after consuming `⟨BOS⟩`. The
+///   first decoder step sees only the concept (its input is the fixed
+///   BOS vector, its initial state the encoder final state), never the
+///   query.
+/// - `s̃₀` — that step's composite state (Eq. 8), and `lse₀` the
+///   log-sum-exp of its output logits (Eq. 9): the first scored word `w`
+///   of any query is `b_s[w] + W_s[w]·s̃₀ − lse₀`, one row of the output
+///   layer instead of all `|V|`.
+const fn head_len(d: usize) -> usize {
+    3 * d + 1
+}
+
+/// The storage of one frozen shard, in the tier's row width. Heads are
+/// f32 in both tiers; quantization narrows stored rows, never the inputs
+/// of frozen computation.
 #[derive(Debug, Clone)]
-enum ShardRows {
-    /// Full-precision rows and the frozen step-0 table — the layout
-    /// behind the bit-identity guarantee.
-    Exact {
-        /// `enc_hs[l]` = encoder hidden states `h_1..h_n^c` (the textual
-        /// attention memory; empty for token-less nodes).
-        enc_hs: Vec<Vec<Vector>>,
-        /// `struct_memory[l]` = the β slot-expanded ancestor
-        /// representations (empty when the variant has no structural
-        /// attention).
-        struct_memory: Vec<Vec<Vector>>,
-        /// Full output logits of the frozen BOS step (Eq. 9 at `t = 0`):
-        /// query-invariant, so the first scored word of every query
-        /// costs one table lookup instead of an attention + composite +
-        /// output pass.
-        step0_logits: Vec<Vector>,
-        /// Log-sum-exp denominators of `step0_logits`
-        /// ([`ncl_tensor::ops::log_sum_exp_slice`]), so the step-0
-        /// log-prob `logits[w] − lse` is bit-identical to
-        /// `log_softmax(logits)[w]`.
-        step0_lse: Vec<f32>,
-    },
-    /// bf16 rows, a shared ancestor pool, and no step-0 table.
-    Compact {
-        /// `enc_hs_q[l]` = the `n_c · d` encoder states as bf16 words
-        /// ([`simd::narrow_bf16`]), dequantized into scratch per score.
-        enc_hs_q: Vec<Vec<u16>>,
-        /// The shard's dedup'd ancestor rows (`rows · d` bf16 words):
-        /// siblings share one row per distinct ancestor instead of each
-        /// cloning it.
-        anc_rows: Vec<u16>,
-        /// `anc_refs[l]` = β row indices into `anc_rows`, slot-expanded
-        /// exactly like the `Exact` tier's clones.
-        anc_refs: Vec<Vec<u32>>,
-    },
+enum Slab {
+    /// One run of f32 per node, in local order: `[head | h_1..h_n]`.
+    Exact(Vec<f32>),
+    /// The same runs split by width: every node's head in `heads`, its
+    /// `h_1..h_n` as bf16 words ([`simd::narrow_bf16`]) in `rows`.
+    Compact { heads: Vec<f32>, rows: Vec<u16> },
 }
 
 /// One frozen shard: every per-node artifact for the nodes of one
-/// ontology chapter (plus shard 0, the synthetic root's own slot).
+/// ontology chapter (plus shard 0, the synthetic root's own slot),
+/// indexed by the node's *local* position within the shard.
 #[derive(Debug, Clone)]
 struct ShardData {
-    /// `dec_h1[l]`/`dec_c1[l]` = the decoder state after consuming the
-    /// `⟨BOS⟩` embedding. The first decoder step sees only the concept
-    /// (its input is the fixed BOS vector, its initial state the encoder
-    /// final state), so it is query-invariant and frozen here — in both
-    /// tiers, at f32 (two vectors per node are not where the bytes go).
-    dec_h1: Vec<Vector>,
-    dec_c1: Vec<Vector>,
-    /// Total ancestor slots across the shard's nodes (β per non-root
-    /// node) — the memory-report numerator.
-    anc_slots: usize,
-    /// Distinct ancestor concepts behind those slots — what row-sharing
-    /// collapses them to.
-    anc_unique: usize,
-    /// Description tokens across the shard's nodes, and the encoder
-    /// steps the prefix trie ran for them.
-    enc_tokens: usize,
+    /// `row_off[l]..row_off[l + 1]` = node `l`'s encoder rows, counted
+    /// in rows from the shard's first. With the fixed-size heads this is
+    /// the only offset either slab needs.
+    row_off: Vec<u32>,
+    slab: Slab,
+    /// Structural memory: `anc[l·β..(l + 1)·β]` = the local ids of node
+    /// `l`'s context entries, slot-expanded as Definition 4.1 lists them
+    /// (β is 0 for the root slot and for variants without structural
+    /// attention). A slot's memory row is that node's *last* encoder
+    /// row, or the zero row when it has no tokens —
+    /// `LstmTape::final_h()` on an empty sequence.
+    anc: Vec<u32>,
+    /// Distinct rows `anc` references.
+    anc_rows: usize,
+    /// Encoder steps the prefix trie ran for the shard's descriptions.
     enc_steps: usize,
-    rows: ShardRows,
+}
+
+/// A span of encoder rows as a shard stores them.
+enum Rows<'a> {
+    F32(&'a [f32]),
+    Bf16(&'a [u16]),
+}
+
+impl Rows<'_> {
+    /// The rows as f32, written over `out`.
+    fn widen_into(&self, out: &mut [f32]) {
+        match self {
+            Self::F32(rows) => out.copy_from_slice(rows),
+            Self::Bf16(rows) => simd::widen_bf16(out, rows),
+        }
+    }
+
+    fn prefetch(&self) {
+        match self {
+            Self::F32(rows) => simd::prefetch_read(rows),
+            Self::Bf16(rows) => simd::prefetch_read(rows),
+        }
+    }
+}
+
+impl ShardData {
+    /// Context slots per node.
+    fn beta(&self) -> usize {
+        self.anc.len() / (self.row_off.len() - 1)
+    }
+
+    /// Node `l`'s context slots, as local ids.
+    fn slots(&self, l: usize) -> &[u32] {
+        let beta = self.beta();
+        &self.anc[l * beta..][..beta]
+    }
+
+    /// Node `l`'s rows as indices into the shard's row sequence.
+    fn rows_of(&self, l: usize) -> std::ops::Range<usize> {
+        self.row_off[l] as usize..self.row_off[l + 1] as usize
+    }
+
+    /// Node `l`'s head.
+    fn head(&self, d: usize, l: usize) -> &[f32] {
+        let heads = match &self.slab {
+            // `l` heads and every earlier node's rows precede the run.
+            Slab::Exact(slab) => &slab[l * head_len(d) + self.row_off[l] as usize * d..],
+            Slab::Compact { heads, .. } => &heads[l * head_len(d)..],
+        };
+        &heads[..head_len(d)]
+    }
+
+    /// Rows `rows` (a sub-range of [`ShardData::rows_of`]`(l)`) of node
+    /// `l`.
+    fn rows(&self, d: usize, l: usize, rows: std::ops::Range<usize>) -> Rows<'_> {
+        match &self.slab {
+            // `l + 1` heads precede node `l`'s rows.
+            Slab::Exact(slab) => {
+                Rows::F32(&slab[(l + 1) * head_len(d) + rows.start * d..][..rows.len() * d])
+            }
+            Slab::Compact { rows: q, .. } => Rows::Bf16(&q[rows.start * d..rows.end * d]),
+        }
+    }
+
+    /// The memory row of a context slot naming node `a`: its last
+    /// encoder row, `None` (the zero row) when it has no tokens.
+    fn final_row(&self, d: usize, a: u32) -> Option<Rows<'_>> {
+        let last = self.rows_of(a as usize).last()?;
+        Some(self.rows(d, a as usize, last..last + 1))
+    }
+
+    /// Node `l`'s encoder rows as f32: borrowed from the slab in
+    /// `Exact`, widened into `scratch` in `Compact`.
+    fn enc_rows<'a>(&'a self, d: usize, l: usize, scratch: &'a mut [f32]) -> &'a [f32] {
+        match self.rows(d, l, self.rows_of(l)) {
+            Rows::F32(rows) => rows,
+            stored => {
+                let out = &mut scratch[..self.rows_of(l).len() * d];
+                stored.widen_into(out);
+                out
+            }
+        }
+    }
+
+    /// Node `l`'s structural memory, one row per context slot, gathered
+    /// into `out` (`β·d` floats).
+    fn struct_memory<'a>(&self, d: usize, l: usize, out: &'a mut [f32]) -> &'a [f32] {
+        let out = &mut out[..self.beta() * d];
+        for (&a, row) in self.slots(l).iter().zip(out.chunks_exact_mut(d)) {
+            match self.final_row(d, a) {
+                Some(stored) => stored.widen_into(row),
+                None => row.fill(0.0),
+            }
+        }
+        out
+    }
+
+    /// Hints node `l`'s run, and the rows its context slots reference,
+    /// towards L1.
+    fn prefetch(&self, d: usize, l: usize) {
+        simd::prefetch_read(self.head(d, l));
+        self.rows(d, l, self.rows_of(l)).prefetch();
+        for &a in self.slots(l) {
+            if let Some(row) = self.final_row(d, a) {
+                row.prefetch();
+            }
+        }
+    }
 }
 
 /// Freeze-time scratch of one shard: the encoder state after every
@@ -266,10 +368,9 @@ struct ShardData {
 /// prefix alone and every description sharing the prefix reads it
 /// instead of recomputing it.
 ///
-/// States live in two flat arenas rather than a `Vector` per node: the
-/// scratch is then a handful of large blocks that go back to the
-/// allocator whole when the shard is done, instead of tens of thousands
-/// of small ones interleaved with the rows the cache keeps.
+/// States and input projections live in flat arenas rather than a
+/// `Vector` per node: the scratch is then a handful of large blocks that
+/// go back to the allocator whole when the shard is done.
 struct PrefixTrie<'m> {
     plan: &'m LstmPlan,
     embedding: &'m Embedding,
@@ -279,9 +380,12 @@ struct PrefixTrie<'m> {
     /// after node `n`'s prefix; row 0 is the zero start state.
     hs: Vec<f32>,
     cs: Vec<f32>,
-    /// Word id → its input projection `b + W·x`, made the first time the
-    /// shard steps on the word.
-    word_proj: HashMap<u32, Vector>,
+    /// Word id → its slot in `projs` (`4d` floats each): the input
+    /// projection `b + W·x`, made the first time the shard steps on the
+    /// word.
+    word_slot: HashMap<u32, usize>,
+    projs: Vec<f32>,
+    gates: Vec<f32>,
 }
 
 impl<'m> PrefixTrie<'m> {
@@ -293,7 +397,9 @@ impl<'m> PrefixTrie<'m> {
             edges: HashMap::new(),
             hs: vec![0.0; d],
             cs: vec![0.0; d],
-            word_proj: HashMap::new(),
+            word_slot: HashMap::new(),
+            projs: Vec::new(),
+            gates: vec![0.0; 4 * d],
         }
     }
 
@@ -302,73 +408,71 @@ impl<'m> PrefixTrie<'m> {
         self.edges.len()
     }
 
-    /// The hidden states `h_1..h_n` and the final cell of one
-    /// description — what a pass over `tokens` from the zero state
-    /// returns — stepping the encoder only where the prefix is new.
-    fn encode(&mut self, tokens: &[u32]) -> (Vec<Vector>, Vector) {
+    /// The encoder's `(h, c)` after node `n`'s prefix.
+    fn state(&self, n: usize) -> (&[f32], &[f32]) {
         let d = self.plan.hidden();
-        let row = |n: usize| n * d..(n + 1) * d;
-        let mut node = 0usize;
-        let mut hs = Vec::with_capacity(tokens.len());
-        for &word in tokens {
-            // Every edge made one node, so the next free row is:
-            let next = self.edges.len() + 1;
-            match self.edges.entry((node, word)) {
-                Entry::Occupied(e) => {
-                    node = *e.get();
-                    hs.push(Vector::from_slice(&self.hs[row(node)]));
-                }
-                Entry::Vacant(e) => {
-                    let proj = self.word_proj.entry(word).or_insert_with(|| {
-                        self.plan
-                            .project_input(self.embedding.table().row(word as usize))
-                    });
-                    let (h, c) = self.plan.step_projected(
-                        proj.as_slice(),
-                        &self.hs[row(node)],
-                        &self.cs[row(node)],
+        (&self.hs[n * d..][..d], &self.cs[n * d..][..d])
+    }
+
+    /// The node of `node`'s prefix extended by `word`, stepping the
+    /// encoder only when that prefix is new.
+    fn step(&mut self, node: usize, word: u32) -> usize {
+        let d = self.plan.hidden();
+        // Every edge made one node, so the next free row is:
+        let next = self.edges.len() + 1;
+        match self.edges.entry((node, word)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let slots = self.word_slot.len();
+                let slot = *self.word_slot.entry(word).or_insert(slots);
+                if slot == slots {
+                    self.projs.resize((slots + 1) * 4 * d, 0.0);
+                    self.plan.project_input_into(
+                        self.embedding.table().row(word as usize),
+                        &mut self.projs[slots * 4 * d..],
                     );
-                    node = *e.insert(next);
-                    self.hs.extend_from_slice(h.as_slice());
-                    self.cs.extend_from_slice(c.as_slice());
-                    hs.push(h);
                 }
+                // The child starts as a copy of its parent's state and
+                // is stepped in place.
+                self.hs.extend_from_within(node * d..(node + 1) * d);
+                self.cs.extend_from_within(node * d..(node + 1) * d);
+                self.plan.step_projected_into(
+                    &self.projs[slot * 4 * d..][..4 * d],
+                    &mut self.hs[next * d..],
+                    &mut self.cs[next * d..],
+                    &mut self.gates,
+                );
+                *e.insert(next)
             }
         }
-        (hs, Vector::from_slice(&self.cs[row(node)]))
     }
 }
 
-/// A decode target prepared for cached scoring: the query's word ids
-/// plus each word's decoder input projection, made once per request by
-/// [`ComAid::prepare_target`] and read by every candidate.
+/// A decode target prepared for cached scoring — the query's word ids,
+/// each word's decoder input projection, and every buffer a decode
+/// writes — made once per request by [`ComAid::prepare_target`] and
+/// reused by every candidate, so scoring a candidate allocates nothing.
 pub(crate) struct PreparedTarget<'t> {
     ids: &'t [u32],
-    /// `x_proj[t − 1]` = `b + W·x` of decoder step `t ≥ 1`, whose input
-    /// is the word `ids[t − 1]`. Step 0 consumes `⟨BOS⟩` and is frozen
-    /// in the cache.
-    x_proj: Vec<Vector>,
-}
-
-impl PreparedTarget<'_> {
-    /// `(t, projection)` for the online decoder steps `t = 1..=n`.
-    fn steps(&self) -> impl Iterator<Item = (usize, &[f32])> {
-        self.x_proj
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i + 1, p.as_slice()))
-    }
-}
-
-/// One concept's cached rows, fetched for scoring: borrowed straight
-/// from the shard in the `Exact` tier, dequantized into owned scratch in
-/// `Compact`. `step0` is the frozen logits table when the tier keeps one.
-struct ConceptEntry<'c> {
-    enc_hs: Cow<'c, [Vector]>,
-    struct_mem: Cow<'c, [Vector]>,
-    dec_h1: &'c Vector,
-    dec_c1: &'c Vector,
-    step0: Option<(&'c Vector, f32)>,
+    /// Row `t − 1` (`4d` floats) = `b + W·x` of decoder step `t ≥ 1`,
+    /// whose input is the word `ids[t − 1]`. Step 0 consumes `⟨BOS⟩` and
+    /// is frozen in the cache.
+    x_proj: Vec<f32>,
+    /// The running decoder state, stepped in place.
+    h: Vec<f32>,
+    c: Vec<f32>,
+    gates: Vec<f32>,
+    /// `[s_t ‖ textual ctx ‖ structural ctx]`, `s̃_t`, and the `|V|`
+    /// logits of one counted step.
+    comp_in: Vec<f32>,
+    s_tilde: Vec<f32>,
+    logits: Vec<f32>,
+    /// Attention weights, sized for the longest memory in the cache.
+    att: Vec<f32>,
+    /// Where the `Compact` tier widens one candidate's rows, and where
+    /// either tier gathers its β ancestor rows.
+    rows: Vec<f32>,
+    anc: Vec<f32>,
 }
 
 /// Precomputed per-concept encoder state, frozen at a specific parameter
@@ -396,9 +500,14 @@ pub struct ConceptCache {
     /// Definition 4.1); the root slot is shard 0 on its own.
     node_shard: Vec<u32>,
     node_local: Vec<u32>,
-    /// `shard_nodes[s]` = member node indices of shard `s`, in local
-    /// order (the freeze iteration order).
-    shard_nodes: Vec<Vec<u32>>,
+    /// `shard_nodes[shard_off[s]..shard_off[s + 1]]` = member node
+    /// indices of shard `s`, in local order (the freeze iteration
+    /// order).
+    shard_off: Vec<u32>,
+    shard_nodes: Vec<u32>,
+    /// The longest attention memory any node has — description tokens
+    /// or context slots — which sizes a request's scratch.
+    max_memory: usize,
     /// Frozen shard payloads; unset entries are chapters not yet
     /// touched.
     shards: Vec<OnceLock<ShardData>>,
@@ -476,10 +585,39 @@ impl ConceptCache {
         }
     }
 
+    /// Member node indices of shard `si`, in local order.
+    fn members(&self, si: usize) -> &[u32] {
+        &self.shard_nodes[self.shard_off[si] as usize..self.shard_off[si + 1] as usize]
+    }
+
     /// Shard `si`, frozen now if nothing has touched it yet — the one
     /// place a shard is filled.
     fn shard(&self, model: &ComAid, index: &OntologyIndex, si: usize) -> &ShardData {
         self.shards[si].get_or_init(|| model.freeze_shard(index, self, si))
+    }
+
+    /// The shard and local position of node `ci`, freezing the shard
+    /// first if the chapter has not been touched yet. Callers must have
+    /// checked [`ConceptCache::serves`] — the freeze reads `model`'s
+    /// live parameters, and `ci` indexes the shard map unchecked.
+    fn locate(&self, model: &ComAid, index: &OntologyIndex, ci: usize) -> (&ShardData, usize) {
+        let shard = self.shard(model, index, self.node_shard[ci] as usize);
+        (shard, self.node_local[ci] as usize)
+    }
+
+    /// Hints the frozen runs of `concepts` towards L1 — what a request
+    /// calls with its candidate list the moment Phase I returns it, so
+    /// the lines are in flight while the query is still being prepared.
+    /// Chapters nothing has touched yet are skipped (their first decode
+    /// freezes them, which leaves them hot anyway): a hint never
+    /// freezes. Like [`ConceptCache::locate`], for callers that have
+    /// checked [`ConceptCache::serves`].
+    pub(crate) fn prefetch(&self, concepts: &[ConceptId]) {
+        for c in concepts {
+            if let Some(shard) = self.shards[self.node_shard[c.index()] as usize].get() {
+                shard.prefetch(self.dim, self.node_local[c.index()] as usize);
+            }
+        }
     }
 
     /// Enables or disables the epsilon-relaxed fast-math serving kernels
@@ -502,6 +640,10 @@ impl ConceptCache {
     /// ancestor-memory dedup ratio.
     pub fn memory_report(&self) -> CacheMemoryReport {
         let d = self.dim;
+        let map_words = self.node_shard.capacity()
+            + self.node_local.capacity()
+            + self.shard_off.capacity()
+            + self.shard_nodes.capacity();
         let mut r = CacheMemoryReport {
             tier: self.tier,
             concepts: self.node_shard.len(),
@@ -512,10 +654,9 @@ impl ConceptCache {
             ancestor_bytes: 0,
             decoder_state_bytes: 0,
             step0_bytes: 0,
-            plan_bytes: self.plan.memory_floats() * 4,
+            plan_bytes: (self.plan.memory_floats() + map_words) * 4,
             ancestor_slots: 0,
             ancestor_rows_stored: 0,
-            ancestor_rows_unique: 0,
             encoder_tokens: 0,
             encoder_steps_run: 0,
         };
@@ -524,54 +665,39 @@ impl ConceptCache {
         }
         for (s, lock) in self.shards.iter().enumerate() {
             let Some(shard) = lock.get() else { continue };
+            let nodes = self.members(s).len();
             r.frozen_shards += 1;
-            r.frozen_concepts += self.shard_nodes[s].len();
-            r.decoder_state_bytes += (shard.dec_h1.len() + shard.dec_c1.len()) * d * 4;
-            r.ancestor_slots += shard.anc_slots;
-            r.ancestor_rows_unique += shard.anc_unique;
-            r.encoder_tokens += shard.enc_tokens;
+            r.frozen_concepts += nodes;
+            r.decoder_state_bytes += nodes * 2 * d * 4;
+            r.step0_bytes += nodes * (d + 1) * 4;
+            // Whatever a slab holds beyond its heads is encoder rows.
+            let heads = nodes * head_len(d) * 4;
+            r.enc_state_bytes += shard.row_off.capacity() * 4
+                + match &shard.slab {
+                    Slab::Exact(slab) => slab.capacity() * 4 - heads,
+                    Slab::Compact { heads: h, rows } => {
+                        h.capacity() * 4 - heads + rows.capacity() * 2
+                    }
+                };
+            r.ancestor_bytes += shard.anc.capacity() * 4;
+            r.ancestor_slots += shard.anc.len();
+            r.ancestor_rows_stored += shard.anc_rows;
+            r.encoder_tokens += shard.row_off[nodes] as usize;
             r.encoder_steps_run += shard.enc_steps;
-            match &shard.rows {
-                ShardRows::Exact {
-                    enc_hs,
-                    struct_memory,
-                    step0_logits,
-                    step0_lse,
-                } => {
-                    r.enc_state_bytes += enc_hs.iter().map(Vec::len).sum::<usize>() * d * 4;
-                    r.ancestor_bytes += struct_memory.iter().map(Vec::len).sum::<usize>() * d * 4;
-                    r.ancestor_rows_stored += shard.anc_slots;
-                    r.step0_bytes += step0_logits.iter().map(Vector::len).sum::<usize>() * 4
-                        + step0_lse.len() * 4;
-                }
-                ShardRows::Compact {
-                    enc_hs_q,
-                    anc_rows,
-                    anc_refs,
-                } => {
-                    r.enc_state_bytes += enc_hs_q.iter().map(Vec::len).sum::<usize>() * 2;
-                    r.ancestor_bytes +=
-                        anc_rows.len() * 2 + anc_refs.iter().map(Vec::len).sum::<usize>() * 4;
-                    r.ancestor_rows_stored += anc_rows.len() / d.max(1);
-                }
-            }
         }
         r
     }
 
     /// Total cache footprint in `f32`-equivalents
-    /// ([`CacheMemoryReport::total_bytes`] ÷ 4): the per-token encoder
-    /// states, the ancestor memory, the frozen post-BOS decoder states,
-    /// the frozen step-0 tables (`Exact` tier), and the transposed/fused
-    /// weight plans the online steps stream from.
+    /// ([`CacheMemoryReport::total_bytes`] ÷ 4).
     pub fn memory_floats(&self) -> usize {
         self.memory_report().total_bytes() / 4
     }
 
     /// The frozen encoder states `h_1..h_n^c` of `concept` — its textual
-    /// attention memory as scoring reads it (dequantized in the
-    /// `Compact` tier; empty for a token-less node) — freezing the
-    /// concept's shard first if nothing has touched it yet.
+    /// attention memory as scoring reads it (widened in the `Compact`
+    /// tier; empty for a token-less node) — freezing the concept's
+    /// shard first if nothing has touched it yet.
     ///
     /// # Panics
     /// Panics if the cache is stale for `model`
@@ -584,56 +710,12 @@ impl ConceptCache {
         concept: ConceptId,
     ) -> Vec<Vector> {
         assert!(self.serves(model, index), "encoder_states: stale cache");
-        self.entry(model, index, concept.index())
-            .enc_hs
-            .into_owned()
-    }
-
-    /// Fetches `ci`'s cached rows, freezing its shard first if the
-    /// chapter has not been touched yet. Callers must have checked
-    /// [`ConceptCache::serves`] — the freeze reads `model`'s live
-    /// parameters, and `ci` indexes the shard map unchecked.
-    fn entry<'c>(&'c self, model: &ComAid, index: &OntologyIndex, ci: usize) -> ConceptEntry<'c> {
-        let si = self.node_shard[ci] as usize;
-        let li = self.node_local[ci] as usize;
-        let shard = self.shard(model, index, si);
-        let (enc_hs, struct_mem, step0) = match &shard.rows {
-            ShardRows::Exact {
-                enc_hs,
-                struct_memory,
-                step0_logits,
-                step0_lse,
-            } => (
-                Cow::Borrowed(enc_hs[li].as_slice()),
-                Cow::Borrowed(struct_memory[li].as_slice()),
-                Some((&step0_logits[li], step0_lse[li])),
-            ),
-            ShardRows::Compact {
-                enc_hs_q,
-                anc_rows,
-                anc_refs,
-            } => {
-                let d = self.dim;
-                let widen_row = |row: &[u16]| {
-                    let mut v = Vector::zeros(d);
-                    simd::widen_bf16(v.as_mut_slice(), row);
-                    v
-                };
-                let hs: Vec<Vector> = enc_hs_q[li].chunks_exact(d).map(widen_row).collect();
-                let mem: Vec<Vector> = anc_refs[li]
-                    .iter()
-                    .map(|&row| widen_row(&anc_rows[row as usize * d..(row as usize + 1) * d]))
-                    .collect();
-                (Cow::Owned(hs), Cow::Owned(mem), None)
-            }
-        };
-        ConceptEntry {
-            enc_hs,
-            struct_mem,
-            dec_h1: &shard.dec_h1[li],
-            dec_c1: &shard.dec_c1[li],
-            step0,
-        }
+        let (shard, l) = self.locate(model, index, concept.index());
+        let mut scratch = vec![0.0f32; shard.rows_of(l).len() * self.dim];
+        let rows = shard.enc_rows(self.dim, l, &mut scratch);
+        rows.chunks_exact(self.dim)
+            .map(Vector::from_slice)
+            .collect()
     }
 }
 
@@ -661,26 +743,41 @@ impl ComAid {
         // have smaller indices than children, so one ascending pass with
         // a memo terminates). Shard 0 is the root slot's own shard.
         let mut node_shard = vec![0u32; n];
-        let mut node_local = vec![0u32; n];
-        let mut shard_nodes: Vec<Vec<u32>> = vec![Vec::new()];
-        let mut shard_of_chapter: HashMap<u32, u32> = HashMap::new();
+        let mut shard_count = 1u32;
+        let mut max_memory = 0usize;
         for i in 0..n {
             let id = ConceptId(i as u32);
-            let si = match index.context(id).last() {
-                None => 0u32,
+            node_shard[i] = match index.context(id).last() {
+                None => 0,
                 Some(anc) if anc.index() == i => {
                     // First-level concept: its own chapter.
-                    *shard_of_chapter.entry(i as u32).or_insert_with(|| {
-                        shard_nodes.push(Vec::new());
-                        (shard_nodes.len() - 1) as u32
-                    })
+                    shard_count += 1;
+                    shard_count - 1
                 }
                 // Proper ancestor: created before `i`, already resolved.
                 Some(anc) => node_shard[anc.index()],
             };
-            node_shard[i] = si;
-            node_local[i] = shard_nodes[si as usize].len() as u32;
-            shard_nodes[si as usize].push(i as u32);
+            max_memory = max_memory
+                .max(index.tokens(id).len())
+                .max(index.context(id).len());
+        }
+        // Members by shard, ascending within each (a counting sort):
+        // `shard_off[s]..shard_off[s + 1]` of `shard_nodes`.
+        let mut shard_off = vec![0u32; shard_count as usize + 1];
+        for &si in &node_shard {
+            shard_off[si as usize + 1] += 1;
+        }
+        for si in 0..shard_count as usize {
+            shard_off[si + 1] += shard_off[si];
+        }
+        let mut node_local = vec![0u32; n];
+        let mut shard_nodes = vec![0u32; n];
+        let mut filled = vec![0u32; shard_count as usize];
+        for (i, &si) in node_shard.iter().enumerate() {
+            let si = si as usize;
+            node_local[i] = filled[si];
+            shard_nodes[(shard_off[si] + filled[si]) as usize] = i as u32;
+            filled[si] += 1;
         }
         // The decoder/composite/output plan is kept for every online
         // step; the encoder plan is only needed by shard freezes and is
@@ -690,14 +787,16 @@ impl ComAid {
             composite_wt: self.composite.weight_t(),
             output_wt: self.output.weight_t(),
         };
-        let shards = (0..shard_nodes.len()).map(|_| OnceLock::new()).collect();
+        let shards = (0..shard_count).map(|_| OnceLock::new()).collect();
         ConceptCache {
             version: self.version(),
             dim: self.config().dim,
             tier,
             node_shard,
             node_local,
+            shard_off,
             shard_nodes,
+            max_memory,
             shards,
             plan,
             enc_plan: OnceLock::new(),
@@ -705,11 +804,12 @@ impl ComAid {
         }
     }
 
-    /// Freezes one chapter shard: the encoder states of its member
-    /// nodes, the slot-expanded (or row-shared) ancestor memory, the
-    /// frozen post-BOS decoder states, and — in the `Exact` tier — the
-    /// step-0 logits tables. Chapter subtrees are self-contained (every
-    /// context entry of a member is itself a member), so the shard never
+    /// Freezes one chapter shard, writing every node's run straight
+    /// into a slab sized up front: its encoder rows off the prefix trie,
+    /// the post-BOS decoder state, the step-0 composite state and
+    /// log-sum-exp, and its context slots as row references. Chapter
+    /// subtrees are self-contained (every context entry of a member is
+    /// itself a member, and precedes it or is it), so the shard never
     /// reads outside its own encoder states.
     ///
     /// The one freeze path — first touch, [`ConceptCache::warm`] and
@@ -717,165 +817,116 @@ impl ComAid {
     /// [`PrefixTrie`], so a shard with
     /// no shared prefix pays one hash probe per token over a plain
     /// per-concept pass and any other shard runs fewer encoder steps.
+    /// Frozen computation always reads the *exact* trie states and the
+    /// exact kernels, in both tiers and whatever `fast_math` says:
+    /// those only perturb per-query reads, never the cache contents.
     fn freeze_shard(&self, index: &OntologyIndex, cache: &ConceptCache, si: usize) -> ShardData {
         let d = self.config().dim;
-        let zero = Vector::zeros(d);
-        let nodes = &cache.shard_nodes[si];
+        let nodes = cache.members(si);
         let enc_plan = cache.enc_plan.get_or_init(|| self.encoder.plan());
-        let mut enc_hs: Vec<Vec<Vector>> = Vec::with_capacity(nodes.len());
-        let mut enc_final_c: Vec<Vector> = Vec::with_capacity(nodes.len());
-        let mut enc_tokens = 0usize;
-        // The trie holds a state pair per distinct prefix; it goes out
-        // of scope here, before the post-BOS states and the (much
-        // larger) step-0 tables below are allocated.
-        let enc_steps = {
-            let mut trie = PrefixTrie::new(enc_plan, &self.embedding);
-            for &ni in nodes {
-                let tokens = index.tokens(ConceptId(ni));
-                enc_tokens += tokens.len();
-                let (hs, final_c) = trie.encode(tokens);
-                enc_hs.push(hs);
-                enc_final_c.push(final_c);
-            }
-            trie.steps_run()
+        let mut row_off = Vec::with_capacity(nodes.len() + 1);
+        let mut total_rows = 0usize;
+        row_off.push(0u32);
+        for &ni in nodes {
+            total_rows += index.tokens(ConceptId(ni)).len();
+            row_off.push(u32::try_from(total_rows).expect("shard rows fit u32"));
+        }
+        let heads = nodes.len() * head_len(d);
+        let mut slab = match cache.tier {
+            CacheTier::Exact => Slab::Exact(vec![0.0; heads + total_rows * d]),
+            CacheTier::Compact => Slab::Compact {
+                heads: vec![0.0; heads],
+                rows: vec![0; total_rows * d],
+            },
         };
-        // Final encoder state of an in-shard ancestor; the zero fallback
-        // mirrors LstmTape::final_h() on an empty sequence.
-        let local_of = |anc: ConceptId| -> usize {
-            debug_assert_eq!(
-                cache.node_shard[anc.index()] as usize,
-                si,
-                "context entry outside its chapter shard"
-            );
-            cache.node_local[anc.index()] as usize
+        // Definition 4.1 gives every non-root node exactly β slots.
+        let beta = match nodes.first() {
+            Some(&ni) if self.config().variant.uses_struct() => index.context(ConceptId(ni)).len(),
+            _ => 0,
         };
-        let anc_final =
-            |l: usize| -> Vector { enc_hs[l].last().cloned().unwrap_or_else(|| zero.clone()) };
-        let uses_struct = self.config().variant.uses_struct();
-        let mut anc_slots = 0usize;
-        let mut anc_unique_set: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        // The first decoder step is query-invariant: its input is the
-        // BOS embedding and its state the encoder final state, both
-        // frozen above. Run it once per node — from the *exact* states
-        // in both tiers (quantization narrows stored rows, never the
-        // inputs of frozen computation) — with the BOS input projected
-        // once for the whole shard.
+        let mut anc: Vec<u32> = Vec::with_capacity(nodes.len() * beta);
+        let mut referenced = vec![false; nodes.len()];
+
+        let mut trie = PrefixTrie::new(enc_plan, &self.embedding);
+        // The first decoder step's input is the BOS embedding for every
+        // node: projected once for the whole shard.
         let bos_proj = cache
             .plan
             .decoder
             .project_input(self.embedding.table().row(Vocab::BOS as usize));
-        let mut dec_h1 = Vec::with_capacity(nodes.len());
-        let mut dec_c1 = Vec::with_capacity(nodes.len());
-        for (hs, final_c) in enc_hs.iter().zip(&enc_final_c) {
-            let h0 = hs.last().unwrap_or(&zero);
-            let (h1, c1) = cache.plan.decoder.step_projected(
-                bos_proj.as_slice(),
-                h0.as_slice(),
-                final_c.as_slice(),
-            );
-            dec_h1.push(h1);
-            dec_c1.push(c1);
-        }
-        let rows = match cache.tier {
-            CacheTier::Exact => {
-                let mut struct_memory: Vec<Vec<Vector>> = Vec::with_capacity(nodes.len());
-                for &ni in nodes.iter() {
-                    let mem: Vec<Vector> = if uses_struct {
-                        index
-                            .context(ConceptId(ni))
-                            .iter()
-                            .map(|&anc| {
-                                anc_slots += 1;
-                                anc_unique_set.insert(anc.index() as u32);
-                                anc_final(local_of(anc))
-                            })
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    struct_memory.push(mem);
-                }
-                // Frozen tables are always exact (relaxed = false):
-                // fast-math only perturbs per-query reads, never the
-                // cache contents.
-                let mut step0_logits = Vec::with_capacity(nodes.len());
-                let mut step0_lse = Vec::with_capacity(nodes.len());
-                for l in 0..nodes.len() {
-                    let comp_in = self.composite_input_cached(
-                        &dec_h1[l],
-                        &enc_hs[l],
-                        &struct_memory[l],
-                        &zero,
-                        false,
+        // `final_node[l]` = the trie node of local `l`'s whole
+        // description (0, the zero state, when it has no tokens).
+        let mut final_node: Vec<usize> = Vec::with_capacity(nodes.len());
+        let mut enc_rows: Vec<f32> = Vec::new();
+        let mut anc_rows = vec![0.0f32; beta * d];
+        let mut gates = vec![0.0f32; 4 * d];
+        let mut att = vec![0.0f32; cache.max_memory];
+        let mut comp_in = vec![0.0f32; self.composite.in_dim()];
+        let mut logits = vec![0.0f32; self.output.out_dim()];
+        for (l, &ni) in nodes.iter().enumerate() {
+            let id = ConceptId(ni);
+            enc_rows.clear();
+            let mut node = 0usize;
+            for &word in index.tokens(id) {
+                node = trie.step(node, word);
+                enc_rows.extend_from_slice(trie.state(node).0);
+            }
+            final_node.push(node);
+            if beta > 0 {
+                let context = index.context(id);
+                assert_eq!(context.len(), beta, "context slots per node");
+                for (&a, row) in context.iter().zip(anc_rows.chunks_exact_mut(d)) {
+                    debug_assert_eq!(
+                        cache.node_shard[a.index()] as usize,
+                        si,
+                        "context entry outside its chapter shard"
                     );
-                    let s_tilde = self
-                        .composite
-                        .apply_with_t(&comp_in, &cache.plan.composite_wt);
-                    let logits = self.output.apply_with_t(&s_tilde, &cache.plan.output_wt);
-                    step0_lse.push(log_sum_exp_slice(logits.as_slice()));
-                    step0_logits.push(logits);
-                }
-                ShardRows::Exact {
-                    enc_hs,
-                    struct_memory,
-                    step0_logits,
-                    step0_lse,
+                    let a = cache.node_local[a.index()];
+                    anc.push(a);
+                    referenced[a as usize] = true;
+                    row.copy_from_slice(trie.state(final_node[a as usize]).0);
                 }
             }
-            CacheTier::Compact => {
-                // bf16 rows; the ancestor memory collapses to one shared
-                // row per distinct ancestor, referenced per slot.
-                let mut anc_rows: Vec<u16> = Vec::new();
-                let mut anc_refs: Vec<Vec<u32>> = Vec::with_capacity(nodes.len());
-                let mut row_of: HashMap<u32, u32> = HashMap::new();
-                for &ni in nodes.iter() {
-                    let refs: Vec<u32> = if uses_struct {
-                        index
-                            .context(ConceptId(ni))
-                            .iter()
-                            .map(|&anc| {
-                                anc_slots += 1;
-                                anc_unique_set.insert(anc.index() as u32);
-                                *row_of.entry(anc.index() as u32).or_insert_with(|| {
-                                    let row = (anc_rows.len() / d) as u32;
-                                    let v = anc_final(local_of(anc));
-                                    let start = anc_rows.len();
-                                    anc_rows.resize(start + d, 0);
-                                    simd::narrow_bf16(&mut anc_rows[start..], v.as_slice());
-                                    row
-                                })
-                            })
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    anc_refs.push(refs);
+            let head = match &mut slab {
+                Slab::Exact(slab) => {
+                    let run = &mut slab[l * head_len(d) + row_off[l] as usize * d..];
+                    let (head, rows) = run.split_at_mut(head_len(d));
+                    rows[..enc_rows.len()].copy_from_slice(&enc_rows);
+                    head
                 }
-                let enc_hs_q: Vec<Vec<u16>> = enc_hs
-                    .iter()
-                    .map(|hs| {
-                        let mut q = vec![0u16; hs.len() * d];
-                        for (row, h) in q.chunks_exact_mut(d).zip(hs) {
-                            simd::narrow_bf16(row, h.as_slice());
-                        }
-                        q
-                    })
-                    .collect();
-                ShardRows::Compact {
-                    enc_hs_q,
-                    anc_rows,
-                    anc_refs,
+                Slab::Compact { heads, rows } => {
+                    let out = &mut rows[row_off[l] as usize * d..][..enc_rows.len()];
+                    simd::narrow_bf16(out, &enc_rows);
+                    &mut heads[l * head_len(d)..][..head_len(d)]
                 }
-            }
-        };
+            };
+            let (h1, rest) = head.split_at_mut(d);
+            let (c1, rest) = rest.split_at_mut(d);
+            let (s_tilde, lse) = rest.split_at_mut(d);
+            let (h0, c0) = trie.state(node);
+            h1.copy_from_slice(h0);
+            c1.copy_from_slice(c0);
+            cache
+                .plan
+                .decoder
+                .step_projected_into(bos_proj.as_slice(), h1, c1, &mut gates);
+            self.composite_input(h1, &enc_rows, &anc_rows, &mut att, &mut comp_in, false);
+            self.composite
+                .apply_with_t_into(&comp_in, &cache.plan.composite_wt, s_tilde);
+            self.output
+                .apply_with_t_into(s_tilde, &cache.plan.output_wt, &mut logits);
+            lse[0] = log_sum_exp_slice(&logits);
+        }
+        // A token-less ancestor is the zero row: nothing stored.
+        let anc_rows = (0..nodes.len())
+            .filter(|&a| referenced[a] && row_off[a] < row_off[a + 1])
+            .count();
         ShardData {
-            dec_h1,
-            dec_c1,
-            anc_slots,
-            anc_unique: anc_unique_set.len(),
-            enc_tokens,
-            enc_steps,
-            rows,
+            row_off,
+            slab,
+            anc,
+            anc_rows,
+            enc_steps: trie.steps_run(),
         }
     }
 
@@ -898,311 +949,164 @@ impl ComAid {
         if !cache.serves(self, index) {
             return self.log_prob_ids_masked(index, concept, target, count);
         }
-        let prepared = self.prepare_target(cache, target);
-        self.log_prob_ids_masked_prepared(index, cache, concept, &prepared, count)
+        let mut prepared = self.prepare_target(cache, target);
+        self.log_prob_prepared(index, cache, concept, &mut prepared, count)
     }
 
-    /// Projects a decode target's words through the cached decoder plan,
-    /// once, for any number of candidates scored against it. Callers
-    /// must have checked [`ConceptCache::serves`].
+    /// Projects a decode target's words through the cached decoder plan
+    /// and sets up the scratch a decode writes — once, for any number of
+    /// candidates scored against it. Callers must have checked
+    /// [`ConceptCache::serves`].
     pub(crate) fn prepare_target<'t>(
         &self,
         cache: &ConceptCache,
         target: &'t [u32],
     ) -> PreparedTarget<'t> {
-        let x_proj = target
-            .iter()
-            .map(|&w| {
-                cache
-                    .plan
-                    .decoder
-                    .project_input(self.embedding.table().row(w as usize))
-            })
-            .collect();
+        let d = cache.dim;
+        let mut x_proj = vec![0.0f32; target.len() * 4 * d];
+        for (&w, out) in target.iter().zip(x_proj.chunks_exact_mut(4 * d)) {
+            cache
+                .plan
+                .decoder
+                .project_input_into(self.embedding.table().row(w as usize), out);
+        }
+        let widened = match cache.tier {
+            CacheTier::Exact => 0,
+            CacheTier::Compact => cache.max_memory * d,
+        };
         PreparedTarget {
             ids: target,
             x_proj,
+            h: vec![0.0; d],
+            c: vec![0.0; d],
+            gates: vec![0.0; 4 * d],
+            comp_in: vec![0.0; self.composite.in_dim()],
+            s_tilde: vec![0.0; d],
+            logits: vec![0.0; self.output.out_dim()],
+            att: vec![0.0; cache.max_memory],
+            rows: vec![0.0; widened],
+            anc: vec![0.0; cache.max_memory * d],
         }
     }
 
-    /// [`ComAid::log_prob_ids_masked_cached`] on a target already
-    /// prepared against `cache` — the per-candidate scoring path of a
-    /// request under a deadline or fault plan. Callers must have checked
-    /// [`ConceptCache::serves`].
+    /// `log p(q|c)` of a prepared target against `concept`'s frozen run
+    /// — the one function that decodes a query against cached rows,
+    /// behind every request whatever its deadline or fault plan, and
+    /// allocation-free: every buffer it writes is `prepared`'s. Callers
+    /// must have checked [`ConceptCache::serves`].
+    ///
+    /// Step 0 (the `⟨BOS⟩` step) is frozen: the decoder resumes from the
+    /// run's post-BOS state, and a counted first word reads its logit
+    /// off the frozen composite state ([`head_len`]). Steps whose mask
+    /// entry is `false` contribute nothing to the masked sum and nothing
+    /// downstream depends on their head outputs, so only the decoder
+    /// recurrence advances through them; the terminal EOS step is always
+    /// counted.
     ///
     /// # Panics
     /// Panics if `count.len()` differs from the target's length.
-    pub(crate) fn log_prob_ids_masked_prepared(
+    pub(crate) fn log_prob_prepared(
         &self,
         index: &OntologyIndex,
         cache: &ConceptCache,
         concept: ConceptId,
-        prepared: &PreparedTarget<'_>,
+        prepared: &mut PreparedTarget<'_>,
         count: &[bool],
     ) -> f32 {
-        let target = prepared.ids;
+        let PreparedTarget {
+            ids: target,
+            x_proj,
+            h,
+            c,
+            gates,
+            comp_in,
+            s_tilde,
+            logits,
+            att,
+            rows,
+            anc,
+        } = prepared;
         assert_eq!(count.len(), target.len(), "mask length mismatch");
-        let zero = Vector::zeros(self.config().dim);
-        let entry = cache.entry(self, index, concept.index());
-        let enc_hs: &[Vector] = &entry.enc_hs;
-        let struct_mem: &[Vector] = &entry.struct_mem;
+        let d = cache.dim;
+        let (shard, l) = cache.locate(self, index, concept.index());
+        let head = shard.head(d, l);
+        let enc_rows = shard.enc_rows(d, l, rows);
+        let struct_mem = shard.struct_memory(d, l, anc);
         let relaxed = cache.fast_math;
-        // Step 0 (the BOS step) is frozen in the cache: resume from the
-        // precomputed state. When the step is counted, the `Exact` tier
-        // reads the first word's log-prob off the frozen logits; the
-        // `Compact` tier recomputes the step-0 head from the dequantized
-        // rows (the table is what it dropped).
-        let mut h = entry.dec_h1.clone();
-        let mut c = entry.dec_c1.clone();
+        let counted = |t: usize| count.get(t).copied().unwrap_or(true);
+        let word = |t: usize| target.get(t).copied().unwrap_or(Vocab::EOS) as usize;
+
+        h.copy_from_slice(&head[..d]);
+        c.copy_from_slice(&head[d..2 * d]);
         let mut lp = 0.0f32;
-        if count.first().copied().unwrap_or(true) {
-            let word = target.first().copied().unwrap_or(Vocab::EOS) as usize;
-            lp += match entry.step0 {
-                Some((logits, lse)) => logits[word] - lse,
-                None => {
-                    let comp_in =
-                        self.composite_input_cached(&h, enc_hs, struct_mem, &zero, relaxed);
-                    let s_tilde = self
-                        .composite
-                        .apply_with_t(&comp_in, &cache.plan.composite_wt);
-                    let logits = self.output.apply_with_t(&s_tilde, &cache.plan.output_wt);
-                    if relaxed {
-                        softmax_loss::log_prob_relaxed(&logits, word)
-                    } else {
-                        softmax_loss::log_prob(&logits, word)
-                    }
-                }
-            };
+        if counted(0) {
+            lp += self.step0_log_prob(head, word(0));
         }
-        for (t, x_proj) in prepared.steps() {
-            (h, c) = cache
-                .plan
-                .decoder
-                .step_projected(x_proj, h.as_slice(), c.as_slice());
-            // The EOS step (t == target.len()) is always counted.
-            if !count.get(t).copied().unwrap_or(true) {
-                // Uncounted steps contribute nothing to the masked sum
-                // and nothing downstream depends on their head outputs,
-                // so the attention/composite/output work is skipped
-                // entirely — the decoder recurrence above is all that
-                // must advance.
+        for (t, x) in (1..).zip(x_proj.chunks_exact(4 * d)) {
+            cache.plan.decoder.step_projected_into(x, h, c, gates);
+            if !counted(t) {
                 continue;
             }
-            let word = target.get(t).copied().unwrap_or(Vocab::EOS) as usize;
-            let comp_in = self.composite_input_cached(&h, enc_hs, struct_mem, &zero, relaxed);
-            let s_tilde = self
-                .composite
-                .apply_with_t(&comp_in, &cache.plan.composite_wt);
-            let logits = self.output.apply_with_t(&s_tilde, &cache.plan.output_wt);
+            self.composite_input(h, enc_rows, struct_mem, att, comp_in, relaxed);
+            self.composite
+                .apply_with_t_into(comp_in, &cache.plan.composite_wt, s_tilde);
+            self.output
+                .apply_with_t_into(s_tilde, &cache.plan.output_wt, logits);
             lp += if relaxed {
-                softmax_loss::log_prob_relaxed(&logits, word)
+                log_softmax_at_slice_relaxed(logits, word(t))
             } else {
-                softmax_loss::log_prob(&logits, word)
+                log_softmax_at_slice(logits, word(t))
             };
         }
         lp
     }
 
-    /// Scores `log p(q|c)` for a *batch* of candidates sharing one
-    /// decoded query, advancing all candidates one timestep per pass so
-    /// the output projection `W_s` (by far the largest matrix) is
-    /// streamed once per step for the whole batch instead of once per
-    /// candidate per step. Per-candidate results are bit-identical to
-    /// [`ComAid::log_prob_ids_masked_cached`]. `counts[i]` is candidate
-    /// `i`'s masking of the shared `target`. A stale cache falls back to
-    /// the uncached path per candidate.
-    ///
-    /// # Panics
-    /// Panics if `counts.len() != concepts.len()` or any mask's length
-    /// differs from `target.len()`.
-    pub fn log_prob_batch_cached(
-        &self,
-        index: &OntologyIndex,
-        cache: &ConceptCache,
-        concepts: &[ConceptId],
-        target: &[u32],
-        counts: &[Vec<bool>],
-    ) -> Vec<f32> {
-        assert_eq!(counts.len(), concepts.len(), "one mask per concept");
-        if !cache.serves(self, index) {
-            return concepts
-                .iter()
-                .zip(counts)
-                .map(|(&c, m)| self.log_prob_ids_masked(index, c, target, m))
-                .collect();
-        }
-        let prepared = self.prepare_target(cache, target);
-        self.log_prob_batch_prepared(index, cache, concepts, &prepared, counts)
-    }
-
-    /// [`ComAid::log_prob_batch_cached`] on a target already prepared
-    /// against `cache`: each query word's input projection is shared by
-    /// every candidate of the step. Callers must have checked
-    /// [`ConceptCache::serves`].
-    ///
-    /// # Panics
-    /// Panics if `counts.len() != concepts.len()` or any mask's length
-    /// differs from the target's.
-    pub(crate) fn log_prob_batch_prepared(
-        &self,
-        index: &OntologyIndex,
-        cache: &ConceptCache,
-        concepts: &[ConceptId],
-        prepared: &PreparedTarget<'_>,
-        counts: &[Vec<bool>],
-    ) -> Vec<f32> {
-        let target = prepared.ids;
-        assert_eq!(counts.len(), concepts.len(), "one mask per concept");
-        for m in counts {
-            assert_eq!(m.len(), target.len(), "mask length mismatch");
-        }
-        let k = concepts.len();
-        let zero = Vector::zeros(self.config().dim);
-        let relaxed = cache.fast_math;
-
-        // Fetch every candidate's rows once (freezing untouched shards,
-        // dequantizing Compact rows into per-batch scratch).
-        let entries: Vec<ConceptEntry<'_>> = concepts
-            .iter()
-            .map(|&c| cache.entry(self, index, c.index()))
-            .collect();
-
-        // Every candidate resumes from its frozen post-BOS decoder state.
-        let mut hs: Vec<Vector> = Vec::with_capacity(k);
-        let mut cs: Vec<Vector> = Vec::with_capacity(k);
-        let mut lps = vec![0.0f32; k];
-        let word0 = target.first().copied().unwrap_or(Vocab::EOS) as usize;
-        let mut counted: Vec<usize> = Vec::with_capacity(k);
-        for (i, (e, m)) in entries.iter().zip(counts).enumerate() {
-            hs.push(e.dec_h1.clone());
-            cs.push(e.dec_c1.clone());
-            if m.first().copied().unwrap_or(true) {
-                // Exact tier: counted first words come straight off the
-                // frozen step-0 logits. Compact candidates are deferred
-                // to the batched recompute below.
-                match e.step0 {
-                    Some((logits, lse)) => lps[i] += logits[word0] - lse,
-                    None => counted.push(i),
-                }
-            }
-        }
-        // Compact step 0: one batched head pass over the counted
-        // candidates — the same kernel pairing as the t ≥ 1 steps, so
-        // batched results stay bit-identical to the single-query path.
-        if !counted.is_empty() {
-            let mut comp = Matrix::zeros(counted.len(), self.composite.in_dim());
-            for (r, &i) in counted.iter().enumerate() {
-                let comp_in = self.composite_input_cached(
-                    &hs[i],
-                    &entries[i].enc_hs,
-                    &entries[i].struct_mem,
-                    &zero,
-                    relaxed,
-                );
-                comp.set_row(r, &comp_in);
-            }
-            let s_tilde = self
-                .composite
-                .apply_batch_with_t(&comp, &cache.plan.composite_wt);
-            let logits = self
-                .output
-                .apply_batch_with_t(&s_tilde, &cache.plan.output_wt);
-            for (r, &i) in counted.iter().enumerate() {
-                lps[i] += if relaxed {
-                    log_softmax_at_slice_relaxed(logits.row(r), word0)
-                } else {
-                    log_softmax_at_slice(logits.row(r), word0)
-                };
-            }
-        }
-
-        for (t, x_proj) in prepared.steps() {
-            for (h, c) in hs.iter_mut().zip(&mut cs) {
-                (*h, *c) = cache
-                    .plan
-                    .decoder
-                    .step_projected(x_proj, h.as_slice(), c.as_slice());
-            }
-            counted.clear();
-            counted.extend(
-                counts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.get(t).copied().unwrap_or(true))
-                    .map(|(i, _)| i),
-            );
-            if counted.is_empty() {
-                continue;
-            }
-            let word = target.get(t).copied().unwrap_or(Vocab::EOS) as usize;
-            let mut comp = Matrix::zeros(counted.len(), self.composite.in_dim());
-            for (r, &i) in counted.iter().enumerate() {
-                let comp_in = self.composite_input_cached(
-                    &hs[i],
-                    &entries[i].enc_hs,
-                    &entries[i].struct_mem,
-                    &zero,
-                    relaxed,
-                );
-                comp.set_row(r, &comp_in);
-            }
-            let s_tilde = self
-                .composite
-                .apply_batch_with_t(&comp, &cache.plan.composite_wt);
-            let logits = self
-                .output
-                .apply_batch_with_t(&s_tilde, &cache.plan.output_wt);
-            for (r, &i) in counted.iter().enumerate() {
-                lps[i] += if relaxed {
-                    log_softmax_at_slice_relaxed(logits.row(r), word)
-                } else {
-                    log_softmax_at_slice(logits.row(r), word)
-                };
-            }
-        }
-        lps
+    /// `log p(word | ⟨BOS⟩, c)` off a frozen head ([`head_len`]): the
+    /// one output-layer row of `word` against `s̃₀`, minus `lse₀` — the
+    /// bits of `log_softmax(logits₀)[word]`, because the row's logit is
+    /// the reduction the full pass ran for it when `lse₀` was frozen.
+    fn step0_log_prob(&self, head: &[f32], word: usize) -> f32 {
+        let d = self.config().dim;
+        self.output.apply_row(&head[2 * d..3 * d], word) - head[3 * d]
     }
 
     /// Builds one step's composite-layer input `[s_t ‖ textual ctx ‖
-    /// structural ctx]` from cached memories, with exactly the
-    /// zero-padding rules of the uncached forward pass: a variant that
-    /// *uses* a context but has an empty memory gets a zero block.
-    /// `relaxed` selects the fast-math attention dots
-    /// ([`ncl_nn::DotAttention::forward_relaxed`]); exact serving and
-    /// freezing pass `false`.
-    fn composite_input_cached(
+    /// structural ctx]` in `comp_in` from flat attention memories (`d`
+    /// floats per row), with exactly the zero-padding rules of the
+    /// uncached forward pass: a variant that *uses* a context but has an
+    /// empty memory gets a zero block. `att` is weight scratch at least
+    /// as long as either memory. `relaxed` selects the fast-math
+    /// attention dots; exact serving and freezing pass `false`.
+    fn composite_input(
         &self,
-        s_t: &Vector,
-        enc_hs: &[Vector],
-        struct_mem: &[Vector],
-        zero: &Vector,
+        s_t: &[f32],
+        enc_rows: &[f32],
+        struct_mem: &[f32],
+        att: &mut [f32],
+        comp_in: &mut [f32],
         relaxed: bool,
-    ) -> Vector {
+    ) {
+        let d = s_t.len();
         let variant = self.config().variant;
-        let ctx = |memory: &[Vector]| {
-            if relaxed {
-                self.attention.forward_relaxed(memory, s_t)
-            } else {
-                self.attention.forward(memory, s_t).0
+        let (state, mut rest) = comp_in.split_at_mut(d);
+        state.copy_from_slice(s_t);
+        for (used, memory) in [
+            (variant.uses_text(), enc_rows),
+            (variant.uses_struct(), struct_mem),
+        ] {
+            if !used {
+                continue;
             }
-        };
-        let mut comp_in = Vec::with_capacity(self.composite.in_dim());
-        comp_in.extend_from_slice(s_t.as_slice());
-        if variant.uses_text() {
-            if enc_hs.is_empty() {
-                comp_in.extend_from_slice(zero.as_slice());
+            let (ctx, tail) = std::mem::take(&mut rest).split_at_mut(d);
+            rest = tail;
+            if memory.is_empty() {
+                ctx.fill(0.0);
             } else {
-                comp_in.extend_from_slice(ctx(enc_hs).as_slice());
-            }
-        }
-        if variant.uses_struct() {
-            if struct_mem.is_empty() {
-                comp_in.extend_from_slice(zero.as_slice());
-            } else {
-                comp_in.extend_from_slice(ctx(struct_mem).as_slice());
+                let weights = &mut att[..memory.len() / d];
+                self.attention
+                    .attend_into(memory.chunks_exact(d), s_t, weights, ctx, relaxed);
             }
         }
-        Vector::from_vec(comp_in)
     }
 }
 
@@ -1213,12 +1117,18 @@ mod tests {
     use ncl_ontology::{Ontology, OntologyBuilder};
     use ncl_text::tokenize;
 
+    /// Two chapters with every shape a run can take: first-level
+    /// concepts (their context names themselves), depth-1 nodes (depth
+    /// < β: the chapter is duplicated), a depth-2 node (a full context),
+    /// and a chapter whose own description has no tokens, so its
+    /// children's structural memory is the zero row.
     fn tiny_world() -> (Ontology, Vocab) {
         let mut b = OntologyBuilder::new();
         let n18 = b.add_root_concept("N18", "chronic kidney disease");
-        b.add_child(n18, "N18.5", "chronic kidney disease stage 5");
+        let n185 = b.add_child(n18, "N18.5", "chronic kidney disease stage 5");
+        b.add_child(n185, "N18.51", "chronic kidney disease stage 5 on dialysis");
         b.add_child(n18, "N18.9", "chronic kidney disease unspecified");
-        let r10 = b.add_root_concept("R10", "abdominal pain");
+        let r10 = b.add_root_concept("R10", "--");
         b.add_child(r10, "R10.0", "acute abdomen");
         let o = b.build().unwrap();
         let mut v = Vocab::new();
@@ -1242,6 +1152,13 @@ mod tests {
         ComAid::new(vocab, config, None)
     }
 
+    /// Every node of the world, the root slot included.
+    fn all_nodes(o: &Ontology) -> Vec<ConceptId> {
+        std::iter::once(Ontology::ROOT)
+            .chain(o.all_concepts())
+            .collect()
+    }
+
     #[test]
     fn cached_score_bit_identical_for_all_variants() {
         let (o, v) = tiny_world();
@@ -1250,59 +1167,65 @@ mod tests {
             let m = model_for(variant, v.clone());
             let cache = m.freeze(&idx);
             assert!(cache.is_valid_for(&m));
-            let target = m.encode_text("ckd stage 5");
-            let masks = [
-                vec![true; target.len()],
-                vec![false; target.len()],
-                (0..target.len()).map(|i| i % 2 == 0).collect::<Vec<_>>(),
-            ];
-            for id in o.all_concepts() {
-                for mask in &masks {
-                    let plain = m.log_prob_ids_masked(&idx, id, &target, mask);
-                    let cached = m.log_prob_ids_masked_cached(&idx, &cache, id, &target, mask);
-                    assert_eq!(
-                        plain.to_bits(),
-                        cached.to_bits(),
-                        "{variant:?} {:?} mask {mask:?}",
-                        o.concept(id).code
-                    );
+            // A query, a target of one word, the empty target.
+            for text in ["ckd stage 5", "dialysis", ""] {
+                let target = m.encode_text(text);
+                let masks = [
+                    vec![true; target.len()],
+                    vec![false; target.len()],
+                    (0..target.len()).map(|i| i % 2 == 0).collect::<Vec<_>>(),
+                ];
+                for id in all_nodes(&o) {
+                    for mask in &masks {
+                        let plain = m.log_prob_ids_masked(&idx, id, &target, mask);
+                        let cached = m.log_prob_ids_masked_cached(&idx, &cache, id, &target, mask);
+                        assert_eq!(
+                            plain.to_bits(),
+                            cached.to_bits(),
+                            "{variant:?} {:?} {text:?} mask {mask:?}",
+                            o.concept(id).code
+                        );
+                    }
                 }
             }
         }
     }
 
+    /// The frozen first step, for every word of the vocabulary against
+    /// every node: `b_s[w] + W_s[w]·s̃₀ − lse₀` has the bits of the
+    /// uncached pass's `log_softmax(logits₀)[w]` — a `-0.0` output bias
+    /// entry included, at every dispatch level.
     #[test]
-    fn batched_scores_bit_identical_to_single() {
+    fn frozen_first_step_has_the_bits_of_the_uncached_softmax_row() {
         let (o, v) = tiny_world();
         let idx = OntologyIndex::build(&o, &v, 2);
-        let m = model_for(Variant::Full, v);
-        let cache = m.freeze(&idx);
-        let target = m.encode_text("chronic kidney disease stage 5");
-        let concepts: Vec<ConceptId> = o.all_concepts().collect();
-        // Per-candidate masks that differ (as shared-word removal does).
-        let counts: Vec<Vec<bool>> = (0..concepts.len())
-            .map(|i| (0..target.len()).map(|t| (t + i) % 3 != 0).collect())
-            .collect();
-        let batch = m.log_prob_batch_cached(&idx, &cache, &concepts, &target, &counts);
-        for ((&c, mask), lp) in concepts.iter().zip(&counts).zip(&batch) {
-            let single = m.log_prob_ids_masked_cached(&idx, &cache, c, &target, mask);
-            assert_eq!(single.to_bits(), lp.to_bits(), "{:?}", o.concept(c).code);
+        for &variant in Variant::ALL {
+            let mut m = model_for(variant, v.clone());
+            m.output.b.v[5] = -0.0;
+            for level in simd::supported_levels() {
+                let cache = simd::with_level(level, || {
+                    let cache = m.freeze(&idx);
+                    cache.warm(&m, &idx);
+                    cache
+                });
+                for id in all_nodes(&o) {
+                    let (shard, l) = cache.locate(&m, &idx, id.index());
+                    for w in 0..m.vocab().len() {
+                        let want = simd::with_level(simd::Level::Scalar, || {
+                            m.run_example(&idx, id, &[w as u32]).step_log_probs[0]
+                        });
+                        let got = m.step0_log_prob(shard.head(6, l), w);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{variant:?} {} {:?} word {w}",
+                            level.name(),
+                            o.concept(id).code
+                        );
+                    }
+                }
+            }
         }
-    }
-
-    #[test]
-    fn empty_target_and_empty_batch() {
-        let (o, v) = tiny_world();
-        let idx = OntologyIndex::build(&o, &v, 2);
-        let m = model_for(Variant::Full, v);
-        let cache = m.freeze(&idx);
-        let c = o.by_code("R10.0").unwrap();
-        let plain = m.log_prob_ids_masked(&idx, c, &[], &[]);
-        let cached = m.log_prob_ids_masked_cached(&idx, &cache, c, &[], &[]);
-        assert_eq!(plain.to_bits(), cached.to_bits());
-        assert!(m
-            .log_prob_batch_cached(&idx, &cache, &[], &[], &[])
-            .is_empty());
     }
 
     #[test]
@@ -1329,12 +1252,10 @@ mod tests {
 
         assert!(!cache.is_valid_for(&m));
         // The stale cache must not serve stale encodings: the cached
-        // entry points fall back to the live parameters.
+        // entry point falls back to the live parameters.
         let plain = m.log_prob_ids_masked(&idx, c, &target, &mask);
         let via_cache = m.log_prob_ids_masked_cached(&idx, &cache, c, &target, &mask);
         assert_eq!(plain.to_bits(), via_cache.to_bits());
-        let via_batch = m.log_prob_batch_cached(&idx, &cache, &[c], &target, &[mask]);
-        assert_eq!(plain.to_bits(), via_batch[0].to_bits());
 
         // Refreezing restores validity.
         let fresh = m.freeze(&idx);
@@ -1370,8 +1291,6 @@ mod tests {
 
         cache.set_fast_math(true);
         assert!(cache.fast_math());
-        let masks = vec![mask.clone(); concepts.len()];
-        let relaxed_batch = m.log_prob_batch_cached(&idx, &cache, &concepts, &target, &masks);
         for (i, &c) in concepts.iter().enumerate() {
             let relaxed = m.log_prob_ids_masked_cached(&idx, &cache, c, &target, &mask);
             // Relaxed kernels perturb the score by rounding noise only.
@@ -1381,9 +1300,15 @@ mod tests {
                 o.concept(c).code,
                 exact[i]
             );
-            // Batched and single relaxed paths agree bitwise with each
-            // other at a fixed dispatch level (same kernels, same order).
-            assert_eq!(relaxed.to_bits(), relaxed_batch[i].to_bits());
+            // One prepared target serving every candidate agrees bitwise
+            // with a fresh one per candidate (the scratch carries
+            // nothing over), at a fixed dispatch level.
+            let mut shared = m.prepare_target(&cache, &target);
+            for &other in &concepts {
+                m.log_prob_prepared(&idx, &cache, other, &mut shared, &mask);
+            }
+            let reused = m.log_prob_prepared(&idx, &cache, c, &mut shared, &mask);
+            assert_eq!(relaxed.to_bits(), reused.to_bits());
         }
 
         cache.set_fast_math(false);
@@ -1391,20 +1316,5 @@ mod tests {
             let back = m.log_prob_ids_masked_cached(&idx, &cache, c, &target, &mask);
             assert_eq!(back.to_bits(), exact[i].to_bits());
         }
-    }
-
-    #[test]
-    fn memory_accounting_counts_all_vectors() {
-        let (o, v) = tiny_world();
-        let idx = OntologyIndex::build(&o, &v, 2);
-        let m = model_for(Variant::Full, v);
-        let cache = m.freeze(&idx);
-        assert_eq!(cache.len(), idx.len());
-        assert!(!cache.is_empty());
-        // Lower bound: every node has a final cell (1·d), plus β = 2
-        // ancestor slots for each non-root node.
-        let d = 6;
-        let non_root = idx.len() - 1;
-        assert!(cache.memory_floats() >= d * (idx.len() + 2 * non_root));
     }
 }

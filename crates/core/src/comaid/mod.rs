@@ -23,7 +23,6 @@ mod persist;
 mod trace;
 mod train;
 
-pub(crate) use cache::PreparedTarget;
 pub use cache::{CacheMemoryReport, CacheTier, ConceptCache};
 pub use decode::Decoded;
 pub use index::OntologyIndex;

@@ -26,11 +26,12 @@
 //! ([`LinkBudget`]) cut the expensive phases short, and whatever could
 //! not be neurally scored falls back to its Phase-I TF-IDF ranking. The
 //! result is annotated with a [`Degradation`] marker so callers can
-//! distinguish a full answer from a best-effort one. With no budgets
-//! configured and no faults injected, the fast path computes exactly
-//! what it always did.
+//! distinguish a full answer from a best-effort one. Budgets and fault
+//! plans only decide *whether* a candidate is scored: every candidate
+//! that is runs the same cached decode, so a budgeted answer's scores
+//! are the unbudgeted answer's, bit for bit.
 
-use crate::comaid::{CacheTier, ComAid, ConceptCache, OntologyIndex, PreparedTarget};
+use crate::comaid::{CacheTier, ComAid, ConceptCache, OntologyIndex};
 use crate::error::NclError;
 use crate::faults::FaultPlan;
 use crate::serving::{
@@ -87,10 +88,10 @@ pub struct LinkerConfig {
     pub fast_math: bool,
     /// Storage tier of the frozen concept cache ([`CacheTier`]). `Exact`
     /// (the default) keeps every frozen row in f32 and scores
-    /// bit-identically to the uncached path; `Compact` stores encoder
-    /// states and ancestor memories as shared bf16 rows and drops the
-    /// step-0 logits table, cutting resident bytes per concept by more
-    /// than half at paper scale in exchange for epsilon-bounded (and
+    /// bit-identically to the uncached path; `Compact` stores the
+    /// encoder rows (and through them the ancestor memories) as bf16,
+    /// cutting resident bytes per concept by about a third in exchange
+    /// for epsilon-bounded (and
     /// [`ConceptCache::tier`](crate::comaid::ConceptCache::tier)-flagged)
     /// score perturbation.
     pub cache_tier: CacheTier,
@@ -325,10 +326,73 @@ pub struct Linker<'a> {
     /// feedback hot-swap path) — a clone keeps its source's version, so
     /// the validity check is unchanged.
     pub(crate) cache: Arc<ConceptCache>,
-    /// Tokenised canonical description of every concept, as a set —
-    /// shared-word removal consults this per (query, candidate), so
-    /// tokenising at scoring time would dominate the cached fast path.
-    canonical_sets: Vec<HashSet<String>>,
+    /// Every concept's canonical-description words, interned — what
+    /// shared-word removal consults per (query, candidate).
+    shared_words: SharedWords,
+}
+
+/// The canonical descriptions as shared-word removal reads them: each
+/// concept's distinct words as sorted ids from a linker-local interner.
+/// (Not the model vocabulary: through `⟨UNK⟩` two different
+/// out-of-vocabulary words would compare equal.) A request interns its
+/// query words once; a candidate's mask is then a scan of a handful of
+/// integers instead of a hash probe per word.
+struct SharedWords {
+    ids: HashMap<String, u32>,
+    /// `words[off[c]..off[c + 1]]` = concept `c`'s word ids, ascending.
+    off: Vec<u32>,
+    words: Vec<u32>,
+}
+
+impl SharedWords {
+    /// Id of a query word that occurs in no description.
+    const NOWHERE: u32 = u32::MAX;
+
+    /// Interns `canonical[c]`, the tokenised description of concept `c`.
+    fn build(canonical: &[Vec<String>]) -> Self {
+        let mut ids: HashMap<String, u32> = HashMap::new();
+        let mut off = Vec::with_capacity(canonical.len() + 1);
+        let mut words: Vec<u32> = Vec::new();
+        let mut of_concept: Vec<u32> = Vec::new();
+        off.push(0);
+        for toks in canonical {
+            of_concept.clear();
+            for t in toks {
+                let next = ids.len() as u32;
+                of_concept.push(match ids.get(t) {
+                    Some(&id) => id,
+                    None => {
+                        ids.insert(t.clone(), next);
+                        next
+                    }
+                });
+            }
+            of_concept.sort_unstable();
+            of_concept.dedup();
+            words.extend_from_slice(&of_concept);
+            off.push(u32::try_from(words.len()).expect("description words fit u32"));
+        }
+        words.shrink_to_fit();
+        Self { ids, off, words }
+    }
+
+    /// The interned id of every query word.
+    fn intern(&self, query: &[String]) -> Vec<u32> {
+        query
+            .iter()
+            .map(|w| self.ids.get(w).copied().unwrap_or(Self::NOWHERE))
+            .collect()
+    }
+
+    /// `mask[t]` = whether query word `t` is absent from `concept`'s
+    /// description, i.e. still counted after shared-word removal.
+    fn mask(&self, concept: ConceptId, query: &[u32], mask: &mut [bool]) {
+        let c = concept.index();
+        let words = &self.words[self.off[c] as usize..self.off[c + 1] as usize];
+        for (m, w) in mask.iter_mut().zip(query) {
+            *m = !words.contains(w);
+        }
+    }
 }
 
 /// A normalised log-prior lookup table for MAP ranking (Eq. 11).
@@ -390,7 +454,7 @@ impl<'a> Linker<'a> {
 
         // Canonical descriptions are tokenised exactly once (shared
         // `ncl_text::tokenize`): the token lists feed the Phase-I
-        // documents, the per-concept sets feed shared-word removal.
+        // documents and shared-word removal's interned word lists.
         let mut canonical_toks: Vec<Vec<String>> = vec![Vec::new(); ontology.len()];
         for (id, c) in ontology.iter() {
             canonical_toks[id.index()] = tokenize(&c.canonical);
@@ -414,10 +478,7 @@ impl<'a> Linker<'a> {
 
         let cache = frozen_cache(model, &index, &config);
 
-        let canonical_sets: Vec<HashSet<String>> = canonical_toks
-            .into_iter()
-            .map(|toks| toks.into_iter().collect())
-            .collect();
+        let shared_words = SharedWords::build(&canonical_toks);
 
         Self {
             model,
@@ -432,7 +493,7 @@ impl<'a> Linker<'a> {
             prior: None,
             faults: None,
             cache,
-            canonical_sets,
+            shared_words,
         }
     }
 
@@ -1097,126 +1158,73 @@ impl<'a> Linker<'a> {
         Ok(self.link_document(tokens))
     }
 
-    /// Scores `log p(q|c)` for each candidate on the calling thread.
-    /// Each candidate runs behind its own panic-isolation boundary, so a
-    /// panicking candidate (model bug, injected fault) costs exactly
-    /// that candidate's score, and candidates not started before
-    /// `deadline` stay unscored. Returns per-candidate scores
-    /// (`None` = unscored) and the number of candidates lost to panics.
+    /// Scores `log p(q|c)` for each candidate on the calling thread,
+    /// one candidate's whole query at a time. Each candidate runs behind
+    /// its own panic-isolation boundary, so a panicking candidate (model
+    /// bug, injected fault) costs exactly that candidate's score, and
+    /// candidates not started before `deadline` stay unscored. Returns
+    /// per-candidate scores (`None` = unscored) and the number of
+    /// candidates lost to panics.
     ///
-    /// With a serving cache, no faults, and no deadline, the *batched*
-    /// fast path runs: all candidates advance one decoder timestep per
-    /// output-matrix pass ([`ComAid::log_prob_batch_cached`]). Scores
-    /// are bit-identical to the per-candidate path. Under faults or a
-    /// deadline the per-candidate loop runs instead so the PR-1
-    /// degradation ladder (per-candidate isolation, mid-phase cutoff)
-    /// keeps its granularity; it still serves from the cache, with the
-    /// "ed.cache" fault site modelling a cache miss that falls back to
-    /// uncached scoring. A cache that cannot serve
-    /// ([`Linker::cache_serves`]) sends every candidate down that
-    /// uncached path.
+    /// Every request takes this one loop. The deadline is read before
+    /// each candidate only when one is set, the `ed.score` / `ed.cache`
+    /// fault sites are visited only under a plan ("ed.cache" models a
+    /// serving-cache miss: an injected fault there degrades that
+    /// candidate to the uncached, slower, identically-scored path —
+    /// never to a wrong or missing score), and what is left is
+    /// [`ComAid::log_prob_prepared`] over the frozen cache with one
+    /// request-scoped scratch: the query's decoder input projections
+    /// are made once, the candidates' cache runs are prefetched the
+    /// moment the list is known, and a candidate allocates nothing. A
+    /// cache that cannot serve ([`Linker::cache_serves`]) sends every
+    /// candidate down the uncached path.
     pub(crate) fn score_candidates(
         &self,
         candidates: &[ConceptId],
         query: &[String],
         deadline: Option<Instant>,
     ) -> (Vec<Option<f32>>, usize) {
-        // The decoded word ids are candidate-independent; only the
-        // counting masks differ (shared-word removal is per candidate).
-        let ids = self.query_ids(query);
-        let masks: Vec<Vec<bool>> = candidates
-            .iter()
-            .map(|&c| self.scoring_mask(c, query))
-            .collect();
-        // The query's decoder input projections are candidate-
-        // independent too: made once here, read by every candidate on
-        // either scoring path.
-        let cache = self
-            .cache_serves()
-            .then(|| (&*self.cache, self.model.prepare_target(&self.cache, &ids)));
-
-        if self.faults.is_none() && deadline.is_none() {
-            if let Some((cache, prepared)) = &cache {
-                return self.score_batched(cache, candidates, prepared, &masks);
-            }
+        let serves = self.cache_serves();
+        if serves {
+            self.cache.prefetch(candidates);
         }
+        // The decoded word ids are candidate-independent; only the
+        // counting mask differs (shared-word removal is per candidate).
+        let ids = self.query_ids(query);
+        let words = self.shared_words.intern(query);
+        let mut mask = vec![true; query.len()];
+        let mut prepared = serves.then(|| self.model.prepare_target(&self.cache, &ids));
 
         let mut panicked = 0usize;
         let mut scores: Vec<Option<f32>> = vec![None; candidates.len()];
-        for ((&c, mask), out) in candidates.iter().zip(&masks).zip(scores.iter_mut()) {
+        for (&c, out) in candidates.iter().zip(scores.iter_mut()) {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 break;
             }
+            if self.config.remove_shared {
+                self.shared_words.mask(c, &words, &mut mask);
+            }
+            // A decode overwrites every scratch buffer before reading
+            // it, so one a panic abandoned half-written is safe to
+            // reuse for the next candidate.
             match catch_unwind(AssertUnwindSafe(|| {
+                let mut cached = prepared.as_mut();
                 if let Some(plan) = &self.faults {
                     plan.visit("ed.score");
+                    if cached.is_some() && plan.visit_io("ed.cache").is_err() {
+                        cached = None;
+                    }
                 }
-                // "ed.cache" models a serving-cache miss: an injected
-                // fault here degrades this candidate to the uncached
-                // (slower, identically-scored) path — never to a wrong
-                // or missing score.
-                let cache_hit = match (&self.faults, &cache) {
-                    (_, None) => false,
-                    (None, Some(_)) => true,
-                    (Some(plan), Some(_)) => plan.visit_io("ed.cache").is_ok(),
-                };
-                match (cache_hit, &cache) {
-                    (true, Some((cache, prepared))) => self.model.log_prob_ids_masked_prepared(
-                        &self.index,
-                        cache,
-                        c,
-                        prepared,
-                        mask,
-                    ),
-                    _ => self.model.log_prob_ids_masked(&self.index, c, &ids, mask),
+                match cached {
+                    Some(prepared) => {
+                        self.model
+                            .log_prob_prepared(&self.index, &self.cache, c, prepared, &mask)
+                    }
+                    None => self.model.log_prob_ids_masked(&self.index, c, &ids, &mask),
                 }
             })) {
                 Ok(lp) => *out = Some(lp),
                 Err(_) => panicked += 1,
-            }
-        }
-        (scores, panicked)
-    }
-
-    /// The batched cached fast path of [`Linker::score_candidates`].
-    /// Panic isolation is per batch first (the common case pays one
-    /// `catch_unwind` per request, not per candidate); a batch that does
-    /// panic is retried candidate-by-candidate so only the faulty
-    /// candidate loses its score.
-    fn score_batched(
-        &self,
-        cache: &ConceptCache,
-        candidates: &[ConceptId],
-        prepared: &PreparedTarget<'_>,
-        masks: &[Vec<bool>],
-    ) -> (Vec<Option<f32>>, usize) {
-        let mut panicked = 0usize;
-        let mut scores: Vec<Option<f32>> = vec![None; candidates.len()];
-        let batch = catch_unwind(AssertUnwindSafe(|| {
-            self.model
-                .log_prob_batch_prepared(&self.index, cache, candidates, prepared, masks)
-        }));
-        match batch {
-            Ok(lps) => {
-                for (o, lp) in scores.iter_mut().zip(lps) {
-                    *o = Some(lp);
-                }
-            }
-            Err(_) => {
-                for ((o, &c), mask) in scores.iter_mut().zip(candidates).zip(masks) {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        self.model.log_prob_ids_masked_prepared(
-                            &self.index,
-                            cache,
-                            c,
-                            prepared,
-                            mask,
-                        )
-                    })) {
-                        Ok(lp) => *o = Some(lp),
-                        Err(_) => panicked += 1,
-                    }
-                }
             }
         }
         (scores, panicked)
@@ -1230,22 +1238,18 @@ impl<'a> Linker<'a> {
     /// context.
     #[cfg(test)]
     fn scoring_target(&self, concept: ConceptId, query: &[String]) -> (Vec<u32>, Vec<bool>) {
-        (self.query_ids(query), self.scoring_mask(concept, query))
+        let mut mask = vec![true; query.len()];
+        if self.config.remove_shared {
+            let words = self.shared_words.intern(query);
+            self.shared_words.mask(concept, &words, &mut mask);
+        }
+        (self.query_ids(query), mask)
     }
 
     /// The decoded word ids of a query — identical for every candidate.
     fn query_ids(&self, query: &[String]) -> Vec<u32> {
         let vocab = self.model.vocab();
         query.iter().map(|w| vocab.get_or_unk(w)).collect()
-    }
-
-    /// The per-candidate counting mask of [`Linker::scoring_target`].
-    fn scoring_mask(&self, concept: ConceptId, query: &[String]) -> Vec<bool> {
-        if !self.config.remove_shared {
-            return vec![true; query.len()];
-        }
-        let canonical = &self.canonical_sets[concept.index()];
-        query.iter().map(|w| !canonical.contains(w)).collect()
     }
 }
 
@@ -1554,12 +1558,11 @@ mod tests {
 
     #[test]
     fn deadline_path_serves_from_cache_with_identical_scores() {
-        // A (generous) deadline routes scoring through the per-candidate
-        // loop rather than the batched fast path; both must serve the
-        // same bits from the same cache.
+        // A (generous) deadline adds a clock read between candidates
+        // and nothing else: the same bits from the same cache.
         let (o, model) = trained_world();
-        let fast = Linker::new(&model, &o, LinkerConfig::default());
-        let slow = Linker::new(
+        let plain = Linker::new(&model, &o, LinkerConfig::default());
+        let timed = Linker::new(
             &model,
             &o,
             LinkerConfig {
@@ -1567,8 +1570,8 @@ mod tests {
                 ..LinkerConfig::default()
             },
         );
-        let a = fast.link_text("ckd stage 5");
-        let b = slow.link_text("ckd stage 5");
+        let a = plain.link_text("ckd stage 5");
+        let b = timed.link_text("ckd stage 5");
         assert_eq!(a.ranked_ids(), b.ranked_ids());
         for (&(_, sa), &(_, sb)) in a.ranked.iter().zip(&b.ranked) {
             assert_eq!(sa.to_bits(), sb.to_bits());

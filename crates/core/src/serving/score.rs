@@ -58,9 +58,10 @@ pub trait ScoreStage: Sync {
     fn score(&self, req: ScoreRequest<'_>) -> ScoreOutcome;
 }
 
-/// The default scorer: COM-AID's `log p(q|c; Θ)` (Eq. 9/12), batched
-/// over the frozen concept cache when no faults or deadlines demand
-/// per-candidate granularity.
+/// The default scorer: COM-AID's `log p(q|c; Θ)` (Eq. 9/12), one
+/// candidate at a time over the frozen concept cache — the same loop
+/// whether or not the request carries a deadline or a fault plan
+/// (`Linker::score_candidates`).
 pub struct ComAidScore<'s, 'a> {
     pub(crate) linker: &'s Linker<'a>,
 }

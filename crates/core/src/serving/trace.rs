@@ -48,8 +48,7 @@ pub enum CacheUse {
     /// baseline) does not consult one.
     #[default]
     Unconfigured,
-    /// Candidates were served from the frozen cache (batched or
-    /// per-candidate path; identical bits either way).
+    /// Candidates were served from the frozen cache.
     Served,
     /// The linker's cache was frozen from another model version or over
     /// another ontology, so scoring fell back to the uncached path.

@@ -1,24 +1,26 @@
 //! Cache-tier acceptance suite (ISSUE 8): the `Compact` tier must be a
 //! pure memory trade — epsilon-bounded scores, explicitly flagged via
-//! [`ConceptCache::tier`], batched ≡ single bitwise within the tier —
-//! and *when* a chapter freezes must be invisible: a shard frozen on
-//! first touch holds the rows and serves the scores of one frozen by
-//! [`ConceptCache::warm`], and untouched chapters cost zero resident
-//! bytes.
+//! [`ConceptCache::tier`], bit-reproducible within the tier — and
+//! *when* a chapter freezes must be invisible: a shard frozen on first
+//! touch holds the rows and serves the scores of one frozen by
+//! [`ConceptCache::warm`], untouched chapters cost zero resident bytes,
+//! and what is resident is exactly what [`CacheMemoryReport`] says.
 //!
 //! These tests run (and must pass) under `NCL_FORCE_SCALAR=1` too: the
 //! bf16 widen/narrow kernels are bit-exact across dispatch levels, so
 //! tier behaviour is identical on the scalar fallback.
 
-use ncl_core::comaid::{CacheTier, ComAid, ComAidConfig, ConceptCache, OntologyIndex, Variant};
-use ncl_ontology::{ConceptId, Ontology, OntologyBuilder};
+use ncl_core::comaid::{
+    CacheMemoryReport, CacheTier, ComAid, ComAidConfig, ConceptCache, OntologyIndex, Variant,
+};
+use ncl_ontology::{Ontology, OntologyBuilder};
+use ncl_tensor::simd;
 use ncl_text::{tokenize, Vocab};
 
 /// A layered chapter/category/leaf ontology: `chapters` first-level
 /// concepts, each with `cats` children and `cats · leaves` grandchildren.
-/// Every leaf carries a unique token so the vocabulary (and with it the
-/// step-0 logits table the Compact tier drops) grows with the ontology,
-/// as it does for real ICD-10-CM descriptions.
+/// Every leaf carries a unique token so the vocabulary grows with the
+/// ontology, as it does for real ICD-10-CM descriptions.
 fn world(chapters: usize, cats: usize, leaves: usize) -> (Ontology, Vocab) {
     let mut b = OntologyBuilder::new();
     for i in 0..chapters {
@@ -169,62 +171,110 @@ fn compact_scores_epsilon_bounded_and_flagged() {
     }
 }
 
+/// "Deterministic at every dispatch level": a Compact cache frozen and
+/// read under each SIMD level serves the scalar level's bits, under
+/// masks that differ per candidate (a masked-off first word included).
 #[test]
-fn compact_batch_bit_identical_to_compact_single() {
+fn compact_scores_bit_reproducible_at_every_dispatch_level() {
     let (o, v) = world(3, 3, 2);
     let idx = OntologyIndex::build(&o, &v, 2);
     let m = model_for(v);
-    let compact = m.freeze_tiered(&idx, CacheTier::Compact);
     let target = m.encode_text("system 0 disorder group 2 type t0x2x1");
-    let concepts: Vec<ConceptId> = o.all_concepts().collect();
-    // Masks that differ per candidate, including a masked-off step 0.
-    let counts: Vec<Vec<bool>> = (0..concepts.len())
-        .map(|i| (0..target.len()).map(|t| (t + i) % 3 != 0).collect())
-        .collect();
-    let batch = m.log_prob_batch_cached(&idx, &compact, &concepts, &target, &counts);
-    for ((&c, mask), lp) in concepts.iter().zip(&counts).zip(&batch) {
-        let single = m.log_prob_ids_masked_cached(&idx, &compact, c, &target, mask);
-        assert_eq!(single.to_bits(), lp.to_bits(), "{:?}", o.concept(c).code);
+    let scores = || -> Vec<u32> {
+        let compact = m.freeze_tiered(&idx, CacheTier::Compact);
+        o.all_concepts()
+            .enumerate()
+            .map(|(i, c)| {
+                let mask: Vec<bool> = (0..target.len()).map(|t| (t + i) % 3 != 0).collect();
+                m.log_prob_ids_masked_cached(&idx, &compact, c, &target, &mask)
+                    .to_bits()
+            })
+            .collect()
+    };
+    let reference = simd::with_level(simd::Level::Scalar, scores);
+    for level in simd::supported_levels() {
+        assert_eq!(
+            simd::with_level(level, scores),
+            reference,
+            "{}",
+            level.name()
+        );
     }
 }
 
+/// The report is a by-hand sum of what the layout holds: per node a
+/// `3d + 1`-float head and its description's rows (f32 or bf16), one
+/// row offset, β `u32` ancestor references — and nothing per ancestor
+/// slot beyond the reference, in either tier.
 #[test]
-fn compact_memory_at_least_2x_smaller_with_shared_ancestors() {
-    let (o, v) = world(6, 5, 4);
+fn memory_report_is_a_by_hand_sum_in_both_tiers() {
+    let (chapters, cats, leaves) = (3usize, 2usize, 2usize);
+    let (o, v) = world(chapters, cats, leaves);
+    let vocab = v.len();
     let idx = OntologyIndex::build(&o, &v, 2);
     let m = model_for(v);
-    let warm_report = |tier| {
+    let (d, beta) = (10usize, 2usize);
+    let nodes = idx.len();
+    assert_eq!(nodes, 1 + chapters * (1 + cats + cats * leaves));
+    let shards = chapters + 1;
+    let tokens: usize = o.all_concepts().map(|c| idx.tokens(c).len()).sum();
+    // Both LSTM plans: W and U transposed (d × 4d each) plus 4d biases;
+    // the composite (3d → d) and output (d → |V|) transposes; and the
+    // node → shard map: shard, local position and member list per
+    // node, one member-list offset per shard and a closing one.
+    let plans = 2 * (2 * d * 4 * d + 4 * d) + 3 * d * d + d * vocab;
+    let skeleton_bytes = (plans + 3 * nodes + shards + 1) * 4;
+
+    let report = |tier| -> CacheMemoryReport {
         let cache = m.freeze_tiered(&idx, tier);
         cache.warm(&m, &idx);
-        cache.memory_report()
+        let r = cache.memory_report();
+        assert_eq!(cache.memory_floats(), r.total_bytes() / 4);
+        r
     };
-    let exact = warm_report(CacheTier::Exact);
-    let compact = warm_report(CacheTier::Compact);
-
-    assert_eq!(exact.frozen_concepts, idx.len());
-    assert_eq!(compact.frozen_concepts, idx.len());
-    // The Exact tier clones one row per ancestor slot; Compact shares.
-    assert!((exact.ancestor_dedup_ratio() - 1.0).abs() < 1e-9);
-    assert!(
-        compact.ancestor_dedup_ratio() > 1.5,
-        "dedup ratio {}",
-        compact.ancestor_dedup_ratio()
-    );
+    let exact = report(CacheTier::Exact);
+    let compact = report(CacheTier::Compact);
+    for (r, row_bytes) in [(&exact, 4 * d), (&compact, 2 * d)] {
+        let name = r.tier.name();
+        assert_eq!(
+            (r.frozen_concepts, r.frozen_shards),
+            (nodes, shards),
+            "{name}"
+        );
+        assert_eq!(r.decoder_state_bytes, nodes * 2 * d * 4, "{name}");
+        assert_eq!(r.step0_bytes, nodes * (d + 1) * 4, "{name}");
+        // One offset per node plus one closing offset per shard.
+        assert_eq!(
+            r.enc_state_bytes,
+            tokens * row_bytes + (nodes + shards) * 4,
+            "{name}"
+        );
+        assert_eq!(r.encoder_tokens, tokens, "{name}");
+        // Every node but the root slot has β slots…
+        assert_eq!(r.ancestor_slots, (nodes - 1) * beta, "{name}");
+        assert_eq!(r.ancestor_bytes, r.ancestor_slots * 4, "{name}");
+        // …and they name chapters and categories only, each stored once
+        // as its own last encoder row.
+        assert_eq!(r.ancestor_rows_stored, chapters * (1 + cats), "{name}");
+        assert!(r.ancestor_dedup_ratio() > 1.5, "{name}");
+        assert_eq!(r.plan_bytes, skeleton_bytes, "{name}");
+        assert_eq!(
+            r.total_bytes(),
+            r.enc_state_bytes
+                + r.ancestor_bytes
+                + r.decoder_state_bytes
+                + r.step0_bytes
+                + skeleton_bytes,
+            "{name}"
+        );
+    }
+    // The tiers differ in the width of the encoder rows and nothing
+    // else; that alone keeps Compact clear of the collapse floor fig17
+    // asserts.
     assert_eq!(
-        compact.ancestor_rows_stored, compact.ancestor_rows_unique,
-        "pool stores exactly one row per distinct ancestor"
+        exact.total_bytes() - compact.total_bytes(),
+        tokens * 2 * d,
+        "bf16 rows are the whole difference"
     );
-    assert_eq!(compact.step0_bytes, 0, "Compact drops the step-0 table");
-    assert!(
-        compact.bytes_per_concept() * 2.0 <= exact.bytes_per_concept(),
-        "compact {} vs exact {} bytes/concept",
-        compact.bytes_per_concept(),
-        exact.bytes_per_concept()
-    );
-    // memory_floats is the report's total in f32-equivalents.
-    let cache = m.freeze(&idx);
-    assert_eq!(
-        cache.memory_floats(),
-        cache.memory_report().total_bytes() / 4
-    );
+    assert!(exact.bytes_per_concept() > 1.2 * compact.bytes_per_concept());
 }

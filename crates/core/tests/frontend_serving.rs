@@ -96,45 +96,53 @@ fn assert_same_result(got: &LinkResult, want: &LinkResult, what: &str) {
     assert_eq!(got.degradation, want.degradation, "{what}");
 }
 
-/// Inline mode (workers = 0, no deadline, depth always 0) must be a
-/// plain synchronous linker: every completion bit-identical to
-/// `Linker::link`, all on the Full rung, nothing shed or rejected.
+/// Inline mode (workers = 0, depth always 0) must be a plain
+/// synchronous linker: every completion bit-identical to
+/// `Linker::link`, all on the Full rung, nothing shed or rejected —
+/// with no deadline and under the default one alike. A deadline only
+/// adds a clock read between candidates; the request runs the same
+/// stages over the same cached decode, which its trace shows.
 #[test]
 fn inline_frontend_is_bit_identical_to_direct_link() {
     let (o, model) = trained_world();
     let linker = Linker::new(&model, &o, LinkerConfig::default());
-    let fe = Frontend::new(
-        &linker,
-        FrontendConfig {
-            workers: 0,
-            deadline: None,
-            ..FrontendConfig::default()
-        },
-    );
-    for q in QUERIES {
-        fe.submit(tokenize(q)).unwrap();
-    }
-    let completions = fe.take_completions();
-    assert_eq!(completions.len(), QUERIES.len());
-    for (q, c) in QUERIES.iter().zip(&completions) {
-        assert_eq!(c.rung, AdmissionRung::Full);
-        assert_same_result(&c.result, &linker.link_text(q), &format!("q={q}"));
-        assert!(
-            !c.result
-                .trace
-                .events
-                .iter()
-                .any(|e| matches!(e, TraceEvent::Shed { .. })),
-            "nothing sheds at depth 0"
+    let default_deadline = FrontendConfig::default().deadline;
+    assert!(default_deadline.is_some());
+    for deadline in [None, default_deadline] {
+        let fe = Frontend::new(
+            &linker,
+            FrontendConfig {
+                workers: 0,
+                deadline,
+                ..FrontendConfig::default()
+            },
         );
+        for q in QUERIES {
+            fe.submit(tokenize(q)).unwrap();
+        }
+        let completions = fe.take_completions();
+        assert_eq!(completions.len(), QUERIES.len());
+        for (q, c) in QUERIES.iter().zip(&completions) {
+            let what = format!("q={q} deadline={deadline:?}");
+            let direct = linker.link_text(q);
+            assert_eq!(c.rung, AdmissionRung::Full);
+            assert_same_result(&c.result, &direct, &what);
+            let stages = |r: &LinkResult| r.trace.stages.iter().map(|s| s.kind).collect::<Vec<_>>();
+            assert_eq!(stages(&c.result), stages(&direct), "{what}");
+            assert_eq!(c.result.trace.cache, direct.trace.cache, "{what}");
+            assert!(
+                c.result.trace.events.is_empty(),
+                "{what}: nothing sheds at depth 0"
+            );
+        }
+        let stats = fe.stats();
+        assert_eq!(stats.submitted, QUERIES.len() as u64);
+        assert_eq!(stats.completed, QUERIES.len() as u64);
+        assert_eq!(stats.admitted_full, QUERIES.len() as u64);
+        assert_eq!(stats.rejected, 0);
+        assert_eq!(stats.admitted_partial + stats.admitted_shed, 0);
+        assert_eq!(stats.e2e.count, QUERIES.len() as u64);
     }
-    let stats = fe.stats();
-    assert_eq!(stats.submitted, QUERIES.len() as u64);
-    assert_eq!(stats.completed, QUERIES.len() as u64);
-    assert_eq!(stats.admitted_full, QUERIES.len() as u64);
-    assert_eq!(stats.rejected, 0);
-    assert_eq!(stats.admitted_partial + stats.admitted_shed, 0);
-    assert_eq!(stats.e2e.count, QUERIES.len() as u64);
 }
 
 /// Request concurrency lives here, in the front end's workers: three

@@ -3,13 +3,12 @@
 //! and one whose every cache read misses (the uncached
 //! `log_prob_ids_masked` path) return bit-identical ranked results, a
 //! cache outlives neither
-//! a training step nor a checkpoint round-trip, and the batched scoring
-//! path agrees with the per-candidate path to the last bit.
+//! a training step nor a checkpoint round-trip.
 
 use ncl_core::comaid::{
     CacheTier, ComAid, ComAidConfig, ConceptCache, OntologyIndex, TrainPair, Variant,
 };
-use ncl_core::linker::{Degradation, Linker, LinkerConfig};
+use ncl_core::linker::{Degradation, LinkBudget, Linker, LinkerConfig};
 use ncl_core::{FaultKind, FaultPlan};
 use ncl_ontology::{ConceptId, Ontology, OntologyBuilder};
 use ncl_tensor::{simd, Vector};
@@ -207,28 +206,100 @@ fn checkpoint_round_trip_invalidates_pre_save_caches() {
     assert_eq!(a.to_bits(), b.to_bits());
 }
 
-/// The batched scoring path must agree with the single-candidate cached
-/// path for every candidate the linker would consider.
+/// A deadline only decides *whether* a candidate is scored — with no
+/// fault plan attached either, a budgeted request runs the very decode
+/// an unbudgeted one does. An ED budget cut somewhere inside the phase
+/// leaves `PartialEd`: the scored candidates are a prefix of Phase I's
+/// order and carry the unbudgeted answer's score bits; the rest keep
+/// their Phase-I order, unscored.
 #[test]
-fn batched_scoring_agrees_with_single_candidate() {
-    let (o, model) = trained_world();
-    let index = OntologyIndex::build(&o, model.vocab(), 2);
-    let cache = model.freeze(&index);
-    let target = model.encode_text("chronic kidney disease stage 5");
-    let concepts: Vec<_> = o.fine_grained();
-    let counts: Vec<Vec<bool>> = concepts
-        .iter()
-        .enumerate()
-        .map(|(i, _)| (0..target.len()).map(|t| (t + i) % 2 == 0).collect())
-        .collect();
-    let batch = model.log_prob_batch_cached(&index, &cache, &concepts, &target, &counts);
-    assert_eq!(batch.len(), concepts.len());
-    for ((&c, mask), lp) in concepts.iter().zip(&counts).zip(&batch) {
-        let single = model.log_prob_ids_masked_cached(&index, &cache, c, &target, mask);
-        assert_eq!(single.to_bits(), lp.to_bits());
-        let plain = model.log_prob_ids_masked(&index, c, &target, mask);
-        assert_eq!(plain.to_bits(), lp.to_bits());
+fn budgeted_scoring_keeps_the_unbudgeted_bits_on_a_phase_one_prefix() {
+    let mut b = OntologyBuilder::new();
+    for i in 0..2 {
+        let ch = b.add_root_concept(format!("S{i}"), format!("system {i} disorders"));
+        for k in 0..8 {
+            b.add_child(
+                ch,
+                format!("S{i}.{k}"),
+                format!("system {i} disorder type t{k}"),
+            );
+        }
     }
+    let o = b.build().unwrap();
+    let mut v = Vocab::new();
+    for (_, c) in o.iter() {
+        for t in tokenize(&c.canonical) {
+            v.add(&t);
+        }
+    }
+    let config = ComAidConfig {
+        dim: 16,
+        beta: 2,
+        seed: 9,
+        ..ComAidConfig::tiny()
+    };
+    let model = ComAid::new(v, config, None);
+    // A long query makes one candidate's decode long against the clock
+    // reads between candidates.
+    let query = tokenize(&"system disorder type t3 ".repeat(12));
+    let unbudgeted = Linker::new(&model, &o, LinkerConfig::default());
+    unbudgeted.warm();
+    let _ = unbudgeted.link(&query);
+    let full = unbudgeted.link(&query);
+    assert!(
+        full.candidates.len() >= 12,
+        "{} candidates",
+        full.candidates.len()
+    );
+    assert_eq!(full.degradation, Degradation::None);
+    let full_score = |c: ConceptId| full.ranked.iter().find(|&&(id, _)| id == c).unwrap().1;
+    let ed_wall = full.trace.stage_wall(ncl_core::StageKind::Score);
+
+    let mut partial = 0;
+    // The cut lands where the scheduler lets it; sweep it across the
+    // phase until some requests stop mid-way.
+    for attempt in 0..40u32 {
+        let budgeted = Linker::new(
+            &model,
+            &o,
+            LinkerConfig {
+                budget: LinkBudget::with_ed(ed_wall * (1 + attempt % 8) / 10),
+                ..LinkerConfig::default()
+            },
+        );
+        budgeted.warm();
+        let res = budgeted.link(&query);
+        assert_eq!(res.candidates, full.candidates, "Phase I is untouched");
+        let scored = match res.degradation {
+            Degradation::None => res.candidates.len(),
+            Degradation::PartialEd { scored, total, .. } => {
+                assert_eq!(total, res.candidates.len());
+                partial += 1;
+                scored
+            }
+            Degradation::TfIdfOnly { .. } => 0,
+        };
+        let (head, tail) = res.ranked.split_at(scored);
+        let mut head_ids: Vec<ConceptId> = head.iter().map(|&(c, _)| c).collect();
+        let mut prefix = res.candidates[..scored].to_vec();
+        head_ids.sort();
+        prefix.sort();
+        assert_eq!(head_ids, prefix, "scored set is a Phase-I prefix");
+        for &(c, s) in head {
+            assert_eq!(s.to_bits(), full_score(c).to_bits(), "{c:?}");
+        }
+        let tail_ids: Vec<ConceptId> = tail.iter().map(|&(c, _)| c).collect();
+        assert_eq!(
+            tail_ids,
+            res.candidates[scored..],
+            "unscored tail in Phase-I order"
+        );
+        assert!(tail.iter().all(|&(_, s)| s == f32::NEG_INFINITY));
+        if partial >= 3 {
+            break;
+        }
+    }
+    assert!(partial > 0, "no budget cut the phase mid-way");
 }
 
 /// Deterministic word pool for the generated ontologies.
@@ -352,26 +423,33 @@ proptest! {
     /// on first touch and after `warm`, in both tiers — runs one encoder
     /// step per distinct prefix of a chapter, and (the final cell and the
     /// frozen BOS step ride on the scores) serves bit-identically to the
-    /// uncached model.
+    /// uncached model: in every architecture variant, for the empty
+    /// target, and whether the mask counts every word, none, or some.
     #[test]
     fn trie_shared_freeze_equals_per_concept_encoder_passes(
         shape in proptest::collection::vec(0usize..50 * 6 * 40, 2..14),
         qsel in proptest::collection::vec(0usize..WORDS.len(), 0..4),
         seed in 0u64..1000,
+        variant in 0usize..Variant::ALL.len(),
+        mask_kind in 0usize..3,
     ) {
         let (o, v) = build_prefix_world(&shape);
         let config = ComAidConfig {
             dim: 6,
             beta: 2,
-            variant: Variant::Full,
+            variant: Variant::ALL[variant],
             seed,
             ..ComAidConfig::tiny()
         };
         let model = ComAid::new(v, config, None);
         let index = OntologyIndex::build(&o, model.vocab(), 2);
-        let concepts: Vec<ConceptId> = o.all_concepts().collect();
+        // The root slot has a run of its own, like any node.
+        let concepts: Vec<ConceptId> =
+            std::iter::once(Ontology::ROOT).chain(o.all_concepts()).collect();
         let target: Vec<u32> = qsel.iter().map(|&i| model.vocab().get_or_unk(WORDS[i])).collect();
-        let mask: Vec<bool> = (0..target.len()).map(|t| t % 2 == 0).collect();
+        let mask: Vec<bool> = (0..target.len())
+            .map(|t| [true, false, t % 2 == 0][mask_kind])
+            .collect();
         let score = |cache: &ConceptCache, c: ConceptId| {
             model.log_prob_ids_masked_cached(&index, cache, c, &target, &mask).to_bits()
         };

@@ -18,7 +18,8 @@
 //! return gradients for the memory *and* the state, because encoder
 //! states receive gradient through attention.
 
-use ncl_tensor::ops::{softmax, softmax_backward};
+use ncl_tensor::ops::{softmax_backward, softmax_inplace};
+use ncl_tensor::vector::dot;
 use ncl_tensor::Vector;
 
 /// Parameter-free dot-product attention.
@@ -38,41 +39,64 @@ impl DotAttention {
     /// # Panics
     /// Panics if the memory is empty or dimensions disagree.
     pub fn forward(&self, memory: &[Vector], s: &Vector) -> (Vector, AttentionCache) {
-        assert!(!memory.is_empty(), "attention: empty memory");
-        let scores: Vector = memory.iter().map(|m| m.dot(s)).collect();
-        let weights = softmax(&scores);
+        let mut weights = Vector::zeros(memory.len());
         let mut ctx = Vector::zeros(s.len());
-        for (m, &w) in memory.iter().zip(weights.iter()) {
-            ctx.axpy(w, m);
-        }
+        self.attend_into(
+            memory.iter().map(Vector::as_slice),
+            s.as_slice(),
+            weights.as_mut_slice(),
+            ctx.as_mut_slice(),
+            false,
+        );
         (ctx, AttentionCache { weights })
     }
 
-    /// Epsilon-relaxed [`DotAttention::forward`] for the fast-math
-    /// serving path (`LinkerConfig::fast_math`): the relatedness scores
-    /// use [`ncl_tensor::simd::dot_relaxed`] (fixed 8-lane partial sums)
+    /// The forward pass over rows held anywhere — a slab's
+    /// `chunks_exact(d)`, a `Vector` slice — written into caller
+    /// storage with no allocation: `weights` (one slot per memory row)
+    /// leaves holding `α`, `ctx` (overwritten) the context. The one
+    /// definition of the attention arithmetic; [`DotAttention::forward`]
+    /// wraps it.
+    ///
+    /// `relaxed` selects the epsilon-relaxed relatedness scores of the
+    /// fast-math serving path (`LinkerConfig::fast_math`):
+    /// [`ncl_tensor::simd::dot_relaxed`] (fixed 8-lane partial sums)
     /// instead of the sequential dot. The softmax and the context
     /// combination are unchanged — the scores are where the time goes,
     /// and keeping the rest exact keeps the approximation error a plain
     /// score perturbation. Deterministic across dispatch levels, but not
-    /// bit-equal to [`DotAttention::forward`]. The context weights are
-    /// not returned because no backward pass ever follows a relaxed
-    /// forward.
+    /// bit-equal to the exact pass.
     ///
     /// # Panics
-    /// Panics if the memory is empty or dimensions disagree.
-    pub fn forward_relaxed(&self, memory: &[Vector], s: &Vector) -> Vector {
-        assert!(!memory.is_empty(), "attention: empty memory");
-        let scores: Vector = memory
-            .iter()
-            .map(|m| ncl_tensor::simd::dot_relaxed(m.as_slice(), s.as_slice()))
-            .collect();
-        let weights = softmax(&scores);
-        let mut ctx = Vector::zeros(s.len());
-        for (m, &w) in memory.iter().zip(weights.iter()) {
-            ctx.axpy(w, m);
+    /// Panics if the memory is empty, `weights` does not have one slot
+    /// per row, or dimensions disagree.
+    pub fn attend_into<'m>(
+        &self,
+        memory: impl ExactSizeIterator<Item = &'m [f32]> + Clone,
+        s: &[f32],
+        weights: &mut [f32],
+        ctx: &mut [f32],
+        relaxed: bool,
+    ) {
+        assert!(memory.len() > 0, "attention: empty memory");
+        assert_eq!(
+            weights.len(),
+            memory.len(),
+            "attention: one weight slot per memory row"
+        );
+        assert_eq!(ctx.len(), s.len(), "attention: context dimension");
+        for (e, m) in weights.iter_mut().zip(memory.clone()) {
+            *e = if relaxed {
+                ncl_tensor::simd::dot_relaxed(m, s)
+            } else {
+                dot(m, s)
+            };
         }
-        ctx
+        softmax_inplace(weights);
+        ctx.fill(0.0);
+        for (m, &w) in memory.zip(weights.iter()) {
+            ncl_tensor::simd::saxpy(ctx, w, m);
+        }
     }
 
     /// Backward pass: given the upstream gradient on the context, returns
@@ -200,10 +224,17 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_forward_close_to_exact() {
+    fn relaxed_scores_close_to_exact() {
         let (memory, s, _) = setup(12, 150, 11);
         let (exact, _) = DotAttention.forward(&memory, &s);
-        let relaxed = DotAttention.forward_relaxed(&memory, &s);
+        let (mut weights, mut relaxed) = (vec![0.0; 12], vec![0.0; 150]);
+        DotAttention.attend_into(
+            memory.iter().map(Vector::as_slice),
+            s.as_slice(),
+            &mut weights,
+            &mut relaxed,
+            true,
+        );
         for k in 0..150 {
             assert!(
                 (exact[k] - relaxed[k]).abs() < 1e-4,
@@ -211,6 +242,48 @@ mod tests {
                 exact[k],
                 relaxed[k]
             );
+        }
+    }
+
+    /// The slab form over flat rows — at every dispatch level, into
+    /// dirty output storage — has the bits of the `Vector` pass the
+    /// uncached model runs; all-`-inf` scores degrade to the uniform
+    /// weights on both.
+    #[test]
+    fn flat_rows_bit_identical_to_vector_forward_at_every_level() {
+        use ncl_tensor::simd;
+        for (n, d) in [(1usize, 4usize), (8, 32), (3, 150), (5, 7)] {
+            let (mut memory, s, _) = setup(n, d, 13);
+            for degenerate in [false, true] {
+                if degenerate {
+                    // m·s = -inf for every row: no finite maximum.
+                    for m in &mut memory {
+                        m[0] = f32::NEG_INFINITY * s[0].signum();
+                    }
+                }
+                let flat: Vec<f32> = memory.iter().flat_map(|m| m.iter().copied()).collect();
+                let (want_ctx, want) =
+                    simd::with_level(simd::Level::Scalar, || DotAttention.forward(&memory, &s));
+                if degenerate {
+                    assert!(want.weights.iter().all(|&w| w == 1.0 / n as f32));
+                }
+                for level in simd::supported_levels() {
+                    let (mut weights, mut ctx) = (vec![f32::NAN; n], vec![f32::NAN; d]);
+                    simd::with_level(level, || {
+                        DotAttention.attend_into(
+                            flat.chunks_exact(d),
+                            s.as_slice(),
+                            &mut weights,
+                            &mut ctx,
+                            false,
+                        )
+                    });
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let ctx_name = format!("{n}x{d} degenerate={degenerate} {}", level.name());
+                    assert_eq!(bits(&weights), bits(want.weights.as_slice()), "{ctx_name}");
+                    assert_eq!(bits(&ctx), bits(want_ctx.as_slice()), "{ctx_name}");
+                }
+            }
         }
     }
 

@@ -88,104 +88,68 @@ impl Dense {
         y
     }
 
-    /// Inference-only batched forward: one row of output per row of `xs`,
-    /// `out[i] = act(W xs[i] + b)`. The product runs through the blocked
-    /// [`Matrix::gemm_nt`](ncl_tensor::Matrix::gemm_nt) kernel, so the
-    /// weight matrix is streamed through the cache once for the whole
-    /// batch instead of once per input — the point of advancing all top-k
-    /// candidates one decoder timestep per output-matrix pass.
-    ///
-    /// Per-entry arithmetic (full ascending dot, then a single bias add)
-    /// is bit-identical to [`Dense::apply`] on each row.
-    ///
-    /// # Panics
-    /// Panics if `xs.cols() != in_dim`.
-    pub fn apply_batch(&self, xs: &ncl_tensor::Matrix) -> ncl_tensor::Matrix {
-        assert_eq!(xs.cols(), self.in_dim(), "apply_batch: input dimension");
-        let mut out = xs.gemm_nt(&self.w.v);
-        for i in 0..out.rows() {
-            for (o, bv) in out.row_mut(i).iter_mut().zip(self.b.v.iter()) {
-                // acc + b is bit-equal to gemv_acc's b + acc.
-                *o += bv;
-            }
-        }
-        if self.act == Activation::Tanh {
-            for v in out.as_mut_slice() {
-                *v = v.tanh();
-            }
-        }
-        out
-    }
-
     /// Returns the transposed weight matrix (`in × out`), the layout
-    /// [`Dense::apply_with_t`]/[`Dense::apply_batch_with_t`] stream
-    /// contiguously. Serving callers build this once per freeze and reuse
-    /// it every decoder step; it is derived data, so it goes stale if the
-    /// layer trains afterwards (the serving cache's version counter
-    /// guards that).
+    /// [`Dense::apply_with_t_into`] streams contiguously. Serving callers
+    /// build this once per freeze and reuse it every decoder step; it is
+    /// derived data, so it goes stale if the layer trains afterwards (the
+    /// serving cache's version counter guards that).
     pub fn weight_t(&self) -> ncl_tensor::Matrix {
         self.w.v.transpose()
     }
 
-    /// [`Dense::apply`] against a caller-held transposed weight matrix
-    /// (from [`Dense::weight_t`]): the products stream down contiguous
+    /// [`Dense::apply`] over slices, against a caller-held transposed
+    /// weight matrix (from [`Dense::weight_t`]) and into caller storage
+    /// (`out` is overwritten): the products stream down contiguous
     /// columns via [`ncl_tensor::simd::colmajor_gemv_acc`], vectorising
-    /// across output units. Bit-identical to `apply(x)` — each output is
-    /// the same fresh-accumulator ascending dot added to the bias in the
-    /// same order, and a zero-input layer skips the accumulate entirely
-    /// just like `gemv_acc` over a zero-column matrix.
+    /// across output units, and nothing is allocated. Bit-identical to
+    /// `apply(x)` — each output is the bias plus the same
+    /// fresh-accumulator ascending dot, and a zero-input layer adds
+    /// nothing at all, just like `gemv_acc` over a zero-column matrix
+    /// (so a `-0` bias entry stays `-0`).
     ///
     /// # Panics
-    /// Panics if `x` or `w_t` has the wrong shape.
-    pub fn apply_with_t(&self, x: &Vector, w_t: &ncl_tensor::Matrix) -> Vector {
+    /// Panics if `x`, `w_t` or `out` has the wrong shape.
+    pub fn apply_with_t_into(&self, x: &[f32], w_t: &ncl_tensor::Matrix, out: &mut [f32]) {
         assert_eq!(x.len(), self.in_dim(), "apply_with_t: input dimension");
+        assert_eq!(out.len(), self.out_dim(), "apply_with_t: output dimension");
         assert!(
             w_t.rows() == self.in_dim() && w_t.cols() == self.out_dim(),
             "apply_with_t: transposed weight shape"
         );
-        let mut y = self.b.v.clone();
-        if self.in_dim() > 0 {
-            let mut acc = vec![0.0f32; self.out_dim()];
-            ncl_tensor::simd::colmajor_gemv_acc(&mut acc, x.as_slice(), w_t.as_slice());
-            ncl_tensor::simd::add_assign(y.as_mut_slice(), &acc);
-        }
+        out.copy_from_slice(self.b.v.as_slice());
+        ncl_tensor::simd::colmajor_gemv_acc(out, x, w_t.as_slice());
         if self.act == Activation::Tanh {
-            ncl_tensor::ops::tanh_inplace(&mut y);
-        }
-        y
-    }
-
-    /// [`Dense::apply_batch`] against a caller-held transposed weight
-    /// matrix: the product runs through
-    /// [`Matrix::gemm_nt_with_t`](ncl_tensor::Matrix::gemm_nt_with_t),
-    /// skipping the per-tile transpose `gemm_nt` performs internally.
-    /// Bit-identical to `apply_batch(xs)`.
-    ///
-    /// # Panics
-    /// Panics if `xs` or `w_t` has the wrong shape.
-    pub fn apply_batch_with_t(
-        &self,
-        xs: &ncl_tensor::Matrix,
-        w_t: &ncl_tensor::Matrix,
-    ) -> ncl_tensor::Matrix {
-        assert_eq!(xs.cols(), self.in_dim(), "apply_batch: input dimension");
-        assert!(
-            w_t.rows() == self.in_dim() && w_t.cols() == self.out_dim(),
-            "apply_batch_with_t: transposed weight shape"
-        );
-        let mut out = xs.gemm_nt_with_t(w_t);
-        for i in 0..out.rows() {
-            for (o, bv) in out.row_mut(i).iter_mut().zip(self.b.v.iter()) {
-                // acc + b is bit-equal to gemv_acc's b + acc.
-                *o += bv;
-            }
-        }
-        if self.act == Activation::Tanh {
-            for v in out.as_mut_slice() {
+            for v in out {
                 *v = v.tanh();
             }
         }
-        out
+    }
+
+    /// Entry `r` of [`Dense::apply`]`(x)` alone: `act(b[r] + W[r]·x)`
+    /// through the same fresh-accumulator ascending mul-then-add
+    /// reduction every full pass runs for row `r`, so it is that pass's
+    /// bit at `in_dim` multiply-adds instead of `out_dim · in_dim`. The
+    /// serving cache reads the first word's logit of Eq. 9 this way off
+    /// a frozen composite state. A zero-input layer returns `act(b[r])`
+    /// untouched (a `-0` bias stays `-0`).
+    ///
+    /// # Panics
+    /// Panics if `x` has the wrong dimension or `r` is out of range.
+    pub fn apply_row(&self, x: &[f32], r: usize) -> f32 {
+        assert_eq!(x.len(), self.in_dim(), "apply_row: input dimension");
+        assert!(r < self.out_dim(), "apply_row: row out of range");
+        let mut y = self.b.v[r];
+        if self.in_dim() > 0 {
+            let mut acc = 0.0f32;
+            for (w, xv) in self.w.v.row(r).iter().zip(x) {
+                acc += w * xv;
+            }
+            y += acc;
+        }
+        match self.act {
+            Activation::Linear => y,
+            Activation::Tanh => y.tanh(),
+        }
     }
 
     /// Backward pass: accumulates parameter gradients and returns `dL/dx`.
@@ -411,53 +375,47 @@ mod tests {
         }
     }
 
-    #[test]
-    fn apply_batch_bit_identical_to_apply_rows() {
-        for act in [Activation::Linear, Activation::Tanh] {
-            let mut rng = StdRng::seed_from_u64(22);
-            // 37 output rows spans multiple gemm_nt tiles.
-            let d = Dense::new(6, 37, act, &mut rng);
-            let xs: Vec<Vector> = (0..5)
-                .map(|_| init::uniform_vector(6, -1.0, 1.0, &mut rng))
-                .collect();
-            let mut batch = ncl_tensor::Matrix::zeros(5, 6);
-            for (i, x) in xs.iter().enumerate() {
-                batch.set_row(i, x);
-            }
-            let out = d.apply_batch(&batch);
-            for (i, x) in xs.iter().enumerate() {
-                let row = d.apply(x);
-                for (a, b) in out.row(i).iter().zip(row.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
+    /// A layer whose bias carries a `-0.0` entry: the value a spurious
+    /// `+ 0.0` would rewrite.
+    fn layer_with_negative_zero_bias(in_dim: usize, out_dim: usize, act: Activation) -> Dense {
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut d = Dense::new(in_dim, out_dim, act, &mut rng);
+        for (r, b) in d.b.v.as_mut_slice().iter_mut().enumerate() {
+            *b = if r % 5 == 0 {
+                -0.0
+            } else {
+                (r as f32 * 0.37).sin()
+            };
         }
+        d
     }
 
     #[test]
-    fn with_t_paths_bit_identical() {
-        for act in [Activation::Linear, Activation::Tanh] {
-            let mut rng = StdRng::seed_from_u64(24);
-            // 70 output rows spans SIMD widths and gemm_nt tiles.
-            let d = Dense::new(9, 70, act, &mut rng);
-            let wt = d.weight_t();
-            let xs: Vec<Vector> = (0..4)
-                .map(|_| init::uniform_vector(9, -1.0, 1.0, &mut rng))
-                .collect();
-            let mut batch = ncl_tensor::Matrix::zeros(4, 9);
-            for (i, x) in xs.iter().enumerate() {
-                batch.set_row(i, x);
-            }
-            let batch_ref = d.apply_batch(&batch);
-            let batch_t = d.apply_batch_with_t(&batch, &wt);
-            for (a, b) in batch_t.as_slice().iter().zip(batch_ref.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            for x in &xs {
-                let single_ref = d.apply(x);
-                let single_t = d.apply_with_t(x, &wt);
-                for (a, b) in single_t.iter().zip(single_ref.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits());
+    fn slice_paths_bit_identical_to_forward_at_every_level() {
+        use ncl_tensor::simd;
+        // 70 output rows spans the SIMD widths; `in_dim == 0` is the
+        // zero-column layer whose `-0.0` bias entries must survive.
+        for (in_dim, out_dim) in [(9usize, 70usize), (32, 188), (0, 6), (5, 1)] {
+            for act in [Activation::Linear, Activation::Tanh] {
+                let d = layer_with_negative_zero_bias(in_dim, out_dim, act);
+                let wt = d.weight_t();
+                let mut rng = StdRng::seed_from_u64(25);
+                let x = init::uniform_vector(in_dim, -1.0, 1.0, &mut rng);
+                let want = simd::with_level(simd::Level::Scalar, || d.forward(&x).0);
+                for level in simd::supported_levels() {
+                    simd::with_level(level, || {
+                        let mut got = vec![f32::NAN; out_dim];
+                        d.apply_with_t_into(x.as_slice(), &wt, &mut got);
+                        for r in 0..out_dim {
+                            let ctx = format!("{in_dim}x{out_dim} {act:?} {} [{r}]", level.name());
+                            assert_eq!(got[r].to_bits(), want[r].to_bits(), "into {ctx}");
+                            assert_eq!(
+                                d.apply_row(x.as_slice(), r).to_bits(),
+                                want[r].to_bits(),
+                                "row {ctx}"
+                            );
+                        }
+                    });
                 }
             }
         }
@@ -465,18 +423,18 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "transposed weight shape")]
-    fn apply_with_t_wrong_shape_panics() {
+    fn apply_with_t_into_wrong_shape_panics() {
         let mut rng = StdRng::seed_from_u64(25);
         let d = Dense::new(3, 2, Activation::Linear, &mut rng);
-        let _ = d.apply_with_t(&Vector::zeros(3), &ncl_tensor::Matrix::zeros(2, 3));
+        d.apply_with_t_into(&[0.0; 3], &ncl_tensor::Matrix::zeros(2, 3), &mut [0.0; 2]);
     }
 
     #[test]
-    #[should_panic(expected = "input dimension")]
-    fn apply_batch_wrong_dim_panics() {
+    #[should_panic(expected = "row out of range")]
+    fn apply_row_out_of_range_panics() {
         let mut rng = StdRng::seed_from_u64(23);
         let d = Dense::new(3, 2, Activation::Linear, &mut rng);
-        let _ = d.apply_batch(&ncl_tensor::Matrix::zeros(1, 4));
+        let _ = d.apply_row(&[0.0; 3], 2);
     }
 
     #[test]

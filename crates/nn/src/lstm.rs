@@ -528,13 +528,13 @@ pub fn zero_state(hidden: usize) -> (Vector, Vector) {
 /// * each packed column accumulates `Σ_k x[k]·W[r][k]` with a fresh
 ///   accumulator in ascending `k` — exactly [`Matrix::gemv_acc`]'s
 ///   reduction per gate row (the [`simd`] contract);
-/// * the partial sums land in zeroed buffers (an ascending `fadd` chain
-///   seeded at `+0` can never produce `-0`, so `0 + acc` is bitwise
-///   `acc`) and are added to the bias clone in the scalar order
-///   `(b + Wx) + Uh`;
-/// * when `in_dim == 0` the input block is skipped entirely, matching
-///   `gemv_acc` over a zero-column matrix which adds nothing (adding the
-///   zeroed partial instead would rewrite a `-0` bias to `+0`);
+/// * each partial sum is added to the bias copy as the kernel's
+///   `y[j] += acc`, in the scalar order `(b + Wx) + Uh` (an ascending
+///   `fadd` chain seeded at `+0` can never produce `-0`, so it does not
+///   matter that the taped step adds it through a `+0`-seeded `y`);
+/// * when `in_dim == 0` the kernel adds nothing, matching `gemv_acc`
+///   over a zero-column matrix (adding a zero partial instead would
+///   rewrite a `-0` bias to `+0`);
 /// * the activations and cell/hidden updates apply the same scalar
 ///   functions per element in the same order (`1·x` and `0 + x` are
 ///   bitwise identities).
@@ -629,8 +629,8 @@ impl LstmPlan {
     /// # Panics
     /// Panics if any input has the wrong dimension.
     pub fn step_infer(&self, x: &Vector, h_prev: &Vector, c_prev: &Vector) -> (Vector, Vector) {
-        self.finish_step(
-            self.project_input(x.as_slice()),
+        self.step_projected(
+            self.project_input(x.as_slice()).as_slice(),
             h_prev.as_slice(),
             c_prev.as_slice(),
         )
@@ -643,18 +643,30 @@ impl LstmPlan {
     /// # Panics
     /// Panics if `x` has the wrong dimension.
     pub fn project_input(&self, x: &[f32]) -> Vector {
-        assert_eq!(x.len(), self.in_dim, "plan step: input dimension");
-        let d = self.hidden;
-        let mut z = self.bcat.clone();
-        // The guard mirrors gemv_acc over a zero-column matrix, which
-        // adds nothing — adding the zeroed partial would flip a `-0`
-        // bias entry to `+0`.
-        if self.in_dim > 0 && d > 0 {
-            let mut zw = vec![0.0f32; 4 * d];
-            simd::colmajor_gemv_acc(&mut zw, x, self.wt.as_slice());
-            simd::add_assign(z.as_mut_slice(), &zw);
-        }
+        let mut z = Vector::zeros(4 * self.hidden);
+        self.project_input_into(x, z.as_mut_slice());
         z
+    }
+
+    /// [`LstmPlan::project_input`] written into caller storage (`out`
+    /// is overwritten), so a request can keep every word's projection
+    /// in one flat buffer.
+    ///
+    /// # Panics
+    /// Panics if `x` or `out` has the wrong dimension.
+    pub fn project_input_into(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), self.in_dim, "plan step: input dimension");
+        assert_eq!(
+            out.len(),
+            4 * self.hidden,
+            "plan step: projection dimension"
+        );
+        out.copy_from_slice(self.bcat.as_slice());
+        // Each output gets `b + acc` with `acc` the kernel's fresh
+        // ascending accumulator. With `in_dim == 0` the kernel adds
+        // nothing, like gemv_acc over a zero-column matrix — adding a
+        // zero partial instead would flip a `-0` bias entry to `+0`.
+        simd::colmajor_gemv_acc(out, x, self.wt.as_slice());
     }
 
     /// Finishes a cell step from a projection made by
@@ -671,48 +683,56 @@ impl LstmPlan {
         h_prev: &[f32],
         c_prev: &[f32],
     ) -> (Vector, Vector) {
-        assert_eq!(
-            x_proj.len(),
-            4 * self.hidden,
-            "plan step: projection dimension"
-        );
-        self.finish_step(Vector::from_slice(x_proj), h_prev, c_prev)
+        let (mut h, mut c) = (Vector::from_slice(h_prev), Vector::from_slice(c_prev));
+        let mut gates = vec![0.0f32; 4 * self.hidden];
+        self.step_projected_into(x_proj, h.as_mut_slice(), c.as_mut_slice(), &mut gates);
+        (h, c)
     }
 
-    /// `z` enters as `b + W·x` and is consumed as the gate buffer.
-    fn finish_step(&self, mut z: Vector, h_prev: &[f32], c_prev: &[f32]) -> (Vector, Vector) {
-        assert_eq!(h_prev.len(), self.hidden, "plan step: h dimension");
-        assert_eq!(c_prev.len(), self.hidden, "plan step: c dimension");
+    /// [`LstmPlan::step_projected`] in place and allocation-free: `h`
+    /// and `c` enter as the previous state and leave as the next one,
+    /// `gates` is `4d` floats of caller scratch (overwritten). This is
+    /// the one definition of the step's arithmetic — the allocating
+    /// forms wrap it.
+    ///
+    /// # Panics
+    /// Panics if any argument has the wrong dimension.
+    pub fn step_projected_into(
+        &self,
+        x_proj: &[f32],
+        h: &mut [f32],
+        c: &mut [f32],
+        gates: &mut [f32],
+    ) {
         let d = self.hidden;
-        if d > 0 {
-            let mut zu = vec![0.0f32; 4 * d];
-            simd::colmajor_gemv_acc(&mut zu, h_prev, self.ut.as_slice());
-            simd::add_assign(z.as_mut_slice(), &zu);
-        }
+        assert_eq!(x_proj.len(), 4 * d, "plan step: projection dimension");
+        assert_eq!(gates.len(), 4 * d, "plan step: gate scratch dimension");
+        assert_eq!(h.len(), d, "plan step: h dimension");
+        assert_eq!(c.len(), d, "plan step: c dimension");
+        // z = (b + W·x) + U·h: the recurrent partial is the kernel's
+        // fresh accumulator (never `-0`, see the type-level docs), added
+        // to the projection in one step. All of `h` is read here, before
+        // any of it is overwritten below.
+        gates.copy_from_slice(x_proj);
+        simd::colmajor_gemv_acc(gates, h, self.ut.as_slice());
         // Fused activation sweep: sigmoid over the i/f/o blocks, tanh
         // over the cell candidate.
-        let zs = z.as_mut_slice();
-        for v in &mut zs[..3 * d] {
+        for v in &mut gates[..3 * d] {
             *v = sigmoid(*v);
         }
-        for v in &mut zs[3 * d..] {
+        for v in &mut gates[3 * d..] {
             *v = v.tanh();
         }
-        let (iv, rest) = zs.split_at(d);
+        let (iv, rest) = gates.split_at(d);
         let (fv, rest) = rest.split_at(d);
         let (ov, gv) = rest.split_at(d);
-        let mut c = Vector::zeros(d);
-        let mut h = Vector::zeros(d);
-        let cs = c.as_mut_slice();
-        let hs = h.as_mut_slice();
         for k in 0..d {
             // Same two roundings as `f.hadamard(c_prev)` followed by
             // `add_hadamard(1.0, &i, &g)` (`1.0·i·g` is bitwise `i·g`).
-            cs[k] = fv[k] * c_prev[k];
-            cs[k] += iv[k] * gv[k];
-            hs[k] = ov[k] * cs[k].tanh();
+            c[k] *= fv[k];
+            c[k] += iv[k] * gv[k];
+            h[k] = ov[k] * c[k].tanh();
         }
-        (h, c)
     }
 }
 

@@ -38,35 +38,6 @@ pub fn forward(logits: &Vector, target: usize) -> SoftmaxNll {
     }
 }
 
-/// Scoring-only forward: `log p(target)` alone, via the two-pass scalar
-/// [`log_softmax_at`](ncl_tensor::ops::log_softmax_at). [`forward`]
-/// materialises *both* the `|V|`-sized log-softmax and softmax vectors —
-/// the latter exists purely for the backward pass — so online scoring,
-/// which only accumulates `log p(q|c)` (Eq. 3), pays two full-vocabulary
-/// exponential passes and two allocations for one scalar. This kernel
-/// pays one exp pass and none, and is bit-identical to
-/// `forward(logits, target).log_prob`.
-///
-/// # Panics
-/// Panics if `target` is out of range.
-pub fn log_prob(logits: &Vector, target: usize) -> f32 {
-    assert!(target < logits.len(), "softmax_nll: target out of range");
-    ncl_tensor::ops::log_softmax_at(logits, target)
-}
-
-/// Epsilon-relaxed [`log_prob`] via
-/// [`log_softmax_at_slice_relaxed`](ncl_tensor::ops::log_softmax_at_slice_relaxed)
-/// (SIMD polynomial exp-sum): within ≈1e-5 of the exact score,
-/// deterministic across dispatch levels, but **not** bit-identical.
-/// Only the serving path behind `LinkerConfig::fast_math` calls it.
-///
-/// # Panics
-/// Panics if `target` is out of range.
-pub fn log_prob_relaxed(logits: &Vector, target: usize) -> f32 {
-    assert!(target < logits.len(), "softmax_nll: target out of range");
-    ncl_tensor::ops::log_softmax_at_slice_relaxed(logits.as_slice(), target)
-}
-
 /// Backward: `d logits = probs − one_hot(target)`, scaled by `scale`
 /// (used to average over a mini-batch, the `1/|D|` of Eq. 10).
 pub fn backward(out: &SoftmaxNll, target: usize, scale: f32) -> Vector {
@@ -94,30 +65,6 @@ mod tests {
         let logits = Vector::from_slice(&[20.0, 0.0, 0.0]);
         assert!(forward(&logits, 0).loss < 1e-3);
         assert!(forward(&logits, 1).loss > 10.0);
-    }
-
-    #[test]
-    fn log_prob_bit_identical_to_forward() {
-        let logits = Vector::from_slice(&[0.5, -1.0, 2.0, 0.0, -3.25]);
-        for t in 0..logits.len() {
-            assert_eq!(
-                log_prob(&logits, t).to_bits(),
-                forward(&logits, t).log_prob.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn log_prob_relaxed_close_to_exact() {
-        let logits = Vector::from_vec((0..500).map(|i| ((i as f32) * 0.37).sin() * 6.0).collect());
-        for t in [0usize, 7, 250, 499] {
-            let exact = log_prob(&logits, t);
-            let relaxed = log_prob_relaxed(&logits, t);
-            assert!(
-                (exact - relaxed).abs() < 1e-4,
-                "t={t}: exact {exact}, relaxed {relaxed}"
-            );
-        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Step-level identity of the hoisted LSTM input projection:
-//! `LstmPlan::project_input` followed by `LstmPlan::step_projected` must
+//! `LstmPlan::project_input` followed by `LstmPlan::step_projected` —
+//! and the in-place, allocation-free `_into` forms they wrap — must
 //! reproduce `Lstm::step_infer` bit for bit at every SIMD dispatch
 //! level, on the shapes the `LstmPlan` docs call out as hazards
 //! (`in_dim == 0`, a `-0.0` bias entry), and a chain of projected steps
@@ -83,6 +84,23 @@ fn projected_step_bit_identical_to_step_infer_at_every_level() {
                 assert_bits_eq(&format!("{label} c"), &c, &c_ref);
                 assert_bits_eq(&format!("{label} fused h"), &h_fused, &h_ref);
                 assert_bits_eq(&format!("{label} fused c"), &c_fused, &c_ref);
+                // The slice forms the wrappers above run on, called the
+                // way serving calls them: into dirty caller storage,
+                // with the state stepped in place.
+                let mut flat = vec![f32::NAN; 4 * lstm.hidden()];
+                let mut gates = flat.clone();
+                let (mut h, mut c) = (h0.clone(), c0.clone());
+                simd::with_level(level, || {
+                    plan.project_input_into(x.as_slice(), &mut flat);
+                    plan.step_projected_into(&flat, h.as_mut_slice(), c.as_mut_slice(), &mut gates);
+                });
+                assert_bits_eq(
+                    &format!("{label} into proj"),
+                    &Vector::from_vec(flat),
+                    &proj,
+                );
+                assert_bits_eq(&format!("{label} in-place h"), &h, &h_ref);
+                assert_bits_eq(&format!("{label} in-place c"), &c, &c_ref);
             }
         }
     }
@@ -126,13 +144,21 @@ fn shared_projections_reproduce_forward_states() {
 
     for level in simd::supported_levels() {
         simd::with_level(level, || {
-            let projs: Vec<Vector> = words
-                .iter()
-                .map(|w| plan.project_input(w.as_slice()))
-                .collect();
+            // One flat buffer of projections, one state stepped in place
+            // through the whole sequence — the serving decoder's shape.
+            let mut projs = vec![0.0f32; words.len() * 44];
+            for (w, out) in words.iter().zip(projs.chunks_exact_mut(44)) {
+                plan.project_input_into(w.as_slice(), out);
+            }
             let (mut h, mut c) = (h0.clone(), c0.clone());
+            let mut gates = vec![0.0f32; 44];
             for (t, &w) in seq.iter().enumerate() {
-                (h, c) = plan.step_projected(projs[w].as_slice(), h.as_slice(), c.as_slice());
+                plan.step_projected_into(
+                    &projs[w * 44..(w + 1) * 44],
+                    h.as_mut_slice(),
+                    c.as_mut_slice(),
+                    &mut gates,
+                );
                 assert_bits_eq(&format!("{} h_{t}", level.name()), &h, &hs_ref[t]);
             }
             assert_bits_eq(&format!("{} final c", level.name()), &c, &c_ref);

@@ -168,15 +168,16 @@ impl Matrix {
     /// `C = A Bᵀ`, i.e. `C[i][j] = A.row(i) · B.row(j)` — both operands
     /// are walked along contiguous rows, so no transpose is materialised.
     ///
-    /// This is the serving-side scoring kernel: with `A` holding one
-    /// decoder state `s̃_t` per candidate (k × d) and `B` the output
-    /// weights `W_s` (|V| × d), one call produces the logits of every
-    /// candidate while streaming the large `W_s` through the cache
-    /// exactly once. Rows of `B` are processed in tiles of
+    /// With `A` holding one state per row (k × d) and `B` a weight matrix
+    /// (n × d), one call produces every row's product while streaming
+    /// `B` through the cache once. Rows of `B` are processed in tiles of
     /// [`Matrix::GEMM_NT_TILE`]: each tile is transposed into a small
     /// column-major scratch so [`simd::colmajor_gemv_acc`] can vectorise
     /// across the tile's outputs while the tile stays cache-resident
-    /// across all rows of `A`.
+    /// across all rows of `A`. (Serving once stacked its candidates
+    /// through this; it now decodes one candidate at a time — DESIGN.md
+    /// §16 — and the kernel stays for the benchmark's `tensor.gemm_nt_us`
+    /// and fig16.)
     ///
     /// Each output entry is an independent ascending-index dot product —
     /// the same accumulation order as [`Matrix::gemv`]/[`Matrix::gemv_acc`]
@@ -202,34 +203,6 @@ impl Matrix {
                 let crow = &mut out.data[i * other.rows + jb..i * other.rows + jend];
                 simd::colmajor_gemv_acc(crow, arow, tile);
             }
-        }
-        out
-    }
-
-    /// [`Matrix::gemm_nt`] against a right operand that the caller has
-    /// already transposed: computes `C = A Bᵀ` from `other_t = Bᵀ`
-    /// (shape `cols × n`), so `C[i][j] = A.row(i) · B.row(j)` with `B`'s
-    /// columns streaming contiguously — no per-tile transpose scratch.
-    ///
-    /// The serving cache keeps the composite/output weight transposes
-    /// resident and calls this on every decoder step. Output bits are
-    /// identical to `self.gemm_nt(&B)` (and therefore to row-by-row
-    /// [`Matrix::gemv`]): the accumulation per output entry is the same
-    /// fresh-accumulator ascending-index reduction.
-    ///
-    /// # Panics
-    /// Panics if `other_t.rows() != self.cols()`.
-    pub fn gemm_nt_with_t(&self, other_t: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other_t.rows,
-            "gemm_nt_with_t: inner dimension mismatch"
-        );
-        let n = other_t.cols;
-        let mut out = Matrix::zeros(self.rows, n);
-        for i in 0..self.rows {
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            let crow = &mut out.data[i * n..(i + 1) * n];
-            simd::colmajor_gemv_acc(crow, arow, &other_t.data);
         }
         out
     }
@@ -405,28 +378,6 @@ mod tests {
                 assert_eq!(c[(i, j)].to_bits(), y[j].to_bits(), "({i},{j})");
             }
         }
-    }
-
-    #[test]
-    fn gemm_nt_with_t_bit_matches_gemm_nt() {
-        let d = 11;
-        let n = 70;
-        let a = Matrix::from_vec(4, d, (0..4 * d).map(|i| (i as f32 * 0.3).sin()).collect());
-        let b = Matrix::from_vec(n, d, (0..n * d).map(|i| (i as f32 * 0.9).cos()).collect());
-        let bt = b.transpose();
-        let c = a.gemm_nt(&b);
-        let ct = a.gemm_nt_with_t(&bt);
-        assert_eq!(ct.rows(), 4);
-        assert_eq!(ct.cols(), n);
-        for (x, y) in c.as_slice().iter().zip(ct.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimension mismatch")]
-    fn gemm_nt_with_t_wrong_dim_panics() {
-        let _ = sample().gemm_nt_with_t(&Matrix::zeros(2, 4));
     }
 
     #[test]

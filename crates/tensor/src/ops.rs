@@ -77,23 +77,34 @@ pub fn softmax_with_lse(x: &Vector) -> (Vector, f32) {
 
 /// The softmax, its shift `m = max(x)` and its exp-sum `Σ_j e^{x_j − m}`.
 fn softmax_parts(x: &Vector) -> (Vector, f32, f32) {
+    let mut out = x.as_slice().to_vec();
+    let (m, sum) = softmax_inplace(&mut out);
+    (Vector::from_vec(out), m, sum)
+}
+
+/// [`softmax`] over a slice, in place, returning the shift `m = max(x)`
+/// and the exp-sum `Σ_j e^{x_j − m}` — the one definition behind
+/// [`softmax`] / [`softmax_with_lse`], for callers that keep scores in
+/// scratch storage (the serving attention). A degenerate input (empty,
+/// or no finite maximum) becomes the uniform distribution.
+pub fn softmax_inplace(x: &mut [f32]) -> (f32, f32) {
     let n = x.len();
     let m = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut out = Vec::with_capacity(n);
     let mut sum = 0.0f32;
-    for &v in x.iter() {
-        let e = (v - m).exp();
+    for v in x.iter_mut() {
+        let e = (*v - m).exp();
         sum += e;
-        out.push(e);
+        *v = e;
     }
     if !m.is_finite() {
-        return (Vector::full(n, 1.0 / n as f32), m, sum);
+        x.fill(1.0 / n as f32);
+        return (m, sum);
     }
     let inv = 1.0 / sum;
-    for o in &mut out {
-        *o *= inv;
+    for v in x.iter_mut() {
+        *v *= inv;
     }
-    (Vector::from_vec(out), m, sum)
+    (m, sum)
 }
 
 /// Log-softmax, computed with the log-sum-exp trick. Needed for the loss

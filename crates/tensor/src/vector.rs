@@ -4,6 +4,18 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
+/// Sequential dot product `Σ_i a[i]·b[i]` of two slices — the one
+/// reduction behind [`Vector::dot`] and the slice-level attention, so a
+/// caller holding rows in flat storage gets the bits a `Vector` would.
+///
+/// # Panics
+/// Panics if the lengths differ.
+#[inline]
+pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "dot: dimension mismatch");
+    a.iter().zip(b).map(|(a, b)| a * b).sum()
+}
+
 /// A dense `f32` vector.
 ///
 /// `Vector` is the unit of data flowing through the COM-AID network: word
@@ -81,8 +93,7 @@ impl Vector {
     /// Panics if the dimensions differ.
     #[inline]
     pub fn dot(&self, other: &Self) -> f32 {
-        assert_eq!(self.len(), other.len(), "dot: dimension mismatch");
-        self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
+        dot(&self.data, &other.data)
     }
 
     /// In-place `self += alpha * x` (the BLAS `axpy` kernel), dispatched
