@@ -5,7 +5,7 @@
 //! part).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ncl_nn::lstm::zero_state;
+use ncl_nn::lstm::LstmTape;
 use ncl_nn::{DotAttention, Lstm};
 use ncl_tensor::{init, Matrix, Vector};
 use ncl_text::edit_distance::damerau_levenshtein;
@@ -32,12 +32,14 @@ fn bench_lstm_step(c: &mut Criterion) {
     for &d in &[50usize, 150] {
         let mut rng = StdRng::seed_from_u64(2);
         let lstm = Lstm::new(d, d, &mut rng);
-        let xs: Vec<Vector> = (0..8)
-            .map(|_| init::uniform_vector(d, -1.0, 1.0, &mut rng))
-            .collect();
-        let (h0, c0) = zero_state(d);
+        let xs = init::uniform(8, d, -1.0, 1.0, &mut rng);
+        let zero = vec![0.0f32; d];
+        let mut tape = LstmTape::default();
         group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, _| {
-            b.iter(|| black_box(lstm.forward_seq(black_box(&xs), &h0, &c0)))
+            b.iter(|| {
+                lstm.forward_seq(black_box(xs.as_slice()), 8, &zero, &zero, &mut tape);
+                black_box(tape.final_h()[0])
+            })
         });
     }
     group.finish();

@@ -167,8 +167,12 @@ impl ComAid {
 
     /// The output-layer logits of the *last* decoder step of a run (the
     /// distribution over the next word after the run's target prefix).
+    /// The taped pass turns its logits into probabilities in place, so
+    /// they are read again off the step's composite state — the same
+    /// bias-plus-ascending-dot per word, hence the same bits.
     fn step_logits(&self, run: &super::model::ExampleRun) -> ncl_tensor::Vector {
-        run.last_step_logits()
+        self.output
+            .apply(&ncl_tensor::Vector::from_slice(run.last_s_tilde()))
     }
 }
 

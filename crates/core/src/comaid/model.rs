@@ -1,15 +1,15 @@
 //! The COM-AID network: forward and backward passes.
 
 use super::{ComAidConfig, OntologyIndex};
-use ncl_nn::attention::AttentionCache;
-use ncl_nn::dense::{Activation, Dense, DenseCache, DenseRowsCache};
-use ncl_nn::lstm::LstmTape;
+use ncl_nn::dense::{Activation, Dense, DenseRowsCache};
+use ncl_nn::lstm::{LstmTape, SeqGrads};
 use ncl_nn::param::{HasParams, ParamSet, Parameter};
-use ncl_nn::softmax_loss::{self, SoftmaxNll};
+use ncl_nn::softmax_loss;
 use ncl_nn::{DotAttention, Embedding, Lstm};
 use ncl_ontology::ConceptId;
+use ncl_tensor::vector::dot;
 use ncl_tensor::wire::{Reader, Wire, WireError};
-use ncl_tensor::{Matrix, Vector};
+use ncl_tensor::{simd, Matrix, Vector};
 use ncl_text::{tokenize, Vocab};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -137,25 +137,27 @@ impl Wire for ComAid {
     }
 }
 
-/// The output head used at one decoder step: the exact full-vocabulary
-/// softmax (Eq. 9), or the sampled head used during BlackOut-style
-/// training (Appendix B.2), where only the target word plus shared noise
-/// words receive logits.
-enum OutCache {
-    Full(DenseCache),
-    Rows(DenseRowsCache),
+/// One decoder step of the sampled output head used during
+/// BlackOut-style training (Appendix B.2), where only the target word
+/// plus shared noise words receive logits. The sampled head is the one
+/// part of the taped path still run step by step
+/// (`Dense::{forward_rows, backward_rows}` over a handful of rows): no
+/// benchmark workload, bench binary or example trains with
+/// `OutputMode::Sampled`, so it has not been given sequence forms.
+struct SampledStep {
+    cache: DenseRowsCache,
+    /// Probabilities over the sampled rows (target first); the backward
+    /// pass turns them into `d logits` in place.
+    probs: Vector,
 }
 
-/// Per-decoder-step caches.
-struct StepRun {
-    comp_cache: DenseCache,
-    out_cache: OutCache,
-    nll: SoftmaxNll,
-    text_att: Option<AttentionCache>,
-    struct_att: Option<AttentionCache>,
-}
-
-/// Everything one forward pass records (consumed by the backward pass).
+/// Everything one forward pass records and the backward pass consumes:
+/// the three kinds of LSTM tape plus one flat slab per decoder-step
+/// quantity (`T` rows each), which is what the sequence kernels read.
+/// The backward scratch lives here too, so a run is reusable —
+/// `run_shard` hands each example the previous example's buffers, and a
+/// steady-state training example allocates nothing.
+#[derive(Default)]
 pub(crate) struct ExampleRun {
     /// Total loss `−log p(q|c)` summed over decoder steps.
     pub loss: f32,
@@ -163,51 +165,98 @@ pub(crate) struct ExampleRun {
     pub log_prob: f32,
     /// Per-step `log p(w_t | w_<t, c)` (last entry is the EOS step).
     pub step_log_probs: Vec<f32>,
-    /// Output-layer logits of the final decoder step (used by decoding).
-    last_logits: Vector,
     enc_ids: Vec<u32>,
     enc_tape: LstmTape,
-    /// Unique ancestor encodings (structural context, deduplicated).
-    anc_ids: Vec<Vec<u32>>,
+    /// Unique ancestor encodings (structural context, deduplicated): the
+    /// concepts, their word ids end to end, and one tape each. Only the
+    /// first `unique.len()` tapes belong to this example.
+    unique: Vec<ConceptId>,
+    anc_ids: Vec<u32>,
     anc_tapes: Vec<LstmTape>,
     /// Maps each of the β context slots to its unique ancestor.
     slot_map: Vec<usize>,
-    /// Ancestor representations per slot (the attention memory of Eq. 7).
-    struct_memory: Vec<Vector>,
+    /// Ancestor representations per slot (the attention memory of
+    /// Eq. 7), `slots × d`.
+    struct_memory: Vec<f32>,
     dec_input_ids: Vec<u32>,
     dec_tape: LstmTape,
     targets: Vec<u32>,
-    steps: Vec<StepRun>,
+    /// Memory rows the textual / structural attention ran over (0 when
+    /// the variant, or an empty memory, disables it).
+    n_text: usize,
+    n_struct: usize,
+    /// Attention weights `α` (Eq. 5) and `α'` (Eq. 7), `T × n_text` and
+    /// `T × n_struct`.
+    text_alpha: Vec<f32>,
+    struct_alpha: Vec<f32>,
+    /// Composite-layer inputs `[s_t ‖ tc_t ‖ sc_t]` and outputs `s̃_t`.
+    comp_in: Vec<f32>,
+    s_tilde: Vec<f32>,
+    /// `T × |V|`: the output layer's logits, turned into probabilities
+    /// in place by the loss and into `d logits` in place by the backward
+    /// pass (`OutputMode::Full`; empty under the sampled head).
+    probs: Vec<f32>,
+    sampled: Vec<SampledStep>,
+    /// Embedding rows of the sequence being encoded, and a zero state.
+    xs: Vec<f32>,
+    zero: Vec<f32>,
+    bwd: BackwardScratch,
+}
+
+/// Buffers of [`ComAid::backward_example`], kept across examples.
+#[derive(Default)]
+struct BackwardScratch {
+    ds_tilde: Vec<f32>,
+    dcomp_in: Vec<f32>,
+    dhs_dec: Vec<f32>,
+    dhs_enc: Vec<f32>,
+    dhs_anc: Vec<f32>,
+    d_anc_final: Vec<f32>,
+    /// One step's `ds_t`, and the attention backward's outputs.
+    ds_t: Vec<f32>,
+    ds_att: Vec<f32>,
+    de: Vec<f32>,
+    dmem: Vec<f32>,
+    dec_grads: SeqGrads,
+    enc_grads: SeqGrads,
+}
+
+/// `v` as `len` zeros, keeping its allocation.
+fn zeroed(v: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    v.clear();
+    v.resize(len, 0.0);
+    v
 }
 
 impl ExampleRun {
-    /// Per-step attention snapshots `(target, text α, struct α')` for
-    /// the trace API; the terminal EOS step reports `target = None`.
-    pub(crate) fn step_traces(&self) -> Vec<(Option<u32>, Option<Vector>, Option<Vector>)> {
-        let last = self.steps.len().saturating_sub(1);
-        self.steps
-            .iter()
-            .enumerate()
-            .map(|(t, step)| {
-                let target = if t == last {
-                    None
-                } else {
-                    Some(self.targets[t])
-                };
-                (
-                    target,
-                    step.text_att.as_ref().map(|c| c.weights.clone()),
-                    step.struct_att.as_ref().map(|c| c.weights.clone()),
-                )
-            })
-            .collect()
+    /// Decoder steps of the run (query words plus the EOS step).
+    pub(crate) fn steps(&self) -> usize {
+        self.targets.len()
     }
 
-    /// The output-layer logits of the final decoder step — the
-    /// distribution over the word *after* the decoded prefix (the EOS
-    /// position during scoring), used by free-running decoding.
-    pub(crate) fn last_step_logits(&self) -> Vector {
-        self.last_logits.clone()
+    /// The word predicted at step `t`; `None` for the terminal EOS step.
+    pub(crate) fn target(&self, t: usize) -> Option<u32> {
+        (t + 1 < self.steps()).then(|| self.targets[t])
+    }
+
+    /// Textual attention weights `α_t·` of step `t` (Eq. 5); empty when
+    /// the textual attention did not run.
+    pub(crate) fn text_weights(&self, t: usize) -> &[f32] {
+        &self.text_alpha[t * self.n_text..(t + 1) * self.n_text]
+    }
+
+    /// Structural attention weights `α'_t·` of step `t` (Eq. 7); empty
+    /// when the structural attention did not run.
+    pub(crate) fn struct_weights(&self, t: usize) -> &[f32] {
+        &self.struct_alpha[t * self.n_struct..(t + 1) * self.n_struct]
+    }
+
+    /// The composite state `s̃` of the final decoder step — what the
+    /// output layer turns into the distribution over the word *after*
+    /// the decoded prefix (the EOS position during scoring).
+    pub(crate) fn last_s_tilde(&self) -> &[f32] {
+        let d = self.s_tilde.len() / self.steps();
+        &self.s_tilde[self.s_tilde.len() - d..]
     }
 }
 
@@ -292,10 +341,13 @@ impl ComAid {
     /// current parameters — the quantity whose PCA drift Figure 10 plots.
     pub fn concept_representation(&self, index: &OntologyIndex, concept: ConceptId) -> Vector {
         let ids = index.tokens(concept);
-        let xs = self.embedding.lookup_seq(ids);
-        let h0 = Vector::zeros(self.config.dim);
-        let c0 = Vector::zeros(self.config.dim);
-        self.encoder.forward_seq(&xs, &h0, &c0).final_h().clone()
+        let mut xs = Vec::new();
+        self.embedding.lookup_rows_into(ids, &mut xs);
+        let zero = vec![0.0; self.config.dim];
+        let mut tape = LstmTape::default();
+        self.encoder
+            .forward_seq(&xs, ids.len(), &zero, &zero, &mut tape);
+        Vector::from_slice(tape.final_h())
     }
 
     /// `log p(q|c; Θ)` for arbitrary target word ids (Eq. 3); the linker
@@ -334,138 +386,162 @@ impl ComAid {
         lp
     }
 
-    /// Builds the deduplicated ancestor structures for `concept`.
-    fn context_slots(
-        &self,
-        index: &OntologyIndex,
-        concept: ConceptId,
-    ) -> (Vec<Vec<u32>>, Vec<usize>) {
-        let mut unique_ids: Vec<ConceptId> = Vec::new();
-        let mut slot_map = Vec::new();
-        for &anc in index.context(concept) {
-            let pos = match unique_ids.iter().position(|&u| u == anc) {
-                Some(p) => p,
-                None => {
-                    unique_ids.push(anc);
-                    unique_ids.len() - 1
-                }
-            };
-            slot_map.push(pos);
-        }
-        let anc_ids = unique_ids
-            .iter()
-            .map(|&a| index.tokens(a).to_vec())
-            .collect();
-        (anc_ids, slot_map)
-    }
-
-    /// One full forward pass for the pair (concept, target word sequence).
-    ///
-    /// The decoder consumes `⟨BOS, target…⟩` and predicts
-    /// `⟨target…, EOS⟩`, so `p(q|c)` is a proper distribution over
-    /// variable-length queries (Eq. 3 needs the terminal step).
+    /// One full forward pass for the pair (concept, target word sequence)
+    /// under the exact softmax — the uncached scoring reference.
     pub(crate) fn run_example(
         &self,
         index: &OntologyIndex,
         concept: ConceptId,
         target: &[u32],
     ) -> ExampleRun {
-        self.run_example_with_noise(index, concept, target, None)
+        let mut run = ExampleRun::default();
+        self.run_example_into(index, concept, target, None, &mut run);
+        run
     }
 
-    /// [`ComAid::run_example`], optionally with a shared noise-word set:
-    /// when `noise` is `Some`, each step's softmax is computed over
+    /// One full forward pass for the pair (concept, target word
+    /// sequence), recorded into `run` (overwritten; its buffers are
+    /// reused). The one taped path: training, feedback retraining and
+    /// uncached scoring all come through here.
+    ///
+    /// The decoder consumes `⟨BOS, target…⟩` and predicts
+    /// `⟨target…, EOS⟩`, so `p(q|c)` is a proper distribution over
+    /// variable-length queries (Eq. 3 needs the terminal step).
+    ///
+    /// When `noise` is `Some`, each step's softmax is computed over
     /// `{target_t} ∪ noise` only (sampled softmax, the BlackOut-style
     /// speed-up of Appendix B.2). Scoring callers always pass `None` —
     /// the sampled probability is a biased estimate used for training
     /// only.
-    pub(crate) fn run_example_with_noise(
+    ///
+    /// Only the recurrences and the attentions (which read the decoder
+    /// state of their own step) run step by step; the LSTM input
+    /// projections, the composite layer and the output layer are each
+    /// one call over the whole sequence (DESIGN.md §10).
+    pub(crate) fn run_example_into(
         &self,
         index: &OntologyIndex,
         concept: ConceptId,
         target: &[u32],
         noise: Option<&[u32]>,
-    ) -> ExampleRun {
+        run: &mut ExampleRun,
+    ) {
         let d = self.config.dim;
-        let zero = Vector::zeros(d);
+        zeroed(&mut run.zero, d);
 
         // 1. Encode the concept's canonical description.
-        let enc_ids: Vec<u32> = index.tokens(concept).to_vec();
-        let enc_xs = self.embedding.lookup_seq(&enc_ids);
-        let enc_tape = self.encoder.forward_seq(&enc_xs, &zero, &zero);
+        run.enc_ids.clear();
+        run.enc_ids.extend_from_slice(index.tokens(concept));
+        self.embedding.lookup_rows_into(&run.enc_ids, &mut run.xs);
+        let n_enc = run.enc_ids.len();
+        self.encoder
+            .forward_seq(&run.xs, n_enc, &run.zero, &run.zero, &mut run.enc_tape);
 
         // 2. Encode the structural context (unique ancestors once).
-        let (anc_ids, slot_map) = if self.config.variant.uses_struct() {
-            self.context_slots(index, concept)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let anc_tapes: Vec<LstmTape> = anc_ids
-            .iter()
-            .map(|ids| {
-                let xs = self.embedding.lookup_seq(ids);
-                self.encoder.forward_seq(&xs, &zero, &zero)
-            })
-            .collect();
-        let struct_memory: Vec<Vector> = slot_map
-            .iter()
-            .map(|&u| anc_tapes[u].final_h().clone())
-            .collect();
+        run.unique.clear();
+        run.slot_map.clear();
+        run.anc_ids.clear();
+        run.struct_memory.clear();
+        if self.config.variant.uses_struct() {
+            for &anc in index.context(concept) {
+                let pos = match run.unique.iter().position(|&u| u == anc) {
+                    Some(p) => p,
+                    None => {
+                        run.unique.push(anc);
+                        run.unique.len() - 1
+                    }
+                };
+                run.slot_map.push(pos);
+            }
+        }
+        if run.anc_tapes.len() < run.unique.len() {
+            run.anc_tapes
+                .resize_with(run.unique.len(), LstmTape::default);
+        }
+        for (&anc, tape) in run.unique.iter().zip(&mut run.anc_tapes) {
+            let ids = index.tokens(anc);
+            run.anc_ids.extend_from_slice(ids);
+            self.embedding.lookup_rows_into(ids, &mut run.xs);
+            self.encoder
+                .forward_seq(&run.xs, ids.len(), &run.zero, &run.zero, tape);
+        }
+        for &u in &run.slot_map {
+            run.struct_memory
+                .extend_from_slice(run.anc_tapes[u].final_h());
+        }
 
         // 3. Decode the target query, seeded by the concept representation
         //    (`s_0 = h_n^c`, §4.1.2) and the encoder's final cell.
-        let mut dec_input_ids = Vec::with_capacity(target.len() + 1);
-        dec_input_ids.push(Vocab::BOS);
-        dec_input_ids.extend_from_slice(target);
-        let mut targets = target.to_vec();
-        targets.push(Vocab::EOS);
+        run.dec_input_ids.clear();
+        run.dec_input_ids.push(Vocab::BOS);
+        run.dec_input_ids.extend_from_slice(target);
+        run.targets.clear();
+        run.targets.extend_from_slice(target);
+        run.targets.push(Vocab::EOS);
+        let t_len = run.targets.len();
 
-        let dec_xs = self.embedding.lookup_seq(&dec_input_ids);
-        let dec_tape = self
-            .decoder
-            .forward_seq(&dec_xs, enc_tape.final_h(), enc_tape.final_c());
+        self.embedding
+            .lookup_rows_into(&run.dec_input_ids, &mut run.xs);
+        self.decoder.forward_seq(
+            &run.xs,
+            t_len,
+            run.enc_tape.final_h(),
+            run.enc_tape.final_c(),
+            &mut run.dec_tape,
+        );
 
-        // 4. Attention + composite + softmax per step.
-        let use_text = self.config.variant.uses_text() && !enc_tape.is_empty();
-        let use_struct = self.config.variant.uses_struct() && !struct_memory.is_empty();
-        let mut steps = Vec::with_capacity(targets.len());
-        let mut step_log_probs = Vec::with_capacity(targets.len());
-        let mut last_logits = Vector::zeros(0);
-        let mut loss = 0.0f32;
-        let mut log_prob = 0.0f32;
-        for (t, &target_word) in targets.iter().enumerate() {
-            let s_t = &dec_tape.hs[t];
-            let mut comp_in = Vec::with_capacity(self.composite.in_dim());
-            comp_in.extend_from_slice(s_t.as_slice());
-            let text_att = if use_text {
-                let (tc, cache) = self.attention.forward(&enc_tape.hs, s_t);
-                comp_in.extend_from_slice(tc.as_slice());
-                Some(cache)
-            } else {
-                if self.config.variant.uses_text() {
-                    comp_in.extend_from_slice(zero.as_slice());
-                }
-                None
-            };
-            let struct_att = if use_struct {
-                let (sc, cache) = self.attention.forward(&struct_memory, s_t);
-                comp_in.extend_from_slice(sc.as_slice());
-                Some(cache)
-            } else {
-                if self.config.variant.uses_struct() {
-                    comp_in.extend_from_slice(zero.as_slice());
-                }
-                None
-            };
-            let comp_in = Vector::from_vec(comp_in);
-            let (s_tilde, comp_cache) = self.composite.forward(&comp_in);
-            let (nll, out_cache, logits) = match noise {
-                None => {
-                    let (logits, cache) = self.output.forward(&s_tilde);
-                    let nll = softmax_loss::forward(&logits, target_word as usize);
-                    (nll, OutCache::Full(cache), logits)
-                }
-                Some(noise_words) => {
+        // 4. The attentions, step by step, straight into the rows
+        //    `[s_t ‖ tc_t ‖ sc_t]` of the composite layer's input slab; a
+        //    context the variant keeps but has no memory for stays zero.
+        run.n_text = if self.config.variant.uses_text() {
+            n_enc
+        } else {
+            0
+        };
+        run.n_struct = run.slot_map.len();
+        let width = self.composite.in_dim();
+        zeroed(&mut run.comp_in, t_len * width);
+        run.text_alpha.resize(t_len * run.n_text, 0.0);
+        run.struct_alpha.resize(t_len * run.n_struct, 0.0);
+        for (t, row) in run.comp_in.chunks_exact_mut(width).enumerate() {
+            let s_t = &run.dec_tape.hs()[t * d..(t + 1) * d];
+            row[..d].copy_from_slice(s_t);
+            if run.n_text > 0 {
+                self.attention.attend_into(
+                    run.enc_tape.hs().chunks_exact(d),
+                    s_t,
+                    &mut run.text_alpha[t * run.n_text..(t + 1) * run.n_text],
+                    &mut row[d..2 * d],
+                    false,
+                );
+            }
+            if run.n_struct > 0 {
+                self.attention.attend_into(
+                    run.struct_memory.chunks_exact(d),
+                    s_t,
+                    &mut run.struct_alpha[t * run.n_struct..(t + 1) * run.n_struct],
+                    // `sc_t` is the row's last block, after `tc_t` if any.
+                    &mut row[width - d..],
+                    false,
+                );
+            }
+        }
+
+        // 5. Composite layer, output layer and loss, each over all steps.
+        run.s_tilde.resize(t_len * d, 0.0);
+        self.composite
+            .forward_seq(&run.comp_in, &mut run.s_tilde, t_len);
+        run.step_log_probs.resize(t_len, 0.0);
+        run.sampled.clear();
+        run.probs.clear();
+        match noise {
+            None => {
+                run.probs.resize(t_len * self.output.out_dim(), 0.0);
+                self.output.forward_seq(&run.s_tilde, &mut run.probs, t_len);
+                softmax_loss::forward_seq(&mut run.probs, &run.targets, &mut run.step_log_probs);
+            }
+            Some(noise_words) => {
+                for (t, &target_word) in run.targets.iter().enumerate() {
                     // Rows: target first, then the noise words that
                     // differ from it.
                     let mut rows: Vec<usize> = Vec::with_capacity(noise_words.len() + 1);
@@ -476,125 +552,139 @@ impl ComAid {
                             .filter(|&&w| w != target_word)
                             .map(|&w| w as usize),
                     );
-                    let (logits, cache) = self.output.forward_rows(&s_tilde, &rows);
-                    let nll = softmax_loss::forward(&logits, 0);
-                    (nll, OutCache::Rows(cache), logits)
+                    let s_tilde = Vector::from_slice(&run.s_tilde[t * d..(t + 1) * d]);
+                    let (mut probs, cache) = self.output.forward_rows(&s_tilde, &rows);
+                    softmax_loss::forward_seq(
+                        probs.as_mut_slice(),
+                        &[0],
+                        &mut run.step_log_probs[t..=t],
+                    );
+                    run.sampled.push(SampledStep { cache, probs });
                 }
-            };
-            last_logits = logits;
-            loss += nll.loss;
-            log_prob += nll.log_prob;
-            step_log_probs.push(nll.log_prob);
-            steps.push(StepRun {
-                comp_cache,
-                out_cache,
-                nll,
-                text_att,
-                struct_att,
-            });
+            }
         }
-
-        ExampleRun {
-            loss,
-            log_prob,
-            step_log_probs,
-            last_logits,
-            enc_ids,
-            enc_tape,
-            anc_ids,
-            anc_tapes,
-            slot_map,
-            struct_memory,
-            dec_input_ids,
-            dec_tape,
-            targets,
-            steps,
+        run.loss = 0.0;
+        run.log_prob = 0.0;
+        for &lp in &run.step_log_probs {
+            run.loss += -lp;
+            run.log_prob += lp;
         }
     }
 
     /// Back-propagates one example, accumulating parameter gradients
-    /// scaled by `scale` (the `1/|batch|` of Eq. 10's average).
-    pub(crate) fn backward_example(&mut self, run: &ExampleRun, scale: f32) {
+    /// scaled by `scale` (the `1/|batch|` of Eq. 10's average). Consumes
+    /// the run's probabilities in place.
+    ///
+    /// Mirrors the forward pass: output layer, then composite layer,
+    /// each once over all steps (their gradients take their terms `t`
+    /// ascending); the attentions step by step; then the decoder, the
+    /// encoder and each unique ancestor through
+    /// [`Lstm::backward_seq_full`], in that order.
+    pub(crate) fn backward_example(&mut self, run: &mut ExampleRun, scale: f32) {
         let d = self.config.dim;
+        let t_len = run.steps();
         let n_enc = run.enc_tape.len();
-        let n_dec = run.dec_tape.len();
-        let mut dhs_dec = vec![Vector::zeros(d); n_dec];
-        let mut dhs_enc = vec![Vector::zeros(d); n_enc];
-        let mut d_anc_final = vec![Vector::zeros(d); run.anc_tapes.len()];
+        let bwd = &mut run.bwd;
 
-        for (t, step) in run.steps.iter().enumerate() {
-            let target = run.targets[t] as usize;
-            let ds_tilde = match &step.out_cache {
-                OutCache::Full(cache) => {
-                    let dlogits = softmax_loss::backward(&step.nll, target, scale);
-                    self.output.backward(cache, &dlogits)
-                }
-                OutCache::Rows(cache) => {
-                    // Target sits at index 0 of the sampled rows.
-                    let dlogits = softmax_loss::backward(&step.nll, 0, scale);
-                    self.output.backward_rows(cache, &dlogits)
-                }
-            };
-            let dcomp_in = self.composite.backward(&step.comp_cache, &ds_tilde);
+        bwd.ds_tilde.resize(t_len * d, 0.0);
+        if run.sampled.is_empty() {
+            softmax_loss::backward_seq(&mut run.probs, &run.targets, scale);
+            self.output
+                .backward_seq(&run.s_tilde, &[], &mut run.probs, &mut bwd.ds_tilde, t_len);
+        } else {
+            for (step, ds_tilde) in run.sampled.iter_mut().zip(bwd.ds_tilde.chunks_exact_mut(d)) {
+                // Target sits at index 0 of the sampled rows.
+                softmax_loss::backward_seq(step.probs.as_mut_slice(), &[0], scale);
+                let dx = self.output.backward_rows(&step.cache, &step.probs);
+                ds_tilde.copy_from_slice(dx.as_slice());
+            }
+        }
+        let width = self.composite.in_dim();
+        bwd.dcomp_in.resize(t_len * width, 0.0);
+        self.composite.backward_seq(
+            &run.comp_in,
+            &run.s_tilde,
+            &mut bwd.ds_tilde,
+            &mut bwd.dcomp_in,
+            t_len,
+        );
 
-            // Split the composite-input gradient back into its parts.
-            let parts = dcomp_in.as_slice();
-            let mut ds_t = Vector::from_slice(&parts[..d]);
-            let mut offset = d;
-            let s_t = &run.dec_tape.hs[t];
-            if self.config.variant.uses_text() {
-                if let Some(cache) = &step.text_att {
-                    let dtc = Vector::from_slice(&parts[offset..offset + d]);
-                    let (dmem, ds_att) =
-                        self.attention.backward(&run.enc_tape.hs, s_t, cache, &dtc);
-                    for (r, dm) in dmem.into_iter().enumerate() {
-                        dhs_enc[r].add_assign(&dm);
-                    }
-                    ds_t.add_assign(&ds_att);
-                }
-                offset += d;
+        // Split each composite-input gradient back into its parts.
+        zeroed(&mut bwd.dhs_dec, t_len * d);
+        zeroed(&mut bwd.dhs_enc, n_enc * d);
+        zeroed(&mut bwd.d_anc_final, run.unique.len() * d);
+        bwd.ds_t.resize(d, 0.0);
+        bwd.ds_att.resize(d, 0.0);
+        let (n_text, n_struct) = (run.n_text, run.n_struct);
+        bwd.de.resize(n_text.max(n_struct), 0.0);
+        bwd.dmem.resize(n_text.max(n_struct) * d, 0.0);
+        for (t, parts) in bwd.dcomp_in.chunks_exact(width).enumerate() {
+            let at = t * d..(t + 1) * d;
+            let s_t = &run.dec_tape.hs()[at.clone()];
+            bwd.ds_t.copy_from_slice(&parts[..d]);
+            if n_text > 0 {
+                self.attention.backward_into(
+                    run.enc_tape.hs().chunks_exact(d),
+                    s_t,
+                    &run.text_alpha[t * n_text..(t + 1) * n_text],
+                    &parts[d..2 * d],
+                    &mut bwd.de[..n_text],
+                    &mut bwd.dmem[..n_text * d],
+                    &mut bwd.ds_att,
+                );
+                simd::add_assign(&mut bwd.dhs_enc, &bwd.dmem[..n_text * d]);
+                simd::add_assign(&mut bwd.ds_t, &bwd.ds_att);
             }
-            if self.config.variant.uses_struct() {
-                if let Some(cache) = &step.struct_att {
-                    let dsc = Vector::from_slice(&parts[offset..offset + d]);
-                    let (dmem, ds_att) =
-                        self.attention
-                            .backward(&run.struct_memory, s_t, cache, &dsc);
-                    for (slot, dm) in dmem.into_iter().enumerate() {
-                        d_anc_final[run.slot_map[slot]].add_assign(&dm);
-                    }
-                    ds_t.add_assign(&ds_att);
+            if n_struct > 0 {
+                self.attention.backward_into(
+                    run.struct_memory.chunks_exact(d),
+                    s_t,
+                    &run.struct_alpha[t * n_struct..(t + 1) * n_struct],
+                    &parts[width - d..],
+                    &mut bwd.de[..n_struct],
+                    &mut bwd.dmem[..n_struct * d],
+                    &mut bwd.ds_att,
+                );
+                for (&u, dm) in run.slot_map.iter().zip(bwd.dmem.chunks_exact(d)) {
+                    simd::add_assign(&mut bwd.d_anc_final[u * d..(u + 1) * d], dm);
                 }
+                simd::add_assign(&mut bwd.ds_t, &bwd.ds_att);
             }
-            dhs_dec[t].add_assign(&ds_t);
+            simd::add_assign(&mut bwd.dhs_dec[at], &bwd.ds_t);
         }
 
         // Through the decoder LSTM.
-        let dec_grads = self.decoder.backward_seq(&run.dec_tape, &dhs_dec);
+        self.decoder
+            .backward_seq(&run.dec_tape, &bwd.dhs_dec, &mut bwd.dec_grads);
         self.embedding
-            .accumulate_grad_seq(&run.dec_input_ids, &dec_grads.dxs);
+            .accumulate_grad_rows(&run.dec_input_ids, &bwd.dec_grads.dxs);
 
         // Initial decoder state came from the encoder's final (h, c).
         if n_enc > 0 {
-            dhs_enc[n_enc - 1].add_assign(&dec_grads.dh0);
-            let enc_grads =
-                self.encoder
-                    .backward_seq_full(&run.enc_tape, &dhs_enc, Some(&dec_grads.dc0));
+            simd::add_assign(&mut bwd.dhs_enc[(n_enc - 1) * d..], &bwd.dec_grads.dh0);
+            self.encoder.backward_seq_full(
+                &run.enc_tape,
+                &bwd.dhs_enc,
+                Some(&bwd.dec_grads.dc0),
+                &mut bwd.enc_grads,
+            );
             self.embedding
-                .accumulate_grad_seq(&run.enc_ids, &enc_grads.dxs);
+                .accumulate_grad_rows(&run.enc_ids, &bwd.enc_grads.dxs);
         }
 
         // Through each unique ancestor encoding.
-        for (u, tape) in run.anc_tapes.iter().enumerate() {
+        let mut first_id = 0;
+        for (tape, d_final) in run.anc_tapes.iter().zip(bwd.d_anc_final.chunks_exact(d)) {
             let n = tape.len();
-            if n == 0 || d_anc_final[u].norm() == 0.0 {
+            let ids = &run.anc_ids[first_id..first_id + n];
+            first_id += n;
+            if n == 0 || dot(d_final, d_final).sqrt() == 0.0 {
                 continue;
             }
-            let mut dhs = vec![Vector::zeros(d); n];
-            dhs[n - 1] = d_anc_final[u].clone();
-            let grads = self.encoder.backward_seq(tape, &dhs);
-            self.embedding
-                .accumulate_grad_seq(&run.anc_ids[u], &grads.dxs);
+            zeroed(&mut bwd.dhs_anc, n * d)[(n - 1) * d..].copy_from_slice(d_final);
+            self.encoder
+                .backward_seq(tape, &bwd.dhs_anc, &mut bwd.enc_grads);
+            self.embedding.accumulate_grad_rows(ids, &bwd.enc_grads.dxs);
         }
     }
 
@@ -798,14 +888,16 @@ mod tests {
         let target = m.encode_text("ckd stage 5");
         let noise: Vec<u32> = vec![4, 6, 8, 10];
 
-        let run = m.run_example_with_noise(&idx, c, &target, Some(&noise));
-        m.backward_example(&run, 1.0);
+        let mut run = ExampleRun::default();
+        m.run_example_into(&idx, c, &target, Some(&noise), &mut run);
+        m.backward_example(&mut run, 1.0);
 
         check_params(
             &mut m,
             |m| {
-                m.run_example_with_noise(&idx, c, &target, Some(&noise))
-                    .loss
+                let mut run = ExampleRun::default();
+                m.run_example_into(&idx, c, &target, Some(&noise), &mut run);
+                run.loss
             },
             |m, set| m.collect_params(set),
             2e-2,
@@ -826,8 +918,8 @@ mod tests {
             let c = o.by_code("N18.5").unwrap();
             let target = m.encode_text("ckd stage 5");
 
-            let run = m.run_example(&idx, c, &target);
-            m.backward_example(&run, 1.0);
+            let mut run = m.run_example(&idx, c, &target);
+            m.backward_example(&mut run, 1.0);
 
             check_params(
                 &mut m,

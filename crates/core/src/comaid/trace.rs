@@ -9,7 +9,6 @@
 
 use super::{ComAid, OntologyIndex};
 use ncl_ontology::ConceptId;
-use ncl_tensor::Vector;
 
 /// Attention weights recorded at one decoder step.
 #[derive(Debug, Clone)]
@@ -77,13 +76,11 @@ impl super::model::ExampleRun {
     ) -> AttentionTrace {
         let encoder_words = index.tokens(concept).to_vec();
         let context_concepts = index.context(concept).to_vec();
-        let steps = self
-            .step_traces()
-            .into_iter()
-            .map(|(target, text, structural)| StepTrace {
-                target,
-                text_weights: text.map(|v: Vector| v.into_vec()).unwrap_or_default(),
-                struct_weights: structural.map(|v: Vector| v.into_vec()).unwrap_or_default(),
+        let steps = (0..self.steps())
+            .map(|t| StepTrace {
+                target: self.target(t),
+                text_weights: self.text_weights(t).to_vec(),
+                struct_weights: self.struct_weights(t).to_vec(),
             })
             .collect();
         AttentionTrace {

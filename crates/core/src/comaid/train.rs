@@ -6,6 +6,7 @@
 //! parameter: "during the error back-propagation, the word embeddings and
 //! the concept representations in the neural networks are also updated."
 
+use super::model::ExampleRun;
 use super::{ComAid, OntologyIndex, OutputMode};
 use ncl_nn::optimizer::LrSchedule;
 use ncl_ontology::ConceptId;
@@ -156,6 +157,8 @@ impl ComAid {
             .collect();
         let mut noise_buf: Vec<Option<Vec<u32>>> = Vec::with_capacity(batch_size);
         let mut shard_losses = vec![0.0f64; max_shards];
+        // One tape per shard, reused by every example the shard ever runs.
+        let mut runs: Vec<ExampleRun> = (0..max_shards).map(|_| ExampleRun::default()).collect();
 
         for epoch in 0..epochs {
             let t0 = Instant::now();
@@ -190,15 +193,13 @@ impl ComAid {
                 if shards.len() == 1 {
                     // Narrow batch: accumulate straight into the live
                     // model — the exact sequential float-add order.
-                    run_shard(
-                        self,
-                        index,
+                    let shard = Shard {
                         pairs,
-                        batch,
-                        &noise_buf,
+                        ids: batch,
+                        noises: &noise_buf,
                         scale,
-                        &mut epoch_loss,
-                    );
+                    };
+                    run_shard(self, index, shard, &mut runs[0], &mut epoch_loss);
                 } else {
                     let ns = shards.len();
                     let t_sync = Instant::now();
@@ -211,26 +212,20 @@ impl ComAid {
                     }
                     let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ns);
                     {
-                        let mut loss_slots = shard_losses[..ns].iter_mut();
-                        let mut noise_chunks = noise_buf.chunks(shard_w);
-                        let mut shard_iter = shards.iter();
-
                         // Shard 0 runs on the live model (inline on the
                         // calling thread — it is job 0 of the pool deal).
-                        let out = loss_slots.next().unwrap();
-                        let ids = *shard_iter.next().unwrap();
-                        let nz = noise_chunks.next().unwrap();
                         let main: &mut ComAid = self;
-                        jobs.push(Box::new(move || {
-                            run_shard(main, index, pairs, ids, nz, scale, out)
-                        }));
-                        for r in replicas[..ns - 1].iter_mut() {
-                            let out = loss_slots.next().unwrap();
-                            let ids = *shard_iter.next().unwrap();
-                            let nz = noise_chunks.next().unwrap();
-                            jobs.push(Box::new(move || {
-                                run_shard(r, index, pairs, ids, nz, scale, out)
-                            }));
+                        let models = std::iter::once(main).chain(replicas.iter_mut());
+                        let work = shards.iter().zip(noise_buf.chunks(shard_w));
+                        let state = runs.iter_mut().zip(shard_losses.iter_mut());
+                        for ((model, (&ids, noises)), (run, out)) in models.zip(work).zip(state) {
+                            let shard = Shard {
+                                pairs,
+                                ids,
+                                noises,
+                                scale,
+                            };
+                            jobs.push(Box::new(move || run_shard(model, index, shard, run, out)));
                         }
                     }
                     pool.run(jobs);
@@ -274,23 +269,32 @@ impl ComAid {
     }
 }
 
+/// The examples of one gradient shard: `pairs[ids[k]]` with noise set
+/// `noises[k]`, each weighted by `scale`.
+#[derive(Clone, Copy)]
+struct Shard<'a> {
+    pairs: &'a [TrainPair],
+    ids: &'a [usize],
+    noises: &'a [Option<Vec<u32>>],
+    scale: f32,
+}
+
 /// Forward + backward over one gradient shard, accumulating into
 /// `model`'s gradient buffers and summing the f64 loss into `out` in
-/// example order.
+/// example order. Every example is taped into `run`, so from the second
+/// one on the pass reuses the first one's buffers.
 fn run_shard(
     model: &mut ComAid,
     index: &OntologyIndex,
-    pairs: &[TrainPair],
-    ids: &[usize],
-    noises: &[Option<Vec<u32>>],
-    scale: f32,
+    shard: Shard<'_>,
+    run: &mut ExampleRun,
     out: &mut f64,
 ) {
-    for (&i, noise) in ids.iter().zip(noises) {
-        let pair = &pairs[i];
-        let run = model.run_example_with_noise(index, pair.concept, &pair.target, noise.as_deref());
+    for (&i, noise) in shard.ids.iter().zip(shard.noises) {
+        let pair = &shard.pairs[i];
+        model.run_example_into(index, pair.concept, &pair.target, noise.as_deref(), run);
         *out += run.loss as f64;
-        model.backward_example(&run, scale);
+        model.backward_example(run, shard.scale);
     }
 }
 
@@ -448,7 +452,8 @@ mod tests {
         let pair = &pairs[0];
         let full = m.run_example(&idx, pair.concept, &pair.target);
         let noise: Vec<u32> = (4..10).collect();
-        let sampled = m.run_example_with_noise(&idx, pair.concept, &pair.target, Some(&noise));
+        let mut sampled = ExampleRun::default();
+        m.run_example_into(&idx, pair.concept, &pair.target, Some(&noise), &mut sampled);
         assert!(sampled.loss <= full.loss + 1e-3);
         assert!(sampled.loss > 0.0);
     }
@@ -527,27 +532,36 @@ mod tests {
         let noises: Vec<Option<Vec<u32>>> = vec![None; ids.len()];
         let scale = 1.0 / ids.len() as f32;
 
+        let shard = |ids, noises| Shard {
+            pairs: &pairs,
+            ids,
+            noises,
+            scale,
+        };
+        let mut run = ExampleRun::default();
         let mut loss_seq = 0.0f64;
-        run_shard(&mut seq, &idx, &pairs, &ids, &noises, scale, &mut loss_seq);
+        run_shard(
+            &mut seq,
+            &idx,
+            shard(&ids, &noises),
+            &mut run,
+            &mut loss_seq,
+        );
         seq.sgd_step(0.1, 5.0);
 
         let (mut l0, mut l1) = (0.0f64, 0.0f64);
         run_shard(
             &mut par,
             &idx,
-            &pairs,
-            &ids[..8],
-            &noises[..8],
-            scale,
+            shard(&ids[..8], &noises[..8]),
+            &mut run,
             &mut l0,
         );
         run_shard(
             &mut replica,
             &idx,
-            &pairs,
-            &ids[8..],
-            &noises[8..],
-            scale,
+            shard(&ids[8..], &noises[8..]),
+            &mut run,
             &mut l1,
         );
         par.merge_grads_from(&mut replica);
@@ -593,8 +607,15 @@ mod tests {
         let ids: Vec<usize> = (0..pairs.len()).collect();
         let noises: Vec<Option<Vec<u32>>> = vec![None; ids.len()];
         let (mut la, mut lb) = (0.0f64, 0.0f64);
-        run_shard(&mut a, &idx, &pairs, &ids, &noises, 0.5, &mut la);
-        run_shard(&mut b, &idx, &pairs, &ids, &noises, 0.5, &mut lb);
+        let shard = Shard {
+            pairs: &pairs,
+            ids: &ids,
+            noises: &noises,
+            scale: 0.5,
+        };
+        let mut run = ExampleRun::default();
+        run_shard(&mut a, &idx, shard, &mut run, &mut la);
+        run_shard(&mut b, &idx, shard, &mut run, &mut lb);
         // A tight clip so the scaling branch is exercised.
         let norm_a = a.sgd_step(0.7, 0.5);
         let opt = ncl_nn::optimizer::Sgd::new(0.7, 0.5);

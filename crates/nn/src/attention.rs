@@ -20,7 +20,7 @@
 
 use ncl_tensor::ops::{softmax_backward, softmax_inplace};
 use ncl_tensor::vector::dot;
-use ncl_tensor::Vector;
+use ncl_tensor::{simd, Vector};
 
 /// Parameter-free dot-product attention.
 #[derive(Debug, Clone, Copy, Default)]
@@ -87,7 +87,7 @@ impl DotAttention {
         assert_eq!(ctx.len(), s.len(), "attention: context dimension");
         for (e, m) in weights.iter_mut().zip(memory.clone()) {
             *e = if relaxed {
-                ncl_tensor::simd::dot_relaxed(m, s)
+                simd::dot_relaxed(m, s)
             } else {
                 dot(m, s)
             };
@@ -95,38 +95,53 @@ impl DotAttention {
         softmax_inplace(weights);
         ctx.fill(0.0);
         for (m, &w) in memory.zip(weights.iter()) {
-            ncl_tensor::simd::saxpy(ctx, w, m);
+            simd::saxpy(ctx, w, m);
         }
     }
 
-    /// Backward pass: given the upstream gradient on the context, returns
-    /// `(d_memory, d_state)`.
+    /// Backward pass, the slice-level twin of [`DotAttention::attend_into`]:
+    /// given the upstream gradient `dctx` on the context and the weights
+    /// `alpha` the forward pass left, writes the memory gradients into
+    /// `dmem` (a flat `n × d` slab, one row per memory row) and the state
+    /// gradient into `ds` — both overwritten, nothing allocated. `de` is
+    /// `n` floats of scratch and leaves holding the score gradients.
     ///
     /// Derivation: with `ctx = Σ α_r m_r`,
     /// * `dα_r = m_r · dctx`,
     /// * `de = softmax_backward(α, dα)`,
     /// * `dm_r = α_r · dctx + de_r · s` (context path + score path),
     /// * `ds = Σ_r de_r · m_r`.
-    pub fn backward(
+    ///
+    /// # Panics
+    /// Panics if a slice does not match the memory's shape.
+    #[allow(clippy::too_many_arguments)]
+    pub fn backward_into<'m>(
         &self,
-        memory: &[Vector],
-        s: &Vector,
-        cache: &AttentionCache,
-        dctx: &Vector,
-    ) -> (Vec<Vector>, Vector) {
-        let alpha = &cache.weights;
-        let dalpha: Vector = memory.iter().map(|m| m.dot(dctx)).collect();
-        let de = softmax_backward(alpha, &dalpha);
-        let mut ds = Vector::zeros(s.len());
-        let mut dmem = Vec::with_capacity(memory.len());
-        for (r, m) in memory.iter().enumerate() {
-            ds.axpy(de[r], m);
-            let mut dm = Vector::zeros(m.len());
-            dm.axpy(alpha[r], dctx);
-            dm.axpy(de[r], s);
-            dmem.push(dm);
+        memory: impl ExactSizeIterator<Item = &'m [f32]> + Clone,
+        s: &[f32],
+        alpha: &[f32],
+        dctx: &[f32],
+        de: &mut [f32],
+        dmem: &mut [f32],
+        ds: &mut [f32],
+    ) {
+        let (n, d) = (memory.len(), s.len());
+        assert_eq!(alpha.len(), n, "attention backward: one weight per row");
+        assert_eq!(de.len(), n, "attention backward: score scratch");
+        assert_eq!(dmem.len(), n * d, "attention backward: memory gradient");
+        assert_eq!(ds.len(), d, "attention backward: state gradient");
+        for (e, m) in de.iter_mut().zip(memory.clone()) {
+            *e = dot(m, dctx);
         }
-        (dmem, ds)
+        softmax_backward(alpha, de);
+        ds.fill(0.0);
+        dmem.fill(0.0);
+        for (r, m) in memory.enumerate() {
+            simd::saxpy(ds, de[r], m);
+            let dm = &mut dmem[r * d..(r + 1) * d];
+            simd::saxpy(dm, alpha[r], dctx);
+            simd::saxpy(dm, de[r], s);
+        }
     }
 }
 
@@ -194,7 +209,16 @@ mod tests {
         let loss = |memory: &[Vector], s: &Vector| att.forward(memory, s).0.dot(&u);
 
         let (_, cache) = att.forward(&memory, &s);
-        let (dmem, ds) = att.backward(&memory, &s, &cache, &u);
+        let (mut de, mut dmem, mut ds) = (vec![f32::NAN; 3], vec![f32::NAN; 12], vec![f32::NAN; 4]);
+        att.backward_into(
+            memory.iter().map(Vector::as_slice),
+            s.as_slice(),
+            cache.weights.as_slice(),
+            u.as_slice(),
+            &mut de,
+            &mut dmem,
+            &mut ds,
+        );
 
         let h = 1e-2f32;
         // d/ds
@@ -215,9 +239,9 @@ mod tests {
                 mm[r][k] -= h;
                 let fd = (loss(&mp, &s) - loss(&mm, &s)) / (2.0 * h);
                 assert!(
-                    (fd - dmem[r][k]).abs() < 2e-2,
+                    (fd - dmem[r * 4 + k]).abs() < 2e-2,
                     "dmem[{r}][{k}]: fd={fd} an={}",
-                    dmem[r][k]
+                    dmem[r * 4 + k]
                 );
             }
         }

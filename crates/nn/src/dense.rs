@@ -8,7 +8,7 @@
 use crate::param::{HasParams, MatParam, ParamSet, Parameter, VecParam};
 use ncl_tensor::ops::tanh_grad_from_output;
 use ncl_tensor::wire::{Reader, Wire, WireError};
-use ncl_tensor::{init, Vector};
+use ncl_tensor::{init, simd, Vector};
 use rand::Rng;
 
 /// Whether the layer applies `tanh` after the affine map.
@@ -28,13 +28,6 @@ pub struct Dense {
     /// Bias.
     pub b: VecParam,
     act: Activation,
-}
-
-/// Forward cache for [`Dense::backward`].
-#[derive(Debug, Clone)]
-pub struct DenseCache {
-    x: Vector,
-    y: Vector,
 }
 
 impl Dense {
@@ -62,23 +55,71 @@ impl Dense {
         self.w.v.rows()
     }
 
-    /// Forward pass, returning the output and its cache.
-    pub fn forward(&self, x: &Vector) -> (Vector, DenseCache) {
-        let mut y = self.b.v.clone();
-        self.w.v.gemv_acc(x, &mut y);
-        if self.act == Activation::Tanh {
-            ncl_tensor::ops::tanh_inplace(&mut y);
+    /// The taped forward pass over a whole sequence: row `s` of `ys`
+    /// (a flat `t × out` slab, overwritten) is `act(W xs[s] + b)` for
+    /// row `s` of `xs` (a flat `t × in` slab). One stacked product per
+    /// sequence ([`ncl_tensor::Matrix::gemv_acc_seq`]) instead of one
+    /// `gemv` per step; each output is the bias plus the same
+    /// fresh-accumulator ascending dot, so every row is bit-identical to
+    /// [`Dense::apply`] on it. Nothing is cached: the caller's two slabs
+    /// are what [`Dense::backward_seq`] reads.
+    ///
+    /// # Panics
+    /// Panics if a slab is not `t` rows of the layer's dimension.
+    pub fn forward_seq(&self, xs: &[f32], ys: &mut [f32], t: usize) {
+        let out = self.out_dim();
+        assert_eq!(ys.len(), t * out, "dense forward_seq: output slab");
+        for s in 0..t {
+            ys[s * out..(s + 1) * out].copy_from_slice(self.b.v.as_slice());
         }
-        (y.clone(), DenseCache { x: x.clone(), y })
+        self.w.v.gemv_acc_seq(xs, ys, t);
+        if self.act == Activation::Tanh {
+            for v in ys {
+                *v = v.tanh();
+            }
+        }
     }
 
-    /// Inference-only forward pass: the fused affine + activation of
-    /// [`Dense::forward`] without building a [`DenseCache`] (which clones
-    /// both the input and the output). The arithmetic — bias first, then
-    /// one ascending-index dot product accumulated per row — is the same,
-    /// so the result is bit-identical to `forward(x).0`. This is the
-    /// serving path for the composite layer (Eq. 8), where no backward
-    /// pass will ever consume the cache.
+    /// Backward pass of [`Dense::forward_seq`]: `dys` (the `t × out`
+    /// upstream gradients) becomes the pre-activation gradient in place,
+    /// parameter gradients are accumulated — `dW += dz_s xs[s]ᵀ` and
+    /// `db += dz_s` for `s` **ascending**, the order one backward call
+    /// per step fed them in — and `dxs` (a flat `t × in` slab,
+    /// overwritten) receives `dL/dx` of every step. `ys` is the forward
+    /// pass's output slab; only a `Tanh` layer reads it (a `Linear`
+    /// layer's caller may have overwritten it, and passes `&[]`).
+    ///
+    /// # Panics
+    /// Panics if a slab is not `t` rows of the layer's dimension.
+    pub fn backward_seq(
+        &mut self,
+        xs: &[f32],
+        ys: &[f32],
+        dys: &mut [f32],
+        dxs: &mut [f32],
+        t: usize,
+    ) {
+        let out = self.out_dim();
+        assert_eq!(dys.len(), t * out, "dense backward_seq: dy dimension");
+        // Through the activation.
+        if self.act == Activation::Tanh {
+            assert_eq!(ys.len(), t * out, "dense backward_seq: output slab");
+            for (d, y) in dys.iter_mut().zip(ys) {
+                *d *= tanh_grad_from_output(*y);
+            }
+        }
+        self.w.g.add_outer_seq(1.0, dys, xs, t, false);
+        for s in 0..t {
+            simd::add_assign(self.b.g.as_mut_slice(), &dys[s * out..(s + 1) * out]);
+        }
+        dxs.fill(0.0);
+        self.w.v.gemv_t_acc_seq(dys, dxs, t);
+    }
+
+    /// One forward pass without a tape: bias first, then one
+    /// ascending-index dot product accumulated per row. This is the
+    /// per-step reference [`Dense::forward_seq`] is tested against, and
+    /// what free-running decoding reads the next-word logits with.
     pub fn apply(&self, x: &Vector) -> Vector {
         let mut y = self.b.v.clone();
         self.w.v.gemv_acc(x, &mut y);
@@ -117,7 +158,7 @@ impl Dense {
             "apply_with_t: transposed weight shape"
         );
         out.copy_from_slice(self.b.v.as_slice());
-        ncl_tensor::simd::colmajor_gemv_acc(out, x, w_t.as_slice());
+        simd::colmajor_gemv_acc(out, x, w_t.as_slice());
         if self.act == Activation::Tanh {
             for v in out {
                 *v = v.tanh();
@@ -150,25 +191,6 @@ impl Dense {
             Activation::Linear => y,
             Activation::Tanh => y.tanh(),
         }
-    }
-
-    /// Backward pass: accumulates parameter gradients and returns `dL/dx`.
-    pub fn backward(&mut self, cache: &DenseCache, dy: &Vector) -> Vector {
-        assert_eq!(dy.len(), self.out_dim(), "dense backward: dy dimension");
-        // Through the activation.
-        let dz = match self.act {
-            Activation::Linear => dy.clone(),
-            Activation::Tanh => {
-                let mut dz = dy.clone();
-                for (d, y) in dz.as_mut_slice().iter_mut().zip(cache.y.iter()) {
-                    *d *= tanh_grad_from_output(*y);
-                }
-                dz
-            }
-        };
-        self.w.g.add_outer(1.0, &dz, &cache.x);
-        self.b.g.add_assign(&dz);
-        self.w.v.gemv_t(&dz)
     }
 }
 
@@ -317,13 +339,35 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One taped step: the `t = 1` sequence.
+    fn forward(d: &Dense, x: &Vector) -> Vector {
+        let mut y = Vector::zeros(d.out_dim());
+        d.forward_seq(x.as_slice(), y.as_mut_slice(), 1);
+        y
+    }
+
+    /// One taped backward step; returns `dL/dx`.
+    fn backward(d: &mut Dense, x: &Vector, dy: &Vector) -> Vector {
+        let y = forward(d, x);
+        let mut dz = dy.clone();
+        let mut dx = Vector::zeros(d.in_dim());
+        d.backward_seq(
+            x.as_slice(),
+            y.as_slice(),
+            dz.as_mut_slice(),
+            dx.as_mut_slice(),
+            1,
+        );
+        dx
+    }
+
     #[test]
     fn forward_linear_matches_manual() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut d = Dense::new(2, 2, Activation::Linear, &mut rng);
         d.w.v.as_mut_slice().copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         d.b.v[0] = 0.5;
-        let (y, _) = d.forward(&Vector::from_slice(&[1.0, -1.0]));
+        let y = forward(&d, &Vector::from_slice(&[1.0, -1.0]));
         assert_eq!(y.as_slice(), &[-0.5, -1.0]);
     }
 
@@ -331,7 +375,7 @@ mod tests {
     fn tanh_bounds_output() {
         let mut rng = StdRng::seed_from_u64(2);
         let d = Dense::new(3, 4, Activation::Tanh, &mut rng);
-        let (y, _) = d.forward(&Vector::from_slice(&[10.0, -10.0, 10.0]));
+        let y = forward(&d, &Vector::from_slice(&[10.0, -10.0, 10.0]));
         assert!(y.iter().all(|v| v.abs() <= 1.0));
     }
 
@@ -350,11 +394,10 @@ mod tests {
         let mut d = Dense::new(3, 2, act, &mut rng);
         let x = init::uniform_vector(3, -1.0, 1.0, &mut rng);
         let u = init::uniform_vector(2, -1.0, 1.0, &mut rng);
-        let (_, cache) = d.forward(&x);
-        let _ = d.backward(&cache, &u);
+        let _ = backward(&mut d, &x, &u);
         check_params(
             &mut d,
-            |d| d.forward(&x).0.dot(&u),
+            |d| forward(d, &x).dot(&u),
             |d, set| d.collect_params(set),
             1e-2,
             2e-2,
@@ -367,7 +410,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(21);
             let d = Dense::new(5, 7, act, &mut rng);
             let x = init::uniform_vector(5, -1.0, 1.0, &mut rng);
-            let (full, _) = d.forward(&x);
+            let full = forward(&d, &x);
             let fast = d.apply(&x);
             for (a, b) in fast.iter().zip(full.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -401,7 +444,7 @@ mod tests {
                 let wt = d.weight_t();
                 let mut rng = StdRng::seed_from_u64(25);
                 let x = init::uniform_vector(in_dim, -1.0, 1.0, &mut rng);
-                let want = simd::with_level(simd::Level::Scalar, || d.forward(&x).0);
+                let want = simd::with_level(simd::Level::Scalar, || forward(&d, &x));
                 for level in simd::supported_levels() {
                     simd::with_level(level, || {
                         let mut got = vec![f32::NAN; out_dim];
@@ -442,7 +485,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let d = Dense::new(3, 6, Activation::Linear, &mut rng);
         let x = init::uniform_vector(3, -1.0, 1.0, &mut rng);
-        let (full, _) = d.forward(&x);
+        let full = forward(&d, &x);
         let rows = [4usize, 0, 2];
         let (sub, _) = d.forward_rows(&x, &rows);
         for (i, &r) in rows.iter().enumerate() {
@@ -464,11 +507,10 @@ mod tests {
         let dx_a = a.backward_rows(&cache, &dy_sub);
 
         // Full path with a dy that is zero outside the sampled rows.
-        let (_, full_cache) = b.forward(&x);
         let mut dy_full = Vector::zeros(6);
         dy_full[1] = 0.7;
         dy_full[5] = -0.3;
-        let dx_b = b.backward(&full_cache, &dy_full);
+        let dx_b = backward(&mut b, &x, &dy_full);
 
         for k in 0..3 {
             assert!((dx_a[k] - dx_b[k]).abs() < 1e-5);
@@ -495,15 +537,14 @@ mod tests {
         let mut d = Dense::new(3, 2, Activation::Tanh, &mut rng);
         let x = init::uniform_vector(3, -1.0, 1.0, &mut rng);
         let u = init::uniform_vector(2, -1.0, 1.0, &mut rng);
-        let (_, cache) = d.forward(&x);
-        let dx = d.backward(&cache, &u);
+        let dx = backward(&mut d, &x, &u);
         let h = 1e-2f32;
         for k in 0..3 {
             let mut xp = x.clone();
             xp[k] += h;
             let mut xm = x.clone();
             xm[k] -= h;
-            let fd = (d.forward(&xp).0.dot(&u) - d.forward(&xm).0.dot(&u)) / (2.0 * h);
+            let fd = (forward(&d, &xp).dot(&u) - forward(&d, &xm).dot(&u)) / (2.0 * h);
             assert!((fd - dx[k]).abs() < 2e-2, "dx[{k}]: fd={fd} an={}", dx[k]);
         }
     }

@@ -66,25 +66,45 @@ impl Embedding {
         ids.iter().map(|&id| self.lookup(id)).collect()
     }
 
+    /// Looks up a whole sequence into one flat `ids.len() × d` slab
+    /// (`out` is overwritten; its allocation is reused) — the input
+    /// layout of the taped sequence path.
+    ///
+    /// # Panics
+    /// Panics if an id is out of range.
+    pub fn lookup_rows_into(&self, ids: &[u32], out: &mut Vec<f32>) {
+        out.clear();
+        for &id in ids {
+            assert!((id as usize) < self.vocab(), "embedding: id out of range");
+            out.extend_from_slice(self.table.v.row(id as usize));
+        }
+    }
+
     /// Read-only view of the full table (used by nearest-word search).
     pub fn table(&self) -> &Matrix {
         &self.table.v
     }
 
     /// Accumulates gradient `dx` into row `id`.
-    pub fn accumulate_grad(&mut self, id: u32, dx: &Vector) {
+    pub fn accumulate_grad(&mut self, id: u32, dx: &[f32]) {
         assert!((id as usize) < self.vocab(), "embedding: id out of range");
+        assert_eq!(dx.len(), self.dim(), "embedding: grad dimension");
         let row = self.table.g.row_mut(id as usize);
-        for (g, d) in row.iter_mut().zip(dx.as_slice()) {
+        for (g, d) in row.iter_mut().zip(dx) {
             *g += d;
         }
         self.touched.push(id);
     }
 
-    /// Accumulates gradients for a sequence of ids (parallel slices).
-    pub fn accumulate_grad_seq(&mut self, ids: &[u32], dxs: &[Vector]) {
-        assert_eq!(ids.len(), dxs.len(), "embedding: grad count mismatch");
-        for (&id, dx) in ids.iter().zip(dxs) {
+    /// Accumulates the rows of a flat `ids.len() × d` gradient slab into
+    /// the rows of `ids`, in order.
+    pub fn accumulate_grad_rows(&mut self, ids: &[u32], dxs: &[f32]) {
+        assert_eq!(
+            dxs.len(),
+            ids.len() * self.dim(),
+            "embedding: grad count mismatch"
+        );
+        for (&id, dx) in ids.iter().zip(dxs.chunks_exact(self.dim().max(1))) {
             self.accumulate_grad(id, dx);
         }
     }
@@ -93,15 +113,13 @@ impl Embedding {
     pub fn step_touched(&mut self, lr: f32) {
         self.touched.sort_unstable();
         self.touched.dedup();
+        let MatParam { v, g } = &mut self.table;
         for &id in &self.touched {
             let r = id as usize;
-            // Copy the gradient row out to satisfy the borrow checker.
-            let grad: Vec<f32> = self.table.g.row(r).to_vec();
-            let val = self.table.v.row_mut(r);
-            for (v, g) in val.iter_mut().zip(&grad) {
+            for (v, g) in v.row_mut(r).iter_mut().zip(g.row(r)) {
                 *v -= lr * g;
             }
-            self.table.g.row_mut(r).fill(0.0);
+            g.row_mut(r).fill(0.0);
         }
         self.touched.clear();
     }
@@ -137,12 +155,12 @@ impl Embedding {
 
     /// Clears all touched gradients without stepping.
     pub fn zero_grad(&mut self) {
-        let mut ids = std::mem::take(&mut self.touched);
-        ids.sort_unstable();
-        ids.dedup();
-        for id in ids {
+        // Duplicates just clear a row twice; the list keeps its capacity
+        // for the next batch.
+        for &id in &self.touched {
             self.table.g.row_mut(id as usize).fill(0.0);
         }
+        self.touched.clear();
     }
 
     /// Dense-parameter view for gradient checking (treats the whole table
@@ -260,6 +278,11 @@ mod tests {
         let seq = e.lookup_seq(&[0, 5, 9]);
         assert_eq!(seq.len(), 3);
         assert!(seq.iter().all(|v| v.len() == 4));
+        // The flat form is the same rows, end to end, into a used buffer.
+        let mut flat = vec![f32::NAN; 7];
+        e.lookup_rows_into(&[0, 5, 9], &mut flat);
+        let rows: Vec<f32> = seq.iter().flat_map(|v| v.iter().copied()).collect();
+        assert_eq!(flat, rows);
     }
 
     #[test]
@@ -276,7 +299,7 @@ mod tests {
         let mut e = Embedding::new(5, 2, &mut rng);
         let before0 = e.lookup(0);
         let before2 = e.lookup(2);
-        e.accumulate_grad(2, &Vector::from_slice(&[1.0, -1.0]));
+        e.accumulate_grad(2, &[1.0, -1.0]);
         e.step_touched(0.1);
         assert_eq!(e.lookup(0).as_slice(), before0.as_slice());
         let after2 = e.lookup(2);
@@ -289,8 +312,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut e = Embedding::new(5, 2, &mut rng);
         let before = e.lookup(1);
-        e.accumulate_grad(1, &Vector::from_slice(&[1.0, 0.0]));
-        e.accumulate_grad(1, &Vector::from_slice(&[1.0, 0.0]));
+        e.accumulate_grad(1, &[1.0, 0.0]);
+        e.accumulate_grad(1, &[1.0, 0.0]);
         e.step_touched(0.5);
         assert!((e.lookup(1)[0] - (before[0] - 1.0)).abs() < 1e-6);
     }
@@ -299,7 +322,7 @@ mod tests {
     fn zero_grad_clears_touched() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut e = Embedding::new(5, 2, &mut rng);
-        e.accumulate_grad(1, &Vector::from_slice(&[1.0, 1.0]));
+        e.accumulate_grad(1, &[1.0, 1.0]);
         assert!(Embedding::sq_grad_norm(&e) > 0.0);
         Embedding::zero_grad(&mut e);
         assert_eq!(Embedding::sq_grad_norm(&e), 0.0);
@@ -322,9 +345,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut main = Embedding::new(6, 2, &mut rng);
         let mut shard = main.clone();
-        main.accumulate_grad(1, &Vector::from_slice(&[1.0, 0.0]));
-        shard.accumulate_grad(3, &Vector::from_slice(&[0.0, 2.0]));
-        shard.accumulate_grad(1, &Vector::from_slice(&[0.5, 0.0]));
+        main.accumulate_grad(1, &[1.0, 0.0]);
+        shard.accumulate_grad(3, &[0.0, 2.0]);
+        shard.accumulate_grad(1, &[0.5, 0.0]);
         Parameter::merge_grad_from(&mut main, &mut shard);
         // Donor is drained.
         assert_eq!(Embedding::sq_grad_norm(&shard), 0.0);
@@ -341,7 +364,7 @@ mod tests {
     fn clipping_scales_touched_grads() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut e = Embedding::new(4, 2, &mut rng);
-        e.accumulate_grad(0, &Vector::from_slice(&[3.0, 4.0]));
+        e.accumulate_grad(0, &[3.0, 4.0]);
         assert!((Embedding::sq_grad_norm(&e) - 25.0).abs() < 1e-5);
         Embedding::scale_grad(&mut e, 0.2);
         assert!((Embedding::sq_grad_norm(&e) - 1.0).abs() < 1e-5);

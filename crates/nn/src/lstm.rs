@@ -56,71 +56,72 @@ pub struct Lstm {
     pub bg: VecParam,
 }
 
-/// Activations cached by one forward step, consumed by the backward pass.
-/// The step's incoming state is not here: it is the tape's previous
-/// `hs` / `cs` entry (or `h0` / `c0`), see [`LstmTape::state_before`].
-#[derive(Debug, Clone)]
-struct StepCache {
-    x: Vector,
-    i: Vector,
-    f: Vector,
-    o: Vector,
-    g: Vector,
-    tc: Vector,
-}
-
-/// The record of a full forward pass over a sequence.
-#[derive(Debug, Clone)]
+/// The record of a full forward pass over a sequence, consumed by the
+/// backward pass: flat row slabs sized once per sequence, which are what
+/// the sequence kernels read. A tape is reusable — a second
+/// [`Lstm::forward_seq`] into it keeps the allocations.
+#[derive(Debug, Clone, Default)]
 pub struct LstmTape {
-    steps: Vec<StepCache>,
-    /// Hidden states `h_1..h_T` (index 0 is `h_1`).
-    pub hs: Vec<Vector>,
-    /// Cell states `c_1..c_T`.
-    pub cs: Vec<Vector>,
-    h0: Vector,
-    c0: Vector,
+    len: usize,
+    hidden: usize,
+    /// Inputs `x_1..x_T`, `T × in_dim`.
+    x: Vec<f32>,
+    /// Post-activation gates, gate-major: `i`, `f`, `o`, `g` as four
+    /// `T × d` slabs, so each gate's rows are one contiguous slab for
+    /// the stacked input projection and the sequenced gradient update.
+    gates: Vec<f32>,
+    /// `tanh(c_1)..tanh(c_T)`, `T × d`.
+    tc: Vec<f32>,
+    /// Hidden states `h_0..h_T`, `(T + 1) × d`: step `t` starts from row
+    /// `t` and writes row `t + 1`.
+    h: Vec<f32>,
+    /// Cell states `c_0..c_T`, laid out like `h`.
+    c: Vec<f32>,
 }
 
 impl LstmTape {
     /// Sequence length.
     pub fn len(&self) -> usize {
-        self.hs.len()
+        self.len
     }
 
     /// Whether the sequence was empty.
     pub fn is_empty(&self) -> bool {
-        self.hs.is_empty()
+        self.len == 0
+    }
+
+    /// Hidden states `h_1..h_T` as one `T × d` slab (row 0 is `h_1`).
+    pub fn hs(&self) -> &[f32] {
+        &self.h[self.hidden..]
     }
 
     /// The final hidden state `h_T`, or the initial state for an empty
     /// sequence — the *concept representation* `h_n^c` of §4.1.1.
-    pub fn final_h(&self) -> &Vector {
-        self.hs.last().unwrap_or(&self.h0)
+    pub fn final_h(&self) -> &[f32] {
+        &self.h[self.len * self.hidden..]
     }
 
     /// The final cell state.
-    pub fn final_c(&self) -> &Vector {
-        self.cs.last().unwrap_or(&self.c0)
-    }
-
-    /// The `(h, c)` state step `t` started from.
-    fn state_before(&self, t: usize) -> (&Vector, &Vector) {
-        match t.checked_sub(1) {
-            Some(p) => (&self.hs[p], &self.cs[p]),
-            None => (&self.h0, &self.c0),
-        }
+    pub fn final_c(&self) -> &[f32] {
+        &self.c[self.len * self.hidden..]
     }
 }
 
-/// Gradients produced by [`Lstm::backward_seq`].
-#[derive(Debug)]
+/// Gradients produced by [`Lstm::backward_seq`]. Reusable like the tape:
+/// a second backward pass into it keeps the allocations.
+#[derive(Debug, Clone, Default)]
 pub struct SeqGrads {
-    /// Gradient w.r.t. each input vector (for embedding updates).
-    pub dxs: Vec<Vector>,
+    /// Gradient w.r.t. each input vector (for embedding updates), as one
+    /// `T × in_dim` slab.
+    pub dxs: Vec<f32>,
     /// Gradient w.r.t. the initial hidden state `h_0`.
-    pub dh0: Vector,
+    pub dh0: Vec<f32>,
     /// Gradient w.r.t. the initial cell state `c_0`.
-    pub dc0: Vector,
+    pub dc0: Vec<f32>,
+    /// Pre-activation gradients of the whole sequence, gate-major like
+    /// [`LstmTape`]'s gates — what the per-sequence kernels read once
+    /// the time loop is done.
+    dz: Vec<f32>,
 }
 
 impl Lstm {
@@ -165,38 +166,12 @@ impl Lstm {
         z
     }
 
-    fn step(&self, x: &Vector, h_prev: &Vector, c_prev: &Vector) -> (Vector, Vector, StepCache) {
-        let mut i = self.gate(&self.wi, &self.ui, &self.bi, x, h_prev);
-        sigmoid_inplace(&mut i);
-        let mut f = self.gate(&self.wf, &self.uf, &self.bf, x, h_prev);
-        sigmoid_inplace(&mut f);
-        let mut o = self.gate(&self.wo, &self.uo, &self.bo, x, h_prev);
-        sigmoid_inplace(&mut o);
-        let mut g = self.gate(&self.wg, &self.ug, &self.bg, x, h_prev);
-        tanh_inplace(&mut g);
-
-        let mut c = f.hadamard(c_prev);
-        c.add_hadamard(1.0, &i, &g);
-        let tc = tanh_vec(&c);
-        let h = o.hadamard(&tc);
-
-        let cache = StepCache {
-            x: x.clone(),
-            i,
-            f,
-            o,
-            g,
-            tc,
-        };
-        (h, c, cache)
-    }
-
     /// One inference-only cell step: the recurrence of [`Lstm::forward_seq`]
-    /// without building a `StepCache` (which clones the input and keeps
-    /// the gate activations). Every gate is computed by the same fused
-    /// bias-then-`gemv_acc` kernel in the same order, so the returned
-    /// `(h, c)` are bit-identical to the taped step's. This is the serving
-    /// path: online scoring never back-propagates.
+    /// one step at a time and without a tape. Every gate pre-activation
+    /// is `(b + W·x) + U·h` from the same fresh-accumulator kernel in the
+    /// same order, so the returned `(h, c)` are bit-identical to the
+    /// taped sequence's — this is the per-step reference the sequence
+    /// form is tested against (`tests/seq_identity.rs`).
     pub fn step_infer(&self, x: &Vector, h_prev: &Vector, c_prev: &Vector) -> (Vector, Vector) {
         let mut i = self.gate(&self.wi, &self.ui, &self.bi, x, h_prev);
         sigmoid_inplace(&mut i);
@@ -215,8 +190,9 @@ impl Lstm {
     }
 
     /// Inference-only sequence forward: the hidden states `h_1..h_T` and
-    /// the final cell state, without the per-step caches a tape carries.
-    /// Bit-identical to `forward_seq(xs, h0, c0)`'s `hs` / `final_c()`.
+    /// the final cell state, [`Lstm::step_infer`] by [`Lstm::step_infer`].
+    /// Bit-identical to the `hs()` / `final_c()` of a
+    /// [`Lstm::forward_seq`] tape.
     ///
     /// # Panics
     /// Panics if any input has the wrong dimension.
@@ -236,44 +212,109 @@ impl Lstm {
         (hs, c)
     }
 
-    /// Runs the whole sequence forward from `(h0, c0)`, recording a tape.
+    /// The four gates in tape order `i, f, o, g`: input weights,
+    /// recurrent weights, bias.
+    fn gates_mut(&mut self) -> [(&mut MatParam, &mut MatParam, &mut VecParam); 4] {
+        [
+            (&mut self.wi, &mut self.ui, &mut self.bi),
+            (&mut self.wf, &mut self.uf, &mut self.bf),
+            (&mut self.wo, &mut self.uo, &mut self.bo),
+            (&mut self.wg, &mut self.ug, &mut self.bg),
+        ]
+    }
+
+    /// Runs the whole sequence forward from `(h0, c0)`, recording `tape`
+    /// (overwritten; its allocations are reused). `xs` is the flat
+    /// `t × in_dim` slab of inputs.
+    ///
+    /// Only the true recurrence stays in the time loop. The input half
+    /// `b + W·x_s` of every gate pre-activation depends on no earlier
+    /// step, so it is one stacked product per gate over the whole
+    /// sequence ([`Matrix::gemv_acc_seq`]); the loop then adds `U·h_{s−1}`
+    /// and applies the cell equations. Per output that is the
+    /// `(b + W·x) + U·h` of [`Lstm::step_infer`] with the same
+    /// accumulators in the same order, so the states are bit-identical
+    /// to stepping.
     ///
     /// # Panics
-    /// Panics if any input has the wrong dimension.
-    pub fn forward_seq(&self, xs: &[Vector], h0: &Vector, c0: &Vector) -> LstmTape {
-        assert_eq!(h0.len(), self.hidden, "forward_seq: h0 dimension");
-        assert_eq!(c0.len(), self.hidden, "forward_seq: c0 dimension");
-        let mut steps = Vec::with_capacity(xs.len());
-        let mut hs: Vec<Vector> = Vec::with_capacity(xs.len());
-        let mut cs: Vec<Vector> = Vec::with_capacity(xs.len());
-        for x in xs {
-            assert_eq!(x.len(), self.in_dim, "forward_seq: input dimension");
-            // The running state is the tape's last entry, read in place.
-            let (h, c) = (hs.last().unwrap_or(h0), cs.last().unwrap_or(c0));
-            let (nh, nc, cache) = self.step(x, h, c);
-            steps.push(cache);
-            hs.push(nh);
-            cs.push(nc);
+    /// Panics if `xs`, `h0` or `c0` has the wrong dimension.
+    pub fn forward_seq(&self, xs: &[f32], t: usize, h0: &[f32], c0: &[f32], tape: &mut LstmTape) {
+        let d = self.hidden;
+        assert_eq!(xs.len(), t * self.in_dim, "forward_seq: input dimension");
+        assert_eq!(h0.len(), d, "forward_seq: h0 dimension");
+        assert_eq!(c0.len(), d, "forward_seq: c0 dimension");
+        tape.len = t;
+        tape.hidden = d;
+        tape.x.clear();
+        tape.x.extend_from_slice(xs);
+        // Every entry below is written before it is read.
+        tape.gates.resize(4 * t * d, 0.0);
+        tape.tc.resize(t * d, 0.0);
+        tape.h.resize((t + 1) * d, 0.0);
+        tape.c.resize((t + 1) * d, 0.0);
+        tape.h[..d].copy_from_slice(h0);
+        tape.c[..d].copy_from_slice(c0);
+
+        let gates = [
+            (&self.wi, &self.ui, &self.bi),
+            (&self.wf, &self.uf, &self.bf),
+            (&self.wo, &self.uo, &self.bo),
+            (&self.wg, &self.ug, &self.bg),
+        ];
+        for ((w, _, b), z) in gates
+            .iter()
+            .zip(tape.gates.chunks_exact_mut((t * d).max(1)))
+        {
+            for s in 0..t {
+                z[s * d..(s + 1) * d].copy_from_slice(b.v.as_slice());
+            }
+            w.v.gemv_acc_seq(xs, z, t);
         }
-        LstmTape {
-            steps,
-            hs,
-            cs,
-            h0: h0.clone(),
-            c0: c0.clone(),
+
+        let (zi, rest) = tape.gates.split_at_mut(t * d);
+        let (zf, rest) = rest.split_at_mut(t * d);
+        let (zo, zg) = rest.split_at_mut(t * d);
+        for s in 0..t {
+            let at = s * d..(s + 1) * d;
+            let (h_prev, h) = tape.h[s * d..(s + 2) * d].split_at_mut(d);
+            let (c_prev, c) = tape.c[s * d..(s + 2) * d].split_at_mut(d);
+            let (i, f, o, g) = (
+                &mut zi[at.clone()],
+                &mut zf[at.clone()],
+                &mut zo[at.clone()],
+                &mut zg[at.clone()],
+            );
+            for ((_, u, _), z) in gates.iter().zip([&mut *i, &mut *f, &mut *o, &mut *g]) {
+                u.v.gemv_acc_seq(h_prev, z, 1);
+            }
+            let tc = &mut tape.tc[at];
+            for k in 0..d {
+                i[k] = sigmoid(i[k]);
+                f[k] = sigmoid(f[k]);
+                o[k] = sigmoid(o[k]);
+                g[k] = g[k].tanh();
+                // Two roundings, then the sum: `f ⊙ c_prev` plus `i ⊙ g`.
+                let mut cell = f[k] * c_prev[k];
+                cell += i[k] * g[k];
+                c[k] = cell;
+                tc[k] = cell.tanh();
+                h[k] = o[k] * tc[k];
+            }
         }
     }
 
     /// Back-propagation through time.
     ///
-    /// `dhs[t]` is the external gradient on hidden state `h_{t+1}` (e.g.
-    /// attention contributions plus, for the last step, the downstream
-    /// chain). Parameter gradients are *accumulated* into the layer.
+    /// `dhs` is the flat `T × d` slab of external gradients: row `t` is
+    /// the gradient on hidden state `h_{t+1}` (e.g. attention
+    /// contributions plus, for the last step, the downstream chain).
+    /// Parameter gradients are *accumulated* into the layer; `grads` is
+    /// overwritten.
     ///
     /// # Panics
-    /// Panics if `dhs.len() != tape.len()`.
-    pub fn backward_seq(&mut self, tape: &LstmTape, dhs: &[Vector]) -> SeqGrads {
-        self.backward_seq_full(tape, dhs, None)
+    /// Panics if `dhs` is not `tape.len()` rows.
+    pub fn backward_seq(&mut self, tape: &LstmTape, dhs: &[f32], grads: &mut SeqGrads) {
+        self.backward_seq_full(tape, dhs, None, grads);
     }
 
     /// [`Lstm::backward_seq`] with an additional external gradient on the
@@ -281,86 +322,101 @@ impl Lstm {
     /// encoder's final hidden state (`s_0 = h_n^c`) and its final cell
     /// state, so the decoder's `dc0` must flow back into the encoder's
     /// last cell.
+    ///
+    /// The time loop (last step first) keeps only what depends on the
+    /// step after it: the cell equations and `Uᵀ·dz_t`. It leaves every
+    /// step's pre-activation gradients in one slab, from which each
+    /// weight matrix is then visited once per sequence — `dW`, `dU`
+    /// and `db` take their terms `t` **descending**, the order the loop
+    /// used to feed them in, and every `dx_t` sums its gates `i, f, o,
+    /// g` with rows ascending (DESIGN.md §10, the order contract).
     pub fn backward_seq_full(
         &mut self,
         tape: &LstmTape,
-        dhs: &[Vector],
-        dc_final: Option<&Vector>,
-    ) -> SeqGrads {
-        assert_eq!(dhs.len(), tape.len(), "backward_seq: gradient count");
-        let t_len = tape.len();
-        let mut dxs = vec![Vector::zeros(self.in_dim); t_len];
-        let mut dh_next = Vector::zeros(self.hidden);
-        let mut dc_next = match dc_final {
-            Some(dc) => dc.clone(),
-            None => Vector::zeros(self.hidden),
-        };
+        dhs: &[f32],
+        dc_final: Option<&[f32]>,
+        grads: &mut SeqGrads,
+    ) {
+        let (t, d) = (tape.len, self.hidden);
+        assert_eq!(dhs.len(), t * d, "backward_seq: gradient count");
+        assert!(t == 0 || tape.hidden == d, "backward_seq: tape dimension");
+        let SeqGrads { dxs, dh0, dc0, dz } = grads;
+        dxs.clear();
+        dxs.resize(t * self.in_dim, 0.0);
+        dz.resize(4 * t * d, 0.0);
+        // `dh0` / `dc0` carry the recurrent gradient down the loop.
+        let (dh, dc) = (dh0, dc0);
+        dh.clear();
+        dh.resize(d, 0.0);
+        dc.clear();
+        match dc_final {
+            Some(seed) => dc.extend_from_slice(seed),
+            None => dc.resize(d, 0.0),
+        }
+        assert_eq!(dc.len(), d, "backward_seq: dc_final dimension");
 
-        for t in (0..t_len).rev() {
-            let cache = &tape.steps[t];
-            let (h_prev, c_prev) = tape.state_before(t);
-            // Total gradient arriving at h_t: recurrent + external.
-            let mut dh = dh_next;
-            dh.add_assign(&dhs[t]);
-
-            // do = dh ⊙ tanh(c);   dc += dh ⊙ o ⊙ (1 − tanh(c)²)
-            let mut dc = dc_next;
-            for k in 0..self.hidden {
-                dc[k] += dh[k] * cache.o[k] * tanh_grad_from_output(cache.tc[k]);
+        let (gi, rest) = tape.gates.split_at(t * d);
+        let (gf, rest) = rest.split_at(t * d);
+        let (go, gg) = rest.split_at(t * d);
+        {
+            let (dzi, rest) = dz.split_at_mut(t * d);
+            let (dzf, rest) = rest.split_at_mut(t * d);
+            let (dzo, dzg) = rest.split_at_mut(t * d);
+            for s in (0..t).rev() {
+                let at = s * d..(s + 1) * d;
+                let (i, f, o, g) = (
+                    &gi[at.clone()],
+                    &gf[at.clone()],
+                    &go[at.clone()],
+                    &gg[at.clone()],
+                );
+                let (tc, c_prev) = (&tape.tc[at.clone()], &tape.c[at.clone()]);
+                let (dzi, dzf, dzo, dzg) = (
+                    &mut dzi[at.clone()],
+                    &mut dzf[at.clone()],
+                    &mut dzo[at.clone()],
+                    &mut dzg[at.clone()],
+                );
+                // Total gradient arriving at h_t: recurrent + external.
+                simd::add_assign(dh, &dhs[at]);
+                for k in 0..d {
+                    // do = dh ⊙ tanh(c);   dc += dh ⊙ o ⊙ (1 − tanh(c)²)
+                    dc[k] += dh[k] * o[k] * tanh_grad_from_output(tc[k]);
+                    // Pre-activation gradients.
+                    let d_o = dh[k] * tc[k];
+                    dzo[k] = d_o * sigmoid_grad_from_output(o[k]);
+                    let d_i = dc[k] * g[k];
+                    dzi[k] = d_i * sigmoid_grad_from_output(i[k]);
+                    let d_f = dc[k] * c_prev[k];
+                    dzf[k] = d_f * sigmoid_grad_from_output(f[k]);
+                    let d_g = dc[k] * i[k];
+                    dzg[k] = d_g * tanh_grad_from_output(g[k]);
+                    // Cell gradient for step t−1.
+                    dc[k] *= f[k];
+                }
+                // Recurrent gradient for step t−1: dh = Σ Uᵀ dz.
+                dh.fill(0.0);
+                self.ui.v.gemv_t_acc_seq(dzi, dh, 1);
+                self.uf.v.gemv_t_acc_seq(dzf, dh, 1);
+                self.uo.v.gemv_t_acc_seq(dzo, dh, 1);
+                self.ug.v.gemv_t_acc_seq(dzg, dh, 1);
             }
-            // Pre-activation gradients.
-            let mut dzi = Vector::zeros(self.hidden);
-            let mut dzf = Vector::zeros(self.hidden);
-            let mut dzo = Vector::zeros(self.hidden);
-            let mut dzg = Vector::zeros(self.hidden);
-            for k in 0..self.hidden {
-                let d_o = dh[k] * cache.tc[k];
-                dzo[k] = d_o * sigmoid_grad_from_output(cache.o[k]);
-                let d_i = dc[k] * cache.g[k];
-                dzi[k] = d_i * sigmoid_grad_from_output(cache.i[k]);
-                let d_f = dc[k] * c_prev[k];
-                dzf[k] = d_f * sigmoid_grad_from_output(cache.f[k]);
-                let d_g = dc[k] * cache.i[k];
-                dzg[k] = d_g * tanh_grad_from_output(cache.g[k]);
-            }
-
-            // Parameter gradients: dW += dz xᵀ, dU += dz h_prevᵀ, db += dz.
-            self.wi.g.add_outer(1.0, &dzi, &cache.x);
-            self.wf.g.add_outer(1.0, &dzf, &cache.x);
-            self.wo.g.add_outer(1.0, &dzo, &cache.x);
-            self.wg.g.add_outer(1.0, &dzg, &cache.x);
-            self.ui.g.add_outer(1.0, &dzi, h_prev);
-            self.uf.g.add_outer(1.0, &dzf, h_prev);
-            self.uo.g.add_outer(1.0, &dzo, h_prev);
-            self.ug.g.add_outer(1.0, &dzg, h_prev);
-            self.bi.g.add_assign(&dzi);
-            self.bf.g.add_assign(&dzf);
-            self.bo.g.add_assign(&dzo);
-            self.bg.g.add_assign(&dzg);
-
-            // Input gradient: dx = Σ Wᵀ dz.
-            let dx = &mut dxs[t];
-            self.wi.v.gemv_t_acc(&dzi, dx);
-            self.wf.v.gemv_t_acc(&dzf, dx);
-            self.wo.v.gemv_t_acc(&dzo, dx);
-            self.wg.v.gemv_t_acc(&dzg, dx);
-
-            // Recurrent gradients for step t−1.
-            let mut dh_prev = Vector::zeros(self.hidden);
-            self.ui.v.gemv_t_acc(&dzi, &mut dh_prev);
-            self.uf.v.gemv_t_acc(&dzf, &mut dh_prev);
-            self.uo.v.gemv_t_acc(&dzo, &mut dh_prev);
-            self.ug.v.gemv_t_acc(&dzg, &mut dh_prev);
-            let dc_prev = dc.hadamard(&cache.f);
-
-            dh_next = dh_prev;
-            dc_next = dc_prev;
         }
 
-        SeqGrads {
-            dxs,
-            dh0: dh_next,
-            dc0: dc_next,
+        // Once per sequence and matrix: dW += dz xᵀ, dU += dz h_prevᵀ,
+        // db += dz (all t descending), then dx_t += Wᵀ dz_t.
+        let h_prev = &tape.h[..t * d];
+        for ((w, u, b), dz) in self
+            .gates_mut()
+            .into_iter()
+            .zip(dz.chunks_exact((t * d).max(1)))
+        {
+            w.g.add_outer_seq(1.0, dz, &tape.x, t, true);
+            u.g.add_outer_seq(1.0, dz, h_prev, t, true);
+            for s in (0..t).rev() {
+                simd::add_assign(b.g.as_mut_slice(), &dz[s * d..(s + 1) * d]);
+            }
+            w.v.gemv_t_acc_seq(dz, dxs, t);
         }
     }
 
@@ -749,16 +805,32 @@ mod tests {
             .collect()
     }
 
+    /// The rows as one flat slab, the layout the taped path takes.
+    fn flat(rows: &[Vector]) -> Vec<f32> {
+        rows.iter().flat_map(|r| r.iter().copied()).collect()
+    }
+
+    fn taped(lstm: &Lstm, xs: &[Vector], h0: &Vector, c0: &Vector) -> LstmTape {
+        let mut tape = LstmTape::default();
+        lstm.forward_seq(&flat(xs), xs.len(), h0.as_slice(), c0.as_slice(), &mut tape);
+        tape
+    }
+
+    fn dot(a: &[f32], b: &Vector) -> f32 {
+        ncl_tensor::vector::dot(a, b.as_slice())
+    }
+
     #[test]
     fn forward_shapes() {
         let mut rng = StdRng::seed_from_u64(1);
         let lstm = Lstm::new(3, 5, &mut rng);
         let xs = inputs(&mut rng, 4, 3);
         let (h0, c0) = zero_state(5);
-        let tape = lstm.forward_seq(&xs, &h0, &c0);
+        let tape = taped(&lstm, &xs, &h0, &c0);
         assert_eq!(tape.len(), 4);
         assert_eq!(tape.final_h().len(), 5);
-        assert!(tape.hs.iter().all(|h| h.is_finite()));
+        assert_eq!(tape.hs().len(), 4 * 5);
+        assert!(tape.hs().iter().all(|h| h.is_finite()));
     }
 
     #[test]
@@ -766,9 +838,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let lstm = Lstm::new(3, 5, &mut rng);
         let (h0, c0) = zero_state(5);
-        let tape = lstm.forward_seq(&[], &h0, &c0);
+        let tape = taped(&lstm, &[], &h0, &c0);
         assert!(tape.is_empty());
-        assert_eq!(tape.final_h().as_slice(), h0.as_slice());
+        assert_eq!(tape.final_h(), h0.as_slice());
     }
 
     #[test]
@@ -778,10 +850,8 @@ mod tests {
         let lstm = Lstm::new(4, 6, &mut rng);
         let xs = inputs(&mut rng, 10, 4);
         let (h0, c0) = zero_state(6);
-        let tape = lstm.forward_seq(&xs, &h0, &c0);
-        for h in &tape.hs {
-            assert!(h.iter().all(|v| v.abs() < 1.0));
-        }
+        let tape = taped(&lstm, &xs, &h0, &c0);
+        assert!(tape.hs().iter().all(|v| v.abs() < 1.0));
     }
 
     #[test]
@@ -791,10 +861,10 @@ mod tests {
         let xs = inputs(&mut rng, 6, 3);
         let h0 = init::uniform_vector(5, -0.5, 0.5, &mut rng);
         let c0 = init::uniform_vector(5, -0.5, 0.5, &mut rng);
-        let tape = lstm.forward_seq(&xs, &h0, &c0);
+        let tape = taped(&lstm, &xs, &h0, &c0);
         let (hs, final_c) = lstm.forward_states(&xs, &h0, &c0);
         assert_eq!(hs.len(), tape.len());
-        for (a, b) in hs.iter().zip(&tape.hs) {
+        for (a, b) in hs.iter().zip(tape.hs().chunks_exact(5)) {
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
@@ -820,9 +890,12 @@ mod tests {
         let lstm = Lstm::new(3, 4, &mut rng);
         let xs = inputs(&mut rng, 3, 3);
         let (h0, c0) = zero_state(4);
-        let a = lstm.forward_seq(&xs, &h0, &c0);
-        let b = lstm.forward_seq(&xs, &h0, &c0);
-        assert_eq!(a.final_h().as_slice(), b.final_h().as_slice());
+        let a = taped(&lstm, &xs, &h0, &c0);
+        // A second pass into a used tape is the same pass.
+        let mut b = taped(&lstm, &inputs(&mut rng, 5, 3), &h0, &c0);
+        lstm.forward_seq(&flat(&xs), 3, h0.as_slice(), c0.as_slice(), &mut b);
+        assert_eq!(a.final_h(), b.final_h());
+        assert_eq!(a.hs(), b.hs());
     }
 
     /// The decisive test: analytic gradients of a scalar loss
@@ -843,14 +916,14 @@ mod tests {
         let c0 = init::uniform_vector(hidden, -0.5, 0.5, &mut rng);
 
         let loss = |l: &Lstm| -> f32 {
-            let tape = l.forward_seq(&xs, &h0, &c0);
-            tape.hs.iter().zip(&us).map(|(h, u)| h.dot(u)).sum()
+            let tape = taped(l, &xs, &h0, &c0);
+            let hs = tape.hs().chunks_exact(hidden);
+            hs.zip(&us).map(|(h, u)| dot(h, u)).sum()
         };
 
         // Analytic pass.
-        let tape = lstm.forward_seq(&xs, &h0, &c0);
-        let dhs: Vec<Vector> = us.clone();
-        let _ = lstm.backward_seq(&tape, &dhs);
+        let tape = taped(&lstm, &xs, &h0, &c0);
+        lstm.backward_seq(&tape, &flat(&us), &mut SeqGrads::default());
 
         check_params(
             &mut lstm,
@@ -873,10 +946,11 @@ mod tests {
         let h0 = init::uniform_vector(3, -0.5, 0.5, &mut rng);
         let c0 = Vector::zeros(3);
 
-        let tape = lstm.forward_seq(&xs, &h0, &c0);
+        let tape = taped(&lstm, &xs, &h0, &c0);
         let mut dhs = vec![Vector::zeros(3); 2];
         dhs[1] = u.clone();
-        let grads = lstm.backward_seq(&tape, &dhs);
+        let mut grads = SeqGrads::default();
+        lstm.backward_seq(&tape, &flat(&dhs), &mut grads);
 
         let h = 1e-2f32;
         for k in 0..3 {
@@ -884,8 +958,8 @@ mod tests {
             hp[k] += h;
             let mut hm = h0.clone();
             hm[k] -= h;
-            let fp = lstm.forward_seq(&xs, &hp, &c0).final_h().dot(&u);
-            let fm = lstm.forward_seq(&xs, &hm, &c0).final_h().dot(&u);
+            let fp = dot(taped(&lstm, &xs, &hp, &c0).final_h(), &u);
+            let fm = dot(taped(&lstm, &xs, &hm, &c0).final_h(), &u);
             let fd = (fp - fm) / (2.0 * h);
             assert!(
                 (fd - grads.dh0[k]).abs() < 2e-2,
@@ -904,10 +978,11 @@ mod tests {
         let u = init::uniform_vector(3, -1.0, 1.0, &mut rng);
         let (h0, c0) = zero_state(3);
 
-        let tape = lstm.forward_seq(&xs, &h0, &c0);
+        let tape = taped(&lstm, &xs, &h0, &c0);
         let mut dhs = vec![Vector::zeros(3); 3];
         dhs[2] = u.clone();
-        let grads = lstm.backward_seq(&tape, &dhs);
+        let mut grads = SeqGrads::default();
+        lstm.backward_seq(&tape, &flat(&dhs), &mut grads);
 
         let h = 1e-2f32;
         for t in 0..3 {
@@ -916,13 +991,13 @@ mod tests {
                 xp[t][k] += h;
                 let mut xm = xs.clone();
                 xm[t][k] -= h;
-                let fp = lstm.forward_seq(&xp, &h0, &c0).final_h().dot(&u);
-                let fm = lstm.forward_seq(&xm, &h0, &c0).final_h().dot(&u);
+                let fp = dot(taped(&lstm, &xp, &h0, &c0).final_h(), &u);
+                let fm = dot(taped(&lstm, &xm, &h0, &c0).final_h(), &u);
                 let fd = (fp - fm) / (2.0 * h);
                 assert!(
-                    (fd - grads.dxs[t][k]).abs() < 2e-2,
+                    (fd - grads.dxs[t * 2 + k]).abs() < 2e-2,
                     "dx[{t}][{k}]: fd={fd} analytic={}",
-                    grads.dxs[t][k]
+                    grads.dxs[t * 2 + k]
                 );
             }
         }
@@ -935,8 +1010,8 @@ mod tests {
         let mut lstm = Lstm::new(2, 3, &mut rng);
         let xs = inputs(&mut rng, 2, 2);
         let (h0, c0) = zero_state(3);
-        let tape = lstm.forward_seq(&xs, &h0, &c0);
-        let _ = lstm.backward_seq(&tape, &[Vector::zeros(3)]);
+        let tape = taped(&lstm, &xs, &h0, &c0);
+        lstm.backward_seq(&tape, &[0.0; 3], &mut SeqGrads::default());
     }
 
     #[test]

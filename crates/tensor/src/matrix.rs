@@ -164,54 +164,79 @@ impl Matrix {
         out
     }
 
-    /// Blocked matrix product against a transposed right operand:
-    /// `C = A Bᵀ`, i.e. `C[i][j] = A.row(i) · B.row(j)` — both operands
-    /// are walked along contiguous rows, so no transpose is materialised.
+    /// [`Matrix::gemv_acc`] for every step of a sequence in one call:
+    /// `ys[s] += A xs[s]` for `s < t`, with `xs` a flat `t × cols` slab
+    /// and `ys` a flat `t × rows` slab. Bit-identical to `t` calls of
+    /// `gemv_acc` ([`simd::rowmajor_gemv_acc_seq`]); `t = 1` *is* that
+    /// call, over slices.
+    ///
+    /// # Panics
+    /// Panics if a slab is not `t` rows of the matching dimension.
+    pub fn gemv_acc_seq(&self, xs: &[f32], ys: &mut [f32], t: usize) {
+        assert_eq!(xs.len(), t * self.cols, "gemv_acc_seq: input slab");
+        assert_eq!(ys.len(), t * self.rows, "gemv_acc_seq: output slab");
+        simd::rowmajor_gemv_acc_seq(ys, xs, &self.data, t);
+    }
+
+    /// [`Matrix::gemv_t_acc`] for every step of a sequence in one call:
+    /// `ys[s] += Aᵀ xs[s]` for `s < t`, with `xs` a flat `t × rows` slab
+    /// and `ys` a flat `t × cols` slab. Bit-identical to `t` calls of
+    /// `gemv_t_acc`, zero-skip included ([`simd::gemv_t_acc_seq`]).
+    ///
+    /// # Panics
+    /// Panics if a slab is not `t` rows of the matching dimension.
+    pub fn gemv_t_acc_seq(&self, xs: &[f32], ys: &mut [f32], t: usize) {
+        assert_eq!(xs.len(), t * self.rows, "gemv_t_acc_seq: input slab");
+        assert_eq!(ys.len(), t * self.cols, "gemv_t_acc_seq: output slab");
+        simd::gemv_t_acc_seq(ys, xs, &self.data, t);
+    }
+
+    /// [`Matrix::add_outer`] for every step of a sequence in one call:
+    /// `self += alpha · us[s] vs[s]ᵀ` for the `t` steps **in step
+    /// order** — ascending, or descending when `descending` — with `us`
+    /// a flat `t × rows` slab and `vs` a flat `t × cols` slab.
+    /// Bit-identical to `t` calls of `add_outer` made in that order
+    /// ([`simd::rank1_update_seq`]): each gradient element receives its
+    /// terms one step at a time, exactly as before.
+    ///
+    /// # Panics
+    /// Panics if a slab is not `t` rows of the matching dimension.
+    pub fn add_outer_seq(
+        &mut self,
+        alpha: f32,
+        us: &[f32],
+        vs: &[f32],
+        t: usize,
+        descending: bool,
+    ) {
+        assert_eq!(us.len(), t * self.rows, "add_outer_seq: row slab");
+        assert_eq!(vs.len(), t * self.cols, "add_outer_seq: col slab");
+        simd::rank1_update_seq(&mut self.data, alpha, us, vs, t, descending);
+    }
+
+    /// Matrix product against a transposed right operand: `C = A Bᵀ`,
+    /// i.e. `C[i][j] = A.row(i) · B.row(j)` — both operands are walked
+    /// along contiguous rows, so no transpose is materialised.
     ///
     /// With `A` holding one state per row (k × d) and `B` a weight matrix
-    /// (n × d), one call produces every row's product while streaming
-    /// `B` through the cache once. Rows of `B` are processed in tiles of
-    /// [`Matrix::GEMM_NT_TILE`]: each tile is transposed into a small
-    /// column-major scratch so [`simd::colmajor_gemv_acc`] can vectorise
-    /// across the tile's outputs while the tile stays cache-resident
-    /// across all rows of `A`. (Serving once stacked its candidates
-    /// through this; it now decodes one candidate at a time — DESIGN.md
-    /// §16 — and the kernel stays for the benchmark's `tensor.gemm_nt_us`
-    /// and fig16.)
+    /// (n × d) this is the stacked product of a `k`-step sequence into a
+    /// zeroed output — [`Matrix::gemv_acc_seq`] on `B` — so one call
+    /// produces every row's product while streaming `B` through the
+    /// cache once. (Serving once stacked its candidates through this; it
+    /// now decodes one candidate at a time — DESIGN.md §16 — and the
+    /// wrapper stays for the benchmark's `tensor.gemm_nt_us` and fig16.)
     ///
     /// Each output entry is an independent ascending-index dot product —
     /// the same accumulation order as [`Matrix::gemv`]/[`Matrix::gemv_acc`]
-    /// — so `gemm_nt` results are bit-identical to row-by-row `gemv` at
-    /// every SIMD dispatch level (see the [`simd`] module contract).
+    /// (`+0 + acc` is `acc`) — so `gemm_nt` results are bit-identical to
+    /// row-by-row `gemv` at every SIMD dispatch level (see the [`simd`]
+    /// module contract).
     pub fn gemm_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "gemm_nt: inner dimension mismatch");
-        let d = self.cols;
         let mut out = Matrix::zeros(self.rows, other.rows);
-        let mut scratch = vec![0.0f32; d * Self::GEMM_NT_TILE.min(other.rows)];
-        for jb in (0..other.rows).step_by(Self::GEMM_NT_TILE) {
-            let jend = (jb + Self::GEMM_NT_TILE).min(other.rows);
-            let w = jend - jb;
-            for t in 0..w {
-                let brow = &other.data[(jb + t) * d..(jb + t + 1) * d];
-                for (k, &b) in brow.iter().enumerate() {
-                    scratch[k * w + t] = b;
-                }
-            }
-            let tile = &scratch[..d * w];
-            for i in 0..self.rows {
-                let arow = &self.data[i * d..(i + 1) * d];
-                let crow = &mut out.data[i * other.rows + jb..i * other.rows + jend];
-                simd::colmajor_gemv_acc(crow, arow, tile);
-            }
-        }
+        other.gemv_acc_seq(&self.data, &mut out.data, self.rows);
         out
     }
-
-    /// Tile height (rows of the right operand) for [`Matrix::gemm_nt`]:
-    /// 32 rows of `d ≤ 200` floats fit comfortably in L1 alongside one
-    /// left-operand row, and give the AVX2 kernel four full-width
-    /// accumulators per pass.
-    pub const GEMM_NT_TILE: usize = 32;
 
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
@@ -365,9 +390,8 @@ mod tests {
 
     #[test]
     fn gemm_nt_rows_bit_match_gemv() {
-        // The serving cache depends on gemm_nt being *bit-identical* to
-        // per-row gemv, tile boundaries included (70 rows spans three
-        // tiles of 32, the last one ragged).
+        // gemm_nt is *bit-identical* to per-row gemv, block boundaries
+        // included (70 rows is eight 8-row blocks and a ragged tail).
         let d = 7;
         let a = Matrix::from_vec(3, d, (0..3 * d).map(|i| (i as f32).sin()).collect());
         let b = Matrix::from_vec(70, d, (0..70 * d).map(|i| (i as f32 * 0.7).cos()).collect());

@@ -187,18 +187,17 @@ pub fn log_softmax_at_slice_relaxed(x: &[f32], idx: usize) -> f32 {
     x[idx] - log_sum_exp_slice_relaxed(x)
 }
 
-/// Backward pass through a softmax: given the output `y = softmax(x)` and
-/// the upstream gradient `dy`, returns `dx = (diag(y) − y yᵀ) dy`, i.e.
-/// `dx_i = y_i (dy_i − Σ_j y_j dy_j)`.
-pub fn softmax_backward(y: &Vector, dy: &Vector) -> Vector {
-    assert_eq!(y.len(), dy.len(), "softmax_backward: dimension mismatch");
-    let s = y.dot(dy);
-    Vector::from_vec(
-        y.iter()
-            .zip(dy.iter())
-            .map(|(&yi, &dyi)| yi * (dyi - s))
-            .collect(),
-    )
+/// Backward pass through a softmax, in place: given the output
+/// `y = softmax(x)`, the upstream gradient in `dy` becomes
+/// `dx = (diag(y) − y yᵀ) dy`, i.e. `dx_i = y_i (dy_i − Σ_j y_j dy_j)`.
+///
+/// # Panics
+/// Panics if the lengths differ.
+pub fn softmax_backward(y: &[f32], dy: &mut [f32]) {
+    let s = crate::vector::dot(y, dy);
+    for (d, &yi) in dy.iter_mut().zip(y) {
+        *d = yi * (*d - s);
+    }
 }
 
 #[cfg(test)]
@@ -343,7 +342,8 @@ mod tests {
     fn softmax_backward_matches_finite_difference() {
         let x = Vector::from_slice(&[0.2, -0.4, 1.0]);
         let dy = Vector::from_slice(&[0.3, -0.1, 0.7]);
-        let an = softmax_backward(&softmax(&x), &dy);
+        let mut an = dy.clone();
+        softmax_backward(softmax(&x).as_slice(), an.as_mut_slice());
         let h = 1e-3f32;
         for i in 0..x.len() {
             let mut xp = x.clone();

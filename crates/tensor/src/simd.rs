@@ -399,6 +399,196 @@ pub fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Sequence kernels: one call per sequence instead of one per time step.
+//
+// Each is *defined as* `t` successive calls of the per-step kernel above
+// on row `s` of its flat `t × n` slabs — the scalar and SSE2 levels are
+// literally that loop — and the AVX2 bodies only reschedule work whose
+// order no output can observe: a forward output `(s, r)` owns a fresh
+// accumulator and shares nothing with `(s', r')`, and an accumulated
+// element receives its terms in the caller's step order because the step
+// loop is the innermost loop that touches it. A length-one sequence *is*
+// the per-step call, and is handed to it.
+// ---------------------------------------------------------------------------
+
+/// Splits the slab lengths of a `t`-step sequence call into the per-step
+/// `(rows, cols)` of its weight matrix (`a` holds `t × rows` floats, `b`
+/// `t × cols`), or `None` when there is nothing to do: no steps, or a
+/// weight matrix without entries — the case every per-step kernel
+/// returns from before touching its output.
+fn seq_shape(kernel: &str, t: usize, a: usize, b: usize, w: usize) -> Option<(usize, usize)> {
+    if t == 0 {
+        assert!(a == 0 && b == 0, "{kernel}: slabs of an empty sequence");
+        return None;
+    }
+    let (rows, cols) = (a / t, b / t);
+    assert!(
+        a == t * rows && b == t * cols,
+        "{kernel}: slab is not a whole number of steps"
+    );
+    assert_eq!(w, rows * cols, "{kernel}: weight shape mismatch");
+    (w != 0).then_some((rows, cols))
+}
+
+/// The `i`-th step a sequenced update visits: `i` itself, or counted
+/// from the end when the caller's order is descending.
+#[inline(always)]
+fn seq_step(i: usize, t: usize, descending: bool) -> usize {
+    if descending {
+        t - 1 - i
+    } else {
+        i
+    }
+}
+
+/// Stacked [`rowmajor_gemv_acc`]: `ys[s] += W · xs[s]` for every step
+/// `s < t`, with `ys` a flat `t × rows` slab, `xs` a flat `t × cols`
+/// slab and `w` the row-major `rows × cols` matrix — bit-identical to
+/// `t` per-step calls at every level.
+///
+/// Every `(s, r)` output is `ys[s][r] + fresh accumulator` over
+/// ascending `k`, mul then add, and shares nothing with any other
+/// output, so stacking is pure scheduling. The AVX2 body uses it to pay
+/// the in-register 8×8 transpose — what bounds the per-step kernel —
+/// once per block for up to six steps' accumulators, and to stream `w`
+/// from memory once per sequence instead of once per step.
+///
+/// # Panics
+/// Panics if the slabs are not `t` whole steps or `w` is not
+/// `rows × cols`.
+pub fn rowmajor_gemv_acc_seq(ys: &mut [f32], xs: &[f32], w: &[f32], t: usize) {
+    if t == 1 {
+        return rowmajor_gemv_acc(ys, xs, w);
+    }
+    let Some((rows, cols)) = seq_shape("rowmajor_gemv_acc_seq", t, ys.len(), xs.len(), w.len())
+    else {
+        return;
+    };
+    let steps = ys.chunks_exact_mut(rows).zip(xs.chunks_exact(cols));
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 was verified by `active()`'s detection;
+        // `seq_shape` checked the slab and weight shapes the kernel's
+        // loads rest on.
+        Level::Avx2 => unsafe { avx2::rowmajor_gemv_acc_seq(ys, xs, w, t, (rows, cols)) },
+        #[cfg(target_arch = "x86_64")]
+        Level::Sse2 => {
+            for (y, x) in steps {
+                // SAFETY: SSE2 is part of the x86_64 baseline; `y`, `x`
+                // and `w` have the per-step kernel's shape.
+                unsafe { sse2::rowmajor_gemv_acc(y, x, w) }
+            }
+        }
+        _ => {
+            for (y, x) in steps {
+                scalar::rowmajor_gemv_acc(y, x, w);
+            }
+        }
+    }
+}
+
+/// Sequenced [`rank1_update`]: `w += (alpha · us[s]) vs[s]ᵀ` for the
+/// `t` steps of a sequence **in step order** — `s` ascending, or
+/// descending when `descending` (back-propagation through time visits
+/// its steps last to first) — with `us` a flat `t × rows` slab and `vs`
+/// a flat `t × cols` slab. Bit-identical to `t` per-step calls made in
+/// that order.
+///
+/// A gradient element `w[r][j]` receives one `+ c · v` term per step,
+/// in step order, whichever loop is outermost; the AVX2 body therefore
+/// holds a tile of row `r` in registers across all the steps instead of
+/// loading and storing it once per step. The per-`(s, r)` zero-skip of
+/// [`rank1_update`] is kept (it is bitwise observable), and a row whose
+/// coefficient is zero at every step is never written.
+///
+/// # Panics
+/// Panics if the slabs are not `t` whole steps or `w` is not
+/// `rows × cols`.
+pub fn rank1_update_seq(
+    w: &mut [f32],
+    alpha: f32,
+    us: &[f32],
+    vs: &[f32],
+    t: usize,
+    descending: bool,
+) {
+    if t == 1 {
+        return rank1_update(w, alpha, us, vs);
+    }
+    let Some((rows, cols)) = seq_shape("rank1_update_seq", t, us.len(), vs.len(), w.len()) else {
+        return;
+    };
+    let step = |i: usize| {
+        let s = seq_step(i, t, descending);
+        (&us[s * rows..(s + 1) * rows], &vs[s * cols..(s + 1) * cols])
+    };
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 was verified by `active()`'s detection;
+        // `seq_shape` checked the slab and weight shapes the kernel's
+        // loads rest on.
+        Level::Avx2 => unsafe {
+            avx2::rank1_update_seq(w, alpha, us, vs, t, (rows, cols), descending)
+        },
+        #[cfg(target_arch = "x86_64")]
+        Level::Sse2 => {
+            for (u, v) in (0..t).map(step) {
+                // SAFETY: SSE2 is part of the x86_64 baseline.
+                unsafe { sse2::rank1_update(w, alpha, u, v) }
+            }
+        }
+        _ => {
+            for (u, v) in (0..t).map(step) {
+                scalar::rank1_update(w, alpha, u, v);
+            }
+        }
+    }
+}
+
+/// Stacked [`gemv_t_acc`]: `ys[s] += Wᵀ · xs[s]` for every step
+/// `s < t`, with `ys` a flat `t × cols` slab, `xs` a flat `t × rows`
+/// slab and `w` the row-major `rows × cols` matrix — bit-identical to
+/// `t` per-step calls at every level.
+///
+/// Each `(s, j)` output is its own chain `ys[s][j] += xs[s][r] · w[r][j]`
+/// over ascending `r` with the per-`(s, r)` zero-skip, independent of
+/// every other output. The AVX2 body loads each tile of a weight row
+/// once for up to six steps and runs their add chains side by side —
+/// the per-step body is bound by the latency of its own four.
+///
+/// # Panics
+/// Panics if the slabs are not `t` whole steps or `w` is not
+/// `rows × cols`.
+pub fn gemv_t_acc_seq(ys: &mut [f32], xs: &[f32], w: &[f32], t: usize) {
+    if t == 1 {
+        return gemv_t_acc(ys, xs, w);
+    }
+    let Some((rows, cols)) = seq_shape("gemv_t_acc_seq", t, xs.len(), ys.len(), w.len()) else {
+        return;
+    };
+    let steps = ys.chunks_exact_mut(cols).zip(xs.chunks_exact(rows));
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 was verified by `active()`'s detection;
+        // `seq_shape` checked the slab and weight shapes the kernel's
+        // loads rest on.
+        Level::Avx2 => unsafe { avx2::gemv_t_acc_seq(ys, xs, w, t, (rows, cols)) },
+        #[cfg(target_arch = "x86_64")]
+        Level::Sse2 => {
+            for (y, x) in steps {
+                // SAFETY: SSE2 is part of the x86_64 baseline.
+                unsafe { sse2::gemv_t_acc(y, x, w) }
+            }
+        }
+        _ => {
+            for (y, x) in steps {
+                scalar::gemv_t_acc(y, x, w);
+            }
+        }
+    }
+}
+
 /// Hints the CPU to pull every cache line of `x` towards L1 ahead of
 /// the reads that will follow. Purely a hint: no value is read, no
 /// result depends on it, and it is issued at every dispatch level
@@ -1403,6 +1593,322 @@ mod avx2 {
         }
     }
 
+    /// Steps per register block of the stacked kernels: with six steps'
+    /// accumulators live beside the eight transposed columns (or two
+    /// weight-row tiles) and one broadcast, all sixteen `ymm` are used.
+    const SEQ_BLOCK: usize = 6;
+
+    /// Cuts `t` steps into the fewest blocks of at most [`SEQ_BLOCK`],
+    /// sized evenly (7 → 4 + 3, not 6 + 1), and calls `f(first, len)`
+    /// for each.
+    #[inline(always)]
+    fn for_step_blocks(t: usize, mut f: impl FnMut(usize, usize)) {
+        let blocks = t.div_ceil(SEQ_BLOCK);
+        let mut first = 0;
+        for b in 0..blocks {
+            let len = (t - first).div_ceil(blocks - b);
+            f(first, len);
+            first += len;
+        }
+    }
+
+    /// Calls `$kernel::<N, ..>($args)` with `N` the (runtime) length of a
+    /// step block, `1..=SEQ_BLOCK`.
+    macro_rules! with_block_len {
+        ($n:expr, $kernel:ident::<_ $(, $w:literal)?>($($arg:expr),*)) => {
+            match $n {
+                1 => $kernel::<1 $(, $w)?>($($arg),*),
+                2 => $kernel::<2 $(, $w)?>($($arg),*),
+                3 => $kernel::<3 $(, $w)?>($($arg),*),
+                4 => $kernel::<4 $(, $w)?>($($arg),*),
+                5 => $kernel::<5 $(, $w)?>($($arg),*),
+                _ => $kernel::<6 $(, $w)?>($($arg),*),
+            }
+        };
+    }
+
+    /// One 8-row block of [`rowmajor_gemv_acc_seq`] for `N` consecutive
+    /// steps: every 8×8 block of `w` is transposed once and feeds all
+    /// `N` accumulators.
+    ///
+    /// # Safety
+    /// Requires AVX2; `w` must hold rows `r..r + 8` of `cols` floats,
+    /// `xs` steps `s0..s0 + N` of `cols` floats, `ys` steps
+    /// `s0..s0 + N` of `rows` floats with `r + 8 <= rows`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gemv_seq_block<const N: usize>(
+        ys: &mut [f32],
+        xs: &[f32],
+        w: &[f32],
+        (rows, cols): (usize, usize),
+        r: usize,
+        s0: usize,
+    ) {
+        let kfull = cols - cols % 8;
+        let base = w.as_ptr().add(r * cols);
+        let xp = xs.as_ptr().add(s0 * cols);
+        let mut acc = [_mm256_setzero_ps(); N];
+        let mut k = 0;
+        while k < kfull {
+            // SAFETY: `r + 7 < rows` and `k + 8 <= cols` keep every row
+            // load inside `w` (see `rowmajor_gemv_acc`); step `s0 + a`'s
+            // `x[k + j]` is inside `xs` because `a < N` steps are held.
+            let cs = load_transposed8(base.add(k), cols);
+            for (j, &c) in cs.iter().enumerate() {
+                for (a, lane) in acc.iter_mut().enumerate() {
+                    let xb = _mm256_broadcast_ss(&*xp.add(a * cols + k + j));
+                    *lane = _mm256_add_ps(*lane, _mm256_mul_ps(c, xb));
+                }
+            }
+            k += 8;
+        }
+        let block = &w[r * cols..(r + 8) * cols];
+        for (a, &lane) in acc.iter().enumerate() {
+            let s = s0 + a;
+            let mut lanes = [0.0f32; 8];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), lane);
+            super::scalar::finish_row_block(
+                &mut ys[s * rows + r..s * rows + r + 8],
+                &lanes,
+                &xs[s * cols..(s + 1) * cols],
+                block,
+                kfull,
+            );
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX2 (callers check [`super::supported`]), a non-empty
+    /// `w` of `rows × cols` floats, and `ys` / `xs` holding the same
+    /// whole number of `rows`- / `cols`-float steps — the public wrapper
+    /// establishes all three. Like the per-step body this one is out of
+    /// Miri's reach (Miri reports no AVX2; the SSE2 level loops the
+    /// per-step kernel it does interpret) and rests on the
+    /// `simd_identity` cases whose slabs end exactly at their
+    /// allocation's end.
+    ///
+    /// Per `(step, row)` this is [`rowmajor_gemv_acc`] unchanged: fresh
+    /// accumulator, ascending `k`, mul then add, `cols % 8` columns
+    /// finished per lane in scalar code, then `y += acc`; `rows % 8`
+    /// rows are scalar. Row blocks are outermost, so each block of `w`
+    /// is fetched once per sequence and re-read from L1 for every step
+    /// block.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn rowmajor_gemv_acc_seq(
+        ys: &mut [f32],
+        xs: &[f32],
+        w: &[f32],
+        t: usize,
+        shape: (usize, usize),
+    ) {
+        let (rows, cols) = shape;
+        let mut r = 0;
+        while r + 8 <= rows {
+            for_step_blocks(t, |s0, n| {
+                with_block_len!(n, gemv_seq_block::<_>(ys, xs, w, shape, r, s0))
+            });
+            r += 8;
+        }
+        if r < rows {
+            for (y, x) in ys.chunks_exact_mut(rows).zip(xs.chunks_exact(cols)) {
+                super::scalar::rowmajor_gemv_acc(&mut y[r..], x, &w[r * cols..]);
+            }
+        }
+    }
+
+    /// `W` `ymm` of row `r` of [`rank1_update_seq`], columns `j..`,
+    /// carried in registers across all the steps.
+    ///
+    /// # Safety
+    /// Requires AVX2 and `j + 8 * W <= cols`, with `row` pointing at
+    /// `cols` floats and `us` / `vs` holding `t` steps.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn rank1_seq_tile<const W: usize>(
+        row: *mut f32,
+        alpha: f32,
+        us: &[f32],
+        vs: &[f32],
+        (t, rows, cols): (usize, usize, usize),
+        (r, j): (usize, usize),
+        descending: bool,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); W];
+        for (a, lane) in acc.iter_mut().enumerate() {
+            *lane = _mm256_loadu_ps(row.add(j + 8 * a));
+        }
+        let mut updated = false;
+        for i in 0..t {
+            let s = super::seq_step(i, t, descending);
+            let c = alpha * us[s * rows + r];
+            if c == 0.0 {
+                continue;
+            }
+            updated = true;
+            let cb = _mm256_set1_ps(c);
+            let v = vs.as_ptr().add(s * cols + j);
+            for (a, lane) in acc.iter_mut().enumerate() {
+                *lane = _mm256_add_ps(*lane, _mm256_mul_ps(cb, _mm256_loadu_ps(v.add(8 * a))));
+            }
+        }
+        if updated {
+            for (a, &lane) in acc.iter().enumerate() {
+                _mm256_storeu_ps(row.add(j + 8 * a), lane);
+            }
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX2 (callers check [`super::supported`]), a non-empty
+    /// `w` of `rows × cols` floats, and `us` / `vs` holding the same
+    /// whole number of `rows`- / `cols`-float steps — the public wrapper
+    /// establishes all three. Out of Miri's reach like the other AVX2
+    /// bodies (the SSE2 level loops its per-step kernel); covered on
+    /// hardware by the end-of-allocation cases of `simd_identity`.
+    ///
+    /// Per element this is the per-step saxpy chain `w[r][j] += c · v[j]`
+    /// with `c = alpha · u[r]`, one term per step in step order, steps
+    /// with `c == 0.0` skipped — only the loop nest differs: row, then
+    /// column tile (32, then 8 floats, then a scalar tail), then step,
+    /// so a tile is loaded and stored once per sequence, and not stored
+    /// at all when every step skipped it.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn rank1_update_seq(
+        w: &mut [f32],
+        alpha: f32,
+        us: &[f32],
+        vs: &[f32],
+        t: usize,
+        (rows, cols): (usize, usize),
+        descending: bool,
+    ) {
+        let shape = (t, rows, cols);
+        for r in 0..rows {
+            // SAFETY: row `r < rows` of a `rows × cols` matrix; each
+            // tile call is made with `j + width <= cols`.
+            let row = w.as_mut_ptr().add(r * cols);
+            let mut j = 0;
+            while j + 32 <= cols {
+                rank1_seq_tile::<4>(row, alpha, us, vs, shape, (r, j), descending);
+                j += 32;
+            }
+            while j + 8 <= cols {
+                rank1_seq_tile::<1>(row, alpha, us, vs, shape, (r, j), descending);
+                j += 8;
+            }
+            if j < cols {
+                let tail = &mut w[r * cols + j..(r + 1) * cols];
+                for i in 0..t {
+                    let s = super::seq_step(i, t, descending);
+                    let c = alpha * us[s * rows + r];
+                    if c == 0.0 {
+                        continue;
+                    }
+                    super::scalar::saxpy(tail, c, &vs[s * cols + j..(s + 1) * cols]);
+                }
+            }
+        }
+    }
+
+    /// `W` `ymm` of output columns `j..` of [`gemv_t_acc_seq`] for `N`
+    /// consecutive steps: each weight-row tile is loaded once and feeds
+    /// all `N` steps' chains.
+    ///
+    /// # Safety
+    /// Requires AVX2 and `j + 8 * W <= cols`, with `w` a `rows × cols`
+    /// matrix and `ys` / `xs` holding steps `s0..s0 + N`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gemv_t_seq_tile<const N: usize, const W: usize>(
+        ys: &mut [f32],
+        xs: &[f32],
+        w: &[f32],
+        (rows, cols): (usize, usize),
+        j: usize,
+        s0: usize,
+    ) {
+        let yp = ys.as_mut_ptr().add(s0 * cols + j);
+        let xp = xs.as_ptr().add(s0 * rows);
+        let wp = w.as_ptr().add(j);
+        let mut acc = [[_mm256_setzero_ps(); W]; N];
+        for (a, step) in acc.iter_mut().enumerate() {
+            for (b, lane) in step.iter_mut().enumerate() {
+                *lane = _mm256_loadu_ps(yp.add(a * cols + 8 * b));
+            }
+        }
+        for r in 0..rows {
+            let mut row = [_mm256_setzero_ps(); W];
+            for (b, tile) in row.iter_mut().enumerate() {
+                *tile = _mm256_loadu_ps(wp.add(r * cols + 8 * b));
+            }
+            for (a, step) in acc.iter_mut().enumerate() {
+                let x = *xp.add(a * rows + r);
+                if x == 0.0 {
+                    continue;
+                }
+                let xb = _mm256_set1_ps(x);
+                for (lane, &tile) in step.iter_mut().zip(&row) {
+                    *lane = _mm256_add_ps(*lane, _mm256_mul_ps(xb, tile));
+                }
+            }
+        }
+        for (a, step) in acc.iter().enumerate() {
+            for (b, &lane) in step.iter().enumerate() {
+                _mm256_storeu_ps(yp.add(a * cols + 8 * b), lane);
+            }
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX2 (callers check [`super::supported`]), a non-empty
+    /// `w` of `rows × cols` floats, and `ys` / `xs` holding the same
+    /// whole number of `cols`- / `rows`-float steps — the public wrapper
+    /// establishes all three. Out of Miri's reach like the other AVX2
+    /// bodies (the SSE2 level loops its per-step kernel); covered on
+    /// hardware by the end-of-allocation cases of `simd_identity`.
+    ///
+    /// Per `(step, column)` this is the per-step chain
+    /// `y[j] += x[r] · w[r][j]` over ascending `r`, rows with
+    /// `x[r] == 0.0` skipped, seeded from `y` as in [`gemv_t_acc`]. A
+    /// tile is 16 (then 8) columns × up to six steps; `cols % 8` columns
+    /// take the per-step scalar path.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemv_t_acc_seq(
+        ys: &mut [f32],
+        xs: &[f32],
+        w: &[f32],
+        t: usize,
+        shape: (usize, usize),
+    ) {
+        let (rows, cols) = shape;
+        let mut j = 0;
+        // SAFETY (both tile loops): `j + width <= cols` bounds every
+        // load and store on a `cols`-float row of `ys` or `w`.
+        while j + 16 <= cols {
+            for_step_blocks(t, |s0, n| {
+                with_block_len!(n, gemv_t_seq_tile::<_, 2>(ys, xs, w, shape, j, s0))
+            });
+            j += 16;
+        }
+        while j + 8 <= cols {
+            for_step_blocks(t, |s0, n| {
+                with_block_len!(n, gemv_t_seq_tile::<_, 1>(ys, xs, w, shape, j, s0))
+            });
+            j += 8;
+        }
+        if j < cols {
+            for (y, x) in ys.chunks_exact_mut(cols).zip(xs.chunks_exact(rows)) {
+                for (row, &xr) in w.chunks_exact(cols).zip(x) {
+                    if xr == 0.0 {
+                        continue;
+                    }
+                    super::scalar::saxpy(&mut y[j..], xr, &row[j..]);
+                }
+            }
+        }
+    }
+
     /// # Safety
     /// Requires AVX2 (callers check [`super::supported`]).
     ///
@@ -1737,6 +2243,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The small-shape twin of `simd_identity`'s sequence sweep, for the
+    /// Miri leg: every sequence kernel against `t` per-step calls at the
+    /// same level, on exact-size allocations, both step orders, with an
+    /// exact-zero coefficient in every other step.
+    #[test]
+    fn sequence_kernels_are_t_per_step_calls_at_every_level() {
+        for (rows, cols, t) in [
+            (0usize, 3usize, 2usize),
+            (3, 0, 2),
+            (5, 7, 0),
+            (1, 1, 1),
+            (4, 4, 3),
+            (9, 13, 2),
+            (8, 17, 7),
+        ] {
+            let w = data(rows * cols, 1.7).into_boxed_slice();
+            let xc = data(t * cols, 0.2).into_boxed_slice();
+            let xr: Box<[f32]> = data(t * rows, 0.9)
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| if i % 2 == 1 { 0.0 } else { v })
+                .collect();
+            for &level in &supported_levels() {
+                with_level(level, || {
+                    let mut gemv = data(t * rows, -1.0).into_boxed_slice();
+                    let mut gemv_t = data(t * cols, 2.0).into_boxed_slice();
+                    let (mut want_gemv, mut want_gemv_t) = (gemv.clone(), gemv_t.clone());
+                    rowmajor_gemv_acc_seq(&mut gemv, &xc, &w, t);
+                    gemv_t_acc_seq(&mut gemv_t, &xr, &w, t);
+                    for s in 0..t {
+                        let (x, u) = (&xc[s * cols..][..cols], &xr[s * rows..][..rows]);
+                        rowmajor_gemv_acc(&mut want_gemv[s * rows..][..rows], x, &w);
+                        gemv_t_acc(&mut want_gemv_t[s * cols..][..cols], u, &w);
+                    }
+                    let same = |a: &[f32], b: &[f32]| {
+                        a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits())
+                    };
+                    let case = format!("{} {rows}x{cols} t={t}", level.name());
+                    assert!(same(&gemv, &want_gemv), "gemv {case}");
+                    assert!(same(&gemv_t, &want_gemv_t), "gemv_t {case}");
+                    for descending in [false, true] {
+                        let (mut outer, mut want) = (w.clone(), w.clone());
+                        rank1_update_seq(&mut outer, 0.5, &xr, &xc, t, descending);
+                        for i in 0..t {
+                            let s = if descending { t - 1 - i } else { i };
+                            let (u, v) = (&xr[s * rows..][..rows], &xc[s * cols..][..cols]);
+                            rank1_update(&mut want, 0.5, u, v);
+                        }
+                        assert!(same(&outer, &want), "rank1 {case} desc={descending}");
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of steps")]
+    fn sequence_slab_must_be_whole_steps() {
+        let mut ys = [0.0f32; 5];
+        rowmajor_gemv_acc_seq(&mut ys, &[1.0; 4], &[1.0; 4], 2);
     }
 
     #[test]

@@ -20,7 +20,15 @@
 //!   slices that **end exactly at their allocation's end** (the only
 //!   out-of-bounds check the AVX2 row-block loads get — Miri sees no
 //!   AVX2), and with `0.0`, `-0.0`, `NaN`, `±inf` in the coefficients
-//!   the zero-skip inspects.
+//!   the zero-skip inspects;
+//! * the three **sequence** kernels (`rowmajor_gemv_acc_seq`,
+//!   `rank1_update_seq`, `gemv_t_acc_seq`), each against what it is
+//!   defined as — `T` successive calls of its per-step kernel, made at
+//!   `Scalar` — over the same square × `T ∈ {0, 1, 2, 6, 7, 13}` (one
+//!   step, one full six-step register block, the 4 + 3 and 5 + 4 + 4
+//!   splits), both step orders of the update, the same special values
+//!   at the first, a middle and the last step, and the same
+//!   end-of-allocation slices.
 //!
 //! The `proptests` module name is load-bearing: CI's property-test leg
 //! runs `cargo test --workspace proptests` and filters by that substring.
@@ -414,6 +422,169 @@ fn zero_skip_leaves_rows_untouched_and_takes_nan_and_inf() {
     }
 }
 
+/// Step counts of the sequence sweep: none, one (the per-step call
+/// itself), two, one full six-step register block of the AVX2 bodies,
+/// and the uneven 4 + 3 and 5 + 4 + 4 splits.
+const STEPS: [usize; 6] = [0, 1, 2, 6, 7, 13];
+
+/// One case of the three sequence kernels at every supported level
+/// against `t` calls of the per-step kernel at `Scalar`, bit for bit.
+/// `w` is `rows × cols`; `xc` (`t × cols`) feeds the stacked gemv and is
+/// the update's `v` slab; `xr` (`t × rows`) holds the per-`(step, row)`
+/// coefficients the zero-skip looks at. With `special`, the first, a
+/// middle and the last step's coefficients cycle through
+/// [`SKIP_PROBES`] — so does one whole row, at every step — and the
+/// payloads carry `-0.0` and `inf`.
+fn assert_sequence_kernels_identical(
+    (rows, cols, t): (usize, usize, usize),
+    off: usize,
+    salt: u32,
+    special: bool,
+) {
+    let mut w = tail(rows * cols, off, salt);
+    let mut xc = tail(t * cols, off, salt.wrapping_add(1));
+    let mut xr = tail(t * rows, off, salt.wrapping_add(2));
+    let mut yr = tail(t * rows, off, salt.wrapping_add(3));
+    let mut yc = tail(t * cols, off, salt.wrapping_add(4));
+    if special {
+        for s in [0, t / 2, t.saturating_sub(1)] {
+            for (i, v) in xr[off..].iter_mut().skip(s * rows).take(rows).enumerate() {
+                if (i + salt as usize) % 3 != 2 {
+                    *v = SKIP_PROBES[(i + s + salt as usize) % SKIP_PROBES.len()];
+                }
+            }
+        }
+        // One row whose coefficient is a zero at *every* step.
+        if rows > 0 {
+            let r = salt as usize % rows;
+            for s in 0..t {
+                xr[off + s * rows + r] = if s % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        for buf in [&mut w, &mut xc, &mut yr, &mut yc] {
+            for (i, v) in buf[off..].iter_mut().enumerate() {
+                match (i + salt as usize) % 11 {
+                    3 => *v = -0.0,
+                    7 => *v = f32::INFINITY,
+                    _ => {}
+                }
+            }
+        }
+    }
+    let (w, xc, xr) = (&w[off..], &xc[off..], &xr[off..]);
+    // What each kernel is defined as: the per-step kernel, step by step.
+    let want = at(Level::Scalar, || {
+        let (mut gemv, mut gemv_t) = (yr.clone(), yc.clone());
+        let (mut up, mut down) = (w.to_vec(), w.to_vec());
+        for s in 0..t {
+            let (x, u) = (&xc[s * cols..][..cols], &xr[s * rows..][..rows]);
+            simd::rowmajor_gemv_acc(&mut gemv[off + s * rows..][..rows], x, w);
+            simd::gemv_t_acc(&mut gemv_t[off + s * cols..][..cols], u, w);
+            simd::rank1_update(&mut up, -0.75, u, x);
+            let z = t - 1 - s;
+            let (x, u) = (&xc[z * cols..][..cols], &xr[z * rows..][..rows]);
+            simd::rank1_update(&mut down, -0.75, u, x);
+        }
+        (gemv, gemv_t, up, down)
+    });
+    for level in simd::supported_levels() {
+        let got = at(level, || {
+            let (mut gemv, mut gemv_t) = (yr.clone(), yc.clone());
+            simd::rowmajor_gemv_acc_seq(&mut gemv[off..], xc, w, t);
+            simd::gemv_t_acc_seq(&mut gemv_t[off..], xr, w, t);
+            // The update runs on a slice that ends at its allocation's
+            // end too.
+            let mut up = w.to_vec().into_boxed_slice();
+            let mut down = up.clone();
+            simd::rank1_update_seq(&mut up, -0.75, xr, xc, t, false);
+            simd::rank1_update_seq(&mut down, -0.75, xr, xc, t, true);
+            (gemv, gemv_t, up.into_vec(), down.into_vec())
+        });
+        let case = format!("{rows}x{cols} t={t} off={off} salt={salt} special={special}");
+        assert_bits_eq(
+            &format!("rowmajor_gemv_acc_seq {case}"),
+            level,
+            &got.0,
+            &want.0,
+        );
+        assert_bits_eq(&format!("gemv_t_acc_seq {case}"), level, &got.1, &want.1);
+        assert_bits_eq(
+            &format!("rank1_update_seq asc {case}"),
+            level,
+            &got.2,
+            &want.2,
+        );
+        assert_bits_eq(
+            &format!("rank1_update_seq desc {case}"),
+            level,
+            &got.3,
+            &want.3,
+        );
+    }
+}
+
+#[test]
+fn sequence_kernels_are_t_per_step_calls_for_every_shape_to_41() {
+    for rows in 0..=41 {
+        for cols in 0..=41 {
+            for t in STEPS {
+                let salt = ((rows * 42 + cols) * 14 + t) as u32;
+                assert_sequence_kernels_identical((rows, cols, t), (rows + t) % 2, salt, false);
+            }
+        }
+    }
+}
+
+#[test]
+fn sequence_kernels_honor_the_zero_skip_at_first_middle_and_last_step() {
+    for (rows, cols) in [
+        (1usize, 1usize),
+        (5, 3),
+        (8, 8),
+        (13, 9),
+        (32, 32),
+        (41, 17),
+        (9, 40),
+    ] {
+        for t in STEPS {
+            for off in [0usize, 1] {
+                for salt in 0..5 {
+                    assert_sequence_kernels_identical((rows, cols, t), off, salt, true);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn sequenced_update_never_writes_a_row_skipped_at_every_step() {
+    // Row 1's coefficient is a zero at every step: whatever sits in it —
+    // `-0.0`, `inf`, a NaN with a payload no arithmetic produces — must
+    // come back bit for bit, while its neighbours take all seven terms.
+    let cols = 43; // a 32-tile, an 8-tile and a 3-float tail
+    let t = 7;
+    let odd = [-0.0f32, f32::INFINITY, f32::from_bits(0x7fa1_2345)];
+    for level in simd::supported_levels() {
+        for descending in [false, true] {
+            at(level, || {
+                let mut w: Vec<f32> = (0..3 * cols).map(|i| odd[i % 3]).collect();
+                let before: Vec<u32> = w.iter().map(|v| v.to_bits()).collect();
+                let us: Vec<f32> = (0..t)
+                    .flat_map(|s| [1.0, if s % 2 == 0 { 0.0 } else { -0.0 }, 2.0])
+                    .collect();
+                let vs = vec![f32::INFINITY; t * cols];
+                simd::rank1_update_seq(&mut w, 1.0, &us, &vs, t, descending);
+                let after: Vec<u32> = w.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(after[cols..2 * cols], before[cols..2 * cols], "{level:?}");
+                for (i, v) in w.iter().enumerate().filter(|(i, _)| i / cols != 1) {
+                    // -0 + inf and inf + inf are inf; NaN stays NaN.
+                    assert!(*v == f32::INFINITY || i % 3 == 2, "{level:?} [{i}] = {v}");
+                }
+            });
+        }
+    }
+}
+
 /// In-process SIMD==scalar agreement at the *active* level — the same
 /// assertion the scalar-fallback CI leg relies on: under
 /// `NCL_FORCE_SCALAR=1` the active level is `Scalar` and this still holds
@@ -498,6 +669,16 @@ mod proptests {
                                            off in 0usize..2, salt in 0u32..1000,
                                            special in 0u8..2) {
             assert_rowmajor_kernels_identical(rows, cols, off, salt, special == 1);
+        }
+
+        /// Random shapes over the same square, random step count up to
+        /// 13, offset and payloads: each sequence kernel stays the `t`
+        /// per-step calls it is defined as.
+        #[test]
+        fn sequence_kernels_random_bitwise(rows in 0usize..=41, cols in 0usize..=41,
+                                           t in 0usize..=13, off in 0usize..2,
+                                           salt in 0u32..1000, special in 0u8..2) {
+            assert_sequence_kernels_identical((rows, cols, t), off, salt, special == 1);
         }
 
         /// Random inputs: `max` stays bitwise identical across levels.
