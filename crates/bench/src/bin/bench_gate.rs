@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! bench_gate <current.json> <baseline.json> [<current2> <baseline2> ...] [--tolerance 0.20]
-//! bench_gate <current.json> <baseline.json> [...] --rebase [--headroom 0.5]
+//! bench_gate <fresh.json> <committed.json> <baseline.json> [...] --rebase [--headroom 0.5]
 //! ```
 //!
 //! Every numeric key in the *baseline* is gated, higher-is-better: the
@@ -19,10 +19,13 @@
 //! below locally observed rates so runner-speed variance does not flake
 //! the gate while a real (>20%-plus-headroom) regression still trips it.
 //!
-//! `--rebase` rewrites each baseline file in place from a fresh
-//! measurement: every *gated* key (i.e. every key already in the
-//! baseline — the curated set is preserved, informational current-only
-//! keys stay ungated) is set to `measured * (1 - headroom)`. Promote an
+//! `--rebase` rewrites each baseline file in place from **two**
+//! measurements — a fresh one (CI's `--quick` profile) and the committed
+//! record (a full run, which is slower on absolute rates): every *gated*
+//! key (i.e. every key already in the baseline — the curated set is
+//! preserved, informational current-only keys stay ungated) is set to
+//! `min(fresh, committed) * (1 - headroom)`, so the gate passes on the
+//! record CI measures and on the one the repo carries. Promote an
 //! informational key by adding it to the baseline file by hand first,
 //! then rebasing. `ci/refresh_baselines.sh` wires the gated fig
 //! binaries through this mode.
@@ -68,12 +71,13 @@ fn load(path: &str) -> Result<Vec<(String, f64)>, String> {
     Ok(metrics)
 }
 
+fn lookup(metrics: &[(String, f64)], key: &str) -> Option<f64> {
+    metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+}
+
 fn run(current_path: &str, baseline_path: &str, tolerance: f64) -> Result<bool, String> {
     let current = load(current_path)?;
     let baseline = load(baseline_path)?;
-    let lookup = |metrics: &[(String, f64)], key: &str| -> Option<f64> {
-        metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
-    };
 
     println!(
         "bench_gate: {current_path} vs {baseline_path} (tolerance {:.0}%)",
@@ -108,21 +112,28 @@ fn run(current_path: &str, baseline_path: &str, tolerance: f64) -> Result<bool, 
 }
 
 /// Rewrites `baseline_path` in place: every key it already gates gets
-/// the freshly measured value minus `headroom`. The curated key set is
-/// preserved exactly — current-only keys stay informational.
-fn rebase(current_path: &str, baseline_path: &str, headroom: f64) -> Result<(), String> {
-    let current = load(current_path)?;
+/// the lower of the freshly measured and the committed value, minus
+/// `headroom`. The curated key set is preserved exactly — keys only the
+/// records carry stay informational.
+fn rebase(
+    fresh_path: &str,
+    committed_path: &str,
+    baseline_path: &str,
+    headroom: f64,
+) -> Result<(), String> {
+    let fresh = load(fresh_path)?;
+    let committed = load(committed_path)?;
     let baseline = load(baseline_path)?;
+    let gated = |metrics: &[(String, f64)], path: &str, key: &str| {
+        lookup(metrics, key).ok_or_else(|| format!("{key}: gated key missing from {path}"))
+    };
     let mut out = String::from("{\n");
     for (i, (key, old)) in baseline.iter().enumerate() {
-        let now = current
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("{key}: gated key missing from {current_path}"))?;
-        let new = now * (1.0 - headroom);
+        let quick = gated(&fresh, fresh_path, key)?;
+        let full = gated(&committed, committed_path, key)?;
+        let new = quick.min(full) * (1.0 - headroom);
         println!(
-            "  rebase {key}: {old:.3} -> {new:.3} (measured {now:.3}, headroom {:.0}%)",
+            "  rebase {key}: {old:.3} -> {new:.3} (fresh {quick:.3}, committed {full:.3}, headroom {:.0}%)",
             headroom * 100.0
         );
         let sep = if i + 1 == baseline.len() { "" } else { "," };
@@ -159,17 +170,21 @@ fn main() -> ExitCode {
             paths.push(a.clone());
         }
     }
-    if paths.is_empty() || paths.len() % 2 != 0 {
+    let group = if do_rebase { 3 } else { 2 };
+    if paths.is_empty() || paths.len() % group != 0 {
         eprintln!(
-            "usage: bench_gate <current.json> <baseline.json> \
-             [<current2> <baseline2> ...] [--tolerance 0.20 | --rebase [--headroom 0.5]]"
+            "usage: bench_gate <current.json> <baseline.json> [...] [--tolerance 0.20]\n       \
+             bench_gate <fresh.json> <committed.json> <baseline.json> [...] --rebase [--headroom 0.5]"
         );
         return ExitCode::from(2);
     }
     if do_rebase {
-        for pair in paths.chunks(2) {
-            println!("bench_gate: rebasing {} from {}", pair[1], pair[0]);
-            if let Err(e) = rebase(&pair[0], &pair[1], headroom) {
+        for set in paths.chunks(3) {
+            println!(
+                "bench_gate: rebasing {} from {} and {}",
+                set[2], set[0], set[1]
+            );
+            if let Err(e) = rebase(&set[0], &set[1], &set[2], headroom) {
                 eprintln!("bench_gate: {e}");
                 return ExitCode::from(2);
             }
@@ -225,19 +240,36 @@ mod tests {
     fn rebase_rewrites_gated_keys_with_headroom() {
         let dir = std::env::temp_dir().join("ncl_bench_gate_rebase_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let cur = dir.join("current.json");
-        let base = dir.join("baseline.json");
-        // The current file carries an extra informational key that must
-        // NOT be promoted into the baseline.
-        std::fs::write(&cur, "{\n  \"a_qps\": 1000.0,\n  \"extra\": 5.0\n}\n").unwrap();
-        std::fs::write(&base, "{\n  \"a_qps\": 10.0\n}\n").unwrap();
-        rebase(cur.to_str().unwrap(), base.to_str().unwrap(), 0.5).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (fresh, full, base) = (path("fresh.json"), path("full.json"), path("base.json"));
+        // Each record is the lower one on one key; both carry an extra
+        // informational key that must NOT be promoted into the baseline.
+        std::fs::write(
+            &fresh,
+            "{\n  \"a_qps\": 1000.0,\n  \"b_ratio\": 3.0,\n  \"extra\": 5.0\n}\n",
+        )
+        .unwrap();
+        std::fs::write(
+            &full,
+            "{\n  \"a_qps\": 800.0,\n  \"b_ratio\": 4.0,\n  \"extra\": 6.0\n}\n",
+        )
+        .unwrap();
+        std::fs::write(&base, "{\n  \"a_qps\": 10.0,\n  \"b_ratio\": 1.0\n}\n").unwrap();
+        rebase(&fresh, &full, &base, 0.5).unwrap();
         let rebased = parse_flat_json(&std::fs::read_to_string(&base).unwrap());
-        assert_eq!(rebased, vec![("a_qps".to_string(), 500.0)]);
-        // A gated key missing from the measurement is an error, not a
+        assert_eq!(
+            rebased,
+            vec![("a_qps".to_string(), 400.0), ("b_ratio".to_string(), 1.5)]
+        );
+        // Both records clear the gate the rebase just set.
+        assert!(run(&fresh, &base, 0.2).unwrap() && run(&full, &base, 0.2).unwrap());
+        // A gated key missing from either measurement is an error, not a
         // silent drop.
         std::fs::write(&base, "{\n  \"a_qps\": 10.0,\n  \"gone\": 1.0\n}\n").unwrap();
-        assert!(rebase(cur.to_str().unwrap(), base.to_str().unwrap(), 0.5).is_err());
+        assert!(rebase(&fresh, &full, &base, 0.5).is_err());
+        std::fs::write(&full, "{\n  \"b_ratio\": 4.0\n}\n").unwrap();
+        std::fs::write(&base, "{\n  \"a_qps\": 10.0\n}\n").unwrap();
+        assert!(rebase(&fresh, &full, &base, 0.5).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

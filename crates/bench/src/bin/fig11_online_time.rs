@@ -266,7 +266,7 @@ fn main() {
     ncl_bench::results::write_json("fig11_online_time", &records);
 
     // ---- Phase-I scale sweep: pruned vs exhaustive retrieval ----
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = ncl_bench::config::quick_from_args();
     let sizes: &[usize] = if quick {
         &[2_000, 50_000]
     } else {

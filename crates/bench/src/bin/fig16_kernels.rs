@@ -29,6 +29,12 @@
 //!   decoder step `LstmPlan::step_projected_into` at d=32 and the
 //!   flat-row `DotAttention::attend_into` over 8×32 — what a Score
 //!   request calls per candidate step and per counted head,
+//! * the [`ncl_tensor::libm`] activation slices at the workloads' own
+//!   lengths — `exp_slice_{188,1017}` (the log-sum-exp's exponential
+//!   pass at the serving and training vocabularies), `sigmoid_slice_96`
+//!   and `tanh_slice_32` (the decoder step's gate blocks at d=32) — each
+//!   paired twice: AVX2+FMA lanes against the scalar definition, and
+//!   against the loop of `f32::exp` / `f32::tanh` calls they replaced,
 //! * the training-path row-major kernels at the `hx-train` dimension
 //!   d=32 — `Matrix::gemv_acc` at 32×32 (a recurrent gate), 32×96 (the
 //!   composite layer) and 2048×32 (a full-vocabulary output layer),
@@ -56,9 +62,10 @@ use ncl_nn::lstm::{LstmTape, SeqGrads};
 use ncl_nn::Lstm;
 use ncl_tensor::ops::{log_sum_exp_slice, log_sum_exp_slice_relaxed};
 use ncl_tensor::simd::{self, Level};
-use ncl_tensor::{init, Matrix, Vector};
+use ncl_tensor::{init, libm, Matrix, Vector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 use std::time::Instant;
 
 struct KernelRow {
@@ -121,7 +128,7 @@ fn assert_bits_eq(label: &str, got: &[f32], want: &[f32]) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = ncl_bench::config::quick_from_args();
     let level = simd::active();
     println!("Figure 16 reproduction — SIMD kernel microbenchmarks");
     println!(
@@ -361,6 +368,111 @@ fn main() {
         min_secs / 2.0,
     );
     record("attend_into 8x32", 2 * 8 * ds, t_simd, t_scalar);
+
+    // ---- the activation slices: lanes vs the scalar definition vs libm ----
+    //
+    // `ncl_tensor::libm` at the lengths the workloads call it with: the
+    // log-sum-exp's exponential pass at |V| = 188 (serving) and 1,017
+    // (training), the decoder step's 3d-wide sigmoid block and d-wide
+    // tanh block at d = 32. Two pairings per shape, after a bitwise
+    // re-check against the scalar definition: the active level against
+    // forced scalar (lanes ÷ definition), and the active level against
+    // the loop of platform calls it replaced (`f32::exp` / `f32::tanh`;
+    // timed only — another host's libm may be another algorithm).
+    let mut slice_speedups = Vec::new();
+    let mut slice_row = |key: &str, n: usize, lanes: &dyn Fn(), platform: &dyn Fn()| {
+        let (t_lanes, t_def) = measure_paired(
+            lanes,
+            || simd::with_level(Level::Scalar, lanes),
+            (1 << 14) / n,
+            min_secs / 2.0,
+        );
+        let speedup = record(&format!("{key} (vs scalar definition)"), n, t_lanes, t_def);
+        slice_speedups.push((format!("{key}_speedup"), speedup));
+        let (t_lanes, t_libm) = measure_paired(lanes, platform, (1 << 14) / n, min_secs / 2.0);
+        let speedup = record(&format!("{key} (vs platform loop)"), n, t_lanes, t_libm);
+        slice_speedups.push((format!("{key}_vs_platform_speedup"), speedup));
+    };
+    for n in [188usize, 1017] {
+        let x: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.37).sin() * 8.0).collect();
+        let m = simd::max(&x);
+        let mut want = 0.0f32;
+        for &v in &x {
+            want += libm::expf(v - m);
+        }
+        assert_eq!(
+            libm::sum_exp_shifted(&x, m).to_bits(),
+            want.to_bits(),
+            "sum_exp_shifted n={n}: lanes != scalar definition"
+        );
+        slice_row(
+            &format!("exp_slice_{n}"),
+            n,
+            &|| {
+                std::hint::black_box(libm::sum_exp_shifted(std::hint::black_box(&x), m));
+            },
+            &|| {
+                let mut sum = 0.0f32;
+                for &v in std::hint::black_box(&x) {
+                    sum += (v - m).exp();
+                }
+                std::hint::black_box(sum);
+            },
+        );
+    }
+    {
+        let src: Vec<f32> = (0..96).map(|i| ((i as f32) * 0.61).sin() * 4.0).collect();
+        let mut buf = src.clone();
+        libm::sigmoid_inplace(&mut buf);
+        let want: Vec<f32> = src.iter().map(|&v| libm::sigmoid(v)).collect();
+        assert_bits_eq("sigmoid_inplace", &buf, &want);
+        let buf = RefCell::new(buf);
+        slice_row(
+            "sigmoid_slice_96",
+            src.len(),
+            &|| {
+                let mut buf = buf.borrow_mut();
+                buf.copy_from_slice(&src);
+                libm::sigmoid_inplace(std::hint::black_box(&mut buf));
+            },
+            &|| {
+                let mut buf = buf.borrow_mut();
+                buf.copy_from_slice(&src);
+                for v in std::hint::black_box(&mut buf).iter_mut() {
+                    *v = if *v >= 0.0 {
+                        1.0 / (1.0 + (-*v).exp())
+                    } else {
+                        let e = v.exp();
+                        e / (1.0 + e)
+                    };
+                }
+            },
+        );
+    }
+    {
+        let src: Vec<f32> = (0..32).map(|i| ((i as f32) * 0.83).sin() * 3.0).collect();
+        let mut buf = src.clone();
+        libm::tanh_inplace(&mut buf);
+        let want: Vec<f32> = src.iter().map(|&v| libm::tanhf(v)).collect();
+        assert_bits_eq("tanh_inplace", &buf, &want);
+        let buf = RefCell::new(buf);
+        slice_row(
+            "tanh_slice_32",
+            src.len(),
+            &|| {
+                let mut buf = buf.borrow_mut();
+                buf.copy_from_slice(&src);
+                libm::tanh_inplace(std::hint::black_box(&mut buf));
+            },
+            &|| {
+                let mut buf = buf.borrow_mut();
+                buf.copy_from_slice(&src);
+                for v in std::hint::black_box(&mut buf).iter_mut() {
+                    *v = v.tanh();
+                }
+            },
+        );
+    }
 
     // ---- training path: row-major kernels at the hx-train dimension ----
     //
@@ -636,6 +748,9 @@ fn main() {
     ));
     for (key, speedup) in &seq_speedups {
         gate.push_str(&format!("  \"{key}_speedup\": {speedup:.3},\n"));
+    }
+    for (key, speedup) in &slice_speedups {
+        gate.push_str(&format!("  \"{key}\": {speedup:.3},\n"));
     }
     gate.push_str(&format!(
         "  \"lstm_taped_seq_speedup\": {taped_speedup:.3}\n}}\n"

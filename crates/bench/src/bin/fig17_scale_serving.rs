@@ -131,7 +131,7 @@ fn cold_start_ms(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = ncl_bench::config::quick_from_args();
     println!(
         "Figure 17 reproduction — paper-scale serving: cache tiers, first-touch chapter freeze"
     );

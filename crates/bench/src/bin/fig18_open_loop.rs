@@ -143,7 +143,7 @@ fn measure_service_time(linker: &Linker, queries: &[Vec<String>]) -> Duration {
 
 fn main() {
     let scale = Scale::from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = ncl_bench::config::quick_from_args();
     println!("Figure 18 reproduction — open-loop serving: admission control and tail latency");
 
     let ds = workload::dataset(DatasetProfile::HospitalX, &scale);

@@ -146,7 +146,7 @@ fn evaluate(notes: &[Note], docs: &[DocumentResult]) -> PassEval {
 
 fn main() {
     let scale = Scale::from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = ncl_bench::config::quick_from_args();
     let n_notes = if quick { 24 } else { 60 };
     println!("Figure 20 reproduction — document-level linking and the feedback hot-swap");
 

@@ -4,6 +4,9 @@
 use std::process::Command;
 
 fn main() {
+    // Checked here too, so a mistyped flag stops the run before the
+    // first figure instead of failing each one in turn.
+    ncl_bench::config::quick_from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let bins = [
         "fig5_params",

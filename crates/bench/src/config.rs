@@ -83,14 +83,41 @@ impl Scale {
         }
     }
 
-    /// Parses `--quick` from the process arguments.
+    /// The scale the process arguments ask for ([`quick_from_args`]).
     pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
+        if quick_from_args() {
             Self::quick()
         } else {
             Self::default_scale()
         }
     }
+}
+
+/// Parses a figure binary's arguments (program name already skipped):
+/// nothing, or `--quick`. Anything else is an error carrying the usage
+/// line — a mistyped `--quik` must not fall through to the minutes-long
+/// full profile and overwrite the tracked records with it.
+pub fn parse_quick(args: impl IntoIterator<Item = String>) -> Result<bool, String> {
+    let mut quick = false;
+    for arg in args {
+        if arg != "--quick" {
+            return Err(format!(
+                "unknown argument `{arg}`\nusage: <figure binary> [--quick]"
+            ));
+        }
+        quick = true;
+    }
+    Ok(quick)
+}
+
+/// Whether the process was started with `--quick` — the one flag every
+/// figure binary takes. Prints the usage line and exits with status 2 on
+/// any other argument.
+pub fn quick_from_args() -> bool {
+    parse_quick(std::env::args().skip(1)).unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]
@@ -104,6 +131,17 @@ mod tests {
         assert_eq!(table1::D_VALUES_PAPER, &[50, 100, 150, 200]);
         assert!(table1::K_VALUES.contains(&table1::K_DEFAULT));
         assert!(table1::BETA_VALUES.contains(&table1::BETA_DEFAULT));
+    }
+
+    #[test]
+    fn quick_flag_parses_and_anything_else_is_a_usage_error() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_quick(args(&[])), Ok(false));
+        assert_eq!(parse_quick(args(&["--quick"])), Ok(true));
+        for bad in [&["--quik"][..], &["--quick", "extra"], &["-q"]] {
+            let err = parse_quick(args(bad)).expect_err("unknown flag accepted");
+            assert!(err.contains(bad[bad.len() - 1]) && err.contains("[--quick]"));
+        }
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! Regenerate (only legitimate when the *model* or the world changes,
 //! never for a kernel or tape refactor) with
 //! `NCL_REGEN_GOLDEN=1 cargo test -p ncl-core --test training_golden`.
-//! The bits run through the platform's `expf` / `tanhf` / `logf`, so a
-//! different libm may need its own recording — the same caveat as
-//! `tests/staged_serving.rs`.
+//! Every `exp` and `tanh` behind these bits is the repo's own
+//! (`ncl_tensor::libm`, pinned on every host by its committed table);
+//! the one platform function left in them is `logf`, so only a libm
+//! whose `logf` rounds differently may need its own recording — the
+//! same caveat as `tests/staged_serving.rs`.
 
 mod support;
 

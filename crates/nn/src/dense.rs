@@ -8,7 +8,7 @@
 use crate::param::{HasParams, MatParam, ParamSet, Parameter, VecParam};
 use ncl_tensor::ops::tanh_grad_from_output;
 use ncl_tensor::wire::{Reader, Wire, WireError};
-use ncl_tensor::{init, simd, Vector};
+use ncl_tensor::{init, libm, simd, Vector};
 use rand::Rng;
 
 /// Whether the layer applies `tanh` after the affine map.
@@ -74,9 +74,7 @@ impl Dense {
         }
         self.w.v.gemv_acc_seq(xs, ys, t);
         if self.act == Activation::Tanh {
-            for v in ys {
-                *v = v.tanh();
-            }
+            libm::tanh_inplace(ys);
         }
     }
 
@@ -160,9 +158,7 @@ impl Dense {
         out.copy_from_slice(self.b.v.as_slice());
         simd::colmajor_gemv_acc(out, x, w_t.as_slice());
         if self.act == Activation::Tanh {
-            for v in out {
-                *v = v.tanh();
-            }
+            libm::tanh_inplace(out);
         }
     }
 
@@ -189,7 +185,7 @@ impl Dense {
         }
         match self.act {
             Activation::Linear => y,
-            Activation::Tanh => y.tanh(),
+            Activation::Tanh => libm::tanhf(y),
         }
     }
 }

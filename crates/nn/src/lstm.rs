@@ -18,11 +18,10 @@
 
 use crate::param::{HasParams, MatParam, ParamSet, Parameter, VecParam};
 use ncl_tensor::ops::{
-    sigmoid, sigmoid_grad_from_output, sigmoid_inplace, tanh_grad_from_output, tanh_inplace,
-    tanh_vec,
+    sigmoid_grad_from_output, sigmoid_inplace, tanh_grad_from_output, tanh_inplace, tanh_vec,
 };
 use ncl_tensor::wire::{Reader, Wire, WireError};
-use ncl_tensor::{init, simd, Matrix, Vector};
+use ncl_tensor::{init, libm, simd, Matrix, Vector};
 use rand::Rng;
 
 /// One LSTM layer (a chain of identical cells).
@@ -287,17 +286,23 @@ impl Lstm {
             for ((_, u, _), z) in gates.iter().zip([&mut *i, &mut *f, &mut *o, &mut *g]) {
                 u.v.gemv_acc_seq(h_prev, z, 1);
             }
-            let tc = &mut tape.tc[at];
+            // Activations run a slice at a time (`ncl_tensor::libm`); the
+            // cell equations between them are element-wise, so sweeping
+            // them gate by gate changes no element's operations.
+            libm::sigmoid_inplace(i);
+            libm::sigmoid_inplace(f);
+            libm::sigmoid_inplace(o);
+            libm::tanh_inplace(g);
             for k in 0..d {
-                i[k] = sigmoid(i[k]);
-                f[k] = sigmoid(f[k]);
-                o[k] = sigmoid(o[k]);
-                g[k] = g[k].tanh();
                 // Two roundings, then the sum: `f ⊙ c_prev` plus `i ⊙ g`.
                 let mut cell = f[k] * c_prev[k];
                 cell += i[k] * g[k];
                 c[k] = cell;
-                tc[k] = cell.tanh();
+            }
+            let tc = &mut tape.tc[at];
+            tc.copy_from_slice(c);
+            libm::tanh_inplace(tc);
+            for k in 0..d {
                 h[k] = o[k] * tc[k];
             }
         }
@@ -771,23 +776,24 @@ impl LstmPlan {
         // any of it is overwritten below.
         gates.copy_from_slice(x_proj);
         simd::colmajor_gemv_acc(gates, h, self.ut.as_slice());
-        // Fused activation sweep: sigmoid over the i/f/o blocks, tanh
-        // over the cell candidate.
-        for v in &mut gates[..3 * d] {
-            *v = sigmoid(*v);
-        }
-        for v in &mut gates[3 * d..] {
-            *v = v.tanh();
-        }
-        let (iv, rest) = gates.split_at(d);
-        let (fv, rest) = rest.split_at(d);
-        let (ov, gv) = rest.split_at(d);
+        // Activation sweep: sigmoid over the i/f/o blocks, tanh over the
+        // cell candidate, each as one slice.
+        let (ifo, gv) = gates.split_at_mut(3 * d);
+        libm::sigmoid_inplace(ifo);
+        libm::tanh_inplace(gv);
+        let (iv, rest) = ifo.split_at(d);
+        let (fv, ov) = rest.split_at(d);
         for k in 0..d {
             // Same two roundings as `f.hadamard(c_prev)` followed by
             // `add_hadamard(1.0, &i, &g)` (`1.0·i·g` is bitwise `i·g`).
             c[k] *= fv[k];
             c[k] += iv[k] * gv[k];
-            h[k] = ov[k] * c[k].tanh();
+        }
+        // `g` has been consumed: its block is the scratch for tanh(c).
+        gv.copy_from_slice(c);
+        libm::tanh_inplace(gv);
+        for k in 0..d {
+            h[k] = ov[k] * gv[k];
         }
     }
 }

@@ -14,6 +14,9 @@
 //!   forward/backward passes need,
 //! * [`ops`] — numerically careful activations (`sigmoid`, `tanh`,
 //!   `softmax`, `log_softmax`) and their derivatives,
+//! * [`libm`] — the repo's own `expf` / `tanhf` (exact ports of the two
+//!   algorithms every pinned digest was recorded through), scalar and
+//!   eight lanes wide, behind every activation above,
 //! * [`simd`] — runtime-dispatched AVX2/SSE2/scalar kernels behind the
 //!   hot `Matrix`/`Vector` paths, bit-identical to the scalar reference
 //!   (vectorised across outputs, never across a reduction),
@@ -27,6 +30,7 @@
 //! deterministic given a seeded RNG, so experiments are reproducible.
 
 pub mod init;
+pub mod libm;
 pub mod matrix;
 pub mod ops;
 pub mod pca;

@@ -4,20 +4,17 @@
 //! of Section 4.1: the sigmoid `δ(·)` for the LSTM gates, `tanh(·)` for the
 //! cell candidate and the composite layer (Eq. 8), and `softmax(·)` for the
 //! attention weights (Eq. 5, 7) and the output distribution (Eq. 9).
+//!
+//! Every exponential and hyperbolic tangent here is [`crate::libm`]'s —
+//! the repo's own definition, bit-identical at every dispatch level; the
+//! one libm function this module still takes from the platform is `ln`.
 
+use crate::libm;
 use crate::vector::Vector;
 
 /// Logistic sigmoid `δ(x) = 1 / (1 + e^{-x})`, evaluated in a form that
 /// never exponentiates a large positive argument.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
+pub use crate::libm::sigmoid;
 
 /// Derivative of the sigmoid expressed through its output:
 /// `δ'(x) = y (1 - y)` where `y = δ(x)`.
@@ -34,16 +31,12 @@ pub fn tanh_grad_from_output(y: f32) -> f32 {
 
 /// Applies the sigmoid element-wise, in place.
 pub fn sigmoid_inplace(v: &mut Vector) {
-    for x in v.as_mut_slice() {
-        *x = sigmoid(*x);
-    }
+    libm::sigmoid_inplace(v.as_mut_slice());
 }
 
 /// Applies `tanh` element-wise, in place.
 pub fn tanh_inplace(v: &mut Vector) {
-    for x in v.as_mut_slice() {
-        *x = x.tanh();
-    }
+    libm::tanh_inplace(v.as_mut_slice());
 }
 
 /// Returns `tanh` applied element-wise.
@@ -90,12 +83,7 @@ fn softmax_parts(x: &Vector) -> (Vector, f32, f32) {
 pub fn softmax_inplace(x: &mut [f32]) -> (f32, f32) {
     let n = x.len();
     let m = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for v in x.iter_mut() {
-        let e = (*v - m).exp();
-        sum += e;
-        *v = e;
-    }
+    let sum = libm::exp_shifted_inplace(x, m);
     if !m.is_finite() {
         x.fill(1.0 / n as f32);
         return (m, sum);
@@ -116,7 +104,7 @@ pub fn log_softmax(x: &Vector) -> Vector {
         return Vector::zeros(0);
     }
     let m = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let lse = m + x.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
+    let lse = m + libm::sum_exp_shifted(x.as_slice(), m).ln();
     Vector::from_vec(x.iter().map(|&v| v - lse).collect())
 }
 
@@ -154,12 +142,13 @@ pub fn log_softmax_at_slice(x: &[f32], idx: usize) -> f32 {
 ///
 /// The max pass runs through [`crate::simd::max`]: the maximum of finite
 /// floats is association-independent, so vectorising it cannot change the
-/// shift `m` (for a NaN input the sum below is NaN under every shift),
-/// and the sequential exp-sum is untouched — result bits are unchanged
+/// shift `m` (for a NaN input the sum below is NaN under every shift).
+/// The exponentials go eight wide ([`libm::sum_exp_shifted`]) and their
+/// sum stays the sequential ascending chain — result bits are unchanged
 /// at every dispatch level.
 pub fn log_sum_exp_slice(x: &[f32]) -> f32 {
     let m = crate::simd::max(x);
-    m + x.iter().map(|&v| (v - m).exp()).sum::<f32>().ln()
+    m + libm::sum_exp_shifted(x, m).ln()
 }
 
 /// Epsilon-relaxed [`log_sum_exp_slice`]: same max shift, but the

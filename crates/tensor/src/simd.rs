@@ -29,6 +29,10 @@
 //! guarantee, the golden serving snapshot, and the bit-identical
 //! parallel-training losses survive vectorisation unchanged.
 //!
+//! The activation functions (`exp`, `tanh`, `sigmoid` over slices) are
+//! the same idea applied to element-wise transcendental functions and
+//! live in [`crate::libm`], which dispatches on this module's [`Level`].
+//!
 //! # Relaxed kernels
 //!
 //! The `*_relaxed` kernels ([`dot_relaxed`], [`sum_exp_relaxed`]) trade

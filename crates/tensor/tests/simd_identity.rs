@@ -28,12 +28,19 @@
 //!   step, one full six-step register block, the 4 + 3 and 5 + 4 + 4
 //!   splits), both step orders of the update, the same special values
 //!   at the first, a middle and the last step, and the same
-//!   end-of-allocation slices.
+//!   end-of-allocation slices;
+//! * the [`ncl_tensor::libm`] slice kernels over every length `0..=41`
+//!   on the same end-of-allocation slices (their padded tails must stay
+//!   inside), `softmax_inplace` on degenerate inputs against the loop it
+//!   replaced, and `log_sum_exp_slice` at the serving and training
+//!   vocabulary widths. (Their value-level suite is
+//!   `tests/libm_identity.rs`.)
 //!
 //! The `proptests` module name is load-bearing: CI's property-test leg
 //! runs `cargo test --workspace proptests` and filters by that substring.
 
 use ncl_tensor::simd::{self, Level};
+use ncl_tensor::{libm, ops};
 
 /// Lengths that straddle every lane/tile boundary in the kernels:
 /// SSE2 is 4-wide (16-element tiles), AVX2 8-wide (32-element tiles).
@@ -581,6 +588,136 @@ fn sequenced_update_never_writes_a_row_skipped_at_every_step() {
                     assert!(*v == f32::INFINITY || i % 3 == 2, "{level:?} [{i}] = {v}");
                 }
             });
+        }
+    }
+}
+
+/// The four `libm` slice kernels on one input, as bits: sigmoid, tanh,
+/// the shifted exponentials, and the two sums.
+fn libm_kernels(x: &[f32], m: f32) -> (Vec<f32>, Vec<f32>, Vec<f32>, [f32; 2]) {
+    let mut sig = x.to_vec();
+    libm::sigmoid_inplace(&mut sig);
+    let mut tanh = x.to_vec();
+    libm::tanh_inplace(&mut tanh);
+    let mut exp = x.to_vec();
+    let sum = libm::exp_shifted_inplace(&mut exp, m);
+    (sig, tanh, exp, [sum, libm::sum_exp_shifted(x, m)])
+}
+
+#[test]
+fn libm_slice_kernels_identical_for_every_length_to_41_at_the_allocation_end() {
+    // The padded tail must read and write nothing outside the slice:
+    // every slice here ends where its exact-size allocation ends, at an
+    // aligned and an unaligned start. Pad lanes are computed and
+    // discarded — a summed pad lane would show in the sums.
+    for n in 0..=41 {
+        for off in [0usize, 1] {
+            let buf = tail(n, off, n as u32 * 2 + off as u32);
+            let x = &buf[off..];
+            let want = at(Level::Scalar, || libm_kernels(x, 1.25));
+            let mut chain = 0.0f32;
+            for &e in &want.2 {
+                chain += e;
+            }
+            assert_eq!(
+                want.3[0].to_bits(),
+                chain.to_bits(),
+                "n={n}: ascending chain"
+            );
+            for level in simd::supported_levels() {
+                let got = at(level, || libm_kernels(x, 1.25));
+                let case = format!("n={n} off={off}");
+                assert_bits_eq(&format!("sigmoid_inplace {case}"), level, &got.0, &want.0);
+                assert_bits_eq(&format!("tanh_inplace {case}"), level, &got.1, &want.1);
+                assert_bits_eq(
+                    &format!("exp_shifted_inplace {case}"),
+                    level,
+                    &got.2,
+                    &want.2,
+                );
+                assert_bits_eq(&format!("exp sums {case}"), level, &got.3, &want.3);
+            }
+        }
+    }
+}
+
+/// `ops::softmax_inplace` as the loop it replaced, written out once.
+fn softmax_reference(x: &mut [f32]) -> (f32, f32) {
+    let n = x.len();
+    let m = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for v in x.iter_mut() {
+        let e = libm::expf(*v - m);
+        sum += e;
+        *v = e;
+    }
+    if !m.is_finite() {
+        x.fill(1.0 / n as f32);
+        return (m, sum);
+    }
+    let inv = 1.0 / sum;
+    for v in x.iter_mut() {
+        *v *= inv;
+    }
+    (m, sum)
+}
+
+#[test]
+fn softmax_inplace_keeps_the_loops_bits_on_degenerate_inputs() {
+    for n in [1usize, 3, 4, 5, 8, 9, 17] {
+        let ordinary = data(n, n as u32);
+        let mut cases = vec![ordinary.clone(), vec![f32::NEG_INFINITY; n]];
+        for (special, at_index) in [
+            (f32::INFINITY, n / 2),
+            (NAN, n - 1),
+            (-200.0, 0), // e^(−200 − m) underflows to 0
+        ] {
+            let mut x = ordinary.clone();
+            x[at_index] = special;
+            cases.push(x);
+        }
+        for x in cases {
+            let mut want = x.clone();
+            let (m, sum) = softmax_reference(&mut want);
+            for level in simd::supported_levels() {
+                let mut got = x.clone();
+                let (gm, gsum) = at(level, || ops::softmax_inplace(&mut got));
+                assert_bits_eq(&format!("softmax {x:?}"), level, &got, &want);
+                assert_bits_eq(
+                    &format!("softmax (m, Σ) {x:?}"),
+                    level,
+                    &[gm, gsum],
+                    &[m, sum],
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn log_sum_exp_is_placement_independent_at_serving_and_training_widths() {
+    // |V| = 188 (serving) and 1,017 (training), with the maximum first,
+    // last and repeated: the shift is the same, the chain is ascending.
+    for n in [188usize, 1017] {
+        let base: Vec<f32> = data(n, 31).iter().map(|v| v.min(9.0)).collect();
+        for peaks in [vec![0], vec![n - 1], vec![0, n / 2, n - 1]] {
+            let mut x = base.clone();
+            for &p in &peaks {
+                x[p] = 11.5;
+            }
+            let mut chain = 0.0f32;
+            for &v in &x {
+                chain += libm::expf(v - 11.5);
+            }
+            let want = 11.5 + chain.ln();
+            for level in simd::supported_levels() {
+                let got = at(level, || ops::log_sum_exp_slice(&x));
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "n={n} peaks={peaks:?} @ {level:?}"
+                );
+            }
         }
     }
 }

@@ -16,7 +16,10 @@
 //!
 //! Regenerate the snapshot (only legitimate when the *model* or
 //! dataset changes, never for a serving refactor) with:
-//! `NCL_REGEN_GOLDEN=1 cargo test --test staged_serving`.
+//! `NCL_REGEN_GOLDEN=1 cargo test --test staged_serving`. The score
+//! bits depend on the platform's libm through `logf` alone — every
+//! `exp` and `tanh` is `ncl_tensor::libm`'s own definition — so only a
+//! host whose `logf` rounds differently may need its own recording.
 
 use ncl::baselines::doc2vec::Doc2VecConfig;
 use ncl::baselines::{AnnotatorScore, Doc2Vec, LrPlus};
