@@ -17,7 +17,7 @@ use ncl_tensor::wire::{Reader, Wire, WireError};
 
 mod cache;
 mod decode;
-mod index;
+pub(crate) mod index;
 mod model;
 mod persist;
 mod trace;

@@ -256,11 +256,14 @@ impl ModelGeneration {
     }
 
     /// Builds a linker over this generation **without re-freezing**:
-    /// the generation's shared cache is installed via
-    /// [`Linker::with_shared_cache`], so every linker built from the
-    /// same snapshot serves identical bits from one frozen cache.
+    /// it is constructed around the generation's shared cache (no
+    /// skeleton or serve plan of its own is built and dropped), so
+    /// every linker built from the same snapshot serves identical bits
+    /// from one frozen cache.
     pub fn linker<'g>(&'g self, ontology: &'g Ontology) -> Linker<'g> {
-        Linker::new(&self.model, ontology, self.config).with_shared_cache(Arc::clone(&self.cache))
+        Linker::with_cache(&self.model, ontology, self.config, |_| {
+            Arc::clone(&self.cache)
+        })
     }
 }
 
@@ -551,6 +554,16 @@ mod tests {
             );
             assert_eq!(fc.pool()[slot].candidates, s.result.ranked);
         }
+    }
+
+    #[test]
+    fn a_generations_linker_is_built_around_the_generations_cache() {
+        let (o, model) = world();
+        let cell = HotSwapCell::new(&model, &o, LinkerConfig::default());
+        let snap = cell.snapshot();
+        // The very `Arc` the generation froze — not a skeleton of the
+        // linker's own that a builder call then replaced.
+        assert!(Arc::ptr_eq(&snap.linker(&o).cache, &snap.cache));
     }
 
     #[test]

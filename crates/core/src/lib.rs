@@ -29,6 +29,7 @@
 //!   (§4.2) → train COM-AID → build the online linker.
 
 pub mod comaid;
+mod csr;
 pub mod error;
 pub mod faults;
 pub mod feedback;

@@ -34,6 +34,7 @@
 use crate::comaid::{CacheTier, ComAid, ConceptCache, OntologyIndex};
 use crate::error::NclError;
 use crate::faults::FaultPlan;
+use crate::serving::ontology_text::{OntologyText, SharedWords};
 use crate::serving::{
     self, ComAidScore, DocumentResult, LinkTrace, ProposeConfig, RewriteDecision, ScoreStage,
     SpanProposal, StageKind, StageTiming, TraceEvent,
@@ -331,70 +332,6 @@ pub struct Linker<'a> {
     shared_words: SharedWords,
 }
 
-/// The canonical descriptions as shared-word removal reads them: each
-/// concept's distinct words as sorted ids from a linker-local interner.
-/// (Not the model vocabulary: through `⟨UNK⟩` two different
-/// out-of-vocabulary words would compare equal.) A request interns its
-/// query words once; a candidate's mask is then a scan of a handful of
-/// integers instead of a hash probe per word.
-struct SharedWords {
-    ids: HashMap<String, u32>,
-    /// `words[off[c]..off[c + 1]]` = concept `c`'s word ids, ascending.
-    off: Vec<u32>,
-    words: Vec<u32>,
-}
-
-impl SharedWords {
-    /// Id of a query word that occurs in no description.
-    const NOWHERE: u32 = u32::MAX;
-
-    /// Interns `canonical[c]`, the tokenised description of concept `c`.
-    fn build(canonical: &[Vec<String>]) -> Self {
-        let mut ids: HashMap<String, u32> = HashMap::new();
-        let mut off = Vec::with_capacity(canonical.len() + 1);
-        let mut words: Vec<u32> = Vec::new();
-        let mut of_concept: Vec<u32> = Vec::new();
-        off.push(0);
-        for toks in canonical {
-            of_concept.clear();
-            for t in toks {
-                let next = ids.len() as u32;
-                of_concept.push(match ids.get(t) {
-                    Some(&id) => id,
-                    None => {
-                        ids.insert(t.clone(), next);
-                        next
-                    }
-                });
-            }
-            of_concept.sort_unstable();
-            of_concept.dedup();
-            words.extend_from_slice(&of_concept);
-            off.push(u32::try_from(words.len()).expect("description words fit u32"));
-        }
-        words.shrink_to_fit();
-        Self { ids, off, words }
-    }
-
-    /// The interned id of every query word.
-    fn intern(&self, query: &[String]) -> Vec<u32> {
-        query
-            .iter()
-            .map(|w| self.ids.get(w).copied().unwrap_or(Self::NOWHERE))
-            .collect()
-    }
-
-    /// `mask[t]` = whether query word `t` is absent from `concept`'s
-    /// description, i.e. still counted after shared-word removal.
-    fn mask(&self, concept: ConceptId, query: &[u32], mask: &mut [bool]) {
-        let c = concept.index();
-        let words = &self.words[self.off[c] as usize..self.off[c + 1] as usize];
-        for (m, w) in mask.iter_mut().zip(query) {
-            *m = !words.contains(w);
-        }
-    }
-}
-
 /// A normalised log-prior lookup table for MAP ranking (Eq. 11).
 ///
 /// Zero or negative probabilities are clamped to a tiny floor so a
@@ -446,40 +383,33 @@ pub(crate) fn frozen_cache(
 }
 
 impl<'a> Linker<'a> {
-    /// Builds the linker's retrieval structures: the TF-IDF inverted
-    /// index over fine-grained concepts and the embedding
-    /// nearest-neighbour index masked to the description vocabulary `Ω`.
+    /// Builds a linker over `model` and `ontology`: reads the ontology's
+    /// text once (`serving::ontology_text`) into the model's
+    /// [`OntologyIndex`], the Phase-I TF-IDF index over the fine-grained
+    /// concepts and the shared-word lists, and lays out the skeleton of
+    /// the frozen concept cache. Nothing is encoded here — chapters
+    /// freeze on first touch (or [`Linker::warm`]) — and the rewriting
+    /// indexes (embedding nearest-neighbour, edit distance) are built by
+    /// the first out-of-vocabulary query word.
     pub fn new(model: &'a ComAid, ontology: &'a Ontology, config: LinkerConfig) -> Self {
-        let index = OntologyIndex::build(ontology, model.vocab(), model.config().beta);
+        Self::with_cache(model, ontology, config, |index| {
+            frozen_cache(model, index, &config)
+        })
+    }
 
-        // Canonical descriptions are tokenised exactly once (shared
-        // `ncl_text::tokenize`): the token lists feed the Phase-I
-        // documents and shared-word removal's interned word lists.
-        let mut canonical_toks: Vec<Vec<String>> = vec![Vec::new(); ontology.len()];
-        for (id, c) in ontology.iter() {
-            canonical_toks[id.index()] = tokenize(&c.canonical);
-        }
-
-        // Phase-I documents: one per fine-grained concept.
-        let mut docs: Vec<Vec<String>> = Vec::new();
-        let mut doc_map = Vec::new();
-        for id in ontology.fine_grained() {
-            let c = ontology.concept(id);
-            let mut toks = canonical_toks[id.index()].clone();
-            if config.index_aliases {
-                for alias in &c.aliases {
-                    toks.extend(tokenize(alias));
-                }
-            }
-            docs.push(toks);
-            doc_map.push(id);
-        }
-        let tfidf = TfIdfIndex::build(&docs);
-
-        let cache = frozen_cache(model, &index, &config);
-
-        let shared_words = SharedWords::build(&canonical_toks);
-
+    /// [`Linker::new`] serving from the cache `cache_for` returns for
+    /// the linker's index: a fresh skeleton, or a generation's shared
+    /// one ([`crate::feedback::ModelGeneration::linker`]).
+    pub(crate) fn with_cache(
+        model: &'a ComAid,
+        ontology: &'a Ontology,
+        config: LinkerConfig,
+        cache_for: impl FnOnce(&OntologyIndex) -> Arc<ConceptCache>,
+    ) -> Self {
+        let mut text = OntologyText::read(ontology);
+        let index = text.index(ontology, model.vocab(), model.config().beta);
+        let (tfidf, doc_map) = text.phase_one(ontology, config.index_aliases);
+        let cache = cache_for(&index);
         Self {
             model,
             ontology,
@@ -493,7 +423,7 @@ impl<'a> Linker<'a> {
             prior: None,
             faults: None,
             cache,
-            shared_words,
+            shared_words: text.into_shared_words(),
         }
     }
 
@@ -1665,6 +1595,37 @@ mod tests {
         // …but with removal only "today" is counted.
         assert_eq!(mask_a, vec![false, false, false, true]);
         assert_eq!(mask_b, vec![true; 4]);
+    }
+
+    #[test]
+    fn alias_only_words_are_phase_one_terms_but_never_shared_words() {
+        let (o, model) = trained_world();
+        let n185 = o.by_code("N18.5").unwrap();
+        // "ckd" and "renal" occur in N18.5's aliases and in no
+        // description.
+        let q = tokenize("ckd renal stage");
+        for index_aliases in [true, false] {
+            let linker = Linker::new(
+                &model,
+                &o,
+                LinkerConfig {
+                    index_aliases,
+                    rewrite: false,
+                    ..LinkerConfig::default()
+                },
+            );
+            // Phase I indexes them exactly when aliases are indexed …
+            assert_eq!(linker.tfidf.contains_term("ckd"), index_aliases);
+            assert_eq!(linker.tfidf.contains_term("renal"), index_aliases);
+            assert!(linker.tfidf.contains_term("stage"));
+            let (_, candidates) = linker.retrieve(&tokenize("ckd"));
+            assert_eq!(candidates.contains(&n185), index_aliases);
+            // … and shared-word removal never sees them: against the
+            // concept whose alias they come from, both stay counted and
+            // only the description word "stage" is removed.
+            let (_, mask) = linker.scoring_target(n185, &q);
+            assert_eq!(mask, vec![true, true, false]);
+        }
     }
 
     /// ISSUE 5 acceptance: the staged `link` must equal the frozen

@@ -55,6 +55,7 @@
 mod ctx;
 mod document;
 pub mod frontend;
+pub(crate) mod ontology_text;
 mod propose;
 mod rank;
 mod retrieve;

@@ -31,5 +31,5 @@ pub mod tfidf;
 pub mod tokenize;
 pub mod vocab;
 
-pub use tokenize::tokenize;
+pub use tokenize::{for_each_token, tokenize};
 pub use vocab::{Vocab, WordId};

@@ -31,6 +31,7 @@
 //! against the threshold *strictly*, so no document that could enter the
 //! top-k (including ties at the k boundary) is ever skipped.
 
+use crate::vocab::{Vocab, WordId};
 use std::collections::HashMap;
 
 /// A document's id within a [`TfIdfIndex`]; callers map it to a concept.
@@ -145,77 +146,121 @@ impl PartialOrd for WorstFirst {
 }
 
 impl TfIdfIndex {
-    /// Builds the index over `docs`, where each document is a token list.
+    /// Builds the index over `docs`, where each document is a token list:
+    /// interns the tokens and hands the ids to
+    /// [`TfIdfIndex::from_interned`], the one build.
     pub fn build<S: AsRef<str>>(docs: &[Vec<S>]) -> Self {
-        let num_docs = docs.len();
-        // Document frequencies.
-        let mut df: HashMap<&str, usize> = HashMap::new();
+        let mut words = Vocab::new();
+        let mut doc_off = Vec::with_capacity(docs.len() + 1);
+        let mut doc_words = Vec::new();
+        doc_off.push(0u32);
         for doc in docs {
-            let mut seen: Vec<&str> = doc.iter().map(|t| t.as_ref()).collect();
-            seen.sort_unstable();
-            seen.dedup();
-            for t in seen {
-                *df.entry(t).or_insert(0) += 1;
+            doc_words.extend(doc.iter().map(|t| words.add(t.as_ref())));
+            doc_off.push(u32::try_from(doc_words.len()).expect("corpus tokens fit u32"));
+        }
+        Self::from_interned(&words, &doc_off, &doc_words)
+    }
+
+    /// Builds the index over documents already interned through `words`:
+    /// document `d` is `doc_words[doc_off[d]..doc_off[d + 1]]` (so
+    /// `doc_off` has one entry more than there are documents and starts
+    /// at 0). Words of `words` that occur in no document — its specials,
+    /// or anything else the caller interned — are not terms.
+    ///
+    /// Everything here counts or sorts small integers: document
+    /// frequencies come from one stamped sweep, term ids are the
+    /// lexicographic ranks of the distinct words (sorted once), and a
+    /// document's term frequencies are the run lengths of its sorted
+    /// term ids. Each f32 is still produced by the operations a
+    /// map-per-document build performs, in the same order — `tf` by
+    /// repeated `+ 1.0`, `w = tf · idf`, `norm²` accumulated in ascending
+    /// term id, `w / norm` — so scores are a pure function of the corpus.
+    ///
+    /// # Panics
+    /// Panics if `doc_off` is empty or a document names an id outside
+    /// `words`.
+    pub fn from_interned(words: &Vocab, doc_off: &[u32], doc_words: &[WordId]) -> Self {
+        let num_docs = doc_off.len().checked_sub(1).expect("doc_off starts at 0");
+        let doc = |d: usize| &doc_words[doc_off[d] as usize..doc_off[d + 1] as usize];
+
+        // Document frequencies: `stamp[w]` is the last document (+ 1)
+        // that counted word `w`.
+        let mut df = vec![0usize; words.len()];
+        let mut stamp = vec![0usize; words.len()];
+        for d in 0..num_docs {
+            for &w in doc(d) {
+                if stamp[w as usize] != d + 1 {
+                    stamp[w as usize] = d + 1;
+                    df[w as usize] += 1;
+                }
             }
         }
+        drop(stamp);
 
         // Intern terms in lexicographic order so ids (and therefore every
         // downstream accumulation order) are a pure function of the
-        // vocabulary, never of hash-map iteration order.
-        let mut terms: Vec<String> = df.keys().map(|t| t.to_string()).collect();
-        terms.sort_unstable();
-        let term_ids: HashMap<String, TermId> = terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), i as TermId))
+        // vocabulary, never of the order the caller met the words in.
+        let word = |w: WordId| words.word(w).expect("id within the interner");
+        let mut by_rank: Vec<WordId> = (0..words.len() as WordId)
+            .filter(|&w| df[w as usize] > 0)
             .collect();
+        by_rank.sort_unstable_by(|&a, &b| word(a).cmp(word(b)));
+        let terms: Vec<String> = by_rank.iter().map(|&w| word(w).to_string()).collect();
+        let mut term_ids: HashMap<String, TermId> = HashMap::with_capacity(terms.len());
+        term_ids.extend(
+            terms
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (t.clone(), i as TermId)),
+        );
+        let mut rank = vec![0 as TermId; words.len()];
+        for (tid, &w) in by_rank.iter().enumerate() {
+            rank[w as usize] = tid as TermId;
+        }
 
         // Smoothed idf, always positive so single-document corpora still
         // retrieve.
-        let idf: Vec<f32> = terms
+        let idf: Vec<f32> = by_rank
             .iter()
-            .map(|t| ((1.0 + num_docs as f32) / (1.0 + df[t.as_str()] as f32)).ln() + 1.0)
+            .map(|&w| ((1.0 + num_docs as f32) / (1.0 + df[w as usize] as f32)).ln() + 1.0)
             .collect();
 
-        // Per-doc (tid, tf) rows, sorted by term id (== lexicographic
-        // term order, keeping f32 norm accumulation bit-reproducible).
-        let mut doc_rows: Vec<Vec<(TermId, f32)>> = Vec::with_capacity(num_docs);
-        let mut counts = vec![0usize; terms.len()];
-        for doc in docs {
-            let mut tf: HashMap<&str, f32> = HashMap::new();
-            for t in doc {
-                *tf.entry(t.as_ref()).or_insert(0.0) += 1.0;
-            }
-            let mut row: Vec<(TermId, f32)> =
-                tf.into_iter().map(|(t, f)| (term_ids[t], f)).collect();
-            row.sort_unstable_by_key(|&(tid, _)| tid);
-            for &(tid, _) in &row {
-                counts[tid as usize] += 1;
-            }
-            doc_rows.push(row);
-        }
-
+        // A term has one posting per document it occurs in.
         let mut offsets = Vec::with_capacity(terms.len() + 1);
         offsets.push(0usize);
-        for c in &counts {
-            offsets.push(offsets.last().unwrap() + c);
+        for &w in &by_rank {
+            offsets.push(offsets.last().unwrap() + df[w as usize]);
         }
         let total = *offsets.last().unwrap();
 
         // Fill the CSR arena doc-major, so each term's slice comes out
-        // doc-sorted without an extra sort.
+        // doc-sorted without an extra sort. A document's row is its
+        // (tid, tf) pairs in ascending term id (== lexicographic term
+        // order, keeping f32 norm accumulation bit-reproducible).
         let mut cursor: Vec<usize> = offsets[..terms.len()].to_vec();
         let mut posting_docs = vec![0u32; total];
         let mut posting_impacts = vec![0.0f32; total];
         let mut max_impact = vec![0.0f32; terms.len()];
-        for (doc_id, row) in doc_rows.iter().enumerate() {
+        let mut tids: Vec<TermId> = Vec::new();
+        let mut row: Vec<(TermId, f32)> = Vec::new();
+        for doc_id in 0..num_docs {
+            tids.clear();
+            tids.extend(doc(doc_id).iter().map(|&w| rank[w as usize]));
+            tids.sort_unstable();
+            row.clear();
+            for &tid in &tids {
+                match row.last_mut() {
+                    Some((last, f)) if *last == tid => *f += 1.0,
+                    _ => row.push((tid, 1.0)),
+                }
+            }
             let mut norm_sq = 0.0f32;
-            for &(tid, f) in row {
+            for &(tid, f) in &row {
                 let w = f * idf[tid as usize];
                 norm_sq += w * w;
             }
             let norm = norm_sq.sqrt();
-            for &(tid, f) in row {
+            for &(tid, f) in &row {
                 let w = f * idf[tid as usize];
                 let impact = if norm > f32::EPSILON { w / norm } else { 0.0 };
                 let slot = cursor[tid as usize];
@@ -786,6 +831,232 @@ mod equivalence {
             let large = idx.top_k(&query, k + 5);
             prop_assert!(small.len() <= large.len());
             prop_assert_eq!(&large[..small.len()], &small[..]);
+        }
+    }
+}
+
+/// `TfIdfIndex::build` / `from_interned` against the build they
+/// replaced: same index, field for field, f32s by bit pattern.
+#[cfg(test)]
+mod identity {
+    use super::*;
+    use crate::tokenize::tokenize;
+    use proptest::prelude::*;
+
+    /// The map-per-document build `from_interned` replaced, kept as the
+    /// plain reference it must reproduce field for field.
+    fn reference_build<S: AsRef<str>>(docs: &[Vec<S>]) -> TfIdfIndex {
+        let num_docs = docs.len();
+        // Document frequencies.
+        let mut df: HashMap<&str, usize> = HashMap::new();
+        for doc in docs {
+            let mut seen: Vec<&str> = doc.iter().map(|t| t.as_ref()).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            for t in seen {
+                *df.entry(t).or_insert(0) += 1;
+            }
+        }
+
+        // Intern terms in lexicographic order so ids (and therefore every
+        // downstream accumulation order) are a pure function of the
+        // vocabulary, never of hash-map iteration order.
+        let mut terms: Vec<String> = df.keys().map(|t| t.to_string()).collect();
+        terms.sort_unstable();
+        let term_ids: HashMap<String, TermId> = terms
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.clone(), i as TermId))
+            .collect();
+
+        // Smoothed idf, always positive so single-document corpora still
+        // retrieve.
+        let idf: Vec<f32> = terms
+            .iter()
+            .map(|t| ((1.0 + num_docs as f32) / (1.0 + df[t.as_str()] as f32)).ln() + 1.0)
+            .collect();
+
+        // Per-doc (tid, tf) rows, sorted by term id (== lexicographic
+        // term order, keeping f32 norm accumulation bit-reproducible).
+        let mut doc_rows: Vec<Vec<(TermId, f32)>> = Vec::with_capacity(num_docs);
+        let mut counts = vec![0usize; terms.len()];
+        for doc in docs {
+            let mut tf: HashMap<&str, f32> = HashMap::new();
+            for t in doc {
+                *tf.entry(t.as_ref()).or_insert(0.0) += 1.0;
+            }
+            let mut row: Vec<(TermId, f32)> =
+                tf.into_iter().map(|(t, f)| (term_ids[t], f)).collect();
+            row.sort_unstable_by_key(|&(tid, _)| tid);
+            for &(tid, _) in &row {
+                counts[tid as usize] += 1;
+            }
+            doc_rows.push(row);
+        }
+
+        let mut offsets = Vec::with_capacity(terms.len() + 1);
+        offsets.push(0usize);
+        for c in &counts {
+            offsets.push(offsets.last().unwrap() + c);
+        }
+        let total = *offsets.last().unwrap();
+
+        // Fill the CSR arena doc-major, so each term's slice comes out
+        // doc-sorted without an extra sort.
+        let mut cursor: Vec<usize> = offsets[..terms.len()].to_vec();
+        let mut posting_docs = vec![0u32; total];
+        let mut posting_impacts = vec![0.0f32; total];
+        let mut max_impact = vec![0.0f32; terms.len()];
+        for (doc_id, row) in doc_rows.iter().enumerate() {
+            let mut norm_sq = 0.0f32;
+            for &(tid, f) in row {
+                let w = f * idf[tid as usize];
+                norm_sq += w * w;
+            }
+            let norm = norm_sq.sqrt();
+            for &(tid, f) in row {
+                let w = f * idf[tid as usize];
+                let impact = if norm > f32::EPSILON { w / norm } else { 0.0 };
+                let slot = cursor[tid as usize];
+                posting_docs[slot] = doc_id as u32;
+                posting_impacts[slot] = impact;
+                cursor[tid as usize] = slot + 1;
+                let m = &mut max_impact[tid as usize];
+                if impact > *m {
+                    *m = impact;
+                }
+            }
+        }
+
+        TfIdfIndex {
+            term_ids,
+            terms,
+            idf,
+            offsets,
+            posting_docs,
+            posting_impacts,
+            max_impact,
+            num_docs,
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_same_index(got: &TfIdfIndex, want: &TfIdfIndex) {
+        assert_eq!(got.num_docs, want.num_docs);
+        assert_eq!(got.terms, want.terms);
+        assert_eq!(got.term_ids, want.term_ids);
+        assert_eq!(got.offsets, want.offsets);
+        assert_eq!(got.posting_docs, want.posting_docs);
+        assert_eq!(bits(&got.idf), bits(&want.idf));
+        assert_eq!(bits(&got.posting_impacts), bits(&want.posting_impacts));
+        assert_eq!(bits(&got.max_impact), bits(&want.max_impact));
+    }
+
+    /// `docs` through `from_interned` directly, with an interner that
+    /// met the words in *reverse* document order and holds one word no
+    /// document has — neither may show in the index.
+    fn interned_build(docs: &[Vec<String>]) -> TfIdfIndex {
+        let mut words = Vocab::new();
+        words.add("never-in-a-document");
+        for doc in docs.iter().rev() {
+            for t in doc.iter().rev() {
+                words.add(t);
+            }
+        }
+        let mut doc_off = vec![0u32];
+        let mut doc_words = Vec::new();
+        for doc in docs {
+            doc_words.extend(doc.iter().map(|t| words.get(t).unwrap()));
+            doc_off.push(doc_words.len() as u32);
+        }
+        TfIdfIndex::from_interned(&words, &doc_off, &doc_words)
+    }
+
+    fn assert_builds_agree(docs: &[Vec<String>], query: &[String], k: usize) {
+        let want = reference_build(docs);
+        for got in [TfIdfIndex::build(docs), interned_build(docs)] {
+            assert_same_index(&got, &want);
+            let (pruned, _) = got.top_k_with_stats(query, k);
+            let exhaustive = want.top_k_exhaustive(query, k);
+            assert_eq!(pruned.len(), exhaustive.len());
+            for (a, b) in pruned.iter().zip(&exhaustive) {
+                assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()));
+            }
+        }
+    }
+
+    fn strings(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn degenerate_corpora() {
+        let q = strings(&["a", "b"]);
+        // No documents; one document; only empty documents.
+        assert_builds_agree(&[], &q, 3);
+        assert_builds_agree(&[strings(&["a", "a", "b"])], &q, 3);
+        assert_builds_agree(&[vec![], vec![]], &q, 3);
+        // A term in every document sits at the idf floor, ln(1) + 1.
+        let docs = [
+            strings(&["a", "b"]),
+            strings(&["a"]),
+            vec![],
+            strings(&["a", "c", "a"]),
+        ];
+        assert_builds_agree(&docs[..2], &q, 3);
+        let everywhere = [docs[0].clone(), docs[1].clone(), docs[3].clone()];
+        assert_builds_agree(&everywhere, &q, 3);
+        let idx = TfIdfIndex::build(&everywhere);
+        assert_eq!(idx.idf[idx.term_ids["a"] as usize], 1.0);
+        assert_builds_agree(&docs, &q, 3);
+        // Words an interner's specials spell are ordinary terms.
+        assert_builds_agree(
+            &[strings(&["<unk>", "", "<s>", "<unk>"])],
+            &strings(&["<unk>"]),
+            2,
+        );
+    }
+
+    #[test]
+    fn words_that_differ_only_before_tokenising_are_one_term() {
+        let docs: Vec<Vec<String>> = [
+            "Iron-deficiency ANEMIA",
+            "iron; deficiency, anemia!",
+            "IRON",
+        ]
+        .iter()
+        .map(|s| tokenize(s))
+        .collect();
+        assert_builds_agree(&docs, &tokenize("Iron anemia"), 3);
+        assert_eq!(TfIdfIndex::build(&docs).num_terms(), 3);
+    }
+
+    proptest! {
+        /// Random corpora over a small closed vocabulary: repeated
+        /// words, empty documents, heavy overlap.
+        #[test]
+        fn build_equals_reference(
+            docs in proptest::collection::vec(
+                proptest::collection::vec("[a-e]{1,2}", 0..10), 0..30),
+            query in proptest::collection::vec("[a-e]{1,2}", 0..6),
+            k in 0usize..10,
+        ) {
+            assert_builds_agree(&docs, &query, k);
+        }
+
+        /// Raw text through the tokenizer first: case and punctuation
+        /// variants of one word must collapse to one term on both sides.
+        #[test]
+        fn build_equals_reference_on_tokenised_text(
+            texts in proptest::collection::vec("[a-cA-C ,;]{0,12}", 0..20),
+            query in "[a-cA-C ]{0,8}",
+            k in 1usize..6,
+        ) {
+            let docs: Vec<Vec<String>> = texts.iter().map(|t| tokenize(t)).collect();
+            assert_builds_agree(&docs, &tokenize(&query), k);
         }
     }
 }

@@ -13,10 +13,52 @@
 //! (including pure numbers like the `5` in `ckd 5`, which the LR baseline's
 //! "sharing number" feature relies on) and drops everything else.
 
-/// Splits a snippet into lower-cased alphanumeric tokens.
+/// Calls `f` with each lower-cased alphanumeric token of `text`, in
+/// order — the one definition of the token boundary; [`tokenize`]
+/// collects it.
 ///
 /// A token is a maximal run of ASCII alphanumeric characters; all
 /// punctuation and other separators are treated as boundaries and removed.
+/// The scan is over bytes: every byte of a multi-byte UTF-8 scalar is
+/// `>= 0x80`, so a maximal run of ASCII-alphanumeric bytes is a maximal
+/// run of ASCII-alphanumeric chars and both ends of it are char
+/// boundaries. A run that is already lower-case is handed out as a slice
+/// of `text`; one with an upper-case letter goes through a buffer reused
+/// across the call, so text that is already lower-case — every generated
+/// ontology description — is tokenised without allocating.
+///
+/// ```
+/// let mut lens = Vec::new();
+/// ncl_text::for_each_token("CKD, stage 5", |t| lens.push((t.to_string(), t.len())));
+/// assert_eq!(lens, vec![("ckd".to_string(), 3), ("stage".to_string(), 5), ("5".to_string(), 1)]);
+/// ```
+pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
+    let bytes = text.as_bytes();
+    let mut lowered = String::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        if !bytes[i].is_ascii_alphanumeric() {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && bytes[i].is_ascii_alphanumeric() {
+            i += 1;
+        }
+        let run = &text[start..i];
+        if run.bytes().any(|b| b.is_ascii_uppercase()) {
+            lowered.clear();
+            lowered.push_str(run);
+            lowered.make_ascii_lowercase();
+            f(&lowered);
+        } else {
+            f(run);
+        }
+    }
+}
+
+/// Splits a snippet into lower-cased alphanumeric tokens
+/// ([`for_each_token`], collected).
 ///
 /// ```
 /// use ncl_text::tokenize;
@@ -27,17 +69,7 @@
 /// ```
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
-    let mut current = String::new();
-    for ch in text.chars() {
-        if ch.is_ascii_alphanumeric() {
-            current.push(ch.to_ascii_lowercase());
-        } else if !current.is_empty() {
-            tokens.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        tokens.push(current);
-    }
+    for_each_token(text, |t| tokens.push(t.to_string()));
     tokens
 }
 
@@ -136,7 +168,54 @@ mod tests {
         assert_eq!(dedup_snippets(&snippets), vec!["pain"]);
     }
 
+    /// The char-at-a-time splitter `for_each_token` replaced, kept as
+    /// the reference it must agree with.
+    fn reference_tokenize(text: &str) -> Vec<String> {
+        let mut tokens = Vec::new();
+        let mut current = String::new();
+        for ch in text.chars() {
+            if ch.is_ascii_alphanumeric() {
+                current.push(ch.to_ascii_lowercase());
+            } else if !current.is_empty() {
+                tokens.push(std::mem::take(&mut current));
+            }
+        }
+        if !current.is_empty() {
+            tokens.push(current);
+        }
+        tokens
+    }
+
+    #[test]
+    fn for_each_token_matches_the_reference_on_hostile_text() {
+        let long_run = "aB3".repeat(350_000);
+        for text in [
+            "",
+            " ,;:!?- ",
+            "naïve café résumé",
+            "aéb ÀcÉd 東京x東y京 ß9",
+            "\u{0131}stanbul K\u{212A}elvin \u{ff21}bc", // dotless i, Kelvin sign, full-width A
+            "trailing token",
+            "Trailing TOKEN",
+            "x",
+            "X",
+            "\u{1F600}a\u{1F600}",
+            long_run.as_str(),
+        ] {
+            assert_eq!(tokenize(text), reference_tokenize(text), "text {text:.40?}");
+        }
+        assert_eq!(tokenize(&long_run).len(), 1);
+        assert_eq!(tokenize(&long_run)[0].len(), 1_050_000);
+    }
+
     proptest! {
+        /// `for_each_token` ≡ the reference splitter, on printable ASCII
+        /// with non-ASCII letters mixed in.
+        #[test]
+        fn for_each_token_matches_the_reference(s in "[ -~éÀ東ß]{0,64}") {
+            prop_assert_eq!(tokenize(&s), reference_tokenize(&s));
+        }
+
         /// Tokenising the normalised form reproduces the same tokens.
         #[test]
         fn normalize_is_idempotent(s in "[ -~]{0,64}") {
