@@ -449,8 +449,13 @@ impl ComAid {
 mod tests {
     use super::*;
     use crate::comaid::{ComAidConfig, OntologyIndex, TrainPair, Variant};
+    use crate::error::NclError;
+    use crate::reference::reference_log_prob;
     use ncl_ontology::OntologyBuilder;
     use ncl_text::{tokenize, Vocab};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::OnceLock;
 
     fn trained_model() -> (ncl_ontology::Ontology, ComAid) {
         let mut b = OntologyBuilder::new();
@@ -484,6 +489,70 @@ mod tests {
         let mut buf = Vec::new();
         model.save(&mut buf).unwrap();
         buf
+    }
+
+    /// Both loaders over the same bytes: the owned one, and
+    /// `MappedCheckpoint::open` → `load_model` through a scratch file of
+    /// its own (tests run concurrently).
+    fn load_both(bytes: &[u8]) -> [Result<ComAid, PersistError>; 2] {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("ncl_fuzz_{}_{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.nclm");
+        std::fs::write(&path, bytes).unwrap();
+        let mapped = MappedCheckpoint::open(&path).and_then(|mut m| m.load_model());
+        let _ = std::fs::remove_dir_all(&dir);
+        [ComAid::load_bytes(bytes), mapped]
+    }
+
+    /// The reference score bits of a fixed query against every concept.
+    fn score_bits(o: &ncl_ontology::Ontology, model: &ComAid) -> Vec<u32> {
+        let idx = OntologyIndex::build(o, model.vocab(), 2);
+        let q = model.encode_text("ckd stage 5");
+        o.all_concepts()
+            .map(|c| reference_log_prob(model, &idx, c, &q, &[true, false, true]).to_bits())
+            .collect()
+    }
+
+    /// What a loader may do with damaged bytes: refuse them with a typed
+    /// error, or hand back a model that scores like `original` to the
+    /// bit. (A panic or an out-of-bounds read fails the calling test.)
+    fn typed_or_same(
+        outcome: Result<ComAid, PersistError>,
+        o: &ncl_ontology::Ontology,
+        original: &ComAid,
+    ) -> Result<(), NclError> {
+        let loaded = outcome?;
+        assert_eq!(score_bits(o, &loaded), score_bits(o, original));
+        Ok(())
+    }
+
+    /// A strict prefix of a checkpoint is refused by both loaders, as
+    /// one of the container-level errors.
+    fn assert_truncation_detected(buf: &[u8], cut: usize) {
+        for outcome in load_both(&buf[..cut]) {
+            let err = outcome.expect_err("a truncated checkpoint loaded");
+            assert!(
+                matches!(
+                    err,
+                    PersistError::NotACheckpoint
+                        | PersistError::Truncated { .. }
+                        | PersistError::ChecksumMismatch { .. }
+                        | PersistError::Codec(_)
+                ),
+                "cut at {cut}: unexpected {err:?}"
+            );
+        }
+    }
+
+    /// `buf` with the bits of `mask` flipped at `pos`, through both
+    /// loaders: each must refuse it. Returns the owned loader's error
+    /// and the mapped loader's.
+    fn flip_errors(buf: &[u8], pos: usize, mask: u8) -> [PersistError; 2] {
+        let mut bad = buf.to_vec();
+        bad[pos] ^= mask;
+        load_both(&bad).map(|outcome| outcome.expect_err("a corrupted checkpoint loaded"))
     }
 
     #[test]
@@ -575,17 +644,7 @@ mod tests {
             buf.len() / 2,
             buf.len() - 1,
         ] {
-            let err = ComAid::load_bytes(&buf[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    PersistError::NotACheckpoint
-                        | PersistError::Truncated { .. }
-                        | PersistError::ChecksumMismatch { .. }
-                        | PersistError::Codec(_)
-                ),
-                "cut at {cut}: unexpected {err:?}"
-            );
+            assert_truncation_detected(&buf, cut);
         }
     }
 
@@ -606,14 +665,16 @@ mod tests {
     #[test]
     fn section_corruption_is_caught_by_its_own_checksum() {
         let (_, model) = trained_model();
-        let mut buf = checkpoint_bytes(&model);
+        let buf = checkpoint_bytes(&model);
         // Last byte of the file sits inside the final section.
-        let pos = buf.len() - 1;
-        buf[pos] ^= 0x20;
-        let err = ComAid::load_bytes(&buf).unwrap_err();
+        let [owned, mapped] = flip_errors(&buf, buf.len() - 1, 0x20);
         assert!(
-            matches!(&err, PersistError::Codec(WireError::Invalid(m)) if m.contains("checksum")),
-            "{err:?}"
+            matches!(&owned, PersistError::Codec(WireError::Invalid(m)) if m.contains("checksum")),
+            "{owned:?}"
+        );
+        assert!(
+            matches!(mapped, PersistError::ChecksumMismatch { .. }),
+            "{mapped:?}"
         );
     }
 
@@ -738,5 +799,48 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), original);
         assert!(ComAid::load_from_path(&path).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Checkpoint fuzz: a container truncated at a drawn length,
+        /// with a drawn bit flipped, or with two section-index entries
+        /// swapped (index checksum re-made, so the container verifies)
+        /// goes through both loaders, and every outcome is a typed
+        /// error or the same model. Truncations and flips are always
+        /// refused; sections are found by name, so a reordered index
+        /// loads the model it always described.
+        #[test]
+        fn damaged_checkpoints_fail_typed_or_load_the_same_model(
+            cut in 0..1_000_000usize,
+            flip in 0..8_000_000usize,
+            a in 0..V2_SECTIONS.len(),
+            b in 0..V2_SECTIONS.len(),
+        ) {
+            static WORLD: OnceLock<(ncl_ontology::Ontology, ComAid, Vec<u8>)> = OnceLock::new();
+            let (o, model, buf) = WORLD.get_or_init(|| {
+                let (o, model) = trained_model();
+                let buf = checkpoint_bytes(&model);
+                (o, model, buf)
+            });
+
+            assert_truncation_detected(buf, cut % buf.len());
+
+            let flip = flip % (buf.len() * 8);
+            flip_errors(buf, flip / 8, 1 << (flip % 8));
+
+            let (mut index, region) = unframe(buf).unwrap();
+            index.entries.swap(a, b);
+            let mut index_bytes = Vec::new();
+            index.encode(&mut index_bytes);
+            let mut swapped = buf[..HEADER_LEN].to_vec();
+            swapped[20..28].copy_from_slice(&fnv1a64(&index_bytes).to_le_bytes());
+            swapped.extend_from_slice(&index_bytes);
+            swapped.extend_from_slice(region);
+            for outcome in load_both(&swapped) {
+                typed_or_same(outcome, o, model).expect("a reordered index names the same sections");
+            }
+        }
     }
 }

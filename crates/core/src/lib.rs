@@ -16,9 +16,9 @@
 //! * [`linker`] — the two-phase online linking of §5: TF-IDF candidate
 //!   retrieval with query rewriting (Eq. 13), COM-AID re-ranking, and the
 //!   OR/CR/ED/RT timing breakdown measured in Figure 11,
-//! * [`serving`] — the staged serving engine behind [`linker`]:
-//!   `Rewrite → Retrieve → Score → Rank` over a per-request context,
-//!   with pluggable Phase-II scorers and a unified [`LinkTrace`],
+//! * [`serving`] — the request function behind [`linker`]:
+//!   `Rewrite → Retrieve → Score → Rank` as four timed blocks, with
+//!   pluggable Phase-II scorers and a unified [`LinkTrace`],
 //! * [`feedback`] — the feedback controller of Appendix A (loss /
 //!   standard-deviation uncertainty gates, pooling, retrain triggering)
 //!   plus the hot-swap serving generations that publish a retrained
@@ -36,6 +36,8 @@ pub mod feedback;
 pub mod linker;
 pub mod metrics;
 pub mod pipeline;
+#[cfg(test)]
+mod reference;
 pub mod serving;
 
 pub use comaid::{ComAid, ComAidConfig, OutputMode, TrainPair, Variant};
@@ -48,6 +50,6 @@ pub use pipeline::{NclConfig, NclPipeline};
 pub use serving::{
     AdmissionRung, CacheUse, ComAidScore, Completion, DocumentCompletion, DocumentResult, Frontend,
     FrontendConfig, FrontendStats, HistSummary, LatencyHistogram, LinkTrace, ProposeConfig,
-    RequestCtx, RewriteDecision, ScoreOutcome, ScoreRequest, ScoreStage, SpanAnchor, SpanLink,
-    SpanProposal, Stage, StageKind, StageTiming, TraceEvent,
+    RewriteDecision, ScoreOutcome, ScoreRequest, ScoreStage, SpanAnchor, SpanLink, SpanProposal,
+    StageKind, StageTiming, TraceEvent,
 };

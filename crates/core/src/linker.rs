@@ -17,6 +17,11 @@
 //! to pay (DESIGN.md "Removed paths"); concurrency across requests lives
 //! in [`crate::serving::Frontend`]'s workers.
 //!
+//! This module holds the linker's construction, configuration and
+//! result types and its entry points; the request itself is one
+//! function, `serving::serve`, and rewriting's state lives in
+//! `serving::rewrite`.
+//!
 //! ## Serving robustness
 //!
 //! Because the linker is the online component (it sits in front of
@@ -36,20 +41,15 @@ use crate::error::NclError;
 use crate::faults::FaultPlan;
 use crate::serving::ontology_text::{OntologyText, SharedWords};
 use crate::serving::{
-    self, ComAidScore, DocumentResult, LinkTrace, ProposeConfig, RewriteDecision, ScoreStage,
-    SpanProposal, StageKind, StageTiming, TraceEvent,
+    self, ComAidScore, DocumentResult, LinkTrace, ProposeConfig, Rewriter, ScoreStage, SpanProposal,
 };
-use ncl_embedding::NearestWords;
 use ncl_ontology::{ConceptId, Ontology};
-use ncl_tensor::Vector;
-use ncl_text::edit_index::EditIndex;
 use ncl_text::tfidf::{RetrievalStats, TfIdfIndex};
 use ncl_text::tokenize;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Online-linking knobs (defaults follow Table 1 and §5).
 #[derive(Debug, Clone, Copy)]
@@ -222,14 +222,6 @@ impl Degradation {
     }
 }
 
-/// The earlier of two optional deadlines.
-pub(crate) fn min_deadline(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (x, None) | (None, x) => x,
-    }
-}
-
 /// The outcome of linking one query.
 #[derive(Debug, Clone)]
 pub struct LinkResult {
@@ -284,31 +276,19 @@ impl LinkResult {
 
 /// The online linker: borrows a trained model and its ontology.
 ///
-/// Serving goes through the staged engine in [`crate::serving`]:
-/// [`Linker::link`] drives one request through
-/// `Rewrite → Retrieve → Score → Rank`, and this struct holds the
-/// shared, immutable structures the stages borrow.
+/// Serving goes through [`crate::serving`]: [`Linker::link`] is one
+/// call of `serving::serve` (`Rewrite → Retrieve → Score → Rank`), and
+/// this struct holds the shared, immutable structures a request
+/// borrows.
 pub struct Linker<'a> {
     pub(crate) model: &'a ComAid,
     ontology: &'a Ontology,
     config: LinkerConfig,
-    index: OntologyIndex,
+    pub(crate) index: OntologyIndex,
     pub(crate) tfidf: TfIdfIndex,
     pub(crate) doc_map: Vec<ConceptId>,
-    /// Embedding nearest-neighbour index for query rewriting, built on
-    /// first use: it clones and row-normalises the full embedding table,
-    /// which a linker serving with `rewrite: false` (or queries that are
-    /// never out-of-vocabulary) should not pay for.
-    nearest: OnceLock<NearestWords>,
-    /// Length/prefix-bucketed edit-distance index over Ω', also built on
-    /// first use — the textual fallback of rewriting.
-    edit_index: OnceLock<EditIndex>,
-    /// Per-linker rewrite memo: OOV token → rewrite outcome (including
-    /// negative outcomes), so repeated OOV tokens cost one lookup per
-    /// linker lifetime. Bypassed entirely when a [`FaultPlan`] is
-    /// attached: memoisation would change how often the `or.rewrite`
-    /// site is visited, breaking deterministic fault replay.
-    rewrite_memo: Mutex<HashMap<String, Option<String>>>,
+    /// Query rewriting's lazily-built indexes and outcome memo.
+    pub(crate) rewriter: Rewriter,
     /// Optional log-prior table for MAP ranking (Eq. 11); `None` = the
     /// paper's default uniform prior (pure MLE, Eq. 12).
     prior: Option<PriorTable>,
@@ -323,13 +303,13 @@ pub struct Linker<'a> {
     /// change underneath it — but staleness is still re-checked at every
     /// scoring call (the check is a few integers). Behind an `Arc` so
     /// one frozen cache can be shared across linkers built from clones
-    /// of the same model generation ([`Linker::with_shared_cache`], the
+    /// of the same model generation ([`Linker::with_cache`], the
     /// feedback hot-swap path) — a clone keeps its source's version, so
     /// the validity check is unchanged.
     pub(crate) cache: Arc<ConceptCache>,
     /// Every concept's canonical-description words, interned — what
     /// shared-word removal consults per (query, candidate).
-    shared_words: SharedWords,
+    pub(crate) shared_words: SharedWords,
 }
 
 /// A normalised log-prior lookup table for MAP ranking (Eq. 11).
@@ -417,9 +397,7 @@ impl<'a> Linker<'a> {
             index,
             tfidf,
             doc_map,
-            nearest: OnceLock::new(),
-            edit_index: OnceLock::new(),
-            rewrite_memo: Mutex::new(HashMap::new()),
+            rewriter: Rewriter::default(),
             prior: None,
             faults: None,
             cache,
@@ -438,7 +416,8 @@ impl<'a> Linker<'a> {
     /// Freezes every chapter of the cache no request has touched yet
     /// ([`ConceptCache::warm`]): call before admitting traffic when no
     /// request may pay a first-touch freeze. A linker whose cache cannot
-    /// serve (see [`Linker::with_shared_cache`]) has nothing to warm.
+    /// serve (frozen from another model generation or ontology) has
+    /// nothing to warm.
     pub fn warm(&self) {
         if self.cache_serves() {
             self.cache.warm(self.model, &self.index);
@@ -447,24 +426,12 @@ impl<'a> Linker<'a> {
 
     /// Whether scoring may read the cache: it was frozen from this
     /// model's parameter generation, over an ontology the size of this
-    /// linker's.
-    pub(crate) fn cache_serves(&self) -> bool {
-        self.cache.serves(self.model, &self.index)
-    }
-
-    /// Installs a shared frozen concept cache, replacing the one this
-    /// linker built at construction. The hot-swap serving path uses
-    /// this to build a linker over a model-generation snapshot without
-    /// re-freezing: the generation's cache was frozen once from a clone
-    /// of the same parameters, so it is valid for this model (clones
-    /// keep their source's version). Validity is still re-checked at
-    /// every scoring call, so installing a cache frozen from a
+    /// linker's. Re-checked at every scoring call, so a cache from a
     /// *different* generation — or over a different ontology — degrades
     /// to uncached scoring ([`crate::serving::CacheUse::Stale`]) rather
     /// than serving wrong bits.
-    pub fn with_shared_cache(mut self, cache: Arc<ConceptCache>) -> Self {
-        self.cache = cache;
-        self
+    pub(crate) fn cache_serves(&self) -> bool {
+        self.cache.serves(self.model, &self.index)
     }
 
     /// Attaches a deterministic [`FaultPlan`]; every fault site inside
@@ -512,284 +479,11 @@ impl<'a> Linker<'a> {
         self.ontology
     }
 
-    /// The embedding nearest-neighbour index masked to the description
-    /// vocabulary Ω, built on first use (see the field docs).
-    fn nearest_words(&self) -> &NearestWords {
-        self.nearest.get_or_init(|| {
-            // Ω mask over Ω': only words that occur in the indexed
-            // concept descriptions may be rewriting targets.
-            let vocab = self.model.vocab();
-            let allowed: Vec<bool> = (0..vocab.len())
-                .map(|i| {
-                    if i < 4 {
-                        return false;
-                    }
-                    vocab
-                        .word(i as u32)
-                        .map(|w| self.tfidf.contains_term(w))
-                        .unwrap_or(false)
-                })
-                .collect();
-            NearestWords::new(self.model.embedding().table(), Some(allowed))
-        })
-    }
-
-    /// The bucketed edit-distance index over Ω', built on first use.
-    /// Insertion order is the vocabulary's word-id order, so lookups
-    /// break ties exactly like the linear `nearest_by_edit` sweep over
-    /// `vocab.iter_words()` did.
-    fn edit_lookup(&self) -> &EditIndex {
-        self.edit_index
-            .get_or_init(|| EditIndex::new(self.model.vocab().iter_words().map(|(_, w)| w)))
-    }
-
-    /// Rewrites one out-of-vocabulary word (Eq. 13 with edit-distance
-    /// fallback); returns `None` when no replacement is found.
-    fn rewrite_word(&self, word: &str) -> Option<String> {
-        let vocab = self.model.vocab();
-        // In Ω' already: jump straight to the embedding neighbour in Ω.
-        if let Some(id) = vocab.get(word) {
-            let v = self.model.embedding().lookup(id);
-            return self
-                .nearest_words()
-                .nearest(&v, Some(id))
-                .filter(|&(_, cos)| cos >= self.config.rewrite_min_cosine)
-                .and_then(|(nid, _)| vocab.word(nid).map(|s| s.to_string()));
-        }
-        // Textual fallback: the closest Ω' word by edit distance, then
-        // Eq. 13 from that word's embedding.
-        let similar = self
-            .edit_lookup()
-            .nearest(word, self.config.edit_max_dist)?;
-        if self.tfidf.contains_term(similar) {
-            return Some(similar.to_string());
-        }
-        let sid = vocab.get(similar)?;
-        let v = self.model.embedding().lookup(sid);
-        self.nearest_words()
-            .nearest(&v, Some(sid))
-            .filter(|&(_, cos)| cos >= self.config.rewrite_min_cosine)
-            .and_then(|(nid, _)| vocab.word(nid).map(|s| s.to_string()))
-    }
-
     /// Applies query rewriting to a token sequence.
     pub fn rewrite_query(&self, tokens: &[String]) -> Vec<String> {
-        let mut trace = LinkTrace::default();
-        self.rewrite_query_within(tokens, None, &mut trace)
+        self.rewriter
+            .rewrite(self, tokens, None, &mut LinkTrace::default())
             .into_owned()
-    }
-
-    /// Resolves the embedding-space (in-Ω') rewrites of every distinct
-    /// uncached OOV token in one blocked matrix pass
-    /// ([`NearestWords::nearest_batch`]), priming the memo so the
-    /// per-token loop only pays hash lookups. Returns the words this
-    /// call inserted, so the caller does not re-count their first use as
-    /// a memo hit. Words outside Ω' (the edit-distance fallback) are
-    /// left for the per-token path.
-    fn prefetch_rewrites<'q>(
-        &self,
-        tokens: &'q [String],
-        stats: &mut RetrievalStats,
-    ) -> HashSet<&'q str> {
-        self.prefetch_rewrite_words(tokens.iter(), stats)
-    }
-
-    /// Batch-level rewrite prefetch: one blocked matrix pass over the
-    /// distinct uncached OOV tokens of *every* query in the batch, so
-    /// each request's rewrite stage pays only memo lookups instead of
-    /// its own [`NearestWords::nearest_batch`] dispatch. A no-op when
-    /// rewriting is off or a fault plan is attached (fault ordinals
-    /// must stay per-request deterministic, so the memo is bypassed
-    /// entirely there). Outcomes are identical to per-request
-    /// prefetching — this only moves *when* the memo is primed.
-    pub(crate) fn prefetch_rewrites_batch(&self, queries: &[&[String]]) {
-        if self.faults.is_some() || !self.config.rewrite {
-            return;
-        }
-        // The batch pass has no single request to attribute work to;
-        // per-request traces see memo hits, exactly as they do when an
-        // earlier request in the batch primed the memo.
-        let mut stats = RetrievalStats::default();
-        let _ = self.prefetch_rewrite_words(queries.iter().flat_map(|q| q.iter()), &mut stats);
-    }
-
-    fn prefetch_rewrite_words<'q>(
-        &self,
-        tokens: impl Iterator<Item = &'q String>,
-        stats: &mut RetrievalStats,
-    ) -> HashSet<&'q str> {
-        let vocab = self.model.vocab();
-        let mut words: Vec<(&'q String, u32)> = Vec::new();
-        {
-            let memo = self.rewrite_memo.lock().expect("rewrite memo poisoned");
-            let mut seen: HashSet<&str> = HashSet::new();
-            for w in tokens {
-                if self.tfidf.contains_term(w) || !seen.insert(w) || memo.contains_key(w.as_str()) {
-                    continue;
-                }
-                if let Some(id) = vocab.get(w) {
-                    words.push((w, id));
-                }
-            }
-        }
-        // A single lookup gains nothing from batching; let the per-token
-        // path handle it.
-        if words.len() < 2 {
-            return HashSet::new();
-        }
-        let queries: Vec<Vector> = words
-            .iter()
-            .map(|&(_, id)| self.model.embedding().lookup(id))
-            .collect();
-        let excludes: Vec<Option<u32>> = words.iter().map(|&(_, id)| Some(id)).collect();
-        let hits = self.nearest_words().nearest_batch(&queries, &excludes);
-        let mut memo = self.rewrite_memo.lock().expect("rewrite memo poisoned");
-        let mut inserted = HashSet::new();
-        for (&(w, _), hit) in words.iter().zip(&hits) {
-            let target = hit
-                .filter(|&(_, cos)| cos >= self.config.rewrite_min_cosine)
-                .and_then(|(nid, _)| vocab.word(nid).map(|s| s.to_string()));
-            memo.insert(w.clone(), target);
-            stats.rewrite_cache_misses += 1;
-            inserted.insert(w.as_str());
-        }
-        inserted
-    }
-
-    /// Query rewriting with an optional deadline: tokens not reached
-    /// before the deadline pass through unrewritten, and a panic while
-    /// rewriting one token (e.g. an injected fault) leaves only that
-    /// token unrewritten.
-    ///
-    /// Returns `Cow::Borrowed` when nothing was rewritten (the common
-    /// case for in-vocabulary queries), so callers pay no per-token
-    /// clone. With no faults attached, outcomes are memoised per linker;
-    /// with faults, every OOV token recomputes under the `or.rewrite`
-    /// site so injection ordinals stay deterministic.
-    ///
-    /// Work counters accumulate into `trace.retrieval`; every
-    /// considered OOV token is additionally recorded as a
-    /// [`RewriteDecision`] on the trace (observability only — the
-    /// rewriting itself is unchanged by tracing).
-    pub(crate) fn rewrite_query_within<'q>(
-        &self,
-        tokens: &'q [String],
-        deadline: Option<Instant>,
-        trace: &mut LinkTrace,
-    ) -> Cow<'q, [String]> {
-        let use_memo = self.faults.is_none();
-        let mut prefetched: HashSet<&str> = HashSet::new();
-        if use_memo && deadline.is_none() {
-            prefetched = self.prefetch_rewrites(tokens, &mut trace.retrieval);
-        }
-        let mut out: Option<Vec<String>> = None;
-        let mut expired = false;
-        for (i, w) in tokens.iter().enumerate() {
-            if !expired && deadline.is_some_and(|d| Instant::now() >= d) {
-                expired = true;
-                trace.events.push(TraceEvent::DeadlineExpired {
-                    stage: StageKind::Rewrite,
-                });
-            }
-            if expired || self.tfidf.contains_term(w) {
-                if let Some(out) = out.as_mut() {
-                    out.push(w.clone());
-                }
-                continue;
-            }
-            let mut memo_hit = false;
-            let replacement: Option<String> = if use_memo {
-                let cached = self
-                    .rewrite_memo
-                    .lock()
-                    .expect("rewrite memo poisoned")
-                    .get(w.as_str())
-                    .cloned();
-                match cached {
-                    Some(outcome) => {
-                        // A word prefetched by *this* call already counted
-                        // as a miss; later repeats are genuine hits.
-                        if !prefetched.remove(w.as_str()) {
-                            trace.retrieval.rewrite_cache_hits += 1;
-                            memo_hit = true;
-                        }
-                        outcome
-                    }
-                    None => {
-                        trace.retrieval.rewrite_cache_misses += 1;
-                        let outcome = self.rewrite_word(w);
-                        self.rewrite_memo
-                            .lock()
-                            .expect("rewrite memo poisoned")
-                            .insert(w.clone(), outcome.clone());
-                        outcome
-                    }
-                }
-            } else {
-                trace.retrieval.rewrite_cache_misses += 1;
-                catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(plan) = &self.faults {
-                        plan.visit("or.rewrite");
-                    }
-                    self.rewrite_word(w)
-                }))
-                .unwrap_or(None)
-            };
-            trace.rewrites.push(RewriteDecision {
-                token: w.clone(),
-                replacement: replacement.clone(),
-                memo_hit,
-            });
-            match replacement {
-                Some(r) => {
-                    out.get_or_insert_with(|| tokens[..i].to_vec()).push(r);
-                }
-                None => {
-                    if let Some(out) = out.as_mut() {
-                        out.push(w.clone());
-                    }
-                }
-            }
-        }
-        match out {
-            Some(v) => Cow::Owned(v),
-            None => Cow::Borrowed(tokens),
-        }
-    }
-
-    /// The rewrite outcome of one token, for the span-proposal scan
-    /// (`serving::propose`): `Some(target)` when the token rewrites
-    /// into Ω, `None` otherwise. Uses the per-linker memo when no
-    /// fault plan is attached (sharing outcomes with the Rewrite
-    /// stage); with faults attached it recomputes behind a panic
-    /// boundary **without** visiting the `or.rewrite` site — proposal
-    /// is not the OR phase, and consuming OR ordinals here would shift
-    /// fault replay for the spans linked afterwards (each proposed
-    /// span rewrites its tokens again through the Rewrite stage).
-    /// Work counters accumulate into `stats`.
-    pub(crate) fn rewrite_outcome(&self, w: &str, stats: &mut RetrievalStats) -> Option<String> {
-        if self.faults.is_none() {
-            if let Some(outcome) = self
-                .rewrite_memo
-                .lock()
-                .expect("rewrite memo poisoned")
-                .get(w)
-                .cloned()
-            {
-                stats.rewrite_cache_hits += 1;
-                return outcome;
-            }
-            stats.rewrite_cache_misses += 1;
-            let outcome = self.rewrite_word(w);
-            self.rewrite_memo
-                .lock()
-                .expect("rewrite memo poisoned")
-                .insert(w.to_string(), outcome.clone());
-            outcome
-        } else {
-            stats.rewrite_cache_misses += 1;
-            catch_unwind(AssertUnwindSafe(|| self.rewrite_word(w))).unwrap_or(None)
-        }
     }
 
     /// Runs Phase I only: rewriting plus candidate retrieval. Used to
@@ -809,7 +503,7 @@ impl<'a> Linker<'a> {
     ) -> (Cow<'q, [String]>, Vec<ConceptId>, RetrievalStats) {
         let mut trace = LinkTrace::default();
         let rewritten = if self.config.rewrite {
-            self.rewrite_query_within(tokens, None, &mut trace)
+            self.rewriter.rewrite(self, tokens, None, &mut trace)
         } else {
             Cow::Borrowed(tokens)
         };
@@ -830,180 +524,25 @@ impl<'a> Linker<'a> {
     /// should use [`Linker::try_link`] and
     /// [`LinkResult::degradation_error`].
     pub fn link(&self, tokens: &[String]) -> LinkResult {
-        serving::drive(self, tokens, &ComAidScore::new(self))
+        self.link_with_scorer(tokens, &ComAidScore::new(self))
     }
 
     /// Links a query with a **custom Phase-II scorer** behind the same
-    /// staged pipeline as [`Linker::link`]: rewriting, retrieval,
+    /// request function as [`Linker::link`]: rewriting, retrieval,
     /// budgets, fault isolation, the degradation ladder, and tracing
     /// all apply unchanged; only the candidate scoring differs. The
     /// `lr`/`doc2vec` baselines plug in this way (see
     /// `ncl_baselines::AnnotatorScore`).
     pub fn link_with_scorer(&self, tokens: &[String], scorer: &dyn ScoreStage) -> LinkResult {
-        serving::drive(self, tokens, scorer)
+        serving::serve(self, tokens, scorer, self.config.budget, Vec::new())
     }
 
     /// Links a batch of queries: one rewrite prefetch over the whole
-    /// batch, then each query through the chain in order, on the
-    /// calling thread. Results are positionally aligned with `queries`
+    /// batch, then each query served in order, on the calling thread. Results are positionally aligned with `queries`
     /// and bit-identical to looping [`Linker::link`] over the batch.
     pub fn link_batch(&self, queries: &[Vec<String>]) -> Vec<LinkResult> {
         let refs: Vec<&[String]> = queries.iter().map(|q| q.as_slice()).collect();
-        serving::link_batch(self, &refs)
-    }
-
-    /// Validating batch entry point: per-query
-    /// [`NclError::InvalidQuery`] verdicts with the valid remainder
-    /// linked through [`Linker::link_batch`]. Results are positionally
-    /// aligned with `queries`.
-    pub fn try_link_batch(&self, queries: &[Vec<String>]) -> Vec<Result<LinkResult, NclError>> {
-        serving::try_link_batch(self, queries)
-    }
-
-    /// The **frozen pre-refactor monolith** `link` body, kept verbatim
-    /// as the equivalence oracle for the staged engine: the
-    /// `staged_serving` tests assert `link` ≡ `link_oracle` (ranked
-    /// ids, score bits, rewrites, degradation) on arbitrary queries,
-    /// with and without fault plans. Not part of the serving API.
-    #[doc(hidden)]
-    pub fn link_oracle(&self, tokens: &[String]) -> LinkResult {
-        let start = Instant::now();
-        let budget = self.config.budget;
-        let call_deadline = budget.total.map(|d| start + d);
-
-        // Phase I.a: out-of-vocabulary replacement. Borrows the input
-        // tokens when nothing gets rewritten.
-        let mut trace = LinkTrace::default();
-        let t0 = Instant::now();
-        let or_deadline = min_deadline(call_deadline, budget.or.map(|d| t0 + d));
-        let rewritten: Cow<'_, [String]> = if self.config.rewrite {
-            self.rewrite_query_within(tokens, or_deadline, &mut trace)
-        } else {
-            Cow::Borrowed(tokens)
-        };
-        let or = t0.elapsed();
-        let mut retrieval = trace.retrieval;
-
-        // Phase I.b: candidate retrieval (panic-isolated: a fault here
-        // yields an empty candidate set, not an abort).
-        let t1 = Instant::now();
-        let hits = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(plan) = &self.faults {
-                plan.visit("cr.topk");
-            }
-            self.tfidf.top_k_with_stats(&rewritten, self.config.k)
-        }));
-        let cr_panicked = hits.is_err();
-        let (hits, index_stats) = hits.unwrap_or_default();
-        retrieval.merge(&index_stats);
-        let candidates: Vec<ConceptId> = hits.iter().map(|&(d, _)| self.doc_map[d]).collect();
-        let cr = t1.elapsed();
-        let cr_over = budget.cr.is_some_and(|b| cr > b);
-
-        // Phase II.a: encode-decode scoring. Skipped entirely when the
-        // call is already over budget; cut off mid-phase otherwise.
-        let t2 = Instant::now();
-        let ed_deadline = min_deadline(call_deadline, budget.ed.map(|d| t2 + d));
-        let already_over = call_deadline.is_some_and(|d| Instant::now() >= d);
-        let (scores, panicked) = if cr_over || already_over {
-            (vec![None; candidates.len()], 0)
-        } else {
-            self.score_candidates(&candidates, &rewritten, ed_deadline)
-        };
-        let ed = t2.elapsed();
-
-        // Phase II.b: ranking (MAP when a prior is installed, Eq. 11;
-        // otherwise pure MLE, Eq. 12). Under a blown deadline with an
-        // `rt` budget set, MAP falls back to MLE (the prior lookup is
-        // the only elidable work in this phase).
-        let t3 = Instant::now();
-        let skip_prior = budget.rt.is_some() && call_deadline.is_some_and(|d| Instant::now() >= d);
-        let mut ranked: Vec<(ConceptId, f32)> = candidates
-            .iter()
-            .copied()
-            .zip(scores.iter())
-            .filter_map(|(c, lp)| lp.map(|lp| (c, lp)))
-            .map(|(c, lp)| {
-                let prior = if skip_prior {
-                    0.0
-                } else {
-                    self.concept_log_prior(c)
-                };
-                (c, lp + prior)
-            })
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        // Unscored tail: Phase-I TF-IDF order, explicitly unscored.
-        ranked.extend(
-            candidates
-                .iter()
-                .copied()
-                .zip(scores.iter())
-                .filter(|(_, lp)| lp.is_none())
-                .map(|(c, _)| (c, f32::NEG_INFINITY)),
-        );
-        let rt = t3.elapsed();
-
-        let scored = scores.iter().filter(|s| s.is_some()).count();
-        let total = candidates.len();
-        let degradation = self.classify_degradation(scored, total, panicked, cr_panicked);
-
-        // Stage wall-clocks go into the trace exactly as the staged
-        // engine records them.
-        let trace = LinkTrace {
-            stages: vec![
-                StageTiming {
-                    kind: StageKind::Rewrite,
-                    wall: or,
-                },
-                StageTiming {
-                    kind: StageKind::Retrieve,
-                    wall: cr,
-                },
-                StageTiming {
-                    kind: StageKind::Score,
-                    wall: ed,
-                },
-                StageTiming {
-                    kind: StageKind::Rank,
-                    wall: rt,
-                },
-            ],
-            retrieval,
-            ..LinkTrace::default()
-        };
-        LinkResult {
-            ranked,
-            rewritten: rewritten.into_owned(),
-            candidates,
-            retrieval,
-            degradation,
-            trace,
-        }
-    }
-
-    /// Summarises how far short of a full answer this call fell — the
-    /// shared ladder lives with the Rank stage; COM-AID scores every
-    /// candidate, so unscored never means "non-match" here.
-    fn classify_degradation(
-        &self,
-        scored: usize,
-        total: usize,
-        panicked: usize,
-        cr_panicked: bool,
-    ) -> Degradation {
-        crate::serving::classify_degradation(
-            self.config.budget,
-            scored,
-            total,
-            panicked,
-            cr_panicked,
-            false,
-        )
+        serving::link_batch_within(self, &refs, self.config.budget, None)
     }
 
     /// Convenience: links a raw snippet.
@@ -1039,11 +578,6 @@ impl<'a> Linker<'a> {
         Ok(())
     }
 
-    /// [`Linker::try_link`] over a raw snippet.
-    pub fn try_link_text(&self, text: &str) -> Result<LinkResult, NclError> {
-        self.try_link(&tokenize(text))
-    }
-
     /// Proposes candidate mention spans from a tokenised note without
     /// linking them — the document-level Propose stage alone (see
     /// `serving::propose`): dictionary/rewrite hit-runs, chunked
@@ -1054,8 +588,8 @@ impl<'a> Linker<'a> {
     }
 
     /// Links a whole tokenised clinical note: proposes mention spans,
-    /// sends every span through the staged chain in note order (with
-    /// the batch rewrite prefetch and this linker's prior), and rolls
+    /// serves every span as its own request in note order (with the
+    /// batch rewrite prefetch and this linker's prior), and rolls
     /// the per-span answers up into a [`DocumentResult`].
     ///
     /// Like [`Linker::link`], this call *degrades rather than fails*:
@@ -1080,84 +614,8 @@ impl<'a> Linker<'a> {
     /// than `max_query_tokens` (each proposed span is clamped to a
     /// valid query length instead).
     pub fn try_link_document(&self, tokens: &[String]) -> Result<DocumentResult, NclError> {
-        if tokens.iter().all(|t| t.trim().is_empty()) {
-            return Err(NclError::InvalidQuery {
-                reason: "note is empty after normalisation".into(),
-            });
-        }
+        validate_document(tokens)?;
         Ok(self.link_document(tokens))
-    }
-
-    /// Scores `log p(q|c)` for each candidate on the calling thread,
-    /// one candidate's whole query at a time. Each candidate runs behind
-    /// its own panic-isolation boundary, so a panicking candidate (model
-    /// bug, injected fault) costs exactly that candidate's score, and
-    /// candidates not started before `deadline` stay unscored. Returns
-    /// per-candidate scores (`None` = unscored) and the number of
-    /// candidates lost to panics.
-    ///
-    /// Every request takes this one loop. The deadline is read before
-    /// each candidate only when one is set, the `ed.score` / `ed.cache`
-    /// fault sites are visited only under a plan ("ed.cache" models a
-    /// serving-cache miss: an injected fault there degrades that
-    /// candidate to the uncached, slower, identically-scored path —
-    /// never to a wrong or missing score), and what is left is
-    /// [`ComAid::log_prob_prepared`] over the frozen cache with one
-    /// request-scoped scratch: the query's decoder input projections
-    /// are made once, the candidates' cache runs are prefetched the
-    /// moment the list is known, and a candidate allocates nothing. A
-    /// cache that cannot serve ([`Linker::cache_serves`]) sends every
-    /// candidate down the uncached path.
-    pub(crate) fn score_candidates(
-        &self,
-        candidates: &[ConceptId],
-        query: &[String],
-        deadline: Option<Instant>,
-    ) -> (Vec<Option<f32>>, usize) {
-        let serves = self.cache_serves();
-        if serves {
-            self.cache.prefetch(candidates);
-        }
-        // The decoded word ids are candidate-independent; only the
-        // counting mask differs (shared-word removal is per candidate).
-        let ids = self.query_ids(query);
-        let words = self.shared_words.intern(query);
-        let mut mask = vec![true; query.len()];
-        let mut prepared = serves.then(|| self.model.prepare_target(&self.cache, &ids));
-
-        let mut panicked = 0usize;
-        let mut scores: Vec<Option<f32>> = vec![None; candidates.len()];
-        for (&c, out) in candidates.iter().zip(scores.iter_mut()) {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                break;
-            }
-            if self.config.remove_shared {
-                self.shared_words.mask(c, &words, &mut mask);
-            }
-            // A decode overwrites every scratch buffer before reading
-            // it, so one a panic abandoned half-written is safe to
-            // reuse for the next candidate.
-            match catch_unwind(AssertUnwindSafe(|| {
-                let mut cached = prepared.as_mut();
-                if let Some(plan) = &self.faults {
-                    plan.visit("ed.score");
-                    if cached.is_some() && plan.visit_io("ed.cache").is_err() {
-                        cached = None;
-                    }
-                }
-                match cached {
-                    Some(prepared) => {
-                        self.model
-                            .log_prob_prepared(&self.index, &self.cache, c, prepared, &mask)
-                    }
-                    None => self.model.log_prob_ids_masked(&self.index, c, &ids, &mask),
-                }
-            })) {
-                Ok(lp) => *out = Some(lp),
-                Err(_) => panicked += 1,
-            }
-        }
-        (scores, panicked)
     }
 
     /// Builds the decode target for Phase II: the full query word ids plus
@@ -1173,20 +631,27 @@ impl<'a> Linker<'a> {
             let words = self.shared_words.intern(query);
             self.shared_words.mask(concept, &words, &mut mask);
         }
-        (self.query_ids(query), mask)
+        (self.model.encode_words(query), mask)
     }
+}
 
-    /// The decoded word ids of a query — identical for every candidate.
-    fn query_ids(&self, query: &[String]) -> Vec<u32> {
-        let vocab = self.model.vocab();
-        query.iter().map(|w| vocab.get_or_unk(w)).collect()
+/// The one refusal of the document entry points
+/// ([`Linker::try_link_document`], `Frontend::submit_document`): a note
+/// that is empty after normalisation.
+pub(crate) fn validate_document(tokens: &[String]) -> Result<(), NclError> {
+    if tokens.iter().all(|t| t.trim().is_empty()) {
+        return Err(NclError::InvalidQuery {
+            reason: "note is empty after normalisation".into(),
+        });
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::comaid::{ComAidConfig, TrainPair, Variant};
+    use crate::serving::StageKind;
     use ncl_text::Vocab;
 
     /// Builds a small trained world shared by the linker tests.
@@ -1411,55 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn warmed_and_compact_linkers_serve_the_same_answers() {
-        let (o, model) = trained_world();
-        let exact = Linker::new(&model, &o, LinkerConfig::default());
-        let warmed = Linker::new(&model, &o, LinkerConfig::default());
-        warmed.warm();
-        let compact = Linker::new(
-            &model,
-            &o,
-            LinkerConfig {
-                cache_tier: CacheTier::Compact,
-                ..LinkerConfig::default()
-            },
-        );
-        assert_eq!(exact.cache().unwrap().tier(), CacheTier::Exact);
-        assert_eq!(compact.cache().unwrap().tier(), CacheTier::Compact);
-        assert_eq!(exact.cache.frozen_shard_count(), 0);
-        assert_eq!(
-            warmed.cache.frozen_shard_count(),
-            warmed.cache.shard_count()
-        );
-        for q in ["ckd stage 5", "abdominal pain", "acute abdomen"] {
-            let a = exact.link_text(q);
-            // `warm` only moves *when* chapters freeze: bitwise
-            // identical scores.
-            let b = warmed.link_text(q);
-            assert_eq!(a.ranked_ids(), b.ranked_ids(), "query {q}");
-            for (&(_, sa), &(_, sb)) in a.ranked.iter().zip(&b.ranked) {
-                assert_eq!(sa.to_bits(), sb.to_bits(), "query {q}");
-            }
-            // The Compact tier is epsilon-bounded per concept.
-            let c = compact.link_text(q);
-            assert_eq!(a.top1(), c.top1(), "query {q}");
-            let by_id: HashMap<ConceptId, f32> = c.ranked.iter().copied().collect();
-            for &(id, sa) in &a.ranked {
-                let sc = by_id[&id];
-                assert!(
-                    (sa - sc).abs() < 5e-2 * sa.abs().max(1.0),
-                    "query {q}: exact {sa} compact {sc}"
-                );
-            }
-        }
-        assert!(exact.cache.frozen_shard_count() > 0);
-        assert_eq!(
-            warmed.cache.frozen_shard_count(),
-            warmed.cache.shard_count()
-        );
-    }
-
-    #[test]
     fn batch_prefetch_primes_the_memo_in_one_pass() {
         let (o, model) = trained_world();
         // Without alias indexing, alias-only words ("ckd", "renal") are
@@ -1476,7 +892,7 @@ mod tests {
         let q1 = tokenize("ckd stage 5");
         let q2 = tokenize("renal disease");
         let refs: Vec<&[String]> = vec![&q1, &q2];
-        linker.prefetch_rewrites_batch(&refs);
+        linker.rewriter.prefetch_batch(&linker, &refs);
         // One blocked pass resolved both queries' OOV tokens: each
         // per-request rewrite is now pure memo hits, no misses.
         for q in [&q1, &q2] {
@@ -1625,136 +1041,6 @@ mod tests {
             // only the description word "stage" is removed.
             let (_, mask) = linker.scoring_target(n185, &q);
             assert_eq!(mask, vec![true, true, false]);
-        }
-    }
-
-    /// ISSUE 5 acceptance: the staged `link` must equal the frozen
-    /// pre-refactor [`Linker::link_oracle`] bit-for-bit on arbitrary
-    /// queries — with and without an active [`FaultPlan`].
-    mod oracle_equivalence {
-        use super::*;
-        use crate::faults::FaultKind;
-        use proptest::prelude::*;
-        use std::sync::OnceLock;
-
-        fn shared_world() -> &'static (Ontology, ComAid) {
-            static WORLD: OnceLock<(Ontology, ComAid)> = OnceLock::new();
-            WORLD.get_or_init(trained_world)
-        }
-
-        /// In-vocabulary, alias-only, numeric, typo, and pure-OOV words,
-        /// so drawn queries exercise the rewrite, retrieval-miss, and
-        /// empty-candidate paths.
-        const WORDS: &[&str] = &[
-            "chronic",
-            "kidney",
-            "disease",
-            "stage",
-            "5",
-            "unspecified",
-            "abdominal",
-            "pain",
-            "acute",
-            "abdomen",
-            "ckd",
-            "renal",
-            "syndrome",
-            "abdomne",
-            "stge",
-            "zzzgibberish",
-            "9",
-        ];
-
-        /// Word-index draws (the vendored proptest has no `prop_map`;
-        /// tests materialise tokens with [`tokens_from`]).
-        fn query_strategy() -> impl Strategy<Value = Vec<usize>> {
-            proptest::collection::vec(0..WORDS.len(), 0..6)
-        }
-
-        fn tokens_from(idx: &[usize]) -> Vec<String> {
-            idx.iter().map(|&i| WORDS[i].to_string()).collect()
-        }
-
-        /// Fault probabilities worth drawing: never, sometimes, always.
-        fn prob() -> impl Strategy<Value = f64> {
-            prop_oneof![Just(0.0), Just(0.4), Just(1.0)]
-        }
-
-        /// One plan covering every pipeline fault site. Decisions are
-        /// keyed on `(seed, visit ordinal)`, so two *separate* plans
-        /// built from the same arguments replay identically as long as
-        /// the visit order is deterministic — which it is: one request
-        /// runs on one thread.
-        fn plan(seed: u64, p_or: f64, p_cr: f64, p_ed: f64, p_cache: f64) -> Arc<FaultPlan> {
-            Arc::new(
-                FaultPlan::new(seed)
-                    .with_rule("or.rewrite", FaultKind::Panic, p_or)
-                    .with_rule("cr.topk", FaultKind::Panic, p_cr)
-                    .with_rule("ed.score", FaultKind::Panic, p_ed)
-                    .with_rule("ed.cache", FaultKind::Io, p_cache),
-            )
-        }
-
-        fn assert_bit_identical(staged: &LinkResult, oracle: &LinkResult, q: &[String]) {
-            assert_eq!(
-                staged.rewritten, oracle.rewritten,
-                "rewritten diverged for {q:?}"
-            );
-            assert_eq!(
-                staged.candidates, oracle.candidates,
-                "candidates diverged for {q:?}"
-            );
-            assert_eq!(
-                staged.ranked.len(),
-                oracle.ranked.len(),
-                "ranking length diverged for {q:?}"
-            );
-            for (&(ca, sa), &(cb, sb)) in staged.ranked.iter().zip(&oracle.ranked) {
-                assert_eq!(ca, cb, "ranked id diverged for {q:?}");
-                assert_eq!(sa.to_bits(), sb.to_bits(), "score bits diverged for {q:?}");
-            }
-            assert_eq!(
-                staged.degradation, oracle.degradation,
-                "degradation diverged for {q:?}"
-            );
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-
-            #[test]
-            fn staged_link_equals_oracle_without_faults(q_idx in query_strategy()) {
-                let q = tokens_from(&q_idx);
-                let (o, model) = shared_world();
-                let linker = Linker::new(model, o, LinkerConfig::default());
-                assert_bit_identical(&linker.link(&q), &linker.link_oracle(&q), &q);
-            }
-
-            #[test]
-            fn staged_link_equals_oracle_under_faults(
-                q_idx in query_strategy(),
-                seed in 0u64..1024,
-                p_or in prob(),
-                p_cr in prob(),
-                p_ed in prob(),
-                p_cache in prob(),
-            ) {
-                let q = tokens_from(&q_idx);
-                let (o, model) = shared_world();
-                let plan_staged = plan(seed, p_or, p_cr, p_ed, p_cache);
-                let plan_oracle = plan(seed, p_or, p_cr, p_ed, p_cache);
-                let staged = Linker::new(model, o, LinkerConfig::default())
-                    .with_faults(Arc::clone(&plan_staged));
-                let oracle = Linker::new(model, o, LinkerConfig::default())
-                    .with_faults(Arc::clone(&plan_oracle));
-                let a = staged.link(&q);
-                let b = oracle.link_oracle(&q);
-                assert_bit_identical(&a, &b, &q);
-                // The two paths hit the exact same fault sites in the
-                // same order: equal visit and fire counts.
-                prop_assert_eq!(plan_staged.visits(), plan_oracle.visits());
-                prop_assert_eq!(plan_staged.fired(), plan_oracle.fired());
-            }
         }
     }
 }

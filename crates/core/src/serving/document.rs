@@ -1,5 +1,5 @@
-//! Document-level linking: span proposal fanned through the staged
-//! chain under one shared note deadline.
+//! Document-level linking: span proposal, then every proposed span
+//! served under one shared note deadline.
 //!
 //! [`crate::linker::Linker::link_document`] turns a whole tokenised
 //! clinical note into per-mention linking answers in three steps:
@@ -7,8 +7,8 @@
 //! 1. **Propose** ([`super::propose`]): scan the note for candidate
 //!    mention spans using the TF-IDF concept dictionary plus the OOV
 //!    rewrite machinery. The scan shares the note's deadline.
-//! 2. **Link**: every proposed span becomes one query through the
-//!    ordinary `Rewrite → Retrieve → Score → Rank` chain, in note
+//! 2. **Link**: every proposed span becomes one ordinary request
+//!    (`serving::serve`: `Rewrite → Retrieve → Score → Rank`), in note
 //!    order, with the batch rewrite prefetch and the linker's one
 //!    shared [`crate::linker::PriorTable`]. The note's deadline covers
 //!    *all* spans: each span derives its remaining total budget when
@@ -37,7 +37,7 @@ use std::time::Instant;
 pub struct SpanLink {
     /// Where the span sits in the note and how it was proposed.
     pub proposal: SpanProposal,
-    /// The staged chain's answer for the span's tokens.
+    /// The linking answer for the span's tokens.
     pub result: LinkResult,
 }
 
@@ -80,7 +80,7 @@ fn severity(d: &Degradation) -> u8 {
 
 /// Drives one document request; see [`Linker::link_document`]. The
 /// `preamble` carries admission-time events from the serving front
-/// end, exactly as `drive_with` does for single queries.
+/// end, exactly as `serve` does for single queries.
 pub(crate) fn link_document(
     linker: &Linker<'_>,
     tokens: &[String],

@@ -54,7 +54,7 @@ pub use hist::{HistSummary, LatencyHistogram};
 
 use crate::comaid::CacheMemoryReport;
 use crate::error::NclError;
-use crate::linker::{LinkResult, Linker};
+use crate::linker::{validate_document, LinkResult, Linker};
 
 use super::document::{link_document, DocumentResult};
 use super::propose::ProposeConfig;
@@ -443,11 +443,9 @@ impl<'f, 'a> Frontend<'f, 'a> {
     pub fn submit_document(&self, tokens: Vec<String>) -> Result<u64, NclError> {
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
         self.counters.doc_submitted.fetch_add(1, Ordering::Relaxed);
-        if tokens.iter().all(|t| t.trim().is_empty()) {
+        if let Err(e) = validate_document(&tokens) {
             self.counters.invalid.fetch_add(1, Ordering::Relaxed);
-            return Err(NclError::InvalidQuery {
-                reason: "note is empty after normalisation".into(),
-            });
+            return Err(e);
         }
         self.admit(Payload::Document(tokens))
     }
@@ -611,9 +609,9 @@ impl<'f, 'a> Frontend<'f, 'a> {
     }
 
     /// Serves one admitted request: derives the remaining budget from
-    /// the admission-time deadline and the rung's ED cap, drives the
-    /// staged chain on this worker's thread (cross-request parallelism
-    /// is the front end's job), and records the completion.
+    /// the admission-time deadline and the rung's ED cap, serves it on
+    /// this worker's thread (cross-request parallelism is the front
+    /// end's job), and records the completion.
     fn process(&self, req: QueuedRequest, hists: &mut HistSet) {
         let picked = Instant::now();
         let queued = picked.duration_since(req.admitted);
@@ -649,7 +647,7 @@ impl<'f, 'a> Frontend<'f, 'a> {
         match req.payload {
             Payload::Query(ref tokens) => {
                 let scorer = ComAidScore::new(self.linker);
-                let result = super::drive_with(self.linker, tokens, &scorer, budget, preamble);
+                let result = super::serve(self.linker, tokens, &scorer, budget, preamble);
                 let total = req.admitted.elapsed();
                 hists.e2e.record(total);
                 for s in &result.trace.stages {

@@ -1,29 +1,28 @@
 #![deny(missing_docs)]
 
-//! The staged serving engine: `Rewrite → Retrieve → Score → Rank`.
+//! The serving engine: one request is one function, `serve`.
 //!
-//! The paper's online linking (§5) is explicitly two-phase — Phase I
-//! keyword retrieval feeding Phase II COM-AID ranking — and this module
-//! gives the implementation the same seams: each phase is a [`Stage`]
-//! that reads and writes one [`RequestCtx`], the context carries the
-//! query, budgets, fault handle, degradation ladder state, and the
-//! unified [`LinkTrace`], and [`crate::linker::Linker::link`] is a thin
-//! driver over the four-stage chain.
+//! The paper's online linking (§5) is a short recipe — rewrite the
+//! query (Eq. 13), retrieve `k` candidates by TF-IDF, rank them by
+//! COM-AID's `p(q|c)` — with the cost model of Appendix B.1 laid over
+//! it (OR → CR → ED → RT). `serve` is that recipe as four timed blocks,
+//! `Rewrite → Retrieve → Score → Rank`, with the request's state in
+//! locals; [`crate::linker::Linker::link`] and every other entry point
+//! (batches, documents, the front end, baseline scorers) call it.
 //!
 //! Design rules (DESIGN.md §12):
 //!
-//! * **Stages own behaviour, the context owns state.** A stage may read
-//!   anything on the context and the linker, but all per-request
-//!   mutation goes through the context — the linker stays shared and
-//!   immutable (its interior mutability is limited to lazily-built
-//!   indexes and the rewrite memo, both behaviour-transparent).
-//! * **The chain is bit-identical to the pre-refactor monolith.** Stage
-//!   boundaries sit exactly where the monolith's phase boundaries sat;
-//!   moving code across a boundary is only legal when it cannot change
-//!   ranked ids, score bits, tie-breaks, or degradation decisions.
-//!   `Linker::link_oracle` keeps the monolith body in-tree and the
-//!   `staged_serving` tests assert equivalence (golden snapshot +
-//!   proptests, with and without fault plans).
+//! * **The linker is shared and immutable.** Everything a request
+//!   mutates lives in `serve`'s locals; the linker's interior
+//!   mutability is limited to lazily-built indexes, the rewrite memo
+//!   and the first-touch cache freeze, all behaviour-transparent, so
+//!   one linker serves many requests — concurrently, from
+//!   [`frontend`] workers — without interference.
+//! * **Checked against the equations.** A `#[cfg(test)]` reference
+//!   linker written from PAPER.md Eq. 3–13 (`crate::reference`) is the
+//!   oracle: one proptest walks the `cache_tier × fast_math × warm ×
+//!   entry point × cache-miss plan × variant` lattice against it, and
+//!   `tests/golden/staged_serving.snap` pins the bits.
 //! * **Scorers are pluggable.** Phase II is abstracted as
 //!   [`ScoreStage`]; COM-AID ([`ComAidScore`]) is the default, and the
 //!   `lr`/`doc2vec` baselines plug in via
@@ -38,32 +37,28 @@
 //! queries, batches and documents alike. Concurrency across requests
 //! lives in one place, the [`frontend`]'s workers.
 //!
-//! On top of the chain sits the open-loop serving front end
+//! On top of `serve` sits the open-loop serving front end
 //! ([`frontend`], DESIGN.md §13): a bounded request queue with
 //! watermark-driven admission control that pre-degrades or rejects
 //! requests under load, per-request deadlines wired into the
 //! [`crate::linker::LinkBudget`], and log-scale latency histograms
 //! rolling up p50/p95/p99 per stage and end-to-end.
 //!
-//! Document-level requests put one extra stage in front of the chain
+//! Document-level requests put one extra stage in front
 //! (DESIGN.md §17): span proposal ([`ProposeConfig`], [`SpanProposal`])
 //! scans a whole tokenised note for candidate mention spans, and
-//! [`crate::linker::Linker::link_document`] sends the proposals through
-//! the chain under one shared note deadline, rolling the per-span
-//! traces up into a [`DocumentResult`].
+//! [`crate::linker::Linker::link_document`] serves the proposals under
+//! one shared note deadline, rolling the per-span traces up into a
+//! [`DocumentResult`].
 
-mod ctx;
 mod document;
 pub mod frontend;
 pub(crate) mod ontology_text;
 mod propose;
-mod rank;
-mod retrieve;
 mod rewrite;
 mod score;
 mod trace;
 
-pub use ctx::RequestCtx;
 pub use document::{DocumentResult, SpanLink};
 pub use frontend::{
     AdmissionRung, Completion, DocumentCompletion, Frontend, FrontendConfig, FrontendStats,
@@ -75,36 +70,32 @@ pub use trace::{CacheUse, LinkTrace, RewriteDecision, StageKind, StageTiming, Tr
 
 pub(crate) use document::link_document;
 pub(crate) use propose::propose_spans;
-pub(crate) use rank::classify_degradation;
+pub(crate) use rewrite::Rewriter;
 
-use crate::error::NclError;
-use crate::linker::{LinkBudget, LinkResult, Linker};
-use std::time::Instant;
+use crate::linker::{Degradation, DegradeReason, LinkBudget, LinkResult, Linker};
+use ncl_ontology::ConceptId;
+use std::borrow::Cow;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
-/// One stage of the serving chain. Stages are stateless between
-/// requests: `run` reads the linker's shared structures and mutates
-/// only the per-request [`RequestCtx`].
-pub trait Stage {
-    /// Which chain position this stage fills (keys its trace entries).
-    fn kind(&self) -> StageKind;
-    /// Executes the stage against one request context.
-    fn run(&self, ctx: &mut RequestCtx<'_>);
+/// The earlier of two optional deadlines.
+fn min_deadline(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (x, None) | (None, x) => x,
+    }
 }
 
-/// Drives one request through the four-stage chain with the given
-/// Phase-II scorer, timing each stage into the trace.
-pub(crate) fn drive(linker: &Linker<'_>, tokens: &[String], scorer: &dyn ScoreStage) -> LinkResult {
-    drive_with(linker, tokens, scorer, linker.config().budget, Vec::new())
-}
-
-/// [`drive`] with a caller-supplied [`LinkBudget`] override and trace
-/// preamble. The override is how the front end wires per-request
-/// deadlines (the remaining admission budget) and shed-rung budget caps
-/// into the chain without mutating the shared linker; the preamble
-/// carries admission-time [`TraceEvent`]s (shedding decisions, queue
-/// deadline expiry) so they appear in the unified trace *before* any
-/// stage event, preserving event order.
-pub(crate) fn drive_with(
+/// Serves one request — `Rewrite → Retrieve → Score → Rank`, each block
+/// timed into the trace — with the given Phase-II scorer.
+///
+/// `budget` is usually the linker's own; the front end passes an
+/// override to wire per-request deadlines (the remaining admission
+/// budget) and shed-rung caps in without mutating the shared linker.
+/// `preamble` carries admission-time [`TraceEvent`]s (shedding
+/// decisions, queue deadline expiry) so they precede every event the
+/// request itself records.
+pub(crate) fn serve(
     linker: &Linker<'_>,
     tokens: &[String],
     scorer: &dyn ScoreStage,
@@ -112,99 +103,211 @@ pub(crate) fn drive_with(
     preamble: Vec<TraceEvent>,
 ) -> LinkResult {
     let start = Instant::now();
-    let mut ctx = RequestCtx::new(tokens, budget, linker.faults.clone(), start);
-    ctx.trace.events = preamble;
-    let rewrite = rewrite::Rewrite { linker };
-    let retrieve = retrieve::Retrieve { linker };
-    let score = score::Score { scorer };
-    let rank = rank::Rank { linker };
-    let stages: [&dyn Stage; 4] = [&rewrite, &retrieve, &score, &rank];
-    for stage in stages {
-        let t = Instant::now();
-        ctx.stage_started = t;
-        stage.run(&mut ctx);
-        ctx.trace.stages.push(trace::StageTiming {
-            kind: stage.kind(),
+    let call_deadline = budget.total.map(|d| start + d);
+    let mut trace = LinkTrace {
+        events: preamble,
+        ..LinkTrace::default()
+    };
+    let timed = |trace: &mut LinkTrace, kind: StageKind, t: Instant| {
+        trace.stages.push(StageTiming {
+            kind,
             wall: t.elapsed(),
         });
+    };
+
+    // Rewrite (OR): Eq. 13 per out-of-vocabulary token, cut off
+    // mid-phase at its deadline.
+    let t = Instant::now();
+    let rewritten: Cow<'_, [String]> = if linker.config().rewrite {
+        let or_deadline = min_deadline(call_deadline, budget.or.map(|d| t + d));
+        linker
+            .rewriter
+            .rewrite(linker, tokens, or_deadline, &mut trace)
+    } else {
+        Cow::Borrowed(tokens)
+    };
+    timed(&mut trace, StageKind::Rewrite, t);
+
+    // Retrieve (CR): TF-IDF cosine top-k over the fine-grained concept
+    // documents. Panic-isolated: a fault here yields an empty candidate
+    // set, not an abort.
+    let t = Instant::now();
+    let hits = catch_unwind(AssertUnwindSafe(|| {
+        if let Some(plan) = &linker.faults {
+            plan.visit("cr.topk");
+        }
+        linker.tfidf.top_k_with_stats(&rewritten, linker.config().k)
+    }));
+    let cr_panicked = hits.is_err();
+    if cr_panicked {
+        trace.events.push(TraceEvent::RetrievePanicked);
     }
-    ctx.into_result()
-}
+    let (hits, index_stats) = hits.unwrap_or_default();
+    trace.retrieval.merge(&index_stats);
+    let candidates: Vec<ConceptId> = hits.iter().map(|&(d, _)| linker.doc_map[d]).collect();
+    let cr_over = budget.cr.is_some_and(|b| t.elapsed() > b);
+    timed(&mut trace, StageKind::Retrieve, t);
 
-/// The per-request budget of one batched query: the base budget, with
-/// `total` clipped to whatever remains of the shared deadline *at the
-/// moment this request starts*. With no deadline the base budget passes
-/// through unchanged — `link_batch` is exactly the `deadline: None`
-/// case of [`link_batch_within`].
-fn request_budget(base: LinkBudget, deadline: Option<Instant>) -> LinkBudget {
-    let mut b = base;
-    if let Some(d) = deadline {
-        let remaining = d.saturating_duration_since(Instant::now());
-        b.total = Some(b.total.map_or(remaining, |t| t.min(remaining)));
+    // Score (ED): skipped entirely when CR overran or the call deadline
+    // has already passed; cut off mid-phase by the scorer otherwise.
+    let t = Instant::now();
+    let ed_deadline = min_deadline(call_deadline, budget.ed.map(|d| t + d));
+    let call_deadline_passed = call_deadline.is_some_and(|d| Instant::now() >= d);
+    let outcome = if cr_over || call_deadline_passed {
+        trace.events.push(TraceEvent::ScoringSkipped {
+            cr_over,
+            call_deadline_passed,
+        });
+        ScoreOutcome {
+            scores: Vec::new(),
+            lost_jobs: 0,
+            unscored_is_nonmatch: false,
+            cache: CacheUse::Unconfigured,
+        }
+    } else {
+        scorer.score(ScoreRequest {
+            query: &rewritten,
+            candidates: &candidates,
+            deadline: ed_deadline,
+        })
+    };
+    trace.cache = outcome.cache;
+    // A scorer may answer short; what it did not reach is unscored.
+    let mut scores = outcome.scores;
+    scores.resize(candidates.len(), None);
+    timed(&mut trace, StageKind::Score, t);
+
+    // Rank (RT): MAP when a prior is installed (Eq. 11), otherwise pure
+    // MLE (Eq. 12). Under a blown deadline with an `rt` budget set, MAP
+    // falls back to MLE — the prior lookup is the only elidable work.
+    let t = Instant::now();
+    let skip_prior = budget.rt.is_some() && call_deadline.is_some_and(|d| Instant::now() >= d);
+    if skip_prior {
+        trace.events.push(TraceEvent::PriorSkipped);
     }
-    b
+    let mut ranked: Vec<(ConceptId, f32)> = candidates
+        .iter()
+        .zip(&scores)
+        .filter_map(|(&c, lp)| {
+            let lp = (*lp)?;
+            let prior = if skip_prior {
+                0.0
+            } else {
+                linker.concept_log_prior(c)
+            };
+            Some((c, lp + prior))
+        })
+        .collect();
+    ranked.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
+    let scored = ranked.len();
+    // Unscored tail: Phase-I TF-IDF order, explicitly unscored.
+    ranked.extend(
+        candidates
+            .iter()
+            .zip(&scores)
+            .filter(|(_, lp)| lp.is_none())
+            .map(|(&c, _)| (c, f32::NEG_INFINITY)),
+    );
+    let degradation = classify_degradation(
+        budget,
+        scored,
+        candidates.len(),
+        outcome.lost_jobs,
+        cr_panicked,
+        outcome.unscored_is_nonmatch,
+    );
+    if degradation.is_degraded() {
+        trace.events.push(TraceEvent::Degraded { degradation });
+    }
+    timed(&mut trace, StageKind::Rank, t);
+
+    LinkResult {
+        ranked,
+        rewritten: rewritten.into_owned(),
+        candidates,
+        retrieval: trace.retrieval,
+        degradation,
+        trace,
+    }
 }
 
-/// Links each query; see [`Linker::link_batch`].
-pub(crate) fn link_batch(linker: &Linker<'_>, queries: &[&[String]]) -> Vec<LinkResult> {
-    link_batch_within(linker, queries, linker.config().budget, None)
-}
-
-/// Deadline-aware batch: like [`link_batch`], but each request derives
-/// its remaining `total` budget from the shared `deadline` at the
-/// moment it starts. This is how a document's whole-note deadline
-/// covers every proposed span — spans served late in the note see less
-/// budget and degrade down the PR-1 ladder instead of overrunning the
-/// note's deadline.
+/// Links each query in order on the calling thread, after one rewrite
+/// prefetch over the whole batch. Each request's `total` budget is
+/// `base.total` clipped to whatever remains of the shared `deadline`
+/// *at the moment it starts* — this is how a document's whole-note
+/// deadline covers every proposed span: spans served late in the note
+/// see less budget and degrade down the ladder instead of overrunning
+/// the note. [`Linker::link_batch`] is the `deadline: None` case.
 pub(crate) fn link_batch_within(
     linker: &Linker<'_>,
     queries: &[&[String]],
     base: LinkBudget,
     deadline: Option<Instant>,
 ) -> Vec<LinkResult> {
-    // Prime the shared rewrite memo for the whole batch in one blocked
-    // matrix pass before any request runs: per-request rewrite stages
-    // then pay only hash lookups instead of one nearest-neighbour
-    // dispatch per query's worth of new OOV tokens.
     if queries.len() > 1 {
-        linker.prefetch_rewrites_batch(queries);
+        linker.rewriter.prefetch_batch(linker, queries);
     }
     let scorer = ComAidScore::new(linker);
     queries
         .iter()
         .map(|q| {
-            drive_with(
-                linker,
-                q,
-                &scorer,
-                request_budget(base, deadline),
-                Vec::new(),
-            )
+            let mut budget = base;
+            if let Some(d) = deadline {
+                let remaining = d.saturating_duration_since(Instant::now());
+                budget.total = Some(budget.total.map_or(remaining, |t| t.min(remaining)));
+            }
+            serve(linker, q, &scorer, budget, Vec::new())
         })
         .collect()
 }
 
-/// Validating batch entry point; see [`Linker::try_link_batch`].
-pub(crate) fn try_link_batch(
-    linker: &Linker<'_>,
-    queries: &[Vec<String>],
-) -> Vec<Result<LinkResult, NclError>> {
-    let verdicts: Vec<Option<NclError>> = queries
-        .iter()
-        .map(|q| linker.validate_query(q).err())
-        .collect();
-    let valid: Vec<&[String]> = queries
-        .iter()
-        .zip(&verdicts)
-        .filter(|(_, e)| e.is_none())
-        .map(|(q, _)| q.as_slice())
-        .collect();
-    let mut linked = link_batch(linker, &valid).into_iter();
-    verdicts
-        .into_iter()
-        .map(|e| match e {
-            Some(e) => Err(e),
-            None => Ok(linked.next().expect("one result per valid query")),
-        })
-        .collect()
+/// Summarises how far short of a full answer this call fell — the
+/// degradation ladder shared by every scorer behind [`serve`].
+fn classify_degradation(
+    budget: LinkBudget,
+    scored: usize,
+    total: usize,
+    panicked: usize,
+    cr_panicked: bool,
+    unscored_is_nonmatch: bool,
+) -> Degradation {
+    if cr_panicked {
+        return Degradation::TfIdfOnly {
+            reason: DegradeReason::WorkerPanic { lost_jobs: 1 },
+        };
+    }
+    if total == 0 || scored == total {
+        return Degradation::None;
+    }
+    // A scorer that deliberately ranks only a subset (e.g. a baseline
+    // annotator) has not degraded — unless jobs were actually lost.
+    if panicked == 0 && unscored_is_nonmatch {
+        return Degradation::None;
+    }
+    let reason = if panicked > 0 {
+        DegradeReason::WorkerPanic {
+            lost_jobs: panicked,
+        }
+    } else {
+        DegradeReason::Timeout {
+            budget: budget
+                .ed
+                .or(budget.total)
+                .or(budget.cr)
+                .unwrap_or(Duration::ZERO),
+        }
+    };
+    if scored == 0 {
+        Degradation::TfIdfOnly { reason }
+    } else {
+        Degradation::PartialEd {
+            scored,
+            total,
+            reason,
+        }
+    }
 }

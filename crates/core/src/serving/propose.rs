@@ -39,6 +39,7 @@
 
 use super::trace::{LinkTrace, StageKind, TraceEvent};
 use crate::linker::Linker;
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -142,7 +143,9 @@ pub(crate) fn propose_spans(
             Some(false)
         } else if linker.config().rewrite {
             linker
-                .rewrite_outcome(w, &mut trace.retrieval)
+                .rewriter
+                .outcome(linker, w, false, &mut HashSet::new(), &mut trace.retrieval)
+                .0
                 .filter(|r| linker.tfidf.contains_term(r))
                 .map(|_| true)
         } else {

@@ -1,40 +1,270 @@
-//! Stage 1 — **Rewrite** (the paper's OR phase): out-of-vocabulary
-//! query words are replaced by their semantically nearest in-Ω words
+//! Query rewriting (the paper's OR phase): out-of-vocabulary query
+//! words are replaced by their semantically nearest in-Ω words
 //! (Eq. 13), with an edit-distance fallback (§5's "dm 1 with
 //! neuropaty" example).
+//!
+//! The [`Rewriter`] owns everything rewriting keeps between requests —
+//! the two lazily-built indexes and the outcome memo — and one
+//! read-through over that memo ([`Rewriter::outcome`]) serves both the
+//! Rewrite block of a request and the document-level Propose scan.
 
-use super::ctx::RequestCtx;
-use super::trace::StageKind;
-use super::Stage;
-use crate::linker::{min_deadline, Linker};
+use super::trace::{LinkTrace, RewriteDecision, StageKind, TraceEvent};
+use crate::linker::Linker;
+use ncl_embedding::NearestWords;
+use ncl_tensor::Vector;
+use ncl_text::edit_index::EditIndex;
+use ncl_text::tfidf::RetrievalStats;
 use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
-/// The Rewrite stage; borrows the linker's nearest-word and
-/// edit-distance indexes (built lazily on first use).
-pub struct Rewrite<'s, 'a> {
-    pub(crate) linker: &'s Linker<'a>,
+/// The rewriting state a [`Linker`] holds by value; every method takes
+/// the linker back for the immutable inputs (model, Phase-I dictionary,
+/// configuration, fault plan).
+#[derive(Default)]
+pub(crate) struct Rewriter {
+    /// Embedding nearest-neighbour index masked to Ω, built on first
+    /// use: it clones and row-normalises the full embedding table, which
+    /// a linker serving with `rewrite: false` (or queries that are never
+    /// out-of-vocabulary) should not pay for.
+    nearest: OnceLock<NearestWords>,
+    /// Length/prefix-bucketed edit-distance index over Ω', also built on
+    /// first use — the textual fallback.
+    edit_index: OnceLock<EditIndex>,
+    /// OOV token → rewrite outcome (negative outcomes included), so a
+    /// repeated OOV token costs one lookup per linker lifetime.
+    memo: Mutex<HashMap<String, Option<String>>>,
 }
 
-impl Stage for Rewrite<'_, '_> {
-    fn kind(&self) -> StageKind {
-        StageKind::Rewrite
+impl Rewriter {
+    /// The embedding nearest-neighbour index masked to the description
+    /// vocabulary Ω.
+    fn nearest_words(&self, linker: &Linker<'_>) -> &NearestWords {
+        self.nearest.get_or_init(|| {
+            // Ω mask over Ω': only words that occur in the indexed
+            // concept descriptions may be rewriting targets.
+            let vocab = linker.model.vocab();
+            let allowed: Vec<bool> = (0..vocab.len())
+                .map(|i| {
+                    if i < 4 {
+                        return false;
+                    }
+                    vocab
+                        .word(i as u32)
+                        .map(|w| linker.tfidf.contains_term(w))
+                        .unwrap_or(false)
+                })
+                .collect();
+            NearestWords::new(linker.model.embedding().table(), Some(allowed))
+        })
     }
 
-    fn run(&self, ctx: &mut RequestCtx<'_>) {
-        let or_deadline = min_deadline(
-            ctx.call_deadline,
-            ctx.budget.or.map(|d| ctx.stage_started + d),
-        );
-        if self.linker.config().rewrite {
-            // The borrow of `ctx.tokens` must be re-derived (not taken
-            // through `&mut ctx`) so the resulting Cow carries the
-            // query lifetime, not the borrow of the context.
-            let tokens = ctx.tokens;
-            ctx.rewritten = self
-                .linker
-                .rewrite_query_within(tokens, or_deadline, &mut ctx.trace);
-        } else {
-            ctx.rewritten = Cow::Borrowed(ctx.tokens);
+    /// The word a nearest-neighbour hit names, if it clears the
+    /// configured cosine floor.
+    fn accept(linker: &Linker<'_>, hit: Option<(u32, f32)>) -> Option<String> {
+        hit.filter(|&(_, cos)| cos >= linker.config().rewrite_min_cosine)
+            .and_then(|(nid, _)| linker.model.vocab().word(nid).map(|s| s.to_string()))
+    }
+
+    /// Eq. 13 from the embedding of the Ω' word `id`.
+    fn nearest_to(&self, linker: &Linker<'_>, id: u32) -> Option<String> {
+        let v = linker.model.embedding().lookup(id);
+        Self::accept(linker, self.nearest_words(linker).nearest(&v, Some(id)))
+    }
+
+    /// Rewrites one out-of-vocabulary word (Eq. 13 with edit-distance
+    /// fallback); returns `None` when no replacement is found.
+    pub(crate) fn rewrite_word(&self, linker: &Linker<'_>, word: &str) -> Option<String> {
+        let vocab = linker.model.vocab();
+        // In Ω' already: jump straight to the embedding neighbour in Ω.
+        if let Some(id) = vocab.get(word) {
+            return self.nearest_to(linker, id);
+        }
+        // Textual fallback: the closest Ω' word by edit distance
+        // (insertion order is the vocabulary's word-id order, which
+        // breaks ties), then Eq. 13 from that word's embedding.
+        let similar = self
+            .edit_index
+            .get_or_init(|| EditIndex::new(vocab.iter_words().map(|(_, w)| w)))
+            .nearest(word, linker.config().edit_max_dist)?;
+        if linker.tfidf.contains_term(similar) {
+            return Some(similar.to_string());
+        }
+        self.nearest_to(linker, vocab.get(similar)?)
+    }
+
+    /// The rewrite outcome of one out-of-vocabulary token — the one
+    /// read-through over the memo. Returns the outcome and whether the
+    /// memo served it as a genuine hit.
+    ///
+    /// With a fault plan attached the memo is bypassed entirely
+    /// (memoisation would change how often a site is visited, breaking
+    /// deterministic replay): every call recomputes behind a panic
+    /// boundary, a panic costing that token's rewrite only. The
+    /// `or.rewrite` site is visited when `visit_or` is set — by a
+    /// request's Rewrite block, never by Propose: proposal is not the
+    /// OR phase, and consuming OR ordinals there would shift replay for
+    /// the spans linked afterwards.
+    ///
+    /// `fresh` holds the words this request's prefetch inserted: the
+    /// first read of one is the miss that computed it, not a hit.
+    pub(crate) fn outcome(
+        &self,
+        linker: &Linker<'_>,
+        w: &str,
+        visit_or: bool,
+        fresh: &mut HashSet<&str>,
+        stats: &mut RetrievalStats,
+    ) -> (Option<String>, bool) {
+        if let Some(plan) = &linker.faults {
+            stats.rewrite_cache_misses += 1;
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if visit_or {
+                    plan.visit("or.rewrite");
+                }
+                self.rewrite_word(linker, w)
+            }))
+            .unwrap_or(None);
+            return (outcome, false);
+        }
+        let cached = self
+            .memo
+            .lock()
+            .expect("rewrite memo poisoned")
+            .get(w)
+            .cloned();
+        if let Some(outcome) = cached {
+            let hit = !fresh.remove(w);
+            if hit {
+                stats.rewrite_cache_hits += 1;
+            } else {
+                stats.rewrite_cache_misses += 1;
+            }
+            return (outcome, hit);
+        }
+        stats.rewrite_cache_misses += 1;
+        let outcome = self.rewrite_word(linker, w);
+        self.memo
+            .lock()
+            .expect("rewrite memo poisoned")
+            .insert(w.to_string(), outcome.clone());
+        (outcome, false)
+    }
+
+    /// Resolves the embedding-space (in-Ω') rewrites of every distinct
+    /// unmemoised OOV token of `tokens` in one blocked matrix pass
+    /// ([`NearestWords::nearest_batch`]), priming the memo so the
+    /// per-token loop only pays hash lookups. Returns the words it
+    /// inserted. Words outside Ω' (the edit-distance fallback) are left
+    /// for the per-token path, and so is a single lookup, which gains
+    /// nothing from batching.
+    fn prefetch<'q>(
+        &self,
+        linker: &Linker<'_>,
+        tokens: impl Iterator<Item = &'q String>,
+    ) -> HashSet<&'q str> {
+        let vocab = linker.model.vocab();
+        let mut words: Vec<(&'q String, u32)> = Vec::new();
+        {
+            let memo = self.memo.lock().expect("rewrite memo poisoned");
+            let mut seen: HashSet<&str> = HashSet::new();
+            for w in tokens {
+                if linker.tfidf.contains_term(w) || !seen.insert(w) || memo.contains_key(w.as_str())
+                {
+                    continue;
+                }
+                if let Some(id) = vocab.get(w) {
+                    words.push((w, id));
+                }
+            }
+        }
+        if words.len() < 2 {
+            return HashSet::new();
+        }
+        let queries: Vec<Vector> = words
+            .iter()
+            .map(|&(_, id)| linker.model.embedding().lookup(id))
+            .collect();
+        let excludes: Vec<Option<u32>> = words.iter().map(|&(_, id)| Some(id)).collect();
+        let hits = self
+            .nearest_words(linker)
+            .nearest_batch(&queries, &excludes);
+        let mut memo = self.memo.lock().expect("rewrite memo poisoned");
+        let mut inserted = HashSet::new();
+        for (&(w, _), &hit) in words.iter().zip(&hits) {
+            memo.insert(w.clone(), Self::accept(linker, hit));
+            inserted.insert(w.as_str());
+        }
+        inserted
+    }
+
+    /// Batch-level prefetch: one blocked pass over the OOV tokens of
+    /// *every* query, so each request's Rewrite block pays only memo
+    /// hits — exactly as it does when an earlier request primed the
+    /// memo. Outcomes are unchanged; this only moves *when* the memo is
+    /// primed. A no-op when rewriting is off or a fault plan is
+    /// attached.
+    pub(crate) fn prefetch_batch(&self, linker: &Linker<'_>, queries: &[&[String]]) {
+        if linker.faults.is_none() && linker.config().rewrite {
+            let _ = self.prefetch(linker, queries.iter().flat_map(|q| q.iter()));
+        }
+    }
+
+    /// Rewrites a token sequence under an optional deadline: tokens not
+    /// reached before it pass through unrewritten. Returns
+    /// `Cow::Borrowed` when nothing was rewritten (the common case for
+    /// in-vocabulary queries), so callers pay no per-token clone.
+    ///
+    /// Work counters accumulate into `trace.retrieval`; every
+    /// considered OOV token is additionally recorded as a
+    /// [`RewriteDecision`] (observability only).
+    pub(crate) fn rewrite<'q>(
+        &self,
+        linker: &Linker<'_>,
+        tokens: &'q [String],
+        deadline: Option<Instant>,
+        trace: &mut LinkTrace,
+    ) -> Cow<'q, [String]> {
+        let mut fresh: HashSet<&str> = HashSet::new();
+        if linker.faults.is_none() && deadline.is_none() {
+            fresh = self.prefetch(linker, tokens.iter());
+        }
+        let mut out: Option<Vec<String>> = None;
+        let mut expired = false;
+        for (i, w) in tokens.iter().enumerate() {
+            if !expired && deadline.is_some_and(|d| Instant::now() >= d) {
+                expired = true;
+                trace.events.push(TraceEvent::DeadlineExpired {
+                    stage: StageKind::Rewrite,
+                });
+            }
+            if expired || linker.tfidf.contains_term(w) {
+                if let Some(out) = out.as_mut() {
+                    out.push(w.clone());
+                }
+                continue;
+            }
+            let (replacement, memo_hit) =
+                self.outcome(linker, w, true, &mut fresh, &mut trace.retrieval);
+            trace.rewrites.push(RewriteDecision {
+                token: w.clone(),
+                replacement: replacement.clone(),
+                memo_hit,
+            });
+            match replacement {
+                Some(r) => out.get_or_insert_with(|| tokens[..i].to_vec()).push(r),
+                None => {
+                    if let Some(out) = out.as_mut() {
+                        out.push(w.clone());
+                    }
+                }
+            }
+        }
+        match out {
+            Some(v) => Cow::Owned(v),
+            None => Cow::Borrowed(tokens),
         }
     }
 }

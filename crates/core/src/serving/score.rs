@@ -1,17 +1,16 @@
-//! Stage 3 — **Score** (the paper's ED phase) and the pluggable
-//! [`ScoreStage`] interface.
+//! The pluggable Phase-II scorer interface ([`ScoreStage`]) and its
+//! default, COM-AID ([`ComAidScore`]) — the paper's ED phase.
 //!
-//! COM-AID is the paper's Phase-II ranker, but the stage chain only
-//! requires *some* conditional scorer `log p(q|c)` per candidate — the
+//! COM-AID is the paper's Phase-II ranker, but a request only requires
+//! *some* conditional scorer `log p(q|c)` per candidate — the
 //! `lr`/`doc2vec` baselines plug in behind the same interface (see
 //! `ncl_baselines::AnnotatorScore`), inheriting the retrieval, budget,
 //! and degradation machinery for free.
 
-use super::ctx::RequestCtx;
-use super::trace::{CacheUse, StageKind, TraceEvent};
-use super::Stage;
-use crate::linker::{min_deadline, Linker};
+use super::trace::CacheUse;
+use crate::linker::Linker;
 use ncl_ontology::ConceptId;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// One scoring request, as seen by a pluggable scorer.
@@ -59,9 +58,8 @@ pub trait ScoreStage: Sync {
 }
 
 /// The default scorer: COM-AID's `log p(q|c; Θ)` (Eq. 9/12), one
-/// candidate at a time over the frozen concept cache — the same loop
-/// whether or not the request carries a deadline or a fault plan
-/// (`Linker::score_candidates`).
+/// candidate's whole query at a time over the frozen concept cache, on
+/// the calling thread.
 pub struct ComAidScore<'s, 'a> {
     pub(crate) linker: &'s Linker<'a>,
 }
@@ -78,61 +76,78 @@ impl ScoreStage for ComAidScore<'_, '_> {
         "comaid"
     }
 
+    /// Each candidate runs behind its own panic-isolation boundary, so
+    /// a panicking candidate (model bug, injected fault) costs exactly
+    /// that candidate's score, and candidates not started before the
+    /// deadline stay unscored.
+    ///
+    /// Every request takes this one loop. The deadline is read before
+    /// each candidate only when one is set, the `ed.score` / `ed.cache`
+    /// fault sites are visited only under a plan ("ed.cache" models a
+    /// serving-cache miss: an injected fault there degrades that
+    /// candidate to the uncached, slower, identically-scored path —
+    /// never to a wrong or missing score), and what is left is
+    /// `ComAid::log_prob_prepared` over the frozen
+    /// cache with one request-scoped scratch: the query's decoder input
+    /// projections are made once, the candidates' cache runs are
+    /// prefetched the moment the list is known, and a candidate
+    /// allocates nothing. A cache that cannot serve
+    /// (`Linker::cache_serves`) sends every candidate down the
+    /// uncached path.
     fn score(&self, req: ScoreRequest<'_>) -> ScoreOutcome {
-        let (scores, lost_jobs) =
-            self.linker
-                .score_candidates(req.candidates, req.query, req.deadline);
-        let cache = if self.linker.cache_serves() {
-            CacheUse::Served
-        } else {
-            CacheUse::Stale
-        };
+        let linker = self.linker;
+        let (model, cache) = (linker.model, &*linker.cache);
+        let serves = linker.cache_serves();
+        if serves {
+            cache.prefetch(req.candidates);
+        }
+        // The decoded word ids are candidate-independent; only the
+        // counting mask differs (shared-word removal is per candidate).
+        let ids = model.encode_words(req.query);
+        let words = linker.shared_words.intern(req.query);
+        let mut mask = vec![true; req.query.len()];
+        let mut prepared = serves.then(|| model.prepare_target(cache, &ids));
+
+        let mut lost_jobs = 0usize;
+        let mut scores: Vec<Option<f32>> = vec![None; req.candidates.len()];
+        for (&c, out) in req.candidates.iter().zip(scores.iter_mut()) {
+            if req.deadline.is_some_and(|d| Instant::now() >= d) {
+                break;
+            }
+            if linker.config().remove_shared {
+                linker.shared_words.mask(c, &words, &mut mask);
+            }
+            // A decode overwrites every scratch buffer before reading
+            // it, so one a panic abandoned half-written is safe to
+            // reuse for the next candidate.
+            match catch_unwind(AssertUnwindSafe(|| {
+                let mut cached = prepared.as_mut();
+                if let Some(plan) = &linker.faults {
+                    plan.visit("ed.score");
+                    if cached.is_some() && plan.visit_io("ed.cache").is_err() {
+                        cached = None;
+                    }
+                }
+                match cached {
+                    Some(prepared) => {
+                        model.log_prob_prepared(&linker.index, cache, c, prepared, &mask)
+                    }
+                    None => model.log_prob_ids_masked(&linker.index, c, &ids, &mask),
+                }
+            })) {
+                Ok(lp) => *out = Some(lp),
+                Err(_) => lost_jobs += 1,
+            }
+        }
         ScoreOutcome {
             scores,
             lost_jobs,
             unscored_is_nonmatch: false,
-            cache,
+            cache: if serves {
+                CacheUse::Served
+            } else {
+                CacheUse::Stale
+            },
         }
-    }
-}
-
-/// The Score stage: owns the boundary skip logic (CR overrun or an
-/// already-passed call deadline skip scoring entirely) and delegates
-/// the actual scoring to the pluggable [`ScoreStage`].
-pub struct Score<'s> {
-    pub(crate) scorer: &'s dyn ScoreStage,
-}
-
-impl Stage for Score<'_> {
-    fn kind(&self) -> StageKind {
-        StageKind::Score
-    }
-
-    fn run(&self, ctx: &mut RequestCtx<'_>) {
-        let ed_deadline = min_deadline(
-            ctx.call_deadline,
-            ctx.budget.ed.map(|d| ctx.stage_started + d),
-        );
-        let call_deadline_passed = ctx.call_deadline.is_some_and(|d| Instant::now() >= d);
-        if ctx.cr_over || call_deadline_passed {
-            ctx.scores = vec![None; ctx.candidates.len()];
-            ctx.lost_jobs = 0;
-            ctx.trace.events.push(TraceEvent::ScoringSkipped {
-                cr_over: ctx.cr_over,
-                call_deadline_passed,
-            });
-            return;
-        }
-        let outcome = self.scorer.score(ScoreRequest {
-            query: &ctx.rewritten,
-            candidates: &ctx.candidates,
-            deadline: ed_deadline,
-        });
-        let mut scores = outcome.scores;
-        scores.resize(ctx.candidates.len(), None);
-        ctx.scores = scores;
-        ctx.lost_jobs = outcome.lost_jobs;
-        ctx.unscored_is_nonmatch = outcome.unscored_is_nonmatch;
-        ctx.trace.cache = outcome.cache;
     }
 }

@@ -1,7 +1,7 @@
-//! The unified per-request trace collected by the stage chain.
+//! The unified per-request trace.
 //!
-//! Every [`super::Stage`] appends to the [`LinkTrace`] carried in the
-//! [`super::RequestCtx`]: wall-clock per stage, Phase-I work counters,
+//! Every block of `serving::serve` appends to the request's
+//! [`LinkTrace`]: wall-clock per stage, Phase-I work counters,
 //! cache usage, each rewrite decision, and any degradation events. The
 //! trace is observability only — nothing downstream branches on it, so
 //! recording it cannot perturb the bit-identical serving path.

@@ -381,12 +381,12 @@ fn frontend_queue_fault_forces_typed_overload_rejection() {
     assert!(plan.fired() > 0, "the frontend.queue site must fire");
 }
 
-/// `try_link_batch` with the deadline expiring mid-batch: every
-/// position must come back either as a typed error (validation) or as
+/// `try_link` over a sweep of queries with the deadline expiring
+/// mid-request: every position must come back either as a typed error (validation) or as
 /// a well-formed answer carrying an accurate `Degradation` marker —
 /// no position may silently look like a full answer.
 #[test]
-fn try_link_batch_deadline_mid_batch_marks_every_result() {
+fn try_link_deadline_mid_sweep_marks_every_result() {
     let (o, model) = trained_world();
     let cfg = LinkerConfig {
         budget: LinkBudget::with_total(Duration::from_millis(4)),
@@ -401,7 +401,7 @@ fn try_link_batch_deadline_mid_batch_marks_every_result() {
     // Valid queries interleaved with an invalid (empty) one.
     let mut queries: Vec<Vec<String>> = QUERIES.iter().map(|q| ncl_text::tokenize(q)).collect();
     queries.insert(2, Vec::new());
-    let results = linker.try_link_batch(&queries);
+    let results: Vec<_> = queries.iter().map(|q| linker.try_link(q)).collect();
     assert_eq!(results.len(), queries.len(), "positionally aligned");
     for (i, (q, r)) in queries.iter().zip(&results).enumerate() {
         match r {
@@ -417,7 +417,7 @@ fn try_link_batch_deadline_mid_batch_marks_every_result() {
                 if res.candidates.len() > 1 {
                     assert!(
                         res.is_degraded(),
-                        "pos {i}: mid-batch deadline must be marked, got {:?}",
+                        "pos {i}: mid-request deadline must be marked, got {:?}",
                         res.degradation
                     );
                     assert!(matches!(

@@ -111,27 +111,6 @@ fn assert_bit_identical(
     }
 }
 
-/// The acceptance bit: cached and uncached linkers agree bitwise across
-/// candidate-list sizes.
-#[test]
-fn cached_and_uncached_agree_across_k() {
-    let (o, model) = trained_world();
-    for k in [2usize, 20] {
-        let config = LinkerConfig {
-            k,
-            ..LinkerConfig::default()
-        };
-        let cached = Linker::new(&model, &o, config);
-        let uncached = uncached(&model, &o, config);
-        for q in QUERIES {
-            let a = cached.link_text(q);
-            let b = uncached.link_text(q);
-            assert_bit_identical(&a, &b, &format!("k={k} q={q}"));
-            assert_eq!(a.degradation, Degradation::None);
-        }
-    }
-}
-
 /// Mutating the model after a freeze (a feedback-driven training step)
 /// must invalidate the cache; a rebuilt linker then serves the *new*
 /// parameters, again bit-identically to the uncached path.

@@ -13,6 +13,10 @@
 //! trains with `train_threads: 1`: the worker pool then runs all shards
 //! inline, under the pin. (Thread-count invariance is its own suite, in
 //! `comaid/train.rs`.)
+//!
+//! Runs under `NCL_FORCE_SCALAR=1` too (CI's scalar-fallback leg): with
+//! Scalar the active level, a fit pinned to each SIMD level in-process
+//! must still reproduce the scalar run's losses and parameter bytes.
 
 use ncl_core::comaid::{ComAid, ComAidConfig, OntologyIndex, OutputMode, TrainPair, Variant};
 use ncl_ontology::{Ontology, OntologyBuilder};

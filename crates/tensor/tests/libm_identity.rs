@@ -10,7 +10,9 @@
 //! special lane with seven ordinary ones (the whole-vector fallback must
 //! return the ordinary lanes' bits). A committed 256-entry table of
 //! `input bits → output bits` pins the definitions themselves, so they
-//! hold on a host whose libm is a different algorithm.
+//! hold on a host whose libm is a different algorithm. This tier runs
+//! under `NCL_FORCE_SCALAR=1` too (CI's scalar-fallback leg), with
+//! `Scalar` as the active level.
 //!
 //! **Tier 2 (`#[ignore]`, release, ~2 min).** Lane forms ≡ scalar
 //! definition on **all 2³² inputs** for `expf`, `tanhf`, `sigmoid`.

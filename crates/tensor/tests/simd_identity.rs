@@ -36,6 +36,9 @@
 //!   vocabulary widths. (Their value-level suite is
 //!   `tests/libm_identity.rs`.)
 //!
+//! Runs under `NCL_FORCE_SCALAR=1` too (CI's scalar-fallback leg), where
+//! `Scalar` is the active level the pinned ones are compared from.
+//!
 //! The `proptests` module name is load-bearing: CI's property-test leg
 //! runs `cargo test --workspace proptests` and filters by that substring.
 
