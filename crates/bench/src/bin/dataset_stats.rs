@@ -9,13 +9,20 @@
 //! prints what the long-tail-lexicon work (ROADMAP item 1) is gated on:
 //! the distinct description words |V|, description length, the words
 //! only aliases have, and how many descriptions merely extend their
-//! parent's. Both dataset profiles, and the ICD-10-CM-shaped generator
-//! at the three scales the serving figures use.
+//! parent's — and what the frozen concept cache stores for that text
+//! (DESIGN.md §9): one encoder row per distinct description prefix
+//! within a chapter plus one zero row per freeze shard, how many rows a
+//! single ontology-wide prefix set would need instead, how many leaf
+//! tokens repeat the parent's description (and so cost a leaf no row),
+//! and one head per fine-grained concept. Both dataset profiles, and
+//! the ICD-10-CM-shaped generator at the three scales the serving
+//! figures use.
 
 use ncl_bench::{table, workload, Scale};
 use ncl_datagen::ontology_gen::generate_icd10cm_at_least;
-use ncl_ontology::Ontology;
+use ncl_ontology::{ConceptId, Ontology};
 use ncl_text::{for_each_token, Vocab};
+use std::collections::HashSet;
 
 /// One row of the ontology-text table.
 fn text_row(name: &str, o: &Ontology) -> Vec<String> {
@@ -47,15 +54,45 @@ fn text_row(name: &str, o: &Ontology) -> Vec<String> {
             !parent.is_empty() && own.len() > parent.len() && own.starts_with(parent)
         })
         .count();
+    // The cache's rows: a prefix trie per chapter (the freeze shard),
+    // each with its zero row, plus the root slot's shard.
+    let chapter = |mut id: ConceptId| {
+        while let Some(p) = o.parent(id).filter(|&p| p != Ontology::ROOT) {
+            id = p;
+        }
+        id
+    };
+    let mut chapter_prefixes: HashSet<(ConceptId, &[u32])> = HashSet::new();
+    let mut prefixes: HashSet<&[u32]> = HashSet::new();
+    for id in o.all_concepts() {
+        let own = row(id.index());
+        for n in 1..=own.len() {
+            chapter_prefixes.insert((chapter(id), &own[..n]));
+            prefixes.insert(&own[..n]);
+        }
+    }
+    let shards = o.children(Ontology::ROOT).len() + 1;
+    let fine = o.fine_grained();
+    let (mut leaf_tokens, mut leaf_shared) = (0, 0);
+    for &id in &fine {
+        let own = row(id.index());
+        let parent = row(o.parent(id).expect("non-root").index());
+        leaf_tokens += own.len();
+        leaf_shared += own.iter().zip(parent).take_while(|(a, b)| a == b).count();
+    }
     vec![
         name.to_string(),
         o.num_concepts().to_string(),
-        o.fine_grained().len().to_string(),
+        fine.len().to_string(),
         description_words.to_string(),
         ids.len().to_string(),
         format!("{:.2}", ids.len() as f64 / o.num_concepts() as f64),
         alias_only.to_string(),
         format!("{:.3}", extends_parent as f64 / o.num_concepts() as f64),
+        (chapter_prefixes.len() + shards).to_string(),
+        prefixes.len().to_string(),
+        format!("{leaf_shared} of {leaf_tokens}"),
+        fine.len().to_string(),
     ]
 }
 
@@ -131,6 +168,10 @@ fn main() {
                 "tokens / concept",
                 "alias-only words",
                 "extends parent's",
+                "cache rows",
+                "ontology-wide prefixes",
+                "leaf tokens shared with parent",
+                "heads (|C'|)",
             ],
             &text_rows
         )

@@ -3,22 +3,28 @@
 //!
 //! §6.1 serves the full ICD-10-CM ontology (93,830 concepts). The
 //! frozen concept cache behind every linker (DESIGN.md §9) keeps, per
-//! concept, one contiguous run — the decoder's post-BOS state, the
-//! step-0 composite state and its log-sum-exp, the encoder rows — plus
-//! β references to its ancestors' rows; freezing all of it before the
-//! first served link (`Linker::warm`) is a full-ontology encoder sweep.
-//! This binary measures both costs:
+//! chapter, one encoder row per distinct description prefix; per
+//! concept, a path of row ids and β references to its ancestors' rows;
+//! and per fine-grained concept a head — the decoder's post-BOS state,
+//! the step-0 composite state and its log-sum-exp. Freezing all of it
+//! before the first served link (`Linker::warm`) is a full-ontology
+//! encoder sweep. This binary measures both costs:
 //!
-//! * **`CacheTier::Compact`** stores the encoder rows as bf16 and
-//!   shares everything else with `Exact`, so the tiers differ by half
-//!   the row bytes: ≈ 1.5× per concept, recorded and gated against
-//!   `ci/bench_baseline_fig17.json` (epsilon-bounded scores, asserted
-//!   reproducible in `crates/core/tests/cache_tier.rs`). It was ≈ 3.9×
-//!   while `Exact` also kept a `|V|`-float step-0 table and a clone of
-//!   every ancestor row per slot; `Exact` has since taken both of those
-//!   savings exactly, which is why the ratio fell. Only a > 1.2×
-//!   collapse floor is enforced here — whether two tiers remain is
-//!   ROADMAP item 3's call, on the per-component table this prints.
+//! * **Resident bytes.** `concepts_per_mb_*` is the `Exact` tier's
+//!   absolute density, gated higher-is-better against
+//!   `ci/bench_baseline_fig17.json`, so a layout that bloats both tiers
+//!   together cannot hide behind their ratio.
+//! * **`CacheTier::Compact`** stores the rows as bf16 and shares
+//!   everything else with `Exact`, so the tiers differ by half the row
+//!   bytes: `shrink_*` ≈ 1.3× per concept, recorded and gated
+//!   (epsilon-bounded scores, asserted reproducible in
+//!   `crates/core/tests/cache_tier.rs`). It was ≈ 3.9× while `Exact`
+//!   kept a `|V|`-float step-0 table and a clone of every ancestor row
+//!   per slot, and ≈ 1.5× while it copied every prefix row into every
+//!   concept that had it; `Exact` has since taken those savings
+//!   exactly, which is why the ratio fell. Only a > 1.2× collapse floor
+//!   is enforced here; DESIGN.md §15's byte table is what a decision on
+//!   keeping two tiers would read.
 //! * **Per-chapter freezing on first touch** over a checkpoint opened
 //!   through the v2 offset-table format ([`MappedCheckpoint`]) makes
 //!   cold-start-to-first-link faster than `warm()`-then-link at 93,830
@@ -275,7 +281,7 @@ fn main() {
             &[
                 "concepts",
                 "tier",
-                "enc rows+offsets",
+                "enc rows+paths",
                 "dec h1/c1",
                 "step 0",
                 "anc refs",
@@ -287,12 +293,14 @@ fn main() {
 
     ncl_bench::results::write_json("fig17_scale_serving", &records);
 
-    // Flat gate record: the gated keys are ratios only (machine-speed
-    // cancels), all higher-is-better, against
-    // ci/bench_baseline_fig17.json; the millisecond keys are
+    // Flat gate record: the gated keys are ratios and byte densities
+    // (machine speed cancels or never enters), all higher-is-better,
+    // against ci/bench_baseline_fig17.json; the millisecond keys are
     // informational.
     let mut gate = String::from("{\n");
     for (&n, r) in scales.iter().zip(&records) {
+        // Concepts per MB (10⁶ bytes) of the Exact tier.
+        let density = 1e6 / r.exact_bytes_per_concept;
         // The 93,830-concept headline rounds to the paper's "90k".
         let tag = if n >= 90_000 {
             "90k".to_string()
@@ -300,7 +308,7 @@ fn main() {
             format!("{}k", n / 1000)
         };
         gate.push_str(&format!(
-            "  \"shrink_{tag}\": {:.3},\n  \"cold_speedup_{tag}\": {:.3},\n  \"dedup_{tag}\": {:.3},\n  \"encoder_share_{tag}\": {:.3},\n  \"linker_new_ms_{tag}\": {:.3},\n",
+            "  \"shrink_{tag}\": {:.3},\n  \"cold_speedup_{tag}\": {:.3},\n  \"dedup_{tag}\": {:.3},\n  \"encoder_share_{tag}\": {:.3},\n  \"concepts_per_mb_{tag}\": {density:.3},\n  \"linker_new_ms_{tag}\": {:.3},\n",
             r.shrink, r.cold_speedup, r.ancestor_dedup, r.encoder_share, r.linker_new_ms
         ));
     }

@@ -12,14 +12,18 @@
 //! traffic through [`ConceptCache::warm`] — and online scoring then only
 //! runs the decoder over the query.
 //!
-//! **Layout.** A frozen shard is flat storage laid out for its reader:
-//! per node one contiguous run `[dec_h1 | dec_c1 | s̃₀ | lse₀ | h_1..h_n]`
-//! in a per-shard slab (DESIGN.md §9), and the structural memory as β
-//! references to each ancestor's final encoder row *in the same slab* —
-//! an ancestor's encoding is that ancestor's own last row, so nothing is
-//! stored twice. Scoring a candidate reads one run front to back; a
-//! request prefetches its candidates' runs as soon as Phase I names them
-//! ([`ConceptCache::prefetch`]).
+//! **Layout.** A frozen shard keeps the freeze's prefix trie (below) as
+//! its row store: one `d`-float row per distinct description prefix of
+//! the chapter — the encoder state after that prefix — plus row 0, the
+//! zero start state (DESIGN.md §9). A node is a *path* of row ids, one per
+//! description token (its textual memory `h_1..h_n`), and β row ids for
+//! its context slots: each ancestor's final state, which is a row the
+//! ancestor's own path already ends on (row 0 for a token-less one). So a
+//! leaf that extends its parent's description costs only its new words,
+//! and nothing is stored twice. Only the fine-grained concepts of
+//! Definition 2.1 — the set Phase II ranks — hold a frozen head; any other
+//! node's head is made when asked for, by the function the freeze uses.
+//! Scoring a candidate gathers its rows into request scratch.
 //!
 //! The freeze itself shares work exactly. The encoder starts every
 //! description from the zero state, so its state after a token prefix is
@@ -47,12 +51,14 @@
 //!   [`ConceptCache::is_valid_for`] and falls back to the uncached path.
 
 use super::{ComAid, OntologyIndex};
+use crate::csr::Csr;
 use ncl_nn::lstm::LstmPlan;
 use ncl_nn::Embedding;
 use ncl_ontology::ConceptId;
 use ncl_tensor::ops::{log_softmax_at_slice, log_softmax_at_slice_relaxed, log_sum_exp_slice};
 use ncl_tensor::{simd, Matrix, Vector};
 use ncl_text::Vocab;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -61,22 +67,22 @@ use std::sync::OnceLock;
 ///
 /// `Exact` is the default and preserves the cache's founding guarantee:
 /// cached scores are **bit-identical** to the uncached forward pass.
-/// `Compact` trades that guarantee for memory: the encoder rows — the
-/// bulk of a node's run, and through the row references its structural
-/// memory too — are stored as bf16-style `u16` mantissa trims
-/// ([`simd::narrow_bf16`]) and widened into request scratch per
-/// candidate. Everything else (layout, frozen `⟨BOS⟩` state, step-0
-/// state, both at f32) is shared with `Exact`. Compact scores are
-/// epsilon-bounded, not bit-equal — flagged exactly like `fast_math`:
-/// opt-in, deterministic at every dispatch level, and reported by
+/// `Compact` trades that guarantee for memory: the shard's row store —
+/// every encoder state either attention memory reads — is stored as
+/// bf16-style `u16` mantissa trims ([`simd::narrow_bf16`]) and widened
+/// into request scratch per candidate. Everything else (paths, slot
+/// references, and the heads, computed from the exact states and kept
+/// at f32) is shared with `Exact`. Compact scores are epsilon-bounded,
+/// not bit-equal — flagged exactly like `fast_math`: opt-in,
+/// deterministic at every dispatch level, and reported by
 /// [`ConceptCache::tier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheTier {
     /// Full-precision rows: bit-identical cached scoring.
     #[default]
     Exact,
-    /// bf16 encoder rows: epsilon-bounded scoring at about two thirds
-    /// of the resident bytes.
+    /// bf16 encoder rows: epsilon-bounded scoring at about three
+    /// quarters of the resident bytes.
     Compact,
 }
 
@@ -92,10 +98,10 @@ impl CacheTier {
 
 /// Resident-size breakdown of a [`ConceptCache`]
 /// ([`ConceptCache::memory_report`]), in bytes per component: the
-/// `capacity()` of every slab and index array the cache holds, so the
-/// total is what is resident, not a payload estimate. The per-concept
-/// numbers cover the shards frozen so far — `frozen_concepts` says how
-/// much of the ontology that is.
+/// `capacity()` of every array the cache holds, so the total is what is
+/// resident, not a payload estimate. The per-concept numbers cover the
+/// shards frozen so far — `frozen_concepts` says how much of the
+/// ontology that is.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheMemoryReport {
     /// Storage tier the cache was frozen with.
@@ -110,23 +116,26 @@ pub struct CacheMemoryReport {
     pub shards: usize,
     /// Shards frozen so far.
     pub frozen_shards: usize,
-    /// Encoder hidden-state rows `h_1..h_n^c` (f32 in `Exact`, bf16 in
-    /// `Compact`) and the per-node row offsets that index them.
+    /// Encoder state rows — one per distinct description prefix of a
+    /// shard plus its zero row, f32 in `Exact`, bf16 in `Compact` — and
+    /// the per-node paths that index them (a `u32` per description
+    /// token, an offset per node).
     pub enc_state_bytes: usize,
     /// Structural attention memory: the per-slot `u32` references to
     /// ancestor rows. The rows themselves are encoder rows, counted
     /// once, above.
     pub ancestor_bytes: usize,
     /// Frozen post-BOS decoder states (`dec_h1`/`dec_c1`, f32 in both
-    /// tiers).
+    /// tiers) of the fine-grained concepts.
     pub decoder_state_bytes: usize,
     /// Frozen step-0 composite state `s̃₀` and the log-sum-exp of its
-    /// logits (`d + 1` floats per node, f32 in both tiers).
+    /// logits (`d + 1` floats per fine-grained concept, f32 in both
+    /// tiers).
     pub step0_bytes: usize,
     /// What the skeleton holds before any shard freezes: the
     /// transposed/fused weight plans (decoder serve plan, and the
     /// encoder plan once the first shard freeze has materialised it)
-    /// and the node → shard map.
+    /// and the node → shard / head-slot map.
     pub plan_bytes: usize,
     /// Total ancestor slots across frozen nodes (β per non-root node).
     pub ancestor_slots: usize,
@@ -137,7 +146,7 @@ pub struct CacheMemoryReport {
     /// per-concept pass would run.
     pub encoder_tokens: usize,
     /// Encoder steps the freeze actually ran — one per distinct
-    /// description prefix within a shard.
+    /// description prefix within a shard, each a stored row.
     pub encoder_steps_run: usize,
 }
 
@@ -219,146 +228,118 @@ const fn head_len(d: usize) -> usize {
     3 * d + 1
 }
 
-/// The storage of one frozen shard, in the tier's row width. Heads are
-/// f32 in both tiers; quantization narrows stored rows, never the inputs
-/// of frozen computation.
+/// `ConceptCache::node_head` of a node that holds no frozen head.
+const NO_HEAD: u32 = u32::MAX;
+
+/// Rows `ids` of a flat arena of `d`-wide rows, each written as f32 by
+/// `widen`, one after another in `out`.
+fn gather<'a, T>(
+    d: usize,
+    rows: &[T],
+    ids: &[u32],
+    out: &'a mut [f32],
+    widen: impl Fn(&mut [f32], &[T]),
+) -> &'a [f32] {
+    let out = &mut out[..ids.len() * d];
+    for (&id, row) in ids.iter().zip(out.chunks_exact_mut(d)) {
+        widen(row, &rows[id as usize * d..][..d]);
+    }
+    out
+}
+
+/// A shard's row store, in the tier's width. Heads are f32 in both
+/// tiers; quantization narrows stored rows, never the inputs of frozen
+/// computation.
 #[derive(Debug, Clone)]
-enum Slab {
-    /// One run of f32 per node, in local order: `[head | h_1..h_n]`.
-    Exact(Vec<f32>),
-    /// The same runs split by width: every node's head in `heads`, its
-    /// `h_1..h_n` as bf16 words ([`simd::narrow_bf16`]) in `rows`.
-    Compact { heads: Vec<f32>, rows: Vec<u16> },
+enum Rows {
+    /// The prefix trie's `h` arena itself.
+    F32(Vec<f32>),
+    /// That arena as bf16 words ([`simd::narrow_bf16`]).
+    Bf16(Vec<u16>),
+}
+
+impl Rows {
+    /// The store of a trie's `h` arena, with `capacity()` exactly its
+    /// length (the memory report counts capacity).
+    fn new(tier: CacheTier, mut h: Vec<f32>) -> Self {
+        match tier {
+            CacheTier::Exact => {
+                h.shrink_to_fit();
+                Self::F32(h)
+            }
+            CacheTier::Compact => {
+                let mut q = vec![0u16; h.len()];
+                simd::narrow_bf16(&mut q, &h);
+                Self::Bf16(q)
+            }
+        }
+    }
+
+    /// Rows `ids` as f32 — copied in `Exact`, widened in `Compact` —
+    /// one after another in `out`.
+    fn gather<'a>(&self, d: usize, ids: &[u32], out: &'a mut [f32]) -> &'a [f32] {
+        match self {
+            Self::F32(rows) => gather(d, rows, ids, out, <[f32]>::copy_from_slice),
+            Self::Bf16(rows) => gather(d, rows, ids, out, simd::widen_bf16),
+        }
+    }
+
+    /// Rows stored.
+    fn count(&self, d: usize) -> usize {
+        match self {
+            Self::F32(rows) => rows.len() / d,
+            Self::Bf16(rows) => rows.len() / d,
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Self::F32(rows) => rows.capacity() * 4,
+            Self::Bf16(rows) => rows.capacity() * 2,
+        }
+    }
 }
 
 /// One frozen shard: every per-node artifact for the nodes of one
-/// ontology chapter (plus shard 0, the synthetic root's own slot),
-/// indexed by the node's *local* position within the shard.
+/// ontology chapter (plus shard 0, the synthetic root's own slot).
+/// Nodes are indexed by their *local* position within the shard, rows
+/// by their prefix-trie id.
 #[derive(Debug, Clone)]
 struct ShardData {
-    /// `row_off[l]..row_off[l + 1]` = node `l`'s encoder rows, counted
-    /// in rows from the shard's first. With the fixed-size heads this is
-    /// the only offset either slab needs.
-    row_off: Vec<u32>,
-    slab: Slab,
-    /// Structural memory: `anc[l·β..(l + 1)·β]` = the local ids of node
-    /// `l`'s context entries, slot-expanded as Definition 4.1 lists them
-    /// (β is 0 for the root slot and for variants without structural
-    /// attention). A slot's memory row is that node's *last* encoder
-    /// row, or the zero row when it has no tokens —
-    /// `LstmTape::final_h()` on an empty sequence.
+    /// Row `n` = the encoder state after trie node `n`'s prefix; row 0
+    /// is the zero start state.
+    rows: Rows,
+    /// Row `l` = node `l`'s path: the trie id after each of its
+    /// description tokens, i.e. its `h_1..h_n` as row ids.
+    paths: Csr,
+    /// Structural memory: `anc[l·β..(l + 1)·β]` = the row of each of
+    /// node `l`'s context entries, slot-expanded as Definition 4.1
+    /// lists them — that entry's last path id, or row 0 when it has no
+    /// tokens (`LstmTape::final_h()` on an empty sequence). β is 0 for
+    /// the root slot and for variants without structural attention.
     anc: Vec<u32>,
-    /// Distinct rows `anc` references.
-    anc_rows: usize,
-    /// Encoder steps the prefix trie ran for the shard's descriptions.
-    enc_steps: usize,
-}
-
-/// A span of encoder rows as a shard stores them.
-enum Rows<'a> {
-    F32(&'a [f32]),
-    Bf16(&'a [u16]),
-}
-
-impl Rows<'_> {
-    /// The rows as f32, written over `out`.
-    fn widen_into(&self, out: &mut [f32]) {
-        match self {
-            Self::F32(rows) => out.copy_from_slice(rows),
-            Self::Bf16(rows) => simd::widen_bf16(out, rows),
-        }
-    }
-
-    fn prefetch(&self) {
-        match self {
-            Self::F32(rows) => simd::prefetch_read(rows),
-            Self::Bf16(rows) => simd::prefetch_read(rows),
-        }
-    }
+    /// The heads of the shard's fine-grained nodes, `head_len(d)` floats
+    /// each, in local order ([`ConceptCache::node_head`] indexes them).
+    heads: Vec<f32>,
+    /// Distinct non-zero rows `anc` references.
+    anc_distinct: usize,
 }
 
 impl ShardData {
     /// Context slots per node.
     fn beta(&self) -> usize {
-        self.anc.len() / (self.row_off.len() - 1)
+        self.anc.len() / self.paths.rows()
     }
 
-    /// Node `l`'s context slots, as local ids.
+    /// Node `l`'s context slots, as row ids.
     fn slots(&self, l: usize) -> &[u32] {
         let beta = self.beta();
         &self.anc[l * beta..][..beta]
     }
 
-    /// Node `l`'s rows as indices into the shard's row sequence.
-    fn rows_of(&self, l: usize) -> std::ops::Range<usize> {
-        self.row_off[l] as usize..self.row_off[l + 1] as usize
-    }
-
-    /// Node `l`'s head.
-    fn head(&self, d: usize, l: usize) -> &[f32] {
-        let heads = match &self.slab {
-            // `l` heads and every earlier node's rows precede the run.
-            Slab::Exact(slab) => &slab[l * head_len(d) + self.row_off[l] as usize * d..],
-            Slab::Compact { heads, .. } => &heads[l * head_len(d)..],
-        };
-        &heads[..head_len(d)]
-    }
-
-    /// Rows `rows` (a sub-range of [`ShardData::rows_of`]`(l)`) of node
-    /// `l`.
-    fn rows(&self, d: usize, l: usize, rows: std::ops::Range<usize>) -> Rows<'_> {
-        match &self.slab {
-            // `l + 1` heads precede node `l`'s rows.
-            Slab::Exact(slab) => {
-                Rows::F32(&slab[(l + 1) * head_len(d) + rows.start * d..][..rows.len() * d])
-            }
-            Slab::Compact { rows: q, .. } => Rows::Bf16(&q[rows.start * d..rows.end * d]),
-        }
-    }
-
-    /// The memory row of a context slot naming node `a`: its last
-    /// encoder row, `None` (the zero row) when it has no tokens.
-    fn final_row(&self, d: usize, a: u32) -> Option<Rows<'_>> {
-        let last = self.rows_of(a as usize).last()?;
-        Some(self.rows(d, a as usize, last..last + 1))
-    }
-
-    /// Node `l`'s encoder rows as f32: borrowed from the slab in
-    /// `Exact`, widened into `scratch` in `Compact`.
-    fn enc_rows<'a>(&'a self, d: usize, l: usize, scratch: &'a mut [f32]) -> &'a [f32] {
-        match self.rows(d, l, self.rows_of(l)) {
-            Rows::F32(rows) => rows,
-            stored => {
-                let out = &mut scratch[..self.rows_of(l).len() * d];
-                stored.widen_into(out);
-                out
-            }
-        }
-    }
-
-    /// Node `l`'s structural memory, one row per context slot, gathered
-    /// into `out` (`β·d` floats).
-    fn struct_memory<'a>(&self, d: usize, l: usize, out: &'a mut [f32]) -> &'a [f32] {
-        let out = &mut out[..self.beta() * d];
-        for (&a, row) in self.slots(l).iter().zip(out.chunks_exact_mut(d)) {
-            match self.final_row(d, a) {
-                Some(stored) => stored.widen_into(row),
-                None => row.fill(0.0),
-            }
-        }
-        out
-    }
-
-    /// Hints node `l`'s run, and the rows its context slots reference,
-    /// towards L1.
-    fn prefetch(&self, d: usize, l: usize) {
-        simd::prefetch_read(self.head(d, l));
-        self.rows(d, l, self.rows_of(l)).prefetch();
-        for &a in self.slots(l) {
-            if let Some(row) = self.final_row(d, a) {
-                row.prefetch();
-            }
-        }
+    /// Head `slot`.
+    fn head(&self, d: usize, slot: u32) -> &[f32] {
+        &self.heads[slot as usize * head_len(d)..][..head_len(d)]
     }
 }
 
@@ -369,13 +350,14 @@ impl ShardData {
 /// instead of recomputing it.
 ///
 /// States and input projections live in flat arenas rather than a
-/// `Vector` per node: the scratch is then a handful of large blocks that
-/// go back to the allocator whole when the shard is done.
+/// `Vector` per node. The `h` arena becomes the shard's row store
+/// ([`Rows::new`]); the rest goes back to the allocator whole when the
+/// shard is done.
 struct PrefixTrie<'m> {
     plan: &'m LstmPlan,
     embedding: &'m Embedding,
     /// `(parent node, word id)` → node; node 0 is the empty prefix.
-    edges: HashMap<(usize, u32), usize>,
+    edges: HashMap<(u32, u32), u32>,
     /// Row `n` of `hs` / `cs` (`d` floats each) = the encoder's `h` / `c`
     /// after node `n`'s prefix; row 0 is the zero start state.
     hs: Vec<f32>,
@@ -389,37 +371,38 @@ struct PrefixTrie<'m> {
 }
 
 impl<'m> PrefixTrie<'m> {
-    fn new(plan: &'m LstmPlan, embedding: &'m Embedding) -> Self {
+    /// An empty trie with room for `tokens` encoder steps.
+    fn new(plan: &'m LstmPlan, embedding: &'m Embedding, tokens: usize) -> Self {
         let d = plan.hidden();
+        let mut hs = Vec::with_capacity((tokens + 1) * d);
+        hs.resize(d, 0.0);
+        let mut cs = Vec::with_capacity((tokens + 1) * d);
+        cs.resize(d, 0.0);
         Self {
             plan,
             embedding,
             edges: HashMap::new(),
-            hs: vec![0.0; d],
-            cs: vec![0.0; d],
+            hs,
+            cs,
             word_slot: HashMap::new(),
             projs: Vec::new(),
             gates: vec![0.0; 4 * d],
         }
     }
 
-    /// Encoder steps run so far: one per distinct non-empty prefix.
-    fn steps_run(&self) -> usize {
-        self.edges.len()
-    }
-
     /// The encoder's `(h, c)` after node `n`'s prefix.
-    fn state(&self, n: usize) -> (&[f32], &[f32]) {
+    fn state(&self, n: u32) -> (&[f32], &[f32]) {
         let d = self.plan.hidden();
-        (&self.hs[n * d..][..d], &self.cs[n * d..][..d])
+        let at = n as usize * d;
+        (&self.hs[at..][..d], &self.cs[at..][..d])
     }
 
     /// The node of `node`'s prefix extended by `word`, stepping the
     /// encoder only when that prefix is new.
-    fn step(&mut self, node: usize, word: u32) -> usize {
+    fn step(&mut self, node: u32, word: u32) -> u32 {
         let d = self.plan.hidden();
         // Every edge made one node, so the next free row is:
-        let next = self.edges.len() + 1;
+        let next = u32::try_from(self.edges.len() + 1).expect("shard rows fit u32");
         match self.edges.entry((node, word)) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
@@ -434,17 +417,30 @@ impl<'m> PrefixTrie<'m> {
                 }
                 // The child starts as a copy of its parent's state and
                 // is stepped in place.
-                self.hs.extend_from_within(node * d..(node + 1) * d);
-                self.cs.extend_from_within(node * d..(node + 1) * d);
+                let parent = node as usize * d..(node as usize + 1) * d;
+                self.hs.extend_from_within(parent.clone());
+                self.cs.extend_from_within(parent);
+                let at = next as usize * d;
                 self.plan.step_projected_into(
                     &self.projs[slot * 4 * d..][..4 * d],
-                    &mut self.hs[next * d..],
-                    &mut self.cs[next * d..],
+                    &mut self.hs[at..],
+                    &mut self.cs[at..],
                     &mut self.gates,
                 );
                 *e.insert(next)
             }
         }
+    }
+
+    /// Walks `tokens` from the empty prefix, appending the node after
+    /// each token to `path`; returns the last (0 when there are none).
+    fn walk(&mut self, tokens: &[u32], mut path: impl FnMut(u32)) -> u32 {
+        let mut node = 0;
+        for &word in tokens {
+            node = self.step(node, word);
+            path(node);
+        }
+        node
     }
 }
 
@@ -452,6 +448,9 @@ impl<'m> PrefixTrie<'m> {
 /// each word's decoder input projection, and every buffer a decode
 /// writes — made once per request by [`ComAid::prepare_target`] and
 /// reused by every candidate, so scoring a candidate allocates nothing.
+/// Prepared for the one-word target `⟨BOS⟩`, it is also the scratch of
+/// [`ComAid::head_into`]: that word's projection is the first decoder
+/// step's input, the same for every node.
 pub(crate) struct PreparedTarget<'t> {
     ids: &'t [u32],
     /// Row `t − 1` (`4d` floats) = `b + W·x` of decoder step `t ≥ 1`,
@@ -469,10 +468,9 @@ pub(crate) struct PreparedTarget<'t> {
     logits: Vec<f32>,
     /// Attention weights, sized for the longest memory in the cache.
     att: Vec<f32>,
-    /// Where the `Compact` tier widens one candidate's rows, and where
-    /// either tier gathers its β ancestor rows.
-    rows: Vec<f32>,
-    anc: Vec<f32>,
+    /// Where one candidate's rows are gathered: `max_tokens` rows for
+    /// its `h_1..h_n`, then `max_slots` for its β slot rows.
+    memory: Vec<f32>,
 }
 
 /// Precomputed per-concept encoder state, frozen at a specific parameter
@@ -500,14 +498,20 @@ pub struct ConceptCache {
     /// Definition 4.1); the root slot is shard 0 on its own.
     node_shard: Vec<u32>,
     node_local: Vec<u32>,
+    /// `node_head[i]` = node `i`'s slot among its shard's heads, or
+    /// [`NO_HEAD`]: only the fine-grained concepts of Definition 2.1 —
+    /// the candidates Phase I can return — hold a frozen head.
+    node_head: Vec<u32>,
     /// `shard_nodes[shard_off[s]..shard_off[s + 1]]` = member node
     /// indices of shard `s`, in local order (the freeze iteration
     /// order).
     shard_off: Vec<u32>,
     shard_nodes: Vec<u32>,
-    /// The longest attention memory any node has — description tokens
-    /// or context slots — which sizes a request's scratch.
-    max_memory: usize,
+    /// The longest description and the most context slots any node
+    /// has: the longest attention memory of each kind, which size a
+    /// request's scratch.
+    max_tokens: usize,
+    max_slots: usize,
     /// Frozen shard payloads; unset entries are chapters not yet
     /// touched.
     shards: Vec<OnceLock<ShardData>>,
@@ -605,21 +609,6 @@ impl ConceptCache {
         (shard, self.node_local[ci] as usize)
     }
 
-    /// Hints the frozen runs of `concepts` towards L1 — what a request
-    /// calls with its candidate list the moment Phase I returns it, so
-    /// the lines are in flight while the query is still being prepared.
-    /// Chapters nothing has touched yet are skipped (their first decode
-    /// freezes them, which leaves them hot anyway): a hint never
-    /// freezes. Like [`ConceptCache::locate`], for callers that have
-    /// checked [`ConceptCache::serves`].
-    pub(crate) fn prefetch(&self, concepts: &[ConceptId]) {
-        for c in concepts {
-            if let Some(shard) = self.shards[self.node_shard[c.index()] as usize].get() {
-                shard.prefetch(self.dim, self.node_local[c.index()] as usize);
-            }
-        }
-    }
-
     /// Enables or disables the epsilon-relaxed fast-math serving kernels
     /// for scores computed through this cache (relaxed attention dots and
     /// polynomial log-sum-exp). Off by default; when off, cached scores
@@ -642,6 +631,7 @@ impl ConceptCache {
         let d = self.dim;
         let map_words = self.node_shard.capacity()
             + self.node_local.capacity()
+            + self.node_head.capacity()
             + self.shard_off.capacity()
             + self.shard_nodes.capacity();
         let mut r = CacheMemoryReport {
@@ -663,27 +653,20 @@ impl ConceptCache {
         if let Some(p) = self.enc_plan.get() {
             r.plan_bytes += p.memory_floats() * 4;
         }
-        for (s, lock) in self.shards.iter().enumerate() {
-            let Some(shard) = lock.get() else { continue };
-            let nodes = self.members(s).len();
+        for shard in self.shards.iter().filter_map(OnceLock::get) {
             r.frozen_shards += 1;
-            r.frozen_concepts += nodes;
-            r.decoder_state_bytes += nodes * 2 * d * 4;
-            r.step0_bytes += nodes * (d + 1) * 4;
-            // Whatever a slab holds beyond its heads is encoder rows.
-            let heads = nodes * head_len(d) * 4;
-            r.enc_state_bytes += shard.row_off.capacity() * 4
-                + match &shard.slab {
-                    Slab::Exact(slab) => slab.capacity() * 4 - heads,
-                    Slab::Compact { heads: h, rows } => {
-                        h.capacity() * 4 - heads + rows.capacity() * 2
-                    }
-                };
+            r.frozen_concepts += shard.paths.rows();
+            // A head is `dec_h1 | dec_c1` and then the step-0 state.
+            let dec = shard.heads.len() / head_len(d) * 2 * d * 4;
+            r.decoder_state_bytes += dec;
+            r.step0_bytes += shard.heads.capacity() * 4 - dec;
+            r.enc_state_bytes += shard.rows.heap_bytes() + shard.paths.heap_bytes();
             r.ancestor_bytes += shard.anc.capacity() * 4;
             r.ancestor_slots += shard.anc.len();
-            r.ancestor_rows_stored += shard.anc_rows;
-            r.encoder_tokens += shard.row_off[nodes] as usize;
-            r.encoder_steps_run += shard.enc_steps;
+            r.ancestor_rows_stored += shard.anc_distinct;
+            r.encoder_tokens += shard.paths.len();
+            // Every row but the zero row is one encoder step.
+            r.encoder_steps_run += shard.rows.count(d) - 1;
         }
         r
     }
@@ -711,8 +694,9 @@ impl ConceptCache {
     ) -> Vec<Vector> {
         assert!(self.serves(model, index), "encoder_states: stale cache");
         let (shard, l) = self.locate(model, index, concept.index());
-        let mut scratch = vec![0.0f32; shard.rows_of(l).len() * self.dim];
-        let rows = shard.enc_rows(self.dim, l, &mut scratch);
+        let path = shard.paths.row(l);
+        let mut rows = vec![0.0f32; path.len() * self.dim];
+        shard.rows.gather(self.dim, path, &mut rows);
         rows.chunks_exact(self.dim)
             .map(Vector::from_slice)
             .collect()
@@ -730,10 +714,10 @@ impl ComAid {
     /// generation: the chapter shard map and the decoder serve plan, no
     /// per-concept state yet. Each shard freezes on first touch by a
     /// cached scoring call (one encoder step per distinct description
-    /// prefix of the chapter; the structural memory reuses those same
-    /// states, because an ancestor's encoding *is* that ancestor's
-    /// concept encoding), so cold-start-to-first-link pays one chapter's
-    /// encoder passes instead of the whole ontology's.
+    /// prefix of the chapter, each kept as a row; the structural memory
+    /// reads those same rows, because an ancestor's encoding *is* that
+    /// ancestor's concept encoding), so cold-start-to-first-link pays
+    /// one chapter's encoder passes instead of the whole ontology's.
     /// [`ConceptCache::warm`] freezes the rest ahead of traffic.
     pub fn freeze_tiered(&self, index: &OntologyIndex, tier: CacheTier) -> ConceptCache {
         let n = index.len();
@@ -742,12 +726,17 @@ impl ComAid {
         // shallow nodes; follow `last()` transitively (parents always
         // have smaller indices than children, so one ascending pass with
         // a memo terminates). Shard 0 is the root slot's own shard.
+        // On the way, Definition 2.1's fine-grained set: a node's first
+        // context entry is its parent (itself at the first level), so a
+        // real concept no other node names there has no children.
         let mut node_shard = vec![0u32; n];
+        let mut has_child = vec![false; n];
         let mut shard_count = 1u32;
-        let mut max_memory = 0usize;
+        let (mut max_tokens, mut max_slots) = (0usize, 0usize);
         for i in 0..n {
             let id = ConceptId(i as u32);
-            node_shard[i] = match index.context(id).last() {
+            let context = index.context(id);
+            node_shard[i] = match context.last() {
                 None => 0,
                 Some(anc) if anc.index() == i => {
                     // First-level concept: its own chapter.
@@ -757,12 +746,15 @@ impl ComAid {
                 // Proper ancestor: created before `i`, already resolved.
                 Some(anc) => node_shard[anc.index()],
             };
-            max_memory = max_memory
-                .max(index.tokens(id).len())
-                .max(index.context(id).len());
+            if let Some(parent) = context.first().filter(|p| p.index() != i) {
+                has_child[parent.index()] = true;
+            }
+            max_tokens = max_tokens.max(index.tokens(id).len());
+            max_slots = max_slots.max(context.len());
         }
         // Members by shard, ascending within each (a counting sort):
-        // `shard_off[s]..shard_off[s + 1]` of `shard_nodes`.
+        // `shard_off[s]..shard_off[s + 1]` of `shard_nodes`; heads
+        // numbered within each shard the same way.
         let mut shard_off = vec![0u32; shard_count as usize + 1];
         for &si in &node_shard {
             shard_off[si as usize + 1] += 1;
@@ -771,13 +763,19 @@ impl ComAid {
             shard_off[si + 1] += shard_off[si];
         }
         let mut node_local = vec![0u32; n];
+        let mut node_head = vec![NO_HEAD; n];
         let mut shard_nodes = vec![0u32; n];
         let mut filled = vec![0u32; shard_count as usize];
+        let mut heads = vec![0u32; shard_count as usize];
         for (i, &si) in node_shard.iter().enumerate() {
             let si = si as usize;
             node_local[i] = filled[si];
             shard_nodes[(shard_off[si] + filled[si]) as usize] = i as u32;
             filled[si] += 1;
+            if i != 0 && !has_child[i] {
+                node_head[i] = heads[si];
+                heads[si] += 1;
+            }
         }
         // The decoder/composite/output plan is kept for every online
         // step; the encoder plan is only needed by shard freezes and is
@@ -794,9 +792,11 @@ impl ComAid {
             tier,
             node_shard,
             node_local,
+            node_head,
             shard_off,
             shard_nodes,
-            max_memory,
+            max_tokens,
+            max_slots,
             shards,
             plan,
             enc_plan: OnceLock::new(),
@@ -804,129 +804,173 @@ impl ComAid {
         }
     }
 
-    /// Freezes one chapter shard, writing every node's run straight
-    /// into a slab sized up front: its encoder rows off the prefix trie,
-    /// the post-BOS decoder state, the step-0 composite state and
-    /// log-sum-exp, and its context slots as row references. Chapter
+    /// Freezes one chapter shard: walks every member's description
+    /// through a [`PrefixTrie`], records each node's path and its
+    /// context slots as trie ids, computes the heads of the fine-grained
+    /// members, and keeps the trie's `h` arena as the row store. Chapter
     /// subtrees are self-contained (every context entry of a member is
     /// itself a member, and precedes it or is it), so the shard never
-    /// reads outside its own encoder states.
+    /// reads outside its own trie.
     ///
     /// The one freeze path — first touch, [`ConceptCache::warm`] and
-    /// hot-swap publish all land here. Descriptions go through a
-    /// [`PrefixTrie`], so a shard with
-    /// no shared prefix pays one hash probe per token over a plain
-    /// per-concept pass and any other shard runs fewer encoder steps.
-    /// Frozen computation always reads the *exact* trie states and the
-    /// exact kernels, in both tiers and whatever `fast_math` says:
-    /// those only perturb per-query reads, never the cache contents.
+    /// hot-swap publish all land here. A shard with no shared prefix
+    /// pays one hash probe per token over a plain per-concept pass and
+    /// any other shard runs fewer encoder steps and stores fewer rows.
+    /// Heads always read the *exact* trie states and the exact kernels,
+    /// in both tiers and whatever `fast_math` says: those only perturb
+    /// per-query reads, never the cache contents.
     fn freeze_shard(&self, index: &OntologyIndex, cache: &ConceptCache, si: usize) -> ShardData {
         let d = self.config().dim;
         let nodes = cache.members(si);
         let enc_plan = cache.enc_plan.get_or_init(|| self.encoder.plan());
-        let mut row_off = Vec::with_capacity(nodes.len() + 1);
-        let mut total_rows = 0usize;
-        row_off.push(0u32);
-        for &ni in nodes {
-            total_rows += index.tokens(ConceptId(ni)).len();
-            row_off.push(u32::try_from(total_rows).expect("shard rows fit u32"));
-        }
-        let heads = nodes.len() * head_len(d);
-        let mut slab = match cache.tier {
-            CacheTier::Exact => Slab::Exact(vec![0.0; heads + total_rows * d]),
-            CacheTier::Compact => Slab::Compact {
-                heads: vec![0.0; heads],
-                rows: vec![0; total_rows * d],
-            },
-        };
+        let tokens: usize = nodes
+            .iter()
+            .map(|&ni| index.tokens(ConceptId(ni)).len())
+            .sum();
         // Definition 4.1 gives every non-root node exactly β slots.
         let beta = match nodes.first() {
             Some(&ni) if self.config().variant.uses_struct() => index.context(ConceptId(ni)).len(),
             _ => 0,
         };
+        let heads = nodes
+            .iter()
+            .filter(|&&ni| cache.node_head[ni as usize] != NO_HEAD)
+            .count();
+        let mut paths = Csr::with_capacity(nodes.len(), tokens);
         let mut anc: Vec<u32> = Vec::with_capacity(nodes.len() * beta);
-        let mut referenced = vec![false; nodes.len()];
-
-        let mut trie = PrefixTrie::new(enc_plan, &self.embedding);
-        // The first decoder step's input is the BOS embedding for every
-        // node: projected once for the whole shard.
-        let bos_proj = cache
-            .plan
-            .decoder
-            .project_input(self.embedding.table().row(Vocab::BOS as usize));
-        // `final_node[l]` = the trie node of local `l`'s whole
-        // description (0, the zero state, when it has no tokens).
-        let mut final_node: Vec<usize> = Vec::with_capacity(nodes.len());
-        let mut enc_rows: Vec<f32> = Vec::new();
-        let mut anc_rows = vec![0.0f32; beta * d];
-        let mut gates = vec![0.0f32; 4 * d];
-        let mut att = vec![0.0f32; cache.max_memory];
-        let mut comp_in = vec![0.0f32; self.composite.in_dim()];
-        let mut logits = vec![0.0f32; self.output.out_dim()];
+        let mut head_store = vec![0.0f32; heads * head_len(d)];
+        let mut trie = PrefixTrie::new(enc_plan, &self.embedding, tokens);
+        let mut scratch = self.prepare_target(cache, &[Vocab::BOS]);
         for (l, &ni) in nodes.iter().enumerate() {
             let id = ConceptId(ni);
-            enc_rows.clear();
-            let mut node = 0usize;
-            for &word in index.tokens(id) {
-                node = trie.step(node, word);
-                enc_rows.extend_from_slice(trie.state(node).0);
-            }
-            final_node.push(node);
+            trie.walk(index.tokens(id), |node| paths.push(node));
+            paths.end_row();
             if beta > 0 {
                 let context = index.context(id);
                 assert_eq!(context.len(), beta, "context slots per node");
-                for (&a, row) in context.iter().zip(anc_rows.chunks_exact_mut(d)) {
+                for a in context {
                     debug_assert_eq!(
                         cache.node_shard[a.index()] as usize,
                         si,
                         "context entry outside its chapter shard"
                     );
-                    let a = cache.node_local[a.index()];
-                    anc.push(a);
-                    referenced[a as usize] = true;
-                    row.copy_from_slice(trie.state(final_node[a as usize]).0);
+                    let path = paths.row(cache.node_local[a.index()] as usize);
+                    anc.push(path.last().copied().unwrap_or(0));
                 }
             }
-            let head = match &mut slab {
-                Slab::Exact(slab) => {
-                    let run = &mut slab[l * head_len(d) + row_off[l] as usize * d..];
-                    let (head, rows) = run.split_at_mut(head_len(d));
-                    rows[..enc_rows.len()].copy_from_slice(&enc_rows);
-                    head
-                }
-                Slab::Compact { heads, rows } => {
-                    let out = &mut rows[row_off[l] as usize * d..][..enc_rows.len()];
-                    simd::narrow_bf16(out, &enc_rows);
-                    &mut heads[l * head_len(d)..][..head_len(d)]
-                }
-            };
-            let (h1, rest) = head.split_at_mut(d);
-            let (c1, rest) = rest.split_at_mut(d);
-            let (s_tilde, lse) = rest.split_at_mut(d);
-            let (h0, c0) = trie.state(node);
-            h1.copy_from_slice(h0);
-            c1.copy_from_slice(c0);
-            cache
-                .plan
-                .decoder
-                .step_projected_into(bos_proj.as_slice(), h1, c1, &mut gates);
-            self.composite_input(h1, &enc_rows, &anc_rows, &mut att, &mut comp_in, false);
-            self.composite
-                .apply_with_t_into(&comp_in, &cache.plan.composite_wt, s_tilde);
-            self.output
-                .apply_with_t_into(s_tilde, &cache.plan.output_wt, &mut logits);
-            lse[0] = log_sum_exp_slice(&logits);
+            let slot = cache.node_head[ni as usize];
+            if slot != NO_HEAD {
+                let head = &mut head_store[slot as usize * head_len(d)..][..head_len(d)];
+                let slots = &anc[l * beta..][..beta];
+                self.head_into(cache, &trie, paths.row(l), slots, &mut scratch, head);
+            }
         }
-        // A token-less ancestor is the zero row: nothing stored.
-        let anc_rows = (0..nodes.len())
-            .filter(|&a| referenced[a] && row_off[a] < row_off[a + 1])
-            .count();
+        let rows = Rows::new(cache.tier, trie.hs);
+        let mut referenced = vec![false; rows.count(d)];
+        for &a in &anc {
+            referenced[a as usize] = true;
+        }
         ShardData {
-            row_off,
-            slab,
+            rows,
+            paths,
             anc,
-            anc_rows,
-            enc_steps: trie.steps_run(),
+            heads: head_store,
+            // Row 0, the zero row, is the shard's start state, not an
+            // encoding.
+            anc_distinct: referenced.iter().skip(1).filter(|&&r| r).count(),
+        }
+    }
+
+    /// Writes into `head` ([`head_len`]) the head of a node whose
+    /// description walked `path` through `trie` and whose context slots
+    /// end on the trie nodes `slots`: the `⟨BOS⟩` decoder step from the
+    /// description's exact final `(h, c)`, its composite state `s̃₀`
+    /// against the exact rows, and `lse₀`. `s` is prepared for the
+    /// target `⟨BOS⟩` ([`PreparedTarget`]). The one head function:
+    /// [`ComAid::freeze_shard`] calls it for every fine-grained node,
+    /// [`ComAid::unfrozen_head`] for any other.
+    fn head_into(
+        &self,
+        cache: &ConceptCache,
+        trie: &PrefixTrie<'_>,
+        path: &[u32],
+        slots: &[u32],
+        s: &mut PreparedTarget<'_>,
+        head: &mut [f32],
+    ) {
+        let d = cache.dim;
+        let PreparedTarget {
+            x_proj: bos_proj,
+            gates,
+            comp_in,
+            logits,
+            att,
+            memory,
+            ..
+        } = s;
+        let (text, structure) = memory.split_at_mut(cache.max_tokens * d);
+        let enc_rows = gather(d, &trie.hs, path, text, <[f32]>::copy_from_slice);
+        let struct_mem = gather(d, &trie.hs, slots, structure, <[f32]>::copy_from_slice);
+        let (h1, rest) = head.split_at_mut(d);
+        let (c1, rest) = rest.split_at_mut(d);
+        let (s_tilde, lse) = rest.split_at_mut(d);
+        let (h0, c0) = trie.state(path.last().copied().unwrap_or(0));
+        h1.copy_from_slice(h0);
+        c1.copy_from_slice(c0);
+        cache
+            .plan
+            .decoder
+            .step_projected_into(bos_proj, h1, c1, gates);
+        self.composite_input(h1, enc_rows, struct_mem, att, comp_in, false);
+        self.composite
+            .apply_with_t_into(comp_in, &cache.plan.composite_wt, s_tilde);
+        self.output
+            .apply_with_t_into(s_tilde, &cache.plan.output_wt, logits);
+        lse[0] = log_sum_exp_slice(logits);
+    }
+
+    /// The head of a node the freeze stores none for — an internal
+    /// concept or the root slot, which no Phase-I candidate list names:
+    /// a prefix trie over just its own description and its context
+    /// entries', through [`ComAid::head_into`], so it has the bits the
+    /// freeze would have stored.
+    fn unfrozen_head(
+        &self,
+        index: &OntologyIndex,
+        cache: &ConceptCache,
+        concept: ConceptId,
+    ) -> Vec<f32> {
+        let enc_plan = cache.enc_plan.get_or_init(|| self.encoder.plan());
+        let mut trie = PrefixTrie::new(enc_plan, &self.embedding, 0);
+        let mut path = Vec::new();
+        trie.walk(index.tokens(concept), |node| path.push(node));
+        let slots: Vec<u32> = if self.config().variant.uses_struct() {
+            index
+                .context(concept)
+                .iter()
+                .map(|&a| trie.walk(index.tokens(a), |_| {}))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut head = vec![0.0f32; head_len(cache.dim)];
+        let mut scratch = self.prepare_target(cache, &[Vocab::BOS]);
+        self.head_into(cache, &trie, &path, &slots, &mut scratch, &mut head);
+        head
+    }
+
+    /// `concept`'s head in `shard`: frozen for a fine-grained concept,
+    /// made now ([`ComAid::unfrozen_head`]) for any other node.
+    fn head<'c>(
+        &self,
+        index: &OntologyIndex,
+        cache: &'c ConceptCache,
+        shard: &'c ShardData,
+        concept: ConceptId,
+    ) -> Cow<'c, [f32]> {
+        match cache.node_head[concept.index()] {
+            NO_HEAD => Cow::Owned(self.unfrozen_head(index, cache, concept)),
+            slot => Cow::Borrowed(shard.head(cache.dim, slot)),
         }
     }
 
@@ -970,10 +1014,6 @@ impl ComAid {
                 .decoder
                 .project_input_into(self.embedding.table().row(w as usize), out);
         }
-        let widened = match cache.tier {
-            CacheTier::Exact => 0,
-            CacheTier::Compact => cache.max_memory * d,
-        };
         PreparedTarget {
             ids: target,
             x_proj,
@@ -983,20 +1023,20 @@ impl ComAid {
             comp_in: vec![0.0; self.composite.in_dim()],
             s_tilde: vec![0.0; d],
             logits: vec![0.0; self.output.out_dim()],
-            att: vec![0.0; cache.max_memory],
-            rows: vec![0.0; widened],
-            anc: vec![0.0; cache.max_memory * d],
+            att: vec![0.0; cache.max_tokens.max(cache.max_slots)],
+            memory: vec![0.0; (cache.max_tokens + cache.max_slots) * d],
         }
     }
 
-    /// `log p(q|c)` of a prepared target against `concept`'s frozen run
-    /// — the one function that decodes a query against cached rows,
-    /// behind every request whatever its deadline or fault plan, and
-    /// allocation-free: every buffer it writes is `prepared`'s. Callers
-    /// must have checked [`ConceptCache::serves`].
+    /// `log p(q|c)` of a prepared target against `concept`'s frozen
+    /// rows — the one function that decodes a query against cached
+    /// rows, behind every request whatever its deadline or fault plan,
+    /// and allocation-free for a fine-grained concept: every buffer it
+    /// writes is `prepared`'s. Callers must have checked
+    /// [`ConceptCache::serves`].
     ///
     /// Step 0 (the `⟨BOS⟩` step) is frozen: the decoder resumes from the
-    /// run's post-BOS state, and a counted first word reads its logit
+    /// head's post-BOS state, and a counted first word reads its logit
     /// off the frozen composite state ([`head_len`]). Steps whose mask
     /// entry is `false` contribute nothing to the masked sum and nothing
     /// downstream depends on their head outputs, so only the decoder
@@ -1023,15 +1063,15 @@ impl ComAid {
             s_tilde,
             logits,
             att,
-            rows,
-            anc,
+            memory,
         } = prepared;
         assert_eq!(count.len(), target.len(), "mask length mismatch");
         let d = cache.dim;
         let (shard, l) = cache.locate(self, index, concept.index());
-        let head = shard.head(d, l);
-        let enc_rows = shard.enc_rows(d, l, rows);
-        let struct_mem = shard.struct_memory(d, l, anc);
+        let head = self.head(index, cache, shard, concept);
+        let (text, structure) = memory.split_at_mut(cache.max_tokens * d);
+        let enc_rows = shard.rows.gather(d, shard.paths.row(l), text);
+        let struct_mem = shard.rows.gather(d, shard.slots(l), structure);
         let relaxed = cache.fast_math;
         let counted = |t: usize| count.get(t).copied().unwrap_or(true);
         let word = |t: usize| target.get(t).copied().unwrap_or(Vocab::EOS) as usize;
@@ -1040,7 +1080,7 @@ impl ComAid {
         c.copy_from_slice(&head[d..2 * d]);
         let mut lp = 0.0f32;
         if counted(0) {
-            lp += self.step0_log_prob(head, word(0));
+            lp += self.step0_log_prob(&head, word(0));
         }
         for (t, x) in (1..).zip(x_proj.chunks_exact(4 * d)) {
             cache.plan.decoder.step_projected_into(x, h, c, gates);
@@ -1061,10 +1101,10 @@ impl ComAid {
         lp
     }
 
-    /// `log p(word | ⟨BOS⟩, c)` off a frozen head ([`head_len`]): the
-    /// one output-layer row of `word` against `s̃₀`, minus `lse₀` — the
+    /// `log p(word | ⟨BOS⟩, c)` off a head ([`head_len`]): the one
+    /// output-layer row of `word` against `s̃₀`, minus `lse₀` — the
     /// bits of `log_softmax(logits₀)[word]`, because the row's logit is
-    /// the reduction the full pass ran for it when `lse₀` was frozen.
+    /// the reduction the full pass ran for it when `lse₀` was made.
     fn step0_log_prob(&self, head: &[f32], word: usize) -> f32 {
         let d = self.config().dim;
         self.output.apply_row(&head[2 * d..3 * d], word) - head[3 * d]
@@ -1117,7 +1157,7 @@ mod tests {
     use ncl_ontology::{Ontology, OntologyBuilder};
     use ncl_text::tokenize;
 
-    /// Two chapters with every shape a run can take: first-level
+    /// Two chapters with every shape a node can take: first-level
     /// concepts (their context names themselves), depth-1 nodes (depth
     /// < β: the chapter is duplicated), a depth-2 node (a full context),
     /// and a chapter whose own description has no tokens, so its
@@ -1191,10 +1231,12 @@ mod tests {
         }
     }
 
-    /// The frozen first step, for every word of the vocabulary against
-    /// every node: `b_s[w] + W_s[w]·s̃₀ − lse₀` has the bits of the
-    /// uncached pass's `log_softmax(logits₀)[w]` — a `-0.0` output bias
-    /// entry included, at every dispatch level.
+    /// The first step, for every word of the vocabulary against every
+    /// node — a frozen head for each fine-grained concept, one made on
+    /// demand for every internal concept and the root slot:
+    /// `b_s[w] + W_s[w]·s̃₀ − lse₀` has the bits of the uncached pass's
+    /// `log_softmax(logits₀)[w]` — a `-0.0` output bias entry included,
+    /// at every dispatch level.
     #[test]
     fn frozen_first_step_has_the_bits_of_the_uncached_softmax_row() {
         let (o, v) = tiny_world();
@@ -1208,13 +1250,18 @@ mod tests {
                     cache.warm(&m, &idx);
                     cache
                 });
+                let mut frozen = 0;
                 for id in all_nodes(&o) {
-                    let (shard, l) = cache.locate(&m, &idx, id.index());
+                    frozen += usize::from(cache.node_head[id.index()] != NO_HEAD);
+                    let head = simd::with_level(level, || {
+                        let (shard, _) = cache.locate(&m, &idx, id.index());
+                        m.head(&idx, &cache, shard, id).into_owned()
+                    });
                     for w in 0..m.vocab().len() {
                         let want = simd::with_level(simd::Level::Scalar, || {
                             m.run_example(&idx, id, &[w as u32]).step_log_probs[0]
                         });
-                        let got = m.step0_log_prob(shard.head(6, l), w);
+                        let got = m.step0_log_prob(&head, w);
                         assert_eq!(
                             got.to_bits(),
                             want.to_bits(),
@@ -1224,6 +1271,56 @@ mod tests {
                         );
                     }
                 }
+                // Both kinds of head were checked: three leaves, and
+                // three internal concepts plus the root slot.
+                assert_eq!(frozen, o.fine_grained().len());
+                assert_eq!((frozen, all_nodes(&o).len()), (3, 7));
+            }
+        }
+    }
+
+    /// Only Definition 2.1's fine-grained concepts hold a frozen head:
+    /// exactly the set `serving/ontology_text.rs` hands Phase I as its
+    /// `doc_map`, on the hand-made world, hospital-x and an
+    /// ICD-10-CM-shaped ontology — numbered in local order within each
+    /// shard, which stores exactly that many heads.
+    #[test]
+    fn frozen_heads_are_exactly_the_phase_one_candidates() {
+        use crate::serving::ontology_text::OntologyText;
+        use ncl_datagen::ontology_gen::generate_icd10cm_at_least;
+        use ncl_datagen::{Dataset, DatasetConfig, DatasetProfile};
+        let worlds = [
+            tiny_world().0,
+            Dataset::generate(DatasetConfig::tiny(DatasetProfile::HospitalX)).ontology,
+            generate_icd10cm_at_least(600, 17),
+        ];
+        for o in &worlds {
+            let mut v = Vocab::new();
+            for (_, c) in o.iter() {
+                for t in tokenize(&c.canonical) {
+                    v.add(&t);
+                }
+            }
+            let idx = OntologyIndex::build(o, &v, 2);
+            let m = model_for(Variant::Full, v);
+            let cache = m.freeze(&idx);
+            let with_head: Vec<ConceptId> = (0..idx.len())
+                .filter(|&i| cache.node_head[i] != NO_HEAD)
+                .map(|i| ConceptId(i as u32))
+                .collect();
+            let (_, doc_map) = OntologyText::read(o).phase_one(o, false);
+            assert_eq!(with_head, doc_map);
+            cache.warm(&m, &idx);
+            for (si, lock) in cache.shards.iter().enumerate() {
+                let slots: Vec<u32> = cache
+                    .members(si)
+                    .iter()
+                    .map(|&ni| cache.node_head[ni as usize])
+                    .filter(|&slot| slot != NO_HEAD)
+                    .collect();
+                assert!(slots.iter().copied().eq(0..slots.len() as u32));
+                let heads = lock.get().expect("warmed").heads.len();
+                assert_eq!(heads, slots.len() * head_len(6));
             }
         }
     }

@@ -16,11 +16,17 @@ pub(crate) struct Csr {
 impl Csr {
     /// No rows yet, with room for `rows` of them.
     pub(crate) fn with_rows(rows: usize) -> Self {
+        Self::with_capacity(rows, 0)
+    }
+
+    /// No rows yet, with room for `rows` of them holding `ids` ids in
+    /// all.
+    pub(crate) fn with_capacity(rows: usize, ids: usize) -> Self {
         let mut off = Vec::with_capacity(rows + 1);
         off.push(0);
         Self {
             off,
-            ids: Vec::new(),
+            ids: Vec::with_capacity(ids),
         }
     }
 
@@ -49,6 +55,16 @@ impl Csr {
     /// The ids of closed row `i`.
     pub(crate) fn row(&self, i: usize) -> &[u32] {
         &self.ids[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
+    /// Ids across all rows.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Resident bytes: the `capacity()` of both arrays.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.off.capacity() + self.ids.capacity()) * 4
     }
 
     /// The row offsets (`rows() + 1` entries, starting at 0) and the

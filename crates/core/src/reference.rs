@@ -249,4 +249,5 @@ pub(crate) fn reference_link(linker: &Linker<'_>, tokens: &[String]) -> Referenc
     }
 }
 
+mod hot_swap;
 mod lattice;

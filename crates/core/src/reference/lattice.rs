@@ -123,7 +123,7 @@ fn every_cache_read_misses() -> Arc<FaultPlan> {
 /// `got` against the reference: Phase I exactly, `Degradation::None`,
 /// and the ranking bit for bit (`eps == 0`) or the same candidates with
 /// every score within `eps · max(|score|, 1)`.
-fn assert_matches(got: &LinkResult, want: &ReferenceResult, eps: f32, what: &str) {
+pub(super) fn assert_matches(got: &LinkResult, want: &ReferenceResult, eps: f32, what: &str) {
     assert_eq!(got.rewritten, want.rewritten, "{what}: rewritten");
     assert_eq!(got.candidates, want.candidates, "{what}: candidates");
     assert_eq!(got.degradation, Degradation::None, "{what}");

@@ -89,18 +89,13 @@ impl ScoreStage for ComAidScore<'_, '_> {
     /// never to a wrong or missing score), and what is left is
     /// `ComAid::log_prob_prepared` over the frozen
     /// cache with one request-scoped scratch: the query's decoder input
-    /// projections are made once, the candidates' cache runs are
-    /// prefetched the moment the list is known, and a candidate
-    /// allocates nothing. A cache that cannot serve
+    /// projections are made once, and a candidate allocates nothing. A cache that cannot serve
     /// (`Linker::cache_serves`) sends every candidate down the
     /// uncached path.
     fn score(&self, req: ScoreRequest<'_>) -> ScoreOutcome {
         let linker = self.linker;
         let (model, cache) = (linker.model, &*linker.cache);
         let serves = linker.cache_serves();
-        if serves {
-            cache.prefetch(req.candidates);
-        }
         // The decoded word ids are candidate-independent; only the
         // counting mask differs (shared-word removal is per candidate).
         let ids = model.encode_words(req.query);

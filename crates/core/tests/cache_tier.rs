@@ -13,9 +13,10 @@
 use ncl_core::comaid::{
     CacheMemoryReport, CacheTier, ComAid, ComAidConfig, ConceptCache, OntologyIndex, Variant,
 };
-use ncl_ontology::{Ontology, OntologyBuilder};
+use ncl_ontology::{ConceptId, Ontology, OntologyBuilder};
 use ncl_tensor::simd;
 use ncl_text::{tokenize, Vocab};
+use std::collections::HashSet;
 
 /// A layered chapter/category/leaf ontology: `chapters` first-level
 /// concepts, each with `cats` children and `cats · leaves` grandchildren.
@@ -202,10 +203,12 @@ fn compact_scores_bit_reproducible_at_every_dispatch_level() {
     }
 }
 
-/// The report is a by-hand sum of what the layout holds: per node a
-/// `3d + 1`-float head and its description's rows (f32 or bf16), one
-/// row offset, β `u32` ancestor references — and nothing per ancestor
-/// slot beyond the reference, in either tier.
+/// The report is a by-hand sum of what the layout holds: per shard one
+/// row (f32 or bf16) per distinct description prefix of its chapter
+/// plus the zero row; per node a `u32` per description token (its
+/// path), one path offset and β `u32` slot references; a `3d + 1`-float
+/// head per fine-grained concept only — and nothing per ancestor slot
+/// beyond the reference, in either tier.
 #[test]
 fn memory_report_is_a_by_hand_sum_in_both_tiers() {
     let (chapters, cats, leaves) = (3usize, 2usize, 2usize);
@@ -217,13 +220,30 @@ fn memory_report_is_a_by_hand_sum_in_both_tiers() {
     let nodes = idx.len();
     assert_eq!(nodes, 1 + chapters * (1 + cats + cats * leaves));
     let shards = chapters + 1;
+    let fine = o.fine_grained().len();
+    assert_eq!(fine, chapters * cats * leaves);
     let tokens: usize = o.all_concepts().map(|c| idx.tokens(c).len()).sum();
+    // Distinct non-empty description prefixes per chapter: one encoder
+    // step and one stored row each.
+    let mut prefixes: HashSet<(ConceptId, &[u32])> = HashSet::new();
+    for c in o.all_concepts() {
+        let mut chapter = c;
+        while let Some(p) = o.parent(chapter).filter(|&p| p != Ontology::ROOT) {
+            chapter = p;
+        }
+        let toks = idx.tokens(c);
+        prefixes.extend((1..=toks.len()).map(|n| (chapter, &toks[..n])));
+    }
+    // "system i" is shared by a whole chapter, "... group j type" by a
+    // category's leaves: 13 of the chapter's 41 tokens are new.
+    assert_eq!((prefixes.len(), tokens), (chapters * 13, chapters * 41));
+    let rows = shards + prefixes.len();
     // Both LSTM plans: W and U transposed (d × 4d each) plus 4d biases;
     // the composite (3d → d) and output (d → |V|) transposes; and the
-    // node → shard map: shard, local position and member list per
-    // node, one member-list offset per shard and a closing one.
+    // node → shard map: shard, local position, head slot and member
+    // list per node, one member-list offset per shard and a closing one.
     let plans = 2 * (2 * d * 4 * d + 4 * d) + 3 * d * d + d * vocab;
-    let skeleton_bytes = (plans + 3 * nodes + shards + 1) * 4;
+    let skeleton_bytes = (plans + 4 * nodes + shards + 1) * 4;
 
     let report = |tier| -> CacheMemoryReport {
         let cache = m.freeze_tiered(&idx, tier);
@@ -241,20 +261,23 @@ fn memory_report_is_a_by_hand_sum_in_both_tiers() {
             (nodes, shards),
             "{name}"
         );
-        assert_eq!(r.decoder_state_bytes, nodes * 2 * d * 4, "{name}");
-        assert_eq!(r.step0_bytes, nodes * (d + 1) * 4, "{name}");
-        // One offset per node plus one closing offset per shard.
+        // Heads for the fine-grained concepts, and for nothing else.
+        assert_eq!(r.decoder_state_bytes, fine * 2 * d * 4, "{name}");
+        assert_eq!(r.step0_bytes, fine * (d + 1) * 4, "{name}");
+        // The rows, 4 B of path per token, one path offset per node
+        // plus one closing offset per shard.
         assert_eq!(
             r.enc_state_bytes,
-            tokens * row_bytes + (nodes + shards) * 4,
+            rows * row_bytes + tokens * 4 + (nodes + shards) * 4,
             "{name}"
         );
         assert_eq!(r.encoder_tokens, tokens, "{name}");
+        assert_eq!(r.encoder_steps_run, prefixes.len(), "{name}");
         // Every node but the root slot has β slots…
         assert_eq!(r.ancestor_slots, (nodes - 1) * beta, "{name}");
         assert_eq!(r.ancestor_bytes, r.ancestor_slots * 4, "{name}");
-        // …and they name chapters and categories only, each stored once
-        // as its own last encoder row.
+        // …and they name chapters and categories only, each the row its
+        // own path ends on.
         assert_eq!(r.ancestor_rows_stored, chapters * (1 + cats), "{name}");
         assert!(r.ancestor_dedup_ratio() > 1.5, "{name}");
         assert_eq!(r.plan_bytes, skeleton_bytes, "{name}");
@@ -268,12 +291,12 @@ fn memory_report_is_a_by_hand_sum_in_both_tiers() {
             "{name}"
         );
     }
-    // The tiers differ in the width of the encoder rows and nothing
+    // The tiers differ in the width of the stored rows and nothing
     // else; that alone keeps Compact clear of the collapse floor fig17
     // asserts.
     assert_eq!(
         exact.total_bytes() - compact.total_bytes(),
-        tokens * 2 * d,
+        rows * 2 * d,
         "bf16 rows are the whole difference"
     );
     assert!(exact.bytes_per_concept() > 1.2 * compact.bytes_per_concept());

@@ -593,31 +593,6 @@ pub fn gemv_t_acc_seq(ys: &mut [f32], xs: &[f32], w: &[f32], t: usize) {
     }
 }
 
-/// Hints the CPU to pull every cache line of `x` towards L1 ahead of
-/// the reads that will follow. Purely a hint: no value is read, no
-/// result depends on it, and it is issued at every dispatch level
-/// (there is no arithmetic for [`Level`] to pin). A no-op off `x86_64`
-/// and under Miri, which has no cache to warm.
-#[inline]
-pub fn prefetch_read<T>(x: &[T]) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // One touch per 64-byte line from the slice's start, plus its
-        // last element: a slice that starts mid-line ends one line later
-        // than its last stride does.
-        let per_line = (64 / std::mem::size_of::<T>().max(1)).max(1);
-        for at in x.iter().step_by(per_line).chain(x.last()) {
-            // SAFETY: SSE is part of the x86_64 baseline; `at` points
-            // at an element of `x`, and a prefetch never faults or
-            // reads architecturally in any case.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(at).cast()) };
-        }
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    let _ = x;
-}
-
 // ---------------------------------------------------------------------------
 // Quantization kernels (bf16 widen/narrow).
 //
@@ -2440,25 +2415,6 @@ mod tests {
                     level.name()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn prefetch_read_is_a_pure_hint() {
-        // Exact-size allocations at lengths around the 16-float line
-        // stride, empty and mid-line starts included: nothing is read
-        // or written, at any level.
-        for n in [0usize, 1, 15, 16, 17, 33, 100] {
-            let x = data(n, 0.3);
-            let before = x.clone();
-            for &level in &supported_levels() {
-                with_level(level, || {
-                    prefetch_read(&x);
-                    prefetch_read(&x[n.min(1)..]);
-                    prefetch_read(&[0u16; 40][..n.min(40)]);
-                });
-            }
-            assert_eq!(x, before);
         }
     }
 
