@@ -16,9 +16,9 @@
 //! itself would crash otherwise.
 
 use ncl_bench::{table, workload, Scale};
-use ncl_core::linker::{LinkBudget, Linker};
 use ncl_core::metrics::EvalAccumulator;
 use ncl_core::FaultPlan;
+use ncl_core::{LinkBudget, Linker};
 use ncl_datagen::LabeledQuery;
 use std::sync::Arc;
 use std::time::Duration;

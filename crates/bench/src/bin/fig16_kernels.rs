@@ -1,7 +1,7 @@
 //! Figure 16 (repo extension): SIMD math-kernel microbenchmarks.
 //!
 //! PR "SIMD kernels" routes the serving hot loops through
-//! [`ncl_tensor::simd`]: runtime-dispatched AVX2/SSE2 implementations of
+//! [`ncl_tensor::simd`]: runtime-dispatched AVX2 implementations of
 //! saxpy / column-major GEMV with a scalar fallback, a transposed-weight
 //! plan for [`ncl_tensor::Matrix::gemm_nt`] and the fused LSTM step
 //! ([`ncl_nn::lstm::LstmPlan`]), and a vectorized max pass inside
@@ -53,8 +53,8 @@
 //! `BENCH_fig16.json` for the CI regression gate (`bench_gate` vs
 //! `ci/bench_baseline_fig16.json`). On AVX2 hardware the headline
 //! kernels (`gemm_nt`, fused LSTM step) must clear **2×** over scalar;
-//! elsewhere (SSE2-only, non-x86_64, `NCL_FORCE_SCALAR=1`) the ratios
-//! are recorded but not asserted.
+//! elsewhere (no AVX2, non-x86_64, `NCL_FORCE_SCALAR=1`) the active
+//! level is scalar and the ratios are recorded but not asserted.
 
 use ncl_bench::table;
 use ncl_nn::attention::DotAttention;
@@ -762,8 +762,9 @@ fn main() {
 
     // The 2x acceptance only binds where the wide path actually runs:
     // on AVX2 hardware with dispatch enabled. Under NCL_FORCE_SCALAR=1,
-    // on SSE2-only x86, or off x86_64, the ratios stay informational
-    // (the bitwise sanity checks above ran either way).
+    // on x86 without AVX2, or off x86_64, both columns are scalar and the
+    // ratios stay informational (the bitwise sanity checks ran either
+    // way).
     if level == Level::Avx2 {
         assert!(
             gemm_speedup >= 2.0,

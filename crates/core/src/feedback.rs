@@ -30,8 +30,9 @@
 //! half-swapped (torn) model/cache pair.
 
 use crate::comaid::{ComAid, ConceptCache, OntologyIndex};
-use crate::linker::{frozen_cache, Linker, LinkerConfig};
+use crate::linker::{frozen_cache, Linker};
 use crate::serving::DocumentResult;
+use crate::serving::LinkerConfig;
 use ncl_ontology::{ConceptId, Ontology};
 use ncl_tensor::stats;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -495,8 +496,9 @@ mod tests {
     // ---- document-level observation and hot swapping --------------
 
     use crate::comaid::{ComAid, ComAidConfig, OntologyIndex, TrainPair};
-    use crate::linker::{Linker, LinkerConfig};
+    use crate::linker::Linker;
     use crate::serving::CacheUse;
+    use crate::serving::LinkerConfig;
     use ncl_ontology::OntologyBuilder;
     use ncl_text::{tokenize, Vocab};
 
@@ -653,7 +655,7 @@ mod tests {
         let q = tokenize("abdominal pain");
         let res = linker.link(&q);
         assert_eq!(res.trace.cache, CacheUse::Stale);
-        assert_eq!(res.degradation, crate::linker::Degradation::None);
+        assert_eq!(res.degradation, crate::serving::Degradation::None);
         assert!(!res.ranked.is_empty());
 
         let index = OntologyIndex::build(&larger, model.vocab(), model.config().beta);

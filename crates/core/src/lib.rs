@@ -44,12 +44,13 @@ pub use comaid::{ComAid, ComAidConfig, OutputMode, TrainPair, Variant};
 pub use error::NclError;
 pub use faults::{FaultKind, FaultPlan};
 pub use feedback::{ExpertLabel, FeedbackConfig, FeedbackController, HotSwapCell, ModelGeneration};
-pub use linker::{Degradation, DegradeReason, LinkBudget, LinkResult, Linker, LinkerConfig};
+pub use linker::Linker;
 pub use ncl_text::tfidf::RetrievalStats;
 pub use pipeline::{NclConfig, NclPipeline};
 pub use serving::{
-    AdmissionRung, CacheUse, ComAidScore, Completion, DocumentCompletion, DocumentResult, Frontend,
-    FrontendConfig, FrontendStats, HistSummary, LatencyHistogram, LinkTrace, ProposeConfig,
+    AdmissionRung, CacheUse, ComAidScore, Completion, Degradation, DegradeReason,
+    DocumentCompletion, DocumentResult, Frontend, FrontendConfig, FrontendStats, HistSummary,
+    LatencyHistogram, LinkBudget, LinkResult, LinkTrace, LinkerConfig, ProposeConfig,
     RewriteDecision, ScoreOutcome, ScoreRequest, ScoreStage, SpanAnchor, SpanLink, SpanProposal,
     StageKind, StageTiming, TraceEvent,
 };

@@ -17,10 +17,10 @@
 //! to pay (DESIGN.md "Removed paths"); concurrency across requests lives
 //! in [`crate::serving::Frontend`]'s workers.
 //!
-//! This module holds the linker's construction, configuration and
-//! result types and its entry points; the request itself is one
-//! function, `serving::serve`, and rewriting's state lives in
-//! `serving::rewrite`.
+//! This module holds the linker's construction and its entry points;
+//! the request itself is one function, `serving::serve`, its
+//! configuration and result types live in `serving::request`, and
+//! rewriting's state lives in `serving::rewrite`.
 //!
 //! ## Serving robustness
 //!
@@ -28,251 +28,28 @@
 //! hospital coders in the paper's DICE deployment), `link` is built to
 //! *degrade rather than die*: every scoring job runs behind a panic
 //! isolation boundary, optional per-call / per-phase deadline budgets
-//! ([`LinkBudget`]) cut the expensive phases short, and whatever could
-//! not be neurally scored falls back to its Phase-I TF-IDF ranking. The
-//! result is annotated with a [`Degradation`] marker so callers can
+//! ([`LinkBudget`](crate::serving::LinkBudget)) cut the expensive
+//! phases short, and whatever could not be neurally scored falls back
+//! to its Phase-I TF-IDF ranking. The result is annotated with a
+//! [`Degradation`](crate::serving::Degradation) marker so callers can
 //! distinguish a full answer from a best-effort one. Budgets and fault
 //! plans only decide *whether* a candidate is scored: every candidate
 //! that is runs the same cached decode, so a budgeted answer's scores
 //! are the unbudgeted answer's, bit for bit.
 
-use crate::comaid::{CacheTier, ComAid, ConceptCache, OntologyIndex};
+use crate::comaid::{ComAid, ConceptCache, OntologyIndex};
 use crate::error::NclError;
 use crate::faults::FaultPlan;
 use crate::serving::ontology_text::{OntologyText, SharedWords};
 use crate::serving::{
-    self, ComAidScore, DocumentResult, LinkTrace, ProposeConfig, Rewriter, ScoreStage, SpanProposal,
+    self, validate_document, ComAidScore, DocumentResult, LinkResult, LinkTrace, LinkerConfig,
+    PriorTable, ProposeConfig, Rewriter, ScoreStage, SpanProposal,
 };
 use ncl_ontology::{ConceptId, Ontology};
 use ncl_text::tfidf::{RetrievalStats, TfIdfIndex};
 use ncl_text::tokenize;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Online-linking knobs (defaults follow Table 1 and §5).
-#[derive(Debug, Clone, Copy)]
-pub struct LinkerConfig {
-    /// Number of Phase-I candidates `k` (Table 1 default 20).
-    pub k: usize,
-    /// Enable query rewriting (Eq. 13). Ablation switch; the paper always
-    /// rewrites.
-    pub rewrite: bool,
-    /// Enable Phase II shared-word removal ("the words appearing in both
-    /// the canonical description and the query are temporarily removed").
-    pub remove_shared: bool,
-    /// Maximum edit distance for the textual fallback of rewriting.
-    pub edit_max_dist: usize,
-    /// Minimum embedding cosine for accepting a rewrite target. Below
-    /// this the word is kept as-is: replacing a merely-unmatched word
-    /// (e.g. "of", "symptomatic") with its *weakly* nearest description
-    /// word would inject misleading content words into the query.
-    pub rewrite_min_cosine: f32,
-    /// Index concept aliases alongside canonical descriptions in the
-    /// Phase-I keyword matcher.
-    pub index_aliases: bool,
-    /// Hard cap on query length for the validating entry points
-    /// ([`Linker::try_link`]); longer queries are rejected as
-    /// [`NclError::InvalidQuery`]. The non-validating [`Linker::link`]
-    /// accepts any length.
-    pub max_query_tokens: usize,
-    /// Serve Phase-II scores with the epsilon-relaxed SIMD kernels
-    /// (polynomial `exp`, fixed-lane partial sums;
-    /// [`ConceptCache::set_fast_math`](crate::comaid::ConceptCache::set_fast_math)).
-    /// Off by default: the exact kernels are bit-identical to the scalar
-    /// reference at every dispatch level, which the golden-snapshot and
-    /// cache bit-identity suites rely on. Turning this on perturbs
-    /// scores by ≈1e-5 relative error (deterministic across dispatch
-    /// levels) in exchange for faster softmax/attention. The uncached
-    /// safety path (stale cache, `ed.cache` fault) always scores exactly.
-    pub fast_math: bool,
-    /// Storage tier of the frozen concept cache ([`CacheTier`]). `Exact`
-    /// (the default) keeps every frozen row in f32 and scores
-    /// bit-identically to the uncached path; `Compact` stores the
-    /// encoder rows (and through them the ancestor memories) as bf16,
-    /// cutting resident bytes per concept by about a third in exchange
-    /// for epsilon-bounded (and
-    /// [`ConceptCache::tier`](crate::comaid::ConceptCache::tier)-flagged)
-    /// score perturbation.
-    pub cache_tier: CacheTier,
-    /// Deadline budgets; all unset by default (no deadline).
-    pub budget: LinkBudget,
-}
-
-impl Default for LinkerConfig {
-    fn default() -> Self {
-        Self {
-            k: 20,
-            rewrite: true,
-            remove_shared: true,
-            edit_max_dist: 2,
-            rewrite_min_cosine: 0.35,
-            index_aliases: true,
-            max_query_tokens: 4096,
-            fast_math: false,
-            cache_tier: CacheTier::Exact,
-            budget: LinkBudget::default(),
-        }
-    }
-}
-
-/// Wall-clock budgets for one `link` call. Each field is an independent
-/// cap; `None` means unbounded. The *divisible* phases (OR rewrites one
-/// token at a time, ED scores one candidate at a time) are cut off
-/// mid-phase when their deadline passes; work not reached degrades as
-/// described on [`Degradation`]. The atomic phases are handled at their
-/// boundaries: if `cr` is exceeded (or the call deadline has already
-/// passed when ED would start), ED is skipped entirely, and if the call
-/// deadline has passed when ranking starts while `rt` is set, the
-/// prior-blending of Eq. 11 is skipped (MAP falls back to MLE).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkBudget {
-    /// Cap on the whole call.
-    pub total: Option<Duration>,
-    /// Cap on query rewriting (OR).
-    pub or: Option<Duration>,
-    /// Cap on candidate retrieval (CR).
-    pub cr: Option<Duration>,
-    /// Cap on encode-decode scoring (ED) — the phase the paper measures
-    /// at ~98% of linking time (Appendix B.1), hence the one worth
-    /// cutting short.
-    pub ed: Option<Duration>,
-    /// Cap on ranking (RT).
-    pub rt: Option<Duration>,
-}
-
-impl LinkBudget {
-    /// A budget capping only the whole call.
-    pub fn with_total(d: Duration) -> Self {
-        Self {
-            total: Some(d),
-            ..Self::default()
-        }
-    }
-
-    /// A budget capping only the ED phase.
-    pub fn with_ed(d: Duration) -> Self {
-        Self {
-            ed: Some(d),
-            ..Self::default()
-        }
-    }
-}
-
-/// Why (part of) the neural scoring was skipped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradeReason {
-    /// A deadline budget ran out mid-scoring.
-    Timeout {
-        /// The budget that was exhausted.
-        budget: Duration,
-    },
-    /// Scoring workers panicked; the panics were isolated per job.
-    WorkerPanic {
-        /// Number of scoring jobs lost to panics.
-        lost_jobs: usize,
-    },
-}
-
-impl DegradeReason {
-    /// The typed error equivalent, for callers that prefer fail-fast
-    /// over best-effort.
-    pub fn to_error(self) -> NclError {
-        match self {
-            Self::Timeout { budget } => NclError::Timeout {
-                phase: "ed",
-                budget,
-            },
-            Self::WorkerPanic { lost_jobs } => NclError::WorkerPanic { lost_jobs },
-        }
-    }
-}
-
-/// How complete the neural (Phase II) scoring of a [`LinkResult`] is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Degradation {
-    /// Every candidate was scored by COM-AID; the full two-phase answer.
-    #[default]
-    None,
-    /// Only the first `scored` of `total` candidates carry COM-AID
-    /// scores; the rest sit at the end of `ranked` in Phase-I TF-IDF
-    /// order with `f32::NEG_INFINITY` scores.
-    PartialEd {
-        /// Candidates that received a COM-AID score.
-        scored: usize,
-        /// Total candidates retrieved.
-        total: usize,
-        /// Why the tail went unscored.
-        reason: DegradeReason,
-    },
-    /// No candidate could be neurally scored; `ranked` is the Phase-I
-    /// TF-IDF ranking (all scores `f32::NEG_INFINITY`).
-    TfIdfOnly {
-        /// Why scoring was skipped entirely.
-        reason: DegradeReason,
-    },
-}
-
-impl Degradation {
-    /// Whether the result is anything less than the full two-phase
-    /// answer.
-    pub fn is_degraded(&self) -> bool {
-        !matches!(self, Self::None)
-    }
-}
-
-/// The outcome of linking one query.
-#[derive(Debug, Clone)]
-pub struct LinkResult {
-    /// Candidates re-ranked by `log p(q|c)`, best first.
-    pub ranked: Vec<(ConceptId, f32)>,
-    /// The query after rewriting (equals the input when rewriting is off
-    /// or nothing was out-of-vocabulary).
-    pub rewritten: Vec<String>,
-    /// Phase-I candidates in retrieval order (before re-ranking).
-    pub candidates: Vec<ConceptId>,
-    /// Phase-I work counters: postings examined/scored/pruned by the
-    /// MaxScore scan, heap evictions, and rewrite-memo hit rates — the
-    /// "postings examined" cost model of Figure 11(c)/(d). A copy of
-    /// [`LinkTrace::retrieval`], kept as a direct field for callers of
-    /// the pre-trace API.
-    pub retrieval: RetrievalStats,
-    /// Completeness of the Phase-II scoring (see [`Degradation`]).
-    pub degradation: Degradation,
-    /// The unified per-request trace: per-stage wall-clock, retrieval
-    /// counters, cache usage, rewrite decisions, degradation events.
-    pub trace: LinkTrace,
-}
-
-impl LinkResult {
-    /// The linked concept `c*` (top-1), if any candidate was retrieved.
-    pub fn top1(&self) -> Option<ConceptId> {
-        self.ranked.first().map(|&(c, _)| c)
-    }
-
-    /// Ranked concept ids only.
-    pub fn ranked_ids(&self) -> Vec<ConceptId> {
-        self.ranked.iter().map(|&(c, _)| c).collect()
-    }
-
-    /// Whether any part of the answer is best-effort rather than fully
-    /// scored.
-    pub fn is_degraded(&self) -> bool {
-        self.degradation.is_degraded()
-    }
-
-    /// The typed error this degradation corresponds to, for callers
-    /// that prefer fail-fast semantics over a best-effort ranking.
-    pub fn degradation_error(&self) -> Option<NclError> {
-        match self.degradation {
-            Degradation::None => None,
-            Degradation::PartialEd { reason, .. } | Degradation::TfIdfOnly { reason } => {
-                Some(reason.to_error())
-            }
-        }
-    }
-}
 
 /// The online linker: borrows a trained model and its ontology.
 ///
@@ -310,42 +87,6 @@ pub struct Linker<'a> {
     /// Every concept's canonical-description words, interned — what
     /// shared-word removal consults per (query, candidate).
     pub(crate) shared_words: SharedWords,
-}
-
-/// A normalised log-prior lookup table for MAP ranking (Eq. 11).
-///
-/// Zero or negative probabilities are clamped to a tiny floor so a
-/// sparse frequency table never produces `-inf` scores; concepts absent
-/// from the table receive the floor prior.
-#[derive(Debug, Clone)]
-struct PriorTable {
-    log_prior: HashMap<ConceptId, f32>,
-}
-
-impl PriorTable {
-    /// Builds the table from raw (concept, probability-mass) pairs.
-    fn new(priors: &[(ConceptId, f32)]) -> Self {
-        assert!(!priors.is_empty(), "PriorTable: empty prior table");
-        let total: f32 = priors.iter().map(|&(_, p)| p.max(0.0)).sum();
-        let floor = 1e-6f32;
-        let log_prior = priors
-            .iter()
-            .map(|&(c, p)| {
-                let norm = if total > 0.0 { p.max(0.0) / total } else { 0.0 };
-                (c, norm.max(floor).ln())
-            })
-            .collect();
-        Self { log_prior }
-    }
-
-    /// The log-prior of a concept (unlisted concepts receive the floor
-    /// prior).
-    fn log_prior(&self, c: ConceptId) -> f32 {
-        self.log_prior
-            .get(&c)
-            .copied()
-            .unwrap_or_else(|| 1e-6f32.ln())
-    }
 }
 
 /// The concept cache a linker configured with `config` serves from:
@@ -635,24 +376,13 @@ impl<'a> Linker<'a> {
     }
 }
 
-/// The one refusal of the document entry points
-/// ([`Linker::try_link_document`], `Frontend::submit_document`): a note
-/// that is empty after normalisation.
-pub(crate) fn validate_document(tokens: &[String]) -> Result<(), NclError> {
-    if tokens.iter().all(|t| t.trim().is_empty()) {
-        return Err(NclError::InvalidQuery {
-            reason: "note is empty after normalisation".into(),
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::comaid::{ComAidConfig, TrainPair, Variant};
-    use crate::serving::StageKind;
+    use crate::serving::{Degradation, LinkBudget, StageKind};
     use ncl_text::Vocab;
+    use std::time::Duration;
 
     /// Builds a small trained world shared by the linker tests.
     fn trained_world() -> (Ontology, ComAid) {

@@ -15,7 +15,8 @@
 
 use crate::comaid::{ComAid, ComAidConfig, OntologyIndex, TrainPair, TrainReport};
 use crate::feedback::HotSwapCell;
-use crate::linker::{Linker, LinkerConfig};
+use crate::linker::Linker;
+use crate::serving::LinkerConfig;
 use ncl_embedding::corpus::CorpusBuilder;
 use ncl_embedding::{CbowConfig, CbowModel};
 use ncl_ontology::Ontology;

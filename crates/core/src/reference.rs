@@ -192,7 +192,7 @@ pub(crate) fn reference_log_prob(
 }
 
 /// What [`reference_link`] answers: the fields of a
-/// [`crate::linker::LinkResult`] the equations determine.
+/// [`crate::serving::LinkResult`] the equations determine.
 #[derive(Debug)]
 pub(crate) struct ReferenceResult {
     pub rewritten: Vec<String>,

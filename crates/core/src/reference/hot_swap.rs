@@ -9,8 +9,9 @@
 use super::lattice::assert_matches;
 use super::{reference_link, ReferenceResult};
 use crate::feedback::{ExpertLabel, ModelGeneration};
-use crate::linker::{Linker, LinkerConfig};
+use crate::linker::Linker;
 use crate::pipeline::{NclConfig, NclPipeline};
+use crate::serving::LinkerConfig;
 use crate::serving::{AdmissionRung, CacheUse, Frontend, FrontendConfig};
 use ncl_ontology::{Ontology, OntologyBuilder};
 use ncl_text::tokenize;
@@ -51,7 +52,7 @@ const PUBLISHES: u64 = 6;
 struct Window {
     generation: Arc<ModelGeneration>,
     /// `(tokens, answer)` for every mention and every note span.
-    answers: Vec<(Vec<String>, crate::linker::LinkResult)>,
+    answers: Vec<(Vec<String>, crate::serving::LinkResult)>,
 }
 
 #[test]

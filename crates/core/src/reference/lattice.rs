@@ -1,14 +1,15 @@
 //! One proptest over what is left of the serving lattice, against
 //! [`reference_link`]: `cache_tier × fast_math × {first touch, warm} ×
 //! {link, link_batch, link_document spans} × {no plan, every cache read
-//! misses} × Variant`, and a second over drawn fault plans and ED
-//! budgets, where the reference still owns every score that was made.
+//! misses} × Variant`; a second over drawn fault plans and ED budgets,
+//! where the reference still owns every score that was made; and a
+//! third over drawn ontology shapes, untrained, at the exact points.
 
 use super::{reference_link, reference_score, ReferenceResult};
 use crate::comaid::{CacheTier, ComAid, ComAidConfig, OntologyIndex, TrainPair, Variant};
 use crate::faults::{FaultKind, FaultPlan};
-use crate::linker::{Degradation, LinkBudget, LinkResult, Linker, LinkerConfig};
-use crate::serving::ProposeConfig;
+use crate::linker::Linker;
+use crate::serving::{Degradation, LinkBudget, LinkResult, LinkerConfig, ProposeConfig};
 use ncl_ontology::{ConceptId, Ontology, OntologyBuilder};
 use ncl_text::{tokenize, Vocab};
 use proptest::prelude::*;
@@ -109,6 +110,10 @@ const WORDS: &[&str] = &[
 
 const QUERY_WORDS: usize = 17;
 
+/// The head of [`WORDS`] a drawn ontology's descriptions use: every
+/// real word, none of the typos or filler.
+const DESCRIPTION_WORDS: usize = 13;
+
 fn words(idx: &[usize]) -> Vec<String> {
     idx.iter().map(|&i| WORDS[i].to_string()).collect()
 }
@@ -149,6 +154,48 @@ pub(super) fn assert_matches(got: &LinkResult, want: &ReferenceResult, eps: f32,
             "{what}: {c:?} {s} vs {r}"
         );
     }
+}
+
+/// An ontology drawn from `shape`: entry `i` attaches concept `C{i}`,
+/// to the root or under an earlier concept, described by two of the
+/// first [`DESCRIPTION_WORDS`] of [`WORDS`]. The vocabulary is the
+/// descriptions' words; query words outside it take the rewrite path.
+fn drawn_world(shape: &[usize]) -> (Ontology, Vocab) {
+    let mut b = OntologyBuilder::new();
+    let mut ids = Vec::new();
+    for (i, &s) in shape.iter().enumerate() {
+        let w1 = WORDS[s % DESCRIPTION_WORDS];
+        let w2 = WORDS[(s / DESCRIPTION_WORDS + i) % DESCRIPTION_WORDS];
+        let (code, canonical) = (format!("C{i}"), format!("{w1} {w2}"));
+        let id = if ids.is_empty() || s % 3 == 0 {
+            b.add_root_concept(code, canonical)
+        } else {
+            b.add_child(ids[s % ids.len()], code, canonical)
+        };
+        ids.push(id);
+    }
+    let o = b.build().unwrap();
+    let mut vocab = Vocab::new();
+    for (_, c) in o.iter() {
+        for t in tokenize(&c.canonical) {
+            vocab.add(&t);
+        }
+    }
+    (o, vocab)
+}
+
+/// How far a lattice point may be from the reference: exact unless the
+/// cache is read in a relaxed mode. The bounds are `cache_tier.rs`'s
+/// for Compact and `cache.rs`'s for the relaxed kernels.
+fn lattice_eps(cache_tier: CacheTier, fast_math: bool, uncached: bool) -> f32 {
+    let mut eps = 0.0;
+    if !uncached && cache_tier == CacheTier::Compact {
+        eps += 5e-2;
+    }
+    if !uncached && fast_math {
+        eps += 1e-3;
+    }
+    eps
 }
 
 /// `cache_tier × fast_math × warm × uncached`, all sixteen.
@@ -219,16 +266,7 @@ proptest! {
                     cache.frozen_shard_count(),
                     if warm { cache.shard_count() } else { 0 }
                 );
-                // Exact unless the cache is read in a relaxed mode: the
-                // bounds are `cache_tier.rs`'s for Compact and
-                // `cache.rs`'s for the relaxed kernels.
-                let mut eps = 0.0;
-                if !uncached && cache_tier == CacheTier::Compact {
-                    eps += 5e-2;
-                }
-                if !uncached && fast_math {
-                    eps += 1e-3;
-                }
+                let eps = lattice_eps(cache_tier, fast_math, uncached);
                 let at = format!(
                     "{variant:?} {cache_tier:?} fast_math={fast_math} warm={warm} uncached={uncached}"
                 );
@@ -314,6 +352,40 @@ proptest! {
             prop_assert_eq!(bits(&again), bits(&res));
             prop_assert_eq!(twin_plan.visits(), plan.visits());
             prop_assert_eq!(twin_plan.fired(), plan.fired());
+        }
+    }
+
+    /// Untrained models over drawn ontologies — roots, chains, duplicate
+    /// descriptions — answer `link` like the reference at every exact
+    /// lattice point: the property is about the serving path, not score
+    /// quality. Five ontologies per case, each with its own seed.
+    #[test]
+    fn drawn_ontologies_answer_like_the_reference(
+        shapes in proptest::collection::vec(proptest::collection::vec(0usize..30, 2..12), 5..6),
+        q in proptest::collection::vec(0..QUERY_WORDS, 1..5),
+        seed in 0u64..1000,
+    ) {
+        let q = words(&q);
+        for (i, shape) in shapes.iter().enumerate() {
+            let (o, vocab) = drawn_world(shape);
+            let config = ComAidConfig { dim: 6, beta: 2, seed: seed + i as u64, ..ComAidConfig::tiny() };
+            let model = ComAid::new(vocab, config, None);
+            let want = reference_link(&Linker::new(&model, &o, LinkerConfig::default()), &q);
+            for (cache_tier, fast_math, warm, uncached) in lattice_points() {
+                if lattice_eps(cache_tier, fast_math, uncached) != 0.0 {
+                    continue;
+                }
+                let config = LinkerConfig { cache_tier, fast_math, ..LinkerConfig::default() };
+                let mut linker = Linker::new(&model, &o, config);
+                if uncached {
+                    linker = linker.with_faults(every_cache_read_misses());
+                }
+                if warm {
+                    linker.warm();
+                }
+                let at = format!("{shape:?} {cache_tier:?} fast_math={fast_math} warm={warm} uncached={uncached}");
+                assert_matches(&linker.link(&q), &want, 0.0, &format!("{q:?} @ {at}"));
+            }
         }
     }
 }

@@ -10,7 +10,7 @@
 //! 2. **Link**: every proposed span becomes one ordinary request
 //!    (`serving::serve`: `Rewrite → Retrieve → Score → Rank`), in note
 //!    order, with the batch rewrite prefetch and the linker's one
-//!    shared [`crate::linker::PriorTable`]. The note's deadline covers
+//!    shared `PriorTable`. The note's deadline covers
 //!    *all* spans: each span derives its remaining total budget when
 //!    it starts, so late spans degrade down the ladder instead of
 //!    overrunning the note.
@@ -29,7 +29,9 @@
 use super::link_batch_within;
 use super::propose::{propose_spans, ProposeConfig, SpanProposal};
 use super::trace::{CacheUse, LinkTrace, StageKind, StageTiming, TraceEvent};
-use crate::linker::{Degradation, LinkBudget, LinkResult, Linker};
+use super::{Degradation, LinkBudget, LinkResult};
+use crate::error::NclError;
+use crate::linker::Linker;
 use std::time::Instant;
 
 /// One proposed span together with its linking answer.
@@ -160,4 +162,16 @@ pub(crate) fn link_document(
         trace,
         degradation,
     }
+}
+
+/// The one refusal of the document entry points
+/// ([`Linker::try_link_document`], `Frontend::submit_document`): a note
+/// that is empty after normalisation.
+pub(crate) fn validate_document(tokens: &[String]) -> Result<(), NclError> {
+    if tokens.iter().all(|t| t.trim().is_empty()) {
+        return Err(NclError::InvalidQuery {
+            reason: "note is empty after normalisation".into(),
+        });
+    }
+    Ok(())
 }

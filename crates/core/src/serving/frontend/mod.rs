@@ -28,7 +28,7 @@
 //!   [`TraceEvent::Shed`] preamble in the request's unified trace.
 //! * **Per-request deadlines**: [`FrontendConfig::deadline`] is
 //!   stamped at admission, so time spent queued counts against the
-//!   request's [`crate::linker::LinkBudget`] — a request that waited its deadline
+//!   request's [`crate::serving::LinkBudget`] — a request that waited its deadline
 //!   out is served as a Phase-I-only answer (with
 //!   [`TraceEvent::QueuedPastDeadline`]), never silently dropped.
 //! * **Tail-latency histograms** ([`hist`]): queue wait, end-to-end,
@@ -52,9 +52,11 @@ mod queue;
 
 pub use hist::{HistSummary, LatencyHistogram};
 
+use super::validate_document;
 use crate::comaid::CacheMemoryReport;
 use crate::error::NclError;
-use crate::linker::{validate_document, LinkResult, Linker};
+use crate::linker::Linker;
+use crate::serving::LinkResult;
 
 use super::document::{link_document, DocumentResult};
 use super::propose::ProposeConfig;

@@ -41,7 +41,7 @@
 //! ([`frontend`], DESIGN.md §13): a bounded request queue with
 //! watermark-driven admission control that pre-degrades or rejects
 //! requests under load, per-request deadlines wired into the
-//! [`crate::linker::LinkBudget`], and log-scale latency histograms
+//! [`LinkBudget`], and log-scale latency histograms
 //! rolling up p50/p95/p99 per stage and end-to-end.
 //!
 //! Document-level requests put one extra stage in front
@@ -55,6 +55,7 @@ mod document;
 pub mod frontend;
 pub(crate) mod ontology_text;
 mod propose;
+mod request;
 mod rewrite;
 mod score;
 mod trace;
@@ -65,16 +66,18 @@ pub use frontend::{
     HistSummary, LatencyHistogram,
 };
 pub use propose::{ProposeConfig, SpanAnchor, SpanProposal};
+pub use request::{Degradation, DegradeReason, LinkBudget, LinkResult, LinkerConfig};
 pub use score::{ComAidScore, ScoreOutcome, ScoreRequest, ScoreStage};
 pub use trace::{CacheUse, LinkTrace, RewriteDecision, StageKind, StageTiming, TraceEvent};
 
-pub(crate) use document::link_document;
+pub(crate) use document::{link_document, validate_document};
 pub(crate) use propose::propose_spans;
 pub(crate) use rewrite::Rewriter;
 
-use crate::linker::{Degradation, DegradeReason, LinkBudget, LinkResult, Linker};
+use crate::linker::Linker;
 use ncl_ontology::ConceptId;
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -309,5 +312,41 @@ fn classify_degradation(
             total,
             reason,
         }
+    }
+}
+
+/// A normalised log-prior lookup table for MAP ranking (Eq. 11).
+///
+/// Zero or negative probabilities are clamped to a tiny floor so a
+/// sparse frequency table never produces `-inf` scores; concepts absent
+/// from the table receive the floor prior.
+#[derive(Debug, Clone)]
+pub(crate) struct PriorTable {
+    log_prior: HashMap<ConceptId, f32>,
+}
+
+impl PriorTable {
+    /// Builds the table from raw (concept, probability-mass) pairs.
+    pub(crate) fn new(priors: &[(ConceptId, f32)]) -> Self {
+        assert!(!priors.is_empty(), "PriorTable: empty prior table");
+        let total: f32 = priors.iter().map(|&(_, p)| p.max(0.0)).sum();
+        let floor = 1e-6f32;
+        let log_prior = priors
+            .iter()
+            .map(|&(c, p)| {
+                let norm = if total > 0.0 { p.max(0.0) / total } else { 0.0 };
+                (c, norm.max(floor).ln())
+            })
+            .collect();
+        Self { log_prior }
+    }
+
+    /// The log-prior of a concept (unlisted concepts receive the floor
+    /// prior).
+    pub(crate) fn log_prior(&self, c: ConceptId) -> f32 {
+        self.log_prior
+            .get(&c)
+            .copied()
+            .unwrap_or_else(|| 1e-6f32.ln())
     }
 }

@@ -237,7 +237,7 @@ mod tests {
     use super::*;
     use crate::comaid::{ComAid, ComAidConfig};
     use crate::faults::{FaultKind, FaultPlan};
-    use crate::linker::LinkerConfig;
+    use crate::serving::LinkerConfig;
     use ncl_ontology::{Ontology, OntologyBuilder};
     use ncl_text::{tokenize, Vocab};
     use std::sync::Arc;

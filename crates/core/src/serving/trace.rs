@@ -6,7 +6,7 @@
 //! trace is observability only — nothing downstream branches on it, so
 //! recording it cannot perturb the bit-identical serving path.
 
-use crate::linker::Degradation;
+use super::Degradation;
 use ncl_text::tfidf::RetrievalStats;
 use std::time::Duration;
 
@@ -79,7 +79,7 @@ pub enum TraceEvent {
     /// was set.
     PriorSkipped,
     /// The request finished degraded (mirrors
-    /// [`crate::linker::LinkResult::degradation`]).
+    /// [`LinkResult::degradation`](super::LinkResult::degradation)).
     Degraded {
         /// The final degradation classification.
         degradation: Degradation,

@@ -7,9 +7,9 @@
 
 use ncl_core::comaid::{ComAid, ComAidConfig, OntologyIndex, TrainPair, Variant};
 use ncl_core::feedback::ExpertLabel;
-use ncl_core::linker::{LinkBudget, Linker, LinkerConfig};
 use ncl_core::serving::{CacheUse, Frontend, FrontendConfig, StageKind, TraceEvent};
 use ncl_core::{FaultPlan, NclConfig, NclPipeline};
+use ncl_core::{LinkBudget, Linker, LinkerConfig};
 use ncl_ontology::Ontology;
 use ncl_text::{tokenize, Vocab};
 use std::sync::Arc;

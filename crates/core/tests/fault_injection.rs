@@ -6,7 +6,7 @@
 //! linker.
 
 use ncl_core::comaid::{ComAid, ComAidConfig, OntologyIndex, TrainPair, Variant};
-use ncl_core::linker::{Degradation, DegradeReason, LinkBudget, LinkResult, Linker, LinkerConfig};
+use ncl_core::{Degradation, DegradeReason, LinkBudget, LinkResult, Linker, LinkerConfig};
 use ncl_core::{FaultKind, FaultPlan, NclError};
 use ncl_ontology::Ontology;
 use ncl_text::{tokenize, Vocab};

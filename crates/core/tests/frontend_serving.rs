@@ -4,9 +4,9 @@
 //! equivalence to direct linking.
 
 use ncl_core::comaid::{ComAid, ComAidConfig, OntologyIndex, TrainPair, Variant};
-use ncl_core::linker::{LinkResult, Linker, LinkerConfig};
 use ncl_core::serving::{AdmissionRung, Frontend, FrontendConfig, TraceEvent};
 use ncl_core::{FaultKind, FaultPlan};
+use ncl_core::{LinkResult, Linker, LinkerConfig};
 use ncl_ontology::Ontology;
 use ncl_text::{tokenize, Vocab};
 use std::collections::HashMap;

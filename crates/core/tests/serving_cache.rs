@@ -8,8 +8,7 @@
 use ncl_core::comaid::{
     CacheTier, ComAid, ComAidConfig, ConceptCache, OntologyIndex, TrainPair, Variant,
 };
-use ncl_core::linker::{Degradation, LinkBudget, Linker, LinkerConfig};
-use ncl_core::{FaultKind, FaultPlan};
+use ncl_core::{Degradation, FaultKind, FaultPlan, LinkBudget, LinkResult, Linker, LinkerConfig};
 use ncl_ontology::{ConceptId, Ontology, OntologyBuilder};
 use ncl_tensor::{simd, Vector};
 use ncl_text::{tokenize, Vocab};
@@ -95,11 +94,7 @@ const QUERIES: &[&str] = &[
     "acute abdominal syndrome",
 ];
 
-fn assert_bit_identical(
-    a: &ncl_core::linker::LinkResult,
-    b: &ncl_core::linker::LinkResult,
-    ctx: &str,
-) {
+fn assert_bit_identical(a: &LinkResult, b: &LinkResult, ctx: &str) {
     assert_eq!(a.ranked_ids(), b.ranked_ids(), "{ctx}: ranking differs");
     for (&(ca, sa), &(cb, sb)) in a.ranked.iter().zip(&b.ranked) {
         assert_eq!(ca, cb, "{ctx}");
@@ -287,34 +282,6 @@ const WORDS: &[&str] = &[
     "severe",
 ];
 
-/// Builds an ontology from a proptest-drawn shape vector: each entry
-/// attaches one concept (to the root pool or to an earlier concept) with
-/// a canonical description drawn from [`WORDS`].
-fn build_world(shape: &[usize]) -> (Ontology, Vocab) {
-    let mut b = OntologyBuilder::new();
-    let mut ids = Vec::new();
-    for (i, &s) in shape.iter().enumerate() {
-        let w1 = WORDS[s % WORDS.len()];
-        let w2 = WORDS[(s / WORDS.len() + i) % WORDS.len()];
-        let canonical = format!("{w1} {w2}");
-        let code = format!("C{i}");
-        let id = if ids.is_empty() || s % 3 == 0 {
-            b.add_root_concept(code, canonical)
-        } else {
-            b.add_child(ids[s % ids.len()], code, canonical)
-        };
-        ids.push(id);
-    }
-    let o = b.build().unwrap();
-    let mut v = Vocab::new();
-    for (_, c) in o.iter() {
-        for t in tokenize(&c.canonical) {
-            v.add(&t);
-        }
-    }
-    (o, v)
-}
-
 /// Builds an ontology whose descriptions are hostile to the freeze's
 /// prefix sharing. Each entry packs a `(parent, kind, word)` draw and
 /// attaches one concept whose description either extends its parent's by a word (the
@@ -404,6 +371,9 @@ proptest! {
     /// frozen BOS step ride on the scores) serves bit-identically to the
     /// uncached model: in every architecture variant, for the empty
     /// target, and whether the mask counts every word, none, or some.
+    /// There is one shard per chapter plus the root slot's; a touch
+    /// freezes its own chapter's shard and no other, and `warm` after
+    /// first touches freezes exactly what is left.
     #[test]
     fn trie_shared_freeze_equals_per_concept_encoder_passes(
         shape in proptest::collection::vec(0usize..50 * 6 * 40, 2..14),
@@ -433,27 +403,41 @@ proptest! {
             model.log_prob_ids_masked_cached(&index, cache, c, &target, &mask).to_bits()
         };
 
+        // The chapter a node's shard is keyed by: its top-level
+        // ancestor, or the root slot itself.
+        let chapter = |c: ConceptId| {
+            let mut chapter = c;
+            while let Some(p) = o.parent(chapter).filter(|&p| p != Ontology::ROOT) {
+                chapter = p;
+            }
+            chapter
+        };
+        let shards = concepts.iter().map(|&c| chapter(c)).collect::<HashSet<_>>().len();
         // The named counts: tokens a per-concept pass would step through,
         // and distinct non-empty prefixes per chapter (a shard's trie).
         let mut tokens = 0usize;
         let mut prefixes: HashSet<(ConceptId, &[u32])> = HashSet::new();
         for &c in &concepts {
-            let mut chapter = c;
-            while let Some(p) = o.parent(chapter).filter(|&p| p != Ontology::ROOT) {
-                chapter = p;
-            }
             let toks = index.tokens(c);
             tokens += toks.len();
-            prefixes.extend((1..=toks.len()).map(|n| (chapter, &toks[..n])));
+            prefixes.extend((1..=toks.len()).map(|n| (chapter(c), &toks[..n])));
         }
 
         for tier in [CacheTier::Exact, CacheTier::Compact] {
             let warmed = model.freeze_tiered(&index, tier);
             warmed.warm(&model, &index);
+            prop_assert_eq!((warmed.shard_count(), warmed.frozen_shard_count()), (shards, shards));
             let touched = model.freeze_tiered(&index, tier);
+            prop_assert_eq!(touched.frozen_shard_count(), 0);
             // First-touch the shards in the opposite order to `warm`'s
-            // sweep.
+            // sweep. The root slot comes last: `warm` freezes it, the one
+            // shard no touch has reached.
+            let mut seen = HashSet::new();
             for &c in concepts.iter().rev() {
+                if c == Ontology::ROOT {
+                    prop_assert_eq!(touched.frozen_shard_count(), shards - 1);
+                    touched.warm(&model, &index);
+                }
                 let reference = reference_encoder_states(&model, &index, c);
                 let want: Vec<Vector> = match tier {
                     CacheTier::Exact => reference,
@@ -467,42 +451,14 @@ proptest! {
                     let plain = model.log_prob_ids_masked(&index, c, &target, &mask);
                     prop_assert_eq!(score(&warmed, c), plain.to_bits(), "{}", ctx);
                 }
+                seen.insert(chapter(c));
+                prop_assert_eq!(touched.frozen_shard_count(), seen.len(), "{}", ctx);
             }
             for report in [warmed.memory_report(), touched.memory_report()] {
                 prop_assert_eq!(report.encoder_tokens, tokens);
                 prop_assert_eq!(report.encoder_steps_run, prefixes.len());
                 prop_assert!(report.encoder_share_ratio() >= 1.0);
             }
-        }
-    }
-
-    /// Property: for random ontologies and random queries, a cached and
-    /// an every-read-misses linker produce the same ranked concept ids (and
-    /// bit-identical scores). The model is untrained — the property is
-    /// about the serving path, not about score quality.
-    #[test]
-    fn cached_and_uncached_link_agree_on_random_ontologies(
-        shape in proptest::collection::vec(0usize..30, 2..12),
-        qsel in proptest::collection::vec(0usize..WORDS.len(), 1..5),
-        seed in 0u64..1000,
-    ) {
-        let (o, v) = build_world(&shape);
-        let config = ComAidConfig {
-            dim: 6,
-            beta: 2,
-            variant: Variant::Full,
-            seed,
-            ..ComAidConfig::tiny()
-        };
-        let model = ComAid::new(v, config, None);
-        let cached = Linker::new(&model, &o, LinkerConfig::default());
-        let uncached = uncached(&model, &o, LinkerConfig::default());
-        let query: Vec<String> = qsel.iter().map(|&i| WORDS[i].to_string()).collect();
-        let a = cached.link(&query);
-        let b = uncached.link(&query);
-        prop_assert_eq!(a.ranked_ids(), b.ranked_ids());
-        for (&(_, sa), &(_, sb)) in a.ranked.iter().zip(&b.ranked) {
-            prop_assert_eq!(sa.to_bits(), sb.to_bits());
         }
     }
 }

@@ -66,7 +66,7 @@ fn world() -> (Ontology, Vocab, Vec<TrainPair>) {
 }
 
 /// `dim` 12 gives every kernel one full 8-row block plus a 4-row tail
-/// (three 4-row blocks under SSE2) and the same split along `k`; the
+/// and the same split along `k`; the
 /// composite layer's input is 36 wide (four blocks plus a tail).
 fn config(variant: Variant, output_mode: OutputMode) -> ComAidConfig {
     ComAidConfig {

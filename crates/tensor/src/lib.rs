@@ -17,7 +17,7 @@
 //! * [`libm`] — the repo's own `expf` / `tanhf` (exact ports of the two
 //!   algorithms every pinned digest was recorded through), scalar and
 //!   eight lanes wide, behind every activation above,
-//! * [`simd`] — runtime-dispatched AVX2/SSE2/scalar kernels behind the
+//! * [`simd`] — runtime-dispatched AVX2/scalar kernels behind the
 //!   hot `Matrix`/`Vector` paths, bit-identical to the scalar reference
 //!   (vectorised across outputs, never across a reduction),
 //! * [`init`] — Xavier/uniform parameter initialisation,

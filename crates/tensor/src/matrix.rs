@@ -9,8 +9,8 @@ use std::fmt;
 ///
 /// Every weight matrix in COM-AID (`W^(i)`, `U^(f)`, `W_d`, `W_s`, ...) is a
 /// `Matrix`. The hot kernels (`gemm_nt`, `gemv_acc`, `axpy`, the saxpy row
-/// updates) dispatch through [`crate::simd`] to explicit AVX2/SSE2 lanes with
-/// a scalar fallback, bit-identical across levels; for the model sizes used
+/// updates) dispatch through [`crate::simd`] to explicit AVX2 lanes with a
+/// scalar fallback, bit-identical across levels; for the model sizes used
 /// in the paper (`d ≤ 200`) this is within a small factor of a tuned BLAS
 /// and keeps the crate dependency-free.
 #[derive(Clone, PartialEq)]

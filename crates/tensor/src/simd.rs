@@ -1,4 +1,4 @@
-//! Runtime-dispatched SIMD kernels (AVX2 / SSE2 / scalar).
+//! Runtime-dispatched SIMD kernels (AVX2 / scalar).
 //!
 //! # The bit-identity contract
 //!
@@ -48,9 +48,10 @@
 //!
 //! # Dispatch
 //!
-//! The level is detected once per process ([`active`]): AVX2 when the
-//! CPU reports it, otherwise SSE2 (baseline on `x86_64`), otherwise
-//! scalar. Setting the environment variable `NCL_FORCE_SCALAR` (to
+//! There are two levels, and the level is detected once per process
+//! ([`active`]): AVX2 when the CPU reports it, otherwise the scalar
+//! reference — the same bits by the contract above, so a CPU without
+//! AVX2 (or off `x86_64`) is slower, never different. Setting the environment variable `NCL_FORCE_SCALAR` (to
 //! anything but `0`/`false`/empty) forces the scalar path — the CI
 //! scalar-fallback leg runs the whole suite this way. Benches and tests
 //! use [`with_level`] to pin a specific level on the current thread.
@@ -59,8 +60,8 @@
 //!
 //! 1. Write the scalar reference with an explicit, documented rounding
 //!    order (fresh accumulators, ascending index, mul-then-add).
-//! 2. Mirror it per lane in `sse2`/`avx2` `#[target_feature]` functions
-//!    — same operations, same order, no FMA for exact kernels.
+//! 2. Mirror it per lane in an `avx2` `#[target_feature]` function —
+//!    same operations, same order, no FMA for exact kernels.
 //! 3. Dispatch on [`active`] in the public wrapper.
 //! 4. Add the kernel to the bit-identity proptests
 //!    (`crates/tensor/tests/simd_identity.rs`) across awkward sizes and
@@ -75,18 +76,15 @@ pub enum Level {
     /// Portable scalar reference (any architecture, and the
     /// `NCL_FORCE_SCALAR` override).
     Scalar,
-    /// 128-bit SSE2 lanes — baseline on `x86_64`.
-    Sse2,
     /// 256-bit AVX2 lanes.
     Avx2,
 }
 
 impl Level {
-    /// Human-readable name (`"scalar"`, `"sse2"`, `"avx2"`).
+    /// Human-readable name (`"scalar"`, `"avx2"`).
     pub fn name(self) -> &'static str {
         match self {
             Level::Scalar => "scalar",
-            Level::Sse2 => "sse2",
             Level::Avx2 => "avx2",
         }
     }
@@ -102,20 +100,13 @@ pub fn force_scalar_requested(value: Option<&str>) -> bool {
 }
 
 fn detect() -> Level {
-    if force_scalar_requested(std::env::var("NCL_FORCE_SCALAR").ok().as_deref()) {
-        return Level::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
+    if force_scalar_requested(std::env::var("NCL_FORCE_SCALAR").ok().as_deref())
+        || !supported(Level::Avx2)
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            Level::Avx2
-        } else {
-            // SSE2 is part of the x86_64 baseline.
-            Level::Sse2
-        }
+        Level::Scalar
+    } else {
+        Level::Avx2
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    Level::Scalar
 }
 
 static GLOBAL: OnceLock<Level> = OnceLock::new();
@@ -134,23 +125,21 @@ pub fn active() -> Level {
 }
 
 /// Whether `level` can run on this machine. [`Level::Scalar`] always
-/// can; the SIMD tiers require the corresponding CPU features.
+/// can; [`Level::Avx2`] needs an `x86_64` CPU that reports AVX2.
 pub fn supported(level: Level) -> bool {
     match level {
         Level::Scalar => true,
         #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => true,
-        #[cfg(target_arch = "x86_64")]
         Level::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
         #[cfg(not(target_arch = "x86_64"))]
-        _ => false,
+        Level::Avx2 => false,
     }
 }
 
 /// All levels [`supported`] on this machine, scalar first — the
 /// iteration order of the bit-identity test suites.
 pub fn supported_levels() -> Vec<Level> {
-    [Level::Scalar, Level::Sse2, Level::Avx2]
+    [Level::Scalar, Level::Avx2]
         .into_iter()
         .filter(|&l| supported(l))
         .collect()
@@ -194,9 +183,6 @@ pub fn saxpy(y: &mut [f32], alpha: f32, x: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
         Level::Avx2 => unsafe { avx2::saxpy(y, alpha, x) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Level::Sse2 => unsafe { sse2::saxpy(y, alpha, x) },
         _ => scalar::saxpy(y, alpha, x),
     }
 }
@@ -211,9 +197,6 @@ pub fn add_assign(y: &mut [f32], x: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
         Level::Avx2 => unsafe { avx2::add_assign(y, x) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Level::Sse2 => unsafe { sse2::add_assign(y, x) },
         _ => scalar::add_assign(y, x),
     }
 }
@@ -224,9 +207,6 @@ pub fn scale(y: &mut [f32], alpha: f32) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
         Level::Avx2 => unsafe { avx2::scale(y, alpha) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Level::Sse2 => unsafe { sse2::scale(y, alpha) },
         _ => scalar::scale(y, alpha),
     }
 }
@@ -246,9 +226,6 @@ pub fn max(x: &[f32]) -> f32 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
         Level::Avx2 => unsafe { avx2::max(x) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Level::Sse2 => unsafe { sse2::max(x) },
         _ => scalar::max(x),
     }
 }
@@ -282,9 +259,6 @@ pub fn colmajor_gemv_acc(y: &mut [f32], x: &[f32], wt: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
         Level::Avx2 => unsafe { avx2::colmajor_gemv_acc(y, x, wt) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Level::Sse2 => unsafe { sse2::colmajor_gemv_acc(y, x, wt) },
         _ => scalar::colmajor_gemv_acc(y, x, wt),
     }
 }
@@ -295,10 +269,10 @@ pub fn colmajor_gemv_acc(y: &mut [f32], x: &[f32], wt: &[f32]) {
 /// [`Matrix::gemv_acc`](crate::Matrix::gemv_acc): every taped LSTM gate
 /// and dense layer on the training path.
 ///
-/// Rows are independent outputs, so the SIMD levels make consecutive
-/// rows the lanes: an 8×8 (AVX2) or 4×4 (SSE2) block of `w` is loaded
-/// row by row and transposed **in registers**, after which lane `i`
-/// holds row `r + i`'s entry for one `k`. Each lane then runs the scalar
+/// Rows are independent outputs, so the AVX2 level makes consecutive
+/// rows the lanes: an 8×8 block of `w` is loaded row by row and
+/// transposed **in registers**, after which lane `i` holds row `r + i`'s
+/// entry for one `k`. Each lane then runs the scalar
 /// recipe unchanged — fresh accumulator, ascending `k`, a separate
 /// `mul` and `add` per term (no FMA), then `y[r] += acc` — so the
 /// result is bit-identical to the scalar loop at every level. Rows past
@@ -324,10 +298,6 @@ pub fn rowmajor_gemv_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
         // SAFETY: AVX2 was verified by `active()`'s detection; the shape
         // assert above is the kernel's bounds precondition.
         Level::Avx2 => unsafe { avx2::rowmajor_gemv_acc(y, x, w) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline; the shape assert
-        // above is the kernel's bounds precondition.
-        Level::Sse2 => unsafe { sse2::rowmajor_gemv_acc(y, x, w) },
         _ => scalar::rowmajor_gemv_acc(y, x, w),
     }
 }
@@ -360,9 +330,6 @@ pub fn rank1_update(w: &mut [f32], alpha: f32, u: &[f32], v: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
         Level::Avx2 => unsafe { avx2::rank1_update(w, alpha, u, v) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Level::Sse2 => unsafe { sse2::rank1_update(w, alpha, u, v) },
         _ => scalar::rank1_update(w, alpha, u, v),
     }
 }
@@ -396,9 +363,6 @@ pub fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
         Level::Avx2 => unsafe { avx2::gemv_t_acc(y, x, w) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Level::Sse2 => unsafe { sse2::gemv_t_acc(y, x, w) },
         _ => scalar::gemv_t_acc(y, x, w),
     }
 }
@@ -407,8 +371,8 @@ pub fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
 // Sequence kernels: one call per sequence instead of one per time step.
 //
 // Each is *defined as* `t` successive calls of the per-step kernel above
-// on row `s` of its flat `t × n` slabs — the scalar and SSE2 levels are
-// literally that loop — and the AVX2 bodies only reschedule work whose
+// on row `s` of its flat `t × n` slabs — the scalar level is literally
+// that loop — and the AVX2 bodies only reschedule work whose
 // order no output can observe: a forward output `(s, r)` owns a fresh
 // accumulator and shares nothing with `(s', r')`, and an accumulated
 // element receives its terms in the caller's step order because the step
@@ -469,23 +433,14 @@ pub fn rowmajor_gemv_acc_seq(ys: &mut [f32], xs: &[f32], w: &[f32], t: usize) {
     else {
         return;
     };
-    let steps = ys.chunks_exact_mut(rows).zip(xs.chunks_exact(cols));
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection;
         // `seq_shape` checked the slab and weight shapes the kernel's
         // loads rest on.
         Level::Avx2 => unsafe { avx2::rowmajor_gemv_acc_seq(ys, xs, w, t, (rows, cols)) },
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => {
-            for (y, x) in steps {
-                // SAFETY: SSE2 is part of the x86_64 baseline; `y`, `x`
-                // and `w` have the per-step kernel's shape.
-                unsafe { sse2::rowmajor_gemv_acc(y, x, w) }
-            }
-        }
         _ => {
-            for (y, x) in steps {
+            for (y, x) in ys.chunks_exact_mut(rows).zip(xs.chunks_exact(cols)) {
                 scalar::rowmajor_gemv_acc(y, x, w);
             }
         }
@@ -523,10 +478,6 @@ pub fn rank1_update_seq(
     let Some((rows, cols)) = seq_shape("rank1_update_seq", t, us.len(), vs.len(), w.len()) else {
         return;
     };
-    let step = |i: usize| {
-        let s = seq_step(i, t, descending);
-        (&us[s * rows..(s + 1) * rows], &vs[s * cols..(s + 1) * cols])
-    };
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection;
@@ -535,15 +486,10 @@ pub fn rank1_update_seq(
         Level::Avx2 => unsafe {
             avx2::rank1_update_seq(w, alpha, us, vs, t, (rows, cols), descending)
         },
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => {
-            for (u, v) in (0..t).map(step) {
-                // SAFETY: SSE2 is part of the x86_64 baseline.
-                unsafe { sse2::rank1_update(w, alpha, u, v) }
-            }
-        }
         _ => {
-            for (u, v) in (0..t).map(step) {
+            for i in 0..t {
+                let s = seq_step(i, t, descending);
+                let (u, v) = (&us[s * rows..(s + 1) * rows], &vs[s * cols..(s + 1) * cols]);
                 scalar::rank1_update(w, alpha, u, v);
             }
         }
@@ -571,22 +517,14 @@ pub fn gemv_t_acc_seq(ys: &mut [f32], xs: &[f32], w: &[f32], t: usize) {
     let Some((rows, cols)) = seq_shape("gemv_t_acc_seq", t, xs.len(), ys.len(), w.len()) else {
         return;
     };
-    let steps = ys.chunks_exact_mut(cols).zip(xs.chunks_exact(rows));
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection;
         // `seq_shape` checked the slab and weight shapes the kernel's
         // loads rest on.
         Level::Avx2 => unsafe { avx2::gemv_t_acc_seq(ys, xs, w, t, (rows, cols)) },
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => {
-            for (y, x) in steps {
-                // SAFETY: SSE2 is part of the x86_64 baseline.
-                unsafe { sse2::gemv_t_acc(y, x, w) }
-            }
-        }
         _ => {
-            for (y, x) in steps {
+            for (y, x) in ys.chunks_exact_mut(cols).zip(xs.chunks_exact(rows)) {
                 scalar::gemv_t_acc(y, x, w);
             }
         }
@@ -637,9 +575,6 @@ pub fn narrow_bf16(dst: &mut [u16], src: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
         Level::Avx2 => unsafe { avx2::narrow_bf16(dst, src) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Level::Sse2 => unsafe { sse2::narrow_bf16(dst, src) },
         _ => scalar::narrow_bf16(dst, src),
     }
 }
@@ -656,9 +591,6 @@ pub fn widen_bf16(dst: &mut [f32], src: &[u16]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
         Level::Avx2 => unsafe { avx2::widen_bf16(dst, src) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Level::Sse2 => unsafe { sse2::widen_bf16(dst, src) },
         _ => scalar::widen_bf16(dst, src),
     }
 }
@@ -690,9 +622,6 @@ pub fn dot_relaxed(a: &[f32], b: &[f32]) -> f32 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
         Level::Avx2 => unsafe { avx2::dot_lanes(&mut lanes, a, b) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Level::Sse2 => unsafe { sse2::dot_lanes(&mut lanes, a, b) },
         _ => scalar::dot_lanes(&mut lanes, a, b),
     }
     tree8(&lanes)
@@ -905,342 +834,6 @@ mod scalar {
 }
 
 // ---------------------------------------------------------------------------
-// SSE2 (128-bit) implementations — baseline on x86_64.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod sse2 {
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    /// Requires SSE2 (always present on `x86_64`).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn saxpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-        let n = y.len();
-        let a = _mm_set1_ps(alpha);
-        let yp = y.as_mut_ptr();
-        let xp = x.as_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let yv = _mm_loadu_ps(yp.add(i));
-            let xv = _mm_loadu_ps(xp.add(i));
-            _mm_storeu_ps(yp.add(i), _mm_add_ps(yv, _mm_mul_ps(a, xv)));
-            i += 4;
-        }
-        while i < n {
-            y[i] += alpha * x[i];
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires SSE2 (always present on `x86_64`).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn add_assign(y: &mut [f32], x: &[f32]) {
-        let n = y.len();
-        let yp = y.as_mut_ptr();
-        let xp = x.as_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let yv = _mm_loadu_ps(yp.add(i));
-            let xv = _mm_loadu_ps(xp.add(i));
-            _mm_storeu_ps(yp.add(i), _mm_add_ps(yv, xv));
-            i += 4;
-        }
-        while i < n {
-            y[i] += x[i];
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires SSE2 (always present on `x86_64`).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn scale(y: &mut [f32], alpha: f32) {
-        let n = y.len();
-        let a = _mm_set1_ps(alpha);
-        let yp = y.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let yv = _mm_loadu_ps(yp.add(i));
-            _mm_storeu_ps(yp.add(i), _mm_mul_ps(yv, a));
-            i += 4;
-        }
-        while i < n {
-            y[i] *= alpha;
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires SSE2 (always present on `x86_64`).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn max(x: &[f32]) -> f32 {
-        let n = x.len();
-        let xp = x.as_ptr();
-        let mut m = f32::NEG_INFINITY;
-        let mut i = 0;
-        if n >= 4 {
-            let mut acc = _mm_set1_ps(f32::NEG_INFINITY);
-            while i + 4 <= n {
-                acc = _mm_max_ps(acc, _mm_loadu_ps(xp.add(i)));
-                i += 4;
-            }
-            let mut lanes = [0.0f32; 4];
-            _mm_storeu_ps(lanes.as_mut_ptr(), acc);
-            for l in lanes {
-                m = m.max(l);
-            }
-        }
-        while i < n {
-            m = m.max(x[i]);
-            i += 1;
-        }
-        m
-    }
-
-    /// # Safety
-    /// Requires SSE2 (always present on `x86_64`).
-    ///
-    /// Register-blocked over outputs: 16-wide tiles (4 xmm
-    /// accumulators), then 4-wide, then a scalar tail. Per lane, the
-    /// reduction is the scalar order exactly (fresh accumulator,
-    /// ascending `k`, mul then add — no FMA).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn colmajor_gemv_acc(y: &mut [f32], x: &[f32], wt: &[f32]) {
-        let n = y.len();
-        let m = x.len();
-        let wp = wt.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut j = 0;
-        while j + 16 <= n {
-            let mut a0 = _mm_setzero_ps();
-            let mut a1 = _mm_setzero_ps();
-            let mut a2 = _mm_setzero_ps();
-            let mut a3 = _mm_setzero_ps();
-            for (k, &xv) in x.iter().enumerate() {
-                let xb = _mm_set1_ps(xv);
-                let row = wp.add(k * n + j);
-                a0 = _mm_add_ps(a0, _mm_mul_ps(xb, _mm_loadu_ps(row)));
-                a1 = _mm_add_ps(a1, _mm_mul_ps(xb, _mm_loadu_ps(row.add(4))));
-                a2 = _mm_add_ps(a2, _mm_mul_ps(xb, _mm_loadu_ps(row.add(8))));
-                a3 = _mm_add_ps(a3, _mm_mul_ps(xb, _mm_loadu_ps(row.add(12))));
-            }
-            let out = yp.add(j);
-            _mm_storeu_ps(out, _mm_add_ps(_mm_loadu_ps(out), a0));
-            _mm_storeu_ps(out.add(4), _mm_add_ps(_mm_loadu_ps(out.add(4)), a1));
-            _mm_storeu_ps(out.add(8), _mm_add_ps(_mm_loadu_ps(out.add(8)), a2));
-            _mm_storeu_ps(out.add(12), _mm_add_ps(_mm_loadu_ps(out.add(12)), a3));
-            j += 16;
-        }
-        while j + 4 <= n {
-            let mut a0 = _mm_setzero_ps();
-            for (k, &xv) in x.iter().enumerate() {
-                let xb = _mm_set1_ps(xv);
-                a0 = _mm_add_ps(a0, _mm_mul_ps(xb, _mm_loadu_ps(wp.add(k * n + j))));
-            }
-            let out = yp.add(j);
-            _mm_storeu_ps(out, _mm_add_ps(_mm_loadu_ps(out), a0));
-            j += 4;
-        }
-        while j < n {
-            let mut acc = 0.0f32;
-            for (k, &xv) in x.iter().enumerate() {
-                acc += xv * wt[k * n + j];
-            }
-            y[j] += acc;
-            j += 1;
-        }
-        let _ = m;
-    }
-
-    /// # Safety
-    /// Requires SSE2 (always present on `x86_64`) and
-    /// `w.len() == y.len() * x.len()` with `w` non-empty — the public
-    /// wrapper asserts both. Every vector load below stays inside `w` on
-    /// the strength of that shape alone.
-    ///
-    /// Four consecutive rows are the four lanes: each 4×4 block of `w` is
-    /// loaded row by row and transposed in registers, then consumed one
-    /// column (= one `k`) at a time, so lane `i` performs the scalar
-    /// `acc += w[r+i][k] * x[k]` chain in ascending `k` (mul then add —
-    /// no FMA). The `cols % 4` columns are finished per lane in scalar
-    /// code before `y[r+i] += acc`; the `rows % 4` rows are scalar.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn rowmajor_gemv_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
-        let rows = y.len();
-        let cols = x.len();
-        let kfull = cols - cols % 4;
-        let wp = w.as_ptr();
-        let xp = x.as_ptr();
-        let mut r = 0;
-        while r + 4 <= rows {
-            let base = wp.add(r * cols);
-            let mut acc = _mm_setzero_ps();
-            let mut k = 0;
-            while k < kfull {
-                // SAFETY: `r + 3 < rows` and `k + 4 <= cols`, so each
-                // load reads `w[(r+i)*cols + k ..][..4]` with
-                // `(r+i)*cols + k + 4 <= rows*cols == w.len()`; `loadu`
-                // needs no alignment. `x[k..k+4]` is in bounds likewise.
-                let p = base.add(k);
-                let r0 = _mm_loadu_ps(p);
-                let r1 = _mm_loadu_ps(p.add(cols));
-                let r2 = _mm_loadu_ps(p.add(2 * cols));
-                let r3 = _mm_loadu_ps(p.add(3 * cols));
-                let t0 = _mm_unpacklo_ps(r0, r1);
-                let t1 = _mm_unpacklo_ps(r2, r3);
-                let t2 = _mm_unpackhi_ps(r0, r1);
-                let t3 = _mm_unpackhi_ps(r2, r3);
-                let c0 = _mm_movelh_ps(t0, t1);
-                let c1 = _mm_movehl_ps(t1, t0);
-                let c2 = _mm_movelh_ps(t2, t3);
-                let c3 = _mm_movehl_ps(t3, t2);
-                acc = _mm_add_ps(acc, _mm_mul_ps(c0, _mm_set1_ps(*xp.add(k))));
-                acc = _mm_add_ps(acc, _mm_mul_ps(c1, _mm_set1_ps(*xp.add(k + 1))));
-                acc = _mm_add_ps(acc, _mm_mul_ps(c2, _mm_set1_ps(*xp.add(k + 2))));
-                acc = _mm_add_ps(acc, _mm_mul_ps(c3, _mm_set1_ps(*xp.add(k + 3))));
-                k += 4;
-            }
-            let mut lanes = [0.0f32; 4];
-            _mm_storeu_ps(lanes.as_mut_ptr(), acc);
-            let block = &w[r * cols..(r + 4) * cols];
-            super::scalar::finish_row_block(&mut y[r..r + 4], &lanes, x, block, kfull);
-            r += 4;
-        }
-        if r < rows {
-            super::scalar::rowmajor_gemv_acc(&mut y[r..], x, &w[r * cols..]);
-        }
-    }
-
-    /// # Safety
-    /// Requires SSE2 (always present on `x86_64`).
-    ///
-    /// The scalar row loop with the zero-skip, each row one [`saxpy`]
-    /// over a chunk of exactly `v.len()` floats — looped here so the
-    /// whole matrix runs under one dispatch.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn rank1_update(w: &mut [f32], alpha: f32, u: &[f32], v: &[f32]) {
-        for (row, &ur) in w.chunks_exact_mut(v.len()).zip(u) {
-            let c = alpha * ur;
-            if c == 0.0 {
-                continue;
-            }
-            saxpy(row, c, v);
-        }
-    }
-
-    /// # Safety
-    /// Requires SSE2 (always present on `x86_64`).
-    ///
-    /// The scalar row loop with the zero-skip, each row (a chunk of
-    /// exactly `y.len()` floats) one [`saxpy`] into `y` — looped here so
-    /// the whole matrix runs under one dispatch.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
-        for (row, &xr) in w.chunks_exact(y.len()).zip(x) {
-            if xr == 0.0 {
-                continue;
-            }
-            saxpy(y, xr, row);
-        }
-    }
-
-    /// # Safety
-    /// Requires SSE2 (always present on `x86_64`).
-    ///
-    /// Two xmm accumulators hold the virtual 8-lane layout (lanes 0–3
-    /// and 4–7); each iteration consumes a full 8-chunk, so lane `l`
-    /// sees exactly the elements `i ≡ l (mod 8)` — the same assignment
-    /// as `scalar::dot_lanes` and `avx2::dot_lanes`. The tail folds into
-    /// the same lanes.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn dot_lanes(lanes: &mut [f32; 8], a: &[f32], b: &[f32]) {
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut lo = _mm_setzero_ps();
-        let mut hi = _mm_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= n {
-            let al = _mm_loadu_ps(ap.add(i));
-            let bl = _mm_loadu_ps(bp.add(i));
-            lo = _mm_add_ps(lo, _mm_mul_ps(al, bl));
-            let ah = _mm_loadu_ps(ap.add(i + 4));
-            let bh = _mm_loadu_ps(bp.add(i + 4));
-            hi = _mm_add_ps(hi, _mm_mul_ps(ah, bh));
-            i += 8;
-        }
-        _mm_storeu_ps(lanes.as_mut_ptr(), lo);
-        _mm_storeu_ps(lanes.as_mut_ptr().add(4), hi);
-        while i < n {
-            lanes[i % 8] += a[i] * b[i];
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires SSE2 (always present on `x86_64`).
-    ///
-    /// Four f32s per iteration: the round-to-nearest-even increment in
-    /// 32-bit integer lanes, then the high halves of the four dwords are
-    /// gathered into the low 64 bits by 16-bit shuffles (SSE2 has no
-    /// unsigned dword→word pack) and stored as four u16s.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn narrow_bf16(dst: &mut [u16], src: &[f32]) {
-        let n = dst.len();
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        let bias = _mm_set1_epi32(0x7FFF);
-        let one = _mm_set1_epi32(1);
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm_castps_si128(_mm_loadu_ps(sp.add(i)));
-            let lsb = _mm_and_si128(_mm_srli_epi32::<16>(v), one);
-            let r = _mm_add_epi32(v, _mm_add_epi32(bias, lsb));
-            // Keep the high 16 bits of each dword: h-lanes [1,3,5,7].
-            let hi = _mm_srli_epi32::<16>(r);
-            // [h0 h2 _ _ | h4 h6 _ _] → dwords 0 and 2 hold the packed
-            // words; shuffle them adjacent and store the low 64 bits.
-            let lo = _mm_shufflelo_epi16::<0b00_00_10_00>(hi);
-            let both = _mm_shufflehi_epi16::<0b00_00_10_00>(lo);
-            let packed = _mm_shuffle_epi32::<0b00_00_10_00>(both);
-            _mm_storel_epi64(dp.add(i) as *mut _, packed);
-            i += 4;
-        }
-        while i < n {
-            dst[i] = super::narrow_bf16_one(src[i]);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires SSE2 (always present on `x86_64`).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn widen_bf16(dst: &mut [f32], src: &[u16]) {
-        let n = dst.len();
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        let zero = _mm_setzero_si128();
-        let mut i = 0;
-        while i + 8 <= n {
-            let q = _mm_loadu_si128(sp.add(i) as *const _);
-            // Interleaving zeros *below* each word yields `q << 16` per
-            // dword — exactly the widened bit pattern.
-            let lo = _mm_unpacklo_epi16(zero, q);
-            let hi = _mm_unpackhi_epi16(zero, q);
-            _mm_storeu_ps(dp.add(i), _mm_castsi128_ps(lo));
-            _mm_storeu_ps(dp.add(i + 4), _mm_castsi128_ps(hi));
-            i += 8;
-        }
-        while i < n {
-            dst[i] = super::widen_bf16_one(src[i]);
-            i += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // AVX2 (256-bit) implementations.
 // ---------------------------------------------------------------------------
 
@@ -1438,11 +1031,11 @@ mod avx2 {
     /// Requires AVX2 (callers check [`super::supported`]) and
     /// `w.len() == y.len() * x.len()` with `w` non-empty — the public
     /// wrapper asserts both. Every vector load below stays inside `w` on
-    /// the strength of that shape alone. Miri reports no AVX2, so this
-    /// body is checked by the interpreter only through its SSE2 twin
-    /// (same loop structure, 4×4 blocks); on real hardware it is covered
-    /// by the `simd_identity` cases whose `w`, `x` and `y` end exactly
-    /// at their allocation's end.
+    /// the strength of that shape alone. The Miri leg interprets this
+    /// body over exact-size allocations
+    /// (`rowmajor_kernels_levels_bit_identical`); on hardware the
+    /// `simd_identity` cases whose `w`, `x` and `y` end exactly at their
+    /// allocation's end cover the larger shapes.
     ///
     /// Eight consecutive rows are the eight lanes: each 8×8 block of `w`
     /// is transposed in registers ([`load_transposed8`]) and consumed
@@ -1506,8 +1099,8 @@ mod avx2 {
     /// Requires AVX2 (callers check [`super::supported`]) and
     /// `w.len() == x.len() * y.len()` — the public wrapper asserts it.
     /// Like the row-block loads of [`rowmajor_gemv_acc`], the tile loads
-    /// here are out of Miri's reach and rest on the `simd_identity`
-    /// end-of-allocation cases.
+    /// here are interpreted by the Miri leg at small shapes and rest on
+    /// the `simd_identity` end-of-allocation cases at large ones.
     ///
     /// Per output `j` this is the row loop of the scalar reference —
     /// `y[j] += x[r] * w[r][j]` for `r` ascending, rows with
@@ -1661,11 +1254,11 @@ mod avx2 {
     /// Requires AVX2 (callers check [`super::supported`]), a non-empty
     /// `w` of `rows × cols` floats, and `ys` / `xs` holding the same
     /// whole number of `rows`- / `cols`-float steps — the public wrapper
-    /// establishes all three. Like the per-step body this one is out of
-    /// Miri's reach (Miri reports no AVX2; the SSE2 level loops the
-    /// per-step kernel it does interpret) and rests on the
+    /// establishes all three. Like the per-step body, the Miri leg
+    /// interprets it over exact-size slabs
+    /// (`sequence_kernels_are_t_per_step_calls_at_every_level`) and the
     /// `simd_identity` cases whose slabs end exactly at their
-    /// allocation's end.
+    /// allocation's end cover it on hardware.
     ///
     /// Per `(step, row)` this is [`rowmajor_gemv_acc`] unchanged: fresh
     /// accumulator, ascending `k`, mul then add, `cols % 8` columns
@@ -1742,9 +1335,9 @@ mod avx2 {
     /// Requires AVX2 (callers check [`super::supported`]), a non-empty
     /// `w` of `rows × cols` floats, and `us` / `vs` holding the same
     /// whole number of `rows`- / `cols`-float steps — the public wrapper
-    /// establishes all three. Out of Miri's reach like the other AVX2
-    /// bodies (the SSE2 level loops its per-step kernel); covered on
-    /// hardware by the end-of-allocation cases of `simd_identity`.
+    /// establishes all three. Interpreted by the Miri leg at small shapes
+    /// like the other sequence bodies; covered on hardware by the
+    /// end-of-allocation cases of `simd_identity`.
     ///
     /// Per element this is the per-step saxpy chain `w[r][j] += c · v[j]`
     /// with `c = alpha · u[r]`, one term per step in step order, steps
@@ -1843,9 +1436,9 @@ mod avx2 {
     /// Requires AVX2 (callers check [`super::supported`]), a non-empty
     /// `w` of `rows × cols` floats, and `ys` / `xs` holding the same
     /// whole number of `cols`- / `rows`-float steps — the public wrapper
-    /// establishes all three. Out of Miri's reach like the other AVX2
-    /// bodies (the SSE2 level loops its per-step kernel); covered on
-    /// hardware by the end-of-allocation cases of `simd_identity`.
+    /// establishes all three. Interpreted by the Miri leg at small shapes
+    /// like the other sequence bodies; covered on hardware by the
+    /// end-of-allocation cases of `simd_identity`.
     ///
     /// Per `(step, column)` this is the per-step chain
     /// `y[j] += x[r] · w[r][j]` over ascending `r`, rows with
@@ -2041,7 +1634,12 @@ mod tests {
     #[test]
     fn scalar_always_supported_and_listed_first() {
         assert!(supported(Level::Scalar));
-        assert_eq!(supported_levels()[0], Level::Scalar);
+        let want = if supported(Level::Avx2) {
+            vec![Level::Scalar, Level::Avx2]
+        } else {
+            vec![Level::Scalar]
+        };
+        assert_eq!(supported_levels(), want);
     }
 
     #[test]
@@ -2174,7 +1772,7 @@ mod tests {
     }
 
     /// Small shapes on purpose: this is the test the Miri leg interprets
-    /// (through the SSE2 twins), and every buffer is an exact-size
+    /// (through the AVX2 bodies), and every buffer is an exact-size
     /// allocation, so an overrunning row-block load is an out-of-bounds
     /// read. The exhaustive sweep lives in `tests/simd_identity.rs`.
     #[test]

@@ -6,9 +6,9 @@
 //! output keeps the scalar reduction order. These tests pin that contract
 //! from outside the crate, across:
 //!
-//! * awkward lengths — 0, 1, lane−1/lane/lane+1 for both the 4-wide SSE2
-//!   and 8-wide AVX2 lanes, tile boundaries (31/32/33), and large
-//!   non-multiples (100, 257);
+//! * awkward lengths — 0, 1, lane−1/lane/lane+1 for the 8-wide AVX2
+//!   lanes (and the half-lane 3/4/5), tile boundaries (15/16/17,
+//!   31/32/33), and large non-multiples (100, 257);
 //! * unaligned inputs — slices offset by one `f32` from their allocation
 //!   start, so 32-byte-aligned loads would fault if the kernels ever
 //!   switched from `loadu` to aligned loads;
@@ -17,9 +17,10 @@
 //!   fallback emulates the fixed 8-lane layout);
 //! * the three row-major training kernels (`rowmajor_gemv_acc`,
 //!   `rank1_update`, `gemv_t_acc`) over every `rows, cols ∈ 0..=41`, on
-//!   slices that **end exactly at their allocation's end** (the only
-//!   out-of-bounds check the AVX2 row-block loads get — Miri sees no
-//!   AVX2), and with `0.0`, `-0.0`, `NaN`, `±inf` in the coefficients
+//!   slices that **end exactly at their allocation's end** (the
+//!   out-of-bounds check the AVX2 row-block loads get at these sizes on
+//!   hardware; the Miri leg interprets the same bodies at the in-crate
+//!   tests' small shapes), and with `0.0`, `-0.0`, `NaN`, `±inf` in the coefficients
 //!   the zero-skip inspects;
 //! * the three **sequence** kernels (`rowmajor_gemv_acc_seq`,
 //!   `rank1_update_seq`, `gemv_t_acc_seq`), each against what it is
@@ -45,8 +46,9 @@
 use ncl_tensor::simd::{self, Level};
 use ncl_tensor::{libm, ops};
 
-/// Lengths that straddle every lane/tile boundary in the kernels:
-/// SSE2 is 4-wide (16-element tiles), AVX2 8-wide (32-element tiles).
+/// Lengths that straddle every lane/tile boundary in the kernels: AVX2
+/// is 8-wide with 16- and 32-element tiles; the half-lane sizes stay as
+/// awkward inputs.
 const SIZES: &[usize] = &[0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100, 257];
 
 /// Deterministic "awkward" test data: varied signs and magnitudes,
@@ -372,7 +374,7 @@ fn assert_rowmajor_kernels_identical(
 #[test]
 fn rowmajor_kernels_bitwise_identical_for_every_shape_to_41() {
     // Exhaustive over the proptest's domain: both degenerate axes, every
-    // `rows % 8` / `cols % 8` (and `% 4` for SSE2) tail, the d = 32
+    // `rows % 8` / `cols % 8` tail, the d = 32
     // training shape, at an aligned and an unaligned start.
     for rows in 0..=41 {
         for cols in 0..=41 {
