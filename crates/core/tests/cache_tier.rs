@@ -1,10 +1,12 @@
 //! Cache-tier acceptance suite: the `Compact` tier must be a pure
 //! memory trade — epsilon-bounded scores, explicitly flagged via
-//! [`ConceptCache::tier`], bit-reproducible within the tier — untouched
-//! chapters cost zero resident bytes, and what is resident is exactly
-//! what [`CacheMemoryReport`] says. That *when* a chapter freezes is
-//! invisible (first touch against [`ConceptCache::warm`], shard by
-//! shard, in both tiers) is `serving_cache.rs`'s trie proptest.
+//! [`ConceptCache::tier`], bit-reproducible within the tier — and
+//! *when* a chapter freezes must be invisible: a shard frozen on first
+//! touch holds the rows and serves the scores of one frozen by
+//! [`ConceptCache::warm`], untouched chapters cost zero resident bytes,
+//! and what is resident is exactly what [`CacheMemoryReport`] says.
+//! `serving_cache.rs`'s trie proptest checks the same first-touch
+//! property shard by shard on drawn ontologies.
 //!
 //! These tests run (and must pass) under `NCL_FORCE_SCALAR=1` too: the
 //! bf16 widen/narrow kernels are bit-exact across dispatch levels, so
@@ -73,6 +75,48 @@ fn score_all(
     o.all_concepts()
         .map(|c| m.log_prob_ids_masked_cached(idx, cache, c, target, &mask))
         .collect()
+}
+
+#[test]
+fn first_touch_matches_warm_in_both_tiers() {
+    let (o, v) = world(4, 3, 3);
+    let idx = OntologyIndex::build(&o, &v, 2);
+    let m = model_for(v);
+    for tier in [CacheTier::Exact, CacheTier::Compact] {
+        let warmed = m.freeze_tiered(&idx, tier);
+        warmed.warm(&m, &idx);
+        assert_eq!(warmed.shard_count(), 4 + 1, "one shard per chapter + root");
+        assert_eq!(warmed.frozen_shard_count(), warmed.shard_count());
+
+        let touched = m.freeze_tiered(&idx, tier);
+        assert_eq!(touched.frozen_shard_count(), 0);
+        let target = m.encode_text("system 1 disorder group 2 type t1x2x0");
+        let leaf = o.by_code("C01.20").unwrap();
+        let mask = vec![true; target.len()];
+        let _ = m.log_prob_ids_masked_cached(&idx, &touched, leaf, &target, &mask);
+        assert_eq!(touched.frozen_shard_count(), 1, "{}", tier.name());
+
+        let a = score_all(&m, &idx, &warmed, &o, &target);
+        let b = score_all(&m, &idx, &touched, &o, &target);
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{} concept #{i}", tier.name());
+        }
+        for c in o.all_concepts() {
+            assert_eq!(
+                warmed.encoder_states(&m, &idx, c),
+                touched.encoder_states(&m, &idx, c),
+                "{} {:?}",
+                tier.name(),
+                o.concept(c).code
+            );
+        }
+        // Scoring every concept touched every chapter — but never the
+        // root slot's shard (the root is not a concept of the ontology
+        // proper); `warm` picks up what is left.
+        assert_eq!(touched.frozen_shard_count(), touched.shard_count() - 1);
+        touched.warm(&m, &idx);
+        assert_eq!(touched.frozen_shard_count(), touched.shard_count());
+    }
 }
 
 #[test]
