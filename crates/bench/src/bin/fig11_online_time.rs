@@ -16,11 +16,12 @@
 //! and at that size candidate retrieval is where a naive scan hurts. The
 //! second half of this binary drops the model and measures the
 //! [`TfIdfIndex`] alone on synthetic ontologies across a concept-count ×
-//! query-length grid: MaxScore-pruned `top_k` against the exhaustive
-//! scan, measured in paired interleaved rounds, with bit-identical
-//! results asserted before any timing. Writes
+//! query-length grid: `top_k` (one term-at-a-time pass into a reused
+//! accumulator, bounded heap selection) against `top_k_exhaustive`
+//! (fresh buffers, full sort), measured in paired interleaved rounds,
+//! with bit-identical results asserted before any timing. Writes
 //! `results/fig11_scale_sweep.json` plus a flat `BENCH_fig11.json` for
-//! the CI regression gate; the acceptance is pruned ≥ 3× exhaustive at
+//! the CI regression gate; the acceptance is `top_k` ≥ 3× exhaustive at
 //! ≥ 50k concepts.
 
 use ncl_bench::config::table1;
@@ -28,7 +29,7 @@ use ncl_bench::{table, workload, Scale};
 use ncl_core::{Linker, LinkerConfig, StageKind};
 use ncl_datagen::ontology_gen::generate_at_least;
 use ncl_ontology::codes::IcdRevision;
-use ncl_text::tfidf::{RetrievalStats, TfIdfIndex};
+use ncl_text::tfidf::TfIdfIndex;
 use ncl_text::tokenize;
 use std::time::{Duration, Instant};
 
@@ -55,19 +56,17 @@ struct ScaleRow {
     concepts: usize,
     qlen: usize,
     k: usize,
-    pruned_qps: f64,
+    topk_qps: f64,
     exhaustive_qps: f64,
     speedup: f64,
-    postings_pruned_frac: f64,
 }
 ncl_bench::impl_to_json!(ScaleRow {
     concepts,
     qlen,
     k,
-    pruned_qps,
+    topk_qps,
     exhaustive_qps,
-    speedup,
-    postings_pruned_frac
+    speedup
 });
 
 fn mean_ms(ds: &[Duration]) -> f64 {
@@ -77,8 +76,8 @@ fn mean_ms(ds: &[Duration]) -> f64 {
     ds.iter().map(|d| d.as_secs_f64()).sum::<f64>() / ds.len() as f64 * 1e3
 }
 
-/// Times pruned vs exhaustive retrieval in alternating rounds, returning
-/// `(pruned_qps, exhaustive_qps)`. Interleaving makes the ratio immune
+/// Times `top_k` vs `top_k_exhaustive` in alternating rounds, returning
+/// `(topk_qps, exhaustive_qps)`. Interleaving makes the ratio immune
 /// to machine-speed drift across the sweep.
 fn measure_paired_topk(
     index: &TfIdfIndex,
@@ -90,15 +89,15 @@ fn measure_paired_topk(
         let _ = index.top_k(q, k);
         let _ = index.top_k_exhaustive(q, k);
     }
-    let (mut tp, mut te) = (0.0f64, 0.0f64);
-    let (mut np, mut ne) = (0usize, 0usize);
-    while tp + te < min_secs {
+    let (mut tt, mut te) = (0.0f64, 0.0f64);
+    let (mut nt, mut ne) = (0usize, 0usize);
+    while tt + te < min_secs {
         let s = Instant::now();
         for q in queries {
             let _ = index.top_k(q, k);
-            np += 1;
+            nt += 1;
         }
-        tp += s.elapsed().as_secs_f64();
+        tt += s.elapsed().as_secs_f64();
         let s = Instant::now();
         for q in queries {
             let _ = index.top_k_exhaustive(q, k);
@@ -106,7 +105,7 @@ fn measure_paired_topk(
         }
         te += s.elapsed().as_secs_f64();
     }
-    (np as f64 / tp, ne as f64 / te)
+    (nt as f64 / tt, ne as f64 / te)
 }
 
 /// Builds `want` fixed-length queries by striding over the corpus and
@@ -265,7 +264,7 @@ fn main() {
 
     ncl_bench::results::write_json("fig11_online_time", &records);
 
-    // ---- Phase-I scale sweep: pruned vs exhaustive retrieval ----
+    // ---- Phase-I scale sweep: top_k vs exhaustive retrieval ----
     let quick = ncl_bench::config::quick_from_args();
     let sizes: &[usize] = if quick {
         &[2_000, 50_000]
@@ -288,58 +287,41 @@ fn main() {
                 !queries.is_empty(),
                 "no length-{qlen} queries at {n} concepts"
             );
-            // Exactness first: the pruned path must return bit-identical
+            // Exactness first: `top_k` must return bit-identical
             // (doc, score) lists before its speed means anything.
-            let mut stats = RetrievalStats::default();
             for q in &queries {
-                let (pruned, s) = index.top_k_with_stats(q, k);
+                let hits = index.top_k(q, k);
                 let exhaustive = index.top_k_exhaustive(q, k);
-                assert_eq!(pruned.len(), exhaustive.len(), "result length diverged");
-                for (p, e) in pruned.iter().zip(&exhaustive) {
-                    assert_eq!(p.0, e.0, "doc order diverged at {n} concepts");
-                    assert_eq!(p.1.to_bits(), e.1.to_bits(), "score bits diverged");
+                assert_eq!(hits.len(), exhaustive.len(), "result length diverged");
+                for (h, e) in hits.iter().zip(&exhaustive) {
+                    assert_eq!(h.0, e.0, "doc order diverged at {n} concepts");
+                    assert_eq!(h.1.to_bits(), e.1.to_bits(), "score bits diverged");
                 }
-                stats.merge(&s);
             }
-            let total_postings = stats.postings_examined + stats.postings_pruned;
-            let pruned_frac = if total_postings == 0 {
-                0.0
-            } else {
-                stats.postings_pruned as f64 / total_postings as f64
-            };
-            let (pruned_qps, exhaustive_qps) = measure_paired_topk(&index, &queries, k, min_secs);
-            let speedup = pruned_qps / exhaustive_qps;
+            let (topk_qps, exhaustive_qps) = measure_paired_topk(&index, &queries, k, min_secs);
+            let speedup = topk_qps / exhaustive_qps;
             table_rows.push(vec![
                 onto.num_concepts().to_string(),
                 qlen.to_string(),
-                format!("{pruned_qps:.0}"),
+                format!("{topk_qps:.0}"),
                 format!("{exhaustive_qps:.0}"),
                 format!("{speedup:.2}"),
-                format!("{:.1}%", pruned_frac * 100.0),
             ]);
             scale_rows.push(ScaleRow {
                 concepts: onto.num_concepts(),
                 qlen,
                 k,
-                pruned_qps,
+                topk_qps,
                 exhaustive_qps,
                 speedup,
-                postings_pruned_frac: pruned_frac,
             });
         }
     }
-    table::banner("Phase-I scale sweep: MaxScore-pruned vs exhaustive top-20");
+    table::banner("Phase-I scale sweep: top_k vs exhaustive top-20");
     println!(
         "{}",
         table::render(
-            &[
-                "concepts",
-                "|q|",
-                "pruned q/s",
-                "exhaustive q/s",
-                "speedup",
-                "postings pruned"
-            ],
+            &["concepts", "|q|", "top_k q/s", "exhaustive q/s", "speedup"],
             &table_rows
         )
     );
@@ -354,8 +336,8 @@ fn main() {
         .zip(sizes.iter().flat_map(|n| qlens.iter().map(move |_| n)))
     {
         gate.push_str(&format!(
-            "  \"pruned_c{}_q{}_qps\": {:.3},\n",
-            n, row.qlen, row.pruned_qps
+            "  \"topk_c{}_q{}_qps\": {:.3},\n",
+            n, row.qlen, row.topk_qps
         ));
         gate.push_str(&format!(
             "  \"speedup_c{}_q{}\": {:.3},\n",
@@ -378,7 +360,7 @@ fn main() {
 
     assert!(
         headline_speedup >= 3.0,
-        "pruned retrieval must average >= 3x exhaustive at >= 50k concepts (got {headline_speedup:.2}x)"
+        "top_k must average >= 3x exhaustive at >= 50k concepts (got {headline_speedup:.2}x)"
     );
-    println!("\nfig11 acceptance: pruned >= 3x exhaustive at >= 50k concepts — ok ({headline_speedup:.2}x)");
+    println!("\nfig11 acceptance: top_k >= 3x exhaustive at >= 50k concepts — ok ({headline_speedup:.2}x)");
 }

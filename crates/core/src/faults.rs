@@ -14,9 +14,9 @@
 //! site.
 //!
 //! The linking pipeline's sites: `"or.rewrite"` (one visit per rewritten
-//! token), `"cr.topk"` (candidate retrieval — now the MaxScore-pruned
-//! scan; a panic here still yields an empty candidate set, not an
-//! abort), `"ed.score"` (one visit per scored candidate), and
+//! token), `"cr.topk"` (candidate retrieval — the term-at-a-time TF-IDF
+//! scan; a panic here yields an empty candidate set, not an abort),
+//! `"ed.score"` (one visit per scored candidate), and
 //! `"ed.cache"` (an I/O-style site consulted per candidate when serving
 //! from the frozen concept cache — an injected error models a cache
 //! miss, degrading that candidate to the uncached scoring path with an

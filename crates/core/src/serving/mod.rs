@@ -135,19 +135,17 @@ pub(crate) fn serve(
     // documents. Panic-isolated: a fault here yields an empty candidate
     // set, not an abort.
     let t = Instant::now();
-    let hits = catch_unwind(AssertUnwindSafe(|| {
+    let candidates = catch_unwind(AssertUnwindSafe(|| {
         if let Some(plan) = &linker.faults {
             plan.visit("cr.topk");
         }
-        linker.tfidf.top_k_with_stats(&rewritten, linker.config().k)
+        linker.top_k_concepts(&rewritten, &mut trace.retrieval)
     }));
-    let cr_panicked = hits.is_err();
+    let cr_panicked = candidates.is_err();
     if cr_panicked {
         trace.events.push(TraceEvent::RetrievePanicked);
     }
-    let (hits, index_stats) = hits.unwrap_or_default();
-    trace.retrieval.merge(&index_stats);
-    let candidates: Vec<ConceptId> = hits.iter().map(|&(d, _)| linker.doc_map[d]).collect();
+    let candidates = candidates.unwrap_or_default();
     let cr_over = budget.cr.is_some_and(|b| t.elapsed() > b);
     timed(&mut trace, StageKind::Retrieve, t);
 

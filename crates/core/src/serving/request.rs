@@ -192,8 +192,8 @@ pub struct LinkResult {
     pub rewritten: Vec<String>,
     /// Phase-I candidates in retrieval order (before re-ranking).
     pub candidates: Vec<ConceptId>,
-    /// Phase-I work counters: postings examined/scored/pruned by the
-    /// MaxScore scan, heap evictions, and rewrite-memo hit rates — the
+    /// Phase-I work counters: postings scored by the term-at-a-time
+    /// scan, heap evictions, and rewrite-memo hit rates — the
     /// "postings examined" cost model of Figure 11(c)/(d). A copy of
     /// [`LinkTrace::retrieval`], kept as a direct field for callers of
     /// the pre-trace API.

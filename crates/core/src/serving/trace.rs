@@ -153,8 +153,8 @@ pub struct RewriteDecision {
 pub struct LinkTrace {
     /// Wall-clock per executed stage, in execution order.
     pub stages: Vec<StageTiming>,
-    /// Phase-I work counters (postings examined/scored/pruned, heap
-    /// evictions, rewrite-memo hit rates).
+    /// Phase-I work counters (postings scored, heap evictions,
+    /// rewrite-memo hit rates).
     pub retrieval: RetrievalStats,
     /// Every rewrite decision taken by the Rewrite stage, in token
     /// order (in-vocabulary tokens are not recorded).

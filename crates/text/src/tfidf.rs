@@ -18,21 +18,22 @@
 //! `cosine(q, d) = (Σ_t qw_t · impact_{t,d}) / ‖q‖` — one multiply-add
 //! per posting, no per-document norm lookup.
 //!
-//! ## Exact MaxScore pruning
+//! ## Term-at-a-time top-k
 //!
-//! [`TfIdfIndex::top_k`] runs a document-at-a-time MaxScore scan: query
-//! terms are ordered by their score ceiling `qw_t · max_impact_t`, a
-//! bounded min-heap tracks the current top-k, and terms whose remaining
-//! ceiling cannot reach the heap threshold become *non-essential* — their
-//! postings are only probed for documents already surfaced by the
-//! essential terms. Results are **bit-identical** to
-//! [`TfIdfIndex::top_k_exhaustive`] (see `proptests`): pruning decisions
-//! compare an f64 upper bound inflated by an explicit rounding margin
-//! against the threshold *strictly*, so no document that could enter the
-//! top-k (including ties at the k boundary) is ever skipped.
+//! [`TfIdfIndex::top_k`] is one term-at-a-time pass: each query term, in
+//! descending `qw_t · max_impact_t` order, adds `qw_t · impact` into a
+//! dense per-document accumulator, and one pass over the accumulator in
+//! document order feeds a bounded top-k heap. Every document's sum is the
+//! `+=` chain, in the term order, that [`TfIdfIndex::top_k_exhaustive`]
+//! runs, so results are **bit-identical** to it by construction (see
+//! `equivalence`). Every posting of the query's lists is read; no
+//! posting is skipped by a score bound (DESIGN.md §16, "MaxScore
+//! document-at-a-time scan", says when pruning pays).
 
 use crate::vocab::{Vocab, WordId};
-use std::collections::HashMap;
+use ncl_tensor::simd;
+use std::cell::Cell;
+use std::collections::{BinaryHeap, HashMap};
 
 /// A document's id within a [`TfIdfIndex`]; callers map it to a concept.
 pub type DocId = usize;
@@ -46,18 +47,15 @@ pub type TermId = u32;
 /// inverted index are examined".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetrievalStats {
-    /// Postings the engine actually read (scored or stepped over during
-    /// a seek).
-    pub postings_examined: usize,
-    /// Postings whose contribution was accumulated into a score.
+    /// Postings whose contribution was accumulated into a score: every
+    /// posting of the query's (distinct, indexed) terms.
     pub postings_scored: usize,
-    /// Postings in the query's lists that pruning skipped wholesale.
+    /// Always 0: the scan skips no posting. Kept only because
+    /// `benchmark/src/api.rs` reads it.
     pub postings_pruned: usize,
-    /// Documents fully scored.
+    /// Documents offered to the top-k heap: those whose accumulated score
+    /// cleared the heap's floor when the selection pass reached them.
     pub docs_scored: usize,
-    /// Documents abandoned early because their score ceiling fell below
-    /// the heap threshold.
-    pub docs_pruned: usize,
     /// Evictions from the bounded top-k heap.
     pub heap_evictions: usize,
     /// Out-of-vocabulary tokens whose rewrite was served from the
@@ -72,11 +70,9 @@ impl RetrievalStats {
     /// Field-wise accumulation (linker-level stats absorb index-level
     /// stats; benchmark sweeps absorb per-query stats).
     pub fn merge(&mut self, other: &RetrievalStats) {
-        self.postings_examined += other.postings_examined;
         self.postings_scored += other.postings_scored;
         self.postings_pruned += other.postings_pruned;
         self.docs_scored += other.docs_scored;
-        self.docs_pruned += other.docs_pruned;
         self.heap_evictions += other.heap_evictions;
         self.rewrite_cache_hits += other.rewrite_cache_hits;
         self.rewrite_cache_misses += other.rewrite_cache_misses;
@@ -103,9 +99,26 @@ pub struct TfIdfIndex {
     /// Norm-folded impacts: `tf·idf / doc_norm`, parallel to
     /// `posting_docs`.
     posting_impacts: Vec<f32>,
-    /// Per-term maximum impact — the MaxScore upper bound.
+    /// Per-term maximum impact, the key of the query-term accumulation
+    /// order.
     max_impact: Vec<f32>,
     num_docs: usize,
+}
+
+/// Documents per block of the selection pass: a block whose largest
+/// accumulator is at or below the heap floor is skipped whole.
+const SELECT_BLOCK: usize = 64;
+
+thread_local! {
+    /// The calling thread's score accumulator: one slot per document of
+    /// the largest index the thread has queried, all zero between calls.
+    static ACCUMULATOR: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+#[cfg(test)]
+thread_local! {
+    /// When set, the next scan panics after accumulating its first term.
+    static PANIC_MID_SCAN: Cell<bool> = const { Cell::new(false) };
 }
 
 /// One query term resolved against the index, ready for scoring.
@@ -113,7 +126,9 @@ struct QueryTerm {
     tid: TermId,
     /// Query-side TF-IDF weight.
     qw: f32,
-    /// Score ceiling of one posting of this term: `qw · max_impact`.
+    /// Score ceiling of one posting of this term, `qw · max_impact`:
+    /// terms are accumulated in descending `bound` (ties by term id),
+    /// the one order that fixes every score's f32 bits.
     bound: f64,
 }
 
@@ -124,6 +139,9 @@ struct QueryTerm {
 struct WorstFirst {
     score: f32,
     doc: u32,
+    /// The accumulated sum `score` was divided from; not part of the
+    /// order (it is a function of `doc`).
+    acc: f32,
 }
 
 impl Eq for WorstFirst {}
@@ -312,10 +330,10 @@ impl TfIdfIndex {
         self.terms.iter().map(|s| s.as_str())
     }
 
-    /// Number of postings a fully exhaustive evaluation of `query` would
-    /// read — the cost driver measured in Figure 11(c)/(d) ("more
-    /// postings in the inverted index are examined" as |q| grows). The
-    /// pruned scan reads fewer; see [`RetrievalStats`].
+    /// Number of postings an evaluation of `query` reads — the cost
+    /// driver measured in Figure 11(c)/(d) ("more postings in the
+    /// inverted index are examined" as |q| grows). For a query without
+    /// repeated words this is [`RetrievalStats::postings_scored`].
     pub fn postings_examined<S: AsRef<str>>(&self, query: &[S]) -> usize {
         query
             .iter()
@@ -329,10 +347,10 @@ impl TfIdfIndex {
         self.offsets[tid as usize]..self.offsets[tid as usize + 1]
     }
 
-    /// Resolves `query` into weighted terms ordered by descending score
-    /// ceiling (ties by term id), plus the query norm. Both scoring paths
-    /// share this, so per-document accumulation order — and therefore
-    /// every f32 score bit — is identical between them.
+    /// Resolves `query` into weighted terms in accumulation order —
+    /// descending score ceiling, ties by term id — plus the query norm.
+    /// Both scoring paths share this, so per-document accumulation order —
+    /// and therefore every f32 score bit — is identical between them.
     fn weighted_query_terms<S: AsRef<str>>(&self, query: &[S]) -> (Vec<QueryTerm>, f32) {
         // Query TF accumulation in sorted-term order: f32 addition is not
         // associative, so summing in hash-map iteration order would make
@@ -375,8 +393,8 @@ impl TfIdfIndex {
     /// paper observes in Figure 11(a)/(b) when "the desired number of
     /// candidate concepts may not be met".
     ///
-    /// This is the MaxScore-pruned scan; results are bit-identical to
-    /// [`TfIdfIndex::top_k_exhaustive`].
+    /// One term-at-a-time pass over the query's postings; results are
+    /// bit-identical to [`TfIdfIndex::top_k_exhaustive`].
     pub fn top_k<S: AsRef<str>>(&self, query: &[S], k: usize) -> Vec<(DocId, f32)> {
         self.top_k_with_stats(query, k).0
     }
@@ -395,132 +413,85 @@ impl TfIdfIndex {
         if terms.is_empty() {
             return (Vec::new(), stats);
         }
-        let n = terms.len();
-        let qnorm_f64 = qnorm as f64;
-        // Rounding-safety margin for the pruning bound. A document's f32
-        // score is a forward sum of n non-negative contributions (each
-        // pointwise ≤ its term's ceiling, because f32 rounding is
-        // monotone) followed by one division; relative inflation from
-        // rounding is < (n + 2)·ε, so multiplying the exact f64 bound by
-        // this margin dominates any achievable f32 score. Pruning
-        // compares *strictly* below the threshold, so boundary ties are
-        // always fully scored.
-        let margin = 1.0 + (n as f64 + 8.0) * f32::EPSILON as f64;
-        // suffix_bound[i] = Σ_{j ≥ i} ceiling_j (exact-enough f64 sums).
-        let mut suffix_bound = vec![0.0f64; n + 1];
-        for i in (0..n).rev() {
-            suffix_bound[i] = suffix_bound[i + 1] + terms[i].bound;
-        }
 
-        // Cursors into the CSR arena, one per query term, in bound order.
-        let mut pos: Vec<usize> = Vec::with_capacity(n);
-        let mut ends: Vec<usize> = Vec::with_capacity(n);
-        let mut total_postings = 0usize;
+        // The thread's accumulator is taken for the call and put back
+        // re-zeroed. A call that unwinds drops it instead, so the next
+        // call starts from a fresh zeroed buffer, never a half-summed one.
+        let mut buf = ACCUMULATOR.take();
+        if buf.len() < self.num_docs {
+            buf.resize(self.num_docs, 0.0);
+        }
+        let acc = &mut buf[..self.num_docs];
         for t in &terms {
             let r = self.postings_range(t.tid);
-            total_postings += r.len();
-            pos.push(r.start);
-            ends.push(r.end);
+            stats.postings_scored += r.len();
+            for (&d, &imp) in self.posting_docs[r.clone()]
+                .iter()
+                .zip(&self.posting_impacts[r])
+            {
+                acc[d as usize] += t.qw * imp;
+            }
+            #[cfg(test)]
+            if PANIC_MID_SCAN.take() {
+                panic!("injected mid-scan panic");
+            }
         }
-        let starts: Vec<usize> = pos.clone();
 
-        let mut heap: std::collections::BinaryHeap<WorstFirst> =
-            std::collections::BinaryHeap::with_capacity(k + 1);
-        // Number of leading terms that can still, on their own, lift a
-        // fresh document over the heap threshold ("essential" terms).
-        // The threshold only rises, so this only shrinks.
-        let mut essential = n;
-        loop {
-            let threshold = if heap.len() == k {
-                Some(*heap.peek().expect("non-empty full heap"))
-            } else {
-                None
-            };
-            if let Some(worst) = threshold {
-                while essential > 0
-                    && suffix_bound[essential - 1] * margin / qnorm_f64 < worst.score as f64
-                {
-                    essential -= 1;
-                }
-                if essential == 0 {
-                    break; // no unseen document can reach the top-k
-                }
-            }
-
-            // Next candidate: smallest unread doc among essential terms.
-            let mut d = u32::MAX;
-            for i in 0..essential {
-                if pos[i] < ends[i] {
-                    d = d.min(self.posting_docs[pos[i]]);
-                }
-            }
-            if d == u32::MAX {
-                break; // essential lists exhausted
-            }
-
-            // Score doc `d` across all terms in bound order — the same
-            // accumulation order as the exhaustive reference. Essential
-            // cursors always advance past `d` (progress guarantee); the
-            // non-essential tail may abandon the doc early once its
-            // ceiling falls below the threshold.
-            let mut acc = 0.0f32;
-            let mut abandoned = false;
-            for i in 0..essential {
-                if pos[i] < ends[i] && self.posting_docs[pos[i]] == d {
-                    acc += terms[i].qw * self.posting_impacts[pos[i]];
-                    pos[i] += 1;
-                    stats.postings_scored += 1;
-                }
-            }
-            for i in essential..n {
-                if let Some(worst) = threshold {
-                    if (acc as f64 + suffix_bound[i]) * margin / qnorm_f64 < worst.score as f64 {
-                        abandoned = true;
-                        break;
-                    }
-                }
-                pos[i] = seek(&self.posting_docs, pos[i], ends[i], d);
-                if pos[i] < ends[i] && self.posting_docs[pos[i]] == d {
-                    acc += terms[i].qw * self.posting_impacts[pos[i]];
-                    pos[i] += 1;
-                    stats.postings_scored += 1;
-                }
-            }
-            if abandoned {
-                stats.docs_pruned += 1;
+        // Selection, re-zeroing the accumulator as it reads it. A document
+        // with `acc <= floor` cannot enter the heap: `acc / qnorm` is
+        // monotone in `acc`, and the pass ascends in document id, so an
+        // equal score loses its tie to every entry already held. `floor`
+        // is 0 until the heap is full; every stored impact is > 0 (idf ≥ 1,
+        // so norm ≥ 1), so a document was touched exactly when its
+        // `acc > 0`, and zero-overlap documents are omitted as in the
+        // exhaustive scan. `simd::max` is exact on the finite, non-negative
+        // sums, so a block skipped on its maximum holds no candidate.
+        let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k + 1);
+        let mut floor = 0.0f32;
+        for (b, block) in acc.chunks_mut(SELECT_BLOCK).enumerate() {
+            if simd::max(block) <= floor {
+                block.fill(0.0);
                 continue;
             }
-            stats.docs_scored += 1;
-            let score = acc / qnorm;
-            let entry = WorstFirst { score, doc: d };
-            if heap.len() < k {
-                heap.push(entry);
-            } else if entry < *heap.peek().expect("full heap") {
-                heap.pop();
-                heap.push(entry);
-                stats.heap_evictions += 1;
+            for (i, slot) in block.iter_mut().enumerate() {
+                let a = std::mem::take(slot);
+                if a <= floor {
+                    continue;
+                }
+                stats.docs_scored += 1;
+                let entry = WorstFirst {
+                    score: a / qnorm,
+                    doc: (b * SELECT_BLOCK + i) as u32,
+                    acc: a,
+                };
+                if heap.len() < k {
+                    heap.push(entry);
+                } else if entry < *heap.peek().expect("full heap") {
+                    heap.pop();
+                    heap.push(entry);
+                    stats.heap_evictions += 1;
+                } else {
+                    continue;
+                }
+                if heap.len() == k {
+                    floor = heap.peek().expect("full heap").acc;
+                }
             }
         }
+        ACCUMULATOR.set(buf);
 
-        stats.postings_examined = pos.iter().zip(&starts).map(|(&p, &s)| p - s).sum::<usize>();
-        stats.postings_pruned = total_postings.saturating_sub(stats.postings_examined);
-
-        let mut out: Vec<(DocId, f32)> = heap
+        let out = heap
+            .into_sorted_vec()
             .into_iter()
             .map(|e| (e.doc as DocId, e.score))
             .collect();
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
         (out, stats)
     }
 
     /// Reference scorer: term-at-a-time accumulation over every posting
-    /// of every query term, then a full sort. Bit-identical to
-    /// [`TfIdfIndex::top_k`]; kept as the pruning-equivalence oracle and
-    /// as the exhaustive baseline of the fig11 benchmark.
+    /// of every query term into fresh buffers, then a full sort.
+    /// Bit-identical to [`TfIdfIndex::top_k`]; kept as its equivalence
+    /// oracle and as the baseline of the fig11 scale sweep.
     pub fn top_k_exhaustive<S: AsRef<str>>(&self, query: &[S], k: usize) -> Vec<(DocId, f32)> {
         if k == 0 || query.is_empty() {
             return Vec::new();
@@ -558,33 +529,6 @@ impl TfIdfIndex {
         results.truncate(k);
         results
     }
-}
-
-/// Advances `pos` to the first posting in `[pos, end)` whose doc id is
-/// `>= target`: a short linear probe (the common stride between
-/// consecutive candidates is small), then galloping + binary search for
-/// long skips.
-fn seek(docs: &[u32], mut pos: usize, end: usize, target: u32) -> usize {
-    for _ in 0..8 {
-        if pos >= end || docs[pos] >= target {
-            return pos;
-        }
-        pos += 1;
-    }
-    let mut step = 8usize;
-    let mut lo = pos;
-    loop {
-        let probe = lo.checked_add(step).filter(|&p| p < end);
-        match probe {
-            Some(p) if docs[p] < target => {
-                lo = p;
-                step <<= 1;
-            }
-            _ => break,
-        }
-    }
-    let hi = (lo + step + 1).min(end);
-    lo + docs[lo..hi].partition_point(|&d| d < target)
 }
 
 #[cfg(test)]
@@ -708,10 +652,10 @@ mod tests {
         ] {
             let toks = tokenize(q);
             for k in [1usize, 2, 3, 7, 20] {
-                let pruned = idx.top_k(&toks, k);
+                let hits = idx.top_k(&toks, k);
                 let exhaustive = idx.top_k_exhaustive(&toks, k);
-                assert_eq!(pruned.len(), exhaustive.len(), "q={q} k={k}");
-                for (a, b) in pruned.iter().zip(&exhaustive) {
+                assert_eq!(hits.len(), exhaustive.len(), "q={q} k={k}");
+                for (a, b) in hits.iter().zip(&exhaustive) {
                     assert_eq!(a.0, b.0, "q={q} k={k}");
                     assert_eq!(a.1.to_bits(), b.1.to_bits(), "q={q} k={k}");
                 }
@@ -724,40 +668,89 @@ mod tests {
         let idx = index();
         let q = tokenize("iron deficiency anemia");
         let (_, stats) = idx.top_k_with_stats(&q, 2);
-        let total = idx.postings_examined(&q);
-        assert_eq!(stats.postings_examined + stats.postings_pruned, total);
-        assert!(stats.postings_scored <= stats.postings_examined);
+        assert_eq!(stats.postings_scored, idx.postings_examined(&q));
+        assert_eq!(stats.postings_pruned, 0);
         assert!(stats.docs_scored > 0);
     }
 
     #[test]
     fn stats_merge_adds_fields() {
         let mut a = RetrievalStats {
-            postings_examined: 1,
+            postings_scored: 1,
             rewrite_cache_hits: 2,
             ..RetrievalStats::default()
         };
         let b = RetrievalStats {
-            postings_examined: 3,
-            docs_pruned: 4,
+            postings_scored: 3,
+            docs_scored: 4,
             ..RetrievalStats::default()
         };
         a.merge(&b);
-        assert_eq!(a.postings_examined, 4);
-        assert_eq!(a.docs_pruned, 4);
+        assert_eq!(a.postings_scored, 4);
+        assert_eq!(a.docs_scored, 4);
         assert_eq!(a.rewrite_cache_hits, 2);
     }
 
+    /// An index of `n` documents spanning several selection blocks, with
+    /// overlapping three-word documents.
+    fn wide_index(n: usize) -> TfIdfIndex {
+        let docs: Vec<Vec<String>> = (0..n)
+            .map(|i| {
+                vec![
+                    format!("a{}", i % 7),
+                    format!("b{}", i % 11),
+                    format!("c{}", i % 13),
+                ]
+            })
+            .collect();
+        TfIdfIndex::build(&docs)
+    }
+
+    /// `top_k` bits as a thread that never queried before computes them.
+    fn on_fresh_thread(idx: &TfIdfIndex, q: &[String], k: usize) -> Vec<(DocId, u32)> {
+        std::thread::scope(|s| s.spawn(|| bits(&idx.top_k(q, k))).join().unwrap())
+    }
+
+    fn bits(hits: &[(DocId, f32)]) -> Vec<(DocId, u32)> {
+        hits.iter().map(|&(d, s)| (d, s.to_bits())).collect()
+    }
+
     #[test]
-    fn seek_finds_first_at_least_target() {
-        let docs: Vec<u32> = (0..400).map(|i| i * 3).collect();
-        for target in [0u32, 1, 3, 299, 300, 1197, 5000] {
-            let got = seek(&docs, 0, docs.len(), target);
-            let want = docs.partition_point(|&d| d < target);
-            assert_eq!(got, want, "target {target}");
-        }
-        // Starting mid-list never moves backwards.
-        assert_eq!(seek(&docs, 10, docs.len(), 0), 10);
+    fn ties_across_selection_blocks_keep_the_lowest_doc_ids() {
+        // 200 equal documents span four selection blocks; every score
+        // ties, so the k lowest ids must win.
+        let docs = vec![vec!["a".to_string(), "b".to_string()]; 200];
+        let idx = TfIdfIndex::build(&docs);
+        let q = tokenize("a b");
+        let hits = idx.top_k(&q, 5);
+        assert_eq!(bits(&hits), bits(&idx.top_k_exhaustive(&q, 5)));
+        assert_eq!(
+            hits.iter().map(|&(d, _)| d).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4]
+        );
+    }
+
+    #[test]
+    fn accumulator_is_clean_across_index_sizes_on_one_thread() {
+        let (large, small) = (wide_index(1000), wide_index(150));
+        let q: Vec<String> = ["a3", "b5", "c1"].iter().map(|w| w.to_string()).collect();
+        let want_large = on_fresh_thread(&large, &q, 10);
+        let want_small = on_fresh_thread(&small, &q, 10);
+        assert_eq!(bits(&small.top_k(&q, 10)), want_small);
+        assert_eq!(bits(&large.top_k(&q, 10)), want_large);
+        assert_eq!(bits(&small.top_k(&q, 10)), want_small);
+        assert_eq!(bits(&large.top_k(&q, 10)), want_large);
+    }
+
+    #[test]
+    fn accumulator_is_clean_after_an_unwound_scan() {
+        let idx = wide_index(500);
+        let q: Vec<String> = ["a2", "b2", "c9"].iter().map(|w| w.to_string()).collect();
+        let want = on_fresh_thread(&idx, &q, 20);
+        PANIC_MID_SCAN.set(true);
+        let unwound = std::panic::catch_unwind(|| idx.top_k(&q, 20));
+        assert!(unwound.is_err());
+        assert_eq!(bits(&idx.top_k(&q, 20)), want);
     }
 }
 
@@ -766,26 +759,26 @@ mod equivalence {
     use super::*;
     use proptest::prelude::*;
 
-    /// Asserts the pruned scan's `(doc, score)` pairs are bit-identical
-    /// to the exhaustive reference (scores compared by raw f32 bits).
+    /// Asserts the scan's `(doc, score)` pairs are bit-identical to the
+    /// exhaustive reference (scores compared by raw f32 bits).
     fn assert_bit_identical(idx: &TfIdfIndex, query: &[String], k: usize) {
-        let (pruned, stats) = idx.top_k_with_stats(query, k);
+        let (hits, stats) = idx.top_k_with_stats(query, k);
         let exhaustive = idx.top_k_exhaustive(query, k);
-        assert_eq!(pruned.len(), exhaustive.len());
-        for (a, b) in pruned.iter().zip(&exhaustive) {
+        assert_eq!(hits.len(), exhaustive.len());
+        for (a, b) in hits.iter().zip(&exhaustive) {
             assert_eq!(a.0, b.0);
             assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
-        assert!(stats.postings_examined >= stats.postings_scored);
+        assert_eq!(stats.postings_pruned, 0);
     }
 
     // Single-letter words from an 8-word closed vocabulary, so random
     // docs overlap heavily and near-ties at the k boundary are common.
     proptest! {
-        /// The MaxScore-pruned scan is bit-identical to the exhaustive
+        /// The term-at-a-time scan is bit-identical to the exhaustive
         /// reference across random corpora, queries and k values.
         #[test]
-        fn pruned_top_k_equals_exhaustive(
+        fn top_k_equals_exhaustive(
             docs in proptest::collection::vec(
                 proptest::collection::vec("[a-h]{1}", 0..10), 0..40),
             query in proptest::collection::vec("[a-h]{1}", 0..8),
@@ -799,7 +792,7 @@ mod equivalence {
         /// multiset, so scores collide exactly and the k boundary cuts
         /// through a tie group — the doc-id tiebreak must agree.
         #[test]
-        fn pruned_top_k_equals_exhaustive_under_ties(
+        fn top_k_equals_exhaustive_under_ties(
             copies in 1usize..12,
             seedq in proptest::collection::vec("[a-h]{1}", 1..5),
             k in 1usize..8,
@@ -831,6 +824,29 @@ mod equivalence {
             let large = idx.top_k(&query, k + 5);
             prop_assert!(small.len() <= large.len());
             prop_assert_eq!(&large[..small.len()], &small[..]);
+        }
+
+        /// With `k` at least the number of documents sharing a word with
+        /// the query, exactly those documents come back: a document was
+        /// touched exactly when its accumulated score is > 0.
+        #[test]
+        fn k_covering_every_touched_document_returns_exactly_them(
+            docs in proptest::collection::vec(
+                proptest::collection::vec("[a-h]{1}", 0..10), 0..150),
+            query in proptest::collection::vec("[a-h]{1}", 1..4),
+            extra in 0usize..3,
+        ) {
+            let idx = TfIdfIndex::build(&docs);
+            let touched: Vec<DocId> = (0..docs.len())
+                .filter(|&d| docs[d].iter().any(|w| query.contains(w)))
+                .collect();
+            let mut got: Vec<DocId> = idx
+                .top_k(&query, touched.len() + extra)
+                .iter()
+                .map(|&(d, _)| d)
+                .collect();
+            got.sort_unstable();
+            prop_assert_eq!(got, touched);
         }
     }
 }
@@ -977,12 +993,15 @@ mod identity {
 
     fn assert_builds_agree(docs: &[Vec<String>], query: &[String], k: usize) {
         let want = reference_build(docs);
+        // What `top_k`'s selection relies on: a document was touched
+        // exactly when its accumulated score is > 0.
+        assert!(want.posting_impacts.iter().all(|&imp| imp > 0.0));
         for got in [TfIdfIndex::build(docs), interned_build(docs)] {
             assert_same_index(&got, &want);
-            let (pruned, _) = got.top_k_with_stats(query, k);
+            let (hits, _) = got.top_k_with_stats(query, k);
             let exhaustive = want.top_k_exhaustive(query, k);
-            assert_eq!(pruned.len(), exhaustive.len());
-            for (a, b) in pruned.iter().zip(&exhaustive) {
+            assert_eq!(hits.len(), exhaustive.len());
+            for (a, b) in hits.iter().zip(&exhaustive) {
                 assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()));
             }
         }
