@@ -37,7 +37,6 @@ pub fn ncl_config(scale: &Scale, dim: usize, variant: Variant, pretrain: bool) -
             batch_size: 16,
             clip_norm: 5.0,
             seed: scale.seed ^ dim as u64,
-            output_mode: ncl_core::comaid::OutputMode::Full,
             train_threads: 1,
         },
         cbow: CbowConfig {

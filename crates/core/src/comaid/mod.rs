@@ -71,23 +71,6 @@ impl Variant {
     pub const ALL: &'static [Variant] = &[Self::Full, Self::NoStruct, Self::NoText, Self::NoBoth];
 }
 
-/// How the output layer is evaluated during *training*. Scoring always
-/// uses the exact full softmax of Eq. 9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutputMode {
-    /// Exact `|V|`-way softmax every step.
-    Full,
-    /// Sampled softmax over the target plus `noise` uniformly-sampled
-    /// vocabulary words — the BlackOut-style reduction the paper points
-    /// to for cutting training time (Appendix B.2: "The training time in
-    /// this phase can be further reduced, when the BlackOut technique is
-    /// used").
-    Sampled {
-        /// Number of noise words shared across the steps of one example.
-        noise: usize,
-    },
-}
-
 /// COM-AID hyper-parameters (defaults follow Table 1's bold values, with
 /// training-loop settings chosen for CPU-scale reproduction).
 #[derive(Debug, Clone, Copy)]
@@ -112,8 +95,6 @@ pub struct ComAidConfig {
     pub clip_norm: f32,
     /// RNG seed for initialisation and shuffling.
     pub seed: u64,
-    /// Output-layer mode during training (scoring is always exact).
-    pub output_mode: OutputMode,
     /// Worker threads for data-parallel refinement training (capped by
     /// the machine's available parallelism). An execution knob, not part
     /// of the model identity: it is *not* persisted in checkpoints, and
@@ -133,7 +114,6 @@ impl Default for ComAidConfig {
             batch_size: 16,
             clip_norm: 5.0,
             seed: 0xC0A1D,
-            output_mode: OutputMode::Full,
             train_threads: 1,
         }
     }
@@ -172,27 +152,6 @@ impl Wire for Variant {
     }
 }
 
-impl Wire for OutputMode {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Self::Full => out.push(0),
-            Self::Sampled { noise } => {
-                out.push(1);
-                noise.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(Self::Full),
-            1 => Ok(Self::Sampled {
-                noise: usize::decode(r)?,
-            }),
-            t => Err(WireError::Invalid(format!("bad OutputMode tag {t}"))),
-        }
-    }
-}
-
 /// `train_threads` is deliberately absent from the checkpoint format: two
 /// models trained with different thread counts are the same model, and
 /// adding the field would break every existing `NCLMODEL` container.
@@ -208,7 +167,10 @@ impl Wire for ComAidConfig {
         self.batch_size.encode(out);
         self.clip_norm.encode(out);
         self.seed.encode(out);
-        self.output_mode.encode(out);
+        // The training output head's tag, always 0 (the full softmax):
+        // kept so Full checkpoints keep their bytes and `FORMAT_VERSION`
+        // its value.
+        0u8.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let cfg = Self {
@@ -221,9 +183,12 @@ impl Wire for ComAidConfig {
             batch_size: usize::decode(r)?,
             clip_norm: f32::decode(r)?,
             seed: u64::decode(r)?,
-            output_mode: OutputMode::decode(r)?,
             train_threads: 1,
         };
+        match u8::decode(r)? {
+            0 => {}
+            t => return Err(WireError::Invalid(format!("bad output-head tag {t}"))),
+        }
         if cfg.dim == 0 {
             return Err(WireError::Invalid("config: dim must be positive".into()));
         }

@@ -1,7 +1,7 @@
 //! The COM-AID network: forward and backward passes.
 
 use super::{ComAidConfig, OntologyIndex};
-use ncl_nn::dense::{Activation, Dense, DenseRowsCache};
+use ncl_nn::dense::{Activation, Dense};
 use ncl_nn::lstm::{LstmTape, SeqGrads};
 use ncl_nn::param::{HasParams, ParamSet, Parameter};
 use ncl_nn::softmax_loss;
@@ -137,20 +137,6 @@ impl Wire for ComAid {
     }
 }
 
-/// One decoder step of the sampled output head used during
-/// BlackOut-style training (Appendix B.2), where only the target word
-/// plus shared noise words receive logits. The sampled head is the one
-/// part of the taped path still run step by step
-/// (`Dense::{forward_rows, backward_rows}` over a handful of rows): no
-/// benchmark workload, bench binary or example trains with
-/// `OutputMode::Sampled`, so it has not been given sequence forms.
-struct SampledStep {
-    cache: DenseRowsCache,
-    /// Probabilities over the sampled rows (target first); the backward
-    /// pass turns them into `d logits` in place.
-    probs: Vector,
-}
-
 /// Everything one forward pass records and the backward pass consumes:
 /// the three kinds of LSTM tape plus one flat slab per decoder-step
 /// quantity (`T` rows each), which is what the sequence kernels read.
@@ -194,9 +180,8 @@ pub(crate) struct ExampleRun {
     s_tilde: Vec<f32>,
     /// `T × |V|`: the output layer's logits, turned into probabilities
     /// in place by the loss and into `d logits` in place by the backward
-    /// pass (`OutputMode::Full`; empty under the sampled head).
+    /// pass.
     probs: Vec<f32>,
-    sampled: Vec<SampledStep>,
     /// Embedding rows of the sequence being encoded, and a zero state.
     xs: Vec<f32>,
     zero: Vec<f32>,
@@ -395,7 +380,7 @@ impl ComAid {
         target: &[u32],
     ) -> ExampleRun {
         let mut run = ExampleRun::default();
-        self.run_example_into(index, concept, target, None, &mut run);
+        self.run_example_into(index, concept, target, &mut run);
         run
     }
 
@@ -408,12 +393,6 @@ impl ComAid {
     /// `⟨target…, EOS⟩`, so `p(q|c)` is a proper distribution over
     /// variable-length queries (Eq. 3 needs the terminal step).
     ///
-    /// When `noise` is `Some`, each step's softmax is computed over
-    /// `{target_t} ∪ noise` only (sampled softmax, the BlackOut-style
-    /// speed-up of Appendix B.2). Scoring callers always pass `None` —
-    /// the sampled probability is a biased estimate used for training
-    /// only.
-    ///
     /// Only the recurrences and the attentions (which read the decoder
     /// state of their own step) run step by step; the LSTM input
     /// projections, the composite layer and the output layer are each
@@ -423,7 +402,6 @@ impl ComAid {
         index: &OntologyIndex,
         concept: ConceptId,
         target: &[u32],
-        noise: Option<&[u32]>,
         run: &mut ExampleRun,
     ) {
         let d = self.config.dim;
@@ -532,37 +510,9 @@ impl ComAid {
         self.composite
             .forward_seq(&run.comp_in, &mut run.s_tilde, t_len);
         run.step_log_probs.resize(t_len, 0.0);
-        run.sampled.clear();
-        run.probs.clear();
-        match noise {
-            None => {
-                run.probs.resize(t_len * self.output.out_dim(), 0.0);
-                self.output.forward_seq(&run.s_tilde, &mut run.probs, t_len);
-                softmax_loss::forward_seq(&mut run.probs, &run.targets, &mut run.step_log_probs);
-            }
-            Some(noise_words) => {
-                for (t, &target_word) in run.targets.iter().enumerate() {
-                    // Rows: target first, then the noise words that
-                    // differ from it.
-                    let mut rows: Vec<usize> = Vec::with_capacity(noise_words.len() + 1);
-                    rows.push(target_word as usize);
-                    rows.extend(
-                        noise_words
-                            .iter()
-                            .filter(|&&w| w != target_word)
-                            .map(|&w| w as usize),
-                    );
-                    let s_tilde = Vector::from_slice(&run.s_tilde[t * d..(t + 1) * d]);
-                    let (mut probs, cache) = self.output.forward_rows(&s_tilde, &rows);
-                    softmax_loss::forward_seq(
-                        probs.as_mut_slice(),
-                        &[0],
-                        &mut run.step_log_probs[t..=t],
-                    );
-                    run.sampled.push(SampledStep { cache, probs });
-                }
-            }
-        }
+        zeroed(&mut run.probs, t_len * self.output.out_dim());
+        self.output.forward_seq(&run.s_tilde, &mut run.probs, t_len);
+        softmax_loss::forward_seq(&mut run.probs, &run.targets, &mut run.step_log_probs);
         run.loss = 0.0;
         run.log_prob = 0.0;
         for &lp in &run.step_log_probs {
@@ -587,18 +537,9 @@ impl ComAid {
         let bwd = &mut run.bwd;
 
         bwd.ds_tilde.resize(t_len * d, 0.0);
-        if run.sampled.is_empty() {
-            softmax_loss::backward_seq(&mut run.probs, &run.targets, scale);
-            self.output
-                .backward_seq(&run.s_tilde, &[], &mut run.probs, &mut bwd.ds_tilde, t_len);
-        } else {
-            for (step, ds_tilde) in run.sampled.iter_mut().zip(bwd.ds_tilde.chunks_exact_mut(d)) {
-                // Target sits at index 0 of the sampled rows.
-                softmax_loss::backward_seq(step.probs.as_mut_slice(), &[0], scale);
-                let dx = self.output.backward_rows(&step.cache, &step.probs);
-                ds_tilde.copy_from_slice(dx.as_slice());
-            }
-        }
+        softmax_loss::backward_seq(&mut run.probs, &run.targets, scale);
+        self.output
+            .backward_seq(&run.s_tilde, &[], &mut run.probs, &mut bwd.ds_tilde, t_len);
         let width = self.composite.in_dim();
         bwd.dcomp_in.resize(t_len * width, 0.0);
         self.composite.backward_seq(
@@ -874,35 +815,6 @@ mod tests {
             ..ComAidConfig::tiny()
         };
         let _ = ComAid::new(v, config, Some(&table));
-    }
-
-    /// The sampled-softmax training path must also be exactly
-    /// differentiable: with a *fixed* noise set the loss is
-    /// deterministic, so finite differences apply.
-    #[test]
-    fn sampled_softmax_gradients_match_finite_differences() {
-        let (o, v) = tiny_world();
-        let idx = OntologyIndex::build(&o, &v, 2);
-        let mut m = tiny_model(Variant::Full, v);
-        let c = o.by_code("N18.5").unwrap();
-        let target = m.encode_text("ckd stage 5");
-        let noise: Vec<u32> = vec![4, 6, 8, 10];
-
-        let mut run = ExampleRun::default();
-        m.run_example_into(&idx, c, &target, Some(&noise), &mut run);
-        m.backward_example(&mut run, 1.0);
-
-        check_params(
-            &mut m,
-            |m| {
-                let mut run = ExampleRun::default();
-                m.run_example_into(&idx, c, &target, Some(&noise), &mut run);
-                run.loss
-            },
-            |m, set| m.collect_params(set),
-            2e-2,
-            5e-2,
-        );
     }
 
     /// The decisive correctness test: the analytic gradient of the full

@@ -631,6 +631,22 @@ mod tests {
         assert!(matches!(err, PersistError::Codec(_)), "{err:?}");
     }
 
+    /// The config section ends in the byte that once tagged a sampled
+    /// training head (tag 1, then its noise count). Training has one head
+    /// now, so a checkpoint carrying tag 1 under valid checksums is
+    /// refused as a codec error rather than loaded.
+    #[test]
+    fn retired_output_head_tag_is_a_codec_error() {
+        let (_, model) = trained_model();
+        let mut sections = model.sections();
+        let config = &mut sections[0].1;
+        assert_eq!(config.pop(), Some(0), "config ends in the head tag");
+        config.push(1);
+        6usize.encode(config);
+        let err = ComAid::load_bytes(&frame(&sections)).unwrap_err();
+        assert!(matches!(err, PersistError::Codec(_)), "{err:?}");
+    }
+
     #[test]
     fn truncation_detected_at_every_sampled_length() {
         let (_, model) = trained_model();

@@ -7,19 +7,14 @@
 //! the concept representations in the neural networks are also updated."
 
 use super::model::ExampleRun;
-use super::{ComAid, OntologyIndex, OutputMode};
+use super::{ComAid, OntologyIndex};
 use ncl_nn::optimizer::LrSchedule;
 use ncl_ontology::ConceptId;
 use ncl_tensor::pool::WorkerPool;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::time::Instant;
-
-/// Word ids below this are reserved control tokens (`UNK`/`BOS`/`EOS`/
-/// `PAD`, see `ncl_text::Vocab`); sampled-softmax noise is drawn from the
-/// regular words at or above it.
-const FIRST_REGULAR_WORD: u32 = 4;
 
 /// Examples per gradient shard. The batch is cut into fixed-width shards
 /// **as a function of batch length only** — never of `train_threads` —
@@ -123,15 +118,6 @@ impl ComAid {
         self.bump_version();
         let batch_size = self.config().batch_size.max(1);
         let clip = self.config().clip_norm;
-        let vocab_size = self.vocab().len() as u32;
-        // Sampled softmax draws noise from the regular words; a vocab
-        // with none (only reserved control tokens) would make the draw
-        // range empty, so fall back to the exact softmax — cheap anyway
-        // at such a vocabulary size.
-        let output_mode = match self.config().output_mode {
-            OutputMode::Sampled { .. } if vocab_size <= FIRST_REGULAR_WORD => OutputMode::Full,
-            mode => mode,
-        };
         let mut rng = StdRng::seed_from_u64(self.config().seed ^ 0x7EA1);
         let mut order: Vec<usize> = (0..pairs.len()).collect();
         let mut epoch_losses = Vec::with_capacity(epochs);
@@ -155,7 +141,6 @@ impl ComAid {
                 r
             })
             .collect();
-        let mut noise_buf: Vec<Option<Vec<u32>>> = Vec::with_capacity(batch_size);
         let mut shard_losses = vec![0.0f64; max_shards];
         // One tape per shard, reused by every example the shard ever runs.
         let mut runs: Vec<ExampleRun> = (0..max_shards).map(|_| ExampleRun::default()).collect();
@@ -167,25 +152,6 @@ impl ComAid {
             let mut epoch_loss = 0.0f64;
             for batch in order.chunks(batch_size) {
                 let scale = 1.0 / batch.len() as f32;
-                // BlackOut-style sampled softmax (Appendix B.2): draw a
-                // fresh shared noise set per example. Drawn up front in
-                // example order so the RNG stream is independent of how
-                // the batch is later sharded.
-                noise_buf.clear();
-                for _ in batch {
-                    noise_buf.push(match output_mode {
-                        OutputMode::Full => None,
-                        OutputMode::Sampled { noise } => {
-                            debug_assert!(vocab_size > FIRST_REGULAR_WORD);
-                            Some(
-                                (0..noise)
-                                    .map(|_| rng.gen_range(FIRST_REGULAR_WORD..vocab_size))
-                                    .collect(),
-                            )
-                        }
-                    });
-                }
-
                 let shard_w = batch
                     .len()
                     .div_ceil(batch.len().div_ceil(SHARD_WIDTH).min(MAX_SHARDS));
@@ -196,7 +162,6 @@ impl ComAid {
                     let shard = Shard {
                         pairs,
                         ids: batch,
-                        noises: &noise_buf,
                         scale,
                     };
                     run_shard(self, index, shard, &mut runs[0], &mut epoch_loss);
@@ -216,15 +181,9 @@ impl ComAid {
                         // calling thread — it is job 0 of the pool deal).
                         let main: &mut ComAid = self;
                         let models = std::iter::once(main).chain(replicas.iter_mut());
-                        let work = shards.iter().zip(noise_buf.chunks(shard_w));
                         let state = runs.iter_mut().zip(shard_losses.iter_mut());
-                        for ((model, (&ids, noises)), (run, out)) in models.zip(work).zip(state) {
-                            let shard = Shard {
-                                pairs,
-                                ids,
-                                noises,
-                                scale,
-                            };
+                        for ((model, &ids), (run, out)) in models.zip(&shards).zip(state) {
+                            let shard = Shard { pairs, ids, scale };
                             jobs.push(Box::new(move || run_shard(model, index, shard, run, out)));
                         }
                     }
@@ -269,13 +228,12 @@ impl ComAid {
     }
 }
 
-/// The examples of one gradient shard: `pairs[ids[k]]` with noise set
-/// `noises[k]`, each weighted by `scale`.
+/// The examples of one gradient shard: `pairs[ids[k]]`, each weighted by
+/// `scale`.
 #[derive(Clone, Copy)]
 struct Shard<'a> {
     pairs: &'a [TrainPair],
     ids: &'a [usize],
-    noises: &'a [Option<Vec<u32>>],
     scale: f32,
 }
 
@@ -290,9 +248,9 @@ fn run_shard(
     run: &mut ExampleRun,
     out: &mut f64,
 ) {
-    for (&i, noise) in shard.ids.iter().zip(shard.noises) {
+    for &i in shard.ids {
         let pair = &shard.pairs[i];
-        model.run_example_into(index, pair.concept, &pair.target, noise.as_deref(), run);
+        model.run_example_into(index, pair.concept, &pair.target, run);
         *out += run.loss as f64;
         model.backward_example(run, shard.scale);
     }
@@ -361,7 +319,6 @@ mod tests {
             batch_size: 3,
             clip_norm: 5.0,
             seed: 21,
-            output_mode: super::OutputMode::Full,
             train_threads: 1,
         }
     }
@@ -413,73 +370,6 @@ mod tests {
         assert_eq!(r1.epoch_losses, r2.epoch_losses);
     }
 
-    /// Sampled-softmax (BlackOut-style) training still learns the task:
-    /// the correct concept outranks its sibling after training, scored
-    /// with the exact softmax.
-    #[test]
-    fn sampled_softmax_training_learns() {
-        let (o, v, pairs) = world();
-        let idx = OntologyIndex::build(&o, &v, 2);
-        let mut cfg = config();
-        cfg.output_mode = super::super::OutputMode::Sampled { noise: 8 };
-        cfg.epochs = 60;
-        // The sampled-noise stream is seed-sensitive on this tiny world;
-        // this seed gives a comfortable margin.
-        cfg.seed = 7;
-        let mut m = ComAid::new(v, cfg, None);
-        let report = m.fit(&idx, &pairs);
-        assert!(report.final_loss().is_finite());
-
-        let n185 = o.by_code("N18.5").unwrap();
-        let n189 = o.by_code("N18.9").unwrap();
-        let q = m.encode_text("ckd stage 5");
-        let right = m.log_prob_ids(&idx, n185, &q);
-        let wrong = m.log_prob_ids(&idx, n189, &q);
-        assert!(
-            right > wrong,
-            "sampled-softmax model failed to learn: {right} vs {wrong}"
-        );
-    }
-
-    /// The sampled loss is over a much smaller support, so per-example
-    /// losses must be bounded by the full-softmax loss for an untrained
-    /// model (log |sample| ≤ log |V|).
-    #[test]
-    fn sampled_loss_is_bounded_by_full_loss_untrained() {
-        let (o, v, pairs) = world();
-        let idx = OntologyIndex::build(&o, &v, 2);
-        let m = ComAid::new(v, config(), None);
-        let pair = &pairs[0];
-        let full = m.run_example(&idx, pair.concept, &pair.target);
-        let noise: Vec<u32> = (4..10).collect();
-        let mut sampled = ExampleRun::default();
-        m.run_example_into(&idx, pair.concept, &pair.target, Some(&noise), &mut sampled);
-        assert!(sampled.loss <= full.loss + 1e-3);
-        assert!(sampled.loss > 0.0);
-    }
-
-    /// Regression: a vocabulary with only the four reserved control
-    /// tokens used to panic in sampled mode (`gen_range(4..4)` is an
-    /// empty range); it must fall back to the exact softmax instead.
-    #[test]
-    fn tiny_vocab_sampled_softmax_falls_back_to_full() {
-        let mut b = OntologyBuilder::new();
-        let c = b.add_root_concept("C1", "alpha");
-        let o = b.build().unwrap();
-        let v = Vocab::new(); // no regular words: everything maps to UNK
-        let pairs = vec![TrainPair {
-            concept: c,
-            target: vec![Vocab::UNK],
-        }];
-        let idx = OntologyIndex::build(&o, &v, 2);
-        let mut cfg = config();
-        cfg.epochs = 2;
-        cfg.output_mode = super::super::OutputMode::Sampled { noise: 8 };
-        let mut m = ComAid::new(v, cfg, None);
-        let report = m.fit(&idx, &pairs);
-        assert!(report.final_loss().is_finite());
-    }
-
     /// A workload wide enough that every full batch splits into three
     /// gradient shards must produce bit-identical losses AND parameters
     /// at 1, 2, and 4 training threads.
@@ -529,41 +419,21 @@ mod tests {
         let mut replica = seq.clone();
         // 12 examples → shards [0..8) and [8..12) at width 8.
         let ids: Vec<usize> = (0..12).map(|k| k % pairs.len()).collect();
-        let noises: Vec<Option<Vec<u32>>> = vec![None; ids.len()];
         let scale = 1.0 / ids.len() as f32;
 
-        let shard = |ids, noises| Shard {
+        let shard = |ids| Shard {
             pairs: &pairs,
             ids,
-            noises,
             scale,
         };
         let mut run = ExampleRun::default();
         let mut loss_seq = 0.0f64;
-        run_shard(
-            &mut seq,
-            &idx,
-            shard(&ids, &noises),
-            &mut run,
-            &mut loss_seq,
-        );
+        run_shard(&mut seq, &idx, shard(&ids), &mut run, &mut loss_seq);
         seq.sgd_step(0.1, 5.0);
 
         let (mut l0, mut l1) = (0.0f64, 0.0f64);
-        run_shard(
-            &mut par,
-            &idx,
-            shard(&ids[..8], &noises[..8]),
-            &mut run,
-            &mut l0,
-        );
-        run_shard(
-            &mut replica,
-            &idx,
-            shard(&ids[8..], &noises[8..]),
-            &mut run,
-            &mut l1,
-        );
+        run_shard(&mut par, &idx, shard(&ids[..8]), &mut run, &mut l0);
+        run_shard(&mut replica, &idx, shard(&ids[8..]), &mut run, &mut l1);
         par.merge_grads_from(&mut replica);
         par.sgd_step(0.1, 5.0);
 
@@ -605,12 +475,10 @@ mod tests {
         let mut a = ComAid::new(v, config(), None);
         let mut b = a.clone();
         let ids: Vec<usize> = (0..pairs.len()).collect();
-        let noises: Vec<Option<Vec<u32>>> = vec![None; ids.len()];
         let (mut la, mut lb) = (0.0f64, 0.0f64);
         let shard = Shard {
             pairs: &pairs,
             ids: &ids,
-            noises: &noises,
             scale: 0.5,
         };
         let mut run = ExampleRun::default();

@@ -40,7 +40,7 @@ pub mod pipeline;
 mod reference;
 pub mod serving;
 
-pub use comaid::{ComAid, ComAidConfig, OutputMode, TrainPair, Variant};
+pub use comaid::{ComAid, ComAidConfig, TrainPair, Variant};
 pub use error::NclError;
 pub use faults::{FaultKind, FaultPlan};
 pub use feedback::{ExpertLabel, FeedbackConfig, FeedbackController, HotSwapCell, ModelGeneration};

@@ -454,7 +454,6 @@ mod tests {
             batch_size: 4,
             clip_norm: 5.0,
             seed: 5,
-            output_mode: crate::comaid::OutputMode::Full,
             train_threads: 1,
         };
         let mut model = ComAid::new(vocab, config, None);

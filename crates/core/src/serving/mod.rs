@@ -119,13 +119,12 @@ pub(crate) fn serve(
     };
 
     // Rewrite (OR): Eq. 13 per out-of-vocabulary token, cut off
-    // mid-phase at its deadline.
+    // mid-phase at the call deadline.
     let t = Instant::now();
     let rewritten: Cow<'_, [String]> = if linker.config().rewrite {
-        let or_deadline = min_deadline(call_deadline, budget.or.map(|d| t + d));
         linker
             .rewriter
-            .rewrite(linker, tokens, or_deadline, &mut trace)
+            .rewrite(linker, tokens, call_deadline, &mut trace)
     } else {
         Cow::Borrowed(tokens)
     };
@@ -146,19 +145,14 @@ pub(crate) fn serve(
         trace.events.push(TraceEvent::RetrievePanicked);
     }
     let candidates = candidates.unwrap_or_default();
-    let cr_over = budget.cr.is_some_and(|b| t.elapsed() > b);
     timed(&mut trace, StageKind::Retrieve, t);
 
-    // Score (ED): skipped entirely when CR overran or the call deadline
-    // has already passed; cut off mid-phase by the scorer otherwise.
+    // Score (ED): skipped entirely when the call deadline has already
+    // passed; cut off mid-phase by the scorer otherwise.
     let t = Instant::now();
     let ed_deadline = min_deadline(call_deadline, budget.ed.map(|d| t + d));
-    let call_deadline_passed = call_deadline.is_some_and(|d| Instant::now() >= d);
-    let outcome = if cr_over || call_deadline_passed {
-        trace.events.push(TraceEvent::ScoringSkipped {
-            cr_over,
-            call_deadline_passed,
-        });
+    let outcome = if call_deadline.is_some_and(|d| Instant::now() >= d) {
+        trace.events.push(TraceEvent::ScoringSkipped);
         ScoreOutcome {
             scores: Vec::new(),
             lost_jobs: 0,
@@ -179,25 +173,12 @@ pub(crate) fn serve(
     timed(&mut trace, StageKind::Score, t);
 
     // Rank (RT): MAP when a prior is installed (Eq. 11), otherwise pure
-    // MLE (Eq. 12). Under a blown deadline with an `rt` budget set, MAP
-    // falls back to MLE — the prior lookup is the only elidable work.
+    // MLE (Eq. 12).
     let t = Instant::now();
-    let skip_prior = budget.rt.is_some() && call_deadline.is_some_and(|d| Instant::now() >= d);
-    if skip_prior {
-        trace.events.push(TraceEvent::PriorSkipped);
-    }
     let mut ranked: Vec<(ConceptId, f32)> = candidates
         .iter()
         .zip(&scores)
-        .filter_map(|(&c, lp)| {
-            let lp = (*lp)?;
-            let prior = if skip_prior {
-                0.0
-            } else {
-                linker.concept_log_prior(c)
-            };
-            Some((c, lp + prior))
-        })
+        .filter_map(|(&c, lp)| Some((c, (*lp)? + linker.concept_log_prior(c))))
         .collect();
     ranked.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
@@ -295,11 +276,7 @@ fn classify_degradation(
         }
     } else {
         DegradeReason::Timeout {
-            budget: budget
-                .ed
-                .or(budget.total)
-                .or(budget.cr)
-                .unwrap_or(Duration::ZERO),
+            budget: budget.ed.or(budget.total).unwrap_or(Duration::ZERO),
         }
     };
     if scored == 0 {

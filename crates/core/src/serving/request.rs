@@ -77,29 +77,21 @@ impl Default for LinkerConfig {
     }
 }
 
-/// Wall-clock budgets for one `link` call. Each field is an independent
-/// cap; `None` means unbounded. The *divisible* phases (OR rewrites one
-/// token at a time, ED scores one candidate at a time) are cut off
-/// mid-phase when their deadline passes; work not reached degrades as
-/// described on [`Degradation`]. The atomic phases are handled at their
-/// boundaries: if `cr` is exceeded (or the call deadline has already
-/// passed when ED would start), ED is skipped entirely, and if the call
-/// deadline has passed when ranking starts while `rt` is set, the
-/// prior-blending of Eq. 11 is skipped (MAP falls back to MLE).
+/// Wall-clock budgets for one `link` call; `None` means unbounded.
+/// `total` caps the whole call: query rewriting (OR, one token at a
+/// time) and encode-decode scoring (ED, one candidate at a time) are cut
+/// off mid-phase when it passes, and ED is skipped entirely if it has
+/// already passed when ED would start. `ed` caps ED alone, from the
+/// moment ED starts. Work not reached degrades as described on
+/// [`Degradation`]; retrieval (CR) and ranking (RT) always run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkBudget {
     /// Cap on the whole call.
     pub total: Option<Duration>,
-    /// Cap on query rewriting (OR).
-    pub or: Option<Duration>,
-    /// Cap on candidate retrieval (CR).
-    pub cr: Option<Duration>,
     /// Cap on encode-decode scoring (ED) — the phase the paper measures
     /// at ~98% of linking time (Appendix B.1), hence the one worth
     /// cutting short.
     pub ed: Option<Duration>,
-    /// Cap on ranking (RT).
-    pub rt: Option<Duration>,
 }
 
 impl LinkBudget {

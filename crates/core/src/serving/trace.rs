@@ -67,17 +67,9 @@ pub enum TraceEvent {
     /// Candidate retrieval panicked (isolated; yields an empty
     /// candidate set).
     RetrievePanicked,
-    /// The Score stage was skipped at its boundary.
-    ScoringSkipped {
-        /// The CR budget was already exceeded when scoring would start.
-        cr_over: bool,
-        /// The whole-call deadline had already passed.
-        call_deadline_passed: bool,
-    },
-    /// The Rank stage skipped the MAP prior lookup (Eq. 11 fell back
-    /// to MLE) because the call deadline had passed and an `rt` budget
-    /// was set.
-    PriorSkipped,
+    /// The Score stage was skipped at its boundary: the whole-call
+    /// deadline had already passed when scoring would start.
+    ScoringSkipped,
     /// The request finished degraded (mirrors
     /// [`LinkResult::degradation`](super::LinkResult::degradation)).
     Degraded {

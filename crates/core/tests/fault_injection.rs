@@ -6,7 +6,9 @@
 //! linker.
 
 use ncl_core::comaid::{ComAid, ComAidConfig, OntologyIndex, TrainPair, Variant};
-use ncl_core::{Degradation, DegradeReason, LinkBudget, LinkResult, Linker, LinkerConfig};
+use ncl_core::{
+    Degradation, DegradeReason, LinkBudget, LinkResult, Linker, LinkerConfig, TraceEvent,
+};
 use ncl_core::{FaultKind, FaultPlan, NclError};
 use ncl_ontology::Ontology;
 use ncl_text::{tokenize, Vocab};
@@ -265,12 +267,21 @@ fn exhausted_total_budget_skips_scoring_entirely() {
     let res = linker.link_text("ckd stage 5");
     assert!(!res.candidates.is_empty());
     check_well_formed(&res);
-    assert!(matches!(
+    assert_eq!(
         res.degradation,
         Degradation::TfIdfOnly {
-            reason: DegradeReason::Timeout { .. }
+            reason: DegradeReason::Timeout {
+                budget: Duration::ZERO
+            }
         }
-    ));
+    );
+    let skipped = res
+        .trace
+        .events
+        .iter()
+        .filter(|e| **e == TraceEvent::ScoringSkipped)
+        .count();
+    assert_eq!(skipped, 1, "{:?}", res.trace.events);
     // Top-1 falls back to the best TF-IDF hit.
     assert_eq!(res.top1(), res.candidates.first().copied());
 }

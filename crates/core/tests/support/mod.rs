@@ -1,8 +1,7 @@
 //! The training world the golden-snapshot and allocation-count suites
-//! share: that of `training_identity.rs`, which stays unedited and keeps
-//! its own copy.
+//! share: that of `training_identity.rs`, which keeps its own copy.
 
-use ncl_core::comaid::{ComAidConfig, OutputMode, TrainPair, Variant};
+use ncl_core::comaid::{ComAidConfig, TrainPair, Variant};
 use ncl_ontology::{Ontology, OntologyBuilder};
 use ncl_text::{tokenize, Vocab};
 
@@ -48,7 +47,7 @@ pub fn world() -> (Ontology, Vocab, Vec<TrainPair>) {
 }
 
 /// `training_identity.rs`'s configuration: `dim` 12, three epochs.
-pub fn config(variant: Variant, output_mode: OutputMode) -> ComAidConfig {
+pub fn config(variant: Variant) -> ComAidConfig {
     ComAidConfig {
         dim: 12,
         beta: 2,
@@ -59,7 +58,6 @@ pub fn config(variant: Variant, output_mode: OutputMode) -> ComAidConfig {
         batch_size: 16,
         clip_norm: 5.0,
         seed: 29,
-        output_mode,
         train_threads: 1,
     }
 }

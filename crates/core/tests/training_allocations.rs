@@ -20,7 +20,7 @@
 
 mod support;
 
-use ncl_core::comaid::{ComAid, OntologyIndex, OutputMode, Variant};
+use ncl_core::comaid::{ComAid, OntologyIndex, Variant};
 use ncl_nn::optimizer::LrSchedule;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -72,7 +72,7 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 #[test]
 fn a_steady_state_epoch_allocates_at_most_80_times_per_pair() {
     let (o, vocab, pairs) = world();
-    let config = config(Variant::Full, OutputMode::Full);
+    let config = config(Variant::Full);
     let model = ComAid::new(vocab, config, None);
     let index = OntologyIndex::build(&o, model.vocab(), 2);
     let count = |epochs: usize| {

@@ -6,7 +6,8 @@
 //! the sequence-batched kernels existed
 //! (`tests/golden/training.snap`, written at the parent of the PR that
 //! introduced them): for that suite's 22-pair world, every
-//! architecture variant × output mode, the per-epoch losses, a digest
+//! architecture variant trained with the full softmax (the `full` of each
+//! line), the per-epoch losses, a digest
 //! of the trained `Wire` bytes and eighteen uncached masked scores — as
 //! bit patterns, so snapshot equality is bit equality.
 //!
@@ -21,7 +22,7 @@
 
 mod support;
 
-use ncl_core::comaid::{ComAid, OntologyIndex, OutputMode, Variant};
+use ncl_core::comaid::{ComAid, OntologyIndex, Variant};
 use ncl_tensor::wire::Wire;
 use std::path::PathBuf;
 use support::{config, world};
@@ -38,9 +39,9 @@ fn hex(bits: impl IntoIterator<Item = u32>) -> String {
 }
 
 /// One line per trained model: losses, parameter digest, scores.
-fn render(variant: Variant, output_mode: OutputMode) -> String {
+fn render(variant: Variant) -> String {
     let (o, vocab, pairs) = world();
-    let mut model = ComAid::new(vocab, config(variant, output_mode), None);
+    let mut model = ComAid::new(vocab, config(variant), None);
     let index = OntologyIndex::build(&o, model.vocab(), 2);
     let report = model.fit(&index, &pairs);
     let mut bytes = Vec::new();
@@ -59,12 +60,8 @@ fn render(variant: Variant, output_mode: OutputMode) -> String {
         }
     }
     assert_eq!(scores.len(), 18);
-    let mode = match output_mode {
-        OutputMode::Full => "full".to_string(),
-        OutputMode::Sampled { noise } => format!("sampled{noise}"),
-    };
     format!(
-        "{variant:?} {mode} | losses={} | wire={} bytes fnv1a={:016x} | scores={}",
+        "{variant:?} full | losses={} | wire={} bytes fnv1a={:016x} | scores={}",
         hex(report.epoch_losses.iter().map(|l| l.to_bits())),
         bytes.len(),
         fnv1a(&bytes),
@@ -81,12 +78,7 @@ fn snapshot_path() -> PathBuf {
 
 #[test]
 fn training_reproduces_the_pre_sequence_kernel_snapshot() {
-    let mut lines = Vec::new();
-    for &variant in Variant::ALL {
-        for output_mode in [OutputMode::Full, OutputMode::Sampled { noise: 6 }] {
-            lines.push(render(variant, output_mode));
-        }
-    }
+    let lines: Vec<String> = Variant::ALL.iter().map(|&v| render(v)).collect();
     let got = lines.join("\n") + "\n";
 
     let path = snapshot_path();

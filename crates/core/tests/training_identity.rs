@@ -18,7 +18,7 @@
 //! Scalar the active level, a fit pinned to each SIMD level in-process
 //! must still reproduce the scalar run's losses and parameter bytes.
 
-use ncl_core::comaid::{ComAid, ComAidConfig, OntologyIndex, OutputMode, TrainPair, Variant};
+use ncl_core::comaid::{ComAid, ComAidConfig, OntologyIndex, TrainPair, Variant};
 use ncl_ontology::{Ontology, OntologyBuilder};
 use ncl_tensor::simd::{self, Level};
 use ncl_tensor::wire::Wire;
@@ -68,7 +68,7 @@ fn world() -> (Ontology, Vocab, Vec<TrainPair>) {
 /// `dim` 12 gives every kernel one full 8-row block plus a 4-row tail
 /// and the same split along `k`; the
 /// composite layer's input is 36 wide (four blocks plus a tail).
-fn config(variant: Variant, output_mode: OutputMode) -> ComAidConfig {
+fn config(variant: Variant) -> ComAidConfig {
     ComAidConfig {
         dim: 12,
         beta: 2,
@@ -79,7 +79,6 @@ fn config(variant: Variant, output_mode: OutputMode) -> ComAidConfig {
         batch_size: 16,
         clip_norm: 5.0,
         seed: 29,
-        output_mode,
         train_threads: 1,
     }
 }
@@ -92,10 +91,10 @@ fn model_bytes(model: &ComAid) -> Vec<u8> {
 
 /// Trains a fresh model at `level`; returns the per-epoch losses as bit
 /// patterns and the encoded parameters.
-fn fit_at(level: Level, output_mode: OutputMode) -> (Vec<u32>, Vec<u8>) {
+fn fit_at(level: Level) -> (Vec<u32>, Vec<u8>) {
     let (o, vocab, pairs) = world();
     simd::with_level(level, || {
-        let mut model = ComAid::new(vocab, config(Variant::Full, output_mode), None);
+        let mut model = ComAid::new(vocab, config(Variant::Full), None);
         let index = OntologyIndex::build(&o, model.vocab(), 2);
         let report = model.fit(&index, &pairs);
         assert!(report.final_loss().is_finite());
@@ -108,24 +107,19 @@ fn fit_at(level: Level, output_mode: OutputMode) -> (Vec<u32>, Vec<u8>) {
 
 #[test]
 fn fit_is_bit_identical_at_every_simd_level() {
-    for output_mode in [OutputMode::Full, OutputMode::Sampled { noise: 6 }] {
-        let (want_losses, want_bytes) = fit_at(Level::Scalar, output_mode);
-        // The run must have moved the parameters, or equal bytes say
-        // nothing about the backward kernels.
-        let (_, vocab, _) = world();
-        let untrained = ComAid::new(vocab, config(Variant::Full, output_mode), None);
-        assert_ne!(model_bytes(&untrained), want_bytes, "{output_mode:?}");
-        for level in simd::supported_levels() {
-            let (losses, bytes) = fit_at(level, output_mode);
-            assert_eq!(
-                losses, want_losses,
-                "{output_mode:?} @ {level:?}: epoch losses"
-            );
-            assert!(
-                bytes == want_bytes,
-                "{output_mode:?} @ {level:?}: trained parameters differ from the scalar run"
-            );
-        }
+    let (want_losses, want_bytes) = fit_at(Level::Scalar);
+    // The run must have moved the parameters, or equal bytes say nothing
+    // about the backward kernels.
+    let (_, vocab, _) = world();
+    let untrained = ComAid::new(vocab, config(Variant::Full), None);
+    assert_ne!(model_bytes(&untrained), want_bytes);
+    for level in simd::supported_levels() {
+        let (losses, bytes) = fit_at(level);
+        assert_eq!(losses, want_losses, "{level:?}: epoch losses");
+        assert!(
+            bytes == want_bytes,
+            "{level:?}: trained parameters differ from the scalar run"
+        );
     }
 }
 
@@ -145,7 +139,7 @@ fn uncached_masked_scores_are_bit_identical_at_every_simd_level() {
     for &variant in Variant::ALL {
         // A briefly trained model, so the scores run on weights that are
         // not the initialiser's.
-        let mut model = ComAid::new(vocab.clone(), config(variant, OutputMode::Full), None);
+        let mut model = ComAid::new(vocab.clone(), config(variant), None);
         let index = OntologyIndex::build(&o, model.vocab(), 2);
         model.fit(&index, &pairs);
         let scores = |level| {

@@ -42,13 +42,11 @@ impl Default for CbowConfig {
     }
 }
 
-/// A trained CBOW model: input embeddings (the word representations fed
-/// to COM-AID) and output embeddings (discarded after training, kept for
-/// inspection).
+/// A trained CBOW model: the input embeddings, the word representations
+/// fed to COM-AID. The output embeddings are discarded after training.
 #[derive(Debug, Clone)]
 pub struct CbowModel {
     syn0: Matrix,
-    syn1: Matrix,
     config: CbowConfig,
 }
 
@@ -136,7 +134,7 @@ impl CbowModel {
             }
         }
 
-        Self { syn0, syn1, config }
+        Self { syn0, config }
     }
 
     /// The learned word representations, one row per vocabulary entry —
@@ -148,11 +146,6 @@ impl CbowModel {
     /// Consumes the model, returning the embedding matrix.
     pub fn into_embeddings(self) -> Matrix {
         self.syn0
-    }
-
-    /// The output-side embeddings (diagnostic only).
-    pub fn output_embeddings(&self) -> &Matrix {
-        &self.syn1
     }
 
     /// The representation of one word.

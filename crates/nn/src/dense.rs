@@ -190,73 +190,6 @@ impl Dense {
     }
 }
 
-/// Forward cache for the row-restricted path
-/// ([`Dense::forward_rows`]/[`Dense::backward_rows`]).
-#[derive(Debug, Clone)]
-pub struct DenseRowsCache {
-    x: Vector,
-    y: Vector,
-    rows: Vec<usize>,
-}
-
-impl Dense {
-    /// Computes `y[r] = act(W[r]·x + b[r])` for the given `rows` only —
-    /// the kernel behind sampled-softmax training, where only the target
-    /// word and a handful of noise words need logits instead of the full
-    /// `|V|` output (the BlackOut speed-up the NCL paper cites in
-    /// Appendix B.2).
-    ///
-    /// # Panics
-    /// Panics if any row index is out of range.
-    pub fn forward_rows(&self, x: &Vector, rows: &[usize]) -> (Vector, DenseRowsCache) {
-        let mut y = Vector::zeros(rows.len());
-        for (o, &r) in y.as_mut_slice().iter_mut().zip(rows) {
-            assert!(r < self.out_dim(), "forward_rows: row out of range");
-            let mut acc = self.b.v[r];
-            for (w, xv) in self.w.v.row(r).iter().zip(x.as_slice()) {
-                acc += w * xv;
-            }
-            *o = acc;
-        }
-        if self.act == Activation::Tanh {
-            ncl_tensor::ops::tanh_inplace(&mut y);
-        }
-        (
-            y.clone(),
-            DenseRowsCache {
-                x: x.clone(),
-                y,
-                rows: rows.to_vec(),
-            },
-        )
-    }
-
-    /// Backward pass of [`Dense::forward_rows`]: accumulates gradients
-    /// only into the touched rows and returns `dL/dx`.
-    pub fn backward_rows(&mut self, cache: &DenseRowsCache, dy: &Vector) -> Vector {
-        assert_eq!(dy.len(), cache.rows.len(), "backward_rows: dy arity");
-        let mut dx = Vector::zeros(self.in_dim());
-        for (i, &r) in cache.rows.iter().enumerate() {
-            let mut d = dy[i];
-            if self.act == Activation::Tanh {
-                d *= tanh_grad_from_output(cache.y[i]);
-            }
-            if d == 0.0 {
-                continue;
-            }
-            // dW[r] += d * x ; db[r] += d ; dx += d * W[r].
-            for (gw, xv) in self.w.g.row_mut(r).iter_mut().zip(cache.x.as_slice()) {
-                *gw += d * xv;
-            }
-            self.b.g[r] += d;
-            for (dxv, wv) in dx.as_mut_slice().iter_mut().zip(self.w.v.row(r)) {
-                *dxv += d * wv;
-            }
-        }
-        dx
-    }
-}
-
 impl Dense {
     /// Visits both parameters in [`HasParams::collect_params`] order (see
     /// [`crate::Lstm::visit_params`]).
@@ -474,57 +407,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let d = Dense::new(3, 2, Activation::Linear, &mut rng);
         let _ = d.apply_row(&[0.0; 3], 2);
-    }
-
-    #[test]
-    fn forward_rows_matches_full_forward() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let d = Dense::new(3, 6, Activation::Linear, &mut rng);
-        let x = init::uniform_vector(3, -1.0, 1.0, &mut rng);
-        let full = forward(&d, &x);
-        let rows = [4usize, 0, 2];
-        let (sub, _) = d.forward_rows(&x, &rows);
-        for (i, &r) in rows.iter().enumerate() {
-            assert!((sub[i] - full[r]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn backward_rows_matches_masked_full_backward() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut a = Dense::new(3, 6, Activation::Linear, &mut rng);
-        let mut b = a.clone();
-        let x = init::uniform_vector(3, -1.0, 1.0, &mut rng);
-        let rows = [1usize, 5];
-        let dy_sub = Vector::from_slice(&[0.7, -0.3]);
-
-        // Row-restricted path.
-        let (_, cache) = a.forward_rows(&x, &rows);
-        let dx_a = a.backward_rows(&cache, &dy_sub);
-
-        // Full path with a dy that is zero outside the sampled rows.
-        let mut dy_full = Vector::zeros(6);
-        dy_full[1] = 0.7;
-        dy_full[5] = -0.3;
-        let dx_b = backward(&mut b, &x, &dy_full);
-
-        for k in 0..3 {
-            assert!((dx_a[k] - dx_b[k]).abs() < 1e-5);
-        }
-        for (ga, gb) in a.w.g.as_slice().iter().zip(b.w.g.as_slice()) {
-            assert!((ga - gb).abs() < 1e-5);
-        }
-        for k in 0..6 {
-            assert!((a.b.g[k] - b.b.g[k]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "row out of range")]
-    fn forward_rows_out_of_range_panics() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let d = Dense::new(2, 3, Activation::Linear, &mut rng);
-        let _ = d.forward_rows(&Vector::zeros(2), &[3]);
     }
 
     #[test]

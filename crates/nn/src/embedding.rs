@@ -163,12 +163,6 @@ impl Embedding {
         self.touched.clear();
     }
 
-    /// Dense-parameter view for gradient checking (treats the whole table
-    /// as one tensor). Test-oriented; training uses the sparse path.
-    pub fn as_dense_param(&mut self) -> &mut MatParam {
-        &mut self.table
-    }
-
     /// Overwrites this table's values with `src`'s (replica sync for the
     /// data-parallel trainer). Gradients and the touched list are left
     /// alone.

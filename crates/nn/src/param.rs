@@ -212,20 +212,6 @@ impl<'a> ParamSet<'a> {
         self.entries.iter().map(|(_, p)| p.num_params()).sum()
     }
 
-    /// Scales every registered gradient by `factor`.
-    pub fn scale_grads(&mut self, factor: f32) {
-        for (_, p) in self.iter_mut() {
-            p.scale_grad(factor);
-        }
-    }
-
-    /// Clears every registered gradient.
-    pub fn zero_grads(&mut self) {
-        for (_, p) in self.iter_mut() {
-            p.zero_grad();
-        }
-    }
-
     /// Drains `donor`'s gradients into this set, tensor by tensor in
     /// registration order. Both sets must have been collected from
     /// identically-shaped models (same walk, same order).

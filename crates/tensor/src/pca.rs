@@ -103,17 +103,6 @@ impl Pca {
         let centered = x.sub(&self.mean);
         self.components.gemv(&centered)
     }
-
-    /// Projects each row of `data`, returning an `n × k` matrix.
-    pub fn transform_rows(&self, data: &Matrix) -> Matrix {
-        let n = data.rows();
-        let k = self.components.rows();
-        let mut out = Matrix::zeros(n, k);
-        for r in 0..n {
-            out.set_row(r, &self.transform(&data.row_vector(r)));
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -152,14 +152,6 @@ impl Vector {
         )
     }
 
-    /// In-place element-wise product `self ⊙= other`.
-    pub fn hadamard_assign(&mut self, other: &Self) {
-        assert_eq!(self.len(), other.len(), "hadamard: dimension mismatch");
-        for (s, v) in self.data.iter_mut().zip(&other.data) {
-            *s *= v;
-        }
-    }
-
     /// Accumulates `alpha * a ⊙ b` into `self`; the fused kernel for LSTM
     /// backward passes (`dc += do ⊙ tanh'(c)` and friends).
     pub fn add_hadamard(&mut self, alpha: f32, a: &Self, b: &Self) {
