@@ -35,6 +35,12 @@
 //!   and `tanh_slice_32` (the decoder step's gate blocks at d=32) — each
 //!   paired twice: AVX2+FMA lanes against the scalar definition, and
 //!   against the loop of `f32::exp` / `f32::tanh` calls they replaced,
+//! * Phase I's two scan kernels at the `icd30k-*` index's shape —
+//!   `scatter_add_scaled` (≈ 6,100 ascending postings into 21,632
+//!   accumulator slots: the eight-wide gather body against the scalar
+//!   loop, gated as `scatter_add_speedup`) and the selection pass's
+//!   `take_mask_above` over the same accumulator in 64-slot blocks
+//!   (informational),
 //! * the training-path row-major kernels at the `hx-train` dimension
 //!   d=32 — `Matrix::gemv_acc` at 32×32 (a recurrent gate), 32×96 (the
 //!   composite layer) and 2048×32 (a full-vocabulary output layer),
@@ -64,7 +70,7 @@ use ncl_tensor::ops::{log_sum_exp_slice, log_sum_exp_slice_relaxed};
 use ncl_tensor::simd::{self, Level};
 use ncl_tensor::{init, libm, Matrix, Vector};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -474,6 +480,74 @@ fn main() {
         );
     }
 
+    // ---- Phase I: the term-at-a-time scan's two kernels ----
+    //
+    // At the `icd30k-*` index's shape: one head term's ≈ 6,100 ascending
+    // postings scattered into a 21,632-document accumulator (the gather
+    // body against the scalar loop), and the selection pass's 64-slot
+    // take-and-zero over that accumulator (informational). Each result
+    // is re-checked bitwise against forced scalar before it is timed.
+    // (Its own generator, so the rows below keep their inputs.)
+    let mut scan_rng = StdRng::seed_from_u64(11);
+    let docs = 21_632usize;
+    let postings: Vec<u32> = (0..docs as u32)
+        .filter(|_| scan_rng.gen_bool(6_100.0 / docs as f64))
+        .collect();
+    let impacts = init::uniform_vector(postings.len(), 0.01, 1.0, &mut scan_rng);
+    let impacts = impacts.as_slice();
+    let scatter = |acc: &mut [f32]| simd::scatter_add_scaled(acc, &postings, impacts, 0.37);
+    let mut acc = vec![0.0f32; docs];
+    let mut acc_scalar = acc.clone();
+    scatter(&mut acc);
+    simd::with_level(Level::Scalar, || scatter(&mut acc_scalar));
+    assert_bits_eq("scatter_add_scaled", &acc, &acc_scalar);
+    let (t_simd, t_scalar) = measure_paired(
+        || scatter(&mut acc),
+        || simd::with_level(Level::Scalar, || scatter(&mut acc_scalar)),
+        64,
+        min_secs / 2.0,
+    );
+    let label = format!("scatter_add_scaled {}→{docs}", postings.len());
+    let scatter_speedup = record(&label, postings.len(), t_simd, t_scalar);
+
+    // Ping-pong between two accumulators: every call takes one whole
+    // accumulator into the other and leaves the first zeroed.
+    let floor = 0.5 * acc_scalar.iter().copied().fold(0.0f32, f32::max);
+    let take_all = |from: &mut Vec<f32>, to: &mut Vec<f32>| -> Vec<u64> {
+        let masks = from
+            .chunks_mut(64)
+            .zip(to.chunks_mut(64))
+            .map(|(f, t)| simd::take_mask_above(f, t, floor))
+            .collect();
+        std::mem::swap(from, to);
+        masks
+    };
+    let (mut pa, mut qa) = (acc_scalar.clone(), vec![0.0f32; docs]);
+    let (mut ps, mut qs) = (acc_scalar.clone(), vec![0.0f32; docs]);
+    let masks = take_all(&mut pa, &mut qa);
+    let masks_scalar = simd::with_level(Level::Scalar, || take_all(&mut ps, &mut qs));
+    assert_eq!(masks, masks_scalar, "take_mask_above: masks");
+    assert_bits_eq("take_mask_above", &pa, &ps);
+    assert_bits_eq("take_mask_above zeroed", &qa, &qs);
+    let (t_simd, t_scalar) = measure_paired(
+        || {
+            std::hint::black_box(take_all(&mut pa, &mut qa));
+        },
+        || {
+            simd::with_level(Level::Scalar, || {
+                std::hint::black_box(take_all(&mut ps, &mut qs));
+            })
+        },
+        64,
+        min_secs / 2.0,
+    );
+    let take_speedup = record(
+        &format!("take_mask_above 64-blocks of {docs}"),
+        docs,
+        t_simd,
+        t_scalar,
+    );
+
     // ---- training path: row-major kernels at the hx-train dimension ----
     //
     // `gemv_acc` runs eight rows as eight lanes over in-register 8×8
@@ -752,6 +826,9 @@ fn main() {
     for (key, speedup) in &slice_speedups {
         gate.push_str(&format!("  \"{key}\": {speedup:.3},\n"));
     }
+    gate.push_str(&format!(
+        "  \"scatter_add_speedup\": {scatter_speedup:.3},\n  \"take_mask_above_speedup\": {take_speedup:.3},\n"
+    ));
     gate.push_str(&format!(
         "  \"lstm_taped_seq_speedup\": {taped_speedup:.3}\n}}\n"
     ));

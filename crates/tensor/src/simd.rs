@@ -24,6 +24,13 @@
 //!   bitwise-observable zero-skip, looped inside the dispatched function.
 //! * [`max`] exploits that the maximum of finite floats is independent
 //!   of association order.
+//! * [`scatter_add_scaled`] is element-wise too, through an index list:
+//!   its contract (strictly ascending, in-range indices, checked at
+//!   every level) makes the eight targets of a vector distinct, so a
+//!   gather, one `mul` and one `add` per lane, and eight single-lane
+//!   stores are the scalar loop's operations on each element.
+//! * [`take_mask_above`] only copies, zeroes and compares, which no
+//!   level can round differently.
 //!
 //! This is what lets the serving cache's "same score to the last bit"
 //! guarantee, the golden serving snapshot, and the bit-identical
@@ -227,6 +234,65 @@ pub fn max(x: &[f32]) -> f32 {
         // SAFETY: AVX2 was verified by `active()`'s detection.
         Level::Avx2 => unsafe { avx2::max(x) },
         _ => scalar::max(x),
+    }
+}
+
+/// The panic message of a [`scatter_add_scaled`] index list that breaks
+/// its contract, the same at every level.
+const SCATTER_CONTRACT: &str =
+    "scatter_add_scaled: indices must be strictly ascending and below acc.len()";
+
+/// Scaled scatter-accumulate: `acc[idx[i]] += a * x[i]` for ascending
+/// `i`, a separate `mul` and `add` per element (never an FMA) — the
+/// accumulate of a term-at-a-time inverted-index scan, one posting list
+/// into a dense per-document accumulator.
+///
+/// `idx` must be **strictly ascending** with every index `< acc.len()`,
+/// which is what lets the AVX2 level work eight indices at a time: the
+/// eight targets of a vector are distinct, so it gathers them, does the
+/// eight `mul`s and `add`s, and stores the lanes back one by one —
+/// every element still gets exactly the scalar loop's one rounded
+/// `mul` and one rounded `add`, so the result is bit-identical at every
+/// level. The contract is checked at every level and breaking it panics
+/// on exactly the same inputs; the AVX2 body checks a whole vector
+/// before it stores any of that vector's lanes.
+///
+/// # Panics
+/// Panics if `idx.len() != x.len()`, or if `idx` is not strictly
+/// ascending or names an index `>= acc.len()`.
+pub fn scatter_add_scaled(acc: &mut [f32], idx: &[u32], x: &[f32], a: f32) {
+    assert_eq!(idx.len(), x.len(), "scatter_add_scaled: dimension mismatch");
+    if idx.is_empty() {
+        return;
+    }
+    assert!(!acc.is_empty(), "{SCATTER_CONTRACT}");
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 was verified by `active()`'s detection; the body
+        // checks every index it gathers or stores through.
+        Level::Avx2 => unsafe { avx2::scatter_add_scaled(acc, idx, x, a) },
+        _ => scalar::scatter_add_scaled(acc, idx, x, a, None),
+    }
+}
+
+/// Takes a block of at most 64 values: copies `src` into `dst`, leaves
+/// `src` zeroed (`+0.0`), and returns the mask of the slots whose value
+/// is `> floor` — bit `i` for slot `i`; `NaN` is never above. The
+/// selection pass of a term-at-a-time top-k scan reads its accumulator
+/// through this, one 64-document block at a time, and re-zeroes it in
+/// the same pass. Copies, zeros and compares are exact, so every level
+/// returns the same mask and the same bits.
+///
+/// # Panics
+/// Panics if `dst.len() != src.len()` or `src.len() > 64`.
+pub fn take_mask_above(src: &mut [f32], dst: &mut [f32], floor: f32) -> u64 {
+    assert_eq!(src.len(), dst.len(), "take_mask_above: dimension mismatch");
+    assert!(src.len() <= 64, "take_mask_above: more than 64 slots");
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 was verified by `active()`'s detection.
+        Level::Avx2 => unsafe { avx2::take_mask_above(src, dst, floor) },
+        _ => scalar::take_mask_above(src, dst, floor),
     }
 }
 
@@ -726,6 +792,30 @@ mod scalar {
         x.iter().copied().fold(f32::NEG_INFINITY, f32::max)
     }
 
+    /// `prev` is the index the caller stored through just before `idx[0]`
+    /// (the AVX2 body hands its scalar tail the last vector's top lane).
+    pub fn scatter_add_scaled(acc: &mut [f32], idx: &[u32], x: &[f32], a: f32, prev: Option<u32>) {
+        let mut prev = prev;
+        for (&d, &v) in idx.iter().zip(x) {
+            assert!(
+                (d as usize) < acc.len() && prev.is_none_or(|p| d > p),
+                "{}",
+                super::SCATTER_CONTRACT
+            );
+            acc[d as usize] += a * v;
+            prev = Some(d);
+        }
+    }
+
+    pub fn take_mask_above(src: &mut [f32], dst: &mut [f32], floor: f32) -> u64 {
+        let mut mask = 0;
+        for (i, (s, d)) in src.iter_mut().zip(dst).enumerate() {
+            *d = std::mem::take(s);
+            mask |= u64::from(*d > floor) << i;
+        }
+        mask
+    }
+
     pub fn colmajor_gemv_acc(y: &mut [f32], x: &[f32], wt: &[f32]) {
         let n = y.len();
         for (j, yo) in y.iter_mut().enumerate() {
@@ -929,6 +1019,107 @@ mod avx2 {
             i += 1;
         }
         m
+    }
+
+    /// # Safety
+    /// Requires AVX2 (callers check [`super::supported`]), `idx.len() ==
+    /// x.len()` and a non-empty `acc` — the public wrapper asserts both.
+    /// Every gather and store goes through an index this body has just
+    /// checked to be `< acc.len()`. The Miri leg interprets it over
+    /// exact-size allocations (`scatter_add_scaled_levels_bit_identical`).
+    ///
+    /// Eight postings per vector. The eight indices are checked first —
+    /// each `<= acc.len() − 1` (one unsigned compare), each above the
+    /// lane before it (lane 0 against the previous vector's lane 7: one
+    /// permute, one blend, one signed compare, exact once both lanes are
+    /// in range) — and a vector that fails panics before storing
+    /// anything. Then the eight accumulators are gathered, `acc + a·x`
+    /// is computed lane-wise (mul, then add — no FMA), and the lanes are
+    /// stored back one by one. Strictly ascending indices are distinct,
+    /// so no lane's store lands on another lane's slot. The `len % 8`
+    /// tail is the scalar loop, its ascending check continuing from the
+    /// last vector's top lane.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn scatter_add_scaled(acc: &mut [f32], idx: &[u32], x: &[f32], a: f32) {
+        let len = acc.len();
+        if len > i32::MAX as usize {
+            // The gather's offsets are signed 32-bit.
+            return super::scalar::scatter_add_scaled(acc, idx, x, a, None);
+        }
+        let n = idx.len();
+        let ap = acc.as_mut_ptr();
+        let ip = idx.as_ptr();
+        // The lane stores take their indices from memory through a
+        // pointer the compiler cannot see is `ip`; otherwise it extracts
+        // them from the index vector, and the eight extracts plus the
+        // eight value extracts all queue on the one shuffle port.
+        let store_ip = std::hint::black_box(ip);
+        let xp = x.as_ptr();
+        let av = _mm256_set1_ps(a);
+        let last = _mm256_set1_epi32((len - 1) as i32);
+        // Lane `l` of `permutevar8x32(v, rot)` is lane `l − 1` of `v`;
+        // lane 0 gets lane 7, which is what `carry` hands the next vector.
+        let rot = _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6);
+        // Before the first vector: −1, below every in-range index.
+        let mut carry = _mm256_set1_epi32(-1);
+        let mut lanes = [0.0f32; 8];
+        let mut i = 0;
+        while i + 8 <= n {
+            let d = _mm256_loadu_si256(ip.add(i) as *const __m256i);
+            let in_range = _mm256_cmpeq_epi32(_mm256_min_epu32(d, last), d);
+            let rotated = _mm256_permutevar8x32_epi32(d, rot);
+            let ascending = _mm256_cmpgt_epi32(d, _mm256_blend_epi32::<1>(rotated, carry));
+            let ok = _mm256_and_si256(in_range, ascending);
+            assert!(
+                _mm256_movemask_ps(_mm256_castsi256_ps(ok)) == 0xFF,
+                "{}",
+                super::SCATTER_CONTRACT
+            );
+            carry = rotated;
+            // SAFETY: every lane of `d` is in `0..len` and `len <=
+            // i32::MAX`, so the gather's signed offsets stay inside `acc`;
+            // the stores re-read the same eight entries of `idx`, which
+            // the shared borrow keeps unchanged.
+            let g = _mm256_i32gather_ps::<4>(ap, d);
+            let sum = _mm256_add_ps(g, _mm256_mul_ps(av, _mm256_loadu_ps(xp.add(i))));
+            _mm256_storeu_ps(lanes.as_mut_ptr(), sum);
+            for (l, &v) in lanes.iter().enumerate() {
+                *ap.add(*store_ip.add(i + l) as usize) = v;
+            }
+            i += 8;
+        }
+        let prev = i.checked_sub(1).map(|p| idx[p]);
+        super::scalar::scatter_add_scaled(acc, &idx[i..], &x[i..], a, prev);
+    }
+
+    /// # Safety
+    /// Requires AVX2 (callers check [`super::supported`]) and
+    /// `dst.len() == src.len() <= 64` — the public wrapper asserts it.
+    ///
+    /// Eight slots per vector: one load, the copy and the zero stored,
+    /// one ordered `>` compare (false on NaN, as the scalar `>`), one
+    /// `movemask` into the mask's next eight bits; the `len % 8` tail is
+    /// the scalar loop.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn take_mask_above(src: &mut [f32], dst: &mut [f32], floor: f32) -> u64 {
+        let n = src.len();
+        let sp = src.as_mut_ptr();
+        let dp = dst.as_mut_ptr();
+        let f = _mm256_set1_ps(floor);
+        let mut mask = 0u64;
+        let mut i = 0;
+        while i + 8 <= n {
+            let v = _mm256_loadu_ps(sp.add(i));
+            _mm256_storeu_ps(dp.add(i), v);
+            _mm256_storeu_ps(sp.add(i), _mm256_setzero_ps());
+            let above = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(v, f));
+            mask |= u64::from(above as u8) << i;
+            i += 8;
+        }
+        if i < n {
+            mask |= super::scalar::take_mask_above(&mut src[i..], &mut dst[i..], floor) << i;
+        }
+        mask
     }
 
     /// # Safety
@@ -1712,6 +1903,186 @@ mod tests {
                 assert_eq!(got.to_bits(), expect.to_bits(), "{} n={n}", level.name());
             }
         }
+    }
+
+    /// `n` strictly ascending indices from 0 with `gap(j)` between
+    /// indices `j - 1` and `j`, starting `off` entries into an exact-size
+    /// allocation; the accumulator they name ends at the last one.
+    fn ascending(n: usize, off: usize, gap: impl Fn(usize) -> u32) -> (Box<[u32]>, usize) {
+        let mut idx = vec![0u32; off + n];
+        for j in 1..n {
+            idx[off + j] = idx[off + j - 1] + gap(j);
+        }
+        let len = if n == 0 {
+            1
+        } else {
+            idx[off + n - 1] as usize + 1
+        };
+        (idx.into_boxed_slice(), len)
+    }
+
+    /// The scatter coefficients the sweep runs: an ordinary one, both
+    /// zeros (`-0.0 · x` keeps a `-0.0` sum), a subnormal and `∞` (which
+    /// turns the payload's exact zeros into NaN).
+    const SCATTER_COEFFS: [f32; 5] = [0.37, 0.0, -0.0, 1.0e-40, f32::INFINITY];
+
+    /// Small shapes on purpose: this is the test the Miri leg interprets
+    /// through the AVX2 gather body, on exact-size allocations (so an
+    /// index the check let through past the end is an out-of-bounds
+    /// access). The full sweep lives in `tests/simd_identity.rs`.
+    #[test]
+    fn scatter_add_scaled_levels_bit_identical() {
+        type Gap = fn(usize) -> u32;
+        let gaps: [(&str, Gap); 3] = [
+            ("dense", |_| 1),
+            ("mixed", |j| if j % 8 == 4 { 1000 } else { 1 }),
+            ("sparse", |_| 1000),
+        ];
+        for n in 0..=17 {
+            for off in [0usize, 1] {
+                for (name, gap) in gaps {
+                    // Kept small for the interpreter: a sparse vector and
+                    // a sparse vector-plus-tail.
+                    if name == "sparse" && n != 8 && n != 9 {
+                        continue;
+                    }
+                    let (idx, len) = ascending(n, off, gap);
+                    // Every fourth payload is an exact zero, for `∞ · 0`.
+                    let x: Box<[f32]> = data(off + n, 0.6)
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| if i % 4 == 1 { 0.0 } else { v })
+                        .collect();
+                    for a in SCATTER_COEFFS {
+                        // The definition, element by element.
+                        let mut want = data(off + len, -1.3);
+                        for (&d, &v) in idx[off..].iter().zip(&x[off..]) {
+                            want[off + d as usize] += a * v;
+                        }
+                        for &level in &supported_levels() {
+                            let mut acc = data(off + len, -1.3).into_boxed_slice();
+                            with_level(level, || {
+                                scatter_add_scaled(&mut acc[off..], &idx[off..], &x[off..], a)
+                            });
+                            assert!(
+                                acc.iter()
+                                    .zip(&want)
+                                    .all(|(p, q)| p.to_bits() == q.to_bits()),
+                                "{} n={n} off={off} {name} a={a:e}",
+                                level.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs `scatter_add_scaled` at `level` — or at `Scalar` where the
+    /// machine has no AVX2, so every per-level panic test still runs.
+    fn scatter_at(level: Level, idx: &[u32], len: usize) {
+        let level = if supported(level) {
+            level
+        } else {
+            Level::Scalar
+        };
+        let mut acc = vec![0.0f32; len];
+        let x = vec![1.0f32; idx.len()];
+        with_level(level, || scatter_add_scaled(&mut acc, idx, &x, 1.0));
+    }
+
+    /// Nine ascending indices (one full vector and a tail) below 20.
+    const NINE: [u32; 9] = [0, 2, 3, 5, 8, 9, 12, 15, 19];
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn scatter_out_of_range_panics_at_scalar() {
+        scatter_at(Level::Scalar, &NINE, 19);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn scatter_out_of_range_panics_at_avx2() {
+        // One full vector whose top lane is one past the accumulator.
+        scatter_at(Level::Avx2, &NINE[..8], 15);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn scatter_repeated_index_panics_at_scalar() {
+        let mut idx = NINE;
+        idx[5] = idx[4];
+        scatter_at(Level::Scalar, &idx, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn scatter_repeated_index_panics_at_avx2() {
+        let mut idx = NINE;
+        idx[5] = idx[4];
+        scatter_at(Level::Avx2, &idx, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn scatter_descending_across_lane_boundary_panics_at_scalar() {
+        let mut idx = NINE;
+        idx[8] = idx[7] - 1; // the tail's first index below the vector's last
+        scatter_at(Level::Scalar, &idx, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn scatter_descending_across_lane_boundary_panics_at_avx2() {
+        let idx: Vec<u32> = (0..16).map(|i| if i == 8 { 6 } else { i }).collect();
+        scatter_at(Level::Avx2, &idx, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn scatter_length_mismatch_panics() {
+        scatter_add_scaled(&mut [0.0; 4], &[0, 1], &[1.0], 1.0);
+    }
+
+    #[test]
+    fn take_mask_above_levels_bit_identical() {
+        for n in 0..=64 {
+            let mut src0 = data(n, 0.8);
+            for (i, v) in src0.iter_mut().enumerate() {
+                match i % 9 {
+                    2 => *v = -0.0,
+                    5 => *v = f32::NAN,
+                    7 => *v = 0.5, // equal to one floor below: not above it
+                    _ => {}
+                }
+            }
+            for floor in [0.0f32, 0.5, -1.0, f32::INFINITY] {
+                let mut want = 0u64;
+                for (i, &v) in src0.iter().enumerate() {
+                    want |= u64::from(v > floor) << i;
+                }
+                for &level in &supported_levels() {
+                    let mut src = src0.clone().into_boxed_slice();
+                    let mut dst = vec![7.0f32; n].into_boxed_slice();
+                    let mask = with_level(level, || take_mask_above(&mut src, &mut dst, floor));
+                    let case = format!("{} n={n} floor={floor}", level.name());
+                    assert_eq!(mask, want, "{case}");
+                    assert!(src.iter().all(|v| v.to_bits() == 0), "{case}");
+                    assert!(
+                        dst.iter()
+                            .zip(&src0)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 64 slots")]
+    fn take_mask_above_refuses_more_than_64_slots() {
+        take_mask_above(&mut [0.0; 65], &mut [0.0; 65], 0.0);
     }
 
     #[test]

@@ -30,6 +30,14 @@
 //!   splits), both step orders of the update, the same special values
 //!   at the first, a middle and the last step, and the same
 //!   end-of-allocation slices;
+//! * the Phase-I scan kernels: `scatter_add_scaled` against its scalar
+//!   definition over every length `0..=41` with index gaps of 1, of
+//!   1,000 and mixed, the first and last accumulator slots hit, the
+//!   coefficients `0`, `-0`, a subnormal and `∞`, on the same
+//!   end-of-allocation slices — and its contract, which panics at every
+//!   level, before the AVX2 body stores any of a bad vector's lanes;
+//!   `take_mask_above` over every block length `0..=64` with `-0.0` and
+//!   NaN in the block;
 //! * the [`ncl_tensor::libm`] slice kernels over every length `0..=41`
 //!   on the same end-of-allocation slices (their padded tails must stay
 //!   inside), `softmax_inplace` on degenerate inputs against the loop it
@@ -597,6 +605,122 @@ fn sequenced_update_never_writes_a_row_skipped_at_every_step() {
     }
 }
 
+/// The scatter coefficients of the sweep: an ordinary one, both zeros,
+/// a subnormal and `∞` (with the payload's exact zeros, `∞ · 0` = NaN).
+const SCATTER_COEFFS: [f32; 5] = [-0.75, 0.0, -0.0, 1.0e-40, f32::INFINITY];
+
+/// One `scatter_add_scaled` case: `n` strictly ascending indices from 0
+/// (so `acc[0]` is hit) with `gap(j)` before index `j`, into an
+/// accumulator that ends at the last index (so `acc[len − 1]` is hit),
+/// every buffer an `off`-offset slice ending at its allocation's end.
+/// Every level must reproduce the scalar definition bit for bit.
+fn assert_scatter_identical(n: usize, off: usize, gap: &dyn Fn(usize) -> u32, salt: u32) {
+    let mut idx = vec![0u32; off + n].into_boxed_slice();
+    for j in 1..n {
+        idx[off + j] = idx[off + j - 1] + gap(j);
+    }
+    let len = if n == 0 {
+        0
+    } else {
+        idx[off + n - 1] as usize + 1
+    };
+    let x = tail(n, off, salt);
+    for a in SCATTER_COEFFS {
+        let mut want = tail(len, off, salt.wrapping_add(1));
+        for (&d, &v) in idx[off..].iter().zip(&x[off..]) {
+            want[off + d as usize] += a * v;
+        }
+        for level in simd::supported_levels() {
+            let mut acc = tail(len, off, salt.wrapping_add(1));
+            at(level, || {
+                simd::scatter_add_scaled(&mut acc[off..], &idx[off..], &x[off..], a)
+            });
+            assert_bits_eq(
+                &format!("scatter_add_scaled n={n} off={off} salt={salt} a={a:e}"),
+                level,
+                &acc,
+                &want,
+            );
+        }
+    }
+}
+
+#[test]
+fn scatter_add_scaled_identical_for_every_length_to_41_at_the_allocation_end() {
+    let gaps: [&dyn Fn(usize) -> u32; 3] =
+        [&|_| 1, &|_| 1000, &|j| if j % 5 == 2 { 1000 } else { 1 }];
+    for n in 0..=41 {
+        for off in [0usize, 1] {
+            for (g, gap) in gaps.iter().enumerate() {
+                assert_scatter_identical(n, off, gap, (n * 6 + off * 3 + g) as u32);
+            }
+        }
+    }
+}
+
+#[test]
+fn scatter_add_scaled_panics_before_storing_a_bad_vector() {
+    // Index list of 24 (three vectors), broken inside the second: a
+    // repeated index, one past the end, one below its predecessor at the
+    // lane boundary. Every level panics; the AVX2 body has then stored
+    // exactly the first vector, the scalar loop everything before the
+    // bad index.
+    let good: Vec<u32> = (0..24).map(|i| 2 * i + 1).collect();
+    let len = 48;
+    let x = vec![1.0f32; good.len()];
+    for (bad_at, bad) in [(11usize, 21u32), (13, 48), (8, 14)] {
+        let mut idx = good.clone();
+        idx[bad_at] = bad;
+        for level in simd::supported_levels() {
+            let mut acc = vec![0.0f32; len];
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                at(level, || simd::scatter_add_scaled(&mut acc, &idx, &x, 1.0))
+            }));
+            let msg = unwound.expect_err("a broken index list must panic");
+            let msg = msg.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains("strictly ascending"), "{level:?}: {msg}");
+            let stored = if level == Level::Scalar { bad_at } else { 8 };
+            for (d, &v) in acc.iter().enumerate() {
+                let want = idx[..stored].contains(&(d as u32)) as u8 as f32;
+                assert_eq!(v, want, "{level:?} bad_at={bad_at} acc[{d}]");
+            }
+        }
+    }
+}
+
+#[test]
+fn take_mask_above_identical_for_every_length_to_64_at_the_allocation_end() {
+    for n in 0..=64 {
+        for off in [0usize, 1] {
+            let mut src0 = tail(n, off, n as u32);
+            for (i, v) in src0[off..].iter_mut().enumerate() {
+                match i % 7 {
+                    1 => *v = -0.0,
+                    4 => *v = NAN,
+                    _ => {}
+                }
+            }
+            for floor in [0.0f32, 1.0, -2.0] {
+                let mut want = 0u64;
+                for (i, &v) in src0[off..].iter().enumerate() {
+                    want |= u64::from(v > floor) << i;
+                }
+                for level in simd::supported_levels() {
+                    let mut src = src0.clone();
+                    let mut dst = tail(n, off, 99);
+                    let mask = at(level, || {
+                        simd::take_mask_above(&mut src[off..], &mut dst[off..], floor)
+                    });
+                    let case = format!("take_mask_above n={n} off={off} floor={floor}");
+                    assert_eq!(mask, want, "{case} @ {level:?}");
+                    assert_bits_eq(&case, level, &dst[off..], &src0[off..]);
+                    assert_bits_eq(&case, level, &src[off..], &vec![0.0; n]);
+                }
+            }
+        }
+    }
+}
+
 /// The four `libm` slice kernels on one input, as bits: sigmoid, tanh,
 /// the shifted exponentials, and the two sums.
 fn libm_kernels(x: &[f32], m: f32) -> (Vec<f32>, Vec<f32>, Vec<f32>, [f32; 2]) {
@@ -821,6 +945,15 @@ mod proptests {
                                            t in 0usize..=13, off in 0usize..2,
                                            salt in 0u32..1000, special in 0u8..2) {
             assert_sequence_kernels_identical((rows, cols, t), off, salt, special == 1);
+        }
+
+        /// Random lengths, gaps up to 1,000, offsets and payloads: the
+        /// scatter stays the scalar definition at every level.
+        #[test]
+        fn scatter_add_scaled_random_bitwise(n in 0usize..200, off in 0usize..2,
+                                             max_gap in 1u32..1000, salt in 0u32..1000) {
+            let gap = move |j: usize| 1 + (j as u32).wrapping_mul(2_654_435_761) % max_gap;
+            assert_scatter_identical(n, off, &gap, salt);
         }
 
         /// Random inputs: `max` stays bitwise identical across levels.

@@ -22,13 +22,17 @@
 //!
 //! [`TfIdfIndex::top_k`] is one term-at-a-time pass: each query term, in
 //! descending `qw_t · max_impact_t` order, adds `qw_t · impact` into a
-//! dense per-document accumulator, and one pass over the accumulator in
-//! document order feeds a bounded top-k heap. Every document's sum is the
-//! `+=` chain, in the term order, that [`TfIdfIndex::top_k_exhaustive`]
-//! runs, so results are **bit-identical** to it by construction (see
-//! `equivalence`). Every posting of the query's lists is read; no
-//! posting is skipped by a score bound (DESIGN.md §16, "MaxScore
-//! document-at-a-time scan", says when pruning pays).
+//! dense per-document accumulator ([`simd::scatter_add_scaled`], eight
+//! postings per gather), and one fused pass over the accumulator in
+//! document order feeds a bounded top-k heap: each 64-document block is
+//! copied out and re-zeroed in one read that also masks the slots above
+//! the heap's floor ([`simd::take_mask_above`]), and only those slots
+//! are visited. Every document's sum is the `+=` chain, in the term
+//! order, that [`TfIdfIndex::top_k_exhaustive`] runs, so results are
+//! **bit-identical** to it by construction (see `equivalence`). Every
+//! posting of the query's lists is read; no posting is skipped by a
+//! score bound (DESIGN.md §16, "MaxScore document-at-a-time scan", says
+//! when pruning pays).
 
 use crate::vocab::{Vocab, WordId};
 use ncl_tensor::simd;
@@ -54,7 +58,9 @@ pub struct RetrievalStats {
     /// `benchmark/src/api.rs` reads it.
     pub postings_pruned: usize,
     /// Documents offered to the top-k heap: those whose accumulated score
-    /// cleared the heap's floor when the selection pass reached them.
+    /// cleared the heap's floor when the selection pass reached them —
+    /// masked against the floor at the start of their 64-document block,
+    /// then re-checked against the floor of the moment.
     pub docs_scored: usize,
     /// Evictions from the bounded top-k heap.
     pub heap_evictions: usize,
@@ -105,8 +111,8 @@ pub struct TfIdfIndex {
     num_docs: usize,
 }
 
-/// Documents per block of the selection pass: a block whose largest
-/// accumulator is at or below the heap floor is skipped whole.
+/// Documents per block of the selection pass: one bit each of the
+/// `u64` mask [`simd::take_mask_above`] returns.
 const SELECT_BLOCK: usize = 64;
 
 thread_local! {
@@ -422,15 +428,19 @@ impl TfIdfIndex {
             buf.resize(self.num_docs, 0.0);
         }
         let acc = &mut buf[..self.num_docs];
+        // A term's postings name distinct documents in ascending order —
+        // the kernel's contract — and each document receives its terms in
+        // `terms` order, one rounded `+ qw · impact` each, as in
+        // `top_k_exhaustive`.
         for t in &terms {
             let r = self.postings_range(t.tid);
             stats.postings_scored += r.len();
-            for (&d, &imp) in self.posting_docs[r.clone()]
-                .iter()
-                .zip(&self.posting_impacts[r])
-            {
-                acc[d as usize] += t.qw * imp;
-            }
+            simd::scatter_add_scaled(
+                acc,
+                &self.posting_docs[r.clone()],
+                &self.posting_impacts[r],
+                t.qw,
+            );
             #[cfg(test)]
             if PANIC_MID_SCAN.take() {
                 panic!("injected mid-scan panic");
@@ -444,17 +454,20 @@ impl TfIdfIndex {
         // is 0 until the heap is full; every stored impact is > 0 (idf ≥ 1,
         // so norm ≥ 1), so a document was touched exactly when its
         // `acc > 0`, and zero-overlap documents are omitted as in the
-        // exhaustive scan. `simd::max` is exact on the finite, non-negative
-        // sums, so a block skipped on its maximum holds no candidate.
-        let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k + 1);
+        // exhaustive scan. Each block is taken out (copied, re-zeroed) in
+        // one pass that masks its slots against the floor at block start;
+        // the floor only rises, so an unmasked slot would fail the
+        // per-slot check too, and the masked ones are re-checked because
+        // the floor can rise inside the block.
+        let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k);
         let mut floor = 0.0f32;
+        let mut taken = [0.0f32; SELECT_BLOCK];
         for (b, block) in acc.chunks_mut(SELECT_BLOCK).enumerate() {
-            if simd::max(block) <= floor {
-                block.fill(0.0);
-                continue;
-            }
-            for (i, slot) in block.iter_mut().enumerate() {
-                let a = std::mem::take(slot);
+            let mut mask = simd::take_mask_above(block, &mut taken[..block.len()], floor);
+            while mask != 0 {
+                let i = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let a = taken[i];
                 if a <= floor {
                     continue;
                 }
@@ -466,12 +479,14 @@ impl TfIdfIndex {
                 };
                 if heap.len() < k {
                     heap.push(entry);
-                } else if entry < *heap.peek().expect("full heap") {
-                    heap.pop();
-                    heap.push(entry);
-                    stats.heap_evictions += 1;
                 } else {
-                    continue;
+                    // One sift-down on the replaced worst entry.
+                    let mut worst = heap.peek_mut().expect("full heap");
+                    if entry >= *worst {
+                        continue;
+                    }
+                    *worst = entry;
+                    stats.heap_evictions += 1;
                 }
                 if heap.len() == k {
                     floor = heap.peek().expect("full heap").acc;
@@ -641,7 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn pruned_matches_exhaustive_on_fixture() {
+    fn top_k_matches_exhaustive_on_fixture() {
         let idx = index();
         for q in [
             "anemia",
@@ -770,6 +785,57 @@ mod equivalence {
             assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
         assert_eq!(stats.postings_pruned, 0);
+        assert_eq!(
+            (stats.docs_scored, stats.heap_evictions),
+            reference_offers(idx, query, k)
+        );
+    }
+
+    /// `(docs_scored, heap_evictions)` as a plain selection counts them:
+    /// every document in order, checked against the floor of the moment,
+    /// the held top-k an unordered list whose worst entry is found by a
+    /// linear scan.
+    fn reference_offers(idx: &TfIdfIndex, query: &[String], k: usize) -> (usize, usize) {
+        if k == 0 || query.is_empty() {
+            return (0, 0);
+        }
+        let (terms, qnorm) = idx.weighted_query_terms(query);
+        let mut acc = vec![0.0f32; idx.num_docs];
+        for t in &terms {
+            let r = idx.postings_range(t.tid);
+            for (&d, &imp) in idx.posting_docs[r.clone()]
+                .iter()
+                .zip(&idx.posting_impacts[r])
+            {
+                acc[d as usize] += t.qw * imp;
+            }
+        }
+        let mut held: Vec<WorstFirst> = Vec::new();
+        let (mut floor, mut offered, mut evicted) = (0.0f32, 0, 0);
+        for (d, &a) in acc.iter().enumerate() {
+            if a <= floor {
+                continue;
+            }
+            offered += 1;
+            let entry = WorstFirst {
+                score: a / qnorm,
+                doc: d as u32,
+                acc: a,
+            };
+            if held.len() == k {
+                let (w, worst) = held.iter().enumerate().max_by_key(|(_, e)| **e).unwrap();
+                if entry >= *worst {
+                    continue;
+                }
+                held.swap_remove(w);
+                evicted += 1;
+            }
+            held.push(entry);
+            if held.len() == k {
+                floor = held.iter().max().unwrap().acc;
+            }
+        }
+        (offered, evicted)
     }
 
     // Single-letter words from an 8-word closed vocabulary, so random
@@ -808,6 +874,34 @@ mod equivalence {
             }
             let idx = TfIdfIndex::build(&docs);
             assert_bit_identical(&idx, &seedq, k);
+        }
+
+        /// Document counts that are no multiple of 8 or 64 — a scatter
+        /// tail on every long posting list, a short last selection block —
+        /// with a query that always names a word of the last document.
+        /// Each query runs twice on the thread: the second scan starts
+        /// from the accumulator the first one re-zeroed.
+        #[test]
+        fn top_k_equals_exhaustive_with_ragged_blocks(
+            docs in proptest::collection::vec(
+                proptest::collection::vec("[a-l]{1}", 1..6), 65..250),
+            extra in proptest::collection::vec("[a-l]{1}", 0..4),
+            k in 1usize..24,
+        ) {
+            let mut docs = docs;
+            if docs.len() % 8 == 0 {
+                docs.pop();
+            }
+            let idx = TfIdfIndex::build(&docs);
+            let mut query = extra;
+            query.push(docs.last().unwrap()[0].clone());
+            for _ in 0..2 {
+                assert_bit_identical(&idx, &query, k);
+            }
+            prop_assert!(idx
+                .top_k(&query, docs.len())
+                .iter()
+                .any(|&(d, _)| d == docs.len() - 1));
         }
 
         /// Larger k extends, never reorders, the result prefix — the
