@@ -22,8 +22,7 @@
 //!   dimension; the plan's packed 4-gate GEMV vs the same plan forced
 //!   scalar, plus the pre-plan `Lstm::step_infer` as an informational
 //!   third column),
-//! * `log_sum_exp` over 32 768 logits (+ the epsilon-relaxed variant,
-//!   with its relative error printed),
+//! * `log_sum_exp` over 32 768 logits,
 //! * dot-product attention over 16 memories × d=150,
 //! * informational, at the serving workloads' own shapes: the in-place
 //!   decoder step `LstmPlan::step_projected_into` at d=32 and the
@@ -66,7 +65,7 @@ use ncl_bench::table;
 use ncl_nn::attention::DotAttention;
 use ncl_nn::lstm::{LstmTape, SeqGrads};
 use ncl_nn::Lstm;
-use ncl_tensor::ops::{log_sum_exp_slice, log_sum_exp_slice_relaxed};
+use ncl_tensor::ops::log_sum_exp_slice;
 use ncl_tensor::simd::{self, Level};
 use ncl_tensor::{init, libm, Matrix, Vector};
 use rand::rngs::StdRng;
@@ -266,31 +265,6 @@ fn main() {
         min_secs,
     );
     let lse_speedup = record("log_sum_exp n=32768", logits.len(), t_simd, t_scalar);
-    let lse_t_exact = t_simd;
-
-    // Relaxed LSE: speedup vs the exact kernel at the same level, with
-    // the approximation error printed alongside.
-    let lse_relaxed = log_sum_exp_slice_relaxed(&logits);
-    let rel_err = ((lse_relaxed - lse_simd) / lse_simd).abs();
-    assert!(
-        rel_err < 1e-4,
-        "relaxed LSE drifted: exact {lse_simd}, relaxed {lse_relaxed}"
-    );
-    let (t_relaxed, _) = measure_paired(
-        || {
-            let _ = log_sum_exp_slice_relaxed(&logits);
-        },
-        || {},
-        16,
-        min_secs / 2.0,
-    );
-    let lse_relaxed_speedup = lse_t_exact / t_relaxed;
-    println!(
-        "  (relaxed LSE: {:.3} ns/elem, {:.2}x vs exact, rel err {:.2e})",
-        t_relaxed * 1e9 / logits.len() as f64,
-        lse_relaxed_speedup,
-        rel_err
-    );
 
     // ---- dot-product attention, 16 memories x d=150 ----
     let memory: Vec<Vector> = (0..16)
@@ -352,13 +326,7 @@ fn main() {
     let s32 = init::uniform_vector(ds, -1.0, 1.0, &mut rng);
     let (mut w8, mut ctx32) = (vec![0.0f32; 8], vec![0.0f32; ds]);
     let attend = |w: &mut [f32], ctx: &mut [f32]| {
-        DotAttention.attend_into(
-            flat.as_slice().chunks_exact(ds),
-            s32.as_slice(),
-            w,
-            ctx,
-            false,
-        )
+        DotAttention.attend_into(flat.as_slice().chunks_exact(ds), s32.as_slice(), w, ctx)
     };
     {
         attend(&mut w8, &mut ctx32);
@@ -809,7 +777,7 @@ fn main() {
             .unwrap_or(f64::NAN)
     };
     let mut gate = format!(
-        "{{\n  \"gemm_nt_speedup\": {gemm_speedup:.3},\n  \"gemm_nt_melems_per_sec\": {:.3},\n  \"lstm_step_speedup\": {lstm_speedup:.3},\n  \"lstm_step_melems_per_sec\": {:.3},\n  \"lse_speedup\": {lse_speedup:.3},\n  \"lse_melems_per_sec\": {:.3},\n  \"lse_relaxed_speedup\": {lse_relaxed_speedup:.3},\n  \"attention_speedup\": {attention_speedup:.3},\n",
+        "{{\n  \"gemm_nt_speedup\": {gemm_speedup:.3},\n  \"gemm_nt_melems_per_sec\": {:.3},\n  \"lstm_step_speedup\": {lstm_speedup:.3},\n  \"lstm_step_melems_per_sec\": {:.3},\n  \"lse_speedup\": {lse_speedup:.3},\n  \"lse_melems_per_sec\": {:.3},\n  \"attention_speedup\": {attention_speedup:.3},\n",
         melems("gemm_nt"),
         melems("lstm_step"),
         melems("log_sum_exp"),

@@ -55,7 +55,7 @@ use crate::csr::Csr;
 use ncl_nn::lstm::LstmPlan;
 use ncl_nn::Embedding;
 use ncl_ontology::ConceptId;
-use ncl_tensor::ops::{log_softmax_at_slice, log_softmax_at_slice_relaxed, log_sum_exp_slice};
+use ncl_tensor::ops::{log_softmax_at_slice, log_sum_exp_slice};
 use ncl_tensor::{simd, Matrix, Vector};
 use ncl_text::Vocab;
 use std::borrow::Cow;
@@ -73,9 +73,8 @@ use std::sync::OnceLock;
 /// into request scratch per candidate. Everything else (paths, slot
 /// references, and the heads, computed from the exact states and kept
 /// at f32) is shared with `Exact`. Compact scores are epsilon-bounded,
-/// not bit-equal — flagged exactly like `fast_math`: opt-in,
-/// deterministic at every dispatch level, and reported by
-/// [`ConceptCache::tier`].
+/// not bit-equal: opt-in, deterministic at every dispatch level, and
+/// reported by [`ConceptCache::tier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheTier {
     /// Full-precision rows: bit-identical cached scoring.
@@ -520,10 +519,6 @@ pub struct ConceptCache {
     /// The encoder's fused plan, materialised by the first shard freeze
     /// and kept for the shards still to come.
     enc_plan: OnceLock<LstmPlan>,
-    /// Whether cached scoring may use the epsilon-relaxed fast-math
-    /// kernels (`LinkerConfig::fast_math`). Off by default: exact,
-    /// bit-identical scoring.
-    fast_math: bool,
 }
 
 impl ConceptCache {
@@ -607,21 +602,6 @@ impl ConceptCache {
     fn locate(&self, model: &ComAid, index: &OntologyIndex, ci: usize) -> (&ShardData, usize) {
         let shard = self.shard(model, index, self.node_shard[ci] as usize);
         (shard, self.node_local[ci] as usize)
-    }
-
-    /// Enables or disables the epsilon-relaxed fast-math serving kernels
-    /// for scores computed through this cache (relaxed attention dots and
-    /// polynomial log-sum-exp). Off by default; when off, cached scores
-    /// are bit-identical to the uncached path. [`crate::Linker::new`]
-    /// sets this from `LinkerConfig::fast_math`.
-    pub fn set_fast_math(&mut self, enabled: bool) {
-        self.fast_math = enabled;
-    }
-
-    /// Whether fast-math scoring is enabled (see
-    /// [`ConceptCache::set_fast_math`]).
-    pub fn fast_math(&self) -> bool {
-        self.fast_math
     }
 
     /// Resident-size breakdown over the shards frozen so far:
@@ -800,7 +780,6 @@ impl ComAid {
             shards,
             plan,
             enc_plan: OnceLock::new(),
-            fast_math: false,
         }
     }
 
@@ -816,9 +795,8 @@ impl ComAid {
     /// hot-swap publish all land here. A shard with no shared prefix
     /// pays one hash probe per token over a plain per-concept pass and
     /// any other shard runs fewer encoder steps and stores fewer rows.
-    /// Heads always read the *exact* trie states and the exact kernels,
-    /// in both tiers and whatever `fast_math` says: those only perturb
-    /// per-query reads, never the cache contents.
+    /// Heads always read the *exact* trie states, in both tiers: Compact
+    /// only perturbs per-query reads, never the heads.
     fn freeze_shard(&self, index: &OntologyIndex, cache: &ConceptCache, si: usize) -> ShardData {
         let d = self.config().dim;
         let nodes = cache.members(si);
@@ -921,7 +899,7 @@ impl ComAid {
             .plan
             .decoder
             .step_projected_into(bos_proj, h1, c1, gates);
-        self.composite_input(h1, enc_rows, struct_mem, att, comp_in, false);
+        self.composite_input(h1, enc_rows, struct_mem, att, comp_in);
         self.composite
             .apply_with_t_into(comp_in, &cache.plan.composite_wt, s_tilde);
         self.output
@@ -1072,7 +1050,6 @@ impl ComAid {
         let (text, structure) = memory.split_at_mut(cache.max_tokens * d);
         let enc_rows = shard.rows.gather(d, shard.paths.row(l), text);
         let struct_mem = shard.rows.gather(d, shard.slots(l), structure);
-        let relaxed = cache.fast_math;
         let counted = |t: usize| count.get(t).copied().unwrap_or(true);
         let word = |t: usize| target.get(t).copied().unwrap_or(Vocab::EOS) as usize;
 
@@ -1087,16 +1064,12 @@ impl ComAid {
             if !counted(t) {
                 continue;
             }
-            self.composite_input(h, enc_rows, struct_mem, att, comp_in, relaxed);
+            self.composite_input(h, enc_rows, struct_mem, att, comp_in);
             self.composite
                 .apply_with_t_into(comp_in, &cache.plan.composite_wt, s_tilde);
             self.output
                 .apply_with_t_into(s_tilde, &cache.plan.output_wt, logits);
-            lp += if relaxed {
-                log_softmax_at_slice_relaxed(logits, word(t))
-            } else {
-                log_softmax_at_slice(logits, word(t))
-            };
+            lp += log_softmax_at_slice(logits, word(t));
         }
         lp
     }
@@ -1115,8 +1088,7 @@ impl ComAid {
     /// floats per row), with exactly the zero-padding rules of the
     /// uncached forward pass: a variant that *uses* a context but has an
     /// empty memory gets a zero block. `att` is weight scratch at least
-    /// as long as either memory. `relaxed` selects the fast-math
-    /// attention dots; exact serving and freezing pass `false`.
+    /// as long as either memory.
     fn composite_input(
         &self,
         s_t: &[f32],
@@ -1124,7 +1096,6 @@ impl ComAid {
         struct_mem: &[f32],
         att: &mut [f32],
         comp_in: &mut [f32],
-        relaxed: bool,
     ) {
         let d = s_t.len();
         let variant = self.config().variant;
@@ -1144,7 +1115,7 @@ impl ComAid {
             } else {
                 let weights = &mut att[..memory.len() / d];
                 self.attention
-                    .attend_into(memory.chunks_exact(d), s_t, weights, ctx, relaxed);
+                    .attend_into(memory.chunks_exact(d), s_t, weights, ctx);
             }
         }
     }
@@ -1371,47 +1342,26 @@ mod tests {
         assert_eq!(m.version(), clone.version());
     }
 
+    /// One prepared target serving every candidate agrees bitwise with
+    /// a fresh `log_prob_ids_masked_cached` per candidate: the scratch
+    /// carries nothing over from the candidates scored before.
     #[test]
-    fn fast_math_scores_close_but_flag_off_is_exact() {
+    fn prepared_target_reused_across_candidates_is_bitwise_fresh() {
         let (o, v) = tiny_world();
         let idx = OntologyIndex::build(&o, &v, 2);
         let m = model_for(Variant::Full, v);
-        let mut cache = m.freeze(&idx);
-        assert!(!cache.fast_math());
+        let cache = m.freeze(&idx);
         let target = m.encode_text("chronic kidney disease stage 5");
         let mask = vec![true; target.len()];
         let concepts: Vec<ConceptId> = o.all_concepts().collect();
-        let exact: Vec<f32> = concepts
-            .iter()
-            .map(|&c| m.log_prob_ids_masked_cached(&idx, &cache, c, &target, &mask))
-            .collect();
-
-        cache.set_fast_math(true);
-        assert!(cache.fast_math());
-        for (i, &c) in concepts.iter().enumerate() {
-            let relaxed = m.log_prob_ids_masked_cached(&idx, &cache, c, &target, &mask);
-            // Relaxed kernels perturb the score by rounding noise only.
-            assert!(
-                (relaxed - exact[i]).abs() < 1e-3 * exact[i].abs().max(1.0),
-                "{:?}: exact {} relaxed {relaxed}",
-                o.concept(c).code,
-                exact[i]
-            );
-            // One prepared target serving every candidate agrees bitwise
-            // with a fresh one per candidate (the scratch carries
-            // nothing over), at a fixed dispatch level.
+        for &c in &concepts {
+            let fresh = m.log_prob_ids_masked_cached(&idx, &cache, c, &target, &mask);
             let mut shared = m.prepare_target(&cache, &target);
             for &other in &concepts {
                 m.log_prob_prepared(&idx, &cache, other, &mut shared, &mask);
             }
             let reused = m.log_prob_prepared(&idx, &cache, c, &mut shared, &mask);
-            assert_eq!(relaxed.to_bits(), reused.to_bits());
-        }
-
-        cache.set_fast_math(false);
-        for (i, &c) in concepts.iter().enumerate() {
-            let back = m.log_prob_ids_masked_cached(&idx, &cache, c, &target, &mask);
-            assert_eq!(back.to_bits(), exact[i].to_bits());
+            assert_eq!(fresh.to_bits(), reused.to_bits(), "{}", o.concept(c).code);
         }
     }
 }

@@ -490,7 +490,6 @@ impl ComAid {
                     s_t,
                     &mut run.text_alpha[t * run.n_text..(t + 1) * run.n_text],
                     &mut row[d..2 * d],
-                    false,
                 );
             }
             if run.n_struct > 0 {
@@ -500,7 +499,6 @@ impl ComAid {
                     &mut run.struct_alpha[t * run.n_struct..(t + 1) * run.n_struct],
                     // `sc_t` is the row's last block, after `tc_t` if any.
                     &mut row[width - d..],
-                    false,
                 );
             }
         }

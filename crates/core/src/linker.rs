@@ -91,16 +91,14 @@ pub struct Linker<'a> {
 
 /// The concept cache a linker configured with `config` serves from:
 /// the skeleton of `index` at `model`'s parameter generation, in the
-/// configured tier and kernel mode. Shared with the hot-swap cell so a
-/// published generation's cache is the one `Linker::new` would build.
+/// configured tier. Shared with the hot-swap cell so a published
+/// generation's cache is the one `Linker::new` would build.
 pub(crate) fn frozen_cache(
     model: &ComAid,
     index: &OntologyIndex,
     config: &LinkerConfig,
 ) -> Arc<ConceptCache> {
-    let mut cache = model.freeze_tiered(index, config.cache_tier);
-    cache.set_fast_math(config.fast_math);
-    Arc::new(cache)
+    Arc::new(model.freeze_tiered(index, config.cache_tier))
 }
 
 impl<'a> Linker<'a> {

@@ -1,5 +1,5 @@
 //! One proptest over what is left of the serving lattice, against
-//! [`reference_link`]: `cache_tier × fast_math × {first touch, warm} ×
+//! [`reference_link`]: `cache_tier × {first touch, warm} ×
 //! {link, link_batch, link_document spans} × {no plan, every cache read
 //! misses} × Variant`; a second over drawn fault plans and ED budgets,
 //! where the reference still owns every score that was made; and a
@@ -184,29 +184,23 @@ fn drawn_world(shape: &[usize]) -> (Ontology, Vocab) {
     (o, vocab)
 }
 
-/// How far a lattice point may be from the reference: exact unless the
-/// cache is read in a relaxed mode. The bounds are `cache_tier.rs`'s
-/// for Compact and `cache.rs`'s for the relaxed kernels.
-fn lattice_eps(cache_tier: CacheTier, fast_math: bool, uncached: bool) -> f32 {
-    let mut eps = 0.0;
+/// How far a lattice point may be from the reference: exact unless a
+/// Compact cache is read. The bound is `cache_tier.rs`'s.
+fn lattice_eps(cache_tier: CacheTier, uncached: bool) -> f32 {
     if !uncached && cache_tier == CacheTier::Compact {
-        eps += 5e-2;
+        5e-2
+    } else {
+        0.0
     }
-    if !uncached && fast_math {
-        eps += 1e-3;
-    }
-    eps
 }
 
-/// `cache_tier × fast_math × warm × uncached`, all sixteen.
-fn lattice_points() -> Vec<(CacheTier, bool, bool, bool)> {
+/// `cache_tier × warm × uncached`, all eight.
+fn lattice_points() -> Vec<(CacheTier, bool, bool)> {
     let mut points = Vec::new();
     for tier in [CacheTier::Exact, CacheTier::Compact] {
-        for fast_math in [false, true] {
-            for warm in [false, true] {
-                for uncached in [false, true] {
-                    points.push((tier, fast_math, warm, uncached));
-                }
+        for warm in [false, true] {
+            for uncached in [false, true] {
+                points.push((tier, warm, uncached));
             }
         }
     }
@@ -250,8 +244,8 @@ proptest! {
                 .map(|s| reference_link(&plain, &note[s.start..s.end()]))
                 .collect();
 
-            for (cache_tier, fast_math, warm, uncached) in lattice_points() {
-                let config = LinkerConfig { k, cache_tier, fast_math, ..LinkerConfig::default() };
+            for (cache_tier, warm, uncached) in lattice_points() {
+                let config = LinkerConfig { k, cache_tier, ..LinkerConfig::default() };
                 let mut linker = build(model, config);
                 if uncached {
                     linker = linker.with_faults(every_cache_read_misses());
@@ -266,10 +260,8 @@ proptest! {
                     cache.frozen_shard_count(),
                     if warm { cache.shard_count() } else { 0 }
                 );
-                let eps = lattice_eps(cache_tier, fast_math, uncached);
-                let at = format!(
-                    "{variant:?} {cache_tier:?} fast_math={fast_math} warm={warm} uncached={uncached}"
-                );
+                let eps = lattice_eps(cache_tier, uncached);
+                let at = format!("{variant:?} {cache_tier:?} warm={warm} uncached={uncached}");
 
                 let batched = linker.link_batch(&queries);
                 for ((q, b), want) in queries.iter().zip(&batched).zip(&want) {
@@ -371,11 +363,11 @@ proptest! {
             let config = ComAidConfig { dim: 6, beta: 2, seed: seed + i as u64, ..ComAidConfig::tiny() };
             let model = ComAid::new(vocab, config, None);
             let want = reference_link(&Linker::new(&model, &o, LinkerConfig::default()), &q);
-            for (cache_tier, fast_math, warm, uncached) in lattice_points() {
-                if lattice_eps(cache_tier, fast_math, uncached) != 0.0 {
+            for (cache_tier, warm, uncached) in lattice_points() {
+                if lattice_eps(cache_tier, uncached) != 0.0 {
                     continue;
                 }
-                let config = LinkerConfig { cache_tier, fast_math, ..LinkerConfig::default() };
+                let config = LinkerConfig { cache_tier, ..LinkerConfig::default() };
                 let mut linker = Linker::new(&model, &o, config);
                 if uncached {
                     linker = linker.with_faults(every_cache_read_misses());
@@ -383,7 +375,7 @@ proptest! {
                 if warm {
                     linker.warm();
                 }
-                let at = format!("{shape:?} {cache_tier:?} fast_math={fast_math} warm={warm} uncached={uncached}");
+                let at = format!("{shape:?} {cache_tier:?} warm={warm} uncached={uncached}");
                 assert_matches(&linker.link(&q), &want, 0.0, &format!("{q:?} @ {at}"));
             }
         }

@@ -20,8 +20,8 @@
 //!   [`frontend`] workers — without interference.
 //! * **Checked against the equations.** A `#[cfg(test)]` reference
 //!   linker written from PAPER.md Eq. 3–13 (`crate::reference`) is the
-//!   oracle: one proptest walks the `cache_tier × fast_math × warm ×
-//!   entry point × cache-miss plan × variant` lattice against it, and
+//!   oracle: one proptest walks the `cache_tier × warm × entry point ×
+//!   cache-miss plan × variant` lattice against it, and
 //!   `tests/golden/staged_serving.snap` pins the bits.
 //! * **Scorers are pluggable.** Phase II is abstracted as
 //!   [`ScoreStage`]; COM-AID ([`ComAidScore`]) is the default, and the

@@ -37,16 +37,6 @@ pub struct LinkerConfig {
     /// non-validating [`Linker::link`](crate::linker::Linker::link)
     /// accepts any length.
     pub max_query_tokens: usize,
-    /// Serve Phase-II scores with the epsilon-relaxed SIMD kernels
-    /// (polynomial `exp`, fixed-lane partial sums;
-    /// [`ConceptCache::set_fast_math`](crate::comaid::ConceptCache::set_fast_math)).
-    /// Off by default: the exact kernels are bit-identical to the scalar
-    /// reference at every dispatch level, which the golden-snapshot and
-    /// cache bit-identity suites rely on. Turning this on perturbs
-    /// scores by ≈1e-5 relative error (deterministic across dispatch
-    /// levels) in exchange for faster softmax/attention. The uncached
-    /// safety path (stale cache, `ed.cache` fault) always scores exactly.
-    pub fast_math: bool,
     /// Storage tier of the frozen concept cache ([`CacheTier`]). `Exact`
     /// (the default) keeps every frozen row in f32 and scores
     /// bit-identically to the uncached path; `Compact` stores the
@@ -70,7 +60,6 @@ impl Default for LinkerConfig {
             rewrite_min_cosine: 0.35,
             index_aliases: true,
             max_query_tokens: 4096,
-            fast_math: false,
             cache_tier: CacheTier::Exact,
             budget: LinkBudget::default(),
         }

@@ -46,7 +46,6 @@ impl DotAttention {
             s.as_slice(),
             weights.as_mut_slice(),
             ctx.as_mut_slice(),
-            false,
         );
         (ctx, AttentionCache { weights })
     }
@@ -58,15 +57,6 @@ impl DotAttention {
     /// definition of the attention arithmetic; [`DotAttention::forward`]
     /// wraps it.
     ///
-    /// `relaxed` selects the epsilon-relaxed relatedness scores of the
-    /// fast-math serving path (`LinkerConfig::fast_math`):
-    /// [`ncl_tensor::simd::dot_relaxed`] (fixed 8-lane partial sums)
-    /// instead of the sequential dot. The softmax and the context
-    /// combination are unchanged — the scores are where the time goes,
-    /// and keeping the rest exact keeps the approximation error a plain
-    /// score perturbation. Deterministic across dispatch levels, but not
-    /// bit-equal to the exact pass.
-    ///
     /// # Panics
     /// Panics if the memory is empty, `weights` does not have one slot
     /// per row, or dimensions disagree.
@@ -76,7 +66,6 @@ impl DotAttention {
         s: &[f32],
         weights: &mut [f32],
         ctx: &mut [f32],
-        relaxed: bool,
     ) {
         assert!(memory.len() > 0, "attention: empty memory");
         assert_eq!(
@@ -86,11 +75,7 @@ impl DotAttention {
         );
         assert_eq!(ctx.len(), s.len(), "attention: context dimension");
         for (e, m) in weights.iter_mut().zip(memory.clone()) {
-            *e = if relaxed {
-                simd::dot_relaxed(m, s)
-            } else {
-                dot(m, s)
-            };
+            *e = dot(m, s);
         }
         softmax_inplace(weights);
         ctx.fill(0.0);
@@ -247,28 +232,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn relaxed_scores_close_to_exact() {
-        let (memory, s, _) = setup(12, 150, 11);
-        let (exact, _) = DotAttention.forward(&memory, &s);
-        let (mut weights, mut relaxed) = (vec![0.0; 12], vec![0.0; 150]);
-        DotAttention.attend_into(
-            memory.iter().map(Vector::as_slice),
-            s.as_slice(),
-            &mut weights,
-            &mut relaxed,
-            true,
-        );
-        for k in 0..150 {
-            assert!(
-                (exact[k] - relaxed[k]).abs() < 1e-4,
-                "ctx[{k}]: exact {} relaxed {}",
-                exact[k],
-                relaxed[k]
-            );
-        }
-    }
-
     /// The slab form over flat rows — at every dispatch level, into
     /// dirty output storage — has the bits of the `Vector` pass the
     /// uncached model runs; all-`-inf` scores degrade to the uniform
@@ -299,7 +262,6 @@ mod tests {
                             s.as_slice(),
                             &mut weights,
                             &mut ctx,
-                            false,
                         )
                     });
                     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -151,31 +151,6 @@ pub fn log_sum_exp_slice(x: &[f32]) -> f32 {
     m + libm::sum_exp_shifted(x, m).ln()
 }
 
-/// Epsilon-relaxed [`log_sum_exp_slice`]: same max shift, but the
-/// exp-sum is the fast-math kernel [`crate::simd::sum_exp_relaxed`]
-/// (fixed 8-lane partial sums, polynomial exp). Deterministic across
-/// dispatch levels but **not** bit-equal to the exact kernel (relative
-/// error ≈ 1e-6); only the serving path behind `LinkerConfig::fast_math`
-/// calls it. Degenerate inputs (empty, non-finite max) defer to the
-/// exact kernel so edge-case behaviour cannot diverge.
-pub fn log_sum_exp_slice_relaxed(x: &[f32]) -> f32 {
-    let m = crate::simd::max(x);
-    if !m.is_finite() {
-        return log_sum_exp_slice(x);
-    }
-    m + crate::simd::sum_exp_relaxed(x, m).ln()
-}
-
-/// Epsilon-relaxed [`log_softmax_at_slice`], built on
-/// [`log_sum_exp_slice_relaxed`] — the fast-math serving score.
-///
-/// # Panics
-/// Panics if `idx` is out of range.
-pub fn log_softmax_at_slice_relaxed(x: &[f32], idx: usize) -> f32 {
-    assert!(idx < x.len(), "log_softmax_at: index out of range");
-    x[idx] - log_sum_exp_slice_relaxed(x)
-}
-
 /// Backward pass through a softmax, in place: given the output
 /// `y = softmax(x)`, the upstream gradient in `dy` becomes
 /// `dx = (diag(y) − y yᵀ) dy`, i.e. `dx_i = y_i (dy_i − Σ_j y_j dy_j)`.
@@ -301,30 +276,6 @@ mod tests {
     #[should_panic(expected = "index out of range")]
     fn log_softmax_at_out_of_range_panics() {
         let _ = log_softmax_at(&Vector::from_slice(&[0.0, 1.0]), 2);
-    }
-
-    #[test]
-    fn relaxed_lse_close_to_exact_and_degenerate_safe() {
-        let x: Vec<f32> = (0..300).map(|i| ((i as f32) * 0.11).sin() * 8.0).collect();
-        let exact = log_sum_exp_slice(&x);
-        let relaxed = log_sum_exp_slice_relaxed(&x);
-        assert!((exact - relaxed).abs() < 1e-4 * exact.abs().max(1.0));
-        for i in 0..x.len() {
-            let a = log_softmax_at_slice(&x, i);
-            let b = log_softmax_at_slice_relaxed(&x, i);
-            assert!((a - b).abs() < 2e-4, "i={i}: exact {a}, relaxed {b}");
-        }
-        // Degenerate inputs defer to the exact kernel bit-for-bit.
-        let empty: [f32; 0] = [];
-        assert_eq!(
-            log_sum_exp_slice_relaxed(&empty).to_bits(),
-            log_sum_exp_slice(&empty).to_bits()
-        );
-        let inf = [1.0f32, f32::INFINITY];
-        assert_eq!(
-            log_sum_exp_slice_relaxed(&inf).to_bits(),
-            log_sum_exp_slice(&inf).to_bits()
-        );
     }
 
     #[test]

@@ -40,19 +40,6 @@
 //! the same idea applied to element-wise transcendental functions and
 //! live in [`crate::libm`], which dispatches on this module's [`Level`].
 //!
-//! # Relaxed kernels
-//!
-//! The `*_relaxed` kernels ([`dot_relaxed`], [`sum_exp_relaxed`]) trade
-//! the scalar reduction order for speed: partial sums are kept in a
-//! **fixed virtual 8-lane layout** (element `i` belongs to lane
-//! `i mod 8`) and combined in a fixed binary tree, and the exponential
-//! is the polynomial [`exp_approx`] instead of libm. They are *not*
-//! bit-equal to the exact kernels — but they are deterministic, and the
-//! scalar fallback emulates the same 8 lanes, tree, and polynomial, so
-//! a relaxed kernel returns the same bits at every dispatch level too.
-//! Relaxed kernels only run behind `LinkerConfig::fast_math` (off by
-//! default).
-//!
 //! # Dispatch
 //!
 //! There are two levels, and the level is detected once per process
@@ -662,114 +649,10 @@ pub fn widen_bf16(dst: &mut [f32], src: &[u16]) {
 }
 
 // ---------------------------------------------------------------------------
-// Relaxed (fast-math) kernels — deterministic across levels, but NOT
-// bit-equal to the exact kernels. Gated behind `LinkerConfig::fast_math`.
-// ---------------------------------------------------------------------------
-
-/// Combines eight lane partial sums in a fixed binary tree — the single
-/// reduction order every relaxed kernel uses at every level.
-#[inline]
-fn tree8(l: &[f32; 8]) -> f32 {
-    ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
-}
-
-/// Relaxed dot product: partial sums in the fixed virtual 8-lane layout
-/// (element `i` → lane `i mod 8`), combined by the fixed `tree8` lane
-/// tree. Same bits at every level; differs from the sequential
-/// [`Vector::dot`](crate::Vector::dot) by ordinary rounding noise
-/// (≈1 ulp per lane length).
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn dot_relaxed(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot_relaxed: dimension mismatch");
-    let mut lanes = [0.0f32; 8];
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 was verified by `active()`'s detection.
-        Level::Avx2 => unsafe { avx2::dot_lanes(&mut lanes, a, b) },
-        _ => scalar::dot_lanes(&mut lanes, a, b),
-    }
-    tree8(&lanes)
-}
-
-/// Relaxed `Σ_i exp(x[i] − m)` — the shifted exponential sum of a
-/// log-sum-exp — using the [`exp_approx`] polynomial and the fixed
-/// 8-lane layout of [`dot_relaxed`]. Same bits at every level.
-///
-/// The caller is expected to pass `m = max(x)` so every shifted
-/// argument is `≤ 0`; arguments are clamped to the polynomial's domain
-/// either way.
-pub fn sum_exp_relaxed(x: &[f32], m: f32) -> f32 {
-    let mut lanes = [0.0f32; 8];
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 was verified by `active()`'s detection.
-        Level::Avx2 => unsafe { avx2::sum_exp_lanes(&mut lanes, x, m) },
-        _ => scalar::sum_exp_lanes(&mut lanes, x, m),
-    }
-    tree8(&lanes)
-}
-
-/// Domain clamp of [`exp_approx`]: below, `2^n` stays a normal float.
-const EXP_LO: f32 = -87.0;
-/// Upper domain clamp of [`exp_approx`] (`exp(88) < f32::MAX`).
-const EXP_HI: f32 = 88.0;
-// Cephes `expf` constants, written with the full decimal expansions of
-// the intended f32 bit patterns (clippy sees "excessive precision" /
-// "approximate LOG2_E", but rounding the literals would change the
-// polynomial and therefore the cross-level bit contract).
-#[allow(clippy::excessive_precision, clippy::approx_constant)]
-const LOG2E: f32 = 1.442_695_04;
-#[allow(clippy::excessive_precision)]
-const LN2_HI: f32 = 0.693_359_375;
-const LN2_LO: f32 = -2.121_944_4e-4;
-#[allow(clippy::excessive_precision)]
-const EXP_P0: f32 = 1.987_569_15e-4;
-#[allow(clippy::excessive_precision)]
-const EXP_P1: f32 = 1.398_199_95e-3;
-#[allow(clippy::excessive_precision)]
-const EXP_P2: f32 = 8.333_451_9e-3;
-const EXP_P3: f32 = 4.166_579_6e-2;
-#[allow(clippy::excessive_precision)]
-const EXP_P4: f32 = 1.666_666_55e-1;
-#[allow(clippy::excessive_precision)]
-const EXP_P5: f32 = 5.000_000_1e-1;
-
-/// Polynomial `exp` (cephes-style: range reduction by `log2 e`, a
-/// degree-5 minimax polynomial on the reduced argument, exponent
-/// reassembly via the IEEE bit layout). Relative error ≈ 1e-7 over the
-/// clamped domain `[-87, 88]`. Every operation is an ordinary `f32`
-/// mul/add in a fixed order, mirrored exactly by the AVX2 lane version,
-/// so relaxed kernels built on it return the same bits at every level.
-pub fn exp_approx(x: f32) -> f32 {
-    let x = x.clamp(EXP_LO, EXP_HI);
-    let n = (x * LOG2E).round_ties_even();
-    let r = x - n * LN2_HI;
-    let r = r - n * LN2_LO;
-    let r2 = r * r;
-    let mut p = EXP_P0;
-    p = p * r + EXP_P1;
-    p = p * r + EXP_P2;
-    p = p * r + EXP_P3;
-    p = p * r + EXP_P4;
-    p = p * r + EXP_P5;
-    let y = (p * r2 + r) + 1.0;
-    // n is integral and in [-126, 127] after the clamp, so 2^n is a
-    // normal float assembled directly in the exponent field.
-    let two_n = f32::from_bits((((n as i32) + 127) << 23) as u32);
-    y * two_n
-}
-
-// ---------------------------------------------------------------------------
 // Scalar reference implementations.
 // ---------------------------------------------------------------------------
 
 mod scalar {
-    use super::exp_approx;
-    #[cfg(test)]
-    use super::tree8;
-
     pub fn saxpy(y: &mut [f32], alpha: f32, x: &[f32]) {
         for (s, v) in y.iter_mut().zip(x) {
             *s += alpha * v;
@@ -874,42 +757,6 @@ mod scalar {
         }
     }
 
-    /// Emulates the 8-lane layout of the AVX2 relaxed dot: full chunks
-    /// feed lane `i mod 8`, the tail keeps the same assignment, so the
-    /// [`tree8`] combine sees identical lane values.
-    pub fn dot_lanes(lanes: &mut [f32; 8], a: &[f32], b: &[f32]) {
-        let chunks = a.len() / 8;
-        for c in 0..chunks {
-            for (l, lane) in lanes.iter_mut().enumerate() {
-                let i = c * 8 + l;
-                *lane += a[i] * b[i];
-            }
-        }
-        for i in chunks * 8..a.len() {
-            lanes[i % 8] += a[i] * b[i];
-        }
-    }
-
-    pub fn sum_exp_lanes(lanes: &mut [f32; 8], x: &[f32], m: f32) {
-        let chunks = x.len() / 8;
-        for c in 0..chunks {
-            for (l, lane) in lanes.iter_mut().enumerate() {
-                *lane += exp_approx(x[c * 8 + l] - m);
-            }
-        }
-        for i in chunks * 8..x.len() {
-            lanes[i % 8] += exp_approx(x[i] - m);
-        }
-    }
-
-    /// Standalone scalar relaxed dot for the unit tests.
-    #[cfg(test)]
-    pub fn dot_relaxed(a: &[f32], b: &[f32]) -> f32 {
-        let mut lanes = [0.0f32; 8];
-        dot_lanes(&mut lanes, a, b);
-        tree8(&lanes)
-    }
-
     pub fn narrow_bf16(dst: &mut [u16], src: &[f32]) {
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = super::narrow_bf16_one(s);
@@ -929,9 +776,6 @@ mod scalar {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{
-        EXP_HI, EXP_LO, EXP_P0, EXP_P1, EXP_P2, EXP_P3, EXP_P4, EXP_P5, LN2_HI, LN2_LO, LOG2E,
-    };
     use std::arch::x86_64::*;
 
     /// # Safety
@@ -1675,61 +1519,6 @@ mod avx2 {
     /// # Safety
     /// Requires AVX2 (callers check [`super::supported`]).
     ///
-    /// Full 8-chunks vectorised, tail folded into the same lanes — the
-    /// exact layout `scalar::dot_lanes` emulates.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_lanes(lanes: &mut [f32; 8], a: &[f32], b: &[f32]) {
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= n {
-            let av = _mm256_loadu_ps(ap.add(i));
-            let bv = _mm256_loadu_ps(bp.add(i));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(av, bv));
-            i += 8;
-        }
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        while i < n {
-            lanes[i % 8] += a[i] * b[i];
-            i += 1;
-        }
-    }
-
-    /// Lane-parallel [`super::exp_approx`]: the identical operation
-    /// sequence, eight lanes at a time.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn exp8(x: __m256) -> __m256 {
-        let x = _mm256_min_ps(
-            _mm256_max_ps(x, _mm256_set1_ps(EXP_LO)),
-            _mm256_set1_ps(EXP_HI),
-        );
-        let n = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
-            _mm256_mul_ps(x, _mm256_set1_ps(LOG2E)),
-        );
-        let r = _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(LN2_HI)));
-        let r = _mm256_sub_ps(r, _mm256_mul_ps(n, _mm256_set1_ps(LN2_LO)));
-        let r2 = _mm256_mul_ps(r, r);
-        let mut p = _mm256_set1_ps(EXP_P0);
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(EXP_P1));
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(EXP_P2));
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(EXP_P3));
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(EXP_P4));
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(EXP_P5));
-        let y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, r2), r), _mm256_set1_ps(1.0));
-        let ni = _mm256_cvtps_epi32(n);
-        let two_n = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
-            ni,
-            _mm256_set1_epi32(127),
-        )));
-        _mm256_mul_ps(y, two_n)
-    }
-
-    /// # Safety
-    /// Requires AVX2 (callers check [`super::supported`]).
-    ///
     /// Eight f32s per iteration: integer round-to-nearest-even, shift,
     /// then an unsigned dword→word pack. `packus` works per 128-bit
     /// lane, so a qword permute restores element order before the store.
@@ -1775,27 +1564,6 @@ mod avx2 {
         }
         while i < n {
             dst[i] = super::widen_bf16_one(src[i]);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2 (callers check [`super::supported`]).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sum_exp_lanes(lanes: &mut [f32; 8], x: &[f32], m: f32) {
-        let n = x.len();
-        let xp = x.as_ptr();
-        let mv = _mm256_set1_ps(m);
-        let mut acc = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= n {
-            let v = _mm256_sub_ps(_mm256_loadu_ps(xp.add(i)), mv);
-            acc = _mm256_add_ps(acc, exp8(v));
-            i += 8;
-        }
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        while i < n {
-            lanes[i % 8] += super::exp_approx(x[i] - m);
             i += 1;
         }
     }
@@ -2283,39 +2051,6 @@ mod tests {
     }
 
     #[test]
-    fn exp_approx_accurate_on_lse_domain() {
-        for i in 0..2000 {
-            let x = -87.0 + (i as f32) * 0.04; // [-87, -7]
-            let exact = x.exp();
-            let got = exp_approx(x);
-            let rel = ((got - exact) / exact.max(f32::MIN_POSITIVE)).abs();
-            assert!(
-                rel < 3e-6,
-                "x={x}: got {got:e}, exact {exact:e}, rel {rel:e}"
-            );
-        }
-        assert_eq!(exp_approx(0.0), 1.0);
-        assert!(exp_approx(-1000.0) > 0.0); // clamped, not flushed to zero
-    }
-
-    #[test]
-    fn relaxed_kernels_deterministic_across_levels() {
-        for n in [0usize, 1, 7, 8, 9, 64, 150, 257] {
-            let a = data(n, 0.3);
-            let b = data(n, 1.1);
-            let dot_ref = with_level(Level::Scalar, || dot_relaxed(&a, &b));
-            let m = scalar::max(&a);
-            let se_ref = with_level(Level::Scalar, || sum_exp_relaxed(&a, m));
-            for &level in &supported_levels() {
-                let dot = with_level(level, || dot_relaxed(&a, &b));
-                let se = with_level(level, || sum_exp_relaxed(&a, m));
-                assert_eq!(dot.to_bits(), dot_ref.to_bits(), "{} n={n}", level.name());
-                assert_eq!(se.to_bits(), se_ref.to_bits(), "{} n={n}", level.name());
-            }
-        }
-    }
-
-    #[test]
     fn bf16_round_trip_error_bounded_and_exact_on_bf16_values() {
         for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 16, 31, 33, 100] {
             let x = data(n, 0.6);
@@ -2385,19 +2120,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn relaxed_dot_close_to_exact() {
-        let n = 200;
-        let a = data(n, 0.9);
-        let b = data(n, -0.4);
-        let exact: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        let relaxed = dot_relaxed(&a, &b);
-        assert!((relaxed - exact).abs() <= 1e-3 * exact.abs().max(1.0));
-        assert_eq!(
-            scalar::dot_relaxed(&a, &b).to_bits(),
-            with_level(Level::Scalar, || dot_relaxed(&a, &b)).to_bits()
-        );
     }
 }

@@ -12,9 +12,6 @@
 //! * unaligned inputs — slices offset by one `f32` from their allocation
 //!   start, so 32-byte-aligned loads would fault if the kernels ever
 //!   switched from `loadu` to aligned loads;
-//! * the *relaxed* kernels, which are not bit-equal to the sequential
-//!   scalar fold but must be bit-identical **across levels** (the scalar
-//!   fallback emulates the fixed 8-lane layout);
 //! * the three row-major training kernels (`rowmajor_gemv_acc`,
 //!   `rank1_update`, `gemv_t_acc`) over every `rows, cols ∈ 0..=41`, on
 //!   slices that **end exactly at their allocation's end** (the
@@ -262,39 +259,6 @@ fn bf16_widen_narrow_bitwise_identical_across_levels_and_offsets() {
                     level,
                     &got_w,
                     &w_ref,
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn relaxed_kernels_deterministic_across_levels() {
-    for &n in SIZES {
-        let abuf = data(n + 1, 9);
-        let bbuf = data(n + 1, 10);
-        for offset in [0usize, 1] {
-            let a = &abuf[offset..offset + n];
-            let b = &bbuf[offset..offset + n];
-            let m = if n == 0 {
-                0.0
-            } else {
-                at(Level::Scalar, || simd::max(a))
-            };
-            let want_dot = at(Level::Scalar, || simd::dot_relaxed(a, b));
-            let want_sum = at(Level::Scalar, || simd::sum_exp_relaxed(a, m));
-            for level in simd::supported_levels() {
-                let got_dot = at(level, || simd::dot_relaxed(a, b));
-                let got_sum = at(level, || simd::sum_exp_relaxed(a, m));
-                assert_eq!(
-                    got_dot.to_bits(),
-                    want_dot.to_bits(),
-                    "dot_relaxed n={n} off={offset} @ {level:?}"
-                );
-                assert_eq!(
-                    got_sum.to_bits(),
-                    want_sum.to_bits(),
-                    "sum_exp_relaxed n={n} off={offset} @ {level:?}"
                 );
             }
         }
@@ -992,27 +956,6 @@ mod proptests {
                     prop_assert!((rt - orig).abs() <= orig.abs() / 256.0 + f32::MIN_POSITIVE);
                 }
             }
-        }
-
-        /// Random inputs: the relaxed dot is deterministic across levels
-        /// and within rounding distance of the sequential scalar dot.
-        #[test]
-        fn dot_relaxed_random_deterministic(n in 0usize..300, salt in 0u32..1000) {
-            let a = data(n, salt);
-            let b = data(n, salt.wrapping_add(4));
-            let want = at(Level::Scalar, || simd::dot_relaxed(&a, &b));
-            for level in simd::supported_levels() {
-                let got = at(level, || simd::dot_relaxed(&a, &b));
-                prop_assert_eq!(got.to_bits(), want.to_bits());
-            }
-            let exact: f32 = a.iter().zip(b.iter()).map(|(p, q)| p * q).sum();
-            let scale = a
-                .iter()
-                .zip(b.iter())
-                .map(|(p, q)| (p * q).abs())
-                .sum::<f32>()
-                .max(1.0);
-            prop_assert!((want - exact).abs() <= 1e-4 * scale);
         }
     }
 }
