@@ -51,15 +51,23 @@
 //!   defined as, **at the same dispatch level**, after a bitwise
 //!   re-check of that definition (in these rows the "scalar" column is
 //!   the per-step loop and the speedup is per-step ÷ sequence),
-//! * and one taped `Lstm::forward_seq` + `backward_seq` sequence built
-//!   on them, active level against forced scalar.
+//! * one taped `Lstm::forward_seq` + `backward_seq` sequence built
+//!   on them, active level against forced scalar,
+//! * and, only where the CPU has AVX-512, every kernel with a 16-lane
+//!   body paired at `Avx512` against `Avx2` at the serving shapes: the
+//!   `tanh` 32 and `sigmoid` 96 slices, `step_projected_into` at d = 32,
+//!   and `colmajor_gemv_acc` at 128 outputs × 32 inputs, 188 × 32 and
+//!   32 × 96 (below the product's crossover: AVX2 on both sides) — the
+//!   `*_avx512_vs_avx2` keys; informational, and a runner without
+//!   AVX-512 writes none of them, so no baseline may hold one.
 //!
 //! Writes `results/fig16_kernels.json` and drops a flat
 //! `BENCH_fig16.json` for the CI regression gate (`bench_gate` vs
-//! `ci/bench_baseline_fig16.json`). On AVX2 hardware the headline
-//! kernels (`gemm_nt`, fused LSTM step) must clear **2×** over scalar;
-//! elsewhere (no AVX2, non-x86_64, `NCL_FORCE_SCALAR=1`) the active
-//! level is scalar and the ratios are recorded but not asserted.
+//! `ci/bench_baseline_fig16.json`). Where the active level is AVX2 or
+//! wider the headline kernels (`gemm_nt`, fused LSTM step) must clear
+//! **2×** over scalar; elsewhere (no AVX2, non-x86_64,
+//! `NCL_FORCE_SCALAR=1`) the active level is scalar and the ratios are
+//! recorded but not asserted.
 
 use ncl_bench::table;
 use ncl_nn::attention::DotAttention;
@@ -699,6 +707,76 @@ fn main() {
         seq_speedups.push((format!("gemv_t_acc_seq_{key}"), speedup));
     }
 
+    // ---- the 16-lane bodies against the AVX2 bodies ----
+    //
+    // Only where the CPU has AVX-512: both columns run the same call, at
+    // `Avx512` and at `Avx2`, after a bitwise re-check against scalar.
+    // Shapes are the serving decode's at d = 32; the column-major
+    // product is `outputs x inputs`. 32 x 96 (the composite layer) is
+    // below the product's crossover, so both columns run its AVX2 body:
+    // the row shows the level costs that shape nothing.
+    let mut wide_speedups = Vec::new();
+    if simd::supported(Level::Avx512) {
+        let mut vs_avx2 = |key: &str, elems: usize, run: &dyn Fn()| {
+            let (t16, t8) = measure_paired(
+                || simd::with_level(Level::Avx512, run),
+                || simd::with_level(Level::Avx2, run),
+                1024,
+                min_secs / 2.0,
+            );
+            let speedup = record(&format!("{key} (avx512 vs avx2)"), elems, t16, t8);
+            wide_speedups.push((format!("{key}_avx512_vs_avx2"), speedup));
+        };
+        type Slice = (&'static str, usize, fn(f32) -> f32, fn(&mut [f32]));
+        let slices: [Slice; 2] = [
+            ("tanh_slice_32", 32, libm::tanhf, libm::tanh_inplace),
+            ("sigmoid_slice_96", 96, libm::sigmoid, libm::sigmoid_inplace),
+        ];
+        for (key, n, scalar, slice) in slices {
+            let src: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.71).sin() * 4.0).collect();
+            let buf = RefCell::new(src.clone());
+            let run = || {
+                let mut buf = buf.borrow_mut();
+                buf.copy_from_slice(&src);
+                slice(std::hint::black_box(&mut buf));
+            };
+            simd::with_level(Level::Avx512, run);
+            let want: Vec<f32> = src.iter().map(|&v| scalar(v)).collect();
+            assert_bits_eq(key, &buf.borrow(), &want);
+            vs_avx2(key, n, &run);
+        }
+        let step_at = |level| {
+            simd::with_level(level, || {
+                plan32.step_projected(proj.as_slice(), &state().0, &state().1)
+            })
+        };
+        let ((h16, c16), (hs, cs)) = (step_at(Level::Avx512), step_at(Level::Scalar));
+        assert_bits_eq("step_projected_32 h", h16.as_slice(), hs.as_slice());
+        assert_bits_eq("step_projected_32 c", c16.as_slice(), cs.as_slice());
+        let step = RefCell::new(state());
+        let run = || {
+            let (h, c, gates) = &mut *step.borrow_mut();
+            plan32.step_projected_into(proj.as_slice(), h, c, gates);
+        };
+        vs_avx2("step_projected_32", 4 * ds * ds, &run);
+        for (outputs, inputs) in [(128usize, 32usize), (188, 32), (32, 96)] {
+            let x = init::uniform_vector(inputs, -1.0, 1.0, &mut rng);
+            let wt = init::uniform(inputs, outputs, -1.0, 1.0, &mut rng);
+            let y = RefCell::new(vec![0.0f32; outputs]);
+            let run = || {
+                let mut y = y.borrow_mut();
+                y.fill(0.0);
+                simd::colmajor_gemv_acc(&mut y, x.as_slice(), wt.as_slice());
+            };
+            simd::with_level(Level::Scalar, run);
+            let want = y.borrow().clone();
+            simd::with_level(Level::Avx512, run);
+            let key = format!("colmajor_{outputs}x{inputs}");
+            assert_bits_eq(&key, &y.borrow(), &want);
+            vs_avx2(&key, outputs * inputs, &run);
+        }
+    }
+
     // One taped training sequence: forward_seq + backward_seq over eight
     // steps, reported per step. Parameter gradients only accumulate (no
     // optimizer step), so every round sees the same weights.
@@ -797,6 +875,9 @@ fn main() {
     gate.push_str(&format!(
         "  \"scatter_add_speedup\": {scatter_speedup:.3},\n  \"take_mask_above_speedup\": {take_speedup:.3},\n"
     ));
+    for (key, speedup) in &wide_speedups {
+        gate.push_str(&format!("  \"{key}\": {speedup:.3},\n"));
+    }
     gate.push_str(&format!(
         "  \"lstm_taped_seq_speedup\": {taped_speedup:.3}\n}}\n"
     ));
@@ -806,24 +887,22 @@ fn main() {
     }
 
     // The 2x acceptance only binds where the wide path actually runs:
-    // on AVX2 hardware with dispatch enabled. Under NCL_FORCE_SCALAR=1,
+    // at AVX2 or wider with dispatch enabled. Under NCL_FORCE_SCALAR=1,
     // on x86 without AVX2, or off x86_64, both columns are scalar and the
     // ratios stay informational (the bitwise sanity checks ran either
     // way).
-    if level == Level::Avx2 {
+    if level != Level::Scalar {
+        let name = level.name();
         assert!(
             gemm_speedup >= 2.0,
-            "gemm_nt must clear 2x over scalar on AVX2 (got {gemm_speedup:.2}x)"
+            "gemm_nt must clear 2x over scalar at {name} (got {gemm_speedup:.2}x)"
         );
         assert!(
             lstm_speedup >= 2.0,
-            "fused LSTM step must clear 2x over scalar on AVX2 (got {lstm_speedup:.2}x)"
+            "fused LSTM step must clear 2x over scalar at {name} (got {lstm_speedup:.2}x)"
         );
-        println!("acceptance: gemm_nt {gemm_speedup:.2}x, lstm_step {lstm_speedup:.2}x — both >= 2x on AVX2");
+        println!("acceptance: gemm_nt {gemm_speedup:.2}x, lstm_step {lstm_speedup:.2}x — both >= 2x at {name}");
     } else {
-        println!(
-            "acceptance: skipped (level {} != avx2) — speedups recorded, not asserted",
-            level.name()
-        );
+        println!("acceptance: skipped (scalar level) — speedups recorded, not asserted");
     }
 }

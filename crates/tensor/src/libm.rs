@@ -1,6 +1,6 @@
 //! The repo's own `exp` and `tanh`: one definition each, scalar and
-//! eight lanes wide, behind every sigmoid / tanh / softmax in the
-//! workspace.
+//! eight and sixteen lanes wide, behind every sigmoid / tanh / softmax
+//! in the workspace.
 //!
 //! # Why these are not calls into the platform's libm
 //!
@@ -9,9 +9,10 @@
 //! `tanhf` are two short, fully specified algorithms in which every step
 //! is one correctly rounded IEEE-754 operation — so the same steps
 //! written here return the same bits, and the same steps executed in
-//! eight independent AVX2 lanes return them eight at a time. "Exact" does
-//! not require *calling* libm, only *being* it. What the platform runs
-//! (`objdump -d /lib/x86_64-linux-gnu/libm.so.6`, Debian glibc 2.36-9):
+//! eight independent AVX2 lanes (or sixteen AVX-512 lanes) return them
+//! eight (or sixteen) at a time. "Exact" does not require *calling*
+//! libm, only *being* it. What the platform runs (`objdump -d
+//! /lib/x86_64-linux-gnu/libm.so.6`, Debian glibc 2.36-9):
 //!
 //! * `expf` is an ifunc; its FMA body sits at `0x72ba0` with the 2^(i/32)
 //!   table at `.rodata` `0xadd40`: one widen to `f64`, five fused
@@ -34,23 +35,35 @@
 //!
 //! # Lane forms
 //!
-//! In the AVX2 + FMA forms every lane executes the scalar sequence;
-//! branches become blends of arms that are all computed (every arm is
-//! total and no floating-point trap is unmasked, so an arm computed on a
-//! lane that does not select it is harmless). A vector holding a lane
-//! that needs a scalar-only arm (`|x| ≥ 88` or NaN for `exp`; inf or NaN
-//! for `tanh`) goes through the scalar definition whole. A tail shorter
-//! than a register is read by a masked load into a padded one and
-//! copied back lane by lane: nothing outside the slice is read or
-//! written, and pad lanes are computed and discarded, never summed.
+//! In the AVX2 + FMA forms (eight lanes) every lane executes the scalar
+//! sequence; branches become blends of arms that are all computed
+//! (every arm is total and no floating-point trap is unmasked, so an arm
+//! computed on a lane that does not select it is harmless). A vector
+//! holding a lane that needs a scalar-only arm (`|x| ≥ 88` or NaN for
+//! `exp`; inf or NaN for `tanh`) goes through the scalar definition
+//! whole. A tail shorter than a register is read by a masked load into a
+//! padded one and copied back lane by lane: nothing outside the slice is
+//! read or written, and pad lanes are computed and discarded, never
+//! summed.
+//!
+//! The AVX-512F + FMA forms (sixteen lanes, `sigmoid` and `tanh` only)
+//! are the eight-lane forms transcribed lane for lane: each `blendv`
+//! becomes a mask blend on a compare mask, `exp` runs as two `f64 × 8`
+//! halves with the same five FMAs and a 64-bit gather into the same
+//! table, and the tail is one masked load and one masked store.
 //!
 //! # Dispatch
 //!
-//! The slice kernels take the lane forms at
-//! [`crate::simd::Level::Avx2`] when the CPU
-//! also reports FMA (a detected property of that level, not a fourth
-//! one), and loop the scalar definition otherwise. The scalar [`expf`]
-//! itself runs through a `#[target_feature(enable = "fma")]` twin where
+//! The slice kernels take the eight-lane forms at
+//! [`crate::simd::Level::Avx2`] when the CPU also reports FMA (a
+//! detected property of that level, not another one), and
+//! `sigmoid_inplace` / `tanh_inplace` take the sixteen-lane forms at
+//! [`crate::simd::Level::Avx512`] (whose detection includes FMA) on
+//! slices of sixteen or more; shorter slices there, and the
+//! exponential sums at any length (their scalar add chain is the bound),
+//! take the eight-lane forms. Otherwise the kernels loop the scalar
+//! definition. The scalar [`expf`] itself runs through a
+//! `#[target_feature(enable = "fma")]` twin where
 //! the CPU has FMA, so one call costs what libm's does; elsewhere
 //! `f64::mul_add` falls back to a software fused multiply-add, which is
 //! slower and — being correctly rounded by definition — returns the same
@@ -352,21 +365,30 @@ pub fn tanhf(x: f32) -> f32 {
 #[cfg(target_arch = "x86_64")]
 const MIN_LANE_LEN: usize = 6;
 
-/// Whether a slice of `len` elements takes the lane forms on this
-/// thread.
+/// The widest lane form a slice of `len` elements can take on this
+/// thread: [`Level::Avx512`] (sixteen lanes) from sixteen elements at
+/// that level, [`Level::Avx2`] (eight lanes) from [`MIN_LANE_LEN`] at
+/// either vector level when the CPU has FMA, else [`Level::Scalar`].
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn use_lanes(len: usize) -> bool {
-    len >= MIN_LANE_LEN && active() == Level::Avx2 && has_fma()
+fn lane_level(len: usize) -> Level {
+    match active() {
+        Level::Avx512 if len >= 16 => Level::Avx512,
+        Level::Avx2 | Level::Avx512 if len >= MIN_LANE_LEN && has_fma() => Level::Avx2,
+        _ => Level::Scalar,
+    }
 }
 
 /// In-place [`sigmoid`] of every element, bit-identical to the scalar
 /// loop at every level.
 pub fn sigmoid_inplace(x: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if use_lanes(x.len()) {
-        // SAFETY: `use_lanes` verified AVX2 (the level) and FMA.
-        return unsafe { lanes::sigmoid_inplace(x) };
+    match lane_level(x.len()) {
+        // SAFETY: `lane_level` verified AVX-512F and FMA (the level).
+        Level::Avx512 => return unsafe { lanes16::sigmoid_inplace(x) },
+        // SAFETY: `lane_level` verified AVX2 (the level) and FMA.
+        Level::Avx2 => return unsafe { lanes::sigmoid_inplace(x) },
+        Level::Scalar => {}
     }
     for v in x {
         *v = sigmoid(*v);
@@ -377,9 +399,12 @@ pub fn sigmoid_inplace(x: &mut [f32]) {
 /// loop at every level.
 pub fn tanh_inplace(x: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if use_lanes(x.len()) {
-        // SAFETY: `use_lanes` verified AVX2 (the level) and FMA.
-        return unsafe { lanes::tanh_inplace(x) };
+    match lane_level(x.len()) {
+        // SAFETY: `lane_level` verified AVX-512F and FMA (the level).
+        Level::Avx512 => return unsafe { lanes16::tanh_inplace(x) },
+        // SAFETY: `lane_level` verified AVX2 (the level) and FMA.
+        Level::Avx2 => return unsafe { lanes::tanh_inplace(x) },
+        Level::Scalar => {}
     }
     for v in x {
         *v = tanhf(*v);
@@ -392,8 +417,10 @@ pub fn tanh_inplace(x: &mut [f32]) {
 /// is in the bits); only the exponentials go wide.
 pub fn exp_shifted_inplace(x: &mut [f32], m: f32) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    if use_lanes(x.len()) {
-        // SAFETY: `use_lanes` verified AVX2 (the level) and FMA.
+    if lane_level(x.len()) != Level::Scalar {
+        // SAFETY: a vector `lane_level` means AVX2 and FMA were verified
+        // (`Avx512`'s detection includes both); this kernel has no
+        // sixteen-lane form.
         return unsafe { lanes::exp_shifted_inplace(x, m) };
     }
     let mut sum = 0.0f32;
@@ -409,8 +436,10 @@ pub fn exp_shifted_inplace(x: &mut [f32], m: f32) -> f32 {
 /// [`exp_shifted_inplace`], so the two agree to the bit.
 pub fn sum_exp_shifted(x: &[f32], m: f32) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    if use_lanes(x.len()) {
-        // SAFETY: `use_lanes` verified AVX2 (the level) and FMA.
+    if lane_level(x.len()) != Level::Scalar {
+        // SAFETY: a vector `lane_level` means AVX2 and FMA were verified
+        // (`Avx512`'s detection includes both); this kernel has no
+        // sixteen-lane form.
         return unsafe { lanes::sum_exp_shifted(x, m) };
     }
     let mut sum = 0.0f32;
@@ -708,7 +737,7 @@ mod lanes {
     }
 
     /// # Safety
-    /// Requires AVX2 and FMA (callers check [`use_lanes`]). Out of Miri's
+    /// Requires AVX2 and FMA (callers check [`lane_level`]). Out of Miri's
     /// reach, like every AVX2 body in this crate.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn sigmoid_inplace(x: &mut [f32]) {
@@ -716,7 +745,7 @@ mod lanes {
     }
 
     /// # Safety
-    /// Requires AVX2 and FMA (callers check [`use_lanes`]). Out of Miri's
+    /// Requires AVX2 and FMA (callers check [`lane_level`]). Out of Miri's
     /// reach.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn tanh_inplace(x: &mut [f32]) {
@@ -741,7 +770,7 @@ mod lanes {
     }
 
     /// # Safety
-    /// Requires AVX2 and FMA (callers check [`use_lanes`]). Out of Miri's
+    /// Requires AVX2 and FMA (callers check [`lane_level`]). Out of Miri's
     /// reach.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn exp_shifted_inplace(x: &mut [f32], m: f32) -> f32 {
@@ -766,7 +795,7 @@ mod lanes {
     }
 
     /// # Safety
-    /// Requires AVX2 and FMA (callers check [`use_lanes`]). Out of Miri's
+    /// Requires AVX2 and FMA (callers check [`lane_level`]). Out of Miri's
     /// reach.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn sum_exp_shifted(x: &[f32], m: f32) -> f32 {
@@ -785,6 +814,270 @@ mod lanes {
             }
         }
         sum
+    }
+}
+
+// ---------------------------------------------------------------------------
+// AVX-512F + FMA lane forms: the eight-lane forms at sixteen lanes.
+// ---------------------------------------------------------------------------
+
+#[cfg(target_arch = "x86_64")]
+mod lanes16 {
+    use super::*;
+    use std::arch::x86_64::*;
+
+    /// The sign bit of a lane.
+    const SIGN: i32 = i32::MIN;
+
+    /// `x` with the sign of every lane in `k` flipped.
+    ///
+    /// # Safety
+    /// Requires AVX-512F. Out of Miri's reach, like every AVX-512 body.
+    #[inline]
+    #[target_feature(enable = "avx512f,fma")]
+    unsafe fn negate_where(k: __mmask16, x: __m512) -> __m512 {
+        let xi = _mm512_castps_si512(x);
+        _mm512_castsi512_ps(_mm512_mask_xor_epi32(xi, k, xi, _mm512_set1_epi32(SIGN)))
+    }
+
+    /// Whether any lane of `x` needs a scalar-only arm of `expf`.
+    ///
+    /// # Safety
+    /// Requires AVX-512F and FMA. Out of Miri's reach.
+    #[inline]
+    #[target_feature(enable = "avx512f,fma")]
+    unsafe fn exp_is_special(x: __m512) -> bool {
+        let abstop = _mm512_and_si512(
+            _mm512_srli_epi32::<20>(_mm512_castps_si512(x)),
+            _mm512_set1_epi32(0x7ff),
+        );
+        _mm512_cmpgt_epi32_mask(abstop, _mm512_set1_epi32(EXP_ABSTOP_MAX as i32)) != 0
+    }
+
+    /// The main path of [`expf_steps`] on eight lanes widened to `f64`.
+    ///
+    /// # Safety
+    /// Requires AVX-512F and FMA. Out of Miri's reach.
+    #[inline]
+    #[target_feature(enable = "avx512f,fma")]
+    unsafe fn exp8(xd: __m512d) -> __m256 {
+        let a = _mm512_set1_pd(EXP_A);
+        let s = _mm512_set1_pd(EXP_S);
+        let z = _mm512_fmadd_pd(a, xd, s);
+        let ki = _mm512_castpd_si512(z);
+        let kd = _mm512_sub_pd(z, s);
+        let r = _mm512_fmsub_pd(a, xd, kd);
+        let idx = _mm512_and_si512(ki, _mm512_set1_epi64(31));
+        // In bounds: every index is `ki & 31` into the 32-entry table.
+        let t = _mm512_i64gather_epi64::<8>(idx, EXP_T.as_ptr().cast());
+        let scale = _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)));
+        let p = _mm512_fmadd_pd(r, _mm512_set1_pd(EXP_C0), _mm512_set1_pd(EXP_C1));
+        let q = _mm512_fmadd_pd(r, _mm512_set1_pd(EXP_C2), _mm512_set1_pd(1.0));
+        let y = _mm512_fmadd_pd(p, _mm512_mul_pd(r, r), q);
+        _mm512_cvtpd_ps(_mm512_mul_pd(y, scale))
+    }
+
+    /// [`expf`] in every lane of a vector for which [`exp_is_special`]
+    /// is false: two `f64 × 8` halves.
+    ///
+    /// # Safety
+    /// Requires AVX-512F and FMA. Out of Miri's reach.
+    #[inline]
+    #[target_feature(enable = "avx512f,fma")]
+    unsafe fn exp16(x: __m512) -> __m512 {
+        let high = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x)));
+        let lo = exp8(_mm512_cvtps_pd(_mm512_castps512_ps256(x)));
+        let hi = exp8(_mm512_cvtps_pd(high));
+        let joined = _mm512_insertf64x4::<1>(
+            _mm512_castpd256_pd512(_mm256_castps_pd(lo)),
+            _mm256_castps_pd(hi),
+        );
+        _mm512_castpd_ps(joined)
+    }
+
+    /// The whole-vector fallback: `f` applied lane by lane.
+    ///
+    /// # Safety
+    /// Requires AVX-512F and FMA. Out of Miri's reach.
+    #[inline]
+    #[target_feature(enable = "avx512f,fma")]
+    unsafe fn per_lane(x: __m512, f: impl Fn(f32) -> f32) -> __m512 {
+        let mut lanes = [0.0f32; 16];
+        _mm512_storeu_ps(lanes.as_mut_ptr(), x);
+        for v in &mut lanes {
+            *v = f(*v);
+        }
+        _mm512_loadu_ps(lanes.as_ptr())
+    }
+
+    /// [`sigmoid`] in every lane.
+    ///
+    /// # Safety
+    /// Requires AVX-512F and FMA. Out of Miri's reach.
+    #[inline]
+    #[target_feature(enable = "avx512f,fma")]
+    unsafe fn sigmoid16(x: __m512) -> __m512 {
+        let one = _mm512_set1_ps(1.0);
+        // Ordered compare: a NaN lane takes the `x < 0` arm, as in the
+        // scalar branch.
+        let ge = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(x, _mm512_setzero_ps());
+        let arg = negate_where(ge, x);
+        if exp_is_special(arg) {
+            return per_lane(x, sigmoid);
+        }
+        let e = exp16(arg);
+        let num = _mm512_mask_blend_ps(ge, e, one);
+        _mm512_div_ps(num, _mm512_add_ps(one, e))
+    }
+
+    /// [`expm1f`] on the arguments [`tanhf`] passes it, as the eight-lane
+    /// `expm1_8` (same domain, same arms, same order): `a` in
+    /// `(−2, −2⁻⁵⁴] ∪ [2, 44)`, `abs_a` its magnitude, `neg` the lanes
+    /// where `a < 0`. Lanes outside that domain hold garbage the caller
+    /// never selects.
+    ///
+    /// # Safety
+    /// Requires AVX-512F and FMA. Out of Miri's reach.
+    #[inline]
+    #[target_feature(enable = "avx512f,fma")]
+    unsafe fn expm1_16(a: __m512, abs_a: __m512, neg: __mmask16) -> __m512 {
+        let ps = |v: f32| _mm512_set1_ps(v);
+        let epi = |v: i32| _mm512_set1_epi32(v);
+        let one = ps(1.0);
+        let half = ps(0.5);
+        let hx = _mm512_castps_si512(abs_a);
+
+        // k = trunc(a / ln 2 ± 0.5) where |a| > 0.5 ln 2, else 0.
+        let signed_half = _mm512_mask_blend_ps(neg, half, ps(-0.5));
+        let k = _mm512_cvttps_epi32(_mm512_add_ps(_mm512_mul_ps(ps(INV_LN2), a), signed_half));
+        let k = _mm512_maskz_mov_epi32(_mm512_cmpgt_epi32_mask(hx, epi(0x3eb1_7218)), k);
+        // With k = 0 the reduction is the identity (see `expm1_8`).
+        let t = _mm512_cvtepi32_ps(k);
+        let hi = _mm512_sub_ps(a, _mm512_mul_ps(t, ps(LN2_HI)));
+        let lo = _mm512_mul_ps(t, ps(LN2_LO));
+        let x = _mm512_sub_ps(hi, lo);
+        let c = _mm512_sub_ps(_mm512_sub_ps(hi, x), lo);
+
+        let hfx = _mm512_mul_ps(half, x);
+        let hxs = _mm512_mul_ps(x, hfx);
+        let mut r1 = _mm512_mul_ps(hxs, ps(Q5));
+        for q in [Q4, Q3, Q2, Q1] {
+            r1 = _mm512_mul_ps(hxs, _mm512_add_ps(ps(q), r1));
+        }
+        let r1 = _mm512_add_ps(one, r1);
+        let t = _mm512_sub_ps(ps(3.0), _mm512_mul_ps(r1, hfx));
+        let e = _mm512_mul_ps(
+            hxs,
+            _mm512_div_ps(
+                _mm512_sub_ps(r1, t),
+                _mm512_sub_ps(ps(6.0), _mm512_mul_ps(x, t)),
+            ),
+        );
+        let e = _mm512_sub_ps(_mm512_sub_ps(_mm512_mul_ps(x, _mm512_sub_ps(e, c)), c), hxs);
+
+        // Adds k to an exponent field.
+        let kshift = _mm512_slli_epi32::<23>(k);
+        let scale =
+            |y: __m512| _mm512_castsi512_ps(_mm512_add_epi32(_mm512_castps_si512(y), kshift));
+        // k ≤ −2 or k > 56: scale(1 − (e − x)) − 1.  k < 23: scale((1 − 2⁻ᵏ)
+        // − (e − x)). A variable shift by a count outside 0..32 gives 0,
+        // which makes the first minuend the second's.
+        let minuend = _mm512_castsi512_ps(_mm512_sub_epi32(
+            epi(0x3f80_0000),
+            _mm512_srlv_epi32(epi(0x0100_0000), k),
+        ));
+        let scaled = scale(_mm512_sub_ps(minuend, _mm512_sub_ps(e, x)));
+        let outer = _mm512_cmpgt_epi32_mask(epi(-1), k) | _mm512_cmpgt_epi32_mask(k, epi(56));
+        let res = _mm512_mask_blend_ps(outer, scaled, _mm512_sub_ps(scaled, one));
+        // 23 ≤ k ≤ 56: scale((x − (e + 2⁻ᵏ)) + 1).
+        let two_mk = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_sub_epi32(epi(0x7f), k)));
+        let mid = scale(_mm512_add_ps(
+            _mm512_sub_ps(x, _mm512_add_ps(e, two_mk)),
+            one,
+        ));
+        let is_mid = !outer & _mm512_cmpgt_epi32_mask(k, epi(22));
+        let res = _mm512_mask_blend_ps(is_mid, res, mid);
+        // k = −1: 0.5·(x − e) − 0.5.  k = 0: x − (x·e − hxs).
+        let x_e = _mm512_sub_ps(x, e);
+        let res = _mm512_mask_blend_ps(
+            _mm512_cmpeq_epi32_mask(k, epi(-1)),
+            res,
+            _mm512_sub_ps(_mm512_mul_ps(half, x_e), half),
+        );
+        _mm512_mask_blend_ps(_mm512_cmpeq_epi32_mask(k, epi(0)), res, x_e)
+    }
+
+    /// [`tanhf`] in every lane.
+    ///
+    /// # Safety
+    /// Requires AVX-512F and FMA. Out of Miri's reach.
+    #[inline]
+    #[target_feature(enable = "avx512f,fma")]
+    unsafe fn tanh16(x: __m512) -> __m512 {
+        let epi = |v: i32| _mm512_set1_epi32(v);
+        let one = _mm512_set1_ps(1.0);
+        let two = _mm512_set1_ps(2.0);
+        let xi = _mm512_castps_si512(x);
+        let ix = _mm512_and_si512(xi, epi(!SIGN));
+        if _mm512_cmpgt_epi32_mask(ix, epi(0x7f7f_ffff)) != 0 {
+            // An inf or NaN lane: its arm divides by the input.
+            return per_lane(x, tanhf);
+        }
+        let ax = _mm512_castsi512_ps(ix);
+        // |x| < 1: t = expm1(−2|x|), z = −t / (t + 2).
+        // otherwise: t = expm1(2|x|), z = 1 − 2 / (t + 2).
+        let small = _mm512_cmpgt_epi32_mask(epi(0x3f80_0000), ix);
+        let abs_a = _mm512_add_ps(ax, ax);
+        let t = expm1_16(negate_where(small, abs_a), abs_a, small);
+        let num = _mm512_mask_blend_ps(small, two, negate_where(!0, t));
+        let q = _mm512_div_ps(num, _mm512_add_ps(t, two));
+        let z = _mm512_mask_blend_ps(small, _mm512_sub_ps(one, q), q);
+        // |x| ≥ 22: 1.
+        let z = _mm512_mask_blend_ps(_mm512_cmpgt_epi32_mask(ix, epi(0x41af_ffff)), z, one);
+        let z = _mm512_castsi512_ps(_mm512_xor_si512(
+            _mm512_castps_si512(z),
+            _mm512_and_si512(xi, epi(SIGN)),
+        ));
+        // |x| < 2⁻⁵⁵: x·(1 + x), which is also ±0 for ±0.
+        let tiny = _mm512_cmpgt_epi32_mask(epi(0x2400_0000), ix);
+        _mm512_mask_blend_ps(tiny, z, _mm512_mul_ps(x, _mm512_add_ps(one, x)))
+    }
+
+    /// `x[i] = f(x[i])`, sixteen lanes at a time. The tail is one masked
+    /// load and one masked store: nothing outside the slice is read or
+    /// written, and its pad lanes are `f(0)`, computed and discarded.
+    ///
+    /// # Safety
+    /// Requires AVX-512F and FMA. Out of Miri's reach.
+    #[inline]
+    #[target_feature(enable = "avx512f,fma")]
+    unsafe fn map_inplace(x: &mut [f32], f: impl Fn(__m512) -> __m512) {
+        let mut blocks = x.chunks_exact_mut(16);
+        for b in &mut blocks {
+            _mm512_storeu_ps(b.as_mut_ptr(), f(_mm512_loadu_ps(b.as_ptr())));
+        }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            let live = ((1u32 << tail.len()) - 1) as __mmask16;
+            let p = tail.as_mut_ptr();
+            _mm512_mask_storeu_ps(p, live, f(_mm512_maskz_loadu_ps(live, p)));
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX-512F and FMA (callers check [`lane_level`]). Out of
+    /// Miri's reach, like every AVX-512 body in this crate.
+    #[target_feature(enable = "avx512f,fma")]
+    pub unsafe fn sigmoid_inplace(x: &mut [f32]) {
+        map_inplace(x, |v| sigmoid16(v));
+    }
+
+    /// # Safety
+    /// Requires AVX-512F and FMA (callers check [`lane_level`]). Out of
+    /// Miri's reach.
+    #[target_feature(enable = "avx512f,fma")]
+    pub unsafe fn tanh_inplace(x: &mut [f32]) {
+        map_inplace(x, |v| tanh16(v));
     }
 }
 

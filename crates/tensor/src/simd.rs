@@ -1,4 +1,4 @@
-//! Runtime-dispatched SIMD kernels (AVX2 / scalar).
+//! Runtime-dispatched SIMD kernels (AVX-512 / AVX2 / scalar).
 //!
 //! # The bit-identity contract
 //!
@@ -42,13 +42,20 @@
 //!
 //! # Dispatch
 //!
-//! There are two levels, and the level is detected once per process
-//! ([`active`]): AVX2 when the CPU reports it, otherwise the scalar
-//! reference — the same bits by the contract above, so a CPU without
-//! AVX2 (or off `x86_64`) is slower, never different. Setting the environment variable `NCL_FORCE_SCALAR` (to
-//! anything but `0`/`false`/empty) forces the scalar path — the CI
-//! scalar-fallback leg runs the whole suite this way. Benches and tests
-//! use [`with_level`] to pin a specific level on the current thread.
+//! There are three levels, and the level is detected once per process
+//! ([`active`]): AVX-512 when the CPU reports AVX-512F and FMA beside
+//! AVX2, else AVX2 when it reports that, otherwise the scalar reference
+//! — the same bits by the contract above, so a narrower CPU (or one off
+//! `x86_64`) is slower, never different. Setting the environment
+//! variable `NCL_FORCE_SCALAR` (to anything but `0`/`false`/empty)
+//! forces the scalar path over every level — the CI scalar-fallback leg
+//! runs the whole suite this way. Benches and tests use [`with_level`]
+//! to pin a specific level on the current thread.
+//!
+//! [`Level::Avx512`] is a superset of [`Level::Avx2`]: only
+//! [`colmajor_gemv_acc`] (at wide outputs) and [`crate::libm`]'s
+//! `sigmoid` / `tanh` slices have 16-lane bodies; every other kernel
+//! runs its AVX2 body there.
 //!
 //! # Adding a kernel
 //!
@@ -56,8 +63,12 @@
 //!    order (fresh accumulators, ascending index, mul-then-add).
 //! 2. Mirror it per lane in an `avx2` `#[target_feature]` function —
 //!    same operations, same order, no FMA for exact kernels.
-//! 3. Dispatch on [`active`] in the public wrapper.
-//! 4. Add the kernel to the bit-identity proptests
+//! 3. Dispatch on [`active`] in the public wrapper; the AVX2 arm is
+//!    `Level::Avx2 | Level::Avx512`.
+//! 4. A 16-lane `avx512` body lands only with a `fig16_kernels` row
+//!    (an `*_avx512_vs_avx2` key) that shows it beating the AVX2 body
+//!    at the shapes it takes; below its crossover the AVX2 body stays.
+//! 5. Add the kernel to the bit-identity proptests
 //!    (`crates/tensor/tests/simd_identity.rs`) across awkward sizes and
 //!    unaligned offsets, and to the `fig16_kernels` microbench.
 
@@ -72,14 +83,18 @@ pub enum Level {
     Scalar,
     /// 256-bit AVX2 lanes.
     Avx2,
+    /// 512-bit AVX-512F lanes (with FMA) for the kernels that have a
+    /// 16-lane body, the AVX2 bodies for the rest.
+    Avx512,
 }
 
 impl Level {
-    /// Human-readable name (`"scalar"`, `"avx2"`).
+    /// Human-readable name (`"scalar"`, `"avx2"`, `"avx512"`).
     pub fn name(self) -> &'static str {
         match self {
             Level::Scalar => "scalar",
             Level::Avx2 => "avx2",
+            Level::Avx512 => "avx512",
         }
     }
 }
@@ -94,13 +109,13 @@ pub fn force_scalar_requested(value: Option<&str>) -> bool {
 }
 
 fn detect() -> Level {
-    if force_scalar_requested(std::env::var("NCL_FORCE_SCALAR").ok().as_deref())
-        || !supported(Level::Avx2)
-    {
-        Level::Scalar
-    } else {
-        Level::Avx2
+    if force_scalar_requested(std::env::var("NCL_FORCE_SCALAR").ok().as_deref()) {
+        return Level::Scalar;
     }
+    [Level::Avx512, Level::Avx2]
+        .into_iter()
+        .find(|&l| supported(l))
+        .unwrap_or(Level::Scalar)
 }
 
 static GLOBAL: OnceLock<Level> = OnceLock::new();
@@ -119,21 +134,29 @@ pub fn active() -> Level {
 }
 
 /// Whether `level` can run on this machine. [`Level::Scalar`] always
-/// can; [`Level::Avx2`] needs an `x86_64` CPU that reports AVX2.
+/// can; [`Level::Avx2`] needs an `x86_64` CPU that reports AVX2, and
+/// [`Level::Avx512`] one that also reports FMA and AVX-512F — the
+/// features its 16-lane bodies enable.
 pub fn supported(level: Level) -> bool {
     match level {
         Level::Scalar => true,
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => {
+            supported(Level::Avx2)
+                && std::arch::is_x86_feature_detected!("fma")
+                && std::arch::is_x86_feature_detected!("avx512f")
+        }
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => false,
+        Level::Avx2 | Level::Avx512 => false,
     }
 }
 
 /// All levels [`supported`] on this machine, scalar first — the
 /// iteration order of the bit-identity test suites.
 pub fn supported_levels() -> Vec<Level> {
-    [Level::Scalar, Level::Avx2]
+    [Level::Scalar, Level::Avx2, Level::Avx512]
         .into_iter()
         .filter(|&l| supported(l))
         .collect()
@@ -176,7 +199,7 @@ pub fn saxpy(y: &mut [f32], alpha: f32, x: &[f32]) {
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
-        Level::Avx2 => unsafe { avx2::saxpy(y, alpha, x) },
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::saxpy(y, alpha, x) },
         _ => scalar::saxpy(y, alpha, x),
     }
 }
@@ -190,7 +213,7 @@ pub fn add_assign(y: &mut [f32], x: &[f32]) {
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
-        Level::Avx2 => unsafe { avx2::add_assign(y, x) },
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::add_assign(y, x) },
         _ => scalar::add_assign(y, x),
     }
 }
@@ -200,7 +223,7 @@ pub fn scale(y: &mut [f32], alpha: f32) {
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
-        Level::Avx2 => unsafe { avx2::scale(y, alpha) },
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::scale(y, alpha) },
         _ => scalar::scale(y, alpha),
     }
 }
@@ -219,7 +242,7 @@ pub fn max(x: &[f32]) -> f32 {
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
-        Level::Avx2 => unsafe { avx2::max(x) },
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::max(x) },
         _ => scalar::max(x),
     }
 }
@@ -257,7 +280,7 @@ pub fn scatter_add_scaled(acc: &mut [f32], idx: &[u32], x: &[f32], a: f32) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection; the body
         // checks every index it gathers or stores through.
-        Level::Avx2 => unsafe { avx2::scatter_add_scaled(acc, idx, x, a) },
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::scatter_add_scaled(acc, idx, x, a) },
         _ => scalar::scatter_add_scaled(acc, idx, x, a, None),
     }
 }
@@ -278,7 +301,7 @@ pub fn take_mask_above(src: &mut [f32], dst: &mut [f32], floor: f32) -> u64 {
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
-        Level::Avx2 => unsafe { avx2::take_mask_above(src, dst, floor) },
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::take_mask_above(src, dst, floor) },
         _ => scalar::take_mask_above(src, dst, floor),
     }
 }
@@ -295,7 +318,9 @@ pub fn take_mask_above(src: &mut [f32], dst: &mut [f32], floor: f32) -> u64 {
 /// followed by `y[j] += acc`. This is the kernel behind the SIMD
 /// `gemm_nt` tiles, the fused LSTM gates, and the transposed-weight
 /// dense layers: outputs are contiguous in memory, so lanes vectorise
-/// across them while every lane reproduces the scalar reduction.
+/// across them while every lane reproduces the scalar reduction. At
+/// [`Level::Avx512`] a product with more than 32 outputs runs sixteen
+/// lanes; a narrower one keeps the AVX2 body.
 ///
 /// # Panics
 /// Panics if `wt.len() != x.len() * y.len()`.
@@ -310,11 +335,25 @@ pub fn colmajor_gemv_acc(y: &mut [f32], x: &[f32], wt: &[f32]) {
     }
     match active() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX-512F was verified by `active()`'s detection.
+        Level::Avx512 if y.len() >= COLMAJOR_ZMM_MIN_OUTPUTS => unsafe {
+            avx512::colmajor_gemv_acc(y, x, wt)
+        },
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
-        Level::Avx2 => unsafe { avx2::colmajor_gemv_acc(y, x, wt) },
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::colmajor_gemv_acc(y, x, wt) },
         _ => scalar::colmajor_gemv_acc(y, x, wt),
     }
 }
+
+/// The fewest outputs [`colmajor_gemv_acc`] takes its 16-lane body for
+/// at [`Level::Avx512`]. Measured with the 16-lane body forced at every
+/// width, it is no faster than the AVX2 one at 32 outputs × 96 inputs
+/// (the composite layer), so 32 outputs and fewer keep the AVX2 body;
+/// from 33 up (the decoder's 128, the 188-word output row) it wins
+/// (DESIGN.md §14 has the sweep).
+#[cfg(target_arch = "x86_64")]
+const COLMAJOR_ZMM_MIN_OUTPUTS: usize = 33;
 
 /// Row-major product-accumulate `y[r] += Σ_k w[r·n + k] · x[k]` with
 /// `n = x.len()` — i.e. `y += W x` for a row-major `w` holding `W` (one
@@ -350,7 +389,7 @@ pub fn rowmajor_gemv_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection; the shape
         // assert above is the kernel's bounds precondition.
-        Level::Avx2 => unsafe { avx2::rowmajor_gemv_acc(y, x, w) },
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::rowmajor_gemv_acc(y, x, w) },
         _ => scalar::rowmajor_gemv_acc(y, x, w),
     }
 }
@@ -382,7 +421,7 @@ pub fn rank1_update(w: &mut [f32], alpha: f32, u: &[f32], v: &[f32]) {
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
-        Level::Avx2 => unsafe { avx2::rank1_update(w, alpha, u, v) },
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::rank1_update(w, alpha, u, v) },
         _ => scalar::rank1_update(w, alpha, u, v),
     }
 }
@@ -415,7 +454,7 @@ pub fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
-        Level::Avx2 => unsafe { avx2::gemv_t_acc(y, x, w) },
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::gemv_t_acc(y, x, w) },
         _ => scalar::gemv_t_acc(y, x, w),
     }
 }
@@ -491,7 +530,9 @@ pub fn rowmajor_gemv_acc_seq(ys: &mut [f32], xs: &[f32], w: &[f32], t: usize) {
         // SAFETY: AVX2 was verified by `active()`'s detection;
         // `seq_shape` checked the slab and weight shapes the kernel's
         // loads rest on.
-        Level::Avx2 => unsafe { avx2::rowmajor_gemv_acc_seq(ys, xs, w, t, (rows, cols)) },
+        Level::Avx2 | Level::Avx512 => unsafe {
+            avx2::rowmajor_gemv_acc_seq(ys, xs, w, t, (rows, cols))
+        },
         _ => {
             for (y, x) in ys.chunks_exact_mut(rows).zip(xs.chunks_exact(cols)) {
                 scalar::rowmajor_gemv_acc(y, x, w);
@@ -536,7 +577,7 @@ pub fn rank1_update_seq(
         // SAFETY: AVX2 was verified by `active()`'s detection;
         // `seq_shape` checked the slab and weight shapes the kernel's
         // loads rest on.
-        Level::Avx2 => unsafe {
+        Level::Avx2 | Level::Avx512 => unsafe {
             avx2::rank1_update_seq(w, alpha, us, vs, t, (rows, cols), descending)
         },
         _ => {
@@ -575,7 +616,7 @@ pub fn gemv_t_acc_seq(ys: &mut [f32], xs: &[f32], w: &[f32], t: usize) {
         // SAFETY: AVX2 was verified by `active()`'s detection;
         // `seq_shape` checked the slab and weight shapes the kernel's
         // loads rest on.
-        Level::Avx2 => unsafe { avx2::gemv_t_acc_seq(ys, xs, w, t, (rows, cols)) },
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::gemv_t_acc_seq(ys, xs, w, t, (rows, cols)) },
         _ => {
             for (y, x) in ys.chunks_exact_mut(cols).zip(xs.chunks_exact(rows)) {
                 scalar::gemv_t_acc(y, x, w);
@@ -627,7 +668,7 @@ pub fn narrow_bf16(dst: &mut [u16], src: &[f32]) {
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
-        Level::Avx2 => unsafe { avx2::narrow_bf16(dst, src) },
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::narrow_bf16(dst, src) },
         _ => scalar::narrow_bf16(dst, src),
     }
 }
@@ -643,7 +684,7 @@ pub fn widen_bf16(dst: &mut [f32], src: &[u16]) {
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
-        Level::Avx2 => unsafe { avx2::widen_bf16(dst, src) },
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::widen_bf16(dst, src) },
         _ => scalar::widen_bf16(dst, src),
     }
 }
@@ -1569,6 +1610,90 @@ mod avx2 {
     }
 }
 
+// ---------------------------------------------------------------------------
+// AVX-512 (512-bit) implementations: only the kernels with a measured
+// gain over their AVX2 body (see the module docs).
+// ---------------------------------------------------------------------------
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    /// `W` zmm of outputs `j..` of [`colmajor_gemv_acc`], the last one
+    /// holding only the lanes in `last`: masked loads read nothing in the
+    /// other lanes (they come back zero, are computed and never stored).
+    ///
+    /// # Safety
+    /// Requires AVX-512F; `y` and `wt` as in [`colmajor_gemv_acc`] with
+    /// `n = y.len()`, and outputs `j .. j + 16·(W − 1)` plus `last`'s
+    /// lanes past them inside `0..n`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn colmajor_tile<const W: usize>(
+        y: &mut [f32],
+        x: &[f32],
+        wt: &[f32],
+        j: usize,
+        last: __mmask16,
+    ) {
+        let n = y.len();
+        let mask = |a: usize| if a + 1 == W { last } else { 0xFFFF };
+        // SAFETY (every access below): register `a` starts at output
+        // `j + 16a < n`, so its pointer is inside row `k` of `wt` and
+        // inside `y`, and its mask names only outputs below `n` — the
+        // masked loads and store touch nothing else.
+        let mut acc = [_mm512_setzero_ps(); W];
+        for (k, &xv) in x.iter().enumerate() {
+            let xb = _mm512_set1_ps(xv);
+            let row = wt.as_ptr().add(k * n + j);
+            for (a, lane) in acc.iter_mut().enumerate() {
+                let w = _mm512_maskz_loadu_ps(mask(a), row.add(16 * a));
+                *lane = _mm512_add_ps(*lane, _mm512_mul_ps(xb, w));
+            }
+        }
+        let out = y.as_mut_ptr().add(j);
+        for (a, &lane) in acc.iter().enumerate() {
+            let (m, o) = (mask(a), out.add(16 * a));
+            _mm512_mask_storeu_ps(o, m, _mm512_add_ps(_mm512_maskz_loadu_ps(m, o), lane));
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX-512F (callers check [`super::supported`]) and
+    /// `wt.len() == x.len() * y.len()` — the public wrapper asserts it.
+    /// Out of Miri's reach: its `RUSTFLAGS` enable AVX2 and FMA only, so
+    /// [`super::Level::Avx512`] is never detected there. On hardware the
+    /// `simd_identity` column-major sweep runs every output count to 80
+    /// on exact-size allocations.
+    ///
+    /// The AVX2 body at sixteen lanes: 64-wide tiles (4 zmm
+    /// accumulators), then one tile of up to four zmm for the rest, its
+    /// last register masked to the outputs that remain. Per lane the
+    /// reduction is the scalar order exactly (fresh accumulator,
+    /// ascending `k`, mul then add — no FMA), then `y[j] += acc`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn colmajor_gemv_acc(y: &mut [f32], x: &[f32], wt: &[f32]) {
+        let n = y.len();
+        let mut j = 0;
+        while j + 64 <= n {
+            colmajor_tile::<4>(y, x, wt, j, 0xFFFF);
+            j += 64;
+        }
+        let rest = n - j;
+        if rest == 0 {
+            return;
+        }
+        let regs = rest.div_ceil(16);
+        let last = ((1u32 << (rest - 16 * (regs - 1))) - 1) as __mmask16;
+        match regs {
+            1 => colmajor_tile::<1>(y, x, wt, j, last),
+            2 => colmajor_tile::<2>(y, x, wt, j, last),
+            3 => colmajor_tile::<3>(y, x, wt, j, last),
+            _ => colmajor_tile::<4>(y, x, wt, j, last),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1593,12 +1718,23 @@ mod tests {
     #[test]
     fn scalar_always_supported_and_listed_first() {
         assert!(supported(Level::Scalar));
-        let want = if supported(Level::Avx2) {
-            vec![Level::Scalar, Level::Avx2]
-        } else {
-            vec![Level::Scalar]
-        };
+        let want: Vec<Level> = [Level::Scalar, Level::Avx2, Level::Avx512]
+            .into_iter()
+            .filter(|&l| supported(l))
+            .collect();
         assert_eq!(supported_levels(), want);
+        // Each level includes the one below it.
+        assert!(!supported(Level::Avx512) || supported(Level::Avx2));
+    }
+
+    #[test]
+    fn detect_never_returns_an_unsupported_level() {
+        let level = detect();
+        assert!(supported(level), "detect() chose {}", level.name());
+        // It picks the widest supported level unless told otherwise.
+        if !force_scalar_requested(std::env::var("NCL_FORCE_SCALAR").ok().as_deref()) {
+            assert_eq!(Some(&level), supported_levels().last());
+        }
     }
 
     #[test]

@@ -6,16 +6,18 @@
 //! exponent × 64 mantissa patterns × both signs, every branch constant
 //! of the three algorithms ± 2 ulp (and, for the `expm1f` constants
 //! `tanhf` reaches through `2|x|`, their pre-images), ±0, ±inf,
-//! denormals, NaNs of both signs with payloads, and vectors that mix one
-//! special lane with seven ordinary ones (the whole-vector fallback must
-//! return the ordinary lanes' bits). A committed 256-entry table of
+//! denormals, NaNs of both signs with payloads, and vectors of either
+//! lane width (8, 16) that mix one special lane with ordinary ones (the
+//! whole-vector fallback must return the ordinary lanes' bits). A committed 256-entry table of
 //! `input bits → output bits` pins the definitions themselves, so they
 //! hold on a host whose libm is a different algorithm. This tier runs
 //! under `NCL_FORCE_SCALAR=1` too (CI's scalar-fallback leg), with
 //! `Scalar` as the active level.
 //!
 //! **Tier 2 (`#[ignore]`, release, ~2 min).** Lane forms ≡ scalar
-//! definition on **all 2³² inputs** for `expf`, `tanhf`, `sigmoid`.
+//! definition on **all 2³² inputs** for `expf`, `tanhf`, `sigmoid`, at
+//! every supported vector level (`Avx2`, and `Avx512` where the CPU has
+//! it).
 //!
 //! **Tier 3 (`#[ignore]`, conditional).** Scalar definition ≡ the
 //! platform's `f32::exp` / `f32::tanh` on all 2³² inputs — asserted
@@ -183,8 +185,12 @@ fn slice_kernels_match_scalar_definition_on_the_grid() {
 }
 
 #[test]
-fn one_special_lane_leaves_the_other_seven_their_bits() {
-    let ordinary = [0.25f32, -1.75, 3.5, -0.003, 12.0, -9.5, 0.8, -0.1];
+fn one_special_lane_leaves_the_others_their_bits() {
+    // One register of either lane form: eight lanes, and sixteen.
+    let ordinary = [
+        0.25f32, -1.75, 3.5, -0.003, 12.0, -9.5, 0.8, -0.1, 0.6, -2.25, 7.0, -0.04, 1.5, -5.5, 0.3,
+        -0.9,
+    ];
     let specials = floats(&[
         0x7f80_0000, // +inf
         0xff80_0000, // -inf
@@ -198,19 +204,22 @@ fn one_special_lane_leaves_the_other_seven_their_bits() {
         0x7f7f_ffff, // f32::MAX
         0xff7f_ffff,
     ]);
-    for &s in &specials {
-        for lane in 0..8 {
-            let mut input = ordinary;
-            input[lane] = s;
-            check_all_kernels(
-                &format!("special {:#010x} in lane {lane}", s.to_bits()),
-                &input,
-                &[0.0, 2.0],
-            );
-            // ... and in the padded tail behind one full register.
-            let mut tailed = ordinary.to_vec();
-            tailed.extend_from_slice(&input[..lane + 1]);
-            check_all_kernels("special in tail", &tailed, &[0.0]);
+    for width in [8, 16] {
+        let ordinary = &ordinary[..width];
+        for &s in &specials {
+            for lane in 0..width {
+                let mut input = ordinary.to_vec();
+                input[lane] = s;
+                check_all_kernels(
+                    &format!("special {:#010x} in lane {lane} of {width}", s.to_bits()),
+                    &input,
+                    &[0.0, 2.0],
+                );
+                // ... and in the padded tail behind one full register.
+                let mut tailed = ordinary.to_vec();
+                tailed.extend_from_slice(&input[..lane + 1]);
+                check_all_kernels("special in tail", &tailed, &[0.0]);
+            }
         }
     }
 }

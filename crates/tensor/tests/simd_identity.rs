@@ -7,8 +7,11 @@
 //! from outside the crate, across:
 //!
 //! * awkward lengths — 0, 1, lane−1/lane/lane+1 for the 8-wide AVX2
-//!   lanes (and the half-lane 3/4/5), tile boundaries (15/16/17,
-//!   31/32/33), and large non-multiples (100, 257);
+//!   and 16-wide AVX-512 lanes (and the half-lane 3/4/5), tile
+//!   boundaries (15/16/17, 31/32/33), and large non-multiples (100, 257);
+//! * the column-major product over every output count `1..=80` at
+//!   `k ∈ {1, 32, 96}`, on slices that end exactly at their allocation's
+//!   end — every AVX2 and AVX-512 tile width and masked tail;
 //! * unaligned inputs — slices offset by one `f32` from their allocation
 //!   start, so 32-byte-aligned loads would fault if the kernels ever
 //!   switched from `loadu` to aligned loads;
@@ -182,7 +185,7 @@ fn max_bitwise_identical_across_levels_and_offsets() {
 #[test]
 fn colmajor_gemv_bitwise_identical_across_levels_and_offsets() {
     // (in_dim, out_dim) pairs crossing the 8-wide and 32-wide j-tiles
-    // and both degenerate axes.
+    // and both degenerate axes, at an offset inside a larger buffer ...
     let shapes = [
         (0usize, 5usize),
         (3, 0),
@@ -195,6 +198,21 @@ fn colmajor_gemv_bitwise_identical_across_levels_and_offsets() {
         (13, 100),
         (3, 257),
     ];
+    let check = |label: &str, x: &[f32], wt: &[f32], y0: &[f32]| {
+        let want = at(Level::Scalar, || {
+            let mut y = y0.to_vec();
+            simd::colmajor_gemv_acc(&mut y, x, wt);
+            y
+        });
+        for level in simd::supported_levels() {
+            let got = at(level, || {
+                let mut y = y0.to_vec().into_boxed_slice();
+                simd::colmajor_gemv_acc(&mut y, x, wt);
+                y
+            });
+            assert_bits_eq(label, level, &got, &want);
+        }
+    };
     for &(in_dim, out_dim) in &shapes {
         let xbuf = data(in_dim + 1, 6);
         let wbuf = data(in_dim * out_dim + 1, 7);
@@ -202,23 +220,21 @@ fn colmajor_gemv_bitwise_identical_across_levels_and_offsets() {
         for offset in [0usize, 1] {
             let x = &xbuf[offset..offset + in_dim];
             let wt = &wbuf[offset..offset + in_dim * out_dim];
-            let want = at(Level::Scalar, || {
-                let mut y = y0.clone();
-                simd::colmajor_gemv_acc(&mut y, x, wt);
-                y
-            });
-            for level in simd::supported_levels() {
-                let got = at(level, || {
-                    let mut y = y0.clone();
-                    simd::colmajor_gemv_acc(&mut y, x, wt);
-                    y
-                });
-                assert_bits_eq(
-                    &format!("colmajor_gemv {in_dim}x{out_dim} off={offset}"),
-                    level,
-                    &got,
-                    &want,
-                );
+            let label = format!("colmajor_gemv {in_dim}x{out_dim} off={offset}");
+            check(&label, x, wt, &y0);
+        }
+    }
+    // ... and every output count to 80 — each tile width of every level,
+    // and every masked tail, ending where an exact-size allocation ends
+    // (`y` is one too) — at one input, and at the decoder's d = 32 and
+    // the composite layer's 3d = 96.
+    for in_dim in [1usize, 32, 96] {
+        for out_dim in 1..=80 {
+            for off in [0usize, 1] {
+                let x = tail(in_dim, off, 6);
+                let wt = tail(in_dim * out_dim, off, out_dim as u32);
+                let label = format!("colmajor_gemv {in_dim}x{out_dim} end off={off}");
+                check(&label, &x[off..], &wt[off..], &data(out_dim, 8));
             }
         }
     }
