@@ -48,17 +48,20 @@
 //!   sequence (`gemv_acc_seq`, `add_outer_seq`, `gemv_t_acc_seq`) at
 //!   1017×32 (the `hx-train` output layer) and 32×32 (an LSTM gate),
 //!   `T = 6` — each paired against the loop of `T` per-step calls it is
-//!   defined as, **at the same dispatch level**, after a bitwise
-//!   re-check of that definition (in these rows the "scalar" column is
-//!   the per-step loop and the speedup is per-step ÷ sequence),
+//!   defined as, **at the same dispatch level** (`Avx2` where the CPU
+//!   has AVX-512, so the rows measure stacking, not lane width), after a
+//!   bitwise re-check of that definition (in these rows the "scalar"
+//!   column is the per-step loop and the speedup is per-step ÷
+//!   sequence),
 //! * one taped `Lstm::forward_seq` + `backward_seq` sequence built
 //!   on them, active level against forced scalar,
 //! * and, only where the CPU has AVX-512, every kernel with a 16-lane
-//!   body paired at `Avx512` against `Avx2` at the serving shapes: the
-//!   `tanh` 32 and `sigmoid` 96 slices, `step_projected_into` at d = 32,
-//!   and `colmajor_gemv_acc` at 128 outputs × 32 inputs, 188 × 32 and
-//!   32 × 96 (below the product's crossover: AVX2 on both sides) — the
-//!   `*_avx512_vs_avx2` keys; informational, and a runner without
+//!   body paired at `Avx512` against `Avx2`: at the serving shapes the
+//!   `tanh` 32 and `sigmoid` 96 slices, `step_projected_into` at d = 32 and
+//!   `colmajor_gemv_acc` at 128 outputs × 32 inputs, 188 × 32 and
+//!   32 × 96 (below the product's crossover: AVX2 on both sides), and
+//!   the three training sequence kernels at 1017×32 and 128×32, `T = 6`
+//!   — the `*_avx512_vs_avx2` keys; informational, and a runner without
 //!   AVX-512 writes none of them, so no baseline may hold one.
 //!
 //! Writes `results/fig16_kernels.json` and drops a flat
@@ -607,114 +610,125 @@ fn main() {
     // stacking (one in-register transpose feeding six steps'
     // accumulators, a gradient row held in registers across the steps,
     // a weight row loaded once for six steps' chains), not SIMD against
-    // scalar. Each kernel's definition — `T` per-step calls — is
-    // re-checked bitwise before it is timed.
+    // scalar. The per-step kernels have no 16-lane bodies, so at
+    // `Avx512` both sides are pinned to `Avx2`; the sequence kernels'
+    // 16-lane bodies have rows of their own below. Each kernel's
+    // definition — `T` per-step calls — is re-checked bitwise before it
+    // is timed.
     let t_seq = 6usize;
+    let stack_level = if level == Level::Avx512 {
+        Level::Avx2
+    } else {
+        level
+    };
     let mut seq_speedups = Vec::new();
-    for (key, rows_n, cols_n) in [("vocab", 1017usize, dt), ("32x32", dt, dt)] {
-        let m = init::uniform(rows_n, cols_n, -1.0, 1.0, &mut rng);
-        let xc = init::uniform(t_seq, cols_n, -1.0, 1.0, &mut rng);
-        let xr = init::uniform(t_seq, rows_n, -1.0, 1.0, &mut rng);
-        let (xc, xr) = (xc.as_slice(), xr.as_slice());
-        let step = |s: usize| {
-            (
-                Vector::from_slice(&xr[s * rows_n..(s + 1) * rows_n]),
-                Vector::from_slice(&xc[s * cols_n..(s + 1) * cols_n]),
-            )
-        };
-        let steps: Vec<(Vector, Vector)> = (0..t_seq).map(step).collect();
-        let calls = (1 << 14) / rows_n;
-        let shape = format!("{rows_n}x{cols_n} T={t_seq}");
+    simd::with_level(stack_level, || {
+        for (key, rows_n, cols_n) in [("vocab", 1017usize, dt), ("32x32", dt, dt)] {
+            let m = init::uniform(rows_n, cols_n, -1.0, 1.0, &mut rng);
+            let xc = init::uniform(t_seq, cols_n, -1.0, 1.0, &mut rng);
+            let xr = init::uniform(t_seq, rows_n, -1.0, 1.0, &mut rng);
+            let (xc, xr) = (xc.as_slice(), xr.as_slice());
+            let step = |s: usize| {
+                (
+                    Vector::from_slice(&xr[s * rows_n..(s + 1) * rows_n]),
+                    Vector::from_slice(&xc[s * cols_n..(s + 1) * cols_n]),
+                )
+            };
+            let steps: Vec<(Vector, Vector)> = (0..t_seq).map(step).collect();
+            let calls = (1 << 14) / rows_n;
+            let shape = format!("{rows_n}x{cols_n} T={t_seq}");
 
-        // y[s] += W x[s]
-        let mut ys = vec![0.0f32; t_seq * rows_n];
-        let mut yv = vec![Vector::zeros(rows_n); t_seq];
-        m.gemv_acc_seq(xc, &mut ys, t_seq);
-        for ((_, x), y) in steps.iter().zip(&mut yv) {
-            m.gemv_acc(x, y);
-        }
-        for (s, y) in yv.iter().enumerate() {
-            assert_bits_eq(
-                "gemv_acc_seq",
-                &ys[s * rows_n..(s + 1) * rows_n],
-                y.as_slice(),
+            // y[s] += W x[s]
+            let mut ys = vec![0.0f32; t_seq * rows_n];
+            let mut yv = vec![Vector::zeros(rows_n); t_seq];
+            m.gemv_acc_seq(xc, &mut ys, t_seq);
+            for ((_, x), y) in steps.iter().zip(&mut yv) {
+                m.gemv_acc(x, y);
+            }
+            for (s, y) in yv.iter().enumerate() {
+                assert_bits_eq(
+                    "gemv_acc_seq",
+                    &ys[s * rows_n..(s + 1) * rows_n],
+                    y.as_slice(),
+                );
+            }
+            let (t_one, t_each) = measure_paired(
+                || m.gemv_acc_seq(xc, &mut ys, t_seq),
+                || {
+                    for ((_, x), y) in steps.iter().zip(&mut yv) {
+                        m.gemv_acc(x, y);
+                    }
+                },
+                calls,
+                min_secs / 2.0,
             );
-        }
-        let (t_one, t_each) = measure_paired(
-            || m.gemv_acc_seq(xc, &mut ys, t_seq),
-            || {
-                for ((_, x), y) in steps.iter().zip(&mut yv) {
-                    m.gemv_acc(x, y);
-                }
-            },
-            calls,
-            min_secs / 2.0,
-        );
-        let elems = t_seq * rows_n * cols_n;
-        let speedup = record(&format!("gemv_acc_seq {shape}"), elems, t_one, t_each);
-        seq_speedups.push((format!("gemv_acc_seq_{key}"), speedup));
+            let elems = t_seq * rows_n * cols_n;
+            let speedup = record(&format!("gemv_acc_seq {shape}"), elems, t_one, t_each);
+            seq_speedups.push((format!("gemv_acc_seq_{key}"), speedup));
 
-        // W += dz[s] x[s]ᵀ (tiny alpha: the gradient stays finite over
-        // millions of timed calls, the arithmetic per call is the same)
-        let (mut g, mut gv) = (m.clone(), m.clone());
-        g.add_outer_seq(1e-9, xr, xc, t_seq, false);
-        for (u, v) in &steps {
-            gv.add_outer(1e-9, u, v);
-        }
-        assert_bits_eq("add_outer_seq", g.as_slice(), gv.as_slice());
-        let (t_one, t_each) = measure_paired(
-            || g.add_outer_seq(1e-9, xr, xc, t_seq, false),
-            || {
-                for (u, v) in &steps {
-                    gv.add_outer(1e-9, u, v);
-                }
-            },
-            calls,
-            min_secs / 2.0,
-        );
-        let speedup = record(&format!("add_outer_seq {shape}"), elems, t_one, t_each);
-        seq_speedups.push((format!("add_outer_seq_{key}"), speedup));
-
-        // dx[s] += Wᵀ dz[s]
-        let mut dxs = vec![0.0f32; t_seq * cols_n];
-        let mut dxv = vec![Vector::zeros(cols_n); t_seq];
-        m.gemv_t_acc_seq(xr, &mut dxs, t_seq);
-        for ((u, _), dx) in steps.iter().zip(&mut dxv) {
-            m.gemv_t_acc(u, dx);
-        }
-        for (s, dx) in dxv.iter().enumerate() {
-            assert_bits_eq(
-                "gemv_t_acc_seq",
-                &dxs[s * cols_n..(s + 1) * cols_n],
-                dx.as_slice(),
+            // W += dz[s] x[s]ᵀ (tiny alpha: the gradient stays finite over
+            // millions of timed calls, the arithmetic per call is the same)
+            let (mut g, mut gv) = (m.clone(), m.clone());
+            g.add_outer_seq(1e-9, xr, xc, t_seq, false);
+            for (u, v) in &steps {
+                gv.add_outer(1e-9, u, v);
+            }
+            assert_bits_eq("add_outer_seq", g.as_slice(), gv.as_slice());
+            let (t_one, t_each) = measure_paired(
+                || g.add_outer_seq(1e-9, xr, xc, t_seq, false),
+                || {
+                    for (u, v) in &steps {
+                        gv.add_outer(1e-9, u, v);
+                    }
+                },
+                calls,
+                min_secs / 2.0,
             );
+            let speedup = record(&format!("add_outer_seq {shape}"), elems, t_one, t_each);
+            seq_speedups.push((format!("add_outer_seq_{key}"), speedup));
+
+            // dx[s] += Wᵀ dz[s]
+            let mut dxs = vec![0.0f32; t_seq * cols_n];
+            let mut dxv = vec![Vector::zeros(cols_n); t_seq];
+            m.gemv_t_acc_seq(xr, &mut dxs, t_seq);
+            for ((u, _), dx) in steps.iter().zip(&mut dxv) {
+                m.gemv_t_acc(u, dx);
+            }
+            for (s, dx) in dxv.iter().enumerate() {
+                assert_bits_eq(
+                    "gemv_t_acc_seq",
+                    &dxs[s * cols_n..(s + 1) * cols_n],
+                    dx.as_slice(),
+                );
+            }
+            let (t_one, t_each) = measure_paired(
+                || {
+                    dxs.fill(0.0);
+                    m.gemv_t_acc_seq(xr, &mut dxs, t_seq)
+                },
+                || {
+                    for ((u, _), dx) in steps.iter().zip(&mut dxv) {
+                        dx.fill_zero();
+                        m.gemv_t_acc(u, dx);
+                    }
+                },
+                calls,
+                min_secs / 2.0,
+            );
+            let speedup = record(&format!("gemv_t_acc_seq {shape}"), elems, t_one, t_each);
+            seq_speedups.push((format!("gemv_t_acc_seq_{key}"), speedup));
         }
-        let (t_one, t_each) = measure_paired(
-            || {
-                dxs.fill(0.0);
-                m.gemv_t_acc_seq(xr, &mut dxs, t_seq)
-            },
-            || {
-                for ((u, _), dx) in steps.iter().zip(&mut dxv) {
-                    dx.fill_zero();
-                    m.gemv_t_acc(u, dx);
-                }
-            },
-            calls,
-            min_secs / 2.0,
-        );
-        let speedup = record(&format!("gemv_t_acc_seq {shape}"), elems, t_one, t_each);
-        seq_speedups.push((format!("gemv_t_acc_seq_{key}"), speedup));
-    }
+    });
 
     // ---- the 16-lane bodies against the AVX2 bodies ----
     //
     // Only where the CPU has AVX-512: both columns run the same call, at
     // `Avx512` and at `Avx2`, after a bitwise re-check against scalar.
-    // Shapes are the serving decode's at d = 32; the column-major
-    // product is `outputs x inputs`. 32 x 96 (the composite layer) is
-    // below the product's crossover, so both columns run its AVX2 body:
-    // the row shows the level costs that shape nothing.
+    // Shapes are the serving decode's at d = 32, then the training
+    // sequence kernels'; the column-major product is `outputs x inputs`.
+    // 32 x 96 (the composite layer) is below the product's crossover, so
+    // both columns run its AVX2 body: the row shows the level costs that
+    // shape nothing.
     let mut wide_speedups = Vec::new();
     if simd::supported(Level::Avx512) {
         let mut vs_avx2 = |key: &str, elems: usize, run: &dyn Fn()| {
@@ -774,6 +788,49 @@ fn main() {
             let key = format!("colmajor_{outputs}x{inputs}");
             assert_bits_eq(&key, &y.borrow(), &want);
             vs_avx2(&key, outputs * inputs, &run);
+        }
+        // The training sequence kernels at T = 6: the `hx-train` output
+        // layer and an LSTM's four stacked input projections.
+        for (key, rows_n, cols_n) in [("vocab", 1017usize, dt), ("128x32", 4 * dt, dt)] {
+            let m = init::uniform(rows_n, cols_n, -1.0, 1.0, &mut rng);
+            let xc = init::uniform(t_seq, cols_n, -1.0, 1.0, &mut rng);
+            let xr = init::uniform(t_seq, rows_n, -1.0, 1.0, &mut rng);
+            let (xc, xr) = (xc.as_slice(), xr.as_slice());
+            let elems = t_seq * rows_n * cols_n;
+            let ys = RefCell::new(vec![0.0f32; t_seq * rows_n]);
+            let gemv = || {
+                let mut ys = ys.borrow_mut();
+                ys.fill(0.0);
+                m.gemv_acc_seq(xc, &mut ys, t_seq);
+            };
+            let g = RefCell::new(m.clone());
+            let outer = || g.borrow_mut().add_outer_seq(1e-9, xr, xc, t_seq, false);
+            let dxs = RefCell::new(vec![0.0f32; t_seq * cols_n]);
+            let gemv_t = || {
+                let mut dxs = dxs.borrow_mut();
+                dxs.fill(0.0);
+                m.gemv_t_acc_seq(xr, &mut dxs, t_seq);
+            };
+            // Bitwise re-check against scalar; the update restarts from
+            // `m` at each level.
+            let mut check = |name: &str, run: &dyn Fn(), out: &dyn Fn() -> Vec<f32>| {
+                *g.borrow_mut() = m.clone();
+                simd::with_level(Level::Scalar, run);
+                let want = out();
+                *g.borrow_mut() = m.clone();
+                simd::with_level(Level::Avx512, run);
+                assert_bits_eq(name, &out(), &want);
+                vs_avx2(name, elems, run);
+            };
+            check(&format!("gemv_acc_seq_{key}"), &gemv, &|| {
+                ys.borrow().clone()
+            });
+            check(&format!("add_outer_seq_{key}"), &outer, &|| {
+                g.borrow().as_slice().to_vec()
+            });
+            check(&format!("gemv_t_acc_seq_{key}"), &gemv_t, &|| {
+                dxs.borrow().clone()
+            });
         }
     }
 

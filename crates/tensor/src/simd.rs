@@ -53,9 +53,11 @@
 //! to pin a specific level on the current thread.
 //!
 //! [`Level::Avx512`] is a superset of [`Level::Avx2`]: only
-//! [`colmajor_gemv_acc`] (at wide outputs) and [`crate::libm`]'s
-//! `sigmoid` / `tanh` slices have 16-lane bodies; every other kernel
-//! runs its AVX2 body there.
+//! [`colmajor_gemv_acc`] (at wide outputs), [`crate::libm`]'s
+//! `sigmoid` / `tanh` slices and the three training sequence kernels
+//! ([`rowmajor_gemv_acc_seq`], [`rank1_update_seq`], [`gemv_t_acc_seq`])
+//! have 16-lane bodies; every other kernel — the per-step kernels behind
+//! a sequence's `T = 1` hand-off included — runs its AVX2 body there.
 //!
 //! # Adding a kernel
 //!
@@ -68,6 +70,10 @@
 //! 4. A 16-lane `avx512` body lands only with a `fig16_kernels` row
 //!    (an `*_avx512_vs_avx2` key) that shows it beating the AVX2 body
 //!    at the shapes it takes; below its crossover the AVX2 body stays.
+//!    It need not be the AVX2 loop nest widened: when a per-output chain
+//!    rather than lane width bounds the AVX2 body, the 16-lane one needs
+//!    a schedule of its own (`rank1_update_seq` holds a block of four
+//!    rows, so each step's `v` tile is loaded once for all four).
 //! 5. Add the kernel to the bit-identity proptests
 //!    (`crates/tensor/tests/simd_identity.rs`) across awkward sizes and
 //!    unaligned offsets, and to the `fig16_kernels` microbench.
@@ -464,7 +470,7 @@ pub fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
 //
 // Each is *defined as* `t` successive calls of the per-step kernel above
 // on row `s` of its flat `t × n` slabs — the scalar level is literally
-// that loop — and the AVX2 bodies only reschedule work whose
+// that loop — and the AVX2 and AVX-512 bodies only reschedule work whose
 // order no output can observe: a forward output `(s, r)` owns a fresh
 // accumulator and shares nothing with `(s', r')`, and an accumulated
 // element receives its terms in the caller's step order because the step
@@ -502,6 +508,44 @@ fn seq_step(i: usize, t: usize, descending: bool) -> usize {
     }
 }
 
+/// Steps per register block of the stacked kernels: with six steps'
+/// accumulators live beside the eight transposed columns (or two
+/// weight-row tiles) and one broadcast, all sixteen `ymm` are used. The
+/// 16-lane bodies keep the same blocks.
+#[cfg(target_arch = "x86_64")]
+const SEQ_BLOCK: usize = 6;
+
+/// Cuts `t` steps into the fewest blocks of at most [`SEQ_BLOCK`],
+/// sized evenly (7 → 4 + 3, not 6 + 1), and calls `f(first, len)`
+/// for each.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn for_step_blocks(t: usize, mut f: impl FnMut(usize, usize)) {
+    let blocks = t.div_ceil(SEQ_BLOCK);
+    let mut first = 0;
+    for b in 0..blocks {
+        let len = (t - first).div_ceil(blocks - b);
+        f(first, len);
+        first += len;
+    }
+}
+
+/// Calls `$kernel::<N, ..>($args)` with `N` the (runtime) length of a
+/// step block, `1..=SEQ_BLOCK`.
+#[cfg(target_arch = "x86_64")]
+macro_rules! with_block_len {
+    ($n:expr, $kernel:ident::<_ $(, $w:literal)?>($($arg:expr),*)) => {
+        match $n {
+            1 => $kernel::<1 $(, $w)?>($($arg),*),
+            2 => $kernel::<2 $(, $w)?>($($arg),*),
+            3 => $kernel::<3 $(, $w)?>($($arg),*),
+            4 => $kernel::<4 $(, $w)?>($($arg),*),
+            5 => $kernel::<5 $(, $w)?>($($arg),*),
+            _ => $kernel::<6 $(, $w)?>($($arg),*),
+        }
+    };
+}
+
 /// Stacked [`rowmajor_gemv_acc`]: `ys[s] += W · xs[s]` for every step
 /// `s < t`, with `ys` a flat `t × rows` slab, `xs` a flat `t × cols`
 /// slab and `w` the row-major `rows × cols` matrix — bit-identical to
@@ -512,7 +556,8 @@ fn seq_step(i: usize, t: usize, descending: bool) -> usize {
 /// output, so stacking is pure scheduling. The AVX2 body uses it to pay
 /// the in-register 8×8 transpose — what bounds the per-step kernel —
 /// once per block for up to six steps' accumulators, and to stream `w`
-/// from memory once per sequence instead of once per step.
+/// from memory once per sequence instead of once per step. At
+/// [`Level::Avx512`] sixteen rows are the lanes.
 ///
 /// # Panics
 /// Panics if the slabs are not `t` whole steps or `w` is not
@@ -527,12 +572,13 @@ pub fn rowmajor_gemv_acc_seq(ys: &mut [f32], xs: &[f32], w: &[f32], t: usize) {
     };
     match active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 was verified by `active()`'s detection;
+        // SAFETY: AVX-512F was verified by `active()`'s detection;
         // `seq_shape` checked the slab and weight shapes the kernel's
         // loads rest on.
-        Level::Avx2 | Level::Avx512 => unsafe {
-            avx2::rowmajor_gemv_acc_seq(ys, xs, w, t, (rows, cols))
-        },
+        Level::Avx512 => unsafe { avx512::rowmajor_gemv_acc_seq(ys, xs, w, t, (rows, cols)) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above, for AVX2.
+        Level::Avx2 => unsafe { avx2::rowmajor_gemv_acc_seq(ys, xs, w, t, (rows, cols), 0) },
         _ => {
             for (y, x) in ys.chunks_exact_mut(rows).zip(xs.chunks_exact(cols)) {
                 scalar::rowmajor_gemv_acc(y, x, w);
@@ -553,7 +599,9 @@ pub fn rowmajor_gemv_acc_seq(ys: &mut [f32], xs: &[f32], w: &[f32], t: usize) {
 /// holds a tile of row `r` in registers across all the steps instead of
 /// loading and storing it once per step. The per-`(s, r)` zero-skip of
 /// [`rank1_update`] is kept (it is bitwise observable), and a row whose
-/// coefficient is zero at every step is never written.
+/// coefficient is zero at every step is never written. At
+/// [`Level::Avx512`] four rows' tiles are held at once, so each step's
+/// `v` tile is loaded once for all four.
 ///
 /// # Panics
 /// Panics if the slabs are not `t` whole steps or `w` is not
@@ -574,10 +622,15 @@ pub fn rank1_update_seq(
     };
     match active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 was verified by `active()`'s detection;
+        // SAFETY: AVX-512F was verified by `active()`'s detection;
         // `seq_shape` checked the slab and weight shapes the kernel's
         // loads rest on.
-        Level::Avx2 | Level::Avx512 => unsafe {
+        Level::Avx512 => unsafe {
+            avx512::rank1_update_seq(w, alpha, us, vs, t, (rows, cols), descending)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above, for AVX2.
+        Level::Avx2 => unsafe {
             avx2::rank1_update_seq(w, alpha, us, vs, t, (rows, cols), descending)
         },
         _ => {
@@ -599,7 +652,8 @@ pub fn rank1_update_seq(
 /// over ascending `r` with the per-`(s, r)` zero-skip, independent of
 /// every other output. The AVX2 body loads each tile of a weight row
 /// once for up to six steps and runs their add chains side by side —
-/// the per-step body is bound by the latency of its own four.
+/// the per-step body is bound by the latency of its own four. At
+/// [`Level::Avx512`] a tile is 32 columns, its last register masked.
 ///
 /// # Panics
 /// Panics if the slabs are not `t` whole steps or `w` is not
@@ -613,10 +667,13 @@ pub fn gemv_t_acc_seq(ys: &mut [f32], xs: &[f32], w: &[f32], t: usize) {
     };
     match active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 was verified by `active()`'s detection;
+        // SAFETY: AVX-512F was verified by `active()`'s detection;
         // `seq_shape` checked the slab and weight shapes the kernel's
         // loads rest on.
-        Level::Avx2 | Level::Avx512 => unsafe { avx2::gemv_t_acc_seq(ys, xs, w, t, (rows, cols)) },
+        Level::Avx512 => unsafe { avx512::gemv_t_acc_seq(ys, xs, w, t, (rows, cols)) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above, for AVX2.
+        Level::Avx2 => unsafe { avx2::gemv_t_acc_seq(ys, xs, w, t, (rows, cols)) },
         _ => {
             for (y, x) in ys.chunks_exact_mut(cols).zip(xs.chunks_exact(rows)) {
                 scalar::gemv_t_acc(y, x, w);
@@ -1074,7 +1131,7 @@ mod avx2 {
     /// eight `f32`s for every `i < 8` (no alignment needed).
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn load_transposed8(p: *const f32, stride: usize) -> [__m256; 8] {
+    pub(super) unsafe fn load_transposed8(p: *const f32, stride: usize) -> [__m256; 8] {
         // `pair(i, h)`: row i's floats 4h..4h+4 below row i+4's.
         let pair = |i: usize, h: usize| {
             let lo = _mm_loadu_ps(p.add(i * stride + 4 * h));
@@ -1241,40 +1298,6 @@ mod avx2 {
         }
     }
 
-    /// Steps per register block of the stacked kernels: with six steps'
-    /// accumulators live beside the eight transposed columns (or two
-    /// weight-row tiles) and one broadcast, all sixteen `ymm` are used.
-    const SEQ_BLOCK: usize = 6;
-
-    /// Cuts `t` steps into the fewest blocks of at most [`SEQ_BLOCK`],
-    /// sized evenly (7 → 4 + 3, not 6 + 1), and calls `f(first, len)`
-    /// for each.
-    #[inline(always)]
-    fn for_step_blocks(t: usize, mut f: impl FnMut(usize, usize)) {
-        let blocks = t.div_ceil(SEQ_BLOCK);
-        let mut first = 0;
-        for b in 0..blocks {
-            let len = (t - first).div_ceil(blocks - b);
-            f(first, len);
-            first += len;
-        }
-    }
-
-    /// Calls `$kernel::<N, ..>($args)` with `N` the (runtime) length of a
-    /// step block, `1..=SEQ_BLOCK`.
-    macro_rules! with_block_len {
-        ($n:expr, $kernel:ident::<_ $(, $w:literal)?>($($arg:expr),*)) => {
-            match $n {
-                1 => $kernel::<1 $(, $w)?>($($arg),*),
-                2 => $kernel::<2 $(, $w)?>($($arg),*),
-                3 => $kernel::<3 $(, $w)?>($($arg),*),
-                4 => $kernel::<4 $(, $w)?>($($arg),*),
-                5 => $kernel::<5 $(, $w)?>($($arg),*),
-                _ => $kernel::<6 $(, $w)?>($($arg),*),
-            }
-        };
-    }
-
     /// One 8-row block of [`rowmajor_gemv_acc_seq`] for `N` consecutive
     /// steps: every 8×8 block of `w` is transposed once and feeds all
     /// `N` accumulators.
@@ -1341,7 +1364,8 @@ mod avx2 {
     /// finished per lane in scalar code, then `y += acc`; `rows % 8`
     /// rows are scalar. Row blocks are outermost, so each block of `w`
     /// is fetched once per sequence and re-read from L1 for every step
-    /// block.
+    /// block. Rows before `first_row` are left alone (the 16-lane body
+    /// hands its leftover rows here).
     #[target_feature(enable = "avx2")]
     pub unsafe fn rowmajor_gemv_acc_seq(
         ys: &mut [f32],
@@ -1349,11 +1373,12 @@ mod avx2 {
         w: &[f32],
         t: usize,
         shape: (usize, usize),
+        first_row: usize,
     ) {
         let (rows, cols) = shape;
-        let mut r = 0;
+        let mut r = first_row;
         while r + 8 <= rows {
-            for_step_blocks(t, |s0, n| {
+            super::for_step_blocks(t, |s0, n| {
                 with_block_len!(n, gemv_seq_block::<_>(ys, xs, w, shape, r, s0))
             });
             r += 8;
@@ -1534,13 +1559,13 @@ mod avx2 {
         // SAFETY (both tile loops): `j + width <= cols` bounds every
         // load and store on a `cols`-float row of `ys` or `w`.
         while j + 16 <= cols {
-            for_step_blocks(t, |s0, n| {
+            super::for_step_blocks(t, |s0, n| {
                 with_block_len!(n, gemv_t_seq_tile::<_, 2>(ys, xs, w, shape, j, s0))
             });
             j += 16;
         }
         while j + 8 <= cols {
-            for_step_blocks(t, |s0, n| {
+            super::for_step_blocks(t, |s0, n| {
                 with_block_len!(n, gemv_t_seq_tile::<_, 1>(ys, xs, w, shape, j, s0))
             });
             j += 8;
@@ -1637,7 +1662,7 @@ mod avx512 {
         last: __mmask16,
     ) {
         let n = y.len();
-        let mask = |a: usize| if a + 1 == W { last } else { 0xFFFF };
+        let mask = |a: usize| reg_mask::<W>(a, last);
         // SAFETY (every access below): register `a` starts at output
         // `j + 16a < n`, so its pointer is inside row `k` of `wt` and
         // inside `y`, and its mask names only outputs below `n` — the
@@ -1683,13 +1708,361 @@ mod avx512 {
         if rest == 0 {
             return;
         }
-        let regs = rest.div_ceil(16);
-        let last = ((1u32 << (rest - 16 * (regs - 1))) - 1) as __mmask16;
+        let (regs, last) = tail_tile(rest);
         match regs {
             1 => colmajor_tile::<1>(y, x, wt, j, last),
             2 => colmajor_tile::<2>(y, x, wt, j, last),
             3 => colmajor_tile::<3>(y, x, wt, j, last),
             _ => colmajor_tile::<4>(y, x, wt, j, last),
+        }
+    }
+
+    /// The registers a tile of `rest > 0` floats needs, and the lane mask
+    /// of its last one.
+    #[inline(always)]
+    fn tail_tile(rest: usize) -> (usize, __mmask16) {
+        let regs = rest.div_ceil(16);
+        (regs, ((1u32 << (rest - 16 * (regs - 1))) - 1) as __mmask16)
+    }
+
+    /// The lane mask of register `a` of a `W`-register tile whose last
+    /// register holds the lanes in `last`.
+    #[inline(always)]
+    fn reg_mask<const W: usize>(a: usize, last: __mmask16) -> __mmask16 {
+        if a + 1 == W {
+            last
+        } else {
+            0xFFFF
+        }
+    }
+
+    /// One 16-row block of [`rowmajor_gemv_acc_seq`] for `N` consecutive
+    /// steps: each 16×8 block of `w` is transposed once — two
+    /// [`load_transposed8`] halves, rows `r..r + 8` in the low and
+    /// `r + 8..r + 16` in the high 256 bits of each column — and feeds
+    /// all `N` accumulators.
+    ///
+    /// # Safety
+    /// Requires AVX-512F; `w` must hold rows `r..r + 16` of `cols`
+    /// floats, `xs` steps `s0..s0 + N` of `cols` floats, `ys` steps
+    /// `s0..s0 + N` of `rows` floats with `r + 16 <= rows`.
+    ///
+    /// [`load_transposed8`]: super::avx2::load_transposed8
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gemv_seq_block<const N: usize>(
+        ys: &mut [f32],
+        xs: &[f32],
+        w: &[f32],
+        (rows, cols): (usize, usize),
+        r: usize,
+        s0: usize,
+    ) {
+        let kfull = cols - cols % 8;
+        let base = w.as_ptr().add(r * cols);
+        let xp = xs.as_ptr().add(s0 * cols);
+        let mut acc = [_mm512_setzero_ps(); N];
+        let mut k = 0;
+        while k < kfull {
+            // SAFETY: `r + 15 < rows` and `k + 8 <= cols` keep every row
+            // load of both halves inside `w`; step `s0 + a`'s `x[k + j]`
+            // is inside `xs` because `a < N` steps are held.
+            let lo = super::avx2::load_transposed8(base.add(k), cols);
+            let hi = super::avx2::load_transposed8(base.add(8 * cols + k), cols);
+            for (j, (&l, &h)) in lo.iter().zip(&hi).enumerate() {
+                let c = _mm512_castpd_ps(_mm512_insertf64x4::<1>(
+                    _mm512_castpd256_pd512(_mm256_castps_pd(l)),
+                    _mm256_castps_pd(h),
+                ));
+                for (a, lane) in acc.iter_mut().enumerate() {
+                    let xb = _mm512_set1_ps(*xp.add(a * cols + k + j));
+                    *lane = _mm512_add_ps(*lane, _mm512_mul_ps(c, xb));
+                }
+            }
+            k += 8;
+        }
+        let block = &w[r * cols..(r + 16) * cols];
+        for (a, &lane) in acc.iter().enumerate() {
+            let s = s0 + a;
+            let mut lanes = [0.0f32; 16];
+            _mm512_storeu_ps(lanes.as_mut_ptr(), lane);
+            super::scalar::finish_row_block(
+                &mut ys[s * rows + r..s * rows + r + 16],
+                &lanes,
+                &xs[s * cols..(s + 1) * cols],
+                block,
+                kfull,
+            );
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX-512F (callers check [`super::supported`]), a
+    /// non-empty `w` of `rows × cols` floats, and `ys` / `xs` holding the
+    /// same whole number of `rows`- / `cols`-float steps — the public
+    /// wrapper establishes all three. Out of Miri's reach, like every
+    /// body in this module; on hardware the `simd_identity` sequence
+    /// sweep covers it on exact-size allocations, row counts to 1017.
+    ///
+    /// Sixteen consecutive rows are the lanes. Per `(step, row)` this is
+    /// [`rowmajor_gemv_acc`](super::rowmajor_gemv_acc) unchanged: fresh
+    /// accumulator, ascending `k`, mul then add (no FMA), `cols % 8`
+    /// columns finished per lane in scalar code, then `y += acc`. The
+    /// rows after the last 16-row block take the AVX2 body — one 8-row
+    /// block if eight remain, then scalar rows.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn rowmajor_gemv_acc_seq(
+        ys: &mut [f32],
+        xs: &[f32],
+        w: &[f32],
+        t: usize,
+        shape: (usize, usize),
+    ) {
+        let rows = shape.0;
+        let mut r = 0;
+        while r + 16 <= rows {
+            super::for_step_blocks(t, |s0, n| {
+                with_block_len!(n, gemv_seq_block::<_>(ys, xs, w, shape, r, s0))
+            });
+            r += 16;
+        }
+        if r < rows {
+            super::avx2::rowmajor_gemv_acc_seq(ys, xs, w, t, shape, r);
+        }
+    }
+
+    /// `R` rows (`r..r + R`) × `W` zmm (columns `j..`, the last register
+    /// holding only the lanes in `last`) of [`rank1_update_seq`],
+    /// carried in registers across all the steps. Each step's `v` tile
+    /// is loaded once and applied to every row whose coefficient is not
+    /// zero; each row keeps its own zero-skip and its own `updated` flag,
+    /// so a row every step skipped is never stored.
+    ///
+    /// # Safety
+    /// Requires AVX-512F; `r + R <= rows`, and columns
+    /// `j .. j + 16·(W − 1)` plus `last`'s lanes past them inside
+    /// `0..cols`, with `w` a `rows × cols` matrix and `us` / `vs` holding
+    /// `t` steps.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn rank1_seq_tile<const R: usize, const W: usize>(
+        w: &mut [f32],
+        alpha: f32,
+        (us, vs): (&[f32], &[f32]),
+        (t, rows, cols): (usize, usize, usize),
+        (r, j, last): (usize, usize, __mmask16),
+        descending: bool,
+    ) {
+        let mask = |a: usize| reg_mask::<W>(a, last);
+        // SAFETY (every access below): row `r + q < rows`, and register
+        // `a` starts at column `j + 16a < cols` with a mask naming only
+        // columns below `cols`, so each masked load and store stays
+        // inside its row of `w` or of step `s` of `vs`.
+        let tile = w.as_mut_ptr().add(r * cols + j);
+        let mut acc = [[_mm512_setzero_ps(); W]; R];
+        for (q, row) in acc.iter_mut().enumerate() {
+            for (a, lane) in row.iter_mut().enumerate() {
+                *lane = _mm512_maskz_loadu_ps(mask(a), tile.add(q * cols + 16 * a));
+            }
+        }
+        let mut updated = [false; R];
+        for i in 0..t {
+            let s = super::seq_step(i, t, descending);
+            let vp = vs.as_ptr().add(s * cols + j);
+            let mut v = [_mm512_setzero_ps(); W];
+            for (a, lane) in v.iter_mut().enumerate() {
+                *lane = _mm512_maskz_loadu_ps(mask(a), vp.add(16 * a));
+            }
+            let u = &us[s * rows + r..s * rows + r + R];
+            for ((row, flag), &ur) in acc.iter_mut().zip(&mut updated).zip(u) {
+                let c = alpha * ur;
+                if c == 0.0 {
+                    continue;
+                }
+                *flag = true;
+                let cb = _mm512_set1_ps(c);
+                for (lane, &vv) in row.iter_mut().zip(&v) {
+                    *lane = _mm512_add_ps(*lane, _mm512_mul_ps(cb, vv));
+                }
+            }
+        }
+        for (q, (row, &flag)) in acc.iter().zip(&updated).enumerate() {
+            if flag {
+                for (a, &lane) in row.iter().enumerate() {
+                    _mm512_mask_storeu_ps(tile.add(q * cols + 16 * a), mask(a), lane);
+                }
+            }
+        }
+    }
+
+    /// The column tiles of `R` rows from `r` on: 64-wide tiles of four
+    /// zmm, then one tile of up to four for the rest, its last register
+    /// masked.
+    ///
+    /// # Safety
+    /// As [`rank1_seq_tile`], for every column of the rows.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn rank1_seq_rows<const R: usize>(
+        w: &mut [f32],
+        alpha: f32,
+        slabs: (&[f32], &[f32]),
+        shape: (usize, usize, usize),
+        r: usize,
+        descending: bool,
+    ) {
+        let cols = shape.2;
+        let mut j = 0;
+        while j + 64 <= cols {
+            rank1_seq_tile::<R, 4>(w, alpha, slabs, shape, (r, j, 0xFFFF), descending);
+            j += 64;
+        }
+        if j < cols {
+            let (regs, last) = tail_tile(cols - j);
+            let at = (r, j, last);
+            match regs {
+                1 => rank1_seq_tile::<R, 1>(w, alpha, slabs, shape, at, descending),
+                2 => rank1_seq_tile::<R, 2>(w, alpha, slabs, shape, at, descending),
+                3 => rank1_seq_tile::<R, 3>(w, alpha, slabs, shape, at, descending),
+                _ => rank1_seq_tile::<R, 4>(w, alpha, slabs, shape, at, descending),
+            }
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX-512F (callers check [`super::supported`]), a
+    /// non-empty `w` of `rows × cols` floats, and `us` / `vs` holding the
+    /// same whole number of `rows`- / `cols`-float steps — the public
+    /// wrapper establishes all three. Out of Miri's reach; on hardware
+    /// the `simd_identity` sequence sweep covers it on exact-size
+    /// allocations, column counts to 129 and row counts to 1017.
+    ///
+    /// Per element this is the per-step saxpy chain `w[r][j] += c · v[j]`
+    /// with `c = alpha · u[r]`, one term per step in step order, steps
+    /// with `c == 0.0` skipped. The loop nest is not the AVX2 one
+    /// widened: one row at a time, its step chain bounds the kernel, not
+    /// its lane width (≈ 1.3× over AVX2 against the block's ≈ 1.9×,
+    /// DESIGN.md §10). Here a block of four rows holds up to 4 × 4 zmm,
+    /// and each step's `v` tile is loaded once for the four; the rows
+    /// after the last block go one at a time.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn rank1_update_seq(
+        w: &mut [f32],
+        alpha: f32,
+        us: &[f32],
+        vs: &[f32],
+        t: usize,
+        (rows, cols): (usize, usize),
+        descending: bool,
+    ) {
+        let shape = (t, rows, cols);
+        let mut r = 0;
+        while r + 4 <= rows {
+            rank1_seq_rows::<4>(w, alpha, (us, vs), shape, r, descending);
+            r += 4;
+        }
+        while r < rows {
+            rank1_seq_rows::<1>(w, alpha, (us, vs), shape, r, descending);
+            r += 1;
+        }
+    }
+
+    /// `W` zmm of output columns `j..` of [`gemv_t_acc_seq`] for `N`
+    /// consecutive steps, the last register holding only the lanes in
+    /// `last`: each weight-row tile is loaded once and feeds all `N`
+    /// steps' chains.
+    ///
+    /// # Safety
+    /// Requires AVX-512F; columns `j .. j + 16·(W − 1)` plus `last`'s
+    /// lanes past them inside `0..cols`, with `w` a `rows × cols` matrix
+    /// and `ys` / `xs` holding steps `s0..s0 + N`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gemv_t_seq_tile<const N: usize, const W: usize>(
+        ys: &mut [f32],
+        xs: &[f32],
+        w: &[f32],
+        (rows, cols): (usize, usize),
+        (j, last): (usize, __mmask16),
+        s0: usize,
+    ) {
+        let mask = |b: usize| reg_mask::<W>(b, last);
+        // SAFETY (every access below): register `b` starts at column
+        // `j + 16b < cols` and its mask names only columns below `cols`,
+        // so each masked load and store stays inside one row of `w` or
+        // one step of `ys`.
+        let yp = ys.as_mut_ptr().add(s0 * cols + j);
+        let xp = xs.as_ptr().add(s0 * rows);
+        let wp = w.as_ptr().add(j);
+        let mut acc = [[_mm512_setzero_ps(); W]; N];
+        for (a, step) in acc.iter_mut().enumerate() {
+            for (b, lane) in step.iter_mut().enumerate() {
+                *lane = _mm512_maskz_loadu_ps(mask(b), yp.add(a * cols + 16 * b));
+            }
+        }
+        for r in 0..rows {
+            let mut row = [_mm512_setzero_ps(); W];
+            for (b, tile) in row.iter_mut().enumerate() {
+                *tile = _mm512_maskz_loadu_ps(mask(b), wp.add(r * cols + 16 * b));
+            }
+            for (a, step) in acc.iter_mut().enumerate() {
+                let x = *xp.add(a * rows + r);
+                if x == 0.0 {
+                    continue;
+                }
+                let xb = _mm512_set1_ps(x);
+                for (lane, &tile) in step.iter_mut().zip(&row) {
+                    *lane = _mm512_add_ps(*lane, _mm512_mul_ps(xb, tile));
+                }
+            }
+        }
+        for (a, step) in acc.iter().enumerate() {
+            for (b, &lane) in step.iter().enumerate() {
+                _mm512_mask_storeu_ps(yp.add(a * cols + 16 * b), mask(b), lane);
+            }
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX-512F (callers check [`super::supported`]), a
+    /// non-empty `w` of `rows × cols` floats, and `ys` / `xs` holding the
+    /// same whole number of `cols`- / `rows`-float steps — the public
+    /// wrapper establishes all three. Out of Miri's reach; on hardware
+    /// the `simd_identity` sequence sweep covers it on exact-size
+    /// allocations, column counts to 129.
+    ///
+    /// Per `(step, column)` this is the per-step chain
+    /// `y[j] += x[r] · w[r][j]` over ascending `r`, rows with
+    /// `x[r] == 0.0` skipped, seeded from `y` (no FMA). A tile is 32
+    /// columns (2 zmm) × up to six steps; the last tile's last register
+    /// is masked, so no column takes a scalar path.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gemv_t_acc_seq(
+        ys: &mut [f32],
+        xs: &[f32],
+        w: &[f32],
+        t: usize,
+        shape: (usize, usize),
+    ) {
+        let cols = shape.1;
+        let mut j = 0;
+        while j + 32 <= cols {
+            let at = (j, 0xFFFF);
+            super::for_step_blocks(t, |s0, n| {
+                with_block_len!(n, gemv_t_seq_tile::<_, 2>(ys, xs, w, shape, at, s0))
+            });
+            j += 32;
+        }
+        if j < cols {
+            let (regs, last) = tail_tile(cols - j);
+            let at = (j, last);
+            super::for_step_blocks(t, |s0, n| {
+                if regs == 1 {
+                    with_block_len!(n, gemv_t_seq_tile::<_, 1>(ys, xs, w, shape, at, s0))
+                } else {
+                    with_block_len!(n, gemv_t_seq_tile::<_, 2>(ys, xs, w, shape, at, s0))
+                }
+            });
         }
     }
 }

@@ -29,7 +29,8 @@
 //!   step, one full six-step register block, the 4 + 3 and 5 + 4 + 4
 //!   splits), both step orders of the update, the same special values
 //!   at the first, a middle and the last step, and the same
-//!   end-of-allocation slices;
+//!   end-of-allocation slices — and again at the 16-lane bodies' tiles,
+//!   `rows ∈ {15, 16, 17, 33, 63, 1017}` × `cols ∈ {47, …, 129}`;
 //! * the Phase-I scan kernels: `scatter_add_scaled` against its scalar
 //!   definition over every length `0..=41` with index gaps of 1, of
 //!   1,000 and mixed, the first and last accumulator slots hit, the
@@ -535,6 +536,32 @@ fn sequence_kernels_are_t_per_step_calls_for_every_shape_to_41() {
     }
 }
 
+/// Column counts that reach what `0..=41` does not in the 16-lane
+/// bodies: a third and fourth `zmm` in a column tile (47–49, 63–65), the
+/// 64-wide tile alone (64) and followed by a masked tile (65, 80, 96, 97,
+/// 129).
+const WIDE_COLS: [usize; 10] = [47, 48, 49, 63, 64, 65, 80, 96, 97, 129];
+
+/// Row counts around the 16-row blocks of the stacked product and the
+/// four-row blocks of the update, up to the `hx-train` output layer
+/// (1017 = 63·16 + 8 + 1 = 254·4 + 1).
+const WIDE_ROWS: [usize; 6] = [15, 16, 17, 33, 63, 1017];
+
+#[test]
+fn sequence_kernels_are_t_per_step_calls_at_the_16_lane_tiles() {
+    for rows in WIDE_ROWS {
+        for cols in WIDE_COLS {
+            for t in STEPS {
+                for special in [false, true] {
+                    let salt = ((rows * 130 + cols) * 14 + t) as u32;
+                    let off = (rows + cols + t) % 2;
+                    assert_sequence_kernels_identical((rows, cols, t), off, salt, special);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn sequence_kernels_honor_the_zero_skip_at_first_middle_and_last_step() {
     for (rows, cols) in [
@@ -558,29 +585,38 @@ fn sequence_kernels_honor_the_zero_skip_at_first_middle_and_last_step() {
 
 #[test]
 fn sequenced_update_never_writes_a_row_skipped_at_every_step() {
-    // Row 1's coefficient is a zero at every step: whatever sits in it —
-    // `-0.0`, `inf`, a NaN with a payload no arithmetic produces — must
+    // One row's coefficient is a zero at every step: whatever sits in it
+    // — `-0.0`, `inf`, a NaN with a payload no arithmetic produces — must
     // come back bit for bit, while its neighbours take all seven terms.
-    let cols = 43; // a 32-tile, an 8-tile and a 3-float tail
+    // Row 1 of 3 at 43 columns (a 32-tile, an 8-tile and a 3-float tail
+    // at AVX2), and row 2 of a four-row block at 80 columns (a 64-wide
+    // tile and a masked one at AVX-512).
     let t = 7;
     let odd = [-0.0f32, f32::INFINITY, f32::from_bits(0x7fa1_2345)];
-    for level in simd::supported_levels() {
-        for descending in [false, true] {
-            at(level, || {
-                let mut w: Vec<f32> = (0..3 * cols).map(|i| odd[i % 3]).collect();
-                let before: Vec<u32> = w.iter().map(|v| v.to_bits()).collect();
-                let us: Vec<f32> = (0..t)
-                    .flat_map(|s| [1.0, if s % 2 == 0 { 0.0 } else { -0.0 }, 2.0])
-                    .collect();
-                let vs = vec![f32::INFINITY; t * cols];
-                simd::rank1_update_seq(&mut w, 1.0, &us, &vs, t, descending);
-                let after: Vec<u32> = w.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(after[cols..2 * cols], before[cols..2 * cols], "{level:?}");
-                for (i, v) in w.iter().enumerate().filter(|(i, _)| i / cols != 1) {
-                    // -0 + inf and inf + inf are inf; NaN stays NaN.
-                    assert!(*v == f32::INFINITY || i % 3 == 2, "{level:?} [{i}] = {v}");
-                }
-            });
+    for (rows, skipped, cols) in [(3usize, 1usize, 43usize), (4, 2, 80)] {
+        for level in simd::supported_levels() {
+            for descending in [false, true] {
+                at(level, || {
+                    let mut w: Vec<f32> = (0..rows * cols).map(|i| odd[i % 3]).collect();
+                    let before: Vec<u32> = w.iter().map(|v| v.to_bits()).collect();
+                    let us: Vec<f32> = (0..t * rows)
+                        .map(|i| match (i / rows, i % rows) {
+                            (s, r) if r == skipped => [0.0, -0.0][s % 2],
+                            (_, r) => 1.0 + r as f32,
+                        })
+                        .collect();
+                    let vs = vec![f32::INFINITY; t * cols];
+                    simd::rank1_update_seq(&mut w, 1.0, &us, &vs, t, descending);
+                    let after: Vec<u32> = w.iter().map(|v| v.to_bits()).collect();
+                    let row = skipped * cols..(skipped + 1) * cols;
+                    let case = format!("{level:?} {rows}x{cols} desc={descending}");
+                    assert_eq!(after[row.clone()], before[row], "{case}");
+                    for (i, v) in w.iter().enumerate().filter(|(i, _)| i / cols != skipped) {
+                        // -0 + inf and inf + inf are inf; NaN stays NaN.
+                        assert!(*v == f32::INFINITY || i % 3 == 2, "{case} [{i}] = {v}");
+                    }
+                });
+            }
         }
     }
 }
