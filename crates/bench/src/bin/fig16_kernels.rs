@@ -44,8 +44,9 @@
 //!   d=32 — `Matrix::gemv_acc` at 32×32 (a recurrent gate), 32×96 (the
 //!   composite layer) and 2048×32 (a full-vocabulary output layer),
 //!   `add_outer` and `gemv_t_acc` at 32×32,
-//! * the three **sequence** kernels the taped path runs once per
-//!   sequence (`gemv_acc_seq`, `add_outer_seq`, `gemv_t_acc_seq`) at
+//! * the three row-major **sequence** kernels — the backward pass's
+//!   `add_outer_seq` and `gemv_t_acc_seq`, and `gemv_acc_seq`, the
+//!   forward's reference and the `gemm_nt` body — at
 //!   1017×32 (the `hx-train` output layer) and 32×32 (an LSTM gate),
 //!   `T = 6` — each paired against the loop of `T` per-step calls it is
 //!   defined as, **at the same dispatch level** (`Avx2` where the CPU
@@ -53,14 +54,24 @@
 //!   bitwise re-check of that definition (in these rows the "scalar"
 //!   column is the per-step loop and the speedup is per-step ÷
 //!   sequence),
-//! * one taped `Lstm::forward_seq` + `backward_seq` sequence built
-//!   on them, active level against forced scalar,
+//! * the taped forward pass through the batch's weight plan, each
+//!   paired at the active level against the row-major form it replaced
+//!   (informational): `colmajor_gemv_acc_seq` over the transposed
+//!   1017×32 output layer against `gemv_acc_seq` over the row-major one
+//!   (`colmajor_seq_vocab_vs_rowmajor_seq`), and
+//!   `LstmPlan::forward_seq` at d = 32 against the per-gate row-major
+//!   forward written out below (`lstm_taped_plan_vs_rowmajor`), both at
+//!   `T = 6` and bit-checked against each other and against scalar, and
+//!   the plan's packing, `transpose_into` of the 1017×32 output layer
+//!   against forced scalar (`transpose_vocab_speedup`),
+//! * one taped `LstmPlan::forward_seq` + `Lstm::backward_seq` sequence
+//!   built on them, active level against forced scalar,
 //! * and, only where the CPU has AVX-512, every kernel with a 16-lane
 //!   body paired at `Avx512` against `Avx2`: at the serving shapes the
 //!   `tanh` 32 and `sigmoid` 96 slices, `step_projected_into` at d = 32 and
 //!   `colmajor_gemv_acc` at 128 outputs × 32 inputs, 188 × 32 and
 //!   32 × 96 (below the product's crossover: AVX2 on both sides), and
-//!   the three training sequence kernels at 1017×32 and 128×32, `T = 6`
+//!   the four training sequence kernels at 1017×32 and 128×32, `T = 6`
 //!   — the `*_avx512_vs_avx2` keys; informational, and a runner without
 //!   AVX-512 writes none of them, so no baseline may hold one.
 //!
@@ -74,7 +85,7 @@
 
 use ncl_bench::table;
 use ncl_nn::attention::DotAttention;
-use ncl_nn::lstm::{LstmTape, SeqGrads};
+use ncl_nn::lstm::{LstmPlan, LstmTape, SeqGrads};
 use ncl_nn::Lstm;
 use ncl_tensor::ops::log_sum_exp_slice;
 use ncl_tensor::simd::{self, Level};
@@ -140,6 +151,69 @@ fn assert_bits_eq(label: &str, got: &[f32], want: &[f32]) {
             w.to_bits(),
             "{label}[{i}]: SIMD {g} != scalar {w}"
         );
+    }
+}
+
+/// The taped LSTM forward as it ran before the weight plan: per gate
+/// one stacked row-major input product, then per step four row-major
+/// recurrent products and an activation per gate block. Kept here only
+/// as the timing and bit reference of `lstm_taped_plan_vs_rowmajor`:
+/// `z` (`4·T·d`, gate-major) is the gate scratch, `tc` (`d`) the
+/// `tanh(c)` scratch, and `h` / `c` (`(T + 1)·d`, row 0 the zero start
+/// state) receive the states.
+fn rowmajor_lstm_forward(
+    lstm: &Lstm,
+    xs: &[f32],
+    t: usize,
+    z: &mut [f32],
+    tc: &mut [f32],
+    (h, c): (&mut [f32], &mut [f32]),
+) {
+    let d = lstm.hidden();
+    let gates = [
+        (&lstm.wi, &lstm.ui, &lstm.bi),
+        (&lstm.wf, &lstm.uf, &lstm.bf),
+        (&lstm.wo, &lstm.uo, &lstm.bo),
+        (&lstm.wg, &lstm.ug, &lstm.bg),
+    ];
+    for ((w, _, b), zg) in gates.iter().zip(z.chunks_exact_mut(t * d)) {
+        for row in zg.chunks_exact_mut(d) {
+            row.copy_from_slice(b.v.as_slice());
+        }
+        w.v.gemv_acc_seq(xs, zg, t);
+    }
+    h[..d].fill(0.0);
+    c[..d].fill(0.0);
+    let (zi, rest) = z.split_at_mut(t * d);
+    let (zf, rest) = rest.split_at_mut(t * d);
+    let (zo, zg) = rest.split_at_mut(t * d);
+    for s in 0..t {
+        let at = s * d..(s + 1) * d;
+        let (h_prev, h) = h[s * d..(s + 2) * d].split_at_mut(d);
+        let (c_prev, c) = c[s * d..(s + 2) * d].split_at_mut(d);
+        let (i, f, o, g) = (
+            &mut zi[at.clone()],
+            &mut zf[at.clone()],
+            &mut zo[at.clone()],
+            &mut zg[at],
+        );
+        for ((_, u, _), z) in gates.iter().zip([&mut *i, &mut *f, &mut *o, &mut *g]) {
+            u.v.gemv_acc_seq(h_prev, z, 1);
+        }
+        libm::sigmoid_inplace(i);
+        libm::sigmoid_inplace(f);
+        libm::sigmoid_inplace(o);
+        libm::tanh_inplace(g);
+        for k in 0..d {
+            let mut cell = f[k] * c_prev[k];
+            cell += i[k] * g[k];
+            c[k] = cell;
+        }
+        tc.copy_from_slice(c);
+        libm::tanh_inplace(tc);
+        for k in 0..d {
+            h[k] = o[k] * tc[k];
+        }
     }
 }
 
@@ -720,6 +794,114 @@ fn main() {
         }
     });
 
+    // ---- the taped forward through the batch's weight plan ----
+    //
+    // Informational, at the active level on both sides: what training
+    // gained by running its forward products over the transposed,
+    // gate-fused weights it builds once per batch instead of over the
+    // row-major parameters. Each pair is bit-checked against the other
+    // and against scalar before it is timed.
+    let mut plan_speedups = Vec::new();
+    {
+        let (vocab, t) = (1017usize, t_seq);
+        let m = init::uniform(vocab, dt, -1.0, 1.0, &mut rng);
+        let wt = m.transpose();
+        let xs = init::uniform(t, dt, -1.0, 1.0, &mut rng);
+        let xs = xs.as_slice();
+        let (mut col, mut row) = (vec![0.0f32; t * vocab], vec![0.0f32; t * vocab]);
+        simd::colmajor_gemv_acc_seq(&mut col, xs, wt.as_slice(), t);
+        m.gemv_acc_seq(xs, &mut row, t);
+        let mut want = vec![0.0f32; t * vocab];
+        simd::with_level(Level::Scalar, || {
+            simd::colmajor_gemv_acc_seq(&mut want, xs, wt.as_slice(), t)
+        });
+        assert_bits_eq("colmajor_gemv_acc_seq", &col, &want);
+        assert_bits_eq("colmajor_gemv_acc_seq vs rowmajor", &col, &row);
+        let (t_col, t_row) = measure_paired(
+            || {
+                col.fill(0.0);
+                simd::colmajor_gemv_acc_seq(&mut col, xs, wt.as_slice(), t);
+            },
+            || {
+                row.fill(0.0);
+                m.gemv_acc_seq(xs, &mut row, t);
+            },
+            16,
+            min_secs / 2.0,
+        );
+        let key = "colmajor_seq_vocab_vs_rowmajor_seq";
+        let speedup = record(
+            &format!("colmajor_seq {vocab}x{dt} T={t} (vs rowmajor_seq)"),
+            t * vocab * dt,
+            t_col,
+            t_row,
+        );
+        plan_speedups.push((key, speedup));
+
+        let lstm = Lstm::new(dt, dt, &mut rng);
+        let plan: LstmPlan = lstm.plan();
+        let xs = init::uniform(t, dt, -1.0, 1.0, &mut rng);
+        let xs = xs.as_slice();
+        let zero = vec![0.0f32; dt];
+        let mut tape = LstmTape::default();
+        let (mut z, mut tc) = (vec![0.0f32; 4 * t * dt], vec![0.0f32; dt]);
+        let (mut h, mut c) = (vec![0.0f32; (t + 1) * dt], vec![0.0f32; (t + 1) * dt]);
+        plan.forward_seq(xs, t, &zero, &zero, &mut tape);
+        rowmajor_lstm_forward(&lstm, xs, t, &mut z, &mut tc, (&mut h, &mut c));
+        assert_bits_eq("lstm taped plan vs rowmajor h", tape.hs(), &h[dt..]);
+        assert_bits_eq(
+            "lstm taped plan vs rowmajor c",
+            tape.final_c(),
+            &c[t * dt..],
+        );
+        let mut scalar_tape = LstmTape::default();
+        simd::with_level(Level::Scalar, || {
+            plan.forward_seq(xs, t, &zero, &zero, &mut scalar_tape)
+        });
+        assert_bits_eq("lstm taped plan", tape.hs(), scalar_tape.hs());
+        let (t_plan, t_row) = measure_paired(
+            || plan.forward_seq(xs, t, &zero, &zero, &mut tape),
+            || rowmajor_lstm_forward(&lstm, xs, t, &mut z, &mut tc, (&mut h, &mut c)),
+            256,
+            min_secs / 2.0,
+        );
+        let speedup = record(
+            &format!("lstm taped fwd d={dt} T={t} (plan vs rowmajor)"),
+            t * 8 * dt * dt,
+            t_plan,
+            t_row,
+        );
+        plan_speedups.push(("lstm_taped_plan_vs_rowmajor", speedup));
+
+        // Packing the plan: the output layer's transpose, once a batch.
+        let mut out = vec![0.0f32; vocab * dt];
+        let mut want = vec![0.0f32; vocab * dt];
+        simd::transpose_into(&mut out, vocab, m.as_slice(), vocab, dt);
+        simd::with_level(Level::Scalar, || {
+            simd::transpose_into(&mut want, vocab, m.as_slice(), vocab, dt)
+        });
+        assert_bits_eq("transpose_into", &out, &want);
+        assert_bits_eq("transpose_into vs Matrix::transpose", &out, wt.as_slice());
+        let mut out_s = want.clone();
+        let (t_simd, t_scalar) = measure_paired(
+            || simd::transpose_into(&mut out, vocab, m.as_slice(), vocab, dt),
+            || {
+                simd::with_level(Level::Scalar, || {
+                    simd::transpose_into(&mut out_s, vocab, m.as_slice(), vocab, dt)
+                })
+            },
+            16,
+            min_secs / 2.0,
+        );
+        let speedup = record(
+            &format!("transpose_into {vocab}x{dt}"),
+            vocab * dt,
+            t_simd,
+            t_scalar,
+        );
+        plan_speedups.push(("transpose_vocab_speedup", speedup));
+    }
+
     // ---- the 16-lane bodies against the AVX2 bodies ----
     //
     // Only where the CPU has AVX-512: both columns run the same call, at
@@ -790,7 +972,9 @@ fn main() {
             vs_avx2(&key, outputs * inputs, &run);
         }
         // The training sequence kernels at T = 6: the `hx-train` output
-        // layer and an LSTM's four stacked input projections.
+        // layer and an LSTM's four stacked input projections — the
+        // column-major product over the transposed matrix beside the
+        // row-major one.
         for (key, rows_n, cols_n) in [("vocab", 1017usize, dt), ("128x32", 4 * dt, dt)] {
             let m = init::uniform(rows_n, cols_n, -1.0, 1.0, &mut rng);
             let xc = init::uniform(t_seq, cols_n, -1.0, 1.0, &mut rng);
@@ -802,6 +986,12 @@ fn main() {
                 let mut ys = ys.borrow_mut();
                 ys.fill(0.0);
                 m.gemv_acc_seq(xc, &mut ys, t_seq);
+            };
+            let wt = m.transpose();
+            let colmajor = || {
+                let mut ys = ys.borrow_mut();
+                ys.fill(0.0);
+                simd::colmajor_gemv_acc_seq(&mut ys, xc, wt.as_slice(), t_seq);
             };
             let g = RefCell::new(m.clone());
             let outer = || g.borrow_mut().add_outer_seq(1e-9, xr, xc, t_seq, false);
@@ -825,6 +1015,9 @@ fn main() {
             check(&format!("gemv_acc_seq_{key}"), &gemv, &|| {
                 ys.borrow().clone()
             });
+            check(&format!("colmajor_seq_{key}"), &colmajor, &|| {
+                ys.borrow().clone()
+            });
             check(&format!("add_outer_seq_{key}"), &outer, &|| {
                 g.borrow().as_slice().to_vec()
             });
@@ -836,15 +1029,17 @@ fn main() {
 
     // One taped training sequence: forward_seq + backward_seq over eight
     // steps, reported per step. Parameter gradients only accumulate (no
-    // optimizer step), so every round sees the same weights.
+    // optimizer step), so every round sees the same weights — and the
+    // one plan packed from them, as a training batch does.
     let t_steps = 8usize;
     let mut taped = Lstm::new(dt, dt, &mut rng);
     let mut taped_scalar = taped.clone();
+    let taped_plan = taped.plan();
     let xs = init::uniform(t_steps, dt, -1.0, 1.0, &mut rng);
     let dhs = init::uniform(t_steps, dt, -1e-3, 1e-3, &mut rng);
     let zero = vec![0.0f32; dt];
     let train_seq = |l: &mut Lstm, tape: &mut LstmTape, grads: &mut SeqGrads| {
-        l.forward_seq(xs.as_slice(), t_steps, &zero, &zero, tape);
+        taped_plan.forward_seq(xs.as_slice(), t_steps, &zero, &zero, tape);
         l.backward_seq(tape, dhs.as_slice(), grads);
     };
     let (mut tape, mut grads) = (LstmTape::default(), SeqGrads::default());
@@ -933,6 +1128,9 @@ fn main() {
         "  \"scatter_add_speedup\": {scatter_speedup:.3},\n  \"take_mask_above_speedup\": {take_speedup:.3},\n"
     ));
     for (key, speedup) in &wide_speedups {
+        gate.push_str(&format!("  \"{key}\": {speedup:.3},\n"));
+    }
+    for (key, speedup) in &plan_speedups {
         gate.push_str(&format!("  \"{key}\": {speedup:.3},\n"));
     }
     gate.push_str(&format!(

@@ -50,13 +50,13 @@
 //!   cache can never silently serve: every cached entry point checks
 //!   [`ConceptCache::is_valid_for`] and falls back to the uncached path.
 
-use super::{ComAid, OntologyIndex};
+use super::{ComAid, ComAidPlan, OntologyIndex};
 use crate::csr::Csr;
 use ncl_nn::lstm::LstmPlan;
 use ncl_nn::Embedding;
 use ncl_ontology::ConceptId;
 use ncl_tensor::ops::{log_softmax_at_slice, log_sum_exp_slice};
-use ncl_tensor::{simd, Matrix, Vector};
+use ncl_tensor::{simd, Vector};
 use ncl_text::Vocab;
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -131,10 +131,9 @@ pub struct CacheMemoryReport {
     /// logits (`d + 1` floats per fine-grained concept, f32 in both
     /// tiers).
     pub step0_bytes: usize,
-    /// What the skeleton holds before any shard freezes: the
-    /// transposed/fused weight plans (decoder serve plan, and the
-    /// encoder plan once the first shard freeze has materialised it)
-    /// and the node → shard / head-slot map.
+    /// What the skeleton holds before any shard freezes: the model's
+    /// transposed, gate-fused weights ([`ComAidPlan`]) and the node →
+    /// shard / head-slot map.
     pub plan_bytes: usize,
     /// Total ancestor slots across frozen nodes (β per non-root node).
     pub ancestor_slots: usize,
@@ -187,28 +186,6 @@ impl CacheMemoryReport {
             return 1.0;
         }
         self.encoder_tokens as f64 / self.encoder_steps_run as f64
-    }
-}
-
-/// SIMD-friendly weight layouts frozen alongside the per-concept states:
-/// the decoder's fused gate plan plus the transposed composite and output
-/// weights, so every online decoder step streams contiguous columns
-/// ([`LstmPlan::step_projected_into`], `Dense::apply_with_t_into`)
-/// instead of re-walking row-major matrices. Derived data at the same
-/// parameter generation as the rest of the cache — the version counter
-/// covers it.
-#[derive(Debug, Clone)]
-struct ServePlan {
-    decoder: LstmPlan,
-    composite_wt: Matrix,
-    output_wt: Matrix,
-}
-
-impl ServePlan {
-    fn memory_floats(&self) -> usize {
-        self.decoder.memory_floats()
-            + self.composite_wt.rows() * self.composite_wt.cols()
-            + self.output_wt.rows() * self.output_wt.cols()
     }
 }
 
@@ -514,11 +491,11 @@ pub struct ConceptCache {
     /// Frozen shard payloads; unset entries are chapters not yet
     /// touched.
     shards: Vec<OnceLock<ShardData>>,
-    /// Transposed/fused weight layouts for the online decoder steps.
-    plan: ServePlan,
-    /// The encoder's fused plan, materialised by the first shard freeze
-    /// and kept for the shards still to come.
-    enc_plan: OnceLock<LstmPlan>,
+    /// The model's transposed, gate-fused weights at the generation the
+    /// cache was frozen from: the encoder's for shard freezes, the
+    /// decoder, composite and output layers' for every online step
+    /// ([`LstmPlan::step_projected_into`], `Dense::apply_with_t_into`).
+    plan: ComAidPlan,
 }
 
 impl ConceptCache {
@@ -630,9 +607,6 @@ impl ConceptCache {
             encoder_tokens: 0,
             encoder_steps_run: 0,
         };
-        if let Some(p) = self.enc_plan.get() {
-            r.plan_bytes += p.memory_floats() * 4;
-        }
         for shard in self.shards.iter().filter_map(OnceLock::get) {
             r.frozen_shards += 1;
             r.frozen_concepts += shard.paths.rows();
@@ -691,7 +665,7 @@ impl ComAid {
     }
 
     /// Builds the serving cache of `index` at the current parameter
-    /// generation: the chapter shard map and the decoder serve plan, no
+    /// generation: the chapter shard map and the model's plan, no
     /// per-concept state yet. Each shard freezes on first touch by a
     /// cached scoring call (one encoder step per distinct description
     /// prefix of the chapter, each kept as a row; the structural memory
@@ -757,14 +731,6 @@ impl ComAid {
                 heads[si] += 1;
             }
         }
-        // The decoder/composite/output plan is kept for every online
-        // step; the encoder plan is only needed by shard freezes and is
-        // materialised lazily alongside the first one.
-        let plan = ServePlan {
-            decoder: self.decoder.plan(),
-            composite_wt: self.composite.weight_t(),
-            output_wt: self.output.weight_t(),
-        };
         let shards = (0..shard_count).map(|_| OnceLock::new()).collect();
         ConceptCache {
             version: self.version(),
@@ -778,8 +744,7 @@ impl ComAid {
             max_tokens,
             max_slots,
             shards,
-            plan,
-            enc_plan: OnceLock::new(),
+            plan: self.plan(),
         }
     }
 
@@ -800,7 +765,6 @@ impl ComAid {
     fn freeze_shard(&self, index: &OntologyIndex, cache: &ConceptCache, si: usize) -> ShardData {
         let d = self.config().dim;
         let nodes = cache.members(si);
-        let enc_plan = cache.enc_plan.get_or_init(|| self.encoder.plan());
         let tokens: usize = nodes
             .iter()
             .map(|&ni| index.tokens(ConceptId(ni)).len())
@@ -817,7 +781,7 @@ impl ComAid {
         let mut paths = Csr::with_capacity(nodes.len(), tokens);
         let mut anc: Vec<u32> = Vec::with_capacity(nodes.len() * beta);
         let mut head_store = vec![0.0f32; heads * head_len(d)];
-        let mut trie = PrefixTrie::new(enc_plan, &self.embedding, tokens);
+        let mut trie = PrefixTrie::new(&cache.plan.encoder, &self.embedding, tokens);
         let mut scratch = self.prepare_target(cache, &[Vocab::BOS]);
         for (l, &ni) in nodes.iter().enumerate() {
             let id = ConceptId(ni);
@@ -918,8 +882,7 @@ impl ComAid {
         cache: &ConceptCache,
         concept: ConceptId,
     ) -> Vec<f32> {
-        let enc_plan = cache.enc_plan.get_or_init(|| self.encoder.plan());
-        let mut trie = PrefixTrie::new(enc_plan, &self.embedding, 0);
+        let mut trie = PrefixTrie::new(&cache.plan.encoder, &self.embedding, 0);
         let mut path = Vec::new();
         trie.walk(index.tokens(concept), |node| path.push(node));
         let slots: Vec<u32> = if self.config().variant.uses_struct() {
@@ -1222,6 +1185,7 @@ mod tests {
                     cache
                 });
                 let mut frozen = 0;
+                let plan = m.plan();
                 for id in all_nodes(&o) {
                     frozen += usize::from(cache.node_head[id.index()] != NO_HEAD);
                     let head = simd::with_level(level, || {
@@ -1230,7 +1194,7 @@ mod tests {
                     });
                     for w in 0..m.vocab().len() {
                         let want = simd::with_level(simd::Level::Scalar, || {
-                            m.run_example(&idx, id, &[w as u32]).step_log_probs[0]
+                            m.run_example(&plan, &idx, id, &[w as u32]).step_log_probs[0]
                         });
                         let got = m.step0_log_prob(&head, w);
                         assert_eq!(

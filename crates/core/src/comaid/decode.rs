@@ -74,6 +74,7 @@ impl ComAid {
         beam_width: usize,
     ) -> Vec<Decoded> {
         assert!(beam_width > 0, "beam width must be positive");
+        let plan = self.plan();
         let mut beams = vec![Beam {
             ids: Vec::new(),
             log_prob: 0.0,
@@ -91,7 +92,7 @@ impl ComAid {
                 // so the last step's distribution is what we need, and we
                 // recover the pre-EOS cumulative log prob by subtracting
                 // the recorded EOS term.
-                let run = self.run_example(index, concept, &beam.ids);
+                let run = self.run_example(&plan, index, concept, &beam.ids);
                 let logits = self.step_logits(&run);
                 let lp = log_softmax(&logits);
                 // Candidate continuations: top `beam_width` words plus
@@ -149,7 +150,7 @@ impl ComAid {
                         log_prob: b.log_prob,
                     }
                 } else {
-                    let lp = self.log_prob_ids(index, concept, &b.ids);
+                    let lp = self.run_example(&plan, index, concept, &b.ids).log_prob;
                     Decoded {
                         ids: b.ids,
                         log_prob: lp,

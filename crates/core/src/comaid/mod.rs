@@ -26,7 +26,7 @@ mod train;
 pub use cache::{CacheMemoryReport, CacheTier, ConceptCache};
 pub use decode::Decoded;
 pub use index::OntologyIndex;
-pub use model::ComAid;
+pub use model::{ComAid, ComAidPlan};
 pub use persist::{MappedCheckpoint, PersistError, FORMAT_VERSION, V2_SECTIONS};
 pub use trace::{AttentionTrace, StepTrace};
 pub use train::{TrainPair, TrainReport};

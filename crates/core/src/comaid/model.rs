@@ -2,7 +2,7 @@
 
 use super::{ComAidConfig, OntologyIndex};
 use ncl_nn::dense::{Activation, Dense};
-use ncl_nn::lstm::{LstmTape, SeqGrads};
+use ncl_nn::lstm::{LstmPlan, LstmTape, SeqGrads};
 use ncl_nn::param::{HasParams, ParamSet, Parameter};
 use ncl_nn::softmax_loss;
 use ncl_nn::{DotAttention, Embedding, Lstm};
@@ -134,6 +134,41 @@ impl Wire for ComAid {
             // built before the save/load round-trip must not match it.
             version: next_version(),
         })
+    }
+}
+
+/// The transposed, gate-fused layout of a model's weights that every
+/// forward pass reads: both LSTMs' [`LstmPlan`]s (the fused `4d`-wide
+/// `Wᵀ` and `Uᵀ` and the concatenated biases) and the composite and
+/// output layers' transposed weights — ≈ 52k floats at `d = 32` over
+/// 1,017 words, most of them the output layer's.
+///
+/// One type for training and serving: [`ComAid::fit_epochs`] builds one
+/// before every batch and all of the batch's shards read it, and a
+/// [`ConceptCache`](super::ConceptCache) keeps the one it was frozen
+/// with. It is an explicit value, not state inside the layers: it holds
+/// copies, so it goes stale when the parameters change, and whoever
+/// holds one rebuilds it after an update (the trainer after every
+/// optimizer step, the cache through its version counter). Every
+/// product over it is bit-identical to the row-major one over the
+/// parameters (the [`ncl_tensor::simd`] contract).
+#[derive(Debug, Clone)]
+pub struct ComAidPlan {
+    pub(crate) encoder: LstmPlan,
+    pub(crate) decoder: LstmPlan,
+    /// `W_d` transposed, `comp_in × d`.
+    pub(crate) composite_wt: Matrix,
+    /// `W_s` transposed, `d × |V|`.
+    pub(crate) output_wt: Matrix,
+}
+
+impl ComAidPlan {
+    /// Number of `f32`s the plan holds.
+    pub fn memory_floats(&self) -> usize {
+        self.encoder.memory_floats()
+            + self.decoder.memory_floats()
+            + self.composite_wt.rows() * self.composite_wt.cols()
+            + self.output_wt.rows() * self.output_wt.cols()
     }
 }
 
@@ -290,6 +325,19 @@ impl ComAid {
         self.version = next_version();
     }
 
+    /// Packs the current parameters into a [`ComAidPlan`]: one
+    /// transpose of every weight matrix the forward pass reads,
+    /// O(`|Θ|` − embeddings) copies. Build one per batch, freeze or
+    /// request, not per example.
+    pub fn plan(&self) -> ComAidPlan {
+        ComAidPlan {
+            encoder: self.encoder.plan(),
+            decoder: self.decoder.plan(),
+            composite_wt: self.composite.weight_t(),
+            output_wt: self.output.weight_t(),
+        }
+    }
+
     /// The model configuration.
     pub fn config(&self) -> &ComAidConfig {
         &self.config
@@ -339,7 +387,8 @@ impl ComAid {
     /// ranks candidates by this score, and `Loss = −log p` feeds the
     /// feedback controller (Appendix A).
     pub fn log_prob_ids(&self, index: &OntologyIndex, concept: ConceptId, target: &[u32]) -> f32 {
-        self.run_example(index, concept, target).log_prob
+        self.run_example(&self.plan(), index, concept, target)
+            .log_prob
     }
 
     /// `log p` with per-word masking: the full query is decoded (so every
@@ -359,8 +408,21 @@ impl ComAid {
         target: &[u32],
         count: &[bool],
     ) -> f32 {
+        self.log_prob_ids_masked_with(&self.plan(), index, concept, target, count)
+    }
+
+    /// [`ComAid::log_prob_ids_masked`] over a caller-held plan of the
+    /// current parameters, for a caller that scores many candidates.
+    pub(crate) fn log_prob_ids_masked_with(
+        &self,
+        plan: &ComAidPlan,
+        index: &OntologyIndex,
+        concept: ConceptId,
+        target: &[u32],
+        count: &[bool],
+    ) -> f32 {
         assert_eq!(count.len(), target.len(), "mask length mismatch");
-        let run = self.run_example(index, concept, target);
+        let run = self.run_example(plan, index, concept, target);
         let mut lp = 0.0f32;
         for (t, step_lp) in run.step_log_probs.iter().enumerate() {
             let counted = count.get(t).copied().unwrap_or(true); // EOS step
@@ -372,22 +434,26 @@ impl ComAid {
     }
 
     /// One full forward pass for the pair (concept, target word sequence)
-    /// under the exact softmax — the uncached scoring reference.
+    /// under the exact softmax — the uncached scoring reference. `plan`
+    /// must be [`ComAid::plan`] of the current parameters.
     pub(crate) fn run_example(
         &self,
+        plan: &ComAidPlan,
         index: &OntologyIndex,
         concept: ConceptId,
         target: &[u32],
     ) -> ExampleRun {
         let mut run = ExampleRun::default();
-        self.run_example_into(index, concept, target, &mut run);
+        self.run_example_into(plan, index, concept, target, &mut run);
         run
     }
 
     /// One full forward pass for the pair (concept, target word
     /// sequence), recorded into `run` (overwritten; its buffers are
     /// reused). The one taped path: training, feedback retraining and
-    /// uncached scoring all come through here.
+    /// uncached scoring all come through here. Every weight product
+    /// reads `plan`, which must be [`ComAid::plan`] of the current
+    /// parameters; the embeddings are read from the model.
     ///
     /// The decoder consumes `⟨BOS, target…⟩` and predicts
     /// `⟨target…, EOS⟩`, so `p(q|c)` is a proper distribution over
@@ -399,6 +465,7 @@ impl ComAid {
     /// one call over the whole sequence (DESIGN.md §10).
     pub(crate) fn run_example_into(
         &self,
+        plan: &ComAidPlan,
         index: &OntologyIndex,
         concept: ConceptId,
         target: &[u32],
@@ -412,7 +479,7 @@ impl ComAid {
         run.enc_ids.extend_from_slice(index.tokens(concept));
         self.embedding.lookup_rows_into(&run.enc_ids, &mut run.xs);
         let n_enc = run.enc_ids.len();
-        self.encoder
+        plan.encoder
             .forward_seq(&run.xs, n_enc, &run.zero, &run.zero, &mut run.enc_tape);
 
         // 2. Encode the structural context (unique ancestors once).
@@ -440,7 +507,7 @@ impl ComAid {
             let ids = index.tokens(anc);
             run.anc_ids.extend_from_slice(ids);
             self.embedding.lookup_rows_into(ids, &mut run.xs);
-            self.encoder
+            plan.encoder
                 .forward_seq(&run.xs, ids.len(), &run.zero, &run.zero, tape);
         }
         for &u in &run.slot_map {
@@ -460,7 +527,7 @@ impl ComAid {
 
         self.embedding
             .lookup_rows_into(&run.dec_input_ids, &mut run.xs);
-        self.decoder.forward_seq(
+        plan.decoder.forward_seq(
             &run.xs,
             t_len,
             run.enc_tape.final_h(),
@@ -505,11 +572,16 @@ impl ComAid {
 
         // 5. Composite layer, output layer and loss, each over all steps.
         run.s_tilde.resize(t_len * d, 0.0);
-        self.composite
-            .forward_seq(&run.comp_in, &mut run.s_tilde, t_len);
+        self.composite.forward_seq_with_t(
+            &plan.composite_wt,
+            &run.comp_in,
+            &mut run.s_tilde,
+            t_len,
+        );
         run.step_log_probs.resize(t_len, 0.0);
-        zeroed(&mut run.probs, t_len * self.output.out_dim());
-        self.output.forward_seq(&run.s_tilde, &mut run.probs, t_len);
+        run.probs.resize(t_len * self.output.out_dim(), 0.0);
+        self.output
+            .forward_seq_with_t(&plan.output_wt, &run.s_tilde, &mut run.probs, t_len);
         softmax_loss::forward_seq(&mut run.probs, &run.targets, &mut run.step_log_probs);
         run.loss = 0.0;
         run.log_prob = 0.0;
@@ -828,12 +900,12 @@ mod tests {
             let c = o.by_code("N18.5").unwrap();
             let target = m.encode_text("ckd stage 5");
 
-            let mut run = m.run_example(&idx, c, &target);
+            let mut run = m.run_example(&m.plan(), &idx, c, &target);
             m.backward_example(&mut run, 1.0);
 
             check_params(
                 &mut m,
-                |m| m.run_example(&idx, c, &target).loss,
+                |m| m.run_example(&m.plan(), &idx, c, &target).loss,
                 |m, set| m.collect_params(set),
                 2e-2,
                 5e-2,

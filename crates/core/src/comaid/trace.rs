@@ -63,7 +63,7 @@ impl ComAid {
         concept: ConceptId,
         target: &[u32],
     ) -> AttentionTrace {
-        let run = self.run_example(index, concept, target);
+        let run = self.run_example(&self.plan(), index, concept, target);
         run.into_attention_trace(index, concept)
     }
 }

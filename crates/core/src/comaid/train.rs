@@ -7,7 +7,7 @@
 //! the concept representations in the neural networks are also updated."
 
 use super::model::ExampleRun;
-use super::{ComAid, OntologyIndex};
+use super::{ComAid, ComAidPlan, OntologyIndex};
 use ncl_nn::optimizer::LrSchedule;
 use ncl_ontology::ConceptId;
 use ncl_tensor::pool::WorkerPool;
@@ -151,6 +151,12 @@ impl ComAid {
             let lr = schedule.at(epoch);
             let mut epoch_loss = 0.0f64;
             for batch in order.chunks(batch_size) {
+                // The weights every forward pass of this batch reads,
+                // transposed and gate-fused once: the parameters change
+                // only at the `sgd_step` below, and the replicas are
+                // value-synced copies of them, so every shard borrows
+                // this one plan.
+                let plan = self.plan();
                 let scale = 1.0 / batch.len() as f32;
                 let shard_w = batch
                     .len()
@@ -164,7 +170,7 @@ impl ComAid {
                         ids: batch,
                         scale,
                     };
-                    run_shard(self, index, shard, &mut runs[0], &mut epoch_loss);
+                    run_shard(self, &plan, index, shard, &mut runs[0], &mut epoch_loss);
                 } else {
                     let ns = shards.len();
                     let t_sync = Instant::now();
@@ -182,9 +188,12 @@ impl ComAid {
                         let main: &mut ComAid = self;
                         let models = std::iter::once(main).chain(replicas.iter_mut());
                         let state = runs.iter_mut().zip(shard_losses.iter_mut());
+                        let plan = &plan;
                         for ((model, &ids), (run, out)) in models.zip(&shards).zip(state) {
                             let shard = Shard { pairs, ids, scale };
-                            jobs.push(Box::new(move || run_shard(model, index, shard, run, out)));
+                            jobs.push(Box::new(move || {
+                                run_shard(model, plan, index, shard, run, out)
+                            }));
                         }
                     }
                     pool.run(jobs);
@@ -239,10 +248,13 @@ struct Shard<'a> {
 
 /// Forward + backward over one gradient shard, accumulating into
 /// `model`'s gradient buffers and summing the f64 loss into `out` in
-/// example order. Every example is taped into `run`, so from the second
-/// one on the pass reuses the first one's buffers.
+/// example order. Every forward pass reads `plan` — the batch's plan of
+/// `model`'s parameters, which no example of the shard changes — and is
+/// taped into `run`, so from the second example on the pass reuses the
+/// first one's buffers.
 fn run_shard(
     model: &mut ComAid,
+    plan: &ComAidPlan,
     index: &OntologyIndex,
     shard: Shard<'_>,
     run: &mut ExampleRun,
@@ -250,7 +262,7 @@ fn run_shard(
 ) {
     for &i in shard.ids {
         let pair = &shard.pairs[i];
-        model.run_example_into(index, pair.concept, &pair.target, run);
+        model.run_example_into(plan, index, pair.concept, &pair.target, run);
         *out += run.loss as f64;
         model.backward_example(run, shard.scale);
     }
@@ -428,12 +440,20 @@ mod tests {
         };
         let mut run = ExampleRun::default();
         let mut loss_seq = 0.0f64;
-        run_shard(&mut seq, &idx, shard(&ids), &mut run, &mut loss_seq);
+        let plan = seq.plan();
+        run_shard(&mut seq, &plan, &idx, shard(&ids), &mut run, &mut loss_seq);
         seq.sgd_step(0.1, 5.0);
 
         let (mut l0, mut l1) = (0.0f64, 0.0f64);
-        run_shard(&mut par, &idx, shard(&ids[..8]), &mut run, &mut l0);
-        run_shard(&mut replica, &idx, shard(&ids[8..]), &mut run, &mut l1);
+        run_shard(&mut par, &plan, &idx, shard(&ids[..8]), &mut run, &mut l0);
+        run_shard(
+            &mut replica,
+            &plan,
+            &idx,
+            shard(&ids[8..]),
+            &mut run,
+            &mut l1,
+        );
         par.merge_grads_from(&mut replica);
         par.sgd_step(0.1, 5.0);
 
@@ -449,6 +469,49 @@ mod tests {
                 "param mismatch: {a} vs {b}"
             );
         }
+    }
+
+    /// The batch's plan is never stale: two batches through `fit_epochs`
+    /// (one plan each, rebuilt after the first `sgd_step`) end on the
+    /// same loss and parameter bytes as the same two batches run by hand
+    /// with a fresh `ComAid::plan()` before every example.
+    #[test]
+    fn batch_plan_matches_a_fresh_plan_per_example() {
+        use ncl_tensor::wire::Wire;
+        let (o, v, pairs) = world();
+        let idx = OntologyIndex::build(&o, &v, 2);
+        let cfg = config();
+        assert_eq!(pairs.len(), 2 * cfg.batch_size, "two batches");
+        let schedule = LrSchedule::constant(cfg.lr);
+        let mut fitted = ComAid::new(v, cfg, None);
+        let mut by_hand = fitted.clone();
+        let report = fitted.fit_epochs(&idx, &pairs, 1, schedule);
+
+        // `fit_epochs`'s one shuffle, then its batches.
+        let mut order: Vec<usize> = (0..pairs.len()).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(cfg.seed ^ 0x7EA1));
+        let mut run = ExampleRun::default();
+        let mut loss = 0.0f64;
+        for batch in order.chunks(cfg.batch_size) {
+            for &i in batch {
+                let plan = by_hand.plan();
+                by_hand.run_example_into(&plan, &idx, pairs[i].concept, &pairs[i].target, &mut run);
+                loss += run.loss as f64;
+                by_hand.backward_example(&mut run, 1.0 / batch.len() as f32);
+            }
+            by_hand.sgd_step(schedule.at(0), cfg.clip_norm);
+        }
+
+        let bytes = |m: &ComAid| {
+            let mut out = Vec::new();
+            m.encode(&mut out);
+            out
+        };
+        assert_eq!(
+            report.final_loss().to_bits(),
+            ((loss / pairs.len() as f64) as f32).to_bits()
+        );
+        assert!(bytes(&fitted) == bytes(&by_hand), "parameters differ");
     }
 
     /// The allocation-free walk must visit `Θ` in exactly the
@@ -482,8 +545,9 @@ mod tests {
             scale: 0.5,
         };
         let mut run = ExampleRun::default();
-        run_shard(&mut a, &idx, shard, &mut run, &mut la);
-        run_shard(&mut b, &idx, shard, &mut run, &mut lb);
+        let plan = a.plan();
+        run_shard(&mut a, &plan, &idx, shard, &mut run, &mut la);
+        run_shard(&mut b, &plan, &idx, shard, &mut run, &mut lb);
         // A tight clip so the scaling branch is exercised.
         let norm_a = a.sgd_step(0.7, 0.5);
         let opt = ncl_nn::optimizer::Sgd::new(0.7, 0.5);

@@ -258,7 +258,7 @@ impl ModelGeneration {
 
     /// Builds a linker over this generation **without re-freezing**:
     /// it is constructed around the generation's shared cache (no
-    /// skeleton or serve plan of its own is built and dropped), so
+    /// skeleton or weight plan of its own is built and dropped), so
     /// every linker built from the same snapshot serves identical bits
     /// from one frozen cache.
     pub fn linker<'g>(&'g self, ontology: &'g Ontology) -> Linker<'g> {

@@ -91,7 +91,8 @@ impl ScoreStage for ComAidScore<'_, '_> {
     /// cache with one request-scoped scratch: the query's decoder input
     /// projections are made once, and a candidate allocates nothing. A cache that cannot serve
     /// (`Linker::cache_serves`) sends every candidate down the
-    /// uncached path.
+    /// uncached path, which packs the model's weight plan once per
+    /// request, not once per candidate.
     fn score(&self, req: ScoreRequest<'_>) -> ScoreOutcome {
         let linker = self.linker;
         let (model, cache) = (linker.model, &*linker.cache);
@@ -102,6 +103,9 @@ impl ScoreStage for ComAidScore<'_, '_> {
         let words = linker.shared_words.intern(req.query);
         let mut mask = vec![true; req.query.len()];
         let mut prepared = serves.then(|| model.prepare_target(cache, &ids));
+        // The uncached path's weight plan, packed by the first candidate
+        // that takes it and shared by the rest of the request.
+        let mut uncached_plan = None;
 
         let mut lost_jobs = 0usize;
         let mut scores: Vec<Option<f32>> = vec![None; req.candidates.len()];
@@ -127,7 +131,10 @@ impl ScoreStage for ComAidScore<'_, '_> {
                     Some(prepared) => {
                         model.log_prob_prepared(&linker.index, cache, c, prepared, &mask)
                     }
-                    None => model.log_prob_ids_masked(&linker.index, c, &ids, &mask),
+                    None => {
+                        let plan = uncached_plan.get_or_insert_with(|| model.plan());
+                        model.log_prob_ids_masked_with(plan, &linker.index, c, &ids, &mask)
+                    }
                 }
             })) {
                 Ok(lp) => *out = Some(lp),

@@ -8,7 +8,8 @@
 
 use crate::corpus::Corpus;
 use ncl_tensor::ops::sigmoid;
-use ncl_tensor::{init, Matrix, Vector};
+use ncl_tensor::vector::dot;
+use ncl_tensor::{init, simd, Matrix, Vector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,7 +54,9 @@ pub struct CbowModel {
 impl CbowModel {
     /// Trains CBOW over `corpus` with the word2vec pure-SGD loop: every
     /// position updates `syn0`/`syn1` in place before the next position
-    /// reads them.
+    /// reads them. Rows are read in place and updated through the
+    /// [`simd`] element-wise kernels — the scalar loops' one `mul` and
+    /// one `add` per element — so a position allocates nothing.
     ///
     /// # Panics
     /// Panics if the corpus vocabulary is empty of regular words.
@@ -89,7 +92,7 @@ impl CbowModel {
                         if j == i {
                             continue;
                         }
-                        h.axpy(1.0, &syn0.row_vector(ctx as usize));
+                        simd::saxpy(h.as_mut_slice(), 1.0, syn0.row(ctx as usize));
                         cw += 1;
                     }
                     if cw == 0 {
@@ -109,15 +112,12 @@ impl CbowModel {
                             }
                             (neg, 0.0)
                         };
-                        let out = syn1.row_vector(target);
-                        let score = sigmoid(h.dot(&out));
+                        let out = syn1.row(target);
+                        let score = sigmoid(dot(h.as_slice(), out));
                         let g = (label - score) * lr;
-                        dh.axpy(g, &out);
+                        simd::saxpy(dh.as_mut_slice(), g, out);
                         // syn1[target] += g * h
-                        let row = syn1.row_mut(target);
-                        for (r, hv) in row.iter_mut().zip(h.as_slice()) {
-                            *r += g * hv;
-                        }
+                        simd::saxpy(syn1.row_mut(target), g, h.as_slice());
                     }
                     // Propagate to every context word (word2vec adds the
                     // full error vector to each).
@@ -125,10 +125,7 @@ impl CbowModel {
                         if j == i {
                             continue;
                         }
-                        let row = syn0.row_mut(ctx as usize);
-                        for (r, dv) in row.iter_mut().zip(dh.as_slice()) {
-                            *r += dv;
-                        }
+                        simd::add_assign(syn0.row_mut(ctx as usize), dh.as_slice());
                     }
                 }
             }

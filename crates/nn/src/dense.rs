@@ -57,22 +57,47 @@ impl Dense {
 
     /// The taped forward pass over a whole sequence: row `s` of `ys`
     /// (a flat `t × out` slab, overwritten) is `act(W xs[s] + b)` for
-    /// row `s` of `xs` (a flat `t × in` slab). One stacked product per
-    /// sequence ([`ncl_tensor::Matrix::gemv_acc_seq`]) instead of one
-    /// `gemv` per step; each output is the bias plus the same
-    /// fresh-accumulator ascending dot, so every row is bit-identical to
-    /// [`Dense::apply`] on it. Nothing is cached: the caller's two slabs
-    /// are what [`Dense::backward_seq`] reads.
+    /// row `s` of `xs` (a flat `t × in` slab). Transposes `W` for the
+    /// one call and runs [`Dense::forward_seq_with_t`]; a caller that
+    /// runs many sequences under the same weights (the trainer, once per
+    /// batch) keeps the transposed copy and calls that directly.
     ///
     /// # Panics
     /// Panics if a slab is not `t` rows of the layer's dimension.
     pub fn forward_seq(&self, xs: &[f32], ys: &mut [f32], t: usize) {
+        self.forward_seq_with_t(&self.weight_t(), xs, ys, t);
+    }
+
+    /// [`Dense::forward_seq`] against a caller-held transposed weight
+    /// matrix (from [`Dense::weight_t`]): one stacked product per
+    /// sequence ([`simd::colmajor_gemv_acc_seq`]) instead of one per
+    /// step. Each output is the bias plus the same fresh-accumulator
+    /// ascending dot, so every row is bit-identical to [`Dense::apply`]
+    /// on it — a zero-input layer adds nothing, so a `-0` bias entry
+    /// stays `-0`. Nothing is cached: the caller's two slabs are what
+    /// [`Dense::backward_seq`] reads.
+    ///
+    /// # Panics
+    /// Panics if a slab is not `t` rows of the layer's dimension, or
+    /// `w_t` is not the transposed weight shape.
+    pub fn forward_seq_with_t(
+        &self,
+        w_t: &ncl_tensor::Matrix,
+        xs: &[f32],
+        ys: &mut [f32],
+        t: usize,
+    ) {
         let out = self.out_dim();
+        assert_eq!(xs.len(), t * self.in_dim(), "dense forward_seq: input slab");
         assert_eq!(ys.len(), t * out, "dense forward_seq: output slab");
-        for s in 0..t {
-            ys[s * out..(s + 1) * out].copy_from_slice(self.b.v.as_slice());
+        assert!(
+            w_t.rows() == self.in_dim() && w_t.cols() == out,
+            "dense forward_seq: transposed weight shape"
+        );
+        for y in ys.chunks_exact_mut(out.max(1)) {
+            y.copy_from_slice(self.b.v.as_slice());
         }
-        self.w.v.gemv_acc_seq(xs, ys, t);
+        simd::colmajor_gemv_acc_seq(ys, xs, w_t.as_slice(), t);
         if self.act == Activation::Tanh {
             libm::tanh_inplace(ys);
         }
@@ -128,10 +153,12 @@ impl Dense {
     }
 
     /// Returns the transposed weight matrix (`in × out`), the layout
-    /// [`Dense::apply_with_t_into`] streams contiguously. Serving callers
-    /// build this once per freeze and reuse it every decoder step; it is
-    /// derived data, so it goes stale if the layer trains afterwards (the
-    /// serving cache's version counter guards that).
+    /// [`Dense::forward_seq_with_t`] and [`Dense::apply_with_t_into`]
+    /// stream contiguously. The trainer builds it once per batch and the
+    /// serving cache once per freeze; it is derived data, so it goes
+    /// stale if the layer trains afterwards (the trainer rebuilds it
+    /// after every optimizer step, the serving cache's version counter
+    /// guards it).
     pub fn weight_t(&self) -> ncl_tensor::Matrix {
         self.w.v.transpose()
     }

@@ -65,9 +65,11 @@ pub struct LstmTape {
     hidden: usize,
     /// Inputs `x_1..x_T`, `T × in_dim`.
     x: Vec<f32>,
-    /// Post-activation gates, gate-major: `i`, `f`, `o`, `g` as four
-    /// `T × d` slabs, so each gate's rows are one contiguous slab for
-    /// the stacked input projection and the sequenced gradient update.
+    /// Post-activation gates, step-major: row `s` is step `s`'s
+    /// `[i | f | o | g]`, `4d` wide — the layout of an [`LstmPlan`]'s
+    /// fused gate axis, so the stacked input projection writes it
+    /// directly and each step's recurrent product and sigmoid run over
+    /// one contiguous row.
     gates: Vec<f32>,
     /// `tanh(c_1)..tanh(c_T)`, `T × d`.
     tc: Vec<f32>,
@@ -117,8 +119,9 @@ pub struct SeqGrads {
     pub dh0: Vec<f32>,
     /// Gradient w.r.t. the initial cell state `c_0`.
     pub dc0: Vec<f32>,
-    /// Pre-activation gradients of the whole sequence, gate-major like
-    /// [`LstmTape`]'s gates — what the per-sequence kernels read once
+    /// Pre-activation gradients of the whole sequence, gate-major: `i`,
+    /// `f`, `o`, `g` as four `T × d` slabs, so each gate's rows are one
+    /// contiguous slab for the per-sequence kernels that read them once
     /// the time loop is done.
     dz: Vec<f32>,
 }
@@ -226,86 +229,16 @@ impl Lstm {
     /// (overwritten; its allocations are reused). `xs` is the flat
     /// `t × in_dim` slab of inputs.
     ///
-    /// Only the true recurrence stays in the time loop. The input half
-    /// `b + W·x_s` of every gate pre-activation depends on no earlier
-    /// step, so it is one stacked product per gate over the whole
-    /// sequence ([`Matrix::gemv_acc_seq`]); the loop then adds `U·h_{s−1}`
-    /// and applies the cell equations. Per output that is the
-    /// `(b + W·x) + U·h` of [`Lstm::step_infer`] with the same
-    /// accumulators in the same order, so the states are bit-identical
-    /// to stepping.
+    /// Packs this layer's [`LstmPlan`] for the one call and runs
+    /// [`LstmPlan::forward_seq`] — the only taped forward there is. A
+    /// caller that runs many sequences under the same parameters (the
+    /// trainer, once per batch) packs the plan once and calls it
+    /// directly.
     ///
     /// # Panics
     /// Panics if `xs`, `h0` or `c0` has the wrong dimension.
     pub fn forward_seq(&self, xs: &[f32], t: usize, h0: &[f32], c0: &[f32], tape: &mut LstmTape) {
-        let d = self.hidden;
-        assert_eq!(xs.len(), t * self.in_dim, "forward_seq: input dimension");
-        assert_eq!(h0.len(), d, "forward_seq: h0 dimension");
-        assert_eq!(c0.len(), d, "forward_seq: c0 dimension");
-        tape.len = t;
-        tape.hidden = d;
-        tape.x.clear();
-        tape.x.extend_from_slice(xs);
-        // Every entry below is written before it is read.
-        tape.gates.resize(4 * t * d, 0.0);
-        tape.tc.resize(t * d, 0.0);
-        tape.h.resize((t + 1) * d, 0.0);
-        tape.c.resize((t + 1) * d, 0.0);
-        tape.h[..d].copy_from_slice(h0);
-        tape.c[..d].copy_from_slice(c0);
-
-        let gates = [
-            (&self.wi, &self.ui, &self.bi),
-            (&self.wf, &self.uf, &self.bf),
-            (&self.wo, &self.uo, &self.bo),
-            (&self.wg, &self.ug, &self.bg),
-        ];
-        for ((w, _, b), z) in gates
-            .iter()
-            .zip(tape.gates.chunks_exact_mut((t * d).max(1)))
-        {
-            for s in 0..t {
-                z[s * d..(s + 1) * d].copy_from_slice(b.v.as_slice());
-            }
-            w.v.gemv_acc_seq(xs, z, t);
-        }
-
-        let (zi, rest) = tape.gates.split_at_mut(t * d);
-        let (zf, rest) = rest.split_at_mut(t * d);
-        let (zo, zg) = rest.split_at_mut(t * d);
-        for s in 0..t {
-            let at = s * d..(s + 1) * d;
-            let (h_prev, h) = tape.h[s * d..(s + 2) * d].split_at_mut(d);
-            let (c_prev, c) = tape.c[s * d..(s + 2) * d].split_at_mut(d);
-            let (i, f, o, g) = (
-                &mut zi[at.clone()],
-                &mut zf[at.clone()],
-                &mut zo[at.clone()],
-                &mut zg[at.clone()],
-            );
-            for ((_, u, _), z) in gates.iter().zip([&mut *i, &mut *f, &mut *o, &mut *g]) {
-                u.v.gemv_acc_seq(h_prev, z, 1);
-            }
-            // Activations run a slice at a time (`ncl_tensor::libm`); the
-            // cell equations between them are element-wise, so sweeping
-            // them gate by gate changes no element's operations.
-            libm::sigmoid_inplace(i);
-            libm::sigmoid_inplace(f);
-            libm::sigmoid_inplace(o);
-            libm::tanh_inplace(g);
-            for k in 0..d {
-                // Two roundings, then the sum: `f ⊙ c_prev` plus `i ⊙ g`.
-                let mut cell = f[k] * c_prev[k];
-                cell += i[k] * g[k];
-                c[k] = cell;
-            }
-            let tc = &mut tape.tc[at];
-            tc.copy_from_slice(c);
-            libm::tanh_inplace(tc);
-            for k in 0..d {
-                h[k] = o[k] * tc[k];
-            }
-        }
+        self.plan().forward_seq(xs, t, h0, c0, tape);
     }
 
     /// Back-propagation through time.
@@ -360,21 +293,15 @@ impl Lstm {
         }
         assert_eq!(dc.len(), d, "backward_seq: dc_final dimension");
 
-        let (gi, rest) = tape.gates.split_at(t * d);
-        let (gf, rest) = rest.split_at(t * d);
-        let (go, gg) = rest.split_at(t * d);
         {
             let (dzi, rest) = dz.split_at_mut(t * d);
             let (dzf, rest) = rest.split_at_mut(t * d);
             let (dzo, dzg) = rest.split_at_mut(t * d);
             for s in (0..t).rev() {
                 let at = s * d..(s + 1) * d;
-                let (i, f, o, g) = (
-                    &gi[at.clone()],
-                    &gf[at.clone()],
-                    &go[at.clone()],
-                    &gg[at.clone()],
-                );
+                let (i, rest) = tape.gates[4 * s * d..4 * (s + 1) * d].split_at(d);
+                let (f, rest) = rest.split_at(d);
+                let (o, g) = rest.split_at(d);
                 let (tc, c_prev) = (&tape.tc[at.clone()], &tape.c[at.clone()]);
                 let (dzi, dzf, dzo, dzg) = (
                     &mut dzi[at.clone()],
@@ -570,10 +497,10 @@ pub fn zero_state(hidden: usize) -> (Vector, Vector) {
     (Vector::zeros(hidden), Vector::zeros(hidden))
 }
 
-/// A serving-time layout of an [`Lstm`]'s weights for fused, SIMD-friendly
-/// cell steps: the eight gate matrices are re-packed into two
-/// **column-major** (transposed) blocks and the four biases into one
-/// concatenated vector, so a step is two streaming
+/// A layout of an [`Lstm`]'s weights for fused, SIMD-friendly cell
+/// steps, in training and serving alike: the eight gate matrices are
+/// re-packed into two **column-major** (transposed) blocks and the four
+/// biases into one concatenated vector, so a step is two streaming
 /// [`simd::colmajor_gemv_acc`] sweeps plus one fused activation pass over
 /// all four gate pre-activations — instead of eight row-major `gemv`s and
 /// four separate activation loops.
@@ -612,9 +539,17 @@ pub fn zero_state(hidden: usize) -> (Vector, Vector) {
 /// a projection cannot change a bit, including the `in_dim == 0` and
 /// `-0` bias cases above.
 ///
+/// # Training through the plan
+///
+/// [`LstmPlan::forward_seq`] is the taped forward pass: the trainer packs
+/// a plan before every batch and runs the batch's sequences through it,
+/// and [`Lstm::forward_seq`] packs one per call. Backward reads the
+/// row-major parameters, its natural layout.
+///
 /// The plan is derived data: it holds copies, not references, so it goes
-/// stale if the layer trains afterwards. The serving cache guards this
-/// with its existing version counter.
+/// stale if the layer trains afterwards. Whoever holds one rebuilds it
+/// after a parameter update — the trainer after every optimizer step,
+/// the serving cache through its version counter.
 #[derive(Debug, Clone)]
 pub struct LstmPlan {
     in_dim: usize,
@@ -628,9 +563,9 @@ pub struct LstmPlan {
 }
 
 impl Lstm {
-    /// Packs this layer's weights into an [`LstmPlan`] for fused serving
-    /// steps. O(`4d·(in_dim + d)`) copies; build once per freeze, not per
-    /// step.
+    /// Packs this layer's weights into an [`LstmPlan`] for fused steps.
+    /// O(`4d·(in_dim + d)`) copies; build once per batch or freeze, not
+    /// per step.
     pub fn plan(&self) -> LstmPlan {
         let d = self.hidden;
         let mut wt = Matrix::zeros(self.in_dim, 4 * d);
@@ -639,19 +574,15 @@ impl Lstm {
         let ws = [&self.wi, &self.wf, &self.wo, &self.wg];
         let us = [&self.ui, &self.uf, &self.uo, &self.ug];
         let bs = [&self.bi, &self.bf, &self.bo, &self.bg];
-        for (g, w) in ws.iter().enumerate() {
-            for r in 0..d {
-                for (k, &v) in w.v.row(r).iter().enumerate() {
-                    wt[(k, g * d + r)] = v;
-                }
+        // Gate `g`'s transposes are the column block `g·d..(g + 1)·d`
+        // (a layer without inputs has no `W` block to write).
+        for (g, (w, u)) in ws.iter().zip(&us).enumerate() {
+            let at = g * d;
+            if self.in_dim > 0 {
+                let wt = &mut wt.as_mut_slice()[at..];
+                simd::transpose_into(wt, 4 * d, w.v.as_slice(), d, self.in_dim);
             }
-        }
-        for (g, u) in us.iter().enumerate() {
-            for r in 0..d {
-                for (k, &v) in u.v.row(r).iter().enumerate() {
-                    ut[(k, g * d + r)] = v;
-                }
-            }
+            simd::transpose_into(&mut ut.as_mut_slice()[at..], 4 * d, u.v.as_slice(), d, d);
         }
         for (g, b) in bs.iter().enumerate() {
             bcat.as_mut_slice()[g * d..(g + 1) * d].copy_from_slice(b.v.as_slice());
@@ -794,6 +725,78 @@ impl LstmPlan {
         libm::tanh_inplace(gv);
         for k in 0..d {
             h[k] = ov[k] * gv[k];
+        }
+    }
+}
+
+impl LstmPlan {
+    /// The taped forward pass over a whole sequence from `(h0, c0)`,
+    /// recording `tape` (overwritten; its allocations are reused) — the
+    /// one forward [`Lstm::backward_seq_full`] differentiates. `xs` is
+    /// the flat `t × in_dim` slab of inputs.
+    ///
+    /// Only the true recurrence stays in the time loop. The input half
+    /// `b + W·x_s` of all four gates depends on no earlier step, so it
+    /// is one stacked product over the whole sequence and the fused
+    /// gate axis ([`simd::colmajor_gemv_acc_seq`]), written straight
+    /// into the tape's step-major gate rows. Each step then adds `U·h`
+    /// with one [`simd::colmajor_gemv_acc`] over the fused `Uᵀ` and runs
+    /// one sigmoid over its contiguous `i | f | o` block. Per output that
+    /// is [`LstmPlan::step_infer`]'s `(b + W·x) + U·h` — the same
+    /// accumulators in the same order, `in_dim == 0` and `-0` biases
+    /// included — so the states are bit-identical to stepping, and to
+    /// [`Lstm::step_infer`] on the source layer.
+    ///
+    /// # Panics
+    /// Panics if `xs`, `h0` or `c0` has the wrong dimension.
+    pub fn forward_seq(&self, xs: &[f32], t: usize, h0: &[f32], c0: &[f32], tape: &mut LstmTape) {
+        let d = self.hidden;
+        assert_eq!(xs.len(), t * self.in_dim, "forward_seq: input dimension");
+        assert_eq!(h0.len(), d, "forward_seq: h0 dimension");
+        assert_eq!(c0.len(), d, "forward_seq: c0 dimension");
+        tape.len = t;
+        tape.hidden = d;
+        tape.x.clear();
+        tape.x.extend_from_slice(xs);
+        // Every entry below is written before it is read.
+        tape.gates.resize(4 * t * d, 0.0);
+        tape.tc.resize(t * d, 0.0);
+        tape.h.resize((t + 1) * d, 0.0);
+        tape.c.resize((t + 1) * d, 0.0);
+        tape.h[..d].copy_from_slice(h0);
+        tape.c[..d].copy_from_slice(c0);
+
+        for z in tape.gates.chunks_exact_mut((4 * d).max(1)) {
+            z.copy_from_slice(self.bcat.as_slice());
+        }
+        simd::colmajor_gemv_acc_seq(&mut tape.gates, xs, self.wt.as_slice(), t);
+
+        for s in 0..t {
+            let at = s * d..(s + 1) * d;
+            let z = &mut tape.gates[4 * s * d..4 * (s + 1) * d];
+            let (h_prev, h) = tape.h[s * d..(s + 2) * d].split_at_mut(d);
+            let (c_prev, c) = tape.c[s * d..(s + 2) * d].split_at_mut(d);
+            simd::colmajor_gemv_acc(z, h_prev, self.ut.as_slice());
+            // Activations run a slice at a time (`ncl_tensor::libm`); the
+            // cell equations after them are element-wise, so sweeping
+            // them block by block changes no element's operations.
+            let (ifo, g) = z.split_at_mut(3 * d);
+            libm::sigmoid_inplace(ifo);
+            libm::tanh_inplace(g);
+            let (i, rest) = ifo.split_at(d);
+            let (f, o) = rest.split_at(d);
+            for k in 0..d {
+                // Two roundings, then the sum: `f ⊙ c_prev` plus `i ⊙ g`.
+                let mut cell = f[k] * c_prev[k];
+                cell += i[k] * g[k];
+                c[k] = cell;
+            }
+            let tc = &mut tape.tc[at];
+            tc.copy_from_slice(c);
+            libm::tanh_inplace(tc);
+            for k in 0..d {
+                h[k] = o[k] * tc[k];
+            }
         }
     }
 }

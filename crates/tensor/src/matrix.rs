@@ -238,14 +238,11 @@ impl Matrix {
         out
     }
 
-    /// Returns the transpose as a new matrix.
+    /// Returns the transpose as a new matrix
+    /// ([`simd::transpose_into`]).
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        simd::transpose_into(&mut out.data, self.rows, &self.data, self.rows, self.cols);
         out
     }
 

@@ -78,11 +78,15 @@ fn softmax_parts(x: &Vector) -> (Vector, f32, f32) {
 /// [`softmax`] over a slice, in place, returning the shift `m = max(x)`
 /// and the exp-sum `Σ_j e^{x_j − m}` — the one definition behind
 /// [`softmax`] / [`softmax_with_lse`], for callers that keep scores in
-/// scratch storage (the serving attention). A degenerate input (empty,
-/// or no finite maximum) becomes the uniform distribution.
+/// scratch storage (the serving attention) and for the training loss.
+/// A degenerate input (empty, or no finite maximum) becomes the uniform
+/// distribution.
+///
+/// The max pass is [`crate::simd::max`], which skips NaN the way the
+/// `f32::max` fold does, so the shift `m` is the fold's at every level.
 pub fn softmax_inplace(x: &mut [f32]) -> (f32, f32) {
     let n = x.len();
-    let m = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let m = crate::simd::max(x);
     let sum = libm::exp_shifted_inplace(x, m);
     if !m.is_finite() {
         x.fill(1.0 / n as f32);
@@ -140,9 +144,9 @@ pub fn log_softmax_at_slice(x: &[f32], idx: usize) -> f32 {
 /// Callers that score the same logits vector repeatedly (the serving
 /// cache's precomputed first decoder step) store this denominator once.
 ///
-/// The max pass runs through [`crate::simd::max`]: the maximum of finite
-/// floats is association-independent, so vectorising it cannot change the
-/// shift `m` (for a NaN input the sum below is NaN under every shift).
+/// The max pass runs through [`crate::simd::max`]: the maximum is
+/// association-independent once NaN is skipped, so vectorising it cannot
+/// change the shift `m`.
 /// The exponentials go eight wide ([`libm::sum_exp_shifted`]) and their
 /// sum stays the sequential ascending chain — result bits are unchanged
 /// at every dispatch level.

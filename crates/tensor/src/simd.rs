@@ -15,22 +15,26 @@
 //!   would skip the intermediate rounding). Each SIMD lane therefore
 //!   executes the *same sequence of roundings* as the scalar dot
 //!   product, so the lanes are bit-identical to scalar by construction.
+//!   [`colmajor_gemv_acc_seq`] stacks it over the steps of a sequence
+//!   (the taped forward pass, over the transposed weights the trainer
+//!   rebuilds once per batch).
 //! * [`rowmajor_gemv_acc`] is the same recipe over a **row-major** `w`
-//!   (the training path, whose weights change every step and so cannot
-//!   keep a transposed copy): consecutive rows are the lanes, and the
-//!   transpose that puts one `k` of eight rows into one register happens
-//!   in registers, block by block.
+//!   (the per-step references and the `gemm_nt` tiles): consecutive rows
+//!   are the lanes, and the transpose that puts one `k` of eight rows
+//!   into one register happens in registers, block by block.
 //! * [`rank1_update`] and [`gemv_t_acc`] are per-row [`saxpy`]s with a
 //!   bitwise-observable zero-skip, looped inside the dispatched function.
-//! * [`max`] exploits that the maximum of finite floats is independent
-//!   of association order.
+//! * [`max`] exploits that the maximum of floats is independent of
+//!   association order once NaN is skipped, which every level does the
+//!   way the fold does.
 //! * [`scatter_add_scaled`] is element-wise too, through an index list:
 //!   its contract (strictly ascending, in-range indices, checked at
 //!   every level) makes the eight targets of a vector distinct, so a
 //!   gather, one `mul` and one `add` per lane, and eight single-lane
 //!   stores are the scalar loop's operations on each element.
-//! * [`take_mask_above`] only copies, zeroes and compares, which no
-//!   level can round differently.
+//! * [`take_mask_above`] only copies, zeroes and compares, and
+//!   [`transpose_into`] only copies, which no level can round
+//!   differently.
 //!
 //! This is what lets the serving cache's "same score to the last bit"
 //! guarantee, the golden serving snapshot, and the bit-identical
@@ -54,9 +58,9 @@
 //!
 //! [`Level::Avx512`] is a superset of [`Level::Avx2`]: only
 //! [`colmajor_gemv_acc`] (at wide outputs), [`crate::libm`]'s
-//! `sigmoid` / `tanh` slices and the three training sequence kernels
-//! ([`rowmajor_gemv_acc_seq`], [`rank1_update_seq`], [`gemv_t_acc_seq`])
-//! have 16-lane bodies; every other kernel — the per-step kernels behind
+//! `sigmoid` / `tanh` slices and the four sequence kernels
+//! ([`colmajor_gemv_acc_seq`], [`rowmajor_gemv_acc_seq`],
+//! [`rank1_update_seq`], [`gemv_t_acc_seq`]) have 16-lane bodies; every other kernel — the per-step kernels behind
 //! a sequence's `T = 1` hand-off included — runs its AVX2 body there.
 //!
 //! # Adding a kernel
@@ -234,16 +238,15 @@ pub fn scale(y: &mut [f32], alpha: f32) {
     }
 }
 
-/// Maximum element, `f32::NEG_INFINITY` for an empty slice.
+/// Maximum element ignoring NaN, `f32::NEG_INFINITY` for an empty or
+/// all-NaN slice.
 ///
-/// For inputs **without NaN** this is bit-identical to
-/// `x.iter().fold(f32::NEG_INFINITY, f32::max)` at every level (the max
-/// of finite floats does not depend on association order; a `-0.0` /
-/// `+0.0` tie may resolve to either sign, which no consumer of a
-/// maximum can observe through arithmetic that treats them as equal).
-/// With NaN present the levels may disagree about the returned value,
-/// but every caller in this crate (`log_sum_exp_slice`) then produces
-/// NaN regardless.
+/// Bit-identical to `x.iter().fold(f32::NEG_INFINITY, f32::max)` at
+/// every level, NaN entries included: like `f32::max`, every level skips
+/// a NaN operand, and the maximum of what is left does not depend on
+/// association order. The one exception is a `-0.0` / `+0.0` tie, which
+/// may resolve to either sign — no consumer of a maximum can observe it
+/// through arithmetic that treats them as equal.
 pub fn max(x: &[f32]) -> f32 {
     match active() {
         #[cfg(target_arch = "x86_64")]
@@ -465,6 +468,41 @@ pub fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
     }
 }
 
+/// Transposes the row-major `rows × cols` matrix `src` into `dst` with
+/// row stride `stride`: `dst[c·stride + r] = src[r·cols + c]`, nothing
+/// else written. `stride == rows` is a plain transpose; a wider stride
+/// with an offset `dst` places the transpose as a column block of a
+/// wider matrix (an LSTM plan packs four gates' side by side this way).
+///
+/// A copy, so every level produces the same bits. The AVX2 body moves
+/// 8×8 blocks through the in-register transpose the row-major products
+/// use and the edges element by element; it is what keeps packing a
+/// training batch's weight plan cheap next to the batch.
+///
+/// # Panics
+/// Panics if `src.len() != rows * cols`, if `stride < rows`, or if `dst`
+/// is too short for column `cols − 1`'s row.
+pub fn transpose_into(dst: &mut [f32], stride: usize, src: &[f32], rows: usize, cols: usize) {
+    assert_eq!(src.len(), rows * cols, "transpose_into: source shape");
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    assert!(stride >= rows, "transpose_into: stride below the row count");
+    assert!(
+        dst.len() >= (cols - 1) * stride + rows,
+        "transpose_into: destination too short"
+    );
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 was verified by `active()`'s detection; the
+        // asserts above are the body's bounds preconditions.
+        Level::Avx2 | Level::Avx512 => unsafe {
+            avx2::transpose_into(dst, stride, src, rows, cols)
+        },
+        _ => scalar::transpose_into(dst, stride, (src, cols), 0..rows, 0..cols),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Sequence kernels: one call per sequence instead of one per time step.
 //
@@ -544,6 +582,47 @@ macro_rules! with_block_len {
             _ => $kernel::<6 $(, $w)?>($($arg),*),
         }
     };
+}
+
+/// Stacked [`colmajor_gemv_acc`]: `ys[s] += Wᵀ · xs[s]` for every step
+/// `s < t`, with `ys` a flat `t × n` slab, `xs` a flat `t × k` slab and
+/// `wt` the `k × n` transposed weights (one row per input, one column
+/// per output) — bit-identical to `t` per-step calls at every level,
+/// and so to [`rowmajor_gemv_acc_seq`] over the untransposed matrix.
+///
+/// Every `(s, j)` output is `ys[s][j] + fresh accumulator` over
+/// ascending `k`, mul then add, and shares nothing with any other
+/// output, so stacking is pure scheduling: the SIMD bodies load each
+/// tile of a `wt` row once and feed up to six steps' accumulators from
+/// it. There is no transpose to pay, in registers or anywhere else —
+/// the caller holds the transposed copy. A `wt` without entries (no
+/// inputs, or no outputs) adds nothing, so a `-0.0` in `ys` stays.
+///
+/// # Panics
+/// Panics if the slabs are not `t` whole steps or `wt` is not `k × n`.
+pub fn colmajor_gemv_acc_seq(ys: &mut [f32], xs: &[f32], wt: &[f32], t: usize) {
+    if t == 1 {
+        return colmajor_gemv_acc(ys, xs, wt);
+    }
+    let Some(shape) = seq_shape("colmajor_gemv_acc_seq", t, ys.len(), xs.len(), wt.len()) else {
+        return;
+    };
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX-512F was verified by `active()`'s detection;
+        // `seq_shape` checked the slab and weight shapes the kernel's
+        // loads rest on.
+        Level::Avx512 => unsafe { avx512::colmajor_gemv_acc_seq(ys, xs, wt, t, shape) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above, for AVX2.
+        Level::Avx2 => unsafe { avx2::colmajor_gemv_acc_seq(ys, xs, wt, t, shape, 0) },
+        _ => {
+            let (n, k) = shape;
+            for (y, x) in ys.chunks_exact_mut(n).zip(xs.chunks_exact(k)) {
+                scalar::colmajor_gemv_acc(y, x, wt);
+            }
+        }
+    }
 }
 
 /// Stacked [`rowmajor_gemv_acc`]: `ys[s] += W · xs[s]` for every step
@@ -855,6 +934,22 @@ mod scalar {
         }
     }
 
+    /// Rows `rs` × columns `cs` of [`super::transpose_into`] over a
+    /// `src` of `cols` columns (the AVX2 body hands its edges here).
+    pub fn transpose_into(
+        dst: &mut [f32],
+        stride: usize,
+        (src, cols): (&[f32], usize),
+        rs: std::ops::Range<usize>,
+        cs: std::ops::Range<usize>,
+    ) {
+        for r in rs {
+            for c in cs.clone() {
+                dst[c * stride + r] = src[r * cols + c];
+            }
+        }
+    }
+
     pub fn narrow_bf16(dst: &mut [u16], src: &[f32]) {
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = super::narrow_bf16_one(s);
@@ -947,7 +1042,10 @@ mod avx2 {
         if n >= 8 {
             let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
             while i + 8 <= n {
-                acc = _mm256_max_ps(acc, _mm256_loadu_ps(xp.add(i)));
+                // `maxps` returns its second operand when either is NaN,
+                // so the accumulator goes second: a NaN input leaves the
+                // lane as it was, which is what `f32::max` does.
+                acc = _mm256_max_ps(_mm256_loadu_ps(xp.add(i)), acc);
                 i += 8;
             }
             let mut lanes = [0.0f32; 8];
@@ -1115,6 +1213,43 @@ mod avx2 {
             y[j] += acc;
             j += 1;
         }
+    }
+
+    /// # Safety
+    /// Requires AVX2 (callers check [`super::supported`]) and the shape
+    /// the public wrapper asserts: `src` is `rows × cols`, `stride >=
+    /// rows`, and `dst` reaches column `cols − 1`'s row. The Miri leg
+    /// interprets it over exact-size allocations
+    /// (`transpose_into_levels_bit_identical`).
+    ///
+    /// Each 8×8 block of `src` is loaded transposed
+    /// ([`load_transposed8`]) and stored as eight 8-float runs of `dst`;
+    /// rows past the last 8-row block and columns past the last 8-column
+    /// block are copied element by element.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn transpose_into(
+        dst: &mut [f32],
+        stride: usize,
+        src: &[f32],
+        rows: usize,
+        cols: usize,
+    ) {
+        let (r8, c8) = (rows - rows % 8, cols - cols % 8);
+        for r in (0..r8).step_by(8) {
+            for c in (0..c8).step_by(8) {
+                // SAFETY: rows `r..r + 8 <= rows` and columns
+                // `c..c + 8 <= cols` of `src`; column `c + j`'s run
+                // `r..r + 8` of `dst` ends at or before column
+                // `cols − 1`'s row end, which the wrapper checked.
+                let block = load_transposed8(src.as_ptr().add(r * cols + c), cols);
+                for (j, &v) in block.iter().enumerate() {
+                    _mm256_storeu_ps(dst.as_mut_ptr().add((c + j) * stride + r), v);
+                }
+            }
+        }
+        let edge = super::scalar::transpose_into;
+        edge(dst, stride, (src, cols), 0..rows, c8..cols);
+        edge(dst, stride, (src, cols), r8..rows, 0..c8);
     }
 
     /// Transposes the 8×8 block whose rows start at `p`, `p + stride`, …
@@ -1294,6 +1429,100 @@ mod avx2 {
                     continue;
                 }
                 super::scalar::saxpy(&mut y[j..], xr, &row[j..]);
+            }
+        }
+    }
+
+    /// `W` ymm of outputs `j..j + 8·W` of [`colmajor_gemv_acc_seq`] for
+    /// `N` consecutive steps: each tile of a `wt` row is loaded once and
+    /// feeds all `N` steps' accumulators.
+    ///
+    /// # Safety
+    /// Requires AVX2; `wt` must be `k × n` with `j + 8·W <= n`, `xs`
+    /// must hold steps `s0..s0 + N` of `k` floats and `ys` the same steps
+    /// of `n` floats.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn colmajor_seq_tile<const N: usize, const W: usize>(
+        ys: &mut [f32],
+        xs: &[f32],
+        wt: &[f32],
+        (n, k): (usize, usize),
+        j: usize,
+        s0: usize,
+    ) {
+        // SAFETY (every access below): register `a` covers outputs
+        // `j + 8a .. j + 8a + 8 <= n` of a row of `wt` or of a step of
+        // `ys`, and step `s0 + s`'s `x[kk]` is inside `xs` because
+        // `s < N` steps are held.
+        let xp = xs.as_ptr().add(s0 * k);
+        let mut acc = [[_mm256_setzero_ps(); W]; N];
+        for kk in 0..k {
+            let row = wt.as_ptr().add(kk * n + j);
+            let mut w = [_mm256_setzero_ps(); W];
+            for (a, v) in w.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(row.add(8 * a));
+            }
+            for (s, lanes) in acc.iter_mut().enumerate() {
+                let xb = _mm256_broadcast_ss(&*xp.add(s * k + kk));
+                for (lane, &v) in lanes.iter_mut().zip(&w) {
+                    *lane = _mm256_add_ps(*lane, _mm256_mul_ps(xb, v));
+                }
+            }
+        }
+        let out = ys.as_mut_ptr().add(s0 * n + j);
+        for (s, lanes) in acc.iter().enumerate() {
+            for (a, &lane) in lanes.iter().enumerate() {
+                let o = out.add(s * n + 8 * a);
+                _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), lane));
+            }
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX2 (callers check [`super::supported`]), a non-empty
+    /// `wt` of `k × n` floats, and `ys` / `xs` holding the same whole
+    /// number of `n`- / `k`-float steps — the public wrapper establishes
+    /// all three. The Miri leg interprets it over exact-size slabs
+    /// (`colmajor_seq_is_t_per_step_calls_at_every_level`).
+    ///
+    /// Per `(step, output)` this is [`colmajor_gemv_acc`] unchanged:
+    /// fresh accumulator, ascending `k`, mul then add (no FMA), then
+    /// `y += acc`. Tiles of 16 outputs (2 ymm), then one of 8, then
+    /// scalar outputs; output tiles are outermost, so a tile's column
+    /// strip of `wt` is fetched once per sequence and re-read from L1
+    /// for every step block. Outputs before `first` are left alone (the
+    /// 16-lane body hands its leftover outputs here).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn colmajor_gemv_acc_seq(
+        ys: &mut [f32],
+        xs: &[f32],
+        wt: &[f32],
+        t: usize,
+        shape: (usize, usize),
+        first: usize,
+    ) {
+        let (n, k) = shape;
+        let mut j = first;
+        while j + 16 <= n {
+            super::for_step_blocks(t, |s0, len| {
+                with_block_len!(len, colmajor_seq_tile::<_, 2>(ys, xs, wt, shape, j, s0))
+            });
+            j += 16;
+        }
+        if j + 8 <= n {
+            super::for_step_blocks(t, |s0, len| {
+                with_block_len!(len, colmajor_seq_tile::<_, 1>(ys, xs, wt, shape, j, s0))
+            });
+            j += 8;
+        }
+        for (y, x) in ys.chunks_exact_mut(n).zip(xs.chunks_exact(k)) {
+            for (jj, yo) in y.iter_mut().enumerate().skip(j) {
+                let mut acc = 0.0f32;
+                for (kk, &xv) in x.iter().enumerate() {
+                    acc += xv * wt[kk * n + jj];
+                }
+                *yo += acc;
             }
         }
     }
@@ -1733,6 +1962,89 @@ mod avx512 {
             last
         } else {
             0xFFFF
+        }
+    }
+
+    /// `W` zmm of outputs `j..j + 16·W` of [`colmajor_gemv_acc_seq`] for
+    /// `N` consecutive steps — the AVX2 tile at sixteen lanes.
+    ///
+    /// # Safety
+    /// Requires AVX-512F; `wt` must be `k × n` with `j + 16·W <= n`, `xs`
+    /// must hold steps `s0..s0 + N` of `k` floats and `ys` the same steps
+    /// of `n` floats.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn colmajor_seq_tile<const N: usize, const W: usize>(
+        ys: &mut [f32],
+        xs: &[f32],
+        wt: &[f32],
+        (n, k): (usize, usize),
+        j: usize,
+        s0: usize,
+    ) {
+        // SAFETY (every access below): register `a` covers outputs
+        // `j + 16a .. j + 16a + 16 <= n` of a row of `wt` or of a step of
+        // `ys`, and step `s0 + s`'s `x[kk]` is inside `xs` because
+        // `s < N` steps are held.
+        let xp = xs.as_ptr().add(s0 * k);
+        let mut acc = [[_mm512_setzero_ps(); W]; N];
+        for kk in 0..k {
+            let row = wt.as_ptr().add(kk * n + j);
+            let mut w = [_mm512_setzero_ps(); W];
+            for (a, v) in w.iter_mut().enumerate() {
+                *v = _mm512_loadu_ps(row.add(16 * a));
+            }
+            for (s, lanes) in acc.iter_mut().enumerate() {
+                let xb = _mm512_set1_ps(*xp.add(s * k + kk));
+                for (lane, &v) in lanes.iter_mut().zip(&w) {
+                    *lane = _mm512_add_ps(*lane, _mm512_mul_ps(xb, v));
+                }
+            }
+        }
+        let out = ys.as_mut_ptr().add(s0 * n + j);
+        for (s, lanes) in acc.iter().enumerate() {
+            for (a, &lane) in lanes.iter().enumerate() {
+                let o = out.add(s * n + 16 * a);
+                _mm512_storeu_ps(o, _mm512_add_ps(_mm512_loadu_ps(o), lane));
+            }
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX-512F (callers check [`super::supported`]), a
+    /// non-empty `wt` of `k × n` floats, and `ys` / `xs` holding the same
+    /// whole number of `n`- / `k`-float steps — the public wrapper
+    /// establishes all three. Out of Miri's reach, like every body in
+    /// this module; on hardware the `simd_identity` sweep covers it on
+    /// exact-size allocations, output counts to 1017.
+    ///
+    /// The AVX2 body lane for lane at sixteen lanes: tiles of 32 outputs
+    /// (2 zmm), then one of 16, and the outputs after that take the AVX2
+    /// body — one 8-output tile if eight remain, then scalar outputs.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn colmajor_gemv_acc_seq(
+        ys: &mut [f32],
+        xs: &[f32],
+        wt: &[f32],
+        t: usize,
+        shape: (usize, usize),
+    ) {
+        let n = shape.0;
+        let mut j = 0;
+        while j + 32 <= n {
+            super::for_step_blocks(t, |s0, len| {
+                with_block_len!(len, colmajor_seq_tile::<_, 2>(ys, xs, wt, shape, j, s0))
+            });
+            j += 32;
+        }
+        if j + 16 <= n {
+            super::for_step_blocks(t, |s0, len| {
+                with_block_len!(len, colmajor_seq_tile::<_, 1>(ys, xs, wt, shape, j, s0))
+            });
+            j += 16;
+        }
+        if j < n {
+            super::avx2::colmajor_gemv_acc_seq(ys, xs, wt, t, shape, j);
         }
     }
 
@@ -2521,6 +2833,117 @@ mod tests {
                         assert!(same(&outer, &want), "rank1 {case} desc={descending}");
                     }
                 });
+            }
+        }
+    }
+
+    /// The stacked column-major product against `t` per-step calls at
+    /// the same level, on exact-size allocations: small shapes, for the
+    /// Miri leg, straddling the 8- and 16-output tiles and the six-step
+    /// block; an empty input keeps the `-0.0` already in `ys`.
+    #[test]
+    fn colmajor_seq_is_t_per_step_calls_at_every_level() {
+        for (n, k, t) in [
+            (5usize, 0usize, 3usize),
+            (0, 4, 2),
+            (3, 2, 0),
+            (1, 1, 1),
+            (7, 3, 2),
+            (9, 5, 7),
+            (17, 2, 3),
+            (33, 3, 2),
+        ] {
+            let wt = data(k * n, 1.7).into_boxed_slice();
+            let xs = data(t * k, 0.2).into_boxed_slice();
+            let mut y0 = data(t * n, -1.0);
+            if let Some(y) = y0.first_mut() {
+                *y = -0.0;
+            }
+            for &level in &supported_levels() {
+                with_level(level, || {
+                    let mut ys = y0.clone().into_boxed_slice();
+                    let mut want = y0.clone().into_boxed_slice();
+                    colmajor_gemv_acc_seq(&mut ys, &xs, &wt, t);
+                    for s in 0..t {
+                        colmajor_gemv_acc(&mut want[s * n..][..n], &xs[s * k..][..k], &wt);
+                    }
+                    assert!(
+                        ys.iter()
+                            .zip(want.iter())
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{} {k}->{n} t={t}",
+                        level.name()
+                    );
+                });
+            }
+        }
+    }
+
+    /// The transpose against its definition on exact-size allocations,
+    /// plain (`stride == rows`) and as a column block of a wider matrix
+    /// whose other entries must stay untouched; small shapes, for the
+    /// Miri leg, on both sides of the 8×8 blocks.
+    #[test]
+    fn transpose_into_levels_bit_identical() {
+        for (rows, cols) in [
+            (0usize, 3usize),
+            (3, 0),
+            (1, 1),
+            (5, 7),
+            (8, 8),
+            (9, 17),
+            (16, 12),
+        ] {
+            let src = data(rows * cols, 0.6).into_boxed_slice();
+            for (offset, stride) in [(0usize, rows), (2, rows + 5)] {
+                let len = (offset + cols * stride).max(1);
+                let mut want = vec![-7.0f32; len];
+                for r in 0..rows {
+                    for c in 0..cols {
+                        want[offset + c * stride + r] = src[r * cols + c];
+                    }
+                }
+                for &level in &supported_levels() {
+                    let mut dst = vec![-7.0f32; len].into_boxed_slice();
+                    with_level(level, || {
+                        transpose_into(&mut dst[offset..], stride, &src, rows, cols)
+                    });
+                    assert!(
+                        dst.iter()
+                            .zip(&want)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{} {rows}x{cols} stride={stride}",
+                        level.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// NaN anywhere — in a vector body, in the tail, everywhere — is
+    /// skipped at every level exactly as `f32::max` skips it.
+    #[test]
+    fn max_matches_fold_with_nan_at_every_level() {
+        for n in [1usize, 7, 8, 9, 16, 17, 40] {
+            let base = data(n, 3.0);
+            let mut cases = vec![vec![f32::NAN; n]];
+            for at in [0, n / 2, n - 1] {
+                let mut x = base.clone();
+                x[at] = f32::NAN;
+                cases.push(x);
+            }
+            let mut every_other = base.clone();
+            every_other
+                .iter_mut()
+                .step_by(2)
+                .for_each(|v| *v = f32::NAN);
+            cases.push(every_other);
+            for x in cases {
+                let want = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                for &level in &supported_levels() {
+                    let got = with_level(level, || max(&x));
+                    assert_eq!(got.to_bits(), want.to_bits(), "{} {x:?}", level.name());
+                }
             }
         }
     }

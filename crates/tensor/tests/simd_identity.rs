@@ -22,6 +22,12 @@
 //!   hardware; the Miri leg interprets the same bodies at the in-crate
 //!   tests' small shapes), and with `0.0`, `-0.0`, `NaN`, `±inf` in the coefficients
 //!   the zero-skip inspects;
+//! * the stacked column-major product `colmajor_gemv_acc_seq` — the
+//!   taped forward pass's — against `T` per-step `colmajor_gemv_acc`
+//!   calls and against `rowmajor_gemv_acc_seq` over the untransposed
+//!   matrix, for `T ∈ 1..=8`, every output count `1..=80` plus 128 and
+//!   1017, inputs `{0, 1, 32, 96}`, `-0.0` in the accumulated slab, on
+//!   end-of-allocation slices;
 //! * the three **sequence** kernels (`rowmajor_gemv_acc_seq`,
 //!   `rank1_update_seq`, `gemv_t_acc_seq`), each against what it is
 //!   defined as — `T` successive calls of its per-step kernel, made at
@@ -236,6 +242,99 @@ fn colmajor_gemv_bitwise_identical_across_levels_and_offsets() {
                 let wt = tail(in_dim * out_dim, off, out_dim as u32);
                 let label = format!("colmajor_gemv {in_dim}x{out_dim} end off={off}");
                 check(&label, &x[off..], &wt[off..], &data(out_dim, 8));
+            }
+        }
+    }
+}
+
+/// The stacked column-major product is `t` per-step calls of
+/// `colmajor_gemv_acc`, and — over the untransposed matrix — the
+/// row-major stack the forward pass ran before it: every output count
+/// of every tile width and tail to 80, the LSTM's four gates at d = 32
+/// and the `hx-train` output layer; one input, d = 32, the composite
+/// layer's 96 and none at all (which must leave every `-0.0` in the
+/// slab as it is); `T` through one, six and the 4 + 4 split of eight.
+#[test]
+fn colmajor_seq_is_t_per_step_calls_and_the_rowmajor_stack() {
+    let outs: Vec<usize> = (1..=80).chain([128, 1017]).collect();
+    for in_dim in [0usize, 1, 32, 96] {
+        for &out_dim in &outs {
+            for t in 1..=8usize {
+                let salt = (in_dim * 1100 + out_dim) as u32 * 9 + t as u32;
+                let off = (out_dim + t) % 2;
+                let wt = tail(in_dim * out_dim, off, salt);
+                let xs = tail(t * in_dim, off, salt.wrapping_add(1));
+                let mut y0 = tail(t * out_dim, off, salt.wrapping_add(2));
+                for v in y0[off..].iter_mut().step_by(5) {
+                    *v = -0.0;
+                }
+                let (wt, xs) = (&wt[off..], &xs[off..]);
+                // `w` is `wt` untransposed: row `j` holds output `j`'s weights.
+                let mut w = vec![0.0f32; in_dim * out_dim];
+                for k in 0..in_dim {
+                    for j in 0..out_dim {
+                        w[j * in_dim + k] = wt[k * out_dim + j];
+                    }
+                }
+                let want = at(Level::Scalar, || {
+                    let mut ys = y0.clone();
+                    for s in 0..t {
+                        let x = &xs[s * in_dim..][..in_dim];
+                        simd::colmajor_gemv_acc(&mut ys[off + s * out_dim..][..out_dim], x, wt);
+                    }
+                    ys
+                });
+                let case = format!("{in_dim}->{out_dim} t={t} off={off}");
+                for level in simd::supported_levels() {
+                    let (got, rowmajor) = at(level, || {
+                        let (mut got, mut rowmajor) = (y0.clone(), y0.clone());
+                        simd::colmajor_gemv_acc_seq(&mut got[off..], xs, wt, t);
+                        simd::rowmajor_gemv_acc_seq(&mut rowmajor[off..], xs, &w, t);
+                        (got, rowmajor)
+                    });
+                    assert_bits_eq(&format!("colmajor_seq {case}"), level, &got, &want);
+                    assert_bits_eq(&format!("vs rowmajor_seq {case}"), level, &got, &rowmajor);
+                }
+                if in_dim == 0 {
+                    assert_bits_eq(&format!("no inputs {case}"), Level::Scalar, &want, &y0);
+                }
+            }
+        }
+    }
+}
+
+/// The transpose is a copy: every level writes the definition's bits,
+/// and only them, for every shape to 41×41 — plain, and as a column
+/// block of a wider matrix — ending where an exact-size allocation ends,
+/// and at the `hx-train` output layer (1017×32).
+#[test]
+fn transpose_into_is_its_definition_at_every_level() {
+    let shapes = (0..=41usize)
+        .flat_map(|r| (0..=41usize).map(move |c| (r, c)))
+        .chain([(1017, 32), (32, 1017)]);
+    for (rows, cols) in shapes {
+        let src = tail(rows * cols, rows % 2, (rows * 64 + cols) as u32);
+        let src = &src[rows % 2..];
+        for pad in [0usize, 3] {
+            let stride = rows + pad;
+            let len = cols * stride;
+            let mut want = vec![NAN; len];
+            for r in 0..rows {
+                for c in 0..cols {
+                    want[c * stride + r] = src[r * cols + c];
+                }
+            }
+            for level in simd::supported_levels() {
+                let mut got = vec![NAN; len].into_boxed_slice();
+                at(level, || {
+                    simd::transpose_into(&mut got, stride, src, rows, cols)
+                });
+                assert_bits_eq(
+                    &format!("transpose {rows}x{cols} +{pad}"),
+                    level,
+                    &got,
+                    &want,
+                );
             }
         }
     }
