@@ -1,6 +1,6 @@
 //! The repo's own `exp` and `tanh`: one definition each, scalar and
-//! eight and sixteen lanes wide, behind every sigmoid / tanh / softmax
-//! in the workspace.
+//! lane-generic (eight and sixteen lanes wide), behind every sigmoid /
+//! tanh / softmax in the workspace.
 //!
 //! # Why these are not calls into the platform's libm
 //!
@@ -35,22 +35,21 @@
 //!
 //! # Lane forms
 //!
-//! In the AVX2 + FMA forms (eight lanes) every lane executes the scalar
-//! sequence; branches become blends of arms that are all computed
-//! (every arm is total and no floating-point trap is unmasked, so an arm
-//! computed on a lane that does not select it is harmless). A vector
-//! holding a lane that needs a scalar-only arm (`|x| ≥ 88` or NaN for
-//! `exp`; inf or NaN for `tanh`) goes through the scalar definition
-//! whole. A tail shorter than a register is read by a masked load into a
-//! padded one and copied back lane by lane: nothing outside the slice is
-//! read or written, and pad lanes are computed and discarded, never
-//! summed.
-//!
-//! The AVX-512F + FMA forms (sixteen lanes, `sigmoid` and `tanh` only)
-//! are the eight-lane forms transcribed lane for lane: each `blendv`
-//! becomes a mask blend on a compare mask, `exp` runs as two `f64 × 8`
-//! halves with the same five FMAs and a 64-bit gather into the same
-//! table, and the tail is one masked load and one masked store.
+//! Each lane form is written once, over [`crate::simd`]'s lane-generic
+//! register (`__m256` for eight AVX2 lanes, `__m512` for sixteen
+//! AVX-512F lanes), and runs with FMA enabled. Every lane executes the
+//! scalar sequence; branches become selects of arms that are all
+//! computed (every arm is total and no floating-point trap is unmasked,
+//! so an arm computed on a lane that does not select it is harmless). A
+//! register holding a lane that needs a scalar-only arm (`|x| ≥ 88` or
+//! NaN for `exp`; inf or NaN for `tanh`) goes through the scalar
+//! definition whole. A tail shorter than a register is one masked load
+//! into a padded register and one masked store (or, for the sums, the
+//! live lanes added one by one): nothing outside the slice is read or
+//! written, and pad lanes are computed and discarded, never summed. The
+//! one part each width keeps for itself is `exp`'s core: it runs as
+//! two `f64` halves with the same five FMAs and a 64-bit gather into
+//! the same table.
 //!
 //! # Dispatch
 //!
@@ -95,21 +94,23 @@
 
 #[cfg(target_arch = "x86_64")]
 use crate::simd::{active, Level};
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m256, __m512};
 
 // ---------------------------------------------------------------------------
 // expf: ARM Optimized Routines, N = 32, as glibc's FMA build executes it.
 // ---------------------------------------------------------------------------
 
 /// `32 / ln 2`.
-const EXP_A: f64 = f64::from_bits(0x4047_1547_652b_82fe);
+pub(crate) const EXP_A: f64 = f64::from_bits(0x4047_1547_652b_82fe);
 /// `1.5 · 2⁵²`: adding it leaves `round(z)` in the low mantissa bits.
-const EXP_S: f64 = f64::from_bits(0x4338_0000_0000_0000);
-const EXP_C0: f64 = f64::from_bits(0x3ebc_6af8_4b91_2394);
-const EXP_C1: f64 = f64::from_bits(0x3f2e_bfce_50fa_c4f3);
-const EXP_C2: f64 = f64::from_bits(0x3f96_2e42_ff0c_52d6);
+pub(crate) const EXP_S: f64 = f64::from_bits(0x4338_0000_0000_0000);
+pub(crate) const EXP_C0: f64 = f64::from_bits(0x3ebc_6af8_4b91_2394);
+pub(crate) const EXP_C1: f64 = f64::from_bits(0x3f2e_bfce_50fa_c4f3);
+pub(crate) const EXP_C2: f64 = f64::from_bits(0x3f96_2e42_ff0c_52d6);
 /// `bits(2^(i/32)) − (i << 47)`, so that adding `k << 47` both selects
 /// the fraction and adds `k / 32` to the exponent.
-static EXP_T: [u64; 32] = [
+pub(crate) static EXP_T: [u64; 32] = [
     0x3ff0_0000_0000_0000,
     0x3fef_d9b0_d315_8574,
     0x3fef_b558_6cf9_890f,
@@ -385,9 +386,9 @@ pub fn sigmoid_inplace(x: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     match lane_level(x.len()) {
         // SAFETY: `lane_level` verified AVX-512F and FMA (the level).
-        Level::Avx512 => return unsafe { lanes16::sigmoid_inplace(x) },
+        Level::Avx512 => return unsafe { lanes::sigmoid_inplace::<__m512>(x) },
         // SAFETY: `lane_level` verified AVX2 (the level) and FMA.
-        Level::Avx2 => return unsafe { lanes::sigmoid_inplace(x) },
+        Level::Avx2 => return unsafe { lanes::sigmoid_inplace::<__m256>(x) },
         Level::Scalar => {}
     }
     for v in x {
@@ -401,9 +402,9 @@ pub fn tanh_inplace(x: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     match lane_level(x.len()) {
         // SAFETY: `lane_level` verified AVX-512F and FMA (the level).
-        Level::Avx512 => return unsafe { lanes16::tanh_inplace(x) },
+        Level::Avx512 => return unsafe { lanes::tanh_inplace::<__m512>(x) },
         // SAFETY: `lane_level` verified AVX2 (the level) and FMA.
-        Level::Avx2 => return unsafe { lanes::tanh_inplace(x) },
+        Level::Avx2 => return unsafe { lanes::tanh_inplace::<__m256>(x) },
         Level::Scalar => {}
     }
     for v in x {
@@ -421,7 +422,7 @@ pub fn exp_shifted_inplace(x: &mut [f32], m: f32) -> f32 {
         // SAFETY: a vector `lane_level` means AVX2 and FMA were verified
         // (`Avx512`'s detection includes both); this kernel has no
         // sixteen-lane form.
-        return unsafe { lanes::exp_shifted_inplace(x, m) };
+        return unsafe { lanes::exp_shifted_inplace::<__m256>(x, m) };
     }
     let mut sum = 0.0f32;
     for v in x {
@@ -440,7 +441,7 @@ pub fn sum_exp_shifted(x: &[f32], m: f32) -> f32 {
         // SAFETY: a vector `lane_level` means AVX2 and FMA were verified
         // (`Avx512`'s detection includes both); this kernel has no
         // sixteen-lane form.
-        return unsafe { lanes::sum_exp_shifted(x, m) };
+        return unsafe { lanes::sum_exp_shifted::<__m256>(x, m) };
     }
     let mut sum = 0.0f32;
     for &v in x {
@@ -450,634 +451,282 @@ pub fn sum_exp_shifted(x: &[f32], m: f32) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 + FMA lane forms.
+// Lane forms, written once over `simd::wide::Lanes`.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod lanes {
     use super::*;
-    use std::arch::x86_64::*;
-
-    /// Whether any lane of `x` needs a scalar-only arm of `expf`.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA. Out of Miri's reach, like every AVX2 body.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn exp_is_special(x: __m256) -> bool {
-        let abstop = _mm256_and_si256(
-            _mm256_srli_epi32::<20>(_mm256_castps_si256(x)),
-            _mm256_set1_epi32(0x7ff),
-        );
-        let special = _mm256_cmpgt_epi32(abstop, _mm256_set1_epi32(EXP_ABSTOP_MAX as i32));
-        _mm256_movemask_epi8(special) != 0
-    }
-
-    /// The main path of [`expf_steps`] on four lanes widened to `f64`.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn exp4(xd: __m256d) -> __m128 {
-        let a = _mm256_set1_pd(EXP_A);
-        let s = _mm256_set1_pd(EXP_S);
-        let z = _mm256_fmadd_pd(a, xd, s);
-        let ki = _mm256_castpd_si256(z);
-        let kd = _mm256_sub_pd(z, s);
-        let r = _mm256_fmsub_pd(a, xd, kd);
-        let idx = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
-        // In bounds: every index is `ki & 31` into the 32-entry table.
-        let t = _mm256_i64gather_epi64::<8>(EXP_T.as_ptr().cast(), idx);
-        let scale = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
-        let p = _mm256_fmadd_pd(r, _mm256_set1_pd(EXP_C0), _mm256_set1_pd(EXP_C1));
-        let q = _mm256_fmadd_pd(r, _mm256_set1_pd(EXP_C2), _mm256_set1_pd(1.0));
-        let y = _mm256_fmadd_pd(p, _mm256_mul_pd(r, r), q);
-        _mm256_cvtpd_ps(_mm256_mul_pd(y, scale))
-    }
-
-    /// [`expf`] in every lane of a vector for which
-    /// [`exp_is_special`] is false.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn exp8(x: __m256) -> __m256 {
-        let lo = exp4(_mm256_cvtps_pd(_mm256_castps256_ps128(x)));
-        let hi = exp4(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x)));
-        _mm256_set_m128(hi, lo)
-    }
-
-    /// The whole-vector fallback: `f` applied lane by lane.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn per_lane(x: __m256, f: impl Fn(f32) -> f32) -> __m256 {
-        let mut lanes = spill(x);
-        for v in &mut lanes {
-            *v = f(*v);
-        }
-        _mm256_loadu_ps(lanes.as_ptr())
-    }
-
-    /// The eight lanes of `x` as an array.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn spill(x: __m256) -> [f32; 8] {
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), x);
-        lanes
-    }
-
-    /// `e^{x − m}` in every lane.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn exp_shifted8(x: __m256, m: f32) -> __m256 {
-        let shifted = _mm256_sub_ps(x, _mm256_set1_ps(m));
-        if exp_is_special(shifted) {
-            per_lane(x, |v| expf(v - m))
-        } else {
-            exp8(shifted)
-        }
-    }
-
-    /// [`sigmoid`] in every lane.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn sigmoid8(x: __m256) -> __m256 {
-        let sign = _mm256_set1_ps(-0.0);
-        let one = _mm256_set1_ps(1.0);
-        // Ordered compare: a NaN lane takes the `x < 0` arm, as in the
-        // scalar branch.
-        let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(x, _mm256_setzero_ps());
-        let arg = _mm256_xor_ps(x, _mm256_and_ps(ge, sign));
-        if exp_is_special(arg) {
-            return per_lane(x, sigmoid);
-        }
-        let e = exp8(arg);
-        let num = _mm256_blendv_ps(e, one, ge);
-        _mm256_div_ps(num, _mm256_add_ps(one, e))
-    }
-
-    /// [`expm1f`] on the arguments [`tanhf`] passes it: `a` in
-    /// `(−2, −2⁻⁵⁴] ∪ [2, 44)`, `abs_a` its magnitude, `neg` all-ones
-    /// where `a < 0`. Only `k ∈ {0, −1, −2, −3}` and `3 ≤ k ≤ 63` occur
-    /// there, so `k == 1` has no arm, and the `|a| < 2⁻²⁵` early return
-    /// is the `k == 0` arm's own result. Lanes outside that domain hold
-    /// garbage the caller never selects.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn expm1_8(a: __m256, abs_a: __m256, neg: __m256) -> __m256 {
-        let ps = |v: f32| _mm256_set1_ps(v);
-        let epi = |v: i32| _mm256_set1_epi32(v);
-        let one = ps(1.0);
-        let half = ps(0.5);
-        let hx = _mm256_castps_si256(abs_a);
-
-        // k = trunc(a / ln 2 ± 0.5) where |a| > 0.5 ln 2, else 0.
-        let signed_half = _mm256_or_ps(half, _mm256_and_ps(neg, ps(-0.0)));
-        let k = _mm256_cvttps_epi32(_mm256_add_ps(_mm256_mul_ps(ps(INV_LN2), a), signed_half));
-        let k = _mm256_and_si256(k, _mm256_cmpgt_epi32(hx, epi(0x3eb1_7218)));
-        // With k = 0 the reduction is the identity: hi = a, lo = +0,
-        // x = a, c = +0, and `(x·(e − c) − c) − hxs` is `x·e − hxs`.
-        let t = _mm256_cvtepi32_ps(k);
-        let hi = _mm256_sub_ps(a, _mm256_mul_ps(t, ps(LN2_HI)));
-        let lo = _mm256_mul_ps(t, ps(LN2_LO));
-        let x = _mm256_sub_ps(hi, lo);
-        let c = _mm256_sub_ps(_mm256_sub_ps(hi, x), lo);
-
-        let hfx = _mm256_mul_ps(half, x);
-        let hxs = _mm256_mul_ps(x, hfx);
-        let mut r1 = _mm256_mul_ps(hxs, ps(Q5));
-        for q in [Q4, Q3, Q2, Q1] {
-            r1 = _mm256_mul_ps(hxs, _mm256_add_ps(ps(q), r1));
-        }
-        let r1 = _mm256_add_ps(one, r1);
-        let t = _mm256_sub_ps(ps(3.0), _mm256_mul_ps(r1, hfx));
-        let e = _mm256_mul_ps(
-            hxs,
-            _mm256_div_ps(
-                _mm256_sub_ps(r1, t),
-                _mm256_sub_ps(ps(6.0), _mm256_mul_ps(x, t)),
-            ),
-        );
-        let e = _mm256_sub_ps(_mm256_sub_ps(_mm256_mul_ps(x, _mm256_sub_ps(e, c)), c), hxs);
-
-        // Adds k to an exponent field.
-        let kshift = _mm256_slli_epi32::<23>(k);
-        let scale =
-            |y: __m256| _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(y), kshift));
-        // k ≤ −2 or k > 56: scale(1 − (e − x)) − 1.  k < 23: scale((1 − 2⁻ᵏ)
-        // − (e − x)). A variable shift by a count outside 0..32 gives 0,
-        // which makes the first minuend the second's.
-        let minuend = _mm256_castsi256_ps(_mm256_sub_epi32(
-            epi(0x3f80_0000),
-            _mm256_srlv_epi32(epi(0x0100_0000), k),
-        ));
-        let scaled = scale(_mm256_sub_ps(minuend, _mm256_sub_ps(e, x)));
-        let outer = _mm256_or_si256(
-            _mm256_cmpgt_epi32(epi(-1), k),
-            _mm256_cmpgt_epi32(k, epi(56)),
-        );
-        let res = _mm256_blendv_ps(
-            scaled,
-            _mm256_sub_ps(scaled, one),
-            _mm256_castsi256_ps(outer),
-        );
-        // 23 ≤ k ≤ 56: scale((x − (e + 2⁻ᵏ)) + 1).
-        let two_mk = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_sub_epi32(epi(0x7f), k)));
-        let mid = scale(_mm256_add_ps(
-            _mm256_sub_ps(x, _mm256_add_ps(e, two_mk)),
-            one,
-        ));
-        let is_mid = _mm256_andnot_si256(outer, _mm256_cmpgt_epi32(k, epi(22)));
-        let res = _mm256_blendv_ps(res, mid, _mm256_castsi256_ps(is_mid));
-        // k = −1: 0.5·(x − e) − 0.5.  k = 0: x − (x·e − hxs).
-        let x_e = _mm256_sub_ps(x, e);
-        let res = _mm256_blendv_ps(
-            res,
-            _mm256_sub_ps(_mm256_mul_ps(half, x_e), half),
-            _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, epi(-1))),
-        );
-        _mm256_blendv_ps(
-            res,
-            x_e,
-            _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, _mm256_setzero_si256())),
-        )
-    }
-
-    /// [`tanhf`] in every lane.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn tanh8(x: __m256) -> __m256 {
-        let epi = |v: i32| _mm256_set1_epi32(v);
-        let sign = _mm256_set1_ps(-0.0);
-        let one = _mm256_set1_ps(1.0);
-        let two = _mm256_set1_ps(2.0);
-        let ax = _mm256_andnot_ps(sign, x);
-        let ix = _mm256_castps_si256(ax);
-        if _mm256_movemask_epi8(_mm256_cmpgt_epi32(ix, epi(0x7f7f_ffff))) != 0 {
-            // An inf or NaN lane: its arm divides by the input.
-            return per_lane(x, tanhf);
-        }
-        // |x| < 1: t = expm1(−2|x|), z = −t / (t + 2).
-        // otherwise: t = expm1(2|x|), z = 1 − 2 / (t + 2).
-        let small = _mm256_castsi256_ps(_mm256_cmpgt_epi32(epi(0x3f80_0000), ix));
-        let abs_a = _mm256_add_ps(ax, ax);
-        let a = _mm256_xor_ps(abs_a, _mm256_and_ps(small, sign));
-        let t = expm1_8(a, abs_a, small);
-        let num = _mm256_blendv_ps(two, _mm256_xor_ps(t, sign), small);
-        let q = _mm256_div_ps(num, _mm256_add_ps(t, two));
-        let z = _mm256_blendv_ps(_mm256_sub_ps(one, q), q, small);
-        // |x| ≥ 22: 1.
-        let big = _mm256_castsi256_ps(_mm256_cmpgt_epi32(ix, epi(0x41af_ffff)));
-        let z = _mm256_blendv_ps(z, one, big);
-        let z = _mm256_xor_ps(z, _mm256_and_ps(x, sign));
-        // |x| < 2⁻⁵⁵: x·(1 + x), which is also ±0 for ±0.
-        let tiny = _mm256_castsi256_ps(_mm256_cmpgt_epi32(epi(0x2400_0000), ix));
-        _mm256_blendv_ps(z, _mm256_mul_ps(x, _mm256_add_ps(one, x)), tiny)
-    }
-
-    /// All-ones in the first `live` lanes: the mask of a slice's tail. A
-    /// masked load reads nothing in the other lanes (they come back
-    /// zero), so a tail goes into a padded register without touching
-    /// memory past the slice.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA. Out of Miri's reach.
-    ///
-    /// # Panics
-    /// Panics if `live > 8`.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn tail_mask(live: usize) -> __m256i {
-        static ONES_THEN_ZEROS: [i32; 16] =
-            [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
-        let window = &ONES_THEN_ZEROS[8 - live..][..8];
-        _mm256_loadu_si256(window.as_ptr().cast())
-    }
-
-    /// `x[i] = f(x[i])`, eight lanes at a time. Pad lanes of the tail are
-    /// `f(0)`, computed and discarded.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn map_inplace(x: &mut [f32], f: impl Fn(__m256) -> __m256) {
-        let mut blocks = x.chunks_exact_mut(8);
-        for b in &mut blocks {
-            _mm256_storeu_ps(b.as_mut_ptr(), f(_mm256_loadu_ps(b.as_ptr())));
-        }
-        let tail = blocks.into_remainder();
-        if !tail.is_empty() {
-            let y = spill(f(_mm256_maskload_ps(tail.as_ptr(), tail_mask(tail.len()))));
-            for (t, &v) in tail.iter_mut().zip(&y) {
-                *t = v;
-            }
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2 and FMA (callers check [`lane_level`]). Out of Miri's
-    /// reach, like every AVX2 body in this crate.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sigmoid_inplace(x: &mut [f32]) {
-        map_inplace(x, |v| sigmoid8(v));
-    }
-
-    /// # Safety
-    /// Requires AVX2 and FMA (callers check [`lane_level`]). Out of Miri's
-    /// reach.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn tanh_inplace(x: &mut [f32]) {
-        map_inplace(x, |v| tanh8(v));
-    }
-
-    /// The tail of an exp-sum slice in a register: pad lanes hold `m`,
-    /// so they come out as e⁰ = 1 — never special, and never summed.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA, and `0 < tail.len() < 8`. Out of Miri's
-    /// reach.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn load_tail_padded(tail: &[f32], m: f32) -> __m256 {
-        let mask = tail_mask(tail.len());
-        _mm256_blendv_ps(
-            _mm256_set1_ps(m),
-            _mm256_maskload_ps(tail.as_ptr(), mask),
-            _mm256_castsi256_ps(mask),
-        )
-    }
-
-    /// # Safety
-    /// Requires AVX2 and FMA (callers check [`lane_level`]). Out of Miri's
-    /// reach.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn exp_shifted_inplace(x: &mut [f32], m: f32) -> f32 {
-        let mut sum = 0.0f32;
-        let mut blocks = x.chunks_exact_mut(8);
-        for b in &mut blocks {
-            let e = exp_shifted8(_mm256_loadu_ps(b.as_ptr()), m);
-            _mm256_storeu_ps(b.as_mut_ptr(), e);
-            for v in spill(e) {
-                sum += v;
-            }
-        }
-        let tail = blocks.into_remainder();
-        if !tail.is_empty() {
-            let e = spill(exp_shifted8(load_tail_padded(tail, m), m));
-            for (t, &v) in tail.iter_mut().zip(&e) {
-                *t = v;
-                sum += v;
-            }
-        }
-        sum
-    }
-
-    /// # Safety
-    /// Requires AVX2 and FMA (callers check [`lane_level`]). Out of Miri's
-    /// reach.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sum_exp_shifted(x: &[f32], m: f32) -> f32 {
-        let mut sum = 0.0f32;
-        let mut blocks = x.chunks_exact(8);
-        for b in &mut blocks {
-            for v in spill(exp_shifted8(_mm256_loadu_ps(b.as_ptr()), m)) {
-                sum += v;
-            }
-        }
-        let tail = blocks.remainder();
-        if !tail.is_empty() {
-            let e = exp_shifted8(load_tail_padded(tail, m), m);
-            for &v in &spill(e)[..tail.len()] {
-                sum += v;
-            }
-        }
-        sum
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AVX-512F + FMA lane forms: the eight-lane forms at sixteen lanes.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod lanes16 {
-    use super::*;
-    use std::arch::x86_64::*;
+    use crate::simd::wide::{spill, Lanes};
 
     /// The sign bit of a lane.
     const SIGN: i32 = i32::MIN;
 
-    /// `x` with the sign of every lane in `k` flipped.
-    ///
-    /// # Safety
-    /// Requires AVX-512F. Out of Miri's reach, like every AVX-512 body.
-    #[inline]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn negate_where(k: __mmask16, x: __m512) -> __m512 {
-        let xi = _mm512_castps_si512(x);
-        _mm512_castsi512_ps(_mm512_mask_xor_epi32(xi, k, xi, _mm512_set1_epi32(SIGN)))
-    }
+    // Every function below runs inside `Lanes::enable_fma` (the
+    // `# Safety` of each: the width's features with FMA).
 
     /// Whether any lane of `x` needs a scalar-only arm of `expf`.
-    ///
-    /// # Safety
-    /// Requires AVX-512F and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn exp_is_special(x: __m512) -> bool {
-        let abstop = _mm512_and_si512(
-            _mm512_srli_epi32::<20>(_mm512_castps_si512(x)),
-            _mm512_set1_epi32(0x7ff),
-        );
-        _mm512_cmpgt_epi32_mask(abstop, _mm512_set1_epi32(EXP_ABSTOP_MAX as i32)) != 0
+    #[inline(always)]
+    unsafe fn exp_is_special<L: Lanes>(x: L) -> bool {
+        let abstop = L::iand(L::shr::<20>(L::bits(x)), L::isplat(0x7ff));
+        L::any(L::gt(abstop, L::isplat(EXP_ABSTOP_MAX as i32)))
     }
 
-    /// The main path of [`expf_steps`] on eight lanes widened to `f64`.
-    ///
-    /// # Safety
-    /// Requires AVX-512F and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn exp8(xd: __m512d) -> __m256 {
-        let a = _mm512_set1_pd(EXP_A);
-        let s = _mm512_set1_pd(EXP_S);
-        let z = _mm512_fmadd_pd(a, xd, s);
-        let ki = _mm512_castpd_si512(z);
-        let kd = _mm512_sub_pd(z, s);
-        let r = _mm512_fmsub_pd(a, xd, kd);
-        let idx = _mm512_and_si512(ki, _mm512_set1_epi64(31));
-        // In bounds: every index is `ki & 31` into the 32-entry table.
-        let t = _mm512_i64gather_epi64::<8>(idx, EXP_T.as_ptr().cast());
-        let scale = _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)));
-        let p = _mm512_fmadd_pd(r, _mm512_set1_pd(EXP_C0), _mm512_set1_pd(EXP_C1));
-        let q = _mm512_fmadd_pd(r, _mm512_set1_pd(EXP_C2), _mm512_set1_pd(1.0));
-        let y = _mm512_fmadd_pd(p, _mm512_mul_pd(r, r), q);
-        _mm512_cvtpd_ps(_mm512_mul_pd(y, scale))
+    /// The whole-register fallback: `f` applied lane by lane.
+    #[inline(always)]
+    unsafe fn per_lane<L: Lanes>(x: L, f: impl Fn(f32) -> f32) -> L {
+        let mut lanes = spill(x);
+        map_lanes(lanes.as_mut(), f);
+        L::load(lanes.as_ref().as_ptr())
     }
 
-    /// [`expf`] in every lane of a vector for which [`exp_is_special`]
-    /// is false: two `f64 × 8` halves.
-    ///
-    /// # Safety
-    /// Requires AVX-512F and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn exp16(x: __m512) -> __m512 {
-        let high = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x)));
-        let lo = exp8(_mm512_cvtps_pd(_mm512_castps512_ps256(x)));
-        let hi = exp8(_mm512_cvtps_pd(high));
-        let joined = _mm512_insertf64x4::<1>(
-            _mm512_castpd256_pd512(_mm256_castps_pd(lo)),
-            _mm256_castps_pd(hi),
-        );
-        _mm512_castpd_ps(joined)
-    }
-
-    /// The whole-vector fallback: `f` applied lane by lane.
-    ///
-    /// # Safety
-    /// Requires AVX-512F and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn per_lane(x: __m512, f: impl Fn(f32) -> f32) -> __m512 {
-        let mut lanes = [0.0f32; 16];
-        _mm512_storeu_ps(lanes.as_mut_ptr(), x);
-        for v in &mut lanes {
+    /// [`per_lane`]'s scalar loop, out of line: the fallback is rare, and
+    /// inlined it would crowd the vector path's constants out of
+    /// registers.
+    #[cold]
+    #[inline(never)]
+    fn map_lanes(lanes: &mut [f32], f: impl Fn(f32) -> f32) {
+        for v in lanes {
             *v = f(*v);
         }
-        _mm512_loadu_ps(lanes.as_ptr())
+    }
+
+    /// `x` with the sign of every lane flipped.
+    #[inline(always)]
+    unsafe fn neg<L: Lanes>(x: L) -> L {
+        L::from_bits(L::ixor(L::bits(x), L::isplat(SIGN)))
+    }
+
+    /// `e^{x − m}` in every lane.
+    #[inline(always)]
+    unsafe fn exp_shifted<L: Lanes>(x: L, m: f32) -> L {
+        let shifted = L::sub(x, L::splat(m));
+        if exp_is_special(shifted) {
+            per_lane(x, |v| expf(v - m))
+        } else {
+            L::exp(shifted)
+        }
     }
 
     /// [`sigmoid`] in every lane.
-    ///
-    /// # Safety
-    /// Requires AVX-512F and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn sigmoid16(x: __m512) -> __m512 {
-        let one = _mm512_set1_ps(1.0);
+    #[inline(always)]
+    unsafe fn sigmoid_lanes<L: Lanes>(x: L) -> L {
+        let one = L::splat(1.0);
         // Ordered compare: a NaN lane takes the `x < 0` arm, as in the
         // scalar branch.
-        let ge = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(x, _mm512_setzero_ps());
-        let arg = negate_where(ge, x);
+        let ge = L::ge(x, L::splat(0.0));
+        let arg = L::select(ge, x, neg(x));
         if exp_is_special(arg) {
             return per_lane(x, sigmoid);
         }
-        let e = exp16(arg);
-        let num = _mm512_mask_blend_ps(ge, e, one);
-        _mm512_div_ps(num, _mm512_add_ps(one, e))
+        let e = L::exp(arg);
+        let num = L::select(ge, e, one);
+        L::div(num, L::add(one, e))
     }
 
-    /// [`expm1f`] on the arguments [`tanhf`] passes it, as the eight-lane
-    /// `expm1_8` (same domain, same arms, same order): `a` in
+    /// [`expm1f`] on the arguments [`tanhf`] passes it: `a` in
     /// `(−2, −2⁻⁵⁴] ∪ [2, 44)`, `abs_a` its magnitude, `neg` the lanes
-    /// where `a < 0`. Lanes outside that domain hold garbage the caller
-    /// never selects.
-    ///
-    /// # Safety
-    /// Requires AVX-512F and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn expm1_16(a: __m512, abs_a: __m512, neg: __mmask16) -> __m512 {
-        let ps = |v: f32| _mm512_set1_ps(v);
-        let epi = |v: i32| _mm512_set1_epi32(v);
+    /// where `a < 0`. Only `k ∈ {0, −1, −2, −3}` and `3 ≤ k ≤ 63` occur
+    /// there, so `k == 1` has no arm, and the `|a| < 2⁻²⁵` early return
+    /// is the `k == 0` arm's own result. Lanes outside that domain hold
+    /// garbage the caller never selects.
+    #[inline(always)]
+    unsafe fn expm1_lanes<L: Lanes>(a: L, abs_a: L, neg: L::Mask) -> L {
+        let ps = |v: f32| L::splat(v);
+        let epi = |v: i32| L::isplat(v);
         let one = ps(1.0);
         let half = ps(0.5);
-        let hx = _mm512_castps_si512(abs_a);
+        let hx = L::bits(abs_a);
 
         // k = trunc(a / ln 2 ± 0.5) where |a| > 0.5 ln 2, else 0.
-        let signed_half = _mm512_mask_blend_ps(neg, half, ps(-0.5));
-        let k = _mm512_cvttps_epi32(_mm512_add_ps(_mm512_mul_ps(ps(INV_LN2), a), signed_half));
-        let k = _mm512_maskz_mov_epi32(_mm512_cmpgt_epi32_mask(hx, epi(0x3eb1_7218)), k);
-        // With k = 0 the reduction is the identity (see `expm1_8`).
-        let t = _mm512_cvtepi32_ps(k);
-        let hi = _mm512_sub_ps(a, _mm512_mul_ps(t, ps(LN2_HI)));
-        let lo = _mm512_mul_ps(t, ps(LN2_LO));
-        let x = _mm512_sub_ps(hi, lo);
-        let c = _mm512_sub_ps(_mm512_sub_ps(hi, x), lo);
+        let signed_half = L::select(neg, half, ps(-0.5));
+        let k = L::cvtt(L::add(L::mul(ps(INV_LN2), a), signed_half));
+        let reduced = L::gt(hx, epi(0x3eb1_7218));
+        let k = L::bits(L::select(reduced, ps(0.0), L::from_bits(k)));
+        // With k = 0 the reduction is the identity: hi = a, lo = +0,
+        // x = a, c = +0, and `(x·(e − c) − c) − hxs` is `x·e − hxs`.
+        let t = L::cvt(k);
+        let hi = L::sub(a, L::mul(t, ps(LN2_HI)));
+        let lo = L::mul(t, ps(LN2_LO));
+        let x = L::sub(hi, lo);
+        let c = L::sub(L::sub(hi, x), lo);
 
-        let hfx = _mm512_mul_ps(half, x);
-        let hxs = _mm512_mul_ps(x, hfx);
-        let mut r1 = _mm512_mul_ps(hxs, ps(Q5));
+        let hfx = L::mul(half, x);
+        let hxs = L::mul(x, hfx);
+        let mut r1 = L::mul(hxs, ps(Q5));
         for q in [Q4, Q3, Q2, Q1] {
-            r1 = _mm512_mul_ps(hxs, _mm512_add_ps(ps(q), r1));
+            r1 = L::mul(hxs, L::add(ps(q), r1));
         }
-        let r1 = _mm512_add_ps(one, r1);
-        let t = _mm512_sub_ps(ps(3.0), _mm512_mul_ps(r1, hfx));
-        let e = _mm512_mul_ps(
-            hxs,
-            _mm512_div_ps(
-                _mm512_sub_ps(r1, t),
-                _mm512_sub_ps(ps(6.0), _mm512_mul_ps(x, t)),
-            ),
-        );
-        let e = _mm512_sub_ps(_mm512_sub_ps(_mm512_mul_ps(x, _mm512_sub_ps(e, c)), c), hxs);
+        let r1 = L::add(one, r1);
+        let t = L::sub(ps(3.0), L::mul(r1, hfx));
+        let e = L::mul(hxs, L::div(L::sub(r1, t), L::sub(ps(6.0), L::mul(x, t))));
+        let e = L::sub(L::sub(L::mul(x, L::sub(e, c)), c), hxs);
 
         // Adds k to an exponent field.
-        let kshift = _mm512_slli_epi32::<23>(k);
-        let scale =
-            |y: __m512| _mm512_castsi512_ps(_mm512_add_epi32(_mm512_castps_si512(y), kshift));
-        // k ≤ −2 or k > 56: scale(1 − (e − x)) − 1.  k < 23: scale((1 − 2⁻ᵏ)
-        // − (e − x)). A variable shift by a count outside 0..32 gives 0,
-        // which makes the first minuend the second's.
-        let minuend = _mm512_castsi512_ps(_mm512_sub_epi32(
-            epi(0x3f80_0000),
-            _mm512_srlv_epi32(epi(0x0100_0000), k),
-        ));
-        let scaled = scale(_mm512_sub_ps(minuend, _mm512_sub_ps(e, x)));
-        let outer = _mm512_cmpgt_epi32_mask(epi(-1), k) | _mm512_cmpgt_epi32_mask(k, epi(56));
-        let res = _mm512_mask_blend_ps(outer, scaled, _mm512_sub_ps(scaled, one));
-        // 23 ≤ k ≤ 56: scale((x − (e + 2⁻ᵏ)) + 1).
-        let two_mk = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_sub_epi32(epi(0x7f), k)));
-        let mid = scale(_mm512_add_ps(
-            _mm512_sub_ps(x, _mm512_add_ps(e, two_mk)),
-            one,
-        ));
-        let is_mid = !outer & _mm512_cmpgt_epi32_mask(k, epi(22));
-        let res = _mm512_mask_blend_ps(is_mid, res, mid);
+        let kshift = L::shl::<23>(k);
+        let scale = |y: L| L::from_bits(L::iadd(L::bits(y), kshift));
+        // k < 23: scale((1 − 2⁻ᵏ) − (e − x)); 23 ≤ k ≤ 56:
+        // scale((x − (e + 2⁻ᵏ)) + 1); k ≤ −2 or k > 56:
+        // scale(1 − (e − x)) − 1. A variable shift by a count outside
+        // 0..32 gives 0, which makes the first minuend the last's.
+        let minuend = L::from_bits(L::isub(epi(0x3f80_0000), L::srlv(epi(0x0100_0000), k)));
+        let scaled = scale(L::sub(minuend, L::sub(e, x)));
+        let two_mk = L::from_bits(L::shl::<23>(L::isub(epi(0x7f), k)));
+        let mid = scale(L::add(L::sub(x, L::add(e, two_mk)), one));
+        let res = L::select(L::gt(k, epi(22)), scaled, mid);
+        let outer = L::sub(scaled, one);
+        let res = L::select(L::gt(k, epi(56)), res, outer);
+        let res = L::select(L::gt(epi(-1), k), res, outer);
         // k = −1: 0.5·(x − e) − 0.5.  k = 0: x − (x·e − hxs).
-        let x_e = _mm512_sub_ps(x, e);
-        let res = _mm512_mask_blend_ps(
-            _mm512_cmpeq_epi32_mask(k, epi(-1)),
-            res,
-            _mm512_sub_ps(_mm512_mul_ps(half, x_e), half),
-        );
-        _mm512_mask_blend_ps(_mm512_cmpeq_epi32_mask(k, epi(0)), res, x_e)
+        let x_e = L::sub(x, e);
+        let res = L::select(L::eq(k, epi(-1)), res, L::sub(L::mul(half, x_e), half));
+        L::select(L::eq(k, epi(0)), res, x_e)
     }
 
     /// [`tanhf`] in every lane.
-    ///
-    /// # Safety
-    /// Requires AVX-512F and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn tanh16(x: __m512) -> __m512 {
-        let epi = |v: i32| _mm512_set1_epi32(v);
-        let one = _mm512_set1_ps(1.0);
-        let two = _mm512_set1_ps(2.0);
-        let xi = _mm512_castps_si512(x);
-        let ix = _mm512_and_si512(xi, epi(!SIGN));
-        if _mm512_cmpgt_epi32_mask(ix, epi(0x7f7f_ffff)) != 0 {
+    #[inline(always)]
+    unsafe fn tanh_lanes<L: Lanes>(x: L) -> L {
+        let epi = |v: i32| L::isplat(v);
+        let one = L::splat(1.0);
+        let two = L::splat(2.0);
+        let ix = L::iand(L::bits(x), epi(!SIGN));
+        if L::any(L::gt(ix, epi(0x7f7f_ffff))) {
             // An inf or NaN lane: its arm divides by the input.
             return per_lane(x, tanhf);
         }
-        let ax = _mm512_castsi512_ps(ix);
+        let ax = L::from_bits(ix);
         // |x| < 1: t = expm1(−2|x|), z = −t / (t + 2).
         // otherwise: t = expm1(2|x|), z = 1 − 2 / (t + 2).
-        let small = _mm512_cmpgt_epi32_mask(epi(0x3f80_0000), ix);
-        let abs_a = _mm512_add_ps(ax, ax);
-        let t = expm1_16(negate_where(small, abs_a), abs_a, small);
-        let num = _mm512_mask_blend_ps(small, two, negate_where(!0, t));
-        let q = _mm512_div_ps(num, _mm512_add_ps(t, two));
-        let z = _mm512_mask_blend_ps(small, _mm512_sub_ps(one, q), q);
+        let small = L::gt(epi(0x3f80_0000), ix);
+        let abs_a = L::add(ax, ax);
+        let t = expm1_lanes(L::select(small, abs_a, neg(abs_a)), abs_a, small);
+        let num = L::select(small, two, neg(t));
+        let q = L::div(num, L::add(t, two));
+        let z = L::select(small, L::sub(one, q), q);
         // |x| ≥ 22: 1.
-        let z = _mm512_mask_blend_ps(_mm512_cmpgt_epi32_mask(ix, epi(0x41af_ffff)), z, one);
-        let z = _mm512_castsi512_ps(_mm512_xor_si512(
-            _mm512_castps_si512(z),
-            _mm512_and_si512(xi, epi(SIGN)),
-        ));
+        let z = L::select(L::gt(ix, epi(0x41af_ffff)), z, one);
+        let z = L::from_bits(L::ixor(L::bits(z), L::iand(L::bits(x), epi(SIGN))));
         // |x| < 2⁻⁵⁵: x·(1 + x), which is also ±0 for ±0.
-        let tiny = _mm512_cmpgt_epi32_mask(epi(0x2400_0000), ix);
-        _mm512_mask_blend_ps(tiny, z, _mm512_mul_ps(x, _mm512_add_ps(one, x)))
+        let tiny = L::gt(epi(0x2400_0000), ix);
+        L::select(tiny, z, L::mul(x, L::add(one, x)))
     }
 
-    /// `x[i] = f(x[i])`, sixteen lanes at a time. The tail is one masked
-    /// load and one masked store: nothing outside the slice is read or
+    /// `x[i] = f(x[i])`, a register at a time; the tail is one masked
+    /// load and one masked store, so nothing outside the slice is read or
     /// written, and its pad lanes are `f(0)`, computed and discarded.
-    ///
-    /// # Safety
-    /// Requires AVX-512F and FMA. Out of Miri's reach.
-    #[inline]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn map_inplace(x: &mut [f32], f: impl Fn(__m512) -> __m512) {
-        let mut blocks = x.chunks_exact_mut(16);
+    #[inline(always)]
+    unsafe fn map_inplace<L: Lanes>(x: &mut [f32], f: impl Fn(L) -> L) {
+        let mut blocks = x.chunks_exact_mut(L::LANES);
         for b in &mut blocks {
-            _mm512_storeu_ps(b.as_mut_ptr(), f(_mm512_loadu_ps(b.as_ptr())));
+            L::store(b.as_mut_ptr(), f(L::load(b.as_ptr())));
         }
         let tail = blocks.into_remainder();
         if !tail.is_empty() {
-            let live = ((1u32 << tail.len()) - 1) as __mmask16;
+            let live = L::tail(tail.len());
             let p = tail.as_mut_ptr();
-            _mm512_mask_storeu_ps(p, live, f(_mm512_maskz_loadu_ps(live, p)));
+            L::store_masked(p, live, f(L::load_masked(live, p)));
         }
     }
 
     /// # Safety
-    /// Requires AVX-512F and FMA (callers check [`lane_level`]). Out of
-    /// Miri's reach, like every AVX-512 body in this crate.
-    #[target_feature(enable = "avx512f,fma")]
-    pub unsafe fn sigmoid_inplace(x: &mut [f32]) {
-        map_inplace(x, |v| sigmoid16(v));
+    /// Requires `L`'s features and FMA (callers check [`lane_level`]).
+    pub(super) unsafe fn sigmoid_inplace<L: Lanes>(x: &mut [f32]) {
+        L::enable_fma(
+            #[inline(always)]
+            move || {
+                map_inplace(
+                    x,
+                    #[inline(always)]
+                    |v: L| sigmoid_lanes(v),
+                )
+            },
+        )
     }
 
     /// # Safety
-    /// Requires AVX-512F and FMA (callers check [`lane_level`]). Out of
-    /// Miri's reach.
-    #[target_feature(enable = "avx512f,fma")]
-    pub unsafe fn tanh_inplace(x: &mut [f32]) {
-        map_inplace(x, |v| tanh16(v));
+    /// Requires `L`'s features and FMA (callers check [`lane_level`]).
+    pub(super) unsafe fn tanh_inplace<L: Lanes>(x: &mut [f32]) {
+        L::enable_fma(
+            #[inline(always)]
+            move || {
+                map_inplace(
+                    x,
+                    #[inline(always)]
+                    |v: L| tanh_lanes(v),
+                )
+            },
+        )
+    }
+
+    /// The lanes of `e` for the scalar add chain, read back from memory.
+    /// Each `sum += v` then adds a memory operand to the running sum, so
+    /// the sum stays the first operand as in the scalar loop — which
+    /// decides the payload when both are NaN (x86 returns the first).
+    /// Lanes left in registers would let the compiler commute the add.
+    #[inline(always)]
+    unsafe fn summands<L: Lanes>(e: L) -> L::Array {
+        std::hint::black_box(spill(e))
+    }
+
+    /// The tail of an exp-sum slice in a register: pad lanes hold `m`,
+    /// so they come out as e⁰ = 1 — never special, and never summed.
+    #[inline(always)]
+    unsafe fn load_tail_padded<L: Lanes>(tail: &[f32], m: f32) -> L {
+        let live = L::tail(tail.len());
+        L::select(live, L::splat(m), L::load_masked(live, tail.as_ptr()))
+    }
+
+    /// # Safety
+    /// Requires `L`'s features and FMA (callers check [`lane_level`]).
+    pub(super) unsafe fn exp_shifted_inplace<L: Lanes>(x: &mut [f32], m: f32) -> f32 {
+        L::enable_fma(
+            #[inline(always)]
+            move || {
+                let mut sum = 0.0f32;
+                let mut blocks = x.chunks_exact_mut(L::LANES);
+                for b in &mut blocks {
+                    let e = exp_shifted(L::load(b.as_ptr()), m);
+                    L::store(b.as_mut_ptr(), e);
+                    for v in summands(e).as_ref() {
+                        sum += v;
+                    }
+                }
+                let tail = blocks.into_remainder();
+                if !tail.is_empty() {
+                    let e = summands(exp_shifted(load_tail_padded::<L>(tail, m), m));
+                    for (t, &v) in tail.iter_mut().zip(e.as_ref()) {
+                        *t = v;
+                        sum += v;
+                    }
+                }
+                sum
+            },
+        )
+    }
+
+    /// # Safety
+    /// Requires `L`'s features and FMA (callers check [`lane_level`]).
+    pub(super) unsafe fn sum_exp_shifted<L: Lanes>(x: &[f32], m: f32) -> f32 {
+        L::enable_fma(
+            #[inline(always)]
+            move || {
+                let mut sum = 0.0f32;
+                let mut blocks = x.chunks_exact(L::LANES);
+                for b in &mut blocks {
+                    for v in summands(exp_shifted(L::load(b.as_ptr()), m)).as_ref() {
+                        sum += v;
+                    }
+                }
+                let tail = blocks.remainder();
+                if !tail.is_empty() {
+                    let e = exp_shifted(load_tail_padded::<L>(tail, m), m);
+                    for v in &summands(e).as_ref()[..tail.len()] {
+                        sum += v;
+                    }
+                }
+                sum
+            },
+        )
     }
 }
 

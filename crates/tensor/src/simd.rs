@@ -60,28 +60,46 @@
 //! [`colmajor_gemv_acc`] (at wide outputs), [`crate::libm`]'s
 //! `sigmoid` / `tanh` slices and the four sequence kernels
 //! ([`colmajor_gemv_acc_seq`], [`rowmajor_gemv_acc_seq`],
-//! [`rank1_update_seq`], [`gemv_t_acc_seq`]) have 16-lane bodies; every other kernel — the per-step kernels behind
-//! a sequence's `T = 1` hand-off included — runs its AVX2 body there.
+//! [`rank1_update_seq`], [`gemv_t_acc_seq`]) run sixteen lanes there;
+//! every other kernel — the per-step kernels behind a sequence's
+//! `T = 1` hand-off included — runs eight.
+//!
+//! Every kernel that runs at both widths has one body, written over a
+//! private `Lanes` trait (one `f32` register and the operations on it,
+//! with a `__m256` and a `__m512` impl) and instantiated at each width.
+//! A tiled axis ends in one tile whose last register is masked to the
+//! floats left, at both widths, and every tile has the same shape at
+//! both (the four-row rank-one block too: measured, it is the faster
+//! shape at eight lanes as well). The AVX2-only kernels ([`saxpy`],
+//! [`add_assign`], [`scale`], [`max`], [`scatter_add_scaled`],
+//! [`take_mask_above`], [`transpose_into`], the bf16 pair and the
+//! per-step [`rank1_update`]) keep their own AVX2 bodies.
 //!
 //! # Adding a kernel
 //!
 //! 1. Write the scalar reference with an explicit, documented rounding
 //!    order (fresh accumulators, ascending index, mul-then-add).
-//! 2. Mirror it per lane in an `avx2` `#[target_feature]` function —
-//!    same operations, same order, no FMA for exact kernels.
-//! 3. Dispatch on [`active`] in the public wrapper; the AVX2 arm is
-//!    `Level::Avx2 | Level::Avx512`.
-//! 4. A 16-lane `avx512` body lands only with a `fig16_kernels` row
-//!    (an `*_avx512_vs_avx2` key) that shows it beating the AVX2 body
-//!    at the shapes it takes; below its crossover the AVX2 body stays.
-//!    It need not be the AVX2 loop nest widened: when a per-output chain
-//!    rather than lane width bounds the AVX2 body, the 16-lane one needs
-//!    a schedule of its own (`rank1_update_seq` holds a block of four
-//!    rows, so each step's `v` tile is loaded once for all four).
-//! 5. Add the kernel to the bit-identity proptests
+//! 2. Write the vector body once, generic over `Lanes` and run through
+//!    `Lanes::enable` — same operations, same order, no FMA for exact
+//!    kernels — and dispatch its eight-lane instance on [`active`] in the
+//!    public wrapper; that arm is `Level::Avx2 | Level::Avx512`.
+//! 3. The sixteen-lane instance lands only with a `fig16_kernels` row
+//!    (an `*_avx512_vs_avx2` key) that shows it beating the eight-lane
+//!    one at the shapes it takes; below its crossover the eight-lane
+//!    instance stays. When a per-output chain rather than lane width
+//!    bounds a body, it needs a schedule of its own (`rank1_update_seq`
+//!    holds a block of four rows, so each step's `v` tile is loaded once
+//!    for all four). Should the two register files (16 `ymm`, 32 `zmm`)
+//!    ever want different tile shapes, the shape is a const parameter of
+//!    the instance, not another body.
+//! 4. Add the kernel to the bit-identity proptests
 //!    (`crates/tensor/tests/simd_identity.rs`) across awkward sizes and
-//!    unaligned offsets, and to the `fig16_kernels` microbench.
+//!    unaligned offsets, to the in-crate sweeps the Miri leg interprets
+//!    (every tail width, on exact-size allocations), and to the
+//!    `fig16_kernels` microbench.
 
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m256, __m512};
 use std::cell::Cell;
 use std::sync::OnceLock;
 
@@ -93,8 +111,8 @@ pub enum Level {
     Scalar,
     /// 256-bit AVX2 lanes.
     Avx2,
-    /// 512-bit AVX-512F lanes (with FMA) for the kernels that have a
-    /// 16-lane body, the AVX2 bodies for the rest.
+    /// 512-bit AVX-512F lanes (with FMA) for the kernels that run a
+    /// sixteen-lane instance, eight lanes for the rest.
     Avx512,
 }
 
@@ -146,7 +164,7 @@ pub fn active() -> Level {
 /// Whether `level` can run on this machine. [`Level::Scalar`] always
 /// can; [`Level::Avx2`] needs an `x86_64` CPU that reports AVX2, and
 /// [`Level::Avx512`] one that also reports FMA and AVX-512F — the
-/// features its 16-lane bodies enable.
+/// features its sixteen-lane instances enable.
 pub fn supported(level: Level) -> bool {
     match level {
         Level::Scalar => true,
@@ -329,7 +347,7 @@ pub fn take_mask_above(src: &mut [f32], dst: &mut [f32], floor: f32) -> u64 {
 /// dense layers: outputs are contiguous in memory, so lanes vectorise
 /// across them while every lane reproduces the scalar reduction. At
 /// [`Level::Avx512`] a product with more than 32 outputs runs sixteen
-/// lanes; a narrower one keeps the AVX2 body.
+/// lanes; a narrower one keeps eight.
 ///
 /// # Panics
 /// Panics if `wt.len() != x.len() * y.len()`.
@@ -346,19 +364,21 @@ pub fn colmajor_gemv_acc(y: &mut [f32], x: &[f32], wt: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX-512F was verified by `active()`'s detection.
         Level::Avx512 if y.len() >= COLMAJOR_ZMM_MIN_OUTPUTS => unsafe {
-            avx512::colmajor_gemv_acc(y, x, wt)
+            wide::colmajor_gemv_acc::<__m512, 4>(y, x, wt, 1, (y.len(), x.len()))
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
-        Level::Avx2 | Level::Avx512 => unsafe { avx2::colmajor_gemv_acc(y, x, wt) },
+        Level::Avx2 | Level::Avx512 => unsafe {
+            wide::colmajor_gemv_acc::<__m256, 4>(y, x, wt, 1, (y.len(), x.len()))
+        },
         _ => scalar::colmajor_gemv_acc(y, x, wt),
     }
 }
 
-/// The fewest outputs [`colmajor_gemv_acc`] takes its 16-lane body for
-/// at [`Level::Avx512`]. Measured with the 16-lane body forced at every
+/// The fewest outputs [`colmajor_gemv_acc`] takes its 16-lane instance
+/// for at [`Level::Avx512`]. Measured with 16 lanes forced at every
 /// width, it is no faster than the AVX2 one at 32 outputs × 96 inputs
-/// (the composite layer), so 32 outputs and fewer keep the AVX2 body;
+/// (the composite layer), so 32 outputs and fewer keep eight lanes;
 /// from 33 up (the decoder's 128, the 188-word output row) it wins
 /// (DESIGN.md §14 has the sweep).
 #[cfg(target_arch = "x86_64")]
@@ -398,7 +418,9 @@ pub fn rowmajor_gemv_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection; the shape
         // assert above is the kernel's bounds precondition.
-        Level::Avx2 | Level::Avx512 => unsafe { avx2::rowmajor_gemv_acc(y, x, w) },
+        Level::Avx2 | Level::Avx512 => unsafe {
+            wide::rowmajor_gemv_acc::<__m256>(y, x, w, 1, (y.len(), x.len()))
+        },
         _ => scalar::rowmajor_gemv_acc(y, x, w),
     }
 }
@@ -444,7 +466,7 @@ pub fn rank1_update(w: &mut [f32], alpha: f32, u: &[f32], v: &[f32]) {
 /// Unlike [`colmajor_gemv_acc`] there is no fresh accumulator: each row
 /// is one [`saxpy`] straight into `y`, and a row whose `x[r] == 0.0`
 /// (either sign) is skipped, exactly as in [`rank1_update`] and for the
-/// same bitwise reason. One dispatch per matrix. (The AVX2 body keeps a
+/// same bitwise reason. One dispatch per matrix. (The vector body keeps a
 /// tile of `y` in registers across the rows instead of storing and
 /// reloading it per row; per output the operations and their order are
 /// the same.)
@@ -463,7 +485,9 @@ pub fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection.
-        Level::Avx2 | Level::Avx512 => unsafe { avx2::gemv_t_acc(y, x, w) },
+        Level::Avx2 | Level::Avx512 => unsafe {
+            wide::gemv_t_acc::<__m256, 4>(y, x, w, 1, (x.len(), y.len()))
+        },
         _ => scalar::gemv_t_acc(y, x, w),
     }
 }
@@ -508,7 +532,7 @@ pub fn transpose_into(dst: &mut [f32], stride: usize, src: &[f32], rows: usize, 
 //
 // Each is *defined as* `t` successive calls of the per-step kernel above
 // on row `s` of its flat `t × n` slabs — the scalar level is literally
-// that loop — and the AVX2 and AVX-512 bodies only reschedule work whose
+// that loop — and the vector bodies only reschedule work whose
 // order no output can observe: a forward output `(s, r)` owns a fresh
 // accumulator and shares nothing with `(s', r')`, and an accumulated
 // element receives its terms in the caller's step order because the step
@@ -548,38 +572,23 @@ fn seq_step(i: usize, t: usize, descending: bool) -> usize {
 
 /// Steps per register block of the stacked kernels: with six steps'
 /// accumulators live beside the eight transposed columns (or two
-/// weight-row tiles) and one broadcast, all sixteen `ymm` are used. The
-/// 16-lane bodies keep the same blocks.
+/// weight-row tiles) and one broadcast, all sixteen `ymm` are used.
+/// Sixteen lanes keep the same blocks.
 #[cfg(target_arch = "x86_64")]
 const SEQ_BLOCK: usize = 6;
 
-/// Cuts `t` steps into the fewest blocks of at most [`SEQ_BLOCK`],
-/// sized evenly (7 → 4 + 3, not 6 + 1), and calls `f(first, len)`
-/// for each.
+/// Runs `$body` with the constant `$c` bound to the runtime `$k`, which
+/// must be one of the listed values (a step block's length, or the
+/// register count of a tail tile): `$body` names a kernel instance by it.
 #[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn for_step_blocks(t: usize, mut f: impl FnMut(usize, usize)) {
-    let blocks = t.div_ceil(SEQ_BLOCK);
-    let mut first = 0;
-    for b in 0..blocks {
-        let len = (t - first).div_ceil(blocks - b);
-        f(first, len);
-        first += len;
-    }
-}
-
-/// Calls `$kernel::<N, ..>($args)` with `N` the (runtime) length of a
-/// step block, `1..=SEQ_BLOCK`.
-#[cfg(target_arch = "x86_64")]
-macro_rules! with_block_len {
-    ($n:expr, $kernel:ident::<_ $(, $w:literal)?>($($arg:expr),*)) => {
-        match $n {
-            1 => $kernel::<1 $(, $w)?>($($arg),*),
-            2 => $kernel::<2 $(, $w)?>($($arg),*),
-            3 => $kernel::<3 $(, $w)?>($($arg),*),
-            4 => $kernel::<4 $(, $w)?>($($arg),*),
-            5 => $kernel::<5 $(, $w)?>($($arg),*),
-            _ => $kernel::<6 $(, $w)?>($($arg),*),
+macro_rules! with_const {
+    ($k:expr, [$($v:literal),+], |$c:ident| $body:expr) => {
+        match $k {
+            $($v => {
+                const $c: usize = $v;
+                $body
+            })+
+            _ => unreachable!("with_const: {} is not listed", $k),
         }
     };
 }
@@ -612,10 +621,10 @@ pub fn colmajor_gemv_acc_seq(ys: &mut [f32], xs: &[f32], wt: &[f32], t: usize) {
         // SAFETY: AVX-512F was verified by `active()`'s detection;
         // `seq_shape` checked the slab and weight shapes the kernel's
         // loads rest on.
-        Level::Avx512 => unsafe { avx512::colmajor_gemv_acc_seq(ys, xs, wt, t, shape) },
+        Level::Avx512 => unsafe { wide::colmajor_gemv_acc::<__m512, 2>(ys, xs, wt, t, shape) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, for AVX2.
-        Level::Avx2 => unsafe { avx2::colmajor_gemv_acc_seq(ys, xs, wt, t, shape, 0) },
+        Level::Avx2 => unsafe { wide::colmajor_gemv_acc::<__m256, 2>(ys, xs, wt, t, shape) },
         _ => {
             let (n, k) = shape;
             for (y, x) in ys.chunks_exact_mut(n).zip(xs.chunks_exact(k)) {
@@ -632,7 +641,7 @@ pub fn colmajor_gemv_acc_seq(ys: &mut [f32], xs: &[f32], wt: &[f32], t: usize) {
 ///
 /// Every `(s, r)` output is `ys[s][r] + fresh accumulator` over
 /// ascending `k`, mul then add, and shares nothing with any other
-/// output, so stacking is pure scheduling. The AVX2 body uses it to pay
+/// output, so stacking is pure scheduling. The vector body uses it to pay
 /// the in-register 8×8 transpose — what bounds the per-step kernel —
 /// once per block for up to six steps' accumulators, and to stream `w`
 /// from memory once per sequence instead of once per step. At
@@ -654,10 +663,10 @@ pub fn rowmajor_gemv_acc_seq(ys: &mut [f32], xs: &[f32], w: &[f32], t: usize) {
         // SAFETY: AVX-512F was verified by `active()`'s detection;
         // `seq_shape` checked the slab and weight shapes the kernel's
         // loads rest on.
-        Level::Avx512 => unsafe { avx512::rowmajor_gemv_acc_seq(ys, xs, w, t, (rows, cols)) },
+        Level::Avx512 => unsafe { wide::rowmajor_gemv_acc::<__m512>(ys, xs, w, t, (rows, cols)) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, for AVX2.
-        Level::Avx2 => unsafe { avx2::rowmajor_gemv_acc_seq(ys, xs, w, t, (rows, cols), 0) },
+        Level::Avx2 => unsafe { wide::rowmajor_gemv_acc::<__m256>(ys, xs, w, t, (rows, cols)) },
         _ => {
             for (y, x) in ys.chunks_exact_mut(rows).zip(xs.chunks_exact(cols)) {
                 scalar::rowmajor_gemv_acc(y, x, w);
@@ -674,13 +683,13 @@ pub fn rowmajor_gemv_acc_seq(ys: &mut [f32], xs: &[f32], w: &[f32], t: usize) {
 /// that order.
 ///
 /// A gradient element `w[r][j]` receives one `+ c · v` term per step,
-/// in step order, whichever loop is outermost; the AVX2 body therefore
+/// in step order, whichever loop is outermost; the vector body therefore
 /// holds a tile of row `r` in registers across all the steps instead of
 /// loading and storing it once per step. The per-`(s, r)` zero-skip of
 /// [`rank1_update`] is kept (it is bitwise observable), and a row whose
-/// coefficient is zero at every step is never written. At
-/// [`Level::Avx512`] four rows' tiles are held at once, so each step's
-/// `v` tile is loaded once for all four.
+/// coefficient is zero at every step is never written. Four rows' tiles
+/// are held at once, so each step's `v` tile is loaded once for all
+/// four.
 ///
 /// # Panics
 /// Panics if the slabs are not `t` whole steps or `w` is not
@@ -705,12 +714,12 @@ pub fn rank1_update_seq(
         // `seq_shape` checked the slab and weight shapes the kernel's
         // loads rest on.
         Level::Avx512 => unsafe {
-            avx512::rank1_update_seq(w, alpha, us, vs, t, (rows, cols), descending)
+            wide::rank1_update_seq::<__m512>(w, alpha, (us, vs), (t, rows, cols), descending)
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, for AVX2.
         Level::Avx2 => unsafe {
-            avx2::rank1_update_seq(w, alpha, us, vs, t, (rows, cols), descending)
+            wide::rank1_update_seq::<__m256>(w, alpha, (us, vs), (t, rows, cols), descending)
         },
         _ => {
             for i in 0..t {
@@ -729,10 +738,11 @@ pub fn rank1_update_seq(
 ///
 /// Each `(s, j)` output is its own chain `ys[s][j] += xs[s][r] · w[r][j]`
 /// over ascending `r` with the per-`(s, r)` zero-skip, independent of
-/// every other output. The AVX2 body loads each tile of a weight row
+/// every other output. The vector body loads each tile of a weight row
 /// once for up to six steps and runs their add chains side by side —
-/// the per-step body is bound by the latency of its own four. At
-/// [`Level::Avx512`] a tile is 32 columns, its last register masked.
+/// the per-step body is bound by the latency of its own four. A tile is
+/// two registers wide, and the last tile's last register is masked to
+/// the columns left.
 ///
 /// # Panics
 /// Panics if the slabs are not `t` whole steps or `w` is not
@@ -749,10 +759,10 @@ pub fn gemv_t_acc_seq(ys: &mut [f32], xs: &[f32], w: &[f32], t: usize) {
         // SAFETY: AVX-512F was verified by `active()`'s detection;
         // `seq_shape` checked the slab and weight shapes the kernel's
         // loads rest on.
-        Level::Avx512 => unsafe { avx512::gemv_t_acc_seq(ys, xs, w, t, (rows, cols)) },
+        Level::Avx512 => unsafe { wide::gemv_t_acc::<__m512, 2>(ys, xs, w, t, (rows, cols)) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, for AVX2.
-        Level::Avx2 => unsafe { avx2::gemv_t_acc_seq(ys, xs, w, t, (rows, cols)) },
+        Level::Avx2 => unsafe { wide::gemv_t_acc::<__m256, 2>(ys, xs, w, t, (rows, cols)) },
         _ => {
             for (y, x) in ys.chunks_exact_mut(cols).zip(xs.chunks_exact(rows)) {
                 scalar::gemv_t_acc(y, x, w);
@@ -1163,59 +1173,6 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Requires AVX2 (callers check [`super::supported`]).
-    ///
-    /// Register-blocked over outputs: 32-wide tiles (4 ymm
-    /// accumulators), then 8-wide, then a scalar tail. Per lane, the
-    /// reduction is the scalar order exactly (fresh accumulator,
-    /// ascending `k`, mul then add — no FMA).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn colmajor_gemv_acc(y: &mut [f32], x: &[f32], wt: &[f32]) {
-        let n = y.len();
-        let wp = wt.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut j = 0;
-        while j + 32 <= n {
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            let mut a2 = _mm256_setzero_ps();
-            let mut a3 = _mm256_setzero_ps();
-            for (k, &xv) in x.iter().enumerate() {
-                let xb = _mm256_set1_ps(xv);
-                let row = wp.add(k * n + j);
-                a0 = _mm256_add_ps(a0, _mm256_mul_ps(xb, _mm256_loadu_ps(row)));
-                a1 = _mm256_add_ps(a1, _mm256_mul_ps(xb, _mm256_loadu_ps(row.add(8))));
-                a2 = _mm256_add_ps(a2, _mm256_mul_ps(xb, _mm256_loadu_ps(row.add(16))));
-                a3 = _mm256_add_ps(a3, _mm256_mul_ps(xb, _mm256_loadu_ps(row.add(24))));
-            }
-            let out = yp.add(j);
-            _mm256_storeu_ps(out, _mm256_add_ps(_mm256_loadu_ps(out), a0));
-            _mm256_storeu_ps(out.add(8), _mm256_add_ps(_mm256_loadu_ps(out.add(8)), a1));
-            _mm256_storeu_ps(out.add(16), _mm256_add_ps(_mm256_loadu_ps(out.add(16)), a2));
-            _mm256_storeu_ps(out.add(24), _mm256_add_ps(_mm256_loadu_ps(out.add(24)), a3));
-            j += 32;
-        }
-        while j + 8 <= n {
-            let mut a0 = _mm256_setzero_ps();
-            for (k, &xv) in x.iter().enumerate() {
-                let xb = _mm256_set1_ps(xv);
-                a0 = _mm256_add_ps(a0, _mm256_mul_ps(xb, _mm256_loadu_ps(wp.add(k * n + j))));
-            }
-            let out = yp.add(j);
-            _mm256_storeu_ps(out, _mm256_add_ps(_mm256_loadu_ps(out), a0));
-            j += 8;
-        }
-        while j < n {
-            let mut acc = 0.0f32;
-            for (k, &xv) in x.iter().enumerate() {
-                acc += xv * wt[k * n + j];
-            }
-            y[j] += acc;
-            j += 1;
-        }
-    }
-
-    /// # Safety
     /// Requires AVX2 (callers check [`super::supported`]) and the shape
     /// the public wrapper asserts: `src` is `rows × cols`, `stride >=
     /// rows`, and `dst` reaches column `cols − 1`'s row. The Miri leg
@@ -1296,57 +1253,6 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Requires AVX2 (callers check [`super::supported`]) and
-    /// `w.len() == y.len() * x.len()` with `w` non-empty — the public
-    /// wrapper asserts both. Every vector load below stays inside `w` on
-    /// the strength of that shape alone. The Miri leg interprets this
-    /// body over exact-size allocations
-    /// (`rowmajor_kernels_levels_bit_identical`); on hardware the
-    /// `simd_identity` cases whose `w`, `x` and `y` end exactly at their
-    /// allocation's end cover the larger shapes.
-    ///
-    /// Eight consecutive rows are the eight lanes: each 8×8 block of `w`
-    /// is transposed in registers ([`load_transposed8`]) and consumed
-    /// one column (= one `k`) at a time, so lane `i` performs the scalar
-    /// `acc += w[r+i][k] * x[k]` chain in ascending `k` (mul then add —
-    /// no FMA). The `cols % 8` columns are finished per lane in scalar
-    /// code before `y[r+i] += acc`; the `rows % 8` rows are scalar.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn rowmajor_gemv_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
-        let rows = y.len();
-        let cols = x.len();
-        let kfull = cols - cols % 8;
-        let wp = w.as_ptr();
-        let xp = x.as_ptr();
-        let mut r = 0;
-        while r + 8 <= rows {
-            let base = wp.add(r * cols);
-            let mut acc = _mm256_setzero_ps();
-            let mut k = 0;
-            while k < kfull {
-                // SAFETY: `r + 7 < rows` and `k + 8 <= cols`, so row
-                // `r+i`'s load reads `w[(r+i)*cols + k ..][..8]` with
-                // `(r+i)*cols + k + 8 <= rows*cols == w.len()`.
-                // `x[k..k+8]` is in bounds likewise.
-                let cs = load_transposed8(base.add(k), cols);
-                for (j, &c) in cs.iter().enumerate() {
-                    let xb = _mm256_broadcast_ss(&*xp.add(k + j));
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(c, xb));
-                }
-                k += 8;
-            }
-            let mut lanes = [0.0f32; 8];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-            let block = &w[r * cols..(r + 8) * cols];
-            super::scalar::finish_row_block(&mut y[r..r + 8], &lanes, x, block, kfull);
-            r += 8;
-        }
-        if r < rows {
-            super::scalar::rowmajor_gemv_acc(&mut y[r..], x, &w[r * cols..]);
-        }
-    }
-
-    /// # Safety
     /// Requires AVX2 (callers check [`super::supported`]).
     ///
     /// The scalar row loop with the zero-skip, each row one [`saxpy`]
@@ -1360,454 +1266,6 @@ mod avx2 {
                 continue;
             }
             saxpy(row, c, v);
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2 (callers check [`super::supported`]) and
-    /// `w.len() == x.len() * y.len()` — the public wrapper asserts it.
-    /// Like the row-block loads of [`rowmajor_gemv_acc`], the tile loads
-    /// here are interpreted by the Miri leg at small shapes and rest on
-    /// the `simd_identity` end-of-allocation cases at large ones.
-    ///
-    /// Per output `j` this is the row loop of the scalar reference —
-    /// `y[j] += x[r] * w[r][j]` for `r` ascending, rows with
-    /// `x[r] == 0.0` skipped — but a per-row saxpy carries `y` from one
-    /// row to the next through memory (store, reload), which is what
-    /// bounds it. So the loops are exchanged: a tile of 32 (then 8)
-    /// outputs stays in registers across all rows, as in
-    /// [`colmajor_gemv_acc`], seeded from `y` instead of zero. Outputs
-    /// are independent, so the exchange cannot change a bit.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
-        let n = y.len();
-        let wp = w.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut j = 0;
-        // SAFETY (both tile loops): `j + width <= n` bounds the loads and
-        // stores on `y`, and with `r < x.len()` the row loads end at
-        // `r*n + j + width <= x.len()*n == w.len()`.
-        while j + 32 <= n {
-            let out = yp.add(j);
-            let mut a0 = _mm256_loadu_ps(out);
-            let mut a1 = _mm256_loadu_ps(out.add(8));
-            let mut a2 = _mm256_loadu_ps(out.add(16));
-            let mut a3 = _mm256_loadu_ps(out.add(24));
-            for (r, &xr) in x.iter().enumerate() {
-                if xr == 0.0 {
-                    continue;
-                }
-                let xb = _mm256_set1_ps(xr);
-                let row = wp.add(r * n + j);
-                a0 = _mm256_add_ps(a0, _mm256_mul_ps(xb, _mm256_loadu_ps(row)));
-                a1 = _mm256_add_ps(a1, _mm256_mul_ps(xb, _mm256_loadu_ps(row.add(8))));
-                a2 = _mm256_add_ps(a2, _mm256_mul_ps(xb, _mm256_loadu_ps(row.add(16))));
-                a3 = _mm256_add_ps(a3, _mm256_mul_ps(xb, _mm256_loadu_ps(row.add(24))));
-            }
-            _mm256_storeu_ps(out, a0);
-            _mm256_storeu_ps(out.add(8), a1);
-            _mm256_storeu_ps(out.add(16), a2);
-            _mm256_storeu_ps(out.add(24), a3);
-            j += 32;
-        }
-        while j + 8 <= n {
-            let out = yp.add(j);
-            let mut a0 = _mm256_loadu_ps(out);
-            for (r, &xr) in x.iter().enumerate() {
-                if xr == 0.0 {
-                    continue;
-                }
-                let row = _mm256_loadu_ps(wp.add(r * n + j));
-                a0 = _mm256_add_ps(a0, _mm256_mul_ps(_mm256_set1_ps(xr), row));
-            }
-            _mm256_storeu_ps(out, a0);
-            j += 8;
-        }
-        if j < n {
-            for (row, &xr) in w.chunks_exact(n).zip(x) {
-                if xr == 0.0 {
-                    continue;
-                }
-                super::scalar::saxpy(&mut y[j..], xr, &row[j..]);
-            }
-        }
-    }
-
-    /// `W` ymm of outputs `j..j + 8·W` of [`colmajor_gemv_acc_seq`] for
-    /// `N` consecutive steps: each tile of a `wt` row is loaded once and
-    /// feeds all `N` steps' accumulators.
-    ///
-    /// # Safety
-    /// Requires AVX2; `wt` must be `k × n` with `j + 8·W <= n`, `xs`
-    /// must hold steps `s0..s0 + N` of `k` floats and `ys` the same steps
-    /// of `n` floats.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn colmajor_seq_tile<const N: usize, const W: usize>(
-        ys: &mut [f32],
-        xs: &[f32],
-        wt: &[f32],
-        (n, k): (usize, usize),
-        j: usize,
-        s0: usize,
-    ) {
-        // SAFETY (every access below): register `a` covers outputs
-        // `j + 8a .. j + 8a + 8 <= n` of a row of `wt` or of a step of
-        // `ys`, and step `s0 + s`'s `x[kk]` is inside `xs` because
-        // `s < N` steps are held.
-        let xp = xs.as_ptr().add(s0 * k);
-        let mut acc = [[_mm256_setzero_ps(); W]; N];
-        for kk in 0..k {
-            let row = wt.as_ptr().add(kk * n + j);
-            let mut w = [_mm256_setzero_ps(); W];
-            for (a, v) in w.iter_mut().enumerate() {
-                *v = _mm256_loadu_ps(row.add(8 * a));
-            }
-            for (s, lanes) in acc.iter_mut().enumerate() {
-                let xb = _mm256_broadcast_ss(&*xp.add(s * k + kk));
-                for (lane, &v) in lanes.iter_mut().zip(&w) {
-                    *lane = _mm256_add_ps(*lane, _mm256_mul_ps(xb, v));
-                }
-            }
-        }
-        let out = ys.as_mut_ptr().add(s0 * n + j);
-        for (s, lanes) in acc.iter().enumerate() {
-            for (a, &lane) in lanes.iter().enumerate() {
-                let o = out.add(s * n + 8 * a);
-                _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), lane));
-            }
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2 (callers check [`super::supported`]), a non-empty
-    /// `wt` of `k × n` floats, and `ys` / `xs` holding the same whole
-    /// number of `n`- / `k`-float steps — the public wrapper establishes
-    /// all three. The Miri leg interprets it over exact-size slabs
-    /// (`colmajor_seq_is_t_per_step_calls_at_every_level`).
-    ///
-    /// Per `(step, output)` this is [`colmajor_gemv_acc`] unchanged:
-    /// fresh accumulator, ascending `k`, mul then add (no FMA), then
-    /// `y += acc`. Tiles of 16 outputs (2 ymm), then one of 8, then
-    /// scalar outputs; output tiles are outermost, so a tile's column
-    /// strip of `wt` is fetched once per sequence and re-read from L1
-    /// for every step block. Outputs before `first` are left alone (the
-    /// 16-lane body hands its leftover outputs here).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn colmajor_gemv_acc_seq(
-        ys: &mut [f32],
-        xs: &[f32],
-        wt: &[f32],
-        t: usize,
-        shape: (usize, usize),
-        first: usize,
-    ) {
-        let (n, k) = shape;
-        let mut j = first;
-        while j + 16 <= n {
-            super::for_step_blocks(t, |s0, len| {
-                with_block_len!(len, colmajor_seq_tile::<_, 2>(ys, xs, wt, shape, j, s0))
-            });
-            j += 16;
-        }
-        if j + 8 <= n {
-            super::for_step_blocks(t, |s0, len| {
-                with_block_len!(len, colmajor_seq_tile::<_, 1>(ys, xs, wt, shape, j, s0))
-            });
-            j += 8;
-        }
-        for (y, x) in ys.chunks_exact_mut(n).zip(xs.chunks_exact(k)) {
-            for (jj, yo) in y.iter_mut().enumerate().skip(j) {
-                let mut acc = 0.0f32;
-                for (kk, &xv) in x.iter().enumerate() {
-                    acc += xv * wt[kk * n + jj];
-                }
-                *yo += acc;
-            }
-        }
-    }
-
-    /// One 8-row block of [`rowmajor_gemv_acc_seq`] for `N` consecutive
-    /// steps: every 8×8 block of `w` is transposed once and feeds all
-    /// `N` accumulators.
-    ///
-    /// # Safety
-    /// Requires AVX2; `w` must hold rows `r..r + 8` of `cols` floats,
-    /// `xs` steps `s0..s0 + N` of `cols` floats, `ys` steps
-    /// `s0..s0 + N` of `rows` floats with `r + 8 <= rows`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn gemv_seq_block<const N: usize>(
-        ys: &mut [f32],
-        xs: &[f32],
-        w: &[f32],
-        (rows, cols): (usize, usize),
-        r: usize,
-        s0: usize,
-    ) {
-        let kfull = cols - cols % 8;
-        let base = w.as_ptr().add(r * cols);
-        let xp = xs.as_ptr().add(s0 * cols);
-        let mut acc = [_mm256_setzero_ps(); N];
-        let mut k = 0;
-        while k < kfull {
-            // SAFETY: `r + 7 < rows` and `k + 8 <= cols` keep every row
-            // load inside `w` (see `rowmajor_gemv_acc`); step `s0 + a`'s
-            // `x[k + j]` is inside `xs` because `a < N` steps are held.
-            let cs = load_transposed8(base.add(k), cols);
-            for (j, &c) in cs.iter().enumerate() {
-                for (a, lane) in acc.iter_mut().enumerate() {
-                    let xb = _mm256_broadcast_ss(&*xp.add(a * cols + k + j));
-                    *lane = _mm256_add_ps(*lane, _mm256_mul_ps(c, xb));
-                }
-            }
-            k += 8;
-        }
-        let block = &w[r * cols..(r + 8) * cols];
-        for (a, &lane) in acc.iter().enumerate() {
-            let s = s0 + a;
-            let mut lanes = [0.0f32; 8];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), lane);
-            super::scalar::finish_row_block(
-                &mut ys[s * rows + r..s * rows + r + 8],
-                &lanes,
-                &xs[s * cols..(s + 1) * cols],
-                block,
-                kfull,
-            );
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2 (callers check [`super::supported`]), a non-empty
-    /// `w` of `rows × cols` floats, and `ys` / `xs` holding the same
-    /// whole number of `rows`- / `cols`-float steps — the public wrapper
-    /// establishes all three. Like the per-step body, the Miri leg
-    /// interprets it over exact-size slabs
-    /// (`sequence_kernels_are_t_per_step_calls_at_every_level`) and the
-    /// `simd_identity` cases whose slabs end exactly at their
-    /// allocation's end cover it on hardware.
-    ///
-    /// Per `(step, row)` this is [`rowmajor_gemv_acc`] unchanged: fresh
-    /// accumulator, ascending `k`, mul then add, `cols % 8` columns
-    /// finished per lane in scalar code, then `y += acc`; `rows % 8`
-    /// rows are scalar. Row blocks are outermost, so each block of `w`
-    /// is fetched once per sequence and re-read from L1 for every step
-    /// block. Rows before `first_row` are left alone (the 16-lane body
-    /// hands its leftover rows here).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn rowmajor_gemv_acc_seq(
-        ys: &mut [f32],
-        xs: &[f32],
-        w: &[f32],
-        t: usize,
-        shape: (usize, usize),
-        first_row: usize,
-    ) {
-        let (rows, cols) = shape;
-        let mut r = first_row;
-        while r + 8 <= rows {
-            super::for_step_blocks(t, |s0, n| {
-                with_block_len!(n, gemv_seq_block::<_>(ys, xs, w, shape, r, s0))
-            });
-            r += 8;
-        }
-        if r < rows {
-            for (y, x) in ys.chunks_exact_mut(rows).zip(xs.chunks_exact(cols)) {
-                super::scalar::rowmajor_gemv_acc(&mut y[r..], x, &w[r * cols..]);
-            }
-        }
-    }
-
-    /// `W` `ymm` of row `r` of [`rank1_update_seq`], columns `j..`,
-    /// carried in registers across all the steps.
-    ///
-    /// # Safety
-    /// Requires AVX2 and `j + 8 * W <= cols`, with `row` pointing at
-    /// `cols` floats and `us` / `vs` holding `t` steps.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn rank1_seq_tile<const W: usize>(
-        row: *mut f32,
-        alpha: f32,
-        us: &[f32],
-        vs: &[f32],
-        (t, rows, cols): (usize, usize, usize),
-        (r, j): (usize, usize),
-        descending: bool,
-    ) {
-        let mut acc = [_mm256_setzero_ps(); W];
-        for (a, lane) in acc.iter_mut().enumerate() {
-            *lane = _mm256_loadu_ps(row.add(j + 8 * a));
-        }
-        let mut updated = false;
-        for i in 0..t {
-            let s = super::seq_step(i, t, descending);
-            let c = alpha * us[s * rows + r];
-            if c == 0.0 {
-                continue;
-            }
-            updated = true;
-            let cb = _mm256_set1_ps(c);
-            let v = vs.as_ptr().add(s * cols + j);
-            for (a, lane) in acc.iter_mut().enumerate() {
-                *lane = _mm256_add_ps(*lane, _mm256_mul_ps(cb, _mm256_loadu_ps(v.add(8 * a))));
-            }
-        }
-        if updated {
-            for (a, &lane) in acc.iter().enumerate() {
-                _mm256_storeu_ps(row.add(j + 8 * a), lane);
-            }
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2 (callers check [`super::supported`]), a non-empty
-    /// `w` of `rows × cols` floats, and `us` / `vs` holding the same
-    /// whole number of `rows`- / `cols`-float steps — the public wrapper
-    /// establishes all three. Interpreted by the Miri leg at small shapes
-    /// like the other sequence bodies; covered on hardware by the
-    /// end-of-allocation cases of `simd_identity`.
-    ///
-    /// Per element this is the per-step saxpy chain `w[r][j] += c · v[j]`
-    /// with `c = alpha · u[r]`, one term per step in step order, steps
-    /// with `c == 0.0` skipped — only the loop nest differs: row, then
-    /// column tile (32, then 8 floats, then a scalar tail), then step,
-    /// so a tile is loaded and stored once per sequence, and not stored
-    /// at all when every step skipped it.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn rank1_update_seq(
-        w: &mut [f32],
-        alpha: f32,
-        us: &[f32],
-        vs: &[f32],
-        t: usize,
-        (rows, cols): (usize, usize),
-        descending: bool,
-    ) {
-        let shape = (t, rows, cols);
-        for r in 0..rows {
-            // SAFETY: row `r < rows` of a `rows × cols` matrix; each
-            // tile call is made with `j + width <= cols`.
-            let row = w.as_mut_ptr().add(r * cols);
-            let mut j = 0;
-            while j + 32 <= cols {
-                rank1_seq_tile::<4>(row, alpha, us, vs, shape, (r, j), descending);
-                j += 32;
-            }
-            while j + 8 <= cols {
-                rank1_seq_tile::<1>(row, alpha, us, vs, shape, (r, j), descending);
-                j += 8;
-            }
-            if j < cols {
-                let tail = &mut w[r * cols + j..(r + 1) * cols];
-                for i in 0..t {
-                    let s = super::seq_step(i, t, descending);
-                    let c = alpha * us[s * rows + r];
-                    if c == 0.0 {
-                        continue;
-                    }
-                    super::scalar::saxpy(tail, c, &vs[s * cols + j..(s + 1) * cols]);
-                }
-            }
-        }
-    }
-
-    /// `W` `ymm` of output columns `j..` of [`gemv_t_acc_seq`] for `N`
-    /// consecutive steps: each weight-row tile is loaded once and feeds
-    /// all `N` steps' chains.
-    ///
-    /// # Safety
-    /// Requires AVX2 and `j + 8 * W <= cols`, with `w` a `rows × cols`
-    /// matrix and `ys` / `xs` holding steps `s0..s0 + N`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn gemv_t_seq_tile<const N: usize, const W: usize>(
-        ys: &mut [f32],
-        xs: &[f32],
-        w: &[f32],
-        (rows, cols): (usize, usize),
-        j: usize,
-        s0: usize,
-    ) {
-        let yp = ys.as_mut_ptr().add(s0 * cols + j);
-        let xp = xs.as_ptr().add(s0 * rows);
-        let wp = w.as_ptr().add(j);
-        let mut acc = [[_mm256_setzero_ps(); W]; N];
-        for (a, step) in acc.iter_mut().enumerate() {
-            for (b, lane) in step.iter_mut().enumerate() {
-                *lane = _mm256_loadu_ps(yp.add(a * cols + 8 * b));
-            }
-        }
-        for r in 0..rows {
-            let mut row = [_mm256_setzero_ps(); W];
-            for (b, tile) in row.iter_mut().enumerate() {
-                *tile = _mm256_loadu_ps(wp.add(r * cols + 8 * b));
-            }
-            for (a, step) in acc.iter_mut().enumerate() {
-                let x = *xp.add(a * rows + r);
-                if x == 0.0 {
-                    continue;
-                }
-                let xb = _mm256_set1_ps(x);
-                for (lane, &tile) in step.iter_mut().zip(&row) {
-                    *lane = _mm256_add_ps(*lane, _mm256_mul_ps(xb, tile));
-                }
-            }
-        }
-        for (a, step) in acc.iter().enumerate() {
-            for (b, &lane) in step.iter().enumerate() {
-                _mm256_storeu_ps(yp.add(a * cols + 8 * b), lane);
-            }
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2 (callers check [`super::supported`]), a non-empty
-    /// `w` of `rows × cols` floats, and `ys` / `xs` holding the same
-    /// whole number of `cols`- / `rows`-float steps — the public wrapper
-    /// establishes all three. Interpreted by the Miri leg at small shapes
-    /// like the other sequence bodies; covered on hardware by the
-    /// end-of-allocation cases of `simd_identity`.
-    ///
-    /// Per `(step, column)` this is the per-step chain
-    /// `y[j] += x[r] · w[r][j]` over ascending `r`, rows with
-    /// `x[r] == 0.0` skipped, seeded from `y` as in [`gemv_t_acc`]. A
-    /// tile is 16 (then 8) columns × up to six steps; `cols % 8` columns
-    /// take the per-step scalar path.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gemv_t_acc_seq(
-        ys: &mut [f32],
-        xs: &[f32],
-        w: &[f32],
-        t: usize,
-        shape: (usize, usize),
-    ) {
-        let (rows, cols) = shape;
-        let mut j = 0;
-        // SAFETY (both tile loops): `j + width <= cols` bounds every
-        // load and store on a `cols`-float row of `ys` or `w`.
-        while j + 16 <= cols {
-            super::for_step_blocks(t, |s0, n| {
-                with_block_len!(n, gemv_t_seq_tile::<_, 2>(ys, xs, w, shape, j, s0))
-            });
-            j += 16;
-        }
-        while j + 8 <= cols {
-            super::for_step_blocks(t, |s0, n| {
-                with_block_len!(n, gemv_t_seq_tile::<_, 1>(ys, xs, w, shape, j, s0))
-            });
-            j += 8;
-        }
-        if j < cols {
-            for (y, x) in ys.chunks_exact_mut(cols).zip(xs.chunks_exact(rows)) {
-                for (row, &xr) in w.chunks_exact(cols).zip(x) {
-                    if xr == 0.0 {
-                        continue;
-                    }
-                    super::scalar::saxpy(&mut y[j..], xr, &row[j..]);
-                }
-            }
         }
     }
 
@@ -1865,204 +1323,821 @@ mod avx2 {
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512 (512-bit) implementations: only the kernels with a measured
-// gain over their AVX2 body (see the module docs).
+// Lane-generic bodies: each kernel that runs at two widths is written once
+// over `Lanes` and instantiated at eight lanes (`__m256`) and sixteen
+// (`__m512`).
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
-mod avx512 {
+pub(crate) mod wide {
+    use super::{scalar, seq_step, SEQ_BLOCK};
+    use crate::libm::{EXP_A, EXP_C0, EXP_C1, EXP_C2, EXP_S, EXP_T};
     use std::arch::x86_64::*;
 
-    /// `W` zmm of outputs `j..` of [`colmajor_gemv_acc`], the last one
-    /// holding only the lanes in `last`: masked loads read nothing in the
-    /// other lanes (they come back zero, are computed and never stored).
+    /// One `f32` vector register and the operations the lane-generic
+    /// bodies are written in. Each has the same meaning in every lane at
+    /// both widths — `__m256` (AVX2; a tail mask is a lane vector, read
+    /// and written with `vmaskmovps`) and `__m512` (AVX-512F; a tail mask
+    /// is a `__mmask16`) — and none fuses a multiply into an add.
+    ///
+    /// The Miri leg interprets every body written over this trait at
+    /// eight lanes; only the `__m512` impl is out of its reach (its
+    /// `RUSTFLAGS` enable AVX2 and FMA, so [`super::Level::Avx512`] is
+    /// never detected there), and `simd_identity` / `libm_identity` cover
+    /// the sixteen-lane instances on hardware that has AVX-512.
     ///
     /// # Safety
-    /// Requires AVX-512F; `y` and `wt` as in [`colmajor_gemv_acc`] with
-    /// `n = y.len()`, and outputs `j .. j + 16·(W − 1)` plus `last`'s
-    /// lanes past them inside `0..n`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn colmajor_tile<const W: usize>(
-        y: &mut [f32],
-        x: &[f32],
-        wt: &[f32],
-        j: usize,
-        last: __mmask16,
-    ) {
-        let n = y.len();
-        let mask = |a: usize| reg_mask::<W>(a, last);
-        // SAFETY (every access below): register `a` starts at output
-        // `j + 16a < n`, so its pointer is inside row `k` of `wt` and
-        // inside `y`, and its mask names only outputs below `n` — the
-        // masked loads and store touch nothing else.
-        let mut acc = [_mm512_setzero_ps(); W];
-        for (k, &xv) in x.iter().enumerate() {
-            let xb = _mm512_set1_ps(xv);
-            let row = wt.as_ptr().add(k * n + j);
-            for (a, lane) in acc.iter_mut().enumerate() {
-                let w = _mm512_maskz_loadu_ps(mask(a), row.add(16 * a));
-                *lane = _mm512_add_ps(*lane, _mm512_mul_ps(xb, w));
+    /// Every method needs the impl's target features, which a body gets
+    /// by running inside [`Lanes::enable`] (or [`Lanes::enable_fma`]).
+    /// A pointer must be valid for what the method touches: all
+    /// [`Lanes::LANES`] floats for `load` / `store`, the mask's lanes for
+    /// the masked forms.
+    pub(crate) trait Lanes: Copy {
+        /// Floats per register.
+        const LANES: usize;
+        /// A set of lanes: a compare's result, or a tail's live lanes.
+        type Mask: Copy;
+        /// The integer register of the same width (32-bit lanes).
+        type Int: Copy;
+        /// The lanes as an array.
+        type Array: Copy + Default + AsRef<[f32]> + AsMut<[f32]>;
+
+        /// Runs `f` with this width's target features enabled: AVX2, or
+        /// AVX-512F with FMA. `f` should be an `#[inline(always)]`
+        /// closure, so its body is compiled with them.
+        unsafe fn enable<R>(f: impl FnOnce() -> R) -> R;
+        /// [`Lanes::enable`] with FMA as well, which the `expf` core's
+        /// fused steps need.
+        unsafe fn enable_fma<R>(f: impl FnOnce() -> R) -> R;
+
+        unsafe fn splat(v: f32) -> Self;
+        unsafe fn load(p: *const f32) -> Self;
+        unsafe fn store(p: *mut f32, v: Self);
+        /// The first `live` lanes, `1 <= live <= LANES`.
+        unsafe fn tail(live: usize) -> Self::Mask;
+        /// The lanes of `m` from `p`, zero in the others, which are not
+        /// read.
+        unsafe fn load_masked(m: Self::Mask, p: *const f32) -> Self;
+        /// The lanes of `m` to `p`; the others are not written.
+        unsafe fn store_masked(p: *mut f32, m: Self::Mask, v: Self);
+        unsafe fn add(a: Self, b: Self) -> Self;
+        unsafe fn sub(a: Self, b: Self) -> Self;
+        unsafe fn mul(a: Self, b: Self) -> Self;
+        unsafe fn div(a: Self, b: Self) -> Self;
+        /// The `LANES × 8` block whose rows start at `p`, `p + stride`, …
+        /// as its eight columns: lane `i` of result `j` is
+        /// `*p.add(i * stride + j)`.
+        unsafe fn load_transposed8(p: *const f32, stride: usize) -> [Self; 8];
+        /// [`crate::libm::expf`]'s main path in every lane; no lane may
+        /// need one of its scalar-only arms. Each width keeps its own
+        /// core — two `f64` halves with a 64-bit gather into the table —
+        /// and needs FMA ([`Lanes::enable_fma`]).
+        unsafe fn exp(x: Self) -> Self;
+        /// Lanes where `a >= b` (ordered: false on NaN).
+        unsafe fn ge(a: Self, b: Self) -> Self::Mask;
+        /// `b` in the lanes of `m`, `a` in the others.
+        unsafe fn select(m: Self::Mask, a: Self, b: Self) -> Self;
+        unsafe fn any(m: Self::Mask) -> bool;
+
+        unsafe fn bits(x: Self) -> Self::Int;
+        unsafe fn from_bits(i: Self::Int) -> Self;
+        unsafe fn isplat(v: i32) -> Self::Int;
+        unsafe fn iadd(a: Self::Int, b: Self::Int) -> Self::Int;
+        unsafe fn isub(a: Self::Int, b: Self::Int) -> Self::Int;
+        unsafe fn iand(a: Self::Int, b: Self::Int) -> Self::Int;
+        unsafe fn ixor(a: Self::Int, b: Self::Int) -> Self::Int;
+        unsafe fn shl<const S: i32>(a: Self::Int) -> Self::Int;
+        /// Logical shift right.
+        unsafe fn shr<const S: i32>(a: Self::Int) -> Self::Int;
+        /// Logical shift right by each lane's count; a count of 32 or more
+        /// gives 0.
+        unsafe fn srlv(a: Self::Int, count: Self::Int) -> Self::Int;
+        /// Lanes where `a > b`, signed.
+        unsafe fn gt(a: Self::Int, b: Self::Int) -> Self::Mask;
+        unsafe fn eq(a: Self::Int, b: Self::Int) -> Self::Mask;
+        /// Float to integer, truncating.
+        unsafe fn cvtt(x: Self) -> Self::Int;
+        unsafe fn cvt(i: Self::Int) -> Self;
+    }
+
+    impl Lanes for __m256 {
+        const LANES: usize = 8;
+        type Mask = __m256;
+        type Int = __m256i;
+        type Array = [f32; 8];
+
+        #[inline(always)]
+        unsafe fn enable<R>(f: impl FnOnce() -> R) -> R {
+            #[inline(never)]
+            #[target_feature(enable = "avx2")]
+            unsafe fn on<R>(f: impl FnOnce() -> R) -> R {
+                f()
             }
+            on(f)
         }
-        let out = y.as_mut_ptr().add(j);
-        for (a, &lane) in acc.iter().enumerate() {
-            let (m, o) = (mask(a), out.add(16 * a));
-            _mm512_mask_storeu_ps(o, m, _mm512_add_ps(_mm512_maskz_loadu_ps(m, o), lane));
+        #[inline(always)]
+        unsafe fn enable_fma<R>(f: impl FnOnce() -> R) -> R {
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn on<R>(f: impl FnOnce() -> R) -> R {
+                f()
+            }
+            on(f)
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm256_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: Self) {
+            _mm256_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn tail(live: usize) -> Self::Mask {
+            static ONES_THEN_ZEROS: [i32; 16] =
+                [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+            let window = &ONES_THEN_ZEROS[8 - live..][..8];
+            _mm256_loadu_ps(window.as_ptr().cast())
+        }
+        #[inline(always)]
+        unsafe fn load_masked(m: Self::Mask, p: *const f32) -> Self {
+            _mm256_maskload_ps(p, _mm256_castps_si256(m))
+        }
+        #[inline(always)]
+        unsafe fn store_masked(p: *mut f32, m: Self::Mask, v: Self) {
+            _mm256_maskstore_ps(p, _mm256_castps_si256(m), v)
+        }
+        #[inline(always)]
+        unsafe fn add(a: Self, b: Self) -> Self {
+            _mm256_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: Self, b: Self) -> Self {
+            _mm256_sub_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: Self, b: Self) -> Self {
+            _mm256_mul_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn div(a: Self, b: Self) -> Self {
+            _mm256_div_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn load_transposed8(p: *const f32, stride: usize) -> [Self; 8] {
+            super::avx2::load_transposed8(p, stride)
+        }
+        /// Two halves of four lanes.
+        #[inline(always)]
+        unsafe fn exp(x: Self) -> Self {
+            #[inline(always)]
+            unsafe fn exp4(xd: __m256d) -> __m128 {
+                let a = _mm256_set1_pd(EXP_A);
+                let s = _mm256_set1_pd(EXP_S);
+                let z = _mm256_fmadd_pd(a, xd, s);
+                let ki = _mm256_castpd_si256(z);
+                let kd = _mm256_sub_pd(z, s);
+                let r = _mm256_fmsub_pd(a, xd, kd);
+                let idx = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+                // In bounds: every index is `ki & 31` into the 32-entry table.
+                let t = _mm256_i64gather_epi64::<8>(EXP_T.as_ptr().cast(), idx);
+                let scale = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+                let p = _mm256_fmadd_pd(r, _mm256_set1_pd(EXP_C0), _mm256_set1_pd(EXP_C1));
+                let q = _mm256_fmadd_pd(r, _mm256_set1_pd(EXP_C2), _mm256_set1_pd(1.0));
+                let y = _mm256_fmadd_pd(p, _mm256_mul_pd(r, r), q);
+                _mm256_cvtpd_ps(_mm256_mul_pd(y, scale))
+            }
+            let lo = exp4(_mm256_cvtps_pd(_mm256_castps256_ps128(x)));
+            let hi = exp4(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x)));
+            _mm256_set_m128(hi, lo)
+        }
+        #[inline(always)]
+        unsafe fn ge(a: Self, b: Self) -> Self::Mask {
+            _mm256_cmp_ps::<_CMP_GE_OQ>(a, b)
+        }
+        #[inline(always)]
+        unsafe fn select(m: Self::Mask, a: Self, b: Self) -> Self {
+            _mm256_blendv_ps(a, b, m)
+        }
+        #[inline(always)]
+        unsafe fn any(m: Self::Mask) -> bool {
+            _mm256_movemask_ps(m) != 0
+        }
+        #[inline(always)]
+        unsafe fn bits(x: Self) -> Self::Int {
+            _mm256_castps_si256(x)
+        }
+        #[inline(always)]
+        unsafe fn from_bits(i: Self::Int) -> Self {
+            _mm256_castsi256_ps(i)
+        }
+        #[inline(always)]
+        unsafe fn isplat(v: i32) -> Self::Int {
+            _mm256_set1_epi32(v)
+        }
+        #[inline(always)]
+        unsafe fn iadd(a: Self::Int, b: Self::Int) -> Self::Int {
+            _mm256_add_epi32(a, b)
+        }
+        #[inline(always)]
+        unsafe fn isub(a: Self::Int, b: Self::Int) -> Self::Int {
+            _mm256_sub_epi32(a, b)
+        }
+        #[inline(always)]
+        unsafe fn iand(a: Self::Int, b: Self::Int) -> Self::Int {
+            _mm256_and_si256(a, b)
+        }
+        #[inline(always)]
+        unsafe fn ixor(a: Self::Int, b: Self::Int) -> Self::Int {
+            _mm256_xor_si256(a, b)
+        }
+        #[inline(always)]
+        unsafe fn shl<const S: i32>(a: Self::Int) -> Self::Int {
+            _mm256_slli_epi32::<S>(a)
+        }
+        #[inline(always)]
+        unsafe fn shr<const S: i32>(a: Self::Int) -> Self::Int {
+            _mm256_srli_epi32::<S>(a)
+        }
+        #[inline(always)]
+        unsafe fn srlv(a: Self::Int, count: Self::Int) -> Self::Int {
+            _mm256_srlv_epi32(a, count)
+        }
+        #[inline(always)]
+        unsafe fn gt(a: Self::Int, b: Self::Int) -> Self::Mask {
+            _mm256_castsi256_ps(_mm256_cmpgt_epi32(a, b))
+        }
+        #[inline(always)]
+        unsafe fn eq(a: Self::Int, b: Self::Int) -> Self::Mask {
+            _mm256_castsi256_ps(_mm256_cmpeq_epi32(a, b))
+        }
+        #[inline(always)]
+        unsafe fn cvtt(x: Self) -> Self::Int {
+            _mm256_cvttps_epi32(x)
+        }
+        #[inline(always)]
+        unsafe fn cvt(i: Self::Int) -> Self {
+            _mm256_cvtepi32_ps(i)
         }
     }
 
-    /// # Safety
-    /// Requires AVX-512F (callers check [`super::supported`]) and
-    /// `wt.len() == x.len() * y.len()` — the public wrapper asserts it.
-    /// Out of Miri's reach: its `RUSTFLAGS` enable AVX2 and FMA only, so
-    /// [`super::Level::Avx512`] is never detected there. On hardware the
-    /// `simd_identity` column-major sweep runs every output count to 80
-    /// on exact-size allocations.
-    ///
-    /// The AVX2 body at sixteen lanes: 64-wide tiles (4 zmm
-    /// accumulators), then one tile of up to four zmm for the rest, its
-    /// last register masked to the outputs that remain. Per lane the
-    /// reduction is the scalar order exactly (fresh accumulator,
-    /// ascending `k`, mul then add — no FMA), then `y[j] += acc`.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn colmajor_gemv_acc(y: &mut [f32], x: &[f32], wt: &[f32]) {
-        let n = y.len();
+    impl Lanes for __m512 {
+        const LANES: usize = 16;
+        type Mask = __mmask16;
+        type Int = __m512i;
+        type Array = [f32; 16];
+
+        #[inline(always)]
+        unsafe fn enable<R>(f: impl FnOnce() -> R) -> R {
+            #[inline(never)]
+            #[target_feature(enable = "avx2,avx512f,fma")]
+            unsafe fn on<R>(f: impl FnOnce() -> R) -> R {
+                f()
+            }
+            on(f)
+        }
+        #[inline(always)]
+        unsafe fn enable_fma<R>(f: impl FnOnce() -> R) -> R {
+            Self::enable(f)
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm512_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: Self) {
+            _mm512_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn tail(live: usize) -> Self::Mask {
+            ((1u32 << live) - 1) as __mmask16
+        }
+        #[inline(always)]
+        unsafe fn load_masked(m: Self::Mask, p: *const f32) -> Self {
+            _mm512_maskz_loadu_ps(m, p)
+        }
+        #[inline(always)]
+        unsafe fn store_masked(p: *mut f32, m: Self::Mask, v: Self) {
+            _mm512_mask_storeu_ps(p, m, v)
+        }
+        #[inline(always)]
+        unsafe fn add(a: Self, b: Self) -> Self {
+            _mm512_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: Self, b: Self) -> Self {
+            _mm512_sub_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: Self, b: Self) -> Self {
+            _mm512_mul_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn div(a: Self, b: Self) -> Self {
+            _mm512_div_ps(a, b)
+        }
+        /// Two eight-row halves: rows `0..8` in the low 256 bits of each
+        /// column, rows `8..16` in the high.
+        #[inline(always)]
+        unsafe fn load_transposed8(p: *const f32, stride: usize) -> [Self; 8] {
+            let lo = super::avx2::load_transposed8(p, stride);
+            let hi = super::avx2::load_transposed8(p.add(8 * stride), stride);
+            let mut cols = [_mm512_setzero_ps(); 8];
+            for (j, c) in cols.iter_mut().enumerate() {
+                *c = _mm512_castpd_ps(_mm512_insertf64x4::<1>(
+                    _mm512_castpd256_pd512(_mm256_castps_pd(lo[j])),
+                    _mm256_castps_pd(hi[j]),
+                ));
+            }
+            cols
+        }
+        /// Two halves of eight lanes.
+        #[inline(always)]
+        unsafe fn exp(x: Self) -> Self {
+            #[inline(always)]
+            unsafe fn exp8(xd: __m512d) -> __m256 {
+                let a = _mm512_set1_pd(EXP_A);
+                let s = _mm512_set1_pd(EXP_S);
+                let z = _mm512_fmadd_pd(a, xd, s);
+                let ki = _mm512_castpd_si512(z);
+                let kd = _mm512_sub_pd(z, s);
+                let r = _mm512_fmsub_pd(a, xd, kd);
+                let idx = _mm512_and_si512(ki, _mm512_set1_epi64(31));
+                // In bounds: every index is `ki & 31` into the 32-entry table.
+                let t = _mm512_i64gather_epi64::<8>(idx, EXP_T.as_ptr().cast());
+                let scale = _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)));
+                let p = _mm512_fmadd_pd(r, _mm512_set1_pd(EXP_C0), _mm512_set1_pd(EXP_C1));
+                let q = _mm512_fmadd_pd(r, _mm512_set1_pd(EXP_C2), _mm512_set1_pd(1.0));
+                let y = _mm512_fmadd_pd(p, _mm512_mul_pd(r, r), q);
+                _mm512_cvtpd_ps(_mm512_mul_pd(y, scale))
+            }
+            let high = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x)));
+            let lo = exp8(_mm512_cvtps_pd(_mm512_castps512_ps256(x)));
+            let hi = exp8(_mm512_cvtps_pd(high));
+            _mm512_castpd_ps(_mm512_insertf64x4::<1>(
+                _mm512_castpd256_pd512(_mm256_castps_pd(lo)),
+                _mm256_castps_pd(hi),
+            ))
+        }
+        #[inline(always)]
+        unsafe fn ge(a: Self, b: Self) -> Self::Mask {
+            _mm512_cmp_ps_mask::<_CMP_GE_OQ>(a, b)
+        }
+        #[inline(always)]
+        unsafe fn select(m: Self::Mask, a: Self, b: Self) -> Self {
+            _mm512_mask_blend_ps(m, a, b)
+        }
+        #[inline(always)]
+        unsafe fn any(m: Self::Mask) -> bool {
+            m != 0
+        }
+        #[inline(always)]
+        unsafe fn bits(x: Self) -> Self::Int {
+            _mm512_castps_si512(x)
+        }
+        #[inline(always)]
+        unsafe fn from_bits(i: Self::Int) -> Self {
+            _mm512_castsi512_ps(i)
+        }
+        #[inline(always)]
+        unsafe fn isplat(v: i32) -> Self::Int {
+            _mm512_set1_epi32(v)
+        }
+        #[inline(always)]
+        unsafe fn iadd(a: Self::Int, b: Self::Int) -> Self::Int {
+            _mm512_add_epi32(a, b)
+        }
+        #[inline(always)]
+        unsafe fn isub(a: Self::Int, b: Self::Int) -> Self::Int {
+            _mm512_sub_epi32(a, b)
+        }
+        #[inline(always)]
+        unsafe fn iand(a: Self::Int, b: Self::Int) -> Self::Int {
+            _mm512_and_si512(a, b)
+        }
+        #[inline(always)]
+        unsafe fn ixor(a: Self::Int, b: Self::Int) -> Self::Int {
+            _mm512_xor_si512(a, b)
+        }
+        #[inline(always)]
+        unsafe fn shl<const S: i32>(a: Self::Int) -> Self::Int {
+            _mm512_sllv_epi32(a, _mm512_set1_epi32(S))
+        }
+        #[inline(always)]
+        unsafe fn shr<const S: i32>(a: Self::Int) -> Self::Int {
+            _mm512_srlv_epi32(a, _mm512_set1_epi32(S))
+        }
+        #[inline(always)]
+        unsafe fn srlv(a: Self::Int, count: Self::Int) -> Self::Int {
+            _mm512_srlv_epi32(a, count)
+        }
+        #[inline(always)]
+        unsafe fn gt(a: Self::Int, b: Self::Int) -> Self::Mask {
+            _mm512_cmpgt_epi32_mask(a, b)
+        }
+        #[inline(always)]
+        unsafe fn eq(a: Self::Int, b: Self::Int) -> Self::Mask {
+            _mm512_cmpeq_epi32_mask(a, b)
+        }
+        #[inline(always)]
+        unsafe fn cvtt(x: Self) -> Self::Int {
+            _mm512_cvttps_epi32(x)
+        }
+        #[inline(always)]
+        unsafe fn cvt(i: Self::Int) -> Self {
+            _mm512_cvtepi32_ps(i)
+        }
+    }
+
+    /// The lanes of `v` as an array.
+    #[inline(always)]
+    pub(crate) unsafe fn spill<L: Lanes>(v: L) -> L::Array {
+        let mut lanes = L::Array::default();
+        L::store(lanes.as_mut().as_mut_ptr(), v);
+        lanes
+    }
+
+    /// Calls `tile(j, regs, live)` for the column tiles of `0..n`: tiles
+    /// of `W` whole registers from column `j`, then one of as many
+    /// registers as the rest needs, its last holding `live` lanes.
+    #[inline(always)]
+    fn for_col_tiles<L: Lanes, const W: usize>(
+        n: usize,
+        mut tile: impl FnMut(usize, usize, usize),
+    ) {
+        let step = W * L::LANES;
         let mut j = 0;
-        while j + 64 <= n {
-            colmajor_tile::<4>(y, x, wt, j, 0xFFFF);
-            j += 64;
+        while j + step <= n {
+            tile(j, W, L::LANES);
+            j += step;
         }
-        let rest = n - j;
-        if rest == 0 {
-            return;
-        }
-        let (regs, last) = tail_tile(rest);
-        match regs {
-            1 => colmajor_tile::<1>(y, x, wt, j, last),
-            2 => colmajor_tile::<2>(y, x, wt, j, last),
-            3 => colmajor_tile::<3>(y, x, wt, j, last),
-            _ => colmajor_tile::<4>(y, x, wt, j, last),
+        if j < n {
+            let regs = (n - j).div_ceil(L::LANES);
+            tile(j, regs, n - j - L::LANES * (regs - 1));
         }
     }
 
-    /// The registers a tile of `rest > 0` floats needs, and the lane mask
-    /// of its last one.
-    #[inline(always)]
-    fn tail_tile(rest: usize) -> (usize, __mmask16) {
-        let regs = rest.div_ceil(16);
-        (regs, ((1u32 << (rest - 16 * (regs - 1))) - 1) as __mmask16)
+    /// `(first, len)` of the fewest blocks of at most [`SEQ_BLOCK`]
+    /// steps that cover `t`, sized evenly (7 → 4 + 3, not 6 + 1).
+    fn step_blocks(t: usize) -> impl Iterator<Item = (usize, usize)> {
+        let blocks = t.div_ceil(SEQ_BLOCK);
+        (0..blocks).scan(0, move |first, b| {
+            let len = (t - *first).div_ceil(blocks - b);
+            *first += len;
+            Some((*first - len, len))
+        })
     }
 
-    /// The lane mask of register `a` of a `W`-register tile whose last
-    /// register holds the lanes in `last`.
+    /// The lanes of a tile's last register when the tile is cut to
+    /// `live` of them (`CUT`); `None` when every register is whole.
     #[inline(always)]
-    fn reg_mask<const W: usize>(a: usize, last: __mmask16) -> __mmask16 {
-        if a + 1 == W {
-            last
+    unsafe fn cut<L: Lanes, const CUT: bool>(live: usize) -> Option<L::Mask> {
+        if CUT {
+            Some(L::tail(live))
         } else {
-            0xFFFF
+            None
         }
     }
 
-    /// `W` zmm of outputs `j..j + 16·W` of [`colmajor_gemv_acc_seq`] for
-    /// `N` consecutive steps — the AVX2 tile at sixteen lanes.
+    /// Register `a` of a `W`-register tile at `p`: whole, or only the
+    /// lanes `last` names if it is the tile's last and `last` is given.
+    #[inline(always)]
+    unsafe fn load_reg<L: Lanes, const W: usize>(
+        p: *const f32,
+        a: usize,
+        last: Option<L::Mask>,
+    ) -> L {
+        match last {
+            Some(m) if a + 1 == W => L::load_masked(m, p.add(a * L::LANES)),
+            _ => L::load(p.add(a * L::LANES)),
+        }
+    }
+
+    /// Stores register `a` of a tile the way [`load_reg`] loads it.
+    #[inline(always)]
+    unsafe fn store_reg<L: Lanes, const W: usize>(
+        p: *mut f32,
+        a: usize,
+        last: Option<L::Mask>,
+        v: L,
+    ) {
+        match last {
+            Some(m) if a + 1 == W => L::store_masked(p.add(a * L::LANES), m, v),
+            _ => L::store(p.add(a * L::LANES), v),
+        }
+    }
+
+    /// A tile's operands: the output slab, the input slab, the weights,
+    /// their shape, `(j, live)` — the tile's first output and the lanes
+    /// of its last register — and the tile's first step.
+    type TileArgs<'a> = (
+        &'a mut [f32],
+        &'a [f32],
+        &'a [f32],
+        (usize, usize),
+        (usize, usize),
+        usize,
+    );
+
+    /// The body of one output tile of a product whose outputs are
+    /// contiguous — `W` registers (the last cut to `live` lanes if
+    /// `CUT`) for `N` steps — run by [`product`].
+    trait Tile {
+        /// # Safety
+        /// Inside [`Lanes::enable`], with the operands of `args` in the
+        /// shape the kernel documents and the tile's lanes inside its
+        /// output row.
+        unsafe fn run<L: Lanes, const W: usize, const N: usize, const CUT: bool>(args: TileArgs);
+    }
+
+    /// Runs tile `T` over the `outputs` of every step: tiles of `W`
+    /// registers, then one of as many as the rest needs (its last
+    /// register cut), each over the step blocks. Output tiles are
+    /// outermost, so a tile's column strip of the weights is fetched
+    /// once and re-read from L1 for every step block.
+    ///
+    /// A single step runs the whole call as one function of `N = 1`
+    /// tiles. A sequence runs each tile instance as a function of its
+    /// own: a tile does enough work to pay for the call, and inlined
+    /// beside every other instance its accumulators would compete with
+    /// theirs for registers.
     ///
     /// # Safety
-    /// Requires AVX-512F; `wt` must be `k × n` with `j + 16·W <= n`, `xs`
-    /// must hold steps `s0..s0 + N` of `k` floats and `ys` the same steps
-    /// of `n` floats.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn colmajor_seq_tile<const N: usize, const W: usize>(
-        ys: &mut [f32],
-        xs: &[f32],
-        wt: &[f32],
-        (n, k): (usize, usize),
-        j: usize,
-        s0: usize,
+    /// `L`'s features, and the operands `T`'s kernel documents.
+    #[inline(always)]
+    unsafe fn product<T: Tile, L: Lanes, const W: usize>(
+        (ys, xs, w, shape): (&mut [f32], &[f32], &[f32], (usize, usize)),
+        outputs: usize,
+        t: usize,
     ) {
-        // SAFETY (every access below): register `a` covers outputs
-        // `j + 16a .. j + 16a + 16 <= n` of a row of `wt` or of a step of
-        // `ys`, and step `s0 + s`'s `x[kk]` is inside `xs` because
-        // `s < N` steps are held.
-        let xp = xs.as_ptr().add(s0 * k);
-        let mut acc = [[_mm512_setzero_ps(); W]; N];
-        for kk in 0..k {
-            let row = wt.as_ptr().add(kk * n + j);
-            let mut w = [_mm512_setzero_ps(); W];
-            for (a, v) in w.iter_mut().enumerate() {
-                *v = _mm512_loadu_ps(row.add(16 * a));
-            }
-            for (s, lanes) in acc.iter_mut().enumerate() {
-                let xb = _mm512_set1_ps(*xp.add(s * k + kk));
-                for (lane, &v) in lanes.iter_mut().zip(&w) {
-                    *lane = _mm512_add_ps(*lane, _mm512_mul_ps(xb, v));
+        if t == 1 {
+            return L::enable(
+                #[inline(always)]
+                || {
+                    for_col_tiles::<L, W>(
+                        outputs,
+                        #[inline(always)]
+                        |j, regs, live| {
+                            let args = (&mut *ys, xs, w, shape, (j, live), 0);
+                            if regs == W && live == L::LANES {
+                                T::run::<L, W, 1, false>(args);
+                            } else {
+                                with_const!(regs, [1, 2, 3, 4], |R| {
+                                    T::run::<L, R, 1, true>(args)
+                                });
+                            }
+                        },
+                    )
+                },
+            );
+        }
+        for_col_tiles::<L, W>(outputs, |j, regs, live| {
+            for (s0, len) in step_blocks(t) {
+                let args = (&mut *ys, xs, w, shape, (j, live), s0);
+                if regs == W && live == L::LANES {
+                    with_const!(len, [1, 2, 3, 4, 5, 6], |N| {
+                        L::enable(
+                            #[inline(always)]
+                            || T::run::<L, W, N, false>(args),
+                        )
+                    });
+                } else {
+                    with_const!(regs, [1, 2, 3, 4], |R| {
+                        with_const!(len, [1, 2, 3, 4, 5, 6], |N| {
+                            L::enable(
+                                #[inline(always)]
+                                || T::run::<L, R, N, true>(args),
+                            )
+                        })
+                    });
                 }
             }
-        }
-        let out = ys.as_mut_ptr().add(s0 * n + j);
-        for (s, lanes) in acc.iter().enumerate() {
-            for (a, &lane) in lanes.iter().enumerate() {
-                let o = out.add(s * n + 16 * a);
-                _mm512_storeu_ps(o, _mm512_add_ps(_mm512_loadu_ps(o), lane));
-            }
-        }
+        });
     }
 
-    /// # Safety
-    /// Requires AVX-512F (callers check [`super::supported`]), a
-    /// non-empty `wt` of `k × n` floats, and `ys` / `xs` holding the same
-    /// whole number of `n`- / `k`-float steps — the public wrapper
-    /// establishes all three. Out of Miri's reach, like every body in
-    /// this module; on hardware the `simd_identity` sweep covers it on
-    /// exact-size allocations, output counts to 1017.
+    /// `ys[s] += Wᵀ · xs[s]` for the `t` steps of an `n`-output slab
+    /// `ys` and a `k`-input slab `xs` over the `k × n` matrix `wt`:
+    /// [`super::colmajor_gemv_acc`] at `t = 1` and `W = 4`,
+    /// [`super::colmajor_gemv_acc_seq`] at `W = 2`.
     ///
-    /// The AVX2 body lane for lane at sixteen lanes: tiles of 32 outputs
-    /// (2 zmm), then one of 16, and the outputs after that take the AVX2
-    /// body — one 8-output tile if eight remain, then scalar outputs.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn colmajor_gemv_acc_seq(
+    /// Per `(step, output)` this is the scalar recipe: fresh
+    /// accumulator, ascending `k`, mul then add (no FMA), then
+    /// `y += acc`; [`product`] tiles the outputs.
+    ///
+    /// # Safety
+    /// `L`'s features (callers check [`super::supported`]), a non-empty
+    /// `wt` of `k × n` floats, and `ys` / `xs` holding `t` steps of `n`
+    /// / `k` floats — the public wrappers establish all three.
+    pub(crate) unsafe fn colmajor_gemv_acc<L: Lanes, const W: usize>(
         ys: &mut [f32],
         xs: &[f32],
         wt: &[f32],
         t: usize,
-        shape: (usize, usize),
+        (n, k): (usize, usize),
     ) {
-        let n = shape.0;
-        let mut j = 0;
-        while j + 32 <= n {
-            super::for_step_blocks(t, |s0, len| {
-                with_block_len!(len, colmajor_seq_tile::<_, 2>(ys, xs, wt, shape, j, s0))
-            });
-            j += 32;
-        }
-        if j + 16 <= n {
-            super::for_step_blocks(t, |s0, len| {
-                with_block_len!(len, colmajor_seq_tile::<_, 1>(ys, xs, wt, shape, j, s0))
-            });
-            j += 16;
-        }
-        if j < n {
-            super::avx2::colmajor_gemv_acc_seq(ys, xs, wt, t, shape, j);
+        product::<ColMajor, L, W>((ys, xs, wt, (n, k)), n, t);
+    }
+
+    /// [`colmajor_gemv_acc`]'s tile: each tile of a `wt` row is loaded
+    /// once and feeds all `N` steps' accumulators.
+    struct ColMajor;
+
+    impl Tile for ColMajor {
+        #[inline(always)]
+        unsafe fn run<L: Lanes, const W: usize, const N: usize, const CUT: bool>(
+            (ys, xs, wt, (n, k), (j, live), s0): TileArgs,
+        ) {
+            // SAFETY (every access below): register `a` of the tile
+            // covers outputs inside `0..n` of a row of `wt` or a step of
+            // `ys`, and step `s0 + s`'s `x[kk]` is inside `xs` because
+            // `s < N`.
+            let last = cut::<L, CUT>(live);
+            let xp = xs.as_ptr().add(s0 * k);
+            let mut acc = [[L::splat(0.0); W]; N];
+            for kk in 0..k {
+                let row = wt.as_ptr().add(kk * n + j);
+                let mut w = [L::splat(0.0); W];
+                for (a, v) in w.iter_mut().enumerate() {
+                    *v = load_reg::<L, W>(row, a, last);
+                }
+                for (s, lanes) in acc.iter_mut().enumerate() {
+                    let xb = L::splat(*xp.add(s * k + kk));
+                    for (a, lane) in lanes.iter_mut().enumerate() {
+                        *lane = L::add(*lane, L::mul(xb, w[a]));
+                    }
+                }
+            }
+            let out = ys.as_mut_ptr().add(s0 * n + j);
+            for (s, lanes) in acc.iter().enumerate() {
+                let o = out.add(s * n);
+                for (a, &lane) in lanes.iter().enumerate() {
+                    let y = load_reg::<L, W>(o, a, last);
+                    store_reg::<L, W>(o, a, last, L::add(y, lane));
+                }
+            }
         }
     }
 
-    /// One 16-row block of [`rowmajor_gemv_acc_seq`] for `N` consecutive
-    /// steps: each 16×8 block of `w` is transposed once — two
-    /// [`load_transposed8`] halves, rows `r..r + 8` in the low and
-    /// `r + 8..r + 16` in the high 256 bits of each column — and feeds
-    /// all `N` accumulators.
+    /// `ys[s] += Wᵀ · xs[s]` for the `t` steps of a `cols`-output slab
+    /// `ys` and a `rows`-input slab `xs` over the row-major
+    /// `rows × cols` matrix `w`: [`super::gemv_t_acc`] at `t = 1`, eight
+    /// lanes and `W = 4`, [`super::gemv_t_acc_seq`] at `W = 2`.
+    ///
+    /// Per `(step, column)` this is the per-step chain
+    /// `y[j] += x[r] · w[r][j]` over ascending `r`, rows whose `x[r]` is
+    /// zero skipped, seeded from `y` — but carried in registers across
+    /// the rows instead of stored and reloaded per row; [`product`] tiles
+    /// the columns.
     ///
     /// # Safety
-    /// Requires AVX-512F; `w` must hold rows `r..r + 16` of `cols`
-    /// floats, `xs` steps `s0..s0 + N` of `cols` floats, `ys` steps
-    /// `s0..s0 + N` of `rows` floats with `r + 16 <= rows`.
+    /// `L`'s features (callers check [`super::supported`]), a non-empty
+    /// `w` of `rows × cols` floats, and `ys` / `xs` holding `t` steps of
+    /// `cols` / `rows` floats — the public wrappers establish all three.
+    pub(crate) unsafe fn gemv_t_acc<L: Lanes, const W: usize>(
+        ys: &mut [f32],
+        xs: &[f32],
+        w: &[f32],
+        t: usize,
+        (rows, cols): (usize, usize),
+    ) {
+        product::<GemvT, L, W>((ys, xs, w, (rows, cols)), cols, t);
+    }
+
+    /// [`gemv_t_acc`]'s tile: each tile of a weight row is loaded once
+    /// and feeds all `N` steps' chains.
+    struct GemvT;
+
+    impl Tile for GemvT {
+        #[inline(always)]
+        unsafe fn run<L: Lanes, const W: usize, const N: usize, const CUT: bool>(
+            (ys, xs, w, (rows, cols), (j, live), s0): TileArgs,
+        ) {
+            // SAFETY (every access below): register `b` of the tile
+            // covers columns inside `0..cols` of a row of `w` or a step
+            // of `ys`, and step `s0 + a`'s `x[r]` is inside `xs` because
+            // `a < N`.
+            let last = cut::<L, CUT>(live);
+            let yp = ys.as_mut_ptr().add(s0 * cols + j);
+            let xp = xs.as_ptr().add(s0 * rows);
+            let wp = w.as_ptr().add(j);
+            let mut acc = [[L::splat(0.0); W]; N];
+            for (a, step) in acc.iter_mut().enumerate() {
+                for (b, lane) in step.iter_mut().enumerate() {
+                    *lane = load_reg::<L, W>(yp.add(a * cols), b, last);
+                }
+            }
+            for r in 0..rows {
+                let mut row = [L::splat(0.0); W];
+                for (b, tile) in row.iter_mut().enumerate() {
+                    *tile = load_reg::<L, W>(wp.add(r * cols), b, last);
+                }
+                for (a, step) in acc.iter_mut().enumerate() {
+                    let x = *xp.add(a * rows + r);
+                    if x == 0.0 {
+                        continue;
+                    }
+                    let xb = L::splat(x);
+                    for (b, lane) in step.iter_mut().enumerate() {
+                        *lane = L::add(*lane, L::mul(xb, row[b]));
+                    }
+                }
+            }
+            for (a, step) in acc.iter().enumerate() {
+                for (b, &lane) in step.iter().enumerate() {
+                    store_reg::<L, W>(yp.add(a * cols), b, last, lane);
+                }
+            }
+        }
+    }
+
+    /// `ys[s] += W · xs[s]` for the `t` steps of a `rows`-output slab
+    /// `ys` and a `cols`-input slab `xs` over the row-major
+    /// `rows × cols` matrix `w`: [`super::rowmajor_gemv_acc`] at `t = 1`
+    /// (eight lanes) and [`super::rowmajor_gemv_acc_seq`].
     ///
-    /// [`load_transposed8`]: super::avx2::load_transposed8
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn gemv_seq_block<const N: usize>(
+    /// `L` consecutive rows are the lanes. Per `(step, row)` this is the
+    /// scalar recipe: fresh accumulator, ascending `k`, mul then add (no
+    /// FMA), the `cols % 8` columns finished per lane in scalar code,
+    /// then `y += acc`. Row blocks are outermost, so each block of `w` is
+    /// fetched once and re-read from L1 for every step block. At sixteen
+    /// lanes the rows after the last block take one eight-row block if
+    /// eight remain; the rows after that are scalar.
+    ///
+    /// # Safety
+    /// `L`'s features (callers check [`super::supported`]), a non-empty
+    /// `w` of `rows × cols` floats, and `ys` / `xs` holding `t` steps of
+    /// `rows` / `cols` floats — the public wrappers establish all three.
+    pub(crate) unsafe fn rowmajor_gemv_acc<L: Lanes>(
+        ys: &mut [f32],
+        xs: &[f32],
+        w: &[f32],
+        t: usize,
+        shape: (usize, usize),
+    ) {
+        let (rows, cols) = shape;
+        let mut r = L::enable(
+            #[inline(always)]
+            || row_blocks::<L>(ys, xs, w, t, shape, 0),
+        );
+        if L::LANES > 8 {
+            r = __m256::enable(
+                #[inline(always)]
+                || row_blocks::<__m256>(ys, xs, w, t, shape, r),
+            );
+        }
+        if r < rows {
+            for (y, x) in ys.chunks_exact_mut(rows).zip(xs.chunks_exact(cols)) {
+                scalar::rowmajor_gemv_acc(&mut y[r..], x, &w[r * cols..]);
+            }
+        }
+    }
+
+    /// The `L`-row blocks of [`rowmajor_gemv_acc`] from row `first` on,
+    /// every step; returns the first row they leave.
+    ///
+    /// # Safety
+    /// As [`rowmajor_gemv_acc`], inside [`Lanes::enable`].
+    #[inline(always)]
+    unsafe fn row_blocks<L: Lanes>(
+        ys: &mut [f32],
+        xs: &[f32],
+        w: &[f32],
+        t: usize,
+        shape: (usize, usize),
+        first: usize,
+    ) -> usize {
+        let mut r = first;
+        while r + L::LANES <= shape.0 {
+            if t == 1 {
+                row_block::<L, 1>(ys, xs, w, shape, r, 0);
+            } else {
+                for (s0, len) in step_blocks(t) {
+                    with_const!(len, [1, 2, 3, 4, 5, 6], |N| {
+                        row_block::<L, N>(ys, xs, w, shape, r, s0)
+                    });
+                }
+            }
+            r += L::LANES;
+        }
+        r
+    }
+
+    /// Rows `r..r + L::LANES` of [`rowmajor_gemv_acc`] for `N` steps from
+    /// `s0`: each `LANES × 8` block of `w` is transposed in registers
+    /// once and feeds all `N` accumulators.
+    ///
+    /// # Safety
+    /// Inside [`Lanes::enable`]; `r + LANES <= rows` with `w` a
+    /// `rows × cols` matrix, and `ys` / `xs` holding steps `s0..s0 + N`.
+    #[inline(always)]
+    unsafe fn row_block<L: Lanes, const N: usize>(
         ys: &mut [f32],
         xs: &[f32],
         w: &[f32],
@@ -2073,310 +2148,156 @@ mod avx512 {
         let kfull = cols - cols % 8;
         let base = w.as_ptr().add(r * cols);
         let xp = xs.as_ptr().add(s0 * cols);
-        let mut acc = [_mm512_setzero_ps(); N];
+        let mut acc = [L::splat(0.0); N];
         let mut k = 0;
         while k < kfull {
-            // SAFETY: `r + 15 < rows` and `k + 8 <= cols` keep every row
-            // load of both halves inside `w`; step `s0 + a`'s `x[k + j]`
-            // is inside `xs` because `a < N` steps are held.
-            let lo = super::avx2::load_transposed8(base.add(k), cols);
-            let hi = super::avx2::load_transposed8(base.add(8 * cols + k), cols);
-            for (j, (&l, &h)) in lo.iter().zip(&hi).enumerate() {
-                let c = _mm512_castpd_ps(_mm512_insertf64x4::<1>(
-                    _mm512_castpd256_pd512(_mm256_castps_pd(l)),
-                    _mm256_castps_pd(h),
-                ));
+            // SAFETY: rows `r..r + LANES <= rows` and columns
+            // `k..k + 8 <= cols` keep every row load inside `w`; step
+            // `s0 + a`'s `x[k + j]` is inside `xs` because `a < N`.
+            let cs = L::load_transposed8(base.add(k), cols);
+            for (j, &c) in cs.iter().enumerate() {
                 for (a, lane) in acc.iter_mut().enumerate() {
-                    let xb = _mm512_set1_ps(*xp.add(a * cols + k + j));
-                    *lane = _mm512_add_ps(*lane, _mm512_mul_ps(c, xb));
+                    let xb = L::splat(*xp.add(a * cols + k + j));
+                    *lane = L::add(*lane, L::mul(c, xb));
                 }
             }
             k += 8;
         }
-        let block = &w[r * cols..(r + 16) * cols];
+        let block = &w[r * cols..(r + L::LANES) * cols];
         for (a, &lane) in acc.iter().enumerate() {
             let s = s0 + a;
-            let mut lanes = [0.0f32; 16];
-            _mm512_storeu_ps(lanes.as_mut_ptr(), lane);
-            super::scalar::finish_row_block(
-                &mut ys[s * rows + r..s * rows + r + 16],
-                &lanes,
-                &xs[s * cols..(s + 1) * cols],
+            scalar::finish_row_block(
+                &mut ys[s * rows + r..][..L::LANES],
+                spill(lane).as_ref(),
+                &xs[s * cols..][..cols],
                 block,
                 kfull,
             );
         }
     }
 
-    /// # Safety
-    /// Requires AVX-512F (callers check [`super::supported`]), a
-    /// non-empty `w` of `rows × cols` floats, and `ys` / `xs` holding the
-    /// same whole number of `rows`- / `cols`-float steps — the public
-    /// wrapper establishes all three. Out of Miri's reach, like every
-    /// body in this module; on hardware the `simd_identity` sequence
-    /// sweep covers it on exact-size allocations, row counts to 1017.
+    /// [`super::rank1_update_seq`]: `w += (alpha · us[s]) vs[s]ᵀ` over
+    /// the `t` steps in step order (descending when `descending`), with
+    /// `us` a `t × rows` slab and `vs` a `t × cols` one.
     ///
-    /// Sixteen consecutive rows are the lanes. Per `(step, row)` this is
-    /// [`rowmajor_gemv_acc`](super::rowmajor_gemv_acc) unchanged: fresh
-    /// accumulator, ascending `k`, mul then add (no FMA), `cols % 8`
-    /// columns finished per lane in scalar code, then `y += acc`. The
-    /// rows after the last 16-row block take the AVX2 body — one 8-row
-    /// block if eight remain, then scalar rows.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn rowmajor_gemv_acc_seq(
-        ys: &mut [f32],
-        xs: &[f32],
-        w: &[f32],
-        t: usize,
-        shape: (usize, usize),
-    ) {
-        let rows = shape.0;
-        let mut r = 0;
-        while r + 16 <= rows {
-            super::for_step_blocks(t, |s0, n| {
-                with_block_len!(n, gemv_seq_block::<_>(ys, xs, w, shape, r, s0))
-            });
-            r += 16;
-        }
-        if r < rows {
-            super::avx2::rowmajor_gemv_acc_seq(ys, xs, w, t, shape, r);
-        }
-    }
-
-    /// `R` rows (`r..r + R`) × `W` zmm (columns `j..`, the last register
-    /// holding only the lanes in `last`) of [`rank1_update_seq`],
-    /// carried in registers across all the steps. Each step's `v` tile
-    /// is loaded once and applied to every row whose coefficient is not
-    /// zero; each row keeps its own zero-skip and its own `updated` flag,
-    /// so a row every step skipped is never stored.
+    /// Per element this is the per-step saxpy chain `w[r][j] += c · v[j]`
+    /// with `c = alpha · u[r]`, one term per step in step order, steps
+    /// with `c == 0.0` skipped — only the loop nest differs: column tiles
+    /// of four registers (then one for the rest, its last register cut),
+    /// then blocks of four rows (then single rows for the rest), then
+    /// steps. A tile is loaded and stored once per sequence, each step's
+    /// `v` tile is loaded once for the block's rows, and a row every step
+    /// skipped is not stored at all. One row at a time, a row's step
+    /// chain rather than lane width bounds the kernel; the four-row block
+    /// is the faster shape at both widths (DESIGN.md §14).
     ///
     /// # Safety
-    /// Requires AVX-512F; `r + R <= rows`, and columns
-    /// `j .. j + 16·(W − 1)` plus `last`'s lanes past them inside
-    /// `0..cols`, with `w` a `rows × cols` matrix and `us` / `vs` holding
-    /// `t` steps.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn rank1_seq_tile<const R: usize, const W: usize>(
-        w: &mut [f32],
-        alpha: f32,
-        (us, vs): (&[f32], &[f32]),
-        (t, rows, cols): (usize, usize, usize),
-        (r, j, last): (usize, usize, __mmask16),
-        descending: bool,
-    ) {
-        let mask = |a: usize| reg_mask::<W>(a, last);
-        // SAFETY (every access below): row `r + q < rows`, and register
-        // `a` starts at column `j + 16a < cols` with a mask naming only
-        // columns below `cols`, so each masked load and store stays
-        // inside its row of `w` or of step `s` of `vs`.
-        let tile = w.as_mut_ptr().add(r * cols + j);
-        let mut acc = [[_mm512_setzero_ps(); W]; R];
-        for (q, row) in acc.iter_mut().enumerate() {
-            for (a, lane) in row.iter_mut().enumerate() {
-                *lane = _mm512_maskz_loadu_ps(mask(a), tile.add(q * cols + 16 * a));
-            }
-        }
-        let mut updated = [false; R];
-        for i in 0..t {
-            let s = super::seq_step(i, t, descending);
-            let vp = vs.as_ptr().add(s * cols + j);
-            let mut v = [_mm512_setzero_ps(); W];
-            for (a, lane) in v.iter_mut().enumerate() {
-                *lane = _mm512_maskz_loadu_ps(mask(a), vp.add(16 * a));
-            }
-            let u = &us[s * rows + r..s * rows + r + R];
-            for ((row, flag), &ur) in acc.iter_mut().zip(&mut updated).zip(u) {
-                let c = alpha * ur;
-                if c == 0.0 {
-                    continue;
-                }
-                *flag = true;
-                let cb = _mm512_set1_ps(c);
-                for (lane, &vv) in row.iter_mut().zip(&v) {
-                    *lane = _mm512_add_ps(*lane, _mm512_mul_ps(cb, vv));
-                }
-            }
-        }
-        for (q, (row, &flag)) in acc.iter().zip(&updated).enumerate() {
-            if flag {
-                for (a, &lane) in row.iter().enumerate() {
-                    _mm512_mask_storeu_ps(tile.add(q * cols + 16 * a), mask(a), lane);
-                }
-            }
-        }
-    }
-
-    /// The column tiles of `R` rows from `r` on: 64-wide tiles of four
-    /// zmm, then one tile of up to four for the rest, its last register
-    /// masked.
-    ///
-    /// # Safety
-    /// As [`rank1_seq_tile`], for every column of the rows.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn rank1_seq_rows<const R: usize>(
+    /// `L`'s features (callers check [`super::supported`]), a non-empty
+    /// `w` of `rows × cols` floats, and `us` / `vs` holding `t` steps of
+    /// `rows` / `cols` floats — the public wrapper establishes all three.
+    pub(crate) unsafe fn rank1_update_seq<L: Lanes>(
         w: &mut [f32],
         alpha: f32,
         slabs: (&[f32], &[f32]),
         shape: (usize, usize, usize),
-        r: usize,
         descending: bool,
     ) {
-        let cols = shape.2;
-        let mut j = 0;
-        while j + 64 <= cols {
-            rank1_seq_tile::<R, 4>(w, alpha, slabs, shape, (r, j, 0xFFFF), descending);
-            j += 64;
-        }
-        if j < cols {
-            let (regs, last) = tail_tile(cols - j);
-            let at = (r, j, last);
-            match regs {
-                1 => rank1_seq_tile::<R, 1>(w, alpha, slabs, shape, at, descending),
-                2 => rank1_seq_tile::<R, 2>(w, alpha, slabs, shape, at, descending),
-                3 => rank1_seq_tile::<R, 3>(w, alpha, slabs, shape, at, descending),
-                _ => rank1_seq_tile::<R, 4>(w, alpha, slabs, shape, at, descending),
-            }
-        }
+        L::enable(
+            #[inline(always)]
+            || {
+                const R: usize = 4;
+                const W: usize = 4;
+                let rows = shape.1;
+                for_col_tiles::<L, W>(
+                    shape.2,
+                    #[inline(always)]
+                    |j, regs, live| {
+                        let mut r = 0;
+                        while r < rows {
+                            let block = if r + R <= rows { R } else { 1 };
+                            let args = (&mut *w, alpha, slabs, shape, (r, j, live), descending);
+                            match (block == R, regs == W && live == L::LANES) {
+                                (true, true) => rank1_tile::<L, R, W, false>(args),
+                                (false, true) => rank1_tile::<L, 1, W, false>(args),
+                                (true, false) => with_const!(regs, [1, 2, 3, 4], |REGS| {
+                                    rank1_tile::<L, R, REGS, true>(args)
+                                }),
+                                (false, false) => with_const!(regs, [1, 2, 3, 4], |REGS| {
+                                    rank1_tile::<L, 1, REGS, true>(args)
+                                }),
+                            }
+                            r += block;
+                        }
+                    },
+                );
+            },
+        )
     }
 
-    /// # Safety
-    /// Requires AVX-512F (callers check [`super::supported`]), a
-    /// non-empty `w` of `rows × cols` floats, and `us` / `vs` holding the
-    /// same whole number of `rows`- / `cols`-float steps — the public
-    /// wrapper establishes all three. Out of Miri's reach; on hardware
-    /// the `simd_identity` sequence sweep covers it on exact-size
-    /// allocations, column counts to 129 and row counts to 1017.
-    ///
-    /// Per element this is the per-step saxpy chain `w[r][j] += c · v[j]`
-    /// with `c = alpha · u[r]`, one term per step in step order, steps
-    /// with `c == 0.0` skipped. The loop nest is not the AVX2 one
-    /// widened: one row at a time, its step chain bounds the kernel, not
-    /// its lane width (≈ 1.3× over AVX2 against the block's ≈ 1.9×,
-    /// DESIGN.md §10). Here a block of four rows holds up to 4 × 4 zmm,
-    /// and each step's `v` tile is loaded once for the four; the rows
-    /// after the last block go one at a time.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn rank1_update_seq(
-        w: &mut [f32],
-        alpha: f32,
-        us: &[f32],
-        vs: &[f32],
-        t: usize,
-        (rows, cols): (usize, usize),
-        descending: bool,
-    ) {
-        let shape = (t, rows, cols);
-        let mut r = 0;
-        while r + 4 <= rows {
-            rank1_seq_rows::<4>(w, alpha, (us, vs), shape, r, descending);
-            r += 4;
-        }
-        while r < rows {
-            rank1_seq_rows::<1>(w, alpha, (us, vs), shape, r, descending);
-            r += 1;
-        }
-    }
-
-    /// `W` zmm of output columns `j..` of [`gemv_t_acc_seq`] for `N`
-    /// consecutive steps, the last register holding only the lanes in
-    /// `last`: each weight-row tile is loaded once and feeds all `N`
-    /// steps' chains.
+    /// Rows `r..r + R` × `W` registers of columns `j..` of
+    /// [`rank1_update_seq`], the last register cut to `live` lanes if
+    /// `CUT`, carried in registers across all the steps. Each row keeps
+    /// its own zero-skip and its own `updated` flag.
     ///
     /// # Safety
-    /// Requires AVX-512F; columns `j .. j + 16·(W − 1)` plus `last`'s
-    /// lanes past them inside `0..cols`, with `w` a `rows × cols` matrix
-    /// and `ys` / `xs` holding steps `s0..s0 + N`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn gemv_t_seq_tile<const N: usize, const W: usize>(
-        ys: &mut [f32],
-        xs: &[f32],
-        w: &[f32],
-        (rows, cols): (usize, usize),
-        (j, last): (usize, __mmask16),
-        s0: usize,
+    /// Inside [`Lanes::enable`]; `r + R <= rows` with `w` a
+    /// `rows × cols` matrix, `us` / `vs` holding `t` steps, and the
+    /// tile's lanes inside `0..cols`.
+    #[inline(always)]
+    unsafe fn rank1_tile<L: Lanes, const R: usize, const W: usize, const CUT: bool>(
+        (w, alpha, (us, vs), (t, rows, cols), (r, j, live), descending): Rank1Args,
     ) {
-        let mask = |b: usize| reg_mask::<W>(b, last);
-        // SAFETY (every access below): register `b` starts at column
-        // `j + 16b < cols` and its mask names only columns below `cols`,
-        // so each masked load and store stays inside one row of `w` or
-        // one step of `ys`.
-        let yp = ys.as_mut_ptr().add(s0 * cols + j);
-        let xp = xs.as_ptr().add(s0 * rows);
-        let wp = w.as_ptr().add(j);
-        let mut acc = [[_mm512_setzero_ps(); W]; N];
-        for (a, step) in acc.iter_mut().enumerate() {
-            for (b, lane) in step.iter_mut().enumerate() {
-                *lane = _mm512_maskz_loadu_ps(mask(b), yp.add(a * cols + 16 * b));
+        // SAFETY (every access below): row `r + q < rows`, and register
+        // `a` of the tile covers columns inside `0..cols` of that row of
+        // `w` or of step `s` of `vs`.
+        let last = cut::<L, CUT>(live);
+        let tile = w.as_mut_ptr().add(r * cols + j);
+        let mut acc = [[L::splat(0.0); W]; R];
+        for (q, row) in acc.iter_mut().enumerate() {
+            for (a, lane) in row.iter_mut().enumerate() {
+                *lane = load_reg::<L, W>(tile.add(q * cols), a, last);
             }
         }
-        for r in 0..rows {
-            let mut row = [_mm512_setzero_ps(); W];
-            for (b, tile) in row.iter_mut().enumerate() {
-                *tile = _mm512_maskz_loadu_ps(mask(b), wp.add(r * cols + 16 * b));
+        let mut updated = [false; R];
+        for i in 0..t {
+            let s = seq_step(i, t, descending);
+            let vp = vs.as_ptr().add(s * cols + j);
+            let mut v = [L::splat(0.0); W];
+            for (a, lane) in v.iter_mut().enumerate() {
+                *lane = load_reg::<L, W>(vp, a, last);
             }
-            for (a, step) in acc.iter_mut().enumerate() {
-                let x = *xp.add(a * rows + r);
-                if x == 0.0 {
+            let u = &us[s * rows + r..][..R];
+            for (q, row) in acc.iter_mut().enumerate() {
+                let c = alpha * u[q];
+                if c == 0.0 {
                     continue;
                 }
-                let xb = _mm512_set1_ps(x);
-                for (lane, &tile) in step.iter_mut().zip(&row) {
-                    *lane = _mm512_add_ps(*lane, _mm512_mul_ps(xb, tile));
+                updated[q] = true;
+                let cb = L::splat(c);
+                for (a, lane) in row.iter_mut().enumerate() {
+                    *lane = L::add(*lane, L::mul(cb, v[a]));
                 }
             }
         }
-        for (a, step) in acc.iter().enumerate() {
-            for (b, &lane) in step.iter().enumerate() {
-                _mm512_mask_storeu_ps(yp.add(a * cols + 16 * b), mask(b), lane);
+        for (q, row) in acc.iter().enumerate() {
+            if updated[q] {
+                for (a, &lane) in row.iter().enumerate() {
+                    store_reg::<L, W>(tile.add(q * cols), a, last, lane);
+                }
             }
         }
     }
 
-    /// # Safety
-    /// Requires AVX-512F (callers check [`super::supported`]), a
-    /// non-empty `w` of `rows × cols` floats, and `ys` / `xs` holding the
-    /// same whole number of `cols`- / `rows`-float steps — the public
-    /// wrapper establishes all three. Out of Miri's reach; on hardware
-    /// the `simd_identity` sequence sweep covers it on exact-size
-    /// allocations, column counts to 129.
-    ///
-    /// Per `(step, column)` this is the per-step chain
-    /// `y[j] += x[r] · w[r][j]` over ascending `r`, rows with
-    /// `x[r] == 0.0` skipped, seeded from `y` (no FMA). A tile is 32
-    /// columns (2 zmm) × up to six steps; the last tile's last register
-    /// is masked, so no column takes a scalar path.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemv_t_acc_seq(
-        ys: &mut [f32],
-        xs: &[f32],
-        w: &[f32],
-        t: usize,
-        shape: (usize, usize),
-    ) {
-        let cols = shape.1;
-        let mut j = 0;
-        while j + 32 <= cols {
-            let at = (j, 0xFFFF);
-            super::for_step_blocks(t, |s0, n| {
-                with_block_len!(n, gemv_t_seq_tile::<_, 2>(ys, xs, w, shape, at, s0))
-            });
-            j += 32;
-        }
-        if j < cols {
-            let (regs, last) = tail_tile(cols - j);
-            let at = (j, last);
-            super::for_step_blocks(t, |s0, n| {
-                if regs == 1 {
-                    with_block_len!(n, gemv_t_seq_tile::<_, 1>(ys, xs, w, shape, at, s0))
-                } else {
-                    with_block_len!(n, gemv_t_seq_tile::<_, 2>(ys, xs, w, shape, at, s0))
-                }
-            });
-        }
-    }
+    /// A rank-one tile's operands: the matrix, `alpha`, the `(us, vs)`
+    /// slabs, `(t, rows, cols)`, `(r, j, live)` and the step order.
+    type Rank1Args<'a> = (
+        &'a mut [f32],
+        f32,
+        (&'a [f32], &'a [f32]),
+        (usize, usize, usize),
+        (usize, usize, usize),
+        bool,
+    );
 }
 
 #[cfg(test)]
@@ -2783,9 +2704,11 @@ mod tests {
     }
 
     /// The small-shape twin of `simd_identity`'s sequence sweep, for the
-    /// Miri leg: every sequence kernel against `t` per-step calls at the
-    /// same level, on exact-size allocations, both step orders, with an
-    /// exact-zero coefficient in every other step.
+    /// Miri leg: every sequence kernel against `t` per-step calls at
+    /// [`Level::Scalar`], on exact-size allocations, both step orders,
+    /// with an exact-zero coefficient in every other step. 17 and 25 rows
+    /// take a sixteen-row block where the level has one, and 25 hands its
+    /// leftover rows to an eight-row block.
     #[test]
     fn sequence_kernels_are_t_per_step_calls_at_every_level() {
         for (rows, cols, t) in [
@@ -2796,6 +2719,8 @@ mod tests {
             (4, 4, 3),
             (9, 13, 2),
             (8, 17, 7),
+            (17, 9, 2),
+            (25, 10, 3),
         ] {
             let w = data(rows * cols, 1.7).into_boxed_slice();
             let xc = data(t * cols, 0.2).into_boxed_slice();
@@ -2804,43 +2729,61 @@ mod tests {
                 .enumerate()
                 .map(|(i, &v)| if i % 2 == 1 { 0.0 } else { v })
                 .collect();
-            for &level in &supported_levels() {
+            let run = |level, seq: bool| {
                 with_level(level, || {
                     let mut gemv = data(t * rows, -1.0).into_boxed_slice();
                     let mut gemv_t = data(t * cols, 2.0).into_boxed_slice();
-                    let (mut want_gemv, mut want_gemv_t) = (gemv.clone(), gemv_t.clone());
-                    rowmajor_gemv_acc_seq(&mut gemv, &xc, &w, t);
-                    gemv_t_acc_seq(&mut gemv_t, &xr, &w, t);
-                    for s in 0..t {
-                        let (x, u) = (&xc[s * cols..][..cols], &xr[s * rows..][..rows]);
-                        rowmajor_gemv_acc(&mut want_gemv[s * rows..][..rows], x, &w);
-                        gemv_t_acc(&mut want_gemv_t[s * cols..][..cols], u, &w);
+                    let mut outer = [w.clone(), w.clone()];
+                    if seq {
+                        rowmajor_gemv_acc_seq(&mut gemv, &xc, &w, t);
+                        gemv_t_acc_seq(&mut gemv_t, &xr, &w, t);
+                    } else {
+                        for s in 0..t {
+                            let (x, u) = (&xc[s * cols..][..cols], &xr[s * rows..][..rows]);
+                            rowmajor_gemv_acc(&mut gemv[s * rows..][..rows], x, &w);
+                            gemv_t_acc(&mut gemv_t[s * cols..][..cols], u, &w);
+                        }
                     }
-                    let same = |a: &[f32], b: &[f32]| {
-                        a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits())
-                    };
-                    let case = format!("{} {rows}x{cols} t={t}", level.name());
-                    assert!(same(&gemv, &want_gemv), "gemv {case}");
-                    assert!(same(&gemv_t, &want_gemv_t), "gemv_t {case}");
-                    for descending in [false, true] {
-                        let (mut outer, mut want) = (w.clone(), w.clone());
-                        rank1_update_seq(&mut outer, 0.5, &xr, &xc, t, descending);
+                    for (descending, outer) in [false, true].into_iter().zip(&mut outer) {
+                        if seq {
+                            rank1_update_seq(outer, 0.5, &xr, &xc, t, descending);
+                            continue;
+                        }
                         for i in 0..t {
                             let s = if descending { t - 1 - i } else { i };
                             let (u, v) = (&xr[s * rows..][..rows], &xc[s * cols..][..cols]);
-                            rank1_update(&mut want, 0.5, u, v);
+                            rank1_update(outer, 0.5, u, v);
                         }
-                        assert!(same(&outer, &want), "rank1 {case} desc={descending}");
                     }
-                });
+                    let [asc, desc] = outer;
+                    [gemv, gemv_t, asc, desc]
+                })
+            };
+            let want = run(Level::Scalar, false);
+            for &level in &supported_levels() {
+                let got = run(level, true);
+                for (name, g, w) in ["gemv", "gemv_t", "rank1", "rank1 desc"]
+                    .iter()
+                    .zip(&got)
+                    .zip(&want)
+                    .map(|((n, g), w)| (n, g, w))
+                {
+                    assert!(
+                        g.iter()
+                            .zip(w.iter())
+                            .all(|(p, q)| p.to_bits() == q.to_bits()),
+                        "{name} {} {rows}x{cols} t={t}",
+                        level.name()
+                    );
+                }
             }
         }
     }
 
     /// The stacked column-major product against `t` per-step calls at
-    /// the same level, on exact-size allocations: small shapes, for the
-    /// Miri leg, straddling the 8- and 16-output tiles and the six-step
-    /// block; an empty input keeps the `-0.0` already in `ys`.
+    /// [`Level::Scalar`], on exact-size allocations: small shapes, for
+    /// the Miri leg, straddling the 8- and 16-output tiles and the
+    /// six-step block; an empty input keeps the `-0.0` already in `ys`.
     #[test]
     fn colmajor_seq_is_t_per_step_calls_at_every_level() {
         for (n, k, t) in [
@@ -2859,22 +2802,86 @@ mod tests {
             if let Some(y) = y0.first_mut() {
                 *y = -0.0;
             }
+            let mut want = y0.clone().into_boxed_slice();
+            with_level(Level::Scalar, || {
+                for s in 0..t {
+                    colmajor_gemv_acc(&mut want[s * n..][..n], &xs[s * k..][..k], &wt);
+                }
+            });
             for &level in &supported_levels() {
+                let mut ys = y0.clone().into_boxed_slice();
+                with_level(level, || colmajor_gemv_acc_seq(&mut ys, &xs, &wt, t));
+                assert!(
+                    ys.iter()
+                        .zip(want.iter())
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{} {k}->{n} t={t}",
+                    level.name()
+                );
+            }
+        }
+    }
+
+    /// Every width a masked tail register can have, at both lane
+    /// counts: each kernel whose last tile is masked, over 1–17 and
+    /// 33–49 outputs (eight-lane tails 1–7 behind 0–6 whole registers,
+    /// sixteen-lane tails 1–15), against its scalar definition. Inputs
+    /// are exact-size allocations, so a masked load that reads past its
+    /// slice is an out-of-bounds read under Miri; every output slab is
+    /// followed by guard floats that must keep their bits, so a masked
+    /// store that writes past its slice fails on hardware too.
+    #[test]
+    fn masked_tails_match_scalar_and_write_nothing_past_the_slice() {
+        const GUARD: usize = 16;
+        let sentinel = f32::from_bits(0x7fc0_5a5a);
+        // `f` writes `len` floats at the front of a guarded buffer
+        // seeded from `seed`; returns the buffer, guard included.
+        let guarded = |len: usize, seed: &[f32], f: &dyn Fn(&mut [f32])| {
+            let mut buf = seed.to_vec();
+            buf.resize(len + GUARD, sentinel);
+            f(&mut buf[..len]);
+            buf
+        };
+        let (t, k) = (2usize, 3usize);
+        for n in (1..=17).chain(33..=49) {
+            let wt = data(k * n, 1.7).into_boxed_slice();
+            let x1 = data(k, 0.2).into_boxed_slice();
+            let xs = data(t * k, 0.4).into_boxed_slice();
+            let vs = data(t * n, 0.8).into_boxed_slice();
+            let y1 = data(n, -1.0);
+            let ys = data(t * n, -2.0);
+            let w0 = data(k * n, 0.3);
+            let mut lanes: Vec<f32> = data(n, 0.5).iter().map(|v| v * 9.0).collect();
+            lanes[n / 2] = 100.0; // one `exp` lane past its main path
+            let run = |level| {
                 with_level(level, || {
-                    let mut ys = y0.clone().into_boxed_slice();
-                    let mut want = y0.clone().into_boxed_slice();
-                    colmajor_gemv_acc_seq(&mut ys, &xs, &wt, t);
-                    for s in 0..t {
-                        colmajor_gemv_acc(&mut want[s * n..][..n], &xs[s * k..][..k], &wt);
-                    }
+                    [
+                        guarded(n, &y1, &|y| colmajor_gemv_acc(y, &x1, &wt)),
+                        guarded(t * n, &ys, &|y| colmajor_gemv_acc_seq(y, &xs, &wt, t)),
+                        guarded(n, &y1, &|y| gemv_t_acc(y, &x1, &wt)),
+                        guarded(t * n, &ys, &|y| gemv_t_acc_seq(y, &xs, &wt, t)),
+                        guarded(k * n, &w0, &|w| rank1_update_seq(w, 0.5, &xs, &vs, t, true)),
+                        guarded(n, &lanes, &|v| crate::libm::sigmoid_inplace(v)),
+                        guarded(n, &lanes, &|v| crate::libm::tanh_inplace(v)),
+                        guarded(n, &lanes, &|v| {
+                            let sum = crate::libm::exp_shifted_inplace(v, 0.25);
+                            assert_eq!(
+                                sum.to_bits(),
+                                crate::libm::sum_exp_shifted(&lanes, 0.25).to_bits()
+                            );
+                        }),
+                    ]
+                })
+            };
+            let want = run(Level::Scalar);
+            for &level in &supported_levels() {
+                for (i, (g, w)) in run(level).iter().zip(&want).enumerate() {
                     assert!(
-                        ys.iter()
-                            .zip(want.iter())
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "{} {k}->{n} t={t}",
+                        g.iter().zip(w).all(|(p, q)| p.to_bits() == q.to_bits()),
+                        "kernel {i} {} n={n}",
                         level.name()
                     );
-                });
+                }
             }
         }
     }
