@@ -59,7 +59,7 @@
 //!   (informational): `colmajor_gemv_acc_seq` over the transposed
 //!   1017×32 output layer against `gemv_acc_seq` over the row-major one
 //!   (`colmajor_seq_vocab_vs_rowmajor_seq`), and
-//!   `LstmPlan::forward_seq` at d = 32 against the per-gate row-major
+//!   `LstmPlan::forward_seq` at d = 32 against the row-major stacked-gate
 //!   forward written out below (`lstm_taped_plan_vs_rowmajor`), both at
 //!   `T = 6` and bit-checked against each other and against scalar, and
 //!   the plan's packing, `transpose_into` of the 1017×32 output layer
@@ -154,13 +154,14 @@ fn assert_bits_eq(label: &str, got: &[f32], want: &[f32]) {
     }
 }
 
-/// The taped LSTM forward as it ran before the weight plan: per gate
-/// one stacked row-major input product, then per step four row-major
-/// recurrent products and an activation per gate block. Kept here only
-/// as the timing and bit reference of `lstm_taped_plan_vs_rowmajor`:
-/// `z` (`4·T·d`, gate-major) is the gate scratch, `tc` (`d`) the
-/// `tanh(c)` scratch, and `h` / `c` (`(T + 1)·d`, row 0 the zero start
-/// state) receive the states.
+/// The taped LSTM forward over the row-major parameters, the layout the
+/// weight plan transposes: one stacked row-major input product over the
+/// `4d` gate rows, then per step one row-major recurrent product and an
+/// activation per gate block. Kept here only as the timing and bit
+/// reference of `lstm_taped_plan_vs_rowmajor`: `z` (`4·T·d`, step-major
+/// `[i | f | o | g]` rows) is the gate scratch, `tc` (`d`) the `tanh(c)`
+/// scratch, and `h` / `c` (`(T + 1)·d`, row 0 the zero start state)
+/// receive the states.
 fn rowmajor_lstm_forward(
     lstm: &Lstm,
     xs: &[f32],
@@ -170,40 +171,21 @@ fn rowmajor_lstm_forward(
     (h, c): (&mut [f32], &mut [f32]),
 ) {
     let d = lstm.hidden();
-    let gates = [
-        (&lstm.wi, &lstm.ui, &lstm.bi),
-        (&lstm.wf, &lstm.uf, &lstm.bf),
-        (&lstm.wo, &lstm.uo, &lstm.bo),
-        (&lstm.wg, &lstm.ug, &lstm.bg),
-    ];
-    for ((w, _, b), zg) in gates.iter().zip(z.chunks_exact_mut(t * d)) {
-        for row in zg.chunks_exact_mut(d) {
-            row.copy_from_slice(b.v.as_slice());
-        }
-        w.v.gemv_acc_seq(xs, zg, t);
+    for row in z.chunks_exact_mut(4 * d) {
+        row.copy_from_slice(lstm.b.v.as_slice());
     }
+    lstm.w.v.gemv_acc_seq(xs, z, t);
     h[..d].fill(0.0);
     c[..d].fill(0.0);
-    let (zi, rest) = z.split_at_mut(t * d);
-    let (zf, rest) = rest.split_at_mut(t * d);
-    let (zo, zg) = rest.split_at_mut(t * d);
-    for s in 0..t {
-        let at = s * d..(s + 1) * d;
+    for (s, z) in z.chunks_exact_mut(4 * d).enumerate() {
         let (h_prev, h) = h[s * d..(s + 2) * d].split_at_mut(d);
         let (c_prev, c) = c[s * d..(s + 2) * d].split_at_mut(d);
-        let (i, f, o, g) = (
-            &mut zi[at.clone()],
-            &mut zf[at.clone()],
-            &mut zo[at.clone()],
-            &mut zg[at],
-        );
-        for ((_, u, _), z) in gates.iter().zip([&mut *i, &mut *f, &mut *o, &mut *g]) {
-            u.v.gemv_acc_seq(h_prev, z, 1);
-        }
-        libm::sigmoid_inplace(i);
-        libm::sigmoid_inplace(f);
-        libm::sigmoid_inplace(o);
+        lstm.u.v.gemv_acc_seq(h_prev, z, 1);
+        let (ifo, g) = z.split_at_mut(3 * d);
+        libm::sigmoid_inplace(ifo);
         libm::tanh_inplace(g);
+        let (i, rest) = ifo.split_at(d);
+        let (f, o) = rest.split_at(d);
         for k in 0..d {
             let mut cell = f[k] * c_prev[k];
             cell += i[k] * g[k];
@@ -737,8 +719,9 @@ fn main() {
                 min_secs / 2.0,
             );
             let elems = t_seq * rows_n * cols_n;
-            let speedup = record(&format!("gemv_acc_seq {shape}"), elems, t_one, t_each);
-            seq_speedups.push((format!("gemv_acc_seq_{key}"), speedup));
+            let kernel = format!("gemv_acc_seq {shape}");
+            let speedup = record(&kernel, elems, t_one, t_each);
+            seq_speedups.push((format!("gemv_acc_seq_{key}"), speedup, kernel));
 
             // W += dz[s] x[s]ᵀ (tiny alpha: the gradient stays finite over
             // millions of timed calls, the arithmetic per call is the same)
@@ -758,8 +741,9 @@ fn main() {
                 calls,
                 min_secs / 2.0,
             );
-            let speedup = record(&format!("add_outer_seq {shape}"), elems, t_one, t_each);
-            seq_speedups.push((format!("add_outer_seq_{key}"), speedup));
+            let kernel = format!("add_outer_seq {shape}");
+            let speedup = record(&kernel, elems, t_one, t_each);
+            seq_speedups.push((format!("add_outer_seq_{key}"), speedup, kernel));
 
             // dx[s] += Wᵀ dz[s]
             let mut dxs = vec![0.0f32; t_seq * cols_n];
@@ -789,8 +773,9 @@ fn main() {
                 calls,
                 min_secs / 2.0,
             );
-            let speedup = record(&format!("gemv_t_acc_seq {shape}"), elems, t_one, t_each);
-            seq_speedups.push((format!("gemv_t_acc_seq_{key}"), speedup));
+            let kernel = format!("gemv_t_acc_seq {shape}");
+            let speedup = record(&kernel, elems, t_one, t_each);
+            seq_speedups.push((format!("gemv_t_acc_seq_{key}"), speedup, kernel));
         }
     });
 
@@ -1053,9 +1038,9 @@ fn main() {
         assert_bits_eq("taped dh0", &grads.dh0, &grads_s.dh0);
         assert_bits_eq("taped dx", &grads.dxs, &grads_s.dxs);
         assert_bits_eq(
-            "taped dU_i",
-            taped.ui.g.as_slice(),
-            taped_scalar.ui.g.as_slice(),
+            "taped dU",
+            taped.u.g.as_slice(),
+            taped_scalar.u.g.as_slice(),
         );
     }
     let (t_simd, t_scalar) = measure_paired(
@@ -1118,8 +1103,13 @@ fn main() {
     gate.push_str(&format!(
         "  \"add_outer_speedup\": {add_outer_speedup:.3},\n  \"gemv_t_acc_speedup\": {gemv_t_speedup:.3},\n"
     ));
-    for (key, speedup) in &seq_speedups {
-        gate.push_str(&format!("  \"{key}_speedup\": {speedup:.3},\n"));
+    // Each sequence kernel's ratio beside its absolute rate, so a change
+    // that slows both columns alike still moves a gated key.
+    for (key, speedup, kernel) in &seq_speedups {
+        gate.push_str(&format!(
+            "  \"{key}_speedup\": {speedup:.3},\n  \"{key}_melems_per_sec\": {:.3},\n",
+            melems(kernel)
+        ));
     }
     for (key, speedup) in &slice_speedups {
         gate.push_str(&format!("  \"{key}\": {speedup:.3},\n"));
@@ -1134,7 +1124,8 @@ fn main() {
         gate.push_str(&format!("  \"{key}\": {speedup:.3},\n"));
     }
     gate.push_str(&format!(
-        "  \"lstm_taped_seq_speedup\": {taped_speedup:.3}\n}}\n"
+        "  \"lstm_taped_seq_speedup\": {taped_speedup:.3},\n  \"lstm_taped_seq_melems_per_sec\": {:.3}\n}}\n",
+        melems("lstm taped fwd+bwd")
     ));
     match std::fs::write("BENCH_fig16.json", &gate) {
         Ok(()) => println!("[results] wrote BENCH_fig16.json"),

@@ -7,7 +7,7 @@
 //! suggesting candidate aliases to experts. This module implements greedy
 //! and beam-search decoding over the trained decoder.
 
-use super::{ComAid, OntologyIndex};
+use super::{best_first, ComAid, OntologyIndex};
 use ncl_ontology::ConceptId;
 use ncl_tensor::ops::log_softmax;
 use ncl_text::Vocab;
@@ -103,7 +103,7 @@ impl ComAid {
                 // structural rather than probabilistic).
                 let mut scored: Vec<(u32, f32)> =
                     (0..lp.len() as u32).map(|w| (w, lp[w as usize])).collect();
-                scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+                scored.sort_by(|a, b| best_first(a.1, b.1));
                 let prefix_lp = run.log_prob - run.step_log_probs.last().copied().unwrap_or(0.0);
                 next.push(Beam {
                     ids: beam.ids.clone(),
@@ -126,11 +126,7 @@ impl ComAid {
                     });
                 }
             }
-            next.sort_by(|a, b| {
-                b.log_prob
-                    .partial_cmp(&a.log_prob)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            next.sort_by(|a, b| best_first(a.log_prob, b.log_prob));
             next.truncate(beam_width);
             let all_done = next.iter().all(|b| b.finished);
             beams = next;
@@ -158,11 +154,7 @@ impl ComAid {
                 }
             })
             .collect();
-        out.sort_by(|a, b| {
-            b.log_prob
-                .partial_cmp(&a.log_prob)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        out.sort_by(|a, b| best_first(a.log_prob, b.log_prob));
         out
     }
 

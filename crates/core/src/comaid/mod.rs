@@ -31,6 +31,13 @@ pub use persist::{MappedCheckpoint, PersistError, FORMAT_VERSION, V2_SECTIONS};
 pub use trace::{AttentionTrace, StepTrace};
 pub use train::{TrainPair, TrainReport};
 
+/// The one ranking order of scores, best first: descending by value,
+/// every NaN after every number (`total_cmp` alone would put a positive
+/// NaN above `+inf`), so a NaN score never outranks a number.
+pub(crate) fn best_first(a: f32, b: f32) -> std::cmp::Ordering {
+    a.is_nan().cmp(&b.is_nan()).then_with(|| b.total_cmp(&a))
+}
+
 /// Architecture variants studied in §6.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
@@ -199,6 +206,22 @@ impl Wire for ComAidConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn best_first_puts_every_nan_after_every_number() {
+        let mut v = [
+            1.0,
+            f32::NAN,
+            f32::NEG_INFINITY,
+            -f32::NAN,
+            f32::INFINITY,
+            -2.5,
+        ];
+        v.sort_by(|a, b| best_first(*a, *b));
+        let numbers = [f32::INFINITY, 1.0, -2.5, f32::NEG_INFINITY];
+        assert_eq!(v[..4], numbers);
+        assert!(v[4..].iter().all(|x| x.is_nan()));
+    }
 
     #[test]
     fn variant_attention_flags() {

@@ -59,7 +59,9 @@ fn next_version() -> u64 {
 /// cross-checks the pieces against each other (vocab size vs. embedding
 /// rows vs. output rows, `dim` vs. every layer) so a payload that passed
 /// the container checksum but was assembled from mismatched parts still
-/// fails loudly instead of panicking mid-inference.
+/// fails loudly instead of panicking mid-inference, and refuses a
+/// parameter section holding a non-finite value by name
+/// ([`WireError::NonFinite`]) instead of serving NaN scores from it.
 impl Wire for ComAid {
     fn encode(&self, out: &mut Vec<u8>) {
         self.config.encode(out);
@@ -79,6 +81,23 @@ impl Wire for ComAid {
         let decoder = Lstm::decode(r)?;
         let composite = Dense::decode(r)?;
         let output = Dense::decode(r)?;
+        fn lstm(l: &Lstm) -> [&[f32]; 3] {
+            [l.w.v.as_slice(), l.u.v.as_slice(), l.b.v.as_slice()]
+        }
+        fn dense(l: &Dense) -> [&[f32]; 2] {
+            [l.w.v.as_slice(), l.b.v.as_slice()]
+        }
+        for (section, tensors) in [
+            ("embedding", &[embedding.table().as_slice()][..]),
+            ("encoder", &lstm(&encoder)),
+            ("decoder", &lstm(&decoder)),
+            ("composite", &dense(&composite)),
+            ("output", &dense(&output)),
+        ] {
+            if !tensors.iter().flat_map(|t| t.iter()).all(|v| v.is_finite()) {
+                return Err(WireError::NonFinite { section });
+            }
+        }
 
         let d = config.dim;
         if embedding.dim() != d {

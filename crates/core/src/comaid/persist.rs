@@ -555,6 +555,53 @@ mod tests {
         load_both(&bad).map(|outcome| outcome.expect_err("a corrupted checkpoint loaded"))
     }
 
+    /// `trained_model()`'s checkpoint as written before the LSTM gates
+    /// were stacked (per-gate framing, format v2): it loads and saves back
+    /// to the same bytes, and the model trained today writes them too.
+    #[test]
+    fn per_gate_checkpoint_loads_and_saves_to_the_same_bytes() {
+        let old: &[u8] = include_bytes!("../../tests/golden/tiny_v2.nclm");
+        let loaded = ComAid::load_bytes(old).unwrap();
+        assert!(checkpoint_bytes(&loaded) == old, "re-saved bytes differ");
+        let (_, model) = trained_model();
+        assert!(checkpoint_bytes(&model) == old, "training moved a bit");
+    }
+
+    /// The tensors a parameter section of the checkpoint holds.
+    fn section_values<'m>(m: &'m mut ComAid, section: &str) -> Vec<&'m mut [f32]> {
+        let ComAid {
+            embedding,
+            encoder,
+            decoder,
+            composite,
+            output,
+            ..
+        } = m;
+        match section {
+            "embedding" => vec![ncl_nn::Parameter::values_mut(embedding)],
+            "encoder" | "decoder" => {
+                let l = if section == "encoder" {
+                    encoder
+                } else {
+                    decoder
+                };
+                vec![
+                    l.w.v.as_mut_slice(),
+                    l.u.v.as_mut_slice(),
+                    l.b.v.as_mut_slice(),
+                ]
+            }
+            _ => {
+                let l = if section == "composite" {
+                    composite
+                } else {
+                    output
+                };
+                vec![l.w.v.as_mut_slice(), l.b.v.as_mut_slice()]
+            }
+        }
+    }
+
     #[test]
     fn round_trip_preserves_scores() {
         let (o, model) = trained_model();
@@ -826,13 +873,18 @@ mod tests {
         /// goes through both loaders, and every outcome is a typed
         /// error or the same model. Truncations and flips are always
         /// refused; sections are found by name, so a reordered index
-        /// loads the model it always described.
+        /// loads the model it always described. A NaN or an infinity
+        /// saved into a drawn value of a drawn parameter section (every
+        /// checksum valid) is refused as that section's `NonFinite`.
         #[test]
         fn damaged_checkpoints_fail_typed_or_load_the_same_model(
             cut in 0..1_000_000usize,
             flip in 0..8_000_000usize,
             a in 0..V2_SECTIONS.len(),
             b in 0..V2_SECTIONS.len(),
+            section in 2..V2_SECTIONS.len(),
+            at in 0..1_000_000usize,
+            bad in 0..3usize,
         ) {
             static WORLD: OnceLock<(ncl_ontology::Ontology, ComAid, Vec<u8>)> = OnceLock::new();
             let (o, model, buf) = WORLD.get_or_init(|| {
@@ -856,6 +908,27 @@ mod tests {
             swapped.extend_from_slice(region);
             for outcome in load_both(&swapped) {
                 typed_or_same(outcome, o, model).expect("a reordered index names the same sections");
+            }
+
+            let section = V2_SECTIONS[section];
+            let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][bad];
+            let mut poisoned = model.clone();
+            let mut values = section_values(&mut poisoned, section);
+            let total: usize = values.iter().map(|t| t.len()).sum();
+            let mut at = at % total;
+            for t in &mut values {
+                if at < t.len() {
+                    t[at] = bad;
+                    break;
+                }
+                at -= t.len();
+            }
+            for outcome in load_both(&checkpoint_bytes(&poisoned)) {
+                let err = outcome.expect_err("a non-finite parameter loaded");
+                prop_assert!(
+                    matches!(err, PersistError::Codec(WireError::NonFinite { section: s }) if s == section),
+                    "{section}: {err:?}"
+                );
             }
         }
     }

@@ -566,6 +566,66 @@ mod tests {
         }
     }
 
+    /// `Θ`'s walk is the per-gate one: an LSTM yields its twelve gate
+    /// blocks `wi … bg` in that order, each squared norm a serial sum of
+    /// that block alone, and with clipping on `sgd_step`'s norm is the
+    /// fold of those sums in walk order — the clip bits of the per-gate
+    /// layout.
+    #[test]
+    fn clip_norm_folds_the_twelve_gate_blocks_in_order() {
+        let (o, v, pairs) = world();
+        let idx = OntologyIndex::build(&o, &v, 2);
+        let mut m = ComAid::new(v, config(), None);
+        let ids: Vec<usize> = (0..pairs.len()).collect();
+        let shard = Shard {
+            pairs: &pairs,
+            ids: &ids,
+            scale: 0.5,
+        };
+        let plan = m.plan();
+        run_shard(
+            &mut m,
+            &plan,
+            &idx,
+            shard,
+            &mut ExampleRun::default(),
+            &mut 0.0,
+        );
+
+        let sq = |g: &[f32]| -> u32 { g.iter().map(|x| x * x).sum::<f32>().to_bits() };
+        let mut want = vec![(
+            "embedding",
+            ncl_nn::Parameter::sq_grad_norm(&m.embedding).to_bits(),
+        )];
+        let names = [
+            ["lstm.wi", "lstm.wf", "lstm.wo", "lstm.wg"],
+            ["lstm.ui", "lstm.uf", "lstm.uo", "lstm.ug"],
+            ["lstm.bi", "lstm.bf", "lstm.bo", "lstm.bg"],
+        ];
+        for l in [&m.encoder, &m.decoder] {
+            for (t, names) in [l.w.g.as_slice(), l.u.g.as_slice(), l.b.g.as_slice()]
+                .into_iter()
+                .zip(names)
+            {
+                let blocks = t.chunks_exact(t.len() / 4);
+                want.extend(names.into_iter().zip(blocks.map(sq)));
+            }
+        }
+        for l in [&m.composite, &m.output] {
+            want.push(("dense.w", sq(l.w.g.as_slice())));
+            want.push(("dense.b", sq(l.b.g.as_slice())));
+        }
+        let mut walked = Vec::new();
+        m.visit_params(&mut |name, p| walked.push((name, p.sq_grad_norm().to_bits())));
+        assert_eq!(walked, want);
+
+        let fold = walked
+            .iter()
+            .fold(0.0f32, |a, &(_, s)| a + f32::from_bits(s));
+        assert!(fold.sqrt() > 1e-3, "the clip branch must run");
+        assert_eq!(m.sgd_step(0.7, 1e-3).to_bits(), fold.sqrt().to_bits());
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;

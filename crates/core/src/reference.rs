@@ -20,7 +20,7 @@
 // Indexed loops on purpose: they read like the sums they compute.
 #![allow(clippy::needless_range_loop)]
 
-use crate::comaid::{ComAid, OntologyIndex};
+use crate::comaid::{best_first, ComAid, OntologyIndex};
 use crate::linker::Linker;
 use ncl_nn::Lstm;
 use ncl_ontology::ConceptId;
@@ -51,16 +51,20 @@ fn affine(w: &Matrix, b: &[f32], x: &[f32]) -> Vec<f32> {
 /// One LSTM cell step (§4.1.1): the gates `i, f, o = δ(W x + U h + b)`,
 /// the candidate `c̃ = tanh(W x + U h + b)`, then
 /// `c_t = f ⊙ c_{t−1} + i ⊙ c̃` and `h_t = o ⊙ tanh(c_t)`. A gate's
-/// pre-activation is summed as `(b + W x) + U h`.
+/// pre-activation is summed as `(b + W x) + U h`; unit `k` of gate `g`
+/// is row `g·d + k` of the layer's stacked parameters.
 fn lstm_step(l: &Lstm, x: &[f32], h: &[f32], c: &[f32]) -> (Vec<f32>, Vec<f32>) {
     let d = l.hidden();
     let (mut h_new, mut c_new) = (vec![0.0f32; d], vec![0.0f32; d]);
     for k in 0..d {
-        let pre = |w: &Matrix, u: &Matrix, b: &[f32]| (b[k] + dot(w.row(k), x)) + dot(u.row(k), h);
-        let i = sigmoid(pre(&l.wi.v, &l.ui.v, l.bi.v.as_slice()));
-        let f = sigmoid(pre(&l.wf.v, &l.uf.v, l.bf.v.as_slice()));
-        let o = sigmoid(pre(&l.wo.v, &l.uo.v, l.bo.v.as_slice()));
-        let g = tanhf(pre(&l.wg.v, &l.ug.v, l.bg.v.as_slice()));
+        let pre = |g: usize| {
+            let r = g * d + k;
+            (l.b.v[r] + dot(l.w.v.row(r), x)) + dot(l.u.v.row(r), h)
+        };
+        let i = sigmoid(pre(0));
+        let f = sigmoid(pre(1));
+        let o = sigmoid(pre(2));
+        let g = tanhf(pre(3));
         let mut cell = f * c[k];
         cell += i * g;
         c_new[k] = cell;
@@ -241,7 +245,7 @@ pub(crate) fn reference_link(linker: &Linker<'_>, tokens: &[String]) -> Referenc
             )
         })
         .collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked.sort_by(|a, b| best_first(a.1, b.1).then(a.0.cmp(&b.0)));
     ReferenceResult {
         rewritten,
         candidates,

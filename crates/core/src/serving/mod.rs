@@ -74,6 +74,7 @@ pub(crate) use document::{link_document, validate_document};
 pub(crate) use propose::propose_spans;
 pub(crate) use rewrite::Rewriter;
 
+use crate::comaid::best_first;
 use crate::linker::Linker;
 use ncl_ontology::ConceptId;
 use std::borrow::Cow;
@@ -173,18 +174,23 @@ pub(crate) fn serve(
     timed(&mut trace, StageKind::Score, t);
 
     // Rank (RT): MAP when a prior is installed (Eq. 11), otherwise pure
-    // MLE (Eq. 12).
+    // MLE (Eq. 12). A NaN score ranks nothing: it joins the unscored
+    // tail, and the ladder reports it.
     let t = Instant::now();
+    let mut nan_scores = 0;
+    for (lp, &c) in scores.iter_mut().zip(&candidates) {
+        *lp = lp.map(|lp| lp + linker.concept_log_prior(c));
+        if lp.is_some_and(f32::is_nan) {
+            *lp = None;
+            nan_scores += 1;
+        }
+    }
     let mut ranked: Vec<(ConceptId, f32)> = candidates
         .iter()
         .zip(&scores)
-        .filter_map(|(&c, lp)| Some((c, (*lp)? + linker.concept_log_prior(c))))
+        .filter_map(|(&c, lp)| Some((c, (*lp)?)))
         .collect();
-    ranked.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
+    ranked.sort_by(|a, b| best_first(a.1, b.1).then(a.0.cmp(&b.0)));
     let scored = ranked.len();
     // Unscored tail: Phase-I TF-IDF order, explicitly unscored.
     ranked.extend(
@@ -199,6 +205,7 @@ pub(crate) fn serve(
         scored,
         candidates.len(),
         outcome.lost_jobs,
+        nan_scores,
         cr_panicked,
         outcome.unscored_is_nonmatch,
     );
@@ -248,12 +255,15 @@ pub(crate) fn link_batch_within(
 }
 
 /// Summarises how far short of a full answer this call fell — the
-/// degradation ladder shared by every scorer behind [`serve`].
+/// degradation ladder shared by every scorer behind [`serve`]. Of the
+/// reasons a candidate went unscored, lost jobs are reported first, then
+/// NaN scores, then the deadline.
 fn classify_degradation(
     budget: LinkBudget,
     scored: usize,
     total: usize,
     panicked: usize,
+    nan_scores: usize,
     cr_panicked: bool,
     unscored_is_nonmatch: bool,
 ) -> Degradation {
@@ -266,14 +276,17 @@ fn classify_degradation(
         return Degradation::None;
     }
     // A scorer that deliberately ranks only a subset (e.g. a baseline
-    // annotator) has not degraded — unless jobs were actually lost.
-    if panicked == 0 && unscored_is_nonmatch {
+    // annotator) has not degraded — unless jobs were actually lost or a
+    // score came back NaN.
+    if panicked == 0 && nan_scores == 0 && unscored_is_nonmatch {
         return Degradation::None;
     }
     let reason = if panicked > 0 {
         DegradeReason::WorkerPanic {
             lost_jobs: panicked,
         }
+    } else if nan_scores > 0 {
+        DegradeReason::NanScore { count: nan_scores }
     } else {
         DegradeReason::Timeout {
             budget: budget.ed.or(budget.total).unwrap_or(Duration::ZERO),

@@ -114,6 +114,12 @@ pub enum DegradeReason {
         /// Number of scoring jobs lost to panics.
         lost_jobs: usize,
     },
+    /// The scorer returned NaN for some candidates; they sit in the
+    /// unscored tail rather than anywhere a number would rank them.
+    NanScore {
+        /// Candidates whose score was NaN.
+        count: usize,
+    },
 }
 
 impl DegradeReason {
@@ -126,6 +132,10 @@ impl DegradeReason {
                 budget,
             },
             Self::WorkerPanic { lost_jobs } => NclError::WorkerPanic { lost_jobs },
+            Self::NanScore { count } => NclError::Corrupt {
+                what: "score",
+                detail: format!("{count} candidate score(s) were NaN"),
+            },
         }
     }
 }

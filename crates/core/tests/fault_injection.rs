@@ -7,7 +7,8 @@
 
 use ncl_core::comaid::{ComAid, ComAidConfig, OntologyIndex, TrainPair, Variant};
 use ncl_core::{
-    Degradation, DegradeReason, LinkBudget, LinkResult, Linker, LinkerConfig, TraceEvent,
+    ComAidScore, Degradation, DegradeReason, LinkBudget, LinkResult, Linker, LinkerConfig,
+    ScoreOutcome, ScoreRequest, ScoreStage, TraceEvent,
 };
 use ncl_core::{FaultKind, FaultPlan, NclError};
 use ncl_ontology::Ontology;
@@ -146,6 +147,78 @@ fn no_faults_bit_identical_to_plain_linker() {
             assert_eq!(sa.to_bits(), sb.to_bits(), "scores must be bit-identical");
         }
         check_well_formed(&a);
+    }
+}
+
+/// COM-AID's scores with NaN forced onto the candidates at `nan_at`
+/// (retrieval positions), alternating the NaN's sign bit.
+struct NanScorer<'s, 'a> {
+    inner: ComAidScore<'s, 'a>,
+    nan_at: Vec<usize>,
+}
+
+impl ScoreStage for NanScorer<'_, '_> {
+    fn name(&self) -> &str {
+        "nan"
+    }
+    fn score(&self, req: ScoreRequest<'_>) -> ScoreOutcome {
+        let mut out = self.inner.score(req);
+        for (n, &i) in self.nan_at.iter().enumerate() {
+            let nan = if n % 2 == 0 { f32::NAN } else { -f32::NAN };
+            out.scores[i] = Some(nan);
+        }
+        out
+    }
+}
+
+#[test]
+fn forced_nan_scores_never_reach_the_ranking_unflagged() {
+    let (o, model) = trained_world();
+    let linker = Linker::new(&model, &o, LinkerConfig::default());
+    for q in QUERIES {
+        let clean = linker.link_text(q);
+        let n = clean.candidates.len();
+        assert!(n > 1 && !clean.is_degraded(), "{q}");
+        for nan_at in [vec![0], vec![n - 1], vec![0, n / 2], (0..n).collect()] {
+            let scorer = NanScorer {
+                inner: ComAidScore::new(&linker),
+                nan_at: nan_at.clone(),
+            };
+            let res = linker.link_with_scorer(&tokenize(q), &scorer);
+            check_well_formed(&res);
+            assert!(res.ranked.iter().all(|&(_, s)| !s.is_nan()), "{q}");
+            let k = nan_at.len();
+            match res.degradation {
+                Degradation::PartialEd {
+                    scored,
+                    reason: DegradeReason::NanScore { count },
+                    ..
+                } => assert_eq!((scored, count), (n - k, k), "{q}"),
+                Degradation::TfIdfOnly {
+                    reason: DegradeReason::NanScore { count },
+                } => assert_eq!((count, k), (n, n), "{q}"),
+                d => panic!("{q}: NaN scores reported as {d:?}"),
+            }
+            assert!(matches!(
+                res.degradation_error(),
+                Some(NclError::Corrupt { what: "score", .. })
+            ));
+            // The scored prefix is the clean ranking without the NaN'd
+            // candidates, bit for bit; they follow in retrieval order.
+            let nan_ids: Vec<_> = nan_at.iter().map(|&i| clean.candidates[i]).collect();
+            let kept: Vec<(u32, u32)> = clean
+                .ranked
+                .iter()
+                .filter(|(c, _)| !nan_ids.contains(c))
+                .map(|&(c, s)| (c.0, s.to_bits()))
+                .collect();
+            let prefix: Vec<(u32, u32)> = res.ranked[..n - k]
+                .iter()
+                .map(|&(c, s)| (c.0, s.to_bits()))
+                .collect();
+            assert_eq!(prefix, kept, "{q}");
+            assert_eq!(res.ranked_ids()[n - k..], nan_ids[..], "{q}");
+        }
     }
 }
 

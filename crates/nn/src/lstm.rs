@@ -16,43 +16,45 @@
 //! (Eq. 5–6) routes gradient into each encoder state `h_r^c`, while the
 //! chain `s_0 = h_n^c` routes gradient into the final state only.
 
-use crate::param::{HasParams, MatParam, ParamSet, Parameter, VecParam};
-use ncl_tensor::ops::{
-    sigmoid_grad_from_output, sigmoid_inplace, tanh_grad_from_output, tanh_inplace, tanh_vec,
-};
+use crate::param::{HasParams, MatParam, ParamRows, ParamSet, Parameter, VecParam};
+use ncl_tensor::ops::{sigmoid_grad_from_output, tanh_grad_from_output};
 use ncl_tensor::wire::{Reader, Wire, WireError};
 use ncl_tensor::{init, libm, simd, Matrix, Vector};
 use rand::Rng;
 
 /// One LSTM layer (a chain of identical cells).
+///
+/// The four gates' parameters are stacked by rows in gate order
+/// `i, f, o, g`: rows `g·d..(g + 1)·d` of `w`, `u` and `b` are gate `g`'s
+/// `W⁽ᵍ⁾`, `U⁽ᵍ⁾` and `b⁽ᵍ⁾` — the order of an [`LstmTape`]'s gate rows
+/// and of an [`LstmPlan`]'s fused gate axis.
 #[derive(Debug, Clone)]
 pub struct Lstm {
     in_dim: usize,
     hidden: usize,
-    /// Input-gate input weights `W⁽ⁱ⁾`.
-    pub wi: MatParam,
-    /// Forget-gate input weights `W⁽ᶠ⁾`.
-    pub wf: MatParam,
-    /// Output-gate input weights `W⁽ᵒ⁾`.
-    pub wo: MatParam,
-    /// Cell-candidate input weights `W⁽ᶜ̃⁾`.
-    pub wg: MatParam,
-    /// Input-gate recurrent weights `U⁽ⁱ⁾`.
-    pub ui: MatParam,
-    /// Forget-gate recurrent weights `U⁽ᶠ⁾`.
-    pub uf: MatParam,
-    /// Output-gate recurrent weights `U⁽ᵒ⁾`.
-    pub uo: MatParam,
-    /// Cell-candidate recurrent weights `U⁽ᶜ̃⁾`.
-    pub ug: MatParam,
-    /// Input-gate bias `b⁽ⁱ⁾`.
-    pub bi: VecParam,
-    /// Forget-gate bias `b⁽ᶠ⁾` (initialised to 1).
-    pub bf: VecParam,
-    /// Output-gate bias `b⁽ᵒ⁾`.
-    pub bo: VecParam,
-    /// Cell-candidate bias `b⁽ᶜ̃⁾`.
-    pub bg: VecParam,
+    /// Input weights `[W⁽ⁱ⁾; W⁽ᶠ⁾; W⁽ᵒ⁾; W⁽ᶜ̃⁾]`, `4d × in_dim`.
+    pub w: MatParam,
+    /// Recurrent weights `[U⁽ⁱ⁾; U⁽ᶠ⁾; U⁽ᵒ⁾; U⁽ᶜ̃⁾]`, `4d × d`.
+    pub u: MatParam,
+    /// Biases `[b⁽ⁱ⁾; b⁽ᶠ⁾; b⁽ᵒ⁾; b⁽ᶜ̃⁾]`, `4d` (the forget block
+    /// initialised to 1).
+    pub b: VecParam,
+}
+
+/// The names [`Lstm::visit_params`] gives its twelve gate blocks, in
+/// walk order: the four blocks of `w`, of `u`, then of `b`.
+const BLOCK_NAMES: [&str; 12] = [
+    "lstm.wi", "lstm.wf", "lstm.wo", "lstm.wg", "lstm.ui", "lstm.uf", "lstm.uo", "lstm.ug",
+    "lstm.bi", "lstm.bf", "lstm.bo", "lstm.bg",
+];
+
+/// `s` cut into its four gate blocks, in order.
+fn quarters(s: &mut [f32]) -> [&mut [f32]; 4] {
+    let n = s.len() / 4;
+    let (i, s) = s.split_at_mut(n);
+    let (f, s) = s.split_at_mut(n);
+    let (o, g) = s.split_at_mut(n);
+    [i, f, o, g]
 }
 
 /// The record of a full forward pass over a sequence, consumed by the
@@ -119,35 +121,36 @@ pub struct SeqGrads {
     pub dh0: Vec<f32>,
     /// Gradient w.r.t. the initial cell state `c_0`.
     pub dc0: Vec<f32>,
-    /// Pre-activation gradients of the whole sequence, gate-major: `i`,
-    /// `f`, `o`, `g` as four `T × d` slabs, so each gate's rows are one
-    /// contiguous slab for the per-sequence kernels that read them once
-    /// the time loop is done.
+    /// Pre-activation gradients of the whole sequence, step-major like
+    /// the tape's gates: row `s` is step `s`'s `[i | f | o | g]`, `4d`
+    /// wide — one row per step against the stacked parameters.
     dz: Vec<f32>,
 }
 
 impl Lstm {
-    /// Creates an LSTM with Xavier-initialised weights. The forget-gate
-    /// bias starts at 1.0 (the standard trick to keep long-range gradient
-    /// flow early in training); other biases start at zero.
+    /// Creates an LSTM with Xavier-initialised weights, each gate block
+    /// scaled for its own `d × fan_in` shape. The forget-gate bias starts
+    /// at 1.0 (the standard trick to keep long-range gradient flow early
+    /// in training); other biases start at zero.
     pub fn new<R: Rng + ?Sized>(in_dim: usize, hidden: usize, rng: &mut R) -> Self {
-        let w = |rng: &mut R| MatParam::new(init::xavier_uniform(hidden, in_dim, rng));
-        let u = |rng: &mut R| MatParam::new(init::xavier_uniform(hidden, hidden, rng));
+        // Four Xavier draws per matrix, stacked: the draws, and the
+        // per-block scale, of four separate gate matrices.
+        let mut stack = |cols: usize| {
+            let mut data = Vec::with_capacity(4 * hidden * cols);
+            for _ in 0..4 {
+                data.extend_from_slice(init::xavier_uniform(hidden, cols, rng).as_slice());
+            }
+            Matrix::from_vec(4 * hidden, cols, data)
+        };
+        let (w, u) = (stack(in_dim), stack(hidden));
+        let mut b = Vector::zeros(4 * hidden);
+        quarters(b.as_mut_slice())[1].fill(1.0);
         Self {
             in_dim,
             hidden,
-            wi: w(rng),
-            wf: w(rng),
-            wo: w(rng),
-            wg: w(rng),
-            ui: u(rng),
-            uf: u(rng),
-            uo: u(rng),
-            ug: u(rng),
-            bi: VecParam::zeros(hidden),
-            bf: VecParam::new(Vector::full(hidden, 1.0)),
-            bo: VecParam::zeros(hidden),
-            bg: VecParam::zeros(hidden),
+            w: MatParam::new(w),
+            u: MatParam::new(u),
+            b: VecParam::new(b),
         }
     }
 
@@ -161,13 +164,6 @@ impl Lstm {
         self.in_dim
     }
 
-    fn gate(&self, w: &MatParam, u: &MatParam, b: &VecParam, x: &Vector, h: &Vector) -> Vector {
-        let mut z = b.v.clone();
-        w.v.gemv_acc(x, &mut z);
-        u.v.gemv_acc(h, &mut z);
-        z
-    }
-
     /// One inference-only cell step: the recurrence of [`Lstm::forward_seq`]
     /// one step at a time and without a tape. Every gate pre-activation
     /// is `(b + W·x) + U·h` from the same fresh-accumulator kernel in the
@@ -175,20 +171,24 @@ impl Lstm {
     /// taped sequence's — this is the per-step reference the sequence
     /// form is tested against (`tests/seq_identity.rs`).
     pub fn step_infer(&self, x: &Vector, h_prev: &Vector, c_prev: &Vector) -> (Vector, Vector) {
-        let mut i = self.gate(&self.wi, &self.ui, &self.bi, x, h_prev);
-        sigmoid_inplace(&mut i);
-        let mut f = self.gate(&self.wf, &self.uf, &self.bf, x, h_prev);
-        sigmoid_inplace(&mut f);
-        let mut o = self.gate(&self.wo, &self.uo, &self.bo, x, h_prev);
-        sigmoid_inplace(&mut o);
-        let mut g = self.gate(&self.wg, &self.ug, &self.bg, x, h_prev);
-        tanh_inplace(&mut g);
-
-        let mut c = f.hadamard(c_prev);
-        c.add_hadamard(1.0, &i, &g);
-        let tc = tanh_vec(&c);
-        let h = o.hadamard(&tc);
-        (h, c)
+        let d = self.hidden;
+        let mut z = self.b.v.clone();
+        self.w.v.gemv_acc(x, &mut z);
+        self.u.v.gemv_acc(h_prev, &mut z);
+        let (ifo, g) = z.as_mut_slice().split_at_mut(3 * d);
+        libm::sigmoid_inplace(ifo);
+        libm::tanh_inplace(g);
+        let (i, rest) = ifo.split_at(d);
+        let (f, o) = rest.split_at(d);
+        let mut c = Vector::zeros(d);
+        for k in 0..d {
+            c[k] = f[k] * c_prev[k];
+            c[k] += i[k] * g[k];
+        }
+        let mut tc = c.clone();
+        libm::tanh_inplace(tc.as_mut_slice());
+        let h = (0..d).map(|k| o[k] * tc[k]).collect();
+        (Vector::from_vec(h), c)
     }
 
     /// Inference-only sequence forward: the hidden states `h_1..h_T` and
@@ -212,17 +212,6 @@ impl Lstm {
             c = nc;
         }
         (hs, c)
-    }
-
-    /// The four gates in tape order `i, f, o, g`: input weights,
-    /// recurrent weights, bias.
-    fn gates_mut(&mut self) -> [(&mut MatParam, &mut MatParam, &mut VecParam); 4] {
-        [
-            (&mut self.wi, &mut self.ui, &mut self.bi),
-            (&mut self.wf, &mut self.uf, &mut self.bf),
-            (&mut self.wo, &mut self.uo, &mut self.bo),
-            (&mut self.wg, &mut self.ug, &mut self.bg),
-        ]
     }
 
     /// Runs the whole sequence forward from `(h0, c0)`, recording `tape`
@@ -262,12 +251,12 @@ impl Lstm {
     /// last cell.
     ///
     /// The time loop (last step first) keeps only what depends on the
-    /// step after it: the cell equations and `Uᵀ·dz_t`. It leaves every
-    /// step's pre-activation gradients in one slab, from which each
-    /// weight matrix is then visited once per sequence — `dW`, `dU`
-    /// and `db` take their terms `t` **descending**, the order the loop
-    /// used to feed them in, and every `dx_t` sums its gates `i, f, o,
-    /// g` with rows ascending (DESIGN.md §10, the order contract).
+    /// step after it: the cell equations and `Uᵀ·dz_t`, one product over
+    /// the `4d` stacked rows. It leaves every step's pre-activation
+    /// gradients in one step-major slab, from which each parameter is
+    /// then visited once per sequence — `dW`, `dU` and `db` take their
+    /// terms `t` **descending**, and every `dx_t` sums the stacked rows
+    /// `i, f, o, g` ascending (DESIGN.md §10, the order contract).
     pub fn backward_seq_full(
         &mut self,
         tape: &LstmTape,
@@ -293,81 +282,72 @@ impl Lstm {
         }
         assert_eq!(dc.len(), d, "backward_seq: dc_final dimension");
 
-        {
-            let (dzi, rest) = dz.split_at_mut(t * d);
-            let (dzf, rest) = rest.split_at_mut(t * d);
-            let (dzo, dzg) = rest.split_at_mut(t * d);
-            for s in (0..t).rev() {
-                let at = s * d..(s + 1) * d;
-                let (i, rest) = tape.gates[4 * s * d..4 * (s + 1) * d].split_at(d);
-                let (f, rest) = rest.split_at(d);
-                let (o, g) = rest.split_at(d);
-                let (tc, c_prev) = (&tape.tc[at.clone()], &tape.c[at.clone()]);
-                let (dzi, dzf, dzo, dzg) = (
-                    &mut dzi[at.clone()],
-                    &mut dzf[at.clone()],
-                    &mut dzo[at.clone()],
-                    &mut dzg[at.clone()],
-                );
-                // Total gradient arriving at h_t: recurrent + external.
-                simd::add_assign(dh, &dhs[at]);
-                for k in 0..d {
-                    // do = dh ⊙ tanh(c);   dc += dh ⊙ o ⊙ (1 − tanh(c)²)
-                    dc[k] += dh[k] * o[k] * tanh_grad_from_output(tc[k]);
-                    // Pre-activation gradients.
-                    let d_o = dh[k] * tc[k];
-                    dzo[k] = d_o * sigmoid_grad_from_output(o[k]);
-                    let d_i = dc[k] * g[k];
-                    dzi[k] = d_i * sigmoid_grad_from_output(i[k]);
-                    let d_f = dc[k] * c_prev[k];
-                    dzf[k] = d_f * sigmoid_grad_from_output(f[k]);
-                    let d_g = dc[k] * i[k];
-                    dzg[k] = d_g * tanh_grad_from_output(g[k]);
-                    // Cell gradient for step t−1.
-                    dc[k] *= f[k];
-                }
-                // Recurrent gradient for step t−1: dh = Σ Uᵀ dz.
-                dh.fill(0.0);
-                self.ui.v.gemv_t_acc_seq(dzi, dh, 1);
-                self.uf.v.gemv_t_acc_seq(dzf, dh, 1);
-                self.uo.v.gemv_t_acc_seq(dzo, dh, 1);
-                self.ug.v.gemv_t_acc_seq(dzg, dh, 1);
+        for s in (0..t).rev() {
+            let at = s * d..(s + 1) * d;
+            let row = 4 * s * d..4 * (s + 1) * d;
+            let (i, rest) = tape.gates[row.clone()].split_at(d);
+            let (f, rest) = rest.split_at(d);
+            let (o, g) = rest.split_at(d);
+            let (tc, c_prev) = (&tape.tc[at.clone()], &tape.c[at.clone()]);
+            let dz = &mut dz[row];
+            let [dzi, dzf, dzo, dzg] = quarters(dz);
+            // Total gradient arriving at h_t: recurrent + external.
+            simd::add_assign(dh, &dhs[at]);
+            for k in 0..d {
+                // do = dh ⊙ tanh(c);   dc += dh ⊙ o ⊙ (1 − tanh(c)²)
+                dc[k] += dh[k] * o[k] * tanh_grad_from_output(tc[k]);
+                // Pre-activation gradients.
+                let d_o = dh[k] * tc[k];
+                dzo[k] = d_o * sigmoid_grad_from_output(o[k]);
+                let d_i = dc[k] * g[k];
+                dzi[k] = d_i * sigmoid_grad_from_output(i[k]);
+                let d_f = dc[k] * c_prev[k];
+                dzf[k] = d_f * sigmoid_grad_from_output(f[k]);
+                let d_g = dc[k] * i[k];
+                dzg[k] = d_g * tanh_grad_from_output(g[k]);
+                // Cell gradient for step t−1.
+                dc[k] *= f[k];
             }
+            // Recurrent gradient for step t−1: dh = Uᵀ dz.
+            dh.fill(0.0);
+            self.u.v.gemv_t_acc_seq(dz, dh, 1);
         }
 
-        // Once per sequence and matrix: dW += dz xᵀ, dU += dz h_prevᵀ,
-        // db += dz (all t descending), then dx_t += Wᵀ dz_t.
-        let h_prev = &tape.h[..t * d];
-        for ((w, u, b), dz) in self
-            .gates_mut()
-            .into_iter()
-            .zip(dz.chunks_exact((t * d).max(1)))
-        {
-            w.g.add_outer_seq(1.0, dz, &tape.x, t, true);
-            u.g.add_outer_seq(1.0, dz, h_prev, t, true);
-            for s in (0..t).rev() {
-                simd::add_assign(b.g.as_mut_slice(), &dz[s * d..(s + 1) * d]);
-            }
-            w.v.gemv_t_acc_seq(dz, dxs, t);
+        // Once per sequence: dW += dz xᵀ, dU += dz h_prevᵀ, db += dz (all
+        // t descending), then dx_t += Wᵀ dz_t.
+        self.w.g.add_outer_seq(1.0, dz, &tape.x, t, true);
+        self.u.g.add_outer_seq(1.0, dz, &tape.h[..t * d], t, true);
+        for dz in dz.chunks_exact((4 * d).max(1)).rev() {
+            simd::add_assign(self.b.g.as_mut_slice(), dz);
         }
+        self.w.v.gemv_t_acc_seq(dz, dxs, t);
+    }
+
+    /// The twelve gate blocks as parameters of their own, named and
+    /// ordered as [`Lstm::visit_params`] walks them.
+    pub fn gate_blocks(&mut self) -> [(&'static str, ParamRows<'_>); 12] {
+        let (w, u, b) = (&mut self.w, &mut self.u, &mut self.b);
+        let mut blocks = [
+            (w.v.as_mut_slice(), w.g.as_mut_slice()),
+            (u.v.as_mut_slice(), u.g.as_mut_slice()),
+            (b.v.as_mut_slice(), b.g.as_mut_slice()),
+        ]
+        .into_iter()
+        .flat_map(|(v, g)| quarters(v).into_iter().zip(quarters(g)))
+        .map(|(v, g)| ParamRows { v, g });
+        BLOCK_NAMES.map(|name| (name, blocks.next().unwrap()))
     }
 
     /// Visits every parameter in [`HasParams::collect_params`] order
     /// without borrowing the layer for a whole `ParamSet` lifetime —
     /// lets the trainer walk `Θ` repeatedly with no per-step allocation.
+    ///
+    /// The walk is per gate block (`lstm.wi` … `lstm.bg`): the clip norm
+    /// sums each block on its own, in this order.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&'static str, &mut dyn Parameter)) {
-        f("lstm.wi", &mut self.wi);
-        f("lstm.wf", &mut self.wf);
-        f("lstm.wo", &mut self.wo);
-        f("lstm.wg", &mut self.wg);
-        f("lstm.ui", &mut self.ui);
-        f("lstm.uf", &mut self.uf);
-        f("lstm.uo", &mut self.uo);
-        f("lstm.ug", &mut self.ug);
-        f("lstm.bi", &mut self.bi);
-        f("lstm.bf", &mut self.bf);
-        f("lstm.bo", &mut self.bo);
-        f("lstm.bg", &mut self.bg);
+        for (name, mut block) in self.gate_blocks() {
+            f(name, &mut block);
+        }
     }
 
     /// Overwrites all weights/biases with `src`'s (replica sync).
@@ -375,18 +355,9 @@ impl Lstm {
     /// # Panics
     /// Panics if the layer shapes differ.
     pub fn copy_values_from(&mut self, src: &Lstm) {
-        self.wi.copy_values_from(&src.wi);
-        self.wf.copy_values_from(&src.wf);
-        self.wo.copy_values_from(&src.wo);
-        self.wg.copy_values_from(&src.wg);
-        self.ui.copy_values_from(&src.ui);
-        self.uf.copy_values_from(&src.uf);
-        self.uo.copy_values_from(&src.uo);
-        self.ug.copy_values_from(&src.ug);
-        self.bi.copy_values_from(&src.bi);
-        self.bf.copy_values_from(&src.bf);
-        self.bo.copy_values_from(&src.bo);
-        self.bg.copy_values_from(&src.bg);
+        self.w.copy_values_from(&src.w);
+        self.u.copy_values_from(&src.u);
+        self.b.copy_values_from(&src.b);
     }
 
     /// Drains `donor`'s gradients into this layer (shard merge).
@@ -394,100 +365,89 @@ impl Lstm {
     /// # Panics
     /// Panics if the layer shapes differ.
     pub fn merge_grads_from(&mut self, donor: &mut Lstm) {
-        self.wi.merge_grad_from(&mut donor.wi);
-        self.wf.merge_grad_from(&mut donor.wf);
-        self.wo.merge_grad_from(&mut donor.wo);
-        self.wg.merge_grad_from(&mut donor.wg);
-        self.ui.merge_grad_from(&mut donor.ui);
-        self.uf.merge_grad_from(&mut donor.uf);
-        self.uo.merge_grad_from(&mut donor.uo);
-        self.ug.merge_grad_from(&mut donor.ug);
-        self.bi.merge_grad_from(&mut donor.bi);
-        self.bf.merge_grad_from(&mut donor.bf);
-        self.bo.merge_grad_from(&mut donor.bo);
-        self.bg.merge_grad_from(&mut donor.bg);
+        self.w.merge_grad_from(&mut donor.w);
+        self.u.merge_grad_from(&mut donor.u);
+        self.b.merge_grad_from(&mut donor.b);
     }
 }
 
 impl HasParams for Lstm {
     fn collect_params<'a>(&'a mut self, set: &mut ParamSet<'a>) {
-        set.add("lstm.wi", &mut self.wi);
-        set.add("lstm.wf", &mut self.wf);
-        set.add("lstm.wo", &mut self.wo);
-        set.add("lstm.wg", &mut self.wg);
-        set.add("lstm.ui", &mut self.ui);
-        set.add("lstm.uf", &mut self.uf);
-        set.add("lstm.uo", &mut self.uo);
-        set.add("lstm.ug", &mut self.ug);
-        set.add("lstm.bi", &mut self.bi);
-        set.add("lstm.bf", &mut self.bf);
-        set.add("lstm.bo", &mut self.bo);
-        set.add("lstm.bg", &mut self.bg);
+        for (name, block) in self.gate_blocks() {
+            set.add_rows(name, block);
+        }
     }
 }
 
+/// The checkpoint framing is per gate (format v2): the four `d × in_dim`
+/// blocks of `W`, the four `d × d` blocks of `U`, then the four length-`d`
+/// blocks of `b`, each framed as a [`Matrix`] / [`Vector`] of its own.
 impl Wire for Lstm {
     fn encode(&self, out: &mut Vec<u8>) {
+        let d = self.hidden;
         self.in_dim.encode(out);
-        self.hidden.encode(out);
-        for m in [
-            &self.wi, &self.wf, &self.wo, &self.wg, &self.ui, &self.uf, &self.uo, &self.ug,
-        ] {
-            m.encode(out);
+        d.encode(out);
+        for (m, cols) in [(&self.w.v, self.in_dim), (&self.u.v, d)] {
+            for g in 0..4 {
+                // A matrix's framing: rows, columns, then the floats.
+                d.encode(out);
+                cols.encode(out);
+                for x in &m.as_slice()[g * d * cols..(g + 1) * d * cols] {
+                    x.encode(out);
+                }
+            }
         }
-        for b in [&self.bi, &self.bf, &self.bo, &self.bg] {
-            b.encode(out);
+        for g in 0..4 {
+            // A vector's framing: the length, then the floats.
+            d.encode(out);
+            for x in &self.b.v.as_slice()[g * d..(g + 1) * d] {
+                x.encode(out);
+            }
         }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let in_dim = usize::decode(r)?;
         let hidden = usize::decode(r)?;
-        let mut mats = Vec::with_capacity(8);
-        for (i, &cols) in [
-            in_dim, in_dim, in_dim, in_dim, hidden, hidden, hidden, hidden,
-        ]
-        .iter()
-        .enumerate()
-        {
-            let m = MatParam::decode(r)?;
-            if m.v.rows() != hidden || m.v.cols() != cols {
+        let rows = hidden
+            .checked_mul(4)
+            .ok_or_else(|| WireError::Invalid(format!("lstm: hidden size {hidden} overflows")))?;
+        // Each block is checked against `hidden` as it arrives, so no
+        // size is trusted before the bytes behind it have been read.
+        let mut stack = |what: &str, cols: usize| -> Result<Matrix, WireError> {
+            let mut data = Vec::new();
+            for g in 0..4 {
+                let m = Matrix::decode(r)?;
+                if (m.rows(), m.cols()) != (hidden, cols) {
+                    return Err(WireError::Invalid(format!(
+                        "lstm: {what} weight block {g} is {}x{}, expected {hidden}x{cols}",
+                        m.rows(),
+                        m.cols()
+                    )));
+                }
+                data.extend_from_slice(m.as_slice());
+            }
+            Ok(Matrix::from_vec(rows, cols, data))
+        };
+        let w = stack("input", in_dim)?;
+        let u = stack("recurrent", hidden)?;
+        let mut b = Vec::new();
+        for g in 0..4 {
+            let block = Vector::decode(r)?;
+            if block.len() != hidden {
                 return Err(WireError::Invalid(format!(
-                    "lstm: weight {i} is {}x{}, expected {hidden}x{cols}",
-                    m.v.rows(),
-                    m.v.cols()
+                    "lstm: bias block {g} has length {}, expected {hidden}",
+                    block.len()
                 )));
             }
-            mats.push(m);
+            b.extend_from_slice(block.as_slice());
         }
-        let mut biases = Vec::with_capacity(4);
-        for i in 0..4 {
-            let b = VecParam::decode(r)?;
-            if b.v.len() != hidden {
-                return Err(WireError::Invalid(format!(
-                    "lstm: bias {i} has length {}, expected {hidden}",
-                    b.v.len()
-                )));
-            }
-            biases.push(b);
-        }
-        let [wi, wf, wo, wg, ui, uf, uo, ug]: [MatParam; 8] = mats.try_into().unwrap();
-        let [bi, bf, bo, bg]: [VecParam; 4] = biases.try_into().unwrap();
         Ok(Self {
             in_dim,
             hidden,
-            wi,
-            wf,
-            wo,
-            wg,
-            ui,
-            uf,
-            uo,
-            ug,
-            bi,
-            bf,
-            bo,
-            bg,
+            w: MatParam::new(w),
+            u: MatParam::new(u),
+            b: VecParam::new(Vector::from_vec(b)),
         })
     }
 }
@@ -498,12 +458,11 @@ pub fn zero_state(hidden: usize) -> (Vector, Vector) {
 }
 
 /// A layout of an [`Lstm`]'s weights for fused, SIMD-friendly cell
-/// steps, in training and serving alike: the eight gate matrices are
-/// re-packed into two **column-major** (transposed) blocks and the four
-/// biases into one concatenated vector, so a step is two streaming
+/// steps, in training and serving alike: the stacked `W` and `U` are
+/// transposed into **column-major** blocks, so a step is two streaming
 /// [`simd::colmajor_gemv_acc`] sweeps plus one fused activation pass over
-/// all four gate pre-activations — instead of eight row-major `gemv`s and
-/// four separate activation loops.
+/// all four gate pre-activations — instead of row-major `gemv`s and
+/// per-gate activation loops.
 ///
 /// Gate order inside the concatenated `4d` axis is `i, f, o, g` (column
 /// `g·d + r` holds gate `g`, unit `r`).
@@ -544,7 +503,8 @@ pub fn zero_state(hidden: usize) -> (Vector, Vector) {
 /// [`LstmPlan::forward_seq`] is the taped forward pass: the trainer packs
 /// a plan before every batch and runs the batch's sequences through it,
 /// and [`Lstm::forward_seq`] packs one per call. Backward reads the
-/// row-major parameters, its natural layout.
+/// stacked row-major parameters, its natural layout: each step's `Uᵀ·dz`
+/// is one product over the `4d` rows.
 ///
 /// The plan is derived data: it holds copies, not references, so it goes
 /// stale if the layer trains afterwards. Whoever holds one rebuilds it
@@ -554,45 +514,26 @@ pub fn zero_state(hidden: usize) -> (Vector, Vector) {
 pub struct LstmPlan {
     in_dim: usize,
     hidden: usize,
-    /// `in_dim × 4d`: `wt[(k, g·d + r)] = W⁽ᵍ⁾[r][k]`.
+    /// `in_dim × 4d`: `wt[(k, g·d + r)] = W⁽ᵍ⁾[r][k]`, the transpose of
+    /// the stacked `W`.
     wt: Matrix,
     /// `hidden × 4d`: `ut[(k, g·d + r)] = U⁽ᵍ⁾[r][k]`.
     ut: Matrix,
-    /// Concatenated biases `[b⁽ⁱ⁾; b⁽ᶠ⁾; b⁽ᵒ⁾; b⁽ᶜ̃⁾]`.
+    /// The stacked biases `[b⁽ⁱ⁾; b⁽ᶠ⁾; b⁽ᵒ⁾; b⁽ᶜ̃⁾]`.
     bcat: Vector,
 }
 
 impl Lstm {
-    /// Packs this layer's weights into an [`LstmPlan`] for fused steps.
-    /// O(`4d·(in_dim + d)`) copies; build once per batch or freeze, not
-    /// per step.
+    /// Packs this layer's weights into an [`LstmPlan`] for fused steps:
+    /// one transpose per matrix and a copy of the biases. O(`4d·(in_dim +
+    /// d)`) copies; build once per batch or freeze, not per step.
     pub fn plan(&self) -> LstmPlan {
-        let d = self.hidden;
-        let mut wt = Matrix::zeros(self.in_dim, 4 * d);
-        let mut ut = Matrix::zeros(d, 4 * d);
-        let mut bcat = Vector::zeros(4 * d);
-        let ws = [&self.wi, &self.wf, &self.wo, &self.wg];
-        let us = [&self.ui, &self.uf, &self.uo, &self.ug];
-        let bs = [&self.bi, &self.bf, &self.bo, &self.bg];
-        // Gate `g`'s transposes are the column block `g·d..(g + 1)·d`
-        // (a layer without inputs has no `W` block to write).
-        for (g, (w, u)) in ws.iter().zip(&us).enumerate() {
-            let at = g * d;
-            if self.in_dim > 0 {
-                let wt = &mut wt.as_mut_slice()[at..];
-                simd::transpose_into(wt, 4 * d, w.v.as_slice(), d, self.in_dim);
-            }
-            simd::transpose_into(&mut ut.as_mut_slice()[at..], 4 * d, u.v.as_slice(), d, d);
-        }
-        for (g, b) in bs.iter().enumerate() {
-            bcat.as_mut_slice()[g * d..(g + 1) * d].copy_from_slice(b.v.as_slice());
-        }
         LstmPlan {
             in_dim: self.in_dim,
-            hidden: d,
-            wt,
-            ut,
-            bcat,
+            hidden: self.hidden,
+            wt: self.w.v.transpose(),
+            ut: self.u.v.transpose(),
+            bcat: self.b.v.clone(),
         }
     }
 }
@@ -1010,6 +951,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The per-gate framing format v2 has always written — `in_dim`, `d`,
+    /// the matrices `Wi Wf Wo Wg Ui Uf Uo Ug`, the biases `bi bf bo bg`
+    /// — built block by block: it decodes to the stacked rows in gate
+    /// order, and encodes back to the same bytes.
+    #[test]
+    fn per_gate_v2_encoding_decodes_to_stacked_rows_and_back() {
+        let (in_dim, d) = (3usize, 2usize);
+        // Block `n` holds `n + k/100`: every value names its block.
+        let block = |n: usize, len: usize| -> Vec<f32> {
+            (0..len).map(|k| n as f32 + k as f32 / 100.0).collect()
+        };
+        let mut bytes = Vec::new();
+        in_dim.encode(&mut bytes);
+        d.encode(&mut bytes);
+        for n in 0..8 {
+            let cols = if n < 4 { in_dim } else { d };
+            Matrix::from_vec(d, cols, block(n, d * cols)).encode(&mut bytes);
+        }
+        for n in 8..12 {
+            Vector::from_vec(block(n, d)).encode(&mut bytes);
+        }
+
+        let lstm = Lstm::decode(&mut Reader::new(&bytes)).unwrap();
+        let stacked = |first: usize, len: usize| -> Vec<f32> {
+            (first..first + 4).flat_map(|n| block(n, len)).collect()
+        };
+        assert_eq!(lstm.w.v.as_slice(), stacked(0, d * in_dim).as_slice());
+        assert_eq!((lstm.w.v.rows(), lstm.w.v.cols()), (4 * d, in_dim));
+        assert_eq!(lstm.u.v.as_slice(), stacked(4, d * d).as_slice());
+        assert_eq!((lstm.u.v.rows(), lstm.u.v.cols()), (4 * d, d));
+        assert_eq!(lstm.b.v.as_slice(), stacked(8, d).as_slice());
+
+        let mut again = Vec::new();
+        lstm.encode(&mut again);
+        assert_eq!(again, bytes);
+    }
+
+    /// A hidden size whose four gate blocks overflow, behind blocks that
+    /// hold no floats, is refused — never a panic.
+    #[test]
+    fn overflowing_hidden_size_is_a_decode_error() {
+        let mut bytes = Vec::new();
+        0usize.encode(&mut bytes);
+        (usize::MAX / 2).encode(&mut bytes);
+        assert!(matches!(
+            Lstm::decode(&mut Reader::new(&bytes)),
+            Err(WireError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `Θ` generically.
 
 use ncl_tensor::wire::{Reader, Wire, WireError};
-use ncl_tensor::{Matrix, Vector};
+use ncl_tensor::{simd, Matrix, Vector};
 
 /// Uniform view over a trainable parameter tensor.
 pub trait Parameter {
@@ -171,12 +171,71 @@ impl Parameter for VecParam {
     }
 }
 
+/// A block of rows of a parameter — its values and their gradient — as a
+/// parameter of its own: a layer that stores several tensors stacked in
+/// one (an LSTM's four gates) registers each block under its own name,
+/// so the walk, and the clip norm's per-tensor sums, see the tensors one
+/// by one.
+#[derive(Debug)]
+pub struct ParamRows<'a> {
+    /// The block's values.
+    pub v: &'a mut [f32],
+    /// The block's gradient, as long as `v`.
+    pub g: &'a mut [f32],
+}
+
+/// The same arithmetic as [`MatParam`] and [`VecParam`], element for
+/// element: the squared norm is the serial fold of `Matrix::sq_sum` /
+/// `Vector::dot`, and scaling and the update are the `simd` kernels
+/// those call.
+impl Parameter for ParamRows<'_> {
+    fn num_params(&self) -> usize {
+        self.v.len()
+    }
+    fn sq_grad_norm(&self) -> f32 {
+        self.g.iter().map(|v| v * v).sum()
+    }
+    fn scale_grad(&mut self, factor: f32) {
+        simd::scale(self.g, factor);
+    }
+    fn step(&mut self, lr: f32) {
+        simd::saxpy(self.v, -lr, self.g);
+    }
+    fn zero_grad(&mut self) {
+        self.g.fill(0.0);
+    }
+    fn values_mut(&mut self) -> &mut [f32] {
+        self.v
+    }
+    fn grads(&self) -> &[f32] {
+        self.g
+    }
+    fn grads_mut(&mut self) -> &mut [f32] {
+        self.g
+    }
+}
+
+/// A registered parameter: borrowed whole, or a row block the set owns.
+enum Entry<'a> {
+    Whole(&'a mut dyn Parameter),
+    Rows(ParamRows<'a>),
+}
+
+impl<'a> Entry<'a> {
+    fn get(&mut self) -> &mut (dyn Parameter + 'a) {
+        match self {
+            Self::Whole(p) => &mut **p,
+            Self::Rows(p) => p,
+        }
+    }
+}
+
 /// A collection of named parameters, the concrete representation of `Θ`.
 ///
-/// Layers register `&mut dyn Parameter` views into this walker; the
-/// optimizer and gradient checker consume it.
+/// Layers register `&mut dyn Parameter` views (or [`ParamRows`] blocks)
+/// into this walker; the optimizer and gradient checker consume it.
 pub struct ParamSet<'a> {
-    entries: Vec<(&'static str, &'a mut dyn Parameter)>,
+    entries: Vec<(&'static str, Entry<'a>)>,
 }
 
 impl<'a> ParamSet<'a> {
@@ -189,12 +248,17 @@ impl<'a> ParamSet<'a> {
 
     /// Registers a parameter under a diagnostic name.
     pub fn add(&mut self, name: &'static str, p: &'a mut dyn Parameter) {
-        self.entries.push((name, p));
+        self.entries.push((name, Entry::Whole(p)));
+    }
+
+    /// Registers a row block of a parameter under a diagnostic name.
+    pub fn add_rows(&mut self, name: &'static str, p: ParamRows<'a>) {
+        self.entries.push((name, Entry::Rows(p)));
     }
 
     /// Iterates mutably over the registered parameters.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&'static str, &mut (dyn Parameter + 'a))> {
-        self.entries.iter_mut().map(|(n, p)| (*n, &mut **p))
+        self.entries.iter_mut().map(|(n, p)| (*n, p.get()))
     }
 
     /// Number of registered tensors.
@@ -209,7 +273,11 @@ impl<'a> ParamSet<'a> {
 
     /// Total scalar parameter count.
     pub fn num_params(&self) -> usize {
-        self.entries.iter().map(|(_, p)| p.num_params()).sum()
+        let count = |p: &Entry<'_>| match p {
+            Entry::Whole(p) => p.num_params(),
+            Entry::Rows(p) => p.num_params(),
+        };
+        self.entries.iter().map(|(_, p)| count(p)).sum()
     }
 
     /// Drains `donor`'s gradients into this set, tensor by tensor in
@@ -228,7 +296,7 @@ impl<'a> ParamSet<'a> {
             self.entries.iter_mut().zip(donor.entries.iter_mut())
         {
             assert_eq!(*name, *donor_name, "merge_grads_from: walk order differs");
-            dst.merge_grad_from(&mut **src);
+            dst.get().merge_grad_from(src.get());
         }
     }
 }

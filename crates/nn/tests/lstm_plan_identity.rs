@@ -39,19 +39,14 @@ fn layers() -> Vec<(&'static str, Lstm)> {
     // added a zeroed partial, or started from `+0`, would rewrite them.
     let mut rng = StdRng::seed_from_u64(77);
     let mut neg_zero = Lstm::new(4, 6, &mut rng);
-    for b in [
-        &mut neg_zero.bi,
-        &mut neg_zero.bf,
-        &mut neg_zero.bo,
-        &mut neg_zero.bg,
-    ] {
-        b.v[0] = -0.0;
-        b.v[5] = -0.0;
+    for b in neg_zero.b.v.as_mut_slice().chunks_exact_mut(6) {
+        b[0] = -0.0;
+        b[5] = -0.0;
     }
     out.push(("neg-zero-bias", neg_zero));
     let mut both = Lstm::new(0, 5, &mut rng);
-    both.bi.v[2] = -0.0;
-    both.bg.v[4] = -0.0;
+    both.b.v[2] = -0.0;
+    both.b.v[3 * 5 + 4] = -0.0;
     out.push(("no-input+neg-zero-bias", both));
     out
 }
@@ -112,12 +107,9 @@ fn projected_step_bit_identical_to_step_infer_at_every_level() {
 fn projection_without_input_is_the_bias_bitwise() {
     let mut rng = StdRng::seed_from_u64(3);
     let mut lstm = Lstm::new(0, 4, &mut rng);
-    lstm.bf.v[1] = -0.0;
+    lstm.b.v[4 + 1] = -0.0;
     let proj = lstm.plan().project_input(&[]);
-    let want: Vec<f32> = [&lstm.bi, &lstm.bf, &lstm.bo, &lstm.bg]
-        .iter()
-        .flat_map(|b| b.v.iter().copied())
-        .collect();
+    let want: Vec<f32> = lstm.b.v.iter().copied().collect();
     assert_bits_eq("bias", &proj, &Vector::from_vec(want));
     assert!(proj[4 + 1].is_sign_negative());
 }

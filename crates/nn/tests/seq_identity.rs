@@ -310,30 +310,26 @@ fn lstm_pair(in_dim: usize, d: usize, salt: u32) -> (Lstm, [reference::Gate; 4])
     let mut lstm = Lstm::new(in_dim, d, &mut StdRng::seed_from_u64(u64::from(salt)));
     let mut plain = Vec::new();
     {
-        let gates = [
-            (&mut lstm.wi, &mut lstm.ui, &mut lstm.bi),
-            (&mut lstm.wf, &mut lstm.uf, &mut lstm.bf),
-            (&mut lstm.wo, &mut lstm.uo, &mut lstm.bo),
-            (&mut lstm.wg, &mut lstm.ug, &mut lstm.bg),
-        ];
+        let [wi, wf, wo, wg, ui, uf, uo, ug, bi, bf, bo, bg] = lstm.gate_blocks().map(|(_, p)| p);
+        let gates = [(wi, ui, bi), (wf, uf, bf), (wo, uo, bo), (wg, ug, bg)];
         for (g, (w, u, b)) in gates.into_iter().enumerate() {
             let s = salt.wrapping_add(10 * g as u32);
-            w.v.as_mut_slice().copy_from_slice(&data(d * in_dim, s));
-            u.v.as_mut_slice().copy_from_slice(&data(d * d, s + 1));
-            b.v.as_mut_slice().copy_from_slice(&data(d, s + 2));
+            w.v.copy_from_slice(&data(d * in_dim, s));
+            u.v.copy_from_slice(&data(d * d, s + 1));
+            b.v.copy_from_slice(&data(d, s + 2));
             if g % 2 == 0 {
                 b.v[d / 2] = -0.0;
             }
-            w.g.as_mut_slice().copy_from_slice(&data(d * in_dim, s + 3));
-            u.g.as_mut_slice().copy_from_slice(&data(d * d, s + 4));
-            b.g.as_mut_slice().copy_from_slice(&data(d, s + 5));
+            w.g.copy_from_slice(&data(d * in_dim, s + 3));
+            u.g.copy_from_slice(&data(d * d, s + 4));
+            b.g.copy_from_slice(&data(d, s + 5));
             plain.push(reference::Gate {
-                w: w.v.as_slice().to_vec(),
-                u: u.v.as_slice().to_vec(),
-                b: b.v.as_slice().to_vec(),
-                dw: w.g.as_slice().to_vec(),
-                du: u.g.as_slice().to_vec(),
-                db: b.g.as_slice().to_vec(),
+                w: w.v.to_vec(),
+                u: u.v.to_vec(),
+                b: b.v.to_vec(),
+                dw: w.g.to_vec(),
+                du: u.g.to_vec(),
+                db: b.g.to_vec(),
             });
         }
     }
@@ -370,13 +366,13 @@ fn lstm_sequence_forms_match_the_per_step_reference_at_every_level() {
             // `f[1]` at 0 or 1 — so `dz` is an exact zero there at every
             // step, in front of an infinite weight.
             if in_dim > 2 {
-                lstm0.wi.v[(3, 2)] = f32::INFINITY;
+                lstm0.w.v[(3, 2)] = f32::INFINITY;
                 plain0[0].w[3 * in_dim + 2] = f32::INFINITY;
                 for x in &mut xs {
                     x[2] = 0.5;
                 }
             }
-            lstm0.uf.v[(1, 0)] = f32::NEG_INFINITY;
+            lstm0.u.v[(d + 1, 0)] = f32::NEG_INFINITY;
             plain0[1].u[d] = f32::NEG_INFINITY;
             h0[0] = 0.25;
             // No gradient reaches the last two steps from outside: with
@@ -429,20 +425,21 @@ fn lstm_sequence_forms_match_the_per_step_reference_at_every_level() {
                 assert_eq!(bits(&grads.dxs), bits(&flat(&want_dxs)), "dxs {ctx}");
                 assert_eq!(bits(&grads.dh0), bits(&want_dh0), "dh0 {ctx}");
                 assert_eq!(bits(&grads.dc0), bits(&want_dc0), "dc0 {ctx}");
-                let got = [
-                    (&lstm.wi, &lstm.ui, &lstm.bi),
-                    (&lstm.wf, &lstm.uf, &lstm.bf),
-                    (&lstm.wo, &lstm.uo, &lstm.bo),
-                    (&lstm.wg, &lstm.ug, &lstm.bg),
-                ];
+                let [wi, wf, wo, wg, ui, uf, uo, ug, bi, bf, bo, bg] =
+                    lstm.gate_blocks().map(|(_, p)| p);
+                let got = [(wi, ui, bi), (wf, uf, bf), (wo, uo, bo), (wg, ug, bg)];
                 for (g, ((w, u, b), want)) in got.into_iter().zip(&plain).enumerate() {
-                    assert_eq!(bits(w.g.as_slice()), bits(&want.dw), "dW[{g}] {ctx}");
-                    assert_eq!(bits(u.g.as_slice()), bits(&want.du), "dU[{g}] {ctx}");
-                    assert_eq!(bits(b.g.as_slice()), bits(&want.db), "db[{g}] {ctx}");
+                    assert_eq!(bits(w.g), bits(&want.dw), "dW[{g}] {ctx}");
+                    assert_eq!(bits(u.g), bits(&want.du), "dU[{g}] {ctx}");
+                    assert_eq!(bits(b.g), bits(&want.db), "db[{g}] {ctx}");
                 }
                 // The gradients moved, or equal bits say nothing.
                 if t > 2 {
-                    assert_ne!(bits(lstm.ui.g.as_slice()), bits(&plain0[0].du), "{ctx}");
+                    assert_ne!(
+                        bits(&lstm.u.g.as_slice()[..d * d]),
+                        bits(&plain0[0].du),
+                        "{ctx}"
+                    );
                 }
             }
         }

@@ -496,7 +496,7 @@ pub fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
 /// row stride `stride`: `dst[c·stride + r] = src[r·cols + c]`, nothing
 /// else written. `stride == rows` is a plain transpose; a wider stride
 /// with an offset `dst` places the transpose as a column block of a
-/// wider matrix (an LSTM plan packs four gates' side by side this way).
+/// wider matrix.
 ///
 /// A copy, so every level produces the same bits. The AVX2 body moves
 /// 8×8 blocks through the in-register transpose the row-major products

@@ -30,6 +30,12 @@ pub enum WireError {
     /// The bytes were readable but semantically invalid (bad enum tag,
     /// non-UTF-8 string, inconsistent dimensions, ...).
     Invalid(String),
+    /// A parameter section decoded to a NaN or an infinity: no model
+    /// trained to a finite loss holds one.
+    NonFinite {
+        /// The section holding the value (`"embedding"`, `"encoder"`, …).
+        section: &'static str,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -40,6 +46,9 @@ impl std::fmt::Display for WireError {
                 "unexpected end of buffer: needed {needed} bytes, {remaining} remaining"
             ),
             Self::Invalid(m) => write!(f, "invalid encoding: {m}"),
+            Self::NonFinite { section } => {
+                write!(f, "non-finite parameter value in section '{section}'")
+            }
         }
     }
 }
