@@ -20,8 +20,8 @@
 //!   went candidate-major, DESIGN.md §16),
 //! * the fused LSTM inference step at d=150 (the paper's largest
 //!   dimension; the plan's packed 4-gate GEMV vs the same plan forced
-//!   scalar, plus the pre-plan `Lstm::step_infer` as an informational
-//!   third column),
+//!   scalar, bit-checked against the scalar reference
+//!   `Lstm::step_infer`),
 //! * `log_sum_exp` over 32 768 logits,
 //! * dot-product attention over 16 memories × d=150,
 //! * informational, at the serving workloads' own shapes: the in-place
@@ -40,13 +40,10 @@
 //!   loop, gated as `scatter_add_speedup`) and the selection pass's
 //!   `take_mask_above` over the same accumulator in 64-slot blocks
 //!   (informational),
-//! * the training-path row-major kernels at the `hx-train` dimension
-//!   d=32 — `Matrix::gemv_acc` at 32×32 (a recurrent gate), 32×96 (the
-//!   composite layer) and 2048×32 (a full-vocabulary output layer),
-//!   `add_outer` and `gemv_t_acc` at 32×32,
-//! * the three row-major **sequence** kernels — the backward pass's
-//!   `add_outer_seq` and `gemv_t_acc_seq`, and `gemv_acc_seq`, the
-//!   forward's reference and the `gemm_nt` body — at
+//! * the backward pass's per-step kernels at the `hx-train` dimension
+//!   d=32 — `add_outer` and `gemv_t_acc` at 32×32,
+//! * the backward pass's two **sequence** kernels — `add_outer_seq`
+//!   and `gemv_t_acc_seq` — at
 //!   1017×32 (the `hx-train` output layer) and 32×32 (an LSTM gate),
 //!   `T = 6` — each paired against the loop of `T` per-step calls it is
 //!   defined as, **at the same dispatch level** (`Avx2` where the CPU
@@ -54,26 +51,11 @@
 //!   bitwise re-check of that definition (in these rows the "scalar"
 //!   column is the per-step loop and the speedup is per-step ÷
 //!   sequence),
-//! * the taped forward pass through the batch's weight plan, each
-//!   paired at the active level against the row-major form it replaced
-//!   (informational): `colmajor_gemv_acc_seq` over the transposed
-//!   1017×32 output layer against `gemv_acc_seq` over the row-major one
-//!   (`colmajor_seq_vocab_vs_rowmajor_seq`), and
-//!   `LstmPlan::forward_seq` at d = 32 against the row-major stacked-gate
-//!   forward written out below (`lstm_taped_plan_vs_rowmajor`), both at
-//!   `T = 6` and bit-checked against each other and against scalar, and
-//!   the plan's packing, `transpose_into` of the 1017×32 output layer
-//!   against forced scalar (`transpose_vocab_speedup`),
-//! * one taped `LstmPlan::forward_seq` + `Lstm::backward_seq` sequence
-//!   built on them, active level against forced scalar,
-//! * and, only where the CPU has AVX-512, every kernel with a 16-lane
-//!   body paired at `Avx512` against `Avx2`: at the serving shapes the
-//!   `tanh` 32 and `sigmoid` 96 slices, `step_projected_into` at d = 32 and
-//!   `colmajor_gemv_acc` at 128 outputs × 32 inputs, 188 × 32 and
-//!   32 × 96 (below the product's crossover: AVX2 on both sides), and
-//!   the four training sequence kernels at 1017×32 and 128×32, `T = 6`
-//!   — the `*_avx512_vs_avx2` keys; informational, and a runner without
-//!   AVX-512 writes none of them, so no baseline may hold one.
+//! * the packing of the batch's weight plan: `transpose_into` of the
+//!   1017×32 output layer against forced scalar
+//!   (`transpose_vocab_speedup`),
+//! * and one taped `LstmPlan::forward_seq` + `Lstm::backward_seq`
+//!   sequence, active level against forced scalar.
 //!
 //! Writes `results/fig16_kernels.json` and drops a flat
 //! `BENCH_fig16.json` for the CI regression gate (`bench_gate` vs
@@ -85,7 +67,7 @@
 
 use ncl_bench::table;
 use ncl_nn::attention::DotAttention;
-use ncl_nn::lstm::{LstmPlan, LstmTape, SeqGrads};
+use ncl_nn::lstm::{LstmTape, SeqGrads};
 use ncl_nn::Lstm;
 use ncl_tensor::ops::log_sum_exp_slice;
 use ncl_tensor::simd::{self, Level};
@@ -151,51 +133,6 @@ fn assert_bits_eq(label: &str, got: &[f32], want: &[f32]) {
             w.to_bits(),
             "{label}[{i}]: SIMD {g} != scalar {w}"
         );
-    }
-}
-
-/// The taped LSTM forward over the row-major parameters, the layout the
-/// weight plan transposes: one stacked row-major input product over the
-/// `4d` gate rows, then per step one row-major recurrent product and an
-/// activation per gate block. Kept here only as the timing and bit
-/// reference of `lstm_taped_plan_vs_rowmajor`: `z` (`4·T·d`, step-major
-/// `[i | f | o | g]` rows) is the gate scratch, `tc` (`d`) the `tanh(c)`
-/// scratch, and `h` / `c` (`(T + 1)·d`, row 0 the zero start state)
-/// receive the states.
-fn rowmajor_lstm_forward(
-    lstm: &Lstm,
-    xs: &[f32],
-    t: usize,
-    z: &mut [f32],
-    tc: &mut [f32],
-    (h, c): (&mut [f32], &mut [f32]),
-) {
-    let d = lstm.hidden();
-    for row in z.chunks_exact_mut(4 * d) {
-        row.copy_from_slice(lstm.b.v.as_slice());
-    }
-    lstm.w.v.gemv_acc_seq(xs, z, t);
-    h[..d].fill(0.0);
-    c[..d].fill(0.0);
-    for (s, z) in z.chunks_exact_mut(4 * d).enumerate() {
-        let (h_prev, h) = h[s * d..(s + 2) * d].split_at_mut(d);
-        let (c_prev, c) = c[s * d..(s + 2) * d].split_at_mut(d);
-        lstm.u.v.gemv_acc_seq(h_prev, z, 1);
-        let (ifo, g) = z.split_at_mut(3 * d);
-        libm::sigmoid_inplace(ifo);
-        libm::tanh_inplace(g);
-        let (i, rest) = ifo.split_at(d);
-        let (f, o) = rest.split_at(d);
-        for k in 0..d {
-            let mut cell = f[k] * c_prev[k];
-            cell += i[k] * g[k];
-            c[k] = cell;
-        }
-        tc.copy_from_slice(c);
-        libm::tanh_inplace(tc);
-        for k in 0..d {
-            h[k] = o[k] * tc[k];
-        }
     }
 }
 
@@ -270,9 +207,9 @@ fn main() {
         let (hw, cw) = simd::with_level(Level::Scalar, || plan.step_infer(&x, &h0, &c0));
         assert_bits_eq("lstm_step h", hs.as_slice(), hw.as_slice());
         assert_bits_eq("lstm_step c", cs.as_slice(), cw.as_slice());
-        // The plan is also bit-identical to the pre-plan step (the nn
-        // crate's tests pin this); re-check here since the speedup
-        // claim is "same numbers, faster".
+        // The plan is also bit-identical to the scalar reference step
+        // (the nn crate's tests pin this); re-check here since the
+        // speedup claim is "same numbers, faster".
         let (hl, cl) = lstm.step_infer(&x, &h0, &c0);
         assert_bits_eq("lstm_plan_vs_legacy h", hs.as_slice(), hl.as_slice());
         assert_bits_eq("lstm_plan_vs_legacy c", cs.as_slice(), cl.as_slice());
@@ -291,22 +228,6 @@ fn main() {
         min_secs,
     );
     let lstm_speedup = record("lstm_step fused d=150", lstm_elems, t_simd, t_scalar);
-    // Informational: the legacy per-gate step, to show what the packed
-    // plan buys on top of dispatch alone.
-    let (t_legacy, _) = measure_paired(
-        || {
-            let _ = lstm.step_infer(&x, &h0, &c0);
-        },
-        || {},
-        256,
-        min_secs / 2.0,
-    );
-    println!(
-        "  (legacy Lstm::step_infer at {}: {:.3} ns/elem — plan is {:.2}x faster)",
-        level.name(),
-        t_legacy * 1e9 / lstm_elems as f64,
-        t_legacy / t_simd
-    );
 
     // ---- log_sum_exp over 32768 logits ----
     let logits: Vec<f32> = (0..32_768)
@@ -583,43 +504,11 @@ fn main() {
         t_scalar,
     );
 
-    // ---- training path: row-major kernels at the hx-train dimension ----
+    // ---- training path: the backward kernels at the hx-train dimension ----
     //
-    // `gemv_acc` runs eight rows as eight lanes over in-register 8×8
-    // transposes; `add_outer` / `gemv_t_acc` run their per-row saxpy
-    // loop under one dispatch. Shapes are the ones one `hx-train`
-    // example touches: d = 32, a 3d-wide composite input, and a
-    // full-vocabulary output layer.
+    // `add_outer` / `gemv_t_acc` run their per-row saxpy loop under one
+    // dispatch, at d = 32.
     let dt = 32usize;
-    let vocab_rows = 2048usize;
-    let mut gemv_speedups = Vec::new();
-    for (key, rows_n, cols_n) in [
-        ("32x32", dt, dt),
-        ("32x96", dt, 3 * dt),
-        ("vocab", vocab_rows, dt),
-    ] {
-        let m = init::uniform(rows_n, cols_n, -1.0, 1.0, &mut rng);
-        let xv = init::uniform_vector(cols_n, -1.0, 1.0, &mut rng);
-        let y0 = init::uniform_vector(rows_n, -1.0, 1.0, &mut rng);
-        let run = || {
-            let mut y = y0.clone();
-            m.gemv_acc(&xv, &mut y);
-            y
-        };
-        let want = simd::with_level(Level::Scalar, run);
-        assert_bits_eq("gemv_acc", run().as_slice(), want.as_slice());
-        let mut y = y0.clone();
-        let mut ys = y0.clone();
-        let (t_simd, t_scalar) = measure_paired(
-            || m.gemv_acc(&xv, &mut y),
-            || simd::with_level(Level::Scalar, || m.gemv_acc(&xv, &mut ys)),
-            (1 << 16) / rows_n,
-            min_secs / 2.0,
-        );
-        let label = format!("gemv_acc {rows_n}x{cols_n}");
-        gemv_speedups.push((key, record(&label, rows_n * cols_n, t_simd, t_scalar)));
-    }
-
     let dz = init::uniform_vector(dt, -1.0, 1.0, &mut rng);
     let hv = init::uniform_vector(dt, -1.0, 1.0, &mut rng);
     let w32 = init::uniform(dt, dt, -1.0, 1.0, &mut rng);
@@ -663,12 +552,10 @@ fn main() {
     // ---- the sequence kernels against the per-step loop they replace ----
     //
     // Same dispatch level on both sides: what is measured is the
-    // stacking (one in-register transpose feeding six steps'
-    // accumulators, a gradient row held in registers across the steps,
-    // a weight row loaded once for six steps' chains), not SIMD against
+    // stacking (a gradient row held in registers across the steps, a
+    // weight row loaded once for six steps' chains), not SIMD against
     // scalar. The per-step kernels have no 16-lane bodies, so at
-    // `Avx512` both sides are pinned to `Avx2`; the sequence kernels'
-    // 16-lane bodies have rows of their own below. Each kernel's
+    // `Avx512` both sides are pinned to `Avx2`. Each kernel's
     // definition — `T` per-step calls — is re-checked bitwise before it
     // is timed.
     let t_seq = 6usize;
@@ -694,34 +581,7 @@ fn main() {
             let calls = (1 << 14) / rows_n;
             let shape = format!("{rows_n}x{cols_n} T={t_seq}");
 
-            // y[s] += W x[s]
-            let mut ys = vec![0.0f32; t_seq * rows_n];
-            let mut yv = vec![Vector::zeros(rows_n); t_seq];
-            m.gemv_acc_seq(xc, &mut ys, t_seq);
-            for ((_, x), y) in steps.iter().zip(&mut yv) {
-                m.gemv_acc(x, y);
-            }
-            for (s, y) in yv.iter().enumerate() {
-                assert_bits_eq(
-                    "gemv_acc_seq",
-                    &ys[s * rows_n..(s + 1) * rows_n],
-                    y.as_slice(),
-                );
-            }
-            let (t_one, t_each) = measure_paired(
-                || m.gemv_acc_seq(xc, &mut ys, t_seq),
-                || {
-                    for ((_, x), y) in steps.iter().zip(&mut yv) {
-                        m.gemv_acc(x, y);
-                    }
-                },
-                calls,
-                min_secs / 2.0,
-            );
             let elems = t_seq * rows_n * cols_n;
-            let kernel = format!("gemv_acc_seq {shape}");
-            let speedup = record(&kernel, elems, t_one, t_each);
-            seq_speedups.push((format!("gemv_acc_seq_{key}"), speedup, kernel));
 
             // W += dz[s] x[s]ᵀ (tiny alpha: the gradient stays finite over
             // millions of timed calls, the arithmetic per call is the same)
@@ -779,238 +639,40 @@ fn main() {
         }
     });
 
-    // ---- the taped forward through the batch's weight plan ----
+    // ---- packing the batch's weight plan ----
     //
-    // Informational, at the active level on both sides: what training
-    // gained by running its forward products over the transposed,
-    // gate-fused weights it builds once per batch instead of over the
-    // row-major parameters. Each pair is bit-checked against the other
-    // and against scalar before it is timed.
-    let mut plan_speedups = Vec::new();
-    {
-        let (vocab, t) = (1017usize, t_seq);
+    // The output layer's transpose, once a batch, against forced scalar
+    // after a bitwise re-check.
+    let transpose_speedup = {
+        let vocab = 1017usize;
         let m = init::uniform(vocab, dt, -1.0, 1.0, &mut rng);
         let wt = m.transpose();
-        let xs = init::uniform(t, dt, -1.0, 1.0, &mut rng);
-        let xs = xs.as_slice();
-        let (mut col, mut row) = (vec![0.0f32; t * vocab], vec![0.0f32; t * vocab]);
-        simd::colmajor_gemv_acc_seq(&mut col, xs, wt.as_slice(), t);
-        m.gemv_acc_seq(xs, &mut row, t);
-        let mut want = vec![0.0f32; t * vocab];
-        simd::with_level(Level::Scalar, || {
-            simd::colmajor_gemv_acc_seq(&mut want, xs, wt.as_slice(), t)
-        });
-        assert_bits_eq("colmajor_gemv_acc_seq", &col, &want);
-        assert_bits_eq("colmajor_gemv_acc_seq vs rowmajor", &col, &row);
-        let (t_col, t_row) = measure_paired(
-            || {
-                col.fill(0.0);
-                simd::colmajor_gemv_acc_seq(&mut col, xs, wt.as_slice(), t);
-            },
-            || {
-                row.fill(0.0);
-                m.gemv_acc_seq(xs, &mut row, t);
-            },
-            16,
-            min_secs / 2.0,
-        );
-        let key = "colmajor_seq_vocab_vs_rowmajor_seq";
-        let speedup = record(
-            &format!("colmajor_seq {vocab}x{dt} T={t} (vs rowmajor_seq)"),
-            t * vocab * dt,
-            t_col,
-            t_row,
-        );
-        plan_speedups.push((key, speedup));
-
-        let lstm = Lstm::new(dt, dt, &mut rng);
-        let plan: LstmPlan = lstm.plan();
-        let xs = init::uniform(t, dt, -1.0, 1.0, &mut rng);
-        let xs = xs.as_slice();
-        let zero = vec![0.0f32; dt];
-        let mut tape = LstmTape::default();
-        let (mut z, mut tc) = (vec![0.0f32; 4 * t * dt], vec![0.0f32; dt]);
-        let (mut h, mut c) = (vec![0.0f32; (t + 1) * dt], vec![0.0f32; (t + 1) * dt]);
-        plan.forward_seq(xs, t, &zero, &zero, &mut tape);
-        rowmajor_lstm_forward(&lstm, xs, t, &mut z, &mut tc, (&mut h, &mut c));
-        assert_bits_eq("lstm taped plan vs rowmajor h", tape.hs(), &h[dt..]);
-        assert_bits_eq(
-            "lstm taped plan vs rowmajor c",
-            tape.final_c(),
-            &c[t * dt..],
-        );
-        let mut scalar_tape = LstmTape::default();
-        simd::with_level(Level::Scalar, || {
-            plan.forward_seq(xs, t, &zero, &zero, &mut scalar_tape)
-        });
-        assert_bits_eq("lstm taped plan", tape.hs(), scalar_tape.hs());
-        let (t_plan, t_row) = measure_paired(
-            || plan.forward_seq(xs, t, &zero, &zero, &mut tape),
-            || rowmajor_lstm_forward(&lstm, xs, t, &mut z, &mut tc, (&mut h, &mut c)),
-            256,
-            min_secs / 2.0,
-        );
-        let speedup = record(
-            &format!("lstm taped fwd d={dt} T={t} (plan vs rowmajor)"),
-            t * 8 * dt * dt,
-            t_plan,
-            t_row,
-        );
-        plan_speedups.push(("lstm_taped_plan_vs_rowmajor", speedup));
-
-        // Packing the plan: the output layer's transpose, once a batch.
         let mut out = vec![0.0f32; vocab * dt];
         let mut want = vec![0.0f32; vocab * dt];
-        simd::transpose_into(&mut out, vocab, m.as_slice(), vocab, dt);
+        simd::transpose_into(&mut out, m.as_slice(), vocab, dt);
         simd::with_level(Level::Scalar, || {
-            simd::transpose_into(&mut want, vocab, m.as_slice(), vocab, dt)
+            simd::transpose_into(&mut want, m.as_slice(), vocab, dt)
         });
         assert_bits_eq("transpose_into", &out, &want);
         assert_bits_eq("transpose_into vs Matrix::transpose", &out, wt.as_slice());
         let mut out_s = want.clone();
         let (t_simd, t_scalar) = measure_paired(
-            || simd::transpose_into(&mut out, vocab, m.as_slice(), vocab, dt),
+            || simd::transpose_into(&mut out, m.as_slice(), vocab, dt),
             || {
                 simd::with_level(Level::Scalar, || {
-                    simd::transpose_into(&mut out_s, vocab, m.as_slice(), vocab, dt)
+                    simd::transpose_into(&mut out_s, m.as_slice(), vocab, dt)
                 })
             },
             16,
             min_secs / 2.0,
         );
-        let speedup = record(
+        record(
             &format!("transpose_into {vocab}x{dt}"),
             vocab * dt,
             t_simd,
             t_scalar,
-        );
-        plan_speedups.push(("transpose_vocab_speedup", speedup));
-    }
-
-    // ---- the 16-lane bodies against the AVX2 bodies ----
-    //
-    // Only where the CPU has AVX-512: both columns run the same call, at
-    // `Avx512` and at `Avx2`, after a bitwise re-check against scalar.
-    // Shapes are the serving decode's at d = 32, then the training
-    // sequence kernels'; the column-major product is `outputs x inputs`.
-    // 32 x 96 (the composite layer) is below the product's crossover, so
-    // both columns run its AVX2 body: the row shows the level costs that
-    // shape nothing.
-    let mut wide_speedups = Vec::new();
-    if simd::supported(Level::Avx512) {
-        let mut vs_avx2 = |key: &str, elems: usize, run: &dyn Fn()| {
-            let (t16, t8) = measure_paired(
-                || simd::with_level(Level::Avx512, run),
-                || simd::with_level(Level::Avx2, run),
-                1024,
-                min_secs / 2.0,
-            );
-            let speedup = record(&format!("{key} (avx512 vs avx2)"), elems, t16, t8);
-            wide_speedups.push((format!("{key}_avx512_vs_avx2"), speedup));
-        };
-        type Slice = (&'static str, usize, fn(f32) -> f32, fn(&mut [f32]));
-        let slices: [Slice; 2] = [
-            ("tanh_slice_32", 32, libm::tanhf, libm::tanh_inplace),
-            ("sigmoid_slice_96", 96, libm::sigmoid, libm::sigmoid_inplace),
-        ];
-        for (key, n, scalar, slice) in slices {
-            let src: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.71).sin() * 4.0).collect();
-            let buf = RefCell::new(src.clone());
-            let run = || {
-                let mut buf = buf.borrow_mut();
-                buf.copy_from_slice(&src);
-                slice(std::hint::black_box(&mut buf));
-            };
-            simd::with_level(Level::Avx512, run);
-            let want: Vec<f32> = src.iter().map(|&v| scalar(v)).collect();
-            assert_bits_eq(key, &buf.borrow(), &want);
-            vs_avx2(key, n, &run);
-        }
-        let step_at = |level| {
-            simd::with_level(level, || {
-                plan32.step_projected(proj.as_slice(), &state().0, &state().1)
-            })
-        };
-        let ((h16, c16), (hs, cs)) = (step_at(Level::Avx512), step_at(Level::Scalar));
-        assert_bits_eq("step_projected_32 h", h16.as_slice(), hs.as_slice());
-        assert_bits_eq("step_projected_32 c", c16.as_slice(), cs.as_slice());
-        let step = RefCell::new(state());
-        let run = || {
-            let (h, c, gates) = &mut *step.borrow_mut();
-            plan32.step_projected_into(proj.as_slice(), h, c, gates);
-        };
-        vs_avx2("step_projected_32", 4 * ds * ds, &run);
-        for (outputs, inputs) in [(128usize, 32usize), (188, 32), (32, 96)] {
-            let x = init::uniform_vector(inputs, -1.0, 1.0, &mut rng);
-            let wt = init::uniform(inputs, outputs, -1.0, 1.0, &mut rng);
-            let y = RefCell::new(vec![0.0f32; outputs]);
-            let run = || {
-                let mut y = y.borrow_mut();
-                y.fill(0.0);
-                simd::colmajor_gemv_acc(&mut y, x.as_slice(), wt.as_slice());
-            };
-            simd::with_level(Level::Scalar, run);
-            let want = y.borrow().clone();
-            simd::with_level(Level::Avx512, run);
-            let key = format!("colmajor_{outputs}x{inputs}");
-            assert_bits_eq(&key, &y.borrow(), &want);
-            vs_avx2(&key, outputs * inputs, &run);
-        }
-        // The training sequence kernels at T = 6: the `hx-train` output
-        // layer and an LSTM's four stacked input projections — the
-        // column-major product over the transposed matrix beside the
-        // row-major one.
-        for (key, rows_n, cols_n) in [("vocab", 1017usize, dt), ("128x32", 4 * dt, dt)] {
-            let m = init::uniform(rows_n, cols_n, -1.0, 1.0, &mut rng);
-            let xc = init::uniform(t_seq, cols_n, -1.0, 1.0, &mut rng);
-            let xr = init::uniform(t_seq, rows_n, -1.0, 1.0, &mut rng);
-            let (xc, xr) = (xc.as_slice(), xr.as_slice());
-            let elems = t_seq * rows_n * cols_n;
-            let ys = RefCell::new(vec![0.0f32; t_seq * rows_n]);
-            let gemv = || {
-                let mut ys = ys.borrow_mut();
-                ys.fill(0.0);
-                m.gemv_acc_seq(xc, &mut ys, t_seq);
-            };
-            let wt = m.transpose();
-            let colmajor = || {
-                let mut ys = ys.borrow_mut();
-                ys.fill(0.0);
-                simd::colmajor_gemv_acc_seq(&mut ys, xc, wt.as_slice(), t_seq);
-            };
-            let g = RefCell::new(m.clone());
-            let outer = || g.borrow_mut().add_outer_seq(1e-9, xr, xc, t_seq, false);
-            let dxs = RefCell::new(vec![0.0f32; t_seq * cols_n]);
-            let gemv_t = || {
-                let mut dxs = dxs.borrow_mut();
-                dxs.fill(0.0);
-                m.gemv_t_acc_seq(xr, &mut dxs, t_seq);
-            };
-            // Bitwise re-check against scalar; the update restarts from
-            // `m` at each level.
-            let mut check = |name: &str, run: &dyn Fn(), out: &dyn Fn() -> Vec<f32>| {
-                *g.borrow_mut() = m.clone();
-                simd::with_level(Level::Scalar, run);
-                let want = out();
-                *g.borrow_mut() = m.clone();
-                simd::with_level(Level::Avx512, run);
-                assert_bits_eq(name, &out(), &want);
-                vs_avx2(name, elems, run);
-            };
-            check(&format!("gemv_acc_seq_{key}"), &gemv, &|| {
-                ys.borrow().clone()
-            });
-            check(&format!("colmajor_seq_{key}"), &colmajor, &|| {
-                ys.borrow().clone()
-            });
-            check(&format!("add_outer_seq_{key}"), &outer, &|| {
-                g.borrow().as_slice().to_vec()
-            });
-            check(&format!("gemv_t_acc_seq_{key}"), &gemv_t, &|| {
-                dxs.borrow().clone()
-            });
-        }
-    }
+        )
+    };
 
     // One taped training sequence: forward_seq + backward_seq over eight
     // steps, reported per step. Parameter gradients only accumulate (no
@@ -1097,9 +759,6 @@ fn main() {
         melems("lstm_step"),
         melems("log_sum_exp"),
     );
-    for (key, speedup) in &gemv_speedups {
-        gate.push_str(&format!("  \"gemv_acc_{key}_speedup\": {speedup:.3},\n"));
-    }
     gate.push_str(&format!(
         "  \"add_outer_speedup\": {add_outer_speedup:.3},\n  \"gemv_t_acc_speedup\": {gemv_t_speedup:.3},\n"
     ));
@@ -1117,12 +776,9 @@ fn main() {
     gate.push_str(&format!(
         "  \"scatter_add_speedup\": {scatter_speedup:.3},\n  \"take_mask_above_speedup\": {take_speedup:.3},\n"
     ));
-    for (key, speedup) in &wide_speedups {
-        gate.push_str(&format!("  \"{key}\": {speedup:.3},\n"));
-    }
-    for (key, speedup) in &plan_speedups {
-        gate.push_str(&format!("  \"{key}\": {speedup:.3},\n"));
-    }
+    gate.push_str(&format!(
+        "  \"transpose_vocab_speedup\": {transpose_speedup:.3},\n"
+    ));
     gate.push_str(&format!(
         "  \"lstm_taped_seq_speedup\": {taped_speedup:.3},\n  \"lstm_taped_seq_melems_per_sec\": {:.3}\n}}\n",
         melems("lstm taped fwd+bwd")

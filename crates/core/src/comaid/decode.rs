@@ -7,7 +7,7 @@
 //! suggesting candidate aliases to experts. This module implements greedy
 //! and beam-search decoding over the trained decoder.
 
-use super::{best_first, ComAid, OntologyIndex};
+use super::{best_first, ComAid, ComAidPlan, OntologyIndex};
 use ncl_ontology::ConceptId;
 use ncl_tensor::ops::log_softmax;
 use ncl_text::Vocab;
@@ -93,7 +93,7 @@ impl ComAid {
                 // recover the pre-EOS cumulative log prob by subtracting
                 // the recorded EOS term.
                 let run = self.run_example(&plan, index, concept, &beam.ids);
-                let logits = self.step_logits(&run);
+                let logits = self.step_logits(&plan, &run);
                 let lp = log_softmax(&logits);
                 // Candidate continuations: top `beam_width` words plus
                 // the EOS option. EOS is *always* a candidate — every
@@ -161,11 +161,14 @@ impl ComAid {
     /// The output-layer logits of the *last* decoder step of a run (the
     /// distribution over the next word after the run's target prefix).
     /// The taped pass turns its logits into probabilities in place, so
-    /// they are read again off the step's composite state — the same
-    /// bias-plus-ascending-dot per word, hence the same bits.
-    fn step_logits(&self, run: &super::model::ExampleRun) -> ncl_tensor::Vector {
+    /// they are read again off the step's composite state, through the
+    /// plan's transposed output layer — the same bias-plus-ascending-dot
+    /// per word as the taped pass, hence the same bits.
+    fn step_logits(&self, plan: &ComAidPlan, run: &super::model::ExampleRun) -> ncl_tensor::Vector {
+        let mut logits = ncl_tensor::Vector::zeros(self.output.out_dim());
         self.output
-            .apply(&ncl_tensor::Vector::from_slice(run.last_s_tilde()))
+            .apply_with_t_into(run.last_s_tilde(), &plan.output_wt, logits.as_mut_slice());
+        logits
     }
 }
 
@@ -274,6 +277,43 @@ mod tests {
         let (o, m) = trained();
         let idx = super::super::OntologyIndex::build(&o, m.vocab(), 2);
         let _ = m.generate_beam(&idx, o.by_code("N18.5").unwrap(), 4, 0);
+    }
+
+    #[test]
+    fn beam_ids_and_log_prob_bits_are_pinned() {
+        // Recorded when the next-word logits were read through the
+        // row-major `Dense::apply`; any layout the output layer is read
+        // in must give the same hypotheses to the bit.
+        // (ids, log-prob bits) of each hypothesis, best first.
+        type Hyp = (&'static [u32], u32);
+        let pins: [(&str, &[Hyp]); 2] = [
+            (
+                "N18.5",
+                &[
+                    (&[9, 7], 0xc03e73fe),
+                    (&[9, 7, 8], 0xc03ecb3a),
+                    (&[9, 9, 8], 0xc0463d25),
+                ],
+            ),
+            (
+                "D50.0",
+                &[
+                    (&[15, 12], 0xbfb74a64),
+                    (&[15, 15], 0xbfe85770),
+                    (&[12], 0xbff77aa4),
+                ],
+            ),
+        ];
+        let (o, m) = trained();
+        let idx = super::super::OntologyIndex::build(&o, m.vocab(), 2);
+        for (code, want) in pins {
+            let got = m.generate_beam(&idx, o.by_code(code).unwrap(), 6, 3);
+            let got: Vec<(&[u32], u32)> = got
+                .iter()
+                .map(|h| (h.ids.as_slice(), h.log_prob.to_bits()))
+                .collect();
+            assert_eq!(got, want, "{code}");
+        }
     }
 
     #[test]

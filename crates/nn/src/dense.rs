@@ -140,9 +140,10 @@ impl Dense {
     }
 
     /// One forward pass without a tape: bias first, then one
-    /// ascending-index dot product accumulated per row. This is the
-    /// per-step reference [`Dense::forward_seq`] is tested against, and
-    /// what free-running decoding reads the next-word logits with.
+    /// ascending-index dot product accumulated per row (the scalar
+    /// [`ncl_tensor::Matrix::gemv_acc`]). This is the per-step reference
+    /// [`Dense::forward_seq`] and [`Dense::apply_with_t_into`] are tested
+    /// against.
     pub fn apply(&self, x: &Vector) -> Vector {
         let mut y = self.b.v.clone();
         self.w.v.gemv_acc(x, &mut y);

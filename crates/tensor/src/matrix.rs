@@ -5,12 +5,17 @@ use crate::simd;
 use crate::vector::Vector;
 use std::fmt;
 
+/// Rows of `B` that [`Matrix::gemm_nt`] transposes at a time: at the
+/// paper's d = 150 one block's transpose is 38 KB, which stays in cache
+/// across the block's product.
+const GEMM_NT_BLOCK: usize = 64;
+
 /// A row-major dense `f32` matrix.
 ///
 /// Every weight matrix in COM-AID (`W^(i)`, `U^(f)`, `W_d`, `W_s`, ...) is a
-/// `Matrix`. The hot kernels (`gemm_nt`, `gemv_acc`, `axpy`, the saxpy row
-/// updates) dispatch through [`crate::simd`] to explicit AVX2 lanes with a
-/// scalar fallback, bit-identical across levels; for the model sizes used
+/// `Matrix`. The hot kernels (`gemm_nt`, `axpy`, the saxpy row updates)
+/// dispatch through [`crate::simd`] to explicit AVX2 lanes with a scalar
+/// fallback, bit-identical across levels; for the model sizes used
 /// in the paper (`d ≤ 200`) this is within a small factor of a tuned BLAS
 /// and keeps the crate dependency-free.
 #[derive(Clone, PartialEq)]
@@ -110,10 +115,11 @@ impl Matrix {
         Vector::from_vec(out)
     }
 
-    /// Fused `y += A x`, avoiding an allocation in hot loops. Each row
-    /// is the same fresh-accumulator ascending dot as [`Matrix::gemv`];
-    /// [`simd::rowmajor_gemv_acc`] runs eight rows as eight lanes,
-    /// bit-identical at every level.
+    /// Fused `y += A x` into caller storage. Each row is the same
+    /// fresh-accumulator ascending dot as [`Matrix::gemv`]
+    /// ([`simd::rowmajor_gemv_acc`], the scalar definition at every
+    /// level): the per-step reference the transposed products
+    /// ([`simd::colmajor_gemv_acc`]) are tested against.
     pub fn gemv_acc(&self, x: &Vector, y: &mut Vector) {
         assert_eq!(x.len(), self.cols, "gemv_acc: dimension mismatch");
         assert_eq!(y.len(), self.rows, "gemv_acc: output dimension mismatch");
@@ -164,20 +170,6 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::gemv_acc`] for every step of a sequence in one call:
-    /// `ys[s] += A xs[s]` for `s < t`, with `xs` a flat `t × cols` slab
-    /// and `ys` a flat `t × rows` slab. Bit-identical to `t` calls of
-    /// `gemv_acc` ([`simd::rowmajor_gemv_acc_seq`]); `t = 1` *is* that
-    /// call, over slices.
-    ///
-    /// # Panics
-    /// Panics if a slab is not `t` rows of the matching dimension.
-    pub fn gemv_acc_seq(&self, xs: &[f32], ys: &mut [f32], t: usize) {
-        assert_eq!(xs.len(), t * self.cols, "gemv_acc_seq: input slab");
-        assert_eq!(ys.len(), t * self.rows, "gemv_acc_seq: output slab");
-        simd::rowmajor_gemv_acc_seq(ys, xs, &self.data, t);
-    }
-
     /// [`Matrix::gemv_t_acc`] for every step of a sequence in one call:
     /// `ys[s] += Aᵀ xs[s]` for `s < t`, with `xs` a flat `t × rows` slab
     /// and `ys` a flat `t × cols` slab. Bit-identical to `t` calls of
@@ -215,16 +207,18 @@ impl Matrix {
     }
 
     /// Matrix product against a transposed right operand: `C = A Bᵀ`,
-    /// i.e. `C[i][j] = A.row(i) · B.row(j)` — both operands are walked
-    /// along contiguous rows, so no transpose is materialised.
+    /// i.e. `C[i][j] = A.row(i) · B.row(j)`.
     ///
     /// With `A` holding one state per row (k × d) and `B` a weight matrix
     /// (n × d) this is the stacked product of a `k`-step sequence into a
-    /// zeroed output — [`Matrix::gemv_acc_seq`] on `B` — so one call
-    /// produces every row's product while streaming `B` through the
-    /// cache once. (Serving once stacked its candidates through this; it
-    /// now decodes one candidate at a time — DESIGN.md §16 — and the
-    /// wrapper stays for the benchmark's `tensor.gemm_nt_us` and fig16.)
+    /// zeroed output. `B` is transposed `GEMM_NT_BLOCK` (64) rows at a time
+    /// into scratch, and each block's columns of `C` are one
+    /// [`simd::colmajor_gemv_acc_seq`] over it; a block's transpose stays
+    /// in cache for all `k` rows, where a whole transposed `B` at a
+    /// vocabulary's width would not. (Serving once stacked its candidates
+    /// through this; it now decodes one candidate at a time — DESIGN.md
+    /// §16 — and the wrapper stays for the benchmark's
+    /// `tensor.gemm_nt_us` and fig16.)
     ///
     /// Each output entry is an independent ascending-index dot product —
     /// the same accumulation order as [`Matrix::gemv`]/[`Matrix::gemv_acc`]
@@ -233,8 +227,24 @@ impl Matrix {
     /// module contract).
     pub fn gemm_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "gemm_nt: inner dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        other.gemv_acc_seq(&self.data, &mut out.data, self.rows);
+        let (k, n, d) = (self.rows, other.rows, self.cols);
+        let mut out = Matrix::zeros(k, n);
+        if k == 0 || n == 0 || d == 0 {
+            return out;
+        }
+        let mut bt = vec![0.0f32; d * GEMM_NT_BLOCK.min(n)];
+        let mut ys = vec![0.0f32; k * GEMM_NT_BLOCK.min(n)];
+        for (b, block) in other.data.chunks(GEMM_NT_BLOCK * d).enumerate() {
+            let rows = block.len() / d;
+            let (bt, ys) = (&mut bt[..d * rows], &mut ys[..k * rows]);
+            simd::transpose_into(bt, block, rows, d);
+            ys.fill(0.0);
+            simd::colmajor_gemv_acc_seq(ys, &self.data, bt, k);
+            let first = b * GEMM_NT_BLOCK;
+            for (out_row, y) in out.data.chunks_exact_mut(n).zip(ys.chunks_exact(rows)) {
+                out_row[first..first + rows].copy_from_slice(y);
+            }
+        }
         out
     }
 
@@ -242,7 +252,7 @@ impl Matrix {
     /// ([`simd::transpose_into`]).
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        simd::transpose_into(&mut out.data, self.rows, &self.data, self.rows, self.cols);
+        simd::transpose_into(&mut out.data, &self.data, self.rows, self.cols);
         out
     }
 
@@ -404,20 +414,26 @@ mod tests {
     #[test]
     fn simd_levels_agree_on_gemm_nt() {
         // In-process SIMD == scalar agreement for the serving kernel at
-        // every level this machine supports.
+        // every level this machine supports, and with the per-row `gemv`
+        // it is defined as: one partial block of `B`'s rows, and two full
+        // blocks plus a ragged tail.
         use crate::simd;
         let d = 13;
-        let a = Matrix::from_vec(5, d, (0..5 * d).map(|i| (i as f32 * 0.41).sin()).collect());
-        let b = Matrix::from_vec(
-            37,
-            d,
-            (0..37 * d).map(|i| (i as f32 * 0.17).cos()).collect(),
-        );
-        let reference = simd::with_level(simd::Level::Scalar, || a.gemm_nt(&b));
-        for level in simd::supported_levels() {
-            let got = simd::with_level(level, || a.gemm_nt(&b));
-            for (x, y) in got.as_slice().iter().zip(reference.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "level {}", level.name());
+        for (k, n) in [(5usize, 37usize), (3, 2 * GEMM_NT_BLOCK + 22)] {
+            let a = Matrix::from_vec(k, d, (0..k * d).map(|i| (i as f32 * 0.41).sin()).collect());
+            let b = Matrix::from_vec(n, d, (0..n * d).map(|i| (i as f32 * 0.17).cos()).collect());
+            let reference = simd::with_level(simd::Level::Scalar, || a.gemm_nt(&b));
+            for i in 0..k {
+                let y = b.gemv(&a.row_vector(i));
+                for (x, y) in reference.row(i).iter().zip(y.as_slice()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "row {i} {k}x{n}");
+                }
+            }
+            for level in simd::supported_levels() {
+                let got = simd::with_level(level, || a.gemm_nt(&b));
+                for (x, y) in got.as_slice().iter().zip(reference.as_slice()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "level {} {k}x{n}", level.name());
+                }
             }
         }
     }

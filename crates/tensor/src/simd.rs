@@ -17,11 +17,12 @@
 //!   product, so the lanes are bit-identical to scalar by construction.
 //!   [`colmajor_gemv_acc_seq`] stacks it over the steps of a sequence
 //!   (the taped forward pass, over the transposed weights the trainer
-//!   rebuilds once per batch).
-//! * [`rowmajor_gemv_acc`] is the same recipe over a **row-major** `w`
-//!   (the per-step references and the `gemm_nt` tiles): consecutive rows
-//!   are the lanes, and the transpose that puts one `k` of eight rows
-//!   into one register happens in registers, block by block.
+//!   rebuilds once per batch). Every vectorised `W·x` reads this
+//!   transposed layout.
+//! * [`rowmajor_gemv_acc`] is the same recipe over a **row-major** `w`,
+//!   written once as the scalar definition at every level: the per-step
+//!   references ([`Matrix::gemv_acc`](crate::Matrix::gemv_acc)) that the
+//!   transposed products are tested against.
 //! * [`rank1_update`] and [`gemv_t_acc`] are per-row [`saxpy`]s with a
 //!   bitwise-observable zero-skip, looped inside the dispatched function.
 //! * [`max`] exploits that the maximum of floats is independent of
@@ -58,11 +59,11 @@
 //!
 //! [`Level::Avx512`] is a superset of [`Level::Avx2`]: only
 //! [`colmajor_gemv_acc`] (at wide outputs), [`crate::libm`]'s
-//! `sigmoid` / `tanh` slices and the four sequence kernels
-//! ([`colmajor_gemv_acc_seq`], [`rowmajor_gemv_acc_seq`],
-//! [`rank1_update_seq`], [`gemv_t_acc_seq`]) run sixteen lanes there;
-//! every other kernel — the per-step kernels behind a sequence's
-//! `T = 1` hand-off included — runs eight.
+//! `sigmoid` / `tanh` slices and the three sequence kernels
+//! ([`colmajor_gemv_acc_seq`], [`rank1_update_seq`],
+//! [`gemv_t_acc_seq`]) run sixteen lanes there; every other vector
+//! kernel — the per-step kernels behind a sequence's `T = 1` hand-off
+//! included — runs eight.
 //!
 //! Every kernel that runs at both widths has one body, written over a
 //! private `Lanes` trait (one `f32` register and the operations on it,
@@ -83,15 +84,16 @@
 //!    `Lanes::enable` — same operations, same order, no FMA for exact
 //!    kernels — and dispatch its eight-lane instance on [`active`] in the
 //!    public wrapper; that arm is `Level::Avx2 | Level::Avx512`.
-//! 3. The sixteen-lane instance lands only with a `fig16_kernels` row
-//!    (an `*_avx512_vs_avx2` key) that shows it beating the eight-lane
-//!    one at the shapes it takes; below its crossover the eight-lane
-//!    instance stays. When a per-output chain rather than lane width
-//!    bounds a body, it needs a schedule of its own (`rank1_update_seq`
-//!    holds a block of four rows, so each step's `v` tile is loaded once
-//!    for all four). Should the two register files (16 `ymm`, 32 `zmm`)
-//!    ever want different tile shapes, the shape is a const parameter of
-//!    the instance, not another body.
+//! 3. The sixteen-lane instance lands only with a paired measurement
+//!    (the same call under `with_level(Level::Avx512)` and
+//!    `with_level(Level::Avx2)`) that shows it beating the eight-lane
+//!    one at the shapes it takes, recorded in DESIGN.md §14; below its
+//!    crossover the eight-lane instance stays. When a per-output chain
+//!    rather than lane width bounds a body, it needs a schedule of its
+//!    own (`rank1_update_seq` holds a block of four rows, so each step's
+//!    `v` tile is loaded once for all four). Should the two register
+//!    files (16 `ymm`, 32 `zmm`) ever want different tile shapes, the
+//!    shape is a const parameter of the instance, not another body.
 //! 4. Add the kernel to the bit-identity proptests
 //!    (`crates/tensor/tests/simd_identity.rs`) across awkward sizes and
 //!    unaligned offsets, to the in-crate sweeps the Miri leg interprets
@@ -387,18 +389,14 @@ const COLMAJOR_ZMM_MIN_OUTPUTS: usize = 33;
 /// Row-major product-accumulate `y[r] += Σ_k w[r·n + k] · x[k]` with
 /// `n = x.len()` — i.e. `y += W x` for a row-major `w` holding `W` (one
 /// row per output). The body of
-/// [`Matrix::gemv_acc`](crate::Matrix::gemv_acc): every taped LSTM gate
-/// and dense layer on the training path.
+/// [`Matrix::gemv_acc`](crate::Matrix::gemv_acc), which the scalar
+/// references (`Lstm::step_infer`, `Dense::apply`) read.
 ///
-/// Rows are independent outputs, so the AVX2 level makes consecutive
-/// rows the lanes: an 8×8 block of `w` is loaded row by row and
-/// transposed **in registers**, after which lane `i` holds row `r + i`'s
-/// entry for one `k`. Each lane then runs the scalar
-/// recipe unchanged — fresh accumulator, ascending `k`, a separate
-/// `mul` and `add` per term (no FMA), then `y[r] += acc` — so the
-/// result is bit-identical to the scalar loop at every level. Rows past
-/// the last full block and columns past the last full block take the
-/// scalar path, in the same order.
+/// This is the scalar definition at every level: per row a fresh
+/// accumulator, ascending `k`, a separate `mul` and `add` per term (no
+/// FMA), then `y[r] += acc`. Every vectorised product runs
+/// [`colmajor_gemv_acc`] over the transposed matrix instead, which gives
+/// these bits.
 ///
 /// A zero-column `w` adds nothing (not even `+0.0`, which would rewrite
 /// a `-0.0` in `y`).
@@ -414,15 +412,7 @@ pub fn rowmajor_gemv_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
     if w.is_empty() {
         return;
     }
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 was verified by `active()`'s detection; the shape
-        // assert above is the kernel's bounds precondition.
-        Level::Avx2 | Level::Avx512 => unsafe {
-            wide::rowmajor_gemv_acc::<__m256>(y, x, w, 1, (y.len(), x.len()))
-        },
-        _ => scalar::rowmajor_gemv_acc(y, x, w),
-    }
+    scalar::rowmajor_gemv_acc(y, x, w)
 }
 
 /// Rank-one update `w[r·n + j] += (alpha · u[r]) · v[j]` with
@@ -492,38 +482,28 @@ pub fn gemv_t_acc(y: &mut [f32], x: &[f32], w: &[f32]) {
     }
 }
 
-/// Transposes the row-major `rows × cols` matrix `src` into `dst` with
-/// row stride `stride`: `dst[c·stride + r] = src[r·cols + c]`, nothing
-/// else written. `stride == rows` is a plain transpose; a wider stride
-/// with an offset `dst` places the transpose as a column block of a
-/// wider matrix.
+/// Transposes the row-major `rows × cols` matrix `src` into the
+/// row-major `cols × rows` matrix `dst`: `dst[c·rows + r] = src[r·cols + c]`.
 ///
 /// A copy, so every level produces the same bits. The AVX2 body moves
-/// 8×8 blocks through the in-register transpose the row-major products
-/// use and the edges element by element; it is what keeps packing a
-/// training batch's weight plan cheap next to the batch.
+/// 8×8 blocks through an in-register transpose and the edges element by
+/// element; it is what keeps packing a training batch's weight plan
+/// cheap next to the batch.
 ///
 /// # Panics
-/// Panics if `src.len() != rows * cols`, if `stride < rows`, or if `dst`
-/// is too short for column `cols − 1`'s row.
-pub fn transpose_into(dst: &mut [f32], stride: usize, src: &[f32], rows: usize, cols: usize) {
+/// Panics if `src.len()` or `dst.len()` is not `rows * cols`.
+pub fn transpose_into(dst: &mut [f32], src: &[f32], rows: usize, cols: usize) {
     assert_eq!(src.len(), rows * cols, "transpose_into: source shape");
+    assert_eq!(dst.len(), rows * cols, "transpose_into: destination shape");
     if rows == 0 || cols == 0 {
         return;
     }
-    assert!(stride >= rows, "transpose_into: stride below the row count");
-    assert!(
-        dst.len() >= (cols - 1) * stride + rows,
-        "transpose_into: destination too short"
-    );
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was verified by `active()`'s detection; the
         // asserts above are the body's bounds preconditions.
-        Level::Avx2 | Level::Avx512 => unsafe {
-            avx2::transpose_into(dst, stride, src, rows, cols)
-        },
-        _ => scalar::transpose_into(dst, stride, (src, cols), 0..rows, 0..cols),
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::transpose_into(dst, src, rows, cols) },
+        _ => scalar::transpose_into(dst, (src, cols), 0..rows, 0..cols),
     }
 }
 
@@ -570,10 +550,10 @@ fn seq_step(i: usize, t: usize, descending: bool) -> usize {
     }
 }
 
-/// Steps per register block of the stacked kernels: with six steps'
-/// accumulators live beside the eight transposed columns (or two
-/// weight-row tiles) and one broadcast, all sixteen `ymm` are used.
-/// Sixteen lanes keep the same blocks.
+/// Steps per register block of the stacked kernels: six steps'
+/// two-register accumulator tiles beside one two-register weight tile
+/// and one broadcast use fifteen of the sixteen `ymm`. Sixteen lanes
+/// keep the same blocks.
 #[cfg(target_arch = "x86_64")]
 const SEQ_BLOCK: usize = 6;
 
@@ -597,7 +577,8 @@ macro_rules! with_const {
 /// `s < t`, with `ys` a flat `t × n` slab, `xs` a flat `t × k` slab and
 /// `wt` the `k × n` transposed weights (one row per input, one column
 /// per output) — bit-identical to `t` per-step calls at every level,
-/// and so to [`rowmajor_gemv_acc_seq`] over the untransposed matrix.
+/// and so to `t` [`Matrix::gemv_acc`](crate::Matrix::gemv_acc) calls
+/// over the untransposed matrix.
 ///
 /// Every `(s, j)` output is `ys[s][j] + fresh accumulator` over
 /// ascending `k`, mul then add, and shares nothing with any other
@@ -629,47 +610,6 @@ pub fn colmajor_gemv_acc_seq(ys: &mut [f32], xs: &[f32], wt: &[f32], t: usize) {
             let (n, k) = shape;
             for (y, x) in ys.chunks_exact_mut(n).zip(xs.chunks_exact(k)) {
                 scalar::colmajor_gemv_acc(y, x, wt);
-            }
-        }
-    }
-}
-
-/// Stacked [`rowmajor_gemv_acc`]: `ys[s] += W · xs[s]` for every step
-/// `s < t`, with `ys` a flat `t × rows` slab, `xs` a flat `t × cols`
-/// slab and `w` the row-major `rows × cols` matrix — bit-identical to
-/// `t` per-step calls at every level.
-///
-/// Every `(s, r)` output is `ys[s][r] + fresh accumulator` over
-/// ascending `k`, mul then add, and shares nothing with any other
-/// output, so stacking is pure scheduling. The vector body uses it to pay
-/// the in-register 8×8 transpose — what bounds the per-step kernel —
-/// once per block for up to six steps' accumulators, and to stream `w`
-/// from memory once per sequence instead of once per step. At
-/// [`Level::Avx512`] sixteen rows are the lanes.
-///
-/// # Panics
-/// Panics if the slabs are not `t` whole steps or `w` is not
-/// `rows × cols`.
-pub fn rowmajor_gemv_acc_seq(ys: &mut [f32], xs: &[f32], w: &[f32], t: usize) {
-    if t == 1 {
-        return rowmajor_gemv_acc(ys, xs, w);
-    }
-    let Some((rows, cols)) = seq_shape("rowmajor_gemv_acc_seq", t, ys.len(), xs.len(), w.len())
-    else {
-        return;
-    };
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX-512F was verified by `active()`'s detection;
-        // `seq_shape` checked the slab and weight shapes the kernel's
-        // loads rest on.
-        Level::Avx512 => unsafe { wide::rowmajor_gemv_acc::<__m512>(ys, xs, w, t, (rows, cols)) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, for AVX2.
-        Level::Avx2 => unsafe { wide::rowmajor_gemv_acc::<__m256>(ys, xs, w, t, (rows, cols)) },
-        _ => {
-            for (y, x) in ys.chunks_exact_mut(rows).zip(xs.chunks_exact(cols)) {
-                scalar::rowmajor_gemv_acc(y, x, w);
             }
         }
     }
@@ -909,20 +849,6 @@ mod scalar {
         }
     }
 
-    /// Finishes one row block of the SIMD [`rowmajor_gemv_acc`] bodies:
-    /// `lanes[i]` is row `i`'s accumulator over columns `..kfull` of the
-    /// block's rows `w`; the remaining columns are added in ascending
-    /// order — the scalar chain simply continues — then `y[i] += acc`.
-    pub fn finish_row_block(y: &mut [f32], lanes: &[f32], x: &[f32], w: &[f32], kfull: usize) {
-        for ((yo, &lane), row) in y.iter_mut().zip(lanes).zip(w.chunks_exact(x.len())) {
-            let mut acc = lane;
-            for (a, b) in row[kfull..].iter().zip(&x[kfull..]) {
-                acc += a * b;
-            }
-            *yo += acc;
-        }
-    }
-
     /// Callers guarantee a non-empty `w` of `u.len() × v.len()` floats.
     pub fn rank1_update(w: &mut [f32], alpha: f32, u: &[f32], v: &[f32]) {
         for (row, &ur) in w.chunks_exact_mut(v.len()).zip(u) {
@@ -945,17 +871,18 @@ mod scalar {
     }
 
     /// Rows `rs` × columns `cs` of [`super::transpose_into`] over a
-    /// `src` of `cols` columns (the AVX2 body hands its edges here).
+    /// `src` of `cols` columns and `rows` rows (the AVX2 body hands its
+    /// edges here).
     pub fn transpose_into(
         dst: &mut [f32],
-        stride: usize,
         (src, cols): (&[f32], usize),
         rs: std::ops::Range<usize>,
         cs: std::ops::Range<usize>,
     ) {
+        let rows = src.len() / cols;
         for r in rs {
             for c in cs.clone() {
-                dst[c * stride + r] = src[r * cols + c];
+                dst[c * rows + r] = src[r * cols + c];
             }
         }
     }
@@ -1174,39 +1101,31 @@ mod avx2 {
 
     /// # Safety
     /// Requires AVX2 (callers check [`super::supported`]) and the shape
-    /// the public wrapper asserts: `src` is `rows × cols`, `stride >=
-    /// rows`, and `dst` reaches column `cols − 1`'s row. The Miri leg
-    /// interprets it over exact-size allocations
-    /// (`transpose_into_levels_bit_identical`).
+    /// the public wrapper asserts: `src` and `dst` are `rows × cols`
+    /// floats, both non-empty. The Miri leg interprets it over
+    /// exact-size allocations (`transpose_into_levels_bit_identical`).
     ///
     /// Each 8×8 block of `src` is loaded transposed
     /// ([`load_transposed8`]) and stored as eight 8-float runs of `dst`;
     /// rows past the last 8-row block and columns past the last 8-column
     /// block are copied element by element.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn transpose_into(
-        dst: &mut [f32],
-        stride: usize,
-        src: &[f32],
-        rows: usize,
-        cols: usize,
-    ) {
+    pub unsafe fn transpose_into(dst: &mut [f32], src: &[f32], rows: usize, cols: usize) {
         let (r8, c8) = (rows - rows % 8, cols - cols % 8);
         for r in (0..r8).step_by(8) {
             for c in (0..c8).step_by(8) {
                 // SAFETY: rows `r..r + 8 <= rows` and columns
                 // `c..c + 8 <= cols` of `src`; column `c + j`'s run
-                // `r..r + 8` of `dst` ends at or before column
-                // `cols − 1`'s row end, which the wrapper checked.
+                // `r..r + 8` of `dst` is inside its `rows`-float row.
                 let block = load_transposed8(src.as_ptr().add(r * cols + c), cols);
                 for (j, &v) in block.iter().enumerate() {
-                    _mm256_storeu_ps(dst.as_mut_ptr().add((c + j) * stride + r), v);
+                    _mm256_storeu_ps(dst.as_mut_ptr().add((c + j) * rows + r), v);
                 }
             }
         }
         let edge = super::scalar::transpose_into;
-        edge(dst, stride, (src, cols), 0..rows, c8..cols);
-        edge(dst, stride, (src, cols), r8..rows, 0..c8);
+        edge(dst, (src, cols), 0..rows, c8..cols);
+        edge(dst, (src, cols), r8..rows, 0..c8);
     }
 
     /// Transposes the 8×8 block whose rows start at `p`, `p + stride`, …
@@ -1223,7 +1142,7 @@ mod avx2 {
     /// eight `f32`s for every `i < 8` (no alignment needed).
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn load_transposed8(p: *const f32, stride: usize) -> [__m256; 8] {
+    unsafe fn load_transposed8(p: *const f32, stride: usize) -> [__m256; 8] {
         // `pair(i, h)`: row i's floats 4h..4h+4 below row i+4's.
         let pair = |i: usize, h: usize| {
             let lo = _mm_loadu_ps(p.add(i * stride + 4 * h));
@@ -1330,7 +1249,7 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod wide {
-    use super::{scalar, seq_step, SEQ_BLOCK};
+    use super::{seq_step, SEQ_BLOCK};
     use crate::libm::{EXP_A, EXP_C0, EXP_C1, EXP_C2, EXP_S, EXP_T};
     use std::arch::x86_64::*;
 
@@ -1384,10 +1303,6 @@ pub(crate) mod wide {
         unsafe fn sub(a: Self, b: Self) -> Self;
         unsafe fn mul(a: Self, b: Self) -> Self;
         unsafe fn div(a: Self, b: Self) -> Self;
-        /// The `LANES × 8` block whose rows start at `p`, `p + stride`, …
-        /// as its eight columns: lane `i` of result `j` is
-        /// `*p.add(i * stride + j)`.
-        unsafe fn load_transposed8(p: *const f32, stride: usize) -> [Self; 8];
         /// [`crate::libm::expf`]'s main path in every lane; no lane may
         /// need one of its scalar-only arms. Each width keeps its own
         /// core — two `f64` halves with a 64-bit gather into the table —
@@ -1485,10 +1400,6 @@ pub(crate) mod wide {
         #[inline(always)]
         unsafe fn div(a: Self, b: Self) -> Self {
             _mm256_div_ps(a, b)
-        }
-        #[inline(always)]
-        unsafe fn load_transposed8(p: *const f32, stride: usize) -> [Self; 8] {
-            super::avx2::load_transposed8(p, stride)
         }
         /// Two halves of four lanes.
         #[inline(always)]
@@ -1642,21 +1553,6 @@ pub(crate) mod wide {
         #[inline(always)]
         unsafe fn div(a: Self, b: Self) -> Self {
             _mm512_div_ps(a, b)
-        }
-        /// Two eight-row halves: rows `0..8` in the low 256 bits of each
-        /// column, rows `8..16` in the high.
-        #[inline(always)]
-        unsafe fn load_transposed8(p: *const f32, stride: usize) -> [Self; 8] {
-            let lo = super::avx2::load_transposed8(p, stride);
-            let hi = super::avx2::load_transposed8(p.add(8 * stride), stride);
-            let mut cols = [_mm512_setzero_ps(); 8];
-            for (j, c) in cols.iter_mut().enumerate() {
-                *c = _mm512_castpd_ps(_mm512_insertf64x4::<1>(
-                    _mm512_castpd256_pd512(_mm256_castps_pd(lo[j])),
-                    _mm256_castps_pd(hi[j]),
-                ));
-            }
-            cols
         }
         /// Two halves of eight lanes.
         #[inline(always)]
@@ -2054,125 +1950,6 @@ pub(crate) mod wide {
                     store_reg::<L, W>(yp.add(a * cols), b, last, lane);
                 }
             }
-        }
-    }
-
-    /// `ys[s] += W · xs[s]` for the `t` steps of a `rows`-output slab
-    /// `ys` and a `cols`-input slab `xs` over the row-major
-    /// `rows × cols` matrix `w`: [`super::rowmajor_gemv_acc`] at `t = 1`
-    /// (eight lanes) and [`super::rowmajor_gemv_acc_seq`].
-    ///
-    /// `L` consecutive rows are the lanes. Per `(step, row)` this is the
-    /// scalar recipe: fresh accumulator, ascending `k`, mul then add (no
-    /// FMA), the `cols % 8` columns finished per lane in scalar code,
-    /// then `y += acc`. Row blocks are outermost, so each block of `w` is
-    /// fetched once and re-read from L1 for every step block. At sixteen
-    /// lanes the rows after the last block take one eight-row block if
-    /// eight remain; the rows after that are scalar.
-    ///
-    /// # Safety
-    /// `L`'s features (callers check [`super::supported`]), a non-empty
-    /// `w` of `rows × cols` floats, and `ys` / `xs` holding `t` steps of
-    /// `rows` / `cols` floats — the public wrappers establish all three.
-    pub(crate) unsafe fn rowmajor_gemv_acc<L: Lanes>(
-        ys: &mut [f32],
-        xs: &[f32],
-        w: &[f32],
-        t: usize,
-        shape: (usize, usize),
-    ) {
-        let (rows, cols) = shape;
-        let mut r = L::enable(
-            #[inline(always)]
-            || row_blocks::<L>(ys, xs, w, t, shape, 0),
-        );
-        if L::LANES > 8 {
-            r = __m256::enable(
-                #[inline(always)]
-                || row_blocks::<__m256>(ys, xs, w, t, shape, r),
-            );
-        }
-        if r < rows {
-            for (y, x) in ys.chunks_exact_mut(rows).zip(xs.chunks_exact(cols)) {
-                scalar::rowmajor_gemv_acc(&mut y[r..], x, &w[r * cols..]);
-            }
-        }
-    }
-
-    /// The `L`-row blocks of [`rowmajor_gemv_acc`] from row `first` on,
-    /// every step; returns the first row they leave.
-    ///
-    /// # Safety
-    /// As [`rowmajor_gemv_acc`], inside [`Lanes::enable`].
-    #[inline(always)]
-    unsafe fn row_blocks<L: Lanes>(
-        ys: &mut [f32],
-        xs: &[f32],
-        w: &[f32],
-        t: usize,
-        shape: (usize, usize),
-        first: usize,
-    ) -> usize {
-        let mut r = first;
-        while r + L::LANES <= shape.0 {
-            if t == 1 {
-                row_block::<L, 1>(ys, xs, w, shape, r, 0);
-            } else {
-                for (s0, len) in step_blocks(t) {
-                    with_const!(len, [1, 2, 3, 4, 5, 6], |N| {
-                        row_block::<L, N>(ys, xs, w, shape, r, s0)
-                    });
-                }
-            }
-            r += L::LANES;
-        }
-        r
-    }
-
-    /// Rows `r..r + L::LANES` of [`rowmajor_gemv_acc`] for `N` steps from
-    /// `s0`: each `LANES × 8` block of `w` is transposed in registers
-    /// once and feeds all `N` accumulators.
-    ///
-    /// # Safety
-    /// Inside [`Lanes::enable`]; `r + LANES <= rows` with `w` a
-    /// `rows × cols` matrix, and `ys` / `xs` holding steps `s0..s0 + N`.
-    #[inline(always)]
-    unsafe fn row_block<L: Lanes, const N: usize>(
-        ys: &mut [f32],
-        xs: &[f32],
-        w: &[f32],
-        (rows, cols): (usize, usize),
-        r: usize,
-        s0: usize,
-    ) {
-        let kfull = cols - cols % 8;
-        let base = w.as_ptr().add(r * cols);
-        let xp = xs.as_ptr().add(s0 * cols);
-        let mut acc = [L::splat(0.0); N];
-        let mut k = 0;
-        while k < kfull {
-            // SAFETY: rows `r..r + LANES <= rows` and columns
-            // `k..k + 8 <= cols` keep every row load inside `w`; step
-            // `s0 + a`'s `x[k + j]` is inside `xs` because `a < N`.
-            let cs = L::load_transposed8(base.add(k), cols);
-            for (j, &c) in cs.iter().enumerate() {
-                for (a, lane) in acc.iter_mut().enumerate() {
-                    let xb = L::splat(*xp.add(a * cols + k + j));
-                    *lane = L::add(*lane, L::mul(c, xb));
-                }
-            }
-            k += 8;
-        }
-        let block = &w[r * cols..(r + L::LANES) * cols];
-        for (a, &lane) in acc.iter().enumerate() {
-            let s = s0 + a;
-            scalar::finish_row_block(
-                &mut ys[s * rows + r..][..L::LANES],
-                spill(lane).as_ref(),
-                &xs[s * cols..][..cols],
-                block,
-                kfull,
-            );
         }
     }
 
@@ -2654,8 +2431,8 @@ mod tests {
 
     /// Small shapes on purpose: this is the test the Miri leg interprets
     /// (through the AVX2 bodies), and every buffer is an exact-size
-    /// allocation, so an overrunning row-block load is an out-of-bounds
-    /// read. The exhaustive sweep lives in `tests/simd_identity.rs`.
+    /// allocation, so an overrunning load is an out-of-bounds read. The
+    /// exhaustive sweep lives in `tests/simd_identity.rs`.
     #[test]
     fn rowmajor_kernels_levels_bit_identical() {
         for (rows, cols) in [
@@ -2707,8 +2484,7 @@ mod tests {
     /// Miri leg: every sequence kernel against `t` per-step calls at
     /// [`Level::Scalar`], on exact-size allocations, both step orders,
     /// with an exact-zero coefficient in every other step. 17 and 25 rows
-    /// take a sixteen-row block where the level has one, and 25 hands its
-    /// leftover rows to an eight-row block.
+    /// end the rank-one update's four-row blocks with a single row.
     #[test]
     fn sequence_kernels_are_t_per_step_calls_at_every_level() {
         for (rows, cols, t) in [
@@ -2731,16 +2507,13 @@ mod tests {
                 .collect();
             let run = |level, seq: bool| {
                 with_level(level, || {
-                    let mut gemv = data(t * rows, -1.0).into_boxed_slice();
                     let mut gemv_t = data(t * cols, 2.0).into_boxed_slice();
                     let mut outer = [w.clone(), w.clone()];
                     if seq {
-                        rowmajor_gemv_acc_seq(&mut gemv, &xc, &w, t);
                         gemv_t_acc_seq(&mut gemv_t, &xr, &w, t);
                     } else {
                         for s in 0..t {
-                            let (x, u) = (&xc[s * cols..][..cols], &xr[s * rows..][..rows]);
-                            rowmajor_gemv_acc(&mut gemv[s * rows..][..rows], x, &w);
+                            let u = &xr[s * rows..][..rows];
                             gemv_t_acc(&mut gemv_t[s * cols..][..cols], u, &w);
                         }
                     }
@@ -2756,13 +2529,13 @@ mod tests {
                         }
                     }
                     let [asc, desc] = outer;
-                    [gemv, gemv_t, asc, desc]
+                    [gemv_t, asc, desc]
                 })
             };
             let want = run(Level::Scalar, false);
             for &level in &supported_levels() {
                 let got = run(level, true);
-                for (name, g, w) in ["gemv", "gemv_t", "rank1", "rank1 desc"]
+                for (name, g, w) in ["gemv_t", "rank1", "rank1 desc"]
                     .iter()
                     .zip(&got)
                     .zip(&want)
@@ -2886,10 +2659,8 @@ mod tests {
         }
     }
 
-    /// The transpose against its definition on exact-size allocations,
-    /// plain (`stride == rows`) and as a column block of a wider matrix
-    /// whose other entries must stay untouched; small shapes, for the
-    /// Miri leg, on both sides of the 8×8 blocks.
+    /// The transpose against its definition on exact-size allocations;
+    /// small shapes, for the Miri leg, on both sides of the 8×8 blocks.
     #[test]
     fn transpose_into_levels_bit_identical() {
         for (rows, cols) in [
@@ -2902,27 +2673,22 @@ mod tests {
             (16, 12),
         ] {
             let src = data(rows * cols, 0.6).into_boxed_slice();
-            for (offset, stride) in [(0usize, rows), (2, rows + 5)] {
-                let len = (offset + cols * stride).max(1);
-                let mut want = vec![-7.0f32; len];
-                for r in 0..rows {
-                    for c in 0..cols {
-                        want[offset + c * stride + r] = src[r * cols + c];
-                    }
+            let mut want = vec![-7.0f32; rows * cols];
+            for r in 0..rows {
+                for c in 0..cols {
+                    want[c * rows + r] = src[r * cols + c];
                 }
-                for &level in &supported_levels() {
-                    let mut dst = vec![-7.0f32; len].into_boxed_slice();
-                    with_level(level, || {
-                        transpose_into(&mut dst[offset..], stride, &src, rows, cols)
-                    });
-                    assert!(
-                        dst.iter()
-                            .zip(&want)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "{} {rows}x{cols} stride={stride}",
-                        level.name()
-                    );
-                }
+            }
+            for &level in &supported_levels() {
+                let mut dst = vec![-7.0f32; rows * cols].into_boxed_slice();
+                with_level(level, || transpose_into(&mut dst, &src, rows, cols));
+                assert!(
+                    dst.iter()
+                        .zip(&want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{} {rows}x{cols}",
+                    level.name()
+                );
             }
         }
     }
@@ -2959,7 +2725,7 @@ mod tests {
     #[should_panic(expected = "whole number of steps")]
     fn sequence_slab_must_be_whole_steps() {
         let mut ys = [0.0f32; 5];
-        rowmajor_gemv_acc_seq(&mut ys, &[1.0; 4], &[1.0; 4], 2);
+        colmajor_gemv_acc_seq(&mut ys, &[1.0; 4], &[1.0; 4], 2);
     }
 
     #[test]

@@ -15,21 +15,22 @@
 //! * unaligned inputs — slices offset by one `f32` from their allocation
 //!   start, so 32-byte-aligned loads would fault if the kernels ever
 //!   switched from `loadu` to aligned loads;
-//! * the three row-major training kernels (`rowmajor_gemv_acc`,
-//!   `rank1_update`, `gemv_t_acc`) over every `rows, cols ∈ 0..=41`, on
+//! * the three row-major training kernels (`rowmajor_gemv_acc`, the
+//!   scalar definition at every level, and the vector `rank1_update`,
+//!   `gemv_t_acc`) over every `rows, cols ∈ 0..=41`, on
 //!   slices that **end exactly at their allocation's end** (the
-//!   out-of-bounds check the AVX2 row-block loads get at these sizes on
+//!   out-of-bounds check the AVX2 loads get at these sizes on
 //!   hardware; the Miri leg interprets the same bodies at the in-crate
 //!   tests' small shapes), and with `0.0`, `-0.0`, `NaN`, `±inf` in the coefficients
 //!   the zero-skip inspects;
 //! * the stacked column-major product `colmajor_gemv_acc_seq` — the
 //!   taped forward pass's — against `T` per-step `colmajor_gemv_acc`
-//!   calls and against `rowmajor_gemv_acc_seq` over the untransposed
-//!   matrix, for `T ∈ 1..=8`, every output count `1..=80` plus 128 and
-//!   1017, inputs `{0, 1, 32, 96}`, `-0.0` in the accumulated slab, on
-//!   end-of-allocation slices;
-//! * the three **sequence** kernels (`rowmajor_gemv_acc_seq`,
-//!   `rank1_update_seq`, `gemv_t_acc_seq`), each against what it is
+//!   calls and against `T` per-step scalar `rowmajor_gemv_acc` calls
+//!   over the untransposed matrix, for `T ∈ 1..=8`, every output count
+//!   `1..=80` plus 128 and 1017, inputs `{0, 1, 32, 96}`, `-0.0` in the
+//!   accumulated slab, on end-of-allocation slices;
+//! * the two row-major **sequence** kernels (`rank1_update_seq`,
+//!   `gemv_t_acc_seq`), each against what it is
 //!   defined as — `T` successive calls of its per-step kernel, made at
 //!   `Scalar` — over the same square × `T ∈ {0, 1, 2, 6, 7, 13}` (one
 //!   step, one full six-step register block, the 4 + 3 and 5 + 4 + 4
@@ -248,8 +249,8 @@ fn colmajor_gemv_bitwise_identical_across_levels_and_offsets() {
 }
 
 /// The stacked column-major product is `t` per-step calls of
-/// `colmajor_gemv_acc`, and — over the untransposed matrix — the
-/// row-major stack the forward pass ran before it: every output count
+/// `colmajor_gemv_acc`, and — over the untransposed matrix — `t` calls of
+/// the scalar row-major definition `rowmajor_gemv_acc`: every output count
 /// of every tile width and tail to 80, the LSTM's four gates at d = 32
 /// and the `hx-train` output layer; one input, d = 32, the composite
 /// layer's 96 and none at all (which must leave every `-0.0` in the
@@ -276,24 +277,25 @@ fn colmajor_seq_is_t_per_step_calls_and_the_rowmajor_stack() {
                         w[j * in_dim + k] = wt[k * out_dim + j];
                     }
                 }
-                let want = at(Level::Scalar, || {
-                    let mut ys = y0.clone();
+                let (want, rowmajor) = at(Level::Scalar, || {
+                    let (mut ys, mut rowmajor) = (y0.clone(), y0.clone());
                     for s in 0..t {
                         let x = &xs[s * in_dim..][..in_dim];
                         simd::colmajor_gemv_acc(&mut ys[off + s * out_dim..][..out_dim], x, wt);
+                        let y = &mut rowmajor[off + s * out_dim..][..out_dim];
+                        simd::rowmajor_gemv_acc(y, x, &w);
                     }
-                    ys
+                    (ys, rowmajor)
                 });
                 let case = format!("{in_dim}->{out_dim} t={t} off={off}");
                 for level in simd::supported_levels() {
-                    let (got, rowmajor) = at(level, || {
-                        let (mut got, mut rowmajor) = (y0.clone(), y0.clone());
+                    let got = at(level, || {
+                        let mut got = y0.clone();
                         simd::colmajor_gemv_acc_seq(&mut got[off..], xs, wt, t);
-                        simd::rowmajor_gemv_acc_seq(&mut rowmajor[off..], xs, &w, t);
-                        (got, rowmajor)
+                        got
                     });
                     assert_bits_eq(&format!("colmajor_seq {case}"), level, &got, &want);
-                    assert_bits_eq(&format!("vs rowmajor_seq {case}"), level, &got, &rowmajor);
+                    assert_bits_eq(&format!("vs rowmajor {case}"), level, &got, &rowmajor);
                 }
                 if in_dim == 0 {
                     assert_bits_eq(&format!("no inputs {case}"), Level::Scalar, &want, &y0);
@@ -303,9 +305,8 @@ fn colmajor_seq_is_t_per_step_calls_and_the_rowmajor_stack() {
     }
 }
 
-/// The transpose is a copy: every level writes the definition's bits,
-/// and only them, for every shape to 41×41 — plain, and as a column
-/// block of a wider matrix — ending where an exact-size allocation ends,
+/// The transpose is a copy: every level writes the definition's bits
+/// for every shape to 41×41, ending where an exact-size allocation ends,
 /// and at the `hx-train` output layer (1017×32).
 #[test]
 fn transpose_into_is_its_definition_at_every_level() {
@@ -315,27 +316,16 @@ fn transpose_into_is_its_definition_at_every_level() {
     for (rows, cols) in shapes {
         let src = tail(rows * cols, rows % 2, (rows * 64 + cols) as u32);
         let src = &src[rows % 2..];
-        for pad in [0usize, 3] {
-            let stride = rows + pad;
-            let len = cols * stride;
-            let mut want = vec![NAN; len];
-            for r in 0..rows {
-                for c in 0..cols {
-                    want[c * stride + r] = src[r * cols + c];
-                }
+        let mut want = vec![NAN; rows * cols];
+        for r in 0..rows {
+            for c in 0..cols {
+                want[c * rows + r] = src[r * cols + c];
             }
-            for level in simd::supported_levels() {
-                let mut got = vec![NAN; len].into_boxed_slice();
-                at(level, || {
-                    simd::transpose_into(&mut got, stride, src, rows, cols)
-                });
-                assert_bits_eq(
-                    &format!("transpose {rows}x{cols} +{pad}"),
-                    level,
-                    &got,
-                    &want,
-                );
-            }
+        }
+        for level in simd::supported_levels() {
+            let mut got = vec![NAN; rows * cols].into_boxed_slice();
+            at(level, || simd::transpose_into(&mut got, src, rows, cols));
+            assert_bits_eq(&format!("transpose {rows}x{cols}"), level, &got, &want);
         }
     }
 }
@@ -527,10 +517,10 @@ fn zero_skip_leaves_rows_untouched_and_takes_nan_and_inf() {
 /// and the uneven 4 + 3 and 5 + 4 + 4 splits.
 const STEPS: [usize; 6] = [0, 1, 2, 6, 7, 13];
 
-/// One case of the three sequence kernels at every supported level
-/// against `t` calls of the per-step kernel at `Scalar`, bit for bit.
-/// `w` is `rows × cols`; `xc` (`t × cols`) feeds the stacked gemv and is
-/// the update's `v` slab; `xr` (`t × rows`) holds the per-`(step, row)`
+/// One case of the two row-major sequence kernels at every supported
+/// level against `t` calls of the per-step kernel at `Scalar`, bit for
+/// bit. `w` is `rows × cols`; `xc` (`t × cols`) is the update's `v`
+/// slab; `xr` (`t × rows`) holds the per-`(step, row)`
 /// coefficients the zero-skip looks at. With `special`, the first, a
 /// middle and the last step's coefficients cycle through
 /// [`SKIP_PROBES`] — so does one whole row, at every step — and the
@@ -544,7 +534,6 @@ fn assert_sequence_kernels_identical(
     let mut w = tail(rows * cols, off, salt);
     let mut xc = tail(t * cols, off, salt.wrapping_add(1));
     let mut xr = tail(t * rows, off, salt.wrapping_add(2));
-    let mut yr = tail(t * rows, off, salt.wrapping_add(3));
     let mut yc = tail(t * cols, off, salt.wrapping_add(4));
     if special {
         for s in [0, t / 2, t.saturating_sub(1)] {
@@ -561,7 +550,7 @@ fn assert_sequence_kernels_identical(
                 xr[off + s * rows + r] = if s % 2 == 0 { 0.0 } else { -0.0 };
             }
         }
-        for buf in [&mut w, &mut xc, &mut yr, &mut yc] {
+        for buf in [&mut w, &mut xc, &mut yc] {
             for (i, v) in buf[off..].iter_mut().enumerate() {
                 match (i + salt as usize) % 11 {
                     3 => *v = -0.0,
@@ -574,23 +563,21 @@ fn assert_sequence_kernels_identical(
     let (w, xc, xr) = (&w[off..], &xc[off..], &xr[off..]);
     // What each kernel is defined as: the per-step kernel, step by step.
     let want = at(Level::Scalar, || {
-        let (mut gemv, mut gemv_t) = (yr.clone(), yc.clone());
+        let mut gemv_t = yc.clone();
         let (mut up, mut down) = (w.to_vec(), w.to_vec());
         for s in 0..t {
             let (x, u) = (&xc[s * cols..][..cols], &xr[s * rows..][..rows]);
-            simd::rowmajor_gemv_acc(&mut gemv[off + s * rows..][..rows], x, w);
             simd::gemv_t_acc(&mut gemv_t[off + s * cols..][..cols], u, w);
             simd::rank1_update(&mut up, -0.75, u, x);
             let z = t - 1 - s;
             let (x, u) = (&xc[z * cols..][..cols], &xr[z * rows..][..rows]);
             simd::rank1_update(&mut down, -0.75, u, x);
         }
-        (gemv, gemv_t, up, down)
+        (gemv_t, up, down)
     });
     for level in simd::supported_levels() {
         let got = at(level, || {
-            let (mut gemv, mut gemv_t) = (yr.clone(), yc.clone());
-            simd::rowmajor_gemv_acc_seq(&mut gemv[off..], xc, w, t);
+            let mut gemv_t = yc.clone();
             simd::gemv_t_acc_seq(&mut gemv_t[off..], xr, w, t);
             // The update runs on a slice that ends at its allocation's
             // end too.
@@ -598,27 +585,21 @@ fn assert_sequence_kernels_identical(
             let mut down = up.clone();
             simd::rank1_update_seq(&mut up, -0.75, xr, xc, t, false);
             simd::rank1_update_seq(&mut down, -0.75, xr, xc, t, true);
-            (gemv, gemv_t, up.into_vec(), down.into_vec())
+            (gemv_t, up.into_vec(), down.into_vec())
         });
         let case = format!("{rows}x{cols} t={t} off={off} salt={salt} special={special}");
-        assert_bits_eq(
-            &format!("rowmajor_gemv_acc_seq {case}"),
-            level,
-            &got.0,
-            &want.0,
-        );
-        assert_bits_eq(&format!("gemv_t_acc_seq {case}"), level, &got.1, &want.1);
+        assert_bits_eq(&format!("gemv_t_acc_seq {case}"), level, &got.0, &want.0);
         assert_bits_eq(
             &format!("rank1_update_seq asc {case}"),
             level,
-            &got.2,
-            &want.2,
+            &got.1,
+            &want.1,
         );
         assert_bits_eq(
             &format!("rank1_update_seq desc {case}"),
             level,
-            &got.3,
-            &want.3,
+            &got.2,
+            &want.2,
         );
     }
 }
@@ -641,9 +622,8 @@ fn sequence_kernels_are_t_per_step_calls_for_every_shape_to_41() {
 /// 129).
 const WIDE_COLS: [usize; 10] = [47, 48, 49, 63, 64, 65, 80, 96, 97, 129];
 
-/// Row counts around the 16-row blocks of the stacked product and the
-/// four-row blocks of the update, up to the `hx-train` output layer
-/// (1017 = 63·16 + 8 + 1 = 254·4 + 1).
+/// Row counts around the four-row blocks of the update, up to the
+/// `hx-train` output layer (1017 = 254·4 + 1).
 const WIDE_ROWS: [usize; 6] = [15, 16, 17, 33, 63, 1017];
 
 #[test]
