@@ -941,7 +941,8 @@ impl ComAid {
     /// Projects a decode target's words through the cached decoder plan
     /// and sets up the scratch a decode writes — once, for any number of
     /// candidates scored against it. Callers must have checked
-    /// [`ConceptCache::serves`].
+    /// [`ConceptCache::serves`] (a linker checks it once, at
+    /// construction).
     pub(crate) fn prepare_target<'t>(
         &self,
         cache: &ConceptCache,

@@ -28,7 +28,7 @@ pub(crate) fn description_rows(ontology: &Ontology, mut id_of: impl FnMut(&str) 
 /// array and the contexts one `len × β` array (Definition 4.1 gives
 /// every non-root node exactly β slots), so an index is three
 /// allocations however many concepts it covers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OntologyIndex {
     /// Row `cid.index()` = word ids of the canonical description
     /// (empty for the synthetic root).

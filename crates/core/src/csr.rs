@@ -7,7 +7,7 @@
 
 /// Row `i` is `ids[off[i]..off[i + 1]]`. Rows are appended in order:
 /// [`Csr::push`] extends the open row, [`Csr::end_row`] closes it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Csr {
     off: Vec<u32>,
     ids: Vec<u32>,

@@ -16,19 +16,14 @@
 //! The linking pipeline's sites: `"or.rewrite"` (one visit per rewritten
 //! token), `"cr.topk"` (candidate retrieval — the term-at-a-time TF-IDF
 //! scan; a panic here yields an empty candidate set, not an abort),
-//! `"ed.score"` (one visit per scored candidate), and
-//! `"ed.cache"` (an I/O-style site consulted per candidate when serving
-//! from the frozen concept cache — an injected error models a cache
-//! miss, degrading that candidate to the uncached scoring path with an
-//! identical score). The serving front end adds `"frontend.queue"`
-//! (an I/O-style site consulted once per submission — an injected
-//! error forces the admission-control overload path, rejecting the
-//! request with `NclError::Overloaded` regardless of actual queue
-//! depth). Document-level linking
-//! adds `"doc.propose"` (one visit per accepted span proposal — a panic
-//! drops that single span, recorded as
-//! [`crate::serving::TraceEvent::ProposeFaulted`], while the rest of
-//! the note links normally).
+//! and `"ed.score"` (one visit per scored candidate). The serving front
+//! end adds `"frontend.queue"` (an I/O-style site consulted once per
+//! submission — an injected error forces the admission-control overload
+//! path, rejecting the request with `NclError::Overloaded` regardless of
+//! actual queue depth). Document-level linking adds `"doc.propose"`
+//! (one visit per accepted span proposal — a panic drops that single
+//! span, recorded as [`crate::serving::TraceEvent::ProposeFaulted`],
+//! while the rest of the note links normally).
 //!
 //! Attaching a plan also disables the linker's rewrite memo: memoising
 //! out-of-vocabulary rewrites would change how many times `"or.rewrite"`

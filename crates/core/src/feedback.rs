@@ -16,11 +16,11 @@
 //!
 //! ## Serving the improvement without stopping the service
 //!
-//! Retraining bumps the model's version, which silently invalidates
-//! every frozen [`ConceptCache`] — a linker serving across a retrain
-//! would fall off the cached fast path (correct, but slow). The
-//! **hot-swap cell** ([`HotSwapCell`]) closes the loop at volume:
-//! serving reads an immutable [`ModelGeneration`] snapshot (a model
+//! Retraining bumps the model's version, which invalidates every
+//! frozen [`ConceptCache`]: the retrained model serves only through a
+//! new linker over a new freeze. The **hot-swap cell**
+//! ([`HotSwapCell`]) closes the loop at volume: serving reads an
+//! immutable [`ModelGeneration`] snapshot (a model
 //! clone plus the cache frozen from it — a clone keeps its source's
 //! version, so the pair stays valid), and
 //! [`HotSwapCell::publish`] installs the retrained generation behind
@@ -207,7 +207,8 @@ impl FeedbackController {
 }
 
 /// One immutable serving generation: a clone of the model at some
-/// training state plus the [`ConceptCache`] frozen from it.
+/// training state plus the [`ConceptCache`] frozen from it over one
+/// ontology's index.
 ///
 /// The pair is **valid together forever**: a [`ComAid`] clone keeps
 /// its source's version, the cache records the version it was frozen
@@ -218,6 +219,9 @@ impl FeedbackController {
 #[derive(Debug)]
 pub struct ModelGeneration {
     model: ComAid,
+    /// The index `cache` was frozen over: a linker shares the cache
+    /// only when its own index equals this one.
+    index: OntologyIndex,
     cache: Arc<ConceptCache>,
     config: LinkerConfig,
     generation: u64,
@@ -239,6 +243,7 @@ impl ModelGeneration {
         cache.warm(&model, &index);
         Self {
             model,
+            index,
             cache,
             config,
             generation,
@@ -256,14 +261,20 @@ impl ModelGeneration {
         self.generation
     }
 
-    /// Builds a linker over this generation **without re-freezing**:
-    /// it is constructed around the generation's shared cache (no
-    /// skeleton or weight plan of its own is built and dropped), so
-    /// every linker built from the same snapshot serves identical bits
-    /// from one frozen cache.
+    /// Builds a linker over this generation. Over the ontology the
+    /// generation froze (its index equal to the generation's, compared
+    /// whole) the linker is built **without re-freezing**, around the
+    /// generation's shared cache, so every such linker serves identical
+    /// bits from one frozen cache. Over any other ontology it gets the
+    /// fresh skeleton [`Linker::new`] would build: a cache serves only
+    /// the index it was frozen over.
     pub fn linker<'g>(&'g self, ontology: &'g Ontology) -> Linker<'g> {
-        Linker::with_cache(&self.model, ontology, self.config, |_| {
-            Arc::clone(&self.cache)
+        Linker::with_cache(&self.model, ontology, self.config, |index| {
+            if *index == self.index {
+                Arc::clone(&self.cache)
+            } else {
+                frozen_cache(&self.model, index, &self.config)
+            }
         })
     }
 }
@@ -633,10 +644,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_frozen_over_another_ontology_serves_uncached() {
+    fn cache_frozen_over_another_ontology_is_refrozen() {
         // One generation, two ontologies of different size: the shared
         // cache's shard map does not cover the larger one, so its linker
-        // must score through the uncached path, not index past the map.
+        // gets a cache of its own, scoring what the uncached path does.
         let (o, model) = world();
         let larger = {
             let mut b = OntologyBuilder::new();
@@ -654,7 +665,7 @@ mod tests {
         let linker = snap.linker(&larger);
         let q = tokenize("abdominal pain");
         let res = linker.link(&q);
-        assert_eq!(res.trace.cache, CacheUse::Stale);
+        assert_eq!(res.trace.cache, CacheUse::Served);
         assert_eq!(res.degradation, crate::serving::Degradation::None);
         assert!(!res.ranked.is_empty());
 
@@ -674,8 +685,47 @@ mod tests {
                 larger.concept(c).code
             );
         }
-        // Nothing to warm on a cache that cannot serve, and no panic.
+        // The refrozen cache is the linker's own: warming it leaves the
+        // generation's untouched.
+        let steps = snap.cache.memory_report().encoder_steps_run;
         linker.warm();
+        assert!(!Arc::ptr_eq(&linker.cache, &snap.cache));
+        assert_eq!(snap.cache.memory_report().encoder_steps_run, steps);
+    }
+
+    #[test]
+    fn a_same_size_ontology_is_not_served_another_ontologys_rows() {
+        // The feedback world with its two leaves' descriptions swapped:
+        // the same node count and shape, so the generation's shard map
+        // covers it, but every leaf's frozen rows encode the other
+        // leaf's text. Its linker must score like a fresh `Linker::new`.
+        let (o, model) = world();
+        let swapped = {
+            let mut b = OntologyBuilder::new();
+            let n18 = b.add_root_concept("N18", "chronic kidney disease");
+            b.add_child(n18, "N18.5", "unspecified abdominal pain");
+            let r10 = b.add_root_concept("R10", "abdominal pain");
+            b.add_child(r10, "R10.9", "chronic kidney disease stage 5");
+            b.build().unwrap()
+        };
+        assert_eq!(swapped.len(), o.len());
+        let cell = HotSwapCell::new(&model, &o, LinkerConfig::default());
+        let snap = cell.snapshot();
+        let shared = snap.linker(&swapped);
+        let fresh = Linker::new(snap.model(), &swapped, LinkerConfig::default());
+        for q in [
+            "abdominal pain",
+            "chronic kidney disease stage 5",
+            "kidney pain",
+        ] {
+            let (got, want) = (shared.link_text(q), fresh.link_text(q));
+            assert_eq!(got.trace.cache, CacheUse::Served, "{q}");
+            assert!(!got.ranked.is_empty(), "{q}");
+            let bits = |r: &crate::serving::LinkResult| -> Vec<(ConceptId, u32)> {
+                r.ranked.iter().map(|&(c, s)| (c, s.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "{q}");
+        }
     }
 
     #[test]

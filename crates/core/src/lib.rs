@@ -52,5 +52,5 @@ pub use serving::{
     DocumentCompletion, DocumentResult, Frontend, FrontendConfig, FrontendStats, HistSummary,
     LatencyHistogram, LinkBudget, LinkResult, LinkTrace, LinkerConfig, ProposeConfig,
     RewriteDecision, ScoreOutcome, ScoreRequest, ScoreStage, SpanAnchor, SpanLink, SpanProposal,
-    StageKind, StageTiming, TraceEvent,
+    StageKind, StageTiming, TraceEvent, MAX_QUERY_TOKENS,
 };

@@ -43,7 +43,7 @@ use crate::faults::FaultPlan;
 use crate::serving::ontology_text::{OntologyText, SharedWords};
 use crate::serving::{
     self, validate_document, ComAidScore, DocumentResult, LinkResult, LinkTrace, LinkerConfig,
-    PriorTable, ProposeConfig, Rewriter, ScoreStage, SpanProposal,
+    PriorTable, ProposeConfig, Rewriter, ScoreStage, SpanProposal, MAX_QUERY_TOKENS,
 };
 use ncl_ontology::{ConceptId, Ontology};
 use ncl_text::tfidf::{RetrievalStats, TfIdfIndex};
@@ -75,14 +75,13 @@ pub struct Linker<'a> {
     /// Frozen concept-encoding cache ([`ComAid::freeze_tiered`]): the
     /// skeleton is built at construction and each ontology chapter
     /// freezes on the first request that scores a candidate in it
-    /// ([`Linker::warm`] freezes the rest ahead of traffic). The linker
-    /// holds a shared borrow of the model, so the parameters cannot
-    /// change underneath it — but staleness is still re-checked at every
-    /// scoring call (the check is a few integers). Behind an `Arc` so
-    /// one frozen cache can be shared across linkers built from clones
-    /// of the same model generation ([`Linker::with_cache`], the
-    /// feedback hot-swap path) — a clone keeps its source's version, so
-    /// the validity check is unchanged.
+    /// ([`Linker::warm`] freezes the rest ahead of traffic). It serves
+    /// by construction: [`Linker::with_cache`] checks once that it was
+    /// frozen from this model's parameter generation over this linker's
+    /// index, and the shared borrow of the model keeps it so. Behind an
+    /// `Arc` so one frozen cache can be shared across linkers over the
+    /// same generation and ontology
+    /// ([`crate::feedback::ModelGeneration::linker`]).
     pub(crate) cache: Arc<ConceptCache>,
     /// Every concept's canonical-description words, interned — what
     /// shared-word removal consults per (query, candidate).
@@ -119,6 +118,10 @@ impl<'a> Linker<'a> {
     /// [`Linker::new`] serving from the cache `cache_for` returns for
     /// the linker's index: a fresh skeleton, or a generation's shared
     /// one ([`crate::feedback::ModelGeneration::linker`]).
+    ///
+    /// # Panics
+    /// Panics if the cache cannot serve `model` over the linker's index
+    /// ([`ConceptCache::serves`]): every request reads it unchecked.
     pub(crate) fn with_cache(
         model: &'a ComAid,
         ontology: &'a Ontology,
@@ -129,6 +132,10 @@ impl<'a> Linker<'a> {
         let index = text.index(ontology, model.vocab(), model.config().beta);
         let (tfidf, doc_map) = text.phase_one(ontology, config.index_aliases);
         let cache = cache_for(&index);
+        assert!(
+            cache.serves(model, &index),
+            "Linker: the concept cache was frozen from another model or ontology"
+        );
         Self {
             model,
             ontology,
@@ -154,23 +161,9 @@ impl<'a> Linker<'a> {
 
     /// Freezes every chapter of the cache no request has touched yet
     /// ([`ConceptCache::warm`]): call before admitting traffic when no
-    /// request may pay a first-touch freeze. A linker whose cache cannot
-    /// serve (frozen from another model generation or ontology) has
-    /// nothing to warm.
+    /// request may pay a first-touch freeze.
     pub fn warm(&self) {
-        if self.cache_serves() {
-            self.cache.warm(self.model, &self.index);
-        }
-    }
-
-    /// Whether scoring may read the cache: it was frozen from this
-    /// model's parameter generation, over an ontology the size of this
-    /// linker's. Re-checked at every scoring call, so a cache from a
-    /// *different* generation — or over a different ontology — degrades
-    /// to uncached scoring ([`crate::serving::CacheUse::Stale`]) rather
-    /// than serving wrong bits.
-    pub(crate) fn cache_serves(&self) -> bool {
-        self.cache.serves(self.model, &self.index)
+        self.cache.warm(self.model, &self.index);
     }
 
     /// Attaches a deterministic [`FaultPlan`]; every fault site inside
@@ -287,8 +280,8 @@ impl<'a> Linker<'a> {
         serving::serve(self, tokens, scorer, self.config.budget, Vec::new())
     }
 
-    /// Links a batch of queries: one rewrite prefetch over the whole
-    /// batch, then each query served in order, on the calling thread. Results are positionally aligned with `queries`
+    /// Links a batch of queries: each query served in order, on the
+    /// calling thread. Results are positionally aligned with `queries`
     /// and bit-identical to looping [`Linker::link`] over the batch.
     pub fn link_batch(&self, queries: &[Vec<String>]) -> Vec<LinkResult> {
         let refs: Vec<&[String]> = queries.iter().map(|q| q.as_slice()).collect();
@@ -302,7 +295,7 @@ impl<'a> Linker<'a> {
 
     /// Validating entry point: rejects queries that cannot meaningfully
     /// be linked (empty, whitespace-only, or longer than
-    /// [`LinkerConfig::max_query_tokens`]) with a typed
+    /// [`MAX_QUERY_TOKENS`]) with a typed
     /// [`NclError::InvalidQuery`] instead of returning an empty result.
     pub fn try_link(&self, tokens: &[String]) -> Result<LinkResult, NclError> {
         self.validate_query(tokens)?;
@@ -316,12 +309,11 @@ impl<'a> Linker<'a> {
                 reason: "query is empty after normalisation".into(),
             });
         }
-        if tokens.len() > self.config.max_query_tokens {
+        if tokens.len() > MAX_QUERY_TOKENS {
             return Err(NclError::InvalidQuery {
                 reason: format!(
-                    "query has {} tokens, over the limit of {}",
+                    "query has {} tokens, over the limit of {MAX_QUERY_TOKENS}",
                     tokens.len(),
-                    self.config.max_query_tokens
                 ),
             });
         }
@@ -338,8 +330,8 @@ impl<'a> Linker<'a> {
     }
 
     /// Links a whole tokenised clinical note: proposes mention spans,
-    /// serves every span as its own request in note order (with the
-    /// batch rewrite prefetch and this linker's prior), and rolls
+    /// serves every span as its own request in note order (with this
+    /// linker's prior), and rolls
     /// the per-span answers up into a [`DocumentResult`].
     ///
     /// Like [`Linker::link`], this call *degrades rather than fails*:
@@ -361,7 +353,7 @@ impl<'a> Linker<'a> {
     /// that are empty after normalisation with
     /// [`NclError::InvalidQuery`]. Unlike [`Linker::try_link`], there
     /// is **no length cap** — notes are expected to be much longer
-    /// than `max_query_tokens` (each proposed span is clamped to a
+    /// than [`MAX_QUERY_TOKENS`] (each proposed span is clamped to a
     /// valid query length instead).
     pub fn try_link_document(&self, tokens: &[String]) -> Result<DocumentResult, NclError> {
         validate_document(tokens)?;
@@ -548,9 +540,10 @@ mod tests {
     fn batched_and_per_token_rewrites_agree() {
         let (o, model) = trained_world();
         // Without alias indexing, alias-only words ("ckd", "renal",
-        // "syndrome") are in Ω' but not in Ω — in-Ω' OOV tokens that the
-        // batched prefetch resolves. A never-firing fault plan forces the
-        // other linker down the per-token, memo-free path.
+        // "syndrome") are in Ω' but not in Ω — in-Ω' OOV tokens that go
+        // through the memo's read-through. A never-firing fault plan
+        // forces the other linker down the memo-free path, which
+        // recomputes every token.
         let cfg = LinkerConfig {
             index_aliases: false,
             ..LinkerConfig::default()
@@ -616,33 +609,6 @@ mod tests {
                 StageKind::Rank
             ]
         );
-    }
-
-    #[test]
-    fn batch_prefetch_primes_the_memo_in_one_pass() {
-        let (o, model) = trained_world();
-        // Without alias indexing, alias-only words ("ckd", "renal") are
-        // in Ω' but absent from the Phase-I index, so they take the
-        // embedding-space rewrite path the prefetch batches.
-        let linker = Linker::new(
-            &model,
-            &o,
-            LinkerConfig {
-                index_aliases: false,
-                ..LinkerConfig::default()
-            },
-        );
-        let q1 = tokenize("ckd stage 5");
-        let q2 = tokenize("renal disease");
-        let refs: Vec<&[String]> = vec![&q1, &q2];
-        linker.rewriter.prefetch_batch(&linker, &refs);
-        // One blocked pass resolved both queries' OOV tokens: each
-        // per-request rewrite is now pure memo hits, no misses.
-        for q in [&q1, &q2] {
-            let (_, _, s) = linker.retrieve_with_stats(q);
-            assert_eq!(s.rewrite_cache_misses, 0, "query {q:?}");
-            assert_eq!(s.rewrite_cache_hits, 1, "query {q:?}");
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! them.
 //!
 //! [`reference_link`] is §5 around it: rewrite each token (Eq. 13; no
-//! memo, no prefetch), exhaustive TF-IDF top-`k`, score every candidate
+//! memo), exhaustive TF-IDF top-`k`, score every candidate
 //! with the shared words masked out of the sum, add the prior
 //! (Eq. 11), sort. No budgets, no faults, no trace.
 

@@ -174,8 +174,8 @@ fn publish_under_traffic_serves_every_generation_its_reference_bits() {
                 .entry((generation_of(w), tokens.clone()))
                 .or_insert_with(|| reference_link(&linker, tokens));
             let what = format!("generation {} {tokens:?}", generation_of(w));
-            // A stale (torn) cache would fall back to the exact uncached
-            // path, so the bits alone cannot see it.
+            // A torn model/cache pair cannot build a linker (its cache
+            // must serve); every answer's Score read the cache.
             assert_eq!(got.trace.cache, CacheUse::Served, "{what}");
             assert_matches(got, want, 0.0, &what);
         }

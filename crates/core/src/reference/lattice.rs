@@ -1,7 +1,7 @@
 //! One proptest over what is left of the serving lattice, against
 //! [`reference_link`]: `cache_tier × {first touch, warm} ×
-//! {link, link_batch, link_document spans} × {no plan, every cache read
-//! misses} × Variant`; a second over drawn fault plans and ED budgets,
+//! {link, link_batch, link_document spans} × Variant`; a second over
+//! drawn fault plans and ED budgets,
 //! where the reference still owns every score that was made; and a
 //! third over drawn ontology shapes, untrained, at the exact points.
 
@@ -9,7 +9,7 @@ use super::{reference_link, reference_score, ReferenceResult};
 use crate::comaid::{CacheTier, ComAid, ComAidConfig, OntologyIndex, TrainPair, Variant};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::linker::Linker;
-use crate::serving::{Degradation, LinkBudget, LinkResult, LinkerConfig, ProposeConfig};
+use crate::serving::{CacheUse, Degradation, LinkBudget, LinkResult, LinkerConfig, ProposeConfig};
 use ncl_ontology::{ConceptId, Ontology, OntologyBuilder};
 use ncl_text::{tokenize, Vocab};
 use proptest::prelude::*;
@@ -118,13 +118,6 @@ fn words(idx: &[usize]) -> Vec<String> {
     idx.iter().map(|&i| WORDS[i].to_string()).collect()
 }
 
-/// A plan whose only rule fails every `ed.cache` visit: each candidate
-/// takes the uncached safety path, which scores exactly in every tier
-/// and kernel mode.
-fn every_cache_read_misses() -> Arc<FaultPlan> {
-    Arc::new(FaultPlan::new(0).with_rule("ed.cache", FaultKind::Io, 1.0))
-}
-
 /// `got` against the reference: Phase I exactly, `Degradation::None`,
 /// and the ranking bit for bit (`eps == 0`) or the same candidates with
 /// every score within `eps · max(|score|, 1)`.
@@ -186,22 +179,20 @@ fn drawn_world(shape: &[usize]) -> (Ontology, Vocab) {
 
 /// How far a lattice point may be from the reference: exact unless a
 /// Compact cache is read. The bound is `cache_tier.rs`'s.
-fn lattice_eps(cache_tier: CacheTier, uncached: bool) -> f32 {
-    if !uncached && cache_tier == CacheTier::Compact {
+fn lattice_eps(cache_tier: CacheTier) -> f32 {
+    if cache_tier == CacheTier::Compact {
         5e-2
     } else {
         0.0
     }
 }
 
-/// `cache_tier × warm × uncached`, all eight.
-fn lattice_points() -> Vec<(CacheTier, bool, bool)> {
+/// `cache_tier × warm`, all four.
+fn lattice_points() -> Vec<(CacheTier, bool)> {
     let mut points = Vec::new();
     for tier in [CacheTier::Exact, CacheTier::Compact] {
         for warm in [false, true] {
-            for uncached in [false, true] {
-                points.push((tier, warm, uncached));
-            }
+            points.push((tier, warm));
         }
     }
     points
@@ -244,12 +235,9 @@ proptest! {
                 .map(|s| reference_link(&plain, &note[s.start..s.end()]))
                 .collect();
 
-            for (cache_tier, warm, uncached) in lattice_points() {
+            for (cache_tier, warm) in lattice_points() {
                 let config = LinkerConfig { k, cache_tier, ..LinkerConfig::default() };
-                let mut linker = build(model, config);
-                if uncached {
-                    linker = linker.with_faults(every_cache_read_misses());
-                }
+                let linker = build(model, config);
                 // `warm` only moves *when* chapters freeze.
                 if warm {
                     linker.warm();
@@ -260,12 +248,16 @@ proptest! {
                     cache.frozen_shard_count(),
                     if warm { cache.shard_count() } else { 0 }
                 );
-                let eps = lattice_eps(cache_tier, uncached);
-                let at = format!("{variant:?} {cache_tier:?} warm={warm} uncached={uncached}");
+                let eps = lattice_eps(cache_tier);
+                let at = format!("{variant:?} {cache_tier:?} warm={warm}");
 
+                // Every entry point's Score reads the linker's cache.
                 let batched = linker.link_batch(&queries);
                 for ((q, b), want) in queries.iter().zip(&batched).zip(&want) {
-                    assert_matches(&linker.link(q), want, eps, &format!("link {q:?} @ {at}"));
+                    let single = linker.link(q);
+                    prop_assert_eq!(single.trace.cache, CacheUse::Served);
+                    prop_assert_eq!(b.trace.cache, CacheUse::Served);
+                    assert_matches(&single, want, eps, &format!("link {q:?} @ {at}"));
                     assert_matches(b, want, eps, &format!("link_batch {q:?} @ {at}"));
                 }
                 let doc = linker.link_document(&note);
@@ -273,6 +265,7 @@ proptest! {
                 prop_assert_eq!(doc.spans.len(), spans.len());
                 for ((span, proposal), want) in doc.spans.iter().zip(&spans).zip(&want_spans) {
                     prop_assert_eq!(&span.proposal, proposal);
+                    prop_assert_eq!(span.result.trace.cache, CacheUse::Served);
                     assert_matches(&span.result, want, eps, &format!("span {proposal:?} @ {at}"));
                 }
             }
@@ -289,7 +282,7 @@ proptest! {
     fn faults_and_budgets_only_decide_what_is_scored(
         q in proptest::collection::vec(0..QUERY_WORDS, 0..6),
         seed in 0u64..1024,
-        p in proptest::collection::vec(prop_oneof![Just(0.0), Just(0.4), Just(1.0)], 4),
+        p in proptest::collection::vec(prop_oneof![Just(0.0), Just(0.4), Just(1.0)], 3),
         ed in prop_oneof![Just(None), Just(Some(Duration::ZERO)), Just(Some(Duration::from_micros(40)))],
         variant in 0..4usize,
     ) {
@@ -304,8 +297,7 @@ proptest! {
                 FaultPlan::new(seed)
                     .with_rule("or.rewrite", FaultKind::Panic, p[0])
                     .with_rule("cr.topk", FaultKind::Panic, p[1])
-                    .with_rule("ed.score", FaultKind::Panic, p[2])
-                    .with_rule("ed.cache", FaultKind::Io, p[3]),
+                    .with_rule("ed.score", FaultKind::Panic, p[2]),
             );
             (Linker::new(&models[variant], o, config).with_faults(Arc::clone(&plan)), plan)
         };
@@ -363,19 +355,16 @@ proptest! {
             let config = ComAidConfig { dim: 6, beta: 2, seed: seed + i as u64, ..ComAidConfig::tiny() };
             let model = ComAid::new(vocab, config, None);
             let want = reference_link(&Linker::new(&model, &o, LinkerConfig::default()), &q);
-            for (cache_tier, warm, uncached) in lattice_points() {
-                if lattice_eps(cache_tier, uncached) != 0.0 {
+            for (cache_tier, warm) in lattice_points() {
+                if lattice_eps(cache_tier) != 0.0 {
                     continue;
                 }
                 let config = LinkerConfig { cache_tier, ..LinkerConfig::default() };
-                let mut linker = Linker::new(&model, &o, config);
-                if uncached {
-                    linker = linker.with_faults(every_cache_read_misses());
-                }
+                let linker = Linker::new(&model, &o, config);
                 if warm {
                     linker.warm();
                 }
-                let at = format!("{shape:?} {cache_tier:?} warm={warm} uncached={uncached}");
+                let at = format!("{shape:?} {cache_tier:?} warm={warm}");
                 assert_matches(&linker.link(&q), &want, 0.0, &format!("{q:?} @ {at}"));
             }
         }

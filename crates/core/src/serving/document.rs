@@ -9,11 +9,10 @@
 //!    rewrite machinery. The scan shares the note's deadline.
 //! 2. **Link**: every proposed span becomes one ordinary request
 //!    (`serving::serve`: `Rewrite → Retrieve → Score → Rank`), in note
-//!    order, with the batch rewrite prefetch and the linker's one
-//!    shared `PriorTable`. The note's deadline covers
-//!    *all* spans: each span derives its remaining total budget when
-//!    it starts, so late spans degrade down the ladder instead of
-//!    overrunning the note.
+//!    order, with the linker's one shared `PriorTable`. The note's
+//!    deadline covers *all* spans: each span derives its remaining
+//!    total budget when it starts, so late spans degrade down the
+//!    ladder instead of overrunning the note.
 //! 3. **Roll up**: per-span traces merge into one document-level
 //!    [`LinkTrace`] (the Propose stage timing, per-stage wall-clock
 //!    sums, merged Phase-I work counters, and every span's events in
@@ -130,13 +129,10 @@ pub(crate) fn link_document(
         trace.retrieval.merge(&result.trace.retrieval);
         trace.rewrites.extend(result.trace.rewrites.iter().cloned());
         trace.events.extend(result.trace.events.iter().cloned());
-        // Worst cache outcome across spans: a single stale span means
-        // the document partially fell off the cached path.
-        trace.cache = match (trace.cache, result.trace.cache) {
-            (CacheUse::Stale, _) | (_, CacheUse::Stale) => CacheUse::Stale,
-            (CacheUse::Served, _) | (_, CacheUse::Served) => CacheUse::Served,
-            _ => CacheUse::Unconfigured,
-        };
+        // Served when any span's scoring read the cache.
+        if result.trace.cache == CacheUse::Served {
+            trace.cache = CacheUse::Served;
+        }
         if severity(&result.degradation) > severity(&degradation) {
             degradation = result.degradation;
         }

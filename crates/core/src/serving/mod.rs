@@ -21,8 +21,8 @@
 //! * **Checked against the equations.** A `#[cfg(test)]` reference
 //!   linker written from PAPER.md Eq. 3–13 (`crate::reference`) is the
 //!   oracle: one proptest walks the `cache_tier × warm × entry point ×
-//!   cache-miss plan × variant` lattice against it, and
-//!   `tests/golden/staged_serving.snap` pins the bits.
+//!   variant` lattice against it, and `tests/golden/staged_serving.snap`
+//!   pins the bits.
 //! * **Scorers are pluggable.** Phase II is abstracted as
 //!   [`ScoreStage`]; COM-AID ([`ComAidScore`]) is the default, and the
 //!   `lr`/`doc2vec` baselines plug in via
@@ -66,7 +66,9 @@ pub use frontend::{
     HistSummary, LatencyHistogram,
 };
 pub use propose::{ProposeConfig, SpanAnchor, SpanProposal};
-pub use request::{Degradation, DegradeReason, LinkBudget, LinkResult, LinkerConfig};
+pub use request::{
+    Degradation, DegradeReason, LinkBudget, LinkResult, LinkerConfig, MAX_QUERY_TOKENS,
+};
 pub use score::{ComAidScore, ScoreOutcome, ScoreRequest, ScoreStage};
 pub use trace::{CacheUse, LinkTrace, RewriteDecision, StageKind, StageTiming, TraceEvent};
 
@@ -224,8 +226,8 @@ pub(crate) fn serve(
     }
 }
 
-/// Links each query in order on the calling thread, after one rewrite
-/// prefetch over the whole batch. Each request's `total` budget is
+/// Links each query in order on the calling thread. Each request's
+/// `total` budget is
 /// `base.total` clipped to whatever remains of the shared `deadline`
 /// *at the moment it starts* — this is how a document's whole-note
 /// deadline covers every proposed span: spans served late in the note
@@ -237,9 +239,6 @@ pub(crate) fn link_batch_within(
     base: LinkBudget,
     deadline: Option<Instant>,
 ) -> Vec<LinkResult> {
-    if queries.len() > 1 {
-        linker.rewriter.prefetch_batch(linker, queries);
-    }
     let scorer = ComAidScore::new(linker);
     queries
         .iter()

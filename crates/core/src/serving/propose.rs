@@ -38,8 +38,8 @@
 //! [`StageKind::Propose`].
 
 use super::trace::{LinkTrace, StageKind, TraceEvent};
+use super::MAX_QUERY_TOKENS;
 use crate::linker::Linker;
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -47,8 +47,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProposeConfig {
     /// Longest proposed span, in tokens; longer hit-runs are chunked
-    /// greedily left-to-right. Clamped at scan time to the linker's
-    /// `max_query_tokens` so every proposal is a valid query.
+    /// greedily left-to-right. Clamped at scan time to
+    /// [`MAX_QUERY_TOKENS`] so every proposal is a valid query.
     pub max_span: usize,
     /// Shortest proposed span, in tokens; shorter hit-runs (and
     /// shorter final chunks of a long run) are not proposed.
@@ -122,7 +122,7 @@ pub(crate) fn propose_spans(
     deadline: Option<Instant>,
     trace: &mut LinkTrace,
 ) -> Vec<SpanProposal> {
-    let max_span = config.max_span.max(1).min(linker.config().max_query_tokens);
+    let max_span = config.max_span.clamp(1, MAX_QUERY_TOKENS);
     let min_span = config.min_span.max(1);
 
     // Pass 1 — classify tokens and collect maximal hit-runs. Each run
@@ -144,7 +144,7 @@ pub(crate) fn propose_spans(
         } else if linker.config().rewrite {
             linker
                 .rewriter
-                .outcome(linker, w, false, &mut HashSet::new(), &mut trace.retrieval)
+                .outcome(linker, w, false, &mut trace.retrieval)
                 .0
                 .filter(|r| linker.tfidf.contains_term(r))
                 .map(|_| true)

@@ -10,6 +10,13 @@ use ncl_ontology::ConceptId;
 use ncl_text::tfidf::RetrievalStats;
 use std::time::Duration;
 
+/// Hard cap on query length for the validating entry points
+/// ([`Linker::try_link`](crate::linker::Linker::try_link)); longer
+/// queries are rejected as [`NclError::InvalidQuery`]. The
+/// non-validating [`Linker::link`](crate::linker::Linker::link) accepts
+/// any length, and span proposal never proposes a longer span.
+pub const MAX_QUERY_TOKENS: usize = 4096;
+
 /// Online-linking knobs (defaults follow Table 1 and §5).
 #[derive(Debug, Clone, Copy)]
 pub struct LinkerConfig {
@@ -21,22 +28,9 @@ pub struct LinkerConfig {
     /// Enable Phase II shared-word removal ("the words appearing in both
     /// the canonical description and the query are temporarily removed").
     pub remove_shared: bool,
-    /// Maximum edit distance for the textual fallback of rewriting.
-    pub edit_max_dist: usize,
-    /// Minimum embedding cosine for accepting a rewrite target. Below
-    /// this the word is kept as-is: replacing a merely-unmatched word
-    /// (e.g. "of", "symptomatic") with its *weakly* nearest description
-    /// word would inject misleading content words into the query.
-    pub rewrite_min_cosine: f32,
     /// Index concept aliases alongside canonical descriptions in the
     /// Phase-I keyword matcher.
     pub index_aliases: bool,
-    /// Hard cap on query length for the validating entry points
-    /// ([`Linker::try_link`](crate::linker::Linker::try_link)); longer
-    /// queries are rejected as [`NclError::InvalidQuery`]. The
-    /// non-validating [`Linker::link`](crate::linker::Linker::link)
-    /// accepts any length.
-    pub max_query_tokens: usize,
     /// Storage tier of the frozen concept cache ([`CacheTier`]). `Exact`
     /// (the default) keeps every frozen row in f32 and scores
     /// bit-identically to the uncached path; `Compact` stores the
@@ -56,10 +50,7 @@ impl Default for LinkerConfig {
             k: 20,
             rewrite: true,
             remove_shared: true,
-            edit_max_dist: 2,
-            rewrite_min_cosine: 0.35,
             index_aliases: true,
-            max_query_tokens: 4096,
             cache_tier: CacheTier::Exact,
             budget: LinkBudget::default(),
         }

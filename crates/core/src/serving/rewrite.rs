@@ -11,14 +11,22 @@
 use super::trace::{LinkTrace, RewriteDecision, StageKind, TraceEvent};
 use crate::linker::Linker;
 use ncl_embedding::NearestWords;
-use ncl_tensor::Vector;
 use ncl_text::edit_index::EditIndex;
 use ncl_text::tfidf::RetrievalStats;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+/// Maximum edit distance for the textual fallback of rewriting.
+const EDIT_MAX_DIST: usize = 2;
+
+/// Minimum embedding cosine for accepting a rewrite target. Below this
+/// the word is kept as-is: replacing a merely-unmatched word (e.g.
+/// "of", "symptomatic") with its *weakly* nearest description word
+/// would inject misleading content words into the query.
+const REWRITE_MIN_COSINE: f32 = 0.35;
 
 /// The rewriting state a [`Linker`] holds by value; every method takes
 /// the linker back for the immutable inputs (model, Phase-I dictionary,
@@ -61,17 +69,14 @@ impl Rewriter {
         })
     }
 
-    /// The word a nearest-neighbour hit names, if it clears the
-    /// configured cosine floor.
-    fn accept(linker: &Linker<'_>, hit: Option<(u32, f32)>) -> Option<String> {
-        hit.filter(|&(_, cos)| cos >= linker.config().rewrite_min_cosine)
-            .and_then(|(nid, _)| linker.model.vocab().word(nid).map(|s| s.to_string()))
-    }
-
-    /// Eq. 13 from the embedding of the Ω' word `id`.
+    /// Eq. 13 from the embedding of the Ω' word `id`: its nearest Ω
+    /// word, when that clears [`REWRITE_MIN_COSINE`].
     fn nearest_to(&self, linker: &Linker<'_>, id: u32) -> Option<String> {
         let v = linker.model.embedding().lookup(id);
-        Self::accept(linker, self.nearest_words(linker).nearest(&v, Some(id)))
+        self.nearest_words(linker)
+            .nearest(&v, Some(id))
+            .filter(|&(_, cos)| cos >= REWRITE_MIN_COSINE)
+            .and_then(|(nid, _)| linker.model.vocab().word(nid).map(|s| s.to_string()))
     }
 
     /// Rewrites one out-of-vocabulary word (Eq. 13 with edit-distance
@@ -88,7 +93,7 @@ impl Rewriter {
         let similar = self
             .edit_index
             .get_or_init(|| EditIndex::new(vocab.iter_words().map(|(_, w)| w)))
-            .nearest(word, linker.config().edit_max_dist)?;
+            .nearest(word, EDIT_MAX_DIST)?;
         if linker.tfidf.contains_term(similar) {
             return Some(similar.to_string());
         }
@@ -107,15 +112,11 @@ impl Rewriter {
     /// request's Rewrite block, never by Propose: proposal is not the
     /// OR phase, and consuming OR ordinals there would shift replay for
     /// the spans linked afterwards.
-    ///
-    /// `fresh` holds the words this request's prefetch inserted: the
-    /// first read of one is the miss that computed it, not a hit.
     pub(crate) fn outcome(
         &self,
         linker: &Linker<'_>,
         w: &str,
         visit_or: bool,
-        fresh: &mut HashSet<&str>,
         stats: &mut RetrievalStats,
     ) -> (Option<String>, bool) {
         if let Some(plan) = &linker.faults {
@@ -136,13 +137,8 @@ impl Rewriter {
             .get(w)
             .cloned();
         if let Some(outcome) = cached {
-            let hit = !fresh.remove(w);
-            if hit {
-                stats.rewrite_cache_hits += 1;
-            } else {
-                stats.rewrite_cache_misses += 1;
-            }
-            return (outcome, hit);
+            stats.rewrite_cache_hits += 1;
+            return (outcome, true);
         }
         stats.rewrite_cache_misses += 1;
         let outcome = self.rewrite_word(linker, w);
@@ -151,65 +147,6 @@ impl Rewriter {
             .expect("rewrite memo poisoned")
             .insert(w.to_string(), outcome.clone());
         (outcome, false)
-    }
-
-    /// Resolves the embedding-space (in-Ω') rewrites of every distinct
-    /// unmemoised OOV token of `tokens` in one blocked matrix pass
-    /// ([`NearestWords::nearest_batch`]), priming the memo so the
-    /// per-token loop only pays hash lookups. Returns the words it
-    /// inserted. Words outside Ω' (the edit-distance fallback) are left
-    /// for the per-token path, and so is a single lookup, which gains
-    /// nothing from batching.
-    fn prefetch<'q>(
-        &self,
-        linker: &Linker<'_>,
-        tokens: impl Iterator<Item = &'q String>,
-    ) -> HashSet<&'q str> {
-        let vocab = linker.model.vocab();
-        let mut words: Vec<(&'q String, u32)> = Vec::new();
-        {
-            let memo = self.memo.lock().expect("rewrite memo poisoned");
-            let mut seen: HashSet<&str> = HashSet::new();
-            for w in tokens {
-                if linker.tfidf.contains_term(w) || !seen.insert(w) || memo.contains_key(w.as_str())
-                {
-                    continue;
-                }
-                if let Some(id) = vocab.get(w) {
-                    words.push((w, id));
-                }
-            }
-        }
-        if words.len() < 2 {
-            return HashSet::new();
-        }
-        let queries: Vec<Vector> = words
-            .iter()
-            .map(|&(_, id)| linker.model.embedding().lookup(id))
-            .collect();
-        let excludes: Vec<Option<u32>> = words.iter().map(|&(_, id)| Some(id)).collect();
-        let hits = self
-            .nearest_words(linker)
-            .nearest_batch(&queries, &excludes);
-        let mut memo = self.memo.lock().expect("rewrite memo poisoned");
-        let mut inserted = HashSet::new();
-        for (&(w, _), &hit) in words.iter().zip(&hits) {
-            memo.insert(w.clone(), Self::accept(linker, hit));
-            inserted.insert(w.as_str());
-        }
-        inserted
-    }
-
-    /// Batch-level prefetch: one blocked pass over the OOV tokens of
-    /// *every* query, so each request's Rewrite block pays only memo
-    /// hits — exactly as it does when an earlier request primed the
-    /// memo. Outcomes are unchanged; this only moves *when* the memo is
-    /// primed. A no-op when rewriting is off or a fault plan is
-    /// attached.
-    pub(crate) fn prefetch_batch(&self, linker: &Linker<'_>, queries: &[&[String]]) {
-        if linker.faults.is_none() && linker.config().rewrite {
-            let _ = self.prefetch(linker, queries.iter().flat_map(|q| q.iter()));
-        }
     }
 
     /// Rewrites a token sequence under an optional deadline: tokens not
@@ -227,10 +164,6 @@ impl Rewriter {
         deadline: Option<Instant>,
         trace: &mut LinkTrace,
     ) -> Cow<'q, [String]> {
-        let mut fresh: HashSet<&str> = HashSet::new();
-        if linker.faults.is_none() && deadline.is_none() {
-            fresh = self.prefetch(linker, tokens.iter());
-        }
         let mut out: Option<Vec<String>> = None;
         let mut expired = false;
         for (i, w) in tokens.iter().enumerate() {
@@ -246,8 +179,7 @@ impl Rewriter {
                 }
                 continue;
             }
-            let (replacement, memo_hit) =
-                self.outcome(linker, w, true, &mut fresh, &mut trace.retrieval);
+            let (replacement, memo_hit) = self.outcome(linker, w, true, &mut trace.retrieval);
             trace.rewrites.push(RewriteDecision {
                 token: w.clone(),
                 replacement: replacement.clone(),

@@ -82,30 +82,21 @@ impl ScoreStage for ComAidScore<'_, '_> {
     /// deadline stay unscored.
     ///
     /// Every request takes this one loop. The deadline is read before
-    /// each candidate only when one is set, the `ed.score` / `ed.cache`
-    /// fault sites are visited only under a plan ("ed.cache" models a
-    /// serving-cache miss: an injected fault there degrades that
-    /// candidate to the uncached, slower, identically-scored path —
-    /// never to a wrong or missing score), and what is left is
-    /// `ComAid::log_prob_prepared` over the frozen
-    /// cache with one request-scoped scratch: the query's decoder input
-    /// projections are made once, and a candidate allocates nothing. A cache that cannot serve
-    /// (`Linker::cache_serves`) sends every candidate down the
-    /// uncached path, which packs the model's weight plan once per
-    /// request, not once per candidate.
+    /// each candidate only when one is set, the `ed.score` fault site is
+    /// visited only under a plan, and what is left is
+    /// `ComAid::log_prob_prepared` over the linker's frozen cache —
+    /// which serves by construction — with one request-scoped scratch:
+    /// the query's decoder input projections are made once, and a
+    /// candidate allocates nothing.
     fn score(&self, req: ScoreRequest<'_>) -> ScoreOutcome {
         let linker = self.linker;
         let (model, cache) = (linker.model, &*linker.cache);
-        let serves = linker.cache_serves();
         // The decoded word ids are candidate-independent; only the
         // counting mask differs (shared-word removal is per candidate).
         let ids = model.encode_words(req.query);
         let words = linker.shared_words.intern(req.query);
         let mut mask = vec![true; req.query.len()];
-        let mut prepared = serves.then(|| model.prepare_target(cache, &ids));
-        // The uncached path's weight plan, packed by the first candidate
-        // that takes it and shared by the rest of the request.
-        let mut uncached_plan = None;
+        let mut prepared = model.prepare_target(cache, &ids);
 
         let mut lost_jobs = 0usize;
         let mut scores: Vec<Option<f32>> = vec![None; req.candidates.len()];
@@ -120,22 +111,10 @@ impl ScoreStage for ComAidScore<'_, '_> {
             // it, so one a panic abandoned half-written is safe to
             // reuse for the next candidate.
             match catch_unwind(AssertUnwindSafe(|| {
-                let mut cached = prepared.as_mut();
                 if let Some(plan) = &linker.faults {
                     plan.visit("ed.score");
-                    if cached.is_some() && plan.visit_io("ed.cache").is_err() {
-                        cached = None;
-                    }
                 }
-                match cached {
-                    Some(prepared) => {
-                        model.log_prob_prepared(&linker.index, cache, c, prepared, &mask)
-                    }
-                    None => {
-                        let plan = uncached_plan.get_or_insert_with(|| model.plan());
-                        model.log_prob_ids_masked_with(plan, &linker.index, c, &ids, &mask)
-                    }
-                }
+                model.log_prob_prepared(&linker.index, cache, c, &mut prepared, &mask)
             })) {
                 Ok(lp) => *out = Some(lp),
                 Err(_) => lost_jobs += 1,
@@ -145,11 +124,7 @@ impl ScoreStage for ComAidScore<'_, '_> {
             scores,
             lost_jobs,
             unscored_is_nonmatch: false,
-            cache: if serves {
-                CacheUse::Served
-            } else {
-                CacheUse::Stale
-            },
+            cache: CacheUse::Served,
         }
     }
 }

@@ -48,11 +48,8 @@ pub enum CacheUse {
     /// baseline) does not consult one.
     #[default]
     Unconfigured,
-    /// Candidates were served from the frozen cache.
+    /// Candidates were served from the linker's frozen cache.
     Served,
-    /// The linker's cache was frozen from another model version or over
-    /// another ontology, so scoring fell back to the uncached path.
-    Stale,
 }
 
 /// A notable event recorded while serving one request.

@@ -358,7 +358,7 @@ fn hot_swap_keeps_in_flight_documents_whole() {
     assert_eq!(served.len(), 12, "no request dropped across the swap");
     for (generation, doc) in &served {
         // Not torn: every span served from a cache valid for its
-        // snapshot's model — a mismatched pair would read Stale.
+        // snapshot's model — a mismatched pair builds no linker.
         for s in &doc.spans {
             assert_eq!(s.result.trace.cache, CacheUse::Served, "gen {generation}");
         }

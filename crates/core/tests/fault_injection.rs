@@ -392,36 +392,6 @@ fn fault_sweep_never_aborts() {
     assert_eq!(calls, 6 * 5 * kinds.len() as u32);
 }
 
-/// Injected serving-cache misses ("ed.cache" I/O faults) must degrade
-/// only the *speed* of the affected candidates: they fall back to the
-/// uncached scoring path, whose scores are bit-identical, so the answer
-/// carries no degradation annotation at all.
-#[test]
-fn injected_cache_misses_fall_back_with_identical_scores() {
-    let (o, model) = trained_world();
-    let plain = Linker::new(&model, &o, LinkerConfig::default());
-    let plan = Arc::new(FaultPlan::new(7).with_rule("ed.cache", FaultKind::Io, 1.0));
-    let missing = Linker::new(&model, &o, LinkerConfig::default()).with_faults(Arc::clone(&plan));
-    for q in QUERIES {
-        let a = plain.link_text(q);
-        let b = missing.link_text(q);
-        check_well_formed(&b);
-        assert_eq!(a.ranked_ids(), b.ranked_ids(), "query {q}");
-        for (&(_, sa), &(_, sb)) in a.ranked.iter().zip(&b.ranked) {
-            assert_eq!(sa.to_bits(), sb.to_bits(), "cache miss changed a score");
-        }
-        assert_eq!(
-            b.degradation,
-            Degradation::None,
-            "a cache miss is not a degradation"
-        );
-    }
-    assert!(
-        plan.fired() > 0,
-        "the ed.cache site must actually be exercised"
-    );
-}
-
 /// The `frontend.queue` site: an injected I/O fault at admission
 /// forces the overload path, so every submission is rejected with the
 /// typed, transient [`NclError::Overloaded`] carrying a retry hint —

@@ -1,10 +1,15 @@
 //! Training ⇔ SIMD-level identity suite.
 //!
-//! `Matrix::{gemv_acc, add_outer, gemv_t_acc}` carry every taped forward
-//! step, every BPTT step and every uncached score. Their SIMD bodies
-//! (`ncl_tensor::simd::{rowmajor_gemv_acc, rank1_update, gemv_t_acc}`)
-//! are pinned kernel by kernel in `crates/tensor/tests/simd_identity.rs`;
-//! this suite pins them where they matter — a whole `ComAid::fit`, sharded
+//! The taped forward pass runs `ncl_tensor::simd::colmajor_gemv_acc_seq`
+//! over the transposed weight plan each batch builds, every BPTT step
+//! runs `Matrix::{add_outer_seq, gemv_t_acc_seq}`
+//! (`simd::{rank1_update_seq, gemv_t_acc_seq}`), and every uncached
+//! score runs `simd::colmajor_gemv_acc` over `ComAid::plan`.
+//! (`Matrix::gemv_acc` — `simd::rowmajor_gemv_acc` — is the scalar
+//! definition at every level, the reference those products are tested
+//! against, not a SIMD body.) The SIMD bodies are pinned kernel by
+//! kernel in `crates/tensor/tests/simd_identity.rs`; this suite pins
+//! them where they matter — a whole `ComAid::fit`, sharded
 //! batches and gradient merge included, must produce the same losses and
 //! the same parameter bytes at every dispatch level as at `Scalar`, and
 //! an uncached score must be the same float.

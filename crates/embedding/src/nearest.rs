@@ -65,89 +65,32 @@ impl NearestWords {
         self.rows == 0
     }
 
-    /// All-rows cosine scores for a normalized query, via one
-    /// column-major GEMV over the transposed table.
-    fn dots(&self, q: &Vector) -> Vec<f32> {
-        assert_eq!(q.len(), self.dims, "nearest: query dimension mismatch");
-        let mut dots = vec![0.0f32; self.rows];
-        simd::colmajor_gemv_acc(&mut dots, q.as_slice(), &self.wt);
-        dots
-    }
-
-    /// The single nearest allowed word to `query` (excluding
-    /// `exclude_id`, typically the query word itself), with its cosine.
+    /// Eq. 13: the allowed word (other than `exclude_id`, typically the
+    /// query word itself) with the highest cosine to `query`, and that
+    /// cosine. One column-major GEMV over the transposed table scores
+    /// every row, then one ascending scan keeps the first strict
+    /// maximum, so equal cosines go to the lowest id and a NaN never
+    /// wins. `None` for a zero query or when no row is allowed.
     pub fn nearest(&self, query: &Vector, exclude_id: Option<u32>) -> Option<(u32, f32)> {
-        self.top_k(query, 1, exclude_id).into_iter().next()
-    }
-
-    /// The `k` nearest allowed words, best first.
-    pub fn top_k(&self, query: &Vector, k: usize, exclude_id: Option<u32>) -> Vec<(u32, f32)> {
         let qnorm = query.norm();
-        if qnorm <= f32::EPSILON || k == 0 {
-            return Vec::new();
+        if qnorm <= f32::EPSILON {
+            return None;
         }
+        assert_eq!(query.len(), self.dims, "nearest: query dimension mismatch");
         let mut q = query.clone();
         q.scale(1.0 / qnorm);
-        let dots = self.dots(&q);
-        let mut hits: Vec<(u32, f32)> = Vec::new();
+        let mut dots = vec![0.0f32; self.rows];
+        simd::colmajor_gemv_acc(&mut dots, q.as_slice(), &self.wt);
+        let mut best: Option<(u32, f32)> = None;
         for (r, &dot) in dots.iter().enumerate() {
-            if !self.allowed[r] || Some(r as u32) == exclude_id {
+            if !self.allowed[r] || Some(r as u32) == exclude_id || dot.is_nan() {
                 continue;
             }
-            hits.push((r as u32, dot));
+            if best.is_none_or(|(_, bd)| dot > bd) {
+                best = Some((r as u32, dot));
+            }
         }
-        hits.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        hits.truncate(k);
-        hits
-    }
-
-    /// Resolves many queries in one pass, returning what
-    /// [`NearestWords::nearest`] would return for each — bit-identically.
-    ///
-    /// Each query makes one SIMD GEMV pass over the transposed table, so
-    /// the per-row accumulation order matches the single-query path
-    /// exactly; the argmax scan then visits rows in ascending id order,
-    /// where a strict improvement test reproduces the (cosine desc, id
-    /// asc) tie-break of the sorted single-query path.
-    pub fn nearest_batch(
-        &self,
-        queries: &[Vector],
-        exclude_ids: &[Option<u32>],
-    ) -> Vec<Option<(u32, f32)>> {
-        assert_eq!(
-            queries.len(),
-            exclude_ids.len(),
-            "nearest_batch: queries/exclude length mismatch"
-        );
-        queries
-            .iter()
-            .zip(exclude_ids)
-            .map(|(query, exclude)| {
-                // Pre-normalise exactly as `top_k` does; zero-norm
-                // queries resolve to None without touching the matrix.
-                let qnorm = query.norm();
-                if qnorm <= f32::EPSILON {
-                    return None;
-                }
-                let mut q = query.clone();
-                q.scale(1.0 / qnorm);
-                let dots = self.dots(&q);
-                let mut best: Option<(u32, f32)> = None;
-                for (r, &dot) in dots.iter().enumerate() {
-                    if !self.allowed[r] || Some(r as u32) == *exclude {
-                        continue;
-                    }
-                    if best.is_none_or(|(_, bd)| dot > bd) {
-                        best = Some((r as u32, dot));
-                    }
-                }
-                best
-            })
-            .collect()
+        best
     }
 }
 
@@ -187,19 +130,27 @@ mod tests {
 
     #[test]
     fn specials_never_returned() {
-        let idx = toy_index();
-        for (id, _) in idx.top_k(&Vector::from_slice(&[1.0, 1.0]), 10, None) {
-            assert!(id >= 4);
-        }
+        // Specials 1..4 point along the query and have lower ids than
+        // word 4, which does too: the word wins, and without it nothing.
+        let m = Matrix::from_vec(5, 2, vec![0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
+        let idx = NearestWords::new(&m, None);
+        let q = Vector::from_slice(&[1.0, 0.0]);
+        assert_eq!(idx.nearest(&q, None).map(|(id, _)| id), Some(4));
+        assert_eq!(idx.nearest(&q, Some(4)), None);
+        // The toy's zero specials tie word 6's zero cosine at lower ids.
+        let (id, _) = toy_index()
+            .nearest(&Vector::from_slice(&[-1.0, 0.0]), None)
+            .unwrap();
+        assert_eq!(id, 6);
     }
 
     #[test]
     fn custom_mask_respected() {
         let m = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
         let idx = NearestWords::new(&m, Some(vec![false, true]));
-        let hits = idx.top_k(&Vector::from_slice(&[1.0, 0.0]), 2, None);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, 1);
+        let q = Vector::from_slice(&[1.0, 0.0]);
+        assert_eq!(idx.nearest(&q, None).map(|(id, _)| id), Some(1));
+        assert_eq!(idx.nearest(&q, Some(1)), None);
     }
 
     #[test]
@@ -209,65 +160,75 @@ mod tests {
     }
 
     #[test]
-    fn top_k_ordering() {
-        let idx = toy_index();
-        let hits = idx.top_k(&Vector::from_slice(&[1.0, 0.0]), 3, None);
-        assert_eq!(hits[0].0, 4);
-        assert_eq!(hits[1].0, 5);
-        assert_eq!(hits[2].0, 6);
-        assert!(hits[0].1 >= hits[1].1 && hits[1].1 >= hits[2].1);
+    fn equal_cosines_go_to_the_lowest_id() {
+        // Rows 5 and 7 are one direction at different lengths, so they
+        // normalise to the same row and tie to the bit; row 6 is off it.
+        let m = Matrix::from_vec(
+            8,
+            2,
+            vec![0.0; 8]
+                .into_iter()
+                .chain([0.1, 0.9, 2.0, 1.0, 1.0, 1.0, 4.0, 2.0])
+                .collect(),
+        );
+        let idx = NearestWords::new(&m, None);
+        let q = Vector::from_slice(&[2.0, 1.0]);
+        let (id, cos) = idx.nearest(&q, None).unwrap();
+        assert_eq!(id, 5);
+        assert_eq!(cos.to_bits(), idx.nearest(&q, Some(5)).unwrap().1.to_bits());
+        assert_eq!(idx.nearest(&q, Some(5)).unwrap().0, 7);
     }
 
-    #[test]
-    fn batch_matches_singles_bit_for_bit() {
-        let idx = toy_index();
-        let queries = vec![
-            Vector::from_slice(&[1.0, 0.05]),
-            Vector::from_slice(&[1.0, 0.0]),
-            Vector::zeros(2),
-            Vector::from_slice(&[0.3, 0.7]),
-        ];
-        let excludes = vec![None, Some(4), None, Some(6)];
-        let batch = idx.nearest_batch(&queries, &excludes);
-        for ((q, ex), got) in queries.iter().zip(&excludes).zip(&batch) {
-            let single = idx.nearest(q, *ex);
-            assert_eq!(single.map(|(id, _)| id), got.map(|(id, _)| id));
-            assert_eq!(
-                single.map(|(_, c)| c.to_bits()),
-                got.map(|(_, c)| c.to_bits())
-            );
+    /// The sort this scan replaced: every allowed row's cosine, ordered
+    /// by cosine descending then id ascending; its head is Eq. 13.
+    fn sorted_head(idx: &NearestWords, query: &Vector, exclude: Option<u32>) -> Option<(u32, f32)> {
+        let qnorm = query.norm();
+        if qnorm <= f32::EPSILON {
+            return None;
         }
+        let mut q = query.clone();
+        q.scale(1.0 / qnorm);
+        let mut dots = vec![0.0f32; idx.rows];
+        simd::colmajor_gemv_acc(&mut dots, q.as_slice(), &idx.wt);
+        let mut hits: Vec<(u32, f32)> = (0..idx.rows as u32)
+            .filter(|&r| idx.allowed[r as usize] && Some(r) != exclude)
+            .map(|r| (r, dots[r as usize]))
+            .collect();
+        hits.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        hits.first().copied()
     }
 
     #[test]
-    fn batch_spanning_many_row_blocks() {
-        // 200 rows > the 64-row block, with exact duplicates so the
-        // lowest-id tie-break is exercised across block boundaries.
+    fn argmax_has_the_sorted_scans_bits() {
+        // The toy index, and 200 rows with exact duplicates so the
+        // lowest-id tie-break is exercised across 64-row blocks.
         let dim = 3;
         let mut data = Vec::with_capacity(200 * dim);
         for r in 0..200 {
             let angle = (r % 50) as f32 * 0.1;
             data.extend_from_slice(&[angle.cos(), angle.sin(), 0.25]);
         }
-        let idx = NearestWords::new(&Matrix::from_vec(200, dim, data), None);
-        let queries: Vec<Vector> = (0..7)
-            .map(|i| Vector::from_slice(&[1.0, i as f32 * 0.3, 0.1]))
+        let wide = NearestWords::new(&Matrix::from_vec(200, dim, data), None);
+        let mut cases: Vec<(&NearestWords, Vector, Option<u32>)> = (0..7)
+            .map(|i| (&wide, Vector::from_slice(&[1.0, i as f32 * 0.3, 0.1]), None))
             .collect();
-        let excludes = vec![None; queries.len()];
-        let batch = idx.nearest_batch(&queries, &excludes);
-        for (q, got) in queries.iter().zip(&batch) {
-            let single = idx.nearest(q, None);
-            assert_eq!(single.map(|(id, _)| id), got.map(|(id, _)| id));
+        let toy = toy_index();
+        for (q, ex) in [
+            ([1.0, 0.05], None),
+            ([1.0, 0.0], Some(4)),
+            ([0.0, 0.0], None),
+            ([0.3, 0.7], Some(6)),
+        ] {
+            cases.push((&toy, Vector::from_slice(&q), ex));
+        }
+        for (idx, q, ex) in cases {
+            let got = idx.nearest(&q, ex);
+            let want = sorted_head(idx, &q, ex);
+            assert_eq!(got.map(|(id, _)| id), want.map(|(id, _)| id));
             assert_eq!(
-                single.map(|(_, c)| c.to_bits()),
-                got.map(|(_, c)| c.to_bits())
+                got.map(|(_, c)| c.to_bits()),
+                want.map(|(_, c)| c.to_bits())
             );
         }
-    }
-
-    #[test]
-    fn empty_batch_is_empty() {
-        let idx = toy_index();
-        assert!(idx.nearest_batch(&[], &[]).is_empty());
     }
 }

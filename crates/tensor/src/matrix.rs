@@ -398,7 +398,7 @@ mod tests {
     #[test]
     fn gemm_nt_rows_bit_match_gemv() {
         // gemm_nt is *bit-identical* to per-row gemv, block boundaries
-        // included (70 rows is eight 8-row blocks and a ragged tail).
+        // included (70 rows is one 64-row block and six rows).
         let d = 7;
         let a = Matrix::from_vec(3, d, (0..3 * d).map(|i| (i as f32).sin()).collect());
         let b = Matrix::from_vec(70, d, (0..70 * d).map(|i| (i as f32 * 0.7).cos()).collect());

@@ -826,14 +826,27 @@ mod scalar {
         mask
     }
 
+    /// `k` outermost over a block of at most 64 outputs at a time, so
+    /// each row of `wt` is read contiguously: every output still gets a
+    /// fresh accumulator, one `mul` and one `add` per term in ascending
+    /// `k`, then `y[j] += acc` — the dot product's roundings, in its
+    /// order.
     pub fn colmajor_gemv_acc(y: &mut [f32], x: &[f32], wt: &[f32]) {
+        const BLOCK: usize = 64;
         let n = y.len();
-        for (j, yo) in y.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (k, &xv) in x.iter().enumerate() {
-                acc += xv * wt[k * n + j];
+        let mut acc = [0.0f32; BLOCK];
+        for (b, ys) in y.chunks_mut(BLOCK).enumerate() {
+            let cols = b * BLOCK..b * BLOCK + ys.len();
+            let acc = &mut acc[..ys.len()];
+            acc.fill(0.0);
+            for (row, &xv) in wt.chunks_exact(n).zip(x) {
+                for (a, &w) in acc.iter_mut().zip(&row[cols.clone()]) {
+                    *a += xv * w;
+                }
             }
-            *yo += acc;
+            for (yo, &a) in ys.iter_mut().zip(acc.iter()) {
+                *yo += a;
+            }
         }
     }
 

@@ -165,7 +165,7 @@ proptest! {
 
 /// A 10k-token query links without panicking (the non-validating path
 /// accepts any length), and the validating path rejects it with the
-/// typed `InvalidQuery` error (default `max_query_tokens` is 4096).
+/// typed `InvalidQuery` error (`MAX_QUERY_TOKENS` is 4096).
 #[test]
 fn link_handles_10k_token_query() {
     let w = world();

@@ -92,13 +92,6 @@ fn render(tag: &str, query: &[String], res: &LinkResult) -> String {
     )
 }
 
-/// A plan whose only rule fails every `ed.cache` visit: each candidate
-/// takes the uncached `log_prob_ids_masked` path — the reference the
-/// cached scores must equal to the last bit.
-fn every_cache_read_misses() -> Arc<FaultPlan> {
-    Arc::new(FaultPlan::new(0).with_rule("ed.cache", FaultKind::Io, 1.0))
-}
-
 fn snapshot_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
@@ -132,8 +125,7 @@ fn link_matches_pre_refactor_golden_snapshot() {
             rewrite: false,
             ..LinkerConfig::default()
         },
-    )
-    .with_faults(every_cache_read_misses());
+    );
 
     let mut lines = Vec::new();
     for q in &queries {
