@@ -12,12 +12,22 @@
 #
 # The explicit `--target` keeps the sanitizer flags off build scripts
 # and proc macros, which run on the host. Extra arguments go to
-# `cargo test` (e.g. `ci/asan.sh -p ncl-tensor`).
+# `cargo test`; with no `-p` / `--package` among them the run covers
+# the whole workspace, and with one only the named packages
+# (e.g. `ci/asan.sh -p ncl-tensor`).
 #
 # Usage: ci/asan.sh [cargo test args…]   (needs a nightly toolchain)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+scope=(--workspace)
+for arg in "$@"; do
+    case "$arg" in
+        --) break ;; # what follows goes to the test binaries
+        -p | -p?* | --package | --package=*) scope=() ;;
+    esac
+done
+
 export RUSTFLAGS="${RUSTFLAGS:-} -Zsanitizer=address"
 export RUSTDOCFLAGS="${RUSTDOCFLAGS:-} -Zsanitizer=address"
-exec cargo +nightly test --offline --workspace --target x86_64-unknown-linux-gnu "$@"
+exec cargo +nightly test --offline "${scope[@]}" --target x86_64-unknown-linux-gnu "$@"

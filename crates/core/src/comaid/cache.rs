@@ -21,9 +21,10 @@
 //! ancestor's own path already ends on (row 0 for a token-less one). So a
 //! leaf that extends its parent's description costs only its new words,
 //! and nothing is stored twice. Only the fine-grained concepts of
-//! Definition 2.1 — the set Phase II ranks — hold a frozen head; any other
-//! node's head is made when asked for, by the function the freeze uses.
-//! Scoring a candidate gathers its rows into request scratch.
+//! Definition 2.1 — the set Phase I retrieves and Phase II ranks — hold
+//! a head; [`ComAid::log_prob_ids_masked_cached`] sends any other node to
+//! the uncached path. Scoring a candidate gathers its rows into request
+//! scratch.
 //!
 //! The freeze itself shares work exactly. The encoder starts every
 //! description from the zero state, so its state after a token prefix is
@@ -47,8 +48,9 @@
 //! - **Version coherence.** A cache remembers the parameter generation
 //!   ([`ComAid::version`]) it was frozen from. Training bumps the
 //!   generation and loading a checkpoint draws a fresh one, so a stale
-//!   cache can never silently serve: every cached entry point checks
-//!   [`ConceptCache::is_valid_for`] and falls back to the uncached path.
+//!   cache can never silently serve: the public cached entry point
+//!   checks [`ConceptCache::is_valid_for`] and falls back to the uncached
+//!   path.
 
 use super::{ComAid, ComAidPlan, OntologyIndex};
 use crate::csr::Csr;
@@ -58,7 +60,6 @@ use ncl_ontology::ConceptId;
 use ncl_tensor::ops::{log_softmax_at_slice, log_sum_exp_slice};
 use ncl_tensor::{simd, Vector};
 use ncl_text::Vocab;
-use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -581,6 +582,18 @@ impl ConceptCache {
         (shard, self.node_local[ci] as usize)
     }
 
+    /// `concept`'s frozen head in `shard`, the shard that holds it.
+    ///
+    /// # Panics
+    /// Panics if `concept` holds no head: it is not one of the
+    /// fine-grained concepts Phase I retrieves.
+    fn head<'c>(&'c self, shard: &'c ShardData, concept: ConceptId) -> &'c [f32] {
+        match self.node_head[concept.index()] {
+            NO_HEAD => panic!("{concept:?} holds no frozen head: it is not fine-grained"),
+            slot => shard.head(self.dim, slot),
+        }
+    }
+
     /// Resident-size breakdown over the shards frozen so far:
     /// per-component bytes, shard/concept coverage, and the
     /// ancestor-memory dedup ratio.
@@ -828,9 +841,8 @@ impl ComAid {
     /// end on the trie nodes `slots`: the `⟨BOS⟩` decoder step from the
     /// description's exact final `(h, c)`, its composite state `s̃₀`
     /// against the exact rows, and `lse₀`. `s` is prepared for the
-    /// target `⟨BOS⟩` ([`PreparedTarget`]). The one head function:
-    /// [`ComAid::freeze_shard`] calls it for every fine-grained node,
-    /// [`ComAid::unfrozen_head`] for any other.
+    /// target `⟨BOS⟩` ([`PreparedTarget`]). [`ComAid::freeze_shard`]
+    /// calls it for every fine-grained node.
     fn head_into(
         &self,
         cache: &ConceptCache,
@@ -871,55 +883,12 @@ impl ComAid {
         lse[0] = log_sum_exp_slice(logits);
     }
 
-    /// The head of a node the freeze stores none for — an internal
-    /// concept or the root slot, which no Phase-I candidate list names:
-    /// a prefix trie over just its own description and its context
-    /// entries', through [`ComAid::head_into`], so it has the bits the
-    /// freeze would have stored.
-    fn unfrozen_head(
-        &self,
-        index: &OntologyIndex,
-        cache: &ConceptCache,
-        concept: ConceptId,
-    ) -> Vec<f32> {
-        let mut trie = PrefixTrie::new(&cache.plan.encoder, &self.embedding, 0);
-        let mut path = Vec::new();
-        trie.walk(index.tokens(concept), |node| path.push(node));
-        let slots: Vec<u32> = if self.config().variant.uses_struct() {
-            index
-                .context(concept)
-                .iter()
-                .map(|&a| trie.walk(index.tokens(a), |_| {}))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut head = vec![0.0f32; head_len(cache.dim)];
-        let mut scratch = self.prepare_target(cache, &[Vocab::BOS]);
-        self.head_into(cache, &trie, &path, &slots, &mut scratch, &mut head);
-        head
-    }
-
-    /// `concept`'s head in `shard`: frozen for a fine-grained concept,
-    /// made now ([`ComAid::unfrozen_head`]) for any other node.
-    fn head<'c>(
-        &self,
-        index: &OntologyIndex,
-        cache: &'c ConceptCache,
-        shard: &'c ShardData,
-        concept: ConceptId,
-    ) -> Cow<'c, [f32]> {
-        match cache.node_head[concept.index()] {
-            NO_HEAD => Cow::Owned(self.unfrozen_head(index, cache, concept)),
-            slot => Cow::Borrowed(shard.head(cache.dim, slot)),
-        }
-    }
-
     /// Cached [`ComAid::log_prob_ids_masked`]: bit-identical score, but
     /// the concept-side encoder work comes from `cache`. A stale cache
     /// (parameters changed since [`ComAid::freeze`], or frozen over a
-    /// different ontology) transparently falls back to the uncached
-    /// path.
+    /// different ontology) and a node that holds no frozen head (an
+    /// internal concept or the root slot) go to the uncached path, so
+    /// every node gets its bits.
     ///
     /// # Panics
     /// Panics if `count.len() != target.len()`.
@@ -931,7 +900,7 @@ impl ComAid {
         target: &[u32],
         count: &[bool],
     ) -> f32 {
-        if !cache.serves(self, index) {
+        if !cache.serves(self, index) || cache.node_head[concept.index()] == NO_HEAD {
             return self.log_prob_ids_masked(index, concept, target, count);
         }
         let mut prepared = self.prepare_target(cache, target);
@@ -973,9 +942,8 @@ impl ComAid {
     /// `log p(q|c)` of a prepared target against `concept`'s frozen
     /// rows — the one function that decodes a query against cached
     /// rows, behind every request whatever its deadline or fault plan,
-    /// and allocation-free for a fine-grained concept: every buffer it
-    /// writes is `prepared`'s. Callers must have checked
-    /// [`ConceptCache::serves`].
+    /// and allocation-free: every buffer it writes is `prepared`'s.
+    /// Callers must have checked [`ConceptCache::serves`].
     ///
     /// Step 0 (the `⟨BOS⟩` step) is frozen: the decoder resumes from the
     /// head's post-BOS state, and a counted first word reads its logit
@@ -986,7 +954,8 @@ impl ComAid {
     /// counted.
     ///
     /// # Panics
-    /// Panics if `count.len()` differs from the target's length.
+    /// Panics if `count.len()` differs from the target's length, or if
+    /// `concept` is not fine-grained (it holds no frozen head).
     pub(crate) fn log_prob_prepared(
         &self,
         index: &OntologyIndex,
@@ -1010,7 +979,7 @@ impl ComAid {
         assert_eq!(count.len(), target.len(), "mask length mismatch");
         let d = cache.dim;
         let (shard, l) = cache.locate(self, index, concept.index());
-        let head = self.head(index, cache, shard, concept);
+        let head = cache.head(shard, concept);
         let (text, structure) = memory.split_at_mut(cache.max_tokens * d);
         let enc_rows = shard.rows.gather(d, shard.paths.row(l), text);
         let struct_mem = shard.rows.gather(d, shard.slots(l), structure);
@@ -1021,7 +990,7 @@ impl ComAid {
         c.copy_from_slice(&head[d..2 * d]);
         let mut lp = 0.0f32;
         if counted(0) {
-            lp += self.step0_log_prob(&head, word(0));
+            lp += self.step0_log_prob(head, word(0));
         }
         for (t, x) in (1..).zip(x_proj.chunks_exact(4 * d)) {
             cache.plan.decoder.step_projected_into(x, h, c, gates);
@@ -1134,6 +1103,9 @@ mod tests {
             .collect()
     }
 
+    /// Every node scores its uncached bits through the cached entry
+    /// point: a fine-grained concept off its frozen head, an internal
+    /// concept or the root slot through the uncached path.
     #[test]
     fn cached_score_bit_identical_for_all_variants() {
         let (o, v) = tiny_world();
@@ -1167,11 +1139,9 @@ mod tests {
     }
 
     /// The first step, for every word of the vocabulary against every
-    /// node — a frozen head for each fine-grained concept, one made on
-    /// demand for every internal concept and the root slot:
-    /// `b_s[w] + W_s[w]·s̃₀ − lse₀` has the bits of the uncached pass's
-    /// `log_softmax(logits₀)[w]` — a `-0.0` output bias entry included,
-    /// at every dispatch level.
+    /// fine-grained concept's frozen head: `b_s[w] + W_s[w]·s̃₀ − lse₀`
+    /// has the bits of the uncached pass's `log_softmax(logits₀)[w]` — a
+    /// `-0.0` output bias entry included, at every dispatch level.
     #[test]
     fn frozen_first_step_has_the_bits_of_the_uncached_softmax_row() {
         let (o, v) = tiny_world();
@@ -1185,19 +1155,15 @@ mod tests {
                     cache.warm(&m, &idx);
                     cache
                 });
-                let mut frozen = 0;
                 let plan = m.plan();
-                for id in all_nodes(&o) {
-                    frozen += usize::from(cache.node_head[id.index()] != NO_HEAD);
-                    let head = simd::with_level(level, || {
-                        let (shard, _) = cache.locate(&m, &idx, id.index());
-                        m.head(&idx, &cache, shard, id).into_owned()
-                    });
+                for id in o.fine_grained() {
+                    let (shard, _) = cache.locate(&m, &idx, id.index());
+                    let head = cache.head(shard, id);
                     for w in 0..m.vocab().len() {
                         let want = simd::with_level(simd::Level::Scalar, || {
                             m.run_example(&plan, &idx, id, &[w as u32]).step_log_probs[0]
                         });
-                        let got = m.step0_log_prob(&head, w);
+                        let got = m.step0_log_prob(head, w);
                         assert_eq!(
                             got.to_bits(),
                             want.to_bits(),
@@ -1207,10 +1173,6 @@ mod tests {
                         );
                     }
                 }
-                // Both kinds of head were checked: three leaves, and
-                // three internal concepts plus the root slot.
-                assert_eq!(frozen, o.fine_grained().len());
-                assert_eq!((frozen, all_nodes(&o).len()), (3, 7));
             }
         }
     }
@@ -1244,7 +1206,7 @@ mod tests {
                 .filter(|&i| cache.node_head[i] != NO_HEAD)
                 .map(|i| ConceptId(i as u32))
                 .collect();
-            let (_, doc_map) = OntologyText::read(o).phase_one(o, false);
+            let (_, doc_map) = OntologyText::read(o).phase_one(o);
             assert_eq!(with_head, doc_map);
             cache.warm(&m, &idx);
             for (si, lock) in cache.shards.iter().enumerate() {
@@ -1307,9 +1269,10 @@ mod tests {
         assert_eq!(m.version(), clone.version());
     }
 
-    /// One prepared target serving every candidate agrees bitwise with
-    /// a fresh `log_prob_ids_masked_cached` per candidate: the scratch
-    /// carries nothing over from the candidates scored before.
+    /// One prepared target serving every fine-grained candidate agrees
+    /// bitwise with a fresh `log_prob_ids_masked_cached` per candidate:
+    /// the scratch carries nothing over from the candidates scored
+    /// before.
     #[test]
     fn prepared_target_reused_across_candidates_is_bitwise_fresh() {
         let (o, v) = tiny_world();
@@ -1318,7 +1281,7 @@ mod tests {
         let cache = m.freeze(&idx);
         let target = m.encode_text("chronic kidney disease stage 5");
         let mask = vec![true; target.len()];
-        let concepts: Vec<ConceptId> = o.all_concepts().collect();
+        let concepts = o.fine_grained();
         for &c in &concepts {
             let fresh = m.log_prob_ids_masked_cached(&idx, &cache, c, &target, &mask);
             let mut shared = m.prepare_target(&cache, &target);

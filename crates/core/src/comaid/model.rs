@@ -427,21 +427,8 @@ impl ComAid {
         target: &[u32],
         count: &[bool],
     ) -> f32 {
-        self.log_prob_ids_masked_with(&self.plan(), index, concept, target, count)
-    }
-
-    /// [`ComAid::log_prob_ids_masked`] over a caller-held plan of the
-    /// current parameters, for a caller that scores many candidates.
-    pub(crate) fn log_prob_ids_masked_with(
-        &self,
-        plan: &ComAidPlan,
-        index: &OntologyIndex,
-        concept: ConceptId,
-        target: &[u32],
-        count: &[bool],
-    ) -> f32 {
         assert_eq!(count.len(), target.len(), "mask length mismatch");
-        let run = self.run_example(plan, index, concept, target);
+        let run = self.run_example(&self.plan(), index, concept, target);
         let mut lp = 0.0f32;
         for (t, step_lp) in run.step_log_probs.iter().enumerate() {
             let counted = count.get(t).copied().unwrap_or(true); // EOS step

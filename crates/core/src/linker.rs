@@ -130,7 +130,7 @@ impl<'a> Linker<'a> {
     ) -> Self {
         let mut text = OntologyText::read(ontology);
         let index = text.index(ontology, model.vocab(), model.config().beta);
-        let (tfidf, doc_map) = text.phase_one(ontology, config.index_aliases);
+        let (tfidf, doc_map) = text.phase_one(ontology);
         let cache = cache_for(&index);
         assert!(
             cache.serves(model, &index),
@@ -323,7 +323,8 @@ impl<'a> Linker<'a> {
     /// Proposes candidate mention spans from a tokenised note without
     /// linking them — the document-level Propose stage alone (see
     /// `serving::propose`): dictionary/rewrite hit-runs, chunked
-    /// greedily at [`ProposeConfig::max_span`].
+    /// greedily at [`MAX_SPAN`](crate::serving::MAX_SPAN) tokens, each
+    /// carrying at least one direct dictionary hit.
     pub fn propose_spans(&self, tokens: &[String], config: &ProposeConfig) -> Vec<SpanProposal> {
         let mut trace = LinkTrace::default();
         serving::propose_spans(self, tokens, config, None, &mut trace)
@@ -381,7 +382,9 @@ impl<'a> Linker<'a> {
 mod tests {
     use super::*;
     use crate::comaid::{ComAidConfig, TrainPair, Variant};
-    use crate::serving::{Degradation, LinkBudget, StageKind};
+    use crate::serving::{
+        Degradation, DegradeReason, LinkBudget, ScoreOutcome, ScoreRequest, StageKind,
+    };
     use ncl_text::Vocab;
     use std::time::Duration;
 
@@ -538,19 +541,22 @@ mod tests {
 
     #[test]
     fn batched_and_per_token_rewrites_agree() {
-        let (o, model) = trained_world();
-        // Without alias indexing, alias-only words ("ckd", "renal",
-        // "syndrome") are in Ω' but not in Ω — in-Ω' OOV tokens that go
-        // through the memo's read-through. A never-firing fault plan
-        // forces the other linker down the memo-free path, which
-        // recomputes every token.
-        let cfg = LinkerConfig {
-            index_aliases: false,
-            ..LinkerConfig::default()
-        };
+        let (o, trained) = trained_world();
+        // "nephropathy" and "colic" are in Ω' but in no description or
+        // alias, so not in Ω — in-Ω' OOV tokens that go through the
+        // memo's read-through. A never-firing fault plan forces the
+        // other linker down the memo-free path, which recomputes every
+        // token.
+        let mut vocab = trained.vocab().clone();
+        for w in ["nephropathy", "colic"] {
+            vocab.add(w);
+        }
+        let model = ComAid::new(vocab, *trained.config(), None);
+        let cfg = LinkerConfig::default();
         let batched = Linker::new(&model, &o, cfg);
         let per_token = Linker::new(&model, &o, cfg).with_faults(Arc::new(FaultPlan::none()));
-        let q = tokenize("ckd renal syndrome abdomne");
+        let q = tokenize("nephropathy colic abdomne");
+        assert!(!batched.tfidf.contains_term("nephropathy"));
         assert_eq!(batched.rewrite_query(&q), per_token.rewrite_query(&q));
     }
 
@@ -729,27 +735,74 @@ mod tests {
         // "ckd" and "renal" occur in N18.5's aliases and in no
         // description.
         let q = tokenize("ckd renal stage");
-        for index_aliases in [true, false] {
-            let linker = Linker::new(
-                &model,
-                &o,
-                LinkerConfig {
-                    index_aliases,
-                    rewrite: false,
-                    ..LinkerConfig::default()
-                },
-            );
-            // Phase I indexes them exactly when aliases are indexed …
-            assert_eq!(linker.tfidf.contains_term("ckd"), index_aliases);
-            assert_eq!(linker.tfidf.contains_term("renal"), index_aliases);
-            assert!(linker.tfidf.contains_term("stage"));
-            let (_, candidates) = linker.retrieve(&tokenize("ckd"));
-            assert_eq!(candidates.contains(&n185), index_aliases);
-            // … and shared-word removal never sees them: against the
-            // concept whose alias they come from, both stay counted and
-            // only the description word "stage" is removed.
-            let (_, mask) = linker.scoring_target(n185, &q);
-            assert_eq!(mask, vec![true, true, false]);
+        let linker = Linker::new(
+            &model,
+            &o,
+            LinkerConfig {
+                rewrite: false,
+                ..LinkerConfig::default()
+            },
+        );
+        // Phase I indexes them …
+        assert!(linker.tfidf.contains_term("ckd"));
+        assert!(linker.tfidf.contains_term("renal"));
+        assert!(linker.tfidf.contains_term("stage"));
+        let (_, candidates) = linker.retrieve(&tokenize("ckd"));
+        assert!(candidates.contains(&n185));
+        // … and shared-word removal never sees them: against the
+        // concept whose alias they come from, both stay counted and
+        // only the description word "stage" is removed.
+        let (_, mask) = linker.scoring_target(n185, &q);
+        assert_eq!(mask, vec![true, true, false]);
+    }
+
+    /// A hand-built request may name a concept Phase I never returns.
+    /// An internal concept holds no frozen head, so scoring it panics
+    /// inside its candidate's isolation boundary: one lost job, a
+    /// `PartialEd` answer for `WorkerPanic`, and every other candidate
+    /// keeps the bits of the plain answer.
+    #[test]
+    fn an_internal_candidate_is_a_lost_job_and_the_rest_keep_their_bits() {
+        /// COM-AID with the first retrieved candidate replaced.
+        struct FirstReplaced<'s, 'a>(ComAidScore<'s, 'a>, ConceptId);
+        impl ScoreStage for FirstReplaced<'_, '_> {
+            fn name(&self) -> &str {
+                "first-replaced"
+            }
+            fn score(&self, req: ScoreRequest<'_>) -> ScoreOutcome {
+                let mut candidates = req.candidates.to_vec();
+                candidates[0] = self.1;
+                self.0.score(ScoreRequest {
+                    candidates: &candidates,
+                    ..req
+                })
+            }
         }
+        let (o, model) = trained_world();
+        let linker = Linker::new(&model, &o, LinkerConfig::default());
+        let n18 = o.by_code("N18").unwrap();
+        assert!(!o.is_fine_grained(n18));
+        let q = tokenize("chronic kidney disease stage 5");
+        let plain = linker.link(&q);
+        let total = plain.candidates.len();
+        assert!(total >= 2, "{:?}", plain.candidates);
+        let replaced = plain.candidates[0];
+
+        let res = linker.link_with_scorer(&q, &FirstReplaced(ComAidScore::new(&linker), n18));
+        assert_eq!(
+            res.degradation,
+            Degradation::PartialEd {
+                scored: total - 1,
+                total,
+                reason: DegradeReason::WorkerPanic { lost_jobs: 1 },
+            }
+        );
+        let bits = |ranked: &[(ConceptId, f32)]| -> Vec<(ConceptId, u32)> {
+            ranked.iter().map(|&(c, s)| (c, s.to_bits())).collect()
+        };
+        let mut want = bits(&plain.ranked);
+        want.retain(|&(c, _)| c != replaced);
+        want.push((replaced, f32::NEG_INFINITY.to_bits()));
+        assert_eq!(bits(&res.ranked), want);
     }
 }

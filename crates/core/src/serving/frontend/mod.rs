@@ -677,7 +677,6 @@ impl<'f, 'a> Frontend<'f, 'a> {
                     } else {
                         None
                     },
-                    ..ProposeConfig::default()
                 };
                 let result = link_document(self.linker, tokens, &propose, budget, preamble);
                 let total = req.admitted.elapsed();

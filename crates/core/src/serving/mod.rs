@@ -65,7 +65,7 @@ pub use frontend::{
     AdmissionRung, Completion, DocumentCompletion, Frontend, FrontendConfig, FrontendStats,
     HistSummary, LatencyHistogram,
 };
-pub use propose::{ProposeConfig, SpanAnchor, SpanProposal};
+pub use propose::{ProposeConfig, SpanAnchor, SpanProposal, MAX_SPAN};
 pub use request::{
     Degradation, DegradeReason, LinkBudget, LinkResult, LinkerConfig, MAX_QUERY_TOKENS,
 };

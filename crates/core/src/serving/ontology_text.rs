@@ -48,21 +48,15 @@ impl OntologyText {
     }
 
     /// The Phase-I index: one document per fine-grained concept — its
-    /// description, plus its aliases when `index_aliases` — and the
-    /// concept each document id stands for.
-    pub(crate) fn phase_one(
-        &mut self,
-        ontology: &Ontology,
-        index_aliases: bool,
-    ) -> (TfIdfIndex, Vec<ConceptId>) {
+    /// description and its aliases — and the concept each document id
+    /// stands for.
+    pub(crate) fn phase_one(&mut self, ontology: &Ontology) -> (TfIdfIndex, Vec<ConceptId>) {
         let doc_map = ontology.fine_grained();
         let mut docs = Csr::with_rows(doc_map.len());
         for &id in &doc_map {
             docs.extend_from_slice(self.canon.row(id.index()));
-            if index_aliases {
-                for alias in &ontology.concept(id).aliases {
-                    for_each_token(alias, |t| docs.push(self.words.add(t)));
-                }
+            for alias in &ontology.concept(id).aliases {
+                for_each_token(alias, |t| docs.push(self.words.add(t)));
             }
             docs.end_row();
         }
@@ -164,33 +158,29 @@ mod tests {
     #[test]
     fn phase_one_equals_the_index_over_per_concept_token_lists() {
         for o in worlds() {
-            for index_aliases in [false, true] {
-                // The documents as one `Vec<String>` per concept.
-                let docs: Vec<Vec<String>> = o
-                    .fine_grained()
-                    .iter()
-                    .map(|&id| {
-                        let c = o.concept(id);
-                        let mut toks = tokenize(&c.canonical);
-                        if index_aliases {
-                            toks.extend(c.aliases.iter().flat_map(|a| tokenize(a)));
-                        }
-                        toks
-                    })
-                    .collect();
-                let want = TfIdfIndex::build(&docs);
-                let (got, doc_map) = OntologyText::read(&o).phase_one(&o, index_aliases);
-                assert_eq!(doc_map, o.fine_grained());
-                assert_eq!(got.len(), want.len());
-                assert!(got.terms().eq(want.terms()));
-                for doc in docs.iter().step_by(7) {
-                    let (a, sa) = got.top_k_with_stats(doc, 20);
-                    let (b, sb) = want.top_k_with_stats(doc, 20);
-                    assert_eq!(sa, sb);
-                    assert_eq!(a.len(), b.len());
-                    for (x, y) in a.iter().zip(&b) {
-                        assert_eq!((x.0, x.1.to_bits()), (y.0, y.1.to_bits()));
-                    }
+            // The documents as one `Vec<String>` per concept.
+            let docs: Vec<Vec<String>> = o
+                .fine_grained()
+                .iter()
+                .map(|&id| {
+                    let c = o.concept(id);
+                    let mut toks = tokenize(&c.canonical);
+                    toks.extend(c.aliases.iter().flat_map(|a| tokenize(a)));
+                    toks
+                })
+                .collect();
+            let want = TfIdfIndex::build(&docs);
+            let (got, doc_map) = OntologyText::read(&o).phase_one(&o);
+            assert_eq!(doc_map, o.fine_grained());
+            assert_eq!(got.len(), want.len());
+            assert!(got.terms().eq(want.terms()));
+            for doc in docs.iter().step_by(7) {
+                let (a, sa) = got.top_k_with_stats(doc, 20);
+                let (b, sb) = want.top_k_with_stats(doc, 20);
+                assert_eq!(sa, sb);
+                assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().zip(&b) {
+                    assert_eq!((x.0, x.1.to_bits()), (y.0, y.1.to_bits()));
                 }
             }
         }
@@ -201,7 +191,7 @@ mod tests {
         for o in worlds() {
             let mut text = OntologyText::read(&o);
             // Aliases interned before or after: no row changes.
-            let _ = text.phase_one(&o, true);
+            let _ = text.phase_one(&o);
             let shared = text.into_shared_words();
             let everything: Vec<String> = o
                 .iter()

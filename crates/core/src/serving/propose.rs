@@ -17,13 +17,14 @@
 //!   fallback, Eq. 13) maps it onto a dictionary term
 //!   ([`SpanAnchor::Rewrite`]);
 //! * maximal runs of consecutive hits become candidate spans, chunked
-//!   greedily left-to-right at [`ProposeConfig::max_span`] tokens
-//!   (greedy max-span is also the overlap resolution: chunks of one run
-//!   are disjoint by construction, and runs cannot touch because they
-//!   are separated by at least one miss); by default a chunk must carry
-//!   at least one *direct* dictionary hit
-//!   ([`ProposeConfig::require_dict_anchor`]) — rewrites extend an
-//!   anchored mention but never anchor one alone;
+//!   greedily left-to-right at [`MAX_SPAN`] tokens (greedy max-span is
+//!   also the overlap resolution: chunks of one run are disjoint by
+//!   construction, and runs cannot touch because they are separated by
+//!   at least one miss); a chunk must carry at least one *direct*
+//!   dictionary hit — rewrites extend an anchored mention but never
+//!   anchor one alone. On its own, rewriting pulls filler words toward
+//!   the dictionary by edit distance and hallucinates spans (DESIGN.md
+//!   §17);
 //! * every accepted span is recorded in the unified trace
 //!   ([`super::TraceEvent::SpanProposed`]) with its rewrite provenance.
 //!
@@ -43,40 +44,22 @@ use crate::linker::Linker;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
+/// Longest proposed span, in tokens; longer hit-runs are chunked
+/// greedily left-to-right.
+pub const MAX_SPAN: usize = 8;
+
+// Every proposal is a valid query.
+const _: () = assert!(MAX_SPAN <= MAX_QUERY_TOKENS);
+
 /// Knobs of the span-proposal scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProposeConfig {
-    /// Longest proposed span, in tokens; longer hit-runs are chunked
-    /// greedily left-to-right. Clamped at scan time to
-    /// [`MAX_QUERY_TOKENS`] so every proposal is a valid query.
-    pub max_span: usize,
-    /// Shortest proposed span, in tokens; shorter hit-runs (and
-    /// shorter final chunks of a long run) are not proposed.
-    pub min_span: usize,
     /// Hard cap on proposals per note (`None` = unlimited). The
     /// serving front end uses this as the *last* rung of document
     /// shedding: per-span budgets degrade first, spans are dropped
     /// only here, and every drop is recorded as
     /// [`super::TraceEvent::SpansDropped`].
     pub max_spans: Option<usize>,
-    /// Drop chunks with no *direct* dictionary hit (every token only
-    /// matched after an OOV rewrite). Rewriting recovers misspelled
-    /// words **inside** a mention anchored by in-dictionary context;
-    /// on its own it pulls filler words toward the dictionary by edit
-    /// distance and hallucinates spans (fig20 measures the precision
-    /// cost). Default `true`.
-    pub require_dict_anchor: bool,
-}
-
-impl Default for ProposeConfig {
-    fn default() -> Self {
-        Self {
-            max_span: 8,
-            min_span: 1,
-            max_spans: None,
-            require_dict_anchor: true,
-        }
-    }
 }
 
 /// How a proposed span's first token entered the concept dictionary.
@@ -93,7 +76,7 @@ pub enum SpanAnchor {
 pub struct SpanProposal {
     /// Index of the first span token in the note's token stream.
     pub start: usize,
-    /// Span length in tokens (`min_span ..= max_span`).
+    /// Span length in tokens (`1 ..= MAX_SPAN`).
     pub len: usize,
     /// How the span's first token entered the dictionary.
     pub anchor: SpanAnchor,
@@ -122,9 +105,6 @@ pub(crate) fn propose_spans(
     deadline: Option<Instant>,
     trace: &mut LinkTrace,
 ) -> Vec<SpanProposal> {
-    let max_span = config.max_span.clamp(1, MAX_QUERY_TOKENS);
-    let min_span = config.min_span.max(1);
-
     // Pass 1 — classify tokens and collect maximal hit-runs. Each run
     // is (start index, per-token rewrite flag).
     let mut runs: Vec<(usize, Vec<bool>)> = Vec::new();
@@ -179,10 +159,7 @@ pub(crate) fn propose_spans(
     for (start, flags) in runs {
         let mut i = 0;
         while i < flags.len() {
-            let len = (flags.len() - i).min(max_span);
-            if len < min_span {
-                break;
-            }
+            let len = (flags.len() - i).min(MAX_SPAN);
             let chunk = &flags[i..i + len];
             let span = SpanProposal {
                 start: start + i,
@@ -196,9 +173,8 @@ pub(crate) fn propose_spans(
                 rewrite_hits: chunk.iter().filter(|&&rw| rw).count(),
             };
             i += len;
-            if config.require_dict_anchor && span.dict_hits == 0 {
-                // Filtered like a below-min_span chunk: no direct
-                // dictionary evidence, not a proposal at all.
+            if span.dict_hits == 0 {
+                // No direct dictionary evidence: not a proposal at all.
                 continue;
             }
             if out.len() >= cap {
@@ -307,52 +283,40 @@ mod tests {
         assert!(spans.is_empty());
     }
 
+    /// Eleven consecutive dictionary tokens.
+    const LONG_RUN: &str =
+        "chronic kidney disease stage 5 abdominal pain chronic kidney disease stage";
+
     #[test]
-    fn long_runs_chunk_at_max_span_and_min_span_filters() {
+    fn long_runs_chunk_at_max_span() {
         let (o, model) = world();
         let linker = Linker::new(&model, &o, no_rewrite());
-        // 7 consecutive dictionary tokens.
-        let text = "chronic kidney disease stage 5 abdominal pain";
-        let cfg = ProposeConfig {
-            max_span: 3,
-            min_span: 1,
-            ..ProposeConfig::default()
-        };
-        let spans = scan(&linker, text, &cfg);
+        let spans = scan(&linker, LONG_RUN, &ProposeConfig::default());
         assert_eq!(
             spans.iter().map(|s| (s.start, s.len)).collect::<Vec<_>>(),
-            vec![(0, 3), (3, 3), (6, 1)]
+            vec![(0, MAX_SPAN), (MAX_SPAN, 11 - MAX_SPAN)]
         );
-        // min_span 2 drops the length-1 remainder chunk.
-        let cfg = ProposeConfig { min_span: 2, ..cfg };
-        let spans = scan(&linker, text, &cfg);
+        // A lone dictionary token between filler is a span of its own.
+        let spans = scan(&linker, "today pain today", &ProposeConfig::default());
         assert_eq!(
             spans.iter().map(|s| (s.start, s.len)).collect::<Vec<_>>(),
-            vec![(0, 3), (3, 3)]
+            vec![(1, 1)]
         );
-        // A lone dictionary token between filler is also below min_span.
-        let spans = scan(&linker, "today pain today", &cfg);
-        assert!(spans.is_empty());
     }
 
     #[test]
     fn span_cap_drops_the_tail_and_records_it() {
         let (o, model) = world();
         let linker = Linker::new(&model, &o, no_rewrite());
-        let cfg = ProposeConfig {
-            max_span: 2,
-            min_span: 1,
-            max_spans: Some(2),
-            ..ProposeConfig::default()
-        };
+        let cfg = ProposeConfig { max_spans: Some(2) };
         let mut trace = LinkTrace::default();
-        let toks = tokenize("chronic kidney disease stage 5 abdominal pain");
+        let toks = tokenize(&format!("{LONG_RUN} today abdominal pain"));
         let spans = propose_spans(&linker, &toks, &cfg, None, &mut trace);
         assert_eq!(spans.len(), 2);
-        assert!(trace
-            .events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::SpansDropped { kept: 2, dropped } if *dropped > 0)));
+        assert!(trace.events.contains(&TraceEvent::SpansDropped {
+            kept: 2,
+            dropped: 1
+        }));
     }
 
     #[test]
@@ -424,7 +388,7 @@ mod tests {
         let (o, model) = world();
         // Rewrite on: "pains" is OOV but one edit from "pain".
         let linker = Linker::new(&model, &o, LinkerConfig::default());
-        // A lone rewrite-only run is not a mention by default...
+        // A lone rewrite-only run is not a mention...
         let spans = scan(&linker, "today pains today", &ProposeConfig::default());
         assert!(spans.is_empty(), "got {spans:?}");
         // ...but the same token *inside* a dictionary-anchored run is.
@@ -437,33 +401,16 @@ mod tests {
         assert_eq!((spans[0].start, spans[0].len), (1, 2));
         assert_eq!(spans[0].dict_hits, 1);
         assert_eq!(spans[0].rewrite_hits, 1);
-        // Opting out restores the anchor-free behaviour.
-        let spans = scan(
-            &linker,
-            "today pains today",
-            &ProposeConfig {
-                require_dict_anchor: false,
-                ..ProposeConfig::default()
-            },
-        );
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].anchor, SpanAnchor::Rewrite);
-        assert_eq!(spans[0].dict_hits, 0);
     }
 
     #[test]
     fn proposals_are_sorted_and_disjoint() {
         let (o, model) = world();
         let linker = Linker::new(&model, &o, no_rewrite());
-        let cfg = ProposeConfig {
-            max_span: 2,
-            min_span: 1,
-            ..ProposeConfig::default()
-        };
         let spans = scan(
             &linker,
-            "pain today chronic kidney disease stage 5 seen abdominal pain",
-            &cfg,
+            &format!("pain today {LONG_RUN} seen abdominal pain"),
+            &ProposeConfig::default(),
         );
         let mut prev_end = 0;
         assert!(!spans.is_empty());

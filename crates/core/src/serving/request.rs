@@ -28,9 +28,6 @@ pub struct LinkerConfig {
     /// Enable Phase II shared-word removal ("the words appearing in both
     /// the canonical description and the query are temporarily removed").
     pub remove_shared: bool,
-    /// Index concept aliases alongside canonical descriptions in the
-    /// Phase-I keyword matcher.
-    pub index_aliases: bool,
     /// Storage tier of the frozen concept cache ([`CacheTier`]). `Exact`
     /// (the default) keeps every frozen row in f32 and scores
     /// bit-identically to the uncached path; `Compact` stores the
@@ -50,7 +47,6 @@ impl Default for LinkerConfig {
             k: 20,
             rewrite: true,
             remove_shared: true,
-            index_aliases: true,
             cache_tier: CacheTier::Exact,
             budget: LinkBudget::default(),
         }

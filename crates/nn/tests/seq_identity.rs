@@ -242,7 +242,8 @@ mod reference {
     /// Max-shifted softmax of one row in place and `log p(target)`: the
     /// target logit is read first, the log-sum-exp comes from the one
     /// exponential pass, and a row without a finite maximum becomes
-    /// uniform.
+    /// uniform. A sum that meets a NaN (every logit `−∞`) is the
+    /// canonical quiet NaN `0x7fc0_0000`, the exp sums' NaN rule.
     pub fn softmax_nll(row: &mut [f32], target: usize) -> f32 {
         let target_logit = row[target];
         let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -250,6 +251,9 @@ mod reference {
         for v in row.iter_mut() {
             *v = (*v - m).exp();
             sum += *v;
+        }
+        if sum.is_nan() {
+            sum = f32::from_bits(0x7fc0_0000);
         }
         if m.is_finite() {
             let inv = 1.0 / sum;

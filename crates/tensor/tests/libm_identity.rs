@@ -131,13 +131,21 @@ fn assert_map_eq(label: &str, level: Level, input: &[f32], got: &[f32], want: im
     }
 }
 
-/// The scalar add chain every exp-sum is defined as.
+/// What every exp-sum is defined as: the scalar add chain, or the
+/// canonical quiet NaN `0x7fc0_0000` once a term is NaN — whatever
+/// payload the chain carried, which is the compiler's choice of add
+/// operand order, not the program's. The NaN rows of the grid and of
+/// the special lanes are pinned to that value.
 fn chain_sum(x: &[f32], m: f32) -> f32 {
     let mut sum = 0.0f32;
     for &v in x {
         sum += libm::expf(v - m);
     }
-    sum
+    if sum.is_nan() {
+        f32::from_bits(0x7fc0_0000)
+    } else {
+        sum
+    }
 }
 
 /// Runs all four slice kernels over `input` at every supported level

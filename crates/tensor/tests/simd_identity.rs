@@ -865,7 +865,10 @@ fn libm_slice_kernels_identical_for_every_length_to_41_at_the_allocation_end() {
     }
 }
 
-/// `ops::softmax_inplace` as the loop it replaced, written out once.
+/// `ops::softmax_inplace` as the loop it replaced, written out once,
+/// with the exp sums' NaN rule: a sum that meets a NaN (a NaN input, or
+/// `−∞ − −∞` when every input is `−∞`) is the canonical quiet NaN
+/// `0x7fc0_0000`, not whatever payload the add chain carried.
 fn softmax_reference(x: &mut [f32]) -> (f32, f32) {
     let n = x.len();
     let m = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -874,6 +877,9 @@ fn softmax_reference(x: &mut [f32]) -> (f32, f32) {
         let e = libm::expf(*v - m);
         sum += e;
         *v = e;
+    }
+    if sum.is_nan() {
+        sum = f32::from_bits(0x7fc0_0000);
     }
     if !m.is_finite() {
         x.fill(1.0 / n as f32);
