@@ -1,14 +1,14 @@
 //! Figure 17 (repo extension): paper-scale ontology serving — cache
-//! tiers and per-chapter freezing at ICD-10-CM size.
+//! tiers and cold start at ICD-10-CM size.
 //!
 //! §6.1 serves the full ICD-10-CM ontology (93,830 concepts). The
 //! frozen concept cache behind every linker (DESIGN.md §9) keeps, per
 //! chapter, one encoder row per distinct description prefix; per
 //! concept, a path of row ids and β references to its ancestors' rows;
 //! and per fine-grained concept a head — the decoder's post-BOS state,
-//! the step-0 composite state and its log-sum-exp. Freezing all of it
-//! before the first served link (`Linker::warm`) is a full-ontology
-//! encoder sweep. This binary measures both costs:
+//! the step-0 composite state and its log-sum-exp. `Linker::new`
+//! freezes all of it, a full-ontology encoder sweep, before the first
+//! served link. This binary measures both costs:
 //!
 //! * **Resident bytes.** `concepts_per_mb_*` is the `Exact` tier's
 //!   absolute density, gated higher-is-better against
@@ -25,19 +25,13 @@
 //!   exactly, which is why the ratio fell. Only a > 1.2× collapse floor
 //!   is enforced here; DESIGN.md §15's byte table is what a decision on
 //!   keeping two tiers would read.
-//! * **Per-chapter freezing on first touch** over a checkpoint opened
-//!   through the v2 offset-table format ([`MappedCheckpoint`]) makes
-//!   cold-start-to-first-link faster than `warm()`-then-link at 93,830
-//!   concepts. The ratio is *recorded* and gated against
-//!   `ci/bench_baseline_fig17.json`, not asserted at a fixed 2×: the
-//!   prefix-trie freeze (ISSUE 13) cut the per-concept cost that the
-//!   warmed side pays for every chapter and the cold side for one, so
-//!   the two sides shrank unevenly. Only a > 1.2× collapse floor is
-//!   enforced here.
-//!   The link-only side is decomposed in the record: `linker_new_ms` is
-//!   the part `Linker::new` takes (one pass over the ontology's text,
-//!   no encoding), informational and ungated; the rest is the
-//!   checkpoint load and the first chapter's freeze.
+//! * **Cold start** from a checkpoint opened through the v2
+//!   offset-table format ([`MappedCheckpoint`]) to the first served
+//!   link: `cold_ms_90k` at 93,830 concepts, and inside it
+//!   `linker_new_ms_*`, the part `Linker::new` takes (one pass over the
+//!   ontology's text and the freeze of every chapter). Both are
+//!   informational and ungated; the rest is the checkpoint load and
+//!   the link.
 //! * **Encoder work sharing**: the table carries the freeze's
 //!   `encoder_share_ratio` (description tokens per encoder step
 //!   actually run) from the same `CacheMemoryReport`.
@@ -68,11 +62,8 @@ struct ScaleRow {
     encoder_tokens: usize,
     encoder_steps_run: usize,
     encoder_share: f64,
-    warm_first_ms: f64,
     cold_ms: f64,
     linker_new_ms: f64,
-    cold_speedup: f64,
-    cold_frozen_fraction: f64,
 }
 ncl_bench::impl_to_json!(ScaleRow {
     concepts,
@@ -85,11 +76,8 @@ ncl_bench::impl_to_json!(ScaleRow {
     encoder_tokens,
     encoder_steps_run,
     encoder_share,
-    warm_first_ms,
     cold_ms,
-    linker_new_ms,
-    cold_speedup,
-    cold_frozen_fraction
+    linker_new_ms
 });
 
 /// An untrained paper-shaped model over the ontology's description
@@ -116,43 +104,23 @@ fn model_for(o: &Ontology) -> ComAid {
 
 /// Cold start measured the way a serving process pays it: open the v2
 /// checkpoint through the offset-table index, load the model, build
-/// the linker (freezing every chapter first when `warm_first`), and
-/// serve one link. Returns `(elapsed_ms, linker_new_ms,
-/// frozen_fraction_after_first_link)`.
-fn cold_start_ms(
-    checkpoint: &std::path::Path,
-    o: &Ontology,
-    query: &[String],
-    warm_first: bool,
-) -> (f64, f64, f64) {
+/// the linker (which freezes every chapter), and serve one link.
+/// Returns `(elapsed_ms, linker_new_ms)`.
+fn cold_start_ms(checkpoint: &std::path::Path, o: &Ontology, query: &[String]) -> (f64, f64) {
     let t = Instant::now();
     let mut mapped = MappedCheckpoint::open(checkpoint).expect("open v2 checkpoint");
     let model = mapped.load_model().expect("load model from checkpoint");
     let t_new = Instant::now();
     let linker = Linker::new(&model, o, LinkerConfig::default());
     let new_ms = t_new.elapsed().as_secs_f64() * 1e3;
-    if warm_first {
-        linker.warm();
-    }
     let res = linker.link(query);
     assert!(res.ranked.iter().all(|(_, s)| s.is_finite()));
-    let ms = t.elapsed().as_secs_f64() * 1e3;
-    let report = linker
-        .cache()
-        .expect("every linker has one")
-        .memory_report();
-    (
-        ms,
-        new_ms,
-        report.frozen_concepts as f64 / report.concepts as f64,
-    )
+    (t.elapsed().as_secs_f64() * 1e3, new_ms)
 }
 
 fn main() {
     let quick = ncl_bench::config::quick_from_args();
-    println!(
-        "Figure 17 reproduction — paper-scale serving: cache tiers, first-touch chapter freeze"
-    );
+    println!("Figure 17 reproduction — paper-scale serving: cache tiers, cold start");
 
     // 93,830 is ICD-10-CM's code count (§6.1). Quick mode keeps all
     // three scales (the 90k point is the acceptance headline) and
@@ -174,16 +142,12 @@ fn main() {
         // Resident bytes per tier, from the same report the serving
         // front end snapshots (`FrontendStats::cache`).
         let index = OntologyIndex::build(&o, model.vocab(), model.config().beta);
-        let warm_report = |tier| {
-            let cache = model.freeze_tiered(&index, tier);
-            cache.warm(&model, &index);
-            cache.memory_report()
-        };
-        let exact = warm_report(CacheTier::Exact);
-        let compact = warm_report(CacheTier::Compact);
+        let report = |tier| model.freeze_tiered(&index, tier).memory_report();
+        let exact = report(CacheTier::Exact);
+        let compact = report(CacheTier::Compact);
         let shrink = exact.bytes_per_concept() / compact.bytes_per_concept();
         for r in [&exact, &compact] {
-            let per = |bytes: usize| format!("{:.1}", bytes as f64 / r.frozen_concepts as f64);
+            let per = |bytes: usize| format!("{:.1}", bytes as f64 / r.concepts as f64);
             components.push(vec![
                 r.concepts.to_string(),
                 r.tier.name().to_string(),
@@ -195,9 +159,8 @@ fn main() {
             ]);
         }
 
-        // Cold start from a v2 checkpoint: warm()-then-link vs link,
-        // best of `reps` (cold-start is one-shot work; min is the
-        // stable statistic under CI noise).
+        // Cold start from a v2 checkpoint, best of `reps` (cold start is
+        // one-shot work; min is the stable statistic under CI noise).
         let checkpoint = dir.join(format!("model_{n}.nclmodel"));
         model
             .save_v2_to_path(&checkpoint)
@@ -206,17 +169,12 @@ fn main() {
             let leaf = *o.fine_grained().last().expect("a fine-grained concept");
             tokenize(&o.concept(leaf).canonical)
         };
-        let (mut warm_first_ms, mut cold_ms, mut cold_frac) = (f64::MAX, f64::MAX, 0.0);
-        let mut linker_new_ms = f64::MAX;
+        let (mut cold_ms, mut linker_new_ms) = (f64::MAX, f64::MAX);
         for _ in 0..reps {
-            let (w, _, _) = cold_start_ms(&checkpoint, &o, &query, true);
-            let (c, new, f) = cold_start_ms(&checkpoint, &o, &query, false);
-            warm_first_ms = warm_first_ms.min(w);
+            let (c, new) = cold_start_ms(&checkpoint, &o, &query);
             cold_ms = cold_ms.min(c);
             linker_new_ms = linker_new_ms.min(new);
-            cold_frac = f;
         }
-        let cold_speedup = warm_first_ms / cold_ms;
 
         rows.push(vec![
             exact.concepts.to_string(),
@@ -226,11 +184,8 @@ fn main() {
             format!("{shrink:.2}x"),
             format!("{:.2}", compact.ancestor_dedup_ratio()),
             format!("{:.2}", exact.encoder_share_ratio()),
-            format!("{warm_first_ms:.0}"),
             format!("{cold_ms:.0}"),
             format!("{linker_new_ms:.0}"),
-            format!("{cold_speedup:.2}x"),
-            format!("{:.3}", cold_frac),
         ]);
         records.push(ScaleRow {
             concepts: exact.concepts,
@@ -243,11 +198,8 @@ fn main() {
             encoder_tokens: exact.encoder_tokens,
             encoder_steps_run: exact.encoder_steps_run,
             encoder_share: exact.encoder_share_ratio(),
-            warm_first_ms,
             cold_ms,
             linker_new_ms,
-            cold_speedup,
-            cold_frozen_fraction: cold_frac,
         });
         let _ = std::fs::remove_file(&checkpoint);
     }
@@ -264,11 +216,8 @@ fn main() {
                 "shrink",
                 "dedup",
                 "enc share",
-                "warm+link ms",
-                "link ms",
-                "of it new()",
-                "cold x",
-                "frozen frac"
+                "cold start ms",
+                "of it new()"
             ],
             &rows
         )
@@ -308,21 +257,21 @@ fn main() {
             format!("{}k", n / 1000)
         };
         gate.push_str(&format!(
-            "  \"shrink_{tag}\": {:.3},\n  \"cold_speedup_{tag}\": {:.3},\n  \"dedup_{tag}\": {:.3},\n  \"encoder_share_{tag}\": {:.3},\n  \"concepts_per_mb_{tag}\": {density:.3},\n  \"linker_new_ms_{tag}\": {:.3},\n",
-            r.shrink, r.cold_speedup, r.ancestor_dedup, r.encoder_share, r.linker_new_ms
+            "  \"shrink_{tag}\": {:.3},\n  \"dedup_{tag}\": {:.3},\n  \"encoder_share_{tag}\": {:.3},\n  \"concepts_per_mb_{tag}\": {density:.3},\n  \"linker_new_ms_{tag}\": {:.3},\n",
+            r.shrink, r.ancestor_dedup, r.encoder_share, r.linker_new_ms
         ));
     }
     let last = records.last().expect("at least one scale");
     gate.push_str(&format!(
-        "  \"concepts_headline\": {},\n  \"warm_first_ms_90k\": {:.3},\n  \"cold_ms_90k\": {:.3}\n}}\n",
-        last.concepts, last.warm_first_ms, last.cold_ms
+        "  \"concepts_headline\": {},\n  \"cold_ms_90k\": {:.3}\n}}\n",
+        last.concepts, last.cold_ms
     ));
     match std::fs::write("BENCH_fig17.json", &gate) {
         Ok(()) => println!("[results] wrote BENCH_fig17.json"),
         Err(e) => eprintln!("warning: cannot write BENCH_fig17.json: {e}"),
     }
 
-    // Both ratios are gated against the baseline record; here only a
+    // The ratio is gated against the baseline record; here only a
     // collapse is fatal.
     for r in &records {
         assert!(
@@ -337,13 +286,8 @@ fn main() {
         "headline scale must reach ICD-10-CM size (got {})",
         last.concepts
     );
-    assert!(
-        last.cold_speedup > 1.2,
-        "cold start collapsed vs warm()-then-link at paper scale: {:.2}x",
-        last.cold_speedup
-    );
     println!(
-        "\nfig17 acceptance: compact {:.2}x smaller, cold start {:.2}x vs warm()-then-link (recorded; gated vs baseline, asserted only > 1.2x)",
-        last.shrink, last.cold_speedup
+        "\nfig17 acceptance: compact {:.2}x smaller (recorded; gated vs baseline, asserted only > 1.2x), cold start {:.0} ms",
+        last.shrink, last.cold_ms
     );
 }

@@ -7,9 +7,8 @@
 //! query-invariant `⟨BOS⟩` step, that step's composite state `s̃₀` with
 //! the log-sum-exp of its logits (the first scored word), and the β
 //! ancestor encodings forming the structural attention memory (Eq. 7).
-//! A [`ConceptCache`] computes all of it once per ontology chapter — on
-//! the first request that scores a candidate in the chapter, or ahead of
-//! traffic through [`ConceptCache::warm`] — and online scoring then only
+//! A [`ConceptCache`] computes all of it once, chapter by chapter, when
+//! it is built ([`ComAid::freeze_tiered`]), and online scoring then only
 //! runs the decoder over the query.
 //!
 //! **Layout.** A frozen shard keeps the freeze's prefix trie (below) as
@@ -31,7 +30,9 @@
 //! a function of that prefix alone, and ICD-style descriptions extend
 //! their parent's: each shard walks its descriptions through a prefix
 //! trie and runs an encoder step only for a prefix it has not met
-//! (`CacheMemoryReport::encoder_share_ratio`). Inside a step the input
+//! (`CacheMemoryReport::encoder_share_ratio`). One trie serves every
+//! chapter in turn, emptied in between, so the freeze allocates its
+//! scratch once rather than once per chapter. Inside a step the input
 //! half `b + W·x` of the gate pre-activations depends on the input alone
 //! ([`LstmPlan::project_input`]), so the freeze projects each word id
 //! once per shard and scoring projects each query word once per request
@@ -62,7 +63,6 @@ use ncl_tensor::{simd, Vector};
 use ncl_text::Vocab;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Storage tier of a [`ConceptCache`] (`LinkerConfig::cache_tier`).
 ///
@@ -99,23 +99,15 @@ impl CacheTier {
 /// Resident-size breakdown of a [`ConceptCache`]
 /// ([`ConceptCache::memory_report`]), in bytes per component: the
 /// `capacity()` of every array the cache holds, so the total is what is
-/// resident, not a payload estimate. The per-concept numbers cover the
-/// shards frozen so far — `frozen_concepts` says how much of the
-/// ontology that is.
+/// resident, not a payload estimate.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheMemoryReport {
     /// Storage tier the cache was frozen with.
     pub tier: CacheTier,
-    /// Ontology nodes the cache covers when fully frozen (including the
-    /// root slot).
+    /// Ontology nodes the cache covers (including the root slot).
     pub concepts: usize,
-    /// Nodes in shards that are actually frozen (equals `concepts` after
-    /// [`ConceptCache::warm`]).
-    pub frozen_concepts: usize,
     /// Freeze shards (one per ontology chapter plus the root slot).
     pub shards: usize,
-    /// Shards frozen so far.
-    pub frozen_shards: usize,
     /// Encoder state rows — one per distinct description prefix of a
     /// shard plus its zero row, f32 in `Exact`, bf16 in `Compact` — and
     /// the per-node paths that index them (a `u32` per description
@@ -132,17 +124,17 @@ pub struct CacheMemoryReport {
     /// logits (`d + 1` floats per fine-grained concept, f32 in both
     /// tiers).
     pub step0_bytes: usize,
-    /// What the skeleton holds before any shard freezes: the model's
-    /// transposed, gate-fused weights ([`ComAidPlan`]) and the node →
-    /// shard / head-slot map.
+    /// What the cache holds besides its shards: the model's transposed,
+    /// gate-fused weights ([`ComAidPlan`]) and the node → shard /
+    /// head-slot map.
     pub plan_bytes: usize,
-    /// Total ancestor slots across frozen nodes (β per non-root node).
+    /// Total ancestor slots across all nodes (β per non-root node).
     pub ancestor_slots: usize,
     /// Distinct encoder rows those slots reference — every sibling
     /// shares its ancestors' rows, in both tiers.
     pub ancestor_rows_stored: usize,
-    /// Description tokens of the frozen nodes: the encoder steps a
-    /// per-concept pass would run.
+    /// Description tokens of all nodes: the encoder steps a per-concept
+    /// pass would run.
     pub encoder_tokens: usize,
     /// Encoder steps the freeze actually ran — one per distinct
     /// description prefix within a shard, each a stored row.
@@ -159,15 +151,14 @@ impl CacheMemoryReport {
         self.enc_state_bytes + self.ancestor_bytes + self.decoder_state_bytes + self.step0_bytes
     }
 
-    /// Per-concept resident bytes over the *frozen* nodes, excluding the
-    /// skeleton (model-sized plans and a shard map that is there before
-    /// any freeze): the number that scales with `|C|` and the fig17
-    /// comparison metric.
+    /// Per-concept resident bytes, excluding the model-sized plans and
+    /// the shard map (`plan_bytes`): the number that scales with `|C|`
+    /// and the fig17 comparison metric.
     pub fn bytes_per_concept(&self) -> f64 {
-        if self.frozen_concepts == 0 {
+        if self.concepts == 0 {
             return 0.0;
         }
-        self.per_concept_bytes() as f64 / self.frozen_concepts as f64
+        self.per_concept_bytes() as f64 / self.concepts as f64
     }
 
     /// `ancestor_slots / ancestor_rows_stored`: how many ancestor slots
@@ -238,15 +229,12 @@ enum Rows {
 impl Rows {
     /// The store of a trie's `h` arena, with `capacity()` exactly its
     /// length (the memory report counts capacity).
-    fn new(tier: CacheTier, mut h: Vec<f32>) -> Self {
+    fn new(tier: CacheTier, h: &[f32]) -> Self {
         match tier {
-            CacheTier::Exact => {
-                h.shrink_to_fit();
-                Self::F32(h)
-            }
+            CacheTier::Exact => Self::F32(h.to_vec()),
             CacheTier::Compact => {
                 let mut q = vec![0u16; h.len()];
-                simd::narrow_bf16(&mut q, &h);
+                simd::narrow_bf16(&mut q, h);
                 Self::Bf16(q)
             }
         }
@@ -327,9 +315,12 @@ impl ShardData {
 /// instead of recomputing it.
 ///
 /// States and input projections live in flat arenas rather than a
-/// `Vector` per node. The `h` arena becomes the shard's row store
-/// ([`Rows::new`]); the rest goes back to the allocator whole when the
-/// shard is done.
+/// `Vector` per node. The `h` arena is copied into the shard's row store
+/// ([`Rows::new`]); [`PrefixTrie::reset`] then empties the maps and the
+/// arenas for the next shard, keeping their capacity. (Handing each
+/// shard the arena itself, shrunk, instead of a copy read 5 MB more
+/// `rss_mb` on the 31,880-concept benchmark: the per-shard arenas the
+/// allocator could not give back outweigh the copy.)
 struct PrefixTrie<'m> {
     plan: &'m LstmPlan,
     embedding: &'m Embedding,
@@ -348,22 +339,32 @@ struct PrefixTrie<'m> {
 }
 
 impl<'m> PrefixTrie<'m> {
-    /// An empty trie with room for `tokens` encoder steps.
-    fn new(plan: &'m LstmPlan, embedding: &'m Embedding, tokens: usize) -> Self {
-        let d = plan.hidden();
-        let mut hs = Vec::with_capacity((tokens + 1) * d);
-        hs.resize(d, 0.0);
-        let mut cs = Vec::with_capacity((tokens + 1) * d);
-        cs.resize(d, 0.0);
+    /// A trie with no rows; [`PrefixTrie::reset`] readies it for a
+    /// shard.
+    fn new(plan: &'m LstmPlan, embedding: &'m Embedding) -> Self {
         Self {
             plan,
             embedding,
             edges: HashMap::new(),
-            hs,
-            cs,
+            hs: Vec::new(),
+            cs: Vec::new(),
             word_slot: HashMap::new(),
             projs: Vec::new(),
-            gates: vec![0.0; 4 * d],
+            gates: vec![0.0; 4 * plan.hidden()],
+        }
+    }
+
+    /// Empties the trie down to the zero start state, with room for
+    /// `tokens` encoder steps.
+    fn reset(&mut self, tokens: usize) {
+        let d = self.plan.hidden();
+        self.edges.clear();
+        self.word_slot.clear();
+        self.projs.clear();
+        for arena in [&mut self.hs, &mut self.cs] {
+            arena.clear();
+            arena.reserve((tokens + 1) * d);
+            arena.resize(d, 0.0);
         }
     }
 
@@ -421,6 +422,19 @@ impl<'m> PrefixTrie<'m> {
     }
 }
 
+/// The one-word decode target of every head: `⟨BOS⟩`.
+const BOS: &[u32] = &[Vocab::BOS];
+
+/// What the freeze loop reuses from one shard to the next: the prefix
+/// trie's maps and arenas, the `⟨BOS⟩` decode scratch the heads are
+/// computed in ([`ComAid::head_into`]), and the marks of the rows the
+/// shard's context slots reference.
+struct FreezeScratch<'m> {
+    trie: PrefixTrie<'m>,
+    bos: PreparedTarget<'static>,
+    referenced: Vec<bool>,
+}
+
 /// A decode target prepared for cached scoring — the query's word ids,
 /// each word's decoder input projection, and every buffer a decode
 /// writes — made once per request by [`ComAid::prepare_target`] and
@@ -455,14 +469,9 @@ pub(crate) struct PreparedTarget<'t> {
 /// unit). Index-aligned with the [`OntologyIndex`] it was built from
 /// (entry `cid.index()` belongs to concept `cid`).
 ///
-/// [`ComAid::freeze_tiered`] returns the skeleton; each shard freezes on
-/// first touch (its `OnceLock` runs the freeze once, other scoring
-/// threads block until it is ready), so cold-start-to-first-link pays
-/// one chapter, not the whole ontology. [`ConceptCache::warm`] freezes
-/// whatever is left.
-///
-/// `Send + Sync`: scoring threads share one cache; interior mutability
-/// is confined to the per-shard `OnceLock`s.
+/// [`ComAid::freeze_tiered`] freezes every shard before it returns, so
+/// the cache is plain immutable data: scoring threads share one cache,
+/// and no request ever blocks on or pays for a freeze.
 #[derive(Debug, Clone)]
 pub struct ConceptCache {
     /// The [`ComAid::version`] this cache was frozen from.
@@ -489,9 +498,8 @@ pub struct ConceptCache {
     /// request's scratch.
     max_tokens: usize,
     max_slots: usize,
-    /// Frozen shard payloads; unset entries are chapters not yet
-    /// touched.
-    shards: Vec<OnceLock<ShardData>>,
+    /// Frozen shard payloads, one per chapter plus the root slot's.
+    shards: Vec<ShardData>,
     /// The model's transposed, gate-fused weights at the generation the
     /// cache was frozen from: the encoder's for shard freezes, the
     /// decoder, composite and output layers' for every online step
@@ -540,45 +548,14 @@ impl ConceptCache {
         self.shards.len()
     }
 
-    /// How many shards are frozen so far (equals
-    /// [`ConceptCache::shard_count`] after [`ConceptCache::warm`]).
-    pub fn frozen_shard_count(&self) -> usize {
-        self.shards.iter().filter(|s| s.get().is_some()).count()
-    }
-
-    /// Freezes every shard no request has touched yet, so nothing
-    /// served afterwards pays a first-touch freeze. The rows are the
-    /// ones first touch would have produced — both run `freeze_shard`
-    /// on the same inputs.
-    ///
-    /// # Panics
-    /// Panics if the cache is stale for `model`
-    /// ([`ConceptCache::is_valid_for`]) or `index` is not the size of
-    /// the one it was built from.
-    pub fn warm(&self, model: &ComAid, index: &OntologyIndex) {
-        assert!(self.serves(model, index), "warm: stale cache");
-        for si in 0..self.shards.len() {
-            self.shard(model, index, si);
-        }
-    }
-
     /// Member node indices of shard `si`, in local order.
     fn members(&self, si: usize) -> &[u32] {
         &self.shard_nodes[self.shard_off[si] as usize..self.shard_off[si + 1] as usize]
     }
 
-    /// Shard `si`, frozen now if nothing has touched it yet — the one
-    /// place a shard is filled.
-    fn shard(&self, model: &ComAid, index: &OntologyIndex, si: usize) -> &ShardData {
-        self.shards[si].get_or_init(|| model.freeze_shard(index, self, si))
-    }
-
-    /// The shard and local position of node `ci`, freezing the shard
-    /// first if the chapter has not been touched yet. Callers must have
-    /// checked [`ConceptCache::serves`] — the freeze reads `model`'s
-    /// live parameters, and `ci` indexes the shard map unchecked.
-    fn locate(&self, model: &ComAid, index: &OntologyIndex, ci: usize) -> (&ShardData, usize) {
-        let shard = self.shard(model, index, self.node_shard[ci] as usize);
+    /// The shard and local position of node `ci`.
+    fn locate(&self, ci: usize) -> (&ShardData, usize) {
+        let shard = &self.shards[self.node_shard[ci] as usize];
         (shard, self.node_local[ci] as usize)
     }
 
@@ -594,9 +571,8 @@ impl ConceptCache {
         }
     }
 
-    /// Resident-size breakdown over the shards frozen so far:
-    /// per-component bytes, shard/concept coverage, and the
-    /// ancestor-memory dedup ratio.
+    /// Resident-size breakdown: per-component bytes, shard/concept
+    /// counts, and the ancestor-memory dedup ratio.
     pub fn memory_report(&self) -> CacheMemoryReport {
         let d = self.dim;
         let map_words = self.node_shard.capacity()
@@ -607,9 +583,7 @@ impl ConceptCache {
         let mut r = CacheMemoryReport {
             tier: self.tier,
             concepts: self.node_shard.len(),
-            frozen_concepts: 0,
             shards: self.shards.len(),
-            frozen_shards: 0,
             enc_state_bytes: 0,
             ancestor_bytes: 0,
             decoder_state_bytes: 0,
@@ -620,9 +594,7 @@ impl ConceptCache {
             encoder_tokens: 0,
             encoder_steps_run: 0,
         };
-        for shard in self.shards.iter().filter_map(OnceLock::get) {
-            r.frozen_shards += 1;
-            r.frozen_concepts += shard.paths.rows();
+        for shard in &self.shards {
             // A head is `dec_h1 | dec_c1` and then the step-0 state.
             let dec = shard.heads.len() / head_len(d) * 2 * d * 4;
             r.decoder_state_bytes += dec;
@@ -646,21 +618,13 @@ impl ConceptCache {
 
     /// The frozen encoder states `h_1..h_n^c` of `concept` — its textual
     /// attention memory as scoring reads it (widened in the `Compact`
-    /// tier; empty for a token-less node) — freezing the concept's
-    /// shard first if nothing has touched it yet.
+    /// tier; empty for a token-less node).
     ///
     /// # Panics
-    /// Panics if the cache is stale for `model`
-    /// ([`ConceptCache::is_valid_for`]) or `index` is not the size of
-    /// the one it was built from.
-    pub fn encoder_states(
-        &self,
-        model: &ComAid,
-        index: &OntologyIndex,
-        concept: ConceptId,
-    ) -> Vec<Vector> {
-        assert!(self.serves(model, index), "encoder_states: stale cache");
-        let (shard, l) = self.locate(model, index, concept.index());
+    /// Panics if `concept` is outside the ontology the cache was frozen
+    /// over.
+    pub fn encoder_states(&self, concept: ConceptId) -> Vec<Vector> {
+        let (shard, l) = self.locate(concept.index());
         let path = shard.paths.row(l);
         let mut rows = vec![0.0f32; path.len() * self.dim];
         shard.rows.gather(self.dim, path, &mut rows);
@@ -678,14 +642,12 @@ impl ComAid {
     }
 
     /// Builds the serving cache of `index` at the current parameter
-    /// generation: the chapter shard map and the model's plan, no
-    /// per-concept state yet. Each shard freezes on first touch by a
-    /// cached scoring call (one encoder step per distinct description
-    /// prefix of the chapter, each kept as a row; the structural memory
-    /// reads those same rows, because an ancestor's encoding *is* that
-    /// ancestor's concept encoding), so cold-start-to-first-link pays
-    /// one chapter's encoder passes instead of the whole ontology's.
-    /// [`ConceptCache::warm`] freezes the rest ahead of traffic.
+    /// generation: the chapter shard map, the model's plan, and every
+    /// shard frozen (one encoder step per distinct description prefix of
+    /// the chapter, each kept as a row; the structural memory reads
+    /// those same rows, because an ancestor's encoding *is* that
+    /// ancestor's concept encoding). One loop freezes the shards in turn,
+    /// reusing one set of scratch.
     pub fn freeze_tiered(&self, index: &OntologyIndex, tier: CacheTier) -> ConceptCache {
         let n = index.len();
         // Chapter resolution. A node's context holds its β *nearest*
@@ -744,8 +706,7 @@ impl ComAid {
                 heads[si] += 1;
             }
         }
-        let shards = (0..shard_count).map(|_| OnceLock::new()).collect();
-        ConceptCache {
+        let mut cache = ConceptCache {
             version: self.version(),
             dim: self.config().dim,
             tier,
@@ -756,9 +717,21 @@ impl ComAid {
             shard_nodes,
             max_tokens,
             max_slots,
-            shards,
+            shards: Vec::new(),
             plan: self.plan(),
-        }
+        };
+        let shards = {
+            let mut scratch = FreezeScratch {
+                trie: PrefixTrie::new(&cache.plan.encoder, &self.embedding),
+                bos: self.prepare_target(&cache, BOS),
+                referenced: Vec::new(),
+            };
+            (0..shard_count as usize)
+                .map(|si| self.freeze_shard(index, &cache, si, &mut scratch))
+                .collect()
+        };
+        cache.shards = shards;
+        cache
     }
 
     /// Freezes one chapter shard: walks every member's description
@@ -769,13 +742,18 @@ impl ComAid {
     /// itself a member, and precedes it or is it), so the shard never
     /// reads outside its own trie.
     ///
-    /// The one freeze path — first touch, [`ConceptCache::warm`] and
-    /// hot-swap publish all land here. A shard with no shared prefix
-    /// pays one hash probe per token over a plain per-concept pass and
-    /// any other shard runs fewer encoder steps and stores fewer rows.
-    /// Heads always read the *exact* trie states, in both tiers: Compact
-    /// only perturbs per-query reads, never the heads.
-    fn freeze_shard(&self, index: &OntologyIndex, cache: &ConceptCache, si: usize) -> ShardData {
+    /// A shard with no shared prefix pays one hash probe per token over
+    /// a plain per-concept pass and any other shard runs fewer encoder
+    /// steps and stores fewer rows. Heads always read the *exact* trie
+    /// states, in both tiers: Compact only perturbs per-query reads,
+    /// never the heads.
+    fn freeze_shard(
+        &self,
+        index: &OntologyIndex,
+        cache: &ConceptCache,
+        si: usize,
+        scratch: &mut FreezeScratch<'_>,
+    ) -> ShardData {
         let d = self.config().dim;
         let nodes = cache.members(si);
         let tokens: usize = nodes
@@ -794,8 +772,12 @@ impl ComAid {
         let mut paths = Csr::with_capacity(nodes.len(), tokens);
         let mut anc: Vec<u32> = Vec::with_capacity(nodes.len() * beta);
         let mut head_store = vec![0.0f32; heads * head_len(d)];
-        let mut trie = PrefixTrie::new(&cache.plan.encoder, &self.embedding, tokens);
-        let mut scratch = self.prepare_target(cache, &[Vocab::BOS]);
+        let FreezeScratch {
+            trie,
+            bos,
+            referenced,
+        } = scratch;
+        trie.reset(tokens);
         for (l, &ni) in nodes.iter().enumerate() {
             let id = ConceptId(ni);
             trie.walk(index.tokens(id), |node| paths.push(node));
@@ -817,11 +799,12 @@ impl ComAid {
             if slot != NO_HEAD {
                 let head = &mut head_store[slot as usize * head_len(d)..][..head_len(d)];
                 let slots = &anc[l * beta..][..beta];
-                self.head_into(cache, &trie, paths.row(l), slots, &mut scratch, head);
+                self.head_into(cache, trie, paths.row(l), slots, bos, head);
             }
         }
-        let rows = Rows::new(cache.tier, trie.hs);
-        let mut referenced = vec![false; rows.count(d)];
+        let rows = Rows::new(cache.tier, &trie.hs);
+        referenced.clear();
+        referenced.resize(rows.count(d), false);
         for &a in &anc {
             referenced[a as usize] = true;
         }
@@ -904,7 +887,7 @@ impl ComAid {
             return self.log_prob_ids_masked(index, concept, target, count);
         }
         let mut prepared = self.prepare_target(cache, target);
-        self.log_prob_prepared(index, cache, concept, &mut prepared, count)
+        self.log_prob_prepared(cache, concept, &mut prepared, count)
     }
 
     /// Projects a decode target's words through the cached decoder plan
@@ -958,7 +941,6 @@ impl ComAid {
     /// `concept` is not fine-grained (it holds no frozen head).
     pub(crate) fn log_prob_prepared(
         &self,
-        index: &OntologyIndex,
         cache: &ConceptCache,
         concept: ConceptId,
         prepared: &mut PreparedTarget<'_>,
@@ -978,7 +960,7 @@ impl ComAid {
         } = prepared;
         assert_eq!(count.len(), target.len(), "mask length mismatch");
         let d = cache.dim;
-        let (shard, l) = cache.locate(self, index, concept.index());
+        let (shard, l) = cache.locate(concept.index());
         let head = cache.head(shard, concept);
         let (text, structure) = memory.split_at_mut(cache.max_tokens * d);
         let enc_rows = shard.rows.gather(d, shard.paths.row(l), text);
@@ -1150,14 +1132,10 @@ mod tests {
             let mut m = model_for(variant, v.clone());
             m.output.b.v[5] = -0.0;
             for level in simd::supported_levels() {
-                let cache = simd::with_level(level, || {
-                    let cache = m.freeze(&idx);
-                    cache.warm(&m, &idx);
-                    cache
-                });
+                let cache = simd::with_level(level, || m.freeze(&idx));
                 let plan = m.plan();
                 for id in o.fine_grained() {
-                    let (shard, _) = cache.locate(&m, &idx, id.index());
+                    let (shard, _) = cache.locate(id.index());
                     let head = cache.head(shard, id);
                     for w in 0..m.vocab().len() {
                         let want = simd::with_level(simd::Level::Scalar, || {
@@ -1208,8 +1186,7 @@ mod tests {
                 .collect();
             let (_, doc_map) = OntologyText::read(o).phase_one(o);
             assert_eq!(with_head, doc_map);
-            cache.warm(&m, &idx);
-            for (si, lock) in cache.shards.iter().enumerate() {
+            for (si, shard) in cache.shards.iter().enumerate() {
                 let slots: Vec<u32> = cache
                     .members(si)
                     .iter()
@@ -1217,8 +1194,7 @@ mod tests {
                     .filter(|&slot| slot != NO_HEAD)
                     .collect();
                 assert!(slots.iter().copied().eq(0..slots.len() as u32));
-                let heads = lock.get().expect("warmed").heads.len();
-                assert_eq!(heads, slots.len() * head_len(6));
+                assert_eq!(shard.heads.len(), slots.len() * head_len(6));
             }
         }
     }
@@ -1286,9 +1262,9 @@ mod tests {
             let fresh = m.log_prob_ids_masked_cached(&idx, &cache, c, &target, &mask);
             let mut shared = m.prepare_target(&cache, &target);
             for &other in &concepts {
-                m.log_prob_prepared(&idx, &cache, other, &mut shared, &mask);
+                m.log_prob_prepared(&cache, other, &mut shared, &mask);
             }
-            let reused = m.log_prob_prepared(&idx, &cache, c, &mut shared, &mask);
+            let reused = m.log_prob_prepared(&cache, c, &mut shared, &mask);
             assert_eq!(fresh.to_bits(), reused.to_bits(), "{}", o.concept(c).code);
         }
     }

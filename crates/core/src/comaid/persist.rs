@@ -245,10 +245,10 @@ fn unframe(bytes: &[u8]) -> Result<(SectionIndex, &[u8]), PersistError> {
 /// kilobytes of I/O. Sections are fetched and checksum-verified
 /// individually on demand; [`load_model`] fetches all of them.
 ///
-/// This is the on-disk half of cold-start-lean serving: open the
-/// checkpoint by index, decode the model, and let the
-/// [`ConceptCache`](super::ConceptCache) defer the per-chapter freeze
-/// work the same way the mapped file defers payload reads.
+/// A serving process opens the checkpoint by index and decodes the
+/// model; building a linker then freezes the whole
+/// [`ConceptCache`](super::ConceptCache) from it in one pass over the
+/// chapters (DESIGN.md §9).
 ///
 /// [`open`]: MappedCheckpoint::open
 /// [`load_model`]: MappedCheckpoint::load_model

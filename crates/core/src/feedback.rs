@@ -229,8 +229,7 @@ pub struct ModelGeneration {
 
 impl ModelGeneration {
     /// Clones `model` and freezes the concept cache [`Linker::new`]
-    /// would build over the clone — every chapter of it, so no serving
-    /// thread pays a first-touch freeze on a generation it was handed.
+    /// would build over the clone.
     fn freeze_from(
         model: &ComAid,
         ontology: &Ontology,
@@ -240,7 +239,6 @@ impl ModelGeneration {
         let model = model.clone();
         let index = OntologyIndex::build(ontology, model.vocab(), model.config().beta);
         let cache = frozen_cache(&model, &index, &config);
-        cache.warm(&model, &index);
         Self {
             model,
             index,
@@ -266,7 +264,7 @@ impl ModelGeneration {
     /// whole) the linker is built **without re-freezing**, around the
     /// generation's shared cache, so every such linker serves identical
     /// bits from one frozen cache. Over any other ontology it gets the
-    /// fresh skeleton [`Linker::new`] would build: a cache serves only
+    /// fresh cache [`Linker::new`] would build: a cache serves only
     /// the index it was frozen over.
     pub fn linker<'g>(&'g self, ontology: &'g Ontology) -> Linker<'g> {
         Linker::with_cache(&self.model, ontology, self.config, |index| {
@@ -287,9 +285,8 @@ impl ModelGeneration {
 ///   keeps the generation alive for as long as any request still uses
 ///   it.
 /// * The retraining side calls [`HotSwapCell::publish`] with the
-///   retrained model: the new generation is frozen — every chapter,
-///   [`ConceptCache::warm`] — *outside* the swap lock, installed with
-///   one pointer swap, and announced by a single
+///   retrained model: the new generation is frozen *outside* the swap
+///   lock, installed with one pointer swap, and announced by a single
 ///   atomic bump of the generation counter — readers never observe a
 ///   torn model/cache pair, and [`HotSwapCell::generation`] is safe to
 ///   poll concurrently from any thread (lock-free).
@@ -574,7 +571,7 @@ mod tests {
         let (o, model) = world();
         let cell = HotSwapCell::new(&model, &o, LinkerConfig::default());
         let snap = cell.snapshot();
-        // The very `Arc` the generation froze — not a skeleton of the
+        // The very `Arc` the generation froze — not a cache of the
         // linker's own that a builder call then replaced.
         assert!(Arc::ptr_eq(&snap.linker(&o).cache, &snap.cache));
     }
@@ -591,7 +588,6 @@ mod tests {
         let q = tokenize("abdominal pain");
         let snap0 = cell.snapshot();
         assert_eq!(snap0.generation(), 0);
-        assert_fully_frozen(&snap0, &o);
         let before = snap0.linker(&o).link(&q);
         assert_eq!(before.trace.cache, CacheUse::Served);
 
@@ -622,25 +618,11 @@ mod tests {
         assert_eq!(after.ranked, before.ranked);
         assert_eq!(after.candidates, before.candidates);
 
-        // The new generation serves from its own fresh (valid) cache,
-        // which `publish` warmed before the swap: no request on it pays
-        // a freeze.
+        // The new generation serves from its own fresh (valid) cache.
         let snap1 = cell.snapshot();
         assert_eq!(snap1.generation(), 1);
-        assert_fully_frozen(&snap1, &o);
-        let linker = snap1.linker(&o);
-        let steps = |l: &Linker<'_>| l.cache().unwrap().memory_report().encoder_steps_run;
-        let frozen = steps(&linker);
-        assert_eq!(linker.link(&q).trace.cache, CacheUse::Served);
-        assert_eq!(steps(&linker), frozen);
-    }
-
-    /// Every shard of the generation's shared cache is frozen.
-    fn assert_fully_frozen(snap: &ModelGeneration, o: &Ontology) {
-        let linker = snap.linker(o);
-        let report = linker.cache().unwrap().memory_report();
-        assert_eq!(report.frozen_shards, report.shards);
-        assert_eq!(report.frozen_concepts, report.concepts);
+        assert!(!Arc::ptr_eq(&snap1.cache, &snap0.cache));
+        assert_eq!(snap1.linker(&o).link(&q).trace.cache, CacheUse::Served);
     }
 
     #[test]
@@ -685,12 +667,8 @@ mod tests {
                 larger.concept(c).code
             );
         }
-        // The refrozen cache is the linker's own: warming it leaves the
-        // generation's untouched.
-        let steps = snap.cache.memory_report().encoder_steps_run;
-        linker.warm();
+        // The refrozen cache is the linker's own.
         assert!(!Arc::ptr_eq(&linker.cache, &snap.cache));
-        assert_eq!(snap.cache.memory_report().encoder_steps_run, steps);
     }
 
     #[test]

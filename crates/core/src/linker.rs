@@ -61,7 +61,6 @@ pub struct Linker<'a> {
     pub(crate) model: &'a ComAid,
     ontology: &'a Ontology,
     config: LinkerConfig,
-    pub(crate) index: OntologyIndex,
     pub(crate) tfidf: TfIdfIndex,
     pub(crate) doc_map: Vec<ConceptId>,
     /// Query rewriting's lazily-built indexes and outcome memo.
@@ -72,11 +71,9 @@ pub struct Linker<'a> {
     /// Optional deterministic fault schedule (tests and robustness
     /// benchmarks); `None` in production.
     pub(crate) faults: Option<Arc<FaultPlan>>,
-    /// Frozen concept-encoding cache ([`ComAid::freeze_tiered`]): the
-    /// skeleton is built at construction and each ontology chapter
-    /// freezes on the first request that scores a candidate in it
-    /// ([`Linker::warm`] freezes the rest ahead of traffic). It serves
-    /// by construction: [`Linker::with_cache`] checks once that it was
+    /// Frozen concept-encoding cache ([`ComAid::freeze_tiered`]), every
+    /// ontology chapter of it frozen at construction. It serves by
+    /// construction: [`Linker::with_cache`] checks once that it was
     /// frozen from this model's parameter generation over this linker's
     /// index, and the shared borrow of the model keeps it so. Behind an
     /// `Arc` so one frozen cache can be shared across linkers over the
@@ -89,8 +86,8 @@ pub struct Linker<'a> {
 }
 
 /// The concept cache a linker configured with `config` serves from:
-/// the skeleton of `index` at `model`'s parameter generation, in the
-/// configured tier. Shared with the hot-swap cell so a published
+/// every chapter of `index` frozen at `model`'s parameter generation,
+/// in the configured tier. Shared with the hot-swap cell so a published
 /// generation's cache is the one `Linker::new` would build.
 pub(crate) fn frozen_cache(
     model: &ComAid,
@@ -104,11 +101,11 @@ impl<'a> Linker<'a> {
     /// Builds a linker over `model` and `ontology`: reads the ontology's
     /// text once (`serving::ontology_text`) into the model's
     /// [`OntologyIndex`], the Phase-I TF-IDF index over the fine-grained
-    /// concepts and the shared-word lists, and lays out the skeleton of
-    /// the frozen concept cache. Nothing is encoded here — chapters
-    /// freeze on first touch (or [`Linker::warm`]) — and the rewriting
-    /// indexes (embedding nearest-neighbour, edit distance) are built by
-    /// the first out-of-vocabulary query word.
+    /// concepts and the shared-word lists, and freezes the concept
+    /// cache from the index, every chapter of it, so no request pays for
+    /// a freeze; the index itself is not kept. The rewriting indexes
+    /// (embedding nearest-neighbour, edit distance) are built by the
+    /// first out-of-vocabulary query word.
     pub fn new(model: &'a ComAid, ontology: &'a Ontology, config: LinkerConfig) -> Self {
         Self::with_cache(model, ontology, config, |index| {
             frozen_cache(model, index, &config)
@@ -116,8 +113,8 @@ impl<'a> Linker<'a> {
     }
 
     /// [`Linker::new`] serving from the cache `cache_for` returns for
-    /// the linker's index: a fresh skeleton, or a generation's shared
-    /// one ([`crate::feedback::ModelGeneration::linker`]).
+    /// the linker's index: a fresh one, or a generation's shared one
+    /// ([`crate::feedback::ModelGeneration::linker`]).
     ///
     /// # Panics
     /// Panics if the cache cannot serve `model` over the linker's index
@@ -140,7 +137,6 @@ impl<'a> Linker<'a> {
             model,
             ontology,
             config,
-            index,
             tfidf,
             doc_map,
             rewriter: Rewriter::default(),
@@ -157,13 +153,6 @@ impl<'a> Linker<'a> {
     /// to tighten.
     pub fn cache(&self) -> Option<&ConceptCache> {
         Some(&self.cache)
-    }
-
-    /// Freezes every chapter of the cache no request has touched yet
-    /// ([`ConceptCache::warm`]): call before admitting traffic when no
-    /// request may pay a first-touch freeze.
-    pub fn warm(&self) {
-        self.cache.warm(self.model, &self.index);
     }
 
     /// Attaches a deterministic [`FaultPlan`]; every fault site inside

@@ -214,8 +214,10 @@ pub(crate) fn reference_score(linker: &Linker<'_>, query: &[String], c: ConceptI
         .iter()
         .map(|w| !(linker.config().remove_shared && description.contains(w)))
         .collect();
-    let ids = linker.model.encode_words(query);
-    reference_log_prob(linker.model, &linker.index, c, &ids, &mask)
+    let model = linker.model;
+    let ids = model.encode_words(query);
+    let index = OntologyIndex::build(linker.ontology(), model.vocab(), model.config().beta);
+    reference_log_prob(model, &index, c, &ids, &mask)
 }
 
 /// §5 end to end; see the module docs.

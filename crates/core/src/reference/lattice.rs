@@ -1,6 +1,6 @@
 //! One proptest over what is left of the serving lattice, against
-//! [`reference_link`]: `cache_tier × {first touch, warm} ×
-//! {link, link_batch, link_document spans} × Variant`; a second over
+//! [`reference_link`]: `cache_tier × {link, link_batch, link_document
+//! spans} × Variant`; a second over
 //! drawn fault plans and ED budgets,
 //! where the reference still owns every score that was made; and a
 //! third over drawn ontology shapes, untrained, at the exact points.
@@ -187,16 +187,8 @@ fn lattice_eps(cache_tier: CacheTier) -> f32 {
     }
 }
 
-/// `cache_tier × warm`, all four.
-fn lattice_points() -> Vec<(CacheTier, bool)> {
-    let mut points = Vec::new();
-    for tier in [CacheTier::Exact, CacheTier::Compact] {
-        for warm in [false, true] {
-            points.push((tier, warm));
-        }
-    }
-    points
-}
+/// Every `cache_tier`.
+const LATTICE_POINTS: [CacheTier; 2] = [CacheTier::Exact, CacheTier::Compact];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -235,21 +227,13 @@ proptest! {
                 .map(|s| reference_link(&plain, &note[s.start..s.end()]))
                 .collect();
 
-            for (cache_tier, warm) in lattice_points() {
+            for cache_tier in LATTICE_POINTS {
                 let config = LinkerConfig { k, cache_tier, ..LinkerConfig::default() };
                 let linker = build(model, config);
-                // `warm` only moves *when* chapters freeze.
-                if warm {
-                    linker.warm();
-                }
                 let cache = linker.cache().unwrap();
                 prop_assert_eq!(cache.tier(), cache_tier);
-                prop_assert_eq!(
-                    cache.frozen_shard_count(),
-                    if warm { cache.shard_count() } else { 0 }
-                );
                 let eps = lattice_eps(cache_tier);
-                let at = format!("{variant:?} {cache_tier:?} warm={warm}");
+                let at = format!("{variant:?} {cache_tier:?}");
 
                 // Every entry point's Score reads the linker's cache.
                 let batched = linker.link_batch(&queries);
@@ -355,16 +339,13 @@ proptest! {
             let config = ComAidConfig { dim: 6, beta: 2, seed: seed + i as u64, ..ComAidConfig::tiny() };
             let model = ComAid::new(vocab, config, None);
             let want = reference_link(&Linker::new(&model, &o, LinkerConfig::default()), &q);
-            for (cache_tier, warm) in lattice_points() {
+            for cache_tier in LATTICE_POINTS {
                 if lattice_eps(cache_tier) != 0.0 {
                     continue;
                 }
                 let config = LinkerConfig { cache_tier, ..LinkerConfig::default() };
                 let linker = Linker::new(&model, &o, config);
-                if warm {
-                    linker.warm();
-                }
-                let at = format!("{shape:?} {cache_tier:?} warm={warm}");
+                let at = format!("{shape:?} {cache_tier:?}");
                 assert_matches(&linker.link(&q), &want, 0.0, &format!("{q:?} @ {at}"));
             }
         }

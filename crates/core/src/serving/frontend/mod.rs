@@ -324,9 +324,8 @@ pub struct FrontendStats {
     /// Rank-stage (RT) wall-clock.
     pub rank: HistSummary,
     /// Resident-memory report of the linker's frozen concept cache
-    /// ([`ConceptCache::memory_report`](crate::comaid::ConceptCache::memory_report)).
-    /// The snapshot covers the shards frozen so far, so successive
-    /// snapshots show the cache warming chapter by chapter.
+    /// ([`ConceptCache::memory_report`](crate::comaid::ConceptCache::memory_report)):
+    /// the whole cache, frozen when the linker was built.
     pub cache: CacheMemoryReport,
 }
 

@@ -14,15 +14,15 @@
 //!
 //! * **The linker is shared and immutable.** Everything a request
 //!   mutates lives in `serve`'s locals; the linker's interior
-//!   mutability is limited to lazily-built indexes, the rewrite memo
-//!   and the first-touch cache freeze, all behaviour-transparent, so
-//!   one linker serves many requests — concurrently, from
-//!   [`frontend`] workers — without interference.
+//!   mutability is limited to lazily-built indexes and the rewrite
+//!   memo, both behaviour-transparent, so one linker serves many
+//!   requests — concurrently, from [`frontend`] workers — without
+//!   interference.
 //! * **Checked against the equations.** A `#[cfg(test)]` reference
 //!   linker written from PAPER.md Eq. 3–13 (`crate::reference`) is the
-//!   oracle: one proptest walks the `cache_tier × warm × entry point ×
-//!   variant` lattice against it, and `tests/golden/staged_serving.snap`
-//!   pins the bits.
+//!   oracle: one proptest walks the `cache_tier × entry point × variant`
+//!   lattice against it, and `tests/golden/staged_serving.snap` pins
+//!   the bits.
 //! * **Scorers are pluggable.** Phase II is abstracted as
 //!   [`ScoreStage`]; COM-AID ([`ComAidScore`]) is the default, and the
 //!   `lr`/`doc2vec` baselines plug in via

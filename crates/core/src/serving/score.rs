@@ -114,7 +114,7 @@ impl ScoreStage for ComAidScore<'_, '_> {
                 if let Some(plan) = &linker.faults {
                     plan.visit("ed.score");
                 }
-                model.log_prob_prepared(&linker.index, cache, c, &mut prepared, &mask)
+                model.log_prob_prepared(cache, c, &mut prepared, &mask)
             })) {
                 Ok(lp) => *out = Some(lp),
                 Err(_) => lost_jobs += 1,

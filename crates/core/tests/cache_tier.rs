@@ -1,12 +1,9 @@
 //! Cache-tier acceptance suite: the `Compact` tier must be a pure
 //! memory trade — epsilon-bounded scores, explicitly flagged via
-//! [`ConceptCache::tier`], bit-reproducible within the tier — and
-//! *when* a chapter freezes must be invisible: a shard frozen on first
-//! touch holds the rows and serves the scores of one frozen by
-//! [`ConceptCache::warm`], untouched chapters cost zero resident bytes,
-//! and what is resident is exactly what [`CacheMemoryReport`] says.
-//! `serving_cache.rs`'s trie proptest checks the same first-touch
-//! property shard by shard on drawn ontologies.
+//! [`ConceptCache::tier`], bit-reproducible within the tier — and what
+//! is resident is exactly what [`CacheMemoryReport`] says: every
+//! chapter, the root slot's shard included, frozen by the time
+//! [`ComAid::freeze_tiered`] or `Linker::new` returns.
 //!
 //! These tests run (and must pass) under `NCL_FORCE_SCALAR=1` too: the
 //! bf16 widen/narrow kernels are bit-exact across dispatch levels, so
@@ -15,6 +12,7 @@
 use ncl_core::comaid::{
     CacheMemoryReport, CacheTier, ComAid, ComAidConfig, ConceptCache, OntologyIndex, Variant,
 };
+use ncl_core::{Linker, LinkerConfig};
 use ncl_ontology::{ConceptId, Ontology, OntologyBuilder};
 use ncl_tensor::simd;
 use ncl_text::{tokenize, Vocab};
@@ -75,77 +73,6 @@ fn score_all(
     o.all_concepts()
         .map(|c| m.log_prob_ids_masked_cached(idx, cache, c, target, &mask))
         .collect()
-}
-
-#[test]
-fn first_touch_matches_warm_in_both_tiers() {
-    let (o, v) = world(4, 3, 3);
-    let idx = OntologyIndex::build(&o, &v, 2);
-    let m = model_for(v);
-    for tier in [CacheTier::Exact, CacheTier::Compact] {
-        let warmed = m.freeze_tiered(&idx, tier);
-        warmed.warm(&m, &idx);
-        assert_eq!(warmed.shard_count(), 4 + 1, "one shard per chapter + root");
-        assert_eq!(warmed.frozen_shard_count(), warmed.shard_count());
-
-        let touched = m.freeze_tiered(&idx, tier);
-        assert_eq!(touched.frozen_shard_count(), 0);
-        let target = m.encode_text("system 1 disorder group 2 type t1x2x0");
-        let leaf = o.by_code("C01.20").unwrap();
-        let mask = vec![true; target.len()];
-        let _ = m.log_prob_ids_masked_cached(&idx, &touched, leaf, &target, &mask);
-        assert_eq!(touched.frozen_shard_count(), 1, "{}", tier.name());
-
-        let a = score_all(&m, &idx, &warmed, &o, &target);
-        let b = score_all(&m, &idx, &touched, &o, &target);
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "{} concept #{i}", tier.name());
-        }
-        for c in o.all_concepts() {
-            assert_eq!(
-                warmed.encoder_states(&m, &idx, c),
-                touched.encoder_states(&m, &idx, c),
-                "{} {:?}",
-                tier.name(),
-                o.concept(c).code
-            );
-        }
-        // Scoring every concept touched every chapter — but never the
-        // root slot's shard (the root is not a concept of the ontology
-        // proper); `warm` picks up what is left.
-        assert_eq!(touched.frozen_shard_count(), touched.shard_count() - 1);
-        touched.warm(&m, &idx);
-        assert_eq!(touched.frozen_shard_count(), touched.shard_count());
-    }
-}
-
-#[test]
-fn untouched_chapters_cost_nothing() {
-    let (o, v) = world(4, 3, 3);
-    let idx = OntologyIndex::build(&o, &v, 2);
-    let m = model_for(v);
-    let cache = m.freeze(&idx);
-
-    let r0 = cache.memory_report();
-    assert_eq!(r0.frozen_shards, 0);
-    assert_eq!(r0.frozen_concepts, 0);
-    assert_eq!(
-        r0.enc_state_bytes + r0.ancestor_bytes + r0.decoder_state_bytes + r0.step0_bytes,
-        0,
-        "skeleton holds no per-concept state"
-    );
-    assert_eq!(r0.concepts, idx.len());
-
-    // Score one leaf: exactly its chapter's shard freezes.
-    let target = m.encode_text("system 0 disorder group 0 type t0x0x0");
-    let mask = vec![true; target.len()];
-    let leaf = o.by_code("C00.00").unwrap();
-    let _ = m.log_prob_ids_masked_cached(&idx, &cache, leaf, &target, &mask);
-    let r1 = cache.memory_report();
-    assert_eq!(r1.frozen_shards, 1);
-    // Chapter subtree: the chapter + 3 categories + 9 leaves.
-    assert_eq!(r1.frozen_concepts, 1 + 3 + 3 * 3);
-    assert!(r1.total_bytes() > r0.total_bytes());
 }
 
 #[test]
@@ -210,7 +137,9 @@ fn compact_scores_bit_reproducible_at_every_dispatch_level() {
 /// plus the zero row; per node a `u32` per description token (its
 /// path), one path offset and β `u32` slot references; a `3d + 1`-float
 /// head per fine-grained concept only — and nothing per ancestor slot
-/// beyond the reference, in either tier.
+/// beyond the reference, in either tier. The sum runs over every
+/// chapter and the root slot's shard, so it holds only if the cache
+/// `ComAid::freeze_tiered` and `Linker::new` return has frozen them all.
 #[test]
 fn memory_report_is_a_by_hand_sum_in_both_tiers() {
     let (chapters, cats, leaves) = (3usize, 2usize, 2usize);
@@ -249,20 +178,35 @@ fn memory_report_is_a_by_hand_sum_in_both_tiers() {
 
     let report = |tier| -> CacheMemoryReport {
         let cache = m.freeze_tiered(&idx, tier);
-        cache.warm(&m, &idx);
+        assert_eq!(cache.shard_count(), shards);
         let r = cache.memory_report();
         assert_eq!(cache.memory_floats(), r.total_bytes() / 4);
+        // A linker's cache is the same freeze.
+        let linker = Linker::new(
+            &m,
+            &o,
+            LinkerConfig {
+                cache_tier: tier,
+                ..LinkerConfig::default()
+            },
+        );
+        let l = linker
+            .cache()
+            .expect("every linker has one")
+            .memory_report();
+        assert_eq!(
+            (l.total_bytes(), l.encoder_steps_run, l.ancestor_slots),
+            (r.total_bytes(), r.encoder_steps_run, r.ancestor_slots),
+            "{}",
+            tier.name()
+        );
         r
     };
     let exact = report(CacheTier::Exact);
     let compact = report(CacheTier::Compact);
     for (r, row_bytes) in [(&exact, 4 * d), (&compact, 2 * d)] {
         let name = r.tier.name();
-        assert_eq!(
-            (r.frozen_concepts, r.frozen_shards),
-            (nodes, shards),
-            "{name}"
-        );
+        assert_eq!((r.concepts, r.shards), (nodes, shards), "{name}");
         // Heads for the fine-grained concepts, and for nothing else.
         assert_eq!(r.decoder_state_bytes, fine * 2 * d * 4, "{name}");
         assert_eq!(r.step0_bytes, fine * (d + 1) * 4, "{name}");

@@ -242,9 +242,8 @@ fn concurrent_workers_answer_bit_identically_to_direct_calls() {
 }
 
 /// `FrontendStats::cache` surfaces the linker's frozen-cache memory
-/// report (ISSUE 8): successive snapshots show the cache going from
-/// skeleton to the chapters requests touched to — after `warm` — all
-/// of it.
+/// report: the whole cache from the first snapshot on, every chapter
+/// frozen when the linker was built, and serving changes none of it.
 #[test]
 fn stats_surface_the_cache_memory_report() {
     let (o, model) = trained_world();
@@ -257,96 +256,17 @@ fn stats_surface_the_cache_memory_report() {
             ..FrontendConfig::default()
         },
     );
-    let cold = fe.stats().cache;
-    assert_eq!(cold.frozen_shards, 0);
-    assert_eq!(cold.bytes_per_concept(), 0.0);
+    let before = fe.stats().cache;
+    let cache = linker.cache().unwrap();
+    assert_eq!(before.shards, cache.shard_count());
+    assert_eq!(before.concepts, cache.len());
+    assert_eq!(before.total_bytes(), cache.memory_report().total_bytes());
+    assert!(before.bytes_per_concept() > 0.0);
 
     fe.submit(tokenize("ckd stage 5")).unwrap();
-    let touched = fe.stats().cache;
-    assert!(touched.frozen_shards > 0 && touched.frozen_shards < touched.shards);
-    assert!(touched.total_bytes() > cold.total_bytes());
-    assert!(touched.bytes_per_concept() > 0.0);
-
-    linker.warm();
-    let warm = fe.stats().cache;
-    assert_eq!(warm.frozen_shards, warm.shards);
-    assert_eq!(warm.frozen_concepts, warm.concepts);
-}
-
-/// Three workers hit the *same cold chapter* at once: the chapter
-/// freezes exactly once (the encoder-step counter reads what one
-/// thread's first touch costs), the other chapter stays cold, and every
-/// completion carries the bits a `warm()`-ed linker serves.
-#[test]
-fn concurrent_first_touch_freezes_a_chapter_once() {
-    // Two chapters, each wide enough that its freeze outlasts the
-    // workers' start-up skew; bit-identity needs no training.
-    let mut b = ncl_ontology::OntologyBuilder::new();
-    // The chapters share no word, so Phase I cannot mix them.
-    for i in 0..2 {
-        let ch = b.add_root_concept(format!("C{i}"), format!("system{i} disorders{i}"));
-        for j in 0..24 {
-            let cat = b.add_child(
-                ch,
-                format!("C{i}.{j}"),
-                format!("system{i} disorder{i} group{i}x{j}"),
-            );
-            for k in 0..24 {
-                b.add_child(
-                    cat,
-                    format!("C{i}.{j}.{k}"),
-                    format!("system{i} disorder{i} group{i}x{j} type{i}x{k}"),
-                );
-            }
-        }
-    }
-    let o = b.build().unwrap();
-    let mut vocab = Vocab::new();
-    for (_, c) in o.iter() {
-        for t in tokenize(&c.canonical) {
-            vocab.add(&t);
-        }
-    }
-    let model = ComAid::new(vocab, ComAidConfig::tiny(), None);
-    let q = tokenize("disorder1 group1x7 type1x3");
-
-    let warmed = Linker::new(&model, &o, LinkerConfig::default());
-    warmed.warm();
-    let want = warmed.link(&q);
-    assert!(!want.candidates.is_empty());
-
-    let alone = Linker::new(&model, &o, LinkerConfig::default());
-    alone.link(&q);
-    let one_touch = alone.cache().unwrap().memory_report();
-    assert_eq!(one_touch.frozen_shards, 1, "the query stays in one chapter");
-
-    const N: usize = 12;
-    let linker = Linker::new(&model, &o, LinkerConfig::default());
-    let fe = Frontend::new(
-        &linker,
-        FrontendConfig {
-            workers: 3,
-            deadline: None,
-            queue_capacity: 128,
-            degrade_watermark: 128,
-            shed_watermark: 128,
-            ..FrontendConfig::default()
-        },
-    );
-    fe.serve(|| {
-        for _ in 0..N {
-            fe.submit(q.clone()).expect("capacity above the burst");
-        }
-    });
-    let completions = fe.take_completions();
-    assert_eq!(completions.len(), N);
-    for c in &completions {
-        assert_same_result(&c.result, &want, &format!("completion {}", c.id));
-    }
-    let report = fe.stats().cache;
-    assert_eq!(report.frozen_shards, 1);
-    assert_eq!(report.encoder_steps_run, one_touch.encoder_steps_run);
-    assert_eq!(report.encoder_tokens, one_touch.encoder_tokens);
+    let after = fe.stats().cache;
+    assert_eq!(after.total_bytes(), before.total_bytes());
+    assert_eq!(after.encoder_steps_run, before.encoder_steps_run);
 }
 
 /// A sustained burst far past the queue's hard ceiling: submissions

@@ -219,7 +219,6 @@ fn budgeted_scoring_keeps_the_unbudgeted_bits_on_a_phase_one_prefix() {
     // reads between candidates.
     let query = tokenize(&"system disorder type t3 ".repeat(12));
     let unbudgeted = Linker::new(&model, &o, LinkerConfig::default());
-    unbudgeted.warm();
     let _ = unbudgeted.link(&query);
     let full = unbudgeted.link(&query);
     assert!(
@@ -243,7 +242,6 @@ fn budgeted_scoring_keeps_the_unbudgeted_bits_on_a_phase_one_prefix() {
                 ..LinkerConfig::default()
             },
         );
-        budgeted.warm();
         let res = budgeted.link(&query);
         assert_eq!(res.candidates, full.candidates, "Phase I is untouched");
         let scored = match res.degradation {
@@ -368,14 +366,12 @@ fn assert_rows_bit_identical(got: &[Vector], want: &[Vector], ctx: &str) {
 proptest! {
     /// Property: the prefix-trie freeze stores, for every concept, exactly
     /// the states a per-concept `Lstm::forward_states` pass produces —
-    /// on first touch and after `warm`, in both tiers — runs one encoder
-    /// step per distinct prefix of a chapter, and (the final cell and the
-    /// frozen BOS step ride on the scores) serves bit-identically to the
-    /// uncached model: in every architecture variant, for the empty
-    /// target, and whether the mask counts every word, none, or some.
-    /// There is one shard per chapter plus the root slot's; a touch
-    /// freezes its own chapter's shard and no other, and `warm` after
-    /// first touches freezes exactly what is left.
+    /// in both tiers — runs one encoder step per distinct prefix of a
+    /// chapter, and (the final cell and the frozen BOS step ride on the
+    /// scores) serves bit-identically to the uncached model: in every
+    /// architecture variant, for the empty target, and whether the mask
+    /// counts every word, none, or some. There is one shard per chapter
+    /// plus the root slot's.
     #[test]
     fn trie_shared_freeze_equals_per_concept_encoder_passes(
         shape in proptest::collection::vec(0usize..50 * 6 * 40, 2..14),
@@ -426,41 +422,25 @@ proptest! {
         }
 
         for tier in [CacheTier::Exact, CacheTier::Compact] {
-            let warmed = model.freeze_tiered(&index, tier);
-            warmed.warm(&model, &index);
-            prop_assert_eq!((warmed.shard_count(), warmed.frozen_shard_count()), (shards, shards));
-            let touched = model.freeze_tiered(&index, tier);
-            prop_assert_eq!(touched.frozen_shard_count(), 0);
-            // First-touch the shards in the opposite order to `warm`'s
-            // sweep. The root slot comes last: `warm` freezes it, the one
-            // shard no touch has reached.
-            let mut seen = HashSet::new();
-            for &c in concepts.iter().rev() {
-                if c == Ontology::ROOT {
-                    prop_assert_eq!(touched.frozen_shard_count(), shards - 1);
-                    touched.warm(&model, &index);
-                }
+            let cache = model.freeze_tiered(&index, tier);
+            prop_assert_eq!(cache.shard_count(), shards);
+            for &c in &concepts {
                 let reference = reference_encoder_states(&model, &index, c);
                 let want: Vec<Vector> = match tier {
                     CacheTier::Exact => reference,
                     CacheTier::Compact => reference.iter().map(through_bf16).collect(),
                 };
                 let ctx = format!("{} {:?}", tier.name(), o.concept(c).canonical);
-                assert_rows_bit_identical(&touched.encoder_states(&model, &index, c), &want, &ctx);
-                assert_rows_bit_identical(&warmed.encoder_states(&model, &index, c), &want, &ctx);
-                prop_assert_eq!(score(&warmed, c), score(&touched, c), "{}", ctx);
+                assert_rows_bit_identical(&cache.encoder_states(c), &want, &ctx);
                 if tier == CacheTier::Exact {
                     let plain = model.log_prob_ids_masked(&index, c, &target, &mask);
-                    prop_assert_eq!(score(&warmed, c), plain.to_bits(), "{}", ctx);
+                    prop_assert_eq!(score(&cache, c), plain.to_bits(), "{}", ctx);
                 }
-                seen.insert(chapter(c));
-                prop_assert_eq!(touched.frozen_shard_count(), seen.len(), "{}", ctx);
             }
-            for report in [warmed.memory_report(), touched.memory_report()] {
-                prop_assert_eq!(report.encoder_tokens, tokens);
-                prop_assert_eq!(report.encoder_steps_run, prefixes.len());
-                prop_assert!(report.encoder_share_ratio() >= 1.0);
-            }
+            let report = cache.memory_report();
+            prop_assert_eq!(report.encoder_tokens, tokens);
+            prop_assert_eq!(report.encoder_steps_run, prefixes.len());
+            prop_assert!(report.encoder_share_ratio() >= 1.0);
         }
     }
 }

@@ -39,13 +39,6 @@ pub fn tanh_inplace(v: &mut Vector) {
     libm::tanh_inplace(v.as_mut_slice());
 }
 
-/// Returns `tanh` applied element-wise.
-pub fn tanh_vec(v: &Vector) -> Vector {
-    let mut out = v.clone();
-    tanh_inplace(&mut out);
-    out
-}
-
 /// Max-shifted softmax: `softmax(x)_i = e^{x_i - m} / Σ_j e^{x_j - m}`.
 ///
 /// The subtraction of the maximum makes the computation immune to overflow
