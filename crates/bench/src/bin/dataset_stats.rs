@@ -11,7 +11,7 @@
 //! only aliases have, and how many descriptions merely extend their
 //! parent's — and what the frozen concept cache stores for that text
 //! (DESIGN.md §9): one encoder row per distinct description prefix
-//! within a chapter plus one zero row per freeze shard, how many rows a
+//! within a chapter plus the one zero row, how many rows a
 //! single ontology-wide prefix set would need instead, how many leaf
 //! tokens repeat the parent's description (and so cost a leaf no row),
 //! and one head per fine-grained concept. Both dataset profiles, and
@@ -54,8 +54,8 @@ fn text_row(name: &str, o: &Ontology) -> Vec<String> {
             !parent.is_empty() && own.len() > parent.len() && own.starts_with(parent)
         })
         .count();
-    // The cache's rows: a prefix trie per chapter (the freeze shard),
-    // each with its zero row, plus the root slot's shard.
+    // The cache's rows: the zero row, then a prefix trie's rows per
+    // chapter (the freeze's unit).
     let chapter = |mut id: ConceptId| {
         while let Some(p) = o.parent(id).filter(|&p| p != Ontology::ROOT) {
             id = p;
@@ -71,7 +71,6 @@ fn text_row(name: &str, o: &Ontology) -> Vec<String> {
             prefixes.insert(&own[..n]);
         }
     }
-    let shards = o.children(Ontology::ROOT).len() + 1;
     let fine = o.fine_grained();
     let (mut leaf_tokens, mut leaf_shared) = (0, 0);
     for &id in &fine {
@@ -89,7 +88,7 @@ fn text_row(name: &str, o: &Ontology) -> Vec<String> {
         format!("{:.2}", ids.len() as f64 / o.num_concepts() as f64),
         alias_only.to_string(),
         format!("{:.3}", extends_parent as f64 / o.num_concepts() as f64),
-        (chapter_prefixes.len() + shards).to_string(),
+        (chapter_prefixes.len() + 1).to_string(),
         prefixes.len().to_string(),
         format!("{leaf_shared} of {leaf_tokens}"),
         fine.len().to_string(),

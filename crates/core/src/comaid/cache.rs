@@ -11,32 +11,34 @@
 //! it is built ([`ComAid::freeze_tiered`]), and online scoring then only
 //! runs the decoder over the query.
 //!
-//! **Layout.** A frozen shard keeps the freeze's prefix trie (below) as
-//! its row store: one `d`-float row per distinct description prefix of
-//! the chapter — the encoder state after that prefix — plus row 0, the
-//! zero start state (DESIGN.md §9). A node is a *path* of row ids, one per
-//! description token (its textual memory `h_1..h_n`), and β row ids for
-//! its context slots: each ancestor's final state, which is a row the
-//! ancestor's own path already ends on (row 0 for a token-less one). So a
-//! leaf that extends its parent's description costs only its new words,
-//! and nothing is stored twice. Only the fine-grained concepts of
-//! Definition 2.1 — the set Phase I retrieves and Phase II ranks — hold
-//! a head; [`ComAid::log_prob_ids_masked_cached`] sends any other node to
-//! the uncached path. Scoring a candidate gathers its rows into request
+//! **Layout.** Four flat arrays, indexed by node id (DESIGN.md §9): one
+//! row store of `d`-float rows — row 0 the zero start state, then one
+//! row per distinct description prefix of each chapter, the encoder
+//! state after that prefix; one *path* per node, a row id per
+//! description token (its textual memory `h_1..h_n`); β slot row ids
+//! per node, each context entry's final state, which is a row the
+//! entry's own path already ends on (row 0 for a token-less one); and
+//! one head per fine-grained concept. So a leaf that extends its
+//! parent's description costs only its new words, and nothing is stored
+//! twice. Only the fine-grained concepts of Definition 2.1 — the set
+//! Phase I retrieves and Phase II ranks — hold a head;
+//! [`ComAid::log_prob_ids_masked_cached`] sends any other node to the
+//! uncached path. Scoring a candidate gathers its rows into request
 //! scratch.
 //!
 //! The freeze itself shares work exactly. The encoder starts every
 //! description from the zero state, so its state after a token prefix is
 //! a function of that prefix alone, and ICD-style descriptions extend
-//! their parent's: each shard walks its descriptions through a prefix
-//! trie and runs an encoder step only for a prefix it has not met
-//! (`CacheMemoryReport::encoder_share_ratio`). One trie serves every
-//! chapter in turn, emptied in between, so the freeze allocates its
-//! scratch once rather than once per chapter. Inside a step the input
-//! half `b + W·x` of the gate pre-activations depends on the input alone
+//! their parent's: the freeze walks each chapter's descriptions through a
+//! prefix trie and runs an encoder step only for a prefix the chapter
+//! has not met (`CacheMemoryReport::encoder_share_ratio`). The chapter is
+//! the freeze's scratch unit only: one trie serves every chapter in turn,
+//! its maps emptied in between, and its `h` arena, which each chapter
+//! extends, is the row store. Inside a step the input half `b + W·x` of
+//! the gate pre-activations depends on the input alone
 //! ([`LstmPlan::project_input`]), so the freeze projects each word id
-//! once per shard and scoring projects each query word once per request
-//! instead of once per candidate. Both reuse the very values the
+//! once per chapter and scoring projects each query word once per
+//! request instead of once per candidate. Both reuse the very values the
 //! unshared computation would produce, so neither can move a bit.
 //!
 //! Two invariants make the cache safe and exact:
@@ -68,7 +70,7 @@ use std::collections::HashMap;
 ///
 /// `Exact` is the default and preserves the cache's founding guarantee:
 /// cached scores are **bit-identical** to the uncached forward pass.
-/// `Compact` trades that guarantee for memory: the shard's row store —
+/// `Compact` trades that guarantee for memory: the row store —
 /// every encoder state either attention memory reads — is stored as
 /// bf16-style `u16` mantissa trims ([`simd::narrow_bf16`]) and widened
 /// into request scratch per candidate. Everything else (paths, slot
@@ -106,16 +108,14 @@ pub struct CacheMemoryReport {
     pub tier: CacheTier,
     /// Ontology nodes the cache covers (including the root slot).
     pub concepts: usize,
-    /// Freeze shards (one per ontology chapter plus the root slot).
-    pub shards: usize,
-    /// Encoder state rows — one per distinct description prefix of a
-    /// shard plus its zero row, f32 in `Exact`, bf16 in `Compact` — and
-    /// the per-node paths that index them (a `u32` per description
-    /// token, an offset per node).
+    /// Encoder state rows — the zero row and one per distinct
+    /// description prefix of a chapter, f32 in `Exact`, bf16 in
+    /// `Compact` — and the per-node paths that index them (a `u32` per
+    /// description token, an offset per node and a closing one).
     pub enc_state_bytes: usize,
-    /// Structural attention memory: the per-slot `u32` references to
-    /// ancestor rows. The rows themselves are encoder rows, counted
-    /// once, above.
+    /// Structural attention memory: β `u32` references to ancestor rows
+    /// per node, the root slot's filler included. The rows themselves
+    /// are encoder rows, counted once, above.
     pub ancestor_bytes: usize,
     /// Frozen post-BOS decoder states (`dec_h1`/`dec_c1`, f32 in both
     /// tiers) of the fine-grained concepts.
@@ -124,8 +124,8 @@ pub struct CacheMemoryReport {
     /// logits (`d + 1` floats per fine-grained concept, f32 in both
     /// tiers).
     pub step0_bytes: usize,
-    /// What the cache holds besides its shards: the model's transposed,
-    /// gate-fused weights ([`ComAidPlan`]) and the node → shard /
+    /// What the cache holds besides its per-concept arrays: the model's
+    /// transposed, gate-fused weights ([`ComAidPlan`]) and the node →
     /// head-slot map.
     pub plan_bytes: usize,
     /// Total ancestor slots across all nodes (β per non-root node).
@@ -137,7 +137,7 @@ pub struct CacheMemoryReport {
     /// pass would run.
     pub encoder_tokens: usize,
     /// Encoder steps the freeze actually ran — one per distinct
-    /// description prefix within a shard, each a stored row.
+    /// description prefix within a chapter, each a stored row.
     pub encoder_steps_run: usize,
 }
 
@@ -152,7 +152,7 @@ impl CacheMemoryReport {
     }
 
     /// Per-concept resident bytes, excluding the model-sized plans and
-    /// the shard map (`plan_bytes`): the number that scales with `|C|`
+    /// the head-slot map (`plan_bytes`): the number that scales with `|C|`
     /// and the fig17 comparison metric.
     pub fn bytes_per_concept(&self) -> f64 {
         if self.concepts == 0 {
@@ -171,7 +171,7 @@ impl CacheMemoryReport {
     }
 
     /// `encoder_tokens / encoder_steps_run`: how many description tokens
-    /// each encoder step served (1.0 = no two descriptions in a shard
+    /// each encoder step served (1.0 = no two descriptions in a chapter
     /// share a prefix).
     pub fn encoder_share_ratio(&self) -> f64 {
         if self.encoder_steps_run == 0 {
@@ -215,8 +215,8 @@ fn gather<'a, T>(
     out
 }
 
-/// A shard's row store, in the tier's width. Heads are f32 in both
-/// tiers; quantization narrows stored rows, never the inputs of frozen
+/// The row store, in the tier's width. Heads are f32 in both tiers;
+/// quantization narrows stored rows, never the inputs of frozen
 /// computation.
 #[derive(Debug, Clone)]
 enum Rows {
@@ -227,14 +227,18 @@ enum Rows {
 }
 
 impl Rows {
-    /// The store of a trie's `h` arena, with `capacity()` exactly its
-    /// length (the memory report counts capacity).
-    fn new(tier: CacheTier, h: &[f32]) -> Self {
+    /// The store of the freeze's `h` arena, with `capacity()` exactly
+    /// its length (the memory report counts capacity): the arena itself
+    /// in `Exact`, narrowed once in `Compact`.
+    fn new(tier: CacheTier, mut h: Vec<f32>) -> Self {
         match tier {
-            CacheTier::Exact => Self::F32(h.to_vec()),
+            CacheTier::Exact => {
+                h.shrink_to_fit();
+                Self::F32(h)
+            }
             CacheTier::Compact => {
                 let mut q = vec![0u16; h.len()];
-                simd::narrow_bf16(&mut q, h);
+                simd::narrow_bf16(&mut q, &h);
                 Self::Bf16(q)
             }
         }
@@ -265,122 +269,100 @@ impl Rows {
     }
 }
 
-/// One frozen shard: every per-node artifact for the nodes of one
-/// ontology chapter (plus shard 0, the synthetic root's own slot).
-/// Nodes are indexed by their *local* position within the shard, rows
-/// by their prefix-trie id.
-#[derive(Debug, Clone)]
-struct ShardData {
-    /// Row `n` = the encoder state after trie node `n`'s prefix; row 0
-    /// is the zero start state.
-    rows: Rows,
-    /// Row `l` = node `l`'s path: the trie id after each of its
-    /// description tokens, i.e. its `h_1..h_n` as row ids.
-    paths: Csr,
-    /// Structural memory: `anc[l·β..(l + 1)·β]` = the row of each of
-    /// node `l`'s context entries, slot-expanded as Definition 4.1
-    /// lists them — that entry's last path id, or row 0 when it has no
-    /// tokens (`LstmTape::final_h()` on an empty sequence). β is 0 for
-    /// the root slot and for variants without structural attention.
-    anc: Vec<u32>,
-    /// The heads of the shard's fine-grained nodes, `head_len(d)` floats
-    /// each, in local order ([`ConceptCache::node_head`] indexes them).
-    heads: Vec<f32>,
-    /// Distinct non-zero rows `anc` references.
-    anc_distinct: usize,
-}
-
-impl ShardData {
-    /// Context slots per node.
-    fn beta(&self) -> usize {
-        self.anc.len() / self.paths.rows()
-    }
-
-    /// Node `l`'s context slots, as row ids.
-    fn slots(&self, l: usize) -> &[u32] {
-        let beta = self.beta();
-        &self.anc[l * beta..][..beta]
-    }
-
-    /// Head `slot`.
-    fn head(&self, d: usize, slot: u32) -> &[f32] {
-        &self.heads[slot as usize * head_len(d)..][..head_len(d)]
-    }
-}
-
-/// Freeze-time scratch of one shard: the encoder state after every
-/// distinct description prefix met so far. The encoder starts each
-/// description from the zero state, so that state is a function of the
-/// prefix alone and every description sharing the prefix reads it
-/// instead of recomputing it.
+/// The freeze's prefix trie, over one chapter at a time: the encoder
+/// state after every distinct description prefix the chapter has met.
+/// The encoder starts each description from the zero state, so that
+/// state is a function of the prefix alone and every description
+/// sharing the prefix reads it instead of recomputing it.
 ///
 /// States and input projections live in flat arenas rather than a
-/// `Vector` per node. The `h` arena is copied into the shard's row store
-/// ([`Rows::new`]); [`PrefixTrie::reset`] then empties the maps and the
-/// arenas for the next shard, keeping their capacity. (Handing each
-/// shard the arena itself, shrunk, instead of a copy read 5 MB more
-/// `rss_mb` on the 31,880-concept benchmark: the per-shard arenas the
-/// allocator could not give back outweigh the copy.)
+/// `Vector` per node. The `h` arena is the cache's row store: row 0 is
+/// the zero start state, each chapter appends its rows after the last
+/// chapter's, and a trie node is its row id. [`PrefixTrie::reset`]
+/// empties everything else for the next chapter, keeping its capacity:
+/// the maps, the projections and the `c` arena, which holds only the
+/// current chapter's rows (one ontology-wide `c` arena would double the
+/// freeze's peak). Both arenas are sized once, from description token
+/// counts — a chapter runs at most one encoder step per token — so
+/// neither grows during the freeze.
 struct PrefixTrie<'m> {
     plan: &'m LstmPlan,
     embedding: &'m Embedding,
     /// `(parent node, word id)` → node; node 0 is the empty prefix.
     edges: HashMap<(u32, u32), u32>,
-    /// Row `n` of `hs` / `cs` (`d` floats each) = the encoder's `h` / `c`
-    /// after node `n`'s prefix; row 0 is the zero start state.
+    /// Row `n` (`d` floats) = the encoder's `h` after node `n`'s prefix.
     hs: Vec<f32>,
+    /// The chapter's `c` rows: node `n`'s is row `n − base`, and row 0,
+    /// the zero state, is the empty prefix's.
     cs: Vec<f32>,
+    /// The chapter's nodes are `base + 1..`.
+    base: u32,
     /// Word id → its slot in `projs` (`4d` floats each): the input
-    /// projection `b + W·x`, made the first time the shard steps on the
-    /// word.
+    /// projection `b + W·x`, made the first time the chapter steps on
+    /// the word.
     word_slot: HashMap<u32, usize>,
     projs: Vec<f32>,
     gates: Vec<f32>,
 }
 
 impl<'m> PrefixTrie<'m> {
-    /// A trie with no rows; [`PrefixTrie::reset`] readies it for a
-    /// shard.
-    fn new(plan: &'m LstmPlan, embedding: &'m Embedding) -> Self {
+    /// A trie holding only the zero start state, with room for `tokens`
+    /// encoder steps in all and `chapter_tokens` in any one chapter.
+    /// [`PrefixTrie::reset`] readies it for a chapter.
+    fn new(
+        plan: &'m LstmPlan,
+        embedding: &'m Embedding,
+        tokens: usize,
+        chapter_tokens: usize,
+    ) -> Self {
+        let d = plan.hidden();
+        let mut hs = Vec::with_capacity((tokens + 1) * d);
+        hs.resize(d, 0.0);
         Self {
             plan,
             embedding,
             edges: HashMap::new(),
-            hs: Vec::new(),
-            cs: Vec::new(),
+            hs,
+            cs: Vec::with_capacity((chapter_tokens + 1) * d),
+            base: 0,
             word_slot: HashMap::new(),
             projs: Vec::new(),
             gates: vec![0.0; 4 * plan.hidden()],
         }
     }
 
-    /// Empties the trie down to the zero start state, with room for
-    /// `tokens` encoder steps.
-    fn reset(&mut self, tokens: usize) {
+    /// Starts a chapter: no prefix met but the empty one, whose `c` is
+    /// the zero state.
+    fn reset(&mut self) {
         let d = self.plan.hidden();
         self.edges.clear();
         self.word_slot.clear();
         self.projs.clear();
-        for arena in [&mut self.hs, &mut self.cs] {
-            arena.clear();
-            arena.reserve((tokens + 1) * d);
-            arena.resize(d, 0.0);
-        }
+        self.base = u32::try_from(self.hs.len() / d - 1).expect("cache rows fit u32");
+        self.cs.clear();
+        self.cs.resize(d, 0.0);
+    }
+
+    /// The `c` row of node `n`: 0 for the empty prefix.
+    fn c_row(&self, n: u32) -> usize {
+        n.saturating_sub(self.base) as usize
     }
 
     /// The encoder's `(h, c)` after node `n`'s prefix.
     fn state(&self, n: u32) -> (&[f32], &[f32]) {
         let d = self.plan.hidden();
-        let at = n as usize * d;
-        (&self.hs[at..][..d], &self.cs[at..][..d])
+        (
+            &self.hs[n as usize * d..][..d],
+            &self.cs[self.c_row(n) * d..][..d],
+        )
     }
 
     /// The node of `node`'s prefix extended by `word`, stepping the
     /// encoder only when that prefix is new.
     fn step(&mut self, node: u32, word: u32) -> u32 {
         let d = self.plan.hidden();
-        // Every edge made one node, so the next free row is:
-        let next = u32::try_from(self.edges.len() + 1).expect("shard rows fit u32");
+        let next = u32::try_from(self.hs.len() / d).expect("cache rows fit u32");
+        let (parent_c, next_c) = (self.c_row(node) * d, self.c_row(next) * d);
         match self.edges.entry((node, word)) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
@@ -395,14 +377,13 @@ impl<'m> PrefixTrie<'m> {
                 }
                 // The child starts as a copy of its parent's state and
                 // is stepped in place.
-                let parent = node as usize * d..(node as usize + 1) * d;
-                self.hs.extend_from_within(parent.clone());
-                self.cs.extend_from_within(parent);
-                let at = next as usize * d;
+                let parent_h = node as usize * d;
+                self.hs.extend_from_within(parent_h..parent_h + d);
+                self.cs.extend_from_within(parent_c..parent_c + d);
                 self.plan.step_projected_into(
                     &self.projs[slot * 4 * d..][..4 * d],
-                    &mut self.hs[at..],
-                    &mut self.cs[at..],
+                    &mut self.hs[next as usize * d..],
+                    &mut self.cs[next_c..],
                     &mut self.gates,
                 );
                 *e.insert(next)
@@ -410,30 +391,19 @@ impl<'m> PrefixTrie<'m> {
         }
     }
 
-    /// Walks `tokens` from the empty prefix, appending the node after
-    /// each token to `path`; returns the last (0 when there are none).
-    fn walk(&mut self, tokens: &[u32], mut path: impl FnMut(u32)) -> u32 {
+    /// Walks `tokens` from the empty prefix, writing the node after each
+    /// token to `path`.
+    fn walk(&mut self, tokens: &[u32], path: &mut [u32]) {
         let mut node = 0;
-        for &word in tokens {
+        for (&word, at) in tokens.iter().zip(path) {
             node = self.step(node, word);
-            path(node);
+            *at = node;
         }
-        node
     }
 }
 
 /// The one-word decode target of every head: `⟨BOS⟩`.
 const BOS: &[u32] = &[Vocab::BOS];
-
-/// What the freeze loop reuses from one shard to the next: the prefix
-/// trie's maps and arenas, the `⟨BOS⟩` decode scratch the heads are
-/// computed in ([`ComAid::head_into`]), and the marks of the rows the
-/// shard's context slots reference.
-struct FreezeScratch<'m> {
-    trie: PrefixTrie<'m>,
-    bos: PreparedTarget<'static>,
-    referenced: Vec<bool>,
-}
 
 /// A decode target prepared for cached scoring — the query's word ids,
 /// each word's decoder input projection, and every buffer a decode
@@ -460,16 +430,16 @@ pub(crate) struct PreparedTarget<'t> {
     /// Attention weights, sized for the longest memory in the cache.
     att: Vec<f32>,
     /// Where one candidate's rows are gathered: `max_tokens` rows for
-    /// its `h_1..h_n`, then `max_slots` for its β slot rows.
+    /// its `h_1..h_n`, then β for its slot rows.
     memory: Vec<f32>,
 }
 
 /// Precomputed per-concept encoder state, frozen at a specific parameter
-/// generation and partitioned into per-chapter **shards** (the freeze
-/// unit). Index-aligned with the [`OntologyIndex`] it was built from
-/// (entry `cid.index()` belongs to concept `cid`).
+/// generation: one flat layout indexed by node id, aligned with the
+/// [`OntologyIndex`] it was built from (entry `cid.index()` belongs to
+/// concept `cid`).
 ///
-/// [`ComAid::freeze_tiered`] freezes every shard before it returns, so
+/// [`ComAid::freeze_tiered`] freezes every chapter before it returns, so
 /// the cache is plain immutable data: scoring threads share one cache,
 /// and no request ever blocks on or pays for a freeze.
 #[derive(Debug, Clone)]
@@ -478,30 +448,35 @@ pub struct ConceptCache {
     version: u64,
     dim: usize,
     tier: CacheTier,
-    /// `node_shard[i]`/`node_local[i]` = which shard holds node `i`, and
-    /// where within it. A node's chapter is the last entry of its
-    /// structural context (the duplicated first-level ancestor of
-    /// Definition 4.1); the root slot is shard 0 on its own.
-    node_shard: Vec<u32>,
-    node_local: Vec<u32>,
-    /// `node_head[i]` = node `i`'s slot among its shard's heads, or
-    /// [`NO_HEAD`]: only the fine-grained concepts of Definition 2.1 —
-    /// the candidates Phase I can return — hold a frozen head.
+    /// Row `r` = the encoder state after prefix-trie node `r`'s prefix;
+    /// row 0 is the zero start state, and each chapter's rows follow
+    /// the chapter frozen before it.
+    rows: Rows,
+    /// Row `i` = node `i`'s path: the row after each of its description
+    /// tokens, i.e. its `h_1..h_n` as row ids.
+    paths: Csr,
+    /// Structural memory: `slots[i·β..(i + 1)·β]` = the row of each of
+    /// node `i`'s context entries, slot-expanded as Definition 4.1
+    /// lists them — that entry's last path id, or row 0 when it has no
+    /// tokens (`LstmTape::final_h()` on an empty sequence). The root
+    /// slot's are filler, never read.
+    slots: Vec<u32>,
+    /// Context slots per node: the index's β, or 0 for a variant
+    /// without structural attention.
+    beta: usize,
+    /// `node_head[i]` = node `i`'s head in `heads`, or [`NO_HEAD`]: only
+    /// the fine-grained concepts of Definition 2.1 — the candidates
+    /// Phase I can return — hold a frozen head.
     node_head: Vec<u32>,
-    /// `shard_nodes[shard_off[s]..shard_off[s + 1]]` = member node
-    /// indices of shard `s`, in local order (the freeze iteration
-    /// order).
-    shard_off: Vec<u32>,
-    shard_nodes: Vec<u32>,
-    /// The longest description and the most context slots any node
-    /// has: the longest attention memory of each kind, which size a
-    /// request's scratch.
+    /// The heads, `head_len(d)` floats each, in node order.
+    heads: Vec<f32>,
+    /// The longest description any node has: the longest textual
+    /// memory, which sizes a request's scratch with `beta`.
     max_tokens: usize,
-    max_slots: usize,
-    /// Frozen shard payloads, one per chapter plus the root slot's.
-    shards: Vec<ShardData>,
+    /// Distinct non-zero rows `slots` references.
+    ancestor_rows: usize,
     /// The model's transposed, gate-fused weights at the generation the
-    /// cache was frozen from: the encoder's for shard freezes, the
+    /// cache was frozen from: the encoder's for the freeze, the
     /// decoder, composite and output layers' for every online step
     /// ([`LstmPlan::step_projected_into`], `Dense::apply_with_t_into`).
     plan: ComAidPlan,
@@ -521,7 +496,7 @@ impl ConceptCache {
 
     /// Whether this cache may serve `model` over `index`: the
     /// parameter generation it was frozen from, and an index the size
-    /// of the one its shard map was laid out over (a cache shared across
+    /// of the one its layout was built over (a cache shared across
     /// ontologies would otherwise be read out of bounds).
     pub(crate) fn serves(&self, model: &ComAid, index: &OntologyIndex) -> bool {
         self.is_valid_for(model) && self.len() == index.len()
@@ -529,12 +504,12 @@ impl ConceptCache {
 
     /// Number of ontology nodes covered (including the root slot).
     pub fn len(&self) -> usize {
-        self.node_shard.len()
+        self.node_head.len()
     }
 
     /// Whether the cache covers no concepts.
     pub fn is_empty(&self) -> bool {
-        self.node_shard.is_empty()
+        self.node_head.is_empty()
     }
 
     /// The storage tier this cache was frozen with.
@@ -542,72 +517,50 @@ impl ConceptCache {
         self.tier
     }
 
-    /// Number of freeze shards (one per ontology chapter, plus the root
-    /// slot's own shard).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Encoder state rows stored: the zero row and one per distinct
+    /// description prefix of a chapter.
+    pub fn row_count(&self) -> usize {
+        self.rows.count(self.dim)
     }
 
-    /// Member node indices of shard `si`, in local order.
-    fn members(&self, si: usize) -> &[u32] {
-        &self.shard_nodes[self.shard_off[si] as usize..self.shard_off[si + 1] as usize]
+    /// Node `i`'s context slots, as row ids.
+    fn slots(&self, i: usize) -> &[u32] {
+        &self.slots[i * self.beta..][..self.beta]
     }
 
-    /// The shard and local position of node `ci`.
-    fn locate(&self, ci: usize) -> (&ShardData, usize) {
-        let shard = &self.shards[self.node_shard[ci] as usize];
-        (shard, self.node_local[ci] as usize)
-    }
-
-    /// `concept`'s frozen head in `shard`, the shard that holds it.
+    /// `concept`'s frozen head.
     ///
     /// # Panics
     /// Panics if `concept` holds no head: it is not one of the
     /// fine-grained concepts Phase I retrieves.
-    fn head<'c>(&'c self, shard: &'c ShardData, concept: ConceptId) -> &'c [f32] {
+    fn head(&self, concept: ConceptId) -> &[f32] {
         match self.node_head[concept.index()] {
             NO_HEAD => panic!("{concept:?} holds no frozen head: it is not fine-grained"),
-            slot => shard.head(self.dim, slot),
+            slot => &self.heads[slot as usize * head_len(self.dim)..][..head_len(self.dim)],
         }
     }
 
-    /// Resident-size breakdown: per-component bytes, shard/concept
-    /// counts, and the ancestor-memory dedup ratio.
+    /// Resident-size breakdown: per-component bytes, the concept count,
+    /// and the ancestor-memory dedup ratio.
     pub fn memory_report(&self) -> CacheMemoryReport {
         let d = self.dim;
-        let map_words = self.node_shard.capacity()
-            + self.node_local.capacity()
-            + self.node_head.capacity()
-            + self.shard_off.capacity()
-            + self.shard_nodes.capacity();
-        let mut r = CacheMemoryReport {
+        // A head is `dec_h1 | dec_c1` and then the step-0 state.
+        let dec = self.heads.len() / head_len(d) * 2 * d * 4;
+        CacheMemoryReport {
             tier: self.tier,
-            concepts: self.node_shard.len(),
-            shards: self.shards.len(),
-            enc_state_bytes: 0,
-            ancestor_bytes: 0,
-            decoder_state_bytes: 0,
-            step0_bytes: 0,
-            plan_bytes: (self.plan.memory_floats() + map_words) * 4,
-            ancestor_slots: 0,
-            ancestor_rows_stored: 0,
-            encoder_tokens: 0,
-            encoder_steps_run: 0,
-        };
-        for shard in &self.shards {
-            // A head is `dec_h1 | dec_c1` and then the step-0 state.
-            let dec = shard.heads.len() / head_len(d) * 2 * d * 4;
-            r.decoder_state_bytes += dec;
-            r.step0_bytes += shard.heads.capacity() * 4 - dec;
-            r.enc_state_bytes += shard.rows.heap_bytes() + shard.paths.heap_bytes();
-            r.ancestor_bytes += shard.anc.capacity() * 4;
-            r.ancestor_slots += shard.anc.len();
-            r.ancestor_rows_stored += shard.anc_distinct;
-            r.encoder_tokens += shard.paths.len();
+            concepts: self.len(),
+            enc_state_bytes: self.rows.heap_bytes() + self.paths.heap_bytes(),
+            ancestor_bytes: self.slots.capacity() * 4,
+            decoder_state_bytes: dec,
+            step0_bytes: self.heads.capacity() * 4 - dec,
+            plan_bytes: (self.plan.memory_floats() + self.node_head.capacity()) * 4,
+            // The root slot's β are filler.
+            ancestor_slots: self.slots.len() - self.beta,
+            ancestor_rows_stored: self.ancestor_rows,
+            encoder_tokens: self.paths.len(),
             // Every row but the zero row is one encoder step.
-            r.encoder_steps_run += shard.rows.count(d) - 1;
+            encoder_steps_run: self.row_count() - 1,
         }
-        r
     }
 
     /// Total cache footprint in `f32`-equivalents
@@ -624,10 +577,9 @@ impl ConceptCache {
     /// Panics if `concept` is outside the ontology the cache was frozen
     /// over.
     pub fn encoder_states(&self, concept: ConceptId) -> Vec<Vector> {
-        let (shard, l) = self.locate(concept.index());
-        let path = shard.paths.row(l);
+        let path = self.paths.row(concept.index());
         let mut rows = vec![0.0f32; path.len() * self.dim];
-        shard.rows.gather(self.dim, path, &mut rows);
+        self.rows.gather(self.dim, path, &mut rows);
         rows.chunks_exact(self.dim)
             .map(Vector::from_slice)
             .collect()
@@ -642,181 +594,132 @@ impl ComAid {
     }
 
     /// Builds the serving cache of `index` at the current parameter
-    /// generation: the chapter shard map, the model's plan, and every
-    /// shard frozen (one encoder step per distinct description prefix of
-    /// the chapter, each kept as a row; the structural memory reads
-    /// those same rows, because an ancestor's encoding *is* that
-    /// ancestor's concept encoding). One loop freezes the shards in turn,
-    /// reusing one set of scratch.
+    /// generation: one loop over the ontology's chapters walks each
+    /// chapter's descriptions through one prefix trie (one encoder
+    /// step per distinct description prefix of the chapter, each kept
+    /// as a row), writes each member's path and slots, and computes the
+    /// heads of the fine-grained members. The structural memory reads
+    /// the rows the paths name, because an ancestor's encoding *is*
+    /// that ancestor's concept encoding.
+    ///
+    /// Chapter subtrees are self-contained (every context entry of a
+    /// member is itself a member, and precedes it or is it), so a
+    /// chapter never reads a row another chapter made, and its paths
+    /// read as if each chapter had a trie of its own. A chapter with no
+    /// shared prefix pays one hash probe per token over a plain
+    /// per-concept pass and any other runs fewer encoder steps and
+    /// stores fewer rows. Heads always read the *exact* trie states, in
+    /// both tiers: Compact narrows the row store once, after the last
+    /// chapter, so it only perturbs per-query reads, never the heads.
     pub fn freeze_tiered(&self, index: &OntologyIndex, tier: CacheTier) -> ConceptCache {
         let n = index.len();
+        let d = self.config().dim;
         // Chapter resolution. A node's context holds its β *nearest*
         // ancestors, so the farthest entry is the chapter only for
         // shallow nodes; follow `last()` transitively (parents always
-        // have smaller indices than children, so one ascending pass with
-        // a memo terminates). Shard 0 is the root slot's own shard.
-        // On the way, Definition 2.1's fine-grained set: a node's first
-        // context entry is its parent (itself at the first level), so a
-        // real concept no other node names there has no children.
-        let mut node_shard = vec![0u32; n];
+        // have smaller indices than children, so one ascending pass
+        // terminates). A chapter is named by its first-level concept;
+        // the root slot is chapter 0 on its own. On the way,
+        // Definition 2.1's fine-grained set: a node's first context
+        // entry is its parent (itself at the first level), so a real
+        // concept no other node names there has no children.
+        let mut chapter = vec![0u32; n];
         let mut has_child = vec![false; n];
-        let mut shard_count = 1u32;
-        let (mut max_tokens, mut max_slots) = (0usize, 0usize);
+        let mut max_tokens = 0;
         for i in 0..n {
             let id = ConceptId(i as u32);
             let context = index.context(id);
-            node_shard[i] = match context.last() {
+            chapter[i] = match context.last() {
                 None => 0,
-                Some(anc) if anc.index() == i => {
-                    // First-level concept: its own chapter.
-                    shard_count += 1;
-                    shard_count - 1
-                }
+                Some(anc) if anc.index() == i => i as u32,
                 // Proper ancestor: created before `i`, already resolved.
-                Some(anc) => node_shard[anc.index()],
+                Some(anc) => chapter[anc.index()],
             };
             if let Some(parent) = context.first().filter(|p| p.index() != i) {
                 has_child[parent.index()] = true;
             }
             max_tokens = max_tokens.max(index.tokens(id).len());
-            max_slots = max_slots.max(context.len());
         }
-        // Members by shard, ascending within each (a counting sort):
-        // `shard_off[s]..shard_off[s + 1]` of `shard_nodes`; heads
-        // numbered within each shard the same way.
-        let mut shard_off = vec![0u32; shard_count as usize + 1];
-        for &si in &node_shard {
-            shard_off[si as usize + 1] += 1;
-        }
-        for si in 0..shard_count as usize {
-            shard_off[si + 1] += shard_off[si];
-        }
-        let mut node_local = vec![0u32; n];
         let mut node_head = vec![NO_HEAD; n];
-        let mut shard_nodes = vec![0u32; n];
-        let mut filled = vec![0u32; shard_count as usize];
-        let mut heads = vec![0u32; shard_count as usize];
-        for (i, &si) in node_shard.iter().enumerate() {
-            let si = si as usize;
-            node_local[i] = filled[si];
-            shard_nodes[(shard_off[si] + filled[si]) as usize] = i as u32;
-            filled[si] += 1;
-            if i != 0 && !has_child[i] {
-                node_head[i] = heads[si];
-                heads[si] += 1;
-            }
+        let mut heads = 0;
+        for i in (1..n).filter(|&i| !has_child[i]) {
+            node_head[i] = heads;
+            heads += 1;
         }
+        // Each chapter's members, ascending: a stable sort by chapter.
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by_key(|&i| chapter[i as usize]);
+        let chapters: Vec<&[u32]> = order
+            .chunk_by(|&a, &b| chapter[a as usize] == chapter[b as usize])
+            .collect();
+        let chapter_tokens = chapters
+            .iter()
+            .map(|nodes| {
+                nodes
+                    .iter()
+                    .map(|&i| index.tokens(ConceptId(i)).len())
+                    .sum()
+            })
+            .max()
+            .unwrap_or(0);
+        let beta = if self.config().variant.uses_struct() {
+            index.beta()
+        } else {
+            0
+        };
         let mut cache = ConceptCache {
             version: self.version(),
-            dim: self.config().dim,
+            dim: d,
             tier,
-            node_shard,
-            node_local,
+            // The trie's `h` arena, once every chapter is in it.
+            rows: Rows::F32(Vec::new()),
+            paths: index.token_rows().map(|_| 0),
+            slots: vec![0; n * beta],
+            beta,
             node_head,
-            shard_off,
-            shard_nodes,
+            heads: vec![0.0; heads as usize * head_len(d)],
             max_tokens,
-            max_slots,
-            shards: Vec::new(),
+            ancestor_rows: 0,
             plan: self.plan(),
         };
-        let shards = {
-            let mut scratch = FreezeScratch {
-                trie: PrefixTrie::new(&cache.plan.encoder, &self.embedding),
-                bos: self.prepare_target(&cache, BOS),
-                referenced: Vec::new(),
-            };
-            (0..shard_count as usize)
-                .map(|si| self.freeze_shard(index, &cache, si, &mut scratch))
-                .collect()
-        };
-        cache.shards = shards;
-        cache
-    }
-
-    /// Freezes one chapter shard: walks every member's description
-    /// through a [`PrefixTrie`], records each node's path and its
-    /// context slots as trie ids, computes the heads of the fine-grained
-    /// members, and keeps the trie's `h` arena as the row store. Chapter
-    /// subtrees are self-contained (every context entry of a member is
-    /// itself a member, and precedes it or is it), so the shard never
-    /// reads outside its own trie.
-    ///
-    /// A shard with no shared prefix pays one hash probe per token over
-    /// a plain per-concept pass and any other shard runs fewer encoder
-    /// steps and stores fewer rows. Heads always read the *exact* trie
-    /// states, in both tiers: Compact only perturbs per-query reads,
-    /// never the heads.
-    fn freeze_shard(
-        &self,
-        index: &OntologyIndex,
-        cache: &ConceptCache,
-        si: usize,
-        scratch: &mut FreezeScratch<'_>,
-    ) -> ShardData {
-        let d = self.config().dim;
-        let nodes = cache.members(si);
-        let tokens: usize = nodes
-            .iter()
-            .map(|&ni| index.tokens(ConceptId(ni)).len())
-            .sum();
-        // Definition 4.1 gives every non-root node exactly β slots.
-        let beta = match nodes.first() {
-            Some(&ni) if self.config().variant.uses_struct() => index.context(ConceptId(ni)).len(),
-            _ => 0,
-        };
-        let heads = nodes
-            .iter()
-            .filter(|&&ni| cache.node_head[ni as usize] != NO_HEAD)
-            .count();
-        let mut paths = Csr::with_capacity(nodes.len(), tokens);
-        let mut anc: Vec<u32> = Vec::with_capacity(nodes.len() * beta);
-        let mut head_store = vec![0.0f32; heads * head_len(d)];
-        let FreezeScratch {
-            trie,
-            bos,
-            referenced,
-        } = scratch;
-        trie.reset(tokens);
-        for (l, &ni) in nodes.iter().enumerate() {
-            let id = ConceptId(ni);
-            trie.walk(index.tokens(id), |node| paths.push(node));
-            paths.end_row();
-            if beta > 0 {
-                let context = index.context(id);
-                assert_eq!(context.len(), beta, "context slots per node");
-                for a in context {
+        let mut trie = PrefixTrie::new(
+            &cache.plan.encoder,
+            &self.embedding,
+            cache.paths.len(),
+            chapter_tokens,
+        );
+        let mut bos = self.prepare_target(&cache, BOS);
+        for nodes in chapters {
+            trie.reset();
+            for &ni in nodes {
+                let (id, i) = (ConceptId(ni), ni as usize);
+                trie.walk(index.tokens(id), cache.paths.row_mut(i));
+                let slots = &mut cache.slots[i * beta..][..beta];
+                for (slot, a) in slots.iter_mut().zip(index.context(id)) {
                     debug_assert_eq!(
-                        cache.node_shard[a.index()] as usize,
-                        si,
-                        "context entry outside its chapter shard"
+                        chapter[a.index()],
+                        chapter[i],
+                        "context outside its chapter"
                     );
-                    let path = paths.row(cache.node_local[a.index()] as usize);
-                    anc.push(path.last().copied().unwrap_or(0));
+                    *slot = cache.paths.row(a.index()).last().copied().unwrap_or(0);
+                }
+                let head = cache.node_head[i];
+                if head != NO_HEAD {
+                    let head = &mut cache.heads[head as usize * head_len(d)..][..head_len(d)];
+                    let path = cache.paths.row(i);
+                    self.head_into(&cache.plan, &trie, path, slots, &mut bos, head);
                 }
             }
-            let slot = cache.node_head[ni as usize];
-            if slot != NO_HEAD {
-                let head = &mut head_store[slot as usize * head_len(d)..][..head_len(d)];
-                let slots = &anc[l * beta..][..beta];
-                self.head_into(cache, trie, paths.row(l), slots, bos, head);
-            }
         }
-        let rows = Rows::new(cache.tier, &trie.hs);
-        referenced.clear();
-        referenced.resize(rows.count(d), false);
-        for &a in &anc {
-            referenced[a as usize] = true;
+        let rows = trie.hs;
+        // Row 0, the zero row, is the start state, not an encoding.
+        let mut referenced = vec![false; rows.len() / d];
+        for &r in &cache.slots {
+            referenced[r as usize] = true;
         }
-        ShardData {
-            rows,
-            paths,
-            anc,
-            heads: head_store,
-            // Row 0, the zero row, is the shard's start state, not an
-            // encoding.
-            anc_distinct: referenced.iter().skip(1).filter(|&&r| r).count(),
-        }
+        cache.ancestor_rows = referenced.iter().skip(1).filter(|&&r| r).count();
+        cache.rows = Rows::new(tier, rows);
+        cache
     }
 
     /// Writes into `head` ([`head_len`]) the head of a node whose
@@ -824,18 +727,18 @@ impl ComAid {
     /// end on the trie nodes `slots`: the `⟨BOS⟩` decoder step from the
     /// description's exact final `(h, c)`, its composite state `s̃₀`
     /// against the exact rows, and `lse₀`. `s` is prepared for the
-    /// target `⟨BOS⟩` ([`PreparedTarget`]). [`ComAid::freeze_shard`]
-    /// calls it for every fine-grained node.
+    /// target `⟨BOS⟩` ([`PreparedTarget`]) and `plan` is the cache's.
+    /// [`ComAid::freeze_tiered`] calls it for every fine-grained node.
     fn head_into(
         &self,
-        cache: &ConceptCache,
+        plan: &ComAidPlan,
         trie: &PrefixTrie<'_>,
         path: &[u32],
         slots: &[u32],
         s: &mut PreparedTarget<'_>,
         head: &mut [f32],
     ) {
-        let d = cache.dim;
+        let d = self.config().dim;
         let PreparedTarget {
             x_proj: bos_proj,
             gates,
@@ -845,7 +748,7 @@ impl ComAid {
             memory,
             ..
         } = s;
-        let (text, structure) = memory.split_at_mut(cache.max_tokens * d);
+        let (text, structure) = memory.split_at_mut(path.len() * d);
         let enc_rows = gather(d, &trie.hs, path, text, <[f32]>::copy_from_slice);
         let struct_mem = gather(d, &trie.hs, slots, structure, <[f32]>::copy_from_slice);
         let (h1, rest) = head.split_at_mut(d);
@@ -854,15 +757,12 @@ impl ComAid {
         let (h0, c0) = trie.state(path.last().copied().unwrap_or(0));
         h1.copy_from_slice(h0);
         c1.copy_from_slice(c0);
-        cache
-            .plan
-            .decoder
-            .step_projected_into(bos_proj, h1, c1, gates);
+        plan.decoder.step_projected_into(bos_proj, h1, c1, gates);
         self.composite_input(h1, enc_rows, struct_mem, att, comp_in);
         self.composite
-            .apply_with_t_into(comp_in, &cache.plan.composite_wt, s_tilde);
+            .apply_with_t_into(comp_in, &plan.composite_wt, s_tilde);
         self.output
-            .apply_with_t_into(s_tilde, &cache.plan.output_wt, logits);
+            .apply_with_t_into(s_tilde, &plan.output_wt, logits);
         lse[0] = log_sum_exp_slice(logits);
     }
 
@@ -917,8 +817,8 @@ impl ComAid {
             comp_in: vec![0.0; self.composite.in_dim()],
             s_tilde: vec![0.0; d],
             logits: vec![0.0; self.output.out_dim()],
-            att: vec![0.0; cache.max_tokens.max(cache.max_slots)],
-            memory: vec![0.0; (cache.max_tokens + cache.max_slots) * d],
+            att: vec![0.0; cache.max_tokens.max(cache.beta)],
+            memory: vec![0.0; (cache.max_tokens + cache.beta) * d],
         }
     }
 
@@ -960,11 +860,11 @@ impl ComAid {
         } = prepared;
         assert_eq!(count.len(), target.len(), "mask length mismatch");
         let d = cache.dim;
-        let (shard, l) = cache.locate(concept.index());
-        let head = cache.head(shard, concept);
+        let i = concept.index();
+        let head = cache.head(concept);
         let (text, structure) = memory.split_at_mut(cache.max_tokens * d);
-        let enc_rows = shard.rows.gather(d, shard.paths.row(l), text);
-        let struct_mem = shard.rows.gather(d, shard.slots(l), structure);
+        let enc_rows = cache.rows.gather(d, cache.paths.row(i), text);
+        let struct_mem = cache.rows.gather(d, cache.slots(i), structure);
         let counted = |t: usize| count.get(t).copied().unwrap_or(true);
         let word = |t: usize| target.get(t).copied().unwrap_or(Vocab::EOS) as usize;
 
@@ -1135,8 +1035,7 @@ mod tests {
                 let cache = simd::with_level(level, || m.freeze(&idx));
                 let plan = m.plan();
                 for id in o.fine_grained() {
-                    let (shard, _) = cache.locate(id.index());
-                    let head = cache.head(shard, id);
+                    let head = cache.head(id);
                     for w in 0..m.vocab().len() {
                         let want = simd::with_level(simd::Level::Scalar, || {
                             m.run_example(&plan, &idx, id, &[w as u32]).step_log_probs[0]
@@ -1158,8 +1057,8 @@ mod tests {
     /// Only Definition 2.1's fine-grained concepts hold a frozen head:
     /// exactly the set `serving/ontology_text.rs` hands Phase I as its
     /// `doc_map`, on the hand-made world, hospital-x and an
-    /// ICD-10-CM-shaped ontology — numbered in local order within each
-    /// shard, which stores exactly that many heads.
+    /// ICD-10-CM-shaped ontology — numbered in node order, and the cache
+    /// stores exactly that many heads.
     #[test]
     fn frozen_heads_are_exactly_the_phase_one_candidates() {
         use crate::serving::ontology_text::OntologyText;
@@ -1186,16 +1085,9 @@ mod tests {
                 .collect();
             let (_, doc_map) = OntologyText::read(o).phase_one(o);
             assert_eq!(with_head, doc_map);
-            for (si, shard) in cache.shards.iter().enumerate() {
-                let slots: Vec<u32> = cache
-                    .members(si)
-                    .iter()
-                    .map(|&ni| cache.node_head[ni as usize])
-                    .filter(|&slot| slot != NO_HEAD)
-                    .collect();
-                assert!(slots.iter().copied().eq(0..slots.len() as u32));
-                assert_eq!(shard.heads.len(), slots.len() * head_len(6));
-            }
+            let slots = with_head.iter().map(|c| cache.node_head[c.index()]);
+            assert!(slots.eq(0..doc_map.len() as u32));
+            assert_eq!(cache.heads.len(), doc_map.len() * head_len(6));
         }
     }
 

@@ -90,6 +90,11 @@ impl OntologyIndex {
         self.tokens.row(id.index())
     }
 
+    /// Every description as one row per node, in node order.
+    pub(crate) fn token_rows(&self) -> &Csr {
+        &self.tokens
+    }
+
     /// The β structural-context concepts of `id` (none for the root).
     pub fn context(&self, id: ConceptId) -> &[ConceptId] {
         if id == Ontology::ROOT {

@@ -57,6 +57,11 @@ impl Csr {
         &self.ids[self.off[i] as usize..self.off[i + 1] as usize]
     }
 
+    /// The ids of closed row `i`, writable in place.
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [u32] {
+        &mut self.ids[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
     /// Ids across all rows.
     pub(crate) fn len(&self) -> usize {
         self.ids.len()
@@ -129,6 +134,8 @@ mod tests {
             (&[0, 0, 3, 3, 4, 6][..], &[7, 5, 7, 9, 1, 2][..])
         );
         assert_eq!(csr.map(|id| id + 1).row(1), &[8, 6, 8]);
+        csr.row_mut(3)[0] = 4;
+        assert_eq!((csr.row(3), csr.row(4)), (&[4][..], &[1, 2][..]));
     }
 
     #[test]

@@ -628,7 +628,7 @@ mod tests {
     #[test]
     fn cache_frozen_over_another_ontology_is_refrozen() {
         // One generation, two ontologies of different size: the shared
-        // cache's shard map does not cover the larger one, so its linker
+        // cache's layout does not cover the larger one, so its linker
         // gets a cache of its own, scoring what the uncached path does.
         let (o, model) = world();
         let larger = {
@@ -674,7 +674,7 @@ mod tests {
     #[test]
     fn a_same_size_ontology_is_not_served_another_ontologys_rows() {
         // The feedback world with its two leaves' descriptions swapped:
-        // the same node count and shape, so the generation's shard map
+        // the same node count and shape, so the generation's cache layout
         // covers it, but every leaf's frozen rows encode the other
         // leaf's text. Its linker must score like a fresh `Linker::new`.
         let (o, model) = world();

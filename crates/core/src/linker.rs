@@ -63,7 +63,7 @@ pub struct Linker<'a> {
     config: LinkerConfig,
     pub(crate) tfidf: TfIdfIndex,
     pub(crate) doc_map: Vec<ConceptId>,
-    /// Query rewriting's lazily-built indexes and outcome memo.
+    /// Query rewriting's indexes and outcome memo.
     pub(crate) rewriter: Rewriter,
     /// Optional log-prior table for MAP ranking (Eq. 11); `None` = the
     /// paper's default uniform prior (pure MLE, Eq. 12).
@@ -103,9 +103,9 @@ impl<'a> Linker<'a> {
     /// [`OntologyIndex`], the Phase-I TF-IDF index over the fine-grained
     /// concepts and the shared-word lists, and freezes the concept
     /// cache from the index, every chapter of it, so no request pays for
-    /// a freeze; the index itself is not kept. The rewriting indexes
-    /// (embedding nearest-neighbour, edit distance) are built by the
-    /// first out-of-vocabulary query word.
+    /// a freeze; the index itself is not kept. It also builds the
+    /// rewriting indexes (embedding nearest-neighbour, edit distance),
+    /// so no request pays for those either.
     pub fn new(model: &'a ComAid, ontology: &'a Ontology, config: LinkerConfig) -> Self {
         Self::with_cache(model, ontology, config, |index| {
             frozen_cache(model, index, &config)
@@ -133,13 +133,14 @@ impl<'a> Linker<'a> {
             cache.serves(model, &index),
             "Linker: the concept cache was frozen from another model or ontology"
         );
+        let rewriter = Rewriter::new(model, &tfidf);
         Self {
             model,
             ontology,
             config,
             tfidf,
             doc_map,
-            rewriter: Rewriter::default(),
+            rewriter,
             prior: None,
             faults: None,
             cache,

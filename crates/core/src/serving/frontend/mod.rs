@@ -10,9 +10,8 @@
 //! first-class, *graceful* regime instead:
 //!
 //! * A hand-rolled bounded MPMC queue (`queue.rs`) feeds worker loops
-//!   running on the PR-3 [`WorkerPool`] (via
-//!   [`WorkerPool::run_with`], so the submitting thread keeps
-//!   submitting while the workers drain).
+//!   spawned for each serve window on a [`std::thread::scope`], so the
+//!   submitting thread keeps submitting while the workers drain.
 //! * **Admission control** reads the observed queue depth at submit
 //!   time and walks arriving requests down the PR-1 degradation
 //!   ladder: below [`FrontendConfig::degrade_watermark`] requests run
@@ -62,7 +61,6 @@ use super::document::{link_document, DocumentResult};
 use super::propose::ProposeConfig;
 use super::score::ComAidScore;
 use super::trace::{StageKind, TraceEvent};
-use ncl_tensor::pool::WorkerPool;
 use queue::{BoundedQueue, PushError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -89,8 +87,12 @@ pub struct FrontendConfig {
     /// The ED budget cap applied on the [`AdmissionRung::PartialEd`]
     /// rung (an existing smaller configured `ed` budget wins).
     pub partial_ed_budget: Duration,
-    /// Worker loops draining the queue, run on the front end's own
-    /// [`WorkerPool`]. `0` switches to **inline serving**: `submit`
+    /// Worker loops draining the queue, one scoped thread each per
+    /// [`Frontend::serve`] window. Deliberately not capped by the host
+    /// core count — queue-depth-driven shedding must work (and be
+    /// testable) even on small hosts, where oversubscribed worker loops
+    /// still drain the queue while the submitter sleeps between
+    /// arrivals. `0` switches to **inline serving**: `submit`
     /// links synchronously on the caller's thread (no queue, depth
     /// always 0) — the deterministic mode tests use.
     pub workers: usize,
@@ -354,13 +356,6 @@ impl FrontendStats {
 pub struct Frontend<'f, 'a> {
     linker: &'f Linker<'a>,
     config: FrontendConfig,
-    /// The front end's pool (the PR-3 [`WorkerPool`] type):
-    /// `workers` spawned loops plus the submitting caller. Deliberately
-    /// not capped by the host core count — queue-depth-driven
-    /// shedding must work (and be testable) even on small hosts, where
-    /// oversubscribed worker loops still drain the queue while the
-    /// submitter sleeps between arrivals.
-    pool: WorkerPool,
     queue: BoundedQueue<QueuedRequest>,
     next_id: AtomicU64,
     counters: Counters,
@@ -398,7 +393,6 @@ impl<'f, 'a> Frontend<'f, 'a> {
         Self {
             linker,
             config,
-            pool: WorkerPool::new(config.workers + 1),
             queue,
             next_id: AtomicU64::new(0),
             counters: Counters::default(),
@@ -494,24 +488,19 @@ impl<'f, 'a> Frontend<'f, 'a> {
     }
 
     /// Runs `body` (the open-loop arrival process calling
-    /// [`Frontend::submit`]) while `workers` loops drain the queue on
-    /// the front end's own pool; returns `body`'s value once the
-    /// queue has fully drained. The queue closes when `body` returns
-    /// **or unwinds** (close-on-drop guard), so the worker loops
-    /// always terminate.
+    /// [`Frontend::submit`]) on the calling thread while `workers`
+    /// scoped threads drain the queue; returns `body`'s value once the
+    /// queue has fully drained and every worker has been joined. The
+    /// queue closes when `body` returns **or unwinds** (close-on-drop
+    /// guard), so the worker loops always terminate. A panic in `body`
+    /// is re-raised after the join; a worker's panic makes `serve`
+    /// panic then too ([`std::thread::scope`]).
     pub fn serve<R>(&self, body: impl FnOnce() -> R) -> R {
         if self.config.workers == 0 {
             return body();
         }
         self.queue.open();
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..self.config.workers)
-            .map(|_| {
-                let this: &Self = self;
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || this.worker_loop());
-                job
-            })
-            .collect();
-        self.pool.run_with(jobs, || {
+        std::thread::scope(|s| {
             struct CloseOnDrop<'g, T>(&'g BoundedQueue<T>);
             impl<T> Drop for CloseOnDrop<'_, T> {
                 fn drop(&mut self) {
@@ -519,6 +508,9 @@ impl<'f, 'a> Frontend<'f, 'a> {
                 }
             }
             let _guard = CloseOnDrop(&self.queue);
+            for _ in 0..self.config.workers {
+                s.spawn(|| self.worker_loop());
+            }
             body()
         })
     }

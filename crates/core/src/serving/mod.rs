@@ -13,11 +13,10 @@
 //! Design rules (DESIGN.md §12):
 //!
 //! * **The linker is shared and immutable.** Everything a request
-//!   mutates lives in `serve`'s locals; the linker's interior
-//!   mutability is limited to lazily-built indexes and the rewrite
-//!   memo, both behaviour-transparent, so one linker serves many
-//!   requests — concurrently, from [`frontend`] workers — without
-//!   interference.
+//!   mutates lives in `serve`'s locals; the rewrite memo is the only
+//!   state a request writes, and it is behaviour-transparent, so one
+//!   linker serves many requests — concurrently, from [`frontend`]
+//!   workers — without interference.
 //! * **Checked against the equations.** A `#[cfg(test)]` reference
 //!   linker written from PAPER.md Eq. 3–13 (`crate::reference`) is the
 //!   oracle: one proptest walks the `cache_tier × entry point × variant`

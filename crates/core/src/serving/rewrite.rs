@@ -4,19 +4,20 @@
 //! neuropaty" example).
 //!
 //! The [`Rewriter`] owns everything rewriting keeps between requests —
-//! the two lazily-built indexes and the outcome memo — and one
-//! read-through over that memo ([`Rewriter::outcome`]) serves both the
-//! Rewrite block of a request and the document-level Propose scan.
+//! the two indexes, built with the linker, and the outcome memo — and
+//! one read-through over that memo ([`Rewriter::outcome`]) serves both
+//! the Rewrite block of a request and the document-level Propose scan.
 
 use super::trace::{LinkTrace, RewriteDecision, StageKind, TraceEvent};
+use crate::comaid::ComAid;
 use crate::linker::Linker;
 use ncl_embedding::NearestWords;
 use ncl_text::edit_index::EditIndex;
-use ncl_text::tfidf::RetrievalStats;
+use ncl_text::tfidf::{RetrievalStats, TfIdfIndex};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Maximum edit distance for the textual fallback of rewriting.
@@ -30,50 +31,49 @@ const REWRITE_MIN_COSINE: f32 = 0.35;
 
 /// The rewriting state a [`Linker`] holds by value; every method takes
 /// the linker back for the immutable inputs (model, Phase-I dictionary,
-/// configuration, fault plan).
-#[derive(Default)]
+/// configuration, fault plan). The memo is the only state a request
+/// writes.
 pub(crate) struct Rewriter {
-    /// Embedding nearest-neighbour index masked to Ω, built on first
-    /// use: it clones and row-normalises the full embedding table, which
-    /// a linker serving with `rewrite: false` (or queries that are never
-    /// out-of-vocabulary) should not pay for.
-    nearest: OnceLock<NearestWords>,
-    /// Length/prefix-bucketed edit-distance index over Ω', also built on
-    /// first use — the textual fallback.
-    edit_index: OnceLock<EditIndex>,
+    /// Embedding nearest-neighbour index masked to Ω: a row-normalised,
+    /// transposed copy of the embedding table.
+    nearest: NearestWords,
+    /// Length/prefix-bucketed edit-distance index over Ω' — the textual
+    /// fallback.
+    edit_index: EditIndex,
     /// OOV token → rewrite outcome (negative outcomes included), so a
     /// repeated OOV token costs one lookup per linker lifetime.
     memo: Mutex<HashMap<String, Option<String>>>,
 }
 
 impl Rewriter {
-    /// The embedding nearest-neighbour index masked to the description
-    /// vocabulary Ω.
-    fn nearest_words(&self, linker: &Linker<'_>) -> &NearestWords {
-        self.nearest.get_or_init(|| {
-            // Ω mask over Ω': only words that occur in the indexed
-            // concept descriptions may be rewriting targets.
-            let vocab = linker.model.vocab();
-            let allowed: Vec<bool> = (0..vocab.len())
-                .map(|i| {
-                    if i < 4 {
-                        return false;
-                    }
-                    vocab
-                        .word(i as u32)
-                        .map(|w| linker.tfidf.contains_term(w))
-                        .unwrap_or(false)
-                })
-                .collect();
-            NearestWords::new(linker.model.embedding().table(), Some(allowed))
-        })
+    /// Both indexes over `model`'s vocabulary Ω', the nearest-word one
+    /// masked to Ω, the words of the concept descriptions `tfidf`
+    /// indexes — the only rewriting targets — and an empty memo.
+    pub(crate) fn new(model: &ComAid, tfidf: &TfIdfIndex) -> Self {
+        let vocab = model.vocab();
+        let allowed: Vec<bool> = (0..vocab.len())
+            .map(|i| {
+                if i < 4 {
+                    return false;
+                }
+                vocab
+                    .word(i as u32)
+                    .map(|w| tfidf.contains_term(w))
+                    .unwrap_or(false)
+            })
+            .collect();
+        Self {
+            nearest: NearestWords::new(model.embedding().table(), Some(allowed)),
+            edit_index: EditIndex::new(vocab.iter_words().map(|(_, w)| w)),
+            memo: Mutex::default(),
+        }
     }
 
     /// Eq. 13 from the embedding of the Ω' word `id`: its nearest Ω
     /// word, when that clears [`REWRITE_MIN_COSINE`].
     fn nearest_to(&self, linker: &Linker<'_>, id: u32) -> Option<String> {
         let v = linker.model.embedding().lookup(id);
-        self.nearest_words(linker)
+        self.nearest
             .nearest(&v, Some(id))
             .filter(|&(_, cos)| cos >= REWRITE_MIN_COSINE)
             .and_then(|(nid, _)| linker.model.vocab().word(nid).map(|s| s.to_string()))
@@ -90,10 +90,7 @@ impl Rewriter {
         // Textual fallback: the closest Ω' word by edit distance
         // (insertion order is the vocabulary's word-id order, which
         // breaks ties), then Eq. 13 from that word's embedding.
-        let similar = self
-            .edit_index
-            .get_or_init(|| EditIndex::new(vocab.iter_words().map(|(_, w)| w)))
-            .nearest(word, EDIT_MAX_DIST)?;
+        let similar = self.edit_index.nearest(word, EDIT_MAX_DIST)?;
         if linker.tfidf.contains_term(similar) {
             return Some(similar.to_string());
         }

@@ -2,8 +2,8 @@
 //! memory trade — epsilon-bounded scores, explicitly flagged via
 //! [`ConceptCache::tier`], bit-reproducible within the tier — and what
 //! is resident is exactly what [`CacheMemoryReport`] says: every
-//! chapter, the root slot's shard included, frozen by the time
-//! [`ComAid::freeze_tiered`] or `Linker::new` returns.
+//! chapter frozen by the time [`ComAid::freeze_tiered`] or
+//! `Linker::new` returns.
 //!
 //! These tests run (and must pass) under `NCL_FORCE_SCALAR=1` too: the
 //! bf16 widen/narrow kernels are bit-exact across dispatch levels, so
@@ -132,14 +132,15 @@ fn compact_scores_bit_reproducible_at_every_dispatch_level() {
     }
 }
 
-/// The report is a by-hand sum of what the layout holds: per shard one
-/// row (f32 or bf16) per distinct description prefix of its chapter
-/// plus the zero row; per node a `u32` per description token (its
-/// path), one path offset and β `u32` slot references; a `3d + 1`-float
-/// head per fine-grained concept only — and nothing per ancestor slot
-/// beyond the reference, in either tier. The sum runs over every
-/// chapter and the root slot's shard, so it holds only if the cache
-/// `ComAid::freeze_tiered` and `Linker::new` return has frozen them all.
+/// The report is a by-hand sum of what the flat layout holds: one zero
+/// row and one row (f32 or bf16) per distinct description prefix of a
+/// chapter; per node a `u32` per description token (its path), one path
+/// offset, β `u32` slot references (the root slot's filler included)
+/// and its head slot; a `3d + 1`-float head per fine-grained concept
+/// only — and nothing per ancestor slot beyond the reference, in either
+/// tier. The rows count every chapter's prefixes, so the sum holds only
+/// if the cache `ComAid::freeze_tiered` and `Linker::new` return has
+/// frozen them all.
 #[test]
 fn memory_report_is_a_by_hand_sum_in_both_tiers() {
     let (chapters, cats, leaves) = (3usize, 2usize, 2usize);
@@ -150,7 +151,6 @@ fn memory_report_is_a_by_hand_sum_in_both_tiers() {
     let (d, beta) = (10usize, 2usize);
     let nodes = idx.len();
     assert_eq!(nodes, 1 + chapters * (1 + cats + cats * leaves));
-    let shards = chapters + 1;
     let fine = o.fine_grained().len();
     assert_eq!(fine, chapters * cats * leaves);
     let tokens: usize = o.all_concepts().map(|c| idx.tokens(c).len()).sum();
@@ -168,17 +168,16 @@ fn memory_report_is_a_by_hand_sum_in_both_tiers() {
     // "system i" is shared by a whole chapter, "... group j type" by a
     // category's leaves: 13 of the chapter's 41 tokens are new.
     assert_eq!((prefixes.len(), tokens), (chapters * 13, chapters * 41));
-    let rows = shards + prefixes.len();
+    let rows = 1 + prefixes.len();
     // Both LSTM plans: W and U transposed (d × 4d each) plus 4d biases;
     // the composite (3d → d) and output (d → |V|) transposes; and the
-    // node → shard map: shard, local position, head slot and member
-    // list per node, one member-list offset per shard and a closing one.
+    // head slot of every node.
     let plans = 2 * (2 * d * 4 * d + 4 * d) + 3 * d * d + d * vocab;
-    let skeleton_bytes = (plans + 4 * nodes + shards + 1) * 4;
+    let skeleton_bytes = (plans + nodes) * 4;
 
     let report = |tier| -> CacheMemoryReport {
         let cache = m.freeze_tiered(&idx, tier);
-        assert_eq!(cache.shard_count(), shards);
+        assert_eq!(cache.row_count(), rows);
         let r = cache.memory_report();
         assert_eq!(cache.memory_floats(), r.total_bytes() / 4);
         // A linker's cache is the same freeze.
@@ -206,22 +205,23 @@ fn memory_report_is_a_by_hand_sum_in_both_tiers() {
     let compact = report(CacheTier::Compact);
     for (r, row_bytes) in [(&exact, 4 * d), (&compact, 2 * d)] {
         let name = r.tier.name();
-        assert_eq!((r.concepts, r.shards), (nodes, shards), "{name}");
+        assert_eq!(r.concepts, nodes, "{name}");
         // Heads for the fine-grained concepts, and for nothing else.
         assert_eq!(r.decoder_state_bytes, fine * 2 * d * 4, "{name}");
         assert_eq!(r.step0_bytes, fine * (d + 1) * 4, "{name}");
         // The rows, 4 B of path per token, one path offset per node
-        // plus one closing offset per shard.
+        // plus a closing one.
         assert_eq!(
             r.enc_state_bytes,
-            rows * row_bytes + tokens * 4 + (nodes + shards) * 4,
+            rows * row_bytes + tokens * 4 + (nodes + 1) * 4,
             "{name}"
         );
         assert_eq!(r.encoder_tokens, tokens, "{name}");
         assert_eq!(r.encoder_steps_run, prefixes.len(), "{name}");
-        // Every node but the root slot has β slots…
+        // Every node but the root slot has β slots, and the root slot
+        // β of filler…
         assert_eq!(r.ancestor_slots, (nodes - 1) * beta, "{name}");
-        assert_eq!(r.ancestor_bytes, r.ancestor_slots * 4, "{name}");
+        assert_eq!(r.ancestor_bytes, nodes * beta * 4, "{name}");
         // …and they name chapters and categories only, each the row its
         // own path ends on.
         assert_eq!(r.ancestor_rows_stored, chapters * (1 + cats), "{name}");

@@ -258,7 +258,7 @@ fn stats_surface_the_cache_memory_report() {
     );
     let before = fe.stats().cache;
     let cache = linker.cache().unwrap();
-    assert_eq!(before.shards, cache.shard_count());
+    assert_eq!(before.encoder_steps_run, cache.row_count() - 1);
     assert_eq!(before.concepts, cache.len());
     assert_eq!(before.total_bytes(), cache.memory_report().total_bytes());
     assert!(before.bytes_per_concept() > 0.0);
@@ -416,4 +416,36 @@ fn submit_outside_a_serve_window_is_rejected() {
     let err = fe.submit(tokenize("ckd stage 5")).unwrap_err();
     assert!(matches!(err, ncl_core::NclError::Overloaded { .. }));
     assert_eq!(fe.stats().rejected, 1);
+}
+
+/// A panic in the arrival loop still closes the queue and joins every
+/// worker before `serve` re-raises it: what was admitted is served,
+/// nothing is stranded, and the front end serves the next window.
+#[test]
+fn a_panicking_serve_body_drains_joins_and_reraises() {
+    let (o, model) = trained_world();
+    let linker = Linker::new(&model, &o, LinkerConfig::default());
+    let fe = Frontend::new(
+        &linker,
+        FrontendConfig {
+            workers: 2,
+            deadline: None,
+            ..FrontendConfig::default()
+        },
+    );
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        fe.serve(|| {
+            for q in QUERIES {
+                fe.submit(tokenize(q)).unwrap();
+            }
+            panic!("arrival loop failed");
+        })
+    }));
+    let payload = caught.expect_err("the body's panic reaches the caller");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"arrival loop failed"));
+    assert_eq!(fe.take_completions().len(), QUERIES.len());
+    let err = fe.submit(tokenize("ckd stage 5")).unwrap_err();
+    assert!(matches!(err, ncl_core::NclError::Overloaded { .. }));
+    fe.serve(|| fe.submit(tokenize("ckd stage 5")).unwrap());
+    assert_eq!(fe.take_completions().len(), 1);
 }

@@ -4,13 +4,14 @@
 //! interner and flat id arrays (`serving::ontology_text`), so what that
 //! pass allocates scales with the number of distinct *words*, not with
 //! the number of concepts: two `String`s per word in the interner, two
-//! per term in the TF-IDF index, and a fixed handful of arrays (each
-//! counted once per doubling as it grows). It then freezes the concept
-//! cache in one loop over the chapters that reuses one set of scratch —
-//! the prefix trie's maps and arenas, the `⟨BOS⟩` decode buffers — so
-//! each chapter adds a fixed handful of arrays (its rows, paths, slot
-//! references and heads), and the scratch grows only when a chapter
-//! outgrows every one before it. The build the text pass replaced made
+//! per term in the TF-IDF index, one per word in the rewriter's
+//! edit-distance index, and a fixed handful of arrays (each counted
+//! once per doubling as it grows). It then freezes the concept
+//! cache, whose four arrays (rows, paths, slot references, heads) are
+//! each allocated once, in one loop over the chapters that reuses one
+//! set of scratch — the prefix trie's maps and per-chapter arenas, the
+//! `⟨BOS⟩` decode buffers — which grows only when a chapter outgrows
+//! every one before it. The build the text pass replaced made
 //! a `String` per token and a `Vec` per concept four times over —
 //! 994,809 allocations for 31,881 concepts, 31 per concept.
 //!
@@ -96,7 +97,7 @@ fn building_a_linker_allocates_per_word_not_per_concept() {
     let build = || allocations_in(|| Linker::new(&model, &o, config));
     let new = build();
     assert_eq!(new, build(), "the count repeats exactly");
-    let shards = |m, o| Linker::new(m, o, config).cache().unwrap().shard_count();
+    let rows = |m, o| Linker::new(m, o, config).cache().unwrap().row_count();
 
     let cell = HotSwapCell::new(&model, &o, config);
     let snap = cell.snapshot();
@@ -111,13 +112,13 @@ fn building_a_linker_allocates_per_word_not_per_concept() {
     let large_new = allocations_in(|| Linker::new(&large_model, &large, config));
 
     println!(
-        "allocations: Linker::new {new} ({} concepts, |V| = {words}, {} shards), \
+        "allocations: Linker::new {new} ({} concepts, |V| = {words}, {} cache rows), \
          ModelGeneration::linker {through_generation}, OntologyIndex::build {index}; \
-         Linker::new {large_new} ({} concepts, |V| = {large_words}, {} shards)",
+         Linker::new {large_new} ({} concepts, |V| = {large_words}, {} cache rows)",
         o.num_concepts(),
-        shards(&model, &o),
+        rows(&model, &o),
         large.num_concepts(),
-        shards(&large_model, &large),
+        rows(&large_model, &large),
     );
     assert!(o.num_concepts() >= 2_000 && large.num_concepts() >= 31_000);
     let bound = 4 * words + 600;

@@ -370,8 +370,8 @@ proptest! {
     /// chapter, and (the final cell and the frozen BOS step ride on the
     /// scores) serves bit-identically to the uncached model: in every
     /// architecture variant, for the empty target, and whether the mask
-    /// counts every word, none, or some. There is one shard per chapter
-    /// plus the root slot's.
+    /// counts every word, none, or some. The cache stores one row per
+    /// distinct prefix of a chapter plus the zero row.
     #[test]
     fn trie_shared_freeze_equals_per_concept_encoder_passes(
         shape in proptest::collection::vec(0usize..50 * 6 * 40, 2..14),
@@ -401,8 +401,8 @@ proptest! {
             model.log_prob_ids_masked_cached(&index, cache, c, &target, &mask).to_bits()
         };
 
-        // The chapter a node's shard is keyed by: its top-level
-        // ancestor, or the root slot itself.
+        // A node's chapter: its top-level ancestor, or the root slot
+        // itself.
         let chapter = |c: ConceptId| {
             let mut chapter = c;
             while let Some(p) = o.parent(chapter).filter(|&p| p != Ontology::ROOT) {
@@ -410,9 +410,8 @@ proptest! {
             }
             chapter
         };
-        let shards = concepts.iter().map(|&c| chapter(c)).collect::<HashSet<_>>().len();
         // The named counts: tokens a per-concept pass would step through,
-        // and distinct non-empty prefixes per chapter (a shard's trie).
+        // and distinct non-empty prefixes per chapter (a chapter's trie).
         let mut tokens = 0usize;
         let mut prefixes: HashSet<(ConceptId, &[u32])> = HashSet::new();
         for &c in &concepts {
@@ -423,7 +422,7 @@ proptest! {
 
         for tier in [CacheTier::Exact, CacheTier::Compact] {
             let cache = model.freeze_tiered(&index, tier);
-            prop_assert_eq!(cache.shard_count(), shards);
+            prop_assert_eq!(cache.row_count(), 1 + prefixes.len());
             for &c in &concepts {
                 let reference = reference_encoder_states(&model, &index, c);
                 let want: Vec<Vector> = match tier {

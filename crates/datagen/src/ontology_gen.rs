@@ -394,7 +394,7 @@ pub struct Icd10CmGenConfig {
 }
 
 /// Generates an ICD-10-CM-shaped ontology: 21 skewed chapters as
-/// first-level concepts (so per-chapter cache shards mirror the real
+/// first-level concepts (so the cache freeze's chapters mirror the real
 /// ontology's layout), chapter-prefixed alphanumeric category codes
 /// that are collision-free by construction at any size the grid
 /// admits, and the same qualifier-scheme subtrees as [`generate`].

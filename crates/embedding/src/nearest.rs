@@ -5,7 +5,7 @@
 //! vocabulary `Ω'`. Concept-id tokens injected during pre-training must be
 //! excluded, as must the special tokens, hence the filter mask.
 
-use ncl_tensor::{simd, Matrix, Vector};
+use ncl_tensor::{simd, vector, Matrix, Vector};
 
 /// A cosine nearest-neighbour index over embedding rows.
 ///
@@ -41,7 +41,8 @@ impl NearestWords {
         let mut wt = vec![0.0f32; rows * dims];
         for r in 0..rows {
             let row = embeddings.row(r);
-            let norm = embeddings.row_vector(r).norm();
+            // `Vector::norm`'s arithmetic, without a `Vector` per row.
+            let norm = vector::dot(row, row).sqrt();
             let inv = if norm > f32::EPSILON { 1.0 / norm } else { 1.0 };
             for (k, &v) in row.iter().enumerate() {
                 wt[k * rows + r] = v * inv;

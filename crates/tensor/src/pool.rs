@@ -6,11 +6,7 @@
 //! across calls: [`WorkerPool::new`]
 //! spawns them once, [`WorkerPool::run`] deals a batch of jobs out and
 //! blocks until every job has finished, and dropping the pool shuts the
-//! threads down. [`WorkerPool::run_with`] is the submit-without-
-//! participating variant: the batch runs on the spawned workers only
-//! while the caller executes its own closure alongside them — the seam
-//! the open-loop serving front end uses to keep feeding a queue that
-//! long-lived worker-loop jobs drain.
+//! threads down.
 //!
 //! Design constraints, in order:
 //!
@@ -164,81 +160,6 @@ impl WorkerPool {
     /// Total executors (spawned workers plus the calling thread).
     pub fn threads(&self) -> usize {
         self.lanes.len() + 1
-    }
-
-    /// Runs `body` on the calling thread while `jobs` execute on the
-    /// pool's **spawned** workers; returns `body`'s value once every job
-    /// has finished.
-    ///
-    /// This is the submission seam [`run`] cannot provide: `run` deals a
-    /// share of the batch to the calling thread, so a caller that must
-    /// keep doing its own concurrent work — e.g. a serving front end
-    /// feeding a request queue while long-lived worker loops drain it —
-    /// would be stuck executing jobs instead of submitting. Here jobs go
-    /// round-robin to the spawned lanes only, and `body` runs alongside
-    /// them on the caller's thread.
-    ///
-    /// `run_with` is still a barrier: after `body` returns (or panics —
-    /// the unwind is caught first) it blocks until the completion latch
-    /// has counted every job, which is exactly what makes the `'scope`
-    /// borrows sound (same argument as [`run`]). Long-running jobs must
-    /// therefore terminate once `body` is done; the intended shape is a
-    /// loop draining a channel that `body` closes on exit (via a
-    /// close-on-drop guard, so the jobs also wind down when `body`
-    /// unwinds).
-    ///
-    /// With no spawned workers (`threads() == 1`) there is nowhere to
-    /// run jobs concurrently: `body` runs first, then the jobs execute
-    /// inline on the calling thread, in submission order. Jobs that rely
-    /// on `body` for termination still work in this degenerate case
-    /// provided they do not *block* on work only `body` produces after
-    /// its return (a drained-then-closed queue qualifies).
-    ///
-    /// Panics in jobs are isolated and re-raised after the barrier, like
-    /// [`run`]. When both `body` and a job panic, `body`'s panic wins
-    /// (it is the caller's own unwind; the job payload is dropped).
-    ///
-    /// [`run`]: WorkerPool::run
-    pub fn run_with<'scope, R>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>,
-        body: impl FnOnce() -> R,
-    ) -> R {
-        let latch = Arc::new(Latch::new(jobs.len()));
-        let mut inline: Vec<Job> = Vec::new();
-        for (i, job) in jobs.into_iter().enumerate() {
-            // SAFETY: identical to `run` — the erased 'scope borrows
-            // cannot outlive this frame because `latch.wait()` below
-            // blocks until every job (completed or panicked) has been
-            // counted down, and the wrapper completes the latch whether
-            // or not the job unwinds.
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
-            let latch = Arc::clone(&latch);
-            let wrapped: Job = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(job));
-                latch.complete(result.err());
-            });
-            if self.lanes.is_empty() {
-                inline.push(wrapped);
-            } else {
-                self.lanes[i % self.lanes.len()].push(Msg::Run(wrapped));
-            }
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(body));
-        for job in inline {
-            job();
-        }
-        let job_panic = latch.wait();
-        match outcome {
-            Ok(r) => {
-                if let Some(payload) = job_panic {
-                    resume_unwind(payload);
-                }
-                r
-            }
-            Err(payload) => resume_unwind(payload),
-        }
     }
 
     /// Runs a batch of jobs, blocking until all of them have finished.
@@ -403,103 +324,6 @@ mod tests {
             .collect();
         pool.run(jobs);
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn run_with_overlaps_body_and_jobs() {
-        use std::sync::atomic::AtomicBool;
-        let pool = WorkerPool::new(2); // one spawned lane
-        let go = AtomicBool::new(false);
-        let saw_go = AtomicBool::new(false);
-        let result = pool.run_with(
-            vec![boxed(|| {
-                // The job only makes progress after `body` has started
-                // running — impossible unless they overlap.
-                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-                while !go.load(Ordering::Acquire) {
-                    if std::time::Instant::now() >= deadline {
-                        return; // fail via the assert below, not a hang
-                    }
-                    std::thread::yield_now();
-                }
-                saw_go.store(true, Ordering::Release);
-            })],
-            || {
-                go.store(true, Ordering::Release);
-                42
-            },
-        );
-        assert_eq!(result, 42);
-        assert!(
-            saw_go.load(Ordering::Acquire),
-            "job must observe the flag set by the concurrently running body"
-        );
-    }
-
-    #[test]
-    fn run_with_degenerates_to_body_then_jobs_inline() {
-        let pool = WorkerPool::new(1); // no spawned lanes
-        let order = Mutex::new(Vec::new());
-        let jobs = (0..3)
-            .map(|i| {
-                let order = &order;
-                boxed(move || order.lock().unwrap().push(i))
-            })
-            .collect();
-        let r = pool.run_with(jobs, || {
-            order.lock().unwrap().push(100);
-            "done"
-        });
-        assert_eq!(r, "done");
-        assert_eq!(*order.lock().unwrap(), vec![100, 0, 1, 2]);
-    }
-
-    #[test]
-    fn run_with_reraises_job_panics_after_the_barrier() {
-        let pool = WorkerPool::new(2);
-        let finished = AtomicUsize::new(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let jobs = (0..4)
-                .map(|i| {
-                    let finished = &finished;
-                    boxed(move || {
-                        if i == 1 {
-                            panic!("job 1 exploded");
-                        }
-                        finished.fetch_add(1, Ordering::Relaxed);
-                    })
-                })
-                .collect();
-            pool.run_with(jobs, || ())
-        }));
-        assert!(caught.is_err(), "job panic must reach the caller");
-        assert_eq!(finished.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn run_with_body_panic_still_joins_jobs() {
-        let pool = WorkerPool::new(2);
-        let finished = AtomicUsize::new(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let jobs = (0..2)
-                .map(|_| {
-                    let finished = &finished;
-                    boxed(move || {
-                        finished.fetch_add(1, Ordering::Relaxed);
-                    })
-                })
-                .collect();
-            pool.run_with(jobs, || panic!("body exploded"))
-        }));
-        assert!(caught.is_err(), "body panic must propagate");
-        // The barrier held: both jobs ran to completion before the
-        // panic was re-raised, so their borrows were released safely.
-        assert_eq!(finished.load(Ordering::Relaxed), 2);
-        // The pool remains usable.
-        pool.run(vec![boxed(|| {
-            finished.fetch_add(1, Ordering::Relaxed);
-        })]);
-        assert_eq!(finished.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -284,9 +284,9 @@ impl Wire for SectionEntry {
 
 /// The offset table of an `NCLMODEL` v2 container: per-section byte
 /// offsets, lengths, and checksums. A serving process reads *only* this
-/// index at open time and fetches section payloads on demand — the
-/// substrate for lazy per-shard freezing (`comaid::persist` in
-/// `ncl-core` wraps it in the versioned, checksummed container).
+/// index at open time and fetches section payloads on demand
+/// (`comaid::persist` in `ncl-core` wraps it in the versioned,
+/// checksummed container).
 ///
 /// Offsets handed out by [`SectionIndex::append`] are contiguous and
 /// ascending; decode accepts any bounds-checked layout so readers stay
